@@ -645,6 +645,55 @@ impl AggState {
     }
 }
 
+/// Row-level operations over a bare `[AggState]` slice (one state per
+/// spec). [`AggStates`] owns such a row per group; stores that keep every
+/// group's states in one flat arena (the sort-based run table) borrow a
+/// stride of it and come through here.
+impl AggState {
+    /// Fold a raw tuple into a row of states: for each spec, extract its
+    /// input column and update the matching state.
+    #[inline]
+    pub fn update_row(
+        states: &mut [AggState],
+        specs: &[AggSpec],
+        tuple_values: &[Value],
+    ) -> Result<(), ModelError> {
+        debug_assert_eq!(specs.len(), states.len());
+        for (state, spec) in states.iter_mut().zip(specs) {
+            let input = match spec.input {
+                Some(c) => Some(tuple_values.get(c).ok_or(ModelError::ColumnOutOfRange {
+                    column: c,
+                    arity: tuple_values.len(),
+                })?),
+                None => None,
+            };
+            state.update(input)?;
+        }
+        Ok(())
+    }
+
+    /// Fold an encoded partial row (the non-key columns of a partial
+    /// tuple, concatenated per function in spec order) into a row of
+    /// states.
+    #[inline]
+    pub fn merge_partial_row(states: &mut [AggState], cols: &[Value]) -> Result<(), ModelError> {
+        let expected: usize = states.iter().map(|s| s.func().partial_arity()).sum();
+        if cols.len() != expected {
+            return Err(ModelError::PartialArityMismatch {
+                expected,
+                found: cols.len(),
+            });
+        }
+        let mut pos = 0;
+        for state in states.iter_mut() {
+            let n = state.func().partial_arity();
+            state.merge_partial(&cols[pos..pos + n])?;
+            pos += n;
+        }
+        Ok(())
+    }
+}
+
 /// The states of *all* of a query's aggregates for one group — the value
 /// side of every hash-table entry in the system.
 #[derive(Debug, Clone, PartialEq)]
@@ -687,20 +736,7 @@ impl AggStates {
         specs: &[AggSpec],
         tuple_values: &[Value],
     ) -> Result<(), ModelError> {
-        debug_assert_eq!(specs.len(), self.states.len());
-        for (state, spec) in self.states.iter_mut().zip(specs) {
-            let input = match spec.input {
-                Some(c) => Some(tuple_values.get(c).ok_or(
-                    ModelError::ColumnOutOfRange {
-                        column: c,
-                        arity: tuple_values.len(),
-                    },
-                )?),
-                None => None,
-            };
-            state.update(input)?;
-        }
-        Ok(())
+        AggState::update_row(&mut self.states, specs, tuple_values)
     }
 
     /// Columnar fast-path update for spec `idx` with an `Int` input cell
@@ -728,19 +764,7 @@ impl AggStates {
     /// Fold in an encoded partial row (the non-key columns of a partial
     /// tuple, concatenated per function in spec order).
     pub fn merge_partial_values(&mut self, cols: &[Value]) -> Result<(), ModelError> {
-        if cols.len() != self.partial_arity() {
-            return Err(ModelError::PartialArityMismatch {
-                expected: self.partial_arity(),
-                found: cols.len(),
-            });
-        }
-        let mut pos = 0;
-        for state in self.states.iter_mut() {
-            let n = state.func().partial_arity();
-            state.merge_partial(&cols[pos..pos + n])?;
-            pos += n;
-        }
-        Ok(())
+        AggState::merge_partial_row(&mut self.states, cols)
     }
 
     /// Merge another whole state row (e.g. combining two hash tables).

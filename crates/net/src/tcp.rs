@@ -771,7 +771,7 @@ mod tests {
             }
         };
         assert_eq!(failure.err, NetError::PeerDown { peer: 1 });
-        assert_eq!(failure.msg, original, "failed send hands the message back");
+        assert_eq!(*failure.msg, original, "failed send hands the message back");
     }
 
     #[test]

@@ -105,6 +105,10 @@ pub fn serve(
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
+    // One reply = one segment: a reply split into body and newline has
+    // its second write held back by Nagle until the client's delayed ACK
+    // (~40 ms per request on loopback).
+    let _ = stream.set_nodelay(true);
     let Ok(read) = stream.try_clone() else { return };
     let mut writer = stream;
     let reader = BufReader::new(read);
@@ -114,8 +118,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if line.is_empty() {
             continue;
         }
-        let (response, stop_after) = handle_line(line, shared);
-        if writeln!(writer, "{response}").is_err() {
+        let (mut response, stop_after) = handle_line(line, shared);
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).is_err() {
             return;
         }
         let _ = writer.flush();
@@ -484,5 +489,37 @@ mod tests {
         assert_eq!(summary.connections, 1);
         assert_eq!(summary.metrics.completed, 1);
         assert_eq!(summary.metrics.failed, 1);
+    }
+
+    #[test]
+    fn reply_is_one_segment_not_held_for_a_delayed_ack() {
+        let data = Arc::new(Dataset::uniform(1, 100, 4, 5));
+        let sched = Arc::new(Scheduler::new(ServeConfig::new(1_000), data));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || serve(listener, sched, None, |_| {}).unwrap());
+
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_nodelay(true).unwrap();
+        let mut reply = BufReader::new(conn.try_clone().unwrap());
+        let mut line = String::new();
+        let mut round_trips: Vec<Duration> = (0..30)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                conn.write_all(b"ping\n").unwrap();
+                line.clear();
+                reply.read_line(&mut line).unwrap();
+                assert!(line.contains("\"pong\""), "{line}");
+                t0.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        // A reply written as body + newline without TCP_NODELAY costs the
+        // client's delayed-ACK timer (~40 ms) on every request.
+        assert!(median < Duration::from_millis(20), "median ping {median:?}");
+
+        conn.write_all(b"shutdown\n").unwrap();
+        server.join().unwrap();
     }
 }

@@ -1,18 +1,207 @@
 //! Sorted-run formation with early aggregation.
+//!
+//! The resident run is an *index*, not an ordered structure: an
+//! open-addressed slot array over flat key/state arenas finds a row's
+//! group in O(1) while rows stream in, and the order is only established
+//! once, when the run seals (sort a permutation of the entries, spool
+//! them through one scratch row). A pushed row therefore costs no heap
+//! allocation; the arenas are cleared, not freed, between runs.
 
+use adaptagg_model::hash::hash_values;
 use adaptagg_model::{
-    AggQuery, AggStates, CostEvent, CostTracker, GroupKey, ModelError, RowKind, Value,
+    AggQuery, AggSpec, AggState, CostEvent, CostTracker, ModelError, RowKind, Seed, Value,
 };
 use adaptagg_storage::{SpillFile, StorageError};
-use std::collections::BTreeMap;
 
-/// Builds sorted runs: a memory-bounded ordered table that seals itself
-/// to a [`SpillFile`] (written in key order) whenever it reaches the
-/// group budget.
+/// Vacant slot marker.
+const EMPTY: u32 = u32::MAX;
+
+/// The resident run's groups: entry `e` owns `keys[e*k..][..k]`,
+/// `states[e*n..][..n]` and `hashes[e]`; `slots` is the linear-probed
+/// index from key hash to entry.
+#[derive(Debug)]
+struct RunTable {
+    /// Key columns per group.
+    k: usize,
+    /// Aggregate states per group.
+    n: usize,
+    /// Power-of-two sized.
+    slots: Vec<u32>,
+    hashes: Vec<u64>,
+    keys: Vec<Value>,
+    states: Vec<AggState>,
+    /// Every resident key is a single `Int` (sort `(i64, entry)` pairs
+    /// instead of comparing `Value` slices).
+    int_keys: bool,
+    /// Seal-time scratch: entries in key order, the int-key sort buffer,
+    /// and the row being spooled.
+    order: Vec<u32>,
+    int_order: Vec<(i64, u32)>,
+    row: Vec<Value>,
+}
+
+impl RunTable {
+    fn new(k: usize, n: usize) -> Self {
+        const INITIAL_SLOTS: usize = 64;
+        RunTable {
+            k,
+            n,
+            slots: vec![EMPTY; INITIAL_SLOTS],
+            hashes: Vec::new(),
+            keys: Vec::new(),
+            states: Vec::new(),
+            int_keys: k == 1,
+            order: Vec::new(),
+            int_order: Vec::new(),
+            row: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn key(&self, entry: usize) -> &[Value] {
+        &self.keys[entry * self.k..(entry + 1) * self.k]
+    }
+
+    fn states_mut(&mut self, entry: usize) -> &mut [AggState] {
+        &mut self.states[entry * self.n..(entry + 1) * self.n]
+    }
+
+    /// Where the probe sequence of `hash` starts.
+    fn home(&self, hash: u64) -> usize {
+        (hash as usize) & (self.slots.len() - 1)
+    }
+
+    /// Linear-probe for `key`: its entry, or the vacant slot it would
+    /// take.
+    #[inline]
+    fn find(&self, hash: u64, key: &[Value]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let s = self.slots[i];
+            if s == EMPTY {
+                return Err(i);
+            }
+            let e = s as usize;
+            if self.hashes[e] == hash && self.key(e) == key {
+                return Ok(e);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Admit a new group with fresh states into the vacant `slot` that
+    /// [`RunTable::find`] reported; returns its entry.
+    fn admit(&mut self, slot: usize, hash: u64, key: &[Value], aggs: &[AggSpec]) -> usize {
+        let entry = self.len();
+        self.slots[slot] = u32::try_from(entry).expect("run table exceeds u32 entries");
+        self.hashes.push(hash);
+        self.keys.extend_from_slice(key);
+        self.states
+            .extend(aggs.iter().map(|s| AggState::new(s.func)));
+        self.int_keys = self.int_keys && matches!(key, [Value::Int(_)]);
+        if (self.len() + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+        }
+        entry
+    }
+
+    /// Double the slot array and re-seat every entry from its stored
+    /// hash.
+    fn grow(&mut self) {
+        let new_len = self.slots.len() * 2;
+        self.slots.clear();
+        self.slots.resize(new_len, EMPTY);
+        for (entry, &hash) in self.hashes.iter().enumerate() {
+            let mut i = self.home(hash);
+            while self.slots[i] != EMPTY {
+                i = (i + 1) & (new_len - 1);
+            }
+            self.slots[i] = entry as u32;
+        }
+    }
+
+    /// Forget every group, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        self.slots.fill(EMPTY);
+        self.hashes.clear();
+        self.keys.clear();
+        self.states.clear();
+        self.int_keys = self.k == 1;
+    }
+
+    /// Fill `order` with the entries in ascending key order (`Value`'s
+    /// total order over the key columns, i.e. `GroupKey`'s `Ord`). Keys
+    /// are distinct, so the unstable sorts are deterministic; neither
+    /// allocates.
+    fn sort_entries(&mut self) {
+        self.order.clear();
+        if self.int_keys {
+            self.int_order.clear();
+            self.int_order
+                .extend(self.keys.iter().zip(0u32..).map(|(key, e)| match key {
+                    Value::Int(x) => (*x, e),
+                    _ => unreachable!("int_keys run table holds a non-Int key"),
+                }));
+            self.int_order.sort_unstable();
+            self.order.extend(self.int_order.iter().map(|&(_, e)| e));
+        } else {
+            self.order.extend(0..self.len() as u32);
+            let (keys, k) = (&self.keys, self.k);
+            self.order.sort_unstable_by(|&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                keys[a * k..(a + 1) * k].cmp(&keys[b * k..(b + 1) * k])
+            });
+        }
+    }
+
+    /// Materialize entry `e` as a partial row (key columns ++ partial
+    /// state columns) in `row`.
+    fn write_row(&self, e: usize, row: &mut Vec<Value>) {
+        row.clear();
+        row.extend_from_slice(self.key(e));
+        for s in &self.states[e * self.n..(e + 1) * self.n] {
+            s.to_partial_values(row);
+        }
+    }
+
+    /// Write the groups out in key order as one sorted run and clear the
+    /// table. Charges `t_w` per row plus the run's page writes.
+    fn seal<T: CostTracker>(
+        &mut self,
+        page_bytes: usize,
+        tracker: &mut T,
+    ) -> Result<SpillFile, StorageError> {
+        let mut run = SpillFile::new(page_bytes);
+        self.sort_entries();
+        let mut row = std::mem::take(&mut self.row);
+        for &e in &self.order {
+            tracker.record(CostEvent::TupleWrite, 1);
+            self.write_row(e as usize, &mut row);
+            run.spool(&row, tracker)?;
+        }
+        self.row = row;
+        run.finish(tracker);
+        self.clear();
+        Ok(run)
+    }
+}
+
+/// Builds sorted runs: a memory-bounded table of groups that seals itself
+/// to a [`SpillFile`] (written in key order) whenever a new group arrives
+/// at the group budget.
 #[derive(Debug)]
 pub struct RunBuilder {
     query: AggQuery,
-    table: BTreeMap<GroupKey, AggStates>,
+    /// Raw rows lead with the key columns (projected form), so the key is
+    /// a borrowed prefix of the row; otherwise it is gathered into
+    /// `key_scratch`.
+    key_is_prefix: bool,
+    key_scratch: Vec<Value>,
+    table: RunTable,
     max_entries: usize,
     page_bytes: usize,
     sealed: Vec<SpillFile>,
@@ -24,8 +213,10 @@ impl RunBuilder {
     /// budget per run.
     pub fn new(query: AggQuery, max_entries: usize, page_bytes: usize) -> Self {
         RunBuilder {
+            key_is_prefix: query.group_by.iter().copied().eq(0..query.group_by.len()),
+            key_scratch: Vec::new(),
+            table: RunTable::new(query.group_by.len(), query.aggs.len()),
             query,
-            table: BTreeMap::new(),
             max_entries: max_entries.max(1),
             page_bytes,
             sealed: Vec::new(),
@@ -48,8 +239,8 @@ impl RunBuilder {
         self.table.len()
     }
 
-    /// Push a row of either kind. Charges `t_r` (read) + `t_h` (ordered
-    /// insertion; see crate docs on cost parity) + `t_a` (combine).
+    /// Push a row of either kind. Charges `t_r` (read) + `t_h` (index
+    /// probe; see crate docs on cost parity) + `t_a` (combine).
     pub fn push<T: CostTracker>(
         &mut self,
         kind: RowKind,
@@ -60,9 +251,8 @@ impl RunBuilder {
         tracker.record(CostEvent::TupleHash, 1);
         self.rows_in += 1;
 
-        let k = self.query.group_by.len();
-        let key = match kind {
-            RowKind::Raw => self.query.key_of_values(values)?,
+        let k = self.table.k;
+        let key: &[Value] = match kind {
             RowKind::Partial => {
                 if values.len() != self.query.partial_row_arity() {
                     return Err(ModelError::PartialArityMismatch {
@@ -71,58 +261,66 @@ impl RunBuilder {
                     }
                     .into());
                 }
-                GroupKey::new(values[..k].to_vec())
+                &values[..k]
+            }
+            RowKind::Raw if self.key_is_prefix => {
+                values.get(..k).ok_or(ModelError::ColumnOutOfRange {
+                    column: values.len(),
+                    arity: values.len(),
+                })?
+            }
+            RowKind::Raw => {
+                self.key_scratch.clear();
+                for &c in &self.query.group_by {
+                    let v = values.get(c).ok_or(ModelError::ColumnOutOfRange {
+                        column: c,
+                        arity: values.len(),
+                    })?;
+                    self.key_scratch.push(v.clone());
+                }
+                &self.key_scratch
             }
         };
 
         // Early aggregation: combine into the resident run if the key is
         // present; otherwise admit it (sealing first if at budget).
-        if !self.table.contains_key(&key) && self.table.len() >= self.max_entries {
-            self.seal_run(tracker)?;
-        }
-        let states = self
-            .table
-            .entry(key)
-            .or_insert_with(|| AggStates::new(&self.query.aggs));
+        let hash = hash_values(Seed::Table, key);
+        let entry = match self.table.find(hash, key) {
+            Ok(entry) => entry,
+            Err(mut slot) => {
+                if self.table.len() >= self.max_entries {
+                    self.sealed.push(self.table.seal(self.page_bytes, tracker)?);
+                    // The table is empty now: the key's home slot is free.
+                    slot = self.table.home(hash);
+                }
+                self.table.admit(slot, hash, key, &self.query.aggs)
+            }
+        };
+        let states = self.table.states_mut(entry);
         match kind {
-            RowKind::Raw => states.update_from_tuple(&self.query.aggs, values)?,
-            RowKind::Partial => states.merge_partial_values(&values[k..])?,
+            RowKind::Raw => AggState::update_row(states, &self.query.aggs, values)?,
+            RowKind::Partial => AggState::merge_partial_row(states, &values[k..])?,
         }
         tracker.record(CostEvent::TupleAgg, 1);
         Ok(())
     }
 
-    /// Seal the resident run to disk in key order (BTreeMap iteration is
-    /// sorted). Charges `t_w` per row plus page writes.
-    fn seal_run<T: CostTracker>(&mut self, tracker: &mut T) -> Result<(), StorageError> {
-        if self.table.is_empty() {
-            return Ok(());
-        }
-        let mut run = SpillFile::new(self.page_bytes);
-        for (key, states) in std::mem::take(&mut self.table) {
-            tracker.record(CostEvent::TupleWrite, 1);
-            let mut row = key.into_values();
-            row.extend(states.to_partial_values());
-            run.spool(&row, tracker)?;
-        }
-        run.finish(tracker);
-        self.sealed.push(run);
-        Ok(())
-    }
-
     /// Finish run formation. Returns all sealed runs plus the resident
-    /// run's rows (which never touch disk — the hybrid trick: the last
-    /// run merges from memory).
+    /// run's rows in key order (which never touch disk — the hybrid
+    /// trick: the last run merges from memory). Charges `t_w` per
+    /// resident row.
     #[allow(clippy::type_complexity)]
     pub fn finish<T: CostTracker>(
         mut self,
         tracker: &mut T,
     ) -> Result<(Vec<SpillFile>, Vec<Vec<Value>>), StorageError> {
+        self.table.sort_entries();
+        let arity = self.query.partial_row_arity();
         let mut resident: Vec<Vec<Value>> = Vec::with_capacity(self.table.len());
-        for (key, states) in std::mem::take(&mut self.table) {
+        for &e in &self.table.order {
             tracker.record(CostEvent::TupleWrite, 1);
-            let mut row = key.into_values();
-            row.extend(states.to_partial_values());
+            let mut row = Vec::with_capacity(arity);
+            self.table.write_row(e as usize, &mut row);
             resident.push(row);
         }
         Ok((self.sealed, resident))

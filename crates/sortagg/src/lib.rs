@@ -8,22 +8,31 @@
 //!
 //! The classic external-sort-with-early-aggregation pipeline:
 //!
-//! 1. **run formation** — accumulate tuples in a memory-bounded ordered
-//!    table (early aggregation: duplicates combine *before* anything is
-//!    written), and when it reaches `M` groups, seal it to disk as a
-//!    sorted run ([`RunBuilder`]);
+//! 1. **run formation** — accumulate tuples in a memory-bounded table
+//!    (early aggregation: duplicates combine *before* anything is
+//!    written), and when a new group arrives at `M` groups, seal it to
+//!    disk as a sorted run ([`RunBuilder`]). The table is an *index*, not
+//!    an ordered structure: an open-addressed hash index over flat
+//!    key/state arenas finds a row's group while rows stream in, and the
+//!    order is established once per run, by sorting the entries when the
+//!    run seals (Do/Graefe/Naughton's in-memory index with the sort
+//!    deferred to run generation);
 //! 2. **k-way merge** — merge all runs by key, combining equal keys'
 //!    partial states, emitting finalized or partial rows in key order
-//!    ([`merge_runs`]).
+//!    ([`merge_runs`]). Runs are read in place: a page cursor per run, a
+//!    heap of run indices comparing head keys where they lie, one reused
+//!    row of states.
 //!
 //! [`SortAggregator`] packages the pipeline behind the same
 //! push/finish interface as `adaptagg_hashagg::HashAggregator`, so the
 //! algorithms layer can swap strategies (`AlgorithmKind::SortTwoPhase`).
 //!
 //! Cost parity: Table 1 prices hashing (`t_h`) but not comparisons; we
-//! charge `t_h` per run-table insertion (the BTree descent) and `t_r` per
-//! comparison-driven move in the merge, keeping the two strategies
-//! comparable under one parameter set. Run I/O goes through the same
+//! charge `t_h` per pushed row (the index probe that finds or admits its
+//! group; the seal-time sort rides on the `t_w` each sealed row pays) and
+//! `t_r` per comparison-driven move in the merge, keeping the two
+//! strategies comparable under one parameter set. The order the charges
+//! are issued in is part of the contract (DESIGN.md §16). Run I/O goes through the same
 //! spill machinery (page writes on seal, reads on merge) as hash
 //! overflow, so the I/O accounting is identical.
 

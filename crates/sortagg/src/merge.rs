@@ -1,9 +1,14 @@
 //! K-way merge of sorted runs with aggregation.
+//!
+//! The merge never copies a run: each run's pages are walked by a cursor
+//! that decodes one row at a time into that run's *head* row, a heap of
+//! run indices orders the heads by comparing their key columns in place,
+//! and equal keys fold into one reused row of states. The only per-row
+//! allocation is the output row of each emitted group.
 
-use adaptagg_model::{AggQuery, AggStates, CostEvent, CostTracker, GroupKey, Value};
-use adaptagg_storage::{SpillFile, StorageError};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use adaptagg_model::{AggQuery, AggState, CostEvent, CostTracker, ModelError, Value};
+use adaptagg_storage::{Page, PageCursor, SpillFile, StorageError, StripView};
+use std::cmp::Ordering;
 
 /// What the merge emits per group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,18 +19,124 @@ pub enum MergeEmit {
     Partial,
 }
 
-/// One cursor over a materialized run.
-struct RunCursor {
-    rows: std::vec::IntoIter<Vec<Value>>,
+/// Where one run's rows come from.
+enum Source<'a> {
+    /// A sealed run, read back page by page.
+    Pages {
+        rest: std::slice::Iter<'a, Page>,
+        cursor: Option<PageCursor<'a>>,
+    },
+    /// The resident rows of the final run.
+    Rows(std::vec::IntoIter<Vec<Value>>),
+}
+
+impl Source<'_> {
+    /// Load the run's next row into `out`; `false` when exhausted.
+    fn next_into(&mut self, out: &mut Vec<Value>) -> Result<bool, StorageError> {
+        match self {
+            Source::Pages { rest, cursor } => loop {
+                if let Some(c) = cursor {
+                    if c.next_into(out)? {
+                        return Ok(true);
+                    }
+                }
+                match rest.next() {
+                    Some(page) => *cursor = Some(page.cursor()),
+                    None => return Ok(false),
+                }
+            },
+            Source::Rows(rows) => Ok(rows.next().map(|row| *out = row).is_some()),
+        }
+    }
+}
+
+/// The head row of every run, and the order the heap keeps them in.
+struct Heads {
+    rows: Vec<Vec<Value>>,
+    /// `rows[i][0]` as an `i64` when `int_keys`.
+    ints: Vec<i64>,
+    /// Every key of every run is a single `Int`: compare `ints`, not
+    /// `Value` slices.
+    int_keys: bool,
+    /// Key columns per row.
+    k: usize,
+}
+
+impl Heads {
+    /// Whether run `a`'s head sorts before run `b`'s under (key, run
+    /// index) — `Value`'s total order over the key columns (`GroupKey`'s
+    /// `Ord`), the index breaking ties deterministically.
+    #[inline]
+    fn less(&self, a: u32, b: u32) -> bool {
+        let (ia, ib) = (a as usize, b as usize);
+        let by_key = if self.int_keys {
+            self.ints[ia].cmp(&self.ints[ib])
+        } else {
+            self.rows[ia][..self.k].cmp(&self.rows[ib][..self.k])
+        };
+        by_key.then(a.cmp(&b)) == Ordering::Less
+    }
+}
+
+/// Min-heap of run indices ordered by [`Heads::less`].
+struct RunHeap {
+    items: Vec<u32>,
+}
+
+impl RunHeap {
+    fn new(items: Vec<u32>, heads: &Heads) -> Self {
+        let mut heap = RunHeap { items };
+        for pos in (0..heap.items.len() / 2).rev() {
+            heap.sift_down(pos, heads);
+        }
+        heap
+    }
+
+    fn top(&self) -> Option<u32> {
+        self.items.first().copied()
+    }
+
+    /// Restore the heap after the top run's head changed.
+    fn top_changed(&mut self, heads: &Heads) {
+        self.sift_down(0, heads);
+    }
+
+    /// Drop the (exhausted) top run.
+    fn remove_top(&mut self, heads: &Heads) {
+        self.items.swap_remove(0);
+        if !self.items.is_empty() {
+            self.sift_down(0, heads);
+        }
+    }
+
+    fn sift_down(&mut self, mut pos: usize, heads: &Heads) {
+        let n = self.items.len();
+        let item = self.items[pos];
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && heads.less(self.items[child + 1], self.items[child]) {
+                child += 1;
+            }
+            if !heads.less(self.items[child], item) {
+                break;
+            }
+            self.items[pos] = self.items[child];
+            pos = child;
+        }
+        self.items[pos] = item;
+    }
 }
 
 /// Merge sorted runs (plus the resident in-memory rows of the final run)
 /// into key-ordered output rows, combining equal keys' partial states.
 ///
-/// Charges: page reads + `t_r` per row when draining runs (via the spill
-/// machinery), `t_r` per heap pop (the merge comparison work — see the
-/// crate's cost-parity note), `t_a` per combine, and `t_w` per emitted
-/// row.
+/// Charges: page reads + `t_r` per row for every run, in run order,
+/// before the first row is merged (via the spill machinery), then `t_r`
+/// per heap pop (the merge comparison work — see the crate's cost-parity
+/// note), `t_a` per combine, and `t_w` per emitted row.
 pub fn merge_runs<T: CostTracker>(
     query: &AggQuery,
     runs: Vec<SpillFile>,
@@ -34,85 +145,121 @@ pub fn merge_runs<T: CostTracker>(
     tracker: &mut T,
 ) -> Result<Vec<Vec<Value>>, StorageError> {
     let k = query.group_by.len();
+    let arity = query.partial_row_arity();
+    let out_arity = match emit {
+        MergeEmit::Finalized => query.result_row_arity(),
+        MergeEmit::Partial => arity,
+    };
 
-    // Materialize each run's rows (charging its reads); runs are small
-    // relative to the input thanks to early aggregation.
-    let mut cursors: Vec<RunCursor> = Vec::with_capacity(runs.len() + 1);
-    for run in runs {
-        let mut rows = Vec::with_capacity(run.tuple_count());
-        run.drain(tracker, |t, row| {
-            t.record(CostEvent::TupleRead, 1);
-            rows.push(row.to_vec());
-            Ok(())
-        })?;
-        cursors.push(RunCursor {
-            rows: rows.into_iter(),
-        });
-    }
-    cursors.push(RunCursor {
-        rows: resident.into_iter(),
-    });
+    // Read every run back. The pages stay where they are; the rows are
+    // decoded one at a time as the merge reaches them.
+    let run_pages: Vec<Vec<Page>> = runs
+        .into_iter()
+        .map(|run| {
+            let mut pages = Vec::with_capacity(run.sealed_pages() + 1);
+            run.drain_pages(tracker, |t, page| {
+                for _ in 0..page.tuple_count() {
+                    t.record(CostEvent::TupleRead, 1);
+                }
+                pages.push(page);
+            });
+            pages
+        })
+        .collect();
 
-    // Seed the heap with each cursor's head. Reverse for a min-heap on
-    // (key, cursor index) — the index breaks ties deterministically.
-    let mut heap: BinaryHeap<Reverse<(GroupKey, usize)>> = BinaryHeap::new();
-    let mut heads: Vec<Option<Vec<Value>>> = Vec::with_capacity(cursors.len());
-    for (i, c) in cursors.iter_mut().enumerate() {
-        let head = c.rows.next();
-        if let Some(row) = &head {
-            heap.push(Reverse((GroupKey::new(row[..k].to_vec()), i)));
+    let int_keys = k == 1
+        && run_pages
+            .iter()
+            .flatten()
+            .all(|page| matches!(page.column(0), Some(StripView::Ints(_))))
+        && resident
+            .iter()
+            .all(|row| matches!(row.first(), Some(Value::Int(_))));
+    let mut sources: Vec<Source<'_>> = run_pages
+        .iter()
+        .map(|pages| Source::Pages {
+            rest: pages.iter(),
+            cursor: None,
+        })
+        .collect();
+    sources.push(Source::Rows(resident.into_iter()));
+
+    let mut heads = Heads {
+        rows: vec![Vec::new(); sources.len()],
+        ints: vec![0; sources.len()],
+        int_keys,
+        k,
+    };
+    // Load run `i`'s next row as its head; `false` when the run is done.
+    let mut advance = |heads: &mut Heads, i: usize| -> Result<bool, StorageError> {
+        let row = &mut heads.rows[i];
+        if !sources[i].next_into(row)? {
+            return Ok(false);
         }
-        heads.push(head);
+        if row.len() != arity {
+            return Err(ModelError::PartialArityMismatch {
+                expected: arity,
+                found: row.len(),
+            }
+            .into());
+        }
+        if int_keys {
+            if let Value::Int(x) = row[0] {
+                heads.ints[i] = x;
+            }
+        }
+        Ok(true)
+    };
+
+    let mut live = Vec::with_capacity(heads.rows.len());
+    for i in 0..heads.rows.len() {
+        if advance(&mut heads, i)? {
+            live.push(i as u32);
+        }
     }
+    let mut heap = RunHeap::new(live, &heads);
 
     let mut out: Vec<Vec<Value>> = Vec::new();
-    let mut current: Option<(GroupKey, AggStates)> = None;
-
-    while let Some(Reverse((key, i))) = heap.pop() {
-        tracker.record(CostEvent::TupleRead, 1); // merge comparison work
-        let row = heads[i].take().expect("head present for heap entry");
-
-        // Advance cursor i.
-        if let Some(next) = cursors[i].rows.next() {
-            heap.push(Reverse((GroupKey::new(next[..k].to_vec()), i)));
-            heads[i] = Some(next);
+    let mut states: Vec<AggState> = query.aggs.iter().map(|s| AggState::new(s.func)).collect();
+    // The open group's output row: its key now, its aggregates on close.
+    let mut open: Option<Vec<Value>> = None;
+    let mut close = |mut row: Vec<Value>, states: &mut [AggState], tracker: &mut T| {
+        tracker.record(CostEvent::TupleWrite, 1);
+        for (state, spec) in states.iter_mut().zip(&query.aggs) {
+            match emit {
+                MergeEmit::Finalized => row.push(state.finalize()),
+                MergeEmit::Partial => state.to_partial_values(&mut row),
+            }
+            *state = AggState::new(spec.func);
         }
+        out.push(row);
+    };
 
-        match &mut current {
-            Some((cur_key, states)) if *cur_key == key => {
-                states.merge_partial_values(&row[k..])?;
-                tracker.record(CostEvent::TupleAgg, 1);
+    while let Some(top) = heap.top() {
+        tracker.record(CostEvent::TupleRead, 1); // merge comparison work
+        let i = top as usize;
+        let row = &heads.rows[i];
+        if !matches!(&open, Some(group) if group[..k] == row[..k]) {
+            if let Some(done) = open.take() {
+                close(done, &mut states, tracker);
             }
-            _ => {
-                if let Some((done_key, done)) = current.take() {
-                    out.push(emit_row(done_key, done, emit, tracker));
-                }
-                let mut states = AggStates::new(&query.aggs);
-                states.merge_partial_values(&row[k..])?;
-                tracker.record(CostEvent::TupleAgg, 1);
-                current = Some((key, states));
-            }
+            let mut group = Vec::with_capacity(out_arity);
+            group.extend_from_slice(&row[..k]);
+            open = Some(group);
+        }
+        AggState::merge_partial_row(&mut states, &row[k..])?;
+        tracker.record(CostEvent::TupleAgg, 1);
+
+        if advance(&mut heads, i)? {
+            heap.top_changed(&heads);
+        } else {
+            heap.remove_top(&heads);
         }
     }
-    if let Some((key, states)) = current {
-        out.push(emit_row(key, states, emit, tracker));
+    if let Some(done) = open {
+        close(done, &mut states, tracker);
     }
     Ok(out)
-}
-
-fn emit_row<T: CostTracker>(
-    key: GroupKey,
-    states: AggStates,
-    emit: MergeEmit,
-    tracker: &mut T,
-) -> Vec<Value> {
-    tracker.record(CostEvent::TupleWrite, 1);
-    let mut row = key.into_values();
-    match emit {
-        MergeEmit::Finalized => row.extend(states.finalize()),
-        MergeEmit::Partial => row.extend(states.to_partial_values()),
-    }
-    row
 }
 
 #[cfg(test)]

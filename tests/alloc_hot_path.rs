@@ -7,12 +7,17 @@
 //! so every group is resident, a large batch of updates must not change
 //! the allocation counter at all.
 //!
+//! The same gate covers sorted-run formation (`sortagg::RunBuilder`, ISSUE
+//! 12): hits and new-group admissions allocate nothing once the first seal
+//! has sized the arenas, and a seal allocates per spill page, not per row.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
 
 use adaptagg_hashagg::AggTable;
 use adaptagg_model::{AggFunc, AggQuery, AggSpec, CountingTracker, RowKind, Value};
+use adaptagg_sortagg::RunBuilder;
 use adaptagg_storage::Page;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,4 +138,70 @@ fn resident_group_updates_do_not_allocate() {
         1000
     );
     assert_eq!(table.len(), GROUPS as usize, "no groups were added");
+
+    // Sorted-run formation (DESIGN.md §16): once the first seal has sized
+    // the run table's arenas, a pushed row — a hit on a resident group or
+    // the admission of a new one — allocates nothing. Only the seal itself
+    // does, and only for the run's spill pages.
+    const BUDGET: i64 = 5_000;
+    const PAGE_BYTES: usize = 32 * 1024; // ~1100 three-Int rows a page
+    let query = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()],
+    );
+    let mut builder = RunBuilder::new(query, BUDGET as usize, PAGE_BYTES);
+    let mut next_group = 0i64;
+    let mut admit = |builder: &mut RunBuilder, n: i64| {
+        for g in next_group..next_group + n {
+            let row = [Value::Int(g.wrapping_mul(0x9e37_79b9)), Value::Int(g)];
+            builder.push(RowKind::Raw, &row, &mut tracker).unwrap();
+            // Every other admission is followed by a hit on the same group.
+            if g % 2 == 0 {
+                builder.push(RowKind::Raw, &row, &mut tracker).unwrap();
+            }
+        }
+        next_group += n;
+    };
+    // Warm-up: fill a run, seal it, and leave one group resident.
+    admit(&mut builder, BUDGET + 1);
+    assert_eq!((builder.sealed_runs(), builder.resident_groups()), (1, 1));
+
+    // Window 1, no seal inside: fill the table back up to the budget.
+    let mut counted = u64::MAX;
+    for _attempt in 0..5 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        admit(&mut builder, BUDGET - 1);
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(builder.resident_groups(), BUDGET as usize);
+        if counted == 0 {
+            break;
+        }
+        // Retry from the same state: one more group seals the full table.
+        admit(&mut builder, 1);
+    }
+    assert_eq!(
+        counted,
+        0,
+        "run formation allocated {} times over {} admissions and {} hits",
+        counted,
+        BUDGET - 1,
+        BUDGET / 2
+    );
+
+    // Window 2, ten seals inside: allocations follow the pages written,
+    // not the rows pushed.
+    let runs_before = builder.sealed_runs();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    admit(&mut builder, 10 * BUDGET);
+    let counted = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(builder.sealed_runs(), runs_before + 10);
+    let (runs, _resident) = builder.finish(&mut tracker).unwrap();
+    let pages: usize = runs[runs_before..].iter().map(|r| r.sealed_pages()).sum();
+    let rows = 10 * BUDGET as usize;
+    assert!(pages * 200 < rows, "{pages} pages for {rows} rows");
+    assert!(
+        counted <= 64 * pages as u64,
+        "run formation allocated {counted} times sealing {pages} pages ({rows} groups): \
+         per-row allocation is back"
+    );
 }

@@ -116,6 +116,11 @@ const PIN_RUNS: &[(AlgorithmKind, usize, usize, usize, usize, u64)] = &[
     // Two nodes *and* overflow engaged: the spill spool/drain and the
     // cross-node merge both run, covering the columnar spill path.
     (AlgorithmKind::TwoPhase, 2, 3000, 1500, 300, 0x406b3bac08311e03), // 217.86475 ms
+    // Sort-2P where runs actually seal (the 120-group pin above never
+    // leaves memory): run spool, run read-back and the k-way merge, on
+    // one node and across two.
+    (AlgorithmKind::SortTwoPhase, 1, 3000, 1500, 300, 0x407ab4d70a3d64cb), // 427.3025 ms
+    (AlgorithmKind::SortTwoPhase, 2, 3000, 1500, 300, 0x406b7cb645a1c027), // 219.8972 ms
 ];
 
 fn pinned_run_elapsed(
