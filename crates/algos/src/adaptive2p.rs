@@ -21,9 +21,10 @@
 use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
-use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, SwitchCause};
+use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
 use adaptagg_hashagg::{AggTable, Inserted};
-use adaptagg_model::RowKind;
+use adaptagg_model::{RowKind, Value};
+use adaptagg_storage::{BatchOutcome, ScanBatch};
 
 /// Run Adaptive Two Phase on one node.
 pub fn run_node(
@@ -67,10 +68,13 @@ pub fn run_node_with(
     let scanned = if !resuming && ctx.recovery.is_some() {
         checkpointed_scan(ctx, plan, &mut scan, &mut ex, &mut events)
     } else {
-        operators::scan_project(ctx, "base", &plan.base.filter, &plan.projection, |ctx, values| {
-            scan.push(ctx, &mut ex, plan, values, &mut events)
-        })
-        .map(|_| ())
+        let mut sink = ScanSwitch {
+            scan: &mut scan,
+            ex: &mut ex,
+            events: &mut events,
+        };
+        operators::scan_pages(ctx, "base", &plan.base.filter, &plan.projection, 0, usize::MAX, &mut sink)
+            .map(|_| ())
     };
     ctx.span_end();
     scanned?;
@@ -126,14 +130,14 @@ fn checkpointed_scan(
             let mut done = session.resume_point(seg.partition).min(seg.pages);
             while done < seg.pages {
                 let chunk_end = (done + session.interval_pages()).min(seg.pages);
-                operators::scan_project_range(
+                operators::scan_pages(
                     ctx,
                     "base",
                     &plan.base.filter,
                     &plan.projection,
                     seg.start_page + done,
                     seg.start_page + chunk_end,
-                    |ctx, values| scan.push(ctx, ex, plan, values, events),
+                    &mut ScanSwitch { scan, ex, events },
                 )?;
                 if !scan.switched {
                     let partials = scan.table.drain_partial_rows(&mut ctx.clock);
@@ -164,7 +168,7 @@ fn route_partials_now(
     ctx: &mut NodeCtx,
     ex: &mut Exchange,
     switched: bool,
-    rows: &[Vec<adaptagg_model::Value>],
+    rows: &[Vec<Value>],
 ) -> Result<(), ExecError> {
     if rows.is_empty() {
         return Ok(());
@@ -214,8 +218,7 @@ impl ScanState {
         &mut self,
         ctx: &mut NodeCtx,
         ex: &mut Exchange,
-        _plan: &QueryPlan,
-        values: &[adaptagg_model::Value],
+        values: &[Value],
         events: &mut Vec<AdaptEvent>,
     ) -> Result<(), ExecError> {
         self.raw_seen += 1;
@@ -226,24 +229,84 @@ impl ScanState {
         }
         match self.table.insert_raw(values, &mut ctx.clock)? {
             Inserted::Updated | Inserted::New => Ok(()),
-            Inserted::Full => {
-                // The switch (§3.2): flush accumulated partials to their
-                // owners, freeing memory, then forward raws.
-                let partials = self.table.drain_partial_rows(&mut ctx.clock);
-                ex.switch_kind(ctx, RowKind::Partial)?;
-                ex.route_rows(ctx, &partials, false)?;
-                ex.switch_kind(ctx, RowKind::Raw)?;
-                self.switched = true;
-                events.push(AdaptEvent::SwitchedToRepartitioning {
-                    at_tuple: self.raw_seen,
-                });
-                ctx.trace_switch(SwitchCause::TableFull, self.raw_seen);
-                // The tuple that triggered the switch is forwarded raw
-                // (its hash was already charged by the failed insert).
-                ex.route(ctx, values, false)?;
-                Ok(())
-            }
+            Inserted::Full => self.switch(ctx, ex, values, events),
         }
+    }
+
+    /// [`ScanState::push`] for a scanned page's batch, while still in Two
+    /// Phase mode: the table's batched insert stops at the first row it
+    /// cannot hold, having charged that row's attempt; the switch then
+    /// happens exactly where the row loop would have made it, and the
+    /// outcome's `consumed` tells the scan where to resume row-wise.
+    pub fn push_batch(
+        &mut self,
+        ctx: &mut NodeCtx,
+        ex: &mut Exchange,
+        batch: &ScanBatch<'_>,
+        events: &mut Vec<AdaptEvent>,
+    ) -> Result<BatchOutcome, ExecError> {
+        debug_assert!(!self.switched);
+        let mut bounced: Option<Vec<Value>> = None;
+        let out = self
+            .table
+            .insert_batch(RowKind::Raw, batch, &mut ctx.clock, |_, _, row| {
+                bounced = Some(row.to_vec());
+                Ok(false)
+            })?;
+        self.raw_seen += out.passed;
+        if let Some(row) = bounced {
+            self.switch(ctx, ex, &row, events)?;
+        }
+        Ok(out)
+    }
+
+    /// The switch (§3.2), triggered by `values` bouncing off the full
+    /// table: flush accumulated partials to their owners, freeing memory,
+    /// then forward raws.
+    fn switch(
+        &mut self,
+        ctx: &mut NodeCtx,
+        ex: &mut Exchange,
+        values: &[Value],
+        events: &mut Vec<AdaptEvent>,
+    ) -> Result<(), ExecError> {
+        let partials = self.table.drain_partial_rows(&mut ctx.clock);
+        ex.switch_kind(ctx, RowKind::Partial)?;
+        ex.route_rows(ctx, &partials, false)?;
+        ex.switch_kind(ctx, RowKind::Raw)?;
+        self.switched = true;
+        events.push(AdaptEvent::SwitchedToRepartitioning {
+            at_tuple: self.raw_seen,
+        });
+        ctx.trace_switch(SwitchCause::TableFull, self.raw_seen);
+        // The tuple that triggered the switch is forwarded raw (its hash
+        // was already charged by the failed insert).
+        ex.route(ctx, values, false)
+    }
+}
+
+/// A [`ScanState`] with its exchange and event log, as the scan's sink:
+/// batches while in Two Phase mode, rows once switched.
+pub struct ScanSwitch<'a> {
+    /// The scan-side state machine.
+    pub scan: &'a mut ScanState,
+    /// Where flushed partials and forwarded raws go.
+    pub ex: &'a mut Exchange,
+    /// The node's adaptive-event log.
+    pub events: &'a mut Vec<AdaptEvent>,
+}
+
+impl ScanSink<NodeCtx> for ScanSwitch<'_> {
+    fn wants_batch(&self) -> bool {
+        !self.scan.switched
+    }
+
+    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        self.scan.push_batch(ctx, self.ex, batch, self.events)
+    }
+
+    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
+        self.scan.push(ctx, self.ex, values, self.events).map(|()| true)
     }
 }
 

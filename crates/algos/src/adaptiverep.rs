@@ -19,10 +19,11 @@ use crate::adaptive2p::ScanState;
 use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
-use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, SwitchCause};
+use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
 use adaptagg_model::hash::{hash_values, Seed};
-use adaptagg_model::RowKind;
+use adaptagg_model::{RowKind, Value};
 use adaptagg_net::{Control, Page, Payload};
+use adaptagg_storage::{BatchOutcome, ScanBatch};
 use std::collections::HashSet;
 
 /// Run Adaptive Repartitioning on one node.
@@ -42,88 +43,40 @@ pub fn run_node(
         RowKind::Raw,
     );
 
-    // Scan-side state.
-    let mut fallen_back = false; // running A2P logic?
-    let mut signalled = false; // has this node broadcast EndOfPhase?
-    let mut a2p: Option<ScanState> = None;
-    let mut seen_keys: HashSet<u64> = HashSet::new();
-    let mut scanned: u64 = 0;
-    let mut pre_received: Vec<(RowKind, Page)> = Vec::new();
-    let mut pre_eos = 0usize;
-
-    let key_len = plan.key_len();
-    let init_seg = cfg.arep_init_seg as u64;
-    let min_groups = cfg.arep_min_groups;
-    let poll = cfg.arep_poll_interval.max(1) as u64;
-
+    let mut scan = ArepScan {
+        plan,
+        max_entries,
+        init_seg: cfg.arep_init_seg as u64,
+        min_groups: cfg.arep_min_groups,
+        poll: cfg.arep_poll_interval.max(1) as u64,
+        ex: &mut ex,
+        events: &mut events,
+        fallen_back: false,
+        signalled: false,
+        a2p: None,
+        seen_keys: HashSet::new(),
+        scanned: 0,
+        pre_received: Vec::new(),
+        pre_eos: 0,
+    };
     ctx.span_start(PhaseKind::Scan);
-    let scan_result = operators::scan_project(ctx, "base", &plan.base.filter, &plan.projection, |ctx, values| {
-        scanned += 1;
-
-        // Track distinct groups over the initial segment only (bounded
-        // memory: the set stops growing once the verdict is safe).
-        if !fallen_back && scanned <= init_seg && (seen_keys.len() as u64) <= min_groups {
-            let h = hash_values(Seed::Table, &values[..key_len.min(values.len())]);
-            seen_keys.insert(h);
-        }
-
-        // Poll for a peer's EndOfPhase; buffer anything else data-like.
-        // A peer's abort surfaces here as an error (`try_recv` intercepts
-        // it), ending the scan promptly.
-        if scanned.is_multiple_of(poll) && !fallen_back {
-            while let Some(msg) = ctx.try_recv()? {
-                match msg.payload {
-                    Payload::Control(Control::EndOfPhase { .. }) => {
-                        fallen_back = true;
-                        events.push(AdaptEvent::FellBackToTwoPhase {
-                            at_tuple: scanned,
-                            local_decision: false,
-                        });
-                        ctx.trace_switch(SwitchCause::LowCardinalityPeer, scanned);
-                    }
-                    Payload::Data { kind, page } => pre_received.push((kind, page)),
-                    Payload::Control(Control::EndOfStream) => pre_eos += 1,
-                    Payload::Control(_) => {
-                        return Err(ExecError::Protocol("unexpected control during ARep scan"))
-                    }
-                }
-            }
-            if fallen_back && !signalled {
-                // "Follow suit … sending their own end-of-phase message."
-                ctx.broadcast_control(Control::EndOfPhase {
-                    groups_seen: seen_keys.len() as u64,
-                })?;
-                signalled = true;
-            }
-        }
-
-        // The local verdict at the end of the initial segment.
-        if !fallen_back && scanned == init_seg && (seen_keys.len() as u64) < min_groups {
-            fallen_back = true;
-            signalled = true;
-            events.push(AdaptEvent::FellBackToTwoPhase {
-                at_tuple: scanned,
-                local_decision: true,
-            });
-            ctx.trace_switch(SwitchCause::LowCardinalityLocal, scanned);
-            ctx.broadcast_control(Control::EndOfPhase {
-                groups_seen: seen_keys.len() as u64,
-            })?;
-        }
-
-        if fallen_back {
-            // Adaptive Two Phase logic from here on.
-            let grant = ctx.grant().clone();
-            let state =
-                a2p.get_or_insert_with(|| ScanState::new(plan, max_entries).with_grant(grant));
-            state.push(ctx, &mut ex, plan, values, &mut events)
-        } else {
-            // Repartitioning: hash + destination per tuple.
-            ex.route(ctx, values, true)
-        }
-    });
+    let scan_result = operators::scan_pages(
+        ctx,
+        "base",
+        &plan.base.filter,
+        &plan.projection,
+        0,
+        usize::MAX,
+        &mut scan,
+    );
     ctx.span_end();
     scan_result?;
+    let ArepScan {
+        a2p,
+        pre_received,
+        pre_eos,
+        ..
+    } = scan;
 
     // If the A2P table holds partials (fell back and never re-switched),
     // ship them now.
@@ -146,6 +99,117 @@ pub fn run_node(
     // one bounded table over pre-received + remaining pages of all kinds.
     let (rows, agg) = merge_phase_store(ctx, plan, max_entries, fanout, pre_received, pre_eos)?;
     Ok(NodeOutcome { rows, agg, events })
+}
+
+/// The scan-side state of Adaptive Repartitioning, as the scan's sink:
+/// rows while repartitioning (every tuple crosses the exchange, and the
+/// poll and the verdict count tuples), then — once fallen back — the A2P
+/// [`ScanState`], which takes whole-page batches until its own switch.
+struct ArepScan<'a> {
+    plan: &'a QueryPlan,
+    max_entries: usize,
+    init_seg: u64,
+    min_groups: u64,
+    poll: u64,
+    ex: &'a mut Exchange,
+    events: &'a mut Vec<AdaptEvent>,
+    /// Running A2P logic?
+    fallen_back: bool,
+    /// Has this node broadcast `EndOfPhase`?
+    signalled: bool,
+    a2p: Option<ScanState>,
+    seen_keys: HashSet<u64>,
+    scanned: u64,
+    pre_received: Vec<(RowKind, Page)>,
+    pre_eos: usize,
+}
+
+impl ScanSink<NodeCtx> for ArepScan<'_> {
+    fn wants_batch(&self) -> bool {
+        self.a2p.as_ref().is_some_and(|state| !state.switched)
+    }
+
+    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        let state = self.a2p.as_mut().expect("batches only after the fallback");
+        let out = state.push_batch(ctx, self.ex, batch, self.events)?;
+        self.scanned += out.passed;
+        Ok(out)
+    }
+
+    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
+        self.scanned += 1;
+        let scanned = self.scanned;
+
+        // Track distinct groups over the initial segment only (bounded
+        // memory: the set stops growing once the verdict is safe).
+        if !self.fallen_back
+            && scanned <= self.init_seg
+            && (self.seen_keys.len() as u64) <= self.min_groups
+        {
+            let h = hash_values(Seed::Table, &values[..self.plan.key_len().min(values.len())]);
+            self.seen_keys.insert(h);
+        }
+
+        // Poll for a peer's EndOfPhase; buffer anything else data-like.
+        // A peer's abort surfaces here as an error (`try_recv` intercepts
+        // it), ending the scan promptly.
+        if scanned.is_multiple_of(self.poll) && !self.fallen_back {
+            while let Some(msg) = ctx.try_recv()? {
+                match msg.payload {
+                    Payload::Control(Control::EndOfPhase { .. }) => {
+                        self.fallen_back = true;
+                        self.events.push(AdaptEvent::FellBackToTwoPhase {
+                            at_tuple: scanned,
+                            local_decision: false,
+                        });
+                        ctx.trace_switch(SwitchCause::LowCardinalityPeer, scanned);
+                    }
+                    Payload::Data { kind, page } => self.pre_received.push((kind, page)),
+                    Payload::Control(Control::EndOfStream) => self.pre_eos += 1,
+                    Payload::Control(_) => {
+                        return Err(ExecError::Protocol("unexpected control during ARep scan"))
+                    }
+                }
+            }
+            if self.fallen_back && !self.signalled {
+                // "Follow suit … sending their own end-of-phase message."
+                ctx.broadcast_control(Control::EndOfPhase {
+                    groups_seen: self.seen_keys.len() as u64,
+                })?;
+                self.signalled = true;
+            }
+        }
+
+        // The local verdict at the end of the initial segment.
+        if !self.fallen_back
+            && scanned == self.init_seg
+            && (self.seen_keys.len() as u64) < self.min_groups
+        {
+            self.fallen_back = true;
+            self.signalled = true;
+            self.events.push(AdaptEvent::FellBackToTwoPhase {
+                at_tuple: scanned,
+                local_decision: true,
+            });
+            ctx.trace_switch(SwitchCause::LowCardinalityLocal, scanned);
+            ctx.broadcast_control(Control::EndOfPhase {
+                groups_seen: self.seen_keys.len() as u64,
+            })?;
+        }
+
+        if self.fallen_back {
+            // Adaptive Two Phase logic from here on.
+            let grant = ctx.grant().clone();
+            let state = self
+                .a2p
+                .get_or_insert_with(|| ScanState::new(self.plan, self.max_entries).with_grant(grant));
+            state.push(ctx, self.ex, values, self.events)?;
+        } else {
+            // Repartitioning: hash + destination per tuple.
+            self.ex.route(ctx, values, true)?;
+        }
+        Ok(true)
+    }
 }
 
 #[cfg(test)]

@@ -37,7 +37,9 @@ impl QueryPlan {
 
 /// Phase 1 of the Two Phase family: scan + project the local partition,
 /// aggregate into a memory-bounded table (with overflow processing), and
-/// return the partial rows (§2.1's local aggregation).
+/// return the partial rows (§2.1's local aggregation). The scan feeds the
+/// aggregator a page at a time — borrowed column-strip batches into the
+/// table's batched insert, rows where the strips cannot serve.
 ///
 /// When the node carries a recovery session, the scan is checkpointed:
 /// rows already durable for a partition are restored instead of
@@ -65,12 +67,14 @@ pub fn local_partial_aggregation(
     let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
         .with_grant(ctx.grant().clone());
     ctx.span_start(PhaseKind::Scan);
-    let scan = operators::scan_project(
+    let scan = operators::scan_pages(
         ctx,
         "base",
         &plan.base.filter,
         &plan.projection,
-        |ctx, values| agg.push_raw(values, &mut ctx.clock).map_err(ExecError::from),
+        0,
+        usize::MAX,
+        &mut agg,
     );
     ctx.span_end();
     scan?;
@@ -132,16 +136,14 @@ fn checkpointed_local_aggregation(
                 let mut agg =
                     HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
                         .with_grant(ctx.grant().clone());
-                operators::scan_project_range(
+                operators::scan_pages(
                     ctx,
                     "base",
                     &plan.base.filter,
                     &plan.projection,
                     seg.start_page + done,
                     seg.start_page + chunk_end,
-                    |ctx, values| {
-                        agg.push_raw(values, &mut ctx.clock).map_err(ExecError::from)
-                    },
+                    &mut agg,
                 )?;
                 let (partials, s) = agg.finish(EmitMode::Partial, &mut ctx.clock)?;
                 stats.add(&s);

@@ -30,10 +30,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use adaptagg_exec::{
-    build_select_mask, operators, replay_scan_journal, scan_morsel, ExecError, NodeCtx, PhaseKind,
-    ScanJournal,
+    operators, replay_scan_journal, scan_morsel, ExecError, NodeCtx, PhaseKind, ScanJournal,
 };
-use adaptagg_hashagg::{HashAggStats, HashAggregator, IntraEvent, IntraMode, ParOutcome, ParTables};
+use adaptagg_hashagg::{
+    columnar_default, HashAggStats, HashAggregator, IntraEvent, IntraMode, ParOutcome, ParTables,
+};
 use adaptagg_model::hash::{hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values};
 use adaptagg_model::{CostEvent, CostTracker, ResultRow, RowKind, Seed, Value};
 use adaptagg_net::{Control, Message, Page, Payload};
@@ -123,7 +124,6 @@ pub fn par_local_aggregation(
             return None;
         }
     };
-    let select = build_select_mask(&plan.base.filter, &plan.projection);
     let morsels = pages.div_ceil(MORSEL_PAGES);
     let cursor = AtomicUsize::new(0);
 
@@ -135,7 +135,6 @@ pub fn par_local_aggregation(
             let cursor = &cursor;
             let tables = &tables;
             let file = &file;
-            let select = select.as_deref();
             handles.push(s.spawn(move || {
                 let mut out: Vec<(usize, ScanJournal)> = Vec::new();
                 loop {
@@ -153,7 +152,6 @@ pub fn par_local_aggregation(
                         file,
                         start,
                         end,
-                        select,
                         &plan.base.filter,
                         &plan.projection,
                         &mut journal,
@@ -402,7 +400,7 @@ fn par_aggregate_stash(
     // Batch-hash whole key strips per page (ADAPTAGG_COLUMNAR ≠ "row"),
     // feeding the engine prehashed rows; the engine requires a prefix
     // key, so the key columns are always the leading strips.
-    let columnar = std::env::var("ADAPTAGG_COLUMNAR").map(|v| v != "row").unwrap_or(true);
+    let columnar = columnar_default();
     let key_len = plan.projected.group_by.len();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {

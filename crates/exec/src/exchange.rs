@@ -17,6 +17,7 @@
 
 use crate::error::ExecError;
 use crate::node::NodeCtx;
+use adaptagg_hashagg::columnar_default;
 use adaptagg_model::hash::{
     hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values, Seed,
 };
@@ -53,11 +54,6 @@ pub struct Exchange {
     columnar: bool,
 }
 
-/// Read the `ADAPTAGG_COLUMNAR` knob (per construction, not cached):
-/// `"row"` forces the row-at-a-time path.
-fn columnar_default() -> bool {
-    std::env::var("ADAPTAGG_COLUMNAR").map(|v| v != "row").unwrap_or(true)
-}
 
 impl Exchange {
     /// An exchange over `nodes` destinations. `key_len` is the number of

@@ -14,8 +14,9 @@
 //!   private [`adaptagg_storage::SimDisk`], and fabric endpoint. All
 //!   sends/receives go through it so protocol CPU (`m_p`) and transfer
 //!   time (`m_l` / bus) are charged consistently on both sides.
-//! * [`operators`] — scan+project and store, charging the paper's select
-//!   and result-I/O costs.
+//! * [`operators`] — the page-at-a-time scan (select + project, as
+//!   borrowed column-strip batches or row by row) and store, charging the
+//!   paper's select and result-I/O costs.
 //! * [`Exchange`] — the hash-partitioning exchange operator with 2 KB
 //!   message blocking and end-of-stream bookkeeping.
 //! * [`run_cluster`] — spawn N node threads, run one closure per node,
@@ -40,10 +41,9 @@ pub use cluster::{
 };
 pub use error::ExecError;
 pub use exchange::Exchange;
-pub use morsel::{
-    build_select_mask, replay_scan_journal, scan_morsel, ScanJournal, MORSEL_FAIL, MORSEL_PASS,
-};
+pub use morsel::{replay_scan_journal, scan_morsel, ScanJournal, MORSEL_FAIL, MORSEL_PASS};
 pub use node::{NodeCtx, DEFAULT_WATCHDOG};
+pub use operators::{PageScan, ScanCharge, ScanSink, ScanTally};
 pub use recovery::{new_store, CheckpointStore, RecoveryPolicy, RecoverySession, Segment};
 pub use runstats::{NodeRecoveryStats, NodeReport, RecoveryStats, RunResult};
 

@@ -33,7 +33,8 @@
 //! memory grant, so a committed journal is always spill-free.
 
 use crate::error::ExecError;
-use adaptagg_model::{matches_all, CostEvent, CostTracker, ModelError, Predicate, Value};
+use crate::operators::{PageScan, RowSink, ScanCharge};
+use adaptagg_model::{CostEvent, CostTracker, Predicate, Value};
 use adaptagg_storage::HeapFile;
 
 /// Charges for one accepted tuple, in serial order: scan read, select
@@ -108,46 +109,40 @@ pub fn replay_scan_journal<T: CostTracker>(clock: &mut T, ops: &[i64]) {
     }
 }
 
-/// The columns a scan must materialize — whatever the filter or the
-/// projection reads; `None` (empty projection) passes the whole tuple.
-/// Identical to the serial scan's mask so both paths decode the same
-/// columns.
-pub fn build_select_mask(filter: &[Predicate], columns: &[usize]) -> Option<Vec<bool>> {
-    if columns.is_empty() {
-        return None;
+/// A morsel worker's scan charges nothing: it journals what the serial
+/// scan would have charged (the read is folded into the pass/fail op).
+impl ScanCharge for ScanJournal {
+    fn page_read(&mut self) {
+        self.page();
     }
-    let top = columns
-        .iter()
-        .chain(filter.iter().map(|p| &p.column))
-        .copied()
-        .max()
-        .unwrap_or(0);
-    let mut mask = vec![false; top + 1];
-    for &c in columns {
-        mask[c] = true;
+
+    fn tuple_read(&mut self) -> Result<(), ExecError> {
+        Ok(())
     }
-    for p in filter {
-        mask[p.column] = true;
+
+    fn tuple_failed(&mut self) {
+        self.fail();
     }
-    Some(mask)
+
+    fn tuple_passed(&mut self) {
+        self.pass();
+    }
 }
 
 /// Scan the page range `[start_page, end_page)` of `file`, applying
-/// `filter` and projecting onto `columns` exactly like the serial
-/// `scan_project`, but clock-free: charges go into `journal`, and each
-/// passing tuple is fed to `consume`.
+/// `filter` and projecting onto `columns` exactly like the serial scan —
+/// it *is* the serial scan's [`PageScan`], row-fed — but clock-free:
+/// charges go into `journal`, and each passing tuple is fed to `consume`.
 ///
 /// `consume` returns `Ok(true)` to continue or `Ok(false)` to stop the
 /// scan early (the engine aborted); on early stop this returns
 /// `Ok(false)` and the journal's contents are meaningless — the caller
 /// discards them. The tuple slice is scratch, valid only during the
 /// call.
-#[allow(clippy::too_many_arguments)]
 pub fn scan_morsel<F>(
     file: &HeapFile,
     start_page: usize,
     end_page: usize,
-    select: Option<&[bool]>,
     filter: &[Predicate],
     columns: &[usize],
     journal: &mut ScanJournal,
@@ -156,40 +151,8 @@ pub fn scan_morsel<F>(
 where
     F: FnMut(&[Value]) -> Result<bool, ExecError>,
 {
-    let mut raw: Vec<Value> = Vec::new();
-    let mut projected: Vec<Value> = Vec::new();
-    for pi in start_page..end_page {
-        journal.page();
-        let page = file.page(pi)?;
-        let mut cursor = page.cursor();
-        while cursor.next_select_into(select, &mut raw)? {
-            if !matches_all(filter, &raw)? {
-                journal.fail();
-                continue;
-            }
-            journal.pass();
-            let keep = if columns.is_empty() {
-                consume(&raw)?
-            } else {
-                projected.clear();
-                for &c in columns {
-                    projected.push(
-                        raw.get(c)
-                            .ok_or(ModelError::ColumnOutOfRange {
-                                column: c,
-                                arity: raw.len(),
-                            })?
-                            .clone(),
-                    );
-                }
-                consume(&projected)?
-            };
-            if !keep {
-                return Ok(false);
-            }
-        }
-    }
-    Ok(true)
+    let mut sink = RowSink(|_: &mut ScanJournal, values: &[Value]| consume(values));
+    PageScan::new(filter, columns).run(journal, file, start_page, end_page, &mut sink)
 }
 
 #[cfg(test)]
@@ -241,14 +204,12 @@ mod tests {
         let file = file_with(&tuples, 256);
         let filter = vec![Predicate::new(0, Compare::Eq, Value::Int(1))];
         let columns = vec![2, 0];
-        let select = build_select_mask(&filter, &columns);
         let mut journal = ScanJournal::new();
         let mut seen: Vec<Vec<Value>> = Vec::new();
         let done = scan_morsel(
             &file,
             0,
             file.page_count(),
-            select.as_deref(),
             &filter,
             &columns,
             &mut journal,
@@ -278,7 +239,6 @@ mod tests {
             &file,
             0,
             file.page_count(),
-            None,
             &[],
             &[],
             &mut journal,

@@ -147,6 +147,15 @@ impl NodeCtx {
         }
     }
 
+    /// Tuples this node may still scan before its scheduled crash (`None`
+    /// = no crash scheduled): [`NodeCtx::fault_tick`] fails on the tick
+    /// after this many more.
+    fn crash_budget(&self) -> Option<u64> {
+        self.faults
+            .crash_at_tuple
+            .map(|k| k.saturating_sub(self.tuples_scanned))
+    }
+
     /// Dismantle the context, handing back its endpoint. The cluster
     /// binaries run one recovery attempt per context but hold a single
     /// established connection mesh for the life of the process; this is
@@ -451,6 +460,32 @@ impl NodeCtx {
             }
         }
         Ok(())
+    }
+}
+
+/// A scan on the node thread charges the node's clock, and every scanned
+/// tuple counts against the node's crash schedule.
+impl crate::operators::ScanCharge for NodeCtx {
+    fn page_read(&mut self) {
+        self.clock.record(CostEvent::PageReadSeq, 1);
+    }
+
+    fn tuple_read(&mut self) -> Result<(), ExecError> {
+        self.fault_tick()?;
+        self.clock.record(CostEvent::TupleRead, 1);
+        Ok(())
+    }
+
+    fn tuple_passed(&mut self) {
+        self.clock.record(CostEvent::TupleWrite, 1);
+    }
+
+    fn crash_budget(&self) -> Option<u64> {
+        NodeCtx::crash_budget(self)
+    }
+
+    fn batch_scanned(&mut self, rows: usize) {
+        self.tuples_scanned += rows as u64;
     }
 }
 

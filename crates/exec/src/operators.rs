@@ -4,23 +4,303 @@
 //!
 //! * scan: `(R_i/P) * IO` — one sequential page read per page, charged by
 //!   the heap file;
-//! * select, "getting tuple off data page": `|R_i| * (t_r + t_w)` —
-//!   charged here per tuple (the `t_w` is the copy out of the page buffer;
-//!   projection rides along);
+//! * select, "getting tuple off data page": `|R_i| * (t_r + t_w)` — per
+//!   tuple (the `t_w` is the copy out of the page buffer; projection rides
+//!   along). The row loop charges it here; a batch consumer records it
+//!   itself, in row order with its own charges, because `f64` virtual time
+//!   is only bit-stable under one accumulation order (DESIGN.md §17);
 //! * store: `(result_bytes/P) * IO` page writes plus nothing per tuple —
 //!   the `t_w` of "generating result tuples" is charged when the hash
 //!   table drains.
 
 use crate::error::ExecError;
 use crate::node::NodeCtx;
-use adaptagg_model::{CostEvent, CostTracker, ResultRow, Value};
-use adaptagg_storage::HeapFile;
+use adaptagg_hashagg::{columnar_default, HashAggregator};
+use adaptagg_model::{matches_all, CostEvent, CostTracker, ModelError, Predicate, ResultRow, RowKind, Value};
+use adaptagg_storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch, StripView};
+
+/// Where a scan's page and select charges go: the node itself (its clock,
+/// and its crash schedule, whose currency is scanned tuples) or a morsel
+/// worker's [`crate::ScanJournal`].
+pub trait ScanCharge {
+    /// One sequential page read.
+    fn page_read(&mut self);
+    /// One tuple read off its page, about to meet the filter. The node
+    /// form ticks the crash schedule first — a node scheduled to crash at
+    /// tuple K dies right here.
+    fn tuple_read(&mut self) -> Result<(), ExecError>;
+    /// The tuple just read failed the filter.
+    fn tuple_failed(&mut self) {}
+    /// The tuple just read passed the filter and is copied out.
+    fn tuple_passed(&mut self);
+    /// Tuples that may still be scanned before a scheduled crash (`None`
+    /// = no crash scheduled). A batch is truncated to this many rows.
+    fn crash_budget(&self) -> Option<u64> {
+        None
+    }
+    /// `rows` tuples were consumed as a batch; their select charges were
+    /// recorded by the consumer.
+    fn batch_scanned(&mut self, _rows: usize) {}
+}
+
+/// What a page scan feeds. Asked page by page how it wants the next page:
+/// as one borrowed [`ScanBatch`] (and it then owes the batch's select
+/// charges, in row order with its own), or row by row with the select
+/// charges already made. An adaptive consumer may change its mind
+/// mid-scan, and may stop a batch early — the scan hands it the rest of
+/// that page row-wise.
+pub trait ScanSink<X> {
+    /// Whether the next page may arrive as a batch.
+    fn wants_batch(&self) -> bool {
+        false
+    }
+    /// Consume a batch's leading rows (all of them, unless the consumer
+    /// has a reason to stop — see [`BatchOutcome::consumed`]).
+    fn batch(&mut self, _x: &mut X, _batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        unreachable!("this sink never asks for batches")
+    }
+    /// Consume one passing tuple, projected. The slice is scratch, valid
+    /// only during the call. `Ok(false)` ends the scan.
+    fn row(&mut self, x: &mut X, values: &[Value]) -> Result<bool, ExecError>;
+}
+
+/// A row callback as a (never-batched) sink.
+pub(crate) struct RowSink<F>(pub(crate) F);
+
+impl<X, F> ScanSink<X> for RowSink<F>
+where
+    F: FnMut(&mut X, &[Value]) -> Result<bool, ExecError>,
+{
+    fn row(&mut self, x: &mut X, values: &[Value]) -> Result<bool, ExecError> {
+        (self.0)(x, values)
+    }
+}
+
+/// The hash local phase: scanned pages go straight into the bounded
+/// table's batched insert, spilling what it cannot hold.
+impl ScanSink<NodeCtx> for HashAggregator {
+    fn wants_batch(&self) -> bool {
+        true
+    }
+    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        Ok(self.push_batch(RowKind::Raw, batch, &mut ctx.clock)?)
+    }
+    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
+        self.push_raw(values, &mut ctx.clock)?;
+        Ok(true)
+    }
+}
+
+/// What a [`PageScan`] has done so far.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ScanTally {
+    /// Tuples that passed the filter and were consumed.
+    pub passed: usize,
+    /// Pages a batch consumer rode the strips of.
+    pub pages_batched: u64,
+    /// Pages a batch consumer was fed row-at-a-time, per
+    /// [`RowCause::ALL`].
+    pub pages_row: [u64; 4],
+}
+
+/// The scan operator: select + project over a heap file's pages, one
+/// page at a time. For a sink that wants batches each page becomes a
+/// borrowed [`ScanBatch`] — the page's strips through the projection map,
+/// and the WHERE conjunction evaluated column-at-a-time over `Int` strips
+/// into a selection vector. Pages the strips cannot serve, the rows a
+/// batch consumer left over, and every page of a row consumer go through
+/// the one row loop: decode the needed columns, filter, project.
+///
+/// Owns its scratch, so a scanner reused across calls allocates nothing
+/// per page.
+#[derive(Debug)]
+pub struct PageScan<'q> {
+    filter: &'q [Predicate],
+    columns: &'q [usize],
+    /// Columns the row loop must materialize (`None` = all).
+    select: Option<Vec<bool>>,
+    /// `ADAPTAGG_COLUMNAR=row` keeps every page on the row loop.
+    batched: bool,
+    selection: Vec<u32>,
+    raw: Vec<Value>,
+    projected: Vec<Value>,
+    tally: ScanTally,
+}
+
+impl<'q> PageScan<'q> {
+    /// A scan applying the conjunction `filter` (over base columns, before
+    /// projection) and projecting passing tuples onto `columns` (empty =
+    /// the whole tuple).
+    pub fn new(filter: &'q [Predicate], columns: &'q [usize]) -> Self {
+        // What the filter or the projection reads; wide padding columns
+        // outside the mask are never materialized by the row loop.
+        let select = (!columns.is_empty()).then(|| {
+            let needed = || columns.iter().copied().chain(filter.iter().map(|p| p.column));
+            let mut mask = vec![false; needed().max().map_or(0, |top| top + 1)];
+            needed().for_each(|c| mask[c] = true);
+            mask
+        });
+        PageScan {
+            filter,
+            columns,
+            select,
+            batched: columnar_default(),
+            selection: Vec::new(),
+            raw: Vec::new(),
+            projected: Vec::new(),
+            tally: ScanTally::default(),
+        }
+    }
+
+    /// Totals over every [`PageScan::run`] so far.
+    pub fn tally(&self) -> ScanTally {
+        self.tally
+    }
+
+    /// Scan pages `[start_page, end_page)` of `file` into `sink`,
+    /// charging `x`. Returns `Ok(false)` if the sink ended the scan.
+    pub fn run<X: ScanCharge, S: ScanSink<X>>(
+        &mut self,
+        x: &mut X,
+        file: &HeapFile,
+        start_page: usize,
+        end_page: usize,
+        sink: &mut S,
+    ) -> Result<bool, ExecError> {
+        for pi in start_page..end_page {
+            x.page_read();
+            let page = file.page(pi)?;
+            let n = page.tuple_count();
+            // A scheduled crash truncates the batch at its tuple; the row
+            // loop then meets the crash on the very next read.
+            let limit = x.crash_budget().map_or(n, |left| n.min(left as usize));
+            let mut from = 0;
+            if self.batched && limit > 0 && sink.wants_batch() {
+                match select_batch(self.filter, self.columns, page, limit, &mut self.selection) {
+                    Ok(batch) => {
+                        let out = sink.batch(x, &batch)?;
+                        x.batch_scanned(out.consumed);
+                        self.tally.passed += out.passed as usize;
+                        match out.row_cause {
+                            None => self.tally.pages_batched += 1,
+                            Some(cause) => self.tally.pages_row[cause as usize] += 1,
+                        }
+                        from = out.consumed;
+                    }
+                    Err(cause) => self.tally.pages_row[cause as usize] += 1,
+                }
+            }
+            if from < n && !self.rows(x, page, from, sink)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The row loop over `page`'s rows from `from` on.
+    fn rows<X: ScanCharge, S: ScanSink<X>>(
+        &mut self,
+        x: &mut X,
+        page: &Page,
+        from: usize,
+        sink: &mut S,
+    ) -> Result<bool, ExecError> {
+        let mut cursor = page.cursor_from(from);
+        while cursor.next_select_into(self.select.as_deref(), &mut self.raw)? {
+            x.tuple_read()?;
+            if !matches_all(self.filter, &self.raw)? {
+                x.tuple_failed();
+                continue;
+            }
+            x.tuple_passed();
+            let keep = if self.columns.is_empty() {
+                sink.row(x, &self.raw)?
+            } else {
+                self.projected.clear();
+                for &c in self.columns {
+                    let v = self.raw.get(c).ok_or(ModelError::ColumnOutOfRange {
+                        column: c,
+                        arity: self.raw.len(),
+                    })?;
+                    self.projected.push(v.clone());
+                }
+                sink.row(x, &self.projected)?
+            };
+            self.tally.passed += 1;
+            if !keep {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// The first `rows` rows of `page` as a batch: the filter evaluated
+/// column-at-a-time into `selection` (left unused when there is no
+/// filter), the projection resolved to strips. `Err` says why the page
+/// needs the row loop — which then reproduces whatever the row semantics
+/// are (a missing column's typed error, cross-type comparisons, NULLs).
+fn select_batch<'a>(
+    filter: &[Predicate],
+    columns: &'a [usize],
+    page: &'a Page,
+    rows: usize,
+    selection: &'a mut Vec<u32>,
+) -> Result<ScanBatch<'a>, RowCause> {
+    for (i, p) in filter.iter().enumerate() {
+        let selected = match page.column(p.column) {
+            None => return Err(RowCause::Ragged),
+            Some(StripView::Values(_)) => false,
+            Some(StripView::Ints(xs)) => p.select_ints(&xs[..rows], selection, i > 0),
+        };
+        if !selected {
+            return Err(RowCause::ValueFilter);
+        }
+    }
+    let selection = (!filter.is_empty()).then_some(selection.as_slice());
+    ScanBatch::scanned(page, columns, selection, rows)
+}
+
+/// Scan pages `[start_page, end_page)` (clamped to the file) of the
+/// node's file `name` into `sink`, charging scan I/O and select CPU to
+/// the node: filtered-out tuples pay `t_r` (they were read off the page)
+/// but not the `t_w` copy-out. Returns the number of passing tuples.
+///
+/// The file is taken out of the disk for the duration of the scan so the
+/// sink can freely use `ctx` (including `ctx.disk`). With tracing on, the
+/// batch/row split of the pages offered as batches lands in the
+/// `scan.pages_batched` / `scan.pages_row{cause=…}` counters.
+pub fn scan_pages<S: ScanSink<NodeCtx>>(
+    ctx: &mut NodeCtx,
+    name: &str,
+    filter: &[Predicate],
+    columns: &[usize],
+    start_page: usize,
+    end_page: usize,
+    sink: &mut S,
+) -> Result<usize, ExecError> {
+    let file = ctx.disk.take(name)?;
+    let mut scan = PageScan::new(filter, columns);
+    let result = scan.run(ctx, &file, start_page, end_page.min(file.page_count()), sink);
+    ctx.disk.put(name, file);
+    let tally = scan.tally();
+    // A counter is registered by its first update: only name what happened.
+    let mut count = |counter, pages| {
+        if pages > 0 {
+            ctx.trace.counter_add(counter, pages);
+        }
+    };
+    count("scan.pages_batched", tally.pages_batched);
+    for cause in RowCause::ALL {
+        count(cause.counter(), tally.pages_row[cause as usize]);
+    }
+    result.map(|_| tally.passed)
+}
 
 /// Sequentially scan the node's file `name`, apply the WHERE conjunction
 /// `filter` (over base columns, before projection), project each passing
-/// tuple onto `columns`, and feed it to `consume`. Charges scan I/O and
-/// select CPU; filtered-out tuples pay `t_r` (they were read off the
-/// page) but not the `t_w` copy-out.
+/// tuple onto `columns`, and feed it to `consume` — [`scan_pages`] for a
+/// row-at-a-time consumer (an exchange, a run builder).
 ///
 /// `consume` receives the node context back, so it can route tuples into
 /// exchanges or hash tables (which charge their own costs). The tuple
@@ -29,20 +309,14 @@ use adaptagg_storage::HeapFile;
 pub fn scan_project<F>(
     ctx: &mut NodeCtx,
     name: &str,
-    filter: &[adaptagg_model::Predicate],
+    filter: &[Predicate],
     columns: &[usize],
-    mut consume: F,
+    consume: F,
 ) -> Result<usize, ExecError>
 where
     F: FnMut(&mut NodeCtx, &[Value]) -> Result<(), ExecError>,
 {
-    // Take the file out of the disk for the duration of the scan so the
-    // consumer can freely use `ctx` (including `ctx.disk`).
-    let file = ctx.disk.take(name)?;
-    let pages = file.page_count();
-    let result = scan_project_file(ctx, &file, filter, columns, 0, pages, &mut consume);
-    ctx.disk.put(name, file);
-    result
+    scan_project_range(ctx, name, filter, columns, 0, usize::MAX, consume)
 }
 
 /// [`scan_project`] restricted to the page range `[start_page, end_page)`
@@ -52,7 +326,7 @@ where
 pub fn scan_project_range<F>(
     ctx: &mut NodeCtx,
     name: &str,
-    filter: &[adaptagg_model::Predicate],
+    filter: &[Predicate],
     columns: &[usize],
     start_page: usize,
     end_page: usize,
@@ -61,83 +335,8 @@ pub fn scan_project_range<F>(
 where
     F: FnMut(&mut NodeCtx, &[Value]) -> Result<(), ExecError>,
 {
-    let file = ctx.disk.take(name)?;
-    let end = end_page.min(file.page_count());
-    let result = scan_project_file(ctx, &file, filter, columns, start_page, end, &mut consume);
-    ctx.disk.put(name, file);
-    result
-}
-
-fn scan_project_file<F>(
-    ctx: &mut NodeCtx,
-    file: &HeapFile,
-    filter: &[adaptagg_model::Predicate],
-    columns: &[usize],
-    start_page: usize,
-    end_page: usize,
-    consume: &mut F,
-) -> Result<usize, ExecError>
-where
-    F: FnMut(&mut NodeCtx, &[Value]) -> Result<(), ExecError>,
-{
-    // Columns the scan must materialize: whatever the filter or the
-    // projection reads. An empty projection passes the whole tuple
-    // through, so everything is needed. Wide padding columns outside the
-    // mask are skipped positionally by the decoder (no payload copy).
-    let select: Option<Vec<bool>> = if columns.is_empty() {
-        None
-    } else {
-        let top = columns
-            .iter()
-            .chain(filter.iter().map(|p| &p.column))
-            .copied()
-            .max()
-            .unwrap_or(0);
-        let mut mask = vec![false; top + 1];
-        for &c in columns {
-            mask[c] = true;
-        }
-        for p in filter {
-            mask[p.column] = true;
-        }
-        Some(mask)
-    };
-    let mut raw: Vec<Value> = Vec::new();
-    let mut projected: Vec<Value> = Vec::new();
-    let mut n = 0usize;
-    for pi in start_page..end_page {
-        ctx.clock.record(CostEvent::PageReadSeq, 1);
-        let page = file.page(pi)?;
-        let mut cursor = page.cursor();
-        while cursor.next_select_into(select.as_deref(), &mut raw)? {
-            // Scanned tuples are the fault plan's crash currency — a node
-            // scheduled to crash at tuple K dies right here.
-            ctx.fault_tick()?;
-            ctx.clock.record(CostEvent::TupleRead, 1);
-            if !adaptagg_model::matches_all(filter, &raw)? {
-                continue;
-            }
-            ctx.clock.record(CostEvent::TupleWrite, 1);
-            if columns.is_empty() {
-                consume(ctx, &raw)?;
-            } else {
-                projected.clear();
-                for &c in columns {
-                    projected.push(
-                        raw.get(c)
-                            .ok_or(adaptagg_model::ModelError::ColumnOutOfRange {
-                                column: c,
-                                arity: raw.len(),
-                            })?
-                            .clone(),
-                    );
-                }
-                consume(ctx, &projected)?;
-            }
-            n += 1;
-        }
-    }
-    Ok(n)
+    let mut sink = RowSink(|ctx: &mut NodeCtx, values: &[Value]| consume(ctx, values).map(|()| true));
+    scan_pages(ctx, name, filter, columns, start_page, end_page, &mut sink)
 }
 
 /// Store finalized result rows into the node's `result` file, charging one
@@ -249,7 +448,7 @@ mod tests {
             .map(|i| vec![Value::Int(i), Value::Int(i * 2), Value::Str("pad".into())])
             .collect();
         let mut ctx = ctx_with_file(&tuples, 128);
-        let filter = [adaptagg_model::Predicate::new(
+        let filter = [Predicate::new(
             1,
             adaptagg_model::Compare::Ge,
             Value::Int(10),

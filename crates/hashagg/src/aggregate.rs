@@ -11,7 +11,7 @@ use crate::overflow::OverflowSet;
 use crate::stats::HashAggStats;
 use crate::table::{AggTable, Inserted};
 use adaptagg_model::{AggQuery, CostTracker, MemoryGrant, ResultRow, RowKind, Value};
-use adaptagg_storage::{Page, SpillFile, StorageError};
+use adaptagg_storage::{BatchOutcome, Page, ScanBatch, SpillFile, StorageError};
 
 /// What [`HashAggregator::finish`] emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +55,27 @@ pub struct HashAggregator {
 }
 
 /// Read the `ADAPTAGG_COLUMNAR` knob: `"row"` forces the row-at-a-time
-/// page path, anything else (or unset) selects the batched columnar path.
-/// Read per aggregator construction (not cached) so benches can flip it
-/// in-process.
-fn columnar_default() -> bool {
+/// paths (page inserts, exchange routing, the local-phase scan), anything
+/// else (or unset) selects the batched columnar ones. Read per operator
+/// construction (not cached) so benches can flip it in-process.
+pub fn columnar_default() -> bool {
     std::env::var("ADAPTAGG_COLUMNAR").map(|v| v != "row").unwrap_or(true)
+}
+
+/// The first-pass table's `on_full`: spool the rejected row into the
+/// (lazily created) level-0 overflow set and carry on.
+fn spooler<'a, T: CostTracker>(
+    overflow: &'a mut Option<OverflowSet>,
+    fanout: usize,
+    page_bytes: usize,
+    query: &'a AggQuery,
+) -> impl FnMut(&mut T, RowKind, &[Value]) -> Result<bool, StorageError> + 'a {
+    move |tracker, kind, values| {
+        let set = overflow
+            .get_or_insert_with(|| OverflowSet::new(fanout, page_bytes, 0, query.group_by.len()));
+        set.spool(kind, values, tracker)?;
+        Ok(true)
+    }
 }
 
 impl HashAggregator {
@@ -150,10 +166,9 @@ impl HashAggregator {
         match self.table.insert(kind, values, tracker)? {
             Inserted::Updated | Inserted::New => Ok(()),
             Inserted::Full => {
-                let set = self.overflow.get_or_insert_with(|| {
-                    OverflowSet::new(self.fanout, self.page_bytes, 0, self.query.group_by.len())
-                });
-                set.spool(kind, values, tracker)?;
+                spooler(&mut self.overflow, self.fanout, self.page_bytes, &self.query)(
+                    tracker, kind, values,
+                )?;
                 self.stats.spilled_tuples += 1;
                 Ok(())
             }
@@ -164,36 +179,48 @@ impl HashAggregator {
     /// [`HashAggregator::push`], equivalent row by row (same mutations,
     /// same cost events in the same order; runs of accepted tuples are
     /// recorded through [`CostTracker::record_tuples`], which is
-    /// bit-identical to the per-tuple loop by contract). Decodes into a
-    /// reused scratch, so resident-group updates allocate nothing.
+    /// bit-identical to the per-tuple loop by contract). A page with dense
+    /// strips is the trivial [`ScanBatch`]; ragged pages, and every page
+    /// under `ADAPTAGG_COLUMNAR=row`, take the row loop.
     pub fn push_page<T: CostTracker>(
         &mut self,
         kind: RowKind,
         page: &Page,
         tracker: &mut T,
     ) -> Result<(), StorageError> {
+        if let Some(batch) = ScanBatch::whole(page).filter(|_| self.columnar) {
+            return self.push_batch(kind, &batch, tracker).map(|_| ());
+        }
         let n = page.tuple_count() as u64;
         match kind {
             RowKind::Raw => self.stats.raw_in += n,
             RowKind::Partial => self.stats.partial_in += n,
         }
-        let overflow = &mut self.overflow;
-        let fanout = self.fanout;
-        let page_bytes = self.page_bytes;
-        let group_by_len = self.query.group_by.len();
-        let on_full = |tracker: &mut T, kind: RowKind, values: &[Value]| {
-            let set = overflow.get_or_insert_with(|| {
-                OverflowSet::new(fanout, page_bytes, 0, group_by_len)
-            });
-            set.spool(kind, values, tracker)
-        };
-        let spilled = if self.columnar {
-            self.table.insert_page_batched(kind, page, tracker, on_full)?
-        } else {
-            self.table.insert_page(kind, page, tracker, on_full)?
-        };
+        let mut spool = spooler(&mut self.overflow, self.fanout, self.page_bytes, &self.query);
+        let spilled = self
+            .table
+            .insert_page(kind, page, tracker, |t, k, row| spool(t, k, row).map(|_| ()))?;
         self.stats.spilled_tuples += spilled;
         Ok(())
+    }
+
+    /// Push a batch of rows through [`AggTable::insert_batch`]: the local
+    /// phase's input, one scanned base page at a time. Rows the table
+    /// cannot hold are spooled; the batch is always consumed whole.
+    pub fn push_batch<T: CostTracker>(
+        &mut self,
+        kind: RowKind,
+        batch: &ScanBatch<'_>,
+        tracker: &mut T,
+    ) -> Result<BatchOutcome, StorageError> {
+        let spool = spooler(&mut self.overflow, self.fanout, self.page_bytes, &self.query);
+        let out = self.table.insert_batch(kind, batch, tracker, spool)?;
+        match kind {
+            RowKind::Raw => self.stats.raw_in += out.passed,
+            RowKind::Partial => self.stats.partial_in += out.passed,
+        }
+        self.stats.spilled_tuples += out.rejected;
+        Ok(out)
     }
 
     /// Push a raw tuple.

@@ -33,7 +33,7 @@ pub mod parallel;
 pub mod stats;
 pub mod table;
 
-pub use aggregate::{EmitMode, HashAggregator};
+pub use aggregate::{columnar_default, EmitMode, HashAggregator};
 pub use overflow::OverflowSet;
 pub use parallel::{IntraCause, IntraEvent, IntraMode, IntraStrategy, ParOutcome, ParTables};
 pub use stats::HashAggStats;

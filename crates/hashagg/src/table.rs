@@ -33,7 +33,7 @@ use adaptagg_model::{
     AggFunc, AggQuery, AggStates, CostEvent, CostTracker, GroupKey, MemoryGrant, ModelError,
     ResultRow, RowKind, Seed, Value,
 };
-use adaptagg_storage::{Page, StorageError, StripView};
+use adaptagg_storage::{BatchOutcome, Page, RowCause, ScanBatch, StorageError, StripView};
 
 /// Outcome of an insert attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +60,62 @@ const ACCEPT_WITH_HASH: [CostEvent; 3] =
     [CostEvent::TupleRead, CostEvent::TupleHash, CostEvent::TupleAgg];
 /// Batched cost template for an accepted insert without hash charging.
 const ACCEPT_NO_HASH: [CostEvent; 2] = [CostEvent::TupleRead, CostEvent::TupleAgg];
+
+/// The cost runs of one batched insert: what an accepted row records
+/// (the batch's select lead, then the table's accept template), what a
+/// filtered-out row records, and the open run of accepted rows.
+struct BatchCharges {
+    pass: [CostEvent; 8],
+    pass_len: usize,
+    lead: &'static [CostEvent],
+    fail: &'static [CostEvent],
+    pending: u64,
+}
+
+impl BatchCharges {
+    fn new(batch: &ScanBatch<'_>, accept: &'static [CostEvent]) -> Self {
+        let lead = batch.pass_lead();
+        let mut pass = [CostEvent::TupleRead; 8];
+        let pass_len = lead.len() + accept.len();
+        pass[..lead.len()].copy_from_slice(lead);
+        pass[lead.len()..pass_len].copy_from_slice(accept);
+        BatchCharges {
+            pass,
+            pass_len,
+            lead,
+            fail: batch.fail_charge(),
+            pending: 0,
+        }
+    }
+
+    /// One more accepted row joins the open run.
+    #[inline]
+    fn accepted(&mut self) {
+        self.pending += 1;
+    }
+
+    /// Close the open run of accepted rows.
+    fn flush<T: CostTracker>(&mut self, tracker: &mut T) {
+        tracker.record_tuples(&self.pass[..self.pass_len], self.pending);
+        self.pending = 0;
+    }
+
+    /// `n` filtered-out rows follow the open run.
+    #[inline]
+    fn failed<T: CostTracker>(&mut self, tracker: &mut T, n: u64) {
+        if n > 0 {
+            self.flush(tracker);
+            tracker.record_tuples(self.fail, n);
+        }
+    }
+
+    /// A row that passed the filter but was not accepted breaks the run:
+    /// its select lead is recorded inline (the caller charges the attempt).
+    fn bounced<T: CostTracker>(&mut self, tracker: &mut T) {
+        self.flush(tracker);
+        tracker.record_tuples(self.lead, 1);
+    }
+}
 
 /// A bounded hash table from group keys to aggregate states.
 #[derive(Debug)]
@@ -263,25 +319,6 @@ impl AggTable {
         Ok(outcome)
     }
 
-    /// [`AggTable::insert_raw`] with the key's [`Seed::Table`] hash
-    /// already computed by the caller (who hashed the same columns for
-    /// its own purposes — e.g. A-Rep's distinct tracking). Charges
-    /// exactly what `insert_raw` charges: sharing the hash is a
-    /// wall-clock optimization, not a cost-model change.
-    pub fn insert_raw_prehashed<T: CostTracker>(
-        &mut self,
-        values: &[Value],
-        hash: u64,
-        tracker: &mut T,
-    ) -> Result<Inserted, ModelError> {
-        self.charge_attempt(tracker);
-        let (outcome, _) = self.insert_quiet(RowKind::Raw, values, Some(hash))?;
-        if outcome != Inserted::Full {
-            tracker.record(CostEvent::TupleAgg, 1);
-        }
-        Ok(outcome)
-    }
-
     /// Insert a partial row: group-key columns first, then the encoded
     /// partial-state columns ([`AggQuery::partial_row_arity`] total).
     pub fn insert_partial<T: CostTracker>(
@@ -350,83 +387,14 @@ impl AggTable {
         result.map(|()| rejected)
     }
 
-    /// The vectorized form of [`AggTable::insert_page`]: hashes whole key
-    /// columns through the batch kernels, probes row-ordered with the
-    /// precomputed hashes, and — when every aggregate input is an `Int`
-    /// strip — defers state updates behind a group-index vector replayed
-    /// column-at-a-time. Charges, counters, outcomes, errors and final
-    /// states are bit-identical to `insert_page`; pages the strips cannot
-    /// serve (ragged arity, non-prefix keys, wrong partial arity) fall
-    /// back to it wholesale so error semantics never fork.
+    /// [`AggTable::insert_page`] through the batched lane: a whole page is
+    /// the trivial [`ScanBatch`] (every column, every row, nothing owed to
+    /// a scan). Ragged and empty pages have no strips to ride and take the
+    /// row loop. Returns the number of rejected tuples.
     pub fn insert_page_batched<T, F>(
         &mut self,
         kind: RowKind,
         page: &Page,
-        tracker: &mut T,
-        on_full: F,
-    ) -> Result<u64, StorageError>
-    where
-        T: CostTracker,
-        F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
-    {
-        let k = self.key_len;
-        let eligible = match page.uniform_arity() {
-            None => false, // ragged or empty: the row loop handles it
-            Some(arity) => {
-                arity >= k
-                    && match kind {
-                        // Non-prefix keys need the gather path; wrong
-                        // partial arity must surface insert_quiet's error.
-                        RowKind::Raw => self.key_is_prefix,
-                        RowKind::Partial => arity == self.query.partial_row_arity(),
-                    }
-            }
-        };
-        if !eligible {
-            return self.insert_page(kind, page, tracker, on_full);
-        }
-        let n = page.tuple_count();
-
-        // Phase 1: one vectorized Seed::Table hash per row, folding the
-        // key columns in order (bit-identical to hash_values on the row's
-        // key prefix by the batch kernels' contract).
-        let mut hashes = std::mem::take(&mut self.batch_hashes);
-        hash_batch_init(Seed::Table, n, &mut hashes);
-        for j in 0..k {
-            match page.column(j).expect("uniform-arity page has dense strips") {
-                StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
-                StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
-            }
-        }
-        hash_batch_finish(&mut hashes);
-
-        // Raw pages whose every aggregate input is an Int strip take the
-        // deferred-update fast path; everything else probes row-by-row
-        // with the batch hashes (still skipping the per-row hash).
-        let fast = kind == RowKind::Raw
-            && self.query.aggs.iter().all(|spec| match spec.input {
-                None => spec.func == AggFunc::Count,
-                Some(c) => matches!(page.column(c), Some(StripView::Ints(_))),
-            });
-        let result = if fast {
-            self.insert_batched_fast(page, &hashes, tracker, on_full)
-        } else {
-            self.insert_batched_rows(kind, page, &hashes, tracker, on_full)
-        };
-        self.batch_hashes = hashes;
-        result
-    }
-
-    /// Fast arm of [`AggTable::insert_page_batched`]: probe every row
-    /// against the strips (no tuple materialization), collect accepted
-    /// rows' entry indices, then replay the aggregate updates
-    /// column-at-a-time. Update order per (spec, entry) is row order —
-    /// exactly the row loop's — so order-sensitive accumulator promotion
-    /// is preserved.
-    fn insert_batched_fast<T, F>(
-        &mut self,
-        page: &Page,
-        hashes: &[u64],
         tracker: &mut T,
         mut on_full: F,
     ) -> Result<u64, StorageError>
@@ -434,190 +402,240 @@ impl AggTable {
         T: CostTracker,
         F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
     {
+        match ScanBatch::whole(page) {
+            Some(batch) => self
+                .insert_batch(kind, &batch, tracker, |t, k, row| on_full(t, k, row).map(|()| true))
+                .map(|out| out.rejected),
+            None => self.insert_page(kind, page, tracker, on_full),
+        }
+    }
+
+    /// The vectorized insert: one kernel pass hashes the batch's key
+    /// strips, a row-order probe finds or admits each passing row's group
+    /// off the precomputed hashes, and — when every aggregate input is an
+    /// `Int` strip — state updates are deferred behind a group-index
+    /// vector and replayed column-at-a-time. Batches whose inputs the
+    /// strips cannot serve (and partial rows) materialize each passing
+    /// row instead, still skipping the per-row hash; the outcome's
+    /// `row_cause` says why.
+    ///
+    /// Charges are the row loop's, in row order: each accepted row records
+    /// `batch.pass_lead() ++ accept template`, each filtered-out row
+    /// `batch.fail_charge()`, both as [`CostTracker::record_tuples`] runs;
+    /// a rejected row flushes the run, records the lead and its attempt
+    /// (`t_r`, `t_h`) inline and goes to `on_full`, which spools or
+    /// forwards it (charging its own costs) and returns whether to carry
+    /// on. `Ok(false)` stops the batch right there: rows past
+    /// `consumed` are untouched and uncharged, and the caller owns them.
+    pub fn insert_batch<T, F>(
+        &mut self,
+        kind: RowKind,
+        batch: &ScanBatch<'_>,
+        tracker: &mut T,
+        mut on_full: F,
+    ) -> Result<BatchOutcome, StorageError>
+    where
+        T: CostTracker,
+        F: FnMut(&mut T, RowKind, &[Value]) -> Result<bool, StorageError>,
+    {
         let k = self.key_len;
-        let template = self.accept_template();
+        // Non-prefix raw keys need insert_quiet's gather, and a batch
+        // narrower than the key must surface its error: neither is hashed.
+        let hashed = batch.arity() >= k && (kind == RowKind::Partial || self.key_is_prefix);
+        let row_cause = match kind {
+            RowKind::Partial => None,
+            RowKind::Raw if !hashed => Some(RowCause::Ragged),
+            RowKind::Raw => self.input_strips_cause(batch),
+        };
+        let fast = kind == RowKind::Raw && row_cause.is_none();
+
+        // One vectorized Seed::Table hash per row, folding the key strips
+        // in order (bit-identical to hash_values on the row's key prefix
+        // by the batch kernels' contract).
+        let mut hashes = std::mem::take(&mut self.batch_hashes);
+        hashes.clear();
+        if hashed && batch.passing() > 0 {
+            hash_batch_init(Seed::Table, batch.rows(), &mut hashes);
+            for j in 0..k {
+                match batch.column(j) {
+                    StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
+                    StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
+                }
+            }
+            hash_batch_finish(&mut hashes);
+        }
+
+        let mut charges = BatchCharges::new(batch, self.accept_template());
+        let mut scratch = std::mem::take(&mut self.row_scratch);
         let mut gix = std::mem::take(&mut self.batch_gix);
         gix.clear();
-        let mut pending = 0u64;
-        let mut rejected = 0u64;
-        let mut result = Ok(());
-        for (r, &hash) in hashes.iter().enumerate() {
-            let (slot, found, examined) = self.find_row(hash, page, r);
-            self.probe_slots += examined;
-            if let Some(entry) = found {
-                self.updates += 1;
-                gix.push(entry as u32);
-                pending += 1;
-                continue;
-            }
-            if self.keys.len() >= self.effective_max() {
-                gix.push(EMPTY);
-                tracker.record_tuples(template, pending);
-                pending = 0;
-                self.charge_attempt(tracker);
-                rejected += 1;
-                // Materialize the overflow row only now, on the cold path.
-                let mut scratch = std::mem::take(&mut self.row_scratch);
-                scratch.clear();
-                let arity = page.uniform_arity().expect("eligibility checked");
-                for j in 0..arity {
-                    scratch.push(match page.column(j).expect("dense strips") {
-                        StripView::Ints(xs) => Value::Int(xs[r]),
-                        StripView::Values(vs) => vs[r].clone(),
-                    });
-                }
-                let spooled = on_full(tracker, RowKind::Raw, &scratch);
-                self.row_scratch = scratch;
-                if let Err(e) = spooled {
-                    result = Err(e);
-                    break;
-                }
-                continue;
-            }
-            // New group: admit with empty states — this row's update is
-            // applied by the deferred pass like any other accepted row.
-            let mut key_vec = Vec::with_capacity(k);
-            for j in 0..k {
-                key_vec.push(match page.column(j).expect("dense strips") {
-                    StripView::Ints(xs) => Value::Int(xs[r]),
-                    StripView::Values(vs) => vs[r].clone(),
-                });
-            }
-            let entry = u32::try_from(self.keys.len()).expect("table exceeds u32 entries");
-            self.keys.push(GroupKey::new(key_vec));
-            self.hashes.push(hash);
-            self.states.push(AggStates::new(&self.query.aggs));
-            self.slots[slot] = entry;
-            self.inserts += 1;
-            if (self.keys.len() + 1) * 8 > self.slots.len() * 7 {
-                self.grow();
-            }
-            gix.push(entry);
-            pending += 1;
-        }
-        tracker.record_tuples(template, pending);
-
-        // Deferred updates, column-at-a-time over the group-index vector
-        // (covers exactly the rows probed above, including the partial
-        // prefix before an on_full error).
-        let Self {
-            ref mut states,
-            ref query,
-            ..
-        } = *self;
-        for (j, spec) in query.aggs.iter().enumerate() {
-            match spec.input {
-                None => {
-                    for &e in gix.iter() {
-                        if e != EMPTY {
-                            states[e as usize].update_star_at(j);
+        let mut out = BatchOutcome {
+            row_cause,
+            ..BatchOutcome::default()
+        };
+        // Ok(true) = every row consumed; Ok(false) = `on_full` said stop.
+        let mut ended: Result<bool, StorageError> = Ok(true);
+        for i in 0..batch.passing() {
+            let r = batch.passing_row(i);
+            charges.failed(tracker, (r - out.consumed) as u64);
+            out.consumed = r + 1;
+            out.passed += 1;
+            let hash = hashes.get(r).copied();
+            let inserted = if fast {
+                // No tuple materialization: probe against the strips and
+                // admit new groups with empty states — the deferred pass
+                // below applies this row's update like any other's.
+                let (outcome, entry) = self.probe_strips(hash.expect("fast rows are hashed"), batch, r);
+                gix.push(entry);
+                Ok(outcome)
+            } else {
+                batch.read_row(r, &mut scratch);
+                self.insert_quiet(kind, &scratch, hash).map(|(outcome, _)| outcome)
+            };
+            match inserted {
+                Ok(Inserted::Updated) | Ok(Inserted::New) => charges.accepted(),
+                Ok(Inserted::Full) => {
+                    charges.bounced(tracker);
+                    self.charge_attempt(tracker);
+                    out.rejected += 1;
+                    if fast {
+                        // Materialize the overflow row only now, on the
+                        // cold path.
+                        batch.read_row(r, &mut scratch);
+                    }
+                    match on_full(tracker, kind, &scratch) {
+                        Ok(true) => {}
+                        stop => {
+                            ended = stop;
+                            break;
                         }
                     }
                 }
-                Some(c) => {
-                    let Some(StripView::Ints(xs)) = page.column(c) else {
-                        unreachable!("fast arm requires Int input strips")
-                    };
-                    for (r, &e) in gix.iter().enumerate() {
-                        if e != EMPTY {
-                            states[e as usize].update_int_at(j, xs[r]);
+                Err(e) => {
+                    charges.bounced(tracker);
+                    self.charge_attempt(tracker);
+                    ended = Err(StorageError::from(e));
+                    break;
+                }
+            }
+        }
+        if let Ok(true) = ended {
+            charges.failed(tracker, (batch.rows() - out.consumed) as u64);
+            out.consumed = batch.rows();
+        }
+        charges.flush(tracker);
+
+        // Deferred updates, column-at-a-time over the group-index vector
+        // (exactly the rows probed above, including the prefix before an
+        // early stop). Update order per (spec, entry) is row order — the
+        // row loop's — so order-sensitive accumulator promotion survives.
+        if fast {
+            let Self {
+                ref mut states,
+                ref query,
+                ..
+            } = *self;
+            for (j, spec) in query.aggs.iter().enumerate() {
+                match spec.input {
+                    None => {
+                        for &e in gix.iter().filter(|&&e| e != EMPTY) {
+                            states[e as usize].update_star_at(j);
+                        }
+                    }
+                    Some(c) => {
+                        let StripView::Ints(xs) = batch.column(c) else {
+                            unreachable!("fast arm requires Int input strips")
+                        };
+                        for (i, &e) in gix.iter().enumerate().filter(|(_, &e)| e != EMPTY) {
+                            states[e as usize].update_int_at(j, xs[batch.passing_row(i)]);
                         }
                     }
                 }
             }
         }
         self.batch_gix = gix;
-        result.map(|()| rejected)
+        self.row_scratch = scratch;
+        self.batch_hashes = hashes;
+        ended.map(|_| out)
     }
 
-    /// Slow arm of [`AggTable::insert_page_batched`]: rows are
-    /// materialized and inserted one at a time (partial rows, or raw
-    /// pages with non-`Int` aggregate inputs), reusing the vectorized key
-    /// hashes. Identical to [`AggTable::insert_page`] except for where
-    /// the hash comes from.
-    fn insert_batched_rows<T, F>(
-        &mut self,
-        kind: RowKind,
-        page: &Page,
-        hashes: &[u64],
-        tracker: &mut T,
-        mut on_full: F,
-    ) -> Result<u64, StorageError>
-    where
-        T: CostTracker,
-        F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
-    {
-        let template = self.accept_template();
-        let mut scratch = std::mem::take(&mut self.row_scratch);
-        let mut pending = 0u64;
-        let mut rejected = 0u64;
-        let mut cursor = page.cursor();
-        let mut result = Ok(());
-        for &hash in hashes {
-            match cursor.next_into(&mut scratch) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-            match self.insert_quiet(kind, &scratch, Some(hash)) {
-                Ok((Inserted::Updated, _)) | Ok((Inserted::New, _)) => pending += 1,
-                Ok((Inserted::Full, _)) => {
-                    tracker.record_tuples(template, pending);
-                    pending = 0;
-                    self.charge_attempt(tracker);
-                    rejected += 1;
-                    if let Err(e) = on_full(tracker, kind, &scratch) {
-                        result = Err(e);
-                        break;
+    /// Why a raw batch's aggregate inputs keep it off the deferred-update
+    /// arm (`None` = every input is an `Int` strip or `COUNT(*)`).
+    fn input_strips_cause(&self, batch: &ScanBatch<'_>) -> Option<RowCause> {
+        let mut cause = None;
+        for spec in &self.query.aggs {
+            match spec.input {
+                None if spec.func == AggFunc::Count => {}
+                None => cause = Some(RowCause::ValueInput),
+                // The row arm surfaces the ColumnOutOfRange.
+                Some(c) if c >= batch.arity() => return Some(RowCause::Ragged),
+                Some(c) => {
+                    if let StripView::Values(vs) = batch.column(c) {
+                        if vs.iter().any(|v| matches!(v, Value::Float(_))) {
+                            return Some(RowCause::FloatGuard);
+                        }
+                        cause = Some(RowCause::ValueInput);
                     }
-                }
-                Err(e) => {
-                    tracker.record_tuples(template, pending);
-                    pending = 0;
-                    self.charge_attempt(tracker);
-                    result = Err(StorageError::from(e));
-                    break;
                 }
             }
         }
-        tracker.record_tuples(template, pending);
-        self.row_scratch = scratch;
-        result.map(|()| rejected)
+        cause
     }
 
-    /// [`AggTable::find`] against a page row's key prefix read straight
-    /// from the column strips — no row materialization, no allocation.
+    /// [`AggTable::insert_quiet`] for a raw row read straight off the
+    /// batch's key strips — no row materialization, no state update (the
+    /// caller defers it). Returns the outcome and the touched entry
+    /// (`EMPTY` on `Full`).
     #[inline]
-    fn find_row(&self, hash: u64, page: &Page, r: usize) -> (usize, Option<usize>, u64) {
+    fn probe_strips(&mut self, hash: u64, batch: &ScanBatch<'_>, r: usize) -> (Inserted, u32) {
+        let k = self.key_len;
         let mut i = (hash as usize) & self.mask;
         let mut examined = 1u64;
-        loop {
+        let slot = loop {
             let s = self.slots[i];
             if s == EMPTY {
-                return (i, None, examined);
+                break i;
             }
-            let e = s as usize;
-            if self.hashes[e] == hash && self.key_matches_row(e, page, r) {
-                return (i, Some(e), examined);
+            if self.hashes[s as usize] == hash && self.key_matches_row(s as usize, batch, r) {
+                self.probe_slots += examined;
+                self.updates += 1;
+                return (Inserted::Updated, s);
             }
             i = (i + 1) & self.mask;
             examined += 1;
+        };
+        self.probe_slots += examined;
+        if self.keys.len() >= self.effective_max() {
+            return (Inserted::Full, EMPTY);
         }
+        let mut key_vec = Vec::with_capacity(k);
+        for j in 0..k {
+            key_vec.push(match batch.column(j) {
+                StripView::Ints(xs) => Value::Int(xs[r]),
+                StripView::Values(vs) => vs[r].clone(),
+            });
+        }
+        let entry = u32::try_from(self.keys.len()).expect("table exceeds u32 entries");
+        self.keys.push(GroupKey::new(key_vec));
+        self.hashes.push(hash);
+        self.states.push(AggStates::new(&self.query.aggs));
+        self.slots[slot] = entry;
+        self.inserts += 1;
+        if (self.keys.len() + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+        }
+        (Inserted::New, entry)
     }
 
     /// Whether entry's stored key equals row `r`'s key prefix, comparing
     /// cell-by-cell against the strips.
     #[inline]
-    fn key_matches_row(&self, entry: usize, page: &Page, r: usize) -> bool {
+    fn key_matches_row(&self, entry: usize, batch: &ScanBatch<'_>, r: usize) -> bool {
         let stored = self.keys[entry].values();
         debug_assert_eq!(stored.len(), self.key_len);
-        stored.iter().enumerate().all(|(j, kv)| match page.column(j) {
-            Some(StripView::Ints(xs)) => matches!(kv, Value::Int(x) if *x == xs[r]),
-            Some(StripView::Values(vs)) => kv == &vs[r],
-            None => false,
+        stored.iter().enumerate().all(|(j, kv)| match batch.column(j) {
+            StripView::Ints(xs) => matches!(kv, Value::Int(x) if *x == xs[r]),
+            StripView::Values(vs) => kv == &vs[r],
         })
     }
 
@@ -1020,27 +1038,6 @@ mod tests {
         assert_eq!(t.accepted(), 2);
     }
 
-    #[test]
-    fn prehashed_insert_matches_plain_insert() {
-        let mut a = AggTable::new(query(), 10);
-        let mut b = AggTable::new(query(), 10);
-        let mut ta = CountingTracker::new();
-        let mut tb = CountingTracker::new();
-        for i in 0..40i64 {
-            let row = raw(i % 7, i);
-            let ra = a.insert_raw(&row, &mut ta).unwrap();
-            let hash = hash_values(Seed::Table, &row[..1]);
-            let rb = b.insert_raw_prehashed(&row, hash, &mut tb).unwrap();
-            assert_eq!(ra, rb);
-        }
-        assert_eq!(ta, tb, "prehashed path charges identical costs");
-        let mut ra = a.drain_result_rows(&mut ta);
-        let mut rb = b.drain_result_rows(&mut tb);
-        adaptagg_model::query::sort_rows(&mut ra);
-        adaptagg_model::query::sort_rows(&mut rb);
-        assert_eq!(ra, rb);
-    }
-
     /// Run the same pages through `insert_page` and `insert_page_batched`
     /// on twin tables and assert identical costs, counters, spooled rows
     /// and drained results.
@@ -1177,6 +1174,51 @@ mod tests {
         let rb = b.insert_page_batched(RowKind::Raw, &p, &mut tb, |_, _, _| Ok(()));
         assert!(ra.is_err() && rb.is_err(), "both paths surface the error");
         assert_eq!(ta, tb, "error-path charges match");
+    }
+
+    #[test]
+    fn batch_selection_and_early_stop_match_the_row_loop() {
+        // Rows 0..60 through a [value, key] projection with every third
+        // row filtered out and a 5-entry budget; the batch is told to
+        // stop at the first bounce, and the caller finishes row-wise —
+        // exactly what the per-row loop over the same rows does.
+        let base: Vec<Vec<Value>> = (0..60).map(|i| vec![Value::Int(i), Value::Int((i * 3) % 11)]).collect();
+        let page = page_of(&base);
+        let sel: Vec<u32> = (0..60).filter(|r| r % 3 != 0).collect();
+        let batch = ScanBatch::scanned(&page, &[1, 0], Some(&sel), 60).unwrap();
+
+        let mut a = AggTable::new(query(), 5);
+        let mut ta = CountingTracker::new();
+        let mut bounced = Vec::new();
+        let out = a
+            .insert_batch(RowKind::Raw, &batch, &mut ta, |_, _, row| {
+                bounced = row.to_vec();
+                Ok(false)
+            })
+            .unwrap();
+        assert_eq!((out.rejected, out.row_cause), (1, None));
+        assert!(out.consumed < 60 && sel.contains(&(out.consumed as u32 - 1)));
+        assert_eq!(bounced, vec![base[out.consumed - 1][1].clone(), base[out.consumed - 1][0].clone()]);
+
+        // Reference: the row loop over rows [0, consumed), charging what
+        // the scan would have.
+        let mut b = AggTable::new(query(), 5);
+        let mut tb = CountingTracker::new();
+        let mut passed = 0;
+        for (r, row) in base.iter().enumerate().take(out.consumed) {
+            tb.record(CostEvent::TupleRead, 1);
+            if r % 3 == 0 {
+                continue;
+            }
+            tb.record(CostEvent::TupleWrite, 1);
+            passed += 1;
+            let outcome = b.insert_raw(&[row[1].clone(), row[0].clone()], &mut tb).unwrap();
+            assert_eq!(outcome == Inserted::Full, r + 1 == out.consumed);
+        }
+        assert_eq!(out.passed, passed);
+        assert_eq!(ta, tb, "charges up to the stop");
+        assert_eq!(a.probe_slots(), b.probe_slots());
+        assert_eq!(a.drain_partial_rows(&mut ta), b.drain_partial_rows(&mut tb));
     }
 
     #[test]

@@ -100,6 +100,36 @@ impl Predicate {
         }
         Ok(self.op.holds(v.cmp(&self.literal)))
     }
+
+    /// Column-at-a-time [`Predicate::matches`] over an `Int` strip (the
+    /// caller resolved `self.column` to it): with `refine` unset,
+    /// `selection` becomes the ascending ids of the rows that satisfy the
+    /// predicate; set, it keeps only the already-selected rows that do —
+    /// which is how a conjunction narrows one selection vector. Returns
+    /// `false`, leaving `selection` alone, when the literal is not an
+    /// `Int` (cross-type order and NULLs belong to the row form).
+    pub fn select_ints(&self, column: &[i64], selection: &mut Vec<u32>, refine: bool) -> bool {
+        let Value::Int(lit) = self.literal else {
+            return false;
+        };
+        fn sweep(column: &[i64], selection: &mut Vec<u32>, refine: bool, keep: impl Fn(i64) -> bool) {
+            if refine {
+                selection.retain(|&r| keep(column[r as usize]));
+            } else {
+                selection.clear();
+                selection.extend((0..column.len() as u32).filter(|&r| keep(column[r as usize])));
+            }
+        }
+        match self.op {
+            Compare::Eq => sweep(column, selection, refine, |x| x == lit),
+            Compare::Ne => sweep(column, selection, refine, |x| x != lit),
+            Compare::Lt => sweep(column, selection, refine, |x| x < lit),
+            Compare::Le => sweep(column, selection, refine, |x| x <= lit),
+            Compare::Gt => sweep(column, selection, refine, |x| x > lit),
+            Compare::Ge => sweep(column, selection, refine, |x| x >= lit),
+        }
+        true
+    }
 }
 
 impl fmt::Display for Predicate {
@@ -180,6 +210,29 @@ mod tests {
         assert!(!matches_all(&f, &row(1, 9)).unwrap());
         assert!(!matches_all(&f, &row(2, 10)).unwrap());
         assert!(matches_all(&[], &row(0, 0)).unwrap(), "empty filter is true");
+    }
+
+    #[test]
+    fn select_ints_agrees_with_matches_and_refines() {
+        let column: Vec<i64> = vec![5, 1, 9, 5, -3, 7];
+        let mut sel = vec![99];
+        for op in [Compare::Eq, Compare::Ne, Compare::Lt, Compare::Le, Compare::Gt, Compare::Ge] {
+            let p = Predicate::new(0, op, Value::Int(5));
+            assert!(p.select_ints(&column, &mut sel, false));
+            let want: Vec<u32> = (0..column.len() as u32)
+                .filter(|&r| p.matches(&[Value::Int(column[r as usize])]).unwrap())
+                .collect();
+            assert_eq!(sel, want, "{op:?}");
+        }
+        // Conjunction: x >= 5 (rows 0,2,3,5) AND x < 9 keeps 0,3,5.
+        Predicate::new(0, Compare::Ge, Value::Int(5)).select_ints(&column, &mut sel, false);
+        Predicate::new(0, Compare::Lt, Value::Int(9)).select_ints(&column, &mut sel, true);
+        assert_eq!(sel, vec![0, 3, 5]);
+        // Non-Int literals are the row form's business.
+        let before = sel.clone();
+        assert!(!Predicate::new(0, Compare::Lt, Value::Float(1.0)).select_ints(&column, &mut sel, false));
+        assert!(!Predicate::new(0, Compare::Eq, Value::Null).select_ints(&column, &mut sel, true));
+        assert_eq!(sel, before);
     }
 
     #[test]

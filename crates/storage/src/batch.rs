@@ -1,0 +1,274 @@
+//! Borrowed page batches: a page's column strips seen through a
+//! projection map and a selection vector.
+//!
+//! A [`ScanBatch`] is what the scan operator hands a batch consumer per
+//! base page, and what a whole received page degenerates to
+//! ([`ScanBatch::whole`]). It copies nothing: projected column `j` *is*
+//! the page's strip `columns[j]`, and the WHERE clause survives only as
+//! the ascending row ids that passed it.
+//!
+//! The batch also says what the scan still **owes** the cost model for
+//! its rows. This crate charges page I/O only, so the per-tuple select
+//! charges travel with the batch and the consumer records them in row
+//! order, interleaved with its own: [`ScanBatch::pass_lead`] ahead of
+//! each passing row's charges, [`ScanBatch::fail_charge`] for each
+//! filtered-out row. The run lengths are the gaps of the selection.
+
+use crate::page::{Page, StripView};
+use adaptagg_model::{CostEvent, Value};
+
+/// Select charges of a tuple that passed the filter: read off the page,
+/// copied out (`t_r + t_w`, §2.1).
+pub const SELECT_PASS: [CostEvent; 2] = [CostEvent::TupleRead, CostEvent::TupleWrite];
+/// Select charge of a filtered-out tuple: read, never copied out.
+pub const SELECT_FAIL: [CostEvent; 1] = [CostEvent::TupleRead];
+
+/// Why a page was fed row-at-a-time instead of as a batch (the
+/// `scan.pages_row{cause=…}` trace counters).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowCause {
+    /// Rows of differing arity, or a column some row lacks: no dense strip.
+    Ragged,
+    /// A filter column that is not an `Int` strip, or a non-`Int` literal.
+    ValueFilter,
+    /// An aggregate input strip holding nulls or strings.
+    ValueInput,
+    /// An aggregate input strip holding a `Float`: accumulation order is
+    /// observable, so the row loop keeps it.
+    FloatGuard,
+}
+
+impl RowCause {
+    /// Every cause, in counter order.
+    pub const ALL: [RowCause; 4] = [
+        RowCause::Ragged,
+        RowCause::ValueFilter,
+        RowCause::ValueInput,
+        RowCause::FloatGuard,
+    ];
+
+    /// The trace counter this cause increments.
+    pub fn counter(self) -> &'static str {
+        match self {
+            RowCause::Ragged => "scan.pages_row{cause=ragged}",
+            RowCause::ValueFilter => "scan.pages_row{cause=value_filter}",
+            RowCause::ValueInput => "scan.pages_row{cause=value_input}",
+            RowCause::FloatGuard => "scan.pages_row{cause=float_guard}",
+        }
+    }
+}
+
+/// What a consumer did with a batch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchOutcome {
+    /// Leading rows consumed (charged and applied). Less than the batch's
+    /// [`ScanBatch::rows`] only when the consumer stopped early; the
+    /// caller owns the rest.
+    pub consumed: usize,
+    /// Consumed rows that had passed the filter.
+    pub passed: u64,
+    /// Passing rows the consumer could not hold (handed to its spill or
+    /// forwarding callback).
+    pub rejected: u64,
+    /// Why a batch of raw tuples had its rows materialized instead of
+    /// riding the strips (`None` = it rode them).
+    pub row_cause: Option<RowCause>,
+}
+
+/// Rows `[0, rows)` of a uniform-arity page through a projection and a
+/// selection (see module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct ScanBatch<'a> {
+    page: &'a Page,
+    /// Projected column `j` is base column `columns[j]`; empty = identity.
+    columns: &'a [usize],
+    selection: Option<&'a [u32]>,
+    rows: usize,
+    arity: usize,
+    scanned: bool,
+}
+
+impl<'a> ScanBatch<'a> {
+    /// A whole received page as the trivial batch: every column, every
+    /// row, nothing owed to the scan. `None` for ragged or empty pages.
+    pub fn whole(page: &'a Page) -> Option<Self> {
+        let arity = page.uniform_arity()?;
+        Some(ScanBatch {
+            page,
+            columns: &[],
+            selection: None,
+            rows: page.tuple_count(),
+            arity,
+            scanned: false,
+        })
+    }
+
+    /// The first `rows` rows of a scanned base page, projected onto
+    /// `columns` (empty = the whole tuple), of which `selection`
+    /// (ascending row ids; `None` = all) passed the filter. Fails with
+    /// [`RowCause::Ragged`] when a projected column is not a dense strip.
+    pub fn scanned(
+        page: &'a Page,
+        columns: &'a [usize],
+        selection: Option<&'a [u32]>,
+        rows: usize,
+    ) -> Result<Self, RowCause> {
+        let base_arity = page.uniform_arity().ok_or(RowCause::Ragged)?;
+        if columns.iter().any(|&c| c >= base_arity) {
+            return Err(RowCause::Ragged);
+        }
+        debug_assert!(rows <= page.tuple_count());
+        debug_assert!(selection.is_none_or(|s| {
+            s.windows(2).all(|w| w[0] < w[1]) && s.last().is_none_or(|&r| (r as usize) < rows)
+        }));
+        Ok(ScanBatch {
+            page,
+            columns,
+            selection,
+            rows,
+            arity: if columns.is_empty() {
+                base_arity
+            } else {
+                columns.len()
+            },
+            scanned: true,
+        })
+    }
+
+    /// Rows covered, passing or not.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Projected arity.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Number of passing rows.
+    pub fn passing(&self) -> usize {
+        self.selection.map_or(self.rows, <[u32]>::len)
+    }
+
+    /// Row id of the `i`-th passing row.
+    #[inline]
+    pub fn passing_row(&self, i: usize) -> usize {
+        match self.selection {
+            Some(sel) => sel[i] as usize,
+            None => i,
+        }
+    }
+
+    /// Projected column `j` over all covered rows. Panics if
+    /// `j >= self.arity()`.
+    #[inline]
+    pub fn column(&self, j: usize) -> StripView<'a> {
+        assert!(j < self.arity, "projected column {j} of {}", self.arity);
+        let c = if self.columns.is_empty() {
+            j
+        } else {
+            self.columns[j]
+        };
+        match self.page.column(c).expect("validated dense strip") {
+            StripView::Ints(xs) => StripView::Ints(&xs[..self.rows]),
+            StripView::Values(vs) => StripView::Values(&vs[..self.rows]),
+        }
+    }
+
+    /// Materialize projected row `r` into `out` (cleared first).
+    pub fn read_row(&self, r: usize, out: &mut Vec<Value>) {
+        out.clear();
+        for j in 0..self.arity {
+            out.push(match self.column(j) {
+                StripView::Ints(xs) => Value::Int(xs[r]),
+                StripView::Values(vs) => vs[r].clone(),
+            });
+        }
+    }
+
+    /// What the consumer records ahead of each passing row's own charges.
+    pub fn pass_lead(&self) -> &'static [CostEvent] {
+        if self.scanned {
+            &SELECT_PASS
+        } else {
+            &[]
+        }
+    }
+
+    /// What the consumer records for each filtered-out row.
+    pub fn fail_charge(&self) -> &'static [CostEvent] {
+        if self.scanned {
+            &SELECT_FAIL
+        } else {
+            &[]
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn page(rows: &[Vec<Value>]) -> Page {
+        let mut p = Page::new(4096);
+        for r in rows {
+            assert!(p.try_push(r).unwrap());
+        }
+        p
+    }
+
+    fn rows3(n: i64) -> Vec<Vec<Value>> {
+        (0..n)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Str(format!("s{i}").into()),
+                    Value::Int(i * 10),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn whole_page_is_the_identity_batch_and_owes_nothing() {
+        let p = page(&rows3(5));
+        let b = ScanBatch::whole(&p).unwrap();
+        assert_eq!((b.rows(), b.arity(), b.passing()), (5, 3, 5));
+        assert_eq!(b.column(2), StripView::Ints(&[0, 10, 20, 30, 40]));
+        assert!(b.pass_lead().is_empty() && b.fail_charge().is_empty());
+        let mut row = Vec::new();
+        b.read_row(3, &mut row);
+        assert_eq!(row, rows3(5)[3]);
+    }
+
+    #[test]
+    fn projection_selection_and_truncation_are_views() {
+        let p = page(&rows3(6));
+        let sel = [1u32, 3];
+        let b = ScanBatch::scanned(&p, &[2, 0], Some(&sel), 4).unwrap();
+        assert_eq!((b.rows(), b.arity(), b.passing()), (4, 2, 2));
+        assert_eq!(b.column(0), StripView::Ints(&[0, 10, 20, 30]));
+        assert_eq!(b.passing_row(1), 3);
+        let mut row = Vec::new();
+        b.read_row(3, &mut row);
+        assert_eq!(row, vec![Value::Int(30), Value::Int(3)]);
+        assert_eq!(b.pass_lead(), &SELECT_PASS);
+        assert_eq!(b.fail_charge(), &SELECT_FAIL);
+    }
+
+    #[test]
+    fn ragged_pages_and_missing_columns_are_refused() {
+        let mut p = page(&rows3(2));
+        assert_eq!(
+            ScanBatch::scanned(&p, &[3], None, 2).unwrap_err(),
+            RowCause::Ragged
+        );
+        p.try_push(&[Value::Int(9)]).unwrap();
+        assert!(ScanBatch::whole(&p).is_none());
+        assert_eq!(
+            ScanBatch::scanned(&p, &[0], None, 3).unwrap_err(),
+            RowCause::Ragged
+        );
+        assert!(ScanBatch::whole(&Page::new(64)).is_none(), "empty page");
+    }
+}

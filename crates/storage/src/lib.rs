@@ -5,6 +5,8 @@
 //! * [`Page`] — a fixed-capacity byte page of encoded tuples (4 KB disk
 //!   pages by default; the network layer reuses the same type for 2 KB
 //!   message blocks).
+//! * [`ScanBatch`] — a borrowed view of a page's column strips through a
+//!   projection map and a selection vector: what batch operators consume.
 //! * [`HeapFile`] — an append-only sequence of pages: a node's partition of
 //!   the base relation, a result file, or a spooled overflow bucket.
 //! * [`SimDisk`] — one node's disk: named heap files plus the page-I/O
@@ -19,6 +21,7 @@
 //! **page-level I/O only**; per-tuple CPU costs are charged by the compute
 //! layers.
 
+pub mod batch;
 pub mod disk;
 pub mod error;
 pub mod heapfile;
@@ -27,6 +30,7 @@ pub mod persist;
 pub mod pool;
 pub mod spill;
 
+pub use batch::{BatchOutcome, RowCause, ScanBatch};
 pub use disk::{IoCounters, SimDisk};
 pub use error::StorageError;
 pub use heapfile::HeapFile;

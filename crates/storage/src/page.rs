@@ -250,7 +250,13 @@ impl Page {
     /// A cursor materializing tuples into a caller-owned scratch vector —
     /// the allocation-reusing counterpart of [`Page::iter`] for hot paths.
     pub fn cursor(&self) -> PageCursor<'_> {
-        PageCursor { page: self, row: 0 }
+        self.cursor_from(0)
+    }
+
+    /// [`Page::cursor`] positioned at row `row` (a consumer that took the
+    /// page's leading rows as a batch resumes row-at-a-time from here).
+    pub fn cursor_from(&self, row: usize) -> PageCursor<'_> {
+        PageCursor { page: self, row: row.min(self.tuples as usize) }
     }
 
     /// Decode all tuples into vectors (convenience for tests and stores).

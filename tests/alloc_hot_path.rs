@@ -11,14 +11,25 @@
 //! 12): hits and new-group admissions allocate nothing once the first seal
 //! has sized the arenas, and a seal allocates per spill page, not per row.
 //!
+//! And the local aggregation phase end to end (ISSUE 13, DESIGN.md §17):
+//! base pages through the scan operator, as borrowed batches, into the
+//! table — with and without a WHERE clause — allocate nothing per page
+//! once the scanner's selection vector and the table's pooled hash and
+//! group-index columns are sized.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
 
-use adaptagg_hashagg::AggTable;
-use adaptagg_model::{AggFunc, AggQuery, AggSpec, CountingTracker, RowKind, Value};
+use adaptagg_exec::{NodeCtx, PageScan};
+use adaptagg_hashagg::{AggTable, HashAggregator};
+use adaptagg_model::{
+    AggFunc, AggQuery, AggSpec, Compare, CostParams, CountingTracker, NetworkKind, Predicate,
+    RowKind, Value,
+};
+use adaptagg_net::Fabric;
 use adaptagg_sortagg::RunBuilder;
-use adaptagg_storage::Page;
+use adaptagg_storage::{HeapFile, Page, SimDisk};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -138,6 +149,49 @@ fn resident_group_updates_do_not_allocate() {
         1000
     );
     assert_eq!(table.len(), GROUPS as usize, "no groups were added");
+
+    // The local phase (DESIGN.md §17): scan -> borrowed batch -> table on
+    // the node's own clock, hit regime. The first pass over the file
+    // admits the groups and sizes every scratch column; passes after it
+    // must not allocate, filter or no filter.
+    let mut file = HeapFile::new(4096);
+    for i in 0..20_000i64 {
+        let pad = Value::Str("padding-padding".into());
+        file.append(&[Value::Int(i % 64), Value::Int(i), pad]).unwrap();
+    }
+    let mut eps = Fabric::new(1, NetworkKind::high_speed_default()).into_endpoints();
+    let mut ctx = NodeCtx::new(eps.pop().unwrap(), SimDisk::new(), CostParams::paper_default());
+    let query = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()],
+    );
+    let filter = [Predicate::new(1, Compare::Ge, Value::Int(5_000))];
+    for filter in [&filter[..0], &filter[..]] {
+        let mut agg = HashAggregator::new(query.clone(), 10_000, 4096, 4);
+        let mut scan = PageScan::new(filter, &[0, 1]);
+        let pages = file.page_count();
+        assert!(scan.run(&mut ctx, &file, 0, pages, &mut agg).unwrap());
+        assert_eq!(agg.resident_groups(), 64);
+        let mut counted = u64::MAX;
+        for _attempt in 0..5 {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            assert!(scan.run(&mut ctx, &file, 0, pages, &mut agg).unwrap());
+            counted = ALLOCS.load(Ordering::Relaxed) - before;
+            if counted == 0 {
+                break;
+            }
+        }
+        assert_eq!(
+            counted,
+            0,
+            "the local phase allocated {counted} times over {pages} pages ({} predicates)",
+            filter.len()
+        );
+        let tally = scan.tally();
+        assert_eq!(tally.pages_row, [0; 4], "every page rode the strips");
+        assert!(tally.pages_batched as usize >= 2 * pages);
+        assert_eq!(agg.resident_groups(), 64, "no groups were added");
+    }
 
     // Sorted-run formation (DESIGN.md §16): once the first seal has sized
     // the run table's arenas, a pushed row — a hit on a resident group or

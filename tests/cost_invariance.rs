@@ -16,12 +16,12 @@
 //! To recapture after an *intentional* cost-model change (never a perf
 //! change):  cargo test --test cost_invariance print_pins -- --ignored --nocapture
 
-use adaptagg_algos::{run_algorithm, AlgorithmKind};
+use adaptagg_algos::{run_algorithm, AdaptEvent, AlgorithmKind, RunOutcome};
 use adaptagg_exec::{Clock, ClusterConfig};
 use adaptagg_hashagg::{EmitMode, HashAggregator};
 use adaptagg_model::{
-    AggFunc, AggQuery, AggSpec, CostEvent, CostParams, CostTracker, CountingTracker, RowKind,
-    Value,
+    AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker, CountingTracker,
+    Predicate, RowKind, Value,
 };
 use adaptagg_workload::{default_query, generate_partitions, RelationSpec};
 
@@ -123,14 +123,44 @@ const PIN_RUNS: &[(AlgorithmKind, usize, usize, usize, usize, u64)] = &[
     (AlgorithmKind::SortTwoPhase, 2, 3000, 1500, 300, 0x406b7cb645a1c027), // 219.8972 ms
 ];
 
-fn pinned_run_elapsed(
-    kind: AlgorithmKind,
-    nodes: usize,
-    tuples: usize,
-    groups: usize,
-    max_hash_entries: usize,
-    threads: usize,
-) -> f64 {
+/// Pins for the page-at-a-time scan (DESIGN.md §17), captured on the
+/// row-at-a-time scan it replaced (commit c78806c): same tuple as
+/// `PIN_RUNS` plus the query. The first filters on a projected column
+/// and projects `[1, 0]` — neither an identity nor a prefix of the base
+/// layout; the second makes A-2P's switch land in the middle of a page,
+/// so one batch is cut at the rejected row and finished row-wise.
+const PIN_SCAN_RUNS: &[ScanPin] = &[
+    ScanPin {
+        shape: (AlgorithmKind::TwoPhase, 1, 3000, 120, 10_000),
+        query: filtered_swapped_query,
+        bits: 0x4065d26e978d4a6e, // 174.576 ms
+    },
+    ScanPin {
+        shape: (AlgorithmKind::AdaptiveTwoPhase, 1, 3000, 1500, 300),
+        query: default_query,
+        bits: 0x407370d0e5603a52, // 311.051 ms
+    },
+];
+
+struct ScanPin {
+    shape: Shape,
+    query: fn() -> AggQuery,
+    bits: u64,
+}
+
+/// (kind, nodes, tuples, groups, max_hash_entries) of a pinned run.
+type Shape = (AlgorithmKind, usize, usize, usize, usize);
+
+/// `SELECT v, SUM(g), COUNT(*) WHERE g < 60 GROUP BY v` over `(g, v, pad)`.
+fn filtered_swapped_query() -> AggQuery {
+    AggQuery::new(
+        vec![1],
+        vec![AggSpec::over(AggFunc::Sum, 0), AggSpec::count_star()],
+    )
+    .with_filter(vec![Predicate::new(0, Compare::Lt, Value::Int(60))])
+}
+
+fn pinned_run((kind, nodes, tuples, groups, max_hash_entries): Shape, query: &AggQuery, threads: usize) -> RunOutcome {
     let spec = RelationSpec::uniform(tuples, groups);
     let parts = generate_partitions(&spec, nodes);
     let params = CostParams {
@@ -138,23 +168,39 @@ fn pinned_run_elapsed(
         ..CostParams::paper_default()
     };
     let config = ClusterConfig::new(nodes, params).with_threads(threads);
-    let out = run_algorithm(kind, &config, &parts, &default_query()).unwrap();
-    assert_eq!(out.rows.len(), groups);
-    out.elapsed_ms()
+    run_algorithm(kind, &config, &parts, query).unwrap()
+}
+
+/// Every pinned run: `PIN_RUNS` under the default query, then
+/// `PIN_SCAN_RUNS` under their own.
+fn all_pins() -> impl Iterator<Item = (Shape, AggQuery, u64)> {
+    let defaults = PIN_RUNS
+        .iter()
+        .map(|&(kind, nodes, tuples, groups, m, bits)| ((kind, nodes, tuples, groups, m), default_query(), bits));
+    let scans = PIN_SCAN_RUNS.iter().map(|pin| (pin.shape, (pin.query)(), pin.bits));
+    defaults.chain(scans)
+}
+
+fn assert_pins_hold(threads: usize) {
+    for (shape, query, bits) in all_pins() {
+        let out = pinned_run(shape, &query, threads);
+        if query == default_query() {
+            assert_eq!(out.rows.len(), shape.3);
+        }
+        let elapsed = out.elapsed_ms();
+        assert_eq!(
+            elapsed.to_bits(),
+            bits,
+            "{shape:?} threads={threads} ({} predicates): virtual time drifted to {elapsed} ms ({:#018x})",
+            query.filter.len(),
+            elapsed.to_bits()
+        );
+    }
 }
 
 #[test]
 fn cluster_virtual_times_are_pinned() {
-    for &(kind, nodes, tuples, groups, m, bits) in PIN_RUNS {
-        let elapsed = pinned_run_elapsed(kind, nodes, tuples, groups, m, 1);
-        assert_eq!(
-            elapsed.to_bits(),
-            bits,
-            "{kind} n={nodes} |R|={tuples} |G|={groups} M={m}: \
-             virtual time drifted to {elapsed} ms ({:#018x})",
-            elapsed.to_bits()
-        );
-    }
+    assert_pins_hold(1);
 }
 
 /// The intra-node morsel engine's contract: the *same* pinned virtual
@@ -165,17 +211,34 @@ fn cluster_virtual_times_are_pinned() {
 #[test]
 fn cluster_virtual_times_are_pinned_at_every_thread_count() {
     for threads in [2usize, 4, 8] {
-        for &(kind, nodes, tuples, groups, m, bits) in PIN_RUNS {
-            let elapsed = pinned_run_elapsed(kind, nodes, tuples, groups, m, threads);
-            assert_eq!(
-                elapsed.to_bits(),
-                bits,
-                "{kind} n={nodes} |R|={tuples} |G|={groups} M={m} threads={threads}: \
-                 parallel virtual time diverged to {elapsed} ms ({:#018x})",
-                elapsed.to_bits()
-            );
-        }
+        assert_pins_hold(threads);
     }
+}
+
+/// The scan pins must keep exercising what they were chosen for.
+#[test]
+fn scan_pins_hit_their_regimes() {
+    let ScanPin { shape, query, .. } = PIN_SCAN_RUNS[0];
+    let out = pinned_run(shape, &query(), 1);
+    assert!(out.rows.len() > 100 && out.nodes[0].agg.raw_in < shape.2 as u64, "filter must bite");
+
+    let ScanPin { shape, query, .. } = PIN_SCAN_RUNS[1];
+    let out = pinned_run(shape, &query(), 1);
+    let at_tuple = out.nodes[0]
+        .events
+        .iter()
+        .find_map(|e| match *e {
+            AdaptEvent::SwitchedToRepartitioning { at_tuple } => Some(at_tuple as usize),
+            _ => None,
+        })
+        .expect("A-2P must switch");
+    let parts = generate_partitions(&RelationSpec::uniform(shape.2, shape.3), shape.1);
+    let per_page = parts[0].page(0).unwrap().tuple_count();
+    let row_in_page = (at_tuple - 1) % per_page;
+    assert!(
+        row_in_page > 0 && row_in_page + 1 < per_page,
+        "switch at tuple {at_tuple} is row {row_in_page} of a {per_page}-row page"
+    );
 }
 
 /// Capture tool: prints the pin constants for the current build.
@@ -199,14 +262,10 @@ fn print_pins() {
         clock.now_ms()
     );
 
-    println!("const PIN_RUNS: ... = &[");
-    for &(kind, nodes, tuples, groups, m, _) in PIN_RUNS {
-        let elapsed = pinned_run_elapsed(kind, nodes, tuples, groups, m, 1);
-        println!(
-            "    (AlgorithmKind::{kind:?}, {nodes}, {tuples}, {groups}, {m}, {:#018x}), // {} ms",
-            elapsed.to_bits(),
-            elapsed
-        );
+    println!("const PIN_RUNS / PIN_SCAN_RUNS: ... = &[");
+    for (shape, query, _) in all_pins() {
+        let elapsed = pinned_run(shape, &query, 1).elapsed_ms();
+        println!("    ({shape:?}, {:#018x}), // {elapsed} ms", elapsed.to_bits());
     }
     println!("];");
 }

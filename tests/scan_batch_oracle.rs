@@ -1,0 +1,747 @@
+//! Batch-vs-row differential for the page-at-a-time scan (DESIGN.md §17).
+//!
+//! The same heap file goes through the scan operator twice — once into a
+//! sink that takes every page as a borrowed column-strip batch, once into
+//! the same consumer fed row by row — and everything observable must be
+//! equal: the result rows (order included), the **exact sequence** of
+//! unit cost events, the virtual clock bit for bit, what spilled, and on
+//! failure the typed error plus everything charged before it. The
+//! algorithm-level cases (A-2P's switch, a scheduled crash) run on a real
+//! `NodeCtx` and compare clock bits, adaptive events and traffic.
+//!
+//! The row lane is the loop the old `scan_project` was; that it still
+//! charges what the pre-batch code charged is pinned separately, against
+//! constants captured on that code, by `tests/cost_invariance.rs`.
+
+use adaptagg::algos::adaptive2p::{ScanState, ScanSwitch};
+use adaptagg::algos::common::QueryPlan;
+use adaptagg::algos::AdaptEvent;
+use adaptagg::exec::{
+    operators, Clock, Exchange, ExecError, NodeCtx, NodeFaults, PageScan, ScanCharge, ScanSink,
+    ScanTally,
+};
+use adaptagg::hashagg::HashAggregator;
+use adaptagg::model::{
+    matches_all, AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker,
+    NetworkKind, Predicate, ResultRow, RowKind, Value,
+};
+use adaptagg::net::Fabric;
+use adaptagg::storage::{BatchOutcome, HeapFile, RowCause, ScanBatch, SimDisk};
+use proptest::prelude::*;
+
+/// A charge sink that keeps the unit-event sequence next to a real clock,
+/// with the node's crash schedule (`NodeCtx`'s own is exercised below).
+struct Probe {
+    events: Vec<CostEvent>,
+    clock: Clock,
+    scanned: u64,
+    crash_at: Option<u64>,
+}
+
+impl Probe {
+    fn new(crash_at: Option<u64>) -> Self {
+        Probe {
+            events: Vec::new(),
+            clock: Clock::new(CostParams::paper_default()),
+            scanned: 0,
+            crash_at,
+        }
+    }
+}
+
+impl CostTracker for Probe {
+    fn record(&mut self, event: CostEvent, count: u64) {
+        self.events.extend((0..count).map(|_| event));
+        self.clock.record(event, count);
+    }
+
+    fn record_tuples(&mut self, template: &[CostEvent], count: u64) {
+        for _ in 0..count {
+            self.events.extend_from_slice(template);
+        }
+        self.clock.record_tuples(template, count);
+    }
+}
+
+impl ScanCharge for Probe {
+    fn page_read(&mut self) {
+        self.record(CostEvent::PageReadSeq, 1);
+    }
+
+    fn tuple_read(&mut self) -> Result<(), ExecError> {
+        self.scanned += 1;
+        if let Some(k) = self.crash_at.filter(|&k| self.scanned > k) {
+            return Err(ExecError::InjectedCrash {
+                node: 0,
+                at_tuple: k,
+            });
+        }
+        self.record(CostEvent::TupleRead, 1);
+        Ok(())
+    }
+
+    fn tuple_passed(&mut self) {
+        self.record(CostEvent::TupleWrite, 1);
+    }
+
+    fn crash_budget(&self) -> Option<u64> {
+        self.crash_at.map(|k| k.saturating_sub(self.scanned))
+    }
+
+    fn batch_scanned(&mut self, rows: usize) {
+        self.scanned += rows as u64;
+    }
+}
+
+/// The local-phase consumer, taking batches or not.
+struct Lane<'a> {
+    agg: &'a mut HashAggregator,
+    batched: bool,
+}
+
+impl ScanSink<Probe> for Lane<'_> {
+    fn wants_batch(&self) -> bool {
+        self.batched
+    }
+
+    fn batch(&mut self, x: &mut Probe, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        Ok(self.agg.push_batch(RowKind::Raw, batch, x)?)
+    }
+
+    fn row(&mut self, x: &mut Probe, values: &[Value]) -> Result<bool, ExecError> {
+        self.agg.push_raw(values, x)?;
+        Ok(true)
+    }
+}
+
+/// Everything one lane's pass over a file made observable.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    error: Option<ExecError>,
+    passed: usize,
+    raw_in: u64,
+    spilled: u64,
+    resident: usize,
+    events: Vec<CostEvent>,
+    clock_bits: u64,
+    rows: Vec<ResultRow>,
+}
+
+fn run_lane(
+    file: &HeapFile,
+    query: &AggQuery,
+    budget: usize,
+    crash_at: Option<u64>,
+    batched: bool,
+) -> (Observed, ScanTally) {
+    let plan = QueryPlan::new(query);
+    let mut agg = HashAggregator::new(plan.projected.clone(), budget, 256, 4);
+    let mut probe = Probe::new(crash_at);
+    let mut scan = PageScan::new(&plan.base.filter, &plan.projection);
+    let scanned = scan.run(
+        &mut probe,
+        file,
+        0,
+        file.page_count(),
+        &mut Lane {
+            agg: &mut agg,
+            batched,
+        },
+    );
+    let error = scanned.err();
+    // The row counters of a scan that died are nobody's contract (the
+    // lanes bump them on different sides of the failing insert); what it
+    // charged and what the table holds are.
+    let (passed, raw_in, spilled) = match error {
+        None => (
+            scan.tally().passed,
+            agg.stats().raw_in,
+            agg.stats().spilled_tuples,
+        ),
+        Some(_) => (0, 0, 0),
+    };
+    let resident = agg.resident_groups();
+    // A finished scan also drains (spill replay included) under the probe.
+    let rows = if error.is_none() {
+        agg.finish_rows(&mut probe).unwrap().0
+    } else {
+        Vec::new()
+    };
+    let observed = Observed {
+        error,
+        passed,
+        raw_in,
+        spilled,
+        resident,
+        clock_bits: probe.clock.now_ms().to_bits(),
+        events: probe.events,
+        rows,
+    };
+    (observed, scan.tally())
+}
+
+/// Both lanes over `file`; asserts they are indistinguishable and returns
+/// what happened plus the batch lane's page tally.
+fn assert_lanes_agree(
+    label: &str,
+    file: &HeapFile,
+    query: &AggQuery,
+    budget: usize,
+    crash_at: Option<u64>,
+) -> (Observed, ScanTally) {
+    let (row, row_tally) = run_lane(file, query, budget, crash_at, false);
+    let (batch, tally) = run_lane(file, query, budget, crash_at, true);
+    assert_eq!(
+        row_tally.pages_batched, 0,
+        "{label}: the row lane never batches"
+    );
+    assert_eq!(batch.error, row.error, "{label}: errors diverge");
+    assert_eq!(
+        batch.events.len(),
+        row.events.len(),
+        "{label}: event counts diverge"
+    );
+    if let Some(at) = (0..row.events.len()).find(|&i| row.events[i] != batch.events[i]) {
+        panic!(
+            "{label}: cost events diverge at #{at}: row {:?}, batch {:?}",
+            row.events[at], batch.events[at]
+        );
+    }
+    assert_eq!(batch, row, "{label}");
+    (batch, tally)
+}
+
+fn file_of(page_bytes: usize, rows: impl IntoIterator<Item = Vec<Value>>) -> HeapFile {
+    let mut f = HeapFile::new(page_bytes);
+    for row in rows {
+        f.append(&row).unwrap();
+    }
+    f
+}
+
+fn int(x: i64) -> Value {
+    Value::Int(x)
+}
+
+/// `(g, pad, v, w)` rows: a `Str` strip between the `Int` ones, so no
+/// projection below is an identity prefix.
+fn wide_rows(n: i64, groups: i64) -> impl Iterator<Item = Vec<Value>> {
+    (0..n).map(move |i| {
+        vec![
+            int((i * 7) % groups),
+            Value::Str(format!("pad{i}").into()),
+            int(i),
+            int(i % 10),
+        ]
+    })
+}
+
+/// Rows the table accepted, read off the charges.
+fn aggregated(seen: &Observed) -> usize {
+    seen.events
+        .iter()
+        .filter(|&&e| e == CostEvent::TupleAgg)
+        .count()
+}
+
+fn pages_row(tally: &ScanTally, cause: RowCause) -> u64 {
+    tally.pages_row[cause as usize]
+}
+
+#[test]
+fn identity_and_permuted_projections() {
+    let identity = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()],
+    );
+    let file = file_of(512, (0..300).map(|i| vec![int(i % 17), int(i)]));
+    let (seen, tally) = assert_lanes_agree("identity", &file, &identity, 1000, None);
+    assert_eq!((seen.passed, seen.rows.len()), (300, 17));
+    assert_eq!(tally.pages_batched as usize, file.page_count());
+
+    // Key from column 2, input from column 0: projection [2, 0].
+    let permuted = AggQuery::new(
+        vec![2],
+        vec![
+            AggSpec::over(AggFunc::Max, 0),
+            AggSpec::over(AggFunc::Avg, 0),
+        ],
+    );
+    let file = file_of(
+        1024,
+        wide_rows(400, 23).map(|mut r| {
+            r[2] = int(r[2].as_i64().unwrap() % 31);
+            r
+        }),
+    );
+    let (seen, tally) = assert_lanes_agree("permuted", &file, &permuted, 1000, None);
+    assert_eq!(seen.rows.len(), 31);
+    assert_eq!(tally.pages_batched as usize, file.page_count());
+
+    // No aggregates, one column: DISTINCT over a non-leading column.
+    let distinct = AggQuery::distinct(vec![3]);
+    let (seen, _) = assert_lanes_agree("distinct", &file, &distinct, 1000, None);
+    assert_eq!(seen.rows.len(), 10);
+}
+
+#[test]
+fn filters_on_projected_and_unprojected_columns_at_every_selectivity() {
+    let file = file_of(1024, wide_rows(500, 40));
+    let base = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 2), AggSpec::count_star()],
+    );
+    // (label, predicates, passing share in percent: lowest, highest)
+    let cases: Vec<(&str, Vec<Predicate>, usize, usize)> = vec![
+        (
+            "projected, 0 %",
+            vec![Predicate::new(0, Compare::Lt, int(0))],
+            0,
+            0,
+        ),
+        (
+            "projected, ~50 %",
+            vec![Predicate::new(0, Compare::Lt, int(20))],
+            45,
+            55,
+        ),
+        (
+            "projected, 100 %",
+            vec![Predicate::new(2, Compare::Ge, int(0))],
+            100,
+            100,
+        ),
+        (
+            "unprojected, 0 %",
+            vec![Predicate::new(3, Compare::Gt, int(9))],
+            0,
+            0,
+        ),
+        (
+            "unprojected, 50 %",
+            vec![Predicate::new(3, Compare::Le, int(4))],
+            50,
+            50,
+        ),
+        (
+            "unprojected, 100 %",
+            vec![Predicate::new(3, Compare::Ne, int(77))],
+            100,
+            100,
+        ),
+        (
+            "conjunction",
+            vec![
+                Predicate::new(3, Compare::Ge, int(2)),
+                Predicate::new(2, Compare::Lt, int(250)),
+                Predicate::new(0, Compare::Ne, int(7)),
+            ],
+            30,
+            45,
+        ),
+    ];
+    for (label, filter, low, high) in cases {
+        let passing = wide_rows(500, 40)
+            .filter(|row| matches_all(&filter, row).unwrap())
+            .count();
+        assert!(
+            (low * 5..=high * 5).contains(&passing),
+            "{label}: {passing} of 500 pass"
+        );
+        let query = base.clone().with_filter(filter);
+        let (seen, tally) = assert_lanes_agree(label, &file, &query, 1000, None);
+        assert_eq!(seen.passed, passing, "{label}");
+        assert_eq!(tally.pages_batched as usize, file.page_count(), "{label}");
+    }
+}
+
+#[test]
+fn str_and_multi_column_keys() {
+    let file = file_of(1024, wide_rows(300, 13));
+    let str_key = AggQuery::new(vec![1], vec![AggSpec::over(AggFunc::Sum, 2)]);
+    let (seen, tally) = assert_lanes_agree("str key", &file, &str_key, 1000, None);
+    assert_eq!(seen.rows.len(), 300);
+    assert_eq!(tally.pages_batched as usize, file.page_count());
+
+    let two_keys = AggQuery::new(
+        vec![3, 0],
+        vec![AggSpec::over(AggFunc::Min, 2), AggSpec::count_star()],
+    )
+    .with_filter(vec![Predicate::new(2, Compare::Ge, int(40))]);
+    let (seen, _) = assert_lanes_agree("two keys", &file, &two_keys, 1000, None);
+    assert_eq!(seen.rows.len(), 130);
+
+    let mixed_keys = AggQuery::new(vec![1, 3], vec![AggSpec::count_star()]);
+    assert_lanes_agree("str + int keys", &file, &mixed_keys, 50, None);
+}
+
+#[test]
+fn ragged_and_single_row_pages() {
+    let query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)])
+        .with_filter(vec![Predicate::new(1, Compare::Ne, int(3))]);
+    // Arity 2 and 3 interleaved: every page is ragged, no row lacks a
+    // needed column.
+    let ragged = file_of(
+        256,
+        (0..120).map(|i| {
+            let mut row = vec![int(i % 9), int(i % 5)];
+            if i % 3 == 0 {
+                row.push(int(-1));
+            }
+            row
+        }),
+    );
+    let (seen, tally) = assert_lanes_agree("ragged", &ragged, &query, 1000, None);
+    assert_eq!(seen.rows.len(), 9);
+    assert_eq!(tally.pages_batched, 0);
+    assert_eq!(
+        pages_row(&tally, RowCause::Ragged) as usize,
+        ragged.page_count()
+    );
+
+    // 20-byte rows on 32-byte pages: one row a page.
+    let single = file_of(32, (0..40).map(|i| vec![int(i % 4), int(i)]));
+    assert_eq!(single.page_count(), 40);
+    let (seen, tally) = assert_lanes_agree("single-row pages", &single, &query, 1000, None);
+    assert_eq!((seen.passed, tally.pages_batched), (39, 40));
+}
+
+#[test]
+fn value_inputs_and_value_filters_take_the_row_arm() {
+    let sum_v = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()],
+    );
+    // Floats: accumulation order is observable, the guard keeps the rows.
+    let floats = file_of(
+        512,
+        (0..200).map(|i| vec![int(i % 7), Value::Float(i as f64 / 3.0)]),
+    );
+    let (seen, tally) = assert_lanes_agree("float input", &floats, &sum_v, 1000, None);
+    assert_eq!(seen.rows.len(), 7);
+    assert_eq!(tally.pages_batched, 0);
+    assert_eq!(
+        pages_row(&tally, RowCause::FloatGuard) as usize,
+        floats.page_count()
+    );
+
+    // NULLs in the input strip (skipped by SUM, counted by COUNT(*)).
+    let nulls = file_of(
+        512,
+        (0..200).map(|i| vec![int(i % 7), if i % 5 == 0 { Value::Null } else { int(i) }]),
+    );
+    let (_, tally) = assert_lanes_agree("null input", &nulls, &sum_v, 1000, None);
+    assert_eq!(
+        pages_row(&tally, RowCause::ValueInput) as usize,
+        nulls.page_count()
+    );
+
+    // A Str filter column, then an Int column against a Float literal
+    // (cross-type order: every Int sorts below every Float).
+    let file = file_of(1024, wide_rows(200, 11));
+    let on_str = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 2)]).with_filter(vec![
+        Predicate::new(1, Compare::Lt, Value::Str("pad5".into())),
+    ]);
+    let (seen, tally) = assert_lanes_agree("str filter", &file, &on_str, 1000, None);
+    assert!(seen.passed > 0 && seen.passed < 200);
+    assert_eq!(
+        pages_row(&tally, RowCause::ValueFilter) as usize,
+        file.page_count()
+    );
+    let float_literal = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 2)])
+        .with_filter(vec![Predicate::new(2, Compare::Lt, Value::Float(-1.0))]);
+    let (seen, tally) = assert_lanes_agree("float literal", &file, &float_literal, 1000, None);
+    assert_eq!(seen.passed, 200);
+    assert_eq!(
+        pages_row(&tally, RowCause::ValueFilter) as usize,
+        file.page_count()
+    );
+}
+
+#[test]
+fn budgets_that_spill_mid_page() {
+    let file = file_of(1024, wide_rows(600, 97));
+    let query = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 2), AggSpec::count_star()],
+    )
+    .with_filter(vec![Predicate::new(3, Compare::Ne, int(4))]);
+    for budget in [1, 5, 32, 96] {
+        let label = format!("budget {budget}");
+        let (seen, tally) = assert_lanes_agree(&label, &file, &query, budget, None);
+        assert!(seen.spilled > 0, "{label} must spill");
+        assert_eq!(seen.rows.len(), 97, "{label}");
+        assert_eq!(tally.pages_batched as usize, file.page_count(), "{label}");
+    }
+}
+
+#[test]
+fn errors_in_the_middle_of_a_page_surface_identically() {
+    let sum_v = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)]);
+    // A one-column row in the middle of a page: the projection's typed
+    // ColumnOutOfRange, after the rows before it were consumed.
+    let short = file_of(
+        4096,
+        (0..50).map(|i| {
+            if i == 23 {
+                vec![int(1)]
+            } else {
+                vec![int(i % 6), int(i)]
+            }
+        }),
+    );
+    let (seen, _) = assert_lanes_agree("short row", &short, &sum_v, 1000, None);
+    assert!(
+        matches!(seen.error, Some(ExecError::Model(_))),
+        "{:?}",
+        seen.error
+    );
+    assert_eq!(aggregated(&seen), 23, "rows before the error were consumed");
+
+    // The same row lacking the *filter* column: the predicate's error.
+    let filtered = sum_v
+        .clone()
+        .with_filter(vec![Predicate::new(1, Compare::Ge, int(0))]);
+    let (seen, _) = assert_lanes_agree("short row under a filter", &short, &filtered, 1000, None);
+    assert!(seen.error.is_some());
+    assert_eq!(aggregated(&seen), 23);
+
+    // SUM over a string in the middle of a page: the aggregate's type
+    // error, with the row's select charges and insert attempt made.
+    let typed = file_of(
+        4096,
+        (0..50).map(|i| {
+            vec![
+                int(i % 6),
+                if i == 31 {
+                    Value::Str("x".into())
+                } else {
+                    int(i)
+                },
+            ]
+        }),
+    );
+    let (seen, _) = assert_lanes_agree("type error", &typed, &sum_v, 1000, None);
+    assert!(
+        matches!(seen.error, Some(ExecError::Storage(_))),
+        "{:?}",
+        seen.error
+    );
+    assert_eq!((aggregated(&seen), seen.resident), (31, 6));
+    // ... and the same with the table full, so the erring row is probed
+    // against a spilling table.
+    assert_lanes_agree("type error while spilling", &typed, &sum_v, 3, None);
+}
+
+#[test]
+fn a_scheduled_crash_truncates_the_batch_at_its_tuple() {
+    let file = file_of(512, (0..200).map(|i| vec![int(i % 13), int(i)]));
+    let per_page = file.page(0).unwrap().tuple_count() as u64;
+    let query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)])
+        .with_filter(vec![Predicate::new(1, Compare::Ne, int(50))]);
+    // Mid-page, exactly on a page boundary, before the first tuple, and
+    // past the end (never fires).
+    for k in [per_page * 2 + 7, per_page * 3, 0, 10_000] {
+        let label = format!("crash at {k}");
+        let (seen, _) = assert_lanes_agree(&label, &file, &query, 1000, Some(k));
+        if k < 200 {
+            assert_eq!(
+                seen.error,
+                Some(ExecError::InjectedCrash {
+                    node: 0,
+                    at_tuple: k
+                }),
+                "{label}"
+            );
+            let reads = seen
+                .events
+                .iter()
+                .filter(|&&e| e == CostEvent::TupleRead)
+                .count();
+            // Each scanned tuple: one select read, plus the table's own
+            // read for the ones that passed.
+            assert_eq!(reads, k as usize + aggregated(&seen), "{label}");
+        } else {
+            assert_eq!(seen.error, None, "{label}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// On a real node: the crash schedule NodeCtx keeps, and A-2P's switch.
+// ---------------------------------------------------------------------
+
+fn node_with(file: HeapFile, max_hash_entries: usize) -> NodeCtx {
+    let mut eps = Fabric::new(1, NetworkKind::high_speed_default()).into_endpoints();
+    let mut disk = SimDisk::new();
+    disk.put("base", file);
+    let params = CostParams {
+        max_hash_entries,
+        ..CostParams::paper_default()
+    };
+    NodeCtx::new(eps.pop().unwrap(), disk, params)
+}
+
+#[test]
+fn node_crash_schedule_is_honoured_by_both_lanes() {
+    let rows = || (0..300).map(|i| vec![int(i % 11), int(i)]);
+    let query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)]);
+    let plan = QueryPlan::new(&query);
+    let per_page = file_of(512, rows()).page(0).unwrap().tuple_count() as u64;
+    let k = per_page * 4 + per_page / 2;
+    let run = |batched: bool| {
+        let mut ctx = node_with(file_of(512, rows()), 1000);
+        ctx.apply_faults(NodeFaults {
+            crash_at_tuple: Some(k),
+            slowdown_factor: 1.0,
+        });
+        let mut agg = HashAggregator::new(plan.projected.clone(), 1000, 256, 4);
+        let result = if batched {
+            operators::scan_pages(
+                &mut ctx,
+                "base",
+                &[],
+                &plan.projection,
+                0,
+                usize::MAX,
+                &mut agg,
+            )
+        } else {
+            operators::scan_project(&mut ctx, "base", &[], &plan.projection, |ctx, row| {
+                agg.push_raw(row, &mut ctx.clock).map_err(ExecError::from)
+            })
+        };
+        (result, agg.stats().raw_in, ctx.clock.now_ms().to_bits())
+    };
+    let (row, batch) = (run(false), run(true));
+    assert_eq!(
+        row.0,
+        Err(ExecError::InjectedCrash {
+            node: 0,
+            at_tuple: k
+        })
+    );
+    assert_eq!(row.1, k, "every tuple before the crash was aggregated");
+    assert_eq!(batch, row);
+}
+
+/// A [`ScanSwitch`] that never takes a batch: A-2P as it ran before.
+struct RowOnly<'a>(ScanSwitch<'a>);
+
+impl ScanSink<NodeCtx> for RowOnly<'_> {
+    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
+        self.0.row(ctx, values)
+    }
+}
+
+#[test]
+fn a2p_switch_lands_mid_page_at_the_same_tuple() {
+    // 64 distinct groups inside the first pages, 16-entry table: the 17th
+    // distinct key bounces mid-page; a filter makes the batch cut land on
+    // a selected row with filtered-out rows on both sides.
+    let rows = || (0..400).map(|i| vec![int((i * 5) % 64), int(i), int(i % 3)]);
+    let query = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()],
+    )
+    .with_filter(vec![Predicate::new(2, Compare::Ne, int(1))]);
+    let plan = QueryPlan::new(&query);
+    let run = |batched: bool| {
+        let mut ctx = node_with(file_of(512, rows()), 16);
+        let mut scan = ScanState::new(&plan, 16);
+        let mut ex = Exchange::new(
+            1,
+            ctx.params().message_bytes,
+            plan.key_len(),
+            RowKind::Partial,
+        );
+        let mut events = Vec::new();
+        let sink = ScanSwitch {
+            scan: &mut scan,
+            ex: &mut ex,
+            events: &mut events,
+        };
+        let passed = if batched {
+            operators::scan_pages(
+                &mut ctx,
+                "base",
+                &plan.base.filter,
+                &plan.projection,
+                0,
+                usize::MAX,
+                &mut { sink },
+            )
+        } else {
+            operators::scan_pages(
+                &mut ctx,
+                "base",
+                &plan.base.filter,
+                &plan.projection,
+                0,
+                usize::MAX,
+                &mut RowOnly(sink),
+            )
+        }
+        .unwrap();
+        ex.finish(&mut ctx).unwrap();
+        (
+            passed,
+            events,
+            scan.switched,
+            scan.raw_seen,
+            *ctx.net_stats(),
+            ctx.clock.now_ms().to_bits(),
+        )
+    };
+    let (row, batch) = (run(false), run(true));
+    assert_eq!(batch, row);
+    let at_tuple = match row.1[..] {
+        [AdaptEvent::SwitchedToRepartitioning { at_tuple }] => at_tuple,
+        ref other => panic!("expected exactly one switch, got {other:?}"),
+    };
+    assert!(
+        row.2 && at_tuple > 16 && at_tuple < 40,
+        "switch at {at_tuple}"
+    );
+    assert!(
+        row.4.pages_sent() > 0,
+        "partials flushed and raws forwarded"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random data, page size, projection, filter and budget: the lanes
+    /// stay indistinguishable, crash schedule included.
+    #[test]
+    fn prop_batch_lane_equals_row_lane(
+        cells in proptest::collection::vec((0i64..40, -50i64..50, 0i64..6), 1..400),
+        page_bytes in 64usize..700,
+        shape in 0usize..4,
+        threshold in -60i64..60,
+        op_ix in 0usize..6,
+        budget in 1usize..48,
+        crash in 0u64..800,
+    ) {
+        let file = file_of(page_bytes, cells.iter().map(|&(g, v, w)| vec![int(g), int(v), int(w)]));
+        let op = [Compare::Eq, Compare::Ne, Compare::Lt, Compare::Le, Compare::Gt, Compare::Ge][op_ix];
+        let aggs = vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::over(AggFunc::Min, 1), AggSpec::count_star()];
+        let query = match shape {
+            0 => AggQuery::new(vec![0], aggs),
+            1 => AggQuery::new(vec![0], aggs).with_filter(vec![Predicate::new(1, op, int(threshold))]),
+            2 => AggQuery::new(vec![2, 0], vec![AggSpec::over(AggFunc::Max, 1)])
+                .with_filter(vec![Predicate::new(0, op, int(threshold.rem_euclid(40)))]),
+            _ => AggQuery::new(vec![2], vec![AggSpec::over(AggFunc::Avg, 0), AggSpec::count_star()])
+                .with_filter(vec![
+                    Predicate::new(1, op, int(threshold)),
+                    Predicate::new(0, Compare::Ne, int(3)),
+                ]),
+        };
+        // Half the cases run to completion, half crash somewhere.
+        let crash_at = (crash < 400).then_some(crash);
+        let (row, _) = run_lane(&file, &query, budget, crash_at, false);
+        let (batch, _) = run_lane(&file, &query, budget, crash_at, true);
+        prop_assert_eq!(batch, row);
+    }
+}

@@ -290,6 +290,99 @@ fn phase_profile_covers_the_run() {
     assert!(text.contains("switched to repartitioning at tuple"));
 }
 
+/// Why a page of the local phase left the batched lane is visible from the
+/// trace alone: `scan.pages_batched` counts the pages the table rode the
+/// strips of, `scan.pages_row{cause=…}` the pages it was fed row by row —
+/// and an untraced run of the same file carries nothing and lands on the
+/// same virtual time.
+#[test]
+fn scan_fallbacks_are_counted_by_cause() {
+    use adaptagg::model::{Compare, Predicate};
+    use adaptagg::storage::HeapFile;
+
+    let file_of = |rows: &mut dyn Iterator<Item = Vec<Value>>| {
+        let mut file = HeapFile::new(512);
+        for row in rows {
+            file.append(&row).unwrap();
+        }
+        file
+    };
+    let int = Value::Int;
+    let sum_v = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)]);
+    let on_pad = sum_v
+        .clone()
+        .with_filter(vec![Predicate::new(2, Compare::Ne, Value::Str("p3".into()))]);
+    // (label, file, query, the one counter every page must land in)
+    let cases = [
+        (
+            "clean",
+            file_of(&mut (0..200).map(|i| vec![int(i % 9), int(i)])),
+            sum_v.clone(),
+            "scan.pages_batched",
+        ),
+        (
+            "ragged",
+            file_of(&mut (0..200).map(|i| {
+                let mut row = vec![int(i % 9), int(i)];
+                row.extend((i % 2 == 0).then_some(int(0)));
+                row
+            })),
+            sum_v.clone(),
+            "scan.pages_row{cause=ragged}",
+        ),
+        (
+            "null inputs",
+            file_of(&mut (0..200).map(|i| vec![int(i % 9), if i % 4 == 0 { Value::Null } else { int(i) }])),
+            sum_v.clone(),
+            "scan.pages_row{cause=value_input}",
+        ),
+        (
+            "float inputs",
+            file_of(&mut (0..200).map(|i| vec![int(i % 9), Value::Float(i as f64)])),
+            sum_v.clone(),
+            "scan.pages_row{cause=float_guard}",
+        ),
+        (
+            "string filter column",
+            file_of(&mut (0..200).map(|i| vec![int(i % 9), int(i), Value::Str(format!("p{}", i % 7).into())])),
+            on_pad,
+            "scan.pages_row{cause=value_filter}",
+        ),
+    ];
+    let counters = [
+        "scan.pages_batched",
+        "scan.pages_row{cause=ragged}",
+        "scan.pages_row{cause=value_filter}",
+        "scan.pages_row{cause=value_input}",
+        "scan.pages_row{cause=float_guard}",
+    ];
+    for (label, file, query, expected) in cases {
+        let pages = file.page_count() as u64;
+        let parts = vec![file];
+        let mut plain = ClusterConfig::new(1, CostParams::paper_default());
+        plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+        let traced = plain.clone().with_tracing();
+        for kind in [AlgorithmKind::TwoPhase, AlgorithmKind::AdaptiveTwoPhase] {
+            let a = run_algorithm(kind, &plain, &parts, &query).unwrap();
+            let b = run_algorithm(kind, &traced, &parts, &query).unwrap();
+            assert!(a.trace.is_none(), "{label}: untraced run carried a trace");
+            assert_eq!(a.rows, b.rows, "{label}: rows changed under tracing");
+            assert_eq!(a.elapsed_ms().to_bits(), b.elapsed_ms().to_bits(), "{label}: clock moved");
+            let metrics = &b.trace.as_ref().unwrap().node(0).unwrap().metrics;
+            for counter in counters {
+                let want = if counter == expected { pages } else { 0 };
+                assert_eq!(metrics.counter(counter), want, "{kind} {label}: {counter}");
+            }
+        }
+    }
+    // A row-at-a-time consumer is not a fallback: Rep counts nothing.
+    let parts = generate_partitions(&RelationSpec::uniform(1_000, 50), 1);
+    let traced = ClusterConfig::new(1, CostParams::paper_default()).with_tracing();
+    let out = run_algorithm(AlgorithmKind::Repartitioning, &traced, &parts, &default_query()).unwrap();
+    let metrics = &out.trace.as_ref().unwrap().node(0).unwrap().metrics;
+    assert!(counters.iter().all(|c| metrics.counter(c) == 0));
+}
+
 /// Recovery attempts are first-class trace records: a single-node crash
 /// under recovery yields one failed-attempt entry naming the victim, and
 /// the surviving nodes' reports keep their original ids.
