@@ -11,7 +11,7 @@
 use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
-use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx};
+use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_model::RowKind;
 
 /// Run Repartitioning on one node.
@@ -43,10 +43,17 @@ pub fn run_node_with(
         plan.key_len(),
         RowKind::Raw,
     );
-    operators::scan_project(ctx, "base", &plan.base.filter, &plan.projection, |ctx, values| {
-        ex.route(ctx, values, true)
-    })?;
-    ex.finish(ctx)?;
+    ctx.span_start(PhaseKind::Scan);
+    let scanned =
+        operators::scan_project(ctx, "base", &plan.base.filter, &plan.projection, |ctx, values| {
+            ex.route(ctx, values, true)
+        });
+    ctx.span_end();
+    scanned?;
+    ctx.span_start(PhaseKind::Partition);
+    let flushed = ex.finish(ctx);
+    ctx.span_end();
+    flushed?;
     ctx.clock.mark("phase1");
 
     // Phase 2: aggregate everything that hashed here, store locally.

@@ -1,9 +1,8 @@
 //! The memory-bounded aggregation hash table.
 //!
-//! Keys are [`GroupKey`]s, values are [`AggStates`]. Capacity is counted in
-//! *entries* (groups), matching Table 1's `M = 10K entries`: the paper's
-//! memory requirement "is proportional to the number of distinct group
-//! values seen".
+//! Capacity is counted in *entries* (groups), matching Table 1's
+//! `M = 10K entries`: the paper's memory requirement "is proportional to
+//! the number of distinct group values seen".
 //!
 //! Cost charging per insert attempt: `t_r` (reading the tuple) + `t_h`
 //! (hashing the key), plus `t_a` (updating the cumulative value) when the
@@ -13,25 +12,28 @@
 //!
 //! # Layout
 //!
-//! The table is open-addressed: a power-of-two `slots` array of entry
-//! indices (linear probing) over parallel `hashes`/`keys`/`states`
-//! columns. The probe hashes the key *columns in place* (`&[Value]`, one
-//! [`Seed::Table`] hash) and compares stored hashes before keys, so the
-//! dominant resident-group update allocates nothing: a heap [`GroupKey`]
-//! is built only when a genuinely new group is admitted. The slot array
-//! is pre-sized from a capped `max_entries` hint, so the paper-default
-//! budget never rehashes; growth (uncapped deep-overflow tables only)
-//! rebuilds slots from the stored hashes without touching the keys.
+//! Groups live in a [`GroupStore`] (shared with the sort-based run
+//! table): an open-addressed slot array over flat key and state arenas,
+//! nothing boxed per group. The probe hashes the key *columns in place*
+//! (`&[Value]`, one [`Seed::Table`] hash) and compares stored hashes
+//! before keys, so neither the dominant resident-group update nor the
+//! admission of a new group allocates (`Str` key cells aside). The slot
+//! array is pre-sized from a capped `max_entries` hint, so the
+//! paper-default budget never rehashes; growth (uncapped deep-overflow
+//! tables only) rebuilds slots from the stored hashes without touching
+//! the keys.
 //!
 //! Entries drain in insertion order — deterministic and independent of
-//! any hash-map iteration order.
+//! any hash-map iteration order. This table adds what the store does not
+//! know about: the entry budget and live grant, the charging contract,
+//! and the row / page / batch entry points.
 
 use adaptagg_model::hash::{
     hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values,
 };
 use adaptagg_model::{
-    AggFunc, AggQuery, AggStates, CostEvent, CostTracker, GroupKey, MemoryGrant, ModelError,
-    ResultRow, RowKind, Seed, Value,
+    AggFunc, AggQuery, AggState, CostEvent, CostTracker, GroupKey, GroupStore, MemoryGrant,
+    ModelError, ResultRow, RowKind, Seed, Value,
 };
 use adaptagg_storage::{BatchOutcome, Page, RowCause, ScanBatch, StorageError, StripView};
 
@@ -46,14 +48,8 @@ pub enum Inserted {
     Full,
 }
 
-/// Empty-slot sentinel in the probe array.
-const EMPTY: u32 = u32::MAX;
-
-/// Pre-sizing cap: slot arrays are sized for `min(max_entries, this)`
-/// entries up front. Covers the paper's `M` budgets (10 K–12.5 K) with
-/// zero growth while keeping uncapped deep-overflow tables from
-/// allocating absurd slot arrays.
-const PRESIZE_CAP: usize = 1 << 14;
+/// Group-index sentinel of a rejected row in the batched probe.
+const REJECTED: u32 = u32::MAX;
 
 /// Batched cost template for an accepted insert with hash charging.
 const ACCEPT_WITH_HASH: [CostEvent; 3] =
@@ -126,14 +122,9 @@ pub struct AggTable {
     /// column gather.
     key_is_prefix: bool,
     key_len: usize,
-    /// Power-of-two probe array of entry indices (`EMPTY` = vacant).
-    slots: Vec<u32>,
-    mask: usize,
-    /// Parallel entry columns, in insertion order.
-    hashes: Vec<u64>,
-    keys: Vec<GroupKey>,
-    states: Vec<AggStates>,
-    /// Per-entry logical stamps, parallel to `keys` — populated only by
+    /// The resident groups, in insertion order.
+    store: GroupStore,
+    /// Per-entry logical stamps, parallel to the store — populated only by
     /// [`AggTable::insert_stamped`] (the intra-node parallel engine);
     /// empty and untouched on every serial path.
     stamps: Vec<u64>,
@@ -154,7 +145,7 @@ pub struct AggTable {
     row_scratch: Vec<Value>,
     /// Pooled per-page key-hash vector for the batched probe.
     batch_hashes: Vec<u64>,
-    /// Pooled per-page group-index vector (`EMPTY` = row rejected) the
+    /// Pooled per-page group-index vector (`REJECTED` = row bounced) the
     /// batched probe hands to the deferred column-at-a-time update pass.
     batch_gix: Vec<u32>,
 }
@@ -164,8 +155,7 @@ impl AggTable {
     /// columns first — see [`AggQuery::remapped_to_projection`]) holding at
     /// most `max_entries` groups.
     pub fn new(query: AggQuery, max_entries: usize) -> Self {
-        let hint = max_entries.min(PRESIZE_CAP);
-        Self::new_with_hint(query, max_entries, hint)
+        Self::new_with_hint(query, max_entries, max_entries)
     }
 
     /// [`AggTable::new`] with an explicit pre-size hint, for callers that
@@ -173,20 +163,13 @@ impl AggTable {
     /// engine's stripes and partitions): a small hint keeps each table's
     /// slot array tiny and lets it grow on demand.
     pub fn new_with_hint(query: AggQuery, max_entries: usize, hint: usize) -> Self {
-        let hint = hint.min(max_entries).min(PRESIZE_CAP);
-        // 7/8 max load factor, never fewer than 16 slots.
-        let slots = (hint * 8 / 7 + 1).next_power_of_two().max(16);
         let key_len = query.group_by.len();
         let key_is_prefix = query.group_by.iter().enumerate().all(|(i, &c)| c == i);
         AggTable {
+            store: GroupStore::new(key_len, &query.aggs, hint.min(max_entries)),
             query,
             key_is_prefix,
             key_len,
-            slots: vec![EMPTY; slots],
-            mask: slots - 1,
-            hashes: Vec::with_capacity(hint),
-            keys: Vec::with_capacity(hint),
-            states: Vec::with_capacity(hint),
             stamps: Vec::new(),
             max_entries,
             grant: MemoryGrant::unlimited(),
@@ -233,17 +216,17 @@ impl AggTable {
 
     /// Number of groups currently held.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.store.len()
     }
 
     /// Whether the table holds no groups.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.store.is_empty()
     }
 
     /// Whether the table is at its effective entry budget.
     pub fn is_full(&self) -> bool {
-        self.keys.len() >= self.effective_max()
+        self.store.len() >= self.effective_max()
     }
 
     /// The entry budget.
@@ -270,7 +253,7 @@ impl AggTable {
 
     /// Fraction of the slot array currently occupied.
     pub fn occupancy(&self) -> f64 {
-        self.keys.len() as f64 / self.slots.len() as f64
+        self.store.len() as f64 / self.store.slot_count() as f64
     }
 
     /// The batched cost template of one accepted insert (what
@@ -530,24 +513,20 @@ impl AggTable {
         // early stop). Update order per (spec, entry) is row order — the
         // row loop's — so order-sensitive accumulator promotion survives.
         if fast {
-            let Self {
-                ref mut states,
-                ref query,
-                ..
-            } = *self;
-            for (j, spec) in query.aggs.iter().enumerate() {
+            let store = &mut self.store;
+            for (j, spec) in self.query.aggs.iter().enumerate() {
                 match spec.input {
                     None => {
-                        for &e in gix.iter().filter(|&&e| e != EMPTY) {
-                            states[e as usize].update_star_at(j);
+                        for &e in gix.iter().filter(|&&e| e != REJECTED) {
+                            store.states_mut(e as usize)[j].update_star();
                         }
                     }
                     Some(c) => {
                         let StripView::Ints(xs) = batch.column(c) else {
                             unreachable!("fast arm requires Int input strips")
                         };
-                        for (i, &e) in gix.iter().enumerate().filter(|(_, &e)| e != EMPTY) {
-                            states[e as usize].update_int_at(j, xs[batch.passing_row(i)]);
+                        for (i, &e) in gix.iter().enumerate().filter(|(_, &e)| e != REJECTED) {
+                            store.states_mut(e as usize)[j].update_int(xs[batch.passing_row(i)]);
                         }
                     }
                 }
@@ -585,58 +564,27 @@ impl AggTable {
     /// [`AggTable::insert_quiet`] for a raw row read straight off the
     /// batch's key strips — no row materialization, no state update (the
     /// caller defers it). Returns the outcome and the touched entry
-    /// (`EMPTY` on `Full`).
+    /// (`REJECTED` on `Full`).
     #[inline]
     fn probe_strips(&mut self, hash: u64, batch: &ScanBatch<'_>, r: usize) -> (Inserted, u32) {
-        let k = self.key_len;
-        let mut i = (hash as usize) & self.mask;
-        let mut examined = 1u64;
-        let slot = loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                break i;
-            }
-            if self.hashes[s as usize] == hash && self.key_matches_row(s as usize, batch, r) {
-                self.probe_slots += examined;
-                self.updates += 1;
-                return (Inserted::Updated, s);
-            }
-            i = (i + 1) & self.mask;
-            examined += 1;
-        };
+        let (found, examined) = self.store.probe(hash, |stored| key_matches_row(stored, batch, r));
         self.probe_slots += examined;
-        if self.keys.len() >= self.effective_max() {
-            return (Inserted::Full, EMPTY);
+        match found {
+            Ok(entry) => {
+                self.updates += 1;
+                (Inserted::Updated, entry as u32)
+            }
+            Err(_) if self.is_full() => (Inserted::Full, REJECTED),
+            Err(slot) => {
+                let key = (0..self.key_len).map(|j| match batch.column(j) {
+                    StripView::Ints(xs) => Value::Int(xs[r]),
+                    StripView::Values(vs) => vs[r].clone(),
+                });
+                let entry = self.store.admit(slot, hash, key);
+                self.inserts += 1;
+                (Inserted::New, entry as u32)
+            }
         }
-        let mut key_vec = Vec::with_capacity(k);
-        for j in 0..k {
-            key_vec.push(match batch.column(j) {
-                StripView::Ints(xs) => Value::Int(xs[r]),
-                StripView::Values(vs) => vs[r].clone(),
-            });
-        }
-        let entry = u32::try_from(self.keys.len()).expect("table exceeds u32 entries");
-        self.keys.push(GroupKey::new(key_vec));
-        self.hashes.push(hash);
-        self.states.push(AggStates::new(&self.query.aggs));
-        self.slots[slot] = entry;
-        self.inserts += 1;
-        if (self.keys.len() + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        (Inserted::New, entry)
-    }
-
-    /// Whether entry's stored key equals row `r`'s key prefix, comparing
-    /// cell-by-cell against the strips.
-    #[inline]
-    fn key_matches_row(&self, entry: usize, batch: &ScanBatch<'_>, r: usize) -> bool {
-        let stored = self.keys[entry].values();
-        debug_assert_eq!(stored.len(), self.key_len);
-        stored.iter().enumerate().all(|(j, kv)| match batch.column(j) {
-            StripView::Ints(xs) => matches!(kv, Value::Int(x) if *x == xs[r]),
-            StripView::Values(vs) => kv == &vs[r],
-        })
     }
 
     /// Insert with a logical **stamp** and no cost recording: the
@@ -678,14 +626,9 @@ impl AggTable {
     /// The stamp of each entry is the logical position of the group's
     /// first row (see [`AggTable::insert_stamped`]).
     pub fn drain_stamped(&mut self) -> Vec<(u64, Vec<Value>)> {
-        let stamps = std::mem::take(&mut self.stamps);
-        let mut out = Vec::with_capacity(self.keys.len());
-        for ((key, states), stamp) in self.keys.drain(..).zip(self.states.drain(..)).zip(stamps) {
-            let mut row = key.into_values();
-            row.extend(states.to_partial_values());
-            out.push((stamp, row));
-        }
-        self.reset();
+        let mut stamps = std::mem::take(&mut self.stamps).into_iter();
+        let mut out = Vec::with_capacity(self.store.len());
+        self.drain_partials(|row| out.push((stamps.next().expect("one stamp per entry"), row)));
         out
     }
 
@@ -739,76 +682,26 @@ impl AggTable {
         let hash = prehashed.unwrap_or_else(|| hash_values(Seed::Table, key));
         debug_assert_eq!(hash, hash_values(Seed::Table, key), "stale precomputed hash");
 
-        let (slot, found, examined) = self.find(hash, key);
+        let (found, examined) = self.store.find(hash, key);
         self.probe_slots += examined;
-        if let Some(entry) = found {
-            match kind {
-                RowKind::Raw => {
-                    self.states[entry].update_from_tuple(&self.query.aggs, values)?
-                }
-                RowKind::Partial => self.states[entry].merge_partial_values(&values[k..])?,
-            }
-            self.updates += 1;
-            return Ok((Inserted::Updated, entry));
-        }
-        if self.keys.len() >= self.effective_max() {
-            return Ok((Inserted::Full, usize::MAX));
-        }
-        let mut states = AggStates::new(&self.query.aggs);
-        match kind {
-            RowKind::Raw => states.update_from_tuple(&self.query.aggs, values)?,
-            RowKind::Partial => states.merge_partial_values(&values[k..])?,
-        }
-        let key_vec = if use_prefix {
-            values[..k].to_vec()
-        } else {
-            self.key_scratch.clone()
+        let aggs = &self.query.aggs;
+        let fold = |states: &mut [AggState]| match kind {
+            RowKind::Raw => AggState::update_row(states, aggs, values),
+            RowKind::Partial => AggState::merge_partial_row(states, &values[k..]),
         };
-        let entry = u32::try_from(self.keys.len()).expect("table exceeds u32 entries");
-        self.keys.push(GroupKey::new(key_vec));
-        self.hashes.push(hash);
-        self.states.push(states);
-        self.slots[slot] = entry;
-        self.inserts += 1;
-        if (self.keys.len() + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        Ok((Inserted::New, entry as usize))
-    }
-
-    /// Linear-probe for `key`: the matching entry index (or the vacant
-    /// slot where it would go) plus the number of slots examined.
-    #[inline]
-    fn find(&self, hash: u64, key: &[Value]) -> (usize, Option<usize>, u64) {
-        let mut i = (hash as usize) & self.mask;
-        let mut examined = 1u64;
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                return (i, None, examined);
+        match found {
+            Ok(entry) => {
+                fold(self.store.states_mut(entry))?;
+                self.updates += 1;
+                Ok((Inserted::Updated, entry))
             }
-            let e = s as usize;
-            if self.hashes[e] == hash && self.keys[e].values() == key {
-                return (i, Some(e), examined);
+            Err(_) if self.is_full() => Ok((Inserted::Full, usize::MAX)),
+            Err(slot) => {
+                // A first row that does not fold leaves the store as it was.
+                let entry = self.store.admit_with(slot, hash, key.iter().cloned(), fold)?;
+                self.inserts += 1;
+                Ok((Inserted::New, entry))
             }
-            i = (i + 1) & self.mask;
-            examined += 1;
-        }
-    }
-
-    /// Double the slot array and re-seat every entry from its stored
-    /// hash (keys are not re-hashed and never move).
-    fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
-        self.slots.clear();
-        self.slots.resize(new_len, EMPTY);
-        self.mask = new_len - 1;
-        for (entry, &hash) in self.hashes.iter().enumerate() {
-            let mut i = (hash as usize) & self.mask;
-            while self.slots[i] != EMPTY {
-                i = (i + 1) & self.mask;
-            }
-            self.slots[i] = entry as u32;
         }
     }
 
@@ -825,22 +718,26 @@ impl AggTable {
             }
             let key = &values[..k];
             let hash = hash_values(Seed::Table, key);
-            Ok(self.find(hash, key).1.is_some())
+            Ok(self.store.find(hash, key).0.is_ok())
         } else {
             let key = self.query.key_of_values(values)?;
             let hash = hash_values(Seed::Table, key.values());
-            Ok(self.find(hash, key.values()).1.is_some())
+            Ok(self.store.find(hash, key.values()).0.is_ok())
         }
         // Read-only lookups intentionally leave `probe_slots` untouched:
         // it measures insert-path collision chains only.
     }
 
-    /// Reset the probe array and entry columns (post-drain).
-    fn reset(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = EMPTY);
-        self.hashes.clear();
-        self.keys.clear();
-        self.states.clear();
+    /// Empty the table, handing `emit` each group as a partial row (key
+    /// columns ++ partial-state columns) in insertion order.
+    fn drain_partials(&mut self, mut emit: impl FnMut(Vec<Value>)) {
+        let state_cols = self.query.partial_row_arity() - self.key_len;
+        self.store.drain_rows(state_cols, |mut row, states| {
+            for state in states {
+                state.to_partial_values(&mut row);
+            }
+            emit(row);
+        });
         self.stamps.clear();
     }
 
@@ -848,13 +745,8 @@ impl AggTable {
     /// columns) in insertion order, charging `t_w` per row. Used by local
     /// phases to ship their results and by A2P's overflow flush.
     pub fn drain_partial_rows<T: CostTracker>(&mut self, tracker: &mut T) -> Vec<Vec<Value>> {
-        let mut out = Vec::with_capacity(self.keys.len());
-        for (key, states) in self.keys.drain(..).zip(self.states.drain(..)) {
-            let mut row = key.into_values();
-            row.extend(states.to_partial_values());
-            out.push(row);
-        }
-        self.reset();
+        let mut out = Vec::with_capacity(self.store.len());
+        self.drain_partials(|row| out.push(row));
         tracker.record(CostEvent::TupleWrite, out.len() as u64);
         out
     }
@@ -863,14 +755,25 @@ impl AggTable {
     /// charging `t_w` per row. Used by merge phases and single-phase
     /// aggregation.
     pub fn drain_result_rows<T: CostTracker>(&mut self, tracker: &mut T) -> Vec<ResultRow> {
-        let mut out = Vec::with_capacity(self.keys.len());
-        for (key, states) in self.keys.drain(..).zip(self.states.drain(..)) {
-            out.push(ResultRow::new(key, states.finalize()));
-        }
-        self.reset();
+        let mut out = Vec::with_capacity(self.store.len());
+        self.store.drain_rows(0, |key, states| {
+            let aggs = states.iter().map(AggState::finalize).collect();
+            out.push(ResultRow::new(GroupKey::new(key), aggs));
+        });
+        self.stamps.clear();
         tracker.record(CostEvent::TupleWrite, out.len() as u64);
         out
     }
+}
+
+/// Whether a stored key equals row `r`'s key prefix, comparing
+/// cell-by-cell against the strips.
+#[inline]
+fn key_matches_row(stored: &[Value], batch: &ScanBatch<'_>, r: usize) -> bool {
+    stored.iter().enumerate().all(|(j, kv)| match batch.column(j) {
+        StripView::Ints(xs) => matches!(kv, Value::Int(x) if *x == xs[r]),
+        StripView::Values(vs) => kv == &vs[r],
+    })
 }
 
 #[cfg(test)]
@@ -1245,7 +1148,7 @@ mod tests {
         // Budget far past the pre-size cap forces slot-array growth.
         let mut t = AggTable::new(query(), usize::MAX);
         let mut tr = NullTracker;
-        let n = (super::PRESIZE_CAP * 2) as i64;
+        let n = (adaptagg_model::store::PRESIZE_CAP * 2) as i64;
         for g in 0..n {
             assert_eq!(t.insert_raw(&raw(g, 1), &mut tr).unwrap(), Inserted::New);
         }

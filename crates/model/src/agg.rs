@@ -424,6 +424,17 @@ impl AggState {
         }
     }
 
+    /// Fold in one row of `COUNT(*)` (no input column). Only valid for a
+    /// `COUNT` state — the batched path's eligibility check guarantees
+    /// that.
+    #[inline]
+    pub fn update_star(&mut self) {
+        match self {
+            AggState::Count(n) => *n += 1,
+            other => unreachable!("COUNT(*)-style update on {} state", other.func()),
+        }
+    }
+
     /// Merge another state of the same function into this one.
     /// Associative and commutative (property-tested below).
     pub fn merge(&mut self, other: &AggState) -> Result<(), ModelError> {
@@ -646,9 +657,9 @@ impl AggState {
 }
 
 /// Row-level operations over a bare `[AggState]` slice (one state per
-/// spec). [`AggStates`] owns such a row per group; stores that keep every
-/// group's states in one flat arena (the sort-based run table) borrow a
-/// stride of it and come through here.
+/// spec). [`AggStates`] owns such a row per group; the
+/// [`GroupStore`](crate::GroupStore) keeps every group's states in one
+/// flat arena, and the operators borrow a row of it and come through here.
 impl AggState {
     /// Fold a raw tuple into a row of states: for each spec, extract its
     /// input column and update the matching state.
@@ -750,15 +761,11 @@ impl AggStates {
         self.states[idx].update_int(x);
     }
 
-    /// Columnar `COUNT(*)` update for spec `idx` (no input column). Only
-    /// valid for a `COUNT` state — the batched path's eligibility check
-    /// guarantees that.
+    /// Columnar `COUNT(*)` update for spec `idx` (see
+    /// [`AggState::update_star`]).
     #[inline]
     pub fn update_star_at(&mut self, idx: usize) {
-        match &mut self.states[idx] {
-            AggState::Count(n) => *n += 1,
-            other => unreachable!("COUNT(*)-style update on {} state", other.func()),
-        }
+        self.states[idx].update_star();
     }
 
     /// Fold in an encoded partial row (the non-key columns of a partial

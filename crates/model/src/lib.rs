@@ -13,6 +13,9 @@
 //!   table** (paper §3.2), so every aggregate function here knows how to
 //!   (a) fold in a raw input value, (b) fold in an encoded partial row, and
 //!   (c) emit itself as an encoded partial row.
+//! * [`GroupStore`] — the flat index from group key to states that both
+//!   aggregation operators (hash table, sorted-run table) keep their
+//!   resident groups in.
 //! * [`hash`] — a fast, seedable non-cryptographic hasher used for
 //!   partitioning, overflow-bucket selection, and hash-table placement
 //!   (three *independent* seeds, the classic hybrid-hash requirement).
@@ -34,6 +37,7 @@ pub mod params;
 pub mod predicate;
 pub mod query;
 pub mod schema;
+pub mod store;
 pub mod tuple;
 pub mod value;
 
@@ -51,5 +55,6 @@ pub use params::{CostParams, NetworkKind};
 pub use predicate::{matches_all, Compare, Predicate};
 pub use query::{AggQuery, ResultRow};
 pub use schema::{DataType, Field, Schema};
+pub use store::GroupStore;
 pub use tuple::Tuple;
 pub use value::Value;

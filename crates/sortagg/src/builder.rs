@@ -1,35 +1,25 @@
 //! Sorted-run formation with early aggregation.
 //!
-//! The resident run is an *index*, not an ordered structure: an
-//! open-addressed slot array over flat key/state arenas finds a row's
-//! group in O(1) while rows stream in, and the order is only established
-//! once, when the run seals (sort a permutation of the entries, spool
-//! them through one scratch row). A pushed row therefore costs no heap
-//! allocation; the arenas are cleared, not freed, between runs.
+//! The resident run is an *index*, not an ordered structure: the shared
+//! [`GroupStore`] (the hash table's own index) finds a row's group in
+//! O(1) while rows stream in, and the order is only established once,
+//! when the run seals (sort a permutation of the entries, spool them
+//! through one scratch row). A pushed row therefore costs no heap
+//! allocation; the store is cleared, not freed, between runs.
 
 use adaptagg_model::hash::hash_values;
 use adaptagg_model::{
-    AggQuery, AggSpec, AggState, CostEvent, CostTracker, ModelError, RowKind, Seed, Value,
+    AggQuery, AggState, CostEvent, CostTracker, GroupStore, ModelError, RowKind, Seed, Value,
 };
 use adaptagg_storage::{SpillFile, StorageError};
 
-/// Vacant slot marker.
-const EMPTY: u32 = u32::MAX;
-
-/// The resident run's groups: entry `e` owns `keys[e*k..][..k]`,
-/// `states[e*n..][..n]` and `hashes[e]`; `slots` is the linear-probed
-/// index from key hash to entry.
+/// The resident run: its groups in a [`GroupStore`], plus what sealing
+/// them in key order needs.
 #[derive(Debug)]
 struct RunTable {
+    store: GroupStore,
     /// Key columns per group.
     k: usize,
-    /// Aggregate states per group.
-    n: usize,
-    /// Power-of-two sized.
-    slots: Vec<u32>,
-    hashes: Vec<u64>,
-    keys: Vec<Value>,
-    states: Vec<AggState>,
     /// Every resident key is a single `Int` (sort `(i64, entry)` pairs
     /// instead of comparing `Value` slices).
     int_keys: bool,
@@ -41,15 +31,13 @@ struct RunTable {
 }
 
 impl RunTable {
-    fn new(k: usize, n: usize) -> Self {
-        const INITIAL_SLOTS: usize = 64;
+    fn new(query: &AggQuery) -> Self {
+        let k = query.group_by.len();
         RunTable {
+            // No size hint: the index grows on demand during the first
+            // run and `clear` keeps it for the runs after.
+            store: GroupStore::new(k, &query.aggs, 0),
             k,
-            n,
-            slots: vec![EMPTY; INITIAL_SLOTS],
-            hashes: Vec::new(),
-            keys: Vec::new(),
-            states: Vec::new(),
             int_keys: k == 1,
             order: Vec::new(),
             int_order: Vec::new(),
@@ -57,79 +45,9 @@ impl RunTable {
         }
     }
 
-    fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    fn key(&self, entry: usize) -> &[Value] {
-        &self.keys[entry * self.k..(entry + 1) * self.k]
-    }
-
-    fn states_mut(&mut self, entry: usize) -> &mut [AggState] {
-        &mut self.states[entry * self.n..(entry + 1) * self.n]
-    }
-
-    /// Where the probe sequence of `hash` starts.
-    fn home(&self, hash: u64) -> usize {
-        (hash as usize) & (self.slots.len() - 1)
-    }
-
-    /// Linear-probe for `key`: its entry, or the vacant slot it would
-    /// take.
-    #[inline]
-    fn find(&self, hash: u64, key: &[Value]) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                return Err(i);
-            }
-            let e = s as usize;
-            if self.hashes[e] == hash && self.key(e) == key {
-                return Ok(e);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Admit a new group with fresh states into the vacant `slot` that
-    /// [`RunTable::find`] reported; returns its entry.
-    fn admit(&mut self, slot: usize, hash: u64, key: &[Value], aggs: &[AggSpec]) -> usize {
-        let entry = self.len();
-        self.slots[slot] = u32::try_from(entry).expect("run table exceeds u32 entries");
-        self.hashes.push(hash);
-        self.keys.extend_from_slice(key);
-        self.states
-            .extend(aggs.iter().map(|s| AggState::new(s.func)));
-        self.int_keys = self.int_keys && matches!(key, [Value::Int(_)]);
-        if (self.len() + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        entry
-    }
-
-    /// Double the slot array and re-seat every entry from its stored
-    /// hash.
-    fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
-        self.slots.clear();
-        self.slots.resize(new_len, EMPTY);
-        for (entry, &hash) in self.hashes.iter().enumerate() {
-            let mut i = self.home(hash);
-            while self.slots[i] != EMPTY {
-                i = (i + 1) & (new_len - 1);
-            }
-            self.slots[i] = entry as u32;
-        }
-    }
-
     /// Forget every group, keeping every buffer's capacity.
     fn clear(&mut self) {
-        self.slots.fill(EMPTY);
-        self.hashes.clear();
-        self.keys.clear();
-        self.states.clear();
+        self.store.clear();
         self.int_keys = self.k == 1;
     }
 
@@ -139,22 +57,21 @@ impl RunTable {
     /// allocates.
     fn sort_entries(&mut self) {
         self.order.clear();
+        let store = &self.store;
+        let entries = 0..store.len() as u32;
         if self.int_keys {
             self.int_order.clear();
             self.int_order
-                .extend(self.keys.iter().zip(0u32..).map(|(key, e)| match key {
-                    Value::Int(x) => (*x, e),
+                .extend(entries.map(|e| match store.key(e as usize) {
+                    [Value::Int(x)] => (*x, e),
                     _ => unreachable!("int_keys run table holds a non-Int key"),
                 }));
             self.int_order.sort_unstable();
             self.order.extend(self.int_order.iter().map(|&(_, e)| e));
         } else {
-            self.order.extend(0..self.len() as u32);
-            let (keys, k) = (&self.keys, self.k);
-            self.order.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                keys[a * k..(a + 1) * k].cmp(&keys[b * k..(b + 1) * k])
-            });
+            self.order.extend(entries);
+            self.order
+                .sort_unstable_by(|&a, &b| store.key(a as usize).cmp(store.key(b as usize)));
         }
     }
 
@@ -162,8 +79,8 @@ impl RunTable {
     /// state columns) in `row`.
     fn write_row(&self, e: usize, row: &mut Vec<Value>) {
         row.clear();
-        row.extend_from_slice(self.key(e));
-        for s in &self.states[e * self.n..(e + 1) * self.n] {
+        row.extend_from_slice(self.store.key(e));
+        for s in self.store.states(e) {
             s.to_partial_values(row);
         }
     }
@@ -215,7 +132,7 @@ impl RunBuilder {
         RunBuilder {
             key_is_prefix: query.group_by.iter().copied().eq(0..query.group_by.len()),
             key_scratch: Vec::new(),
-            table: RunTable::new(query.group_by.len(), query.aggs.len()),
+            table: RunTable::new(&query),
             query,
             max_entries: max_entries.max(1),
             page_bytes,
@@ -236,7 +153,7 @@ impl RunBuilder {
 
     /// Groups resident in the current in-memory run.
     pub fn resident_groups(&self) -> usize {
-        self.table.len()
+        self.table.store.len()
     }
 
     /// Push a row of either kind. Charges `t_r` (read) + `t_h` (index
@@ -285,21 +202,22 @@ impl RunBuilder {
         // Early aggregation: combine into the resident run if the key is
         // present; otherwise admit it (sealing first if at budget).
         let hash = hash_values(Seed::Table, key);
-        let entry = match self.table.find(hash, key) {
-            Ok(entry) => entry,
+        let aggs = &self.query.aggs;
+        let fold = |states: &mut [AggState]| match kind {
+            RowKind::Raw => AggState::update_row(states, aggs, values),
+            RowKind::Partial => AggState::merge_partial_row(states, &values[k..]),
+        };
+        match self.table.store.find(hash, key).0 {
+            Ok(entry) => fold(self.table.store.states_mut(entry))?,
             Err(mut slot) => {
-                if self.table.len() >= self.max_entries {
+                if self.table.store.len() >= self.max_entries {
                     self.sealed.push(self.table.seal(self.page_bytes, tracker)?);
                     // The table is empty now: the key's home slot is free.
-                    slot = self.table.home(hash);
+                    slot = self.table.store.home(hash);
                 }
-                self.table.admit(slot, hash, key, &self.query.aggs)
+                self.table.store.admit_with(slot, hash, key.iter().cloned(), fold)?;
+                self.table.int_keys &= matches!(key, [Value::Int(_)]);
             }
-        };
-        let states = self.table.states_mut(entry);
-        match kind {
-            RowKind::Raw => AggState::update_row(states, &self.query.aggs, values)?,
-            RowKind::Partial => AggState::merge_partial_row(states, &values[k..])?,
         }
         tracker.record(CostEvent::TupleAgg, 1);
         Ok(())
@@ -316,7 +234,7 @@ impl RunBuilder {
     ) -> Result<(Vec<SpillFile>, Vec<Vec<Value>>), StorageError> {
         self.table.sort_entries();
         let arity = self.query.partial_row_arity();
-        let mut resident: Vec<Vec<Value>> = Vec::with_capacity(self.table.len());
+        let mut resident: Vec<Vec<Value>> = Vec::with_capacity(self.table.store.len());
         for &e in &self.table.order {
             tracker.record(CostEvent::TupleWrite, 1);
             let mut row = Vec::with_capacity(arity);

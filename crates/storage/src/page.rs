@@ -81,6 +81,24 @@ impl ColumnStrip {
         }
     }
 
+    /// Bytes a strip holds for a cell like `v`.
+    fn cell_bytes(v: &Value) -> usize {
+        if matches!(v, Value::Int(_)) {
+            std::mem::size_of::<i64>()
+        } else {
+            std::mem::size_of::<Value>()
+        }
+    }
+
+    /// Size an empty strip for `rows` cells of `first`'s representation.
+    fn reserve_like(&mut self, first: &Value, rows: usize) {
+        if matches!(first, Value::Int(_)) {
+            self.ints.reserve(rows);
+        } else {
+            self.values.reserve(rows);
+        }
+    }
+
     fn push(&mut self, v: &Value) {
         if self.is_int {
             if let Value::Int(x) = v {
@@ -201,11 +219,29 @@ impl Page {
         }
         let arity = u16::try_from(values.len()).expect("tuple arity exceeds u16");
         let row = self.tuples as usize;
+        // A page that has never been filled (a pooled one keeps its
+        // buffers through `clear`) sizes itself for a page of rows like
+        // this one, instead of doubling its way up a dozen times — but
+        // for no more rows than would take its byte capacity in the
+        // strips (`Float`/`Null`/short `Str` cells are wider here than on
+        // the wire), so a page that stays nearly empty never holds more
+        // than that.
+        let like_first = (self.arities.capacity() == 0).then(|| {
+            let held = std::mem::size_of::<u16>()
+                + values.iter().map(ColumnStrip::cell_bytes).sum::<usize>();
+            self.capacity / n.max(held)
+        });
+        if let Some(rows) = like_first {
+            self.arities.reserve(rows);
+        }
         while self.cols.len() < values.len() {
             self.cols.push(ColumnStrip::new());
         }
         for (j, v) in values.iter().enumerate() {
             let strip = &mut self.cols[j];
+            if let Some(rows) = like_first {
+                strip.reserve_like(v, rows);
+            }
             strip.pad_to(row);
             strip.push(v);
         }
@@ -520,6 +556,40 @@ mod tests {
         let mut cursor = p.cursor();
         assert!(cursor.next_select_into(Some(&[true, false]), &mut scratch).unwrap());
         assert_eq!(scratch, vec![Value::Int(1), Value::Null]);
+    }
+
+    #[test]
+    fn a_one_row_page_holds_no_more_than_its_byte_capacity() {
+        let held = |p: &Page| {
+            let cells = |c: &ColumnStrip| {
+                c.ints.capacity() * std::mem::size_of::<i64>()
+                    + c.values.capacity() * std::mem::size_of::<Value>()
+            };
+            p.arities.capacity() * std::mem::size_of::<u16>()
+                + p.cols.iter().map(cells).sum::<usize>()
+        };
+        let filled = |first: &[Value], rest: &[Value]| {
+            let mut p = Page::new(4096);
+            p.try_push(first).unwrap();
+            let after_one = (p.arities.capacity(), held(&p));
+            while p.try_push(rest).unwrap() {}
+            (after_one, p.tuple_count(), held(&p))
+        };
+        // Cells narrower in the strips than on the wire (`Int`s, a padded
+        // `Str`): sized once for the rows that fit, never regrown.
+        let ((rows, bytes), fit, full) = filled(&ints(1), &ints(2));
+        assert_eq!((rows, fit), (204, 204));
+        assert!(bytes <= 4096 && full == bytes, "{bytes} then {full} bytes");
+        let padded = [Value::Int(1), Value::Str("x".repeat(80).into())];
+        let ((rows, bytes), fit, full) = filled(&padded, &padded);
+        assert_eq!((rows, fit), (42, 42));
+        assert!(bytes <= 4096 && full == bytes, "{bytes} then {full} bytes");
+        // Cells wider in the strips than on the wire: the reservation
+        // stops at the page's byte capacity and the strips grow from there.
+        let wide = [Value::Float(0.5), Value::Null];
+        let ((rows, bytes), fit, _) = filled(&wide, &wide);
+        assert_eq!((rows, fit), (4096 / 50, 4096 / 12));
+        assert!(bytes <= 4096, "{bytes} bytes held by a one-row page");
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! once the scanner's selection vector and the table's pooled hash and
 //! group-index columns are sized.
 //!
+//! And the merge regime (ISSUE 14, DESIGN.md §18), where most received
+//! rows open a new group: the table's flat store takes one block per
+//! 1024-row arena segment plus the slot-array doublings, not two boxes
+//! per group.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
@@ -192,6 +197,54 @@ fn resident_group_updates_do_not_allocate() {
         assert!(tally.pages_batched as usize >= 2 * pages);
         assert_eq!(agg.resident_groups(), 64, "no groups were added");
     }
+
+    // The merge regime (DESIGN.md §18): received pages of raw rows, every
+    // row a new group. Pages are built outside the window; the first one
+    // sizes the table's pooled scratch columns.
+    const NEW_GROUPS: i64 = 20_480;
+    let query = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()],
+    );
+    let mut merge = HashAggregator::new(query, 100_000, 4096, 4).with_charge_hash(false);
+    let mut pages = vec![Page::new(2048)];
+    for g in 0..NEW_GROUPS + 100 {
+        let row = [Value::Int(g.wrapping_mul(0x9e37_79b9)), Value::Int(g)];
+        if !pages.last_mut().unwrap().try_push(&row).unwrap() {
+            pages.push(Page::new(2048));
+            assert!(pages.last_mut().unwrap().try_push(&row).unwrap());
+        }
+    }
+    merge.push_page(RowKind::Raw, &pages[0], &mut tracker).unwrap();
+    let warm = merge.resident_groups();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for page in &pages[1..] {
+        merge.push_page(RowKind::Raw, page, &mut tracker).unwrap();
+    }
+    let counted = ALLOCS.load(Ordering::Relaxed) - before;
+    let admitted = merge.resident_groups() - warm;
+    assert!(admitted as i64 >= 20_000, "{admitted} new groups");
+    // A key block and a state block per segment, the two segment lists
+    // and the hash column doubling a few times each, one slot doubling.
+    let segments = merge.resident_groups() as u64 / 1024 + 1;
+    assert!(
+        counted <= 2 * segments + 16,
+        "admitting {admitted} groups allocated {counted} times: per-group allocation is back"
+    );
+    // The same pages again are all hits.
+    let mut counted = u64::MAX;
+    for _attempt in 0..5 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for page in &pages {
+            merge.push_page(RowKind::Raw, page, &mut tracker).unwrap();
+        }
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        if counted == 0 {
+            break;
+        }
+    }
+    assert_eq!(counted, 0, "merge-regime hits allocated {counted} times");
+    assert_eq!(merge.resident_groups() as i64, NEW_GROUPS + 100, "no groups were added");
 
     // Sorted-run formation (DESIGN.md §16): once the first seal has sized
     // the run table's arenas, a pushed row — a hit on a resident group or

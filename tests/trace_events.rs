@@ -383,6 +383,39 @@ fn scan_fallbacks_are_counted_by_cause() {
     assert!(counters.iter().all(|c| metrics.counter(c) == 0));
 }
 
+/// Repartitioning's first phase is in the trace: scanning and routing the
+/// base relation sits under a `scan` span, flushing the exchange under a
+/// `partition` span, and with the `merge` span they account for the
+/// node's virtual time (what is left is storing the result). The spans
+/// move no clock, and an untraced run records nothing.
+#[test]
+fn rep_phase_one_is_spanned() {
+    let parts = generate_partitions(&RelationSpec::uniform(20_000, 2_000), 2);
+    let query = default_query();
+    let mut plain = ClusterConfig::new(2, CostParams::paper_default());
+    plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+    let traced = plain.clone().with_tracing();
+    let a = run_algorithm(AlgorithmKind::Repartitioning, &plain, &parts, &query).unwrap();
+    let b = run_algorithm(AlgorithmKind::Repartitioning, &traced, &parts, &query).unwrap();
+    assert!(a.trace.is_none(), "untraced run carried a trace");
+    assert_eq!(a.rows, b.rows, "rows changed under tracing");
+    for (report, node) in b.run.per_node.iter().zip(&b.trace.as_ref().unwrap().nodes) {
+        let untraced = &a.run.per_node[report.node];
+        assert_eq!(report.clock_ms.to_bits(), untraced.clock_ms.to_bits(), "clock moved");
+        let phases: Vec<PhaseKind> = node.spans.iter().map(|s| s.phase).collect();
+        assert_eq!(phases, [PhaseKind::Scan, PhaseKind::Partition, PhaseKind::Merge]);
+        assert!(node.spans.windows(2).all(|w| w[0].end_ms <= w[1].start_ms), "spans overlap");
+        let covered: f64 = node.spans.iter().map(|s| s.virt_ms()).sum();
+        assert!(
+            covered >= 0.9 * report.clock_ms,
+            "node {}: spans cover {covered:.1} of {:.1} virtual ms",
+            report.node,
+            report.clock_ms
+        );
+        assert!(node.phase_ms(PhaseKind::Scan) > node.phase_ms(PhaseKind::Merge));
+    }
+}
+
 /// Recovery attempts are first-class trace records: a single-node crash
 /// under recovery yields one failed-attempt entry naming the victim, and
 /// the surviving nodes' reports keep their original ids.
