@@ -233,11 +233,12 @@ impl ScanState {
         }
     }
 
-    /// [`ScanState::push`] for a scanned page's batch, while still in Two
-    /// Phase mode: the table's batched insert stops at the first row it
-    /// cannot hold, having charged that row's attempt; the switch then
-    /// happens exactly where the row loop would have made it, and the
-    /// outcome's `consumed` tells the scan where to resume row-wise.
+    /// [`ScanState::push`] for a scanned page's batch. In Two Phase mode
+    /// the table's batched insert stops at the first row it cannot hold,
+    /// having charged that row's attempt; the switch then happens exactly
+    /// where the row loop would have made it, and the outcome's `consumed`
+    /// tells the scan where to resume row-wise. Once switched, the batch
+    /// crosses the exchange as Repartitioning's does.
     pub fn push_batch(
         &mut self,
         ctx: &mut NodeCtx,
@@ -245,7 +246,11 @@ impl ScanState {
         batch: &ScanBatch<'_>,
         events: &mut Vec<AdaptEvent>,
     ) -> Result<BatchOutcome, ExecError> {
-        debug_assert!(!self.switched);
+        if self.switched {
+            let out = ex.route_batch(ctx, batch, true)?;
+            self.raw_seen += out.passed;
+            return Ok(out);
+        }
         let mut bounced: Option<Vec<Value>> = None;
         let out = self
             .table
@@ -286,7 +291,8 @@ impl ScanState {
 }
 
 /// A [`ScanState`] with its exchange and event log, as the scan's sink:
-/// batches while in Two Phase mode, rows once switched.
+/// batches into the table in Two Phase mode, batches through the exchange
+/// once switched.
 pub struct ScanSwitch<'a> {
     /// The scan-side state machine.
     pub scan: &'a mut ScanState,
@@ -298,7 +304,7 @@ pub struct ScanSwitch<'a> {
 
 impl ScanSink<NodeCtx> for ScanSwitch<'_> {
     fn wants_batch(&self) -> bool {
-        !self.scan.switched
+        true
     }
 
     fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {

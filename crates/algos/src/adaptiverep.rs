@@ -101,10 +101,11 @@ pub fn run_node(
     Ok(NodeOutcome { rows, agg, events })
 }
 
-/// The scan-side state of Adaptive Repartitioning, as the scan's sink:
-/// rows while repartitioning (every tuple crosses the exchange, and the
-/// poll and the verdict count tuples), then — once fallen back — the A2P
-/// [`ScanState`], which takes whole-page batches until its own switch.
+/// The scan-side state of Adaptive Repartitioning, as the scan's sink.
+/// While repartitioning, rows until the distinct-key census is over (it
+/// and the verdict count tuples), then batches through the exchange, each
+/// cut ahead of the tuple whose turn it is to poll the endpoint. Once
+/// fallen back, the A2P [`ScanState`] takes the batches.
 struct ArepScan<'a> {
     plan: &'a QueryPlan,
     max_entries: usize,
@@ -126,12 +127,26 @@ struct ArepScan<'a> {
 
 impl ScanSink<NodeCtx> for ArepScan<'_> {
     fn wants_batch(&self) -> bool {
-        self.a2p.as_ref().is_some_and(|state| !state.switched)
+        if self.fallen_back {
+            return true;
+        }
+        // The census neither grows nor can still say "too few groups".
+        let census_over = self.scanned >= self.init_seg
+            || self.seen_keys.len() as u64 > self.min_groups;
+        census_over && !(self.scanned + 1).is_multiple_of(self.poll)
     }
 
     fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
-        let state = self.a2p.as_mut().expect("batches only after the fallback");
-        let out = state.push_batch(ctx, self.ex, batch, self.events)?;
+        let out = match self.a2p.as_mut() {
+            Some(state) => state.push_batch(ctx, self.ex, batch, self.events)?,
+            None => {
+                // The tuple that makes `scanned` a multiple of the poll
+                // interval polls before it is routed: it, and what is left
+                // of its page, go through `row`.
+                let until_poll = self.poll - 1 - self.scanned % self.poll;
+                self.ex.route_batch(ctx, &batch.first_passing(until_poll as usize), true)?
+            }
+        };
         self.scanned += out.passed;
         Ok(out)
     }

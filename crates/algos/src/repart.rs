@@ -44,10 +44,15 @@ pub fn run_node_with(
         RowKind::Raw,
     );
     ctx.span_start(PhaseKind::Scan);
-    let scanned =
-        operators::scan_project(ctx, "base", &plan.base.filter, &plan.projection, |ctx, values| {
-            ex.route(ctx, values, true)
-        });
+    let scanned = operators::scan_pages(
+        ctx,
+        "base",
+        &plan.base.filter,
+        &plan.projection,
+        0,
+        usize::MAX,
+        &mut ex,
+    );
     ctx.span_end();
     scanned?;
     ctx.span_start(PhaseKind::Partition);

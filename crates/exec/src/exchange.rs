@@ -17,13 +17,13 @@
 
 use crate::error::ExecError;
 use crate::node::NodeCtx;
-use adaptagg_hashagg::columnar_default;
+use crate::operators::ScanSink;
 use adaptagg_model::hash::{
     hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values, Seed,
 };
 use adaptagg_model::{CostEvent, CostTracker, Value};
 use adaptagg_net::{Blocker, Control, DataKind};
-use adaptagg_storage::{Page, StripView};
+use adaptagg_storage::{BatchCharges, BatchOutcome, Page, ScanBatch, StripView};
 
 /// Per-row cost template for a hash route (`t_h + t_d`).
 const ROUTE_WITH_HASH: [CostEvent; 2] = [CostEvent::TupleHash, CostEvent::TupleDest];
@@ -46,14 +46,9 @@ pub struct Exchange {
     kind: DataKind,
     routed: u64,
     row_scratch: Vec<Value>,
-    /// Pooled per-page hash vector for the batched route.
+    /// Pooled per-batch hash vector for the batched route.
     hash_scratch: Vec<u64>,
-    /// Whether [`Exchange::route_page`] hashes whole key columns through
-    /// the batch kernels (`ADAPTAGG_COLUMNAR` ≠ `"row"`) or per row.
-    /// Either way the destinations, charges and timestamps are identical.
-    columnar: bool,
 }
-
 
 impl Exchange {
     /// An exchange over `nodes` destinations. `key_len` is the number of
@@ -68,7 +63,6 @@ impl Exchange {
             routed: 0,
             row_scratch: Vec::new(),
             hash_scratch: Vec::new(),
-            columnar: columnar_default(),
         }
     }
 
@@ -143,7 +137,8 @@ impl Exchange {
     }
 
     /// Route every tuple on a page — [`Exchange::route_rows`] for rows
-    /// still in wire format (e.g. forwarding a received block). Decodes
+    /// still in wire format (e.g. forwarding a received block): the page is
+    /// the trivial batch. Ragged pages have no strips to ride and decode
     /// into a reused scratch row; same bit-exact cost contract.
     pub fn route_page(
         &mut self,
@@ -151,10 +146,8 @@ impl Exchange {
         page: &Page,
         charge_hash: bool,
     ) -> Result<(), ExecError> {
-        if self.columnar {
-            if let Some(arity) = page.uniform_arity() {
-                return self.route_page_batched(ctx, page, charge_hash, arity);
-            }
+        if let Some(batch) = ScanBatch::whole(page) {
+            return self.route_batch(ctx, &batch, charge_hash).map(|_| ());
         }
         let template = route_template(charge_hash);
         let mut pending = 0u64;
@@ -176,57 +169,75 @@ impl Exchange {
         result
     }
 
-    /// The vectorized [`Exchange::route_page`]: one [`Seed::Partition`]
-    /// hash kernel pass over the page's key strips computes every row's
-    /// destination, then rows are blocked in order with their
-    /// precomputed destination. Identical charges, destinations and send
-    /// timestamps as the row loop.
-    fn route_page_batched(
+    /// Route every passing row of a batch, column-at-a-time: one
+    /// [`Seed::Partition`] hash kernel pass over the key strips computes
+    /// the destinations, then the rows are appended in order to their
+    /// destination's open message page strip to strip — no `Value` row
+    /// between the source page and the message page.
+    ///
+    /// Charges are the row loop's, in row order: each passing row records
+    /// `batch.pass_lead()` and then the route template, each filtered-out
+    /// row `batch.fail_charge()`, as [`CostTracker::record_tuples`] runs
+    /// that are flushed before every page send (and before an error
+    /// surfaces) — so send timestamps, and with them every receiver's
+    /// Lamport observations, are those of [`Exchange::route`] per row.
+    pub fn route_batch(
         &mut self,
         ctx: &mut NodeCtx,
-        page: &Page,
+        batch: &ScanBatch<'_>,
         charge_hash: bool,
-        arity: usize,
-    ) -> Result<(), ExecError> {
-        let template = route_template(charge_hash);
-        // Rows shorter than key_len hash their whole prefix — uniform
-        // arity makes that the same truncation for every row.
-        let k = self.key_len.min(arity);
+    ) -> Result<BatchOutcome, ExecError> {
+        let rows = batch.rows();
+        let passing = batch.passing();
         let mut hashes = std::mem::take(&mut self.hash_scratch);
-        hash_batch_init(Seed::Partition, page.tuple_count(), &mut hashes);
-        for j in 0..k {
-            match page.column(j).expect("uniform-arity page has dense strips") {
-                StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
-                StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
-            }
-        }
-        hash_batch_finish(&mut hashes);
-
-        let dests = self.blocker.destinations() as u64;
-        let mut pending = 0u64;
-        let mut scratch = std::mem::take(&mut self.row_scratch);
-        let mut cursor = page.cursor();
-        let mut result = Ok(());
-        for &hash in &hashes {
-            match cursor.next_into(&mut scratch) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    result = Err(e.into());
-                    break;
+        hashes.clear();
+        if passing > 0 {
+            hash_batch_init(Seed::Partition, rows, &mut hashes);
+            // A batch narrower than the key hashes all it has, as
+            // `destination_of` does.
+            for j in 0..self.key_len.min(batch.arity()) {
+                match batch.column(j) {
+                    StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
+                    StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
                 }
             }
-            let dest = (hash % dests) as usize;
-            debug_assert_eq!(dest, self.destination_of(&scratch), "batched dest drifted");
-            if let Err(e) = self.route_to_batched(ctx, dest, &scratch, template, &mut pending) {
-                result = Err(e);
+            hash_batch_finish(&mut hashes);
+        }
+
+        let mut charges = BatchCharges::new(batch, route_template(charge_hash));
+        let dests = self.blocker.destinations() as u64;
+        // The first row not yet accounted for.
+        let mut next = 0usize;
+        let mut result = Ok(());
+        for i in 0..passing {
+            let r = batch.passing_row(i);
+            charges.failed(&mut ctx.clock, (r - next) as u64);
+            next = r + 1;
+            charges.accepted();
+            let dest = (hashes[r] % dests) as usize;
+            let sent = match self.blocker.add_strips_pooled(dest, batch, r, &mut ctx.page_pool) {
+                Ok(None) => Ok(()),
+                Ok(Some(page)) => {
+                    charges.flush(&mut ctx.clock);
+                    ctx.send_page(dest, self.kind, page)
+                }
+                Err(e) => Err(e.into()),
+            };
+            if sent.is_err() {
+                result = sent;
                 break;
             }
+            self.routed += 1;
         }
-        self.row_scratch = scratch;
+        charges.flush(&mut ctx.clock);
         self.hash_scratch = hashes;
-        ctx.clock.record_tuples(template, pending);
-        result
+        result?;
+        charges.failed(&mut ctx.clock, (rows - next) as u64);
+        Ok(BatchOutcome {
+            consumed: rows,
+            passed: passing as u64,
+            ..BatchOutcome::default()
+        })
     }
 
     /// One row of a batched route: defer the per-row charge, but flush
@@ -240,19 +251,6 @@ impl Exchange {
         pending: &mut u64,
     ) -> Result<(), ExecError> {
         let dest = self.destination_of(values);
-        self.route_to_batched(ctx, dest, values, template, pending)
-    }
-
-    /// [`Exchange::route_batched`] with the destination already computed
-    /// (the batched page route hashes whole columns up front).
-    fn route_to_batched(
-        &mut self,
-        ctx: &mut NodeCtx,
-        dest: usize,
-        values: &[Value],
-        template: &[CostEvent],
-        pending: &mut u64,
-    ) -> Result<(), ExecError> {
         *pending += 1;
         let sealed = match self.blocker.add_pooled(dest, values, &mut ctx.page_pool) {
             Ok(sealed) => sealed,
@@ -298,12 +296,29 @@ impl Exchange {
     }
 }
 
+/// Repartitioning's scan side: scanned pages cross the exchange a batch
+/// at a time, hash and destination charged per raw tuple (§2.3).
+impl ScanSink<NodeCtx> for Exchange {
+    fn wants_batch(&self) -> bool {
+        true
+    }
+
+    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        self.route_batch(ctx, batch, true)
+    }
+
+    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
+        self.route(ctx, values, true).map(|()| true)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptagg_model::{CostParams, NetworkKind};
+    use crate::operators::{scan_pages, scan_project};
+    use adaptagg_model::{Compare, CostParams, NetworkKind, Predicate};
     use adaptagg_net::{Fabric, Payload};
-    use adaptagg_storage::SimDisk;
+    use adaptagg_storage::{HeapFile, SimDisk, StorageError};
 
     fn cluster_of(n: usize) -> Vec<NodeCtx> {
         Fabric::new(n, NetworkKind::high_speed_default())
@@ -424,6 +439,29 @@ mod tests {
         assert_eq!(kinds, vec![DataKind::Partial, DataKind::Raw]);
     }
 
+    /// Per receiving node, in send order: each page's send-timestamp bits
+    /// and rows.
+    type Sent = Vec<Vec<(u64, Vec<Vec<Value>>)>>;
+
+    /// Every page node 0 sent. Call after `finish` on node 0.
+    fn sent_pages(ctxs: &mut [NodeCtx]) -> Sent {
+        ctxs.iter_mut()
+            .map(|rx| {
+                let mut received = Vec::new();
+                loop {
+                    let msg = rx.recv().unwrap();
+                    match msg.payload {
+                        Payload::Data { page, .. } => {
+                            received.push((msg.sent_at_ms.to_bits(), page.decode_all().unwrap()))
+                        }
+                        Payload::Control(Control::EndOfStream) => break received,
+                        _ => panic!("unexpected control"),
+                    }
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn batched_routes_are_bit_identical_to_per_tuple_routes() {
         // route_rows and route_page must be indistinguishable from the
@@ -434,16 +472,15 @@ mod tests {
             let mut outcomes = Vec::new();
             for mode in 0..3 {
                 let mut ctxs = cluster_of(2);
-                let mut rx = ctxs.pop().unwrap();
-                let mut tx = ctxs.pop().unwrap();
                 let mut ex = Exchange::new(2, 2048, 1, DataKind::Raw);
+                let tx = &mut ctxs[0];
                 match mode {
                     0 => {
                         for r in &rows {
-                            ex.route(&mut tx, r, charge_hash).unwrap();
+                            ex.route(tx, r, charge_hash).unwrap();
                         }
                     }
-                    1 => ex.route_rows(&mut tx, &rows, charge_hash).unwrap(),
+                    1 => ex.route_rows(tx, &rows, charge_hash).unwrap(),
                     _ => {
                         // Same rows, paged up in wire format first.
                         let mut pages = vec![Page::new(1 << 16)];
@@ -451,32 +488,94 @@ mod tests {
                             assert!(pages.last_mut().unwrap().try_push(r).unwrap());
                         }
                         for p in &pages {
-                            ex.route_page(&mut tx, p, charge_hash).unwrap();
+                            ex.route_page(tx, p, charge_hash).unwrap();
                         }
                     }
                 }
                 assert_eq!(ex.routed(), rows.len() as u64);
-                ex.finish(&mut tx).unwrap();
-
-                // Drain node 1's inbox: page contents + send timestamps.
-                rx.send_control(1, Control::EndOfStream).unwrap();
-                let mut received = Vec::new();
-                let mut eos = 0;
-                while eos < 2 {
-                    let msg = rx.recv().unwrap();
-                    match msg.payload {
-                        Payload::Data { page, .. } => {
-                            received.push((msg.sent_at_ms.to_bits(), page.decode_all().unwrap()))
-                        }
-                        Payload::Control(Control::EndOfStream) => eos += 1,
-                        _ => panic!("unexpected control"),
-                    }
-                }
-                outcomes.push((tx.clock.now_ms().to_bits(), received));
+                ex.finish(tx).unwrap();
+                outcomes.push((ctxs[0].clock.now_ms().to_bits(), sent_pages(&mut ctxs)));
             }
             assert_eq!(outcomes[0], outcomes[1], "route_rows drifted");
             assert_eq!(outcomes[0], outcomes[2], "route_page drifted");
         }
+    }
+
+    /// Scan node 0's `file` into an exchange over `dests` nodes — as the
+    /// batch sink the exchange is, or through the per-tuple `route` loop
+    /// — and return everything the pass made observable.
+    fn scan_routed(
+        file: &HeapFile,
+        filter: &[Predicate],
+        columns: &[usize],
+        key_len: usize,
+        message_bytes: usize,
+        dests: usize,
+        batched: bool,
+    ) -> (Result<usize, ExecError>, u64, u64, Sent) {
+        let mut ctxs = cluster_of(dests);
+        let tx = &mut ctxs[0];
+        tx.disk.put("base", file.clone());
+        let mut ex = Exchange::new(dests, message_bytes, key_len, DataKind::Raw);
+        let scanned = if batched {
+            scan_pages(tx, "base", filter, columns, 0, usize::MAX, &mut ex)
+        } else {
+            scan_project(tx, "base", filter, columns, |ctx, values| ex.route(ctx, values, true))
+        };
+        let routed = ex.routed();
+        ex.finish(tx).unwrap();
+        let clock = ctxs[0].clock.now_ms().to_bits();
+        (scanned, routed, clock, sent_pages(&mut ctxs))
+    }
+
+    #[test]
+    fn scanned_batches_are_bit_identical_to_per_tuple_routes() {
+        // (g, name, v, w): an `Int` key, a `Str` column, two `Int`s.
+        let mut file = HeapFile::new(1024);
+        for i in 0..900i64 {
+            let name = Value::Str(format!("n{}", (i * 13) % 101).into());
+            file.append(&[Value::Int((i * 7) % 211), name, Value::Int(i), Value::Int(i % 10)]).unwrap();
+        }
+        let selective = [Predicate::new(3, Compare::Le, Value::Int(2))];
+        // (label, filter, projection, key columns)
+        let cases: [(&str, &[Predicate], &[usize], usize); 5] = [
+            ("identity", &[], &[], 1),
+            ("selective filter", &selective, &[0, 2], 1),
+            ("str key", &[], &[1, 2], 1),
+            ("two-column key under a filter", &selective, &[3, 0, 2], 2),
+            ("reordered projection", &[], &[2, 0, 1], 1),
+        ];
+        for (label, filter, columns, key_len) in cases {
+            for dests in [1, 2, 4] {
+                let row = scan_routed(&file, filter, columns, key_len, 512, dests, false);
+                let batch = scan_routed(&file, filter, columns, key_len, 512, dests, true);
+                assert_eq!(batch, row, "{label}, {dests} destinations");
+                let passed = row.0.unwrap();
+                assert_eq!(passed as u64, row.1);
+                assert!(if filter.is_empty() { passed == 900 } else { passed > 100 && passed < 400 });
+                assert!(row.3.iter().all(|pages| pages.len() > 1), "{label}: every node got pages");
+            }
+        }
+
+        // A tuple wider than a message page, mid-file: the same typed
+        // error, after the same rows were routed and the same charges made.
+        let mut file = HeapFile::new(1024);
+        for i in 0..300i64 {
+            let width = if i == 170 { 200 } else { 3 };
+            file.append(&[Value::Int(i % 17), Value::Str("x".repeat(width).into())]).unwrap();
+        }
+        let row = scan_routed(&file, &[], &[], 1, 128, 2, false);
+        let batch = scan_routed(&file, &[], &[], 1, 128, 2, true);
+        assert_eq!(batch, row);
+        assert!(
+            matches!(
+                row.0,
+                Err(ExecError::Storage(StorageError::TupleTooLarge { page_bytes: 128, .. }))
+            ),
+            "{:?}",
+            row.0
+        );
+        assert_eq!(row.1, 170, "every row before the wide one was routed");
     }
 
     #[test]

@@ -35,7 +35,9 @@ use adaptagg_model::{
     AggFunc, AggQuery, AggState, CostEvent, CostTracker, GroupKey, GroupStore, MemoryGrant,
     ModelError, ResultRow, RowKind, Seed, Value,
 };
-use adaptagg_storage::{BatchOutcome, Page, RowCause, ScanBatch, StorageError, StripView};
+use adaptagg_storage::{
+    BatchCharges, BatchOutcome, Page, RowCause, ScanBatch, StorageError, StripView,
+};
 
 /// Outcome of an insert attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,62 +58,6 @@ const ACCEPT_WITH_HASH: [CostEvent; 3] =
     [CostEvent::TupleRead, CostEvent::TupleHash, CostEvent::TupleAgg];
 /// Batched cost template for an accepted insert without hash charging.
 const ACCEPT_NO_HASH: [CostEvent; 2] = [CostEvent::TupleRead, CostEvent::TupleAgg];
-
-/// The cost runs of one batched insert: what an accepted row records
-/// (the batch's select lead, then the table's accept template), what a
-/// filtered-out row records, and the open run of accepted rows.
-struct BatchCharges {
-    pass: [CostEvent; 8],
-    pass_len: usize,
-    lead: &'static [CostEvent],
-    fail: &'static [CostEvent],
-    pending: u64,
-}
-
-impl BatchCharges {
-    fn new(batch: &ScanBatch<'_>, accept: &'static [CostEvent]) -> Self {
-        let lead = batch.pass_lead();
-        let mut pass = [CostEvent::TupleRead; 8];
-        let pass_len = lead.len() + accept.len();
-        pass[..lead.len()].copy_from_slice(lead);
-        pass[lead.len()..pass_len].copy_from_slice(accept);
-        BatchCharges {
-            pass,
-            pass_len,
-            lead,
-            fail: batch.fail_charge(),
-            pending: 0,
-        }
-    }
-
-    /// One more accepted row joins the open run.
-    #[inline]
-    fn accepted(&mut self) {
-        self.pending += 1;
-    }
-
-    /// Close the open run of accepted rows.
-    fn flush<T: CostTracker>(&mut self, tracker: &mut T) {
-        tracker.record_tuples(&self.pass[..self.pass_len], self.pending);
-        self.pending = 0;
-    }
-
-    /// `n` filtered-out rows follow the open run.
-    #[inline]
-    fn failed<T: CostTracker>(&mut self, tracker: &mut T, n: u64) {
-        if n > 0 {
-            self.flush(tracker);
-            tracker.record_tuples(self.fail, n);
-        }
-    }
-
-    /// A row that passed the filter but was not accepted breaks the run:
-    /// its select lead is recorded inline (the caller charges the attempt).
-    fn bounced<T: CostTracker>(&mut self, tracker: &mut T) {
-        self.flush(tracker);
-        tracker.record_tuples(self.lead, 1);
-    }
-}
 
 /// A bounded hash table from group keys to aggregate states.
 #[derive(Debug)]

@@ -226,15 +226,15 @@ impl fmt::Display for ResultRow {
 
 /// Sort rows by key (canonical order for comparing algorithm outputs).
 ///
-/// Group keys are unique within one result set, so the single-`Int`-key
-/// fast path may sort unstably: with no equal keys the permutation is
-/// identical to the stable general path.
+/// The single-`Int`-key fast path reads each row's boxed key once, into a
+/// side buffer, instead of at every comparison; it is stable, so its
+/// permutation is the general path's.
 pub fn sort_rows(rows: &mut [ResultRow]) {
     if rows
         .iter()
         .all(|r| matches!(r.key.values(), [Value::Int(_)]))
     {
-        rows.sort_unstable_by_key(|r| match r.key.values() {
+        rows.sort_by_cached_key(|r| match r.key.values() {
             [Value::Int(i)] => *i,
             _ => unreachable!("checked single-Int keys above"),
         });
@@ -331,6 +331,31 @@ mod tests {
             .map(|r| r.key.values()[0].as_i64().unwrap())
             .collect();
         assert_eq!(keys, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn sort_rows_fast_path_orders_like_key_cmp() {
+        let int = |i: i64| vec![Value::Int(i)];
+        let shuffled = |n: i64| (0..n).map(move |i| (i * 7919) % n - n / 2);
+        let cases: Vec<Vec<Vec<Value>>> = vec![
+            // Single-`Int` keys (the cached-key path), negatives included.
+            shuffled(1000).map(int).collect(),
+            // One `Str` key among them: the general path.
+            shuffled(50).map(int).chain([vec![Value::Str("k".into())], vec![Value::Null]]).collect(),
+            // Two-column keys.
+            shuffled(200).map(|i| vec![Value::Int(i % 7), Value::Int(i)]).collect(),
+        ];
+        for keys in cases {
+            let mut rows: Vec<ResultRow> = keys
+                .into_iter()
+                .enumerate()
+                .map(|(i, k)| ResultRow::new(GroupKey::new(k), vec![Value::Int(i as i64)]))
+                .collect();
+            let mut expect = rows.clone();
+            expect.sort_by(|a, b| a.key.cmp(&b.key));
+            sort_rows(&mut rows);
+            assert_eq!(rows, expect);
+        }
     }
 
     #[test]

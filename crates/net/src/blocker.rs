@@ -7,7 +7,7 @@
 //! end-of-stream. The caller (the exchange operator) sends each sealed
 //! page through its [`crate::Endpoint`].
 
-use adaptagg_storage::{Page, PagePool, StorageError};
+use adaptagg_storage::{Page, PagePool, ScanBatch, StorageError};
 use adaptagg_model::Value;
 
 /// Accumulates tuples into per-destination message pages.
@@ -34,15 +34,7 @@ impl Blocker {
     /// Append a tuple for `dest`. If the destination's page was full, the
     /// sealed page is returned (send it!) and the tuple starts a fresh one.
     pub fn add(&mut self, dest: usize, values: &[Value]) -> Result<Option<Page>, StorageError> {
-        let page = &mut self.open[dest];
-        if page.try_push(values)? {
-            return Ok(None);
-        }
-        let sealed = std::mem::replace(page, Page::new(self.message_bytes));
-        if !self.open[dest].try_push(values)? {
-            unreachable!("fresh message page refused a fitting tuple");
-        }
-        Ok(Some(sealed))
+        self.add_with(dest, Page::new, |page| page.try_push(values))
     }
 
     /// [`Blocker::add`], drawing the replacement page from `pool` instead
@@ -54,12 +46,36 @@ impl Blocker {
         values: &[Value],
         pool: &mut PagePool,
     ) -> Result<Option<Page>, StorageError> {
+        self.add_with(dest, |bytes| pool.get(bytes), |page| page.try_push(values))
+    }
+
+    /// [`Blocker::add_pooled`] of `batch`'s row `r`, copied strip to strip
+    /// ([`Page::try_push_strips`]): the same pages seal at the same rows.
+    pub fn add_strips_pooled(
+        &mut self,
+        dest: usize,
+        batch: &ScanBatch<'_>,
+        r: usize,
+        pool: &mut PagePool,
+    ) -> Result<Option<Page>, StorageError> {
+        self.add_with(dest, |bytes| pool.get(bytes), |page| page.try_push_strips(batch, r))
+    }
+
+    /// Push a row onto `dest`'s open page; when it is full, seal it, open
+    /// a `fresh` one and push there.
+    #[inline]
+    fn add_with(
+        &mut self,
+        dest: usize,
+        fresh: impl FnOnce(usize) -> Page,
+        push: impl Fn(&mut Page) -> Result<bool, StorageError>,
+    ) -> Result<Option<Page>, StorageError> {
         let page = &mut self.open[dest];
-        if page.try_push(values)? {
+        if push(page)? {
             return Ok(None);
         }
-        let sealed = std::mem::replace(page, pool.get(self.message_bytes));
-        if !self.open[dest].try_push(values)? {
+        let sealed = std::mem::replace(page, fresh(self.message_bytes));
+        if !push(page)? {
             unreachable!("fresh message page refused a fitting tuple");
         }
         Ok(Some(sealed))

@@ -15,7 +15,7 @@
 //! filtered-out row. The run lengths are the gaps of the selection.
 
 use crate::page::{Page, StripView};
-use adaptagg_model::{CostEvent, Value};
+use adaptagg_model::{CostEvent, CostTracker, Value};
 
 /// Select charges of a tuple that passed the filter: read off the page,
 /// copied out (`t_r + t_w`, §2.1).
@@ -73,6 +73,69 @@ pub struct BatchOutcome {
     /// Why a batch of raw tuples had its rows materialized instead of
     /// riding the strips (`None` = it rode them).
     pub row_cause: Option<RowCause>,
+}
+
+/// The cost runs of one batch's consumer: what a row it accepts records
+/// (the batch's select lead, then the consumer's own template), what a
+/// filtered-out row records, and the open run of accepted rows. Runs are
+/// recorded through [`CostTracker::record_tuples`], in row order — the
+/// consumer closes the open run ([`BatchCharges::flush`]) before anything
+/// else may read or move the clock.
+#[derive(Debug)]
+pub struct BatchCharges {
+    pass: [CostEvent; 8],
+    pass_len: usize,
+    lead: &'static [CostEvent],
+    fail: &'static [CostEvent],
+    pending: u64,
+}
+
+impl BatchCharges {
+    /// Charges for `batch`, whose consumer records `accept` per row it
+    /// takes.
+    pub fn new(batch: &ScanBatch<'_>, accept: &'static [CostEvent]) -> Self {
+        let lead = batch.pass_lead();
+        let mut pass = [CostEvent::TupleRead; 8];
+        let pass_len = lead.len() + accept.len();
+        pass[..lead.len()].copy_from_slice(lead);
+        pass[lead.len()..pass_len].copy_from_slice(accept);
+        BatchCharges {
+            pass,
+            pass_len,
+            lead,
+            fail: batch.fail_charge(),
+            pending: 0,
+        }
+    }
+
+    /// One more accepted row joins the open run.
+    #[inline]
+    pub fn accepted(&mut self) {
+        self.pending += 1;
+    }
+
+    /// Close the open run of accepted rows.
+    #[inline]
+    pub fn flush<T: CostTracker>(&mut self, tracker: &mut T) {
+        tracker.record_tuples(&self.pass[..self.pass_len], self.pending);
+        self.pending = 0;
+    }
+
+    /// `n` filtered-out rows follow the open run.
+    #[inline]
+    pub fn failed<T: CostTracker>(&mut self, tracker: &mut T, n: u64) {
+        if n > 0 {
+            self.flush(tracker);
+            tracker.record_tuples(self.fail, n);
+        }
+    }
+
+    /// A row that passed the filter but was not accepted breaks the run:
+    /// its select lead is recorded inline (the caller charges the attempt).
+    pub fn bounced<T: CostTracker>(&mut self, tracker: &mut T) {
+        self.flush(tracker);
+        tracker.record_tuples(self.lead, 1);
+    }
 }
 
 /// Rows `[0, rows)` of a uniform-arity page through a projection and a
@@ -159,16 +222,42 @@ impl<'a> ScanBatch<'a> {
         }
     }
 
+    /// The batch cut after its first `n` passing rows: it covers the rows
+    /// ahead of passing row `n` (all of them when fewer than `n` pass). A
+    /// consumer that may take only so many rows right now consumes the
+    /// prefix and reports its `rows()` as [`BatchOutcome::consumed`].
+    pub fn first_passing(&self, n: usize) -> Self {
+        if n >= self.passing() {
+            return *self;
+        }
+        ScanBatch {
+            rows: self.passing_row(n),
+            selection: self.selection.map(|sel| &sel[..n]),
+            ..*self
+        }
+    }
+
+    /// The page the strips belong to.
+    pub(crate) fn page(&self) -> &'a Page {
+        self.page
+    }
+
+    /// The base column behind projected column `j`.
+    #[inline]
+    pub(crate) fn base_column(&self, j: usize) -> usize {
+        if self.columns.is_empty() {
+            j
+        } else {
+            self.columns[j]
+        }
+    }
+
     /// Projected column `j` over all covered rows. Panics if
     /// `j >= self.arity()`.
     #[inline]
     pub fn column(&self, j: usize) -> StripView<'a> {
         assert!(j < self.arity, "projected column {j} of {}", self.arity);
-        let c = if self.columns.is_empty() {
-            j
-        } else {
-            self.columns[j]
-        };
+        let c = self.base_column(j);
         match self.page.column(c).expect("validated dense strip") {
             StripView::Ints(xs) => StripView::Ints(&xs[..self.rows]),
             StripView::Values(vs) => StripView::Values(&vs[..self.rows]),
@@ -254,6 +343,16 @@ mod tests {
         assert_eq!(row, vec![Value::Int(30), Value::Int(3)]);
         assert_eq!(b.pass_lead(), &SELECT_PASS);
         assert_eq!(b.fail_charge(), &SELECT_FAIL);
+
+        // Cut after one passing row: rows 0 and 1 are covered, the second
+        // passing row (3) starts what is left. A cut at or past the
+        // passing count changes nothing.
+        let cut = b.first_passing(1);
+        assert_eq!((cut.rows(), cut.passing(), cut.passing_row(0)), (3, 1, 1));
+        assert_eq!(b.first_passing(0).rows(), 1);
+        assert_eq!(b.first_passing(2).rows(), 4);
+        let all = ScanBatch::scanned(&p, &[], None, 6).unwrap();
+        assert_eq!((all.first_passing(4).rows(), all.first_passing(4).passing()), (4, 4));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod persist;
 pub mod pool;
 pub mod spill;
 
-pub use batch::{BatchOutcome, RowCause, ScanBatch};
+pub use batch::{BatchCharges, BatchOutcome, RowCause, ScanBatch};
 pub use disk::{IoCounters, SimDisk};
 pub use error::StorageError;
 pub use heapfile::HeapFile;

@@ -16,8 +16,9 @@
 //! keep the [`Page::iter`] / [`Page::cursor`] compatibility path, which
 //! reconstructs rows from the strips.
 
+use crate::batch::ScanBatch;
 use crate::error::StorageError;
-use adaptagg_model::{decode_tuple_into, encode_value, encoded_len, Value};
+use adaptagg_model::{decode_tuple_into, encode_value, Value};
 
 /// A page of tuples with a byte-capacity bound, stored column-wise.
 #[derive(Debug, Clone)]
@@ -81,18 +82,9 @@ impl ColumnStrip {
         }
     }
 
-    /// Bytes a strip holds for a cell like `v`.
-    fn cell_bytes(v: &Value) -> usize {
-        if matches!(v, Value::Int(_)) {
-            std::mem::size_of::<i64>()
-        } else {
-            std::mem::size_of::<Value>()
-        }
-    }
-
-    /// Size an empty strip for `rows` cells of `first`'s representation.
-    fn reserve_like(&mut self, first: &Value, rows: usize) {
-        if matches!(first, Value::Int(_)) {
+    /// Size an empty strip for `rows` cells, `Int`s or general ones.
+    fn reserve_cells(&mut self, ints: bool, rows: usize) {
+        if ints {
             self.ints.reserve(rows);
         } else {
             self.values.reserve(rows);
@@ -108,6 +100,15 @@ impl ColumnStrip {
             self.promote();
         }
         self.values.push(v.clone());
+    }
+
+    /// [`ColumnStrip::push`] of `Value::Int(x)`.
+    fn push_int(&mut self, x: i64) {
+        if self.is_int {
+            self.ints.push(x);
+        } else {
+            self.values.push(Value::Int(x));
+        }
     }
 
     /// Rewiden the `Int` fast path into general cells (first non-`Int`
@@ -149,6 +150,66 @@ impl ColumnStrip {
             (true, false) => matches!(other.values[r], Value::Int(x) if x == self.ints[r]),
             (false, true) => matches!(self.values[r], Value::Int(x) if x == other.ints[r]),
             (false, false) => self.values[r] == other.values[r],
+        }
+    }
+}
+
+/// One cell of a row being appended, wherever it is read from: a `Value`
+/// of a row slice ([`Page::try_push`]) or a cell of another page's strip
+/// ([`Page::try_push_strips`]).
+trait Cell: Copy {
+    /// Whether the cell is an `Int` (8 bytes in a strip, not a `Value`).
+    fn is_int(self) -> bool;
+    /// Wire-format payload bytes (the tag byte not counted).
+    fn payload_bytes(self) -> usize;
+    fn push_onto(self, strip: &mut ColumnStrip);
+}
+
+impl Cell for &Value {
+    #[inline]
+    fn is_int(self) -> bool {
+        matches!(self, Value::Int(_))
+    }
+
+    #[inline]
+    fn payload_bytes(self) -> usize {
+        self.encoded_payload_len()
+    }
+
+    #[inline]
+    fn push_onto(self, strip: &mut ColumnStrip) {
+        strip.push(self);
+    }
+}
+
+/// Row `r` of a source strip.
+#[derive(Clone, Copy)]
+struct StripCell<'a> {
+    strip: &'a ColumnStrip,
+    r: usize,
+}
+
+impl Cell for StripCell<'_> {
+    #[inline]
+    fn is_int(self) -> bool {
+        self.strip.is_int || (&self.strip.values[self.r]).is_int()
+    }
+
+    #[inline]
+    fn payload_bytes(self) -> usize {
+        if self.strip.is_int {
+            std::mem::size_of::<i64>()
+        } else {
+            self.strip.values[self.r].encoded_payload_len()
+        }
+    }
+
+    #[inline]
+    fn push_onto(self, strip: &mut ColumnStrip) {
+        if self.strip.is_int {
+            strip.push_int(self.strip.ints[self.r]);
+        } else {
+            strip.push(&self.strip.values[self.r]);
         }
     }
 }
@@ -205,9 +266,34 @@ impl Page {
     /// the page is full (caller seals it and starts a new one), or an error
     /// if the tuple can never fit *any* page of this capacity.
     pub fn try_push(&mut self, values: &[Value]) -> Result<bool, StorageError> {
-        // Size in the wire format first: admission decisions must stay
+        self.append(values.iter())
+    }
+
+    /// [`Page::try_push`] of `batch`'s projected row `r`, copied strip to
+    /// strip: no `Value` row in between. Same admission, same errors, and
+    /// the page ends up equal to one that was pushed the materialized row.
+    pub fn try_push_strips(&mut self, batch: &ScanBatch<'_>, r: usize) -> Result<bool, StorageError> {
+        debug_assert!(r < batch.rows());
+        // The batch validated its projection against the source's dense
+        // strips when it was built; nothing is re-resolved per row.
+        let strips = &batch.page().cols;
+        self.append((0..batch.arity()).map(|j| StripCell {
+            strip: &strips[batch.base_column(j)],
+            r,
+        }))
+    }
+
+    /// The one append: a row given as its cells, in column order.
+    #[inline]
+    fn append<C: Cell>(
+        &mut self,
+        cells: impl ExactSizeIterator<Item = C> + Clone,
+    ) -> Result<bool, StorageError> {
+        // Size in the wire format first (`encoded_len`: arity header, then
+        // tag + payload per cell): admission decisions must stay
         // byte-identical to the row-major layout this replaced.
-        let n = encoded_len(values);
+        let n = std::mem::size_of::<u16>()
+            + cells.clone().map(|c| 1 + c.payload_bytes()).sum::<usize>();
         if self.bytes_used + n > self.capacity {
             if n > self.capacity {
                 return Err(StorageError::TupleTooLarge {
@@ -217,7 +303,7 @@ impl Page {
             }
             return Ok(false);
         }
-        let arity = u16::try_from(values.len()).expect("tuple arity exceeds u16");
+        let arity = u16::try_from(cells.len()).expect("tuple arity exceeds u16");
         let row = self.tuples as usize;
         // A page that has never been filled (a pooled one keeps its
         // buffers through `clear`) sizes itself for a page of rows like
@@ -227,23 +313,28 @@ impl Page {
         // the wire), so a page that stays nearly empty never holds more
         // than that.
         let like_first = (self.arities.capacity() == 0).then(|| {
-            let held = std::mem::size_of::<u16>()
-                + values.iter().map(ColumnStrip::cell_bytes).sum::<usize>();
+            let held = |c: C| {
+                if c.is_int() {
+                    std::mem::size_of::<i64>()
+                } else {
+                    std::mem::size_of::<Value>()
+                }
+            };
+            let held = std::mem::size_of::<u16>() + cells.clone().map(held).sum::<usize>();
             self.capacity / n.max(held)
         });
         if let Some(rows) = like_first {
             self.arities.reserve(rows);
         }
-        while self.cols.len() < values.len() {
+        while self.cols.len() < cells.len() {
             self.cols.push(ColumnStrip::new());
         }
-        for (j, v) in values.iter().enumerate() {
-            let strip = &mut self.cols[j];
+        for (strip, cell) in self.cols.iter_mut().zip(cells) {
             if let Some(rows) = like_first {
-                strip.reserve_like(v, rows);
+                strip.reserve_cells(cell.is_int(), rows);
             }
             strip.pad_to(row);
-            strip.push(v);
+            cell.push_onto(strip);
         }
         self.min_arity = if self.tuples == 0 { arity } else { self.min_arity.min(arity) };
         self.max_arity = self.max_arity.max(arity);

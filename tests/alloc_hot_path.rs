@@ -22,17 +22,22 @@
 //! 1024-row arena segment plus the slot-array doublings, not two boxes
 //! per group.
 //!
+//! And the batched route (ISSUE 18, DESIGN.md §19): scanned pages cross
+//! the exchange strip to strip into pooled message pages — nothing per
+//! row, and with a warm pool nothing per message page beyond the channel's
+//! own block every few dozen sends.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
 
-use adaptagg_exec::{NodeCtx, PageScan};
+use adaptagg_exec::{Exchange, NodeCtx, PageScan};
 use adaptagg_hashagg::{AggTable, HashAggregator};
 use adaptagg_model::{
     AggFunc, AggQuery, AggSpec, Compare, CostParams, CountingTracker, NetworkKind, Predicate,
     RowKind, Value,
 };
-use adaptagg_net::Fabric;
+use adaptagg_net::{Fabric, Payload};
 use adaptagg_sortagg::RunBuilder;
 use adaptagg_storage::{HeapFile, Page, SimDisk};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -196,6 +201,47 @@ fn resident_group_updates_do_not_allocate() {
         assert_eq!(tally.pages_row, [0; 4], "every page rode the strips");
         assert!(tally.pages_batched as usize >= 2 * pages);
         assert_eq!(agg.resident_groups(), 64, "no groups were added");
+    }
+
+    // The batched route (DESIGN.md §19): the same file through the scan
+    // into an exchange whose only destination is this node, so sealed
+    // message pages come straight back and return to the pool. A pass
+    // scans a few base pages, then drains what arrived.
+    for filter in [&filter[..0], &filter[..]] {
+        let mut ex = Exchange::new(1, ctx.params().message_bytes, 1, RowKind::Raw);
+        let mut scan = PageScan::new(filter, &[0, 1]);
+        let pages = file.page_count();
+        // One pass: (message pages sent, rows routed).
+        let mut pass = |ctx: &mut NodeCtx| {
+            let before = (ctx.net_stats().pages_sent(), ex.routed());
+            for start in (0..pages).step_by(8) {
+                assert!(scan.run(ctx, &file, start, (start + 8).min(pages), &mut ex).unwrap());
+                while let Some(msg) = ctx.try_recv().unwrap() {
+                    if let Payload::Data { page, .. } = msg.payload {
+                        ctx.page_pool.put(page);
+                    }
+                }
+            }
+            (ctx.net_stats().pages_sent() - before.0, ex.routed() - before.1)
+        };
+        pass(&mut ctx);
+        let (mut counted, mut sent, mut routed) = (u64::MAX, 0, 0);
+        for _attempt in 0..5 {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            (sent, routed) = pass(&mut ctx);
+            counted = ALLOCS.load(Ordering::Relaxed) - before;
+            if counted * 8 <= sent {
+                break;
+            }
+        }
+        assert!(sent >= 50 && routed >= 50 * sent, "{routed} rows in {sent} message pages");
+        assert!(
+            counted * 8 <= sent,
+            "the batched route allocated {counted} times over {routed} rows in {sent} message \
+             pages ({} predicates)",
+            filter.len()
+        );
+        assert_eq!(scan.tally().pages_row, [0; 4], "every page rode the strips");
     }
 
     // The merge regime (DESIGN.md §18): received pages of raw rows, every

@@ -8,7 +8,7 @@
 //! row counts, and the degenerate shapes (empty, single-row, page-full).
 
 use adaptagg::model::{encoded_len, Value};
-use adaptagg::storage::{Page, StripView};
+use adaptagg::storage::{Page, PagePool, ScanBatch, StorageError, StripView};
 use proptest::prelude::*;
 
 /// A compact generator for one cell. Tag space deliberately covers the
@@ -170,6 +170,83 @@ proptest! {
         fresh.encode_into(&mut rb);
         prop_assert_eq!(ra, rb, "reused page must encode identically");
     }
+
+    /// Appending a batch's rows strip to strip (`try_push_strips`) is
+    /// appending the materialized rows (`try_push`): the same row is the
+    /// first one refused, and every page sealed on the way is the same
+    /// page — logically, in its wire bytes and in its byte count. Columns
+    /// mix `Int`s with later `Str`/`Float`/`Null` cells, so destination
+    /// strips promote mid-page; sealed pages go back to a pool and come
+    /// out again, so stale strip state would show.
+    #[test]
+    fn prop_strip_appends_equal_row_appends(
+        cells in proptest::collection::vec((0u8..8, -500i64..500), 1..300),
+        arity in 1usize..5,
+        projection in proptest::collection::vec(0usize..4, 0..4),
+        capacity in 64usize..400,
+    ) {
+        let rows = rows_from(&cells, arity, false);
+        let mut source = Page::new(1 << 16);
+        prop_assert_eq!(fill(&mut source, &rows).len(), rows.len());
+        let columns: Vec<usize> = projection.iter().map(|c| c % arity).collect();
+        let project = |row: &Vec<Value>| -> Vec<Value> {
+            if columns.is_empty() {
+                row.clone()
+            } else {
+                columns.iter().map(|&c| row[c].clone()).collect()
+            }
+        };
+        let Ok(batch) = ScanBatch::scanned(&source, &columns, None, rows.len()) else {
+            // No rows at all: nothing to append.
+            prop_assert!(rows.is_empty());
+            return Ok(());
+        };
+        let pool = PagePool::new();
+        let (mut by_row, mut by_strip) = (Page::new(capacity), pool.get(capacity));
+        for (r, row) in rows.iter().enumerate() {
+            let row = project(row);
+            let stored = by_row.try_push(&row).unwrap();
+            prop_assert_eq!(by_strip.try_push_strips(&batch, r).unwrap(), stored, "row {}", r);
+            if stored {
+                continue;
+            }
+            prop_assert_eq!(&by_strip, &by_row, "page sealed at row {}", r);
+            prop_assert_eq!(by_strip.bytes_used(), by_row.bytes_used());
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            by_row.encode_into(&mut a);
+            by_strip.encode_into(&mut b);
+            prop_assert_eq!(a, b, "wire bytes of the page sealed at row {}", r);
+            // Seal: the row lane starts a fresh page, the strip lane a
+            // pooled one that has held other rows.
+            pool.put(std::mem::replace(&mut by_strip, Page::new(0)));
+            by_strip = pool.get(capacity);
+            by_row = Page::new(capacity);
+            prop_assert!(by_row.try_push(&row).unwrap());
+            prop_assert!(by_strip.try_push_strips(&batch, r).unwrap());
+        }
+        prop_assert_eq!(&by_strip, &by_row, "the open page");
+        assert_cursor_matches(&by_strip, &by_row.decode_all().unwrap());
+        assert_roundtrip(&by_strip, &by_row.decode_all().unwrap());
+    }
+}
+
+/// A row no page of the capacity can hold is the same typed error from
+/// either append, and neither leaves anything behind.
+#[test]
+fn oversized_rows_are_refused_alike_by_both_appends() {
+    let wide = vec![Value::Int(1), Value::Str("x".repeat(100).into())];
+    let mut source = Page::new(4096);
+    assert!(source.try_push(&wide).unwrap());
+    let batch = ScanBatch::whole(&source).unwrap();
+    let (mut by_row, mut by_strip) = (Page::new(64), Page::new(64));
+    let expect = StorageError::TupleTooLarge {
+        tuple_bytes: encoded_len(&wide),
+        page_bytes: 64,
+    };
+    assert_eq!(by_row.try_push(&wide).unwrap_err(), expect);
+    assert_eq!(by_strip.try_push_strips(&batch, 0).unwrap_err(), expect);
+    assert_eq!(by_strip, Page::new(64));
+    assert_eq!(by_row, Page::new(64));
 }
 
 /// The empty page: zero tuples, zero bytes, a clean roundtrip, and no
@@ -216,11 +293,8 @@ fn max_capacity_page_roundtrips() {
     let capacity = per * 7 + per / 2; // room for exactly 7 rows
     let mut page = Page::new(capacity);
     let mut expect = Vec::new();
-    loop {
-        match page.try_push(&row).unwrap() {
-            true => expect.push(row.clone()),
-            false => break,
-        }
+    while page.try_push(&row).unwrap() {
+        expect.push(row.clone());
     }
     assert_eq!(expect.len(), 7);
     assert!(!page.fits(per));

@@ -6,8 +6,11 @@
 //! equal: the result rows (order included), the **exact sequence** of
 //! unit cost events, the virtual clock bit for bit, what spilled, and on
 //! failure the typed error plus everything charged before it. The
-//! algorithm-level cases (A-2P's switch, a scheduled crash) run on a real
-//! `NodeCtx` and compare clock bits, adaptive events and traffic.
+//! algorithm-level cases (A-2P's switch, a scheduled crash, a crash inside
+//! a page the exchange is routing) run on a real `NodeCtx` and compare
+//! clock bits, adaptive events and traffic; the algorithms that route raw
+//! tuples (Rep, A-2P past its switch, A-Rep) also run whole, on 1/2/4
+//! nodes, against `ADAPTAGG_COLUMNAR=row`.
 //!
 //! The row lane is the loop the old `scan_project` was; that it still
 //! charges what the pre-batch code charged is pinned separately, against
@@ -15,10 +18,10 @@
 
 use adaptagg::algos::adaptive2p::{ScanState, ScanSwitch};
 use adaptagg::algos::common::QueryPlan;
-use adaptagg::algos::AdaptEvent;
+use adaptagg::algos::{run_algorithm_with, AdaptEvent, AlgoConfig, AlgorithmKind, RunOutcome};
 use adaptagg::exec::{
-    operators, Clock, Exchange, ExecError, NodeCtx, NodeFaults, PageScan, ScanCharge, ScanSink,
-    ScanTally,
+    operators, Clock, ClusterConfig, Exchange, ExecError, NodeCtx, NodeFaults, PageScan, ScanCharge,
+    ScanSink, ScanTally,
 };
 use adaptagg::hashagg::HashAggregator;
 use adaptagg::model::{
@@ -27,7 +30,18 @@ use adaptagg::model::{
 };
 use adaptagg::net::Fabric;
 use adaptagg::storage::{BatchOutcome, HeapFile, RowCause, ScanBatch, SimDisk};
+use adaptagg::workload::{default_query, generate_partitions, RelationSpec};
 use proptest::prelude::*;
+use std::sync::{RwLock, RwLockReadGuard};
+
+/// `ADAPTAGG_COLUMNAR` is process-wide and read whenever a scan is built.
+/// Every test that relies on its default holds this lock shared while it
+/// scans; the one test that flips the variable holds it exclusively.
+static LANE_ENV: RwLock<()> = RwLock::new(());
+
+fn default_lane() -> RwLockReadGuard<'static, ()> {
+    LANE_ENV.read().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A charge sink that keeps the unit-event sequence next to a real clock,
 /// with the node's crash schedule (`NodeCtx`'s own is exercised below).
@@ -134,6 +148,7 @@ fn run_lane(
     crash_at: Option<u64>,
     batched: bool,
 ) -> (Observed, ScanTally) {
+    let _lane = default_lane();
     let plan = QueryPlan::new(query);
     let mut agg = HashAggregator::new(plan.projected.clone(), budget, 256, 4);
     let mut probe = Probe::new(crash_at);
@@ -584,6 +599,7 @@ fn node_with(file: HeapFile, max_hash_entries: usize) -> NodeCtx {
 
 #[test]
 fn node_crash_schedule_is_honoured_by_both_lanes() {
+    let _lane = default_lane();
     let rows = || (0..300).map(|i| vec![int(i % 11), int(i)]);
     let query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)]);
     let plan = QueryPlan::new(&query);
@@ -625,17 +641,143 @@ fn node_crash_schedule_is_honoured_by_both_lanes() {
     assert_eq!(batch, row);
 }
 
-/// A [`ScanSwitch`] that never takes a batch: A-2P as it ran before.
-struct RowOnly<'a>(ScanSwitch<'a>);
+/// A sink that never takes a batch: its consumer as it ran row by row.
+struct RowOnly<S>(S);
 
-impl ScanSink<NodeCtx> for RowOnly<'_> {
+impl<S: ScanSink<NodeCtx>> ScanSink<NodeCtx> for RowOnly<S> {
     fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
         self.0.row(ctx, values)
     }
 }
 
 #[test]
+fn a_crash_inside_a_routed_page_ends_like_the_row_lane() {
+    let _lane = default_lane();
+    // A filter with gaps, so the cut lands between fail-charge runs.
+    let rows = || (0..600).map(|i| vec![int((i * 11) % 97), int(i), int(i % 4)]);
+    let query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)])
+        .with_filter(vec![Predicate::new(2, Compare::Ne, int(2))]);
+    let plan = QueryPlan::new(&query);
+    let per_page = file_of(512, rows()).page(0).unwrap().tuple_count() as u64;
+    // Mid-page, on a page boundary, and never.
+    for k in [per_page * 5 + per_page / 3, per_page * 7, 10_000] {
+        let run = |batched: bool| {
+            let mut ctx = node_with(file_of(512, rows()), 1000);
+            ctx.apply_faults(NodeFaults {
+                crash_at_tuple: Some(k),
+                slowdown_factor: 1.0,
+            });
+            // 256-byte message pages: sends land inside every base page.
+            let ex = Exchange::new(1, 256, plan.key_len(), RowKind::Raw);
+            let (filter, columns) = (&plan.base.filter[..], &plan.projection[..]);
+            let (result, routed) = if batched {
+                let mut sink = ex;
+                let result = operators::scan_pages(&mut ctx, "base", filter, columns, 0, usize::MAX, &mut sink);
+                (result, sink.routed())
+            } else {
+                let mut sink = RowOnly(ex);
+                let result = operators::scan_pages(&mut ctx, "base", filter, columns, 0, usize::MAX, &mut sink);
+                (result, sink.0.routed())
+            };
+            (result, routed, *ctx.net_stats(), ctx.clock.now_ms().to_bits())
+        };
+        let (row, batch) = (run(false), run(true));
+        assert_eq!(batch, row, "crash at {k}");
+        if k < 600 {
+            assert_eq!(row.0, Err(ExecError::InjectedCrash { node: 0, at_tuple: k }));
+            // Every tuple before the crash was scanned, and three in four
+            // of them routed.
+            let passing = (0..k).filter(|i| i % 4 != 2).count() as u64;
+            assert_eq!(row.1, passing, "crash at {k}");
+            assert!(row.2.pages_sent() > 0);
+        } else {
+            assert_eq!(row.0, Ok(450));
+        }
+    }
+}
+
+/// The whole algorithms that route raw tuples, on 1/2/4 nodes, batch lane
+/// against `ADAPTAGG_COLUMNAR=row`: same rows, same traffic, and the same
+/// clock bits wherever arrival order is deterministic (one node; two
+/// nodes for the algorithms that do not poll mid-scan). The traces say
+/// which lane ran.
+#[test]
+fn routing_algorithms_match_the_row_lane_on_every_cluster_size() {
+    let _exclusive = LANE_ENV.write().unwrap_or_else(|e| e.into_inner());
+    let both_lanes = |kind, config: &ClusterConfig, parts: &[HeapFile], query: &AggQuery, cfg: &AlgoConfig| {
+        std::env::set_var("ADAPTAGG_COLUMNAR", "row");
+        let row = run_algorithm_with(kind, config, parts, query, cfg);
+        std::env::remove_var("ADAPTAGG_COLUMNAR");
+        let batch = run_algorithm_with(kind, config, parts, query, cfg);
+        (row.unwrap(), batch.unwrap())
+    };
+    let pages_batched = |out: &RunOutcome| -> u64 {
+        let trace = out.trace.as_ref().expect("traced run");
+        trace.nodes.iter().map(|n| n.metrics.counter("scan.pages_batched")).sum()
+    };
+    let config_of = |nodes: usize, max_hash_entries: usize| {
+        let params = CostParams {
+            max_hash_entries,
+            ..CostParams::paper_default()
+        };
+        ClusterConfig::new(nodes, params).with_tracing()
+    };
+    // A quarter of the tuples filtered out, in shuffled positions.
+    let query = default_query().with_filter(vec![Predicate::new(0, Compare::Ge, int(750))]);
+    for nodes in [1usize, 2, 4] {
+        // 3000 groups against a 200-entry table: A-2P switches inside the
+        // first pages, A-Rep's census is over within a few hundred tuples
+        // and it never falls back.
+        let parts = generate_partitions(&RelationSpec::uniform(24_000, 3_000), nodes);
+        let pages: usize = parts.iter().map(HeapFile::page_count).sum();
+        let config = config_of(nodes, 200);
+        let cfg = AlgoConfig::default_for(nodes);
+        for kind in [
+            AlgorithmKind::Repartitioning,
+            AlgorithmKind::AdaptiveTwoPhase,
+            AlgorithmKind::AdaptiveRepartitioning,
+        ] {
+            let (row, batch) = both_lanes(kind, &config, &parts, &query, &cfg);
+            assert_eq!(batch.rows, row.rows, "{kind} on {nodes} nodes");
+            assert_eq!(batch.rows.len(), 2_250);
+            assert_eq!(batch.run.total_net().tuples_sent, row.run.total_net().tuples_sent, "{kind} on {nodes} nodes");
+            let polls = kind == AlgorithmKind::AdaptiveRepartitioning;
+            if nodes == 1 || (nodes == 2 && !polls) {
+                for (b, r) in batch.run.per_node.iter().zip(&row.run.per_node) {
+                    assert_eq!(b.clock_ms.to_bits(), r.clock_ms.to_bits(), "{kind} on {nodes} nodes: node {}", b.node);
+                }
+                assert_eq!(batch.run.total_net(), row.run.total_net(), "{kind} on {nodes} nodes");
+            }
+            assert_eq!(pages_batched(&row), 0, "{kind}: the row lane batched");
+            // A-2P: all but each node's switch page; A-Rep: all but the
+            // census pages and one cut page per poll.
+            let batched = pages_batched(&batch) as usize;
+            assert!(batched * 10 >= pages * 8, "{kind} on {nodes} nodes: {batched} of {pages} pages batched");
+            assert_eq!(batch.adapted_nodes().len(), if kind == AlgorithmKind::AdaptiveTwoPhase { nodes } else { 0 });
+        }
+
+        // A-Rep that falls back (300 groups judged against 400) and whose
+        // A-2P table (50 entries) then fills: census rows, table batches,
+        // the re-switch page, exchange batches.
+        let parts = generate_partitions(&RelationSpec::uniform(30_000, 300), nodes);
+        let config = config_of(nodes, 50);
+        let cfg = AlgoConfig::default_for(nodes).with_crossover_threshold(400);
+        let kind = AlgorithmKind::AdaptiveRepartitioning;
+        let (row, batch) = both_lanes(kind, &config, &parts, &default_query(), &cfg);
+        assert_eq!(batch.rows, row.rows, "falling-back A-Rep on {nodes} nodes");
+        assert_eq!(batch.rows.len(), 300);
+        if nodes == 1 {
+            assert_eq!(batch.elapsed_ms().to_bits(), row.elapsed_ms().to_bits());
+            assert_eq!(batch.nodes[0].events, row.nodes[0].events);
+            assert_eq!(batch.nodes[0].events.len(), 2, "fell back, then switched: {:?}", batch.nodes[0].events);
+        }
+        assert!(pages_batched(&batch) > 0 && pages_batched(&row) == 0);
+    }
+}
+
+#[test]
 fn a2p_switch_lands_mid_page_at_the_same_tuple() {
+    let _lane = default_lane();
     // 64 distinct groups inside the first pages, 16-entry table: the 17th
     // distinct key bounces mid-page; a filter makes the batch cut land on
     // a selected row with filtered-out rows on both sides.

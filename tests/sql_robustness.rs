@@ -65,7 +65,7 @@ fn truncation_at_every_char_boundary_is_typed() {
 
 #[test]
 fn random_byte_corruption_is_typed() {
-    let mut rng = SplitMix64::new(0x5eed_501);
+    let mut rng = SplitMix64::new(0x5eed501);
     for sql in corpus() {
         for _ in 0..200 {
             let mut bytes = sql.as_bytes().to_vec();
@@ -84,7 +84,7 @@ fn random_byte_corruption_is_typed() {
 
 #[test]
 fn random_noise_is_typed() {
-    let mut rng = SplitMix64::new(0x5eed_502);
+    let mut rng = SplitMix64::new(0x5eed502);
     for len in [0usize, 1, 7, 64, 512] {
         for _ in 0..50 {
             let noise: String = (0..len)
@@ -144,7 +144,7 @@ fn oversized_inputs_are_typed_not_fatal() {
 #[test]
 fn error_positions_point_into_the_source() {
     for sql in corpus() {
-        let mut rng = SplitMix64::new(0x5eed_503);
+        let mut rng = SplitMix64::new(0x5eed503);
         for _ in 0..100 {
             let mut bytes = sql.as_bytes().to_vec();
             let at = (rng.next_u64() as usize) % bytes.len();

@@ -290,11 +290,11 @@ fn phase_profile_covers_the_run() {
     assert!(text.contains("switched to repartitioning at tuple"));
 }
 
-/// Why a page of the local phase left the batched lane is visible from the
-/// trace alone: `scan.pages_batched` counts the pages the table rode the
-/// strips of, `scan.pages_row{cause=…}` the pages it was fed row by row —
-/// and an untraced run of the same file carries nothing and lands on the
-/// same virtual time.
+/// Why a scanned page left the batched lane is visible from the trace
+/// alone: `scan.pages_batched` counts the pages the table (or, for Rep,
+/// the exchange) rode the strips of, `scan.pages_row{cause=…}` the pages
+/// it was fed row by row — and an untraced run of the same file carries
+/// nothing and lands on the same virtual time.
 #[test]
 fn scan_fallbacks_are_counted_by_cause() {
     use adaptagg::model::{Compare, Predicate};
@@ -312,13 +312,17 @@ fn scan_fallbacks_are_counted_by_cause() {
     let on_pad = sum_v
         .clone()
         .with_filter(vec![Predicate::new(2, Compare::Ne, Value::Str("p3".into()))]);
-    // (label, file, query, the one counter every page must land in)
+    // (label, file, query, the one counter every page must land in for
+    // the table-fed algorithms, and for Rep — whose exchange moves cells
+    // and never reads an aggregate input)
+    let batched = "scan.pages_batched";
     let cases = [
         (
             "clean",
             file_of(&mut (0..200).map(|i| vec![int(i % 9), int(i)])),
             sum_v.clone(),
-            "scan.pages_batched",
+            batched,
+            batched,
         ),
         (
             "ragged",
@@ -329,23 +333,27 @@ fn scan_fallbacks_are_counted_by_cause() {
             })),
             sum_v.clone(),
             "scan.pages_row{cause=ragged}",
+            "scan.pages_row{cause=ragged}",
         ),
         (
             "null inputs",
             file_of(&mut (0..200).map(|i| vec![int(i % 9), if i % 4 == 0 { Value::Null } else { int(i) }])),
             sum_v.clone(),
             "scan.pages_row{cause=value_input}",
+            batched,
         ),
         (
             "float inputs",
             file_of(&mut (0..200).map(|i| vec![int(i % 9), Value::Float(i as f64)])),
             sum_v.clone(),
             "scan.pages_row{cause=float_guard}",
+            batched,
         ),
         (
             "string filter column",
             file_of(&mut (0..200).map(|i| vec![int(i % 9), int(i), Value::Str(format!("p{}", i % 7).into())])),
             on_pad,
+            "scan.pages_row{cause=value_filter}",
             "scan.pages_row{cause=value_filter}",
         ),
     ];
@@ -356,13 +364,17 @@ fn scan_fallbacks_are_counted_by_cause() {
         "scan.pages_row{cause=value_input}",
         "scan.pages_row{cause=float_guard}",
     ];
-    for (label, file, query, expected) in cases {
+    for (label, file, query, expected, rep_expected) in cases {
         let pages = file.page_count() as u64;
         let parts = vec![file];
         let mut plain = ClusterConfig::new(1, CostParams::paper_default());
         plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
         let traced = plain.clone().with_tracing();
-        for kind in [AlgorithmKind::TwoPhase, AlgorithmKind::AdaptiveTwoPhase] {
+        for (kind, expected) in [
+            (AlgorithmKind::TwoPhase, expected),
+            (AlgorithmKind::AdaptiveTwoPhase, expected),
+            (AlgorithmKind::Repartitioning, rep_expected),
+        ] {
             let a = run_algorithm(kind, &plain, &parts, &query).unwrap();
             let b = run_algorithm(kind, &traced, &parts, &query).unwrap();
             assert!(a.trace.is_none(), "{label}: untraced run carried a trace");
@@ -375,12 +387,6 @@ fn scan_fallbacks_are_counted_by_cause() {
             }
         }
     }
-    // A row-at-a-time consumer is not a fallback: Rep counts nothing.
-    let parts = generate_partitions(&RelationSpec::uniform(1_000, 50), 1);
-    let traced = ClusterConfig::new(1, CostParams::paper_default()).with_tracing();
-    let out = run_algorithm(AlgorithmKind::Repartitioning, &traced, &parts, &default_query()).unwrap();
-    let metrics = &out.trace.as_ref().unwrap().node(0).unwrap().metrics;
-    assert!(counters.iter().all(|c| metrics.counter(c) == 0));
 }
 
 /// Repartitioning's first phase is in the trace: scanning and routing the
