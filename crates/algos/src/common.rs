@@ -56,13 +56,6 @@ pub fn local_partial_aggregation(
     if ctx.recovery.is_some() {
         return checkpointed_local_aggregation(ctx, plan, max_entries, fanout);
     }
-    // Intra-node morsel parallelism: an optimistic fast path that
-    // commits only when its rows and charges are bit-identical to the
-    // serial scan below; `None` means fall through (nothing consumed,
-    // nothing charged).
-    if let Some(done) = crate::parallel::par_local_aggregation(ctx, plan, max_entries) {
-        return Ok(done);
-    }
     let page_bytes = ctx.params().page_bytes;
     let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
         .with_grant(ctx.grant().clone());
@@ -186,20 +179,6 @@ pub fn merge_phase_store(
     pre_received: Vec<(RowKind, Page)>,
     pre_eos: usize,
 ) -> Result<(Vec<ResultRow>, HashAggStats), ExecError> {
-    // Intra-node parallel merge: once eligible, the parallel driver owns
-    // the phase end to end (it consumes the wire), committing in
-    // parallel or replaying serially — either way bit-identical to the
-    // loop below.
-    if ctx.par_scan_eligible() && ctx.threads() > 1 {
-        return crate::parallel::par_merge_phase_store(
-            ctx,
-            plan,
-            max_entries,
-            fanout,
-            pre_received,
-            pre_eos,
-        );
-    }
     let page_bytes = ctx.params().page_bytes;
     let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
         .with_charge_hash(false)

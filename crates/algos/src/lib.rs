@@ -34,7 +34,6 @@ pub mod config;
 pub mod driver;
 pub mod opt2p;
 pub mod outcome;
-pub mod parallel;
 pub mod repart;
 pub mod sampling;
 pub mod sort2p;

@@ -2,8 +2,8 @@
 //!
 //! The figure-regeneration harness: one binary per table/figure of the
 //! paper (see DESIGN.md §4 for the experiment index), sharing the
-//! reporting helpers here, plus Criterion micro/macro benchmarks under
-//! `benches/`.
+//! reporting helpers here. Wall-clock measurement lives in `benchmark/`
+//! (BENCHMARK.json), not here.
 //!
 //! Figures 1–7 evaluate the analytical model (`adaptagg-cost`); Figures
 //! 8–9 *run* the algorithms on the simulated cluster (`adaptagg-algos`)
@@ -19,7 +19,6 @@ pub mod figures;
 pub mod measured;
 pub mod report;
 pub mod serving;
-pub mod throughput;
 
 pub use report::{Series, Table};
 

@@ -52,8 +52,6 @@ pub struct ServeArgs {
     /// Comma-separated mesh addresses: attach a real-process worker
     /// cluster and answer `proc` commands over it.
     pub proc_cluster: Option<String>,
-    /// Intra-node worker threads per simulated node (morsel engine).
-    pub threads: usize,
 }
 
 impl Default for ServeArgs {
@@ -72,17 +70,8 @@ impl Default for ServeArgs {
             min_grant: 0,
             deadline_ms: None,
             proc_cluster: None,
-            threads: default_threads(),
         }
     }
-}
-
-/// The `--threads` default: one morsel worker per available core.
-/// Results and virtual-time figures are identical at every thread
-/// count (the engine's bit-identity contract), so defaulting to the
-/// machine width only moves wall-clock.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Which generator feeds the cluster.
@@ -141,8 +130,6 @@ pub struct RunArgs {
     pub recovery: bool,
     /// Run with tracing enabled and print the trace (`run` only).
     pub trace: Option<TraceFormat>,
-    /// Intra-node worker threads per simulated node (morsel engine).
-    pub threads: usize,
 }
 
 impl Default for RunArgs {
@@ -163,7 +150,6 @@ impl Default for RunArgs {
             crash_node: None,
             recovery: false,
             trace: None,
-            threads: default_threads(),
         }
     }
 }
@@ -202,9 +188,6 @@ OPTIONS:
                        extendedprice, pad)
   --network <NET>     fast | ethernet                 [default: ethernet]
   --memory <N>        hash-table budget M, entries    [default: 10000]
-  --threads <N>       morsel worker threads per node  [default: all cores]
-                      (results and virtual times are identical at every
-                       thread count; threads only move wall-clock)
   --seed <N>          workload seed                   [default: 24301]
   --save-workload <P> save generated partitions to <P>.nodeN.ahf
   --load-workload <P> load partitions from <P>.nodeN.ahf (skips generation)
@@ -217,9 +200,8 @@ OPTIONS:
 
 SERVE OPTIONS (adaptagg serve):
   --listen <ADDR>     TCP listen address               [default: 127.0.0.1:7878]
-  --nodes, --tuples, --groups, --workload, --memory, --network, --seed,
-  --threads           as above: the shared dataset, per-node budget M
-                      and per-query morsel workers
+  --nodes, --tuples, --groups, --workload, --memory, --network, --seed
+                      as above: the shared dataset and per-node budget M
   --queue <N>         admission queue capacity         [default: 32]
   --concurrency <N>   queries running at once          [default: 4]
   --min-grant <N>     admission floor in entries       [default: memory/8]
@@ -280,7 +262,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, ArgError> {
             "--load-workload" => out.load_workload = Some(value(i)?.to_string()),
             "--fault-seed" => out.fault_seed = Some(parse_num(flag, value(i)?)? as u64),
             "--crash-node" => out.crash_node = Some(parse_num(flag, value(i)?)?),
-            "--threads" => out.threads = parse_num(flag, value(i)?)?,
             "--trace" => {
                 out.trace = Some(match value(i)? {
                     "json" => TraceFormat::Json,
@@ -315,9 +296,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, ArgError> {
     if out.nodes == 0 {
         return Err(ArgError("--nodes must be at least 1".into()));
     }
-    if out.threads == 0 {
-        return Err(ArgError("--threads must be at least 1".into()));
-    }
     Ok(out)
 }
 
@@ -344,7 +322,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ArgError> {
             "--min-grant" => out.min_grant = parse_num(flag, value(i)?)?,
             "--deadline-ms" => out.deadline_ms = Some(parse_num(flag, value(i)?)? as u64),
             "--proc-cluster" => out.proc_cluster = Some(value(i)?.to_string()),
-            "--threads" => out.threads = parse_num(flag, value(i)?)?,
             "--network" => {
                 out.network = match value(i)? {
                     "fast" => NetworkKind::high_speed_default(),
@@ -368,9 +345,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ArgError> {
     }
     if out.concurrency == 0 {
         return Err(ArgError("--concurrency must be at least 1".into()));
-    }
-    if out.threads == 0 {
-        return Err(ArgError("--threads must be at least 1".into()));
     }
     Ok(out)
 }
@@ -467,24 +441,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn threads_flag_on_run_and_serve() {
-        match parse(&argv("run --threads 6")).unwrap() {
-            Command::Run(a) => assert_eq!(a.threads, 6),
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("serve --threads 2")).unwrap() {
-            Command::Serve(a) => assert_eq!(a.threads, 2),
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("run")).unwrap() {
-            Command::Run(a) => assert_eq!(a.threads, default_threads()),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&argv("run --threads 0")).unwrap_err().0.contains("at least 1"));
-        assert!(parse(&argv("serve --threads 0")).unwrap_err().0.contains("at least 1"));
     }
 
     #[test]
@@ -624,5 +580,9 @@ mod tests {
         assert!(parse(&argv("run --algo quantum")).unwrap_err().0.contains("quantum"));
         assert!(parse(&argv("run --network token-ring")).unwrap_err().0.contains("token-ring"));
         assert!(parse(&argv("run --nodes 0")).unwrap_err().0.contains("at least 1"));
+        // One execution lane per node: there is no thread count to set.
+        for cmd in ["run --threads 4", "serve --threads 2"] {
+            assert!(parse(&argv(cmd)).unwrap_err().0.contains("unknown option '--threads'"));
+        }
     }
 }

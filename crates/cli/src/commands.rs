@@ -192,7 +192,7 @@ fn fault_plan(args: &RunArgs) -> Option<FaultPlan> {
 /// `adaptagg run`.
 pub fn cmd_run(args: &RunArgs) -> Result<(), CmdError> {
     let bound = compile(&args.sql, &schema(args.workload)).map_err(|e| e.to_string())?;
-    let mut cluster = ClusterConfig::new(args.nodes, cost_params(args)).with_threads(args.threads);
+    let mut cluster = ClusterConfig::new(args.nodes, cost_params(args));
     let plan = fault_plan(args);
     if let Some(plan) = &plan {
         cluster = cluster.with_fault_plan(plan.clone());
@@ -318,7 +318,6 @@ pub fn cmd_serve(args: &ServeArgs) -> Result<(), CmdError> {
     }
     cfg.default_deadline = args.deadline_ms.map(std::time::Duration::from_millis);
     cfg.params = cost_params(&run_equiv);
-    cfg.threads = args.threads;
 
     let proc = match &args.proc_cluster {
         Some(list) => {
@@ -391,7 +390,7 @@ pub fn cmd_serve(args: &ServeArgs) -> Result<(), CmdError> {
 /// `adaptagg sweep`.
 pub fn cmd_sweep(args: &RunArgs) -> Result<(), CmdError> {
     let bound = compile(&args.sql, &schema(args.workload)).map_err(|e| e.to_string())?;
-    let cluster = ClusterConfig::new(args.nodes, cost_params(args)).with_threads(args.threads);
+    let cluster = ClusterConfig::new(args.nodes, cost_params(args));
     let kinds = AlgorithmKind::FIGURE8;
 
     println!(

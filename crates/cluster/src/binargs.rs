@@ -48,8 +48,6 @@ OPTIONS:
   --seed N                  workload seed               [default: 1]
   --idle-timeout-ms N       exit if coordinator silent  [default: 120000]
   --slow-scan-ms N          test hook: delay each scan  [default: 0]
-  --threads N               morsel worker threads for the local scan
-                            [default: ADAPTAGG_THREADS or 1]
   --heartbeat-ms N          heartbeat interval          [default: 50]
   --heartbeat-timeout-ms N  silence = death threshold   [default: 2000]
   --serve                   serving mode: keep taking queries after
@@ -79,9 +77,6 @@ pub struct BinArgs {
     pub heartbeat_timeout: Duration,
     /// Worker serving mode (`--serve`).
     pub serve: bool,
-    /// Intra-node morsel worker threads for the local scan
-    /// (`--threads`, workers only; defaults from `ADAPTAGG_THREADS`).
-    pub threads: usize,
     /// `--help` was requested.
     pub help: bool,
 }
@@ -124,11 +119,6 @@ pub fn parse(argv: &[String], coordinator: bool) -> Result<BinArgs, String> {
         heartbeat_interval: Duration::from_millis(50),
         heartbeat_timeout: Duration::from_millis(2_000),
         serve: false,
-        threads: std::env::var("ADAPTAGG_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1usize)
-            .max(1),
         help: false,
     };
     let mut it = argv.iter();
@@ -172,9 +162,6 @@ pub fn parse(argv: &[String], coordinator: bool) -> Result<BinArgs, String> {
                     Duration::from_millis(parse_num(value("--slow-scan-ms")?, "--slow-scan-ms")?);
             }
             "--serve" if !coordinator => args.serve = true,
-            "--threads" if !coordinator => {
-                args.threads = parse_num::<usize>(value("--threads")?, "--threads")?.max(1);
-            }
             "--heartbeat-ms" => {
                 args.heartbeat_interval =
                     Duration::from_millis(parse_num(value("--heartbeat-ms")?, "--heartbeat-ms")?);
@@ -258,6 +245,12 @@ mod tests {
             true,
         );
         assert!(r.is_err());
+        // One execution lane per node: `adaptagg-worker` takes no `--threads`.
+        let r = parse(
+            &sv(&["--cluster", "127.0.0.1:1,127.0.0.1:2", "--node", "1", "--threads", "2"]),
+            false,
+        );
+        assert!(r.unwrap_err().contains("unknown flag \"--threads\""));
         assert!(parse(&sv(&["--cluster", "notanaddr,127.0.0.1:2"]), true)
             .unwrap_err()
             .contains("bad address"));

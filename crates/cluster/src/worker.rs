@@ -65,10 +65,6 @@ pub struct WorkerOpts {
     /// when the coordinator goes away (its teardown is the shutdown
     /// signal), instead of treating that as a failure.
     pub serve: bool,
-    /// Intra-node morsel worker threads for the local scan. Results
-    /// and virtual times are thread-count-invariant; only wall-clock
-    /// moves.
-    pub threads: usize,
 }
 
 impl Default for WorkerOpts {
@@ -79,7 +75,6 @@ impl Default for WorkerOpts {
             max_entries: CostParams::paper_default().max_hash_entries,
             fanout: 4,
             serve: false,
-            threads: 1,
         }
     }
 }
@@ -153,7 +148,6 @@ pub fn run_worker(
                     let base = spec.base_for(&partitions, &owners, me as u32);
                     let disk = SimDisk::with_base_partition(base);
                     let mut ctx = NodeCtx::new(endpoint, disk, params.clone());
-                    ctx.set_threads(opts.threads);
                     let result = local_partial_aggregation(
                         &mut ctx,
                         &plan,

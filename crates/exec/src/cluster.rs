@@ -75,14 +75,6 @@ pub struct ClusterConfig {
     /// cost events and never advances any clock, so every virtual-time
     /// figure is bit-identical with it on or off.
     pub trace: bool,
-    /// Worker threads per node for intra-node morsel parallelism.
-    /// Defaults from the `ADAPTAGG_THREADS` environment variable (unset
-    /// / garbage → 1, the serial path). Values above 1 let eligible
-    /// scans and merges run the morsel engine; all result rows and every
-    /// virtual-time figure stay bit-identical to `threads = 1` (the
-    /// engine replays cost charges in logical order — only wall-clock
-    /// changes).
-    pub threads: usize,
     /// Which wire carries the fabric: the deterministic in-process
     /// channel mesh (the default) or real TCP sockets on loopback. The
     /// reliability layer — sequence numbers, dedup, fault injection,
@@ -109,14 +101,14 @@ impl ClusterConfig {
             trace: std::env::var("ADAPTAGG_TRACE")
                 .map(|v| !v.is_empty() && v != "0")
                 .unwrap_or(false),
-            threads: env_u64("ADAPTAGG_THREADS", 1).max(1) as usize,
             transport: TransportKind::default(),
         }
     }
 
-    /// Use `threads` worker threads per node (see [`ClusterConfig::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// Accepted and ignored: every node runs one execution lane. Exists
+    /// for `benchmark/`, which calls it; delete with the next `benchmark`
+    /// PR.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -275,7 +267,6 @@ where
                 watchdog,
                 None,
                 config.trace,
-                config.threads,
                 seats,
                 &body,
             );
@@ -328,7 +319,6 @@ fn run_seats<T, F>(
     watchdog: Duration,
     link_retry: Option<LinkRetryPolicy>,
     trace: bool,
-    threads: usize,
     seats: Vec<NodeSeat>,
     body: &F,
 ) -> Result<AttemptOk<T>, AttemptErr>
@@ -365,7 +355,6 @@ where
                 ctx.set_watchdog(watchdog);
                 ctx.set_link_retry(link_retry);
                 ctx.set_grant(seat.grant);
-                ctx.set_threads(threads);
                 ctx.recovery = seat.recovery;
                 if trace {
                     ctx.enable_trace();
@@ -542,7 +531,6 @@ where
             watchdog,
             policy.link_retry,
             config.trace,
-            config.threads,
             seats,
             body,
         ) {

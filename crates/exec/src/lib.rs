@@ -29,7 +29,6 @@ pub mod clock;
 pub mod cluster;
 pub mod error;
 pub mod exchange;
-pub mod morsel;
 pub mod node;
 pub mod operators;
 pub mod recovery;
@@ -41,7 +40,6 @@ pub use cluster::{
 };
 pub use error::ExecError;
 pub use exchange::Exchange;
-pub use morsel::{replay_scan_journal, scan_morsel, ScanJournal, MORSEL_FAIL, MORSEL_PASS};
 pub use node::{NodeCtx, DEFAULT_WATCHDOG};
 pub use operators::{PageScan, ScanCharge, ScanSink, ScanTally};
 pub use recovery::{new_store, CheckpointStore, RecoveryPolicy, RecoverySession, Segment};

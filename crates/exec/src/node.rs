@@ -51,10 +51,6 @@ pub struct NodeCtx {
     faults: NodeFaults,
     tuples_scanned: u64,
     watchdog: Duration,
-    /// Worker-pool width for intra-node (morsel-driven) parallelism.
-    /// `1` (the default) keeps every operator on the strictly serial
-    /// path — the bit-exactness reference.
-    threads: usize,
     /// This node's live memory grant for the running query (unlimited by
     /// default). The serving layer's broker holds the other handle and
     /// may shrink it mid-run; aggregation operators attach it to their
@@ -77,29 +73,8 @@ impl NodeCtx {
             faults: NodeFaults::default(),
             tuples_scanned: 0,
             watchdog: DEFAULT_WATCHDOG,
-            threads: 1,
             grant: MemoryGrant::unlimited(),
         }
-    }
-
-    /// Set the intra-node worker-pool width (clamped to ≥ 1).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Intra-node worker-pool width (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Whether the morsel-driven parallel scan may run on this node:
-    /// more than one worker, no recovery session in progress (checkpoint
-    /// suffix-replay is inherently serial), and no scheduled crash fault
-    /// (the crash must land at its exact logical tuple). The parallel
-    /// path is an optimistic fast path — ineligible nodes simply run the
-    /// serial code.
-    pub fn par_scan_eligible(&self) -> bool {
-        self.threads > 1 && self.recovery.is_none() && self.faults.crash_at_tuple.is_none()
     }
 
     /// Install this node's live memory grant (the cluster runtime calls
@@ -224,43 +199,6 @@ impl NodeCtx {
                 at_ms,
                 cause,
                 at_tuple,
-            });
-        }
-    }
-
-    /// Record the intra-node picker's strategy choice (`intra.pick`) as
-    /// a trace event (no-op when disabled). Stamped with the node's
-    /// current virtual time — for a committed parallel scan that is the
-    /// post-replay (end-of-scan) time, since picker decisions have no
-    /// logical position on the serial timeline.
-    pub fn trace_intra_pick(&mut self, strategy: &'static str, at_morsel: u64) {
-        if self.trace.enabled() {
-            let at_ms = self.clock.now_ms();
-            self.trace.event(TraceEvent::IntraPick {
-                at_ms,
-                strategy,
-                at_morsel,
-            });
-        }
-    }
-
-    /// Record a mid-scan intra-node strategy switch (`intra.switch`)
-    /// as a trace event (no-op when disabled).
-    pub fn trace_intra_switch(
-        &mut self,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-        at_morsel: u64,
-    ) {
-        if self.trace.enabled() {
-            let at_ms = self.clock.now_ms();
-            self.trace.event(TraceEvent::IntraSwitch {
-                at_ms,
-                from,
-                to,
-                cause,
-                at_morsel,
             });
         }
     }

@@ -20,8 +20,8 @@ use adaptagg_model::{matches_all, CostEvent, CostTracker, ModelError, Predicate,
 use adaptagg_storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch, StripView};
 
 /// Where a scan's page and select charges go: the node itself (its clock,
-/// and its crash schedule, whose currency is scanned tuples) or a morsel
-/// worker's [`crate::ScanJournal`].
+/// and its crash schedule, whose currency is scanned tuples), or a
+/// recording stand-in in the batch-vs-row oracle tests.
 pub trait ScanCharge {
     /// One sequential page read.
     fn page_read(&mut self);

@@ -49,7 +49,7 @@ pub struct HashAggregator {
     /// Whether [`HashAggregator::push_page`] takes the vectorized probe
     /// ([`AggTable::insert_page_batched`]) or the row loop. Both are
     /// bit-identical in results and cost events; the knob exists so the
-    /// oracle tests and the bench harness can pin either path.
+    /// oracle tests can pin either path.
     columnar: bool,
     stats: HashAggStats,
 }
@@ -57,7 +57,8 @@ pub struct HashAggregator {
 /// Read the `ADAPTAGG_COLUMNAR` knob: `"row"` forces the row-at-a-time
 /// paths (page inserts, exchange routing, the local-phase scan), anything
 /// else (or unset) selects the batched columnar ones. Read per operator
-/// construction (not cached) so benches can flip it in-process.
+/// construction (not cached) so the differential oracles can flip it
+/// in-process.
 pub fn columnar_default() -> bool {
     std::env::var("ADAPTAGG_COLUMNAR").map(|v| v != "row").unwrap_or(true)
 }

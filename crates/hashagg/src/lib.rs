@@ -21,20 +21,12 @@
 //! This crate is single-node; the parallel algorithms in `adaptagg-algos`
 //! compose it with the exchange operators.
 
-//!
-//! The `parallel` module adds the intra-node morsel engine: three
-//! physical table strategies (shared-striped, thread-local,
-//! partitioned) behind an adaptive picker, with logical-order stamps so
-//! the parallel drain is bit-identical to the serial one.
-
 pub mod aggregate;
 pub mod overflow;
-pub mod parallel;
 pub mod stats;
 pub mod table;
 
 pub use aggregate::{columnar_default, EmitMode, HashAggregator};
 pub use overflow::OverflowSet;
-pub use parallel::{IntraCause, IntraEvent, IntraMode, IntraStrategy, ParOutcome, ParTables};
 pub use stats::HashAggStats;
 pub use table::{AggTable, Inserted};

@@ -70,10 +70,6 @@ pub struct AggTable {
     key_len: usize,
     /// The resident groups, in insertion order.
     store: GroupStore,
-    /// Per-entry logical stamps, parallel to the store — populated only by
-    /// [`AggTable::insert_stamped`] (the intra-node parallel engine);
-    /// empty and untouched on every serial path.
-    stamps: Vec<u64>,
     max_entries: usize,
     /// Live, broker-revocable cap on top of `max_entries` (unlimited by
     /// default — single-query runs never consult it).
@@ -105,9 +101,8 @@ impl AggTable {
     }
 
     /// [`AggTable::new`] with an explicit pre-size hint, for callers that
-    /// build many tables over the same budget (the intra-node parallel
-    /// engine's stripes and partitions): a small hint keeps each table's
-    /// slot array tiny and lets it grow on demand.
+    /// build many tables over the same budget: a small hint keeps each
+    /// table's slot array tiny and lets it grow on demand.
     pub fn new_with_hint(query: AggQuery, max_entries: usize, hint: usize) -> Self {
         let key_len = query.group_by.len();
         let key_is_prefix = query.group_by.iter().enumerate().all(|(i, &c)| c == i);
@@ -116,7 +111,6 @@ impl AggTable {
             query,
             key_is_prefix,
             key_len,
-            stamps: Vec::new(),
             max_entries,
             grant: MemoryGrant::unlimited(),
             charge_hash: true,
@@ -241,7 +235,7 @@ impl AggTable {
         tracker: &mut T,
     ) -> Result<Inserted, ModelError> {
         self.charge_attempt(tracker);
-        let (outcome, _) = self.insert_quiet(RowKind::Raw, values, None)?;
+        let outcome = self.insert_quiet(RowKind::Raw, values, None)?;
         if outcome != Inserted::Full {
             tracker.record(CostEvent::TupleAgg, 1);
         }
@@ -256,7 +250,7 @@ impl AggTable {
         tracker: &mut T,
     ) -> Result<Inserted, ModelError> {
         self.charge_attempt(tracker);
-        let (outcome, _) = self.insert_quiet(RowKind::Partial, values, None)?;
+        let outcome = self.insert_quiet(RowKind::Partial, values, None)?;
         if outcome != Inserted::Full {
             tracker.record(CostEvent::TupleAgg, 1);
         }
@@ -293,8 +287,8 @@ impl AggTable {
                 Ok(true) => {}
             }
             match self.insert_quiet(kind, &scratch, None) {
-                Ok((Inserted::Updated, _)) | Ok((Inserted::New, _)) => pending += 1,
-                Ok((Inserted::Full, _)) => {
+                Ok(Inserted::Updated) | Ok(Inserted::New) => pending += 1,
+                Ok(Inserted::Full) => {
                     tracker.record_tuples(template, pending);
                     pending = 0;
                     self.charge_attempt(tracker);
@@ -419,7 +413,7 @@ impl AggTable {
                 Ok(outcome)
             } else {
                 batch.read_row(r, &mut scratch);
-                self.insert_quiet(kind, &scratch, hash).map(|(outcome, _)| outcome)
+                self.insert_quiet(kind, &scratch, hash)
             };
             match inserted {
                 Ok(Inserted::Updated) | Ok(Inserted::New) => charges.accepted(),
@@ -533,61 +527,15 @@ impl AggTable {
         }
     }
 
-    /// Insert with a logical **stamp** and no cost recording: the
-    /// intra-node parallel engine's entry point. The stamp identifies the
-    /// row's position in the logical (single-threaded) scan order; each
-    /// entry remembers the *minimum* stamp over all rows that touched it,
-    /// which is exactly the stamp of the group's logically-first row —
-    /// [`AggTable::drain_stamped`] then lets the engine reconstruct the
-    /// serial insertion order no matter how the physical threads
-    /// interleaved. Costs are charged separately by replaying the scan
-    /// journal in logical order (see `adaptagg-hashagg::parallel`).
-    ///
-    /// Must not be mixed with unstamped inserts on the same table.
-    pub fn insert_stamped(
-        &mut self,
-        kind: RowKind,
-        values: &[Value],
-        prehashed: Option<u64>,
-        stamp: u64,
-    ) -> Result<Inserted, ModelError> {
-        let (outcome, entry) = self.insert_quiet(kind, values, prehashed)?;
-        match outcome {
-            Inserted::New => {
-                debug_assert_eq!(entry, self.stamps.len());
-                self.stamps.push(stamp);
-            }
-            Inserted::Updated => {
-                let s = &mut self.stamps[entry];
-                if stamp < *s {
-                    *s = stamp;
-                }
-            }
-            Inserted::Full => {}
-        }
-        Ok(outcome)
-    }
-
-    /// Drain a stamped table as `(stamp, partial row)` pairs, cost-free.
-    /// The stamp of each entry is the logical position of the group's
-    /// first row (see [`AggTable::insert_stamped`]).
-    pub fn drain_stamped(&mut self) -> Vec<(u64, Vec<Value>)> {
-        let mut stamps = std::mem::take(&mut self.stamps).into_iter();
-        let mut out = Vec::with_capacity(self.store.len());
-        self.drain_partials(|row| out.push((stamps.next().expect("one stamp per entry"), row)));
-        out
-    }
-
     /// The probe-and-mutate core, with no cost recording: callers charge
     /// per the charging contract (see module docs). `prehashed` must be
-    /// `hash_values(Seed::Table, key_columns)` when provided. Returns the
-    /// outcome plus the touched entry index (meaningless on `Full`).
+    /// `hash_values(Seed::Table, key_columns)` when provided.
     fn insert_quiet(
         &mut self,
         kind: RowKind,
         values: &[Value],
         prehashed: Option<u64>,
-    ) -> Result<(Inserted, usize), ModelError> {
+    ) -> Result<Inserted, ModelError> {
         let k = self.key_len;
         if kind == RowKind::Partial && values.len() != self.query.partial_row_arity() {
             return Err(ModelError::PartialArityMismatch {
@@ -639,14 +587,14 @@ impl AggTable {
             Ok(entry) => {
                 fold(self.store.states_mut(entry))?;
                 self.updates += 1;
-                Ok((Inserted::Updated, entry))
+                Ok(Inserted::Updated)
             }
-            Err(_) if self.is_full() => Ok((Inserted::Full, usize::MAX)),
+            Err(_) if self.is_full() => Ok(Inserted::Full),
             Err(slot) => {
                 // A first row that does not fold leaves the store as it was.
-                let entry = self.store.admit_with(slot, hash, key.iter().cloned(), fold)?;
+                self.store.admit_with(slot, hash, key.iter().cloned(), fold)?;
                 self.inserts += 1;
-                Ok((Inserted::New, entry))
+                Ok(Inserted::New)
             }
         }
     }
@@ -684,7 +632,6 @@ impl AggTable {
             }
             emit(row);
         });
-        self.stamps.clear();
     }
 
     /// Drain the table as **partial rows** (key columns ++ partial-state
@@ -706,7 +653,6 @@ impl AggTable {
             let aggs = states.iter().map(AggState::finalize).collect();
             out.push(ResultRow::new(GroupKey::new(key), aggs));
         });
-        self.stamps.clear();
         tracker.record(CostEvent::TupleWrite, out.len() as u64);
         out
     }
@@ -1159,29 +1105,6 @@ mod tests {
         grant.set(100); // regrant reopens admission
         assert!(!t.is_full());
         assert_eq!(t.insert_raw(&raw(9, 1), &mut tr).unwrap(), Inserted::New);
-    }
-
-    #[test]
-    fn stamped_inserts_remember_first_logical_touch() {
-        let mut t = AggTable::new(query(), 10);
-        // Physical arrival order deliberately scrambled vs the stamps.
-        t.insert_stamped(RowKind::Raw, &raw(5, 1), None, 30).unwrap();
-        t.insert_stamped(RowKind::Raw, &raw(1, 1), None, 10).unwrap();
-        t.insert_stamped(RowKind::Raw, &raw(5, 2), None, 0).unwrap(); // earlier touch of 5
-        t.insert_stamped(RowKind::Raw, &raw(9, 1), None, 20).unwrap();
-        let mut drained = t.drain_stamped();
-        drained.sort_unstable_by_key(|(s, _)| *s);
-        let keys: Vec<i64> = drained
-            .iter()
-            .map(|(_, r)| match r[0] {
-                Value::Int(g) => g,
-                _ => panic!("int key"),
-            })
-            .collect();
-        // Stamp order = logical order: 5 (min stamp 0), 1, 9.
-        assert_eq!(keys, vec![5, 1, 9]);
-        assert_eq!(drained[0].1, vec![Value::Int(5), Value::Int(3)]);
-        assert!(t.is_empty());
     }
 
     #[test]

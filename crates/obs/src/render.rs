@@ -210,12 +210,6 @@ fn event_json(event: &TraceEvent) -> String {
         TraceEvent::SamplingDecision { at_ms, use_repartitioning, groups_in_sample } => format!(
             "{{\"kind\": \"sampling-decision\", \"at_ms\": {at_ms:.6}, \"use_repartitioning\": {use_repartitioning}, \"groups_in_sample\": {groups_in_sample}}}"
         ),
-        TraceEvent::IntraPick { at_ms, strategy, at_morsel } => format!(
-            "{{\"kind\": \"intra.pick\", \"at_ms\": {at_ms:.6}, \"strategy\": \"{strategy}\", \"at_morsel\": {at_morsel}}}"
-        ),
-        TraceEvent::IntraSwitch { at_ms, from, to, cause, at_morsel } => format!(
-            "{{\"kind\": \"intra.switch\", \"at_ms\": {at_ms:.6}, \"from\": \"{from}\", \"to\": \"{to}\", \"cause\": \"{cause}\", \"at_morsel\": {at_morsel}}}"
-        ),
     }
 }
 
@@ -234,14 +228,6 @@ fn event_text(event: &TraceEvent) -> String {
             format!(
                 "sampling chose {} ({groups_in_sample} groups in sample; {at_ms:.3} ms virtual)",
                 if *use_repartitioning { "repartitioning" } else { "two-phase" }
-            )
-        }
-        TraceEvent::IntraPick { at_ms, strategy, at_morsel } => {
-            format!("intra-node picker chose {strategy} at morsel {at_morsel} ({at_ms:.3} ms virtual)")
-        }
-        TraceEvent::IntraSwitch { at_ms, from, to, cause, at_morsel } => {
-            format!(
-                "intra-node strategy switched {from} → {to} at morsel {at_morsel} ({cause}; {at_ms:.3} ms virtual)"
             )
         }
     }

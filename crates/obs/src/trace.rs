@@ -115,31 +115,6 @@ pub enum TraceEvent {
         /// Distinct groups observed in the merged sample.
         groups_in_sample: u64,
     },
-    /// The intra-node picker chose its physical table strategy
-    /// (`intra.pick`). Names are the stable strategy spellings
-    /// (`thread-local` / `shared` / `partitioned`).
-    IntraPick {
-        /// Virtual milliseconds on the node clock when recorded.
-        at_ms: f64,
-        /// The chosen strategy.
-        strategy: &'static str,
-        /// Morsel offset at which the decision landed.
-        at_morsel: u64,
-    },
-    /// The intra-node picker switched strategies mid-scan
-    /// (`intra.switch`).
-    IntraSwitch {
-        /// Virtual milliseconds on the node clock when recorded.
-        at_ms: f64,
-        /// Strategy rows were routed to before.
-        from: &'static str,
-        /// Strategy rows route to now.
-        to: &'static str,
-        /// Stable cause name (`high-distinct-rate` / `memory-pressure`).
-        cause: &'static str,
-        /// Morsel offset at which the change landed.
-        at_morsel: u64,
-    },
 }
 
 /// One completed phase span: virtual extent, wall extent, and the

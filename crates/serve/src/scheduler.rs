@@ -84,11 +84,9 @@ pub struct ServeConfig {
     /// Run every query with tracing on, so degraded queries are
     /// attributable from the trace alone.
     pub trace: bool,
-    /// Intra-node morsel worker threads per query (0 = leave the
-    /// engine default, which honours `ADAPTAGG_THREADS`). Results and
-    /// virtual times are thread-count-invariant; this only moves
-    /// wall-clock, so co-resident queries share cores fairly at the
-    /// default of 1-per-query.
+    /// Accepted and ignored: every node runs one execution lane. Exists
+    /// for `benchmark/`, which assigns it; delete with the next
+    /// `benchmark` PR.
     pub threads: usize,
 }
 
@@ -637,9 +635,6 @@ impl Inner {
             ..self.cfg.params.clone()
         };
         let mut cluster = ClusterConfig::new(self.data.nodes(), params).with_grants(grants);
-        if self.cfg.threads > 0 {
-            cluster = cluster.with_threads(self.cfg.threads);
-        }
         if let Some(plan) = self.fault_plan(req) {
             cluster = cluster.with_fault_plan(plan);
         }

@@ -8,15 +8,12 @@
 //! [`PagePool::get`], so after warm-up the exchange paths recycle a small
 //! working set of buffers instead of touching the allocator.
 //!
-//! The free list sits behind an internal mutex so the intra-node morsel
-//! workers can share one pool through `&self` (uncontended in the serial
-//! paths — the lock is a compare-and-swap there). Purely a wall-clock
-//! optimization either way: pages are byte-identical to freshly
-//! allocated ones (`get` only hands out cleared pages) and no cost event
-//! is involved anywhere.
+//! Each node owns its pool (`&mut self` throughout). Purely a wall-clock
+//! optimization: pages are byte-identical to freshly allocated ones
+//! (`get` only hands out cleared pages) and no cost event is involved
+//! anywhere.
 
 use crate::page::Page;
-use std::sync::Mutex;
 
 /// Upper bound on retained pages; beyond it, returned pages are dropped.
 /// Sized for a node's steady state (one open page per peer plus in-flight
@@ -26,7 +23,7 @@ const MAX_POOLED: usize = 64;
 /// A free list of cleared [`Page`]s, all of one byte capacity.
 #[derive(Debug, Default)]
 pub struct PagePool {
-    free: Mutex<Vec<Page>>,
+    free: Vec<Page>,
 }
 
 impl PagePool {
@@ -38,26 +35,24 @@ impl PagePool {
     /// A cleared page of `capacity` bytes — recycled when available,
     /// freshly allocated otherwise. Pages of a different capacity are
     /// never handed out.
-    pub fn get(&self, capacity: usize) -> Page {
-        let mut free = self.free.lock().expect("page pool poisoned");
-        match free.iter().position(|p| p.capacity() == capacity) {
-            Some(i) => free.swap_remove(i),
+    pub fn get(&mut self, capacity: usize) -> Page {
+        match self.free.iter().position(|p| p.capacity() == capacity) {
+            Some(i) => self.free.swap_remove(i),
             None => Page::new(capacity),
         }
     }
 
     /// Return a consumed page to the free list (cleared on the way in).
-    pub fn put(&self, mut page: Page) {
-        let mut free = self.free.lock().expect("page pool poisoned");
-        if free.len() < MAX_POOLED {
+    pub fn put(&mut self, mut page: Page) {
+        if self.free.len() < MAX_POOLED {
             page.clear();
-            free.push(page);
+            self.free.push(page);
         }
     }
 
     /// Pages currently pooled.
     pub fn len(&self) -> usize {
-        self.free.lock().expect("page pool poisoned").len()
+        self.free.len()
     }
 
     /// Whether the pool holds no pages.
@@ -73,7 +68,7 @@ mod tests {
 
     #[test]
     fn recycles_cleared_pages_of_matching_capacity() {
-        let pool = PagePool::new();
+        let mut pool = PagePool::new();
         let mut p = pool.get(128);
         assert_eq!(p.capacity(), 128);
         p.try_push(&[Value::Int(1)]).unwrap();
@@ -93,26 +88,10 @@ mod tests {
 
     #[test]
     fn pool_is_bounded() {
-        let pool = PagePool::new();
+        let mut pool = PagePool::new();
         for _ in 0..(super::MAX_POOLED + 10) {
             pool.put(Page::new(64));
         }
         assert_eq!(pool.len(), super::MAX_POOLED);
-    }
-
-    #[test]
-    fn pool_is_shared_across_threads() {
-        let pool = PagePool::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..50 {
-                        let page = pool.get(64);
-                        pool.put(page);
-                    }
-                });
-            }
-        });
-        assert!(pool.len() <= super::MAX_POOLED);
     }
 }

@@ -201,7 +201,7 @@ proptest! {
             prop_assert!(rows.is_empty());
             return Ok(());
         };
-        let pool = PagePool::new();
+        let mut pool = PagePool::new();
         let (mut by_row, mut by_strip) = (Page::new(capacity), pool.get(capacity));
         for (r, row) in rows.iter().enumerate() {
             let row = project(row);

@@ -17,7 +17,7 @@
 //! change):  cargo test --test cost_invariance print_pins -- --ignored --nocapture
 
 use adaptagg_algos::{run_algorithm, AdaptEvent, AlgorithmKind, RunOutcome};
-use adaptagg_exec::{Clock, ClusterConfig};
+use adaptagg_exec::{Clock, ClusterConfig, TraceEvent};
 use adaptagg_hashagg::{EmitMode, HashAggregator};
 use adaptagg_model::{
     AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker, CountingTracker,
@@ -160,15 +160,22 @@ fn filtered_swapped_query() -> AggQuery {
     .with_filter(vec![Predicate::new(0, Compare::Lt, Value::Int(60))])
 }
 
-fn pinned_run((kind, nodes, tuples, groups, max_hash_entries): Shape, query: &AggQuery, threads: usize) -> RunOutcome {
-    let spec = RelationSpec::uniform(tuples, groups);
-    let parts = generate_partitions(&spec, nodes);
+fn pinned_config((_, nodes, _, _, max_hash_entries): Shape) -> ClusterConfig {
     let params = CostParams {
         max_hash_entries,
         ..CostParams::paper_default()
     };
-    let config = ClusterConfig::new(nodes, params).with_threads(threads);
-    run_algorithm(kind, &config, &parts, query).unwrap()
+    ClusterConfig::new(nodes, params)
+}
+
+fn run_shape(shape: Shape, query: &AggQuery, config: &ClusterConfig) -> RunOutcome {
+    let (kind, nodes, tuples, groups, _) = shape;
+    let parts = generate_partitions(&RelationSpec::uniform(tuples, groups), nodes);
+    run_algorithm(kind, config, &parts, query).unwrap()
+}
+
+fn pinned_run(shape: Shape, query: &AggQuery) -> RunOutcome {
+    run_shape(shape, query, &pinned_config(shape))
 }
 
 /// Every pinned run: `PIN_RUNS` under the default query, then
@@ -181,9 +188,9 @@ fn all_pins() -> impl Iterator<Item = (Shape, AggQuery, u64)> {
     defaults.chain(scans)
 }
 
-fn assert_pins_hold(threads: usize) {
+fn assert_pins_hold() {
     for (shape, query, bits) in all_pins() {
-        let out = pinned_run(shape, &query, threads);
+        let out = pinned_run(shape, &query);
         if query == default_query() {
             assert_eq!(out.rows.len(), shape.3);
         }
@@ -191,7 +198,7 @@ fn assert_pins_hold(threads: usize) {
         assert_eq!(
             elapsed.to_bits(),
             bits,
-            "{shape:?} threads={threads} ({} predicates): virtual time drifted to {elapsed} ms ({:#018x})",
+            "{shape:?} ({} predicates): virtual time drifted to {elapsed} ms ({:#018x})",
             query.filter.len(),
             elapsed.to_bits()
         );
@@ -200,30 +207,35 @@ fn assert_pins_hold(threads: usize) {
 
 #[test]
 fn cluster_virtual_times_are_pinned() {
-    assert_pins_hold(1);
-}
+    assert_pins_hold();
 
-/// The intra-node morsel engine's contract: the *same* pinned virtual
-/// times at every thread count. Parallelism may only move wall-clock;
-/// cost charges replay in logical order, and regimes the engine cannot
-/// reproduce exactly (spill, floats) abort to the serial path. The
-/// spill-regime rows in `PIN_RUNS` exercise precisely that fallback.
-#[test]
-fn cluster_virtual_times_are_pinned_at_every_thread_count() {
-    for threads in [2usize, 4, 8] {
-        assert_pins_hold(threads);
-    }
+    // `with_threads` is an inert shim (one execution lane per node): the
+    // A-2P scan pin reads the same rows, clock bits and trace event kinds
+    // with it as without.
+    let ScanPin { shape, query, bits } = PIN_SCAN_RUNS[1];
+    let traced = pinned_config(shape).with_tracing();
+    let plain = run_shape(shape, &query(), &traced);
+    let shimmed = run_shape(shape, &query(), &traced.with_threads(8));
+    assert_eq!(plain.rows, shimmed.rows);
+    assert_eq!(plain.elapsed_ms().to_bits(), bits);
+    assert_eq!(shimmed.elapsed_ms().to_bits(), bits);
+    let kinds = |out: &RunOutcome| -> Vec<Vec<std::mem::Discriminant<TraceEvent>>> {
+        let nodes = &out.trace.as_ref().expect("traced run").nodes;
+        nodes.iter().map(|n| n.events.iter().map(std::mem::discriminant).collect()).collect()
+    };
+    assert!(kinds(&plain).iter().any(|events| !events.is_empty()), "A-2P traces its switch");
+    assert_eq!(kinds(&plain), kinds(&shimmed));
 }
 
 /// The scan pins must keep exercising what they were chosen for.
 #[test]
 fn scan_pins_hit_their_regimes() {
     let ScanPin { shape, query, .. } = PIN_SCAN_RUNS[0];
-    let out = pinned_run(shape, &query(), 1);
+    let out = pinned_run(shape, &query());
     assert!(out.rows.len() > 100 && out.nodes[0].agg.raw_in < shape.2 as u64, "filter must bite");
 
     let ScanPin { shape, query, .. } = PIN_SCAN_RUNS[1];
-    let out = pinned_run(shape, &query(), 1);
+    let out = pinned_run(shape, &query());
     let at_tuple = out.nodes[0]
         .events
         .iter()
@@ -264,7 +276,7 @@ fn print_pins() {
 
     println!("const PIN_RUNS / PIN_SCAN_RUNS: ... = &[");
     for (shape, query, _) in all_pins() {
-        let elapsed = pinned_run(shape, &query, 1).elapsed_ms();
+        let elapsed = pinned_run(shape, &query).elapsed_ms();
         println!("    ({shape:?}, {:#018x}), // {elapsed} ms", elapsed.to_bits());
     }
     println!("];");

@@ -112,69 +112,23 @@ proptest! {
         }
     }
 
-    /// The morsel engine under the same differential microscope: with
-    /// worker threads the result rows must still equal the serial
-    /// reference at every cluster size, and on the single node (where
-    /// message arrival is deterministic) the virtual clock must
-    /// reproduce the serial figure bit-for-bit.
-    #[test]
-    fn prop_oracle_parallel_threads_match_serial(
-        raws in proptest::collection::vec((0u32..u32::MAX, -1000i64..1000), 50..400),
-        card in 1usize..150,
-        key_bit in 0u8..2,
-        threads_ix in 0usize..3,
-    ) {
-        let threads = [2usize, 4, 8][threads_ix];
-        let two_col_key = key_bit == 1;
-        let rows = build_rows(&raws, card, false, two_col_key);
-        let q = agg_query(two_col_key);
-        let single = build_partitions(&rows, 1);
-        let reference = reference_aggregate(&single, &q).unwrap();
-        for nodes in NODE_COUNTS {
-            let parts = build_partitions(&rows, nodes);
-            let base = ClusterConfig::new(nodes, CostParams::paper_default());
-            for kind in AlgorithmKind::ALL {
-                let par = run_algorithm(kind, &base.clone().with_threads(threads), &parts, &q)
-                    .expect("parallel run succeeds");
-                prop_assert_eq!(
-                    &par.rows, &reference,
-                    "{} diverged from the oracle at {} nodes, {} threads",
-                    kind, nodes, threads
-                );
-                if nodes == 1 {
-                    let serial = run_algorithm(kind, &base.clone().with_threads(1), &parts, &q)
-                        .expect("serial run succeeds");
-                    prop_assert_eq!(
-                        serial.elapsed_ms().to_bits(),
-                        par.elapsed_ms().to_bits(),
-                        "{}: virtual time diverged at {} threads ({} vs {})",
-                        kind, threads, serial.elapsed_ms(), par.elapsed_ms()
-                    );
-                }
-            }
-        }
-    }
-
     /// Batch-vs-row differential: the columnar fast path (the default)
     /// must be bit-identical to the row-at-a-time compatibility path —
     /// result rows at every cluster size, and the virtual clock on the
     /// single node (multi-node clocks are compared by the
     /// `cost_invariance` pins instead: algorithms that race phase-1
     /// traffic against the decision broadcast, e.g. Sampling, have
-    /// run-to-run clock jitter at >1 node even on a fixed path, same as
-    /// `prop_oracle_parallel_threads_match_serial` above). `m` ranges
-    /// down to budgets far below the group cardinality, so overflow
-    /// spooling and its replay run under both paths.
+    /// run-to-run clock jitter at >1 node even on a fixed path). `m`
+    /// ranges down to budgets far below the group cardinality, so
+    /// overflow spooling and its replay run under both paths.
     #[test]
     fn prop_oracle_batch_matches_row(
         raws in proptest::collection::vec((0u32..u32::MAX, -1000i64..1000), 50..400),
         card in 1usize..150,
         skew_bit in 0u8..2,
         key_bit in 0u8..2,
-        threads_ix in 0usize..3,
         m in 4usize..96,
     ) {
-        let threads = [1usize, 2, 4][threads_ix];
         let two_col_key = key_bit == 1;
         let rows = build_rows(&raws, card, skew_bit == 1, two_col_key);
         let q = agg_query(two_col_key);
@@ -186,8 +140,7 @@ proptest! {
             let config = ClusterConfig::new(nodes, CostParams {
                 max_hash_entries: m,
                 ..CostParams::paper_default()
-            })
-            .with_threads(threads);
+            });
             for kind in AlgorithmKind::ALL {
                 let out = run_algorithm(kind, &config, &parts, &q).expect("row run succeeds");
                 row_runs.push((nodes, kind, out));
@@ -200,20 +153,19 @@ proptest! {
             let config = ClusterConfig::new(nodes, CostParams {
                 max_hash_entries: m,
                 ..CostParams::paper_default()
-            })
-            .with_threads(threads);
+            });
             let batch = run_algorithm(kind, &config, &parts, &q).expect("batch run succeeds");
             prop_assert_eq!(
                 &batch.rows, &row_out.rows,
-                "{}: batch rows diverged from row path at {} nodes, {} threads (card {}, m {})",
-                kind, nodes, threads, card, m
+                "{}: batch rows diverged from row path at {} nodes (card {}, m {})",
+                kind, nodes, card, m
             );
             if nodes == 1 {
                 prop_assert_eq!(
                     batch.elapsed_ms().to_bits(),
                     row_out.elapsed_ms().to_bits(),
-                    "{}: batch clock diverged from row path at {} threads ({} vs {})",
-                    kind, threads, batch.elapsed_ms(), row_out.elapsed_ms()
+                    "{}: batch clock diverged from row path ({} vs {})",
+                    kind, batch.elapsed_ms(), row_out.elapsed_ms()
                 );
             }
         }

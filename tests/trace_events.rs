@@ -531,103 +531,6 @@ fn serving_annotations_ride_the_trace() {
     assert!(r1.success().is_some(), "the stalled query also completes");
 }
 
-/// Intra-node parallelism is observable: a multi-threaded traced run
-/// carries the picker's `intra.pick` decision with its strategy name and
-/// morsel offset, in both the structured events and the rendered
-/// artifacts.
-#[test]
-fn intra_node_pick_is_traced_with_morsel_offset() {
-    let spec = RelationSpec::uniform(TUPLES, GROUPS);
-    let parts = generate_partitions(&spec, 2);
-    let config = ClusterConfig::new(2, CostParams::paper_default())
-        .with_threads(4)
-        .with_tracing();
-    let out = run_algorithm(AlgorithmKind::TwoPhase, &config, &parts, &default_query()).unwrap();
-    let trace = out.trace.as_ref().unwrap();
-    let picks: Vec<(&str, u64)> = trace
-        .nodes
-        .iter()
-        .flat_map(|n| n.events.iter())
-        .filter_map(|e| match e {
-            TraceEvent::IntraPick { strategy, at_morsel, .. } => Some((*strategy, *at_morsel)),
-            _ => None,
-        })
-        .collect();
-    assert!(!picks.is_empty(), "4-thread run must trace its strategy pick");
-    for (strategy, _) in &picks {
-        assert!(
-            ["thread-local", "shared", "partitioned"].contains(strategy),
-            "unknown strategy spelling {strategy:?}"
-        );
-    }
-    let json = trace.to_json();
-    assert!(json.contains("\"kind\": \"intra.pick\""));
-    assert!(json.contains("\"at_morsel\":"));
-    assert!(trace.to_text().contains("intra-node picker chose"));
-}
-
-/// A mid-scan `intra.switch` with its cause and morsel offset: the first
-/// half of the relation repeats 16 keys (the observation window rate sits
-/// far below the partitioning threshold), the second half is all-distinct
-/// (any window there is ~100% new groups), so the picker must escalate to
-/// the partitioned layout mid-scan — and the switch must move neither the
-/// result rows nor one bit of the virtual clock.
-#[test]
-fn intra_node_switch_fires_on_bimodal_distinct_rate() {
-    let mut rows: Vec<Vec<Value>> = (0..6_000i64)
-        .map(|i| vec![Value::Int(i % 16), Value::Int(i)])
-        .collect();
-    rows.extend((0..6_000i64).map(|i| vec![Value::Int(1_000 + i), Value::Int(i)]));
-    let parts = adaptagg::workload::round_robin_partitions(&rows, 1, 4096);
-    let query = default_query();
-
-    let traced = ClusterConfig::new(1, CostParams::paper_default())
-        .with_threads(4)
-        .with_tracing();
-    let par = run_algorithm(AlgorithmKind::TwoPhase, &traced, &parts, &query).unwrap();
-    assert_eq!(par.rows.len(), 6_016, "16 repeated + 6000 distinct groups");
-
-    let trace = par.trace.as_ref().unwrap();
-    let switches: Vec<(&str, &str, &str, u64)> = trace
-        .nodes
-        .iter()
-        .flat_map(|n| n.events.iter())
-        .filter_map(|e| match e {
-            TraceEvent::IntraSwitch { from, to, cause, at_morsel, .. } => {
-                Some((*from, *to, *cause, *at_morsel))
-            }
-            _ => None,
-        })
-        .collect();
-    assert!(
-        switches
-            .iter()
-            .any(|&(_, to, cause, _)| to == "partitioned" && cause == "high-distinct-rate"),
-        "the all-distinct tail must force a partitioned switch, got {switches:?}"
-    );
-    assert!(
-        switches.iter().all(|&(_, _, _, m)| m > 0),
-        "a mid-scan switch cannot land at morsel 0: {switches:?}"
-    );
-    let json = trace.to_json();
-    assert!(json.contains("\"kind\": \"intra.switch\""));
-    assert!(json.contains("\"cause\": \"high-distinct-rate\""));
-    assert!(trace.to_text().contains("intra-node strategy switched"));
-
-    // The escalation is physical only: serial execution of the same scan
-    // produces identical rows and the identical virtual-time bits.
-    let serial_cfg = ClusterConfig::new(1, CostParams::paper_default()).with_threads(1);
-    let serial = run_algorithm(AlgorithmKind::TwoPhase, &serial_cfg, &parts, &query).unwrap();
-    assert_eq!(serial.rows, par.rows);
-    assert_eq!(
-        serial.elapsed_ms().to_bits(),
-        par.elapsed_ms().to_bits(),
-        "the mid-scan switch moved the virtual clock ({} vs {})",
-        serial.elapsed_ms(),
-        par.elapsed_ms()
-    );
-}
-
 /// The completeness contract holds unchanged over the TCP loopback
 /// backend: tracing lives above the transport, so swapping the wire
 /// must not lose an event or mislabel the run.
