@@ -272,18 +272,6 @@ fn merge_phase_inner(
     }
 }
 
-/// Feed one received page into an aggregator (page-batched; cost events
-/// identical to pushing each tuple — see [`HashAggregator::push_page`]).
-pub fn push_page(
-    agg: &mut HashAggregator,
-    kind: RowKind,
-    page: &Page,
-    clock: &mut adaptagg_exec::Clock,
-) -> Result<(), ExecError> {
-    agg.push_page(kind, page, clock)?;
-    Ok(())
-}
-
 /// Ship partial rows through an exchange, hash-partitioned on the group
 /// key (destination cost only — the rows came out of a hash table), then
 /// signal end-of-stream to every node.

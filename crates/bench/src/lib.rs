@@ -18,7 +18,6 @@ pub mod ablations;
 pub mod figures;
 pub mod measured;
 pub mod report;
-pub mod serving;
 
 pub use report::{Series, Table};
 

@@ -14,27 +14,12 @@ use adaptagg_obs::{NodeTraceReport, RecoveryAttemptTrace, RecoverySummaryTrace, 
 use adaptagg_storage::{HeapFile, SimDisk};
 use std::time::Duration;
 
-/// Default per-node real-time watchdog headroom when deriving the
-/// deadline from cluster size (thread startup, scheduling). Overridable
-/// per run via [`ClusterConfig::with_watchdog_headroom`] or globally via
-/// `ADAPTAGG_WATCHDOG_MS_PER_NODE` (DESIGN.md §9).
+/// Per-node real-time headroom (ms) of the derived watchdog deadline
+/// (thread startup, scheduling; DESIGN.md §9).
 pub const WATCHDOG_MS_PER_NODE: u64 = 250;
-/// Default per-input-page watchdog headroom when deriving the deadline
-/// (real compute time scales with input volume even though time is
-/// virtual). Overridable per run via
-/// [`ClusterConfig::with_watchdog_headroom`] or globally via
-/// `ADAPTAGG_WATCHDOG_US_PER_PAGE` (DESIGN.md §9).
+/// Per-input-page headroom (µs) of the derived watchdog deadline (real
+/// compute time scales with input volume even though time is virtual).
 pub const WATCHDOG_US_PER_PAGE: u64 = 200;
-
-/// Read a `u64` watchdog knob from the environment, falling back to its
-/// compiled default on absence or garbage (a misspelt value must not
-/// silently disable the hang backstop).
-fn env_u64(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
 
 /// Cluster shape and cost parameters for a run.
 #[derive(Debug, Clone)]
@@ -51,15 +36,6 @@ pub struct ClusterConfig {
     /// `None` (the default) derives the deadline from cluster size and
     /// input volume — see [`ClusterConfig::effective_watchdog`].
     pub watchdog: Option<Duration>,
-    /// Floor for the derived watchdog deadline.
-    pub watchdog_floor: Duration,
-    /// Per-node headroom (ms) of the derived watchdog. Defaults from
-    /// `ADAPTAGG_WATCHDOG_MS_PER_NODE`, then [`WATCHDOG_MS_PER_NODE`].
-    pub watchdog_ms_per_node: u64,
-    /// Per-input-page headroom (µs) of the derived watchdog. Defaults
-    /// from `ADAPTAGG_WATCHDOG_US_PER_PAGE`, then
-    /// [`WATCHDOG_US_PER_PAGE`].
-    pub watchdog_us_per_page: u64,
     /// Per-node live memory grants (original node ids), installed on each
     /// node's [`NodeCtx`]. Empty (the default) leaves every node on the
     /// unlimited grant — the pre-serving, bit-identical path. The serving
@@ -93,9 +69,6 @@ impl ClusterConfig {
             params,
             fault_plan: FaultPlan::none(),
             watchdog: None,
-            watchdog_floor: DEFAULT_WATCHDOG,
-            watchdog_ms_per_node: env_u64("ADAPTAGG_WATCHDOG_MS_PER_NODE", WATCHDOG_MS_PER_NODE),
-            watchdog_us_per_page: env_u64("ADAPTAGG_WATCHDOG_US_PER_PAGE", WATCHDOG_US_PER_PAGE),
             grants: Vec::new(),
             recovery: None,
             trace: std::env::var("ADAPTAGG_TRACE")
@@ -137,22 +110,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Override the floor of the size-derived receive deadline.
-    pub fn with_watchdog_floor(mut self, floor: Duration) -> Self {
-        self.watchdog_floor = floor;
-        self
-    }
-
-    /// Override the derived watchdog's headroom slopes: `ms_per_node` of
-    /// real time per cluster node plus `us_per_page` per input page.
-    /// Loaded CI machines and the concurrent serving path raise these so
-    /// contended-but-healthy runs aren't declared stalled.
-    pub fn with_watchdog_headroom(mut self, ms_per_node: u64, us_per_page: u64) -> Self {
-        self.watchdog_ms_per_node = ms_per_node;
-        self.watchdog_us_per_page = us_per_page;
-        self
-    }
-
     /// Install per-node live memory grants (one per node, original ids).
     pub fn with_grants(mut self, grants: Vec<MemoryGrant>) -> Self {
         assert_eq!(grants.len(), self.nodes, "one grant per node required");
@@ -167,9 +124,10 @@ impl ClusterConfig {
     }
 
     /// The real-time receive deadline a run with `total_pages` of input
-    /// actually uses: the explicit override if set, otherwise the floor
-    /// plus headroom proportional to cluster size and input volume (a
-    /// fixed constant falsely declares large slow runs stalled). With
+    /// actually uses: the explicit override if set, otherwise
+    /// [`DEFAULT_WATCHDOG`] plus [`WATCHDOG_MS_PER_NODE`] per node and
+    /// [`WATCHDOG_US_PER_PAGE`] per input page (a fixed constant falsely
+    /// declares large slow runs stalled). With
     /// recovery enabled, the derived deadline is further scaled by the
     /// policy's straggler factor — survivors inherit partitions and
     /// legitimately run longer.
@@ -177,9 +135,9 @@ impl ClusterConfig {
         if let Some(explicit) = self.watchdog {
             return explicit;
         }
-        let mut ms = self.watchdog_floor.as_millis() as u64
-            + self.watchdog_ms_per_node * self.nodes as u64
-            + self.watchdog_us_per_page * total_pages as u64 / 1000;
+        let mut ms = DEFAULT_WATCHDOG.as_millis() as u64
+            + WATCHDOG_MS_PER_NODE * self.nodes as u64
+            + WATCHDOG_US_PER_PAGE * total_pages as u64 / 1000;
         if let Some(policy) = &self.recovery {
             ms = (ms as f64 * policy.straggler_factor.max(1.0)).round() as u64;
         }
@@ -849,7 +807,8 @@ mod tests {
         let big = ClusterConfig::new(64, CostParams::paper_default());
         assert!(small.effective_watchdog(0) >= DEFAULT_WATCHDOG);
         assert!(big.effective_watchdog(0) > small.effective_watchdog(0));
-        assert!(small.effective_watchdog(1_000_000) > small.effective_watchdog(0));
+        // 30 s + 250 ms x 2 nodes + 200 us x 1M pages.
+        assert_eq!(small.effective_watchdog(1_000_000), Duration::from_millis(230_500));
     }
 
     #[test]
@@ -859,24 +818,6 @@ mod tests {
         assert_eq!(
             config.effective_watchdog(1_000_000),
             Duration::from_millis(123)
-        );
-        let floored = ClusterConfig::new(1, CostParams::paper_default())
-            .with_watchdog_floor(Duration::from_secs(90));
-        assert!(floored.effective_watchdog(0) >= Duration::from_secs(90));
-    }
-
-    #[test]
-    fn watchdog_headroom_override_changes_the_derived_deadline() {
-        let stock = ClusterConfig::new(8, CostParams::paper_default());
-        let padded = ClusterConfig::new(8, CostParams::paper_default())
-            .with_watchdog_headroom(WATCHDOG_MS_PER_NODE * 10, WATCHDOG_US_PER_PAGE * 10);
-        assert!(padded.effective_watchdog(1000) > stock.effective_watchdog(1000));
-        let expected = stock.watchdog_floor.as_millis() as u64
-            + WATCHDOG_MS_PER_NODE * 10 * 8
-            + WATCHDOG_US_PER_PAGE * 10 * 1000 / 1000;
-        assert_eq!(
-            padded.effective_watchdog(1000),
-            Duration::from_millis(expected)
         );
     }
 

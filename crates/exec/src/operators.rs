@@ -15,7 +15,7 @@
 
 use crate::error::ExecError;
 use crate::node::NodeCtx;
-use adaptagg_hashagg::{columnar_default, HashAggregator};
+use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::{matches_all, CostEvent, CostTracker, ModelError, Predicate, ResultRow, RowKind, Value};
 use adaptagg_storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch, StripView};
 
@@ -65,7 +65,7 @@ pub trait ScanSink<X> {
 }
 
 /// A row callback as a (never-batched) sink.
-pub(crate) struct RowSink<F>(pub(crate) F);
+struct RowSink<F>(F);
 
 impl<X, F> ScanSink<X> for RowSink<F>
 where
@@ -119,8 +119,6 @@ pub struct PageScan<'q> {
     columns: &'q [usize],
     /// Columns the row loop must materialize (`None` = all).
     select: Option<Vec<bool>>,
-    /// `ADAPTAGG_COLUMNAR=row` keeps every page on the row loop.
-    batched: bool,
     selection: Vec<u32>,
     raw: Vec<Value>,
     projected: Vec<Value>,
@@ -144,7 +142,6 @@ impl<'q> PageScan<'q> {
             filter,
             columns,
             select,
-            batched: columnar_default(),
             selection: Vec::new(),
             raw: Vec::new(),
             projected: Vec::new(),
@@ -175,7 +172,7 @@ impl<'q> PageScan<'q> {
             // loop then meets the crash on the very next read.
             let limit = x.crash_budget().map_or(n, |left| n.min(left as usize));
             let mut from = 0;
-            if self.batched && limit > 0 && sink.wants_batch() {
+            if limit > 0 && sink.wants_batch() {
                 match select_batch(self.filter, self.columns, page, limit, &mut self.selection) {
                     Ok(batch) => {
                         let out = sink.batch(x, &batch)?;
@@ -311,32 +308,13 @@ pub fn scan_project<F>(
     name: &str,
     filter: &[Predicate],
     columns: &[usize],
-    consume: F,
-) -> Result<usize, ExecError>
-where
-    F: FnMut(&mut NodeCtx, &[Value]) -> Result<(), ExecError>,
-{
-    scan_project_range(ctx, name, filter, columns, 0, usize::MAX, consume)
-}
-
-/// [`scan_project`] restricted to the page range `[start_page, end_page)`
-/// — the recovery layer's unit of progress: a restarted node scans only
-/// the pages past its last durable checkpoint. Charges exactly what a
-/// full scan charges for those pages.
-pub fn scan_project_range<F>(
-    ctx: &mut NodeCtx,
-    name: &str,
-    filter: &[Predicate],
-    columns: &[usize],
-    start_page: usize,
-    end_page: usize,
     mut consume: F,
 ) -> Result<usize, ExecError>
 where
     F: FnMut(&mut NodeCtx, &[Value]) -> Result<(), ExecError>,
 {
     let mut sink = RowSink(|ctx: &mut NodeCtx, values: &[Value]| consume(ctx, values).map(|()| true));
-    scan_pages(ctx, name, filter, columns, start_page, end_page, &mut sink)
+    scan_pages(ctx, name, filter, columns, 0, usize::MAX, &mut sink)
 }
 
 /// Store finalized result rows into the node's `result` file, charging one
@@ -417,11 +395,11 @@ mod tests {
         assert!(pages >= 2, "need a multi-page file for the split");
         let mut seen = Vec::new();
         for (a, b) in [(0, pages / 2), (pages / 2, pages)] {
-            scan_project_range(&mut ctx, "base", &[], &[], a, b, |_ctx, vals| {
+            let mut sink = RowSink(|_: &mut NodeCtx, vals: &[Value]| {
                 seen.push(vals.to_vec());
-                Ok(())
-            })
-            .unwrap();
+                Ok(true)
+            });
+            scan_pages(&mut ctx, "base", &[], &[], a, b, &mut sink).unwrap();
         }
         assert_eq!(seen, full);
         assert_eq!(ctx.clock.now_ms(), full_ctx.clock.now_ms());
@@ -432,11 +410,11 @@ mod tests {
         let tuples = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
         let mut ctx = ctx_with_file(&tuples, 128);
         let mut n = 0;
-        scan_project_range(&mut ctx, "base", &[], &[], 0, 999, |_ctx, _vals| {
+        let mut sink = RowSink(|_: &mut NodeCtx, _: &[Value]| {
             n += 1;
-            Ok(())
-        })
-        .unwrap();
+            Ok(true)
+        });
+        scan_pages(&mut ctx, "base", &[], &[], 0, 999, &mut sink).unwrap();
         assert_eq!(n, 2);
     }
 

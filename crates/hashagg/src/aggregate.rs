@@ -46,21 +46,7 @@ pub struct HashAggregator {
     page_bytes: usize,
     charge_hash: bool,
     grant: MemoryGrant,
-    /// Whether [`HashAggregator::push_page`] takes the vectorized probe
-    /// ([`AggTable::insert_page_batched`]) or the row loop. Both are
-    /// bit-identical in results and cost events; the knob exists so the
-    /// oracle tests can pin either path.
-    columnar: bool,
     stats: HashAggStats,
-}
-
-/// Read the `ADAPTAGG_COLUMNAR` knob: `"row"` forces the row-at-a-time
-/// paths (page inserts, exchange routing, the local-phase scan), anything
-/// else (or unset) selects the batched columnar ones. Read per operator
-/// construction (not cached) so the differential oracles can flip it
-/// in-process.
-pub fn columnar_default() -> bool {
-    std::env::var("ADAPTAGG_COLUMNAR").map(|v| v != "row").unwrap_or(true)
 }
 
 /// The first-pass table's `on_full`: spool the rejected row into the
@@ -93,17 +79,8 @@ impl HashAggregator {
             page_bytes,
             charge_hash: true,
             grant: MemoryGrant::unlimited(),
-            columnar: columnar_default(),
             stats: HashAggStats::default(),
         }
-    }
-
-    /// Pin the page-path choice programmatically (overriding the
-    /// `ADAPTAGG_COLUMNAR` environment default): `true` = batched
-    /// columnar probe, `false` = row-at-a-time loop.
-    pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
-        self
     }
 
     /// Control whether inserts charge `t_h` (see
@@ -180,18 +157,15 @@ impl HashAggregator {
     /// [`HashAggregator::push`], equivalent row by row (same mutations,
     /// same cost events in the same order; runs of accepted tuples are
     /// recorded through [`CostTracker::record_tuples`], which is
-    /// bit-identical to the per-tuple loop by contract). A page with dense
-    /// strips is the trivial [`ScanBatch`]; ragged pages, and every page
-    /// under `ADAPTAGG_COLUMNAR=row`, take the row loop.
+    /// bit-identical to the per-tuple loop by contract). Which loop runs
+    /// is the page's doing: [`AggTable::insert_page_batched`] rides dense
+    /// strips and falls back to the row loop on a ragged page.
     pub fn push_page<T: CostTracker>(
         &mut self,
         kind: RowKind,
         page: &Page,
         tracker: &mut T,
     ) -> Result<(), StorageError> {
-        if let Some(batch) = ScanBatch::whole(page).filter(|_| self.columnar) {
-            return self.push_batch(kind, &batch, tracker).map(|_| ());
-        }
         let n = page.tuple_count() as u64;
         match kind {
             RowKind::Raw => self.stats.raw_in += n,
@@ -200,7 +174,7 @@ impl HashAggregator {
         let mut spool = spooler(&mut self.overflow, self.fanout, self.page_bytes, &self.query);
         let spilled = self
             .table
-            .insert_page(kind, page, tracker, |t, k, row| spool(t, k, row).map(|_| ()))?;
+            .insert_page_batched(kind, page, tracker, |t, k, row| spool(t, k, row).map(|_| ()))?;
         self.stats.spilled_tuples += spilled;
         Ok(())
     }
@@ -440,29 +414,6 @@ mod tests {
         adaptagg_model::query::sort_rows(&mut rb);
         assert_eq!(ra, rb);
         assert_eq!(ta, tb, "finish cost events diverge between paths");
-    }
-
-    #[test]
-    fn columnar_page_path_matches_row_page_path() {
-        // Same page, forced columnar vs forced row: identical results,
-        // stats and cost events, across a spilling budget.
-        let rows: Vec<Vec<Value>> = (0..200).map(|i| raw(i % 12, i)).collect();
-        let mut page = Page::new(1 << 16);
-        for r in &rows {
-            assert!(page.try_push(r).unwrap());
-        }
-        let mut a = HashAggregator::new(query(), 6, 256, 4).with_columnar(true);
-        let mut b = HashAggregator::new(query(), 6, 256, 4).with_columnar(false);
-        let mut ta = CountingTracker::new();
-        let mut tb = CountingTracker::new();
-        a.push_page(RowKind::Raw, &page, &mut ta).unwrap();
-        b.push_page(RowKind::Raw, &page, &mut tb).unwrap();
-        assert_eq!(a.stats().spilled_tuples, b.stats().spilled_tuples);
-        assert_eq!(ta, tb, "cost events diverge between page paths");
-        let (ra, _) = a.finish_rows(&mut ta).unwrap();
-        let (rb, _) = b.finish_rows(&mut tb).unwrap();
-        assert_eq!(ra, rb, "results diverge (order included)");
-        assert_eq!(ta, tb, "finish cost events diverge between page paths");
     }
 
     #[test]

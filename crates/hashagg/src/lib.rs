@@ -26,7 +26,7 @@ pub mod overflow;
 pub mod stats;
 pub mod table;
 
-pub use aggregate::{columnar_default, EmitMode, HashAggregator};
+pub use aggregate::{EmitMode, HashAggregator};
 pub use overflow::OverflowSet;
 pub use stats::HashAggStats;
 pub use table::{AggTable, Inserted};

@@ -3,7 +3,9 @@
 //! Every `ADAPTAGG_*` name that appears in the program's source must be
 //! a row of README.md's "Environment variables" table, and every row
 //! must still have a reader — so the next knob is a visible diff in two
-//! places, and a deleted one cannot linger in the docs.
+//! places, and a deleted one cannot linger in the docs. Nor may a test, an
+//! example or a CI step go on naming (or setting) a variable nobody reads
+//! any more.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -69,5 +71,16 @@ fn env_vars_in_source_match_the_readme_table() {
     assert_eq!(
         in_source, documented,
         "left: named in source; right: rows of README.md's table"
+    );
+
+    let mut used = BTreeSet::new();
+    scan_rust_sources(&root.join("tests"), &mut used);
+    scan_rust_sources(&root.join("examples"), &mut used);
+    let ci = root.join(".github/workflows/ci.yml");
+    knob_names(&fs::read_to_string(ci).expect("ci.yml"), &mut used);
+    let unread: Vec<_> = used.difference(&in_source).collect();
+    assert!(
+        unread.is_empty(),
+        "named under tests/, examples/ or in ci.yml, read nowhere: {unread:?}"
     );
 }

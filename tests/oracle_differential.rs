@@ -10,7 +10,8 @@
 //! cluster sizes per case rather than one drawn size.
 
 use adaptagg::prelude::*;
-use adaptagg::storage::HeapFile;
+use adaptagg::model::{Compare, Predicate};
+use adaptagg::storage::{HeapFile, RowCause};
 use proptest::prelude::*;
 
 /// Every algorithm is exercised at each of these cluster sizes.
@@ -38,18 +39,19 @@ fn group_id(raw: u32, card: usize, skewed: bool) -> i64 {
     }
 }
 
-/// Materialize rows: `[key1, (key2,) v]` — key width is part of the
-/// randomized schema.
+/// Materialize rows: `[key1, (key2,) v, pad]` — key width is part of the
+/// randomized schema; `pad` is a constant `Str` no query aggregates.
 fn build_rows(raws: &[(u32, i64)], card: usize, skewed: bool, two_col_key: bool) -> Vec<Vec<Value>> {
+    let pad = || Value::Str("pad".into());
     raws.iter()
         .map(|&(g, v)| {
             let k1 = group_id(g, card, skewed);
             if two_col_key {
                 // The second key column subdivides groups, so the true
                 // cardinality is up to 3 × card.
-                vec![Value::Int(k1), Value::Int((g % 3) as i64), Value::Int(v)]
+                vec![Value::Int(k1), Value::Int((g % 3) as i64), Value::Int(v), pad()]
             } else {
-                vec![Value::Int(k1), Value::Int(v)]
+                vec![Value::Int(k1), Value::Int(v), pad()]
             }
         })
         .collect()
@@ -112,15 +114,17 @@ proptest! {
         }
     }
 
-    /// Batch-vs-row differential: the columnar fast path (the default)
-    /// must be bit-identical to the row-at-a-time compatibility path —
-    /// result rows at every cluster size, and the virtual clock on the
-    /// single node (multi-node clocks are compared by the
-    /// `cost_invariance` pins instead: algorithms that race phase-1
+    /// Batch-vs-row differential: the batched scan must be bit-identical
+    /// to the row loop — result rows at every cluster size, and the
+    /// virtual clock on the single node (multi-node clocks are compared by
+    /// the `cost_invariance` pins instead: algorithms that race phase-1
     /// traffic against the decision broadcast, e.g. Sampling, have
-    /// run-to-run clock jitter at >1 node even on a fixed path). `m`
-    /// ranges down to budgets far below the group cardinality, so
-    /// overflow spooling and its replay run under both paths.
+    /// run-to-run clock jitter at >1 node even on a fixed path). The row
+    /// side is the same query with an always-true conjunct on the `Str`
+    /// pad column, which the strips cannot evaluate; select charges are per
+    /// tuple, not per predicate, so it costs what the plain scan costs.
+    /// `m` ranges down to budgets far below the group cardinality, so
+    /// overflow spooling and its replay run under both.
     #[test]
     fn prop_oracle_batch_matches_row(
         raws in proptest::collection::vec((0u32..u32::MAX, -1000i64..1000), 50..400),
@@ -132,41 +136,59 @@ proptest! {
         let two_col_key = key_bit == 1;
         let rows = build_rows(&raws, card, skew_bit == 1, two_col_key);
         let q = agg_query(two_col_key);
-        // Pass 1: force the row-at-a-time path everywhere.
-        std::env::set_var("ADAPTAGG_COLUMNAR", "row");
-        let mut row_runs = Vec::new();
+        let pad = rows[0].len() - 1;
+        let row_q = q.clone().with_filter(vec![Predicate::new(pad, Compare::Ge, Value::Str("".into()))]);
+        let counter = |out: &RunOutcome, name: &str| -> u64 {
+            let trace = out.trace.as_ref().expect("traced run");
+            trace.nodes.iter().map(|n| n.metrics.counter(name)).sum()
+        };
         for nodes in NODE_COUNTS {
             let parts = build_partitions(&rows, nodes);
+            let pages = parts.iter().map(HeapFile::page_count).sum::<usize>() as u64;
             let config = ClusterConfig::new(nodes, CostParams {
                 max_hash_entries: m,
                 ..CostParams::paper_default()
-            });
+            })
+            .with_tracing();
             for kind in AlgorithmKind::ALL {
-                let out = run_algorithm(kind, &config, &parts, &q).expect("row run succeeds");
-                row_runs.push((nodes, kind, out));
-            }
-        }
-        // Pass 2: the columnar batch path (the default).
-        std::env::remove_var("ADAPTAGG_COLUMNAR");
-        for (nodes, kind, row_out) in row_runs {
-            let parts = build_partitions(&rows, nodes);
-            let config = ClusterConfig::new(nodes, CostParams {
-                max_hash_entries: m,
-                ..CostParams::paper_default()
-            });
-            let batch = run_algorithm(kind, &config, &parts, &q).expect("batch run succeeds");
-            prop_assert_eq!(
-                &batch.rows, &row_out.rows,
-                "{}: batch rows diverged from row path at {} nodes (card {}, m {})",
-                kind, nodes, card, m
-            );
-            if nodes == 1 {
+                let row_out = run_algorithm(kind, &config, &parts, &row_q).expect("row run succeeds");
+                let batch = run_algorithm(kind, &config, &parts, &q).expect("batch run succeeds");
                 prop_assert_eq!(
-                    batch.elapsed_ms().to_bits(),
-                    row_out.elapsed_ms().to_bits(),
-                    "{}: batch clock diverged from row path ({} vs {})",
-                    kind, batch.elapsed_ms(), row_out.elapsed_ms()
+                    &batch.rows, &row_out.rows,
+                    "{}: batch rows diverged from row path at {} nodes (card {}, m {})",
+                    kind, nodes, card, m
                 );
+                if nodes == 1 {
+                    prop_assert_eq!(
+                        batch.elapsed_ms().to_bits(),
+                        row_out.elapsed_ms().to_bits(),
+                        "{}: batch clock diverged from row path ({} vs {})",
+                        kind, batch.elapsed_ms(), row_out.elapsed_ms()
+                    );
+                }
+                // Which loop ran, and why, from the traces. "Offered" =
+                // pages the scan's sink asked for as a batch.
+                let batched = counter(&batch, "scan.pages_batched");
+                let offered = batched
+                    + RowCause::ALL.iter().map(|c| counter(&batch, c.counter())).sum::<u64>();
+                let on_rows = counter(&row_out, RowCause::ValueFilter.counter());
+                prop_assert_eq!(counter(&row_out, "scan.pages_batched"), 0, "{} at {} nodes", kind, nodes);
+                prop_assert!(batched * 10 >= offered * 8, "{} at {} nodes: {} of {}", kind, nodes, batched, offered);
+                use AlgorithmKind::*;
+                match kind {
+                    // Row consumers on both sides.
+                    OptimizedTwoPhase | SortTwoPhase | Broadcast => {
+                        prop_assert_eq!((offered, on_rows), (0, 0), "{} at {} nodes", kind, nodes)
+                    }
+                    // Its census can outlast a partition this short, and
+                    // then it never asks for a batch.
+                    AdaptiveRepartitioning => {
+                        if nodes == 1 {
+                            prop_assert_eq!(offered, on_rows, "{}", kind);
+                        }
+                    }
+                    _ => prop_assert_eq!((offered, on_rows), (pages, pages), "{} at {} nodes", kind, nodes),
+                }
             }
         }
     }

@@ -10,7 +10,10 @@
 //! a page the exchange is routing) run on a real `NodeCtx` and compare
 //! clock bits, adaptive events and traffic; the algorithms that route raw
 //! tuples (Rep, A-2P past its switch, A-Rep) also run whole, on 1/2/4
-//! nodes, against `ADAPTAGG_COLUMNAR=row`.
+//! nodes, against the same query with a `Str` conjunct that keeps every
+//! page on the row loop. Message pages are dense, so no data shape puts a
+//! whole run's receive side on the row loop: `push_page` is compared with
+//! per-row `push` directly.
 //!
 //! The row lane is the loop the old `scan_project` was; that it still
 //! charges what the pre-batch code charged is pinned separately, against
@@ -23,25 +26,15 @@ use adaptagg::exec::{
     operators, Clock, ClusterConfig, Exchange, ExecError, NodeCtx, NodeFaults, PageScan, ScanCharge,
     ScanSink, ScanTally,
 };
-use adaptagg::hashagg::HashAggregator;
+use adaptagg::hashagg::{EmitMode, HashAggStats, HashAggregator};
 use adaptagg::model::{
     matches_all, AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker,
-    NetworkKind, Predicate, ResultRow, RowKind, Value,
+    NetworkKind, NullTracker, Predicate, ResultRow, RowKind, Value,
 };
 use adaptagg::net::Fabric;
-use adaptagg::storage::{BatchOutcome, HeapFile, RowCause, ScanBatch, SimDisk};
+use adaptagg::storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch, SimDisk};
 use adaptagg::workload::{default_query, generate_partitions, RelationSpec};
 use proptest::prelude::*;
-use std::sync::{RwLock, RwLockReadGuard};
-
-/// `ADAPTAGG_COLUMNAR` is process-wide and read whenever a scan is built.
-/// Every test that relies on its default holds this lock shared while it
-/// scans; the one test that flips the variable holds it exclusively.
-static LANE_ENV: RwLock<()> = RwLock::new(());
-
-fn default_lane() -> RwLockReadGuard<'static, ()> {
-    LANE_ENV.read().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A charge sink that keeps the unit-event sequence next to a real clock,
 /// with the node's crash schedule (`NodeCtx`'s own is exercised below).
@@ -148,7 +141,6 @@ fn run_lane(
     crash_at: Option<u64>,
     batched: bool,
 ) -> (Observed, ScanTally) {
-    let _lane = default_lane();
     let plan = QueryPlan::new(query);
     let mut agg = HashAggregator::new(plan.projected.clone(), budget, 256, 4);
     let mut probe = Probe::new(crash_at);
@@ -211,19 +203,20 @@ fn assert_lanes_agree(
         "{label}: the row lane never batches"
     );
     assert_eq!(batch.error, row.error, "{label}: errors diverge");
-    assert_eq!(
-        batch.events.len(),
-        row.events.len(),
-        "{label}: event counts diverge"
-    );
-    if let Some(at) = (0..row.events.len()).find(|&i| row.events[i] != batch.events[i]) {
-        panic!(
-            "{label}: cost events diverge at #{at}: row {:?}, batch {:?}",
-            row.events[at], batch.events[at]
-        );
-    }
+    assert_same_events(label, &row.events, &batch.events);
     assert_eq!(batch, row, "{label}");
     (batch, tally)
+}
+
+/// Names the first diverging cost event, not two thousand-entry vectors.
+fn assert_same_events(label: &str, row: &[CostEvent], batch: &[CostEvent]) {
+    assert_eq!(batch.len(), row.len(), "{label}: event counts diverge");
+    if let Some(at) = (0..row.len()).find(|&i| row[i] != batch[i]) {
+        panic!(
+            "{label}: cost events diverge at #{at}: row {:?}, batch {:?}",
+            row[at], batch[at]
+        );
+    }
 }
 
 fn file_of(page_bytes: usize, rows: impl IntoIterator<Item = Vec<Value>>) -> HeapFile {
@@ -583,6 +576,118 @@ fn a_scheduled_crash_truncates_the_batch_at_its_tuple() {
 }
 
 // ---------------------------------------------------------------------
+// The receive side: a message page through `push_page`, against its rows
+// through `push`.
+// ---------------------------------------------------------------------
+
+/// `rows` cut into message pages of `page_bytes`.
+fn pages_of(page_bytes: usize, rows: &[Vec<Value>]) -> Vec<Page> {
+    let mut pages = vec![Page::new(page_bytes)];
+    for row in rows {
+        if !pages.last_mut().unwrap().try_push(row).unwrap() {
+            pages.push(Page::new(page_bytes));
+            assert!(pages.last_mut().unwrap().try_push(row).unwrap());
+        }
+    }
+    pages
+}
+
+/// Everything one way of feeding message pages made observable.
+#[derive(Debug, PartialEq)]
+struct Received {
+    fed: HashAggStats,
+    drained: HashAggStats,
+    events: Vec<CostEvent>,
+    clock_bits: u64,
+    rows: Vec<ResultRow>,
+}
+
+fn receive(mut agg: HashAggregator, kind: RowKind, pages: &[Page], paged: bool) -> Received {
+    let mut probe = Probe::new(None);
+    let mut row = Vec::new();
+    for page in pages {
+        if paged {
+            agg.push_page(kind, page, &mut probe).unwrap();
+        } else {
+            let mut cursor = page.cursor();
+            while cursor.next_into(&mut row).unwrap() {
+                agg.push(kind, &row, &mut probe).unwrap();
+            }
+        }
+    }
+    let fed = *agg.stats();
+    // The drain replays what spilled, under the same probe.
+    let (rows, drained) = agg.finish_rows(&mut probe).unwrap();
+    Received {
+        fed,
+        drained,
+        clock_bits: probe.clock.now_ms().to_bits(),
+        events: probe.events,
+        rows,
+    }
+}
+
+#[test]
+fn received_pages_match_their_rows_pushed_one_by_one() {
+    let query = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()],
+    );
+    let raw: Vec<Vec<Value>> = (0..500).map(|i| vec![int((i * 7) % 61), int(i)]).collect();
+    // Partial rows as four senders' local phases emit them: every group
+    // arrives four times.
+    let partial: Vec<Vec<Value>> = raw
+        .chunks(125)
+        .flat_map(|sender| {
+            let mut local = HashAggregator::new(query.clone(), 1000, 256, 4);
+            for row in sender {
+                local.push_raw(row, &mut NullTracker).unwrap();
+            }
+            local.finish(EmitMode::Partial, &mut NullTracker).unwrap().0
+        })
+        .collect();
+    assert_eq!(partial.len(), 4 * 61);
+    // Arity 2 and 3 interleaved: no page has strips to ride.
+    let ragged: Vec<Vec<Value>> = raw
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let mut row = row.clone();
+            if i % 3 == 0 {
+                row.push(int(-1));
+            }
+            row
+        })
+        .collect();
+    // (label, kind, rows, table budget, whether inserts charge t_h)
+    let cases = [
+        ("raw", RowKind::Raw, &raw[..], 1000, true),
+        ("raw, pre-partitioned", RowKind::Raw, &raw[..], 1000, false),
+        ("raw, spilling mid-page", RowKind::Raw, &raw[..], 20, false),
+        ("partial", RowKind::Partial, &partial[..], 1000, false),
+        ("partial, hashed", RowKind::Partial, &partial[..], 1000, true),
+        ("partial, spilling mid-page", RowKind::Partial, &partial[..], 20, false),
+        ("ragged, spilling mid-page", RowKind::Raw, &ragged[..], 20, true),
+    ];
+    for (label, kind, rows, budget, charge_hash) in cases {
+        let pages = pages_of(256, rows);
+        assert!(pages.len() > 8, "{label}: {} pages", pages.len());
+        let dense = pages.iter().all(|p| ScanBatch::whole(p).is_some());
+        assert_eq!(dense, !label.starts_with("ragged"), "{label}");
+        let agg = || HashAggregator::new(query.clone(), budget, 256, 4).with_charge_hash(charge_hash);
+        let (paged, rowed) = (
+            receive(agg(), kind, &pages, true),
+            receive(agg(), kind, &pages, false),
+        );
+        assert_same_events(label, &rowed.events, &paged.events);
+        assert_eq!(paged, rowed, "{label}");
+        assert_eq!(paged.rows.len(), 61, "{label}");
+        assert_eq!(paged.fed.rows_in(), rows.len() as u64, "{label}");
+        assert_eq!(paged.fed.spilled(), budget < 61, "{label}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // On a real node: the crash schedule NodeCtx keeps, and A-2P's switch.
 // ---------------------------------------------------------------------
 
@@ -599,7 +704,6 @@ fn node_with(file: HeapFile, max_hash_entries: usize) -> NodeCtx {
 
 #[test]
 fn node_crash_schedule_is_honoured_by_both_lanes() {
-    let _lane = default_lane();
     let rows = || (0..300).map(|i| vec![int(i % 11), int(i)]);
     let query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)]);
     let plan = QueryPlan::new(&query);
@@ -652,7 +756,6 @@ impl<S: ScanSink<NodeCtx>> ScanSink<NodeCtx> for RowOnly<S> {
 
 #[test]
 fn a_crash_inside_a_routed_page_ends_like_the_row_lane() {
-    let _lane = default_lane();
     // A filter with gaps, so the cut lands between fail-charge runs.
     let rows = || (0..600).map(|i| vec![int((i * 11) % 97), int(i), int(i % 4)]);
     let query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)])
@@ -696,25 +799,35 @@ fn a_crash_inside_a_routed_page_ends_like_the_row_lane() {
     }
 }
 
-/// The whole algorithms that route raw tuples, on 1/2/4 nodes, batch lane
-/// against `ADAPTAGG_COLUMNAR=row`: same rows, same traffic, and the same
-/// clock bits wherever arrival order is deterministic (one node; two
-/// nodes for the algorithms that do not poll mid-scan). The traces say
-/// which lane ran.
+/// `query` plus one always-true conjunct on the base relation's `Str` pad
+/// column. The strips cannot evaluate it, so every page a batch sink is
+/// offered takes the row loop ([`RowCause::ValueFilter`]) — at exactly the
+/// charges of the scan without it: select charges are per tuple, not per
+/// predicate.
+fn on_the_row_loop(query: &AggQuery) -> AggQuery {
+    let mut query = query.clone();
+    query.filter.push(Predicate::new(2, Compare::Ge, Value::Str("".into())));
+    query
+}
+
+/// The whole algorithms that route raw tuples, on 1/2/4 nodes, batches
+/// against the row loop: same rows, same traffic, and the same clock bits
+/// wherever arrival order is deterministic (one node; two nodes for the
+/// algorithms that do not poll mid-scan). The traces say which loop ran,
+/// and why.
 #[test]
 fn routing_algorithms_match_the_row_lane_on_every_cluster_size() {
-    let _exclusive = LANE_ENV.write().unwrap_or_else(|e| e.into_inner());
     let both_lanes = |kind, config: &ClusterConfig, parts: &[HeapFile], query: &AggQuery, cfg: &AlgoConfig| {
-        std::env::set_var("ADAPTAGG_COLUMNAR", "row");
-        let row = run_algorithm_with(kind, config, parts, query, cfg);
-        std::env::remove_var("ADAPTAGG_COLUMNAR");
+        let row = run_algorithm_with(kind, config, parts, &on_the_row_loop(query), cfg);
         let batch = run_algorithm_with(kind, config, parts, query, cfg);
         (row.unwrap(), batch.unwrap())
     };
-    let pages_batched = |out: &RunOutcome| -> u64 {
+    let counter = |out: &RunOutcome, name: &str| -> u64 {
         let trace = out.trace.as_ref().expect("traced run");
-        trace.nodes.iter().map(|n| n.metrics.counter("scan.pages_batched")).sum()
+        trace.nodes.iter().map(|n| n.metrics.counter(name)).sum()
     };
+    let pages_batched = |out: &RunOutcome| counter(out, "scan.pages_batched");
+    let pages_value_filter = |out: &RunOutcome| counter(out, RowCause::ValueFilter.counter());
     let config_of = |nodes: usize, max_hash_entries: usize| {
         let params = CostParams {
             max_hash_entries,
@@ -749,8 +862,13 @@ fn routing_algorithms_match_the_row_lane_on_every_cluster_size() {
                 assert_eq!(batch.run.total_net(), row.run.total_net(), "{kind} on {nodes} nodes");
             }
             assert_eq!(pages_batched(&row), 0, "{kind}: the row lane batched");
-            // A-2P: all but each node's switch page; A-Rep: all but the
-            // census pages and one cut page per poll.
+            // Every page the row side's sink asked for as a batch went to
+            // the row loop, for the reason given. A-2P: all but each
+            // node's switch page are batched; A-Rep: all but the census
+            // pages and one cut page per poll.
+            let offered = pages_value_filter(&row) as usize;
+            assert!(offered * 10 >= pages * 8, "{kind} on {nodes} nodes: {offered} of {pages} pages offered");
+            assert_eq!(pages_value_filter(&batch), 0, "{kind} on {nodes} nodes");
             let batched = pages_batched(&batch) as usize;
             assert!(batched * 10 >= pages * 8, "{kind} on {nodes} nodes: {batched} of {pages} pages batched");
             assert_eq!(batch.adapted_nodes().len(), if kind == AlgorithmKind::AdaptiveTwoPhase { nodes } else { 0 });
@@ -772,12 +890,12 @@ fn routing_algorithms_match_the_row_lane_on_every_cluster_size() {
             assert_eq!(batch.nodes[0].events.len(), 2, "fell back, then switched: {:?}", batch.nodes[0].events);
         }
         assert!(pages_batched(&batch) > 0 && pages_batched(&row) == 0);
+        assert!(pages_value_filter(&row) > 0 && pages_value_filter(&batch) == 0);
     }
 }
 
 #[test]
 fn a2p_switch_lands_mid_page_at_the_same_tuple() {
-    let _lane = default_lane();
     // 64 distinct groups inside the first pages, 16-entry table: the 17th
     // distinct key bounces mid-page; a filter makes the batch cut land on
     // a selected row with filtered-out rows on both sides.
