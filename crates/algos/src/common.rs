@@ -2,7 +2,7 @@
 
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_hashagg::{EmitMode, HashAggStats, HashAggregator};
-use adaptagg_model::{AggQuery, CostTracker, ResultRow, RowKind, Value};
+use adaptagg_model::{AggQuery, CostTracker, DemoteCause, ResultRow, RowKind, Value};
 use adaptagg_net::{Control, Page};
 
 /// A query compiled for execution: the base-schema form, the projection
@@ -88,9 +88,22 @@ pub fn local_partial_aggregation(
 
 /// Feed one aggregation's [`HashAggStats`] into the node's trace metrics
 /// (no-op when tracing is disabled). Counters sum across the phases a
-/// node runs; the peak-resident gauge keeps the maximum.
+/// node runs; the peak-resident and bytes-per-group gauges keep the
+/// maximum. The `store.*` metrics say what layout the data left the
+/// tables' group stores in, and which kind of cell demoted a column.
 pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
     if ctx.trace.enabled() {
+        let store = &stats.store;
+        ctx.trace
+            .counter_add("store.columns{layout=typed}", store.typed_columns);
+        ctx.trace
+            .counter_add("store.columns{layout=general}", store.general_columns);
+        for cause in DemoteCause::ALL {
+            ctx.trace
+                .counter_add(cause.counter(), store.demoted[cause as usize]);
+        }
+        ctx.trace
+            .gauge_max("store.bytes_per_group", store.bytes_per_group as f64);
         ctx.trace.counter_add("hashagg.rows_in", stats.rows_in());
         ctx.trace.counter_add("hashagg.probe_slots", stats.probe_slots);
         ctx.trace

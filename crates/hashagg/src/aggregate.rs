@@ -225,8 +225,12 @@ impl HashAggregator {
         tracker: &mut T,
     ) -> Result<(Vec<Vec<Value>>, HashAggStats), StorageError> {
         let mut out = Vec::new();
-        let mut stats = self.finish_impl(tracker, |table, tracker| {
-            Self::drain_table(table, mode, tracker, &mut out)
+        let mut stats = self.finish_impl(tracker, |table, tracker| match mode {
+            EmitMode::Partial => append(&mut out, table.drain_partial_rows(tracker)),
+            EmitMode::Finalized => {
+                let rows = table.drain_result_rows(tracker);
+                out.extend(rows.into_iter().map(ResultRow::into_values))
+            }
         })?;
         stats.groups_out += out.len() as u64;
         Ok((out, stats))
@@ -242,7 +246,7 @@ impl HashAggregator {
     ) -> Result<(Vec<ResultRow>, HashAggStats), StorageError> {
         let mut rows = Vec::new();
         let mut stats = self.finish_impl(tracker, |table, tracker| {
-            rows.extend(table.drain_result_rows(tracker))
+            append(&mut rows, table.drain_result_rows(tracker))
         })?;
         stats.groups_out += rows.len() as u64;
         Ok((rows, stats))
@@ -261,8 +265,7 @@ impl HashAggregator {
         T: CostTracker,
         D: FnMut(&mut AggTable, &mut T),
     {
-        self.stats.probe_slots += self.table.probe_slots();
-        self.stats.peak_resident = self.stats.peak_resident.max(self.table.len() as u64);
+        self.stats.drained(&self.table);
         drain(&mut self.table, tracker);
 
         // Stack of (bucket, level) still to process.
@@ -309,8 +312,7 @@ impl HashAggregator {
                 }
             })?;
             self.stats.spilled_tuples += spilled_here;
-            self.stats.probe_slots += table.probe_slots();
-            self.stats.peak_resident = self.stats.peak_resident.max(table.len() as u64);
+            self.stats.drained(&table);
             drain(&mut table, tracker);
             if let Some(set) = deeper {
                 let l = set.level();
@@ -320,22 +322,16 @@ impl HashAggregator {
 
         Ok(self.stats)
     }
+}
 
-    fn drain_table<T: CostTracker>(
-        table: &mut AggTable,
-        mode: EmitMode,
-        tracker: &mut T,
-        out: &mut Vec<Vec<Value>>,
-    ) {
-        match mode {
-            EmitMode::Partial => out.extend(table.drain_partial_rows(tracker)),
-            EmitMode::Finalized => out.extend(
-                table
-                    .drain_result_rows(tracker)
-                    .into_iter()
-                    .map(|r| r.into_values()),
-            ),
-        }
+/// Append a table's drain to the rows so far. The first-pass table's
+/// drain — all of them when nothing spilled — is taken whole instead of
+/// copied into a second allocation.
+fn append<R>(rows: &mut Vec<R>, drained: Vec<R>) {
+    if rows.is_empty() {
+        *rows = drained;
+    } else {
+        rows.extend(drained);
     }
 }
 

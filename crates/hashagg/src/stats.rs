@@ -1,5 +1,8 @@
 //! Hash-aggregation statistics.
 
+use crate::table::AggTable;
+use adaptagg_model::StoreLayout;
+
 /// Counters describing one aggregation's behaviour. The adaptive
 /// algorithms' tests assert on these (e.g. "A2P must not spill; plain 2P
 /// at this selectivity must").
@@ -23,6 +26,11 @@ pub struct HashAggStats {
     pub probe_slots: u64,
     /// Largest number of groups resident in any one table at drain time.
     pub peak_resident: u64,
+    /// The group-store layout the data left each table in, summed at drain
+    /// time over all tables (first pass + overflow buckets): columns still
+    /// typed, columns general, demotions by cause; `bytes_per_group` is the
+    /// widest table's.
+    pub store: StoreLayout,
 }
 
 impl HashAggStats {
@@ -36,6 +44,24 @@ impl HashAggStats {
         self.raw_in + self.partial_in
     }
 
+    /// Account for a table about to be drained: its probes, its resident
+    /// groups and the layout its store ended in.
+    pub(crate) fn drained(&mut self, table: &AggTable) {
+        self.probe_slots += table.probe_slots();
+        self.peak_resident = self.peak_resident.max(table.len() as u64);
+        self.add_layout(&table.layout());
+    }
+
+    fn add_layout(&mut self, layout: &StoreLayout) {
+        let mine = &mut self.store;
+        mine.typed_columns += layout.typed_columns;
+        mine.general_columns += layout.general_columns;
+        for (a, b) in mine.demoted.iter_mut().zip(layout.demoted) {
+            *a += b;
+        }
+        mine.bytes_per_group = mine.bytes_per_group.max(layout.bytes_per_group);
+    }
+
     /// Element-wise sum.
     pub fn add(&mut self, other: &HashAggStats) {
         self.raw_in += other.raw_in;
@@ -46,6 +72,7 @@ impl HashAggStats {
         self.max_level = self.max_level.max(other.max_level);
         self.probe_slots += other.probe_slots;
         self.peak_resident = self.peak_resident.max(other.peak_resident);
+        self.add_layout(&other.store);
     }
 }
 

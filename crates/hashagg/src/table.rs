@@ -13,11 +13,12 @@
 //! # Layout
 //!
 //! Groups live in a [`GroupStore`] (shared with the sort-based run
-//! table): an open-addressed slot array over flat key and state arenas,
-//! nothing boxed per group. The probe hashes the key *columns in place*
-//! (`&[Value]`, one [`Seed::Table`] hash) and compares stored hashes
-//! before keys, so neither the dominant resident-group update nor the
-//! admission of a new group allocates (`Str` key cells aside). The slot
+//! table): an open-addressed slot array over a key column and one typed
+//! state column per aggregate, nothing boxed per group. The probe hashes
+//! the key *columns in place* (`&[Value]`, one [`Seed::Table`] hash) and
+//! compares stored hashes before keys, so neither the dominant
+//! resident-group update nor the admission of a new group allocates
+//! (`Str` key cells aside). The slot
 //! array is pre-sized from a capped `max_entries` hint, so the
 //! paper-default budget never rehashes; growth (uncapped deep-overflow
 //! tables only) rebuilds slots from the stored hashes without touching
@@ -31,9 +32,10 @@
 use adaptagg_model::hash::{
     hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values,
 };
+use adaptagg_model::store::NO_GROUP;
 use adaptagg_model::{
-    AggFunc, AggQuery, AggState, CostEvent, CostTracker, GroupKey, GroupStore, MemoryGrant,
-    ModelError, ResultRow, RowKind, Seed, Value,
+    AggFunc, AggQuery, CostEvent, CostTracker, GroupStore, KeyCell, MemoryGrant, ModelError,
+    ResultRow, RowKind, Seed, StoreLayout, Value,
 };
 use adaptagg_storage::{
     BatchCharges, BatchOutcome, Page, RowCause, ScanBatch, StorageError, StripView,
@@ -49,9 +51,6 @@ pub enum Inserted {
     /// The key is new but the table is at capacity; nothing was stored.
     Full,
 }
-
-/// Group-index sentinel of a rejected row in the batched probe.
-const REJECTED: u32 = u32::MAX;
 
 /// Batched cost template for an accepted insert with hash charging.
 const ACCEPT_WITH_HASH: [CostEvent; 3] =
@@ -87,7 +86,7 @@ pub struct AggTable {
     row_scratch: Vec<Value>,
     /// Pooled per-page key-hash vector for the batched probe.
     batch_hashes: Vec<u64>,
-    /// Pooled per-page group-index vector (`REJECTED` = row bounced) the
+    /// Pooled per-page group-index vector ([`NO_GROUP`] = row bounced) the
     /// batched probe hands to the deferred column-at-a-time update pass.
     batch_gix: Vec<u32>,
 }
@@ -189,6 +188,11 @@ impl AggTable {
     /// the excess over attempts measures collision chains).
     pub fn probe_slots(&self) -> u64 {
         self.probe_slots
+    }
+
+    /// The layout the data so far left the table's group store in.
+    pub fn layout(&self) -> StoreLayout {
+        self.store.layout()
     }
 
     /// Fraction of the slot array currently occupied.
@@ -370,7 +374,6 @@ impl AggTable {
             RowKind::Raw if !hashed => Some(RowCause::Ragged),
             RowKind::Raw => self.input_strips_cause(batch),
         };
-        let fast = kind == RowKind::Raw && row_cause.is_none();
 
         // One vectorized Seed::Table hash per row, folding the key strips
         // in order (bit-identical to hash_values on the row's key prefix
@@ -388,45 +391,98 @@ impl AggTable {
             hash_batch_finish(&mut hashes);
         }
 
-        let mut charges = BatchCharges::new(batch, self.accept_template());
-        let mut scratch = std::mem::take(&mut self.row_scratch);
-        let mut gix = std::mem::take(&mut self.batch_gix);
-        gix.clear();
         let mut out = BatchOutcome {
             row_cause,
             ..BatchOutcome::default()
         };
-        // Ok(true) = every row consumed; Ok(false) = `on_full` said stop.
-        let mut ended: Result<bool, StorageError> = Ok(true);
+        let ended = if kind == RowKind::Raw && row_cause.is_none() {
+            // No tuple materialization: the key and input strips are
+            // resolved here, once; the probe admits new groups with empty
+            // states and the deferred pass below applies every row's
+            // update alike.
+            let mut gix = std::mem::take(&mut self.batch_gix);
+            gix.clear();
+            gix.reserve(batch.passing());
+            let ended = match int_key(batch, k) {
+                Some(keys) => self.feed(kind, batch, tracker, &mut on_full, &mut out, true, |table, r, _| {
+                    Ok(table.probe_cells(hashes[r], |_| KeyCell::Int(keys[r]), &mut gix))
+                }),
+                None => self.feed(kind, batch, tracker, &mut on_full, &mut out, true, |table, r, _| {
+                    let cell = |j| match batch.column(j) {
+                        StripView::Ints(xs) => KeyCell::Int(xs[r]),
+                        StripView::Values(vs) => KeyCell::Value(&vs[r]),
+                    };
+                    Ok(table.probe_cells(hashes[r], cell, &mut gix))
+                }),
+            };
+            // One sweep per aggregate column over exactly the rows probed
+            // above (including the prefix before an early stop). Update
+            // order per (spec, entry) is row order — the row loop's.
+            for (j, spec) in self.query.aggs.iter().enumerate() {
+                match spec.input {
+                    None => self.store.update_star(j, &gix),
+                    Some(c) => {
+                        let StripView::Ints(xs) = batch.column(c) else {
+                            unreachable!("fast arm requires Int input strips")
+                        };
+                        self.store.update_ints(j, &gix, xs, batch.selection());
+                    }
+                }
+            }
+            self.batch_gix = gix;
+            ended
+        } else {
+            self.feed(kind, batch, tracker, &mut on_full, &mut out, false, |table, r, row| {
+                batch.read_row(r, row);
+                table.insert_quiet(kind, row, hashes.get(r).copied())
+            })
+        };
+        self.batch_hashes = hashes;
+        ended.map(|_| out)
+    }
+
+    /// The row-order walk of [`AggTable::insert_batch`]: `step` lands
+    /// passing row `r` (the row arm materializes it into the scratch row it
+    /// is handed), this charges it as the docs there say and hands a
+    /// bounced row — materialized now if `step` rides the strips — to
+    /// `on_full`. `Ok(true)` = every row consumed; `Ok(false)` = `on_full`
+    /// said stop.
+    #[allow(clippy::too_many_arguments)]
+    fn feed<T, F, S>(
+        &mut self,
+        kind: RowKind,
+        batch: &ScanBatch<'_>,
+        tracker: &mut T,
+        on_full: &mut F,
+        out: &mut BatchOutcome,
+        on_strips: bool,
+        mut step: S,
+    ) -> Result<bool, StorageError>
+    where
+        T: CostTracker,
+        F: FnMut(&mut T, RowKind, &[Value]) -> Result<bool, StorageError>,
+        S: FnMut(&mut Self, usize, &mut Vec<Value>) -> Result<Inserted, ModelError>,
+    {
+        let mut charges = BatchCharges::new(batch, self.accept_template());
+        let mut row = std::mem::take(&mut self.row_scratch);
+        let mut ended = Ok(true);
         for i in 0..batch.passing() {
             let r = batch.passing_row(i);
             charges.failed(tracker, (r - out.consumed) as u64);
             out.consumed = r + 1;
             out.passed += 1;
-            let hash = hashes.get(r).copied();
-            let inserted = if fast {
-                // No tuple materialization: probe against the strips and
-                // admit new groups with empty states — the deferred pass
-                // below applies this row's update like any other's.
-                let (outcome, entry) = self.probe_strips(hash.expect("fast rows are hashed"), batch, r);
-                gix.push(entry);
-                Ok(outcome)
-            } else {
-                batch.read_row(r, &mut scratch);
-                self.insert_quiet(kind, &scratch, hash)
-            };
-            match inserted {
+            match step(self, r, &mut row) {
                 Ok(Inserted::Updated) | Ok(Inserted::New) => charges.accepted(),
                 Ok(Inserted::Full) => {
                     charges.bounced(tracker);
                     self.charge_attempt(tracker);
                     out.rejected += 1;
-                    if fast {
+                    if on_strips {
                         // Materialize the overflow row only now, on the
                         // cold path.
-                        batch.read_row(r, &mut scratch);
+                        batch.read_row(r, &mut row);
                     }
-                    match on_full(tracker, kind, &scratch) {
+                    match on_full(tracker, kind, &row) {
                         Ok(true) => {}
                         stop => {
                             ended = stop;
@@ -447,35 +503,8 @@ impl AggTable {
             out.consumed = batch.rows();
         }
         charges.flush(tracker);
-
-        // Deferred updates, column-at-a-time over the group-index vector
-        // (exactly the rows probed above, including the prefix before an
-        // early stop). Update order per (spec, entry) is row order — the
-        // row loop's — so order-sensitive accumulator promotion survives.
-        if fast {
-            let store = &mut self.store;
-            for (j, spec) in self.query.aggs.iter().enumerate() {
-                match spec.input {
-                    None => {
-                        for &e in gix.iter().filter(|&&e| e != REJECTED) {
-                            store.states_mut(e as usize)[j].update_star();
-                        }
-                    }
-                    Some(c) => {
-                        let StripView::Ints(xs) = batch.column(c) else {
-                            unreachable!("fast arm requires Int input strips")
-                        };
-                        for (i, &e) in gix.iter().enumerate().filter(|(_, &e)| e != REJECTED) {
-                            store.states_mut(e as usize)[j].update_int(xs[batch.passing_row(i)]);
-                        }
-                    }
-                }
-            }
-        }
-        self.batch_gix = gix;
-        self.row_scratch = scratch;
-        self.batch_hashes = hashes;
-        ended.map(|_| out)
+        self.row_scratch = row;
+        ended
     }
 
     /// Why a raw batch's aggregate inputs keep it off the deferred-update
@@ -501,30 +530,33 @@ impl AggTable {
         cause
     }
 
-    /// [`AggTable::insert_quiet`] for a raw row read straight off the
-    /// batch's key strips — no row materialization, no state update (the
-    /// caller defers it). Returns the outcome and the touched entry
-    /// (`REJECTED` on `Full`).
+    /// [`AggTable::insert_quiet`] for a raw row whose key is read cell by
+    /// cell off the batch's strips — no row materialization, no state
+    /// update (the caller defers it): the touched entry ([`NO_GROUP`] on
+    /// `Full`) joins `gix`.
     #[inline]
-    fn probe_strips(&mut self, hash: u64, batch: &ScanBatch<'_>, r: usize) -> (Inserted, u32) {
-        let (found, examined) = self.store.probe(hash, |stored| key_matches_row(stored, batch, r));
+    fn probe_cells<'a>(
+        &mut self,
+        hash: u64,
+        cell: impl Fn(usize) -> KeyCell<'a>,
+        gix: &mut Vec<u32>,
+    ) -> Inserted {
+        let (found, examined) = self.store.find_cells(hash, &cell);
         self.probe_slots += examined;
-        match found {
+        let (outcome, entry) = match found {
             Ok(entry) => {
                 self.updates += 1;
                 (Inserted::Updated, entry as u32)
             }
-            Err(_) if self.is_full() => (Inserted::Full, REJECTED),
+            Err(_) if self.is_full() => (Inserted::Full, NO_GROUP),
             Err(slot) => {
-                let key = (0..self.key_len).map(|j| match batch.column(j) {
-                    StripView::Ints(xs) => Value::Int(xs[r]),
-                    StripView::Values(vs) => vs[r].clone(),
-                });
-                let entry = self.store.admit(slot, hash, key);
+                let entry = self.store.admit_cells(slot, hash, cell);
                 self.inserts += 1;
                 (Inserted::New, entry as u32)
             }
-        }
+        };
+        gix.push(entry);
+        outcome
     }
 
     /// The probe-and-mutate core, with no cost recording: callers charge
@@ -578,21 +610,20 @@ impl AggTable {
 
         let (found, examined) = self.store.find(hash, key);
         self.probe_slots += examined;
-        let aggs = &self.query.aggs;
-        let fold = |states: &mut [AggState]| match kind {
-            RowKind::Raw => AggState::update_row(states, aggs, values),
-            RowKind::Partial => AggState::merge_partial_row(states, &values[k..]),
+        let folded = match kind {
+            RowKind::Raw => values,
+            RowKind::Partial => &values[k..],
         };
         match found {
             Ok(entry) => {
-                fold(self.store.states_mut(entry))?;
+                self.store.fold(entry, kind, folded)?;
                 self.updates += 1;
                 Ok(Inserted::Updated)
             }
             Err(_) if self.is_full() => Ok(Inserted::Full),
             Err(slot) => {
                 // A first row that does not fold leaves the store as it was.
-                self.store.admit_with(slot, hash, key.iter().cloned(), fold)?;
+                self.store.admit_row(slot, hash, key, kind, folded)?;
                 self.inserts += 1;
                 Ok(Inserted::New)
             }
@@ -622,24 +653,12 @@ impl AggTable {
         // it measures insert-path collision chains only.
     }
 
-    /// Empty the table, handing `emit` each group as a partial row (key
-    /// columns ++ partial-state columns) in insertion order.
-    fn drain_partials(&mut self, mut emit: impl FnMut(Vec<Value>)) {
-        let state_cols = self.query.partial_row_arity() - self.key_len;
-        self.store.drain_rows(state_cols, |mut row, states| {
-            for state in states {
-                state.to_partial_values(&mut row);
-            }
-            emit(row);
-        });
-    }
-
     /// Drain the table as **partial rows** (key columns ++ partial-state
     /// columns) in insertion order, charging `t_w` per row. Used by local
     /// phases to ship their results and by A2P's overflow flush.
     pub fn drain_partial_rows<T: CostTracker>(&mut self, tracker: &mut T) -> Vec<Vec<Value>> {
         let mut out = Vec::with_capacity(self.store.len());
-        self.drain_partials(|row| out.push(row));
+        self.store.drain_partial_rows(|row| out.push(row));
         tracker.record(CostEvent::TupleWrite, out.len() as u64);
         out
     }
@@ -649,23 +668,22 @@ impl AggTable {
     /// aggregation.
     pub fn drain_result_rows<T: CostTracker>(&mut self, tracker: &mut T) -> Vec<ResultRow> {
         let mut out = Vec::with_capacity(self.store.len());
-        self.store.drain_rows(0, |key, states| {
-            let aggs = states.iter().map(AggState::finalize).collect();
-            out.push(ResultRow::new(GroupKey::new(key), aggs));
-        });
+        self.store.drain_result_rows(|row| out.push(row));
         tracker.record(CostEvent::TupleWrite, out.len() as u64);
         out
     }
 }
 
-/// Whether a stored key equals row `r`'s key prefix, comparing
-/// cell-by-cell against the strips.
-#[inline]
-fn key_matches_row(stored: &[Value], batch: &ScanBatch<'_>, r: usize) -> bool {
-    stored.iter().enumerate().all(|(j, kv)| match batch.column(j) {
-        StripView::Ints(xs) => matches!(kv, Value::Int(x) if *x == xs[r]),
-        StripView::Values(vs) => kv == &vs[r],
-    })
+/// The key strip of a batch grouped by one `Int` column; every other key
+/// shape (several columns, a `Str`/NULL strip) probes cell by cell.
+fn int_key<'a>(batch: &ScanBatch<'a>, k: usize) -> Option<&'a [i64]> {
+    if k != 1 {
+        return None;
+    }
+    match batch.column(0) {
+        StripView::Ints(xs) => Some(xs),
+        StripView::Values(_) => None,
+    }
 }
 
 #[cfg(test)]

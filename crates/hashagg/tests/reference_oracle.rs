@@ -9,11 +9,19 @@
 //! events (the virtual clock adds them up in order, so order is part of
 //! the contract). The probe counter has no reference; it must agree
 //! between the entry points.
+//!
+//! Nor may any of it depend on the layout the group store's columns are
+//! in. Every comparison below runs each entry point twice: on a fresh
+//! table, whose columns are typed until the stream hands one a cell it
+//! cannot hold, and on a table whose columns were all demoted before the
+//! stream's first row ([`demote_every_column`]) — the `Value` / `AggState`
+//! layout from row 0. Streams that demote a column at every possible row
+//! index are spelled out at the bottom.
 
 use adaptagg_hashagg::{AggTable, Inserted};
 use adaptagg_model::{
-    AggFunc, AggQuery, AggSpec, AggStates, CostEvent, CostTracker, GroupKey, MemoryGrant,
-    ModelError, ResultRow, RowKind, Value,
+    AggFunc, AggQuery, AggSpec, AggStates, CostEvent, CostTracker, DemoteCause, GroupKey,
+    MemoryGrant, ModelError, NullTracker, ResultRow, RowKind, StoreLayout, Value,
 };
 use adaptagg_storage::{BatchOutcome, Page, ScanBatch, StorageError};
 use proptest::prelude::*;
@@ -255,8 +263,33 @@ fn observe_reference(
     (seen, outcomes)
 }
 
-/// The same run through one of the real table's entry points; also
-/// returns the outcomes the row lane saw and the probe counter.
+/// Demote every column of an empty table that can be: one group whose
+/// key cells are strings and whose every other cell is a `Float` is
+/// admitted and drained again. The demotions are for good, so the table
+/// the stream then meets is empty, its slot array the size it was, and in
+/// the general layout from its first row. (`COUNT` has no cell a raw row
+/// could not fit; `VAR_POP`/`STDDEV_POP` start general.)
+fn demote_every_column(table: &mut AggTable, query: &AggQuery) {
+    let inputs = query.aggs.iter().filter_map(|spec| spec.input);
+    let arity = query.group_by.iter().copied().chain(inputs).max();
+    let mut row = vec![Value::Float(0.5); arity.map_or(0, |c| c + 1)];
+    for &c in &query.group_by {
+        row[c] = Value::from("\u{0}no such key");
+    }
+    assert_eq!(
+        table.insert(RowKind::Raw, &row, &mut NullTracker),
+        Ok(Inserted::New)
+    );
+    assert_eq!(table.drain_partial_rows(&mut NullTracker).len(), 1);
+    let layout = table.layout();
+    let count_columns = query.aggs.iter().filter(|s| s.func == AggFunc::Count);
+    let typed = count_columns.count() + usize::from(query.group_by.is_empty());
+    assert_eq!(layout.typed_columns, typed as u64, "{layout:?}");
+}
+
+/// The same run through one of the real table's entry points, on a fresh
+/// table or (`general`) one demoted beforehand; also returns the outcomes
+/// the row lane saw, the stream's probe count and the layout it left.
 fn observe_table(
     query: &AggQuery,
     budget: usize,
@@ -264,9 +297,14 @@ fn observe_table(
     chunks: &[Chunk],
     schedule: Schedule,
     lane: Lane,
-) -> (Observed, Vec<Inserted>, u64) {
+    general: bool,
+) -> (Observed, Vec<Inserted>, u64, StoreLayout) {
     let grant = MemoryGrant::bounded(usize::MAX);
     let mut table = AggTable::new_with_hint(query.clone(), budget, hint).with_grant(grant.clone());
+    if general {
+        demote_every_column(&mut table, query);
+    }
+    let probes_before = table.probe_slots();
     let mut log = EventLog::default();
     let mut seen = Observed::default();
     let mut outcomes = Vec::new();
@@ -322,14 +360,17 @@ fn observe_table(
         }
         seen.lens.push(table.len());
     }
-    let probes = table.probe_slots();
+    let probes = table.probe_slots() - probes_before;
+    let layout = table.layout();
     seen.results = table.drain_result_rows(&mut log);
     assert!(table.is_empty());
     seen.events = log.0;
-    (seen, outcomes, probes)
+    (seen, outcomes, probes, layout)
 }
 
-/// Run every lane and the reference; everything must agree.
+/// Run every lane — typed from the start, and general from the start —
+/// and the reference; everything must agree. Returns what was seen and
+/// the layout the stream left the fresh table in.
 fn assert_lanes_match_reference(
     query: &AggQuery,
     budget: usize,
@@ -337,38 +378,49 @@ fn assert_lanes_match_reference(
     chunks: &[Chunk],
     schedule: Schedule,
     lanes: &[Lane],
-) -> Observed {
+) -> (Observed, StoreLayout) {
     let (plain, outcomes) = observe_reference(query, budget, chunks, schedule, false);
     // The same stream as the scan would charge it.
     let (scanned, _) = observe_reference(query, budget, chunks, schedule, true);
     let mut probes = None;
+    let mut left = None;
     for &lane in lanes {
-        let (seen, lane_outcomes, lane_probes) =
-            observe_table(query, budget, hint, chunks, schedule, lane);
-        let expected = if lane == Lane::Selected {
-            &scanned
-        } else {
-            &plain
-        };
-        if let Some(at) = (0..seen.events.len().min(expected.events.len()))
-            .find(|&i| seen.events[i] != expected.events[i])
-        {
-            panic!(
-                "{lane:?}: event {at} is {:?}, reference {:?}",
-                seen.events[at], expected.events[at]
+        for general in [false, true] {
+            let (seen, lane_outcomes, lane_probes, layout) =
+                observe_table(query, budget, hint, chunks, schedule, lane, general);
+            let expected = if lane == Lane::Selected {
+                &scanned
+            } else {
+                &plain
+            };
+            if let Some(at) = (0..seen.events.len().min(expected.events.len()))
+                .find(|&i| seen.events[i] != expected.events[i])
+            {
+                panic!(
+                    "{lane:?} (general: {general}): event {at} is {:?}, reference {:?}",
+                    seen.events[at], expected.events[at]
+                );
+            }
+            assert_eq!(
+                &seen, expected,
+                "{lane:?} (general: {general}) diverged from the reference"
             );
+            if lane == Lane::Row {
+                assert_eq!(lane_outcomes, outcomes, "the outcome of every row");
+            }
+            assert_eq!(
+                *probes.get_or_insert(lane_probes),
+                lane_probes,
+                "{lane:?} (general: {general}): probe counter"
+            );
+            if !general {
+                // Which columns a stream demotes is the data's doing, not
+                // the entry point's.
+                assert_eq!(*left.get_or_insert(layout), layout, "{lane:?}: layout");
+            }
         }
-        assert_eq!(&seen, expected, "{lane:?} diverged from the reference");
-        if lane == Lane::Row {
-            assert_eq!(lane_outcomes, outcomes, "the outcome of every row");
-        }
-        assert_eq!(
-            *probes.get_or_insert(lane_probes),
-            lane_probes,
-            "{lane:?}: probe counter"
-        );
     }
-    plain
+    (plain, left.expect("at least one lane"))
 }
 
 const ALL_LANES: [Lane; 4] = [Lane::Row, Lane::Page, Lane::Batch, Lane::Selected];
@@ -515,7 +567,8 @@ proptest! {
         let query = wide_query(k);
         let chunks = build_chunks(&query, k, ints_only, &chunks);
         let schedule = Schedule { shrink: Some(shrink), drain_at: Some(drain_at) };
-        let seen = assert_lanes_match_reference(&query, budget, budget, &chunks, schedule, &ALL_LANES);
+        let (seen, _) =
+            assert_lanes_match_reference(&query, budget, budget, &chunks, schedule, &ALL_LANES);
         prop_assert!(seen.errors.is_empty());
     }
 
@@ -640,12 +693,12 @@ fn zero_width_strides_match_the_reference() {
         vec![],
         vec![AggSpec::count_star(), AggSpec::over(AggFunc::Sum, 0)],
     );
-    let seen = assert_lanes_match_reference(&scalar, 1, 1, &chunks, schedule, &ALL_LANES);
+    let (seen, _) = assert_lanes_match_reference(&scalar, 1, 1, &chunks, schedule, &ALL_LANES);
     assert_eq!(seen.mid_drain, vec![vec![Value::Int(33), Value::Int(817)]]);
     assert_eq!(seen.results[0].aggs, vec![Value::Int(33), Value::Int(817)]);
 
     let nothing = AggQuery::distinct(vec![]);
-    let seen = assert_lanes_match_reference(&nothing, 1, 1, &chunks, schedule, &ALL_LANES);
+    let (seen, _) = assert_lanes_match_reference(&nothing, 1, 1, &chunks, schedule, &ALL_LANES);
     assert_eq!(seen.mid_drain, vec![Vec::<Value>::new()]);
     assert_eq!(
         seen.results,
@@ -654,7 +707,7 @@ fn zero_width_strides_match_the_reference() {
 
     // No aggregates under a real key: states are the zero-width stride.
     let distinct = AggQuery::distinct(vec![0]);
-    let seen = assert_lanes_match_reference(&distinct, 20, 0, &chunks, schedule, &ALL_LANES);
+    let (seen, _) = assert_lanes_match_reference(&distinct, 20, 0, &chunks, schedule, &ALL_LANES);
     assert_eq!(
         (seen.mid_drain.len(), seen.results.len(), seen.bounced.len()),
         (20, 20, 26)
@@ -710,10 +763,183 @@ fn growth_across_segments_and_slot_doublings_matches_the_reference() {
         drain_at: Some(50),
         shrink: None,
     };
-    let seen = assert_lanes_match_reference(&query, usize::MAX, 0, &chunks, schedule, &ALL_LANES);
+    let (seen, layout) =
+        assert_lanes_match_reference(&query, usize::MAX, 0, &chunks, schedule, &ALL_LANES);
     assert!(seen.bounced.is_empty() && seen.errors.is_empty());
+    // The string key column demotes the key on the first admission; the
+    // all-`Int` aggregates never leave their typed columns.
+    assert_eq!((layout.typed_columns, layout.demoted), (3, [1, 0, 0, 0]));
     assert_eq!(
         (seen.lens[19], seen.mid_drain.len(), seen.results.len()),
         (4_000, 5_000, 2_000)
     );
+}
+
+// ---- the typed columns and their one-way demotion ---------------------
+
+/// A stream of all-`Int` rows — `k` key columns, a numeric input, an
+/// any-type input — as raw, partial and raw chunks, with a budget three
+/// groups short so rows bounce in every chunk. `with` edits the rows
+/// before the middle chunk is encoded as partial rows.
+fn int_stream(query: &AggQuery, k: usize, with: impl Fn(&mut Vec<Vec<Value>>)) -> Vec<Chunk> {
+    const ROWS: i64 = 36;
+    let mut rows: Vec<Vec<Value>> = (0..ROWS)
+        .map(|i| {
+            let key = (0..k as i64).map(|j| Value::Int((i * 7 + j) % (9 - 3 * j)));
+            key.chain([Value::Int(i * i - 300), Value::Int(40 - i)]).collect()
+        })
+        .collect();
+    with(&mut rows);
+    let keep: Vec<bool> = (0..ROWS).map(|i| i % 5 != 3).collect();
+    (0..3)
+        .map(|c| {
+            let range = c * 12..(c + 1) * 12;
+            let kind = [RowKind::Raw, RowKind::Partial, RowKind::Raw][c];
+            let encode = |row: &Vec<Value>| match kind {
+                RowKind::Raw => row.clone(),
+                RowKind::Partial => as_partial(query, row),
+            };
+            Chunk {
+                kind,
+                rows: rows[range.clone()].iter().map(encode).collect(),
+                keep: keep[range].to_vec(),
+            }
+        })
+        .collect()
+}
+
+/// A column is demoted by the first cell it cannot hold, wherever in the
+/// stream that cell is: a `Str`, `Float` or NULL key cell (raw or in a
+/// partial row), a `Float` input (`FloatGuard` keeps that page off the
+/// strips; in the partial chunk it arrives as a `Float` partial sum), a
+/// `Str` under `MIN`/`MAX` — with `VAR_POP` beside `SUM`, general all
+/// along. At every row index, every entry point, typed and general from
+/// row 0: the reference's rows, partial rows, bounces, probe count and
+/// event sequence, and the demotion is reported under its cause.
+#[test]
+fn a_demotion_at_every_row_index_matches_the_reference() {
+    let key_type = DemoteCause::KeyType as usize;
+    let input_type = DemoteCause::InputType as usize;
+    let partial_type = DemoteCause::PartialType as usize;
+    for k in [1usize, 2] {
+        let query = wide_query(k);
+        let (num, any) = (k, k + 1);
+        let (_, typed) =
+            assert_lanes_match_reference(&query, 6, 6, &int_stream(&query, k, |_| {}), Schedule::default(), &ALL_LANES);
+        assert_eq!((typed.general_columns, typed.demoted), (2, [0, 0, 0, 2]));
+
+        let misfits = [
+            (k - 1, Value::from("s")),
+            (0, Value::Float(2.5)),
+            (k - 1, Value::Null),
+            (num, Value::Float(0.25)),
+            (any, Value::from("zz")),
+        ];
+        for at in 0..36 {
+            for (column, cell) in &misfits {
+                let chunks = int_stream(&query, k, |rows| rows[at][*column] = cell.clone());
+                let schedule = Schedule {
+                    drain_at: Some(2),
+                    shrink: Some((1, 4)),
+                };
+                let (seen, layout) =
+                    assert_lanes_match_reference(&query, 6, 6, &chunks, schedule, &ALL_LANES);
+                assert!(seen.errors.is_empty() && !seen.bounced.is_empty());
+                let filtered_out = at % 5 == 3;
+                let in_partial_chunk = (12..24).contains(&at);
+                let mut expect = [0, 0, 0, 2];
+                match (*column, filtered_out) {
+                    (_, true) => {}
+                    // A new key is admitted — and demotes — unless the
+                    // table is full when it arrives: count what happened.
+                    (c, _) if c < k => expect[key_type] = layout.demoted[key_type],
+                    // SUM and AVG over the Float; MIN and MAX over the Str.
+                    // The row folds unless it bounces.
+                    (_, _) if in_partial_chunk => expect[partial_type] = layout.demoted[partial_type],
+                    (_, _) => expect[input_type] = layout.demoted[input_type],
+                }
+                assert_eq!(layout.demoted, expect, "misfit {cell:?} at row {at}");
+                let folded = expect.iter().sum::<u64>() > 2;
+                let bounced = seen.bounced.iter().any(|row| row.contains(cell));
+                assert!(
+                    filtered_out || folded != bounced,
+                    "misfit {cell:?} at row {at} neither folded nor bounced"
+                );
+                if folded && *column >= k {
+                    assert_eq!(layout.demoted.iter().sum::<u64>(), 4, "two columns demote");
+                }
+            }
+        }
+    }
+}
+
+/// The typed cells at their edges, on every entry point: a `SUM` that
+/// crosses `i64` (and is shipped, and merged, as the `Float` the general
+/// accumulator reads as), `i64::MIN`/`MAX` under `MIN`/`MAX`, groups that
+/// only ever see NULLs, two-column `Int` keys, raw and partial rows
+/// interleaved in one table (§3.2).
+#[test]
+fn typed_cells_at_their_edges_match_the_reference() {
+    let query = AggQuery::new(
+        vec![0, 1],
+        vec![
+            AggSpec::over(AggFunc::Sum, 2),
+            AggSpec::over(AggFunc::Avg, 2),
+            AggSpec::over(AggFunc::Min, 2),
+            AggSpec::over(AggFunc::Max, 2),
+            AggSpec::over(AggFunc::Count, 2),
+            AggSpec::count_star(),
+        ],
+    );
+    let raw = |a: i64, b: i64, v: Value| vec![Value::Int(a), Value::Int(b), v];
+    let extremes: Vec<Vec<Value>> = (0..24)
+        .map(|i| {
+            // Every group meets all four, in this order.
+            let v = [i64::MAX, i64::MAX - 1, i64::MIN, i64::MAX][i / 6];
+            raw((i % 3) as i64, i64::MIN + (i % 2) as i64, Value::Int(v))
+        })
+        .collect();
+    let nulls: Vec<Vec<Value>> = (0..10).map(|i| raw(9, i % 2, Value::Null)).collect();
+    let all = |n: usize| vec![true; n];
+    let chunks = [
+        Chunk { kind: RowKind::Raw, keep: all(24), rows: extremes.clone() },
+        Chunk { kind: RowKind::Raw, keep: all(10), rows: nulls.clone() },
+        // Each partial row carries one raw row's states; the sums folded
+        // so far have crossed i64, these have not.
+        Chunk {
+            kind: RowKind::Partial,
+            keep: all(34),
+            rows: extremes.iter().chain(&nulls).map(|r| as_partial(&query, r)).collect(),
+        },
+        Chunk { kind: RowKind::Raw, keep: all(24), rows: extremes },
+    ];
+    // Drained mid-stream: the partial rows that come out carry Float sums.
+    let schedule = Schedule { drain_at: Some(3), shrink: None };
+    let (seen, layout) =
+        assert_lanes_match_reference(&query, 100, 0, &chunks, schedule, &ALL_LANES);
+    assert_eq!(layout.demoted, [0; 4], "nothing here leaves the typed columns");
+    assert_eq!(layout.bytes_per_group, 8 + 4 + 16 + 17 + 24 + 9 + 9 + 8 + 8);
+    assert_eq!((seen.mid_drain.len(), seen.results.len()), (8, 6));
+    let group = &seen.mid_drain[0];
+    assert_eq!(group[..2], [Value::Int(0), Value::Int(i64::MIN)]);
+    assert!(matches!(group[2], Value::Float(s) if s > i64::MAX as f64), "{group:?}");
+    assert_eq!(group[5..], [Value::Int(i64::MIN), Value::Int(i64::MAX), Value::Int(8), Value::Int(8)]);
+    let only_nulls = &seen.mid_drain[6];
+    assert_eq!(
+        only_nulls[2..],
+        [Value::Null, Value::Null, Value::Int(0), Value::Null, Value::Null, Value::Int(0), Value::Int(10)]
+    );
+    // A partial row carrying a Float sum folds into a table whose SUM is
+    // still typed, and demotes it.
+    let shipped = Chunk { kind: RowKind::Partial, keep: all(8), rows: seen.mid_drain.clone() };
+    let (seen, layout) = assert_lanes_match_reference(
+        &query,
+        100,
+        0,
+        &[chunks[0].clone(), shipped],
+        Schedule::default(),
+        &ALL_LANES,
+    );
+    assert_eq!(layout.demoted, [0, 0, 2, 0], "SUM and AVG, by a partial cell");
+    assert!(seen.errors.is_empty());
 }

@@ -656,10 +656,33 @@ impl AggState {
     }
 }
 
+/// What the [`GroupStore`](crate::GroupStore)'s typed state columns need
+/// of the private accumulator: the general state an all-`Int` column cell
+/// demotes to, and how an integral sum reads as a [`Value`].
+impl AggState {
+    /// A `SUM` state whose inputs so far were integers adding up to `sum`
+    /// (`None`: no non-NULL input yet).
+    pub(crate) fn int_sum(sum: Option<i128>) -> Self {
+        AggState::Sum(sum.map(|s| NumAccState(NumAcc::Int(s))))
+    }
+
+    /// An `AVG` state over `count` integer inputs adding up to `sum`.
+    pub(crate) fn int_avg(sum: i128, count: u64) -> Self {
+        AggState::Avg {
+            sum: NumAccState(NumAcc::Int(sum)),
+            count,
+        }
+    }
+
+    /// An integral sum as partial rows and results carry it: `Int` while
+    /// it fits, `Float` past `i64`.
+    pub(crate) fn int_sum_value(sum: i128) -> Value {
+        NumAcc::Int(sum).to_value()
+    }
+}
+
 /// Row-level operations over a bare `[AggState]` slice (one state per
-/// spec). [`AggStates`] owns such a row per group; the
-/// [`GroupStore`](crate::GroupStore) keeps every group's states in one
-/// flat arena, and the operators borrow a row of it and come through here.
+/// spec): what [`AggStates`] owns per group.
 impl AggState {
     /// Fold a raw tuple into a row of states: for each spec, extract its
     /// input column and update the matching state.

@@ -8,27 +8,52 @@
 //! # Layout
 //!
 //! Entry `e` (groups are numbered in admission order) owns `hashes[e]`,
-//! row `e` of the key arena (`key_len` [`Value`]s) and row `e` of the
-//! state arena (one [`AggState`] per aggregate). `slots` is a
-//! power-of-two, linear-probed array of entry indices at a 7/8 maximum
-//! load factor; a probe compares the stored hash before the key, and
-//! growth re-seats entries from the stored hashes without touching a key.
-//! Nothing is boxed per group: a hit chases no pointer beyond the arena
-//! row, a new group costs no allocation (`Str` cells aside), and dropping
-//! the store frees segments, not entries.
+//! row `e` of the key column and cell `e` of one state column per
+//! aggregate. `slots` is a power-of-two, linear-probed array of entry
+//! indices at a 7/8 maximum load factor; a probe compares the stored hash
+//! before the key, and growth re-seats entries from the stored hashes
+//! without touching a key. Nothing is boxed per group: a hit chases no
+//! pointer beyond the column cells, a new group costs no allocation (`Str`
+//! cells aside), and dropping the store frees segments, not entries.
 //!
-//! The arenas grow a fixed-size **segment** at a time and rows never move.
-//! A doubling `Vec` would be marginally faster to index, but it holds up
-//! to twice the live rows and, while it reallocates, old and new copy at
-//! once; with every node of a query growing a table at the same moment
-//! that showed as peak RSS (DESIGN.md §18).
+//! # Typed columns, and the one-way demotion
+//!
+//! Columns start **typed**: the key is an `i64` arena of stride `key_len`
+//! and each aggregate owns plain cells — `COUNT` a `u64`; `SUM` an `i128`
+//! and a seen flag; `AVG` an `i128` and a `u64` count; `MIN`/`MAX` an
+//! `i64` and a seen flag. A column stays typed while every cell it is
+//! handed fits (`Int` key cells; `Int` or NULL aggregate inputs and
+//! partial cells). The first cell that does not — a `Str`/`Float`/NULL
+//! key, a `Float` or `Str` input, a `Float` partial sum — **demotes that
+//! column, in place and for good**, to the *general* column of [`Value`]s
+//! or [`AggState`]s, which is also where `VAR_POP`/`STDDEV_POP` start.
+//! The data picks the layout; nothing else can. Stored hashes and the
+//! slot array do not depend on it, so a demotion changes no probe
+//! sequence, no admission or drain order and no result: a general cell is
+//! exactly the [`AggState`] the typed cell stood for.
+//!
+//! The columns grow a fixed-size **segment** at a time and cells never
+//! move. A doubling `Vec` would be marginally faster to index, but it
+//! holds up to twice the live rows and, while it reallocates, old and new
+//! copy at once; with every node of a query growing a table at the same
+//! moment that showed as peak RSS (DESIGN.md §18). A typed state segment
+//! is born zero-filled, and all-zero is every typed column's fresh state:
+//! admitting a group writes its key, hash and slot and nothing per
+//! aggregate.
 
-use crate::agg::{AggFunc, AggSpec, AggState};
+use crate::agg::{AggFunc, AggSpec, AggState, RowKind};
+use crate::error::ModelError;
+use crate::key::GroupKey;
+use crate::query::ResultRow;
 use crate::value::Value;
-use std::convert::Infallible;
 
 /// Vacant slot marker.
 const EMPTY: u32 = u32::MAX;
+
+/// Group index of a row that landed in no group, in the group-index
+/// vectors [`GroupStore::update_ints`] and [`GroupStore::update_star`]
+/// sweep.
+pub const NO_GROUP: u32 = u32::MAX;
 
 /// Pre-sizing cap: the slot array is sized for `min(hint, this)` entries
 /// up front. Covers the paper's `M` budgets (10 K–12.5 K) with zero
@@ -71,6 +96,28 @@ impl<T> Arena<T> {
         &mut self.segs[r >> SEG_SHIFT][at..at + self.stride]
     }
 
+    /// Row `r` of a one-cell stride.
+    #[inline]
+    fn cell(&self, r: usize) -> &T {
+        debug_assert_eq!(self.stride, 1);
+        &self.segs[r >> SEG_SHIFT][r & (SEG_ROWS - 1)]
+    }
+
+    #[inline]
+    fn cell_mut(&mut self, r: usize) -> &mut T {
+        debug_assert_eq!(self.stride, 1);
+        &mut self.segs[r >> SEG_SHIFT][r & (SEG_ROWS - 1)]
+    }
+
+    /// `order` (empty on entry) = `entries` sorted by their rows.
+    fn sort_rows(&self, entries: std::ops::Range<u32>, order: &mut Vec<u32>)
+    where
+        T: Ord,
+    {
+        order.extend(entries);
+        order.sort_unstable_by(|&x, &y| self.row(x as usize).cmp(self.row(y as usize)));
+    }
+
     /// Append one row; `cells` must yield exactly `stride` cells.
     fn push_row(&mut self, cells: impl IntoIterator<Item = T>) {
         let s = self.rows >> SEG_SHIFT;
@@ -88,30 +135,470 @@ impl<T> Arena<T> {
         self.rows += 1;
     }
 
-    /// Take the last row back.
-    fn pop_row(&mut self) {
-        self.rows -= 1;
-        let seg = &mut self.segs[self.rows >> SEG_SHIFT];
-        seg.truncate(seg.len() - self.stride);
+    /// The same rows with every cell mapped through `f`, in segments of
+    /// the same capacity (rows keep their place; later pushes do not
+    /// reallocate).
+    fn map<U>(self, mut f: impl FnMut(T) -> U) -> Arena<U> {
+        let stride = self.stride;
+        let segs = self.segs.into_iter().map(|seg| {
+            let mut mapped = Vec::with_capacity(SEG_ROWS * stride);
+            mapped.extend(seg.into_iter().map(&mut f));
+            mapped
+        });
+        Arena {
+            stride,
+            rows: self.rows,
+            segs: segs.collect(),
+        }
+    }
+}
+
+/// One plain cell per group, in zero-filled fixed-size segments. Cell `e`
+/// exists as soon as segment `e >> SEG_SHIFT` does, and every cell past
+/// the store's last group holds `T::default()` — the fresh state of every
+/// typed column — so admitting a group costs a typed column nothing
+/// beyond a new segment every [`SEG_ROWS`] groups.
+#[derive(Debug)]
+struct Cells<T> {
+    segs: Vec<Box<[T]>>,
+}
+
+impl<T: Copy + Default> Cells<T> {
+    fn new() -> Self {
+        Cells { segs: Vec::new() }
     }
 
+    #[inline]
+    fn cell(&self, e: usize) -> &T {
+        &self.segs[e >> SEG_SHIFT][e & (SEG_ROWS - 1)]
+    }
+
+    #[inline]
+    fn cell_mut(&mut self, e: usize) -> &mut T {
+        &mut self.segs[e >> SEG_SHIFT][e & (SEG_ROWS - 1)]
+    }
+}
+
+/// One cell of a probing row's key, borrowed from wherever the row lives:
+/// a [`Value`] of a row slice, or a cell of a page's `Int` strip.
+#[derive(Debug, Clone, Copy)]
+pub enum KeyCell<'a> {
+    /// A cell of a fixed-width integer strip.
+    Int(i64),
+    /// A general cell.
+    Value(&'a Value),
+}
+
+impl KeyCell<'_> {
+    #[inline]
+    fn as_int(self) -> Option<i64> {
+        match self {
+            KeyCell::Int(x) | KeyCell::Value(&Value::Int(x)) => Some(x),
+            KeyCell::Value(_) => None,
+        }
+    }
+
+    #[inline]
+    fn is_value(self, stored: &Value) -> bool {
+        match self {
+            KeyCell::Int(x) => matches!(stored, Value::Int(y) if *y == x),
+            KeyCell::Value(v) => v == stored,
+        }
+    }
+
+    fn to_value(self) -> Value {
+        match self {
+            KeyCell::Int(x) => Value::Int(x),
+            KeyCell::Value(v) => v.clone(),
+        }
+    }
+}
+
+/// Why a column left its typed layout (the `store.demoted{cause=…}`
+/// trace counters).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DemoteCause {
+    /// A group key cell that is not an `Int`.
+    KeyType,
+    /// A raw aggregate input that is neither `Int` nor NULL.
+    InputType,
+    /// A partial-row cell the typed column cannot hold (a `Float` sum, a
+    /// malformed cell).
+    PartialType,
+    /// A function with no typed column (`VAR_POP`, `STDDEV_POP`): general
+    /// from the start.
+    Func,
+}
+
+impl DemoteCause {
+    /// Every cause, in counter order.
+    pub const ALL: [DemoteCause; 4] = [
+        DemoteCause::KeyType,
+        DemoteCause::InputType,
+        DemoteCause::PartialType,
+        DemoteCause::Func,
+    ];
+
+    /// The trace counter this cause increments.
+    pub fn counter(self) -> &'static str {
+        match self {
+            DemoteCause::KeyType => "store.demoted{cause=key_type}",
+            DemoteCause::InputType => "store.demoted{cause=input_type}",
+            DemoteCause::PartialType => "store.demoted{cause=partial_type}",
+            DemoteCause::Func => "store.demoted{cause=func}",
+        }
+    }
+}
+
+/// What layout a store's data left it in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreLayout {
+    /// Columns (the key, then one per aggregate) still typed.
+    pub typed_columns: u64,
+    /// Columns demoted to — or started in — the general layout.
+    pub general_columns: u64,
+    /// Demotions so far, indexed as [`DemoteCause::ALL`].
+    pub demoted: [u64; 4],
+    /// Bytes one resident group occupies: stored hash, slot, key cells
+    /// and state cells.
+    pub bytes_per_group: u64,
+}
+
+#[derive(Debug)]
+enum KeyColumn {
+    Ints(Arena<i64>),
+    General(Arena<Value>),
+}
+
+/// The states of one aggregate call, one cell per group.
+#[derive(Debug)]
+enum StateColumn {
+    Count(Cells<u64>),
+    /// `SUM` of integers; NULL until `seen`.
+    Sum {
+        sum: Cells<i128>,
+        seen: Cells<bool>,
+    },
+    /// `AVG` of integers.
+    Avg {
+        sum: Cells<i128>,
+        count: Cells<u64>,
+    },
+    /// `MIN` (or, with `max`, `MAX`) of integers; NULL until `seen`.
+    Extreme {
+        best: Cells<i64>,
+        seen: Cells<bool>,
+        max: bool,
+    },
+    General(Arena<AggState>),
+}
+
+/// The group indices of a batch paired with their input cells: row `i` of
+/// the index vector reads `xs[rows[i]]`, or `xs[i]` with no selection.
+#[inline]
+fn for_each_input(gix: &[u32], xs: &[i64], rows: Option<&[u32]>, mut f: impl FnMut(usize, i64)) {
+    match rows {
+        None => {
+            for (&e, &x) in gix.iter().zip(xs) {
+                if e != NO_GROUP {
+                    f(e as usize, x);
+                }
+            }
+        }
+        Some(rows) => {
+            for (&e, &r) in gix.iter().zip(rows) {
+                if e != NO_GROUP {
+                    f(e as usize, xs[r as usize]);
+                }
+            }
+        }
+    }
+}
+
+impl StateColumn {
+    fn new(func: AggFunc) -> Self {
+        match func {
+            AggFunc::Count => StateColumn::Count(Cells::new()),
+            AggFunc::Sum => StateColumn::Sum {
+                sum: Cells::new(),
+                seen: Cells::new(),
+            },
+            AggFunc::Avg => StateColumn::Avg {
+                sum: Cells::new(),
+                count: Cells::new(),
+            },
+            AggFunc::Min | AggFunc::Max => StateColumn::Extreme {
+                best: Cells::new(),
+                seen: Cells::new(),
+                max: func == AggFunc::Max,
+            },
+            AggFunc::VarPop | AggFunc::StddevPop => StateColumn::General(Arena::new(1)),
+        }
+    }
+
+    /// Bytes of one group's cell(s).
+    fn cell_bytes(&self) -> usize {
+        match self {
+            StateColumn::Count(_) => 8,
+            StateColumn::Sum { .. } => 16 + 1,
+            StateColumn::Avg { .. } => 16 + 8,
+            StateColumn::Extreme { .. } => 8 + 1,
+            StateColumn::General(_) => std::mem::size_of::<AggState>(),
+        }
+    }
+
+    /// Apply `f` to each of the column's arenas.
+    fn each_arena(&mut self, mut f: impl FnMut(&mut dyn Segments)) {
+        match self {
+            StateColumn::Count(a) => f(a),
+            StateColumn::Sum { sum, seen } => {
+                f(sum);
+                f(seen);
+            }
+            StateColumn::Avg { sum, count } => {
+                f(sum);
+                f(count);
+            }
+            StateColumn::Extreme { best, seen, .. } => {
+                f(best);
+                f(seen);
+            }
+            StateColumn::General(a) => f(a),
+        }
+    }
+
+    /// Make cell `e`, the next group's, the fresh state of `func` (the
+    /// column's own function).
+    #[inline]
+    fn push_fresh(&mut self, e: usize, func: AggFunc) {
+        match self {
+            StateColumn::General(a) => a.push_row([AggState::new(func)]),
+            // Zero-filled already, unless `e` opens a segment.
+            _ if e & (SEG_ROWS - 1) != 0 => {}
+            _ => self.each_arena(|a| a.open_segment(e >> SEG_SHIFT)),
+        }
+    }
+
+    /// Fold a raw input into cell `e` of a typed column, as
+    /// [`AggState::update`] would; `false` (nothing changed) if the input
+    /// does not fit the layout. Not for general columns.
+    #[inline]
+    fn try_update(&mut self, e: usize, input: Option<&Value>) -> bool {
+        match (self, input) {
+            (StateColumn::Count(a), input) => {
+                if !matches!(input, Some(Value::Null)) {
+                    *a.cell_mut(e) += 1;
+                }
+            }
+            (StateColumn::General(_), _) => unreachable!("typed fold into a general column"),
+            (_, Some(Value::Null)) => {}
+            (StateColumn::Sum { sum, seen }, Some(&Value::Int(x))) => {
+                *sum.cell_mut(e) += x as i128;
+                *seen.cell_mut(e) = true;
+            }
+            (StateColumn::Avg { sum, count }, Some(&Value::Int(x))) => {
+                *sum.cell_mut(e) += x as i128;
+                *count.cell_mut(e) += 1;
+            }
+            (StateColumn::Extreme { best, seen, max }, Some(&Value::Int(x))) => {
+                let (best, seen) = (best.cell_mut(e), seen.cell_mut(e));
+                if !*seen || (if *max { x > *best } else { x < *best }) {
+                    *best = x;
+                    *seen = true;
+                }
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Fold this function's cells of a partial row into cell `e` of a
+    /// typed column, as [`AggState::merge_partial`] would; `false`
+    /// (nothing changed) if they do not fit the layout.
+    #[inline]
+    fn try_merge(&mut self, e: usize, cols: &[Value]) -> bool {
+        match (self, cols) {
+            (StateColumn::Count(a), &[Value::Int(n)]) if n >= 0 => *a.cell_mut(e) += n as u64,
+            (StateColumn::Avg { sum, count }, &[ref s, Value::Int(n)]) if n >= 0 => {
+                match s {
+                    // A count of zero ships a NULL sum, which is skipped.
+                    _ if n == 0 => {}
+                    &Value::Int(s) => {
+                        *sum.cell_mut(e) += s as i128;
+                        *count.cell_mut(e) += n as u64;
+                    }
+                    _ => return false,
+                }
+            }
+            // SUM, MIN and MAX ship the one cell they would take as input.
+            (col @ (StateColumn::Sum { .. } | StateColumn::Extreme { .. }), [cell]) => {
+                return col.try_update(e, Some(cell))
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Fold the batch's `Int` input cells into the groups they landed in
+    /// (see [`for_each_input`]), per group in row order.
+    fn update_ints(&mut self, gix: &[u32], xs: &[i64], rows: Option<&[u32]>) {
+        match self {
+            StateColumn::Count(a) => for_each_input(gix, xs, rows, |e, _| *a.cell_mut(e) += 1),
+            StateColumn::Sum { sum, seen } => for_each_input(gix, xs, rows, |e, x| {
+                *sum.cell_mut(e) += x as i128;
+                *seen.cell_mut(e) = true;
+            }),
+            StateColumn::Avg { sum, count } => for_each_input(gix, xs, rows, |e, x| {
+                *sum.cell_mut(e) += x as i128;
+                *count.cell_mut(e) += 1;
+            }),
+            StateColumn::Extreme { best, seen, max } => for_each_input(gix, xs, rows, |e, x| {
+                let (best, seen) = (best.cell_mut(e), seen.cell_mut(e));
+                if !*seen || (if *max { x > *best } else { x < *best }) {
+                    *best = x;
+                    *seen = true;
+                }
+            }),
+            StateColumn::General(a) => {
+                for_each_input(gix, xs, rows, |e, x| a.cell_mut(e).update_int(x))
+            }
+        }
+    }
+
+    /// Cell `e` as the partial-row cells [`AggState::to_partial_values`]
+    /// encodes.
+    fn push_partial(&self, e: usize, out: &mut Vec<Value>) {
+        match self {
+            StateColumn::Avg { sum, count } => {
+                let n = *count.cell(e);
+                out.push(match n {
+                    0 => Value::Null,
+                    _ => AggState::int_sum_value(*sum.cell(e)),
+                });
+                out.push(Value::Int(n as i64));
+            }
+            StateColumn::General(a) => a.cell(e).to_partial_values(out),
+            // One cell, the one the result carries.
+            _ => out.push(self.finalize(e)),
+        }
+    }
+
+    /// Cell `e` as [`AggState::finalize`] reads it.
+    fn finalize(&self, e: usize) -> Value {
+        match self {
+            StateColumn::Count(a) => Value::Int(*a.cell(e) as i64),
+            StateColumn::Sum { sum, seen } => match *seen.cell(e) {
+                true => AggState::int_sum_value(*sum.cell(e)),
+                false => Value::Null,
+            },
+            StateColumn::Avg { sum, count } => match *count.cell(e) {
+                0 => Value::Null,
+                n => Value::Float(*sum.cell(e) as f64 / n as f64),
+            },
+            StateColumn::Extreme { best, seen, .. } => match *seen.cell(e) {
+                true => Value::Int(*best.cell(e)),
+                false => Value::Null,
+            },
+            StateColumn::General(a) => a.cell(e).finalize(),
+        }
+    }
+
+    /// The general column holding, cell for cell, the states the first
+    /// `rows` cells of this typed column stood for.
+    fn into_general(self, rows: usize) -> Arena<AggState> {
+        let state = |e: usize| match &self {
+            StateColumn::Count(a) => AggState::Count(*a.cell(e)),
+            StateColumn::Sum { sum, seen } => AggState::int_sum(seen.cell(e).then_some(*sum.cell(e))),
+            StateColumn::Avg { sum, count } => AggState::int_avg(*sum.cell(e), *count.cell(e)),
+            StateColumn::Extreme { best, seen, max } => {
+                let best = seen.cell(e).then_some(Value::Int(*best.cell(e)));
+                match max {
+                    true => AggState::Max(best),
+                    false => AggState::Min(best),
+                }
+            }
+            StateColumn::General(_) => unreachable!("demoting a general column"),
+        };
+        let mut general = Arena::new(1);
+        (0..rows).for_each(|e| general.push_row([state(e)]));
+        general
+    }
+}
+
+/// What the store does to every arena of a column alike, whatever its
+/// cell type. `rows` is the store's group count.
+trait Segments {
+    /// Make room for the first row of segment `s` (zero-filled cells).
+    fn open_segment(&mut self, s: usize);
+    /// Take back row `rows`, the one past the last group.
+    fn take_back(&mut self, rows: usize);
     /// Forget every row, keeping the segments.
-    fn clear(&mut self) {
+    fn clear(&mut self, rows: usize);
+    /// Free segment `s`, whose rows a drain has passed.
+    fn free_segment(&mut self, s: usize);
+    /// Forget every row and free every segment.
+    fn free(&mut self);
+}
+
+impl<T> Segments for Arena<T> {
+    fn open_segment(&mut self, _: usize) {}
+    fn take_back(&mut self, rows: usize) {
+        self.rows -= 1;
+        debug_assert_eq!(self.rows, rows);
+        let seg = &mut self.segs[rows >> SEG_SHIFT];
+        seg.truncate(seg.len() - self.stride);
+    }
+    fn clear(&mut self, _: usize) {
         self.segs.iter_mut().for_each(Vec::clear);
+        self.rows = 0;
+    }
+    fn free_segment(&mut self, s: usize) {
+        self.segs[s] = Vec::new();
+    }
+    fn free(&mut self) {
+        self.segs.clear();
         self.rows = 0;
     }
 }
 
-/// Group keys and aggregate states in segmented strided arenas behind an
+impl<T: Copy + Default> Segments for Cells<T> {
+    fn open_segment(&mut self, s: usize) {
+        // `clear` keeps segments; a refill finds them there, zeroed.
+        if s == self.segs.len() {
+            self.segs.push(vec![T::default(); SEG_ROWS].into_boxed_slice());
+        }
+    }
+    fn take_back(&mut self, rows: usize) {
+        *self.cell_mut(rows) = T::default();
+    }
+    fn clear(&mut self, rows: usize) {
+        let used = self.segs.iter_mut().take(rows.div_ceil(SEG_ROWS));
+        used.for_each(|seg| seg.fill(T::default()));
+    }
+    fn free_segment(&mut self, s: usize) {
+        self.segs[s] = Box::default();
+    }
+    fn free(&mut self) {
+        self.segs.clear();
+    }
+}
+
+/// Group keys and aggregate states in segmented columns behind an
 /// open-addressed index (see the module docs).
 #[derive(Debug)]
 pub struct GroupStore {
-    funcs: Vec<AggFunc>,
+    specs: Vec<AggSpec>,
+    /// Cells of a partial row past its key.
+    partial_arity: usize,
     /// Power-of-two sized.
     slots: Vec<u32>,
     hashes: Vec<u64>,
-    keys: Arena<Value>,
-    states: Arena<AggState>,
+    key_len: usize,
+    keys: KeyColumn,
+    /// One column per spec.
+    states: Vec<StateColumn>,
+    /// Demotions so far, indexed as [`DemoteCause::ALL`].
+    demoted: [u64; 4],
 }
 
 impl GroupStore {
@@ -122,12 +609,21 @@ impl GroupStore {
         let hint = hint.min(PRESIZE_CAP);
         // 7/8 max load factor, never fewer than 16 slots.
         let slots = (hint * 8 / 7 + 1).next_power_of_two().max(16);
+        let states: Vec<StateColumn> = specs.iter().map(|s| StateColumn::new(s.func)).collect();
+        let mut demoted = [0; 4];
+        demoted[DemoteCause::Func as usize] = states
+            .iter()
+            .filter(|c| matches!(c, StateColumn::General(_)))
+            .count() as u64;
         GroupStore {
-            funcs: specs.iter().map(|s| s.func).collect(),
+            specs: specs.to_vec(),
+            partial_arity: specs.iter().map(|s| s.func.partial_arity()).sum(),
             slots: vec![EMPTY; slots],
             hashes: Vec::with_capacity(hint),
-            keys: Arena::new(key_len),
-            states: Arena::new(specs.len()),
+            key_len,
+            keys: KeyColumn::Ints(Arena::new(key_len)),
+            states,
+            demoted,
         }
     }
 
@@ -147,22 +643,29 @@ impl GroupStore {
         self.slots.len()
     }
 
-    /// The key columns of `entry`.
-    #[inline]
-    pub fn key(&self, entry: usize) -> &[Value] {
-        self.keys.row(entry)
-    }
-
-    /// The aggregate states of `entry`, in spec order.
-    #[inline]
-    pub fn states(&self, entry: usize) -> &[AggState] {
-        self.states.row(entry)
-    }
-
-    /// The aggregate states of `entry`, mutably.
-    #[inline]
-    pub fn states_mut(&mut self, entry: usize) -> &mut [AggState] {
-        self.states.row_mut(entry)
+    /// Which columns are still typed, what demoted the others, and what a
+    /// group costs in bytes.
+    pub fn layout(&self) -> StoreLayout {
+        let key_cell = match self.keys {
+            KeyColumn::Ints(_) => std::mem::size_of::<i64>(),
+            KeyColumn::General(_) => std::mem::size_of::<Value>(),
+        };
+        let general = self
+            .states
+            .iter()
+            .filter(|c| matches!(c, StateColumn::General(_)))
+            .count()
+            + usize::from(matches!(self.keys, KeyColumn::General(_)));
+        let state_bytes: usize = self.states.iter().map(StateColumn::cell_bytes).sum();
+        StoreLayout {
+            typed_columns: (1 + self.states.len() - general) as u64,
+            general_columns: general as u64,
+            demoted: self.demoted,
+            bytes_per_group: (std::mem::size_of::<u64>()
+                + std::mem::size_of::<u32>()
+                + self.key_len * key_cell
+                + state_bytes) as u64,
+        }
     }
 
     /// Where the probe sequence of `hash` starts.
@@ -171,16 +674,11 @@ impl GroupStore {
         (hash as usize) & (self.slots.len() - 1)
     }
 
-    /// Linear-probe for the group with this `hash` whose stored key
-    /// satisfies `is_key`: `Ok(entry)`, or `Err(slot)` with the vacant
-    /// slot it would take (what [`GroupStore::admit`] wants), plus the
-    /// number of slots examined.
+    /// Linear-probe for the entry with this `hash` that `is_entry`
+    /// accepts: `Ok(entry)`, or `Err(slot)` with the vacant slot it would
+    /// take, plus the number of slots examined.
     #[inline]
-    pub fn probe(
-        &self,
-        hash: u64,
-        mut is_key: impl FnMut(&[Value]) -> bool,
-    ) -> (Result<usize, usize>, u64) {
+    fn probe(&self, hash: u64, is_entry: impl Fn(usize) -> bool) -> (Result<usize, usize>, u64) {
         let mask = self.slots.len() - 1;
         let mut i = self.home(hash);
         let mut examined = 1u64;
@@ -190,7 +688,7 @@ impl GroupStore {
                 return (Err(i), examined);
             }
             let e = s as usize;
-            if self.hashes[e] == hash && is_key(self.keys.row(e)) {
+            if self.hashes[e] == hash && is_entry(e) {
                 return (Ok(e), examined);
             }
             i = (i + 1) & mask;
@@ -198,48 +696,219 @@ impl GroupStore {
         }
     }
 
-    /// [`GroupStore::probe`] for a key held as a slice.
+    /// Look up the group with this `hash` whose key is `cell(0..key_len)`:
+    /// `Ok(entry)`, or `Err(slot)` with the vacant slot it would take
+    /// (what the `admit_*` methods want), plus the number of slots
+    /// examined. An `Int` cell equals no stored cell of another type, so a
+    /// key the typed column could not hold simply is not found in it.
     #[inline]
-    pub fn find(&self, hash: u64, key: &[Value]) -> (Result<usize, usize>, u64) {
-        self.probe(hash, |stored| stored == key)
-    }
-
-    /// Admit a new group with fresh states into the vacant `slot` a probe
-    /// for it just reported; returns its entry. `key` must yield the
-    /// store's `key_len` cells.
-    pub fn admit(&mut self, slot: usize, hash: u64, key: impl IntoIterator<Item = Value>) -> usize {
-        match self.admit_with(slot, hash, key, |_| Ok::<(), Infallible>(())) {
-            Ok(entry) => entry,
-            Err(never) => match never {},
+    pub fn find_cells<'a>(
+        &self,
+        hash: u64,
+        cell: impl Fn(usize) -> KeyCell<'a>,
+    ) -> (Result<usize, usize>, u64) {
+        match &self.keys {
+            KeyColumn::Ints(a) if self.key_len == 1 => match cell(0).as_int() {
+                Some(x) => self.probe(hash, |e| *a.cell(e) == x),
+                None => self.probe(hash, |_| false),
+            },
+            KeyColumn::Ints(a) => self.probe(hash, |e| {
+                let mut stored = a.row(e).iter().enumerate();
+                stored.all(|(j, &s)| cell(j).as_int() == Some(s))
+            }),
+            KeyColumn::General(a) => self.probe(hash, |e| {
+                let mut stored = a.row(e).iter().enumerate();
+                stored.all(|(j, s)| cell(j).is_value(s))
+            }),
         }
     }
 
-    /// [`GroupStore::admit`], with `init` folding the group's first row
-    /// into its fresh states. If `init` fails the store is left exactly
-    /// as it was — no entry, no slot, no probe-visible trace.
-    pub fn admit_with<E>(
+    /// [`GroupStore::find_cells`] for a key held as a slice.
+    #[inline]
+    pub fn find(&self, hash: u64, key: &[Value]) -> (Result<usize, usize>, u64) {
+        debug_assert_eq!(key.len(), self.key_len);
+        self.find_cells(hash, |j| KeyCell::Value(&key[j]))
+    }
+
+    /// Fold a row into the resident group `entry`: a raw row (the specs'
+    /// input columns index into `values`), or the cells of a partial row
+    /// past its key. A cell a typed column cannot hold demotes the column
+    /// first; a row that does not fold at all (`SUM` over a string, a
+    /// short row) returns the error [`AggState`] raises for it, with the
+    /// states ahead of the failing one already updated — as the general
+    /// layout always behaved.
+    #[inline]
+    pub fn fold(&mut self, entry: usize, kind: RowKind, values: &[Value]) -> Result<(), ModelError> {
+        match kind {
+            RowKind::Raw => self.fold_raw(entry, values),
+            RowKind::Partial => self.fold_partial(entry, values),
+        }
+    }
+
+    fn fold_raw(&mut self, entry: usize, values: &[Value]) -> Result<(), ModelError> {
+        for j in 0..self.states.len() {
+            let input = match self.specs[j].input {
+                Some(c) => Some(values.get(c).ok_or(ModelError::ColumnOutOfRange {
+                    column: c,
+                    arity: values.len(),
+                })?),
+                None => None,
+            };
+            self.fold_cell(
+                (j, entry, DemoteCause::InputType),
+                |typed| typed.try_update(entry, input),
+                |state| state.update(input),
+            )?;
+        }
+        Ok(())
+    }
+
+    fn fold_partial(&mut self, entry: usize, cols: &[Value]) -> Result<(), ModelError> {
+        if cols.len() != self.partial_arity {
+            return Err(ModelError::PartialArityMismatch {
+                expected: self.partial_arity,
+                found: cols.len(),
+            });
+        }
+        let mut pos = 0;
+        for j in 0..self.states.len() {
+            let n = self.specs[j].func.partial_arity();
+            let cells = &cols[pos..pos + n];
+            pos += n;
+            self.fold_cell(
+                (j, entry, DemoteCause::PartialType),
+                |typed| typed.try_merge(entry, cells),
+                |state| state.merge_partial(cells),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Fold into cell `entry` of state column `j`: by `typed` while the
+    /// column is typed and the fold fits it, else — demoting the column
+    /// in place for `cause` first, if it was typed — by `general`.
+    #[inline]
+    fn fold_cell(
+        &mut self,
+        (j, entry, cause): (usize, usize, DemoteCause),
+        typed: impl FnOnce(&mut StateColumn) -> bool,
+        general: impl FnOnce(&mut AggState) -> Result<(), ModelError>,
+    ) -> Result<(), ModelError> {
+        if !matches!(self.states[j], StateColumn::General(_)) {
+            if typed(&mut self.states[j]) {
+                return Ok(());
+            }
+            self.demoted[cause as usize] += 1;
+            // `entry` may be the group being admitted, one past the last.
+            let rows = self.len().max(entry + 1);
+            let column = std::mem::replace(&mut self.states[j], StateColumn::Count(Cells::new()));
+            self.states[j] = StateColumn::General(column.into_general(rows));
+        }
+        match &mut self.states[j] {
+            StateColumn::General(a) => general(a.cell_mut(entry)),
+            _ => unreachable!("just demoted"),
+        }
+    }
+
+    /// The batched lane's deferred update of spec `j` (which has an input
+    /// column): `gix[i]` is the entry batch row `rows[i]` landed in — row
+    /// `i` itself with no `rows` — or [`NO_GROUP`], and `xs` the spec's
+    /// `Int` input strip. Per entry the cells fold in row order, so the
+    /// states end bit-identical to [`GroupStore::fold`] row by row.
+    pub fn update_ints(&mut self, j: usize, gix: &[u32], xs: &[i64], rows: Option<&[u32]>) {
+        self.states[j].update_ints(gix, xs, rows);
+    }
+
+    /// [`GroupStore::update_ints`] for `COUNT(*)`: one row counted into
+    /// every entry of `gix`.
+    pub fn update_star(&mut self, j: usize, gix: &[u32]) {
+        let rows = gix.iter().filter(|&&e| e != NO_GROUP);
+        match &mut self.states[j] {
+            StateColumn::Count(a) => rows.for_each(|&e| *a.cell_mut(e as usize) += 1),
+            StateColumn::General(a) => rows.for_each(|&e| a.cell_mut(e as usize).update_star()),
+            _ => unreachable!("COUNT(*)-style update on a {} column", self.specs[j].func),
+        }
+    }
+
+    fn assert_vacant(&self, slot: usize) {
+        assert!(self.len() < EMPTY as usize, "group store exceeds u32 entries");
+        assert_eq!(self.slots[slot], EMPTY, "admission into an occupied slot");
+    }
+
+    /// Admit a new group with fresh states into the vacant `slot` a
+    /// lookup of its key just reported; returns its entry.
+    pub fn admit_cells<'a>(
         &mut self,
         slot: usize,
         hash: u64,
-        key: impl IntoIterator<Item = Value>,
-        init: impl FnOnce(&mut [AggState]) -> Result<(), E>,
-    ) -> Result<usize, E> {
+        cell: impl Fn(usize) -> KeyCell<'a>,
+    ) -> usize {
+        self.assert_vacant(slot);
+        self.push_fresh_states();
+        self.seat(slot, hash, cell)
+    }
+
+    /// Admit a new group and fold its first row into it (see
+    /// [`GroupStore::fold`] for `kind` and `values`). If the row does not
+    /// fold the store is left as it was — no entry, no slot, no column
+    /// cell, no probe-visible trace.
+    pub fn admit_row(
+        &mut self,
+        slot: usize,
+        hash: u64,
+        key: &[Value],
+        kind: RowKind,
+        values: &[Value],
+    ) -> Result<usize, ModelError> {
+        debug_assert_eq!(key.len(), self.key_len);
+        self.assert_vacant(slot);
+        self.push_fresh_states();
         let entry = self.len();
-        assert!(entry < EMPTY as usize, "group store exceeds u32 entries");
-        assert_eq!(self.slots[slot], EMPTY, "admission into an occupied slot");
-        self.states
-            .push_row(self.funcs.iter().map(|&f| AggState::new(f)));
-        if let Err(e) = init(self.states.row_mut(entry)) {
-            self.states.pop_row();
+        if let Err(e) = self.fold(entry, kind, values) {
+            self.states
+                .iter_mut()
+                .for_each(|c| c.each_arena(|a| a.take_back(entry)));
             return Err(e);
         }
-        self.keys.push_row(key);
+        Ok(self.seat(slot, hash, |j| KeyCell::Value(&key[j])))
+    }
+
+    fn push_fresh_states(&mut self) {
+        let entry = self.hashes.len();
+        for (column, spec) in self.states.iter_mut().zip(&self.specs) {
+            column.push_fresh(entry, spec.func);
+        }
+    }
+
+    /// Give the group whose states were just pushed its key, hash and
+    /// slot.
+    fn seat<'a>(&mut self, slot: usize, hash: u64, cell: impl Fn(usize) -> KeyCell<'a>) -> usize {
+        let entry = self.len();
+        self.push_key(cell);
         self.hashes.push(hash);
         self.slots[slot] = entry as u32;
         if (self.len() + 1) * 8 > self.slots.len() * 7 {
             self.grow();
         }
-        Ok(entry)
+        entry
+    }
+
+    /// Append a key row, demoting the key column first if a cell is not
+    /// an `Int`.
+    fn push_key<'a>(&mut self, cell: impl Fn(usize) -> KeyCell<'a>) {
+        let cells = 0..self.key_len;
+        if let KeyColumn::Ints(a) = &mut self.keys {
+            if cells.clone().all(|j| cell(j).as_int().is_some()) {
+                return a.push_row(cells.filter_map(|j| cell(j).as_int()));
+            }
+            self.demoted[DemoteCause::KeyType as usize] += 1;
+            let ints = std::mem::replace(a, Arena::new(0));
+            self.keys = KeyColumn::General(ints.map(Value::Int));
+        }
+        match &mut self.keys {
+            KeyColumn::General(a) => a.push_row(cells.map(|j| cell(j).to_value())),
+            KeyColumn::Ints(_) => unreachable!("just demoted"),
+        }
     }
 
     /// Double the slot array and re-seat every entry from its stored
@@ -257,40 +926,122 @@ impl GroupStore {
         }
     }
 
-    /// Forget every group, keeping every buffer (slot array at its grown
-    /// size, arena segments) for the next fill.
-    pub fn clear(&mut self) {
-        self.slots.fill(EMPTY);
-        self.hashes.clear();
-        self.keys.clear();
-        self.states.clear();
+    /// Apply `f` to every arena of every column.
+    fn each_arena(&mut self, mut f: impl FnMut(&mut dyn Segments)) {
+        match &mut self.keys {
+            KeyColumn::Ints(a) => f(a),
+            KeyColumn::General(a) => f(a),
+        }
+        self.states.iter_mut().for_each(|c| c.each_arena(&mut f));
     }
 
-    /// Hand every group to `f` in admission order — its key cells *moved*
-    /// into a vector with room for `spare` more, and its states — and
-    /// empty the store. Unlike [`GroupStore::clear`], arena segments are
-    /// freed as the drain passes them, so the rows being built never
-    /// coexist with a full arena. That is where the peak-RSS saving of
-    /// the flat layout comes from when many tables drain at once
-    /// (`serve_mixed`: 126-129 MB against 152-153 MB with the segments
-    /// kept), and a table refilled after a drain (A-2P's overflow flush,
-    /// bucket recursion) measured no slower for re-allocating them
-    /// (`spill_adaptive`: 5.5 M against 5.2-5.3 M tuples/s; DESIGN.md §18.1).
-    pub fn drain_rows(&mut self, spare: usize, mut f: impl FnMut(Vec<Value>, &[AggState])) {
-        let width = self.keys.stride + spare;
+    /// Forget every group, keeping every buffer (slot array at its grown
+    /// size, column segments) and the layout the data so far left.
+    pub fn clear(&mut self) {
+        let rows = self.len();
+        self.slots.fill(EMPTY);
+        self.hashes.clear();
+        self.each_arena(|a| a.clear(rows));
+    }
+
+    /// Fill `order` with every entry in ascending key order: `Value`'s
+    /// total order over the key columns, i.e. `GroupKey`'s `Ord` — which
+    /// over a typed key column is the order of the `i64` cells. Keys are
+    /// distinct, so the unstable sorts are deterministic; none allocates
+    /// once `order` and `pairs` (the caller's scratch for single-`Int`
+    /// keys) have grown.
+    pub fn sort_entries(&self, order: &mut Vec<u32>, pairs: &mut Vec<(i64, u32)>) {
+        order.clear();
+        let entries = 0..self.len() as u32;
+        match &self.keys {
+            // Sorting `(key, entry)` pairs moves each key with its entry;
+            // a permutation sorted by looking every key up in the column
+            // measured 135 -> 170 ns/tuple of run formation at 10k groups.
+            KeyColumn::Ints(a) if self.key_len == 1 => {
+                pairs.clear();
+                pairs.extend(entries.map(|e| (*a.cell(e as usize), e)));
+                pairs.sort_unstable();
+                order.extend(pairs.iter().map(|&(_, e)| e));
+            }
+            KeyColumn::Ints(a) => a.sort_rows(entries, order),
+            KeyColumn::General(a) => a.sort_rows(entries, order),
+        }
+    }
+
+    /// Write group `entry` into `row` (cleared first) as a partial row:
+    /// key columns, then each aggregate's partial-state cells.
+    pub fn write_partial_row(&self, entry: usize, row: &mut Vec<Value>) {
+        row.clear();
+        match &self.keys {
+            KeyColumn::Ints(a) => row.extend(a.row(entry).iter().map(|&x| Value::Int(x))),
+            KeyColumn::General(a) => row.extend_from_slice(a.row(entry)),
+        }
+        for column in &self.states {
+            column.push_partial(entry, row);
+        }
+    }
+
+    /// Hand `row` every entry in admission order, with the key column
+    /// mutable so it can move the key cells out, and empty the store.
+    /// Unlike [`GroupStore::clear`], column segments are freed as the
+    /// drain passes them, so the rows being built never coexist with full
+    /// columns. That is where the peak-RSS saving of the flat layout comes
+    /// from when many tables drain at once (`serve_mixed`: 126-129 MB
+    /// against 152-153 MB with the segments kept), and a table refilled
+    /// after a drain (A-2P's overflow flush, bucket recursion) measured no
+    /// slower for re-allocating them (`spill_adaptive`: 5.5 M against
+    /// 5.2-5.3 M tuples/s; DESIGN.md §18.1).
+    fn drain(&mut self, mut row: impl FnMut(&mut KeyColumn, &[StateColumn], usize)) {
         for e in 0..self.len() {
-            let mut key = Vec::with_capacity(width);
-            let cells = self.keys.row_mut(e).iter_mut();
-            key.extend(cells.map(|v| std::mem::replace(v, Value::Null)));
-            f(key, self.states.row(e));
+            row(&mut self.keys, &self.states, e);
             if (e + 1) % SEG_ROWS == 0 {
-                self.keys.segs[e >> SEG_SHIFT] = Vec::new();
-                self.states.segs[e >> SEG_SHIFT] = Vec::new();
+                self.each_arena(|a| a.free_segment(e >> SEG_SHIFT));
             }
         }
-        self.clear();
-        self.keys.segs.clear();
-        self.states.segs.clear();
+        self.slots.fill(EMPTY);
+        self.hashes.clear();
+        self.each_arena(|a| a.free());
+    }
+
+    /// Empty the store (see [`GroupStore::drain`] for what is freed when),
+    /// handing `emit` each group as a partial row — key columns, then
+    /// partial-state cells — in admission order.
+    pub fn drain_partial_rows(&mut self, mut emit: impl FnMut(Vec<Value>)) {
+        let width = self.key_len + self.partial_arity;
+        self.drain(|keys, states, e| {
+            let mut row = Vec::with_capacity(width);
+            keys.take_row(e, &mut row);
+            for column in states {
+                column.push_partial(e, &mut row);
+            }
+            emit(row);
+        });
+    }
+
+    /// Empty the store the same way, handing `emit` each group as its
+    /// finalized [`ResultRow`] in admission order.
+    pub fn drain_result_rows(&mut self, mut emit: impl FnMut(ResultRow)) {
+        let key_len = self.key_len;
+        self.drain(|keys, states, e| {
+            let mut key = Vec::with_capacity(key_len);
+            keys.take_row(e, &mut key);
+            let aggs = states.iter().map(|column| column.finalize(e)).collect();
+            emit(ResultRow::new(GroupKey::new(key), aggs));
+        });
+    }
+}
+
+impl KeyColumn {
+    /// Move the key cells of `entry` onto `out` (a general cell leaves
+    /// NULL behind).
+    fn take_row(&mut self, entry: usize, out: &mut Vec<Value>) {
+        match self {
+            KeyColumn::Ints(a) => out.extend(a.row(entry).iter().map(|&x| Value::Int(x))),
+            KeyColumn::General(a) => {
+                let cells = a.row_mut(entry).iter_mut();
+                out.extend(cells.map(|v| std::mem::replace(v, Value::Null)));
+            }
+        }
     }
 }
 
@@ -303,64 +1054,84 @@ mod tests {
         [AggSpec::count_star(), AggSpec::over(AggFunc::Sum, 1)]
     }
 
-    /// Find-or-admit `key`, counting one row into the group.
-    fn touch(store: &mut GroupStore, key: &[Value]) -> usize {
+    /// Find-or-admit the group of raw row `row` (key = its first
+    /// `key_len` cells) and fold the row into it.
+    fn touch(store: &mut GroupStore, row: &[Value]) -> Result<usize, ModelError> {
+        let key = &row[..store.key_len];
         let hash = hash_values(Seed::Table, key);
-        let entry = match store.find(hash, key).0 {
-            Ok(entry) => entry,
-            Err(slot) => store.admit(slot, hash, key.iter().cloned()),
-        };
-        store.states_mut(entry)[0].update(None).unwrap();
-        entry
+        match store.find(hash, key).0 {
+            Ok(entry) => store.fold(entry, RowKind::Raw, row).map(|()| entry),
+            Err(slot) => store.admit_row(slot, hash, key, RowKind::Raw, row),
+        }
+    }
+
+    fn partial_row(store: &GroupStore, entry: usize) -> Vec<Value> {
+        let mut row = Vec::new();
+        store.write_partial_row(entry, &mut row);
+        row
+    }
+
+    fn segments(store: &GroupStore) -> Vec<usize> {
+        let mut segs = vec![match &store.keys {
+            KeyColumn::Ints(a) => a.segs.len(),
+            KeyColumn::General(a) => a.segs.len(),
+        }];
+        for column in &store.states {
+            segs.push(match column {
+                StateColumn::Count(a) => a.segs.len(),
+                StateColumn::Sum { sum, .. } | StateColumn::Avg { sum, .. } => sum.segs.len(),
+                StateColumn::Extreme { best, .. } => best.segs.len(),
+                StateColumn::General(a) => a.segs.len(),
+            });
+        }
+        segs
     }
 
     #[test]
     fn entries_survive_segment_boundaries_and_slot_doublings() {
-        let mut store = GroupStore::new(2, &specs(), 0);
+        let specs = [AggSpec::count_star(), AggSpec::over(AggFunc::Max, 1)];
+        let mut store = GroupStore::new(2, &specs, 0);
         let n = 3 * SEG_ROWS + 17;
-        let key = |g: usize| [Value::Int(g as i64), Value::from(["e", "o"][g % 2])];
+        let row = |g: usize| [Value::Int(g as i64), Value::from(["e", "o"][g % 2])];
         for g in 0..n {
-            assert_eq!(
-                touch(&mut store, &key(g)),
-                g,
-                "entries number in admission order"
-            );
+            assert_eq!(touch(&mut store, &row(g)), Ok(g), "entries number in admission order");
         }
         assert_eq!(store.len(), n);
         assert!(store.slot_count() >= n * 8 / 7 && store.slot_count() > 16);
-        assert_eq!((store.keys.segs.len(), store.states.segs.len()), (4, 4));
+        assert_eq!(segments(&store), [4, 4, 4]);
         for g in (0..n).rev() {
-            assert_eq!(touch(&mut store, &key(g)), g);
-            assert_eq!(store.key(g), &key(g));
-            assert_eq!(store.states(g)[0], AggState::Count(2));
+            assert_eq!(touch(&mut store, &row(g)), Ok(g));
+            let [a, b] = row(g);
+            assert_eq!(partial_row(&store, g), [a, b.clone(), Value::Int(2), b]);
         }
     }
 
     #[test]
     fn a_failed_first_fold_leaves_no_trace() {
         let mut store = GroupStore::new(1, &specs(), 0);
-        touch(&mut store, &[Value::Int(1)]);
-        let key = [Value::Int(2)];
-        let hash = hash_values(Seed::Table, &key);
-        let (probe, examined) = store.find(hash, &key);
+        touch(&mut store, &[Value::Int(1), Value::Int(4)]).unwrap();
+        let bad = [Value::Int(2), Value::from("x")];
+        let hash = hash_values(Seed::Table, &bad[..1]);
+        let (probe, examined) = store.find(hash, &bad[..1]);
         let slot = probe.unwrap_err();
-        let failed = store.admit_with(slot, hash, key.iter().cloned(), |states| {
-            states[0].update(None).unwrap();
-            Err("bad row")
-        });
-        assert_eq!(failed, Err("bad row"));
-        assert_eq!((store.len(), store.states.rows, store.keys.rows), (1, 1, 1));
-        assert_eq!(store.find(hash, &key), (Err(slot), examined));
+        // COUNT(*) counts the row before SUM refuses it.
+        let failed = store.admit_row(slot, hash, &bad[..1], RowKind::Raw, &bad);
+        assert!(matches!(failed, Err(ModelError::TypeMismatch { .. })), "{failed:?}");
+        assert_eq!((store.len(), segments(&store)), (1, vec![1, 1, 1]));
+        for column in &store.states {
+            match column {
+                StateColumn::Count(a) => assert_eq!(a.cell(1), &0, "the counted row is taken back"),
+                StateColumn::General(a) => assert_eq!(a.rows, 1, "the misfit demoted SUM"),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(store.find(hash, &bad[..1]), (Err(slot), examined));
         // The next admission takes the entry the failed one would have,
-        // with fresh states.
-        let entry = store
-            .admit_with(slot, hash, key.iter().cloned(), |_| Ok::<_, ()>(()))
-            .unwrap();
-        assert_eq!(entry, 1);
-        assert_eq!(
-            store.states(1),
-            &[AggState::new(AggFunc::Count), AggState::new(AggFunc::Sum)]
-        );
+        // with fresh states; the group beside it is what it was.
+        assert_eq!(touch(&mut store, &[Value::Int(2), Value::Null]), Ok(1));
+        assert_eq!(partial_row(&store, 1), [Value::Int(2), Value::Int(1), Value::Null]);
+        assert_eq!(partial_row(&store, 0), [Value::Int(1), Value::Int(1), Value::Int(4)]);
+        assert_eq!(store.layout().demoted, [0, 1, 0, 0]);
     }
 
     #[test]
@@ -370,12 +1141,12 @@ mod tests {
         let mut store = GroupStore::new(0, &[], 0);
         let hash = hash_values(Seed::Table, &[]);
         let slot = store.find(hash, &[]).0.unwrap_err();
-        assert_eq!(store.admit(slot, hash, []), 0);
+        assert_eq!(store.admit_cells(slot, hash, |_| unreachable!("no key cells")), 0);
         assert_eq!(store.find(hash, &[]).0, Ok(0));
-        assert!(store.key(0).is_empty() && store.states(0).is_empty());
+        assert!(partial_row(&store, 0).is_empty());
         let mut drained = Vec::new();
-        store.drain_rows(0, |key, states| drained.push((key, states.len())));
-        assert_eq!(drained, vec![(vec![], 0)]);
+        store.drain_result_rows(|row| drained.push(row));
+        assert_eq!(drained, [ResultRow::new(GroupKey::new(vec![]), vec![])]);
         assert!(store.is_empty());
     }
 
@@ -384,51 +1155,192 @@ mod tests {
         let mut store = GroupStore::new(1, &specs(), 0);
         let fill = |store: &mut GroupStore| {
             for g in 0..(SEG_ROWS as i64 + 5) {
-                touch(store, &[Value::from(format!("g{g}"))]);
+                touch(store, &[Value::from(format!("g{g}")), Value::Int(g)]).unwrap();
             }
+        };
+        let key_caps = |store: &GroupStore| match &store.keys {
+            KeyColumn::General(a) => a.segs.iter().map(Vec::capacity).collect::<Vec<_>>(),
+            KeyColumn::Ints(_) => panic!("string keys in a typed column"),
         };
         fill(&mut store);
         let slots = store.slot_count();
-        let caps: Vec<usize> = store.keys.segs.iter().map(Vec::capacity).collect();
-        assert_eq!(caps, vec![SEG_ROWS, SEG_ROWS]);
+        assert_eq!(key_caps(&store), [SEG_ROWS, SEG_ROWS]);
         store.clear();
         assert!(store.is_empty());
-        assert_eq!(
-            store
-                .find(
-                    hash_values(Seed::Table, &[Value::from("g3")]),
-                    &[Value::from("g3")]
-                )
-                .0
-                .ok(),
-            None
-        );
+        let g3 = [Value::from("g3")];
+        assert_eq!(store.find(hash_values(Seed::Table, &g3), &g3).0.ok(), None);
         fill(&mut store);
         assert_eq!(store.slot_count(), slots);
-        assert_eq!(
-            store
-                .keys
-                .segs
-                .iter()
-                .map(Vec::capacity)
-                .collect::<Vec<_>>(),
-            caps
-        );
+        assert_eq!(key_caps(&store), [SEG_ROWS, SEG_ROWS]);
 
-        let mut keys = Vec::new();
-        store.drain_rows(3, |key, states| {
-            assert_eq!((key.capacity(), states[0].clone()), (4, AggState::Count(1)));
-            keys.push(key);
+        let mut rows = Vec::new();
+        store.drain_partial_rows(|row| {
+            assert_eq!((row.len(), row.capacity()), (3, 3));
+            rows.push(row);
         });
-        assert_eq!(keys.len(), SEG_ROWS + 5);
+        assert_eq!(rows.len(), SEG_ROWS + 5);
+        let last = SEG_ROWS as i64;
         assert_eq!(
-            keys[SEG_ROWS],
-            vec![Value::from(format!("g{SEG_ROWS}"))],
+            rows[SEG_ROWS],
+            [Value::from(format!("g{last}")), Value::Int(1), Value::Int(last)],
             "admission order"
         );
-        assert!(store.is_empty() && store.keys.segs.is_empty() && store.states.segs.is_empty());
-        // Reusable after a drain.
+        assert!(store.is_empty());
+        assert_eq!(segments(&store), [0, 0, 0]);
+        // Reusable after a drain, in the layout the data had left.
         fill(&mut store);
         assert_eq!(store.len(), SEG_ROWS + 5);
+        assert_eq!(store.layout().demoted, [1, 0, 0, 0]);
+    }
+
+    /// Every function over the same rows — a stream that stays typed, and
+    /// one whose row `at` carries the first cell its column cannot hold —
+    /// against a row of [`AggState`]s per group, the states a general
+    /// column holds: same partial rows after every row, same results.
+    #[test]
+    fn a_demotion_at_any_row_changes_no_state() {
+        let specs: Vec<AggSpec> = AggFunc::ALL.iter().map(|&f| AggSpec::over(f, 1)).collect();
+        let rows: Vec<[Value; 2]> = (0..24i64)
+            .map(|i| [Value::Int(i % 5), if i % 7 == 3 { Value::Null } else { Value::Int(i * i - 40) }])
+            .collect();
+        for at in 0..=rows.len() {
+            for misfit in [Value::Float(0.25), Value::from("s")] {
+                let mut store = GroupStore::new(1, &specs, 0);
+                let mut oracle: Vec<(Value, Vec<AggState>)> = Vec::new();
+                for (i, row) in rows.iter().enumerate() {
+                    let mut row = row.clone();
+                    if i == at {
+                        row[1] = misfit.clone();
+                    }
+                    let entry = touch(&mut store, &row);
+                    let at_group = oracle.iter().position(|(key, _)| *key == row[0]);
+                    let mut states = match at_group {
+                        Some(g) => oracle[g].1.clone(),
+                        None => specs.iter().map(|s| AggState::new(s.func)).collect(),
+                    };
+                    let folded = AggState::update_row(&mut states, &specs, &row);
+                    assert_eq!(entry.clone().map(|_| ()), folded, "row {i}, misfit at {at}");
+                    match (at_group, folded) {
+                        // A refused update keeps what folded ahead of it;
+                        // a refused first row keeps nothing.
+                        (Some(g), _) => oracle[g].1 = states,
+                        (None, Ok(())) => oracle.push((row[0].clone(), states)),
+                        (None, Err(_)) => {}
+                    }
+                    assert_eq!(store.len(), oracle.len());
+                    for (g, (key, states)) in oracle.iter().enumerate() {
+                        let mut expect = vec![key.clone()];
+                        states.iter().for_each(|s| s.to_partial_values(&mut expect));
+                        assert_eq!(partial_row(&store, g), expect, "row {i}, misfit at {at}");
+                    }
+                }
+                // A Float demotes SUM, AVG, MIN and MAX; a string only
+                // SUM, which refuses the row before the others see it.
+                // VAR and STDDEV started general; COUNT never leaves.
+                let by_input = match (at < rows.len(), &misfit) {
+                    (false, _) => 0,
+                    (true, Value::Float(_)) => 4,
+                    (true, _) => 1,
+                };
+                assert_eq!(store.layout().demoted, [0, by_input, 0, 2]);
+                let mut results = Vec::new();
+                store.drain_result_rows(|row| results.push(row));
+                for (row, (key, states)) in results.iter().zip(&oracle) {
+                    assert_eq!(row.key.values(), std::slice::from_ref(key));
+                    let expect: Vec<Value> = states.iter().map(AggState::finalize).collect();
+                    assert_eq!(row.aggs, expect);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn typed_cells_read_as_the_states_they_stand_for() {
+        let specs: Vec<AggSpec> = [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max]
+            .iter()
+            .map(|&f| AggSpec::over(f, 1))
+            .collect();
+        let mut store = GroupStore::new(1, &specs, 0);
+        // Group 0: SUM crosses i64 and reads as a Float, exactly as the
+        // general accumulator's; MIN/MAX hold the i64 extremes.
+        for x in [i64::MAX, i64::MAX, i64::MIN] {
+            touch(&mut store, &[Value::Int(0), Value::Int(x)]).unwrap();
+        }
+        touch(&mut store, &[Value::Int(0), Value::Int(i64::MAX)]).unwrap();
+        // Group 1: nothing but NULLs.
+        touch(&mut store, &[Value::Int(1), Value::Null]).unwrap();
+        assert_eq!(store.layout().demoted, [0; 4]);
+        assert_eq!(store.layout().bytes_per_group, 8 + 4 + 8 + 17 + 24 + 9 + 9);
+        let sum = i64::MAX as i128 * 3 + i64::MIN as i128;
+        assert_eq!(
+            partial_row(&store, 0)[1..],
+            [
+                Value::Float(sum as f64),
+                Value::Float(sum as f64),
+                Value::Int(4),
+                Value::Int(i64::MIN),
+                Value::Int(i64::MAX)
+            ]
+        );
+        assert_eq!(
+            partial_row(&store, 1)[1..],
+            [Value::Null, Value::Null, Value::Int(0), Value::Null, Value::Null]
+        );
+        // Partial rows fold back into typed cells; a Float sum demotes
+        // its column alone.
+        let ints = [Value::Int(5), Value::Int(6), Value::Int(2), Value::Int(-1), Value::Int(9)];
+        store.fold(1, RowKind::Partial, &ints).unwrap();
+        assert_eq!(store.layout().demoted, [0; 4]);
+        let overflowed = partial_row(&store, 0);
+        store.fold(1, RowKind::Partial, &overflowed[1..]).unwrap();
+        assert_eq!(store.layout().demoted, [0, 0, 2, 0]);
+        let mut results = Vec::new();
+        store.drain_result_rows(|row| results.push(row.aggs));
+        assert_eq!(
+            results,
+            [
+                vec![
+                    Value::Float(sum as f64),
+                    Value::Float(sum as f64 / 4.0),
+                    Value::Int(i64::MIN),
+                    Value::Int(i64::MAX)
+                ],
+                vec![
+                    Value::Float(5.0 + sum as f64),
+                    Value::Float((6.0 + sum as f64) / 6.0),
+                    Value::Int(i64::MIN),
+                    Value::Int(i64::MAX)
+                ],
+            ]
+        );
+    }
+
+    #[test]
+    fn keys_sort_alike_typed_and_general() {
+        let keys: Vec<[i64; 2]> = (0..200i64).map(|i| [(i * 37) % 11 - 5, (i * 7919) % 200 - 100]).collect();
+        let mut store = GroupStore::new(2, &[], 0);
+        for key in &keys {
+            touch(&mut store, &key.map(Value::Int)).unwrap();
+        }
+        let (mut typed, mut pairs) = (Vec::new(), Vec::new());
+        store.sort_entries(&mut typed, &mut pairs);
+        let mut expect: Vec<u32> = (0..keys.len() as u32).collect();
+        expect.sort_by_key(|&e| keys[e as usize]);
+        assert_eq!(typed, expect);
+        // A NULL key cell demotes the column; NULL sorts first, the rest
+        // keep their order.
+        let null = keys.len() as u32;
+        touch(&mut store, &[Value::Null, Value::Int(0)]).unwrap();
+        assert_eq!(store.layout().demoted, [1, 0, 0, 0]);
+        let mut general = Vec::new();
+        store.sort_entries(&mut general, &mut pairs);
+        assert_eq!(general[0], null);
+        assert_eq!(general[1..], expect);
+        // Probes by strip cell and by value find the same entries in the
+        // general column.
+        for (e, key) in keys.iter().enumerate() {
+            let hash = hash_values(Seed::Table, &key.map(Value::Int));
+            assert_eq!(store.find_cells(hash, |j| KeyCell::Int(key[j])).0, Ok(e));
+        }
     }
 }

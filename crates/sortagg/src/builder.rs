@@ -9,7 +9,7 @@
 
 use adaptagg_model::hash::hash_values;
 use adaptagg_model::{
-    AggQuery, AggState, CostEvent, CostTracker, GroupStore, ModelError, RowKind, Seed, Value,
+    AggQuery, CostEvent, CostTracker, GroupStore, ModelError, RowKind, Seed, Value,
 };
 use adaptagg_storage::{SpillFile, StorageError};
 
@@ -18,70 +18,22 @@ use adaptagg_storage::{SpillFile, StorageError};
 #[derive(Debug)]
 struct RunTable {
     store: GroupStore,
-    /// Key columns per group.
-    k: usize,
-    /// Every resident key is a single `Int` (sort `(i64, entry)` pairs
-    /// instead of comparing `Value` slices).
-    int_keys: bool,
-    /// Seal-time scratch: entries in key order, the int-key sort buffer,
-    /// and the row being spooled.
+    /// Seal-time scratch: entries in key order, the `(key, entry)` pairs a
+    /// single-`Int` key is sorted as, and the row being spooled.
     order: Vec<u32>,
-    int_order: Vec<(i64, u32)>,
+    pairs: Vec<(i64, u32)>,
     row: Vec<Value>,
 }
 
 impl RunTable {
     fn new(query: &AggQuery) -> Self {
-        let k = query.group_by.len();
         RunTable {
             // No size hint: the index grows on demand during the first
             // run and `clear` keeps it for the runs after.
-            store: GroupStore::new(k, &query.aggs, 0),
-            k,
-            int_keys: k == 1,
+            store: GroupStore::new(query.group_by.len(), &query.aggs, 0),
             order: Vec::new(),
-            int_order: Vec::new(),
+            pairs: Vec::new(),
             row: Vec::new(),
-        }
-    }
-
-    /// Forget every group, keeping every buffer's capacity.
-    fn clear(&mut self) {
-        self.store.clear();
-        self.int_keys = self.k == 1;
-    }
-
-    /// Fill `order` with the entries in ascending key order (`Value`'s
-    /// total order over the key columns, i.e. `GroupKey`'s `Ord`). Keys
-    /// are distinct, so the unstable sorts are deterministic; neither
-    /// allocates.
-    fn sort_entries(&mut self) {
-        self.order.clear();
-        let store = &self.store;
-        let entries = 0..store.len() as u32;
-        if self.int_keys {
-            self.int_order.clear();
-            self.int_order
-                .extend(entries.map(|e| match store.key(e as usize) {
-                    [Value::Int(x)] => (*x, e),
-                    _ => unreachable!("int_keys run table holds a non-Int key"),
-                }));
-            self.int_order.sort_unstable();
-            self.order.extend(self.int_order.iter().map(|&(_, e)| e));
-        } else {
-            self.order.extend(entries);
-            self.order
-                .sort_unstable_by(|&a, &b| store.key(a as usize).cmp(store.key(b as usize)));
-        }
-    }
-
-    /// Materialize entry `e` as a partial row (key columns ++ partial
-    /// state columns) in `row`.
-    fn write_row(&self, e: usize, row: &mut Vec<Value>) {
-        row.clear();
-        row.extend_from_slice(self.store.key(e));
-        for s in self.store.states(e) {
-            s.to_partial_values(row);
         }
     }
 
@@ -93,16 +45,14 @@ impl RunTable {
         tracker: &mut T,
     ) -> Result<SpillFile, StorageError> {
         let mut run = SpillFile::new(page_bytes);
-        self.sort_entries();
-        let mut row = std::mem::take(&mut self.row);
+        self.store.sort_entries(&mut self.order, &mut self.pairs);
         for &e in &self.order {
             tracker.record(CostEvent::TupleWrite, 1);
-            self.write_row(e as usize, &mut row);
-            run.spool(&row, tracker)?;
+            self.store.write_partial_row(e as usize, &mut self.row);
+            run.spool(&self.row, tracker)?;
         }
-        self.row = row;
         run.finish(tracker);
-        self.clear();
+        self.store.clear();
         Ok(run)
     }
 }
@@ -168,7 +118,7 @@ impl RunBuilder {
         tracker.record(CostEvent::TupleHash, 1);
         self.rows_in += 1;
 
-        let k = self.table.k;
+        let k = self.query.group_by.len();
         let key: &[Value] = match kind {
             RowKind::Partial => {
                 if values.len() != self.query.partial_row_arity() {
@@ -202,21 +152,20 @@ impl RunBuilder {
         // Early aggregation: combine into the resident run if the key is
         // present; otherwise admit it (sealing first if at budget).
         let hash = hash_values(Seed::Table, key);
-        let aggs = &self.query.aggs;
-        let fold = |states: &mut [AggState]| match kind {
-            RowKind::Raw => AggState::update_row(states, aggs, values),
-            RowKind::Partial => AggState::merge_partial_row(states, &values[k..]),
+        let folded = match kind {
+            RowKind::Raw => values,
+            RowKind::Partial => &values[k..],
         };
-        match self.table.store.find(hash, key).0 {
-            Ok(entry) => fold(self.table.store.states_mut(entry))?,
+        let store = &mut self.table.store;
+        match store.find(hash, key).0 {
+            Ok(entry) => store.fold(entry, kind, folded)?,
             Err(mut slot) => {
-                if self.table.store.len() >= self.max_entries {
+                if store.len() >= self.max_entries {
                     self.sealed.push(self.table.seal(self.page_bytes, tracker)?);
                     // The table is empty now: the key's home slot is free.
                     slot = self.table.store.home(hash);
                 }
-                self.table.store.admit_with(slot, hash, key.iter().cloned(), fold)?;
-                self.table.int_keys &= matches!(key, [Value::Int(_)]);
+                self.table.store.admit_row(slot, hash, key, kind, folded)?;
             }
         }
         tracker.record(CostEvent::TupleAgg, 1);
@@ -232,13 +181,14 @@ impl RunBuilder {
         mut self,
         tracker: &mut T,
     ) -> Result<(Vec<SpillFile>, Vec<Vec<Value>>), StorageError> {
-        self.table.sort_entries();
+        let store = &self.table.store;
+        store.sort_entries(&mut self.table.order, &mut self.table.pairs);
         let arity = self.query.partial_row_arity();
-        let mut resident: Vec<Vec<Value>> = Vec::with_capacity(self.table.store.len());
+        let mut resident: Vec<Vec<Value>> = Vec::with_capacity(store.len());
         for &e in &self.table.order {
             tracker.record(CostEvent::TupleWrite, 1);
             let mut row = Vec::with_capacity(arity);
-            self.table.write_row(e as usize, &mut row);
+            store.write_partial_row(e as usize, &mut row);
             resident.push(row);
         }
         Ok((self.sealed, resident))

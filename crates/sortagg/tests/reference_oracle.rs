@@ -511,3 +511,51 @@ fn empty_keys_and_empty_rows_match_the_reference() {
     let old = observe_reference(&nothing, &input, 1, 128, MergeEmit::Partial).unwrap();
     assert_eq!(new, old);
 }
+
+/// The run table's columns are typed until the stream hands one a cell it
+/// cannot hold, and stay general — across seals — from then on. Wherever
+/// in an all-`Int` stream that cell is — a `Str` or NULL key (a seal then
+/// sorts by `Value` order instead of off the `i64` key cells), a `Float`
+/// input, a partial row carrying a `Float` sum — runs, rows and the event
+/// sequence are the ordered map's.
+#[test]
+fn a_demotion_at_any_row_matches_the_reference() {
+    for k in [1usize, 2] {
+        let query = wide_query(k);
+        // (column, the cell put there at row `at`, push that row as a
+        // partial row)
+        let edits = [
+            (k - 1, Value::from("s"), false),
+            (0, Value::Null, false),
+            (k, Value::Float(0.5), false),
+            (k + 1, Value::from("zz"), false),
+            (k, Value::Float(0.5), true),
+        ];
+        let stream = |(column, cell, partial): &(usize, Value, bool), at: usize| {
+            let rows = (0..40i64).map(|i| {
+                let key = (0..k as i64).map(|j| Value::Int((i * 11 + j) % (13 - 6 * j) - 4));
+                let mut row: Vec<Value> = key.chain([Value::Int(i * 3 - 50), Value::Int(i % 7)]).collect();
+                if i as usize != at {
+                    return (RowKind::Raw, row);
+                }
+                row[*column] = cell.clone();
+                match partial {
+                    true => (RowKind::Partial, as_partial(&query, &row)),
+                    false => (RowKind::Raw, row),
+                }
+            });
+            rows.collect::<Vec<_>>()
+        };
+        for at in 0..=40 {
+            for edit in &edits {
+                let input = stream(edit, at);
+                for emit in [MergeEmit::Partial, MergeEmit::Finalized] {
+                    let new = observe_new(&query, &input, 5, 256, emit).unwrap();
+                    let old = observe_reference(&query, &input, 5, 256, emit).unwrap();
+                    assert!(new.runs.len() > 3, "only {} runs sealed", new.runs.len());
+                    assert_eq!(new, old, "misfit at row {at}");
+                }
+            }
+        }
+    }
+}

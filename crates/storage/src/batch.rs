@@ -213,6 +213,13 @@ impl<'a> ScanBatch<'a> {
         self.selection.map_or(self.rows, <[u32]>::len)
     }
 
+    /// The row ids that passed the filter, ascending (`None` = all of
+    /// them): what [`ScanBatch::passing_row`] indexes, for consumers that
+    /// sweep a whole column.
+    pub fn selection(&self) -> Option<&'a [u32]> {
+        self.selection
+    }
+
     /// Row id of the `i`-th passing row.
     #[inline]
     pub fn passing_row(&self, i: usize) -> usize {

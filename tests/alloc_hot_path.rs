@@ -19,8 +19,8 @@
 //!
 //! And the merge regime (ISSUE 14, DESIGN.md §18), where most received
 //! rows open a new group: the table's flat store takes one block per
-//! 1024-row arena segment plus the slot-array doublings, not two boxes
-//! per group.
+//! column per 1024-row segment plus the slot-array doublings, not two
+//! boxes per group.
 //!
 //! And the batched route (ISSUE 18, DESIGN.md §19): scanned pages cross
 //! the exchange strip to strip into pooled message pages — nothing per
@@ -270,11 +270,13 @@ fn resident_group_updates_do_not_allocate() {
     let counted = ALLOCS.load(Ordering::Relaxed) - before;
     let admitted = merge.resident_groups() - warm;
     assert!(admitted as i64 >= 20_000, "{admitted} new groups");
-    // A key block and a state block per segment, the two segment lists
-    // and the hash column doubling a few times each, one slot doubling.
+    // One block per column per segment — the key's, SUM's sum and seen
+    // flag, COUNT's — their segment lists and the hash column doubling a
+    // few times each, one slot doubling.
+    const COLUMNS: u64 = 4;
     let segments = merge.resident_groups() as u64 / 1024 + 1;
     assert!(
-        counted <= 2 * segments + 16,
+        counted <= COLUMNS * segments + 8 * (COLUMNS + 1),
         "admitting {admitted} groups allocated {counted} times: per-group allocation is back"
     );
     // The same pages again are all hits.

@@ -389,6 +389,79 @@ fn scan_fallbacks_are_counted_by_cause() {
     }
 }
 
+/// Why the engine left the typed group-store layout is visible from the
+/// trace alone: the default query keeps every column typed at no more
+/// than 48 bytes a group, a `Str`-keyed query reports the key column's
+/// demotion under its cause, `VAR_POP` a column general by function — and
+/// an untraced run of the same file carries nothing and lands on the same
+/// virtual time.
+#[test]
+fn store_layout_and_demotions_are_reported_by_cause() {
+    use adaptagg::storage::HeapFile;
+
+    let file_of = |key: &dyn Fn(i64) -> Value| {
+        let mut file = HeapFile::new(512);
+        for i in 0..2_000 {
+            file.append(&[key(i % 90), Value::Int(i)]).unwrap();
+        }
+        file
+    };
+    let var_query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::VarPop, 1)]);
+    // (label, file, query, general columns per table, demotions by cause
+    // per table: key_type, input_type, partial_type, func; bytes a group)
+    let cases = [
+        ("default", file_of(&Value::Int), default_query(), 0, [0, 0, 0, 0], 45.0),
+        (
+            "string keys",
+            file_of(&|g| Value::Str(format!("g{g}").into())),
+            default_query(),
+            1,
+            [1, 0, 0, 0],
+            61.0,
+        ),
+        ("variance", file_of(&Value::Int), var_query, 1, [0, 0, 0, 1], 68.0),
+    ];
+    let causes = ["key_type", "input_type", "partial_type", "func"];
+    for (label, file, query, general, demoted, bytes) in cases {
+        let parts = vec![file];
+        let mut plain = ClusterConfig::new(1, CostParams::paper_default());
+        plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+        let traced = plain.clone().with_tracing();
+        // 2P drains a local and a merge table; Rep only the merge table.
+        for (kind, tables) in [(AlgorithmKind::TwoPhase, 2), (AlgorithmKind::Repartitioning, 1)] {
+            let a = run_algorithm(kind, &plain, &parts, &query).unwrap();
+            let b = run_algorithm(kind, &traced, &parts, &query).unwrap();
+            assert!(a.trace.is_none(), "{label}: untraced run carried a trace");
+            assert_eq!(a.rows, b.rows, "{label}: rows changed under tracing");
+            assert_eq!(a.elapsed_ms().to_bits(), b.elapsed_ms().to_bits(), "{label}: clock moved");
+            let metrics = &b.trace.as_ref().unwrap().node(0).unwrap().metrics;
+            let columns = 1 + query.aggs.len() as u64;
+            assert_eq!(
+                metrics.counter("store.columns{layout=general}"),
+                tables * general,
+                "{kind} {label}"
+            );
+            assert_eq!(
+                metrics.counter("store.columns{layout=typed}"),
+                tables * (columns - general),
+                "{kind} {label}"
+            );
+            for (cause, per_table) in causes.iter().zip(demoted) {
+                let counter = format!("store.demoted{{cause={cause}}}");
+                assert_eq!(metrics.counter(&counter), tables * per_table, "{kind} {label}: {counter}");
+            }
+            let per_group = metrics.gauge("store.bytes_per_group").expect("gauge reported");
+            assert_eq!(per_group, bytes, "{kind} {label}: bytes per group");
+        }
+    }
+    // The renderer prints them like any other metric.
+    let traced = ClusterConfig::new(1, CostParams::paper_default()).with_tracing();
+    let parts = vec![file_of(&Value::Int)];
+    let out = run_algorithm(AlgorithmKind::TwoPhase, &traced, &parts, &default_query()).unwrap();
+    let text = out.trace.as_ref().unwrap().to_text();
+    assert!(text.contains("store.columns{layout=typed}") && text.contains("store.bytes_per_group"));
+}
+
 /// Repartitioning's first phase is in the trace: scanning and routing the
 /// base relation sits under a `scan` span, flushing the exchange under a
 /// `partition` span, and with the `merge` span they account for the
