@@ -2,7 +2,8 @@
 
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_hashagg::{EmitMode, HashAggStats, HashAggregator};
-use adaptagg_model::{AggQuery, CostTracker, DemoteCause, ResultRow, RowKind, Value};
+use adaptagg_model::{AggQuery, CostTracker, DemoteCause, ResultRow, RowKind, StoreLayout, Value};
+use adaptagg_sortagg::SortAggStats;
 use adaptagg_net::{Control, Page};
 
 /// A query compiled for execution: the base-schema form, the projection
@@ -89,21 +90,10 @@ pub fn local_partial_aggregation(
 /// Feed one aggregation's [`HashAggStats`] into the node's trace metrics
 /// (no-op when tracing is disabled). Counters sum across the phases a
 /// node runs; the peak-resident and bytes-per-group gauges keep the
-/// maximum. The `store.*` metrics say what layout the data left the
-/// tables' group stores in, and which kind of cell demoted a column.
+/// maximum.
 pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
     if ctx.trace.enabled() {
-        let store = &stats.store;
-        ctx.trace
-            .counter_add("store.columns{layout=typed}", store.typed_columns);
-        ctx.trace
-            .counter_add("store.columns{layout=general}", store.general_columns);
-        for cause in DemoteCause::ALL {
-            ctx.trace
-                .counter_add(cause.counter(), store.demoted[cause as usize]);
-        }
-        ctx.trace
-            .gauge_max("store.bytes_per_group", store.bytes_per_group as f64);
+        trace_store(ctx, &stats.store);
         ctx.trace.counter_add("hashagg.rows_in", stats.rows_in());
         ctx.trace.counter_add("hashagg.probe_slots", stats.probe_slots);
         ctx.trace
@@ -113,6 +103,38 @@ pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
         ctx.trace
             .gauge_max("hashagg.peak_resident", stats.peak_resident as f64);
     }
+}
+
+/// [`trace_hashagg`] for the sort-based local phase: what run formation
+/// took in and sealed, and which lane the run merge folded each row on —
+/// `strips` for rows of all-`Int` pages, `values` for rows of a page
+/// holding any other cell.
+pub fn trace_sortagg(ctx: &mut NodeCtx, stats: &SortAggStats) {
+    if ctx.trace.enabled() {
+        trace_store(ctx, &stats.store);
+        ctx.trace.counter_add("sortagg.rows_in", stats.rows_in);
+        ctx.trace.counter_add("sortagg.runs_sealed", stats.runs_sealed);
+        ctx.trace.counter_add("sortagg.run_rows", stats.run_rows());
+        ctx.trace
+            .counter_add("sortagg.merge_rows{lane=strips}", stats.merge_rows_strips);
+        ctx.trace
+            .counter_add("sortagg.merge_rows{lane=values}", stats.merge_rows_values);
+    }
+}
+
+/// The `store.*` metrics: what layout the data left an operator's group
+/// store in, and which kind of cell demoted a column.
+fn trace_store(ctx: &mut NodeCtx, store: &StoreLayout) {
+    ctx.trace
+        .counter_add("store.columns{layout=typed}", store.typed_columns);
+    ctx.trace
+        .counter_add("store.columns{layout=general}", store.general_columns);
+    for cause in DemoteCause::ALL {
+        ctx.trace
+            .counter_add(cause.counter(), store.demoted[cause as usize]);
+    }
+    ctx.trace
+        .gauge_max("store.bytes_per_group", store.bytes_per_group as f64);
 }
 
 /// [`local_partial_aggregation`] under a recovery session: restore each
@@ -293,6 +315,31 @@ pub fn ship_partials_partitioned(
     plan: &QueryPlan,
     partials: Vec<Vec<Value>>,
 ) -> Result<(), ExecError> {
+    ship_partitioned(ctx, plan, |ex, ctx| ex.route_rows(ctx, &partials, false))
+}
+
+/// [`ship_partials_partitioned`] for partial rows that are already on
+/// pages (a run merge's output): each page crosses the exchange as the
+/// batch it is, strip to strip, at the charges of its rows routed one by
+/// one.
+pub fn ship_partial_pages(
+    ctx: &mut NodeCtx,
+    plan: &QueryPlan,
+    pages: Vec<Page>,
+) -> Result<(), ExecError> {
+    ship_partitioned(ctx, plan, |ex, ctx| {
+        // Each page is freed as soon as it is routed.
+        pages.into_iter().try_for_each(|page| ex.route_page(ctx, &page, false))
+    })
+}
+
+/// Route partial rows through a fresh exchange under a `partition` span,
+/// then end the stream to every node and mark the end of phase 1.
+fn ship_partitioned(
+    ctx: &mut NodeCtx,
+    plan: &QueryPlan,
+    route: impl FnOnce(&mut Exchange, &mut NodeCtx) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
     let mut ex = Exchange::new(
         ctx.nodes(),
         ctx.params().message_bytes,
@@ -300,7 +347,7 @@ pub fn ship_partials_partitioned(
         RowKind::Partial,
     );
     ctx.span_start(PhaseKind::Partition);
-    let shipped = ex.route_rows(ctx, &partials, false).and_then(|_| ex.finish(ctx));
+    let shipped = route(&mut ex, ctx).and_then(|_| ex.finish(ctx));
     ctx.span_end();
     shipped?;
     ctx.clock.mark("phase1");

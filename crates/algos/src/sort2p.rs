@@ -10,7 +10,7 @@
 //! benchmarks compare hash-based and sort-based local aggregation under
 //! one cost model.
 
-use crate::common::{merge_phase_store, ship_partials_partitioned, QueryPlan};
+use crate::common::{merge_phase_store, ship_partial_pages, trace_sortagg, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
 use adaptagg_exec::{operators, ExecError, NodeCtx, PhaseKind};
@@ -26,20 +26,29 @@ pub fn run_node(
     let fanout = cfg.overflow_fanout;
     let page_bytes = ctx.params().page_bytes;
 
-    // Phase 1: sorted-run local aggregation.
-    let mut agg = SortAggregator::new(plan.projected.clone(), max_entries, page_bytes);
+    // Phase 1: sorted-run local aggregation, a scanned page at a time.
+    let mut agg = SortAggregator::new(plan.projected.clone(), max_entries, page_bytes)
+        .with_grant(ctx.grant().clone());
     ctx.span_start(PhaseKind::Scan);
-    let scanned =
-        operators::scan_project(ctx, "base", &plan.base.filter, &plan.projection, |ctx, values| {
-            agg.push_raw(values, &mut ctx.clock).map_err(ExecError::from)
-        });
+    let scanned = operators::scan_pages(
+        ctx,
+        "base",
+        &plan.base.filter,
+        &plan.projection,
+        0,
+        usize::MAX,
+        &mut agg,
+    );
     ctx.span_end();
     scanned?;
     ctx.span_start(PhaseKind::Sort);
     let finished = agg.finish_partials(&mut ctx.clock);
     ctx.span_end();
     let (partials, sort_stats) = finished?;
-    ship_partials_partitioned(ctx, plan, partials)?;
+    trace_sortagg(ctx, &sort_stats);
+    // Shipped once the merge is done: every charge and every send keeps
+    // its place.
+    ship_partial_pages(ctx, plan, partials.into_pages())?;
 
     // Phase 2: hash merge, as in plain Two Phase.
     let (rows, mut agg_stats) =

@@ -17,6 +17,7 @@ use crate::error::ExecError;
 use crate::node::NodeCtx;
 use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::{matches_all, CostEvent, CostTracker, ModelError, Predicate, ResultRow, RowKind, Value};
+use adaptagg_sortagg::SortAggregator;
 use adaptagg_storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch, StripView};
 
 /// Where a scan's page and select charges go: the node itself (its clock,
@@ -79,6 +80,21 @@ where
 /// The hash local phase: scanned pages go straight into the bounded
 /// table's batched insert, spilling what it cannot hold.
 impl ScanSink<NodeCtx> for HashAggregator {
+    fn wants_batch(&self) -> bool {
+        true
+    }
+    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        Ok(self.push_batch(RowKind::Raw, batch, &mut ctx.clock)?)
+    }
+    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
+        self.push_raw(values, &mut ctx.clock)?;
+        Ok(true)
+    }
+}
+
+/// The sort-based local phase: scanned pages go into run formation the
+/// same way, sealing a sorted run where the hash table would spill.
+impl ScanSink<NodeCtx> for SortAggregator {
     fn wants_batch(&self) -> bool {
         true
     }
@@ -297,7 +313,7 @@ pub fn scan_pages<S: ScanSink<NodeCtx>>(
 /// Sequentially scan the node's file `name`, apply the WHERE conjunction
 /// `filter` (over base columns, before projection), project each passing
 /// tuple onto `columns`, and feed it to `consume` — [`scan_pages`] for a
-/// row-at-a-time consumer (an exchange, a run builder).
+/// row-at-a-time consumer (Optimized 2P's forwarding table, Broadcast).
 ///
 /// `consume` receives the node context back, so it can route tuples into
 /// exchanges or hash tables (which charge their own costs). The tuple

@@ -29,4 +29,4 @@ pub mod table;
 pub use aggregate::{EmitMode, HashAggregator};
 pub use overflow::OverflowSet;
 pub use stats::HashAggStats;
-pub use table::{AggTable, Inserted};
+pub use table::{AggTable, FullPolicy, Inserted};

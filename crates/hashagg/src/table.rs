@@ -27,7 +27,10 @@
 //! Entries drain in insertion order — deterministic and independent of
 //! any hash-map iteration order. This table adds what the store does not
 //! know about: the entry budget and live grant, the charging contract,
-//! and the row / page / batch entry points.
+//! and the row / page / batch entry points — generic over what a new key
+//! meeting a full table means ([`FullPolicy`]: bounce the row, or make
+//! room), which is all that separates this table from the sort-based run
+//! table `adaptagg-sortagg` builds on it.
 
 use adaptagg_model::hash::{
     hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values,
@@ -50,6 +53,41 @@ pub enum Inserted {
     New,
     /// The key is new but the table is at capacity; nothing was stored.
     Full,
+}
+
+/// What the consumer of a batch does when a new key meets a full table
+/// ([`AggTable::feed_batch`]): the one place the hash table's batched front
+/// end and the sort-based run table's differ.
+pub trait FullPolicy<T> {
+    /// Make room for the new key by emptying `table` — a run table seals
+    /// its groups as a sorted run and clears. `settle` applies the updates
+    /// the batch still owes the rows it has already landed, so it comes
+    /// first. `Ok(false)` (the default): no room is made, the row bounces.
+    fn make_room(
+        &mut self,
+        _table: &mut AggTable,
+        _tracker: &mut T,
+        _settle: impl FnOnce(&mut AggTable),
+    ) -> Result<bool, StorageError> {
+        Ok(false)
+    }
+
+    /// Take a row the table could not hold (spool it, forward it),
+    /// charging whatever that costs. `Ok(false)` stops the batch.
+    fn bounce(&mut self, tracker: &mut T, kind: RowKind, row: &[Value]) -> Result<bool, StorageError>;
+}
+
+/// The hash table's policy: every row that does not fit goes to a
+/// callback.
+struct Bounce<F>(F);
+
+impl<T, F> FullPolicy<T> for Bounce<F>
+where
+    F: FnMut(&mut T, RowKind, &[Value]) -> Result<bool, StorageError>,
+{
+    fn bounce(&mut self, tracker: &mut T, kind: RowKind, row: &[Value]) -> Result<bool, StorageError> {
+        (self.0)(tracker, kind, row)
+    }
 }
 
 /// Batched cost template for an accepted insert with hash charging.
@@ -190,6 +228,18 @@ impl AggTable {
         self.probe_slots
     }
 
+    /// The resident groups, in insertion order (a [`FullPolicy`] reads
+    /// them out before it clears the table).
+    pub fn store(&self) -> &GroupStore {
+        &self.store
+    }
+
+    /// Forget every group, keeping the buffers, the budget and the layout
+    /// the data so far left ([`GroupStore::clear`]).
+    pub fn clear(&mut self) {
+        self.store.clear();
+    }
+
     /// The layout the data so far left the table's group store in.
     pub fn layout(&self) -> StoreLayout {
         self.store.layout()
@@ -239,7 +289,7 @@ impl AggTable {
         tracker: &mut T,
     ) -> Result<Inserted, ModelError> {
         self.charge_attempt(tracker);
-        let outcome = self.insert_quiet(RowKind::Raw, values, None)?;
+        let outcome = self.insert_quiet(RowKind::Raw, values, None, false)?;
         if outcome != Inserted::Full {
             tracker.record(CostEvent::TupleAgg, 1);
         }
@@ -254,7 +304,34 @@ impl AggTable {
         tracker: &mut T,
     ) -> Result<Inserted, ModelError> {
         self.charge_attempt(tracker);
-        let outcome = self.insert_quiet(RowKind::Partial, values, None)?;
+        let outcome = self.insert_quiet(RowKind::Partial, values, None, false)?;
+        if outcome != Inserted::Full {
+            tracker.record(CostEvent::TupleAgg, 1);
+        }
+        Ok(outcome)
+    }
+
+    /// [`AggTable::insert`] under a [`FullPolicy`] that may make room: a
+    /// new key that meets a full table is admitted after all if the
+    /// policy emptied the table for it (charging what that costs between
+    /// the row's attempt and its `t_a`), and reported `Full` — the row is
+    /// the caller's to place — if it did not.
+    pub fn feed_row<T, P>(
+        &mut self,
+        kind: RowKind,
+        values: &[Value],
+        tracker: &mut T,
+        policy: &mut P,
+    ) -> Result<Inserted, StorageError>
+    where
+        T: CostTracker,
+        P: FullPolicy<T>,
+    {
+        self.charge_attempt(tracker);
+        let mut outcome = self.insert_quiet(kind, values, None, false)?;
+        if outcome == Inserted::Full && policy.make_room(self, tracker, |_| {})? {
+            outcome = self.insert_quiet(kind, values, None, true)?;
+        }
         if outcome != Inserted::Full {
             tracker.record(CostEvent::TupleAgg, 1);
         }
@@ -290,7 +367,7 @@ impl AggTable {
                 Err(e) => break Err(e),
                 Ok(true) => {}
             }
-            match self.insert_quiet(kind, &scratch, None) {
+            match self.insert_quiet(kind, &scratch, None, false) {
                 Ok(Inserted::Updated) | Ok(Inserted::New) => pending += 1,
                 Ok(Inserted::Full) => {
                     tracker.record_tuples(template, pending);
@@ -359,11 +436,32 @@ impl AggTable {
         kind: RowKind,
         batch: &ScanBatch<'_>,
         tracker: &mut T,
-        mut on_full: F,
+        on_full: F,
     ) -> Result<BatchOutcome, StorageError>
     where
         T: CostTracker,
         F: FnMut(&mut T, RowKind, &[Value]) -> Result<bool, StorageError>,
+    {
+        self.feed_batch(kind, batch, tracker, &mut Bounce(on_full))
+    }
+
+    /// [`AggTable::insert_batch`] under any [`FullPolicy`]: the same hash
+    /// pass, probe and deferred updates, whoever decides what a new key
+    /// meeting a full table means. Under a policy that makes room the
+    /// charges are the row loop's too: the row that found the table full
+    /// flushes the run and records the lead and its attempt inline, the
+    /// policy charges what making room costs (with every earlier row's
+    /// update applied first), and the row's `t_a` follows its admission.
+    pub fn feed_batch<T, P>(
+        &mut self,
+        kind: RowKind,
+        batch: &ScanBatch<'_>,
+        tracker: &mut T,
+        policy: &mut P,
+    ) -> Result<BatchOutcome, StorageError>
+    where
+        T: CostTracker,
+        P: FullPolicy<T>,
     {
         let k = self.key_len;
         // Non-prefix raw keys need insert_quiet's gather, and a batch
@@ -395,73 +493,82 @@ impl AggTable {
             row_cause,
             ..BatchOutcome::default()
         };
+        let mut gix = std::mem::take(&mut self.batch_gix);
+        gix.clear();
         let ended = if kind == RowKind::Raw && row_cause.is_none() {
             // No tuple materialization: the key and input strips are
             // resolved here, once; the probe admits new groups with empty
             // states and the deferred pass below applies every row's
             // update alike.
-            let mut gix = std::mem::take(&mut self.batch_gix);
-            gix.clear();
             gix.reserve(batch.passing());
             let ended = match int_key(batch, k) {
-                Some(keys) => self.feed(kind, batch, tracker, &mut on_full, &mut out, true, |table, r, _| {
-                    Ok(table.probe_cells(hashes[r], |_| KeyCell::Int(keys[r]), &mut gix))
+                Some(keys) => self.feed(kind, batch, tracker, policy, &mut out, &mut gix, true, |table, r, _, gix, forced| {
+                    Ok(table.probe_cells(hashes[r], |_| KeyCell::Int(keys[r]), gix, forced))
                 }),
-                None => self.feed(kind, batch, tracker, &mut on_full, &mut out, true, |table, r, _| {
+                None => self.feed(kind, batch, tracker, policy, &mut out, &mut gix, true, |table, r, _, gix, forced| {
                     let cell = |j| match batch.column(j) {
                         StripView::Ints(xs) => KeyCell::Int(xs[r]),
                         StripView::Values(vs) => KeyCell::Value(&vs[r]),
                     };
-                    Ok(table.probe_cells(hashes[r], cell, &mut gix))
+                    Ok(table.probe_cells(hashes[r], cell, gix, forced))
                 }),
             };
-            // One sweep per aggregate column over exactly the rows probed
-            // above (including the prefix before an early stop). Update
-            // order per (spec, entry) is row order — the row loop's.
-            for (j, spec) in self.query.aggs.iter().enumerate() {
-                match spec.input {
-                    None => self.store.update_star(j, &gix),
-                    Some(c) => {
-                        let StripView::Ints(xs) = batch.column(c) else {
-                            unreachable!("fast arm requires Int input strips")
-                        };
-                        self.store.update_ints(j, &gix, xs, batch.selection());
-                    }
-                }
-            }
-            self.batch_gix = gix;
+            // Exactly the rows probed above (including the prefix before
+            // an early stop).
+            self.settle(batch, &gix);
             ended
         } else {
-            self.feed(kind, batch, tracker, &mut on_full, &mut out, false, |table, r, row| {
+            self.feed(kind, batch, tracker, policy, &mut out, &mut gix, false, |table, r, row, _, forced| {
                 batch.read_row(r, row);
-                table.insert_quiet(kind, row, hashes.get(r).copied())
+                table.insert_quiet(kind, row, hashes.get(r).copied(), forced)
             })
         };
+        self.batch_gix = gix;
         self.batch_hashes = hashes;
         ended.map(|_| out)
     }
 
-    /// The row-order walk of [`AggTable::insert_batch`]: `step` lands
+    /// The deferred update pass of the strips arm: one sweep per aggregate
+    /// column over the rows whose groups `gix` holds. Update order per
+    /// (spec, entry) is row order — the row loop's.
+    fn settle(&mut self, batch: &ScanBatch<'_>, gix: &[u32]) {
+        for (j, spec) in self.query.aggs.iter().enumerate() {
+            match spec.input {
+                None => self.store.update_star(j, gix),
+                Some(c) => {
+                    let StripView::Ints(xs) = batch.column(c) else {
+                        unreachable!("fast arm requires Int input strips")
+                    };
+                    self.store.update_ints(j, gix, xs, batch.selection());
+                }
+            }
+        }
+    }
+
+    /// The row-order walk of [`AggTable::feed_batch`]: `step` lands
     /// passing row `r` (the row arm materializes it into the scratch row it
-    /// is handed), this charges it as the docs there say and hands a
-    /// bounced row — materialized now if `step` rides the strips — to
-    /// `on_full`. `Ok(true)` = every row consumed; `Ok(false)` = `on_full`
-    /// said stop.
+    /// is handed, the strips arm — `on_strips` — pushes the row's group
+    /// onto `gix`), this charges it as the docs there say and takes a row
+    /// that found the table full to the policy: admitted after all
+    /// (`step` again, `forced`) if it made room, else bounced —
+    /// materialized now if `step` rides the strips. `Ok(true)` = every row
+    /// consumed; `Ok(false)` = the policy said stop.
     #[allow(clippy::too_many_arguments)]
-    fn feed<T, F, S>(
+    fn feed<T, P, S>(
         &mut self,
         kind: RowKind,
         batch: &ScanBatch<'_>,
         tracker: &mut T,
-        on_full: &mut F,
+        policy: &mut P,
         out: &mut BatchOutcome,
+        gix: &mut Vec<u32>,
         on_strips: bool,
         mut step: S,
     ) -> Result<bool, StorageError>
     where
         T: CostTracker,
-        F: FnMut(&mut T, RowKind, &[Value]) -> Result<bool, StorageError>,
-        S: FnMut(&mut Self, usize, &mut Vec<Value>) -> Result<Inserted, ModelError>,
+        P: FullPolicy<T>,
+        S: FnMut(&mut Self, usize, &mut Vec<Value>, &mut Vec<u32>, bool) -> Result<Inserted, ModelError>,
     {
         let mut charges = BatchCharges::new(batch, self.accept_template());
         let mut row = std::mem::take(&mut self.row_scratch);
@@ -471,23 +578,40 @@ impl AggTable {
             charges.failed(tracker, (r - out.consumed) as u64);
             out.consumed = r + 1;
             out.passed += 1;
-            match step(self, r, &mut row) {
+            match step(self, r, &mut row, gix, false) {
                 Ok(Inserted::Updated) | Ok(Inserted::New) => charges.accepted(),
                 Ok(Inserted::Full) => {
                     charges.bounced(tracker);
                     self.charge_attempt(tracker);
-                    out.rejected += 1;
-                    if on_strips {
-                        // Materialize the overflow row only now, on the
-                        // cold path.
-                        batch.read_row(r, &mut row);
-                    }
-                    match on_full(tracker, kind, &row) {
-                        Ok(true) => {}
-                        stop => {
-                            ended = stop;
-                            break;
+                    // The rows landed so far owe their groups an update
+                    // the emptied table could no longer take.
+                    let settle = |table: &mut Self| {
+                        if on_strips {
+                            table.settle(batch, gix);
+                            gix.fill(NO_GROUP);
                         }
+                    };
+                    ended = match policy.make_room(self, tracker, settle) {
+                        Ok(true) => step(self, r, &mut row, gix, true)
+                            .map(|_| {
+                                tracker.record(CostEvent::TupleAgg, 1);
+                                true
+                            })
+                            .map_err(StorageError::from),
+                        Ok(false) => {
+                            out.rejected += 1;
+                            if on_strips {
+                                // Materialize the overflow row only now,
+                                // on the cold path.
+                                gix.push(NO_GROUP);
+                                batch.read_row(r, &mut row);
+                            }
+                            policy.bounce(tracker, kind, &row)
+                        }
+                        Err(e) => Err(e),
+                    };
+                    if !matches!(ended, Ok(true)) {
+                        break;
                     }
                 }
                 Err(e) => {
@@ -532,41 +656,45 @@ impl AggTable {
 
     /// [`AggTable::insert_quiet`] for a raw row whose key is read cell by
     /// cell off the batch's strips — no row materialization, no state
-    /// update (the caller defers it): the touched entry ([`NO_GROUP`] on
-    /// `Full`) joins `gix`.
+    /// update (the caller defers it): the entry the row landed in joins
+    /// `gix`.
     #[inline]
     fn probe_cells<'a>(
         &mut self,
         hash: u64,
         cell: impl Fn(usize) -> KeyCell<'a>,
         gix: &mut Vec<u32>,
+        forced: bool,
     ) -> Inserted {
         let (found, examined) = self.store.find_cells(hash, &cell);
         self.probe_slots += examined;
         let (outcome, entry) = match found {
             Ok(entry) => {
                 self.updates += 1;
-                (Inserted::Updated, entry as u32)
+                (Inserted::Updated, entry)
             }
-            Err(_) if self.is_full() => (Inserted::Full, NO_GROUP),
+            Err(_) if !forced && self.is_full() => return Inserted::Full,
             Err(slot) => {
                 let entry = self.store.admit_cells(slot, hash, cell);
                 self.inserts += 1;
-                (Inserted::New, entry as u32)
+                (Inserted::New, entry)
             }
         };
-        gix.push(entry);
+        gix.push(entry as u32);
         outcome
     }
 
     /// The probe-and-mutate core, with no cost recording: callers charge
     /// per the charging contract (see module docs). `prehashed` must be
-    /// `hash_values(Seed::Table, key_columns)` when provided.
+    /// `hash_values(Seed::Table, key_columns)` when provided. A `forced`
+    /// row is admitted whatever the budget says: its consumer has just
+    /// emptied the table for it, and a lone group always fits.
     fn insert_quiet(
         &mut self,
         kind: RowKind,
         values: &[Value],
         prehashed: Option<u64>,
+        forced: bool,
     ) -> Result<Inserted, ModelError> {
         let k = self.key_len;
         if kind == RowKind::Partial && values.len() != self.query.partial_row_arity() {
@@ -620,7 +748,7 @@ impl AggTable {
                 self.updates += 1;
                 Ok(Inserted::Updated)
             }
-            Err(_) if self.is_full() => Ok(Inserted::Full),
+            Err(_) if !forced && self.is_full() => Ok(Inserted::Full),
             Err(slot) => {
                 // A first row that does not fold leaves the store as it was.
                 self.store.admit_row(slot, hash, key, kind, folded)?;

@@ -20,7 +20,7 @@
 //! paper's implementation forwards "locally aggregated values".
 
 use crate::error::ModelError;
-use crate::value::Value;
+use crate::value::{CellSink, Value};
 use std::fmt;
 
 /// Whether a row is a raw input tuple or an encoded partial-aggregate row.
@@ -208,9 +208,12 @@ impl NumAcc {
 
     fn to_value(self) -> Value {
         match self {
-            NumAcc::Int(i) => i64::try_from(i)
-                .map(Value::Int)
-                .unwrap_or(Value::Float(i as f64)),
+            // Lazily: `i128 as f64` is a library call, and almost every
+            // sum fits.
+            NumAcc::Int(i) => match i64::try_from(i) {
+                Ok(x) => Value::Int(x),
+                Err(_) => Value::Float(i as f64),
+            },
             NumAcc::Float(f) => Value::Float(f),
         }
     }
@@ -501,34 +504,72 @@ impl AggState {
     /// [`AggFunc::partial_arity`]). The inverse of
     /// [`AggState::merge_partial`].
     pub fn to_partial_values(&self, out: &mut Vec<Value>) {
+        self.partial_cells(out);
+    }
+
+    /// [`AggState::to_partial_values`] into any [`CellSink`]: the cells a
+    /// partial row carries for this state, `Int`s handed over as `i64`s.
+    pub fn partial_cells<S: CellSink>(&self, sink: &mut S) {
         match self {
-            AggState::Count(n) => out.push(Value::Int(*n as i64)),
-            AggState::Sum(acc) => out.push(match acc {
-                Some(a) => a.0.to_value(),
-                None => Value::Null,
-            }),
+            AggState::Count(n) => sink.int(*n as i64),
+            AggState::Sum(acc) => match acc {
+                Some(a) => sink.value(&a.0.to_value()),
+                None => sink.value(&Value::Null),
+            },
             AggState::Avg { sum, count } => {
-                out.push(if *count == 0 {
-                    Value::Null
-                } else {
-                    sum.0.to_value()
-                });
-                out.push(Value::Int(*count as i64));
+                match count {
+                    0 => sink.value(&Value::Null),
+                    _ => sink.value(&sum.0.to_value()),
+                }
+                sink.int(*count as i64);
             }
-            AggState::Min(v) | AggState::Max(v) => {
-                out.push(v.clone().unwrap_or(Value::Null))
-            }
+            AggState::Min(v) | AggState::Max(v) => sink.value(v.as_ref().unwrap_or(&Value::Null)),
             AggState::Var {
                 sum,
                 sum_sq,
                 count,
                 ..
             } => {
-                out.push(Value::Float(*sum));
-                out.push(Value::Float(*sum_sq));
-                out.push(Value::Int(*count as i64));
+                sink.value(&Value::Float(*sum));
+                sink.value(&Value::Float(*sum_sq));
+                sink.int(*count as i64);
             }
         }
+    }
+
+    /// [`AggState::merge_partial`] of cells that are all `Int`s, as a run
+    /// merge reads them off a page's `Int` strips: the same state and the
+    /// same errors, with no [`Value`] built on the way while the state
+    /// itself is integral.
+    pub fn merge_partial_ints(&mut self, cells: &[i64]) -> Result<(), ModelError> {
+        match (&mut *self, cells) {
+            (AggState::Count(n), &[add]) if add >= 0 => *n += add as u64,
+            (AggState::Sum(Some(acc)), &[x]) => acc.0.add_int(x),
+            (AggState::Sum(acc @ None), &[x]) => *acc = Some(NumAccState(NumAcc::Int(x as i128))),
+            (AggState::Avg { sum, count }, &[s, c]) if c >= 0 => {
+                if c > 0 {
+                    sum.0.add_int(s);
+                    *count += c as u64;
+                }
+            }
+            (AggState::Min(cur), &[x]) => {
+                if !matches!(cur, Some(m) if *m <= Value::Int(x)) {
+                    *cur = Some(Value::Int(x));
+                }
+            }
+            (AggState::Max(cur), &[x]) => {
+                if !matches!(cur, Some(m) if *m >= Value::Int(x)) {
+                    *cur = Some(Value::Int(x));
+                }
+            }
+            // A malformed row, or moments shipped as integers: rare enough
+            // to go the long way round.
+            _ => {
+                let cells: Vec<Value> = cells.iter().map(|&x| Value::Int(x)).collect();
+                return self.merge_partial(&cells);
+            }
+        }
+        Ok(())
     }
 
     /// Merge encoded partial columns (as produced by
@@ -1006,6 +1047,51 @@ mod tests {
         let mut a = AggState::new(AggFunc::Sum);
         let b = AggState::new(AggFunc::Count);
         assert!(a.merge(&b).is_err());
+    }
+
+    /// `merge_partial_ints` is `merge_partial` of the same cells as
+    /// values: over every function, states that are fresh, integral,
+    /// already `Float` and (MIN/MAX) holding a string, cells at both ends
+    /// of `i64`, negative counts and the wrong number of cells.
+    #[test]
+    fn merge_partial_ints_is_merge_partial_of_int_values() {
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::VarPop,
+            AggFunc::StddevPop,
+        ];
+        let seeds = [None, Some(Value::Int(5)), Some(Value::Float(2.5)), Some(Value::from("s"))];
+        let cells = [i64::MIN, -3, 0, 1, 7, i64::MAX];
+        for func in funcs {
+            for seed in &seeds {
+                let mut start = AggState::new(func);
+                if let Some(v) = seed {
+                    if start.update(Some(v)).is_err() {
+                        continue; // SUM over a string: no such state
+                    }
+                }
+                for n in 0..=3 {
+                    for &a in &cells {
+                        for &b in &cells[1..4] {
+                            let ints = [a, b, 2];
+                            let values = ints.map(Value::Int);
+                            let (mut typed, mut general) = (start.clone(), start.clone());
+                            // Twice: the second fold meets the first's state.
+                            for _ in 0..2 {
+                                let t = typed.merge_partial_ints(&ints[..n]);
+                                let g = general.merge_partial(&values[..n]);
+                                assert_eq!(t, g, "{func} from {start:?}: {:?}", &ints[..n]);
+                                assert_eq!(typed, general, "{func} from {start:?}: {:?}", &ints[..n]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

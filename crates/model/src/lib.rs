@@ -55,6 +55,6 @@ pub use params::{CostParams, NetworkKind};
 pub use predicate::{matches_all, Compare, Predicate};
 pub use query::{AggQuery, ResultRow};
 pub use schema::{DataType, Field, Schema};
-pub use store::{DemoteCause, GroupStore, KeyCell, StoreLayout};
+pub use store::{DemoteCause, GroupRow, GroupStore, KeyCell, StoreLayout};
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{CellRow, CellSink, Value};

@@ -45,7 +45,7 @@ use crate::agg::{AggFunc, AggSpec, AggState, RowKind};
 use crate::error::ModelError;
 use crate::key::GroupKey;
 use crate::query::ResultRow;
-use crate::value::Value;
+use crate::value::{CellRow, CellSink, Value};
 
 /// Vacant slot marker.
 const EMPTY: u32 = u32::MAX;
@@ -465,21 +465,30 @@ impl StateColumn {
         }
     }
 
-    /// Cell `e` as the partial-row cells [`AggState::to_partial_values`]
-    /// encodes.
-    fn push_partial(&self, e: usize, out: &mut Vec<Value>) {
+    /// Cell `e` as the partial-row cells [`AggState::partial_cells`]
+    /// hands over: an integral sum as an `Int` while it fits `i64` and a
+    /// `Float` past it, NULL for a state no input reached.
+    fn partial_cells<S: CellSink>(&self, e: usize, sink: &mut S) {
+        let int_sum = |sink: &mut S, sum: i128| sink.value(&AggState::int_sum_value(sum));
         match self {
+            StateColumn::Count(a) => sink.int(*a.cell(e) as i64),
+            StateColumn::Sum { sum, seen } => match *seen.cell(e) {
+                true => int_sum(sink, *sum.cell(e)),
+                false => sink.value(&Value::Null),
+            },
             StateColumn::Avg { sum, count } => {
                 let n = *count.cell(e);
-                out.push(match n {
-                    0 => Value::Null,
-                    _ => AggState::int_sum_value(*sum.cell(e)),
-                });
-                out.push(Value::Int(n as i64));
+                match n {
+                    0 => sink.value(&Value::Null),
+                    _ => int_sum(sink, *sum.cell(e)),
+                }
+                sink.int(n as i64);
             }
-            StateColumn::General(a) => a.cell(e).to_partial_values(out),
-            // One cell, the one the result carries.
-            _ => out.push(self.finalize(e)),
+            StateColumn::Extreme { best, seen, .. } => match *seen.cell(e) {
+                true => sink.int(*best.cell(e)),
+                false => sink.value(&Value::Null),
+            },
+            StateColumn::General(a) => a.cell(e).partial_cells(sink),
         }
     }
 
@@ -670,7 +679,7 @@ impl GroupStore {
 
     /// Where the probe sequence of `hash` starts.
     #[inline]
-    pub fn home(&self, hash: u64) -> usize {
+    fn home(&self, hash: u64) -> usize {
         (hash as usize) & (self.slots.len() - 1)
     }
 
@@ -968,17 +977,14 @@ impl GroupStore {
         }
     }
 
-    /// Write group `entry` into `row` (cleared first) as a partial row:
-    /// key columns, then each aggregate's partial-state cells.
-    pub fn write_partial_row(&self, entry: usize, row: &mut Vec<Value>) {
-        row.clear();
-        match &self.keys {
-            KeyColumn::Ints(a) => row.extend(a.row(entry).iter().map(|&x| Value::Int(x))),
-            KeyColumn::General(a) => row.extend_from_slice(a.row(entry)),
-        }
-        for column in &self.states {
-            column.push_partial(entry, row);
-        }
+    /// Group `entry` as a partial row — key columns, then each aggregate's
+    /// partial-state cells — readable cell by cell where it lies: the one
+    /// shape groups leave the store in without a `Vec<Value>` per group
+    /// (a page appends it strip by strip). Typed columns hand their cells
+    /// over as `i64`s, a demoted column's as [`Value`]s.
+    pub fn partial_row(&self, entry: usize) -> GroupRow<'_> {
+        debug_assert!(entry < self.len());
+        GroupRow { store: self, entry }
     }
 
     /// Hand `row` every entry in admission order, with the key column
@@ -1012,7 +1018,7 @@ impl GroupStore {
             let mut row = Vec::with_capacity(width);
             keys.take_row(e, &mut row);
             for column in states {
-                column.push_partial(e, &mut row);
+                column.partial_cells(e, &mut row);
             }
             emit(row);
         });
@@ -1028,6 +1034,27 @@ impl GroupStore {
             let aggs = states.iter().map(|column| column.finalize(e)).collect();
             emit(ResultRow::new(GroupKey::new(key), aggs));
         });
+    }
+}
+
+/// One group of a [`GroupStore`] as a partial row (see
+/// [`GroupStore::partial_row`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GroupRow<'a> {
+    store: &'a GroupStore,
+    entry: usize,
+}
+
+impl CellRow for GroupRow<'_> {
+    #[inline]
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        match &self.store.keys {
+            KeyColumn::Ints(a) => a.row(self.entry).iter().for_each(|&x| sink.int(x)),
+            KeyColumn::General(a) => a.row(self.entry).iter().for_each(|v| sink.value(v)),
+        }
+        for column in &self.store.states {
+            column.partial_cells(self.entry, sink);
+        }
     }
 }
 
@@ -1067,7 +1094,7 @@ mod tests {
 
     fn partial_row(store: &GroupStore, entry: usize) -> Vec<Value> {
         let mut row = Vec::new();
-        store.write_partial_row(entry, &mut row);
+        store.partial_row(entry).cells(&mut row);
         row
     }
 

@@ -194,6 +194,45 @@ impl From<String> for Value {
     }
 }
 
+/// Receives a row cell by cell, in column order.
+pub trait CellSink {
+    /// An `Int` cell, as the `i64` it is.
+    fn int(&mut self, x: i64);
+    /// A cell of any type (`Value::Int(x)` lands as [`CellSink::int`]
+    /// would land `x`).
+    fn value(&mut self, v: &Value);
+}
+
+/// A row that can be read cell by cell wherever its cells live — a slice
+/// of values, a row of a page's column strips, a group in a
+/// [`GroupStore`](crate::GroupStore) — so it can be copied somewhere else
+/// without a `Vec<Value>` in between. A sink may be shown the row more than
+/// once (to size it, then to copy it): every walk yields the same cells.
+pub trait CellRow {
+    /// Hand `sink` every cell of the row, in column order.
+    fn cells<S: CellSink>(&self, sink: &mut S);
+}
+
+/// A row buffer collects the cells as values.
+impl CellSink for Vec<Value> {
+    #[inline]
+    fn int(&mut self, x: i64) {
+        self.push(Value::Int(x));
+    }
+
+    #[inline]
+    fn value(&mut self, v: &Value) {
+        self.push(v.clone());
+    }
+}
+
+impl CellRow for [Value] {
+    #[inline]
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        self.iter().for_each(|v| sink.value(v));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

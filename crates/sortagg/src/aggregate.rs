@@ -3,8 +3,11 @@
 
 use crate::builder::RunBuilder;
 use crate::merge::{merge_runs, MergeEmit};
-use adaptagg_model::{AggQuery, CostTracker, ResultRow, RowKind, Value};
-use adaptagg_storage::StorageError;
+use crate::pages::RowPages;
+use adaptagg_model::{
+    AggQuery, CostTracker, MemoryGrant, ResultRow, RowKind, StoreLayout, Value,
+};
+use adaptagg_storage::{BatchOutcome, ScanBatch, StorageError};
 
 /// Behaviour counters for one sort-based aggregation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -13,14 +16,26 @@ pub struct SortAggStats {
     pub rows_in: u64,
     /// Sorted runs that were sealed to disk (0 = everything fit).
     pub runs_sealed: u64,
+    /// Run rows (the resident run's included) the merge folded as `i64`
+    /// cells off `Int` strips …
+    pub merge_rows_strips: u64,
+    /// … and as values (rows of a page with a non-`Int` cell).
+    pub merge_rows_values: u64,
     /// Groups emitted.
     pub groups_out: u64,
+    /// The layout the data left the run table's group store in.
+    pub store: StoreLayout,
 }
 
 impl SortAggStats {
     /// Whether any run touched disk.
     pub fn spilled(&self) -> bool {
         self.runs_sealed > 0
+    }
+
+    /// Rows the runs — the resident one included — held for the merge.
+    pub fn run_rows(&self) -> u64 {
+        self.merge_rows_strips + self.merge_rows_values
     }
 }
 
@@ -41,6 +56,23 @@ impl SortAggregator {
             builder: RunBuilder::new(query.clone(), max_entries, page_bytes),
             query,
         }
+    }
+
+    /// Attach a live, broker-revocable [`MemoryGrant`] (see
+    /// [`RunBuilder::with_grant`]).
+    pub fn with_grant(mut self, grant: MemoryGrant) -> Self {
+        self.builder = self.builder.with_grant(grant);
+        self
+    }
+
+    /// Groups resident in the run being formed.
+    pub fn resident_groups(&self) -> usize {
+        self.builder.resident_groups()
+    }
+
+    /// Runs sealed so far.
+    pub fn sealed_runs(&self) -> usize {
+        self.builder.sealed_runs()
     }
 
     /// Push a raw tuple.
@@ -71,12 +103,23 @@ impl SortAggregator {
         self.builder.push(kind, values, tracker)
     }
 
+    /// Push the passing rows of a batch ([`RunBuilder::push_batch`]): the
+    /// local phase's input, one scanned base page at a time.
+    pub fn push_batch<T: CostTracker>(
+        &mut self,
+        kind: RowKind,
+        batch: &ScanBatch<'_>,
+        tracker: &mut T,
+    ) -> Result<BatchOutcome, StorageError> {
+        self.builder.push_batch(kind, batch, tracker)
+    }
+
     /// Finish: merge all runs, emitting partial rows (local phases) in
-    /// key order.
+    /// key order, on pages an exchange routes whole.
     pub fn finish_partials<T: CostTracker>(
         self,
         tracker: &mut T,
-    ) -> Result<(Vec<Vec<Value>>, SortAggStats), StorageError> {
+    ) -> Result<(RowPages, SortAggStats), StorageError> {
         self.finish_with(MergeEmit::Partial, tracker)
     }
 
@@ -88,6 +131,7 @@ impl SortAggregator {
         let query = self.query.clone();
         let (flat, stats) = self.finish_with(MergeEmit::Finalized, tracker)?;
         let rows = flat
+            .to_rows()
             .into_iter()
             .map(|vals| ResultRow::from_values(&query, vals).map_err(StorageError::from))
             .collect::<Result<Vec<_>, _>>()?;
@@ -98,17 +142,21 @@ impl SortAggregator {
         self,
         emit: MergeEmit,
         tracker: &mut T,
-    ) -> Result<(Vec<Vec<Value>>, SortAggStats), StorageError> {
+    ) -> Result<(RowPages, SortAggStats), StorageError> {
         let rows_in = self.builder.rows_in();
+        let store = self.builder.layout();
         let (runs, resident) = self.builder.finish(tracker)?;
         let runs_sealed = runs.len() as u64;
         let out = merge_runs(&self.query, runs, resident, emit, tracker)?;
         let stats = SortAggStats {
             rows_in,
             runs_sealed,
+            merge_rows_strips: out.strip_rows,
+            merge_rows_values: out.value_rows,
             groups_out: out.len() as u64,
+            store,
         };
-        Ok((out, stats))
+        Ok((out.rows, stats))
     }
 }
 
@@ -187,7 +235,7 @@ mod tests {
         let (partials, _) = local.finish_partials(&mut tr).unwrap();
 
         let mut merge = SortAggregator::new(query(), 1000, 256);
-        for p in &partials {
+        for p in &partials.to_rows() {
             merge.push_partial(p, &mut tr).unwrap();
         }
         let (out, _) = merge.finish_rows(&mut tr).unwrap();

@@ -1,59 +1,78 @@
 //! Sorted-run formation with early aggregation.
 //!
-//! The resident run is an *index*, not an ordered structure: the shared
-//! [`GroupStore`] (the hash table's own index) finds a row's group in
-//! O(1) while rows stream in, and the order is only established once,
-//! when the run seals (sort a permutation of the entries, spool them
-//! through one scratch row). A pushed row therefore costs no heap
-//! allocation; the store is cleared, not freed, between runs.
+//! The resident run is an *index*, not an ordered structure: the bounded
+//! hash table's own [`AggTable`] finds a row's group in O(1) while rows
+//! stream in — a row at a time or a scanned page at a time, through the
+//! same batched front end the hash aggregator rides — and the order is
+//! only established once, when the run seals (sort a permutation of the
+//! entries, write them out strip by strip). What makes it a *run* table is
+//! its [`FullPolicy`]: a new key that meets a full table does not bounce,
+//! it seals the table as a sorted run, clears it and is admitted. A
+//! pushed row costs no heap allocation; the table is cleared, not freed,
+//! between runs.
 
-use adaptagg_model::hash::hash_values;
+use crate::pages::RowPages;
+use adaptagg_hashagg::{AggTable, FullPolicy};
 use adaptagg_model::{
-    AggQuery, CostEvent, CostTracker, GroupStore, ModelError, RowKind, Seed, Value,
+    AggQuery, CostEvent, CostTracker, GroupRow, GroupStore, MemoryGrant, RowKind, StoreLayout,
+    Value,
 };
-use adaptagg_storage::{SpillFile, StorageError};
+use adaptagg_storage::{BatchOutcome, ScanBatch, SpillFile, StorageError};
 
-/// The resident run: its groups in a [`GroupStore`], plus what sealing
-/// them in key order needs.
+/// Seals a full run table: the runs written so far, and the scratch a
+/// seal sorts in.
 #[derive(Debug)]
-struct RunTable {
-    store: GroupStore,
-    /// Seal-time scratch: entries in key order, the `(key, entry)` pairs a
-    /// single-`Int` key is sorted as, and the row being spooled.
+struct Sealer {
+    page_bytes: usize,
+    sealed: Vec<SpillFile>,
+    /// Entries in key order, and the `(key, entry)` pairs a single-`Int`
+    /// key is sorted as.
     order: Vec<u32>,
     pairs: Vec<(i64, u32)>,
-    row: Vec<Value>,
 }
 
-impl RunTable {
-    fn new(query: &AggQuery) -> Self {
-        RunTable {
-            // No size hint: the index grows on demand during the first
-            // run and `clear` keeps it for the runs after.
-            store: GroupStore::new(query.group_by.len(), &query.aggs, 0),
-            order: Vec::new(),
-            pairs: Vec::new(),
-            row: Vec::new(),
-        }
-    }
-
-    /// Write the groups out in key order as one sorted run and clear the
-    /// table. Charges `t_w` per row plus the run's page writes.
-    fn seal<T: CostTracker>(
+impl Sealer {
+    /// Hand `put` every group of `store` in key order, as the partial row
+    /// it is where it lies, charging `t_w` ahead of each.
+    fn write_sorted<T: CostTracker>(
         &mut self,
-        page_bytes: usize,
+        store: &GroupStore,
         tracker: &mut T,
-    ) -> Result<SpillFile, StorageError> {
-        let mut run = SpillFile::new(page_bytes);
-        self.store.sort_entries(&mut self.order, &mut self.pairs);
+        mut put: impl FnMut(&mut T, &GroupRow<'_>) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        store.sort_entries(&mut self.order, &mut self.pairs);
         for &e in &self.order {
             tracker.record(CostEvent::TupleWrite, 1);
-            self.store.write_partial_row(e as usize, &mut self.row);
-            run.spool(&self.row, tracker)?;
+            put(tracker, &store.partial_row(e as usize))?;
         }
-        run.finish(tracker);
-        self.store.clear();
-        Ok(run)
+        Ok(())
+    }
+}
+
+impl<T: CostTracker> FullPolicy<T> for Sealer {
+    /// Write the groups out in key order as one sorted run and clear the
+    /// table. Charges `t_w` per row plus the run's page writes.
+    fn make_room(
+        &mut self,
+        table: &mut AggTable,
+        tracker: &mut T,
+        settle: impl FnOnce(&mut AggTable),
+    ) -> Result<bool, StorageError> {
+        // A grant of no entries at all finds the table full while empty:
+        // there is no run to write, and the lone group is admitted.
+        if !table.is_empty() {
+            settle(table);
+            let mut run = SpillFile::new(self.page_bytes);
+            self.write_sorted(table.store(), tracker, |t, row| run.spool_row(row, t))?;
+            run.finish(tracker);
+            self.sealed.push(run);
+            table.clear();
+        }
+        Ok(true)
+    }
+
+    fn bounce(&mut self, _: &mut T, _: RowKind, _: &[Value]) -> Result<bool, StorageError> {
+        unreachable!("a run table makes room for every row")
     }
 }
 
@@ -62,16 +81,8 @@ impl RunTable {
 /// at the group budget.
 #[derive(Debug)]
 pub struct RunBuilder {
-    query: AggQuery,
-    /// Raw rows lead with the key columns (projected form), so the key is
-    /// a borrowed prefix of the row; otherwise it is gathered into
-    /// `key_scratch`.
-    key_is_prefix: bool,
-    key_scratch: Vec<Value>,
-    table: RunTable,
-    max_entries: usize,
-    page_bytes: usize,
-    sealed: Vec<SpillFile>,
+    table: AggTable,
+    sealer: Sealer,
     rows_in: u64,
 }
 
@@ -80,15 +91,24 @@ impl RunBuilder {
     /// budget per run.
     pub fn new(query: AggQuery, max_entries: usize, page_bytes: usize) -> Self {
         RunBuilder {
-            key_is_prefix: query.group_by.iter().copied().eq(0..query.group_by.len()),
-            key_scratch: Vec::new(),
-            table: RunTable::new(&query),
-            query,
-            max_entries: max_entries.max(1),
-            page_bytes,
-            sealed: Vec::new(),
+            table: AggTable::new(query, max_entries.max(1)),
+            sealer: Sealer {
+                page_bytes,
+                sealed: Vec::new(),
+                order: Vec::new(),
+                pairs: Vec::new(),
+            },
             rows_in: 0,
         }
+    }
+
+    /// Attach a live [`MemoryGrant`]: a run seals when a new group arrives
+    /// at `min(max_entries, grant)`, re-read at that moment, so a broker
+    /// shrinking the grant mid-scan shortens the runs from then on (the
+    /// groups already resident stay until their run seals).
+    pub fn with_grant(mut self, grant: MemoryGrant) -> Self {
+        self.table.set_grant(grant);
+        self
     }
 
     /// Rows pushed so far.
@@ -98,100 +118,65 @@ impl RunBuilder {
 
     /// Runs sealed so far (excluding the in-memory one).
     pub fn sealed_runs(&self) -> usize {
-        self.sealed.len()
+        self.sealer.sealed.len()
     }
 
     /// Groups resident in the current in-memory run.
     pub fn resident_groups(&self) -> usize {
-        self.table.store.len()
+        self.table.len()
+    }
+
+    /// The layout the data so far left the run table's group store in.
+    pub fn layout(&self) -> StoreLayout {
+        self.table.layout()
     }
 
     /// Push a row of either kind. Charges `t_r` (read) + `t_h` (index
-    /// probe; see crate docs on cost parity) + `t_a` (combine).
+    /// probe; see crate docs on cost parity) + `t_a` (combine), with a
+    /// seal's charges — when the row's key is new and the table at budget
+    /// — between the probe and the combine.
     pub fn push<T: CostTracker>(
         &mut self,
         kind: RowKind,
         values: &[Value],
         tracker: &mut T,
     ) -> Result<(), StorageError> {
-        tracker.record(CostEvent::TupleRead, 1);
-        tracker.record(CostEvent::TupleHash, 1);
         self.rows_in += 1;
+        self.table
+            .feed_row(kind, values, tracker, &mut self.sealer)
+            .map(|_| ())
+    }
 
-        let k = self.query.group_by.len();
-        let key: &[Value] = match kind {
-            RowKind::Partial => {
-                if values.len() != self.query.partial_row_arity() {
-                    return Err(ModelError::PartialArityMismatch {
-                        expected: self.query.partial_row_arity(),
-                        found: values.len(),
-                    }
-                    .into());
-                }
-                &values[..k]
-            }
-            RowKind::Raw if self.key_is_prefix => {
-                values.get(..k).ok_or(ModelError::ColumnOutOfRange {
-                    column: values.len(),
-                    arity: values.len(),
-                })?
-            }
-            RowKind::Raw => {
-                self.key_scratch.clear();
-                for &c in &self.query.group_by {
-                    let v = values.get(c).ok_or(ModelError::ColumnOutOfRange {
-                        column: c,
-                        arity: values.len(),
-                    })?;
-                    self.key_scratch.push(v.clone());
-                }
-                &self.key_scratch
-            }
-        };
-
-        // Early aggregation: combine into the resident run if the key is
-        // present; otherwise admit it (sealing first if at budget).
-        let hash = hash_values(Seed::Table, key);
-        let folded = match kind {
-            RowKind::Raw => values,
-            RowKind::Partial => &values[k..],
-        };
-        let store = &mut self.table.store;
-        match store.find(hash, key).0 {
-            Ok(entry) => store.fold(entry, kind, folded)?,
-            Err(mut slot) => {
-                if store.len() >= self.max_entries {
-                    self.sealed.push(self.table.seal(self.page_bytes, tracker)?);
-                    // The table is empty now: the key's home slot is free.
-                    slot = self.table.store.home(hash);
-                }
-                self.table.store.admit_row(slot, hash, key, kind, folded)?;
-            }
-        }
-        tracker.record(CostEvent::TupleAgg, 1);
-        Ok(())
+    /// [`RunBuilder::push`] for every passing row of a batch, in row
+    /// order, through [`AggTable::feed_batch`]: one hash pass over the key
+    /// strips, a typed probe, the updates swept a column at a time — and a
+    /// seal landing mid-batch applies the updates of the rows ahead of it
+    /// before it sorts and writes. Runs, rows, errors and the order of
+    /// every charge are those of the row loop; pages the strips cannot
+    /// serve take it (the outcome's `row_cause` says why).
+    pub fn push_batch<T: CostTracker>(
+        &mut self,
+        kind: RowKind,
+        batch: &ScanBatch<'_>,
+        tracker: &mut T,
+    ) -> Result<BatchOutcome, StorageError> {
+        let out = self.table.feed_batch(kind, batch, tracker, &mut self.sealer)?;
+        self.rows_in += out.passed;
+        Ok(out)
     }
 
     /// Finish run formation. Returns all sealed runs plus the resident
-    /// run's rows in key order (which never touch disk — the hybrid
+    /// run in key order, on pages that are never written (the hybrid
     /// trick: the last run merges from memory). Charges `t_w` per
     /// resident row.
-    #[allow(clippy::type_complexity)]
     pub fn finish<T: CostTracker>(
         mut self,
         tracker: &mut T,
-    ) -> Result<(Vec<SpillFile>, Vec<Vec<Value>>), StorageError> {
-        let store = &self.table.store;
-        store.sort_entries(&mut self.table.order, &mut self.table.pairs);
-        let arity = self.query.partial_row_arity();
-        let mut resident: Vec<Vec<Value>> = Vec::with_capacity(store.len());
-        for &e in &self.table.order {
-            tracker.record(CostEvent::TupleWrite, 1);
-            let mut row = Vec::with_capacity(arity);
-            store.write_partial_row(e as usize, &mut row);
-            resident.push(row);
-        }
-        Ok((self.sealed, resident))
+    ) -> Result<(Vec<SpillFile>, RowPages), StorageError> {
+        let mut resident = RowPages::new(self.sealer.page_bytes);
+        self.sealer
+            .write_sorted(self.table.store(), tracker, |_, row| resident.push(row))?;
+        Ok((self.sealer.sealed, resident))
     }
 }
 
@@ -231,8 +216,8 @@ mod tests {
         let (runs, resident) = b.finish(&mut tr).unwrap();
         assert!(runs.is_empty());
         assert_eq!(resident.len(), 10);
-        // Resident rows are key-ordered (BTreeMap).
-        let keys: Vec<i64> = resident.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        // Resident rows are key-ordered.
+        let keys: Vec<i64> = resident.to_rows().iter().map(|r| r[0].as_i64().unwrap()).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -276,7 +261,7 @@ mod tests {
         b.push(RowKind::Partial, &[Value::Int(1), Value::Int(37)], &mut tr)
             .unwrap();
         let (_, resident) = b.finish(&mut tr).unwrap();
-        assert_eq!(resident, vec![vec![Value::Int(1), Value::Int(42)]]);
+        assert_eq!(resident.to_rows(), vec![vec![Value::Int(1), Value::Int(42)]]);
     }
 
     #[test]

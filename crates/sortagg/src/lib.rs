@@ -12,16 +12,20 @@
 //!    (early aggregation: duplicates combine *before* anything is
 //!    written), and when a new group arrives at `M` groups, seal it to
 //!    disk as a sorted run ([`RunBuilder`]). The table is an *index*, not
-//!    an ordered structure: an open-addressed hash index over flat
-//!    key/state arenas finds a row's group while rows stream in, and the
-//!    order is established once per run, by sorting the entries when the
-//!    run seals (Do/Graefe/Naughton's in-memory index with the sort
-//!    deferred to run generation);
+//!    an ordered structure: the bounded hash table of `adaptagg-hashagg`
+//!    itself, fed a row or a scanned page of column strips at a time,
+//!    finds a row's group while rows stream in, and the order is
+//!    established once per run, by sorting the entries when the run seals
+//!    (Do/Graefe/Naughton's in-memory index with the sort deferred to run
+//!    generation). Sealing instead of spilling is the table's full-table
+//!    policy — the only thing the two operators' local phases do not
+//!    share;
 //! 2. **k-way merge** — merge all runs by key, combining equal keys'
 //!    partial states, emitting finalized or partial rows in key order
-//!    ([`merge_runs`]). Runs are read in place: a page cursor per run, a
-//!    heap of run indices comparing head keys where they lie, one reused
-//!    row of states.
+//!    ([`merge_runs`]). Runs are read in place: a cursor per run over the
+//!    column strips its pages are, a heap of run indices comparing head
+//!    keys where they lie, one reused row of states, output appended to
+//!    pages ([`RowPages`]).
 //!
 //! [`SortAggregator`] packages the pipeline behind the same
 //! push/finish interface as `adaptagg_hashagg::HashAggregator`, so the
@@ -39,7 +43,9 @@
 pub mod aggregate;
 pub mod builder;
 pub mod merge;
+pub mod pages;
 
 pub use aggregate::{SortAggStats, SortAggregator};
 pub use builder::RunBuilder;
 pub use merge::merge_runs;
+pub use pages::RowPages;

@@ -1,0 +1,79 @@
+//! Rows on in-memory pages: the shape a run's rows have wherever they
+//! are not on disk.
+
+use adaptagg_model::{CellRow, Value};
+use adaptagg_storage::{Page, StorageError};
+
+/// Rows appended to unsealed, uncharged pages of one capacity: the
+/// resident run [`RunBuilder::finish`](crate::RunBuilder::finish) hands
+/// the merge (the hybrid trick: the last run never touches disk), and
+/// what the merge emits. The same column strips a sealed run's pages
+/// hold, so the merge reads every run one way and the exchange routes the
+/// output a page at a time.
+#[derive(Debug)]
+pub struct RowPages {
+    page_bytes: usize,
+    pages: Vec<Page>,
+    rows: usize,
+}
+
+impl RowPages {
+    /// No rows yet, on pages of `page_bytes`.
+    pub fn new(page_bytes: usize) -> Self {
+        RowPages {
+            page_bytes,
+            pages: Vec::new(),
+            rows: 0,
+        }
+    }
+
+    /// Byte capacity of each page.
+    pub fn page_bytes(&self) -> usize {
+        self.page_bytes
+    }
+
+    /// Rows held.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// The pages, in row order.
+    pub fn pages(&self) -> &[Page] {
+        &self.pages
+    }
+
+    /// The pages, in row order.
+    pub fn into_pages(self) -> Vec<Page> {
+        self.pages
+    }
+
+    /// Append a row read cell by cell where it lies
+    /// ([`Page::try_push_row`]), opening a page when the last one is full.
+    pub fn push<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<(), StorageError> {
+        let fits = match self.pages.last_mut() {
+            Some(open) => open.try_push_row(row)?,
+            None => false,
+        };
+        if !fits {
+            let mut page = Page::new(self.page_bytes);
+            if !page.try_push_row(row)? {
+                unreachable!("fresh page refused a fitting row");
+            }
+            self.pages.push(page);
+        }
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Every row, materialized (for callers that want values, not strips).
+    pub fn to_rows(&self) -> Vec<Vec<Value>> {
+        let rows = self.pages.iter().flat_map(Page::iter);
+        rows.map(|row| row.expect("rows of an in-memory page decode"))
+            .collect()
+    }
+}

@@ -18,7 +18,7 @@
 
 use crate::batch::ScanBatch;
 use crate::error::StorageError;
-use adaptagg_model::{decode_tuple_into, encode_value, Value};
+use adaptagg_model::{decode_tuple_into, encode_value, CellRow, CellSink, Value};
 
 /// A page of tuples with a byte-capacity bound, stored column-wise.
 #[derive(Debug, Clone)]
@@ -154,62 +154,88 @@ impl ColumnStrip {
     }
 }
 
-/// One cell of a row being appended, wherever it is read from: a `Value`
-/// of a row slice ([`Page::try_push`]) or a cell of another page's strip
-/// ([`Page::try_push_strips`]).
-trait Cell: Copy {
-    /// Whether the cell is an `Int` (8 bytes in a strip, not a `Value`).
-    fn is_int(self) -> bool;
-    /// Wire-format payload bytes (the tag byte not counted).
-    fn payload_bytes(self) -> usize;
-    fn push_onto(self, strip: &mut ColumnStrip);
+/// What appending a row takes in bytes: on the wire (what the capacity
+/// bounds) and held in the strips (what a never-filled page sizes its
+/// buffers by). The first walk of a row about to be appended.
+#[derive(Default)]
+struct RowSize {
+    arity: usize,
+    /// Tag + payload bytes of the cells (the `arity:u16` header excluded).
+    wire: usize,
+    held: usize,
 }
 
-impl Cell for &Value {
+impl CellSink for RowSize {
     #[inline]
-    fn is_int(self) -> bool {
-        matches!(self, Value::Int(_))
+    fn int(&mut self, _: i64) {
+        self.arity += 1;
+        self.wire += 1 + std::mem::size_of::<i64>();
+        self.held += std::mem::size_of::<i64>();
     }
 
     #[inline]
-    fn payload_bytes(self) -> usize {
-        self.encoded_payload_len()
-    }
-
-    #[inline]
-    fn push_onto(self, strip: &mut ColumnStrip) {
-        strip.push(self);
+    fn value(&mut self, v: &Value) {
+        self.arity += 1;
+        self.wire += 1 + v.encoded_payload_len();
+        self.held += match v {
+            Value::Int(_) => std::mem::size_of::<i64>(),
+            _ => std::mem::size_of::<Value>(),
+        };
     }
 }
 
-/// Row `r` of a source strip.
-#[derive(Clone, Copy)]
-struct StripCell<'a> {
-    strip: &'a ColumnStrip,
+/// Lands the cells of row `row` on their strips, column by column: the
+/// second walk.
+struct RowPush<'a> {
+    strips: std::slice::IterMut<'a, ColumnStrip>,
+    row: usize,
+    /// Rows to size a never-filled strip for.
+    reserve: Option<usize>,
+}
+
+impl RowPush<'_> {
+    #[inline]
+    fn strip(&mut self, ints: bool) -> &mut ColumnStrip {
+        let strip = self.strips.next().expect("a strip per cell");
+        if let Some(rows) = self.reserve {
+            strip.reserve_cells(ints, rows);
+        }
+        strip.pad_to(self.row);
+        strip
+    }
+}
+
+impl CellSink for RowPush<'_> {
+    #[inline]
+    fn int(&mut self, x: i64) {
+        self.strip(true).push_int(x);
+    }
+
+    #[inline]
+    fn value(&mut self, v: &Value) {
+        self.strip(matches!(v, Value::Int(_))).push(v);
+    }
+}
+
+/// Projected row `r` of a batch, read off the source page's strips.
+struct StripRow<'a, 'b> {
+    batch: &'a ScanBatch<'b>,
     r: usize,
 }
 
-impl Cell for StripCell<'_> {
+impl CellRow for StripRow<'_, '_> {
     #[inline]
-    fn is_int(self) -> bool {
-        self.strip.is_int || (&self.strip.values[self.r]).is_int()
-    }
-
-    #[inline]
-    fn payload_bytes(self) -> usize {
-        if self.strip.is_int {
-            std::mem::size_of::<i64>()
-        } else {
-            self.strip.values[self.r].encoded_payload_len()
-        }
-    }
-
-    #[inline]
-    fn push_onto(self, strip: &mut ColumnStrip) {
-        if self.strip.is_int {
-            strip.push_int(self.strip.ints[self.r]);
-        } else {
-            strip.push(&self.strip.values[self.r]);
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        // The batch validated its projection against the source's dense
+        // strips when it was built; nothing is re-resolved per row.
+        let strips = &self.batch.page().cols;
+        for j in 0..self.batch.arity() {
+            let strip = &strips[self.batch.base_column(j)];
+            if strip.is_int {
+                sink.int(strip.ints[self.r]);
+            } else {
+                sink.value(&strip.values[self.r]);
+            }
         }
     }
 }
@@ -266,7 +292,7 @@ impl Page {
     /// the page is full (caller seals it and starts a new one), or an error
     /// if the tuple can never fit *any* page of this capacity.
     pub fn try_push(&mut self, values: &[Value]) -> Result<bool, StorageError> {
-        self.append(values.iter())
+        self.try_push_row(values)
     }
 
     /// [`Page::try_push`] of `batch`'s projected row `r`, copied strip to
@@ -274,26 +300,21 @@ impl Page {
     /// the page ends up equal to one that was pushed the materialized row.
     pub fn try_push_strips(&mut self, batch: &ScanBatch<'_>, r: usize) -> Result<bool, StorageError> {
         debug_assert!(r < batch.rows());
-        // The batch validated its projection against the source's dense
-        // strips when it was built; nothing is re-resolved per row.
-        let strips = &batch.page().cols;
-        self.append((0..batch.arity()).map(|j| StripCell {
-            strip: &strips[batch.base_column(j)],
-            r,
-        }))
+        self.try_push_row(&StripRow { batch, r })
     }
 
-    /// The one append: a row given as its cells, in column order.
+    /// The one append: [`Page::try_push`] of a row read cell by cell
+    /// wherever it lies (a group in a store, a row of another page), its
+    /// `Int` cells copied as `i64`s. Same admission, same errors, and the
+    /// page ends up equal to one that was pushed the materialized row.
     #[inline]
-    fn append<C: Cell>(
-        &mut self,
-        cells: impl ExactSizeIterator<Item = C> + Clone,
-    ) -> Result<bool, StorageError> {
+    pub fn try_push_row<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<bool, StorageError> {
         // Size in the wire format first (`encoded_len`: arity header, then
         // tag + payload per cell): admission decisions must stay
         // byte-identical to the row-major layout this replaced.
-        let n = std::mem::size_of::<u16>()
-            + cells.clone().map(|c| 1 + c.payload_bytes()).sum::<usize>();
+        let mut size = RowSize::default();
+        row.cells(&mut size);
+        let n = std::mem::size_of::<u16>() + size.wire;
         if self.bytes_used + n > self.capacity {
             if n > self.capacity {
                 return Err(StorageError::TupleTooLarge {
@@ -303,8 +324,7 @@ impl Page {
             }
             return Ok(false);
         }
-        let arity = u16::try_from(cells.len()).expect("tuple arity exceeds u16");
-        let row = self.tuples as usize;
+        let arity = u16::try_from(size.arity).expect("tuple arity exceeds u16");
         // A page that has never been filled (a pooled one keeps its
         // buffers through `clear`) sizes itself for a page of rows like
         // this one, instead of doubling its way up a dozen times — but
@@ -312,30 +332,19 @@ impl Page {
         // strips (`Float`/`Null`/short `Str` cells are wider here than on
         // the wire), so a page that stays nearly empty never holds more
         // than that.
-        let like_first = (self.arities.capacity() == 0).then(|| {
-            let held = |c: C| {
-                if c.is_int() {
-                    std::mem::size_of::<i64>()
-                } else {
-                    std::mem::size_of::<Value>()
-                }
-            };
-            let held = std::mem::size_of::<u16>() + cells.clone().map(held).sum::<usize>();
-            self.capacity / n.max(held)
-        });
+        let like_first = (self.arities.capacity() == 0)
+            .then(|| self.capacity / n.max(std::mem::size_of::<u16>() + size.held));
         if let Some(rows) = like_first {
             self.arities.reserve(rows);
         }
-        while self.cols.len() < cells.len() {
+        while self.cols.len() < size.arity {
             self.cols.push(ColumnStrip::new());
         }
-        for (strip, cell) in self.cols.iter_mut().zip(cells) {
-            if let Some(rows) = like_first {
-                strip.reserve_cells(cell.is_int(), rows);
-            }
-            strip.pad_to(row);
-            cell.push_onto(strip);
-        }
+        row.cells(&mut RowPush {
+            strips: self.cols.iter_mut(),
+            row: self.tuples as usize,
+            reserve: like_first,
+        });
         self.min_arity = if self.tuples == 0 { arity } else { self.min_arity.min(arity) };
         self.max_arity = self.max_arity.max(arity);
         self.arities.push(arity);
@@ -811,5 +820,65 @@ mod tests {
             Page::from_raw(4, bytes, 1).is_err(),
             "bytes exceeding capacity"
         );
+    }
+
+    /// A group appended cell by cell where it lies in a store — typed
+    /// cells as `i64`s, a NULL sum, a sum past `i64`, a demoted key column
+    /// — is the row `try_push` would have been handed: same admission
+    /// (the page fills at the same group), same pages.
+    #[test]
+    fn a_group_row_appends_like_its_materialized_row() {
+        use adaptagg_model::hash::hash_values;
+        use adaptagg_model::{AggFunc, AggSpec, CellRow, GroupStore, RowKind, Seed};
+
+        let specs = [
+            AggSpec::count_star(),
+            AggSpec::over(AggFunc::Sum, 1),
+            AggSpec::over(AggFunc::Avg, 1),
+            AggSpec::over(AggFunc::Min, 1),
+        ];
+        for str_keys in [false, true] {
+            let mut store = GroupStore::new(1, &specs, 0);
+            for g in 0..60i64 {
+                let key = match str_keys && g % 7 == 3 {
+                    true => Value::Str(format!("key-{g}").into()),
+                    false => Value::Int(g * 1_000_003),
+                };
+                let input = match g % 5 {
+                    0 => Value::Null,
+                    1 => Value::Int(i64::MAX - g),
+                    _ => Value::Int(g),
+                };
+                let row = [key, input];
+                for _ in 0..2 {
+                    let hash = hash_values(Seed::Table, &row[..1]);
+                    match store.find(hash, &row[..1]).0 {
+                        Ok(entry) => store.fold(entry, RowKind::Raw, &row).unwrap(),
+                        Err(slot) => {
+                            store.admit_row(slot, hash, &row[..1], RowKind::Raw, &row).unwrap();
+                        }
+                    }
+                }
+            }
+            let (mut by_cells, mut by_rows) = (Page::new(1024), Page::new(1024));
+            let mut row = Vec::new();
+            let mut stored = 0;
+            for e in 0..store.len() {
+                row.clear();
+                store.partial_row(e).cells(&mut row);
+                assert_eq!(row.len(), 6);
+                let fits = by_rows.try_push(&row).unwrap();
+                assert_eq!(by_cells.try_push_row(&store.partial_row(e)).unwrap(), fits, "group {e}");
+                stored += usize::from(fits);
+            }
+            assert!(stored > 10 && stored < 60, "the page filled at group {stored}");
+            assert_eq!(by_cells, by_rows);
+            assert_eq!(by_cells.decode_all().unwrap(), by_rows.decode_all().unwrap());
+            assert_eq!(
+                matches!(by_cells.column(0), Some(StripView::Ints(_))),
+                !str_keys,
+                "a typed key column lands on an Int strip"
+            );
+        }
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::error::StorageError;
 use crate::page::Page;
-use adaptagg_model::{CostEvent, CostTracker, Value};
+use adaptagg_model::{CellRow, CostEvent, CostTracker, Value};
 
 /// One spill bucket.
 #[derive(Debug)]
@@ -56,11 +56,21 @@ impl SpillFile {
         values: &[Value],
         tracker: &mut T,
     ) -> Result<(), StorageError> {
-        if !self.open.try_push(values)? {
+        self.spool_row(values, tracker)
+    }
+
+    /// [`SpillFile::spool`] of a row read cell by cell where it lies
+    /// ([`Page::try_push_row`]): same pages, same charges.
+    pub fn spool_row<R: CellRow + ?Sized, T: CostTracker>(
+        &mut self,
+        row: &R,
+        tracker: &mut T,
+    ) -> Result<(), StorageError> {
+        if !self.open.try_push_row(row)? {
             tracker.record(CostEvent::PageWriteSeq, 1);
             let full = std::mem::replace(&mut self.open, Page::new(self.page_bytes));
             self.sealed.push(full);
-            if !self.open.try_push(values)? {
+            if !self.open.try_push_row(row)? {
                 unreachable!("fresh spill page refused a fitting tuple");
             }
         }

@@ -27,6 +27,11 @@
 //! row, and with a warm pool nothing per message page beyond the channel's
 //! own block every few dozen sends.
 //!
+//! And Sort-2P's local phase on the same strips (ISSUE 22, DESIGN.md
+//! §16.5): batched run formation allocates for the spill pages it writes,
+//! the run merge for the output pages it emits — neither per row nor per
+//! group.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
@@ -38,8 +43,9 @@ use adaptagg_model::{
     RowKind, Value,
 };
 use adaptagg_net::{Fabric, Payload};
-use adaptagg_sortagg::RunBuilder;
-use adaptagg_storage::{HeapFile, Page, SimDisk};
+use adaptagg_sortagg::merge::MergeEmit;
+use adaptagg_sortagg::{merge_runs, RunBuilder};
+use adaptagg_storage::{HeapFile, Page, ScanBatch, SimDisk};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -358,5 +364,65 @@ fn resident_group_updates_do_not_allocate() {
         counted <= 64 * pages as u64,
         "run formation allocated {counted} times sealing {pages} pages ({rows} groups): \
          per-row allocation is back"
+    );
+
+    // The same through the batched lane (DESIGN.md §16.5): received pages
+    // of all-`Int` rows, almost every row a new group, six seals landing
+    // wherever in a page the budget runs out. One block per strip of
+    // each spill page written and nothing else — not per row, not per
+    // group, not per seal.
+    let query = AggQuery::new(
+        vec![0],
+        vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()],
+    );
+    let mut builder = RunBuilder::new(query.clone(), BUDGET as usize, PAGE_BYTES);
+    let mut input = vec![Page::new(4096)];
+    for g in 0..7 * BUDGET + 100 {
+        let row = [Value::Int(g.wrapping_mul(0x9e37_79b9) % (1 << 40)), Value::Int(g)];
+        for _ in 0..1 + (g % 2) {
+            if !input.last_mut().unwrap().try_push(&row).unwrap() {
+                input.push(Page::new(4096));
+                assert!(input.last_mut().unwrap().try_push(&row).unwrap());
+            }
+        }
+    }
+    let mut input = input.iter().map(|page| ScanBatch::whole(page).unwrap());
+    // Warm-up: up to the first seal, which sizes the table's pooled
+    // columns and the seal's sort scratch.
+    while builder.sealed_runs() == 0 {
+        let out = builder.push_batch(RowKind::Raw, &input.next().unwrap(), &mut tracker).unwrap();
+        assert_eq!(out.row_cause, None, "all-Int pages ride the strips");
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for batch in input {
+        builder.push_batch(RowKind::Raw, &batch, &mut tracker).unwrap();
+    }
+    let counted = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(builder.sealed_runs(), 7);
+    let (runs, resident) = builder.finish(&mut tracker).unwrap();
+    let pages: usize = runs[1..].iter().map(|r| r.sealed_pages()).sum();
+    let rows = 6 * BUDGET as usize;
+    assert!(pages * 200 < rows, "{pages} pages for {rows} rows");
+    assert!(
+        counted <= 8 * pages as u64 + 16,
+        "batched run formation allocated {counted} times sealing {pages} pages ({rows} groups): \
+         per-row or per-group allocation is back"
+    );
+
+    // And their merge: a cursor per run and a block per strip of each
+    // *output* page — not a row per run row, not a row per group.
+    let run_rows: usize = runs.iter().map(|r| r.tuple_count()).sum::<usize>() + resident.len();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let merged = merge_runs(&query, runs, resident, MergeEmit::Partial, &mut tracker).unwrap();
+    let counted = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(merged.len(), 7 * BUDGET as usize + 100, "every key is its own group");
+    assert_eq!((merged.strip_rows, merged.value_rows), (run_rows as u64, 0));
+    let out_pages = merged.rows.pages().len();
+    assert!(out_pages * 200 < merged.len(), "{out_pages} pages for {} groups", merged.len());
+    assert!(
+        counted <= 8 * out_pages as u64 + 64,
+        "the run merge allocated {counted} times emitting {} groups on {out_pages} pages from \
+         {run_rows} run rows",
+        merged.len()
     );
 }

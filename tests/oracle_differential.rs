@@ -177,7 +177,7 @@ proptest! {
                 use AlgorithmKind::*;
                 match kind {
                     // Row consumers on both sides.
-                    OptimizedTwoPhase | SortTwoPhase | Broadcast => {
+                    OptimizedTwoPhase | Broadcast => {
                         prop_assert_eq!((offered, on_rows), (0, 0), "{} at {} nodes", kind, nodes)
                     }
                     // Its census can outlast a partition this short, and

@@ -32,6 +32,7 @@ use adaptagg::model::{
     NetworkKind, NullTracker, Predicate, ResultRow, RowKind, Value,
 };
 use adaptagg::net::Fabric;
+use adaptagg::sortagg::SortAggregator;
 use adaptagg::storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch, SimDisk};
 use adaptagg::workload::{default_query, generate_partitions, RelationSpec};
 use proptest::prelude::*;
@@ -709,39 +710,54 @@ fn node_crash_schedule_is_honoured_by_both_lanes() {
     let plan = QueryPlan::new(&query);
     let per_page = file_of(512, rows()).page(0).unwrap().tuple_count() as u64;
     let k = per_page * 4 + per_page / 2;
-    let run = |batched: bool| {
+    let crashing_node = || {
         let mut ctx = node_with(file_of(512, rows()), 1000);
         ctx.apply_faults(NodeFaults {
             crash_at_tuple: Some(k),
             slowdown_factor: 1.0,
         });
-        let mut agg = HashAggregator::new(plan.projected.clone(), 1000, 256, 4);
-        let result = if batched {
-            operators::scan_pages(
-                &mut ctx,
-                "base",
-                &[],
-                &plan.projection,
-                0,
-                usize::MAX,
-                &mut agg,
-            )
+        ctx
+    };
+    // The whole file into `sink`, offered as batches or row by row.
+    fn scan<S: ScanSink<NodeCtx>>(ctx: &mut NodeCtx, plan: &QueryPlan, sink: S, batched: bool) -> (Result<usize, ExecError>, S) {
+        if batched {
+            let mut sink = sink;
+            (operators::scan_pages(ctx, "base", &[], &plan.projection, 0, usize::MAX, &mut sink), sink)
         } else {
-            operators::scan_project(&mut ctx, "base", &[], &plan.projection, |ctx, row| {
-                agg.push_raw(row, &mut ctx.clock).map_err(ExecError::from)
-            })
-        };
+            let mut sink = RowOnly(sink);
+            (operators::scan_pages(ctx, "base", &[], &plan.projection, 0, usize::MAX, &mut sink), sink.0)
+        }
+    }
+    let crashed = Err(ExecError::InjectedCrash {
+        node: 0,
+        at_tuple: k,
+    });
+
+    // The hash aggregator: every tuple before the crash was aggregated.
+    let run = |batched: bool| {
+        let mut ctx = crashing_node();
+        let agg = HashAggregator::new(plan.projected.clone(), 1000, 256, 4);
+        let (result, agg) = scan(&mut ctx, &plan, agg, batched);
         (result, agg.stats().raw_in, ctx.clock.now_ms().to_bits())
     };
     let (row, batch) = (run(false), run(true));
-    assert_eq!(
-        row.0,
-        Err(ExecError::InjectedCrash {
-            node: 0,
-            at_tuple: k
-        })
-    );
+    assert_eq!(row.0, crashed);
     assert_eq!(row.1, k, "every tuple before the crash was aggregated");
+    assert_eq!(batch, row);
+
+    // Sorted-run formation, at a budget that seals runs inside the pages
+    // ahead of the crash: the batch is cut at tuple K, the runs sealed so
+    // far and the groups resident are the row lane's.
+    let run = |batched: bool| {
+        let mut ctx = crashing_node();
+        let agg = SortAggregator::new(plan.projected.clone(), 4, 256);
+        let (result, agg) = scan(&mut ctx, &plan, agg, batched);
+        let formed = (agg.sealed_runs(), agg.resident_groups());
+        (result, formed, ctx.clock.now_ms().to_bits())
+    };
+    let (row, batch) = (run(false), run(true));
+    assert_eq!(row.0, crashed);
+    assert!(row.1 .0 > 10, "only {} runs sealed before the crash", row.1 .0);
     assert_eq!(batch, row);
 }
 

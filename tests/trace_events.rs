@@ -462,6 +462,111 @@ fn store_layout_and_demotions_are_reported_by_cause() {
     assert!(text.contains("store.columns{layout=typed}") && text.contains("store.bytes_per_group"));
 }
 
+/// Sort-2P's local phase is in the trace: what run formation took in and
+/// sealed, which loop the scan fed it through and why, and which lane the
+/// run merge folded each run row on. The default query rides the strips
+/// end to end — every offered page a batch, every merge row read as
+/// `i64`s, no column demoted; a `Str` key still rides the scan's strips
+/// (as it does into the hash table) but demotes the run table's key
+/// column and puts every run page, and so every merge row, on the values
+/// lane; NULL inputs send the scan to the row arm, by cause — and an
+/// untraced run of the same file carries nothing and lands on the same
+/// virtual time.
+#[test]
+fn sortagg_lanes_are_reported() {
+    use adaptagg::storage::HeapFile;
+
+    let file_of = |row: &dyn Fn(i64) -> Vec<Value>| {
+        let mut file = HeapFile::new(512);
+        for i in 0..2_000 {
+            file.append(&row(i)).unwrap();
+        }
+        file
+    };
+    let int = Value::Int;
+    // (label, file, scan counter every page lands in, merge lane every run
+    // row lands in, whether key columns demote: the run table's, and the
+    // merge phase's hash tables' behind it)
+    let cases = [
+        (
+            "default",
+            file_of(&|i| vec![int(i % 90), int(i)]),
+            "scan.pages_batched",
+            "sortagg.merge_rows{lane=strips}",
+            false,
+        ),
+        (
+            "string keys",
+            file_of(&|i| vec![Value::Str(format!("g{}", i % 90).into()), int(i)]),
+            "scan.pages_batched",
+            "sortagg.merge_rows{lane=values}",
+            true,
+        ),
+        (
+            "null inputs",
+            file_of(&|i| vec![int(i % 90), if i % 4 == 0 { Value::Null } else { int(i) }]),
+            "scan.pages_row{cause=value_input}",
+            // A group whose inputs in a run were all NULL ships a NULL
+            // partial sum: that run page is off the strips lane.
+            "sortagg.merge_rows{lane=values}",
+            false,
+        ),
+    ];
+    let scan_counters = [
+        "scan.pages_batched",
+        "scan.pages_row{cause=ragged}",
+        "scan.pages_row{cause=value_filter}",
+        "scan.pages_row{cause=value_input}",
+        "scan.pages_row{cause=float_guard}",
+    ];
+    let lanes = ["sortagg.merge_rows{lane=strips}", "sortagg.merge_rows{lane=values}"];
+    for (label, file, scan_counter, lane, keys_demote) in cases {
+        let pages = file.page_count() as u64;
+        let parts = vec![file];
+        // 90 groups against 25 entries: runs seal all the way through.
+        let params = CostParams {
+            max_hash_entries: 25,
+            ..CostParams::paper_default()
+        };
+        let mut plain = ClusterConfig::new(1, params);
+        plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+        let traced = plain.clone().with_tracing();
+        let kind = AlgorithmKind::SortTwoPhase;
+        let a = run_algorithm(kind, &plain, &parts, &default_query()).unwrap();
+        let b = run_algorithm(kind, &traced, &parts, &default_query()).unwrap();
+        assert!(a.trace.is_none(), "{label}: untraced run carried a trace");
+        assert_eq!(a.rows, b.rows, "{label}: rows changed under tracing");
+        assert_eq!(a.elapsed_ms().to_bits(), b.elapsed_ms().to_bits(), "{label}: clock moved");
+        let metrics = &b.trace.as_ref().unwrap().node(0).unwrap().metrics;
+        for counter in scan_counters {
+            let want = if counter == scan_counter { pages } else { 0 };
+            assert_eq!(metrics.counter(counter), want, "{label}: {counter}");
+        }
+        assert_eq!(metrics.counter("sortagg.rows_in"), 2_000, "{label}");
+        let runs = metrics.counter("sortagg.runs_sealed");
+        let run_rows = metrics.counter("sortagg.run_rows");
+        assert!(runs > 20, "{label}: {runs} runs sealed");
+        assert!(run_rows > 25 * runs && run_rows <= 2_000, "{label}: {run_rows} run rows");
+        for counter in lanes {
+            let want = if counter == lane { run_rows } else { 0 };
+            assert_eq!(metrics.counter(counter), want, "{label}: {counter}");
+        }
+        let key_demotions = metrics.counter("store.demoted{cause=key_type}");
+        assert_eq!(key_demotions >= 2, keys_demote, "{label}: {key_demotions} key columns demoted");
+        assert_eq!(key_demotions == 0, !keys_demote, "{label}: {key_demotions} key columns demoted");
+        for cause in ["input_type", "partial_type", "func"] {
+            let counter = format!("store.demoted{{cause={cause}}}");
+            assert_eq!(metrics.counter(&counter), 0, "{label}: {counter}");
+        }
+    }
+    // The renderer prints them like any other metric.
+    let traced = ClusterConfig::new(1, CostParams::paper_default()).with_tracing();
+    let parts = vec![file_of(&|i| vec![int(i % 90), int(i)])];
+    let out = run_algorithm(AlgorithmKind::SortTwoPhase, &traced, &parts, &default_query()).unwrap();
+    let text = out.trace.as_ref().unwrap().to_text();
+    assert!(text.contains("sortagg.rows_in") && text.contains("sortagg.merge_rows{lane=strips}"));
+}
+
 /// Repartitioning's first phase is in the trace: scanning and routing the
 /// base relation sits under a `scan` span, flushing the exchange under a
 /// `partition` span, and with the `merge` span they account for the
