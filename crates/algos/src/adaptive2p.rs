@@ -24,7 +24,7 @@ use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
 use adaptagg_hashagg::{AggTable, Inserted};
 use adaptagg_model::{RowKind, Value};
-use adaptagg_storage::{BatchOutcome, ScanBatch};
+use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch};
 
 /// Run Adaptive Two Phase on one node.
 pub fn run_node(
@@ -84,9 +84,7 @@ pub fn run_node_with(
     ctx.span_start(PhaseKind::Partition);
     let shipped = (|| {
         if !scan.switched {
-            let partials = scan.table.drain_partial_rows(&mut ctx.clock);
-            ex.switch_kind(ctx, RowKind::Partial)?;
-            ex.route_rows(ctx, &partials, false)?;
+            ex.flush_table(ctx, &mut scan.table, RowKind::Partial)?;
         }
         ex.finish(ctx)
     })();
@@ -126,7 +124,11 @@ fn checkpointed_scan(
     let result = (|| {
         for seg in session.segments() {
             let restored = session.restore_partials(seg.partition, &mut ctx.clock)?;
-            route_partials_now(ctx, ex, scan.switched, &restored)?;
+            if !restored.is_empty() {
+                // Once switched, the exchange goes back to forwarding raws.
+                let then = if scan.switched { RowKind::Raw } else { RowKind::Partial };
+                ex.route_partials(ctx, restored, then)?;
+            }
             let mut done = session.resume_point(seg.partition).min(seg.pages);
             while done < seg.pages {
                 let chunk_end = (done + session.interval_pages()).min(seg.pages);
@@ -140,7 +142,8 @@ fn checkpointed_scan(
                     &mut ScanSwitch { scan, ex, events },
                 )?;
                 if !scan.switched {
-                    let partials = scan.table.drain_partial_rows(&mut ctx.clock);
+                    let mut partials = RowPages::new(ctx.params().page_bytes);
+                    scan.table.drain_partials(&mut ctx.clock, &mut partials)?;
                     session.checkpoint(
                         seg.partition,
                         chunk_end,
@@ -149,7 +152,7 @@ fn checkpointed_scan(
                         &mut ctx.clock,
                         &mut ctx.disk,
                     )?;
-                    route_partials_now(ctx, ex, false, &partials)?;
+                    ex.route_partials(ctx, partials, RowKind::Partial)?;
                 } else {
                     session.note_scanned(seg.partition, chunk_end);
                 }
@@ -160,27 +163,6 @@ fn checkpointed_scan(
     })();
     ctx.recovery = Some(session);
     result
-}
-
-/// Route already-finalized partial rows through the exchange, restoring
-/// the raw kind afterwards if the scan had switched.
-fn route_partials_now(
-    ctx: &mut NodeCtx,
-    ex: &mut Exchange,
-    switched: bool,
-    rows: &[Vec<Value>],
-) -> Result<(), ExecError> {
-    if rows.is_empty() {
-        return Ok(());
-    }
-    if switched {
-        ex.switch_kind(ctx, RowKind::Partial)?;
-    }
-    ex.route_rows(ctx, rows, false)?;
-    if switched {
-        ex.switch_kind(ctx, RowKind::Raw)?;
-    }
-    Ok(())
 }
 
 /// The A2P scan-side state machine (shared with ARep's fallback).
@@ -275,10 +257,7 @@ impl ScanState {
         values: &[Value],
         events: &mut Vec<AdaptEvent>,
     ) -> Result<(), ExecError> {
-        let partials = self.table.drain_partial_rows(&mut ctx.clock);
-        ex.switch_kind(ctx, RowKind::Partial)?;
-        ex.route_rows(ctx, &partials, false)?;
-        ex.switch_kind(ctx, RowKind::Raw)?;
+        ex.flush_table(ctx, &mut self.table, RowKind::Raw)?;
         self.switched = true;
         events.push(AdaptEvent::SwitchedToRepartitioning {
             at_tuple: self.raw_seen,

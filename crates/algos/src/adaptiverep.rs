@@ -84,9 +84,7 @@ pub fn run_node(
     let shipped = (|| {
         if let Some(mut state) = a2p {
             if !state.switched {
-                let partials = state.table.drain_partial_rows(&mut ctx.clock);
-                ex.switch_kind(ctx, RowKind::Partial)?;
-                ex.route_rows(ctx, &partials, false)?;
+                ex.flush_table(ctx, &mut state.table, RowKind::Partial)?;
             }
         }
         ex.finish(ctx)

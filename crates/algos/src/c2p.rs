@@ -6,7 +6,7 @@
 //! Figure 1 shows C2P falling behind as soon as the number of groups is
 //! non-trivial; it is the baseline the parallel merge (2P) improves on.
 
-use crate::common::{merge_phase_store, ship_partials_to, QueryPlan};
+use crate::common::{merge_phase_store, ship_partials, QueryPlan, ShipTo};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
 use adaptagg_exec::{ExecError, NodeCtx};
@@ -26,7 +26,7 @@ pub fn run_node(
     // Phase 1: local aggregation; ship partials to the coordinator.
     let (partials, local_stats) =
         crate::common::local_partial_aggregation(ctx, plan, max_entries, fanout)?;
-    ship_partials_to(ctx, COORDINATOR, plan, partials)?;
+    ship_partials(ctx, plan, partials, ShipTo::Node(COORDINATOR))?;
 
     let mut outcome = NodeOutcome {
         agg: local_stats,

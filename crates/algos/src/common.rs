@@ -1,10 +1,11 @@
 //! Building blocks shared by all algorithms.
 
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
-use adaptagg_hashagg::{EmitMode, HashAggStats, HashAggregator};
-use adaptagg_model::{AggQuery, CostTracker, DemoteCause, ResultRow, RowKind, StoreLayout, Value};
-use adaptagg_sortagg::SortAggStats;
+use adaptagg_hashagg::{HashAggStats, HashAggregator};
+use adaptagg_model::{AggQuery, CostTracker, DemoteCause, ResultRow, RowKind, StoreLayout};
 use adaptagg_net::{Control, Page};
+use adaptagg_sortagg::SortAggStats;
+use adaptagg_storage::RowPages;
 
 /// A query compiled for execution: the base-schema form, the projection
 /// the scan applies, and the projected (remapped) form every operator
@@ -38,9 +39,9 @@ impl QueryPlan {
 
 /// Phase 1 of the Two Phase family: scan + project the local partition,
 /// aggregate into a memory-bounded table (with overflow processing), and
-/// return the partial rows (§2.1's local aggregation). The scan feeds the
-/// aggregator a page at a time — borrowed column-strip batches into the
-/// table's batched insert, rows where the strips cannot serve.
+/// return the partial rows on pages (§2.1's local aggregation). The scan
+/// feeds the aggregator a page at a time — borrowed column-strip batches
+/// into the table's batched insert, rows where the strips cannot serve.
 ///
 /// When the node carries a recovery session, the scan is checkpointed:
 /// rows already durable for a partition are restored instead of
@@ -53,7 +54,7 @@ pub fn local_partial_aggregation(
     plan: &QueryPlan,
     max_entries: usize,
     fanout: usize,
-) -> Result<(Vec<Vec<Value>>, HashAggStats), ExecError> {
+) -> Result<(RowPages, HashAggStats), ExecError> {
     if ctx.recovery.is_some() {
         return checkpointed_local_aggregation(ctx, plan, max_entries, fanout);
     }
@@ -77,7 +78,7 @@ pub fn local_partial_aggregation(
     if spilled {
         ctx.span_start(PhaseKind::Spill);
     }
-    let finished = agg.finish(EmitMode::Partial, &mut ctx.clock);
+    let finished = agg.finish_partials(&mut ctx.clock);
     if spilled {
         ctx.span_end();
     }
@@ -148,16 +149,16 @@ fn checkpointed_local_aggregation(
     plan: &QueryPlan,
     max_entries: usize,
     fanout: usize,
-) -> Result<(Vec<Vec<Value>>, HashAggStats), ExecError> {
+) -> Result<(RowPages, HashAggStats), ExecError> {
     let page_bytes = ctx.params().page_bytes;
     let mut session = ctx.recovery.take().expect("checked by caller");
     ctx.span_start(PhaseKind::Scan);
     let result = (|| {
-        let mut out = Vec::new();
+        let mut out = RowPages::new(page_bytes);
         let mut stats = HashAggStats::default();
         for seg in session.segments() {
             let restored = session.restore_partials(seg.partition, &mut ctx.clock)?;
-            out.extend(restored);
+            out.append(restored);
             let mut done = session.resume_point(seg.partition).min(seg.pages);
             while done < seg.pages {
                 let chunk_end = (done + session.interval_pages()).min(seg.pages);
@@ -173,7 +174,7 @@ fn checkpointed_local_aggregation(
                     seg.start_page + chunk_end,
                     &mut agg,
                 )?;
-                let (partials, s) = agg.finish(EmitMode::Partial, &mut ctx.clock)?;
+                let (partials, s) = agg.finish_partials(&mut ctx.clock)?;
                 stats.add(&s);
                 session.checkpoint(
                     seg.partition,
@@ -183,7 +184,7 @@ fn checkpointed_local_aggregation(
                     &mut ctx.clock,
                     &mut ctx.disk,
                 )?;
-                out.extend(partials);
+                out.append(partials);
                 done = chunk_end;
             }
         }
@@ -307,38 +308,30 @@ fn merge_phase_inner(
     }
 }
 
-/// Ship partial rows through an exchange, hash-partitioned on the group
-/// key (destination cost only — the rows came out of a hash table), then
-/// signal end-of-stream to every node.
-pub fn ship_partials_partitioned(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    partials: Vec<Vec<Value>>,
-) -> Result<(), ExecError> {
-    ship_partitioned(ctx, plan, |ex, ctx| ex.route_rows(ctx, &partials, false))
+/// Where phase 1's partial rows go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShipTo {
+    /// Each row to the node that owns its group key ([`Seed::Partition`]
+    /// hash; destination cost only — the rows came out of a hash table),
+    /// end-of-stream to every node.
+    ///
+    /// [`Seed::Partition`]: adaptagg_model::Seed::Partition
+    Owners,
+    /// Every row to this node (C2P's coordinator: no hash, no destination
+    /// computation), end-of-stream to it alone.
+    Node(usize),
 }
 
-/// [`ship_partials_partitioned`] for partial rows that are already on
-/// pages (a run merge's output): each page crosses the exchange as the
-/// batch it is, strip to strip, at the charges of its rows routed one by
-/// one.
-pub fn ship_partial_pages(
+/// The one hand-off from a local phase to the network: ship pages of
+/// partial rows through a fresh exchange under a `partition` span — each
+/// page crosses as the batch it is, strip to strip, at the charges of its
+/// rows routed one by one, and is freed as soon as it is routed — then end
+/// the stream and mark the end of phase 1.
+pub fn ship_partials(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
-    pages: Vec<Page>,
-) -> Result<(), ExecError> {
-    ship_partitioned(ctx, plan, |ex, ctx| {
-        // Each page is freed as soon as it is routed.
-        pages.into_iter().try_for_each(|page| ex.route_page(ctx, &page, false))
-    })
-}
-
-/// Route partial rows through a fresh exchange under a `partition` span,
-/// then end the stream to every node and mark the end of phase 1.
-fn ship_partitioned(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    route: impl FnOnce(&mut Exchange, &mut NodeCtx) -> Result<(), ExecError>,
+    partials: RowPages,
+    to: ShipTo,
 ) -> Result<(), ExecError> {
     let mut ex = Exchange::new(
         ctx.nodes(),
@@ -347,34 +340,18 @@ fn ship_partitioned(
         RowKind::Partial,
     );
     ctx.span_start(PhaseKind::Partition);
-    let shipped = route(&mut ex, ctx).and_then(|_| ex.finish(ctx));
-    ctx.span_end();
-    shipped?;
-    ctx.clock.mark("phase1");
-    Ok(())
-}
-
-/// Ship partial rows to a single coordinator (C2P), then signal
-/// end-of-stream to the coordinator only.
-pub fn ship_partials_to(
-    ctx: &mut NodeCtx,
-    coordinator: usize,
-    plan: &QueryPlan,
-    partials: Vec<Vec<Value>>,
-) -> Result<(), ExecError> {
-    let mut ex = Exchange::new(
-        ctx.nodes(),
-        ctx.params().message_bytes,
-        plan.key_len(),
-        RowKind::Partial,
-    );
-    ctx.span_start(PhaseKind::Partition);
-    let shipped = (|| {
-        for row in &partials {
-            ex.send_to(ctx, coordinator, row)?;
+    let shipped = (|| match to {
+        ShipTo::Owners => {
+            ex.route_partials(ctx, partials, RowKind::Partial)?;
+            ex.finish(ctx)
         }
-        ex.flush(ctx)?;
-        ctx.send_control(coordinator, Control::EndOfStream)
+        ShipTo::Node(node) => {
+            for page in partials.into_pages() {
+                ex.send_page_to(ctx, node, &page)?;
+            }
+            ex.flush(ctx)?;
+            ctx.send_control(node, Control::EndOfStream)
+        }
     })();
     ctx.span_end();
     shipped?;
@@ -439,7 +416,7 @@ mod tests {
         let plan = plan();
         let run = run_cluster(&config, parts, |ctx| {
             let (partials, _) = local_partial_aggregation(ctx, &plan, 10_000, 4)?;
-            ship_partials_partitioned(ctx, &plan, partials)?;
+            ship_partials(ctx, &plan, partials, ShipTo::Owners)?;
             let (rows, _) = merge_phase_store(ctx, &plan, 10_000, 4, Vec::new(), 0)?;
             Ok(rows)
         })

@@ -58,9 +58,7 @@ pub fn run_node(
     })?;
 
     // Drain the local table as partials only now (end of input).
-    let partials = table.drain_partial_rows(&mut ctx.clock);
-    ex.switch_kind(ctx, RowKind::Partial)?;
-    ex.route_rows(ctx, &partials, false)?;
+    ex.flush_table(ctx, &mut table, RowKind::Partial)?;
     ex.finish(ctx)?;
     ctx.clock.mark("phase1");
 

@@ -23,7 +23,8 @@ use adaptagg_exec::{Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_model::{CostEvent, CostTracker, GroupKey, RowKind};
 use adaptagg_net::{Control, Payload};
 use adaptagg_sample::{distinct_groups, sample_tuples, AlgorithmChoice};
-use std::collections::HashSet;
+use adaptagg_storage::RowPages;
+use std::collections::BTreeSet;
 
 /// The estimation coordinator (node 0).
 pub const COORDINATOR: usize = 0;
@@ -74,7 +75,7 @@ fn estimate_and_decide(
     // Local "aggregation" of the sample: find its distinct keys, charging
     // the §3.1 sample-aggregation costs (t_h + t_a per tuple; t_r was
     // charged by the sampler).
-    let mut keys: HashSet<GroupKey> = HashSet::with_capacity(sample.len());
+    let mut keys: BTreeSet<GroupKey> = BTreeSet::new();
     for values in &sample {
         // The estimate must reflect the *filtered* relation's group count.
         if !adaptagg_model::matches_all(&plan.base.filter, values)? {
@@ -84,16 +85,23 @@ fn estimate_and_decide(
         ctx.clock.record(CostEvent::TupleAgg, 1);
         keys.insert(plan.base.key_of_values(values)?);
     }
-    // Generate result tuples (t_w each) and ship to the coordinator.
+    // Generate result tuples (t_w each) and ship to the coordinator, in
+    // key order: which message page a key lands on — and with
+    // variable-width keys, how many pages there are — is then a function
+    // of the sample alone.
     ctx.clock.record(CostEvent::TupleWrite, keys.len() as u64);
+    let mut key_pages = RowPages::new(ctx.params().page_bytes);
+    for key in &keys {
+        key_pages.push(key.values())?;
+    }
     let mut ex = Exchange::new(
         ctx.nodes(),
         ctx.params().message_bytes,
         plan.key_len(),
         RowKind::Raw,
     );
-    for key in keys {
-        ex.send_to(ctx, COORDINATOR, &key.into_values())?;
+    for page in key_pages.into_pages() {
+        ex.send_page_to(ctx, COORDINATOR, &page)?;
     }
     ex.flush(ctx)?;
     ctx.send_control(COORDINATOR, Control::EndOfStream)?;

@@ -10,7 +10,7 @@
 //! benchmarks compare hash-based and sort-based local aggregation under
 //! one cost model.
 
-use crate::common::{merge_phase_store, ship_partial_pages, trace_sortagg, QueryPlan};
+use crate::common::{merge_phase_store, ship_partials, trace_sortagg, QueryPlan, ShipTo};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
 use adaptagg_exec::{operators, ExecError, NodeCtx, PhaseKind};
@@ -48,7 +48,7 @@ pub fn run_node(
     trace_sortagg(ctx, &sort_stats);
     // Shipped once the merge is done: every charge and every send keeps
     // its place.
-    ship_partial_pages(ctx, plan, partials.into_pages())?;
+    ship_partials(ctx, plan, partials, ShipTo::Owners)?;
 
     // Phase 2: hash merge, as in plain Two Phase.
     let (rows, mut agg_stats) =

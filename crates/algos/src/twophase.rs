@@ -6,7 +6,7 @@
 //! intermediate overflow I/O in *both* phases — the weakness A2P fixes.
 
 use crate::common::{
-    local_partial_aggregation, merge_phase_store, ship_partials_partitioned, QueryPlan,
+    local_partial_aggregation, merge_phase_store, ship_partials, QueryPlan, ShipTo,
 };
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
@@ -34,7 +34,7 @@ pub fn run_node_with(
     let fanout = cfg.overflow_fanout;
 
     let (partials, local_stats) = local_partial_aggregation(ctx, plan, max_entries, fanout)?;
-    ship_partials_partitioned(ctx, plan, partials)?;
+    ship_partials(ctx, plan, partials, ShipTo::Owners)?;
     let (rows, merge_stats) =
         merge_phase_store(ctx, plan, max_entries, fanout, pre_received, pre_eos)?;
 

@@ -5,7 +5,7 @@
 use crate::proto::JobMsg;
 use crate::spec::ClusterSpec;
 use crate::{ClusterError, Progress};
-use adaptagg_algos::common::{local_partial_aggregation, ship_partials_to};
+use adaptagg_algos::common::{local_partial_aggregation, ship_partials, ShipTo};
 use adaptagg_exec::{ExecError, NodeCtx};
 use adaptagg_model::CostParams;
 use adaptagg_net::{Control, Endpoint, Message, NetError, Payload};
@@ -155,7 +155,7 @@ pub fn run_worker(
                         opts.fanout,
                     )
                     .and_then(|(partials, _)| {
-                        ship_partials_to(&mut ctx, COORDINATOR, &plan, partials)
+                        ship_partials(&mut ctx, &plan, partials, ShipTo::Node(COORDINATOR))
                     });
                     endpoint = ctx.into_endpoint();
                     match result {

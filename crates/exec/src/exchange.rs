@@ -6,10 +6,12 @@
 //!
 //! * Repartitioning — raw tuples, `charge_hash = true` (the paper's select
 //!   cost there is `t_r + t_w + t_h + t_d`);
-//! * Two Phase / A2P partial shipping — partial rows, `charge_hash = false`
-//!   (the rows just came out of a hash table; only `t_d` is charged);
-//! * C2P — fixed destination via [`Exchange::send_to`] (no hash, no dest
-//!   computation).
+//! * Two Phase / A2P partial shipping — pages of partial rows drained
+//!   from a group table ([`Exchange::flush_table`],
+//!   [`Exchange::route_partials`]), `charge_hash = false` (the rows just
+//!   came out of a hash table; only `t_d` is charged);
+//! * C2P, Sampling's sample keys — a fixed destination via
+//!   [`Exchange::send_page_to`] (no hash, no dest computation).
 //!
 //! A single exchange instance must carry one [`DataKind`] at a time;
 //! switching kinds flushes automatically (A2P flushes its partials before
@@ -18,12 +20,13 @@
 use crate::error::ExecError;
 use crate::node::NodeCtx;
 use crate::operators::ScanSink;
+use adaptagg_hashagg::AggTable;
 use adaptagg_model::hash::{
     hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values, Seed,
 };
-use adaptagg_model::{CostEvent, CostTracker, Value};
+use adaptagg_model::{CellRow, CostEvent, CostTracker, Value};
 use adaptagg_net::{Blocker, Control, DataKind};
-use adaptagg_storage::{BatchCharges, BatchOutcome, Page, ScanBatch, StripView};
+use adaptagg_storage::{BatchCharges, BatchOutcome, Page, RowPages, ScanBatch, StripView};
 
 /// Per-row cost template for a hash route (`t_h + t_d`).
 const ROUTE_WITH_HASH: [CostEvent; 2] = [CostEvent::TupleHash, CostEvent::TupleDest];
@@ -94,52 +97,26 @@ impl Exchange {
         self.push_to(ctx, dest, values)
     }
 
-    /// Route a row to an explicit destination (C2P's coordinator). Charges
-    /// nothing per tuple beyond the blocking copy (`t_w` is charged by the
-    /// producer when it generated the row).
-    pub fn send_to(
+    /// Block a row for `dest`, sending the message page that seals.
+    fn push_to<R: CellRow + ?Sized>(
         &mut self,
         ctx: &mut NodeCtx,
         dest: usize,
-        values: &[Value],
+        row: &R,
     ) -> Result<(), ExecError> {
-        self.push_to(ctx, dest, values)
-    }
-
-    fn push_to(&mut self, ctx: &mut NodeCtx, dest: usize, values: &[Value]) -> Result<(), ExecError> {
-        if let Some(page) = self.blocker.add_pooled(dest, values, &mut ctx.page_pool)? {
+        if let Some(page) = self.blocker.add_pooled(dest, row, &mut ctx.page_pool)? {
             ctx.send_page(dest, self.kind, page)?;
         }
         self.routed += 1;
         Ok(())
     }
 
-    /// Route a batch of rows — the page-batched counterpart of calling
-    /// [`Exchange::route`] per row. Cost events and virtual time are
-    /// bit-identical to the per-row loop: per-row `t_h`/`t_d` charges are
-    /// accumulated and flushed (in per-row order, via
-    /// [`CostTracker::record_tuples`]) before every page send, so send
-    /// timestamps — and therefore receiver Lamport observations — cannot
-    /// move.
-    pub fn route_rows<R: AsRef<[Value]>>(
-        &mut self,
-        ctx: &mut NodeCtx,
-        rows: &[R],
-        charge_hash: bool,
-    ) -> Result<(), ExecError> {
-        let template = route_template(charge_hash);
-        let mut pending = 0u64;
-        for values in rows {
-            self.route_batched(ctx, values.as_ref(), template, &mut pending)?;
-        }
-        ctx.clock.record_tuples(template, pending);
-        Ok(())
-    }
-
-    /// Route every tuple on a page — [`Exchange::route_rows`] for rows
-    /// still in wire format (e.g. forwarding a received block): the page is
-    /// the trivial batch. Ragged pages have no strips to ride and decode
-    /// into a reused scratch row; same bit-exact cost contract.
+    /// Route every tuple on a page (a page of drained partial rows, a
+    /// received block being forwarded) — the page-batched counterpart of
+    /// calling [`Exchange::route`] per row, at its charges, send timestamps
+    /// and clock bits: the page is the trivial batch
+    /// ([`Exchange::route_batch`]). A ragged page has no strips to ride;
+    /// its rows decode into a reused scratch row and take `route` itself.
     pub fn route_page(
         &mut self,
         ctx: &mut NodeCtx,
@@ -149,14 +126,12 @@ impl Exchange {
         if let Some(batch) = ScanBatch::whole(page) {
             return self.route_batch(ctx, &batch, charge_hash).map(|_| ());
         }
-        let template = route_template(charge_hash);
-        let mut pending = 0u64;
         let mut scratch = std::mem::take(&mut self.row_scratch);
         let mut cursor = page.cursor();
         let result = loop {
             match cursor.next_into(&mut scratch) {
                 Ok(true) => {
-                    if let Err(e) = self.route_batched(ctx, &scratch, template, &mut pending) {
+                    if let Err(e) = self.route(ctx, &scratch, charge_hash) {
                         break Err(e);
                     }
                 }
@@ -165,8 +140,55 @@ impl Exchange {
             }
         };
         self.row_scratch = scratch;
-        ctx.clock.record_tuples(template, pending);
         result
+    }
+
+    /// Send every tuple on a page to one explicit destination (C2P's
+    /// coordinator) — the fixed-destination twin of
+    /// [`Exchange::route_page`], re-blocking the rows strip to strip into
+    /// `dest`'s message pages. Charges nothing per tuple beyond the
+    /// blocking copy (`t_w` is charged by the producer when it generated
+    /// the row).
+    pub fn send_page_to(
+        &mut self,
+        ctx: &mut NodeCtx,
+        dest: usize,
+        page: &Page,
+    ) -> Result<(), ExecError> {
+        page.rows().try_for_each(|row| self.push_to(ctx, dest, &row))
+    }
+
+    /// Route pages of partial rows to the owners of their groups under
+    /// [`DataKind::Partial`] — whatever the exchange was carrying is
+    /// flushed first — and leave the exchange carrying `then`. Only `t_d`
+    /// is charged: the rows came out of a hash table. Each page is freed
+    /// as soon as it is routed.
+    pub fn route_partials(
+        &mut self,
+        ctx: &mut NodeCtx,
+        partials: RowPages,
+        then: DataKind,
+    ) -> Result<(), ExecError> {
+        self.switch_kind(ctx, DataKind::Partial)?;
+        for page in partials.into_pages() {
+            self.route_page(ctx, &page, false)?;
+        }
+        self.switch_kind(ctx, then)
+    }
+
+    /// Drain `table` (`t_w` per group, charged before anything is routed)
+    /// and [`Exchange::route_partials`] what it held: the one way a group
+    /// table's partials reach the wire — A2P's switch and end of scan,
+    /// ARep's fallback, optimized 2P's final drain.
+    pub fn flush_table(
+        &mut self,
+        ctx: &mut NodeCtx,
+        table: &mut AggTable,
+        then: DataKind,
+    ) -> Result<(), ExecError> {
+        let mut partials = RowPages::new(ctx.params().page_bytes);
+        table.drain_partials(&mut ctx.clock, &mut partials)?;
+        self.route_partials(ctx, partials, then)
     }
 
     /// Route every passing row of a batch, column-at-a-time: one
@@ -240,33 +262,6 @@ impl Exchange {
         })
     }
 
-    /// One row of a batched route: defer the per-row charge, but flush
-    /// all deferred charges before any send so timestamps match the
-    /// per-row path exactly.
-    fn route_batched(
-        &mut self,
-        ctx: &mut NodeCtx,
-        values: &[Value],
-        template: &[CostEvent],
-        pending: &mut u64,
-    ) -> Result<(), ExecError> {
-        let dest = self.destination_of(values);
-        *pending += 1;
-        let sealed = match self.blocker.add_pooled(dest, values, &mut ctx.page_pool) {
-            Ok(sealed) => sealed,
-            Err(e) => {
-                ctx.clock.record_tuples(template, std::mem::take(pending));
-                return Err(e.into());
-            }
-        };
-        if let Some(page) = sealed {
-            ctx.clock.record_tuples(template, std::mem::take(pending));
-            ctx.send_page(dest, self.kind, page)?;
-        }
-        self.routed += 1;
-        Ok(())
-    }
-
     /// Switch the data kind, flushing any buffered pages of the old kind
     /// first (A2P: partial flush → raw forwarding).
     pub fn switch_kind(&mut self, ctx: &mut NodeCtx, kind: DataKind) -> Result<(), ExecError> {
@@ -316,7 +311,9 @@ impl ScanSink<NodeCtx> for Exchange {
 mod tests {
     use super::*;
     use crate::operators::{scan_pages, scan_project};
-    use adaptagg_model::{Compare, CostParams, NetworkKind, Predicate};
+    use adaptagg_model::{
+        AggFunc, AggQuery, AggSpec, Compare, CostParams, NetworkKind, NullTracker, Predicate,
+    };
     use adaptagg_net::{Fabric, Payload};
     use adaptagg_storage::{HeapFile, SimDisk, StorageError};
 
@@ -462,42 +459,112 @@ mod tests {
             .collect()
     }
 
+    /// Route on node 0 of a fresh 2-node fabric, finish, and return what
+    /// that made observable: the sender's clock bits (now, CPU share) and
+    /// every page it sent, with its send timestamp.
+    fn routed(
+        key_len: usize,
+        kind: DataKind,
+        route: impl FnOnce(&mut Exchange, &mut NodeCtx),
+    ) -> ((u64, u64), Sent) {
+        let mut ctxs = cluster_of(2);
+        let mut ex = Exchange::new(2, 2048, key_len, kind);
+        route(&mut ex, &mut ctxs[0]);
+        ex.finish(&mut ctxs[0]).unwrap();
+        let clock = &ctxs[0].clock;
+        let bits = (clock.now_ms().to_bits(), clock.breakdown().cpu_ms.to_bits());
+        (bits, sent_pages(&mut ctxs))
+    }
+
     #[test]
     fn batched_routes_are_bit_identical_to_per_tuple_routes() {
-        // route_rows and route_page must be indistinguishable from the
-        // per-tuple loop: same sealed pages, same send timestamps, same
-        // clock bits on the sender.
+        // A page routed whole must be indistinguishable from the per-tuple
+        // loop: same sealed pages, same send timestamps, same clock bits
+        // on the sender.
         let rows: Vec<Vec<Value>> = (0..700).map(row).collect();
         for charge_hash in [false, true] {
-            let mut outcomes = Vec::new();
-            for mode in 0..3 {
-                let mut ctxs = cluster_of(2);
-                let mut ex = Exchange::new(2, 2048, 1, DataKind::Raw);
-                let tx = &mut ctxs[0];
-                match mode {
-                    0 => {
-                        for r in &rows {
-                            ex.route(tx, r, charge_hash).unwrap();
-                        }
-                    }
-                    1 => ex.route_rows(tx, &rows, charge_hash).unwrap(),
-                    _ => {
-                        // Same rows, paged up in wire format first.
-                        let mut pages = vec![Page::new(1 << 16)];
-                        for r in &rows {
-                            assert!(pages.last_mut().unwrap().try_push(r).unwrap());
-                        }
-                        for p in &pages {
-                            ex.route_page(tx, p, charge_hash).unwrap();
-                        }
-                    }
+            let per_row = routed(1, DataKind::Raw, |ex, tx| {
+                for r in &rows {
+                    ex.route(tx, r, charge_hash).unwrap();
                 }
                 assert_eq!(ex.routed(), rows.len() as u64);
-                ex.finish(tx).unwrap();
-                outcomes.push((ctxs[0].clock.now_ms().to_bits(), sent_pages(&mut ctxs)));
-            }
-            assert_eq!(outcomes[0], outcomes[1], "route_rows drifted");
-            assert_eq!(outcomes[0], outcomes[2], "route_page drifted");
+            });
+            let paged = routed(1, DataKind::Raw, |ex, tx| {
+                // Same rows, paged up in wire format first.
+                let mut page = Page::new(1 << 16);
+                for r in &rows {
+                    assert!(page.try_push(r).unwrap());
+                }
+                ex.route_page(tx, &page, charge_hash).unwrap();
+                assert_eq!(ex.routed(), rows.len() as u64);
+            });
+            assert_eq!(paged, per_row, "route_page drifted");
+        }
+
+        // The hand-off every local phase ends in: groups drained from a
+        // table onto pages and routed a page at a time — to their owners,
+        // or all to one node — against the same groups as rows, one by one.
+        let sums = || vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star(), AggSpec::over(AggFunc::Avg, 1)];
+        type Case = (&'static str, AggQuery, fn(i64) -> Vec<Value>);
+        let cases: [Case; 3] = [
+            ("typed", AggQuery::new(vec![0], sums()), |i| vec![Value::Int((i * 7) % 331), Value::Int(i)]),
+            ("demoted", AggQuery::new(vec![0], sums()), |i| {
+                let key = format!("k{}{}", (i * 7) % 331, "x".repeat((i % 23) as usize));
+                vec![Value::from(key), Value::Float(i as f64 / 4.0)]
+            }),
+            (
+                "two-column key",
+                AggQuery::new(vec![0, 1], vec![AggSpec::over(AggFunc::Max, 2)]),
+                |i| vec![Value::Int(i % 31), Value::Int(i % 17), Value::Int(i)],
+            ),
+        ];
+        for (label, query, raw) in cases {
+            let key_len = query.group_by.len();
+            let filled = || {
+                let mut table = AggTable::new(query.clone(), 10_000);
+                for i in 0..900 {
+                    table.insert_raw(&raw(i), &mut NullTracker).unwrap();
+                }
+                table
+            };
+            let drained = || {
+                let mut pages = RowPages::new(1024);
+                filled().drain_partials(&mut NullTracker, &mut pages).unwrap();
+                pages
+            };
+            let general = filled().layout().general_columns;
+            assert_eq!(general > 0, label == "demoted", "{label}: {general} general columns");
+            let rows = drained().to_rows();
+            assert!(rows.len() > 300 && drained().pages().len() > 8, "{label}");
+
+            let per_row = routed(key_len, DataKind::Raw, |ex, tx| {
+                tx.clock.record(CostEvent::TupleWrite, rows.len() as u64);
+                ex.switch_kind(tx, DataKind::Partial).unwrap();
+                for r in &rows {
+                    ex.route(tx, r, false).unwrap();
+                }
+                ex.switch_kind(tx, DataKind::Raw).unwrap();
+            });
+            let flushed = routed(key_len, DataKind::Raw, |ex, tx| {
+                ex.flush_table(tx, &mut filled(), DataKind::Raw).unwrap();
+                assert_eq!(ex.routed(), rows.len() as u64);
+            });
+            assert_eq!(flushed, per_row, "{label}: flush_table drifted");
+            assert!(per_row.1.iter().all(|pages| pages.len() > 2), "{label}: both nodes own groups");
+
+            let per_row = routed(key_len, DataKind::Partial, |ex, tx| {
+                for r in &rows {
+                    ex.push_to(tx, 1, &r[..]).unwrap();
+                }
+            });
+            let paged = routed(key_len, DataKind::Partial, |ex, tx| {
+                for page in drained().into_pages() {
+                    ex.send_page_to(tx, 1, &page).unwrap();
+                }
+                assert_eq!(ex.routed(), rows.len() as u64);
+            });
+            assert_eq!(paged, per_row, "{label}: send_page_to drifted");
+            assert!(per_row.1[0].is_empty() && per_row.1[1].len() > 4, "{label}: all to node 1");
         }
     }
 

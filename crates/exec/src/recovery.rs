@@ -32,9 +32,9 @@
 use crate::clock::Clock;
 use crate::error::ExecError;
 use crate::runstats::NodeRecoveryStats;
-use adaptagg_model::{CostEvent, CostTracker, Value};
+use adaptagg_model::{CostEvent, CostTracker};
 use adaptagg_net::LinkRetryPolicy;
-use adaptagg_storage::{HeapFile, SimDisk};
+use adaptagg_storage::{HeapFile, RowPages, SimDisk};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -200,25 +200,24 @@ impl RecoverySession {
         done
     }
 
-    /// Read `partition`'s checkpointed partial rows back, charging
-    /// checkpoint-read I/O. Empty when no checkpoint exists.
+    /// Read `partition`'s checkpointed partial rows back onto pages,
+    /// charging checkpoint-read I/O. Empty when no checkpoint exists.
     pub fn restore_partials(
         &mut self,
         partition: usize,
         clock: &mut Clock,
-    ) -> Result<Vec<Vec<Value>>, ExecError> {
-        let rows = {
+    ) -> Result<RowPages, ExecError> {
+        let mut rows = RowPages::new(self.page_bytes);
+        {
             let store = self.lock();
             let Some(cp) = store.get(&partition) else {
-                return Ok(Vec::new());
+                return Ok(rows);
             };
-            let mut rows = Vec::with_capacity(cp.partials.tuple_count());
-            for tuple in cp.partials.iter_untracked() {
-                rows.push(tuple?);
+            for p in 0..cp.partials.page_count() {
+                cp.partials.page(p)?.rows().try_for_each(|row| rows.push(&row))?;
             }
             clock.record(CostEvent::PageReadSeq, cp.partials.page_count() as u64);
-            rows
-        };
+        }
         clock.record(CostEvent::TupleRead, rows.len() as u64);
         self.counters.restored_partials += rows.len() as u64;
         Ok(rows)
@@ -233,7 +232,7 @@ impl RecoverySession {
         &mut self,
         partition: usize,
         pages_done: usize,
-        partials: &[Vec<Value>],
+        partials: &RowPages,
         complete: bool,
         clock: &mut Clock,
         disk: &mut SimDisk,
@@ -244,8 +243,8 @@ impl RecoverySession {
                 .entry(partition)
                 .or_insert_with(|| PartitionCheckpoint::new(self.page_bytes));
             let before = cp.partials.page_count();
-            for row in partials {
-                cp.partials.append(row)?;
+            for row in partials.rows() {
+                cp.partials.append_row(&row)?;
             }
             let delta = (cp.partials.page_count() - before).max(1) as u64;
             cp.pages_done = cp.pages_done.max(pages_done);
@@ -290,7 +289,7 @@ pub fn victim_of(e: &ExecError) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptagg_model::CostParams;
+    use adaptagg_model::{CostParams, Value};
 
     fn clock() -> Clock {
         Clock::new(CostParams::paper_default())
@@ -306,8 +305,10 @@ mod tests {
             2048,
         );
         let mut clk = clock();
-        let rows: Vec<Vec<Value>> =
-            (0..5).map(|i| vec![Value::Int(i), Value::Int(i * 10)]).collect();
+        let mut rows = RowPages::new(2048);
+        for i in 0..5 {
+            rows.push(&[Value::Int(i), Value::Int(i * 10)][..]).unwrap();
+        }
         s.checkpoint(3, 4, &rows, false, &mut clk, &mut SimDisk::new()).unwrap();
         assert!(clk.breakdown().io_ms > 0.0, "checkpoint write charged");
         assert_eq!(s.counters.checkpoint_partials, 5);
@@ -323,7 +324,7 @@ mod tests {
         assert_eq!(s2.resume_point(3), 4);
         let mut clk2 = clock();
         let restored = s2.restore_partials(3, &mut clk2).unwrap();
-        assert_eq!(restored, rows);
+        assert_eq!(restored.to_rows(), rows.to_rows());
         assert_eq!(s2.counters.restored_partials, 5);
         assert!(clk2.breakdown().io_ms > 0.0, "restore read charged");
     }
@@ -333,7 +334,7 @@ mod tests {
         let store = new_store();
         let mut s = RecoverySession::new(Vec::new(), store.clone(), 8, 2048);
         let mut clk = clock();
-        s.checkpoint(0, 8, &[], false, &mut clk, &mut SimDisk::new()).unwrap();
+        s.checkpoint(0, 8, &RowPages::new(2048), false, &mut clk, &mut SimDisk::new()).unwrap();
         s.note_scanned(0, 20); // scanned to page 20, durable only to 8
 
         let mut s2 = RecoverySession::new(Vec::new(), store, 8, 2048);

@@ -3,25 +3,16 @@
 //! [`HashAggregator`] composes the bounded [`AggTable`] with
 //! [`OverflowSet`] spill handling into the paper's three-step uniprocessor
 //! algorithm (§2): build, spill non-resident groups, process buckets
-//! recursively. It accepts raw tuples and partial rows interleaved and can
-//! emit either finalized results (merge phases) or partial rows (local
-//! phases) — see [`EmitMode`].
+//! recursively. It accepts raw tuples and partial rows interleaved and
+//! emits either finalized result rows (merge phases:
+//! [`HashAggregator::finish_rows`]) or partial rows on pages (local phases:
+//! [`HashAggregator::finish_partials`]).
 
 use crate::overflow::OverflowSet;
 use crate::stats::HashAggStats;
 use crate::table::{AggTable, Inserted};
 use adaptagg_model::{AggQuery, CostTracker, MemoryGrant, ResultRow, RowKind, Value};
-use adaptagg_storage::{BatchOutcome, Page, ScanBatch, SpillFile, StorageError};
-
-/// What [`HashAggregator::finish`] emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EmitMode {
-    /// Finalized result rows (key columns ++ one column per aggregate).
-    Finalized,
-    /// Partial rows (key columns ++ encoded partial-state columns), for
-    /// shipping to a downstream merge phase.
-    Partial,
-}
+use adaptagg_storage::{BatchOutcome, Page, RowPages, ScanBatch, SpillFile, StorageError};
 
 /// Safety valve: beyond this overflow recursion depth the table is allowed
 /// to exceed its budget rather than recurse further. With independent
@@ -88,9 +79,7 @@ impl HashAggregator {
     /// pre-partitioned rows set this to `false`.
     pub fn with_charge_hash(mut self, charge_hash: bool) -> Self {
         self.charge_hash = charge_hash;
-        self.table = AggTable::new(self.query.clone(), self.max_entries)
-            .with_charge_hash(charge_hash)
-            .with_grant(self.grant.clone());
+        self.table = self.table.with_charge_hash(charge_hash);
         self
     }
 
@@ -98,9 +87,7 @@ impl HashAggregator {
     /// [`AggTable::with_grant`]). Applies to the first-pass table and to
     /// every overflow-bucket table below the deep-recursion safety valve.
     pub fn with_grant(mut self, grant: MemoryGrant) -> Self {
-        self.table = AggTable::new(self.query.clone(), self.max_entries)
-            .with_charge_hash(self.charge_hash)
-            .with_grant(grant.clone());
+        self.table.set_grant(grant.clone());
         self.grant = grant;
         self
     }
@@ -110,7 +97,7 @@ impl HashAggregator {
         HashAggregator::new(query, max_entries, page_bytes, DEFAULT_OVERFLOW_FANOUT)
     }
 
-    /// Statistics so far (final after [`HashAggregator::finish`]).
+    /// Statistics so far (final ones are returned by the finish).
     pub fn stats(&self) -> &HashAggStats {
         &self.stats
     }
@@ -216,37 +203,38 @@ impl HashAggregator {
         self.push(RowKind::Partial, values, tracker)
     }
 
-    /// Finish: drain the first-pass table, then process overflow buckets
-    /// one by one (recursively), emitting per `mode`. Returns flattened
-    /// rows; use [`HashAggregator::finish_rows`] for typed result rows.
-    pub fn finish<T: CostTracker>(
+    /// Finish a local phase: drain the first-pass table, then process
+    /// overflow buckets one by one (recursively), each table's groups
+    /// appended as partial rows (key columns ++ encoded partial-state
+    /// columns) to pages an exchange routes whole.
+    pub fn finish_partials<T: CostTracker>(
         self,
-        mode: EmitMode,
         tracker: &mut T,
-    ) -> Result<(Vec<Vec<Value>>, HashAggStats), StorageError> {
-        let mut out = Vec::new();
-        let mut stats = self.finish_impl(tracker, |table, tracker| match mode {
-            EmitMode::Partial => append(&mut out, table.drain_partial_rows(tracker)),
-            EmitMode::Finalized => {
-                let rows = table.drain_result_rows(tracker);
-                out.extend(rows.into_iter().map(ResultRow::into_values))
-            }
-        })?;
-        stats.groups_out += out.len() as u64;
-        Ok((out, stats))
+    ) -> Result<(RowPages, HashAggStats), StorageError> {
+        let mut pages = RowPages::new(self.page_bytes);
+        let mut stats =
+            self.finish_impl(tracker, |table, tracker| table.drain_partials(tracker, &mut pages))?;
+        stats.groups_out += pages.len() as u64;
+        Ok((pages, stats))
     }
 
-    /// Finish in [`EmitMode::Finalized`], draining typed [`ResultRow`]s
-    /// straight out of each table — no flatten-and-reparse round trip, so
-    /// the merge-phase epilogue allocates one vector per group instead of
-    /// three. Cost events are identical to [`HashAggregator::finish`].
+    /// Finish a merge phase the same way, draining typed, finalized
+    /// [`ResultRow`]s straight out of each table. The first-pass table's
+    /// drain — all of them when nothing spilled — is taken whole instead of
+    /// copied into a second allocation.
     pub fn finish_rows<T: CostTracker>(
         self,
         tracker: &mut T,
     ) -> Result<(Vec<ResultRow>, HashAggStats), StorageError> {
         let mut rows = Vec::new();
         let mut stats = self.finish_impl(tracker, |table, tracker| {
-            append(&mut rows, table.drain_result_rows(tracker))
+            let drained = table.drain_result_rows(tracker);
+            if rows.is_empty() {
+                rows = drained;
+            } else {
+                rows.extend(drained);
+            }
+            Ok(())
         })?;
         stats.groups_out += rows.len() as u64;
         Ok((rows, stats))
@@ -263,10 +251,10 @@ impl HashAggregator {
     ) -> Result<HashAggStats, StorageError>
     where
         T: CostTracker,
-        D: FnMut(&mut AggTable, &mut T),
+        D: FnMut(&mut AggTable, &mut T) -> Result<(), StorageError>,
     {
         self.stats.drained(&self.table);
-        drain(&mut self.table, tracker);
+        drain(&mut self.table, tracker)?;
 
         // Stack of (bucket, level) still to process.
         let mut pending: Vec<(SpillFile, u32)> = Vec::new();
@@ -313,7 +301,7 @@ impl HashAggregator {
             })?;
             self.stats.spilled_tuples += spilled_here;
             self.stats.drained(&table);
-            drain(&mut table, tracker);
+            drain(&mut table, tracker)?;
             if let Some(set) = deeper {
                 let l = set.level();
                 pending.extend(set.into_buckets(tracker).into_iter().map(|b| (b, l)));
@@ -321,17 +309,6 @@ impl HashAggregator {
         }
 
         Ok(self.stats)
-    }
-}
-
-/// Append a table's drain to the rows so far. The first-pass table's
-/// drain — all of them when nothing spilled — is taken whole instead of
-/// copied into a second allocation.
-fn append<R>(rows: &mut Vec<R>, drained: Vec<R>) {
-    if rows.is_empty() {
-        *rows = drained;
-    } else {
-        rows.extend(drained);
     }
 }
 
@@ -470,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn emit_partial_mode_round_trips_through_merge() {
+    fn partials_round_trip_through_merge() {
         // Local phase: emit partials (with overflow); merge phase: final.
         let rows: Vec<(i64, i64)> = (0..200).map(|i| (i % 50, i)).collect();
         let mut local = HashAggregator::new(query(), 8, 256, 4);
@@ -478,12 +455,13 @@ mod tests {
         for &(g, v) in &rows {
             local.push_raw(&raw(g, v), &mut tr).unwrap();
         }
-        let (partials, _) = local.finish(EmitMode::Partial, &mut tr).unwrap();
+        let (partials, stats) = local.finish_partials(&mut tr).unwrap();
         assert!(partials.len() >= 50, "overflow may duplicate groups across passes");
+        assert_eq!(stats.groups_out, partials.len() as u64);
 
         let mut merge = HashAggregator::new(query(), 1000, 256, 4);
-        for p in &partials {
-            merge.push_partial(p, &mut tr).unwrap();
+        for page in partials.pages() {
+            merge.push_page(RowKind::Partial, page, &mut tr).unwrap();
         }
         let (got, _) = merge.finish_rows(&mut tr).unwrap();
         let mut got: Vec<(i64, i64)> = got

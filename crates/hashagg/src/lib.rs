@@ -26,7 +26,7 @@ pub mod overflow;
 pub mod stats;
 pub mod table;
 
-pub use aggregate::{EmitMode, HashAggregator};
+pub use aggregate::HashAggregator;
 pub use overflow::OverflowSet;
 pub use stats::HashAggStats;
 pub use table::{AggTable, FullPolicy, Inserted};

@@ -41,7 +41,7 @@ use adaptagg_model::{
     ResultRow, RowKind, Seed, StoreLayout, Value,
 };
 use adaptagg_storage::{
-    BatchCharges, BatchOutcome, Page, RowCause, ScanBatch, StorageError, StripView,
+    BatchCharges, BatchOutcome, Page, RowCause, RowPages, ScanBatch, StorageError, StripView,
 };
 
 /// Outcome of an insert attempt.
@@ -782,13 +782,17 @@ impl AggTable {
     }
 
     /// Drain the table as **partial rows** (key columns ++ partial-state
-    /// columns) in insertion order, charging `t_w` per row. Used by local
-    /// phases to ship their results and by A2P's overflow flush.
-    pub fn drain_partial_rows<T: CostTracker>(&mut self, tracker: &mut T) -> Vec<Vec<Value>> {
-        let mut out = Vec::with_capacity(self.store.len());
-        self.store.drain_partial_rows(|row| out.push(row));
-        tracker.record(CostEvent::TupleWrite, out.len() as u64);
-        out
+    /// columns) onto `out` in insertion order, each copied strip by strip
+    /// from where it lies, charging `t_w` per row (one record, whether or
+    /// not the drain completes). Used by local phases to ship their
+    /// results and by A2P's overflow flush.
+    pub fn drain_partials<T: CostTracker>(
+        &mut self,
+        tracker: &mut T,
+        out: &mut RowPages,
+    ) -> Result<(), StorageError> {
+        tracker.record(CostEvent::TupleWrite, self.store.len() as u64);
+        self.store.drain_partials(|row| out.push(&row))
     }
 
     /// Drain the table as **finalized result rows** in insertion order,
@@ -826,6 +830,13 @@ mod tests {
 
     fn raw(g: i64, v: i64) -> Vec<Value> {
         vec![Value::Int(g), Value::Int(v)]
+    }
+
+    /// The table's partial drain, read back as rows.
+    fn drain_partials<T: CostTracker>(t: &mut AggTable, tracker: &mut T) -> Vec<Vec<Value>> {
+        let mut pages = RowPages::new(256);
+        t.drain_partials(tracker, &mut pages).unwrap();
+        pages.to_rows()
     }
 
     #[test]
@@ -941,14 +952,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_partial_rows_round_trip_through_second_table() {
+    fn drained_partials_round_trip_through_second_table() {
         let mut t1 = AggTable::new(query(), 10);
         let mut tr = NullTracker;
         t1.insert_raw(&raw(1, 10), &mut tr).unwrap();
         t1.insert_raw(&raw(1, 20), &mut tr).unwrap();
         t1.insert_raw(&raw(2, 5), &mut tr).unwrap();
 
-        let partials = t1.drain_partial_rows(&mut tr);
+        let partials = drain_partials(&mut t1, &mut tr);
         assert_eq!(partials.len(), 2);
         let mut t2 = AggTable::new(query(), 10);
         for p in &partials {
@@ -1159,7 +1170,7 @@ mod tests {
         assert_eq!(out.passed, passed);
         assert_eq!(ta, tb, "charges up to the stop");
         assert_eq!(a.probe_slots(), b.probe_slots());
-        assert_eq!(a.drain_partial_rows(&mut ta), b.drain_partial_rows(&mut tb));
+        assert_eq!(drain_partials(&mut a, &mut ta), drain_partials(&mut b, &mut tb));
     }
 
     #[test]
@@ -1221,7 +1232,7 @@ mod tests {
             t.insert_raw(&raw(g, 1), &mut tr).unwrap();
         }
         t.insert_raw(&raw(3, 1), &mut tr).unwrap(); // update: order unchanged
-        let rows = t.drain_partial_rows(&mut tr);
+        let rows = drain_partials(&mut t, &mut tr);
         let keys: Vec<i64> = rows
             .iter()
             .map(|r| match r[0] {
@@ -1261,7 +1272,7 @@ mod tests {
             t.insert_raw(&raw(g, 1), &mut tr).unwrap();
         }
         assert!(t.is_full());
-        t.drain_partial_rows(&mut tr);
+        drain_partials(&mut t, &mut tr);
         assert!(t.is_empty() && !t.is_full());
         assert_eq!(t.insert_raw(&raw(9, 2), &mut tr).unwrap(), Inserted::New);
         assert!(t.contains_key_of(&raw(9, 0)).unwrap());

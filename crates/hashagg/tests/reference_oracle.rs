@@ -23,7 +23,7 @@ use adaptagg_model::{
     AggFunc, AggQuery, AggSpec, AggStates, CostEvent, CostTracker, DemoteCause, GroupKey,
     MemoryGrant, ModelError, NullTracker, ResultRow, RowKind, StoreLayout, Value,
 };
-use adaptagg_storage::{BatchOutcome, Page, ScanBatch, StorageError};
+use adaptagg_storage::{BatchOutcome, Page, RowPages, ScanBatch, StorageError};
 use proptest::prelude::*;
 
 mod reference {
@@ -263,6 +263,13 @@ fn observe_reference(
     (seen, outcomes)
 }
 
+/// The real table's partial drain, read back as rows.
+fn drain_partials<T: CostTracker>(table: &mut AggTable, tracker: &mut T) -> Vec<Vec<Value>> {
+    let mut pages = RowPages::new(4096);
+    table.drain_partials(tracker, &mut pages).unwrap();
+    pages.to_rows()
+}
+
 /// Demote every column of an empty table that can be: one group whose
 /// key cells are strings and whose every other cell is a `Float` is
 /// admitted and drained again. The demotions are for good, so the table
@@ -280,7 +287,7 @@ fn demote_every_column(table: &mut AggTable, query: &AggQuery) {
         table.insert(RowKind::Raw, &row, &mut NullTracker),
         Ok(Inserted::New)
     );
-    assert_eq!(table.drain_partial_rows(&mut NullTracker).len(), 1);
+    assert_eq!(drain_partials(table, &mut NullTracker).len(), 1);
     let layout = table.layout();
     let count_columns = query.aggs.iter().filter(|s| s.func == AggFunc::Count);
     let typed = count_columns.count() + usize::from(query.group_by.is_empty());
@@ -313,7 +320,7 @@ fn observe_table(
             grant.set(cap);
         }
         if schedule.drain_at == Some(c) {
-            seen.mid_drain = table.drain_partial_rows(&mut log);
+            seen.mid_drain = drain_partials(&mut table, &mut log);
         }
         let bounced = &mut seen.bounced;
         let mut bounce =

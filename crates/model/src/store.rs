@@ -987,19 +987,23 @@ impl GroupStore {
         GroupRow { store: self, entry }
     }
 
-    /// Hand `row` every entry in admission order, with the key column
-    /// mutable so it can move the key cells out, and empty the store.
-    /// Unlike [`GroupStore::clear`], column segments are freed as the
-    /// drain passes them, so the rows being built never coexist with full
-    /// columns. That is where the peak-RSS saving of the flat layout comes
-    /// from when many tables drain at once (`serve_mixed`: 126-129 MB
-    /// against 152-153 MB with the segments kept), and a table refilled
-    /// after a drain (A-2P's overflow flush, bucket recursion) measured no
-    /// slower for re-allocating them (`spill_adaptive`: 5.5 M against
-    /// 5.2-5.3 M tuples/s; DESIGN.md §18.1).
-    fn drain(&mut self, mut row: impl FnMut(&mut KeyColumn, &[StateColumn], usize)) {
+    /// Hand `row` the store and every entry in admission order — up to the
+    /// first error, which is returned — and empty the store. Unlike
+    /// [`GroupStore::clear`], column segments are freed as the drain passes
+    /// them, so the rows being built never coexist with full columns. That
+    /// is where the peak-RSS saving of the flat layout comes from when many
+    /// tables drain at once (`serve_mixed`: 126-129 MB against 152-153 MB
+    /// with the segments kept), and a table refilled after a drain (A-2P's
+    /// overflow flush, bucket recursion) measured no slower for
+    /// re-allocating them (`spill_adaptive`: 5.5 M against 5.2-5.3 M
+    /// tuples/s; DESIGN.md §18.1).
+    fn drain<E>(&mut self, mut row: impl FnMut(&mut Self, usize) -> Result<(), E>) -> Result<(), E> {
+        let mut result = Ok(());
         for e in 0..self.len() {
-            row(&mut self.keys, &self.states, e);
+            result = row(self, e);
+            if result.is_err() {
+                break;
+            }
             if (e + 1) % SEG_ROWS == 0 {
                 self.each_arena(|a| a.free_segment(e >> SEG_SHIFT));
             }
@@ -1007,32 +1011,30 @@ impl GroupStore {
         self.slots.fill(EMPTY);
         self.hashes.clear();
         self.each_arena(|a| a.free());
+        result
     }
 
     /// Empty the store (see [`GroupStore::drain`] for what is freed when),
-    /// handing `emit` each group as a partial row — key columns, then
-    /// partial-state cells — in admission order.
-    pub fn drain_partial_rows(&mut self, mut emit: impl FnMut(Vec<Value>)) {
-        let width = self.key_len + self.partial_arity;
-        self.drain(|keys, states, e| {
-            let mut row = Vec::with_capacity(width);
-            keys.take_row(e, &mut row);
-            for column in states {
-                column.partial_cells(e, &mut row);
-            }
-            emit(row);
-        });
+    /// handing `emit` each group as the partial row it is where it lies
+    /// ([`GroupStore::partial_row`]), in admission order. The first error
+    /// of `emit` is returned; the groups it had not seen are dropped.
+    pub fn drain_partials<E>(
+        &mut self,
+        mut emit: impl FnMut(GroupRow<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.drain(|store, e| emit(store.partial_row(e)))
     }
 
     /// Empty the store the same way, handing `emit` each group as its
     /// finalized [`ResultRow`] in admission order.
     pub fn drain_result_rows(&mut self, mut emit: impl FnMut(ResultRow)) {
         let key_len = self.key_len;
-        self.drain(|keys, states, e| {
+        let Ok(()) = self.drain(|store, e| -> Result<(), std::convert::Infallible> {
             let mut key = Vec::with_capacity(key_len);
-            keys.take_row(e, &mut key);
-            let aggs = states.iter().map(|column| column.finalize(e)).collect();
+            store.keys.take_row(e, &mut key);
+            let aggs = store.states.iter().map(|column| column.finalize(e)).collect();
             emit(ResultRow::new(GroupKey::new(key), aggs));
+            Ok(())
         });
     }
 }
@@ -1201,10 +1203,13 @@ mod tests {
         assert_eq!(key_caps(&store), [SEG_ROWS, SEG_ROWS]);
 
         let mut rows = Vec::new();
-        store.drain_partial_rows(|row| {
-            assert_eq!((row.len(), row.capacity()), (3, 3));
+        let drained: Result<(), ()> = store.drain_partials(|group| {
+            let mut row = Vec::new();
+            group.cells(&mut row);
             rows.push(row);
+            Ok(())
         });
+        assert_eq!(drained, Ok(()));
         assert_eq!(rows.len(), SEG_ROWS + 5);
         let last = SEG_ROWS as i64;
         assert_eq!(
@@ -1218,6 +1223,16 @@ mod tests {
         fill(&mut store);
         assert_eq!(store.len(), SEG_ROWS + 5);
         assert_eq!(store.layout().demoted, [1, 0, 0, 0]);
+        // A failing `emit` ends the drain at its group; the store is empty
+        // all the same.
+        let mut seen = 0;
+        let failed = store.drain_partials(|_| {
+            seen += 1;
+            if seen == 3 { Err("third") } else { Ok(()) }
+        });
+        assert_eq!((failed, seen), (Err("third"), 3));
+        assert!(store.is_empty());
+        assert_eq!(segments(&store), [0, 0, 0]);
     }
 
     /// Every function over the same rows — a stream that stays typed, and

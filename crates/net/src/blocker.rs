@@ -8,7 +8,7 @@
 //! page through its [`crate::Endpoint`].
 
 use adaptagg_storage::{Page, PagePool, ScanBatch, StorageError};
-use adaptagg_model::Value;
+use adaptagg_model::{CellRow, Value};
 
 /// Accumulates tuples into per-destination message pages.
 #[derive(Debug)]
@@ -39,14 +39,16 @@ impl Blocker {
 
     /// [`Blocker::add`], drawing the replacement page from `pool` instead
     /// of allocating (the sealed page's buffer comes back via
-    /// [`PagePool::put`] once the receiver consumes it).
-    pub fn add_pooled(
+    /// [`PagePool::put`] once the receiver consumes it). The row — values,
+    /// or a row of another page — is read cell by cell where it lies
+    /// ([`Page::try_push_row`]).
+    pub fn add_pooled<R: CellRow + ?Sized>(
         &mut self,
         dest: usize,
-        values: &[Value],
+        row: &R,
         pool: &mut PagePool,
     ) -> Result<Option<Page>, StorageError> {
-        self.add_with(dest, |bytes| pool.get(bytes), |page| page.try_push(values))
+        self.add_with(dest, |bytes| pool.get(bytes), |page| page.try_push_row(row))
     }
 
     /// [`Blocker::add_pooled`] of `batch`'s row `r`, copied strip to strip

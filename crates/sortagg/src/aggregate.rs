@@ -3,11 +3,10 @@
 
 use crate::builder::RunBuilder;
 use crate::merge::{merge_runs, MergeEmit};
-use crate::pages::RowPages;
 use adaptagg_model::{
     AggQuery, CostTracker, MemoryGrant, ResultRow, RowKind, StoreLayout, Value,
 };
-use adaptagg_storage::{BatchOutcome, ScanBatch, StorageError};
+use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch, StorageError};
 
 /// Behaviour counters for one sort-based aggregation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

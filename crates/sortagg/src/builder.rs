@@ -11,13 +11,12 @@
 //! pushed row costs no heap allocation; the table is cleared, not freed,
 //! between runs.
 
-use crate::pages::RowPages;
 use adaptagg_hashagg::{AggTable, FullPolicy};
 use adaptagg_model::{
     AggQuery, CostEvent, CostTracker, GroupRow, GroupStore, MemoryGrant, RowKind, StoreLayout,
     Value,
 };
-use adaptagg_storage::{BatchOutcome, ScanBatch, SpillFile, StorageError};
+use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch, SpillFile, StorageError};
 
 /// Seals a full run table: the runs written so far, and the scratch a
 /// seal sorts in.

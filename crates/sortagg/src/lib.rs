@@ -43,9 +43,8 @@
 pub mod aggregate;
 pub mod builder;
 pub mod merge;
-pub mod pages;
 
 pub use aggregate::{SortAggStats, SortAggregator};
 pub use builder::RunBuilder;
 pub use merge::merge_runs;
-pub use pages::RowPages;
+pub use adaptagg_storage::RowPages;

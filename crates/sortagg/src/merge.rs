@@ -8,11 +8,10 @@
 //! each closed group is appended to an output page. Nothing is allocated
 //! per run row or per group.
 
-use crate::pages::RowPages;
 use adaptagg_model::{
     AggQuery, AggState, CellRow, CellSink, CostEvent, CostTracker, ModelError, Value,
 };
-use adaptagg_storage::{Page, SpillFile, StorageError, StripView};
+use adaptagg_storage::{Page, RowPages, SpillFile, StorageError, StripView};
 use std::cmp::Ordering;
 
 /// What the merge emits per group.

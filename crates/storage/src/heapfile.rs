@@ -10,7 +10,7 @@
 
 use crate::error::StorageError;
 use crate::page::Page;
-use adaptagg_model::{CostEvent, CostTracker, Value};
+use adaptagg_model::{CellRow, CostEvent, CostTracker, Value};
 use std::sync::Arc;
 
 /// Default disk page capacity (Table 1's `P`).
@@ -101,14 +101,20 @@ impl HeapFile {
     /// Append a tuple, opening a new page when the current one fills.
     /// No I/O cost is charged (see module docs).
     pub fn append(&mut self, values: &[Value]) -> Result<(), StorageError> {
+        self.append_row(values)
+    }
+
+    /// [`HeapFile::append`] of a row read cell by cell where it lies
+    /// ([`Page::try_push_row`]): same pages.
+    pub fn append_row<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<(), StorageError> {
         if let Some(last) = self.pages.last_mut() {
-            if Arc::make_mut(last).try_push(values)? {
+            if Arc::make_mut(last).try_push_row(row)? {
                 self.tuple_count += 1;
                 return Ok(());
             }
         }
         let mut page = Page::new(self.page_bytes);
-        if !page.try_push(values)? {
+        if !page.try_push_row(row)? {
             // try_push on a fresh page only fails via TupleTooLarge, which
             // it reports as Err; reaching here would be a logic error.
             unreachable!("fresh page refused a fitting tuple");

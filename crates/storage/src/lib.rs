@@ -7,6 +7,8 @@
 //!   message blocks).
 //! * [`ScanBatch`] — a borrowed view of a page's column strips through a
 //!   projection map and a selection vector: what batch operators consume.
+//! * [`RowPages`] — rows on in-memory pages, uncharged: the shape partial
+//!   rows have between a group table and the exchange or the run merge.
 //! * [`HeapFile`] — an append-only sequence of pages: a node's partition of
 //!   the base relation, a result file, or a spooled overflow bucket.
 //! * [`SimDisk`] — one node's disk: named heap files plus the page-I/O
@@ -26,6 +28,7 @@ pub mod disk;
 pub mod error;
 pub mod heapfile;
 pub mod page;
+pub mod pages;
 pub mod persist;
 pub mod pool;
 pub mod spill;
@@ -34,6 +37,7 @@ pub use batch::{BatchCharges, BatchOutcome, RowCause, ScanBatch};
 pub use disk::{IoCounters, SimDisk};
 pub use error::StorageError;
 pub use heapfile::HeapFile;
-pub use page::{Page, PageCursor, PageIter, StripView};
+pub use page::{Page, PageCursor, PageIter, PageRow, StripView};
+pub use pages::RowPages;
 pub use pool::PagePool;
 pub use spill::SpillFile;

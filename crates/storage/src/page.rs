@@ -240,6 +240,29 @@ impl CellRow for StripRow<'_, '_> {
     }
 }
 
+/// One row of a page — ragged or not — read off the strips where it lies
+/// ([`Page::rows`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PageRow<'a> {
+    page: &'a Page,
+    r: usize,
+}
+
+impl CellRow for PageRow<'_> {
+    #[inline]
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        // A strip holds a cell for every row whose arity reaches it.
+        let arity = self.page.arities[self.r] as usize;
+        for strip in &self.page.cols[..arity] {
+            if strip.is_int {
+                sink.int(strip.ints[self.r]);
+            } else {
+                sink.value(&strip.values[self.r]);
+            }
+        }
+    }
+}
+
 /// A borrowed whole-column view for batch operators.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StripView<'a> {
@@ -375,6 +398,12 @@ impl Page {
         } else {
             StripView::Values(&c.values)
         })
+    }
+
+    /// The page's rows in order, each as cells another page appends strip
+    /// by strip ([`Page::try_push_row`]) without a `Value` row in between.
+    pub fn rows(&self) -> impl Iterator<Item = PageRow<'_>> {
+        (0..self.tuples as usize).map(|r| PageRow { page: self, r })
     }
 
     /// Iterate over the page's tuples, materializing each row from the
@@ -790,6 +819,16 @@ mod tests {
         let all = p.decode_all().unwrap();
         assert_eq!(all[0], vec![Value::Int(1)]);
         assert_eq!(all[1], vec![Value::Int(2), Value::Int(3)]);
+        // And each row copies to another page cell by cell, short row or
+        // long, `Int` strip or promoted one.
+        p.try_push(&[Value::Int(4), Value::Str("s".into()), Value::Null]).unwrap();
+        p.try_push(&[]).unwrap();
+        let mut copy = Page::new(4096);
+        for row in p.rows() {
+            assert!(copy.try_push_row(&row).unwrap());
+        }
+        assert_eq!(copy, p);
+        assert_eq!(copy.decode_all().unwrap(), p.decode_all().unwrap());
     }
 
     #[test]

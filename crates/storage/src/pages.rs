@@ -1,15 +1,15 @@
-//! Rows on in-memory pages: the shape a run's rows have wherever they
-//! are not on disk.
+//! Rows on in-memory pages: the shape rows have between operators
+//! wherever they are not on disk or on the wire.
 
+use crate::{Page, PageRow, StorageError};
 use adaptagg_model::{CellRow, Value};
-use adaptagg_storage::{Page, StorageError};
 
-/// Rows appended to unsealed, uncharged pages of one capacity: the
-/// resident run [`RunBuilder::finish`](crate::RunBuilder::finish) hands
-/// the merge (the hybrid trick: the last run never touches disk), and
-/// what the merge emits. The same column strips a sealed run's pages
-/// hold, so the merge reads every run one way and the exchange routes the
-/// output a page at a time.
+/// Rows appended to unsealed, uncharged pages of one capacity: what a
+/// group table drains its partial rows onto, the resident run a run
+/// builder hands the merge (the hybrid trick: the last run never touches
+/// disk), and what the merge emits. The same column strips a sealed run's
+/// or a message's pages hold, so the merge reads every run one way and
+/// the exchange routes the rows a page at a time.
 #[derive(Debug)]
 pub struct RowPages {
     page_bytes: usize,
@@ -68,6 +68,18 @@ impl RowPages {
         }
         self.rows += 1;
         Ok(())
+    }
+
+    /// Move the rows of `other` behind the rows held, whole pages at a time
+    /// (the last page held stays as full as it is).
+    pub fn append(&mut self, other: RowPages) {
+        self.rows += other.rows;
+        self.pages.extend(other.pages);
+    }
+
+    /// Every row in order, each read off its page's strips where it lies.
+    pub fn rows(&self) -> impl Iterator<Item = PageRow<'_>> {
+        self.pages.iter().flat_map(Page::rows)
     }
 
     /// Every row, materialized (for callers that want values, not strips).

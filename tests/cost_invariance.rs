@@ -18,7 +18,7 @@
 
 use adaptagg_algos::{run_algorithm, AdaptEvent, AlgorithmKind, RunOutcome};
 use adaptagg_exec::{Clock, ClusterConfig, TraceEvent};
-use adaptagg_hashagg::{EmitMode, HashAggregator};
+use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::{
     AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker, CountingTracker,
     Predicate, RowKind, Value,
@@ -50,7 +50,7 @@ fn run_component_harness<T: CostTracker>(tracker: &mut T) {
         let row = vec![Value::Int((i * 5) % 61), Value::Int(i), Value::Int(1)];
         agg.push(RowKind::Partial, &row, tracker).unwrap();
     }
-    let (rows, stats) = agg.finish(EmitMode::Finalized, tracker).unwrap();
+    let (rows, stats) = agg.finish_rows(tracker).unwrap();
     assert_eq!(rows.len(), 97, "both key sets cover residues of 97 and 61");
     assert!(stats.spilled(), "harness must exercise the overflow path");
 }

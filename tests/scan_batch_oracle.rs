@@ -26,7 +26,7 @@ use adaptagg::exec::{
     operators, Clock, ClusterConfig, Exchange, ExecError, NodeCtx, NodeFaults, PageScan, ScanCharge,
     ScanSink, ScanTally,
 };
-use adaptagg::hashagg::{EmitMode, HashAggStats, HashAggregator};
+use adaptagg::hashagg::{HashAggStats, HashAggregator};
 use adaptagg::model::{
     matches_all, AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker,
     NetworkKind, NullTracker, Predicate, ResultRow, RowKind, Value,
@@ -644,7 +644,7 @@ fn received_pages_match_their_rows_pushed_one_by_one() {
             for row in sender {
                 local.push_raw(row, &mut NullTracker).unwrap();
             }
-            local.finish(EmitMode::Partial, &mut NullTracker).unwrap().0
+            local.finish_partials(&mut NullTracker).unwrap().0.to_rows()
         })
         .collect();
     assert_eq!(partial.len(), 4 * 61);

@@ -78,6 +78,39 @@ fn virtual_time_is_deterministic_for_static_algorithms() {
             assert_eq!(x.clock_ms, y.clock_ms, "{kind} node clock differs");
         }
     }
+
+    // Sampling's traffic is a function of the data as well: the sample
+    // keys leave each node in key order, so with keys 1..40 bytes wide the
+    // same message pages seal in every run, not the pages a hash set's
+    // iteration order happened to fill. (Clock bits are not asserted: the
+    // coordinator's key merge is arrival-ordered.)
+    let parts: Vec<adaptagg::storage::HeapFile> = (0..3)
+        .map(|node| {
+            let mut file = adaptagg::storage::HeapFile::new(4096);
+            for i in 0..4_000i64 {
+                let g = (i * 7 + node * 13) % 900;
+                let key = format!("{g}{}", "k".repeat((g % 40) as usize));
+                file.append(&[Value::from(key), Value::Int(i)]).unwrap();
+            }
+            file
+        })
+        .collect();
+    let query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)]);
+    let params = CostParams {
+        message_bytes: 256,
+        ..CostParams::paper_default()
+    };
+    let config = ClusterConfig::new(3, params);
+    let traffic = || -> Vec<(u64, u64)> {
+        let out = run_algorithm(AlgorithmKind::Sampling, &config, &parts, &query).unwrap();
+        assert_eq!(out.rows.len(), 900);
+        let sent = out.run.per_node.iter().map(|r| (r.net.pages_sent(), r.net.bytes_sent));
+        sent.collect()
+    };
+    let first = traffic();
+    for run in 1..8 {
+        assert_eq!(traffic(), first, "Sampling run {run} sent different pages");
+    }
 }
 
 #[test]
