@@ -32,40 +32,20 @@ pub fn run_node(
     plan: &QueryPlan,
     cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    run_node_with(ctx, plan, cfg, Vec::new(), 0, None)
-}
-
-/// A2P with pre-received traffic and an optional pre-seeded local table
-/// (Adaptive Repartitioning falls back into this with whatever it had).
-pub fn run_node_with(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    cfg: &AlgoConfig,
-    pre_received: Vec<(RowKind, adaptagg_net::Page)>,
-    pre_eos: usize,
-    // (scanned_so_far, exchange) when resuming mid-scan — used by ARep.
-    resume: Option<ResumeState>,
-) -> Result<NodeOutcome, ExecError> {
     let max_entries = ctx.params().max_hash_entries;
     let fanout = cfg.overflow_fanout;
     let mut events = Vec::new();
 
-    let resuming = resume.is_some();
-    let (mut scan, mut ex) = match resume {
-        Some(r) => (r.scan, r.exchange),
-        None => (
-            ScanState::new(plan, max_entries).with_grant(ctx.grant().clone()),
-            Exchange::new(
-                ctx.nodes(),
-                ctx.params().message_bytes,
-                plan.key_len(),
-                RowKind::Partial,
-            ),
-        ),
-    };
+    let mut scan = ScanState::new(plan, max_entries).with_grant(ctx.grant().clone());
+    let mut ex = Exchange::new(
+        ctx.nodes(),
+        ctx.params().message_bytes,
+        plan.key_len(),
+        RowKind::Partial,
+    );
 
     ctx.span_start(PhaseKind::Scan);
-    let scanned = if !resuming && ctx.recovery.is_some() {
+    let scanned = if ctx.recovery.is_some() {
         checkpointed_scan(ctx, plan, &mut scan, &mut ex, &mut events)
     } else {
         let mut sink = ScanSwitch {
@@ -93,8 +73,7 @@ pub fn run_node_with(
     ctx.clock.mark("phase1");
 
     // Merge phase: raw + partial interleaved, one bounded table.
-    let (rows, mut agg) =
-        merge_phase_store(ctx, plan, max_entries, fanout, pre_received, pre_eos)?;
+    let (rows, mut agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
     agg.raw_in += scan.raw_seen;
     Ok(NodeOutcome { rows, agg, events })
 }
@@ -293,15 +272,6 @@ impl ScanSink<NodeCtx> for ScanSwitch<'_> {
     fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
         self.scan.push(ctx, self.ex, values, self.events).map(|()| true)
     }
-}
-
-/// State handed over by Adaptive Repartitioning when it falls back (§3.3).
-#[derive(Debug)]
-pub struct ResumeState {
-    /// The scan state (table possibly pre-seeded, counters running).
-    pub scan: ScanState,
-    /// The exchange (with its buffered pages and current kind).
-    pub exchange: Exchange,
 }
 
 #[cfg(test)]

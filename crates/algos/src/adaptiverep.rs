@@ -12,8 +12,11 @@
 //! table left by the repartitioning phase".
 //!
 //! While scanning, the node polls its endpoint for `EndOfPhase` (every
-//! [`crate::AlgoConfig::arep_poll_interval`] tuples); any data pages the
-//! poll pulls off the wire are buffered for the merge phase.
+//! [`crate::AlgoConfig::arep_poll_interval`] tuples). A poll takes
+//! controls only: the data pages it finds arrived stay queued for the
+//! merge phase, which charges them in its own, logical order — so the
+//! node's virtual time depends on the thread schedule through nothing
+//! but *when* a peer's `EndOfPhase` is seen, the paper's benign race.
 
 use crate::adaptive2p::ScanState;
 use crate::common::{merge_phase_store, QueryPlan};
@@ -22,7 +25,7 @@ use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
 use adaptagg_model::hash::{hash_values, Seed};
 use adaptagg_model::{RowKind, Value};
-use adaptagg_net::{Control, Page, Payload};
+use adaptagg_net::{Control, Payload};
 use adaptagg_storage::{BatchOutcome, ScanBatch};
 use std::collections::HashSet;
 
@@ -56,8 +59,6 @@ pub fn run_node(
         a2p: None,
         seen_keys: HashSet::new(),
         scanned: 0,
-        pre_received: Vec::new(),
-        pre_eos: 0,
     };
     ctx.span_start(PhaseKind::Scan);
     let scan_result = operators::scan_pages(
@@ -71,12 +72,7 @@ pub fn run_node(
     );
     ctx.span_end();
     scan_result?;
-    let ArepScan {
-        a2p,
-        pre_received,
-        pre_eos,
-        ..
-    } = scan;
+    let a2p = scan.a2p;
 
     // If the A2P table holds partials (fell back and never re-switched),
     // ship them now.
@@ -94,8 +90,8 @@ pub fn run_node(
     ctx.clock.mark("phase1");
 
     // Merge phase "uses the hash table left by the repartitioning phase":
-    // one bounded table over pre-received + remaining pages of all kinds.
-    let (rows, agg) = merge_phase_store(ctx, plan, max_entries, fanout, pre_received, pre_eos)?;
+    // one bounded table over the pages of all kinds.
+    let (rows, agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
     Ok(NodeOutcome { rows, agg, events })
 }
 
@@ -119,8 +115,6 @@ struct ArepScan<'a> {
     a2p: Option<ScanState>,
     seen_keys: HashSet<u64>,
     scanned: u64,
-    pre_received: Vec<(RowKind, Page)>,
-    pre_eos: usize,
 }
 
 impl ScanSink<NodeCtx> for ArepScan<'_> {
@@ -163,26 +157,20 @@ impl ScanSink<NodeCtx> for ArepScan<'_> {
             self.seen_keys.insert(h);
         }
 
-        // Poll for a peer's EndOfPhase; buffer anything else data-like.
-        // A peer's abort surfaces here as an error (`try_recv` intercepts
-        // it), ending the scan promptly.
+        // Poll for a peer's EndOfPhase. A peer's abort surfaces here as
+        // an error (`poll_control` intercepts it), ending the scan
+        // promptly.
         if scanned.is_multiple_of(self.poll) && !self.fallen_back {
-            while let Some(msg) = ctx.try_recv()? {
-                match msg.payload {
-                    Payload::Control(Control::EndOfPhase { .. }) => {
-                        self.fallen_back = true;
-                        self.events.push(AdaptEvent::FellBackToTwoPhase {
-                            at_tuple: scanned,
-                            local_decision: false,
-                        });
-                        ctx.trace_switch(SwitchCause::LowCardinalityPeer, scanned);
-                    }
-                    Payload::Data { kind, page } => self.pre_received.push((kind, page)),
-                    Payload::Control(Control::EndOfStream) => self.pre_eos += 1,
-                    Payload::Control(_) => {
-                        return Err(ExecError::Protocol("unexpected control during ARep scan"))
-                    }
-                }
+            while let Some(msg) = ctx.poll_control()? {
+                let Payload::Control(Control::EndOfPhase { .. }) = msg.payload else {
+                    return Err(ExecError::Protocol("unexpected control during ARep scan"));
+                };
+                self.fallen_back = true;
+                self.events.push(AdaptEvent::FellBackToTwoPhase {
+                    at_tuple: scanned,
+                    local_decision: false,
+                });
+                ctx.trace_switch(SwitchCause::LowCardinalityPeer, scanned);
             }
             if self.fallen_back && !self.signalled {
                 // "Follow suit … sending their own end-of-phase message."

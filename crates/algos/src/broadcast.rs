@@ -17,7 +17,7 @@ use adaptagg_exec::{operators, ExecError, NodeCtx};
 use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::hash::{hash_values, Seed};
 use adaptagg_model::{CostEvent, CostTracker, RowKind};
-use adaptagg_net::{Blocker, Control, Page, Payload};
+use adaptagg_net::{Blocker, Control, Page};
 
 /// Run Broadcast aggregation on one node.
 pub fn run_node(
@@ -57,32 +57,26 @@ pub fn run_node(
     let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
         .with_charge_hash(false)
         .with_grant(ctx.grant().clone());
-    let mut eos = 0usize;
     let mut discarded: u64 = 0;
     let mut scratch: Vec<adaptagg_model::Value> = Vec::new();
-    while eos < nodes {
-        let msg = ctx.recv()?;
-        match msg.payload {
-            Payload::Data { page, .. } => {
-                let mut cursor = page.cursor();
-                while cursor.next_into(&mut scratch)? {
-                    ctx.clock.record(CostEvent::TupleDest, 1);
-                    let owner = (hash_values(Seed::Partition, &scratch[..key_len.min(scratch.len())])
-                        % nodes as u64) as usize;
-                    if owner == ctx.id() {
-                        push_one(&mut agg, &scratch, ctx)?;
-                    } else {
-                        discarded += 1;
-                    }
+    ctx.recv_streams(
+        |ctx, _, page| {
+            let mut cursor = page.cursor();
+            while cursor.next_into(&mut scratch)? {
+                ctx.clock.record(CostEvent::TupleDest, 1);
+                let owner = (hash_values(Seed::Partition, &scratch[..key_len.min(scratch.len())])
+                    % nodes as u64) as usize;
+                if owner == ctx.id() {
+                    agg.push_raw(&scratch, &mut ctx.clock)?;
+                } else {
+                    discarded += 1;
                 }
-                ctx.page_pool.put(page);
             }
-            Payload::Control(Control::EndOfStream) => eos += 1,
-            Payload::Control(_) => {
-                return Err(ExecError::Protocol("unexpected control in broadcast merge"))
-            }
-        }
-    }
+            ctx.page_pool.put(page);
+            Ok(())
+        },
+        |_| Err(ExecError::Protocol("unexpected control in broadcast merge")),
+    )?;
 
     let (rows, mut agg_stats) = agg.finish_rows(&mut ctx.clock)?;
     operators::store_results(ctx, &rows)?;
@@ -98,15 +92,6 @@ fn broadcast_page(ctx: &mut NodeCtx, page: &Page) -> Result<(), ExecError> {
     for dest in 0..ctx.nodes() {
         ctx.send_page(dest, RowKind::Raw, page.clone())?;
     }
-    Ok(())
-}
-
-fn push_one(
-    agg: &mut HashAggregator,
-    values: &[adaptagg_model::Value],
-    ctx: &mut NodeCtx,
-) -> Result<(), ExecError> {
-    agg.push_raw(values, &mut ctx.clock)?;
     Ok(())
 }
 

@@ -35,8 +35,7 @@ pub fn run_node(
 
     // Phase 2: the coordinator alone merges everything.
     if ctx.id() == COORDINATOR {
-        let (rows, merge_stats) =
-            merge_phase_store(ctx, plan, max_entries, fanout, Vec::new(), 0)?;
+        let (rows, merge_stats) = merge_phase_store(ctx, plan, max_entries, fanout)?;
         outcome.agg.add(&merge_stats);
         outcome.rows = rows;
     }

@@ -2,8 +2,8 @@
 
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_hashagg::{HashAggStats, HashAggregator};
-use adaptagg_model::{AggQuery, CostTracker, DemoteCause, ResultRow, RowKind, StoreLayout};
-use adaptagg_net::{Control, Page};
+use adaptagg_model::{AggQuery, DemoteCause, ResultRow, RowKind, StoreLayout};
+use adaptagg_net::Control;
 use adaptagg_sortagg::SortAggStats;
 use adaptagg_storage::RowPages;
 
@@ -198,22 +198,22 @@ fn checkpointed_local_aggregation(
     result
 }
 
-/// A merge phase: consume data pages (raw tuples and/or partial rows)
-/// until every node's `EndOfStream` arrived, aggregate them in a
+/// A merge phase: consume every node's stream of data pages (raw tuples
+/// and/or partial rows), aggregating from the first page on in a
 /// memory-bounded table (hash cost not re-charged: rows were hashed when
 /// partitioned), finalize, and store the results on the local disk.
 ///
-/// `pre_received` holds pages that an earlier phase pulled off the wire
-/// while polling for control traffic (Adaptive Repartitioning does this).
-/// Stray `EndOfPhase` controls are tolerated (a peer may switch late);
-/// any other control is a protocol violation.
+/// The streams are consumed in logical order ([`NodeCtx::recv_streams`]:
+/// sender ascending, per-sender FIFO), so the phase's virtual time — and
+/// which groups an overflowing table admits first — is a pure function of
+/// what was sent, whatever arrived while an earlier phase was still
+/// running. Stray `EndOfPhase` controls are tolerated (a peer may switch
+/// late); any other control is a protocol violation.
 pub fn merge_phase_store(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
     max_entries: usize,
     fanout: usize,
-    pre_received: Vec<(RowKind, Page)>,
-    pre_eos: usize,
 ) -> Result<(Vec<ResultRow>, HashAggStats), ExecError> {
     let page_bytes = ctx.params().page_bytes;
     let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
@@ -221,7 +221,17 @@ pub fn merge_phase_store(
         .with_grant(ctx.grant().clone());
 
     ctx.span_start(PhaseKind::Merge);
-    let merged = merge_phase_inner(ctx, &mut agg, pre_received, pre_eos);
+    let merged = ctx.recv_streams(
+        |ctx, kind, page| {
+            agg.push_page(kind, &page, &mut ctx.clock)?;
+            ctx.page_pool.put(page);
+            Ok(())
+        },
+        |control| match control {
+            Control::EndOfPhase { .. } => Ok(()),
+            _ => Err(ExecError::Protocol("unexpected control in merge phase")),
+        },
+    );
     if let Err(e) = merged {
         ctx.span_end();
         return Err(e);
@@ -240,72 +250,6 @@ pub fn merge_phase_store(
     trace_hashagg(ctx, &stats);
     operators::store_results(ctx, &rows)?;
     Ok((rows, stats))
-}
-
-/// The receive loop of [`merge_phase_store`], factored out so its span
-/// closes on every exit path.
-///
-/// Arrivals are buffered **cost-free** and the clock accounting (Lamport
-/// observation + receiver protocol charge + aggregation) replays in
-/// canonical order: sender id ascending, per-sender FIFO. Physical
-/// arrival order depends on thread scheduling — two senders' streams
-/// interleave however the OS ran them — and `f64` accumulation is
-/// order-sensitive at the ULP level, so charging in arrival order would
-/// imprint the schedule on the virtual clock. Canonical replay makes the
-/// merge phase's virtual time a pure function of what was sent.
-fn merge_phase_inner(
-    ctx: &mut NodeCtx,
-    agg: &mut HashAggregator,
-    pre_received: Vec<(RowKind, Page)>,
-    pre_eos: usize,
-) -> Result<(), ExecError> {
-    for (kind, page) in pre_received {
-        agg.push_page(kind, &page, &mut ctx.clock)?;
-        ctx.page_pool.put(page);
-    }
-
-    let mut eos = pre_eos;
-    let nodes = ctx.nodes();
-    let mut streams: Vec<Vec<adaptagg_net::Message>> = (0..nodes).map(|_| Vec::new()).collect();
-    let mut pending_err: Option<ExecError> = None;
-    while eos < nodes {
-        match ctx.recv_deferred() {
-            Ok(msg) => {
-                match &msg.payload {
-                    adaptagg_net::Payload::Data { .. } => {}
-                    adaptagg_net::Payload::Control(Control::EndOfStream) => eos += 1,
-                    adaptagg_net::Payload::Control(Control::EndOfPhase { .. }) => {}
-                    adaptagg_net::Payload::Control(_) => {
-                        pending_err =
-                            Some(ExecError::Protocol("unexpected control in merge phase"));
-                    }
-                }
-                let from = msg.from;
-                streams[from].push(msg);
-                if pending_err.is_some() {
-                    break;
-                }
-            }
-            Err(e) => {
-                pending_err = Some(e);
-                break;
-            }
-        }
-    }
-    for msgs in streams {
-        for msg in msgs {
-            ctx.clock.observe(msg.sent_at_ms);
-            if let adaptagg_net::Payload::Data { kind, page } = msg.payload {
-                ctx.clock.record(adaptagg_model::CostEvent::MsgProtocol, 1);
-                agg.push_page(kind, &page, &mut ctx.clock)?;
-                ctx.page_pool.put(page);
-            }
-        }
-    }
-    match pending_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 /// Where phase 1's partial rows go.
@@ -417,7 +361,7 @@ mod tests {
         let run = run_cluster(&config, parts, |ctx| {
             let (partials, _) = local_partial_aggregation(ctx, &plan, 10_000, 4)?;
             ship_partials(ctx, &plan, partials, ShipTo::Owners)?;
-            let (rows, _) = merge_phase_store(ctx, &plan, 10_000, 4, Vec::new(), 0)?;
+            let (rows, _) = merge_phase_store(ctx, &plan, 10_000, 4)?;
             Ok(rows)
         })
         .unwrap();
@@ -448,7 +392,7 @@ mod tests {
                 )?;
                 Ok(())
             } else {
-                merge_phase_store(ctx, &plan, 100, 4, Vec::new(), 0).map(|_| ())
+                merge_phase_store(ctx, &plan, 100, 4).map(|_| ())
             }
         });
         assert_eq!(

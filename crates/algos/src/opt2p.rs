@@ -62,7 +62,7 @@ pub fn run_node(
     ex.finish(ctx)?;
     ctx.clock.mark("phase1");
 
-    let (rows, mut agg) = merge_phase_store(ctx, plan, max_entries, fanout, Vec::new(), 0)?;
+    let (rows, mut agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
     agg.raw_in += table.accepted() + forwarded;
     Ok(NodeOutcome {
         rows,

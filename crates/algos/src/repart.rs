@@ -20,18 +20,6 @@ pub fn run_node(
     plan: &QueryPlan,
     cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    run_node_with(ctx, plan, cfg, Vec::new(), 0)
-}
-
-/// Repartitioning accepting pages/EOS an earlier phase already pulled off
-/// the wire (Sampling's decision wait).
-pub fn run_node_with(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    cfg: &AlgoConfig,
-    pre_received: Vec<(RowKind, adaptagg_net::Page)>,
-    pre_eos: usize,
-) -> Result<NodeOutcome, ExecError> {
     let max_entries = ctx.params().max_hash_entries;
     let fanout = cfg.overflow_fanout;
 
@@ -62,7 +50,7 @@ pub fn run_node_with(
     ctx.clock.mark("phase1");
 
     // Phase 2: aggregate everything that hashed here, store locally.
-    let (rows, agg) = merge_phase_store(ctx, plan, max_entries, fanout, pre_received, pre_eos)?;
+    let (rows, agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
     Ok(NodeOutcome {
         rows,
         agg,

@@ -22,7 +22,7 @@ use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_model::{CostEvent, CostTracker, GroupKey, RowKind};
 use adaptagg_net::{Control, Payload};
-use adaptagg_sample::{distinct_groups, sample_tuples, AlgorithmChoice};
+use adaptagg_sample::{sample_tuples, AlgorithmChoice};
 use adaptagg_storage::RowPages;
 use std::collections::BTreeSet;
 
@@ -38,14 +38,10 @@ pub fn run_node(
     ctx.span_start(PhaseKind::Sample);
     let estimated = estimate_and_decide(ctx, plan, cfg);
     ctx.span_end();
-    let (choice, pre_received, pre_eos) = estimated?;
+    let choice = estimated?;
     let mut outcome = match choice {
-        AlgorithmChoice::TwoPhase => {
-            crate::twophase::run_node_with(ctx, plan, cfg, pre_received, pre_eos)?
-        }
-        AlgorithmChoice::Repartitioning => {
-            crate::repart::run_node_with(ctx, plan, cfg, pre_received, pre_eos)?
-        }
+        AlgorithmChoice::TwoPhase => crate::twophase::run_node(ctx, plan, cfg)?,
+        AlgorithmChoice::Repartitioning => crate::repart::run_node(ctx, plan, cfg)?,
     };
     outcome.events.insert(0, AdaptEvent::SamplingChose(choice));
     Ok(outcome)
@@ -53,17 +49,17 @@ pub fn run_node(
 
 /// Phase 0: sample, estimate, decide, broadcast.
 ///
-/// Returns the choice plus any phase-1 traffic that raced ahead of this
-/// node's decision message: a peer that received its decision first may
-/// already be shipping data. Per-sender channels are FIFO, but arrival
-/// *across* senders is not ordered, so the wait loop buffers data pages
-/// and end-of-stream markers for the main phase to consume.
-#[allow(clippy::type_complexity)]
+/// A peer that received its decision first may already be shipping
+/// phase-1 data while this node still waits for its own. That traffic
+/// simply stays queued in the endpoint, unobserved and uncharged, until
+/// the main phase's merge asks for it: a worker waits on the
+/// coordinator's link alone, and the coordinator's gather ends at each
+/// sender's first `EndOfStream`.
 fn estimate_and_decide(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
     cfg: &AlgoConfig,
-) -> Result<(AlgorithmChoice, Vec<(RowKind, adaptagg_net::Page)>, usize), ExecError> {
+) -> Result<AlgorithmChoice, ExecError> {
     let per_node = cfg.crossover.sample_size_per_node();
     let node_seed = cfg.sample_seed ^ (ctx.id() as u64).wrapping_mul(0x9e37_79b9);
 
@@ -107,67 +103,46 @@ fn estimate_and_decide(
     ctx.send_control(COORDINATOR, Control::EndOfStream)?;
 
     if ctx.id() == COORDINATOR {
-        // Merge sample keys; the distinct count is a lower bound on the
-        // relation's group count.
-        let key_query = adaptagg_model::AggQuery::distinct(
-            (0..plan.key_len()).collect(),
-        );
-        let mut all_keys: Vec<Vec<adaptagg_model::Value>> = Vec::new();
-        let mut eos = 0;
-        while eos < ctx.nodes() {
-            let msg = ctx.recv()?;
-            match msg.payload {
-                Payload::Data { page, .. } => {
-                    for t in page.iter() {
-                        ctx.clock.record(CostEvent::TupleRead, 1);
-                        all_keys.push(t?);
-                    }
-                    ctx.page_pool.put(page);
+        // Merge sample keys as their pages come in; the distinct count is
+        // a lower bound on the relation's group count.
+        let mut merged: BTreeSet<GroupKey> = BTreeSet::new();
+        ctx.recv_streams(
+            |ctx, _, page| {
+                for key in page.iter() {
+                    ctx.clock.record(CostEvent::TupleRead, 1);
+                    merged.insert(GroupKey::new(key?));
                 }
-                Payload::Control(Control::EndOfStream) => eos += 1,
-                _ => return Err(ExecError::Protocol("unexpected control during sampling")),
-            }
-        }
-        let groups = distinct_groups(&key_query, &all_keys)?;
+                ctx.page_pool.put(page);
+                Ok(())
+            },
+            |_| Err(ExecError::Protocol("unexpected control during sampling")),
+        )?;
+        let groups = merged.len() as u64;
         let choice = cfg.crossover.decide(groups);
         ctx.broadcast_control(Control::SamplingDecision {
             use_repartitioning: choice == AlgorithmChoice::Repartitioning,
             groups_in_sample: groups,
         })?;
         ctx.trace_sampling_decision(choice == AlgorithmChoice::Repartitioning, groups);
-        // The coordinator cannot receive phase-1 traffic yet: peers start
-        // phase 1 only after this broadcast.
-        Ok((choice, Vec::new(), 0))
+        Ok(choice)
     } else {
-        // Wait for the verdict, buffering any phase-1 traffic from peers
-        // that got theirs first.
-        let mut pre_received = Vec::new();
-        let mut pre_eos = 0usize;
-        loop {
-            let msg = ctx.recv()?;
-            match msg.payload {
-                Payload::Control(Control::SamplingDecision {
-                    use_repartitioning,
-                    groups_in_sample,
-                }) => {
-                    ctx.trace_sampling_decision(use_repartitioning, groups_in_sample);
-                    let choice = if use_repartitioning {
-                        AlgorithmChoice::Repartitioning
-                    } else {
-                        AlgorithmChoice::TwoPhase
-                    };
-                    return Ok((choice, pre_received, pre_eos));
-                }
-                Payload::Data { kind, page } => pre_received.push((kind, page)),
-                Payload::Control(Control::EndOfStream) => pre_eos += 1,
-                // Abort never reaches this match (`recv` intercepts it);
-                // any other control here is a protocol violation.
-                Payload::Control(_) => {
-                    return Err(ExecError::Protocol(
-                        "unexpected control during sampling decision wait",
-                    ))
-                }
+        // The verdict is the first thing the coordinator ever sends here.
+        match ctx.recv_from(COORDINATOR)?.payload {
+            Payload::Control(Control::SamplingDecision {
+                use_repartitioning,
+                groups_in_sample,
+            }) => {
+                ctx.trace_sampling_decision(use_repartitioning, groups_in_sample);
+                Ok(if use_repartitioning {
+                    AlgorithmChoice::Repartitioning
+                } else {
+                    AlgorithmChoice::TwoPhase
+                })
             }
+            // Abort never reaches this match (`recv_from` intercepts it).
+            _ => Err(ExecError::Protocol(
+                "unexpected control during sampling decision wait",
+            )),
         }
     }
 }

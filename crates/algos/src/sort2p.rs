@@ -51,8 +51,7 @@ pub fn run_node(
     ship_partials(ctx, plan, partials, ShipTo::Owners)?;
 
     // Phase 2: hash merge, as in plain Two Phase.
-    let (rows, mut agg_stats) =
-        merge_phase_store(ctx, plan, max_entries, fanout, Vec::new(), 0)?;
+    let (rows, mut agg_stats) = merge_phase_store(ctx, plan, max_entries, fanout)?;
     agg_stats.raw_in += sort_stats.rows_in;
     // Runs written to disk are this strategy's "intermediate I/O"; report
     // them in the overflow counter so comparisons line up.

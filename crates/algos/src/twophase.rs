@@ -18,25 +18,12 @@ pub fn run_node(
     plan: &QueryPlan,
     cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    run_node_with(ctx, plan, cfg, Vec::new(), 0)
-}
-
-/// Two Phase accepting pages/EOS that an earlier phase (Sampling's
-/// decision wait) already pulled off the wire.
-pub fn run_node_with(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    cfg: &AlgoConfig,
-    pre_received: Vec<(adaptagg_model::RowKind, adaptagg_net::Page)>,
-    pre_eos: usize,
-) -> Result<NodeOutcome, ExecError> {
     let max_entries = ctx.params().max_hash_entries;
     let fanout = cfg.overflow_fanout;
 
     let (partials, local_stats) = local_partial_aggregation(ctx, plan, max_entries, fanout)?;
     ship_partials(ctx, plan, partials, ShipTo::Owners)?;
-    let (rows, merge_stats) =
-        merge_phase_store(ctx, plan, max_entries, fanout, pre_received, pre_eos)?;
+    let (rows, merge_stats) = merge_phase_store(ctx, plan, max_entries, fanout)?;
 
     let mut agg = local_stats;
     agg.add(&merge_stats);

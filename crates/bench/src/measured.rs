@@ -149,10 +149,13 @@ mod tests {
         // A-2P never does much worse than full Repartitioning (it ships
         // at most what Rep ships; right after its switch the burst can
         // cost slightly more bus time). The headroom also absorbs
-        // run-to-run virtual-clock jitter: which arrived message a
-        // receiver observes first depends on thread scheduling, and at
-        // 8 nodes the post-switch burst makes A-2P's measured time vary
-        // by ~10% (Rep stays near-constant). Observed ratios reach
+        // run-to-run virtual-clock jitter, which on this shared-bus
+        // figure is the *ledger's*, not the receiver's: every receive
+        // consumes its streams in logical order (DESIGN.md §12.7), but
+        // `BusLedger::book` fits a transfer into the gaps left by
+        // whichever transfers were booked before it in real time, and
+        // at 8 nodes the post-switch burst makes A-2P's measured time
+        // vary by ~10% (Rep stays near-constant). Observed ratios reach
         // ~1.32 under load; 1.5 still cleanly separates A-2P from a
         // genuinely losing algorithm (Broadcast runs >3x Rep).
         for i in 0..t.xs.len() {

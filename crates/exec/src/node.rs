@@ -299,52 +299,23 @@ impl NodeCtx {
         }
     }
 
-    /// Map an [`Control::Abort`] arrival to the error that propagates the
-    /// origin's failure, before any algorithm-level match sees it.
-    fn intercept(&self, msg: Message) -> Result<Message, ExecError> {
+    /// What every receive does with a message once the endpoint hands it
+    /// over — which is when it is *consumed*, however long it sat queued:
+    /// an [`Control::Abort`] becomes the error that propagates its
+    /// origin's failure before any algorithm-level match sees it; anything
+    /// else is observed (Lamport), and a data page charged receiver-side
+    /// protocol cost.
+    fn account(&mut self, received: Result<Message, NetError>) -> Result<Message, ExecError> {
+        let msg = received.map_err(|e| match e {
+            NetError::Deadline { waited_ms } => ExecError::Watchdog {
+                node: self.id,
+                waited_ms,
+            },
+            other => ExecError::Net(other),
+        })?;
         if let Payload::Control(Control::Abort { origin, reason }) = msg.payload {
             return Err(ExecError::Aborted { origin, reason });
         }
-        Ok(msg)
-    }
-
-    /// Blocking receive with **no clock accounting** — for phases that
-    /// buffer arrivals and replay the Lamport observations and protocol
-    /// charges in canonical (sender-id) order instead of physical
-    /// arrival order, so their virtual times cannot depend on thread
-    /// scheduling (see `merge_phase_store`). Aborts are still
-    /// intercepted at arrival: failure propagation must not wait for
-    /// the replay.
-    pub fn recv_deferred(&mut self) -> Result<Message, ExecError> {
-        let msg = self
-            .endpoint
-            .recv_timeout(self.watchdog)
-            .map_err(|e| match e {
-                NetError::Deadline { waited_ms } => ExecError::Watchdog {
-                    node: self.id,
-                    waited_ms,
-                },
-                other => ExecError::Net(other),
-            })?;
-        self.intercept(msg)
-    }
-
-    /// Blocking receive: observes the message's timestamp (Lamport) and
-    /// charges receiver-side protocol cost for data pages. Bounded by the
-    /// real-time watchdog; an incoming abort surfaces as
-    /// [`ExecError::Aborted`].
-    pub fn recv(&mut self) -> Result<Message, ExecError> {
-        let msg = self
-            .endpoint
-            .recv_timeout(self.watchdog)
-            .map_err(|e| match e {
-                NetError::Deadline { waited_ms } => ExecError::Watchdog {
-                    node: self.id,
-                    waited_ms,
-                },
-                other => ExecError::Net(other),
-            })?;
-        let msg = self.intercept(msg)?;
         self.clock.observe(msg.sent_at_ms);
         if msg.payload.is_data() {
             self.clock.record(CostEvent::MsgProtocol, 1);
@@ -352,49 +323,60 @@ impl NodeCtx {
         Ok(msg)
     }
 
-    /// Non-blocking receive of a message that has *virtually arrived* by
-    /// the node's current time, with the same accounting. Messages whose
-    /// transfer completes in the node's virtual future stay queued — a
-    /// poll cannot see the future (see `Endpoint::try_recv_arrived`).
-    /// An incoming abort surfaces as [`ExecError::Aborted`] even if its
+    /// Blocking receive of the next message from `sender`, in the order
+    /// it sent them — the receive every phase of every algorithm is built
+    /// on. Other senders' arrivals stay queued in the endpoint, unobserved
+    /// and uncharged, until they are asked for in turn, so the node's
+    /// virtual time is a function of what was sent, never of how the
+    /// senders' threads interleaved (`f64` accumulation is order-sensitive
+    /// at the ULP level; charging in arrival order would imprint the
+    /// schedule on the clock). Bounded by the real-time watchdog, however
+    /// much other senders deliver meanwhile; an abort from *anyone*
+    /// surfaces at once as [`ExecError::Aborted`].
+    pub fn recv_from(&mut self, sender: usize) -> Result<Message, ExecError> {
+        let received = self.endpoint.recv_from(sender, self.watchdog);
+        self.account(received)
+    }
+
+    /// Blocking receive of the next arrival from anyone, with the same
+    /// accounting. Which message that is depends on what has physically
+    /// arrived: for harnesses and tests, not for algorithms.
+    pub fn recv(&mut self) -> Result<Message, ExecError> {
+        let received = self.endpoint.recv_timeout(self.watchdog);
+        self.account(received)
+    }
+
+    /// Non-blocking look for a control message other than `EndOfStream`
+    /// that has *virtually arrived* by the node's current time, taken out
+    /// of wherever it is queued; data pages and stream ends stay for
+    /// [`NodeCtx::recv_streams`]. Nothing is charged and the clock does
+    /// not move: a poll cannot see the future (see
+    /// `Endpoint::poll_control`), so there is nothing to observe. An
+    /// incoming abort surfaces as [`ExecError::Aborted`] even if its
     /// virtual timestamp is in the future — failure propagation must not
     /// wait on simulated time.
-    pub fn try_recv(&mut self) -> Result<Option<Message>, ExecError> {
-        let now = self.clock.now_ms();
-        let Some(msg) = self.endpoint.try_recv_arrived(now)? else {
-            return Ok(None);
-        };
-        let msg = self.intercept(msg)?;
-        self.clock.observe(msg.sent_at_ms);
-        if msg.payload.is_data() {
-            self.clock.record(CostEvent::MsgProtocol, 1);
-        }
-        Ok(Some(msg))
+    pub fn poll_control(&mut self) -> Result<Option<Message>, ExecError> {
+        let polled = self.endpoint.poll_control(self.clock.now_ms())?;
+        polled.map(|msg| self.account(Ok(msg))).transpose()
     }
 
-    /// Receive data pages until an `EndOfStream` has arrived from every
-    /// node (including this one, which must send itself one too — keeping
-    /// the protocol uniform). Calls `on_page(ctx_clock_and_disk_parts…)`
-    /// for each data page. Control messages other than `EndOfStream` are
-    /// handed to `on_control`; return `false` from it to reject.
-    pub fn recv_until_all_eos<FD, FC>(
-        &mut self,
-        mut on_page: FD,
-        mut on_control: FC,
-    ) -> Result<(), crate::ExecError>
+    /// Consume every node's stream to this one: for sender `0..nodes`,
+    /// [`NodeCtx::recv_from`] it until its `EndOfStream` (every node,
+    /// this one included, must send one — keeping the protocol uniform).
+    /// `on_page` gets each data page, `on_control` any other control
+    /// message a stream carries; an error from either ends the loop.
+    pub fn recv_streams<FD, FC>(&mut self, mut on_page: FD, mut on_control: FC) -> Result<(), ExecError>
     where
-        FD: FnMut(&mut Clock, &mut SimDisk, DataKind, Page) -> Result<(), crate::ExecError>,
-        FC: FnMut(Control) -> Result<(), crate::ExecError>,
+        FD: FnMut(&mut NodeCtx, DataKind, Page) -> Result<(), ExecError>,
+        FC: FnMut(Control) -> Result<(), ExecError>,
     {
-        let mut eos = 0usize;
-        while eos < self.nodes {
-            let msg = self.recv()?;
-            match msg.payload {
-                Payload::Data { kind, page } => {
-                    on_page(&mut self.clock, &mut self.disk, kind, page)?
+        for sender in 0..self.nodes {
+            loop {
+                match self.recv_from(sender)?.payload {
+                    Payload::Data { kind, page } => on_page(self, kind, page)?,
+                    Payload::Control(Control::EndOfStream) => break,
+                    Payload::Control(control) => on_control(control)?,
                 }
-                Payload::Control(Control::EndOfStream) => eos += 1,
-                Payload::Control(c) => on_control(c)?,
             }
         }
         Ok(())
@@ -478,36 +460,60 @@ mod tests {
         assert!(matches!(msg.payload, Payload::Control(Control::EndOfStream)));
     }
 
-    #[test]
-    fn recv_until_all_eos_counts_every_sender() {
-        let (mut a, mut b) = two_nodes(NetworkKind::high_speed_default());
-        // a sends one page + EOS to b; b must also EOS itself.
-        a.send_page(1, DataKind::Partial, page_of(2)).unwrap();
-        a.send_control(1, Control::EndOfStream).unwrap();
-        b.send_control(1, Control::EndOfStream).unwrap(); // self-EOS
-
-        let mut pages = 0;
-        b.recv_until_all_eos(
-            |_clock, _disk, kind, page| {
-                assert_eq!(kind, DataKind::Partial);
-                pages += page.tuple_count();
-                Ok(())
-            },
-            |_| Ok(()),
-        )
-        .unwrap();
-        assert_eq!(pages, 2);
+    fn three_nodes() -> (NodeCtx, NodeCtx, NodeCtx) {
+        let params = CostParams::paper_default();
+        let mut ctxs = Fabric::new(3, NetworkKind::HighSpeed { latency_ms: 0.5 })
+            .into_endpoints()
+            .into_iter()
+            .map(|ep| NodeCtx::new(ep, SimDisk::new(), params.clone()));
+        (ctxs.next().unwrap(), ctxs.next().unwrap(), ctxs.next().unwrap())
     }
 
     #[test]
-    fn recv_until_all_eos_routes_other_controls() {
+    fn recv_streams_consumes_sender_by_sender_whatever_arrived_first() {
+        let (mut a, mut b, mut c) = three_nodes();
+        // On c's wire: b1 a1 b2 a2, then the three stream ends. b runs
+        // far ahead of a in virtual time.
+        b.clock.observe(100.0);
+        for n in 1..=2 {
+            b.send_page(2, DataKind::Partial, page_of(10 + n)).unwrap();
+            a.send_page(2, DataKind::Partial, page_of(n)).unwrap();
+        }
+        for ctx in [&mut b, &mut a] {
+            ctx.send_control(2, Control::EndOfStream).unwrap();
+        }
+        c.send_control(2, Control::EndOfStream).unwrap(); // self-EOS
+
+        // (tuples on the page, c's clock when it is consumed)
+        let mut pages: Vec<(usize, f64)> = Vec::new();
+        c.recv_streams(
+            |ctx, kind, page| {
+                assert_eq!(kind, DataKind::Partial);
+                pages.push((page.tuple_count(), ctx.clock.now_ms()));
+                Ok(())
+            },
+            |_| panic!("no control but the stream ends was sent"),
+        )
+        .unwrap();
+        let sizes: Vec<usize> = pages.iter().map(|p| p.0).collect();
+        assert_eq!(sizes, vec![1, 2, 11, 12], "a's stream, then b's");
+        // a's pages are consumed at a's early stamps, not after b's
+        // t > 100 ones that arrived before them: queued messages are
+        // neither observed nor charged.
+        assert!(pages[1].1 < 2.0, "a's second page consumed at {}", pages[1].1);
+        assert!(pages[2].1 > 100.0);
+        assert_eq!(c.net_stats().pages_received, 4);
+    }
+
+    #[test]
+    fn recv_streams_routes_other_controls() {
         let (mut a, mut b) = two_nodes(NetworkKind::high_speed_default());
         a.send_control(1, Control::EndOfPhase { groups_seen: 3 }).unwrap();
         a.send_control(1, Control::EndOfStream).unwrap();
         b.send_control(1, Control::EndOfStream).unwrap();
         let mut phases = 0;
-        b.recv_until_all_eos(
-            |_, _, _, _| Ok(()),
+        b.recv_streams(
+            |_, _, _| Ok(()),
             |c| {
                 assert!(matches!(c, Control::EndOfPhase { groups_seen: 3 }));
                 phases += 1;
@@ -516,32 +522,92 @@ mod tests {
         )
         .unwrap();
         assert_eq!(phases, 1);
+
+        // What `on_control` refuses ends the loop with its error.
+        a.send_control(1, Control::EndOfPhase { groups_seen: 0 }).unwrap();
+        let refused = b.recv_streams(|_, _, _| Ok(()), |_| Err(ExecError::Protocol("refused")));
+        assert_eq!(refused, Err(ExecError::Protocol("refused")));
     }
 
     #[test]
-    fn try_recv_respects_virtual_arrival() {
+    fn abort_from_a_sender_not_waited_on_surfaces_at_once() {
+        let (_a, mut b, mut c) = three_nodes();
+        c.set_watchdog(Duration::from_secs(20));
+        // c waits on a, which stays silent; b fails behind a page of its own.
+        b.send_page(2, DataKind::Raw, page_of(1)).unwrap();
+        b.send_control(
+            2,
+            Control::Abort {
+                origin: 1,
+                reason: "disk on fire".into(),
+            },
+        )
+        .unwrap();
+        let started = std::time::Instant::now();
+        match c.recv_streams(|_, _, _| Ok(()), |_| Ok(())) {
+            Err(ExecError::Aborted { origin: 1, reason }) => assert!(reason.contains("on fire")),
+            other => panic!("expected Aborted, got {other:?}"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(10), "did not wait out the watchdog");
+        assert_eq!(c.clock.now_ms(), 0.0, "b's queued page was never observed");
+    }
+
+    #[test]
+    fn watchdog_fires_on_a_silent_sender_while_another_keeps_sending() {
+        let (_a, mut b, mut c) = three_nodes();
+        c.set_watchdog(Duration::from_millis(60));
+        let chatter = std::thread::spawn(move || {
+            for _ in 0..40 {
+                b.send_page(2, DataKind::Raw, page_of(1)).unwrap();
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        assert_eq!(
+            c.recv_from(0),
+            Err(ExecError::Watchdog {
+                node: 2,
+                waited_ms: 60
+            })
+        );
+        chatter.join().unwrap();
+    }
+
+    #[test]
+    fn poll_respects_virtual_arrival_and_leaves_data_queued() {
         // A poll must not see messages whose transfer completes in the
-        // receiver's virtual future (the causality rule ARep relies on).
+        // receiver's virtual future (the causality rule ARep relies on),
+        // and takes controls only.
         let (mut a, mut b) = two_nodes(NetworkKind::HighSpeed { latency_ms: 5.0 });
         a.send_page(1, DataKind::Raw, page_of(1)).unwrap(); // arrives at t = 5+m_p
+        a.send_control(1, Control::EndOfPhase { groups_seen: 2 }).unwrap();
         assert!(
-            b.try_recv().unwrap().is_none(),
-            "b at t=0 must not see a t=5 message"
+            b.poll_control().unwrap().is_none(),
+            "b at t=0 must not see a t=5 control"
         );
-        // Advance b's virtual clock past the arrival: now visible.
+        // Advance b's virtual clock past the arrival: now visible, from
+        // behind the page, at no charge.
         b.clock.record(adaptagg_model::CostEvent::PageReadRand, 1); // +15ms
-        let msg = b.try_recv().unwrap().expect("message has arrived by t=15");
-        assert!(msg.payload.is_data());
+        let before = b.clock.now_ms();
+        assert_eq!(
+            b.poll_control().unwrap().map(|msg| msg.payload),
+            Some(Payload::Control(Control::EndOfPhase { groups_seen: 2 }))
+        );
+        assert!(b.poll_control().unwrap().is_none());
+        assert_eq!(b.clock.now_ms(), before);
+        assert_eq!(b.net_stats().pages_received, 0);
+        // The page is charged when the stream is consumed.
+        assert!(b.recv_from(0).unwrap().payload.is_data());
+        assert!(b.clock.now_ms() > before);
     }
 
     #[test]
     fn blocking_recv_delivers_the_future_and_waits() {
         let (mut a, mut b) = two_nodes(NetworkKind::HighSpeed { latency_ms: 5.0 });
         a.send_page(1, DataKind::Raw, page_of(1)).unwrap();
-        // A failed poll stashes the message; a blocking recv must still
+        // A poll files the message; a blocking receive must still
         // deliver it (waiting until its virtual arrival).
-        assert!(b.try_recv().unwrap().is_none());
-        let msg = b.recv().unwrap();
+        assert!(b.poll_control().unwrap().is_none());
+        let msg = b.recv_from(0).unwrap();
         assert!(msg.payload.is_data());
         assert!(b.clock.now_ms() >= 5.0);
         assert!(b.clock.breakdown().wait_ms > 0.0);
@@ -579,7 +645,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            b.try_recv(),
+            b.poll_control(),
             Err(crate::ExecError::Aborted { origin: 0, .. })
         ));
     }

@@ -26,6 +26,15 @@
 //! same link; since every data-carrying link later carries an
 //! `EndOfStream` (all algorithms close their streams), no message can be
 //! held forever.
+//!
+//! ## One inbox
+//!
+//! Reassembled messages wait in one FIFO per sender. A receiver either
+//! names the sender it wants the next message of ([`Endpoint::recv_from`]
+//! — what every phase of every algorithm does, so that what it consumes
+//! and when on its clock is a function of what was sent), or takes the
+//! earliest-stamped queue head from anyone ([`Endpoint::recv`] and its
+//! bounded and non-blocking forms — the cluster job protocol, tests).
 
 use crate::error::NetError;
 use crate::fault::{FaultPlan, LinkFaults, SplitMix64};
@@ -35,7 +44,7 @@ use crate::stats::{LinkStats, NetStats};
 use crate::transport::{ChannelTransport, SendFailure, Transport};
 use adaptagg_model::NetworkKind;
 use adaptagg_storage::Page;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// How many per-page transfer times a "dropped" (retransmitted) message
@@ -146,10 +155,11 @@ pub struct Endpoint {
     /// The raw wire: in-process channels or real TCP — everything else
     /// in this struct is transport-independent (see [`Transport`]).
     wire: Box<dyn Transport>,
-    /// In-sequence messages awaiting delivery — either reassembled from
-    /// the wire or stashed because their virtual arrival time is still
-    /// in this node's future (see [`Endpoint::try_recv_arrived`]).
-    pending: std::collections::VecDeque<Message>,
+    /// In-sequence messages awaiting delivery, one FIFO per sender
+    /// beside that sender's reassembly state below.
+    inbox: Vec<VecDeque<Message>>,
+    /// How many queued messages are signals (see [`is_signal`]).
+    signals: usize,
     network: Network,
     stats: NetStats,
     /// Per-link fault probabilities (all zero when injection is off).
@@ -186,7 +196,8 @@ impl Endpoint {
             node,
             nodes: n,
             wire,
-            pending: std::collections::VecDeque::new(),
+            inbox: (0..n).map(|_| VecDeque::new()).collect(),
+            signals: 0,
             network,
             stats: NetStats::default(),
             link_faults: plan.link_faults(),
@@ -430,15 +441,15 @@ impl Endpoint {
         Err(err)
     }
 
-    /// Blocking receive. Returns the message; the caller merges
-    /// `msg.sent_at_ms` into its clock and charges receive-side costs.
-    /// Blocking means "wait until something arrives", so virtual arrival
-    /// times in the future are fine (the wait becomes Lamport time).
-    /// Messages stashed by [`Endpoint::try_recv_arrived`] are delivered
-    /// first, earliest virtual timestamp first.
+    /// Blocking receive of the next message from anyone: the earliest
+    /// `(sent_at_ms, from, seq)` among the heads of the per-sender
+    /// queues, waiting on the wire while all are empty. The caller merges
+    /// `msg.sent_at_ms` into its clock and charges receive-side costs;
+    /// virtual arrival times in the future are fine (the wait becomes
+    /// Lamport time).
     pub fn recv(&mut self) -> Result<Message, NetError> {
         loop {
-            if let Some(msg) = self.pop_pending(f64::INFINITY) {
+            if let Some(msg) = self.pop_earliest() {
                 return Ok(msg);
             }
             let msg = self.wire.recv()?;
@@ -446,27 +457,15 @@ impl Endpoint {
         }
     }
 
-    /// Non-blocking receive of a message that has *virtually arrived* by
-    /// `now_ms` (the Adaptive Repartitioning scan polls for `EndOfPhase`
-    /// while partitioning). A poll must not see the future: a message
-    /// whose send completes at virtual time `T > now_ms` has not arrived
-    /// yet, so it is stashed and the poll keeps looking. Without this
-    /// rule, polls would Lamport-drag every clock forward in a feedback
-    /// loop and inflate elapsed times cluster-wide.
+    /// Non-blocking [`Endpoint::recv`]: whatever the wire has delivered
+    /// is filed first.
     ///
     /// A transport that has declared a peer dead surfaces that here as
     /// `Err(NetError::PeerDown)` — failure detection must reach pollers,
     /// not only blocked receivers.
-    pub fn try_recv_arrived(&mut self, now_ms: f64) -> Result<Option<Message>, NetError> {
-        while let Some(msg) = self.wire.try_recv()? {
-            self.ingest(msg);
-        }
-        Ok(self.pop_pending(now_ms))
-    }
-
-    /// Non-blocking receive regardless of virtual arrival time (tests).
     pub fn try_recv(&mut self) -> Result<Option<Message>, NetError> {
-        self.try_recv_arrived(f64::INFINITY)
+        self.ingest_arrived()?;
+        Ok(self.pop_earliest())
     }
 
     /// Whether the transport knows `peer` has left the mesh for good
@@ -476,35 +475,106 @@ impl Endpoint {
         self.wire.peer_gone(peer)
     }
 
-    /// Receive with a real-time deadline — the watchdog against protocol
-    /// hangs: even if every peer died without a trace, the receiver
-    /// surfaces [`NetError::Deadline`] instead of blocking forever.
+    /// [`Endpoint::recv`] with a real-time deadline — the watchdog against
+    /// protocol hangs: even if every peer died without a trace, the
+    /// receiver surfaces [`NetError::Deadline`] instead of blocking
+    /// forever.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Message, NetError> {
         let start = Instant::now();
         loop {
-            if let Some(msg) = self.pop_pending(f64::INFINITY) {
+            if let Some(msg) = self.pop_earliest() {
                 return Ok(msg);
             }
-            let remaining = timeout
-                .checked_sub(start.elapsed())
-                .ok_or(NetError::Deadline {
-                    waited_ms: timeout.as_millis() as u64,
-                })?;
-            match self.wire.recv_deadline(remaining) {
-                Ok(msg) => self.ingest(msg),
-                Err(NetError::Deadline { .. }) => {
-                    return Err(NetError::Deadline {
-                        waited_ms: timeout.as_millis() as u64,
-                    })
-                }
-                Err(other) => return Err(other),
+            self.ingest_one(start, timeout)?;
+        }
+    }
+
+    /// Receive the next message **from `sender`**, in the order it sent
+    /// them: the front of that sender's queue, waiting on the wire — and
+    /// filing what other senders deliver meanwhile in theirs — until
+    /// there is one. What a receiver built on this consumes, and when on
+    /// its clock, is a function of what was sent, not of how the senders'
+    /// threads interleaved.
+    ///
+    /// One exception to the order: an arrived `Abort`, from `sender` or
+    /// anyone else, is returned ahead of everything. Failure propagation
+    /// is about real execution; it must not wait behind a stream, let
+    /// alone behind a sender that will never finish one.
+    ///
+    /// `timeout` bounds the whole call in real time, however much other
+    /// senders deliver meanwhile ([`NetError::Deadline`]).
+    pub fn recv_from(&mut self, sender: usize, timeout: Duration) -> Result<Message, NetError> {
+        if let Some(msg) = self.next_from(sender) {
+            return Ok(msg);
+        }
+        let start = Instant::now();
+        loop {
+            // One wake-up files the whole arrived backlog.
+            self.ingest_one(start, timeout)?;
+            self.ingest_arrived()?;
+            if let Some(msg) = self.next_from(sender) {
+                return Ok(msg);
             }
         }
     }
 
+    /// What [`Endpoint::recv_from`] delivers from the queues as they are.
+    fn next_from(&mut self, sender: usize) -> Option<Message> {
+        if let Some(abort) = self.take_signal(is_abort) {
+            return Some(abort);
+        }
+        let msg = self.inbox[sender].pop_front()?;
+        Some(self.delivered(msg))
+    }
+
+    /// File what the wire has delivered, then take out of the queues the
+    /// first control message other than `EndOfStream` — sender-major,
+    /// wherever in its sender's queue it sits — that has *virtually
+    /// arrived* by `now_ms`. Data pages and stream ends stay queued for
+    /// whoever consumes the streams (the Adaptive Repartitioning scan
+    /// polls this way for `EndOfPhase` while partitioning).
+    ///
+    /// A poll must not see the future: a message whose send completes at
+    /// virtual time `T > now_ms` has not arrived yet and stays where it
+    /// is. Without this rule, polls would Lamport-drag every clock forward
+    /// in a feedback loop and inflate elapsed times cluster-wide. `Abort`
+    /// is exempt, as in [`Endpoint::recv_from`].
+    pub fn poll_control(&mut self, now_ms: f64) -> Result<Option<Message>, NetError> {
+        self.ingest_arrived()?;
+        Ok(self.take_signal(|m| m.sent_at_ms <= now_ms || is_abort(m)))
+    }
+
+    /// Block on the wire for one arrival, within what is left of
+    /// `timeout` since `start`, and file it.
+    fn ingest_one(&mut self, start: Instant, timeout: Duration) -> Result<(), NetError> {
+        let deadline = NetError::Deadline {
+            waited_ms: timeout.as_millis() as u64,
+        };
+        let Some(remaining) = timeout.checked_sub(start.elapsed()) else {
+            return Err(deadline);
+        };
+        match self.wire.recv_deadline(remaining) {
+            Ok(msg) => {
+                self.ingest(msg);
+                Ok(())
+            }
+            Err(NetError::Deadline { .. }) => Err(deadline),
+            Err(other) => Err(other),
+        }
+    }
+
+    /// File everything the wire has already delivered, without blocking.
+    fn ingest_arrived(&mut self) -> Result<(), NetError> {
+        while let Some(msg) = self.wire.try_recv()? {
+            self.ingest(msg);
+        }
+        Ok(())
+    }
+
     /// Feed a raw wire arrival through per-sender dedup + reassembly.
     /// In-sequence messages (and any out-of-order successors they
-    /// unblock) land in `pending`; duplicates are dropped; gaps wait.
+    /// unblock) are filed in their sender's queue; duplicates are
+    /// dropped; gaps wait.
     fn ingest(&mut self, msg: Message) {
         let from = msg.from;
         let expected = &mut self.expected_seq[from];
@@ -518,52 +588,74 @@ impl Endpoint {
             }
             std::cmp::Ordering::Equal => {
                 *expected += 1;
-                self.pending.push_back(msg);
+                self.file(msg);
                 while let Some(next) = self.ooo[from].remove(&self.expected_seq[from]) {
                     self.expected_seq[from] += 1;
-                    self.pending.push_back(next);
+                    self.file(next);
                 }
             }
         }
     }
 
-    /// Pop the earliest-timestamped pending message that arrived by
-    /// `deadline_ms`. Abort notifications are exempt from the deadline:
-    /// failure propagation is about real execution, not simulated time, so
-    /// a poll must see an abort even when its virtual timestamp is ahead
-    /// of the polling node's clock.
-    fn pop_pending(&mut self, deadline_ms: f64) -> Option<Message> {
-        let idx = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| {
-                m.sent_at_ms <= deadline_ms
-                    || matches!(&m.payload, Payload::Control(Control::Abort { .. }))
-            })
-            .min_by(|(_, a), (_, b)| {
-                // Tie-break equal timestamps by (sender, seq), not queue
-                // position: queue order reflects real arrival
-                // interleaving across senders, and delivering on it
-                // makes virtual time scheduling-dependent (ULP-level
-                // drift in float accumulation order under load).
-                a.sent_at_ms
-                    .total_cmp(&b.sent_at_ms)
-                    .then_with(|| a.from.cmp(&b.from))
-                    .then_with(|| a.seq.cmp(&b.seq))
-            })
-            .map(|(i, _)| i)?;
-        let msg = self.pending.remove(idx).expect("index valid");
-        self.note_received(&msg);
-        Some(msg)
+    fn file(&mut self, msg: Message) {
+        self.signals += usize::from(is_signal(&msg));
+        self.inbox[msg.from].push_back(msg);
     }
 
-    fn note_received(&mut self, msg: &Message) {
+    /// Account for a message leaving the queues.
+    fn delivered(&mut self, msg: Message) -> Message {
+        self.signals -= usize::from(is_signal(&msg));
         match &msg.payload {
             Payload::Data { page, .. } => self.stats.on_recv_data(page.tuple_count()),
             Payload::Control(_) => self.stats.control_received += 1,
         }
+        msg
     }
+
+    /// Pop the queue head with the earliest `(sent_at_ms, from, seq)`.
+    /// Equal timestamps fall to the lower sender, not to whichever
+    /// arrived first: arrival interleaving across senders is the thread
+    /// schedule's, and delivering on it would imprint the schedule on the
+    /// receiver's clock.
+    fn pop_earliest(&mut self) -> Option<Message> {
+        let heads = self.inbox.iter().filter_map(|q| q.front());
+        let from = heads
+            .min_by(|a, b| a.sent_at_ms.total_cmp(&b.sent_at_ms).then(a.from.cmp(&b.from)))?
+            .from;
+        let msg = self.inbox[from].pop_front().expect("a head was found");
+        Some(self.delivered(msg))
+    }
+
+    /// Take out the first queued signal (see [`is_signal`]) `wanted`
+    /// accepts, sender-major. `signals` makes the common case — none
+    /// queued — free of any walk over the queues.
+    fn take_signal(&mut self, wanted: impl Fn(&Message) -> bool) -> Option<Message> {
+        if self.signals == 0 {
+            return None;
+        }
+        for from in 0..self.nodes {
+            let at = self.inbox[from].iter().position(|m| is_signal(m) && wanted(m));
+            if let Some(at) = at {
+                let msg = self.inbox[from].remove(at).expect("position is in range");
+                return Some(self.delivered(msg));
+            }
+        }
+        None
+    }
+}
+
+/// A control message that is not part of a data stream: everything but
+/// `EndOfStream`. Rare, and the only messages ever taken out of a queue
+/// from anywhere but its front.
+fn is_signal(msg: &Message) -> bool {
+    !matches!(
+        msg.payload,
+        Payload::Data { .. } | Payload::Control(Control::EndOfStream)
+    )
+}
+
+fn is_abort(msg: &Message) -> bool {
+    matches!(msg.payload, Payload::Control(Control::Abort { .. }))
 }
 
 /// The fate the fault stream assigned to one send.
@@ -772,6 +864,131 @@ mod tests {
         }
         let seqs: Vec<u64> = (0..3).map(|_| b.recv().unwrap().seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "delivery must follow send order");
+    }
+
+    fn eps3() -> (Endpoint, Endpoint, Endpoint) {
+        let mut eps = Fabric::new(3, NetworkKind::high_speed_default()).into_endpoints();
+        let c = eps.pop().unwrap();
+        let b = eps.pop().unwrap();
+        (eps.pop().unwrap(), b, c)
+    }
+
+    const SOON: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn recv_from_follows_one_sender_and_queues_the_rest() {
+        let (mut a, mut b, mut c) = eps3();
+        // Interleaved on c's wire: a0 b0 a1 b1 a-eos b-eos.
+        for i in 0..2 {
+            a.send_data(2, DataKind::Raw, page_with(1 + i), i as f64).unwrap();
+            b.send_data(2, DataKind::Raw, page_with(5 + i), i as f64).unwrap();
+        }
+        a.send_control(2, Control::EndOfStream, 9.0).unwrap();
+        b.send_control(2, Control::EndOfStream, 0.0).unwrap();
+        // b's stream first although all of a's is older on the wire and
+        // a's end-of-stream is stamped later than b's.
+        let mut seen = Vec::new();
+        for sender in [1usize, 0] {
+            loop {
+                let msg = c.recv_from(sender, SOON).unwrap();
+                assert_eq!(msg.from, sender);
+                match msg.payload {
+                    Payload::Data { page, .. } => seen.push(page.tuple_count()),
+                    Payload::Control(Control::EndOfStream) => break,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert_eq!(seen, vec![5, 6, 1, 2]);
+        assert_eq!(c.stats().pages_received, 4);
+        assert_eq!(c.stats().control_received, 2);
+        assert!(c.try_recv().unwrap().is_none(), "nothing delivered twice");
+    }
+
+    #[test]
+    fn any_sender_receive_takes_the_earliest_head() {
+        let (mut a, mut b, mut c) = eps3();
+        b.send_control(2, Control::EndOfStream, 3.0).unwrap();
+        a.send_control(2, Control::EndOfStream, 3.0).unwrap();
+        b.send_control(2, Control::EndOfStream, 1.0).unwrap();
+        a.send_control(2, Control::EndOfStream, 2.0).unwrap();
+        c.ingest_arrived().unwrap();
+        // Heads tie at 3.0: the lower sender wins; then per-link order
+        // holds b's 1.0 behind b's 3.0.
+        let order: Vec<(usize, f64)> = (0..4)
+            .map(|_| c.recv().map(|m| (m.from, m.sent_at_ms)).unwrap())
+            .collect();
+        assert_eq!(order, vec![(0, 3.0), (0, 2.0), (1, 3.0), (1, 1.0)]);
+    }
+
+    fn abort_from(origin: usize) -> Control {
+        Control::Abort {
+            origin,
+            reason: "test".into(),
+        }
+    }
+
+    #[test]
+    fn abort_overtakes_for_recv_from_but_keeps_link_order_otherwise() {
+        let (mut a, mut b, mut c) = eps3();
+        a.send_data(2, DataKind::Raw, page_with(1), 0.0).unwrap();
+        b.send_data(2, DataKind::Raw, page_with(1), 0.0).unwrap();
+        b.send_control(2, abort_from(1), 1000.0).unwrap();
+        // Waiting on a, which still has a page queued: b's abort is
+        // delivered first, from behind b's own page.
+        let msg = c.recv_from(0, SOON).unwrap();
+        assert_eq!((msg.from, msg.payload), (1, Payload::Control(abort_from(1))));
+        assert!(c.recv_from(0, SOON).unwrap().payload.is_data());
+
+        // The any-sender receive leaves an abort in its place on the
+        // link (the job protocol's ack barrier relies on per-link order).
+        b.send_control(2, abort_from(1), 0.0).unwrap();
+        assert!(c.recv().unwrap().payload.is_data(), "b's page precedes b's abort");
+        assert_eq!(c.recv().unwrap().payload, Payload::Control(abort_from(1)));
+    }
+
+    #[test]
+    fn recv_from_deadline_is_not_reset_by_other_senders() {
+        let (_a, mut b, mut c) = eps3();
+        let chatter = std::thread::spawn(move || {
+            for i in 0..40 {
+                b.send_data(2, DataKind::Raw, page_with(1), i as f64).unwrap();
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        // a is silent; b delivers every 5 ms for 200 ms.
+        assert_eq!(
+            c.recv_from(0, Duration::from_millis(60)),
+            Err(NetError::Deadline { waited_ms: 60 })
+        );
+        chatter.join().unwrap();
+        // Nothing b sent was lost to the failed wait.
+        let queued = (0..40).filter(|_| c.recv_from(1, SOON).is_ok()).count();
+        assert_eq!(queued, 40);
+    }
+
+    #[test]
+    fn poll_control_takes_arrived_controls_and_leaves_the_streams() {
+        let (mut a, mut b, mut c) = eps3();
+        let phase = |groups_seen| Control::EndOfPhase { groups_seen };
+        a.send_data(2, DataKind::Raw, page_with(3), 0.0).unwrap();
+        a.send_control(2, phase(7), 4.0).unwrap();
+        a.send_control(2, Control::EndOfStream, 5.0).unwrap();
+        b.send_control(2, phase(8), 50.0).unwrap();
+        // At t = 10 a's EndOfPhase has arrived, from behind a data page;
+        // b's (t = 50) has not, and stream traffic is not a poll's.
+        let msg = c.poll_control(10.0).unwrap().expect("a's EndOfPhase");
+        assert_eq!((msg.from, msg.payload), (0, Payload::Control(phase(7))));
+        assert!(c.poll_control(10.0).unwrap().is_none());
+        assert_eq!(c.stats().pages_received, 0, "the page stays queued");
+        assert_eq!(c.poll_control(50.0).unwrap().unwrap().from, 1);
+        // An abort is seen whatever its stamp.
+        b.send_control(2, abort_from(1), 1e9).unwrap();
+        assert_eq!(c.poll_control(0.0).unwrap().unwrap().payload, Payload::Control(abort_from(1)));
+        // What is left is a's stream, in order.
+        assert!(c.recv_from(0, SOON).unwrap().payload.is_data());
+        assert_eq!(c.recv_from(0, SOON).unwrap().payload, Payload::Control(Control::EndOfStream));
+        assert!(c.try_recv().unwrap().is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   only per-page latency (IBM SP-2-like), [`NetworkKind::SharedBus`]
 //!   serializes all transfers on one shared medium (10 Mbit Ethernet-like),
 //!   which is exactly the paper's "sequential resource" model.
-//! * [`Fabric`] / [`Endpoint`] — N×N crossbeam channels; each node thread
+//! * [`Fabric`] / [`Endpoint`] — N×N `std::sync::mpsc` channels; each node thread
 //!   owns one endpoint. Every message carries the sender's virtual-time
 //!   send-completion timestamp; receivers advance their clocks to at least
 //!   that value (Lamport), so waiting-for-data shows up in elapsed virtual
@@ -49,5 +49,13 @@ pub use tcp::{loopback_endpoints, TcpConfig, TcpTransport};
 pub use transport::{ChannelTransport, SendFailure, Transport, TransportKind};
 
 pub use adaptagg_model::NetworkKind;
+
+/// Lock `mutex`, ignoring poisoning: what the locks in this crate guard (the
+/// bus ledger, socket slots) stays consistent if a holder panicked, and a
+/// second panic on the node threads that survive would only hide the first.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Re-export: message pages are storage pages with a 2 KB capacity.
 pub use adaptagg_storage::Page;

@@ -27,9 +27,9 @@
 //! whose virtual times genuinely overlap, which is what the paper's
 //! "sequential resource" means.
 
+use crate::lock;
 use adaptagg_model::NetworkKind;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Busy intervals, sorted and disjoint.
 #[derive(Debug, Default)]
@@ -110,7 +110,7 @@ impl Network {
         match self.kind {
             NetworkKind::HighSpeed { .. } => now_ms + span,
             NetworkKind::SharedBus { .. } => {
-                let mut bus = self.bus.lock();
+                let mut bus = lock(&self.bus);
                 bus.book(now_ms, span) + span
             }
         }
@@ -119,7 +119,7 @@ impl Network {
     /// Total time the shared medium has been occupied (0 for the
     /// high-speed model). Useful for utilization reports.
     pub fn total_busy_ms(&self) -> f64 {
-        self.bus.lock().total_busy_ms
+        lock(&self.bus).total_busy_ms
     }
 }
 
@@ -219,6 +219,6 @@ mod tests {
         for _ in 0..1000 {
             net.transfer(0.0, 1);
         }
-        assert_eq!(net.bus.lock().intervals.len(), 1, "coalescing failed");
+        assert_eq!(lock(&net.bus).intervals.len(), 1, "coalescing failed");
     }
 }

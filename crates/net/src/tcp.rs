@@ -32,15 +32,15 @@ use crate::error::NetError;
 use crate::fabric::Endpoint;
 use crate::fault::{FaultPlan, SplitMix64};
 use crate::frame::{read_frame, write_frame, WireFrame};
+use crate::lock;
 use crate::message::Message;
 use crate::network::Network;
 use crate::transport::{SendFailure, Transport};
 use adaptagg_model::NetworkKind;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -221,7 +221,7 @@ impl TcpTransport {
         assert!(node < nodes, "node id {node} out of range for {nodes} nodes");
         let listen_addr = listener.local_addr().map_err(io_err("local_addr"))?;
         let shared = Arc::new(Shared::new(node, nodes));
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = channel();
         let mut transport = TcpTransport {
             shared: Arc::clone(&shared),
             peer_addrs,
@@ -244,7 +244,7 @@ impl TcpTransport {
         for peer in 0..nodes {
             if peer != node {
                 let stream = transport.dial(peer)?;
-                *shared.outbound[peer].lock() = Some(stream);
+                *lock(&shared.outbound[peer]) = Some(stream);
             }
         }
 
@@ -352,7 +352,7 @@ impl Transport for TcpTransport {
             // Self-send: loop straight back through the event queue.
             return match self.events_tx.send(Event::Msg(msg)) {
                 Ok(()) => Ok(()),
-                Err(crossbeam::channel::SendError(Event::Msg(msg))) => Err(SendFailure {
+                Err(SendError(Event::Msg(msg))) => Err(SendFailure {
                     msg: Box::new(msg),
                     err: NetError::Disconnected,
                 }),
@@ -368,7 +368,7 @@ impl Transport for TcpTransport {
         }
         let frame = WireFrame::Msg(msg);
         {
-            let mut guard = self.shared.outbound[to].lock();
+            let mut guard = lock(&self.shared.outbound[to]);
             if let Some(stream) = guard.as_mut() {
                 if write_frame(stream, &frame).is_ok() {
                     return Ok(());
@@ -381,7 +381,7 @@ impl Transport for TcpTransport {
         if let Ok(mut stream) = self.dial(to) {
             // Replay the frame the broken connection may have lost.
             if write_frame(&mut stream, &frame).is_ok() {
-                *self.shared.outbound[to].lock() = Some(stream);
+                *lock(&self.shared.outbound[to]) = Some(stream);
                 return Ok(());
             }
         }
@@ -471,7 +471,7 @@ impl Drop for TcpTransport {
             if peer == self.shared.node {
                 continue;
             }
-            let mut guard = self.shared.outbound[peer].lock();
+            let mut guard = lock(&self.shared.outbound[peer]);
             if let Some(stream) = guard.as_mut() {
                 let _ = write_frame(
                     stream,
@@ -486,7 +486,7 @@ impl Drop for TcpTransport {
         // Wake blocked readers (they see shutdown and exit silently) and
         // the accept loop (a throwaway connection to ourselves).
         for slot in &self.shared.inbound {
-            if let Some(stream) = slot.lock().as_ref() {
+            if let Some(stream) = lock(slot).as_ref() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
         }
@@ -540,7 +540,7 @@ fn spawn_accept_thread(
             // one: bump the generation so the stale reader's EOF is not
             // mistaken for a death.
             let generation = shared.conn_gen[peer].fetch_add(1, Ordering::SeqCst) + 1;
-            *shared.inbound[peer].lock() = stream.try_clone().ok();
+            *lock(&shared.inbound[peer]) = stream.try_clone().ok();
             if !shared.inbound_seen[peer].swap(true, Ordering::SeqCst) {
                 shared.inbound_count.fetch_add(1, Ordering::SeqCst);
             }
@@ -618,7 +618,7 @@ fn spawn_heartbeat_thread(
                     continue;
                 }
                 {
-                    let mut guard = shared.outbound[peer].lock();
+                    let mut guard = lock(&shared.outbound[peer]);
                     if let Some(stream) = guard.as_mut() {
                         let beat = WireFrame::Heartbeat {
                             node: shared.node as u32,
@@ -709,7 +709,7 @@ mod tests {
     fn sever(t: &TcpTransport) {
         t.shared.shutdown.store(true, Ordering::SeqCst);
         for slot in t.shared.outbound.iter().chain(t.shared.inbound.iter()) {
-            if let Some(s) = slot.lock().as_ref() {
+            if let Some(s) = lock(slot).as_ref() {
                 let _ = s.shutdown(Shutdown::Both);
             }
         }

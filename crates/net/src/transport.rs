@@ -6,7 +6,7 @@
 //! that physically moves bytes. Two backends implement it:
 //!
 //! * [`ChannelTransport`] — the in-process fabric: one unbounded
-//!   crossbeam channel per node, loss-free and ordered. This is the
+//!   `std::sync::mpsc` channel per node, loss-free and ordered. This is the
 //!   deterministic testing backend.
 //! * [`crate::tcp::TcpTransport`] — length-prefixed frames over real
 //!   sockets, with heartbeat-based failure detection and reconnection.
@@ -18,14 +18,14 @@
 
 use crate::error::NetError;
 use crate::message::Message;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// Which wire a cluster run uses. Carried by the execution layer's
 /// cluster config so every test suite can parameterize its backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// The deterministic in-process fabric (crossbeam channels).
+    /// The deterministic in-process fabric (`std::sync::mpsc` channels).
     #[default]
     InProcess,
     /// Real TCP sockets over 127.0.0.1, one OS-level connection per
@@ -113,7 +113,7 @@ impl ChannelTransport {
     /// node, in node order.
     pub fn mesh(n: usize) -> Vec<ChannelTransport> {
         let (senders, receivers): (Vec<Sender<Message>>, Vec<Receiver<Message>>) =
-            (0..n).map(|_| unbounded()).unzip();
+            (0..n).map(|_| channel()).unzip();
         receivers
             .into_iter()
             .enumerate()

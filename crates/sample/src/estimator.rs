@@ -1,20 +1,8 @@
-//! Group counting over samples.
-
-use adaptagg_model::{AggQuery, GroupKey, ModelError, Value};
-use std::collections::HashSet;
-
-/// Count the distinct group keys in a sample. This is an exact count *of
-/// the sample* and therefore a **lower bound** on the relation's group
-/// count — exactly the property §3.1 relies on: if the sample already
-/// shows at least `threshold` groups, the relation certainly has that
-/// many and Repartitioning is safe.
-pub fn distinct_groups(query: &AggQuery, sample: &[Vec<Value>]) -> Result<u64, ModelError> {
-    let mut seen: HashSet<GroupKey> = HashSet::with_capacity(sample.len());
-    for values in sample {
-        seen.insert(query.key_of_values(values)?);
-    }
-    Ok(seen.len() as u64)
-}
+//! The sample-size rule. (The sample's distinct groups are counted where
+//! its keys are — a set on either side of the Sampling algorithm's key
+//! exchange, in `adaptagg-algos` — and the count is exact *for the
+//! sample*, hence a **lower bound** on the relation's: §3.1's property
+//! that a sample showing `threshold` groups makes Repartitioning safe.)
 
 /// The sample size needed to decide a crossover threshold reliably.
 ///
@@ -32,49 +20,6 @@ pub fn required_sample_size(crossover_threshold: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptagg_model::{AggFunc, AggSpec};
-
-    fn query() -> AggQuery {
-        AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)])
-    }
-
-    fn rows(groups: &[i64]) -> Vec<Vec<Value>> {
-        groups
-            .iter()
-            .map(|&g| vec![Value::Int(g), Value::Int(1)])
-            .collect()
-    }
-
-    #[test]
-    fn counts_distinct_keys() {
-        let sample = rows(&[1, 2, 2, 3, 1, 1]);
-        assert_eq!(distinct_groups(&query(), &sample).unwrap(), 3);
-    }
-
-    #[test]
-    fn empty_sample_has_zero_groups() {
-        assert_eq!(distinct_groups(&query(), &[]).unwrap(), 0);
-    }
-
-    #[test]
-    fn multi_column_keys() {
-        let q = AggQuery::distinct(vec![0, 1]);
-        let sample = vec![
-            vec![Value::Int(1), Value::Int(1)],
-            vec![Value::Int(1), Value::Int(2)],
-            vec![Value::Int(1), Value::Int(1)],
-        ];
-        assert_eq!(distinct_groups(&q, &sample).unwrap(), 2);
-    }
-
-    #[test]
-    fn lower_bound_property() {
-        // The sample's distinct count never exceeds the relation's.
-        let relation: Vec<i64> = (0..1000).map(|i| i % 57).collect();
-        let sample_rows = rows(&relation[..100]);
-        let d = distinct_groups(&query(), &sample_rows).unwrap();
-        assert!(d <= 57);
-    }
 
     #[test]
     fn sample_size_rule() {
@@ -83,11 +28,5 @@ mod tests {
         // The paper's example: 32 processors × 10 → threshold 320 →
         // ~3K samples, "less than 1% of any reasonably sized relation".
         assert!(required_sample_size(320) < 8_000_000 / 100);
-    }
-
-    #[test]
-    fn bad_column_errors() {
-        let q = AggQuery::distinct(vec![5]);
-        assert!(distinct_groups(&q, &rows(&[1])).is_err());
     }
 }

@@ -5,10 +5,10 @@
 //! * [`pagesample`] — page-level random sampling from a node's partition
 //!   ("letting each node randomly sample relation pages on its local
 //!   disk"), charging random-I/O (`rIO`) per sampled page;
-//! * [`estimator`] — count distinct groups in the sample, which is a
-//!   **lower bound** on the relation's group count, and the Erdős–Rényi
-//!   sample-size rule ("the number of samples required is fairly small —
-//!   about 10 times the crossover threshold");
+//! * [`estimator`] — the Erdős–Rényi sample-size rule ("the number of
+//!   samples required is fairly small — about 10 times the crossover
+//!   threshold"); the sample's distinct group count it is sized for is a
+//!   **lower bound** on the relation's;
 //! * [`decision`] — the crossover rule: groups in sample below the
 //!   threshold → Two Phase, otherwise → Repartitioning. The default
 //!   threshold is "say, 10 times the number of processors".
@@ -22,5 +22,5 @@ pub mod estimator;
 pub mod pagesample;
 
 pub use decision::{AlgorithmChoice, CrossoverRule};
-pub use estimator::{distinct_groups, required_sample_size};
+pub use estimator::required_sample_size;
 pub use pagesample::sample_tuples;

@@ -226,9 +226,10 @@ fn resident_group_updates_do_not_allocate() {
         let mut pass = |ctx: &mut NodeCtx| {
             let before = (ctx.net_stats().pages_sent(), ex.routed());
             for start in (0..pages).step_by(8) {
+                let sent = ctx.net_stats().pages_sent();
                 assert!(scan.run(ctx, &file, start, (start + 8).min(pages), &mut ex).unwrap());
-                while let Some(msg) = ctx.try_recv().unwrap() {
-                    if let Payload::Data { page, .. } = msg.payload {
+                for _ in sent..ctx.net_stats().pages_sent() {
+                    if let Payload::Data { page, .. } = ctx.recv_from(0).unwrap().payload {
                         ctx.page_pool.put(page);
                     }
                 }

@@ -105,21 +105,22 @@ fn every_schedule_is_exact_or_cleanly_failed() {
 /// error (same variant, node, and tuple position) on failure. This is
 /// what makes a chaos failure debuggable — replay the seed.
 ///
-/// Outcome, not timing: the fault *schedule* is seed-exact (per-link
-/// RNG streams drawn in sender order), but a receiver observes message
-/// timestamps in physical-arrival order, so the interleaving of
-/// `Clock::observe` with local cost recording — and hence the exact
-/// virtual clock readings — can vary run to run once link faults skew
-/// timestamps. Results and failure attribution never depend on that
-/// interleaving; clock readings can. The zero-cost test below pins
-/// timings exactly for the fault-free case.
+/// And timing, where the schedule crashes nobody (seeds 20 and 26: link
+/// faults only; 19: with slowed-down nodes): drop, dup and reorder are
+/// drawn per link in sender order and the reliability layer hands each
+/// link's messages over in send order, so a receiver that consumes its
+/// streams in logical order reads the same clocks under any thread
+/// schedule that delivers everything — every node's, to the bit. (A-Rep
+/// outside fallback only: *when* a peer's `EndOfPhase` is seen is
+/// physically timed.)
 #[test]
 fn chaos_outcomes_are_deterministic_per_seed() {
     let spec = RelationSpec::uniform(TUPLES, GROUPS);
     let parts = generate_partitions(&spec, NODES);
     let query = default_query();
 
-    for seed in [3u64, 7, 11, 19, 23] {
+    let mut timed_under_link_faults = 0;
+    for seed in [3u64, 7, 11, 19, 20, 23, 26] {
         let plan = FaultPlan::random(seed, NODES);
         for kind in SIX {
             let once = run_algorithm(kind, &chaos_config(plan.clone()), &parts, &query);
@@ -127,6 +128,19 @@ fn chaos_outcomes_are_deterministic_per_seed() {
             match (once, twice) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.rows, b.rows, "{kind} seed {seed}: rows differ");
+                    let fell_back = kind == AlgorithmKind::AdaptiveRepartitioning
+                        && !(a.adapted_nodes().is_empty() && b.adapted_nodes().is_empty());
+                    if !plan.has_crash() && !fell_back {
+                        timed_under_link_faults += usize::from(plan.link_faults().any());
+                        for (na, nb) in a.run.per_node.iter().zip(&b.run.per_node) {
+                            assert_eq!(
+                                na.clock_ms.to_bits(),
+                                nb.clock_ms.to_bits(),
+                                "{kind} seed {seed}: node {} clock differs",
+                                na.node
+                            );
+                        }
+                    }
                 }
                 (Err(a), Err(b)) => {
                     assert_eq!(a, b, "{kind} seed {seed}: errors differ");
@@ -139,6 +153,7 @@ fn chaos_outcomes_are_deterministic_per_seed() {
             }
         }
     }
+    assert_eq!(timed_under_link_faults, 3 * SIX.len(), "seeds 19, 20, 26, every algorithm");
 }
 
 /// Link noise alone (no crashes) on a run big enough to exercise paging,
@@ -172,34 +187,17 @@ fn link_noise_preserves_exactness_and_is_visible_in_stats() {
 }
 
 /// A disabled fault plan is free: same rows, same traffic counters, and
-/// virtual timings equal to far below any fault's cost, compared with a
-/// config that never heard of fault injection (`ClusterConfig::new`
-/// defaults to `FaultPlan::none()`).
-///
-/// Two caveats keep this honest about *pre-existing* run-to-run jitter
-/// that has nothing to do with the fault layer (the per-message
-/// zero-draw property is unit-tested bitwise in `net::fabric`):
-/// timings are compared within 1e-6 ms, because a receiver observes
-/// message timestamps in physical-arrival order and that interleaving
-/// perturbs float summation in the last bits between *any* two runs;
-/// and Sampling and Adaptive Repartitioning are excluded from the
-/// timing check entirely, because their mid-run waits (the sampling
-/// decision, the fallback poll) buffer racing traffic in
-/// arrival-dependent order, which legitimately shifts their Lamport
-/// bookkeeping by whole milliseconds between any two runs — results
-/// and traffic stay exact.
+/// every node's virtual clock equal to the bit, compared with a config
+/// that never heard of fault injection (`ClusterConfig::new` defaults to
+/// `FaultPlan::none()`). All six: receivers consume their streams in
+/// logical order, so nothing but the fault layer could tell the two runs
+/// apart (120 groups: A-Rep does not fall back here, asserted).
 #[test]
 fn disabled_fault_injection_is_zero_cost() {
     let spec = RelationSpec::uniform(TUPLES, GROUPS);
     let parts = generate_partitions(&spec, NODES);
     let query = default_query();
 
-    let timing_stable: [AlgorithmKind; 4] = [
-        AlgorithmKind::CentralizedTwoPhase,
-        AlgorithmKind::TwoPhase,
-        AlgorithmKind::Repartitioning,
-        AlgorithmKind::AdaptiveTwoPhase,
-    ];
     for kind in SIX {
         let default_cfg = ClusterConfig::new(NODES, CostParams::paper_default());
         let explicit_none = chaos_config(FaultPlan::none());
@@ -209,19 +207,15 @@ fn disabled_fault_injection_is_zero_cost() {
         for (na, nb) in a.run.per_node.iter().zip(&b.run.per_node) {
             assert_eq!(na.net, nb.net, "{kind}: traffic counters changed");
         }
-        if !timing_stable.contains(&kind) {
-            continue;
+        if kind == AlgorithmKind::AdaptiveRepartitioning {
+            assert!(a.adapted_nodes().is_empty() && b.adapted_nodes().is_empty());
         }
-        assert!(
-            (a.elapsed_ms() - b.elapsed_ms()).abs() < 1e-6,
-            "{kind}: timing changed ({} vs {})",
-            a.elapsed_ms(),
-            b.elapsed_ms()
-        );
         for (na, nb) in a.run.per_node.iter().zip(&b.run.per_node) {
-            assert!(
-                (na.clock_ms - nb.clock_ms).abs() < 1e-6,
-                "{kind}: node clock changed ({} vs {})",
+            assert_eq!(
+                na.clock_ms.to_bits(),
+                nb.clock_ms.to_bits(),
+                "{kind}: node {} clock changed ({} vs {})",
+                na.node,
                 na.clock_ms,
                 nb.clock_ms
             );

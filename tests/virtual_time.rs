@@ -2,6 +2,7 @@
 //! the way the paper's analysis says they order, and the accounting
 //! itself must be internally consistent.
 
+use adaptagg::net::TransportKind;
 use adaptagg::prelude::*;
 
 fn run(
@@ -58,32 +59,41 @@ fn shared_bus_is_slower_than_fast_network_for_repartitioning() {
     assert_eq!(fast.run.bus_busy_ms, 0.0);
 }
 
+/// Every node's final clock, to the bit.
+fn clock_bits(out: &RunOutcome) -> Vec<u64> {
+    out.run.per_node.iter().map(|r| r.clock_ms.to_bits()).collect()
+}
+
 #[test]
 fn virtual_time_is_deterministic_for_static_algorithms() {
-    let spec = RelationSpec::uniform(10_000, 700);
-    let parts = generate_partitions(&spec, 4);
-    for kind in [
-        AlgorithmKind::CentralizedTwoPhase,
-        AlgorithmKind::TwoPhase,
-        AlgorithmKind::Repartitioning,
-    ] {
-        let a = run(kind, &parts, 4, CostParams::paper_default());
-        let b = run(kind, &parts, 4, CostParams::paper_default());
-        assert_eq!(
-            a.elapsed_ms(),
-            b.elapsed_ms(),
-            "{kind} virtual time not reproducible"
-        );
-        for (x, y) in a.run.per_node.iter().zip(&b.run.per_node) {
-            assert_eq!(x.clock_ms, y.clock_ms, "{kind} node clock differs");
+    // All nine, at the paper's width: every receive consumes its streams
+    // in logical order, so on a contention-free network no node's clock
+    // can tell one thread schedule from another. (3000 groups: A-Rep's
+    // census sees plenty and no node falls back — the fallback *instant*
+    // is the one physically timed event, DESIGN.md §3.)
+    let spec = RelationSpec::uniform(40_000, 3_000);
+    let parts = generate_partitions(&spec, 8);
+    for kind in AlgorithmKind::ALL {
+        let first = run(kind, &parts, 8, CostParams::paper_default());
+        assert_eq!(first.rows.len(), 3_000);
+        if kind == AlgorithmKind::AdaptiveRepartitioning {
+            assert!(first.adapted_nodes().is_empty(), "A-Rep must not fall back here");
+        }
+        for rerun in 1..12 {
+            let again = run(kind, &parts, 8, CostParams::paper_default());
+            assert_eq!(
+                clock_bits(&again),
+                clock_bits(&first),
+                "{kind}: run {rerun} read different node clocks"
+            );
         }
     }
 
     // Sampling's traffic is a function of the data as well: the sample
     // keys leave each node in key order, so with keys 1..40 bytes wide the
     // same message pages seal in every run, not the pages a hash set's
-    // iteration order happened to fill. (Clock bits are not asserted: the
-    // coordinator's key merge is arrival-ordered.)
+    // iteration order happened to fill — and the coordinator merges them
+    // sender by sender, so the clocks repeat too.
     let parts: Vec<adaptagg::storage::HeapFile> = (0..3)
         .map(|node| {
             let mut file = adaptagg::storage::HeapFile::new(4096);
@@ -101,15 +111,40 @@ fn virtual_time_is_deterministic_for_static_algorithms() {
         ..CostParams::paper_default()
     };
     let config = ClusterConfig::new(3, params);
-    let traffic = || -> Vec<(u64, u64)> {
+    let traffic_and_clocks = || -> (Vec<(u64, u64)>, Vec<u64>) {
         let out = run_algorithm(AlgorithmKind::Sampling, &config, &parts, &query).unwrap();
         assert_eq!(out.rows.len(), 900);
         let sent = out.run.per_node.iter().map(|r| (r.net.pages_sent(), r.net.bytes_sent));
-        sent.collect()
+        (sent.collect(), clock_bits(&out))
     };
-    let first = traffic();
+    let first = traffic_and_clocks();
     for run in 1..8 {
-        assert_eq!(traffic(), first, "Sampling run {run} sent different pages");
+        assert_eq!(traffic_and_clocks(), first, "Sampling run {run} differs");
+    }
+}
+
+#[test]
+fn virtual_time_is_the_same_over_channels_and_tcp() {
+    // The reliability layer, the inbox and the clocks sit above the wire:
+    // how a message travelled cannot show in any node's virtual time or
+    // traffic counters.
+    let spec = RelationSpec::uniform(12_000, 1_500);
+    let parts = generate_partitions(&spec, 3);
+    let over = |kind, transport| {
+        let config = ClusterConfig::new(3, CostParams::paper_default()).with_transport(transport);
+        run_algorithm(kind, &config, &parts, &default_query()).expect("run succeeds")
+    };
+    for kind in AlgorithmKind::ALL {
+        let channels = over(kind, TransportKind::InProcess);
+        let tcp = over(kind, TransportKind::TcpLoopback);
+        if kind == AlgorithmKind::AdaptiveRepartitioning {
+            assert!(channels.adapted_nodes().is_empty(), "A-Rep must not fall back here");
+        }
+        assert_eq!(tcp.rows, channels.rows, "{kind}");
+        assert_eq!(clock_bits(&tcp), clock_bits(&channels), "{kind}: node clocks");
+        for (t, c) in tcp.run.per_node.iter().zip(&channels.run.per_node) {
+            assert_eq!(t.net, c.net, "{kind}: node {} traffic", c.node);
+        }
     }
 }
 
