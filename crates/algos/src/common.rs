@@ -1,7 +1,7 @@
 //! Building blocks shared by all algorithms.
 
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
-use adaptagg_hashagg::{HashAggStats, HashAggregator};
+use adaptagg_hashagg::{DrainCause, HashAggStats, HashAggregator};
 use adaptagg_model::{AggQuery, DemoteCause, ResultRow, RowKind, StoreLayout};
 use adaptagg_net::Control;
 use adaptagg_sortagg::SortAggStats;
@@ -91,7 +91,9 @@ pub fn local_partial_aggregation(
 /// Feed one aggregation's [`HashAggStats`] into the node's trace metrics
 /// (no-op when tracing is disabled). Counters sum across the phases a
 /// node runs; the peak-resident and bytes-per-group gauges keep the
-/// maximum.
+/// maximum. `hashagg.overflow_pages{lane=batched}` counts the overflow
+/// bucket pages re-aggregated off their strips, `{lane=rows,cause=…}` the
+/// ones fed row by row, by [`DrainCause`].
 pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
     if ctx.trace.enabled() {
         trace_store(ctx, &stats.store);
@@ -103,6 +105,17 @@ pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
             .counter_add("hashagg.overflow_flushes", stats.overflow_buckets);
         ctx.trace
             .gauge_max("hashagg.peak_resident", stats.peak_resident as f64);
+        // Which lane the overflow buckets' pages went back into a table on
+        // (only what happened is named).
+        let mut pages = |counter, n| {
+            if n > 0 {
+                ctx.trace.counter_add(counter, n);
+            }
+        };
+        pages("hashagg.overflow_pages{lane=batched}", stats.overflow_pages_batched);
+        for cause in DrainCause::ALL {
+            pages(cause.counter(), stats.overflow_pages_rows[cause as usize]);
+        }
     }
 }
 

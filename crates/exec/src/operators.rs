@@ -334,16 +334,13 @@ where
 }
 
 /// Store finalized result rows into the node's `result` file, charging one
-/// sequential page write per result page.
+/// sequential page write per result page. Each row is appended cell by
+/// cell where it lies (key, then aggregates).
 pub fn store_results(ctx: &mut NodeCtx, rows: &[ResultRow]) -> Result<(), ExecError> {
     let page_bytes = ctx.params().page_bytes;
     let file = ctx.disk.get_or_create("result", page_bytes);
-    let mut values: Vec<Value> = Vec::new();
     for row in rows {
-        values.clear();
-        values.extend_from_slice(row.key.values());
-        values.extend_from_slice(&row.aggs);
-        file.append(&values)?;
+        file.append_row(row)?;
     }
     let pages = ctx.disk.get("result")?.page_count() as u64;
     // Charge all result pages once, at the end of the store (the file may
@@ -500,6 +497,38 @@ mod tests {
         let f = ctx.disk.get("result").unwrap();
         assert_eq!(f.tuple_count(), 100);
         assert!(ctx.clock.breakdown().io_ms > 0.0);
+    }
+
+    /// Rows appended where they lie fill the pages the flattened rows
+    /// would: byte-equal under `encode_into`, one page write each.
+    #[test]
+    fn stored_results_are_the_pages_of_their_flattened_rows() {
+        let rows: Vec<ResultRow> = (0..700i64)
+            .map(|i| {
+                let key = match i % 9 {
+                    4 => Value::Str(format!("k{i}").into()),
+                    _ => Value::Int(i),
+                };
+                let avg = if i % 5 == 0 { Value::Null } else { Value::Float(i as f64 / 3.0) };
+                ResultRow::new(GroupKey::new(vec![key]), vec![Value::Int(i * 10), avg])
+            })
+            .collect();
+        for rows in [&rows[..300], &rows[..]] {
+            let mut ctx = ctx_with_file(&[], 4096);
+            store_results(&mut ctx, rows).unwrap();
+            let flat = rows.iter().map(|r| r.clone().into_values()).collect::<Vec<_>>();
+            let expect = HeapFile::from_tuples(4096, flat.iter().map(Vec::as_slice)).unwrap();
+            let got = ctx.disk.get("result").unwrap();
+            assert_eq!(got.page_count(), expect.page_count());
+            for p in 0..got.page_count() {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                got.page(p).unwrap().encode_into(&mut a);
+                expect.page(p).unwrap().encode_into(&mut b);
+                assert_eq!(a, b, "page {p}");
+            }
+            let io = CostParams::paper_default().io_seq_ms * expect.page_count() as f64;
+            assert!((ctx.clock.breakdown().io_ms - io).abs() < 1e-9, "one write a page");
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! [`HashAggregator::finish_rows`]) or partial rows on pages (local phases:
 //! [`HashAggregator::finish_partials`]).
 
-use crate::overflow::OverflowSet;
+use crate::overflow::{drained_batch, untag_row, OverflowSet};
 use crate::stats::HashAggStats;
-use crate::table::{AggTable, Inserted};
-use adaptagg_model::{AggQuery, CostTracker, MemoryGrant, ResultRow, RowKind, Value};
+use crate::table::{AggTable, FullPolicy, Inserted};
+use adaptagg_model::{AggQuery, CostEvent, CostTracker, MemoryGrant, ResultRow, RowKind, Value};
 use adaptagg_storage::{BatchOutcome, Page, RowPages, ScanBatch, SpillFile, StorageError};
 
 /// Safety valve: beyond this overflow recursion depth the table is allowed
@@ -40,18 +40,33 @@ pub struct HashAggregator {
     stats: HashAggStats,
 }
 
-/// The first-pass table's `on_full`: spool the rejected row into the
-/// (lazily created) level-0 overflow set and carry on.
-fn spooler<'a, T: CostTracker>(
-    overflow: &'a mut Option<OverflowSet>,
+/// What a table of the aggregator does with a row it cannot hold: spool
+/// it into the overflow set of `level`, created on the first bounce, and
+/// carry on. A row bounced off a batch is spooled where it lies.
+struct Spool<'a> {
+    set: &'a mut Option<OverflowSet>,
+    level: u32,
     fanout: usize,
     page_bytes: usize,
-    query: &'a AggQuery,
-) -> impl FnMut(&mut T, RowKind, &[Value]) -> Result<bool, StorageError> + 'a {
-    move |tracker, kind, values| {
-        let set = overflow
-            .get_or_insert_with(|| OverflowSet::new(fanout, page_bytes, 0, query.group_by.len()));
-        set.spool(kind, values, tracker)?;
+    key_len: usize,
+}
+
+impl Spool<'_> {
+    fn set(&mut self) -> &mut OverflowSet {
+        self.set
+            .get_or_insert_with(|| OverflowSet::new(self.fanout, self.page_bytes, self.level, self.key_len))
+    }
+}
+
+impl<T: CostTracker> FullPolicy<T> for Spool<'_> {
+    fn bounce(
+        &mut self,
+        tracker: &mut T,
+        kind: RowKind,
+        batch: &ScanBatch<'_>,
+        r: usize,
+    ) -> Result<bool, StorageError> {
+        self.set().spool(kind, &batch.row(r), tracker)?;
         Ok(true)
     }
 }
@@ -117,6 +132,18 @@ impl HashAggregator {
         self.overflow.is_some()
     }
 
+    /// The first-pass table, and where it spools what it cannot hold.
+    fn first_pass(&mut self) -> (&mut AggTable, Spool<'_>) {
+        let spool = Spool {
+            set: &mut self.overflow,
+            level: 0,
+            fanout: self.fanout,
+            page_bytes: self.page_bytes,
+            key_len: self.query.group_by.len(),
+        };
+        (&mut self.table, spool)
+    }
+
     /// Push a row of either kind.
     pub fn push<T: CostTracker>(
         &mut self,
@@ -128,16 +155,12 @@ impl HashAggregator {
             RowKind::Raw => self.stats.raw_in += 1,
             RowKind::Partial => self.stats.partial_in += 1,
         }
-        match self.table.insert(kind, values, tracker)? {
-            Inserted::Updated | Inserted::New => Ok(()),
-            Inserted::Full => {
-                spooler(&mut self.overflow, self.fanout, self.page_bytes, &self.query)(
-                    tracker, kind, values,
-                )?;
-                self.stats.spilled_tuples += 1;
-                Ok(())
-            }
+        let (table, mut spool) = self.first_pass();
+        if table.insert(kind, values, tracker)? == Inserted::Full {
+            spool.set().spool(kind, values, tracker)?;
+            self.stats.spilled_tuples += 1;
         }
+        Ok(())
     }
 
     /// Push every tuple of a received page — the page-batched form of
@@ -145,8 +168,9 @@ impl HashAggregator {
     /// same cost events in the same order; runs of accepted tuples are
     /// recorded through [`CostTracker::record_tuples`], which is
     /// bit-identical to the per-tuple loop by contract). Which loop runs
-    /// is the page's doing: [`AggTable::insert_page_batched`] rides dense
-    /// strips and falls back to the row loop on a ragged page.
+    /// is the page's doing: a whole page is the trivial batch
+    /// [`AggTable::feed_batch`] rides the strips of, and a ragged page
+    /// takes the row loop.
     pub fn push_page<T: CostTracker>(
         &mut self,
         kind: RowKind,
@@ -158,25 +182,27 @@ impl HashAggregator {
             RowKind::Raw => self.stats.raw_in += n,
             RowKind::Partial => self.stats.partial_in += n,
         }
-        let mut spool = spooler(&mut self.overflow, self.fanout, self.page_bytes, &self.query);
-        let spilled = self
-            .table
-            .insert_page_batched(kind, page, tracker, |t, k, row| spool(t, k, row).map(|_| ()))?;
+        let (table, mut spool) = self.first_pass();
+        let spilled = match ScanBatch::whole(page) {
+            Some(batch) => table.feed_batch(kind, &batch, tracker, &mut spool)?.rejected,
+            None => table.insert_page(kind, page, tracker, |t, k, row| spool.set().spool(k, row, t))?,
+        };
         self.stats.spilled_tuples += spilled;
         Ok(())
     }
 
-    /// Push a batch of rows through [`AggTable::insert_batch`]: the local
+    /// Push a batch of rows through [`AggTable::feed_batch`]: the local
     /// phase's input, one scanned base page at a time. Rows the table
-    /// cannot hold are spooled; the batch is always consumed whole.
+    /// cannot hold are spooled where they lie; the batch is always
+    /// consumed whole.
     pub fn push_batch<T: CostTracker>(
         &mut self,
         kind: RowKind,
         batch: &ScanBatch<'_>,
         tracker: &mut T,
     ) -> Result<BatchOutcome, StorageError> {
-        let spool = spooler(&mut self.overflow, self.fanout, self.page_bytes, &self.query);
-        let out = self.table.insert_batch(kind, batch, tracker, spool)?;
+        let (table, mut spool) = self.first_pass();
+        let out = table.feed_batch(kind, batch, tracker, &mut spool)?;
         match kind {
             RowKind::Raw => self.stats.raw_in += out.passed,
             RowKind::Partial => self.stats.partial_in += out.passed,
@@ -258,6 +284,7 @@ impl HashAggregator {
 
         // Stack of (bucket, level) still to process.
         let mut pending: Vec<(SpillFile, u32)> = Vec::new();
+        let mut scratch = Vec::new();
         if let Some(set) = self.overflow.take() {
             let level = set.level();
             pending.extend(set.into_buckets(tracker).into_iter().map(|b| (b, level)));
@@ -282,24 +309,14 @@ impl HashAggregator {
                 table = table.with_grant(self.grant.clone());
             }
             let mut deeper: Option<OverflowSet> = None;
-            let fanout = self.fanout;
-            let page_bytes = self.page_bytes;
-            let group_by_len = self.query.group_by.len();
-            let mut spilled_here = 0u64;
-            OverflowSet::drain_bucket(bucket, tracker, |tracker, kind, values| {
-                match table.insert(kind, values, tracker)? {
-                    Inserted::Updated | Inserted::New => Ok(()),
-                    Inserted::Full => {
-                        let set = deeper.get_or_insert_with(|| {
-                            OverflowSet::new(fanout, page_bytes, level + 1, group_by_len)
-                        });
-                        set.spool(kind, values, tracker)?;
-                        spilled_here += 1;
-                        Ok(())
-                    }
-                }
-            })?;
-            self.stats.spilled_tuples += spilled_here;
+            let mut spool = Spool {
+                set: &mut deeper,
+                level: level + 1,
+                fanout: self.fanout,
+                page_bytes: self.page_bytes,
+                key_len: self.query.group_by.len(),
+            };
+            refeed(bucket, &mut table, &mut spool, &mut self.stats, &mut scratch, tracker)?;
             self.stats.drained(&table);
             drain(&mut table, tracker)?;
             if let Some(set) = deeper {
@@ -310,6 +327,44 @@ impl HashAggregator {
 
         Ok(self.stats)
     }
+}
+
+/// Re-aggregate one overflow bucket into `table` "as in step 1" (§2 step
+/// 3), a drained page at a time, spooling what the table cannot hold one
+/// level deeper. A page whose rows share a kind and sit on `Int` strips is
+/// fed as the batch [`drained_batch`] makes of it — each row charged the
+/// drain's `t_r` then its insert attempt, exactly as the row loop does;
+/// any other page takes that row loop (`scratch` holds its rows), and the
+/// page counts in `stats` under the lane it took.
+fn refeed<T: CostTracker>(
+    bucket: SpillFile,
+    table: &mut AggTable,
+    spool: &mut Spool<'_>,
+    stats: &mut HashAggStats,
+    scratch: &mut Vec<Value>,
+    tracker: &mut T,
+) -> Result<(), StorageError> {
+    bucket.drain_pages(tracker, |tracker, page| {
+        match drained_batch(&page) {
+            Ok((kind, batch)) => {
+                stats.overflow_pages_batched += 1;
+                stats.spilled_tuples += table.feed_batch(kind, &batch, tracker, spool)?.rejected;
+            }
+            Err(cause) => {
+                stats.overflow_pages_rows[cause as usize] += 1;
+                let mut cursor = page.cursor();
+                while cursor.next_into(scratch)? {
+                    tracker.record(CostEvent::TupleRead, 1);
+                    let (kind, values) = untag_row(scratch)?;
+                    if table.insert(kind, values, tracker)? == Inserted::Full {
+                        spool.set().spool(kind, values, tracker)?;
+                        stats.spilled_tuples += 1;
+                    }
+                }
+            }
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

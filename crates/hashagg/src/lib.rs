@@ -27,6 +27,6 @@ pub mod stats;
 pub mod table;
 
 pub use aggregate::HashAggregator;
-pub use overflow::OverflowSet;
+pub use overflow::{DrainCause, OverflowSet};
 pub use stats::HashAggStats;
 pub use table::{AggTable, FullPolicy, Inserted};

@@ -10,34 +10,129 @@
 //!
 //! Each spooled tuple is tagged with its [`RowKind`] (raw or partial) by
 //! prepending a tag column, because an A2P merge-phase table can overflow
-//! while receiving both kinds.
+//! while receiving both kinds. A row the table bounced off a batch is
+//! spooled where it lies: its key cells hashed and `[tag] ++ row` appended
+//! straight off the strips. A drained bucket page goes back into a
+//! table as a batch ([`drained_batch`]) when its rows share a kind and its
+//! strips are all `Int`s, and row by row otherwise.
 
-use adaptagg_model::hash::Seed;
-use adaptagg_model::{AggQuery, CostEvent, CostTracker, ModelError, RowKind, Value};
-use adaptagg_storage::{SpillFile, StorageError};
+use adaptagg_model::hash::{FxHasher, Seed};
+use adaptagg_model::{CellRow, CellSink, CostEvent, CostTracker, ModelError, RowKind, Value};
+use adaptagg_storage::{Page, ScanBatch, SpillFile, StorageError, StripView};
+use std::hash::{Hash, Hasher};
 
 const TAG_RAW: i64 = 0;
 const TAG_PARTIAL: i64 = 1;
 
 /// The kind tag stored as a row's first column.
-fn kind_tag(kind: RowKind) -> Value {
-    Value::Int(match kind {
+fn kind_tag(kind: RowKind) -> i64 {
+    match kind {
         RowKind::Raw => TAG_RAW,
         RowKind::Partial => TAG_PARTIAL,
-    })
+    }
+}
+
+/// The kind a tag stands for.
+fn tag_kind(tag: i64) -> Option<RowKind> {
+    match tag {
+        TAG_RAW => Some(RowKind::Raw),
+        TAG_PARTIAL => Some(RowKind::Partial),
+        _ => None,
+    }
 }
 
 /// Split a tagged row back into kind + values (borrowed).
-fn untag_row(tagged: &[Value]) -> Result<(RowKind, &[Value]), ModelError> {
+pub(crate) fn untag_row(tagged: &[Value]) -> Result<(RowKind, &[Value]), ModelError> {
     let Some((tag, values)) = tagged.split_first() else {
         return Err(ModelError::Corrupt("empty spilled row"));
     };
-    let kind = match tag.as_i64() {
-        Some(TAG_RAW) => RowKind::Raw,
-        Some(TAG_PARTIAL) => RowKind::Partial,
-        _ => return Err(ModelError::Corrupt("bad spill kind tag")),
+    let kind = tag.as_i64().and_then(tag_kind);
+    Ok((kind.ok_or(ModelError::Corrupt("bad spill kind tag"))?, values))
+}
+
+/// `[tag] ++ row`, read cell by cell.
+struct Tagged<'r, R: ?Sized> {
+    tag: i64,
+    row: &'r R,
+}
+
+impl<R: CellRow + ?Sized> CellRow for Tagged<'_, R> {
+    #[inline]
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        sink.int(self.tag);
+        self.row.cells(sink);
+    }
+}
+
+/// Hashes the first `cells` cells of a row it is shown (fewer if the row
+/// is shorter), exactly as [`hash_values`] hashes them as a slice.
+///
+/// [`hash_values`]: adaptagg_model::hash::hash_values
+struct KeyHash {
+    hasher: FxHasher,
+    cells: usize,
+}
+
+impl CellSink for KeyHash {
+    #[inline]
+    fn int(&mut self, x: i64) {
+        if self.cells > 0 {
+            self.cells -= 1;
+            Value::Int(x).hash(&mut self.hasher);
+        }
+    }
+
+    #[inline]
+    fn value(&mut self, v: &Value) {
+        if self.cells > 0 {
+            self.cells -= 1;
+            v.hash(&mut self.hasher);
+        }
+    }
+}
+
+/// Why a drained bucket page went back into a table row by row (the
+/// `hashagg.overflow_pages{lane=rows,cause=…}` trace counters).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DrainCause {
+    /// Its rows' tags are not all one kind (an A-2P merge table spilled
+    /// partial and raw rows onto the page).
+    MixedKind,
+    /// Rows of differing arity (partial and raw rows of different widths
+    /// on one page).
+    Ragged,
+    /// A strip holding a `Str`, `Float` or NULL cell.
+    ValueStrip,
+}
+
+impl DrainCause {
+    /// Every cause, in counter order.
+    pub const ALL: [DrainCause; 3] = [DrainCause::MixedKind, DrainCause::Ragged, DrainCause::ValueStrip];
+
+    /// The trace counter this cause increments.
+    pub fn counter(self) -> &'static str {
+        match self {
+            DrainCause::MixedKind => "hashagg.overflow_pages{lane=rows,cause=mixed_kind}",
+            DrainCause::Ragged => "hashagg.overflow_pages{lane=rows,cause=ragged}",
+            DrainCause::ValueStrip => "hashagg.overflow_pages{lane=rows,cause=value_strip}",
+        }
+    }
+}
+
+/// A drained bucket page as the batch a table takes back — its rows' one
+/// kind, and [`ScanBatch::spilled`] (the tag projected away, the drain's
+/// `t_r` owed ahead of each row) — or why it must go row by row.
+pub(crate) fn drained_batch(page: &Page) -> Result<(RowKind, ScanBatch<'_>), DrainCause> {
+    let batch = ScanBatch::spilled(page).ok_or(DrainCause::Ragged)?;
+    let kind = match page.column(0) {
+        Some(StripView::Ints(tags)) if tags.iter().all(|&t| t == tags[0]) => tag_kind(tags[0]),
+        _ => None,
     };
-    Ok((kind, values))
+    let kind = kind.ok_or(DrainCause::MixedKind)?;
+    if (0..batch.arity()).any(|j| matches!(batch.column(j), StripView::Values(_))) {
+        return Err(DrainCause::ValueStrip);
+    }
+    Ok((kind, batch))
 }
 
 /// A set of spill buckets at one recursion level.
@@ -47,8 +142,6 @@ pub struct OverflowSet {
     level: u32,
     group_by_len: usize,
     spooled: u64,
-    /// Reused tag-prepend buffer so spooling allocates nothing per tuple.
-    tag_scratch: Vec<Value>,
 }
 
 impl OverflowSet {
@@ -62,7 +155,6 @@ impl OverflowSet {
             level,
             group_by_len,
             spooled: 0,
-            tag_scratch: Vec::new(),
         }
     }
 
@@ -76,25 +168,28 @@ impl OverflowSet {
         self.spooled
     }
 
-    /// Spool one row of either kind into its bucket. Charges `t_w` for the
-    /// tuple write plus page I/O when pages seal (via the spill file).
-    /// The bucket hash (`t_h`) is *not* charged: the insert attempt that
-    /// rejected this tuple already hashed the key, and the paper charges
-    /// one hash per tuple.
-    pub fn spool<T: CostTracker>(
+    /// Spool one row of either kind into the bucket its leading
+    /// `group_by_len` cells hash to, reading it where it lies — a slice of
+    /// values, or `ScanBatch::row(r)`, whose cells are hashed and appended
+    /// straight off the strips: same bucket, same pages, same charges.
+    /// Charges `t_w` for the tuple write plus page I/O when pages seal (via
+    /// the spill file). The bucket hash (`t_h`) is *not* charged: the
+    /// insert attempt that rejected this tuple already hashed the key, and
+    /// the paper charges one hash per tuple.
+    pub fn spool<R: CellRow + ?Sized, T: CostTracker>(
         &mut self,
         kind: RowKind,
-        values: &[Value],
+        row: &R,
         tracker: &mut T,
     ) -> Result<(), StorageError> {
-        let key = &values[..self.group_by_len.min(values.len())];
-        let b = (adaptagg_model::hash::hash_values(Seed::OverflowBucket(self.level), key)
-            % self.buckets.len() as u64) as usize;
+        let mut key = KeyHash {
+            hasher: FxHasher::with_seed(Seed::OverflowBucket(self.level)),
+            cells: self.group_by_len,
+        };
+        row.cells(&mut key);
+        let b = (key.hasher.finish() % self.buckets.len() as u64) as usize;
         tracker.record(CostEvent::TupleWrite, 1);
-        self.tag_scratch.clear();
-        self.tag_scratch.push(kind_tag(kind));
-        self.tag_scratch.extend_from_slice(values);
-        self.buckets[b].spool(&self.tag_scratch, tracker)?;
+        self.buckets[b].spool_row(&Tagged { tag: kind_tag(kind), row }, tracker)?;
         self.spooled += 1;
         Ok(())
     }
@@ -113,36 +208,6 @@ impl OverflowSet {
             })
             .collect()
     }
-
-    /// Drain one bucket, handing `(kind, values)` rows to `consume` as
-    /// borrowed slices (the spill file's decode scratch is reused across
-    /// tuples). Charges `t_r` per tuple read back plus page reads (via
-    /// the spill file).
-    pub fn drain_bucket<T, F>(
-        bucket: SpillFile,
-        tracker: &mut T,
-        mut consume: F,
-    ) -> Result<usize, StorageError>
-    where
-        T: CostTracker,
-        F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
-    {
-        bucket.drain(tracker, |tracker, tagged| {
-            tracker.record(CostEvent::TupleRead, 1);
-            let (kind, values) = untag_row(tagged).map_err(StorageError::from)?;
-            consume(tracker, kind, values)
-        })
-    }
-
-    /// The spill bucket a key's row would land in at this level (tests and
-    /// diagnostics).
-    pub fn bucket_of(&self, query: &AggQuery, values: &[Value]) -> Result<usize, ModelError> {
-        let key = query.key_of_values(values)?;
-        Ok(
-            (adaptagg_model::hash::hash_values(Seed::OverflowBucket(self.level), key.values())
-                % self.buckets.len() as u64) as usize,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -154,10 +219,27 @@ mod tests {
         vec![Value::Int(g), Value::Int(v)]
     }
 
+    /// Every row of every bucket, untagged, bucket by bucket.
+    fn drained(buckets: Vec<SpillFile>, tracker: &mut CountingTracker) -> Vec<Vec<(RowKind, Vec<Value>)>> {
+        let mut out = Vec::new();
+        for bucket in buckets {
+            let mut rows = Vec::new();
+            bucket
+                .drain(tracker, |_, tagged| {
+                    let (kind, values) = untag_row(tagged)?;
+                    rows.push((kind, values.to_vec()));
+                    Ok(())
+                })
+                .unwrap();
+            out.push(rows);
+        }
+        out
+    }
+
     #[test]
     fn tag_untag_round_trips() {
         for kind in [RowKind::Raw, RowKind::Partial] {
-            let mut tagged = vec![kind_tag(kind)];
+            let mut tagged = vec![Value::Int(kind_tag(kind))];
             tagged.extend_from_slice(&row(3, 4));
             let (k, vals) = untag_row(&tagged).unwrap();
             assert_eq!(k, kind);
@@ -175,26 +257,23 @@ mod tests {
     #[test]
     fn same_group_lands_in_same_bucket_any_kind() {
         let mut set = OverflowSet::new(4, 256, 0, 1);
-        let mut tr = NullTracker;
+        let mut tr = CountingTracker::new();
         // Spool the same group as raw and partial plus other groups.
         for i in 0..32 {
-            set.spool(RowKind::Raw, &row(i % 8, i), &mut tr).unwrap();
-            set.spool(RowKind::Partial, &row(i % 8, i), &mut tr).unwrap();
+            set.spool(RowKind::Raw, &row(i % 8, i)[..], &mut tr).unwrap();
+            set.spool(RowKind::Partial, &row(i % 8, i)[..], &mut tr).unwrap();
         }
         assert_eq!(set.spooled(), 64);
-        let buckets = set.into_buckets(&mut tr);
+        let buckets = drained(set.into_buckets(&mut tr), &mut tr);
         // Rows of one group must be confined to one bucket.
         let mut group_bucket: std::collections::HashMap<i64, usize> = Default::default();
-        for (bi, b) in buckets.into_iter().enumerate() {
-            OverflowSet::drain_bucket(b, &mut tr, |_t, _, vals| {
+        for (bi, rows) in buckets.iter().enumerate() {
+            for (_, vals) in rows {
                 let g = vals[0].as_i64().unwrap();
-                let prev = group_bucket.insert(g, bi);
-                if let Some(p) = prev {
+                if let Some(p) = group_bucket.insert(g, bi) {
                     assert_eq!(p, bi, "group {g} split across buckets {p} and {bi}");
                 }
-                Ok(())
-            })
-            .unwrap();
+            }
         }
         assert_eq!(group_bucket.len(), 8);
     }
@@ -204,16 +283,11 @@ mod tests {
         let mut set = OverflowSet::new(3, 128, 1, 1);
         let mut tr = CountingTracker::new();
         for i in 0..100 {
-            set.spool(RowKind::Raw, &row(i, i), &mut tr).unwrap();
+            set.spool(RowKind::Raw, &row(i, i)[..], &mut tr).unwrap();
         }
         assert_eq!(tr.count(CostEvent::TupleWrite), 100);
-        let buckets = set.into_buckets(&mut tr);
-        let mut n = 0;
-        for b in buckets {
-            n += OverflowSet::drain_bucket(b, &mut tr, |_t, _, _| Ok(())).unwrap();
-        }
-        assert_eq!(n, 100);
-        assert_eq!(tr.count(CostEvent::TupleRead), 100);
+        let buckets = drained(set.into_buckets(&mut tr), &mut tr);
+        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 100);
         // Spilled pages are written once and read once.
         assert_eq!(
             tr.count(CostEvent::PageWriteSeq),
@@ -222,11 +296,87 @@ mod tests {
         assert!(tr.count(CostEvent::PageWriteSeq) > 0);
     }
 
+    /// A row spooled off a batch's strips lands in the bucket, on the
+    /// pages and at the charges of the same row spooled materialized —
+    /// `Int` and `Str` keys, a projection that reorders and a selection.
+    #[test]
+    fn spooling_off_the_strips_equals_spooling_the_row() {
+        let base: Vec<Vec<Value>> = (0..300i64)
+            .map(|i| {
+                let key = match i % 5 {
+                    0 => Value::Str(format!("k{}", i % 40).into()),
+                    _ => Value::Int(i % 40),
+                };
+                vec![Value::Int(i), key, Value::Null]
+            })
+            .collect();
+        let mut pages = vec![Page::new(1024)];
+        for r in &base {
+            if !pages.last_mut().unwrap().try_push(r).unwrap() {
+                pages.push(Page::new(1024));
+                assert!(pages.last_mut().unwrap().try_push(r).unwrap());
+            }
+        }
+        for level in [0, 2] {
+            let (mut by_strips, mut by_rows) = (OverflowSet::new(4, 256, level, 1), OverflowSet::new(4, 256, level, 1));
+            let (mut ta, mut tb) = (CountingTracker::new(), CountingTracker::new());
+            let mut values = Vec::new();
+            for page in &pages {
+                let n = page.tuple_count();
+                let sel: Vec<u32> = (0..n as u32).filter(|r| r % 3 != 0).collect();
+                let batch = ScanBatch::scanned(page, &[1, 0], Some(&sel), n).unwrap();
+                for &r in &sel {
+                    let kind = if r % 2 == 0 { RowKind::Raw } else { RowKind::Partial };
+                    by_strips.spool(kind, &batch.row(r as usize), &mut ta).unwrap();
+                    batch.read_row(r as usize, &mut values);
+                    by_rows.spool(kind, &values[..], &mut tb).unwrap();
+                }
+            }
+            assert_eq!(ta, tb);
+            let a = drained(by_strips.into_buckets(&mut ta), &mut ta);
+            let b = drained(by_rows.into_buckets(&mut tb), &mut tb);
+            assert_eq!(a, b, "level {level}");
+            assert_eq!(ta, tb);
+        }
+    }
+
+    #[test]
+    fn drained_pages_are_batches_only_when_their_rows_can_ride_the_strips() {
+        let page = |rows: &[(RowKind, Vec<Value>)]| {
+            let mut set = OverflowSet::new(2, 1 << 16, 0, 0);
+            for (kind, values) in rows {
+                set.spool(*kind, &values[..], &mut NullTracker).unwrap();
+            }
+            let bucket = set.into_buckets(&mut NullTracker).pop().unwrap();
+            let mut pages = Vec::new();
+            bucket
+                .drain_pages(&mut NullTracker, |_, page| {
+                    pages.push(page);
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(pages.len(), 1);
+            pages.pop().unwrap()
+        };
+        let raw = |g| (RowKind::Raw, row(g, 1));
+        let partial = |g| (RowKind::Partial, row(g, 1));
+        let p = page(&[partial(1), partial(2)]);
+        let (kind, batch) = drained_batch(&p).unwrap();
+        assert_eq!((kind, batch.arity(), batch.rows()), (RowKind::Partial, 2, 2));
+        assert_eq!(batch.column(0), StripView::Ints(&[1, 2]), "the tag is projected away");
+        assert_eq!(batch.pass_lead(), &[CostEvent::TupleRead]);
+        assert_eq!(drained_batch(&page(&[raw(1), partial(2)])).err(), Some(DrainCause::MixedKind));
+        let short = (RowKind::Raw, vec![Value::Int(3)]);
+        assert_eq!(drained_batch(&page(&[raw(1), short])).err(), Some(DrainCause::Ragged));
+        let null = (RowKind::Raw, vec![Value::Int(3), Value::Null]);
+        assert_eq!(drained_batch(&page(&[raw(1), null])).err(), Some(DrainCause::ValueStrip));
+    }
+
     #[test]
     fn empty_buckets_are_dropped() {
         let mut set = OverflowSet::new(8, 128, 0, 1);
         let mut tr = NullTracker;
-        set.spool(RowKind::Raw, &row(1, 1), &mut tr).unwrap();
+        set.spool(RowKind::Raw, &row(1, 1)[..], &mut tr).unwrap();
         let buckets = set.into_buckets(&mut tr);
         assert_eq!(buckets.len(), 1);
     }

@@ -26,6 +26,11 @@ pub struct HashAggStats {
     pub probe_slots: u64,
     /// Largest number of groups resident in any one table at drain time.
     pub peak_resident: u64,
+    /// Overflow-bucket pages re-aggregated as batches off their strips.
+    pub overflow_pages_batched: u64,
+    /// Overflow-bucket pages re-aggregated row by row, indexed as
+    /// [`DrainCause::ALL`](crate::DrainCause::ALL).
+    pub overflow_pages_rows: [u64; 3],
     /// The group-store layout the data left each table in, summed at drain
     /// time over all tables (first pass + overflow buckets): columns still
     /// typed, columns general, demotions by cause; `bytes_per_group` is the
@@ -72,6 +77,10 @@ impl HashAggStats {
         self.max_level = self.max_level.max(other.max_level);
         self.probe_slots += other.probe_slots;
         self.peak_resident = self.peak_resident.max(other.peak_resident);
+        self.overflow_pages_batched += other.overflow_pages_batched;
+        for (a, b) in self.overflow_pages_rows.iter_mut().zip(other.overflow_pages_rows) {
+            *a += b;
+        }
         self.add_layout(&other.store);
     }
 }

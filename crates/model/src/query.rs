@@ -4,7 +4,7 @@ use crate::agg::AggSpec;
 use crate::error::ModelError;
 use crate::key::GroupKey;
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{CellRow, CellSink, Value};
 use std::fmt;
 
 /// An aggregate query: `SELECT <group_by>, <aggs> FROM r GROUP BY <group_by>`.
@@ -211,6 +211,16 @@ impl ResultRow {
             key: GroupKey::new(values),
             aggs,
         })
+    }
+}
+
+/// A result row read cell by cell: the key's cells, then the aggregates'
+/// (the row [`ResultRow::into_values`] would make, without making it).
+impl CellRow for ResultRow {
+    #[inline]
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        self.key.values().cells(sink);
+        self.aggs.cells(sink);
     }
 }
 

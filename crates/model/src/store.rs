@@ -293,6 +293,19 @@ enum StateColumn {
     General(Arena<AggState>),
 }
 
+/// The group indices of a batch paired with their batch rows: entry
+/// `gix[i]` belongs to row `rows[i]`, or row `i` with no selection.
+#[inline]
+fn for_each_row(gix: &[u32], rows: Option<&[u32]>, mut f: impl FnMut(usize, usize)) {
+    match rows {
+        None => gix.iter().enumerate().filter(|(_, &e)| e != NO_GROUP).for_each(|(r, &e)| f(e as usize, r)),
+        Some(rows) => {
+            let landed = gix.iter().zip(rows).filter(|(&e, _)| e != NO_GROUP);
+            landed.for_each(|(&e, &r)| f(e as usize, r as usize))
+        }
+    }
+}
+
 /// The group indices of a batch paired with their input cells: row `i` of
 /// the index vector reads `xs[rows[i]]`, or `xs[i]` with no selection.
 #[inline]
@@ -462,6 +475,26 @@ impl StateColumn {
             StateColumn::General(a) => {
                 for_each_input(gix, xs, rows, |e, x| a.cell_mut(e).update_int(x))
             }
+        }
+    }
+
+    /// Merge the batch's partial-state cells — `cells` holds the column's
+    /// `Int` strips, one per partial cell — into the groups they landed in,
+    /// as [`StateColumn::try_merge`] would row by row (counts are
+    /// non-negative: the caller checked). Not for general columns.
+    fn merge_ints(&mut self, gix: &[u32], cells: &[&[i64]], rows: Option<&[u32]>) {
+        match (self, cells) {
+            (StateColumn::Count(a), &[ns]) => for_each_input(gix, ns, rows, |e, n| *a.cell_mut(e) += n as u64),
+            // SUM, MIN and MAX ship the one cell they would take as input.
+            (col @ (StateColumn::Sum { .. } | StateColumn::Extreme { .. }), &[xs]) => col.update_ints(gix, xs, rows),
+            (StateColumn::Avg { sum, count }, &[ss, ns]) => for_each_row(gix, rows, |e, r| {
+                // A count of zero ships no sum.
+                if ns[r] != 0 {
+                    *sum.cell_mut(e) += ss[r] as i128;
+                    *count.cell_mut(e) += ns[r] as u64;
+                }
+            }),
+            (column, _) => unreachable!("{} partial strips into {column:?}", cells.len()),
         }
     }
 
@@ -686,7 +719,9 @@ impl GroupStore {
     /// Linear-probe for the entry with this `hash` that `is_entry`
     /// accepts: `Ok(entry)`, or `Err(slot)` with the vacant slot it would
     /// take, plus the number of slots examined.
-    #[inline]
+    // Always inlined, as is `find_cells`: the batched probe's row walk
+    // (`hashagg`'s `AggTable::feed`) is the hot loop of every scan.
+    #[inline(always)]
     fn probe(&self, hash: u64, is_entry: impl Fn(usize) -> bool) -> (Result<usize, usize>, u64) {
         let mask = self.slots.len() - 1;
         let mut i = self.home(hash);
@@ -710,7 +745,7 @@ impl GroupStore {
     /// (what the `admit_*` methods want), plus the number of slots
     /// examined. An `Int` cell equals no stored cell of another type, so a
     /// key the typed column could not hold simply is not found in it.
-    #[inline]
+    #[inline(always)]
     pub fn find_cells<'a>(
         &self,
         hash: u64,
@@ -826,6 +861,20 @@ impl GroupStore {
     /// states end bit-identical to [`GroupStore::fold`] row by row.
     pub fn update_ints(&mut self, j: usize, gix: &[u32], xs: &[i64], rows: Option<&[u32]>) {
         self.states[j].update_ints(gix, xs, rows);
+    }
+
+    /// The batched lane's deferred merge of spec `j`'s partial-state cells
+    /// (`cells`: one `Int` strip per cell, counts non-negative), `gix` and
+    /// `rows` as in [`GroupStore::update_ints`]: per entry the partials
+    /// fold in row order, bit-identical to [`GroupStore::fold`] of each
+    /// partial row. The column must be typed ([`GroupStore::typed_states`]).
+    pub fn merge_ints(&mut self, j: usize, gix: &[u32], cells: &[&[i64]], rows: Option<&[u32]>) {
+        self.states[j].merge_ints(gix, cells, rows);
+    }
+
+    /// Whether every state column is still typed.
+    pub fn typed_states(&self) -> bool {
+        self.states.iter().all(|c| !matches!(c, StateColumn::General(_)))
     }
 
     /// [`GroupStore::update_ints`] for `COUNT(*)`: one row counted into

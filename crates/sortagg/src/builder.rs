@@ -70,7 +70,7 @@ impl<T: CostTracker> FullPolicy<T> for Sealer {
         Ok(true)
     }
 
-    fn bounce(&mut self, _: &mut T, _: RowKind, _: &[Value]) -> Result<bool, StorageError> {
+    fn bounce(&mut self, _: &mut T, _: RowKind, _: &ScanBatch<'_>, _: usize) -> Result<bool, StorageError> {
         unreachable!("a run table makes room for every row")
     }
 }

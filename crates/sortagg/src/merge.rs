@@ -316,10 +316,11 @@ pub fn merge_runs<T: CostTracker>(
             run.drain_pages(tracker, |t, page| {
                 t.record_tuples(&[CostEvent::TupleRead], page.tuple_count() as u64);
                 pages.push(page);
-            });
-            pages
+                Ok(())
+            })
+            .map(|()| pages)
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     run_pages.push(resident.into_pages());
 
     let int_keys = k == 1

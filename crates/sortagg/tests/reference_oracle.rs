@@ -377,7 +377,11 @@ fn push_chunk(
 
 fn pages_of(run: SpillFile) -> Vec<Page> {
     let mut pages = Vec::new();
-    run.drain_pages(&mut NullTracker, |_, page| pages.push(page));
+    run.drain_pages(&mut NullTracker, |_, page| {
+        pages.push(page);
+        Ok(())
+    })
+    .unwrap();
     pages
 }
 

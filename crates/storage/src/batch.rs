@@ -14,14 +14,17 @@
 //! each passing row's charges, [`ScanBatch::fail_charge`] for each
 //! filtered-out row. The run lengths are the gaps of the selection.
 
-use crate::page::{Page, StripView};
-use adaptagg_model::{CostEvent, CostTracker, Value};
+use crate::page::{Page, StripRow, StripView};
+use adaptagg_model::{CellRow, CostEvent, CostTracker, Value};
 
 /// Select charges of a tuple that passed the filter: read off the page,
 /// copied out (`t_r + t_w`, §2.1).
 pub const SELECT_PASS: [CostEvent; 2] = [CostEvent::TupleRead, CostEvent::TupleWrite];
 /// Select charge of a filtered-out tuple: read, never copied out.
 pub const SELECT_FAIL: [CostEvent; 1] = [CostEvent::TupleRead];
+/// What reading a spooled tuple back costs ahead of its consumer's own
+/// charges: `t_r` (the hash aggregator's overflow drain, §2 step 3).
+pub const SPILL_READ: [CostEvent; 1] = [CostEvent::TupleRead];
 
 /// Why a page was fed row-at-a-time instead of as a batch (the
 /// `scan.pages_row{cause=…}` trace counters).
@@ -143,12 +146,17 @@ impl BatchCharges {
 #[derive(Debug, Clone, Copy)]
 pub struct ScanBatch<'a> {
     page: &'a Page,
-    /// Projected column `j` is base column `columns[j]`; empty = identity.
+    /// Projected column `j` is base column `columns[j]`; empty = base
+    /// column `skip + j`.
     columns: &'a [usize],
+    skip: usize,
     selection: Option<&'a [u32]>,
     rows: usize,
     arity: usize,
-    scanned: bool,
+    /// What each passing / filtered-out row owes ahead of its consumer's
+    /// charges.
+    lead: &'static [CostEvent],
+    fail: &'static [CostEvent],
 }
 
 impl<'a> ScanBatch<'a> {
@@ -159,10 +167,27 @@ impl<'a> ScanBatch<'a> {
         Some(ScanBatch {
             page,
             columns: &[],
+            skip: 0,
             selection: None,
             rows: page.tuple_count(),
             arity,
-            scanned: false,
+            lead: &[],
+            fail: &[],
+        })
+    }
+
+    /// A page drained from a spill bucket whose rows lead with a tag
+    /// column: every row, the tag projected away, each row owing the
+    /// drain's `t_r` ([`SPILL_READ`]) ahead of its consumer's charges — the
+    /// charges of the row loop that reads the tuple back and then inserts
+    /// it. `None` for ragged or empty pages and pages of untagged rows.
+    pub fn spilled(page: &'a Page) -> Option<Self> {
+        let arity = page.uniform_arity()?.checked_sub(1)?;
+        Some(ScanBatch {
+            skip: 1,
+            arity,
+            lead: &SPILL_READ,
+            ..ScanBatch::whole(page)?
         })
     }
 
@@ -187,6 +212,7 @@ impl<'a> ScanBatch<'a> {
         Ok(ScanBatch {
             page,
             columns,
+            skip: 0,
             selection,
             rows,
             arity: if columns.is_empty() {
@@ -194,7 +220,8 @@ impl<'a> ScanBatch<'a> {
             } else {
                 columns.len()
             },
-            scanned: true,
+            lead: &SELECT_PASS,
+            fail: &SELECT_FAIL,
         })
     }
 
@@ -253,7 +280,7 @@ impl<'a> ScanBatch<'a> {
     #[inline]
     pub(crate) fn base_column(&self, j: usize) -> usize {
         if self.columns.is_empty() {
-            j
+            self.skip + j
         } else {
             self.columns[j]
         }
@@ -274,30 +301,25 @@ impl<'a> ScanBatch<'a> {
     /// Materialize projected row `r` into `out` (cleared first).
     pub fn read_row(&self, r: usize, out: &mut Vec<Value>) {
         out.clear();
-        for j in 0..self.arity {
-            out.push(match self.column(j) {
-                StripView::Ints(xs) => Value::Int(xs[r]),
-                StripView::Values(vs) => vs[r].clone(),
-            });
-        }
+        self.row(r).cells(out);
+    }
+
+    /// Projected row `r` as cells read off the strips where they lie: what
+    /// another page appends strip to strip ([`Page::try_push_row`]).
+    #[inline]
+    pub fn row(&self, r: usize) -> StripRow<'_, 'a> {
+        debug_assert!(r < self.rows);
+        StripRow { batch: self, r }
     }
 
     /// What the consumer records ahead of each passing row's own charges.
     pub fn pass_lead(&self) -> &'static [CostEvent] {
-        if self.scanned {
-            &SELECT_PASS
-        } else {
-            &[]
-        }
+        self.lead
     }
 
     /// What the consumer records for each filtered-out row.
     pub fn fail_charge(&self) -> &'static [CostEvent] {
-        if self.scanned {
-            &SELECT_FAIL
-        } else {
-            &[]
-        }
+        self.fail
     }
 }
 
@@ -360,6 +382,22 @@ mod tests {
         assert_eq!(b.first_passing(2).rows(), 4);
         let all = ScanBatch::scanned(&p, &[], None, 6).unwrap();
         assert_eq!((all.first_passing(4).rows(), all.first_passing(4).passing()), (4, 4));
+    }
+
+    #[test]
+    fn a_spilled_page_skips_its_tag_and_owes_the_drains_read() {
+        let p = page(&rows3(4));
+        let b = ScanBatch::spilled(&p).unwrap();
+        assert_eq!((b.rows(), b.arity(), b.passing()), (4, 2, 4));
+        assert_eq!(b.column(1), StripView::Ints(&[0, 10, 20, 30]));
+        assert_eq!((b.pass_lead(), b.fail_charge()), (&SPILL_READ[..], &[][..]));
+        let mut row = Vec::new();
+        b.read_row(2, &mut row);
+        assert_eq!(row, rows3(4)[2][1..]);
+        let mut untagged = Page::new(64);
+        untagged.try_push(&[]).unwrap();
+        assert!(ScanBatch::spilled(&untagged).is_none(), "no tag column");
+        assert!(ScanBatch::spilled(&Page::new(64)).is_none(), "empty page");
     }
 
     #[test]

@@ -40,6 +40,11 @@ pub struct Page {
     /// shorter rows are never read (row reconstruction stops at the
     /// row's arity).
     cols: Vec<ColumnStrip>,
+    /// `Some(a)` while every row so far is an all-`Int` row of arity `a`:
+    /// the typed append lane is open (see [`Page::try_push_row`]). Set by
+    /// the first row; any later row the lane does not take closes it for
+    /// good, as a promoted strip or a second arity would.
+    int_arity: Option<usize>,
 }
 
 /// One column's cells. `is_int` selects the fixed-width fast path; the
@@ -217,10 +222,43 @@ impl CellSink for RowPush<'_> {
     }
 }
 
-/// Projected row `r` of a batch, read off the source page's strips.
-struct StripRow<'a, 'b> {
-    batch: &'a ScanBatch<'b>,
-    r: usize,
+/// The typed append lane's one walk: lands the cells of an all-`Int` row
+/// of the page's arity straight on its `Int` strips, and notes whether the
+/// row was one (if not, the caller takes back what landed).
+struct IntLane<'a> {
+    strips: &'a mut [ColumnStrip],
+    at: usize,
+    ints: bool,
+}
+
+impl CellSink for IntLane<'_> {
+    #[inline]
+    fn int(&mut self, x: i64) {
+        if let Some(strip) = self.strips.get_mut(self.at) {
+            debug_assert!(strip.is_int, "the lane is open over Int strips only");
+            strip.ints.push(x);
+        }
+        self.at += 1;
+    }
+
+    #[inline]
+    fn value(&mut self, v: &Value) {
+        match *v {
+            Value::Int(x) => self.int(x),
+            _ => {
+                self.ints = false;
+                self.at += 1;
+            }
+        }
+    }
+}
+
+/// Projected row `r` of a batch, read off the source page's strips
+/// ([`ScanBatch::row`]).
+#[derive(Debug, Clone, Copy)]
+pub struct StripRow<'a, 'b> {
+    pub(crate) batch: &'a ScanBatch<'b>,
+    pub(crate) r: usize,
 }
 
 impl CellRow for StripRow<'_, '_> {
@@ -283,6 +321,7 @@ impl Page {
             max_arity: 0,
             arities: Vec::new(),
             cols: Vec::new(),
+            int_arity: None,
         }
     }
 
@@ -322,16 +361,48 @@ impl Page {
     /// strip: no `Value` row in between. Same admission, same errors, and
     /// the page ends up equal to one that was pushed the materialized row.
     pub fn try_push_strips(&mut self, batch: &ScanBatch<'_>, r: usize) -> Result<bool, StorageError> {
-        debug_assert!(r < batch.rows());
-        self.try_push_row(&StripRow { batch, r })
+        self.try_push_row(&batch.row(r))
     }
 
     /// The one append: [`Page::try_push`] of a row read cell by cell
     /// wherever it lies (a group in a store, a row of another page), its
     /// `Int` cells copied as `i64`s. Same admission, same errors, and the
     /// page ends up equal to one that was pushed the materialized row.
+    ///
+    /// A page whose rows so far are all-`Int` rows of arity `a` takes a
+    /// further one on the **typed lane**: the row is `2 + 9·a` bytes on
+    /// the wire whatever its values, so admission is one comparison, and
+    /// its cells are pushed straight onto the `Int` strips in one walk —
+    /// no sizing walk, no pad or reservation checks. Any other row (a
+    /// first row, a `Str`/`Float`/NULL cell, another arity) takes the cell
+    /// walk, which sizes it in the wire format first; a row the lane
+    /// started on and could not finish is taken back before it does.
     #[inline]
     pub fn try_push_row<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<bool, StorageError> {
+        if let Some(arity) = self.int_arity {
+            let n = std::mem::size_of::<u16>() + arity * (1 + std::mem::size_of::<i64>());
+            if self.bytes_used + n <= self.capacity {
+                let mut lane = IntLane {
+                    strips: &mut self.cols[..arity],
+                    at: 0,
+                    ints: true,
+                };
+                row.cells(&mut lane);
+                if lane.ints && lane.at == arity {
+                    self.arities.push(arity as u16);
+                    self.bytes_used += n;
+                    self.tuples += 1;
+                    return Ok(true);
+                }
+                let rows = self.tuples as usize;
+                self.cols[..arity].iter_mut().for_each(|strip| strip.ints.truncate(rows));
+            }
+        }
+        self.push_cells(row)
+    }
+
+    /// The cell walk of [`Page::try_push_row`]: any row, sized first.
+    fn push_cells<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<bool, StorageError> {
         // Size in the wire format first (`encoded_len`: arity header, then
         // tag + payload per cell): admission decisions must stay
         // byte-identical to the row-major layout this replaced.
@@ -368,6 +439,10 @@ impl Page {
             row: self.tuples as usize,
             reserve: like_first,
         });
+        // Only a first row can open the typed lane; a row it did not take
+        // closes it.
+        self.int_arity = (self.tuples == 0 && self.cols[..size.arity].iter().all(|c| c.is_int))
+            .then_some(size.arity);
         self.min_arity = if self.tuples == 0 { arity } else { self.min_arity.min(arity) };
         self.max_arity = self.max_arity.max(arity);
         self.arities.push(arity);
@@ -441,6 +516,7 @@ impl Page {
         self.tuples = 0;
         self.min_arity = 0;
         self.max_arity = 0;
+        self.int_arity = None;
     }
 
     /// Append the page's rows in the row-major wire encoding (persistence

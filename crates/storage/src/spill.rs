@@ -115,17 +115,18 @@ impl SpillFile {
     /// (charging a sequential read each, in order) and hand it to
     /// `consume` whole, for readers that walk the column strips
     /// themselves instead of taking a decoded copy of every row. Consumes
-    /// the bucket.
-    pub fn drain_pages<T, F>(mut self, tracker: &mut T, mut consume: F)
+    /// the bucket; the first error of `consume` ends the drain there.
+    pub fn drain_pages<T, F>(mut self, tracker: &mut T, mut consume: F) -> Result<(), StorageError>
     where
         T: CostTracker,
-        F: FnMut(&mut T, Page),
+        F: FnMut(&mut T, Page) -> Result<(), StorageError>,
     {
         self.finish(tracker);
         for page in self.sealed {
             tracker.record(CostEvent::PageReadSeq, 1);
-            consume(tracker, page);
+            consume(tracker, page)?;
         }
+        Ok(())
     }
 }
 
@@ -196,7 +197,9 @@ mod tests {
         let mut seen = Vec::new();
         s.drain_pages(&mut tr, |_t, page| {
             seen.extend(page.iter().map(|row| row.unwrap()[0].as_i64().unwrap()));
-        });
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(tr.count(CostEvent::PageWriteSeq), 3);
         assert_eq!(tr.count(CostEvent::PageReadSeq), 3);

@@ -7,7 +7,7 @@
 //! cursor does. These tests drive all of that with random schemas, random
 //! row counts, and the degenerate shapes (empty, single-row, page-full).
 
-use adaptagg::model::{encoded_len, Value};
+use adaptagg::model::{encode_tuple, encoded_len, Value};
 use adaptagg::storage::{Page, PagePool, ScanBatch, StorageError, StripView};
 use proptest::prelude::*;
 
@@ -227,6 +227,98 @@ proptest! {
         prop_assert_eq!(&by_strip, &by_row, "the open page");
         assert_cursor_matches(&by_strip, &by_row.decode_all().unwrap());
         assert_roundtrip(&by_strip, &by_row.decode_all().unwrap());
+    }
+}
+
+/// The `i`-th row of the typed-lane property: an all-`Int` row of `arity`
+/// cells, except the breaker at `at` — a `Str`, NULL or `Float` cell, a
+/// row one cell shorter or one longer (kinds 0-4; 5 = no breaker).
+fn lane_row(i: usize, arity: usize, at: usize, breaker: u8, x: i64) -> Vec<Value> {
+    let x = x + i as i64;
+    let mut row: Vec<Value> = (0..arity as i64).map(|j| Value::Int(x * 7 - j)).collect();
+    if i == at {
+        match breaker {
+            0 => row[arity / 2] = Value::Str(format!("s{x}").into()),
+            1 => row[0] = Value::Null,
+            2 => row[arity - 1] = Value::Float(x as f64 / 4.0),
+            3 => drop(row.pop()),
+            4 => row.push(Value::Int(-x)),
+            _ => {}
+        }
+    }
+    row
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The typed append lane inside `try_push_row` admits by the byte
+    /// model alone: a row is stored iff `encoded_len(row)` fits what the
+    /// page has left (and is refused with `TupleTooLarge` iff it fits no
+    /// page), every page sealed on the way encodes to exactly its rows'
+    /// row-major bytes, and column `j` is an `Ints` view exactly while
+    /// every cell `j` on the page is an `Int`. The rows are all-`Int` of
+    /// one arity until a breaker (a `Str`, NULL or `Float` cell, a shorter
+    /// or longer row) lands mid-page, then all-`Int` again; they arrive as
+    /// value slices and as rows of another page, alternately; and every
+    /// page after the first is the first one cleared and refilled, its
+    /// strips stale from the rows it held before.
+    #[test]
+    fn prop_typed_lane_admits_by_the_byte_model(
+        arity in 1usize..5,
+        rows in 1usize..160,
+        at in 0usize..160,
+        breaker in 0u8..6,
+        x in -1000i64..1000,
+        capacity in 40usize..700,
+        warm in 0u8..2,
+    ) {
+        let rows: Vec<Vec<Value>> = (0..rows).map(|i| lane_row(i, arity, at, breaker, x)).collect();
+        let mut source = Page::new(1 << 16);
+        prop_assert_eq!(fill(&mut source, &rows).len(), rows.len());
+        let mut page = Page::new(capacity);
+        if warm == 1 {
+            // Stale strips, two promoted and as wide as most rows to come.
+            page.try_push(&[Value::Str("w".into()), Value::Null, Value::Int(2), Value::Int(3)]).unwrap();
+            page.clear();
+        }
+        let mut on_page: Vec<Vec<Value>> = Vec::new();
+        let seal = |page: &mut Page, on_page: &mut Vec<Vec<Value>>| -> Result<(), String> {
+            let mut bytes = Vec::new();
+            page.encode_into(&mut bytes);
+            let mut expect = Vec::new();
+            on_page.iter().for_each(|row| { encode_tuple(row, &mut expect); });
+            prop_assert_eq!(bytes, expect);
+            page.clear();
+            on_page.clear();
+            Ok(())
+        };
+        for (i, (row, cells)) in rows.iter().zip(source.rows()).enumerate() {
+            let n = encoded_len(row);
+            let pushed = if i % 2 == 0 { page.try_push(row) } else { page.try_push_row(&cells) };
+            match pushed {
+                Err(e) => {
+                    prop_assert!(n > capacity, "row {} of {} bytes refused: {:?}", i, n, e);
+                    continue;
+                }
+                Ok(false) => {
+                    prop_assert!(n <= capacity && page.bytes_used() + n > capacity, "row {} refused", i);
+                    seal(&mut page, &mut on_page)?;
+                    prop_assert!(page.try_push(row).unwrap(), "a cleared page takes row {}", i);
+                }
+                Ok(true) => prop_assert!(on_page.iter().map(|r| encoded_len(r)).sum::<usize>() + n <= capacity),
+            }
+            on_page.push(row.clone());
+            prop_assert_eq!(page.bytes_used(), on_page.iter().map(|r| encoded_len(r)).sum::<usize>());
+            let min_arity = on_page.iter().map(Vec::len).min().unwrap();
+            for j in 0..min_arity {
+                let all_int = on_page.iter().all(|r| matches!(r[j], Value::Int(_)));
+                let ints = matches!(page.column(j), Some(StripView::Ints(_)));
+                prop_assert_eq!(ints, all_int, "column {} after row {}", j, i);
+            }
+        }
+        assert_cursor_matches(&page, &on_page);
+        seal(&mut page, &mut on_page)?;
     }
 }
 

@@ -389,6 +389,38 @@ fn scan_fallbacks_are_counted_by_cause() {
     }
 }
 
+/// Which lane the merge table's overflow buckets went back in on is in
+/// the trace: on the `spill_adaptive` shape (A-2P, 2 nodes, 250k tuples,
+/// 62.5k groups, the paper's 10k-entry table: every node switches and its
+/// merge table spills partials and raws alike), at least 90 % of the
+/// bucket pages are
+/// re-aggregated as batches off their strips, and the rest are counted by
+/// cause — the pages where one sender's flushed partials meet its raws
+/// are ragged under the default query. An untraced run lands on the same
+/// rows and clock.
+#[test]
+fn overflow_bucket_pages_ride_the_strips() {
+    let parts = generate_partitions(&RelationSpec::uniform(250_000, 62_500), 2);
+    let mut plain = ClusterConfig::new(2, CostParams::paper_default());
+    plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+    let traced = plain.clone().with_tracing();
+    let kind = AlgorithmKind::AdaptiveTwoPhase;
+    let a = run_algorithm(kind, &plain, &parts, &default_query()).unwrap();
+    let b = run_algorithm(kind, &traced, &parts, &default_query()).unwrap();
+    assert_eq!(a.rows, b.rows);
+    assert_eq!(a.elapsed_ms().to_bits(), b.elapsed_ms().to_bits(), "clock moved under tracing");
+    assert_eq!(b.adapted_nodes().len(), 2, "every node switches");
+    let trace = b.trace.as_ref().unwrap();
+    let sum = |counter: &str| trace.nodes.iter().map(|n| n.metrics.counter(counter)).sum::<u64>();
+    let batched = sum("hashagg.overflow_pages{lane=batched}");
+    let by_cause = ["mixed_kind", "ragged", "value_strip"]
+        .map(|cause| sum(&format!("hashagg.overflow_pages{{lane=rows,cause={cause}}}")));
+    let pages = batched + by_cause.iter().sum::<u64>();
+    assert!(sum("hashagg.spilled_tuples") > 100_000 && pages > 1_000, "{pages} bucket pages");
+    assert!(batched * 10 >= pages * 9, "{batched} of {pages} bucket pages batched ({by_cause:?})");
+    assert_eq!(by_cause[0] + by_cause[2], 0, "no mixed-kind or value-strip page here");
+}
+
 /// Why the engine left the typed group-store layout is visible from the
 /// trace alone: the default query keeps every column typed at no more
 /// than 48 bytes a group, a `Str`-keyed query reports the key column's
