@@ -80,7 +80,12 @@ pub struct NodeOutcomeSummary {
 }
 
 impl RunOutcome {
-    /// Elapsed virtual time (slowest node).
+    /// Elapsed virtual time (slowest node), in ticks.
+    pub fn elapsed(&self) -> u64 {
+        self.run.elapsed()
+    }
+
+    /// Elapsed virtual time (slowest node), in ms.
     pub fn elapsed_ms(&self) -> f64 {
         self.run.elapsed_ms()
     }

@@ -4,7 +4,7 @@ use crate::args::{RunArgs, ServeArgs, TraceFormat, Workload};
 use adaptagg_algos::{run_algorithm, AlgorithmKind};
 use adaptagg_cost::{recommend, CostAlgorithm, ModelConfig};
 use adaptagg_exec::{ClusterConfig, ExecError, FaultPlan, RecoveryPolicy};
-use adaptagg_model::{CostParams, DataType, Field, Schema};
+use adaptagg_model::{ticks_to_ms, CostParams, DataType, Field, Schema};
 use adaptagg_sql::compile;
 use adaptagg_storage::HeapFile;
 use adaptagg_workload::{generate_partitions, RelationSpec, TpcdWorkload, ZipfSpec};
@@ -255,8 +255,8 @@ pub fn cmd_run(args: &RunArgs) -> Result<(), CmdError> {
             "recovery  : {} attempts, lost {:.1} ms + backoff {:.1} ms \
              (with recovery: {:.1} virtual ms)",
             rec.attempts,
-            rec.lost_ms,
-            rec.backoff_ms,
+            ticks_to_ms(rec.lost),
+            ticks_to_ms(rec.backoff),
             out.run.elapsed_with_recovery_ms()
         );
         if !rec.dead_nodes.is_empty() {

@@ -1,8 +1,15 @@
 //! Per-node virtual clocks.
+//!
+//! A clock counts whole ticks (picoseconds, [`adaptagg_model::TICKS_PER_MS`]
+//! to the ms): every event's unit is rounded to ticks once, when the clock
+//! is built, and from then on time is integer arithmetic — exact, and the
+//! same in whatever order charges arrive. Milliseconds appear only where
+//! time is reported ([`Clock::now_ms`], [`Clock::breakdown`], phase marks).
 
-use adaptagg_model::{CostEvent, CostParams, CostTracker};
+use adaptagg_model::{ticks_to_ms, CostEvent, CostParams, CostTracker};
 
-/// Where a node's virtual time went. The categories mirror the paper's
+/// Where a node's virtual time went, in ms: the report form of a clock's
+/// tick totals ([`Clock::breakdown`]). The categories mirror the paper's
 /// cost-model terms, so measured runs and analytical predictions can be
 /// compared term by term in EXPERIMENTS.md.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
@@ -47,20 +54,31 @@ pub struct PhaseMark {
     pub breakdown: TimeBreakdown,
 }
 
+/// The categories a clock's ticks are spent in, indexing `Clock::spent` in
+/// [`TimeBreakdown`]'s field order.
+const CPU: usize = 0;
+const IO: usize = 1;
+const NET: usize = 2;
+const WAIT: usize = 3;
+
 /// A node's virtual clock. Implements [`CostTracker`], so the storage and
 /// hash-aggregation layers advance it transparently as they emit events.
 #[derive(Debug, Clone)]
 pub struct Clock {
-    now_ms: f64,
+    now: u64,
     params: CostParams,
-    /// `unit_ms(&params)` of every event, indexed by the event: the
-    /// params never change, and a division per recorded event is most of
-    /// what recording one costs in loops that must record event by event
-    /// (a run merge's pops, a seal's rows).
-    units: [f64; 9],
-    breakdown: TimeBreakdown,
+    /// Ticks per occurrence of every event, indexed by the event, with the
+    /// slowdown folded in.
+    units: [u64; 9],
+    /// Ticks spent per category (`CPU`, `IO`, `NET`, `WAIT`).
+    spent: [u64; 4],
     marks: Vec<PhaseMark>,
     slowdown: f64,
+}
+
+/// Every event's unit under `params`, slowed by `factor`, in whole ticks.
+fn units(params: &CostParams, factor: f64) -> [u64; 9] {
+    CostEvent::ALL.map(|e| (e.unit_ticks(params) as f64 * factor).round() as u64)
 }
 
 impl Clock {
@@ -68,23 +86,23 @@ impl Clock {
     pub fn new(params: CostParams) -> Self {
         debug_assert!(CostEvent::ALL.iter().enumerate().all(|(i, &e)| e as usize == i));
         Clock {
-            now_ms: 0.0,
-            units: CostEvent::ALL.map(|e| e.unit_ms(&params)),
+            now: 0,
+            units: units(&params, 1.0),
             params,
-            breakdown: TimeBreakdown::default(),
+            spent: [0; 4],
             marks: Vec::new(),
             slowdown: 1.0,
         }
     }
 
     /// Inflate every subsequent CPU/disk event by `factor` — a fault
-    /// plan's per-node slowdown (a degraded, not dead, node). `1.0` is the
-    /// nominal default and is exactly cost-free (`x * 1.0 == x` in IEEE
-    /// 754), so an unslowed clock ticks identically to one without the
-    /// feature.
+    /// plan's per-node slowdown (a degraded, not dead, node): each event
+    /// then costs its unit times `factor`, rounded to a whole tick. `1.0`
+    /// is the nominal default and leaves every unit as it was.
     pub fn set_slowdown(&mut self, factor: f64) {
         assert!(factor >= 1.0, "slowdown factor must be >= 1.0");
         self.slowdown = factor;
+        self.units = units(&self.params, factor);
     }
 
     /// The current slowdown factor.
@@ -96,8 +114,8 @@ impl Clock {
     pub fn mark(&mut self, label: &'static str) {
         self.marks.push(PhaseMark {
             label,
-            at_ms: self.now_ms,
-            breakdown: self.breakdown,
+            at_ms: self.now_ms(),
+            breakdown: self.breakdown(),
         });
     }
 
@@ -106,9 +124,14 @@ impl Clock {
         &self.marks
     }
 
+    /// Current virtual time in ticks.
+    pub fn now(&self) -> u64 {
+        self.now
+    }
+
     /// Current virtual time in ms.
     pub fn now_ms(&self) -> f64 {
-        self.now_ms
+        ticks_to_ms(self.now)
     }
 
     /// The cost parameters this clock charges with.
@@ -116,80 +139,47 @@ impl Clock {
         &self.params
     }
 
-    /// Where the time went so far.
-    pub fn breakdown(&self) -> &TimeBreakdown {
-        &self.breakdown
+    /// Where the time went so far, in ms.
+    pub fn breakdown(&self) -> TimeBreakdown {
+        let [cpu, io, net, wait] = self.spent.map(ticks_to_ms);
+        TimeBreakdown {
+            cpu_ms: cpu,
+            io_ms: io,
+            net_ms: net,
+            wait_ms: wait,
+        }
     }
 
     /// Advance to a network-transfer completion time (send side): the node
     /// is occupied until its transfer finishes, matching the analytical
     /// model charging `m_l` to the sender.
-    pub fn advance_net_to(&mut self, t_ms: f64) {
-        if t_ms > self.now_ms {
-            self.breakdown.net_ms += t_ms - self.now_ms;
-            self.now_ms = t_ms;
-        }
+    pub fn advance_net_to(&mut self, t: u64) {
+        self.jump(t, NET);
     }
 
     /// Lamport observation (receive side): jump forward to the message's
     /// timestamp if it is ahead of us; the gap is idle waiting.
-    pub fn observe(&mut self, t_ms: f64) {
-        if t_ms > self.now_ms {
-            self.breakdown.wait_ms += t_ms - self.now_ms;
-            self.now_ms = t_ms;
+    pub fn observe(&mut self, t: u64) {
+        self.jump(t, WAIT);
+    }
+
+    fn jump(&mut self, t: u64, category: usize) {
+        if t > self.now {
+            self.spent[category] += t - self.now;
+            self.now = t;
         }
     }
 }
 
 impl CostTracker for Clock {
     fn record(&mut self, event: CostEvent, count: u64) {
-        let dt = self.units[event as usize] * count as f64 * self.slowdown;
-        self.now_ms += dt;
-        match event {
-            CostEvent::PageReadSeq | CostEvent::PageWriteSeq | CostEvent::PageReadRand => {
-                self.breakdown.io_ms += dt
-            }
-            _ => self.breakdown.cpu_ms += dt,
-        }
-    }
-
-    fn record_tuples(&mut self, template: &[CostEvent], count: u64) {
-        // Per-unit deltas, each exactly what `record(e, 1)` would add
-        // (`unit_ms * 1 as f64 * slowdown`). Replaying them per tuple keeps
-        // the f64 accumulation order — and therefore every rounding step —
-        // identical to the per-tuple loop this call batches. Fixed-size
-        // buffers: no allocation on the hot path.
-        if template.len() > 8 {
-            // Oversized template (never happens in-tree): take the naive
-            // per-tuple path rather than truncate.
-            for _ in 0..count {
-                for &e in template {
-                    self.record(e, 1);
-                }
-            }
-            return;
-        }
-        let mut dts = [0.0f64; 8];
-        let mut io = [false; 8];
-        let n = template.len();
-        for (i, e) in template.iter().enumerate() {
-            dts[i] = self.units[*e as usize] * self.slowdown;
-            io[i] = matches!(
-                e,
-                CostEvent::PageReadSeq | CostEvent::PageWriteSeq | CostEvent::PageReadRand
-            );
-        }
-        for _ in 0..count {
-            for i in 0..n {
-                let dt = dts[i];
-                self.now_ms += dt;
-                if io[i] {
-                    self.breakdown.io_ms += dt;
-                } else {
-                    self.breakdown.cpu_ms += dt;
-                }
-            }
-        }
+        let dt = self.units[event as usize] * count;
+        self.now += dt;
+        let category = match event {
+            CostEvent::PageReadSeq | CostEvent::PageWriteSeq | CostEvent::PageReadRand => IO,
+            _ => CPU,
+        };
+        self.spent[category] += dt;
     }
 }
 
@@ -201,33 +191,35 @@ mod tests {
         Clock::new(CostParams::paper_default())
     }
 
+    const MS: u64 = adaptagg_model::TICKS_PER_MS;
+
     #[test]
     fn events_advance_by_unit_cost() {
         let mut c = clock();
         c.record(CostEvent::PageReadSeq, 2); // 2.30 ms io
         c.record(CostEvent::TupleRead, 100); // 0.75 ms cpu
-        assert!((c.now_ms() - 3.05).abs() < 1e-9);
-        assert!((c.breakdown().io_ms - 2.30).abs() < 1e-9);
-        assert!((c.breakdown().cpu_ms - 0.75).abs() < 1e-9);
+        assert_eq!(c.now(), 3_050_000_000);
+        assert_eq!(c.now_ms(), 3.05);
+        assert_eq!((c.breakdown().io_ms, c.breakdown().cpu_ms), (2.3, 0.75));
     }
 
     #[test]
     fn observe_only_moves_forward() {
         let mut c = clock();
         c.record(CostEvent::PageReadSeq, 10); // 11.5ms
-        c.observe(5.0); // in the past: no-op
-        assert!((c.now_ms() - 11.5).abs() < 1e-9);
+        c.observe(5 * MS); // in the past: no-op
+        assert_eq!(c.now(), 11_500_000_000);
         assert_eq!(c.breakdown().wait_ms, 0.0);
-        c.observe(20.0);
-        assert!((c.now_ms() - 20.0).abs() < 1e-9);
-        assert!((c.breakdown().wait_ms - 8.5).abs() < 1e-9);
+        c.observe(20 * MS);
+        assert_eq!(c.now(), 20 * MS);
+        assert_eq!(c.breakdown().wait_ms, 8.5);
     }
 
     #[test]
     fn advance_net_accumulates_net_time() {
         let mut c = clock();
-        c.advance_net_to(3.0);
-        c.advance_net_to(2.0); // past: no-op
+        c.advance_net_to(3 * MS);
+        c.advance_net_to(2 * MS); // past: no-op
         assert_eq!(c.now_ms(), 3.0);
         assert_eq!(c.breakdown().net_ms, 3.0);
     }
@@ -236,60 +228,52 @@ mod tests {
     fn breakdown_total_matches_clock() {
         let mut c = clock();
         c.record(CostEvent::TupleHash, 7);
-        c.advance_net_to(1.0);
-        c.observe(2.5);
+        c.advance_net_to(MS);
+        c.observe(5 * MS / 2);
         c.record(CostEvent::PageWriteSeq, 1);
-        assert!((c.breakdown().total_ms() - c.now_ms()).abs() < 1e-9);
+        assert_eq!(c.spent.iter().sum::<u64>(), c.now());
+        assert!((c.breakdown().total_ms() - c.now_ms()).abs() < 1e-12);
     }
 
     #[test]
-    fn slowdown_inflates_events_only() {
+    fn a_slowed_clock_charges_whole_ticks_of_the_slowed_unit() {
+        let params = CostParams::paper_default();
+        for factor in [1.0, 1.75, 2.0, 3.3333] {
+            let mut c = clock();
+            c.set_slowdown(factor);
+            assert_eq!(c.slowdown(), factor);
+            let mut expect = 0;
+            for (n, e) in (1u64..).zip(CostEvent::ALL) {
+                c.record(e, 1000 * n);
+                expect += 1000 * n * (e.unit_ticks(&params) as f64 * factor).round() as u64;
+            }
+            assert_eq!(c.now(), expect, "slowdown {factor}");
+        }
+        // Network/Lamport advances are wall positions, not work: unscaled.
         let mut c = clock();
         c.set_slowdown(2.0);
         c.record(CostEvent::PageReadSeq, 2); // 2 × 1.15 × 2.0 = 4.6 ms
-        assert!((c.now_ms() - 4.6).abs() < 1e-9);
-        // Network/Lamport advances are wall positions, not work: unscaled.
-        c.advance_net_to(5.0);
-        assert!((c.now_ms() - 5.0).abs() < 1e-9);
-        c.observe(6.0);
-        assert!((c.now_ms() - 6.0).abs() < 1e-9);
-        assert_eq!(c.slowdown(), 2.0);
+        assert_eq!(c.now(), 4_600_000_000);
+        c.advance_net_to(5 * MS);
+        c.observe(6 * MS);
+        assert_eq!(c.now(), 6 * MS);
     }
 
     #[test]
-    fn record_tuples_is_bit_identical_to_per_tuple_loop() {
-        // The batched path must reproduce the per-tuple loop's f64
-        // accumulation exactly — rounding included — or virtual-time pins
-        // would drift. Exercise cpu-only and mixed cpu/io templates, with
-        // and without slowdown, from a non-zero starting time.
-        let templates: [&[CostEvent]; 3] = [
-            &[CostEvent::TupleRead, CostEvent::TupleHash, CostEvent::TupleAgg],
-            &[CostEvent::TupleRead, CostEvent::TupleAgg],
-            &[CostEvent::TupleRead, CostEvent::PageWriteSeq, CostEvent::TupleDest],
-        ];
-        for slowdown in [1.0, 1.75] {
-            for template in templates {
-                let mut batched = clock();
-                batched.set_slowdown(slowdown);
-                batched.record(CostEvent::TupleHash, 7); // non-zero start
-                let mut looped = batched.clone();
-                batched.record_tuples(template, 1013);
-                for _ in 0..1013 {
-                    for &e in template {
-                        looped.record(e, 1);
-                    }
-                }
-                assert_eq!(batched.now_ms().to_bits(), looped.now_ms().to_bits());
-                assert_eq!(
-                    batched.breakdown().cpu_ms.to_bits(),
-                    looped.breakdown().cpu_ms.to_bits()
-                );
-                assert_eq!(
-                    batched.breakdown().io_ms.to_bits(),
-                    looped.breakdown().io_ms.to_bits()
-                );
+    fn charges_commute() {
+        let events = [(CostEvent::TupleRead, 7), (CostEvent::PageWriteSeq, 3), (CostEvent::TupleDest, 11)];
+        let mut forward = clock();
+        let mut backward = clock();
+        for &(e, n) in &events {
+            forward.record(e, n);
+        }
+        for &(e, n) in events.iter().rev() {
+            for _ in 0..n {
+                backward.record(e, 1);
             }
         }
+        assert_eq!(forward.now(), backward.now());
+        assert_eq!(forward.spent, backward.spent);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::ExecError;
 use crate::node::{NodeCtx, DEFAULT_WATCHDOG};
 use crate::recovery::{self, RecoveryPolicy, RecoverySession, Segment};
 use crate::runstats::{NodeReport, RecoveryStats, RunResult};
-use adaptagg_model::{CostParams, MemoryGrant};
+use adaptagg_model::{ms_to_ticks, ticks_to_ms, CostParams, MemoryGrant};
 use adaptagg_net::{
     loopback_endpoints, Control, Fabric, FaultPlan, LinkRetryPolicy, NodeFaults, TcpConfig,
     TransportKind,
@@ -149,11 +149,6 @@ impl ClusterConfig {
     pub fn paper_cluster() -> Self {
         ClusterConfig::new(8, CostParams::cluster_default())
     }
-
-    /// The analytical default: 32 nodes on a high-speed network.
-    pub fn paper_model() -> Self {
-        ClusterConfig::new(32, CostParams::paper_default())
-    }
 }
 
 /// The outcome of [`run_cluster`]: one output per node plus timing.
@@ -243,7 +238,7 @@ where
                         ..RunTrace::default()
                     }),
                 }),
-                Err((e, _at_ms)) => Err(e),
+                Err((e, _at)) => Err(e),
             }
         }
         Some(policy) => run_recovering(config, policy, &partitions, watchdog, &body),
@@ -263,8 +258,9 @@ struct NodeSeat {
 /// One attempt's successful outcome: outputs, reports, bus-busy time,
 /// and per-node traces (empty when tracing is off).
 type AttemptOk<T> = (Vec<T>, Vec<NodeReport>, f64, Vec<NodeTraceReport>);
-/// One attempt's failure: the first cause and its virtual failure time.
-type AttemptErr = (ExecError, f64);
+/// One attempt's failure: the first cause and its virtual failure time in
+/// ticks (`None`: a panic, which has none).
+type AttemptErr = (ExecError, Option<u64>);
 
 /// Execute one cluster attempt over the given seats. Returns either all
 /// nodes' outputs or the attempt's first-cause failure with its virtual
@@ -295,13 +291,13 @@ where
                 Ok(endpoints) => endpoints,
                 // Establishment failure happens before any virtual time
                 // elapses; it is an environment fault, not a node fault.
-                Err(e) => return Err((ExecError::Net(e), 0.0)),
+                Err(e) => return Err((ExecError::Net(e), Some(0))),
             }
         }
     };
 
     type NodeOk<T> = (T, NodeReport, f64, Option<NodeTraceReport>);
-    let results: Vec<Result<NodeOk<T>, (ExecError, f64)>> = std::thread::scope(|scope| {
+    let results: Vec<Result<NodeOk<T>, AttemptErr>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for (endpoint, seat) in endpoints.into_iter().zip(seats) {
             let params = params.clone();
@@ -320,20 +316,20 @@ where
                 let out = match body(&mut ctx) {
                     Ok(out) => out,
                     Err(e) => {
-                        let at_ms = ctx.clock.now_ms();
+                        let at = ctx.clock.now();
                         // Tell the survivors why we are leaving; ignore
                         // delivery failures (a peer may be gone already).
                         let _ = ctx.broadcast_control(Control::Abort {
                             origin: node,
                             reason: e.to_string(),
                         });
-                        return Err((e, at_ms));
+                        return Err((e, Some(at)));
                     }
                 };
                 let report = NodeReport {
                     node,
-                    clock_ms: ctx.clock.now_ms(),
-                    breakdown: *ctx.clock.breakdown(),
+                    clock: ctx.clock.now(),
+                    breakdown: ctx.clock.breakdown(),
                     net: *ctx.net_stats(),
                     marks: ctx.clock.marks().to_vec(),
                     recovery: ctx
@@ -358,9 +354,9 @@ where
                         .or_else(|| panic.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "non-string panic".to_string());
                     // A panicking thread never reached the abort
-                    // broadcast; rank it at the end of virtual time so a
+                    // broadcast; it ranks after every failure time, so a
                     // typed primary error at the same class wins.
-                    Err((ExecError::NodePanic { node, message }, f64::INFINITY))
+                    Err((ExecError::NodePanic { node, message }, None))
                 })
             })
             .collect()
@@ -370,7 +366,7 @@ where
     let mut per_node = Vec::with_capacity(n);
     let mut traces = Vec::new();
     let mut bus_busy_ms = 0.0f64;
-    let mut failure: Option<(ExecError, f64)> = None;
+    let mut failure: Option<AttemptErr> = None;
     for r in results {
         match r {
             Ok((out, report, bus, node_trace)) => {
@@ -379,16 +375,18 @@ where
                 traces.extend(node_trace);
                 bus_busy_ms = bus_busy_ms.max(bus);
             }
-            Err((e, at_ms)) => {
+            Err((e, at)) => {
+                // Earlier is better; a panic (no time) comes last.
+                let rank = |at: Option<u64>| at.unwrap_or(u64::MAX);
                 let better = match &failure {
                     None => true,
-                    Some((best, best_ms)) => {
+                    Some((best, best_at)) => {
                         let (c, bc) = (e.attribution_class(), best.attribution_class());
-                        c < bc || (c == bc && at_ms < *best_ms)
+                        c < bc || (c == bc && rank(at) < rank(*best_at))
                     }
                 };
                 if better {
-                    failure = Some((e, at_ms));
+                    failure = Some((e, at));
                 }
             }
         }
@@ -505,8 +503,8 @@ where
                     attempts: stats.attempts,
                     dead_nodes: stats.dead_nodes.clone(),
                     reassigned_partitions: stats.reassigned_partitions,
-                    lost_ms: stats.lost_ms,
-                    backoff_ms: stats.backoff_ms,
+                    lost_ms: ticks_to_ms(stats.lost),
+                    backoff_ms: ticks_to_ms(stats.backoff),
                 };
                 return Ok(ClusterRun {
                     outputs,
@@ -524,10 +522,9 @@ where
                     }),
                 });
             }
-            Err((e, at_ms)) => {
-                if at_ms.is_finite() {
-                    stats.lost_ms += at_ms;
-                }
+            Err((e, at)) => {
+                let lost = at.unwrap_or(0);
+                stats.lost += lost;
                 // Non-recoverable failures (storage, model, protocol
                 // bugs) bail immediately — retrying cannot help.
                 let Some(victim_seat) = recovery::victim_of(&e) else {
@@ -560,18 +557,18 @@ where
                     owner[p] = heir;
                     stats.reassigned_partitions += 1;
                 }
-                let mut charged_backoff = 0.0;
+                let mut charged_backoff = 0;
                 if attempt + 1 < max_attempts {
-                    stats.backoff_ms += backoff;
-                    charged_backoff = backoff;
+                    charged_backoff = ms_to_ticks(backoff);
+                    stats.backoff += charged_backoff;
                     backoff *= policy.backoff_multiplier;
                 }
                 if config.trace {
                     recovery_trace.push(RecoveryAttemptTrace {
                         attempt: stats.attempts,
                         victim: Some(victim),
-                        lost_ms: if at_ms.is_finite() { at_ms } else { 0.0 },
-                        backoff_ms: charged_backoff,
+                        lost_ms: ticks_to_ms(lost),
+                        backoff_ms: ticks_to_ms(charged_backoff),
                     });
                 }
             }
@@ -855,8 +852,8 @@ mod tests {
         assert_eq!(run.run.recovery.attempts, 2);
         assert_eq!(run.run.recovery.dead_nodes, vec![1]);
         assert_eq!(run.run.recovery.reassigned_partitions, 1);
-        assert!(run.run.recovery.lost_ms > 0.0);
-        assert!(run.run.recovery.backoff_ms > 0.0);
+        assert!(run.run.recovery.lost > 0);
+        assert!(run.run.recovery.backoff > 0);
         let ids: Vec<usize> = run.run.per_node.iter().map(|r| r.node).collect();
         assert_eq!(ids, vec![0, 2], "reports keep original node ids");
         assert!(run.run.elapsed_with_recovery_ms() > run.run.elapsed_ms());

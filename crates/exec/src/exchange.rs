@@ -24,7 +24,7 @@ use adaptagg_hashagg::AggTable;
 use adaptagg_model::hash::{
     hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values, Seed,
 };
-use adaptagg_model::{CellRow, CostEvent, CostTracker, Value};
+use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, Value};
 use adaptagg_net::{Blocker, Control, DataKind};
 use adaptagg_storage::{BatchCharges, BatchOutcome, Page, RowPages, ScanBatch, StripView};
 
@@ -114,7 +114,7 @@ impl Exchange {
     /// Route every tuple on a page (a page of drained partial rows, a
     /// received block being forwarded) — the page-batched counterpart of
     /// calling [`Exchange::route`] per row, at its charges, send timestamps
-    /// and clock bits: the page is the trivial batch
+    /// and clock: the page is the trivial batch
     /// ([`Exchange::route_batch`]). A ragged page has no strips to ride;
     /// its rows decode into a reused scratch row and take `route` itself.
     pub fn route_page(
@@ -197,12 +197,13 @@ impl Exchange {
     /// destination's open message page strip to strip — no `Value` row
     /// between the source page and the message page.
     ///
-    /// Charges are the row loop's, in row order: each passing row records
-    /// `batch.pass_lead()` and then the route template, each filtered-out
-    /// row `batch.fail_charge()`, as [`CostTracker::record_tuples`] runs
-    /// that are flushed before every page send (and before an error
-    /// surfaces) — so send timestamps, and with them every receiver's
-    /// Lamport observations, are those of [`Exchange::route`] per row.
+    /// Charges are the row loop's: each passing row owes
+    /// `batch.pass_lead()` and the route template, each filtered-out row
+    /// `batch.fail_charge()`. They are recorded as counts, and the routed
+    /// rows' are paid before every page send, whose timestamp reads the
+    /// clock (and before an error surfaces, whose failure time does) — so
+    /// send timestamps, and with them every receiver's Lamport
+    /// observations, are those of [`Exchange::route`] per row.
     pub fn route_batch(
         &mut self,
         ctx: &mut NodeCtx,
@@ -226,21 +227,22 @@ impl Exchange {
             hash_batch_finish(&mut hashes);
         }
 
-        let mut charges = BatchCharges::new(batch, route_template(charge_hash));
+        let template = route_template(charge_hash);
+        let mut charges = BatchCharges::default();
         let dests = self.blocker.destinations() as u64;
         // The first row not yet accounted for.
         let mut next = 0usize;
         let mut result = Ok(());
         for i in 0..passing {
             let r = batch.passing_row(i);
-            charges.failed(&mut ctx.clock, (r - next) as u64);
+            record_each(&mut ctx.clock, batch.fail_charge(), (r - next) as u64);
             next = r + 1;
             charges.accepted();
             let dest = (hashes[r] % dests) as usize;
             let sent = match self.blocker.add_strips_pooled(dest, batch, r, &mut ctx.page_pool) {
                 Ok(None) => Ok(()),
                 Ok(Some(page)) => {
-                    charges.flush(&mut ctx.clock);
+                    charges.flush(&mut ctx.clock, batch, template);
                     ctx.send_page(dest, self.kind, page)
                 }
                 Err(e) => Err(e.into()),
@@ -251,10 +253,10 @@ impl Exchange {
             }
             self.routed += 1;
         }
-        charges.flush(&mut ctx.clock);
+        charges.flush(&mut ctx.clock, batch, template);
         self.hash_scratch = hashes;
         result?;
-        charges.failed(&mut ctx.clock, (rows - next) as u64);
+        record_each(&mut ctx.clock, batch.fail_charge(), (rows - next) as u64);
         Ok(BatchOutcome {
             consumed: rows,
             passed: passing as u64,
@@ -406,12 +408,11 @@ mod tests {
 
         let mut ex = Exchange::new(2, 2048, 1, DataKind::Raw);
         ex.route(&mut tx, &row(1), true).unwrap();
-        let with_hash = tx.clock.now_ms();
-        assert!((with_hash - (p.t_hash() + p.t_dest())).abs() < 1e-9);
+        let with_hash = tx.clock.now();
+        assert_eq!(with_hash, CostEvent::TupleHash.unit_ticks(&p) + CostEvent::TupleDest.unit_ticks(&p));
 
         ex.route(&mut tx, &row(2), false).unwrap();
-        let without = tx.clock.now_ms() - with_hash;
-        assert!((without - p.t_dest()).abs() < 1e-9);
+        assert_eq!(tx.clock.now() - with_hash, CostEvent::TupleDest.unit_ticks(&p));
     }
 
     #[test]
@@ -436,8 +437,8 @@ mod tests {
         assert_eq!(kinds, vec![DataKind::Partial, DataKind::Raw]);
     }
 
-    /// Per receiving node, in send order: each page's send-timestamp bits
-    /// and rows.
+    /// Per receiving node, in send order: each page's send timestamp in
+    /// ticks and rows.
     type Sent = Vec<Vec<(u64, Vec<Vec<Value>>)>>;
 
     /// Every page node 0 sent. Call after `finish` on node 0.
@@ -447,9 +448,10 @@ mod tests {
                 let mut received = Vec::new();
                 loop {
                     let msg = rx.recv().unwrap();
+                    let sent_at = msg.sent_at();
                     match msg.payload {
                         Payload::Data { page, .. } => {
-                            received.push((msg.sent_at_ms.to_bits(), page.decode_all().unwrap()))
+                            received.push((sent_at, page.decode_all().unwrap()))
                         }
                         Payload::Control(Control::EndOfStream) => break received,
                         _ => panic!("unexpected control"),
@@ -460,8 +462,8 @@ mod tests {
     }
 
     /// Route on node 0 of a fresh 2-node fabric, finish, and return what
-    /// that made observable: the sender's clock bits (now, CPU share) and
-    /// every page it sent, with its send timestamp.
+    /// that made observable: the sender's clock (ticks, and the CPU share)
+    /// and every page it sent, with its send timestamp.
     fn routed(
         key_len: usize,
         kind: DataKind,
@@ -472,15 +474,15 @@ mod tests {
         route(&mut ex, &mut ctxs[0]);
         ex.finish(&mut ctxs[0]).unwrap();
         let clock = &ctxs[0].clock;
-        let bits = (clock.now_ms().to_bits(), clock.breakdown().cpu_ms.to_bits());
-        (bits, sent_pages(&mut ctxs))
+        let spent = (clock.now(), clock.breakdown().cpu_ms.to_bits());
+        (spent, sent_pages(&mut ctxs))
     }
 
     #[test]
-    fn batched_routes_are_bit_identical_to_per_tuple_routes() {
+    fn batched_routes_match_per_tuple_routes() {
         // A page routed whole must be indistinguishable from the per-tuple
-        // loop: same sealed pages, same send timestamps, same clock bits
-        // on the sender.
+        // loop: same sealed pages, same send timestamps, same clock on the
+        // sender.
         let rows: Vec<Vec<Value>> = (0..700).map(row).collect();
         for charge_hash in [false, true] {
             let per_row = routed(1, DataKind::Raw, |ex, tx| {
@@ -591,12 +593,12 @@ mod tests {
         };
         let routed = ex.routed();
         ex.finish(tx).unwrap();
-        let clock = ctxs[0].clock.now_ms().to_bits();
+        let clock = ctxs[0].clock.now();
         (scanned, routed, clock, sent_pages(&mut ctxs))
     }
 
     #[test]
-    fn scanned_batches_are_bit_identical_to_per_tuple_routes() {
+    fn scanned_batches_match_per_tuple_routes() {
         // (g, name, v, w): an `Int` key, a `Str` column, two `Int`s.
         let mut file = HeapFile::new(1024);
         for i in 0..900i64 {

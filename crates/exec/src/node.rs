@@ -165,7 +165,7 @@ impl NodeCtx {
         self.trace = NodeTrace::on(self.id);
     }
 
-    /// `[cpu, io, net, wait]` snapshot for span bookkeeping.
+    /// `[cpu, io, net, wait]` snapshot in ms for span bookkeeping.
     fn breakdown_snapshot(&self) -> [f64; 4] {
         let b = self.clock.breakdown();
         [b.cpu_ms, b.io_ms, b.net_ms, b.wait_ms]
@@ -292,11 +292,8 @@ impl NodeCtx {
     /// Book the virtual backoff accrued by link retries (zero — and a
     /// no-op — unless a retry policy is set and a send actually failed).
     fn charge_retry_backoff(&mut self) {
-        let backoff = self.endpoint.take_retry_backoff_ms();
-        if backoff > 0.0 {
-            let now = self.clock.now_ms();
-            self.clock.observe(now + backoff);
-        }
+        let backoff = self.endpoint.take_retry_backoff();
+        self.clock.observe(self.clock.now() + backoff);
     }
 
     /// What every receive does with a message once the endpoint hands it
@@ -316,7 +313,7 @@ impl NodeCtx {
         if let Payload::Control(Control::Abort { origin, reason }) = msg.payload {
             return Err(ExecError::Aborted { origin, reason });
         }
-        self.clock.observe(msg.sent_at_ms);
+        self.clock.observe(msg.sent_at());
         if msg.payload.is_data() {
             self.clock.record(CostEvent::MsgProtocol, 1);
         }
@@ -328,9 +325,10 @@ impl NodeCtx {
     /// on. Other senders' arrivals stay queued in the endpoint, unobserved
     /// and uncharged, until they are asked for in turn, so the node's
     /// virtual time is a function of what was sent, never of how the
-    /// senders' threads interleaved (`f64` accumulation is order-sensitive
-    /// at the ULP level; charging in arrival order would imprint the
-    /// schedule on the clock). Bounded by the real-time watchdog, however
+    /// senders' threads interleaved: each receive is a Lamport
+    /// observation — a max — between charges, and a max does not commute
+    /// with the sum, so observing in arrival order would imprint the
+    /// schedule on the clock. Bounded by the real-time watchdog, however
     /// much other senders deliver meanwhile; an abort from *anyone*
     /// surfaces at once as [`ExecError::Aborted`].
     pub fn recv_from(&mut self, sender: usize) -> Result<Message, ExecError> {
@@ -356,7 +354,7 @@ impl NodeCtx {
     /// virtual timestamp is in the future — failure propagation must not
     /// wait on simulated time.
     pub fn poll_control(&mut self) -> Result<Option<Message>, ExecError> {
-        let polled = self.endpoint.poll_control(self.clock.now_ms())?;
+        let polled = self.endpoint.poll_control(self.clock.now())?;
         polled.map(|msg| self.account(Ok(msg))).transpose()
     }
 
@@ -440,13 +438,13 @@ mod tests {
         let (mut a, mut b) = two_nodes(NetworkKind::HighSpeed { latency_ms: 0.5 });
         a.send_page(1, DataKind::Raw, page_of(3)).unwrap();
         // m_p = 0.025 ms cpu, then 0.5 ms transfer.
-        assert!((a.clock.now_ms() - 0.525).abs() < 1e-9);
-        assert!((a.clock.breakdown().net_ms - 0.5).abs() < 1e-9);
+        assert_eq!(a.clock.now(), 525_000_000);
+        assert_eq!(a.clock.breakdown().net_ms, 0.5);
 
         let msg = b.recv().unwrap();
         // Receiver observed the timestamp (0.525) and charged its m_p.
-        assert!((b.clock.now_ms() - 0.55).abs() < 1e-9);
-        assert!((b.clock.breakdown().wait_ms - 0.525).abs() < 1e-9);
+        assert_eq!(b.clock.now(), 550_000_000);
+        assert_eq!(b.clock.breakdown().wait_ms, 0.525);
         assert!(msg.payload.is_data());
     }
 
@@ -474,7 +472,7 @@ mod tests {
         let (mut a, mut b, mut c) = three_nodes();
         // On c's wire: b1 a1 b2 a2, then the three stream ends. b runs
         // far ahead of a in virtual time.
-        b.clock.observe(100.0);
+        b.clock.observe(100 * adaptagg_model::TICKS_PER_MS);
         for n in 1..=2 {
             b.send_page(2, DataKind::Partial, page_of(10 + n)).unwrap();
             a.send_page(2, DataKind::Partial, page_of(n)).unwrap();
@@ -635,7 +633,7 @@ mod tests {
         // Polls see aborts too, even with a future-stamped abort: failure
         // propagation must not wait on virtual time.
         let (mut a, mut b) = two_nodes(NetworkKind::HighSpeed { latency_ms: 5.0 });
-        a.clock.observe(1000.0); // a is far ahead in virtual time
+        a.clock.observe(1000 * adaptagg_model::TICKS_PER_MS); // a is far ahead in virtual time
         a.send_control(
             1,
             Control::Abort {

@@ -7,8 +7,8 @@
 //! * select, "getting tuple off data page": `|R_i| * (t_r + t_w)` — per
 //!   tuple (the `t_w` is the copy out of the page buffer; projection rides
 //!   along). The row loop charges it here; a batch consumer records it
-//!   itself, in row order with its own charges, because `f64` virtual time
-//!   is only bit-stable under one accumulation order (DESIGN.md §17);
+//!   with its own charges, as counts, paid before anything it does reads
+//!   the clock (DESIGN.md §21);
 //! * store: `(result_bytes/P) * IO` page writes plus nothing per tuple —
 //!   the `t_w` of "generating result tuples" is charged when the hash
 //!   table drains.
@@ -46,8 +46,8 @@ pub trait ScanCharge {
 
 /// What a page scan feeds. Asked page by page how it wants the next page:
 /// as one borrowed [`ScanBatch`] (and it then owes the batch's select
-/// charges, in row order with its own), or row by row with the select
-/// charges already made. An adaptive consumer may change its mind
+/// charges, recorded with its own before it returns or reads the clock),
+/// or row by row with the select charges already made. An adaptive consumer may change its mind
 /// mid-scan, and may stop a batch early — the scan hands it the rest of
 /// that page row-wise.
 pub trait ScanSink<X> {

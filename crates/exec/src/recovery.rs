@@ -82,12 +82,6 @@ impl RecoveryPolicy {
         self.max_attempts = attempts.max(1);
         self
     }
-
-    /// Override the checkpoint interval (input pages per checkpoint).
-    pub fn with_checkpoint_interval(mut self, pages: usize) -> Self {
-        self.checkpoint_interval_pages = pages.max(1);
-        self
-    }
 }
 
 /// One contiguous page range of a node's concatenated `"base"` file,

@@ -1,6 +1,7 @@
 //! Run results: per-node reports and cluster-wide summaries.
 
 use crate::clock::{PhaseMark, TimeBreakdown};
+use adaptagg_model::ticks_to_ms;
 use adaptagg_net::NetStats;
 
 /// Per-node recovery activity: checkpoint I/O, restored state, replay.
@@ -46,10 +47,10 @@ pub struct RecoveryStats {
     /// Base partitions reassigned to survivors.
     pub reassigned_partitions: u64,
     /// Virtual time wasted in failed attempts (each attempt's first-cause
-    /// failure time), summed.
-    pub lost_ms: f64,
-    /// Virtual backoff charged between attempts.
-    pub backoff_ms: f64,
+    /// failure time), summed, in ticks.
+    pub lost: u64,
+    /// Virtual backoff charged between attempts, in ticks.
+    pub backoff: u64,
 }
 
 impl Default for RecoveryStats {
@@ -58,8 +59,8 @@ impl Default for RecoveryStats {
             attempts: 1,
             dead_nodes: Vec::new(),
             reassigned_partitions: 0,
-            lost_ms: 0.0,
-            backoff_ms: 0.0,
+            lost: 0,
+            backoff: 0,
         }
     }
 }
@@ -76,8 +77,8 @@ impl RecoveryStats {
 pub struct NodeReport {
     /// Node id.
     pub node: usize,
-    /// The node's final virtual time in ms.
-    pub clock_ms: f64,
+    /// The node's final virtual time in ticks.
+    pub clock: u64,
     /// Where the time went.
     pub breakdown: TimeBreakdown,
     /// Network traffic.
@@ -109,22 +110,24 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Elapsed virtual time: the slowest node's clock — the paper's
-    /// response-time metric ("all nodes work completely in parallel").
-    /// This is the *successful attempt's* time; see
+    /// Elapsed virtual time in ticks: the slowest node's clock — the
+    /// paper's response-time metric ("all nodes work completely in
+    /// parallel"). This is the *successful attempt's* time; see
     /// [`RunResult::elapsed_with_recovery_ms`] for the honest total.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.per_node
-            .iter()
-            .map(|r| r.clock_ms)
-            .fold(0.0, f64::max)
+    pub fn elapsed(&self) -> u64 {
+        self.per_node.iter().map(|r| r.clock).max().unwrap_or(0)
     }
 
-    /// Elapsed virtual time including recovery cost: failed attempts'
-    /// lost time and inter-attempt backoff on top of the successful
-    /// attempt. Equals [`RunResult::elapsed_ms`] for clean runs.
+    /// [`RunResult::elapsed`] in ms.
+    pub fn elapsed_ms(&self) -> f64 {
+        ticks_to_ms(self.elapsed())
+    }
+
+    /// Elapsed virtual time including recovery cost, in ms: failed
+    /// attempts' lost time and inter-attempt backoff on top of the
+    /// successful attempt. Equals [`RunResult::elapsed_ms`] for clean runs.
     pub fn elapsed_with_recovery_ms(&self) -> f64 {
-        self.elapsed_ms() + self.recovery.lost_ms + self.recovery.backoff_ms
+        ticks_to_ms(self.elapsed() + self.recovery.lost + self.recovery.backoff)
     }
 
     /// Cluster-wide recovery activity (summed over nodes).
@@ -140,7 +143,7 @@ impl RunResult {
     pub fn slowest_node(&self) -> Option<usize> {
         self.per_node
             .iter()
-            .max_by(|a, b| a.clock_ms.total_cmp(&b.clock_ms))
+            .max_by_key(|r| r.clock)
             .map(|r| r.node)
     }
 
@@ -170,12 +173,11 @@ impl RunResult {
         if self.per_node.is_empty() {
             return 1.0;
         }
-        let mean: f64 =
-            self.per_node.iter().map(|r| r.clock_ms).sum::<f64>() / self.per_node.len() as f64;
-        if mean == 0.0 {
+        let total: u64 = self.per_node.iter().map(|r| r.clock).sum();
+        if total == 0 {
             1.0
         } else {
-            self.elapsed_ms() / mean
+            self.elapsed() as f64 * self.per_node.len() as f64 / total as f64
         }
     }
 
@@ -200,12 +202,12 @@ impl RunResult {
 mod tests {
     use super::*;
 
-    fn report(node: usize, ms: f64) -> NodeReport {
+    fn report(node: usize, ms: u64) -> NodeReport {
         NodeReport {
             node,
-            clock_ms: ms,
+            clock: ms * adaptagg_model::TICKS_PER_MS,
             breakdown: TimeBreakdown {
-                cpu_ms: ms,
+                cpu_ms: ms as f64,
                 ..Default::default()
             },
             net: NetStats::default(),
@@ -217,7 +219,7 @@ mod tests {
     #[test]
     fn elapsed_is_max_clock() {
         let run = RunResult {
-            per_node: vec![report(0, 5.0), report(1, 9.0), report(2, 7.0)],
+            per_node: vec![report(0, 5), report(1, 9), report(2, 7)],
             bus_busy_ms: 0.0,
             recovery: RecoveryStats::default(),
         };
@@ -228,7 +230,7 @@ mod tests {
     #[test]
     fn imbalance_of_balanced_run_is_one() {
         let run = RunResult {
-            per_node: vec![report(0, 4.0), report(1, 4.0)],
+            per_node: vec![report(0, 4), report(1, 4)],
             bus_busy_ms: 0.0,
             recovery: RecoveryStats::default(),
         };
@@ -238,7 +240,7 @@ mod tests {
     #[test]
     fn imbalance_of_skewed_run_exceeds_one() {
         let run = RunResult {
-            per_node: vec![report(0, 10.0), report(1, 2.0)],
+            per_node: vec![report(0, 10), report(1, 2)],
             bus_busy_ms: 0.0,
             recovery: RecoveryStats::default(),
         };
@@ -248,7 +250,7 @@ mod tests {
     #[test]
     fn totals_sum_nodes() {
         let run = RunResult {
-            per_node: vec![report(0, 1.0), report(1, 2.0)],
+            per_node: vec![report(0, 1), report(1, 2)],
             bus_busy_ms: 0.0,
             recovery: RecoveryStats::default(),
         };

@@ -165,12 +165,9 @@ impl HashAggregator {
 
     /// Push every tuple of a received page — the page-batched form of
     /// [`HashAggregator::push`], equivalent row by row (same mutations,
-    /// same cost events in the same order; runs of accepted tuples are
-    /// recorded through [`CostTracker::record_tuples`], which is
-    /// bit-identical to the per-tuple loop by contract). Which loop runs
-    /// is the page's doing: a whole page is the trivial batch
-    /// [`AggTable::feed_batch`] rides the strips of, and a ragged page
-    /// takes the row loop.
+    /// same cost events, counted). Which loop runs is the page's doing: a
+    /// whole page is the trivial batch [`AggTable::feed_batch`] rides the
+    /// strips of, and a ragged page takes the row loop.
     pub fn push_page<T: CostTracker>(
         &mut self,
         kind: RowKind,
@@ -333,7 +330,7 @@ impl HashAggregator {
 /// 3), a drained page at a time, spooling what the table cannot hold one
 /// level deeper. A page whose rows share a kind and sit on `Int` strips is
 /// fed as the batch [`drained_batch`] makes of it — each row charged the
-/// drain's `t_r` then its insert attempt, exactly as the row loop does;
+/// drain's `t_r` and its insert attempt, as the row loop charges them;
 /// any other page takes that row loop (`scratch` holds its rows), and the
 /// page counts in `stats` under the lane it took.
 fn refeed<T: CostTracker>(

@@ -37,8 +37,8 @@ use adaptagg_model::hash::{
 };
 use adaptagg_model::store::NO_GROUP;
 use adaptagg_model::{
-    AggFunc, AggQuery, CostEvent, CostTracker, GroupStore, KeyCell, MemoryGrant, ModelError,
-    ResultRow, RowKind, Seed, StoreLayout, Value,
+    record_each, AggFunc, AggQuery, CostEvent, CostTracker, GroupStore, KeyCell, MemoryGrant,
+    ModelError, ResultRow, RowKind, Seed, StoreLayout, Value,
 };
 use adaptagg_storage::{
     BatchCharges, BatchOutcome, Page, RowCause, RowPages, ScanBatch, StorageError, StripView,
@@ -75,7 +75,8 @@ pub trait FullPolicy<T> {
     /// Take row `r` of `batch`, which the table could not hold (spool it,
     /// forward it) — read off the strips where it lies, or materialized
     /// if the policy wants a `Value` row — charging whatever that costs.
-    /// `Ok(false)` stops the batch.
+    /// `Ok(false)` stops the batch. The rows the batch accepted are paid
+    /// for as it returns, so a policy must not read a clock here.
     fn bounce(
         &mut self,
         tracker: &mut T,
@@ -108,10 +109,10 @@ where
     }
 }
 
-/// Batched cost template for an accepted insert with hash charging.
+/// What an accepted insert with hash charging costs.
 const ACCEPT_WITH_HASH: [CostEvent; 3] =
     [CostEvent::TupleRead, CostEvent::TupleHash, CostEvent::TupleAgg];
-/// Batched cost template for an accepted insert without hash charging.
+/// What an accepted insert without hash charging costs.
 const ACCEPT_NO_HASH: [CostEvent; 2] = [CostEvent::TupleRead, CostEvent::TupleAgg];
 
 /// A bounded hash table from group keys to aggregate states.
@@ -272,8 +273,8 @@ impl AggTable {
         self.store.len() as f64 / self.store.slot_count() as f64
     }
 
-    /// The batched cost template of one accepted insert (what
-    /// [`AggTable::insert_page`] replays per admitted tuple).
+    /// What one accepted insert costs (what the page and batch entry
+    /// points record per admitted tuple).
     fn accept_template(&self) -> &'static [CostEvent] {
         if self.charge_hash {
             &ACCEPT_WITH_HASH
@@ -360,13 +361,11 @@ impl AggTable {
         Ok(outcome)
     }
 
-    /// Insert every tuple of a page, batching the cost recording: runs of
-    /// accepted tuples are charged through
-    /// [`CostTracker::record_tuples`] (bit-identical to the per-tuple
-    /// loop by that method's contract), while rejected tuples flush the
-    /// run, charge `t_r`(+`t_h`) inline and are handed to `on_full`
-    /// (which spools or forwards, charging its own costs, exactly as the
-    /// per-tuple caller would). Returns the number of rejected tuples.
+    /// Insert every tuple of a page, recording the accepted tuples'
+    /// charges as one count per event as it returns (so `on_full` must
+    /// not read a clock). A rejected tuple charges `t_r`(+`t_h`) and goes
+    /// to `on_full`, which spools it, charging its own costs exactly as
+    /// the per-tuple caller would. Returns the number of rejected tuples.
     pub fn insert_page<T, F>(
         &mut self,
         kind: RowKind,
@@ -380,7 +379,7 @@ impl AggTable {
     {
         let template = self.accept_template();
         let mut scratch = std::mem::take(&mut self.row_scratch);
-        let mut pending = 0u64;
+        let mut accepted = 0u64;
         let mut rejected = 0u64;
         let mut cursor = page.cursor();
         let result = loop {
@@ -390,10 +389,8 @@ impl AggTable {
                 Ok(true) => {}
             }
             match self.insert_quiet(kind, &scratch, None, false) {
-                Ok(Inserted::Updated) | Ok(Inserted::New) => pending += 1,
+                Ok(Inserted::Updated) | Ok(Inserted::New) => accepted += 1,
                 Ok(Inserted::Full) => {
-                    tracker.record_tuples(template, pending);
-                    pending = 0;
                     self.charge_attempt(tracker);
                     rejected += 1;
                     if let Err(e) = on_full(tracker, kind, &scratch) {
@@ -401,14 +398,12 @@ impl AggTable {
                     }
                 }
                 Err(e) => {
-                    tracker.record_tuples(template, pending);
-                    pending = 0;
                     self.charge_attempt(tracker);
                     break Err(StorageError::from(e));
                 }
             }
         };
-        tracker.record_tuples(template, pending);
+        record_each(tracker, template, accepted);
         self.row_scratch = scratch;
         result.map(|()| rejected)
     }
@@ -445,13 +440,13 @@ impl AggTable {
     /// materialize each passing row instead, still skipping the per-row
     /// hash; for raw rows the outcome's `row_cause` says why.
     ///
-    /// Charges are the row loop's, in row order: each accepted row records
-    /// `batch.pass_lead() ++ accept template`, each filtered-out row
-    /// `batch.fail_charge()`, both as [`CostTracker::record_tuples`] runs;
-    /// a rejected row flushes the run, records the lead and its attempt
-    /// (`t_r`, `t_h`) inline and goes to `on_full`, which spools or
-    /// forwards it (charging its own costs) and returns whether to carry
-    /// on. `Ok(false)` stops the batch right there: rows past
+    /// Charges are the row loop's, recorded as counts: each accepted row
+    /// owes `batch.pass_lead()` and the accept template, each filtered-out
+    /// row `batch.fail_charge()`, all paid as the batch returns (so
+    /// `on_full` must not read a clock); a rejected row records the lead
+    /// and its attempt (`t_r`, `t_h`) and goes to `on_full`, which spools
+    /// it or hands it back (charging its own costs) and returns whether to
+    /// carry on. `Ok(false)` stops the batch right there: rows past
     /// `consumed` are untouched and uncharged, and the caller owns them.
     pub fn insert_batch<T, F>(
         &mut self,
@@ -474,9 +469,9 @@ impl AggTable {
     /// pass, probe and deferred updates, whoever decides what a new key
     /// meeting a full table means. Under a policy that makes room the
     /// charges are the row loop's too: the row that found the table full
-    /// flushes the run and records the lead and its attempt inline, the
-    /// policy charges what making room costs (with every earlier row's
-    /// update applied first), and the row's `t_a` follows its admission.
+    /// records the lead and its attempt, the policy charges what making
+    /// room costs (with every earlier row's update applied first), and the
+    /// row's `t_a` follows its admission.
     pub fn feed_batch<T, P>(
         &mut self,
         kind: RowKind,
@@ -630,17 +625,18 @@ impl AggTable {
         L: Land,
     {
         let on_strips = L::ON_STRIPS;
-        let mut charges = BatchCharges::new(batch, self.accept_template());
+        let accept = self.accept_template();
+        let mut charges = BatchCharges::default();
         let mut ended = Ok(true);
         for i in 0..batch.passing() {
             let r = batch.passing_row(i);
-            charges.failed(tracker, (r - out.consumed) as u64);
+            record_each(tracker, batch.fail_charge(), (r - out.consumed) as u64);
             out.consumed = r + 1;
             out.passed += 1;
             match land.land(self, r, gix, false) {
                 Ok(Inserted::Updated) | Ok(Inserted::New) => charges.accepted(),
                 Ok(Inserted::Full) => {
-                    charges.bounced(tracker);
+                    record_each(tracker, batch.pass_lead(), 1);
                     self.charge_attempt(tracker);
                     // The rows landed so far owe their groups an update
                     // the emptied table could no longer take.
@@ -671,7 +667,7 @@ impl AggTable {
                     }
                 }
                 Err(e) => {
-                    charges.bounced(tracker);
+                    record_each(tracker, batch.pass_lead(), 1);
                     self.charge_attempt(tracker);
                     ended = Err(StorageError::from(e));
                     break;
@@ -679,10 +675,11 @@ impl AggTable {
             }
         }
         if let Ok(true) = ended {
-            charges.failed(tracker, (batch.rows() - out.consumed) as u64);
+            record_each(tracker, batch.fail_charge(), (batch.rows() - out.consumed) as u64);
             out.consumed = batch.rows();
         }
-        charges.flush(tracker);
+        // The caller reads the clock next (a send, a failure's time).
+        charges.flush(tracker, batch, accept);
         ended
     }
 

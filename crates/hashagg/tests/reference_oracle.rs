@@ -5,10 +5,13 @@
 //! the flat group store replaced — kept here as the oracle for what must
 //! not change whichever entry point feeds the table: the `Inserted`
 //! outcome of every row, the rows bounced at the budget, the drains
-//! (order included), the typed errors, and the exact sequence of cost
-//! events (the virtual clock adds them up in order, so order is part of
-//! the contract). The probe counter has no reference; it must agree
-//! between the entry points.
+//! (order included), the typed errors, the count of every cost event, and
+//! the clock those charges make wherever one would be read — where a
+//! chunk's entry point returns (the next receive, send or failure time
+//! reads it), around a mid-stream drain (the flush's sends), at the end.
+//! Charges commute, so their order is no part of the contract; being paid
+//! before the clock is read is. The probe counter has no reference; it
+//! must agree between the entry points.
 //!
 //! Nor may any of it depend on the layout the group store's columns are
 //! in. Every comparison below runs each entry point twice: on a fresh
@@ -20,8 +23,9 @@
 
 use adaptagg_hashagg::{AggTable, Inserted};
 use adaptagg_model::{
-    AggFunc, AggQuery, AggSpec, AggStates, CostEvent, CostTracker, DemoteCause, GroupKey,
-    MemoryGrant, ModelError, NullTracker, ResultRow, RowKind, StoreLayout, Value,
+    AggFunc, AggQuery, AggSpec, AggStates, CostEvent, CostParams, CostTracker, CountingTracker,
+    DemoteCause, GroupKey, MemoryGrant, ModelError, NullTracker, ResultRow, RowKind, StoreLayout,
+    Value,
 };
 use adaptagg_storage::{BatchOutcome, Page, RowPages, ScanBatch, StorageError};
 use proptest::prelude::*;
@@ -130,19 +134,27 @@ mod reference {
     }
 }
 
-/// Records every `record` call verbatim, in order (`record_tuples` runs
-/// arrive as their unit events through the trait's default).
-#[derive(Default)]
-struct EventLog(Vec<(CostEvent, u64)>);
+/// Counts every charge, and keeps the time — in Table 1 ticks — those
+/// counts made at each point the clock is [`read`](EventLog::read).
+#[derive(Debug, Default, PartialEq)]
+struct EventLog {
+    counts: CountingTracker,
+    reads: Vec<u64>,
+}
 
-impl CostTracker for EventLog {
-    fn record(&mut self, event: CostEvent, count: u64) {
-        self.0.push((event, count));
+impl EventLog {
+    fn read(&mut self) {
+        self.reads.push(self.counts.total_ticks(&CostParams::paper_default()));
     }
 }
 
-/// What a caller's `on_full` charges for a bounced row, so the log shows
-/// where in the stream each bounce happened.
+impl CostTracker for EventLog {
+    fn record(&mut self, event: CostEvent, count: u64) {
+        self.counts.record(event, count);
+    }
+}
+
+/// What a caller's `on_full` charges for a bounced row (a spool's write).
 const BOUNCE: CostEvent = CostEvent::PageWriteSeq;
 
 /// One page worth of input: rows of one kind, and which of them pass the
@@ -195,7 +207,7 @@ struct Observed {
     bounced: Vec<Vec<Value>>,
     /// The error that ended a chunk early, by chunk.
     errors: Vec<(usize, StorageError)>,
-    events: Vec<(CostEvent, u64)>,
+    events: EventLog,
     /// `len()` after every chunk.
     lens: Vec<usize>,
     mid_drain: Vec<Vec<Value>>,
@@ -229,7 +241,9 @@ fn observe_reference(
             grant.set(cap);
         }
         if schedule.drain_at == Some(c) {
+            log.read();
             seen.mid_drain = table.drain_partial_rows(&mut log);
+            log.read();
         }
         for (row, &keep) in chunk.rows.iter().zip(&chunk.keep) {
             if scanned {
@@ -256,10 +270,12 @@ fn observe_reference(
                 }
             }
         }
+        log.read();
         seen.lens.push(table.len());
     }
     seen.results = table.drain_result_rows(&mut log);
-    seen.events = log.0;
+    log.read();
+    seen.events = log;
     (seen, outcomes)
 }
 
@@ -320,7 +336,9 @@ fn observe_table(
             grant.set(cap);
         }
         if schedule.drain_at == Some(c) {
+            log.read();
             seen.mid_drain = drain_partials(&mut table, &mut log);
+            log.read();
         }
         let bounced = &mut seen.bounced;
         let mut bounce =
@@ -365,13 +383,15 @@ fn observe_table(
         if let Err(e) = ended {
             seen.errors.push((c, e));
         }
+        log.read();
         seen.lens.push(table.len());
     }
     let probes = table.probe_slots() - probes_before;
     let layout = table.layout();
     seen.results = table.drain_result_rows(&mut log);
+    log.read();
     assert!(table.is_empty());
-    seen.events = log.0;
+    seen.events = log;
     (seen, outcomes, probes, layout)
 }
 
@@ -400,14 +420,10 @@ fn assert_lanes_match_reference(
             } else {
                 &plain
             };
-            if let Some(at) = (0..seen.events.len().min(expected.events.len()))
-                .find(|&i| seen.events[i] != expected.events[i])
-            {
-                panic!(
-                    "{lane:?} (general: {general}): event {at} is {:?}, reference {:?}",
-                    seen.events[at], expected.events[at]
-                );
-            }
+            assert_eq!(
+                seen.events, expected.events,
+                "{lane:?} (general: {general}): charges diverged from the reference"
+            );
             assert_eq!(
                 &seen, expected,
                 "{lane:?} (general: {general}) diverged from the reference"
@@ -671,7 +687,7 @@ fn a_new_group_that_fails_to_fold_is_not_admitted() {
     );
     oracle.insert(RowKind::Raw, &row, &mut oracle_log).unwrap();
     assert!(table.probe_slots() > probes);
-    assert_eq!(log.0, oracle_log.0);
+    assert_eq!(log, oracle_log);
     assert_eq!(
         table.drain_result_rows(&mut log),
         oracle.drain_result_rows(&mut oracle_log)

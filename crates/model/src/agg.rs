@@ -865,12 +865,6 @@ impl AggStates {
     pub fn finalize(&self) -> Vec<Value> {
         self.states.iter().map(|s| s.finalize()).collect()
     }
-
-    /// Approximate in-memory footprint in bytes of one group entry's state
-    /// (used by memory accounting in the bounded hash table).
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<AggState>() * self.states.len()
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,17 @@
 //! Storage, hash aggregation and the operators do real work (move real
 //! tuples, fill real pages) and *emit events* describing the costed actions
 //! of the paper's model. The execution engine converts events into virtual
-//! milliseconds using [`crate::CostParams`]; tests use counting trackers to
-//! assert on exact event counts (e.g. "spilling wrote exactly N pages").
+//! time — whole ticks, [`CostEvent::unit_ticks`] each — using
+//! [`crate::CostParams`]; tests use counting trackers to assert on exact
+//! event counts (e.g. "spilling wrote exactly N pages").
+//!
+//! Charges commute: a clock's time after a set of events is the sum of
+//! count × unit over them, whatever order they were recorded in. So a
+//! batched path records a count per event kind, once. What it must not do
+//! is leave charges unrecorded while something reads the clock (a send's
+//! timestamp, a receive's Lamport observation — a max, which does not
+//! commute with the sum — a phase mark, an error's failure time): every
+//! reader sees the time of everything done before it.
 //!
 //! Layering convention (who charges what — this is what prevents double
 //! counting):
@@ -43,9 +52,10 @@ pub enum CostEvent {
 }
 
 impl CostEvent {
-    /// The virtual-time cost of one occurrence under `params`, in ms.
-    pub fn unit_ms(self, params: &crate::CostParams) -> f64 {
-        match self {
+    /// The virtual-time cost of one occurrence under `params`, in whole
+    /// ticks (exact for every Table 1 value, rounded once otherwise).
+    pub fn unit_ticks(self, params: &crate::CostParams) -> u64 {
+        crate::params::ms_to_ticks(match self {
             CostEvent::TupleRead => params.t_read(),
             CostEvent::TupleWrite => params.t_write(),
             CostEvent::TupleHash => params.t_hash(),
@@ -54,7 +64,7 @@ impl CostEvent {
             CostEvent::PageReadSeq | CostEvent::PageWriteSeq => params.io_seq_ms,
             CostEvent::PageReadRand => params.io_rand_ms,
             CostEvent::MsgProtocol => params.t_msg_protocol(),
-        }
+        })
     }
 
     /// All event kinds (for counting-tracker tables).
@@ -90,22 +100,13 @@ impl CostEvent {
 pub trait CostTracker {
     /// Record `count` occurrences of `event`.
     fn record(&mut self, event: CostEvent, count: u64);
+}
 
-    /// Record `count` tuples, each emitting the events of `template` in
-    /// order — the batched form of the per-tuple hot path.
-    ///
-    /// The contract is strict: the observable effect must be identical
-    /// to `count` repetitions of `record(e, 1)` for each template event,
-    /// *including floating-point rounding* in time-accumulating
-    /// trackers. Implementations may only batch where that holds (an
-    /// integer counter can multiply; a clock must replay the per-unit
-    /// additions). The default does exactly the naive loop.
-    fn record_tuples(&mut self, template: &[CostEvent], count: u64) {
-        for _ in 0..count {
-            for &event in template {
-                self.record(event, 1);
-            }
-        }
+/// Record `n` occurrences of every event of `events` (nothing for `n = 0`).
+#[inline]
+pub fn record_each<T: CostTracker>(tracker: &mut T, events: &[CostEvent], n: u64) {
+    if n > 0 {
+        events.iter().for_each(|&e| tracker.record(e, n));
     }
 }
 
@@ -115,8 +116,6 @@ pub struct NullTracker;
 
 impl CostTracker for NullTracker {
     fn record(&mut self, _event: CostEvent, _count: u64) {}
-
-    fn record_tuples(&mut self, _template: &[CostEvent], _count: u64) {}
 }
 
 /// Counts events per kind; the workhorse of unit tests and of the
@@ -137,11 +136,12 @@ impl CountingTracker {
         self.counts[event.index()]
     }
 
-    /// Total virtual-time of everything recorded, under `params`.
-    pub fn total_ms(&self, params: &crate::CostParams) -> f64 {
+    /// Total virtual time of everything recorded under `params`, in
+    /// ticks: what a clock that recorded the same events reads.
+    pub fn total_ticks(&self, params: &crate::CostParams) -> u64 {
         CostEvent::ALL
             .iter()
-            .map(|&e| e.unit_ms(params) * self.count(e) as f64)
+            .map(|&e| e.unit_ticks(params) * self.count(e))
             .sum()
     }
 
@@ -162,22 +162,11 @@ impl CostTracker for CountingTracker {
     fn record(&mut self, event: CostEvent, count: u64) {
         self.counts[event.index()] += count;
     }
-
-    // Counts are integers: multiplying is exactly the repeated loop.
-    fn record_tuples(&mut self, template: &[CostEvent], count: u64) {
-        for &event in template {
-            self.counts[event.index()] += count;
-        }
-    }
 }
 
 impl CostTracker for &mut dyn CostTracker {
     fn record(&mut self, event: CostEvent, count: u64) {
         (**self).record(event, count);
-    }
-
-    fn record_tuples(&mut self, template: &[CostEvent], count: u64) {
-        (**self).record_tuples(template, count);
     }
 }
 
@@ -189,10 +178,11 @@ mod tests {
     #[test]
     fn unit_costs_match_params() {
         let p = CostParams::paper_default();
-        assert!((CostEvent::TupleRead.unit_ms(&p) - 0.0075).abs() < 1e-12);
-        assert!((CostEvent::PageReadSeq.unit_ms(&p) - 1.15).abs() < 1e-12);
-        assert!((CostEvent::PageReadRand.unit_ms(&p) - 15.0).abs() < 1e-12);
-        assert!((CostEvent::MsgProtocol.unit_ms(&p) - 0.025).abs() < 1e-12);
+        assert_eq!(CostEvent::TupleRead.unit_ticks(&p), 7_500_000);
+        assert_eq!(CostEvent::TupleDest.unit_ticks(&p), 250_000);
+        assert_eq!(CostEvent::PageReadSeq.unit_ticks(&p), 1_150_000_000);
+        assert_eq!(CostEvent::PageReadRand.unit_ticks(&p), 15_000_000_000);
+        assert_eq!(CostEvent::MsgProtocol.unit_ticks(&p), 25_000_000);
     }
 
     #[test]
@@ -207,12 +197,12 @@ mod tests {
     }
 
     #[test]
-    fn total_ms_weights_by_unit_cost() {
+    fn total_ticks_weights_by_unit_cost() {
         let p = CostParams::paper_default();
         let mut t = CountingTracker::new();
         t.record(CostEvent::PageReadSeq, 10); // 11.5 ms
         t.record(CostEvent::TupleRead, 1000); // 7.5 ms
-        assert!((t.total_ms(&p) - 19.0).abs() < 1e-9);
+        assert_eq!(t.total_ticks(&p), 19_000_000_000);
     }
 
     #[test]
@@ -237,28 +227,6 @@ mod tests {
             d.record(CostEvent::TupleWrite, 2);
         }
         assert_eq!(c.count(CostEvent::TupleWrite), 2);
-    }
-
-    #[test]
-    fn record_tuples_matches_per_tuple_loop() {
-        let template = [CostEvent::TupleRead, CostEvent::TupleHash, CostEvent::TupleAgg];
-        let mut batched = CountingTracker::new();
-        batched.record_tuples(&template, 37);
-        let mut looped = CountingTracker::new();
-        for _ in 0..37 {
-            for &e in &template {
-                looped.record(e, 1);
-            }
-        }
-        assert_eq!(batched, looped);
-
-        // Through a trait object the override still applies.
-        let mut c = CountingTracker::new();
-        {
-            let d: &mut dyn CostTracker = &mut c;
-            d.record_tuples(&template, 5);
-        }
-        assert_eq!(c.count(CostEvent::TupleHash), 5);
     }
 
     #[test]

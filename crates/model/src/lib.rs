@@ -21,7 +21,8 @@
 //!   (three *independent* seeds, the classic hybrid-hash requirement).
 //! * [`params::CostParams`] — Table 1 of the paper: the constants that turn
 //!   counted events (tuples touched, pages read, messages sent) into
-//!   virtual milliseconds.
+//!   virtual time — whole picosecond ticks on the engine's clocks,
+//!   milliseconds in configuration and reports.
 //!
 //! Everything downstream — storage, network, the execution engine, the six
 //! algorithms, and the analytical cost model — is expressed in these terms.
@@ -47,11 +48,11 @@ pub use encode::{
     encoded_len,
 };
 pub use error::ModelError;
-pub use event::{CostEvent, CostTracker, CountingTracker, NullTracker};
+pub use event::{record_each, CostEvent, CostTracker, CountingTracker, NullTracker};
 pub use grant::MemoryGrant;
 pub use hash::{FxBuildHasher, FxHasher, Seed, ValueHasher};
 pub use key::GroupKey;
-pub use params::{CostParams, NetworkKind};
+pub use params::{ms_to_ticks, ticks_to_ms, CostParams, NetworkKind, MAX_TICKS, TICKS_PER_MS};
 pub use predicate::{matches_all, Compare, Predicate};
 pub use query::{AggQuery, ResultRow};
 pub use schema::{DataType, Field, Schema};

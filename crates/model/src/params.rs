@@ -7,8 +7,35 @@
 //!
 //! Per-tuple CPU costs are given in *instructions* and divided by the
 //! processor's MIPS rating: `300 instructions / 40 MIPS = 7.5 µs`.
+//!
+//! The engine's clocks count whole **ticks** of one picosecond: every
+//! Table 1 cost is a whole number of them (`t_r` = 7 500 000, `IO` =
+//! 1 150 000 000), so time adds up exactly and in any order. Milliseconds
+//! remain the unit of configuration (these parameters) and of reports.
 
 use std::fmt;
+
+/// Ticks (picoseconds) per virtual millisecond.
+pub const TICKS_PER_MS: u64 = 1_000_000_000;
+
+/// The latest virtual instant a message may carry: 2⁵¹ ticks, about 37
+/// minutes — 70 times the longest run in the tree. Below it a tick count
+/// survives its millisecond rendering ([`ticks_to_ms`], [`ms_to_ticks`])
+/// exactly, and no clock that observes it can overflow.
+pub const MAX_TICKS: u64 = 1 << 51;
+
+/// A duration in milliseconds as whole ticks, rounded to the nearest
+/// (negative and NaN durations are zero).
+#[inline]
+pub fn ms_to_ticks(ms: f64) -> u64 {
+    (ms * TICKS_PER_MS as f64).round() as u64
+}
+
+/// Ticks as milliseconds, for reports.
+#[inline]
+pub fn ticks_to_ms(ticks: u64) -> f64 {
+    ticks as f64 / TICKS_PER_MS as f64
+}
 
 /// Which network the paper is modelling (§2: "We model both high speed,
 /// high bandwidth network as in commercial multiprocessors like IBM SP-2
@@ -179,12 +206,6 @@ impl CostParams {
         self.instr_ms(self.instr_msg_protocol)
     }
 
-    /// `m_l` in ms (per message page).
-    #[inline]
-    pub fn t_msg_transfer(&self) -> f64 {
-        self.network.ms_per_page()
-    }
-
     /// Pages needed for `bytes` of data under the disk page size.
     #[inline]
     pub fn pages_for(&self, bytes: usize) -> usize {
@@ -234,6 +255,24 @@ mod tests {
         assert!((p.t_agg() - 0.0075).abs() < 1e-12);
         assert!((p.t_dest() - 0.00025).abs() < 1e-12);
         assert!((p.t_msg_protocol() - 0.025).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ticks_survive_their_millisecond_rendering_below_the_ceiling() {
+        assert_eq!(ms_to_ticks(1.15), 1_150_000_000);
+        assert_eq!(ms_to_ticks(CostParams::paper_default().t_read()), 7_500_000);
+        assert_eq!((ms_to_ticks(-1.0), ms_to_ticks(f64::NAN)), (0, 0));
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let t = x % MAX_TICKS;
+            assert_eq!(ms_to_ticks(ticks_to_ms(t)), t);
+        }
+        for t in [0, 1, MAX_TICKS - 1, MAX_TICKS] {
+            assert_eq!(ms_to_ticks(ticks_to_ms(t)), t);
+        }
     }
 
     #[test]

@@ -42,14 +42,14 @@ use crate::message::{Control, DataKind, Message, Payload};
 use crate::network::Network;
 use crate::stats::{LinkStats, NetStats};
 use crate::transport::{ChannelTransport, SendFailure, Transport};
-use adaptagg_model::NetworkKind;
+use adaptagg_model::{ms_to_ticks, ticks_to_ms, NetworkKind};
 use adaptagg_storage::Page;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// How many per-page transfer times a "dropped" (retransmitted) message
 /// arrives late by.
-const RETRANSMIT_PENALTY_PAGES: f64 = 3.0;
+const RETRANSMIT_PENALTY_PAGES: u64 = 3;
 
 /// Bounded retry-with-backoff for sends that fail with a dead peer.
 ///
@@ -57,7 +57,7 @@ const RETRANSMIT_PENALTY_PAGES: f64 = 3.0;
 /// model the *cost* of probing a transiently-unreachable peer before the
 /// failure escalates to the recovery layer (which reassigns the peer's
 /// work). Each retry charges exponentially-growing virtual backoff,
-/// accumulated on the endpoint ([`Endpoint::take_retry_backoff_ms`]) and
+/// accumulated on the endpoint ([`Endpoint::take_retry_backoff`]) and
 /// counted in [`NetStats::send_retries`]. `None` (the default) keeps the
 /// pre-recovery fail-fast behaviour, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,9 +173,9 @@ pub struct Endpoint {
     /// Bounded retry for failed sends (`None` = fail fast, the default).
     retry_policy: Option<LinkRetryPolicy>,
     /// Virtual backoff accrued by retries since the last
-    /// [`Endpoint::take_retry_backoff_ms`] — the execution layer drains
-    /// this into the node's clock as wait time.
-    retry_backoff_ms: f64,
+    /// [`Endpoint::take_retry_backoff`], in ticks — the execution layer
+    /// drains this into the node's clock as wait time.
+    retry_backoff: u64,
     /// Deterministic stream for retry-backoff jitter, seeded from the
     /// fault plan and this node's id (independent of the link fault
     /// streams, so enabling jitter perturbs no fault schedule).
@@ -212,7 +212,7 @@ impl Endpoint {
             expected_seq: vec![0; n],
             ooo: (0..n).map(|_| BTreeMap::new()).collect(),
             retry_policy: None,
-            retry_backoff_ms: 0.0,
+            retry_backoff: 0,
             retry_rng: SplitMix64::new(s),
         }
     }
@@ -248,22 +248,24 @@ impl Endpoint {
     }
 
     /// Drain the virtual backoff accrued by send retries since the last
-    /// call. The execution layer charges it to the node's clock as wait.
-    pub fn take_retry_backoff_ms(&mut self) -> f64 {
-        std::mem::replace(&mut self.retry_backoff_ms, 0.0)
+    /// call, in ticks. The execution layer charges it to the node's clock
+    /// as wait.
+    pub fn take_retry_backoff(&mut self) -> u64 {
+        std::mem::take(&mut self.retry_backoff)
     }
 
     /// Virtual-time latency added to a message the fault plan drops
-    /// (modelling its retransmit).
-    fn retransmit_penalty_ms(&self) -> f64 {
-        RETRANSMIT_PENALTY_PAGES * self.network.kind().ms_per_page()
+    /// (modelling its retransmit), in ticks.
+    fn retransmit_penalty(&self) -> u64 {
+        RETRANSMIT_PENALTY_PAGES * self.network.per_page()
     }
 
     /// Send a data page to `to`. `now_ms` is the sender's virtual time
-    /// when the send is issued; the return value is the virtual time when
-    /// the transfer completes, which the caller assigns back to its clock
-    /// (the sender is occupied for the duration, matching the analytical
-    /// model's `m_l` charge). The receiver will observe at least this time.
+    /// when the send is issued (its tick count, rendered in ms); the
+    /// return value is the virtual time in ticks when the transfer
+    /// completes, which the caller assigns back to its clock (the sender
+    /// is occupied for the duration, matching the analytical model's
+    /// `m_l` charge). The receiver will observe at least this time.
     ///
     /// Fails with [`NetError::PeerDown`] if `to`'s endpoint was dropped
     /// (its node already failed or finished).
@@ -273,9 +275,9 @@ impl Endpoint {
         kind: DataKind,
         page: Page,
         now_ms: f64,
-    ) -> Result<f64, NetError> {
+    ) -> Result<u64, NetError> {
         debug_assert!(to < self.nodes, "destination {to} out of range");
-        let mut done = self.network.transfer(now_ms, 1);
+        let mut done = self.network.transfer(ms_to_ticks(now_ms), 1);
         self.stats
             .on_send_data(kind, page.bytes_used(), page.tuple_count());
         let link = &mut self.links[to].stats;
@@ -288,14 +290,14 @@ impl Endpoint {
             // Lost on the wire, retransmitted: same message, same sequence
             // number, arriving late — and the sender is occupied until the
             // retransmit completes.
-            done += self.retransmit_penalty_ms();
+            done += self.retransmit_penalty();
             self.stats.injected_drops += 1;
             self.links[to].stats.drops += 1;
         }
         let msg = Message {
             from: self.node,
             seq: self.stamp_seq(to),
-            sent_at_ms: done,
+            sent_at_ms: ticks_to_ms(done),
             payload: Payload::Data { kind, page },
         };
         self.link_send(to, msg, fate)?;
@@ -314,9 +316,9 @@ impl Endpoint {
         self.stats.control_sent += 1;
         self.links[to].stats.msgs += 1;
         let mut fate = self.roll_link_faults(to);
-        let mut sent_at_ms = now_ms;
+        let mut sent_at = ms_to_ticks(now_ms);
         if fate.drop {
-            sent_at_ms += self.retransmit_penalty_ms();
+            sent_at += self.retransmit_penalty();
             self.stats.injected_drops += 1;
             self.links[to].stats.drops += 1;
         }
@@ -327,7 +329,7 @@ impl Endpoint {
         let msg = Message {
             from: self.node,
             seq: self.stamp_seq(to),
-            sent_at_ms,
+            sent_at_ms: ticks_to_ms(sent_at),
             payload: Payload::Control(control),
         };
         self.link_send(to, msg, fate)
@@ -421,14 +423,14 @@ impl Endpoint {
         for _ in 0..policy.max_retries {
             self.stats.send_retries += 1;
             self.links[to].stats.retries += 1;
-            let wait = if policy.jitter_frac > 0.0 {
+            let wait = ms_to_ticks(if policy.jitter_frac > 0.0 {
                 backoff * (1.0 + policy.jitter_frac * (2.0 * self.retry_rng.next_f64() - 1.0))
             } else {
                 backoff
-            };
-            self.retry_backoff_ms += wait;
+            });
+            self.retry_backoff += wait;
             // The retransmit would arrive after the backoff.
-            msg.sent_at_ms += wait;
+            msg.sent_at_ms = ticks_to_ms(msg.sent_at() + wait);
             match self.wire.send(to, *msg) {
                 Ok(()) => return Ok(()),
                 Err(f) => {
@@ -530,18 +532,18 @@ impl Endpoint {
     /// File what the wire has delivered, then take out of the queues the
     /// first control message other than `EndOfStream` — sender-major,
     /// wherever in its sender's queue it sits — that has *virtually
-    /// arrived* by `now_ms`. Data pages and stream ends stay queued for
+    /// arrived* by `now` (ticks). Data pages and stream ends stay queued for
     /// whoever consumes the streams (the Adaptive Repartitioning scan
     /// polls this way for `EndOfPhase` while partitioning).
     ///
     /// A poll must not see the future: a message whose send completes at
-    /// virtual time `T > now_ms` has not arrived yet and stays where it
+    /// virtual time `T > now` has not arrived yet and stays where it
     /// is. Without this rule, polls would Lamport-drag every clock forward
     /// in a feedback loop and inflate elapsed times cluster-wide. `Abort`
     /// is exempt, as in [`Endpoint::recv_from`].
-    pub fn poll_control(&mut self, now_ms: f64) -> Result<Option<Message>, NetError> {
+    pub fn poll_control(&mut self, now: u64) -> Result<Option<Message>, NetError> {
         self.ingest_arrived()?;
-        Ok(self.take_signal(|m| m.sent_at_ms <= now_ms || is_abort(m)))
+        Ok(self.take_signal(|m| m.sent_at() <= now || is_abort(m)))
     }
 
     /// Block on the wire for one arrival, within what is left of
@@ -688,7 +690,7 @@ mod tests {
         assert_eq!(b.node(), 1);
 
         let done = a.send_data(1, DataKind::Raw, page_with(3), 10.0).unwrap();
-        assert_eq!(done, 10.5);
+        assert_eq!(done, ms_to_ticks(10.5));
         let msg = b.recv().unwrap();
         assert_eq!(msg.from, 0);
         assert_eq!(msg.seq, 0);
@@ -748,8 +750,8 @@ mod tests {
         let mut a = eps.pop().unwrap();
         let t1 = a.send_data(1, DataKind::Raw, page_with(1), 0.0).unwrap();
         let t2 = a.send_data(1, DataKind::Raw, page_with(1), 0.0).unwrap();
-        assert_eq!(t1, 2.0);
-        assert_eq!(t2, 4.0, "second page waits for the bus");
+        assert_eq!(t1, ms_to_ticks(2.0));
+        assert_eq!(t2, ms_to_ticks(4.0), "second page waits for the bus");
         assert_eq!(b.recv().unwrap().sent_at_ms, 2.0);
         assert_eq!(b.recv().unwrap().sent_at_ms, 4.0);
     }
@@ -977,14 +979,14 @@ mod tests {
         b.send_control(2, phase(8), 50.0).unwrap();
         // At t = 10 a's EndOfPhase has arrived, from behind a data page;
         // b's (t = 50) has not, and stream traffic is not a poll's.
-        let msg = c.poll_control(10.0).unwrap().expect("a's EndOfPhase");
+        let msg = c.poll_control(ms_to_ticks(10.0)).unwrap().expect("a's EndOfPhase");
         assert_eq!((msg.from, msg.payload), (0, Payload::Control(phase(7))));
-        assert!(c.poll_control(10.0).unwrap().is_none());
+        assert!(c.poll_control(ms_to_ticks(10.0)).unwrap().is_none());
         assert_eq!(c.stats().pages_received, 0, "the page stays queued");
-        assert_eq!(c.poll_control(50.0).unwrap().unwrap().from, 1);
+        assert_eq!(c.poll_control(ms_to_ticks(50.0)).unwrap().unwrap().from, 1);
         // An abort is seen whatever its stamp.
-        b.send_control(2, abort_from(1), 1e9).unwrap();
-        assert_eq!(c.poll_control(0.0).unwrap().unwrap().payload, Payload::Control(abort_from(1)));
+        b.send_control(2, abort_from(1), 1e6).unwrap();
+        assert_eq!(c.poll_control(0).unwrap().unwrap().payload, Payload::Control(abort_from(1)));
         // What is left is a's stream, in order.
         assert!(c.recv_from(0, SOON).unwrap().payload.is_data());
         assert_eq!(c.recv_from(0, SOON).unwrap().payload, Payload::Control(Control::EndOfStream));
@@ -1003,9 +1005,9 @@ mod tests {
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         let done = a.send_data(1, DataKind::Raw, page_with(1), 0.0).unwrap();
-        assert_eq!(done, 0.5 + 3.0 * 0.5, "retransmit penalty charged");
+        assert_eq!(done, ms_to_ticks(0.5 + 3.0 * 0.5), "retransmit penalty charged");
         let msg = b.recv().unwrap();
-        assert_eq!(msg.sent_at_ms, done, "late, but delivered exactly once");
+        assert_eq!(msg.sent_at(), done, "late, but delivered exactly once");
         assert!(b.try_recv().unwrap().is_none());
         assert_eq!(a.stats().injected_drops, 1);
     }
@@ -1108,8 +1110,8 @@ mod tests {
         );
         assert_eq!(a.stats().send_retries, 3);
         // Exponential backoff: 2 + 4 + 8.
-        assert_eq!(a.take_retry_backoff_ms(), 14.0);
-        assert_eq!(a.take_retry_backoff_ms(), 0.0, "drained");
+        assert_eq!(a.take_retry_backoff(), ms_to_ticks(14.0));
+        assert_eq!(a.take_retry_backoff(), 0, "drained");
     }
 
     #[test]
@@ -1118,7 +1120,7 @@ mod tests {
         // draw from the endpoint's seeded stream: bounded (never a wild
         // wait), de-correlated across nodes (no lockstep bursts), and
         // fully reproducible per fault-plan seed.
-        let probe = |plan_seed: u64| -> f64 {
+        let probe = |plan_seed: u64| -> u64 {
             let plan = FaultPlan::new(plan_seed);
             let mut eps =
                 Fabric::with_faults(2, NetworkKind::high_speed_default(), &plan).into_endpoints();
@@ -1135,11 +1137,11 @@ mod tests {
                 a.send_data(1, DataKind::Raw, page_with(1), 0.0),
                 Err(NetError::PeerDown { peer: 1 })
             );
-            a.take_retry_backoff_ms()
+            a.take_retry_backoff()
         };
         let total = probe(9);
         // Nominal total is 2 + 4 + 8 = 14; jitter keeps it within ±50 %.
-        assert!((7.0..=21.0).contains(&total), "got {total}");
+        assert!((ms_to_ticks(7.0)..=ms_to_ticks(21.0)).contains(&total), "got {total}");
         assert_eq!(probe(9), total, "same seed, same jitter");
         assert_ne!(probe(10), total, "different seeds de-correlate");
         // Disabling jitter restores the exact exponential series.
@@ -1158,9 +1160,9 @@ mod tests {
             ));
             drop(b);
             let _ = a.send_data(1, DataKind::Raw, page_with(1), 0.0);
-            a.take_retry_backoff_ms()
+            a.take_retry_backoff()
         };
-        assert_eq!(exact, 14.0);
+        assert_eq!(exact, ms_to_ticks(14.0));
     }
 
     #[test]
@@ -1186,8 +1188,8 @@ mod tests {
         let _ = a.send_data(2, DataKind::Raw, page_with(1), 0.0);
         let _ = b.send_data(2, DataKind::Raw, page_with(1), 0.0);
         assert_ne!(
-            a.take_retry_backoff_ms(),
-            b.take_retry_backoff_ms(),
+            a.take_retry_backoff(),
+            b.take_retry_backoff(),
             "nodes must not retry in lockstep"
         );
     }
@@ -1203,7 +1205,7 @@ mod tests {
             Err(NetError::PeerDown { peer: 1 })
         );
         assert_eq!(a.stats().send_retries, 0);
-        assert_eq!(a.take_retry_backoff_ms(), 0.0);
+        assert_eq!(a.take_retry_backoff(), 0);
     }
 
     #[test]
@@ -1213,10 +1215,10 @@ mod tests {
         let mut a = eps.pop().unwrap();
         a.set_retry_policy(Some(LinkRetryPolicy::default()));
         let done = a.send_data(1, DataKind::Raw, page_with(1), 1.0).unwrap();
-        assert_eq!(done, 1.5, "timestamps identical to the no-policy path");
+        assert_eq!(done, ms_to_ticks(1.5), "timestamps identical to the no-policy path");
         assert_eq!(b.recv().unwrap().sent_at_ms, 1.5);
         assert_eq!(a.stats().send_retries, 0);
-        assert_eq!(a.take_retry_backoff_ms(), 0.0);
+        assert_eq!(a.take_retry_backoff(), 0);
     }
 
     #[test]
@@ -1265,7 +1267,7 @@ mod tests {
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         let done = a.send_data(1, DataKind::Raw, page_with(1), 1.0).unwrap();
-        assert_eq!(done, 1.5);
+        assert_eq!(done, ms_to_ticks(1.5));
         assert_eq!(b.recv().unwrap().sent_at_ms, 1.5);
         let s = a.stats();
         assert_eq!(

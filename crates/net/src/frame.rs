@@ -2,21 +2,24 @@
 //!
 //! Every frame on a socket is `u32-LE length` + `body`; the body is a
 //! tag byte followed by the variant's fields (all integers little
-//! endian, floats as IEEE-754 bits). Decoding is *total*: any input —
+//! endian). Decoding is *total*: any input —
 //! truncated, corrupted, hostile — produces a typed [`FrameError`],
 //! never a panic, and no allocation ever exceeds the declared length,
 //! which itself is capped at [`MAX_FRAME_BYTES`] **before** allocating.
 //! A peer therefore cannot OOM a node by declaring a 4 GB frame.
 //!
 //! [`WireFrame::Msg`] carries the fabric's [`Message`] verbatim
-//! (including its virtual-time timestamp and per-link sequence number),
-//! so the reliability layer above the transport behaves identically on
-//! TCP and in-process backends. `Hello` / `Heartbeat` / `Bye` exist only
+//! (including its per-link sequence number, and its virtual-time
+//! timestamp as the `u64` tick count it renders — at most
+//! [`MAX_TICKS`], so no frame can push a receiver's clock to where it
+//! would overflow), so the reliability layer above the transport behaves
+//! identically on TCP and in-process backends. `Hello` / `Heartbeat` / `Bye` exist only
 //! below the [`crate::Transport`] seam: handshake, failure detection,
 //! and graceful close never enter the sequence space.
 
 use crate::error::{FrameError, NetError};
 use crate::message::{Control, DataKind, Message, Payload};
+use adaptagg_model::{ticks_to_ms, MAX_TICKS};
 use adaptagg_storage::Page;
 use std::io::{Read, Write};
 
@@ -95,11 +98,6 @@ impl<'a> FrameReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Next IEEE-754 `f64` (from its bit pattern).
-    pub fn f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Next length-prefixed byte string. The declared length is checked
     /// against the remaining input before anything is copied.
     pub fn bytes(&mut self) -> Result<&'a [u8], FrameError> {
@@ -161,7 +159,7 @@ pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
 fn encode_message(msg: &Message, out: &mut Vec<u8>) {
     out.extend_from_slice(&(msg.from as u32).to_le_bytes());
     out.extend_from_slice(&msg.seq.to_le_bytes());
-    out.extend_from_slice(&msg.sent_at_ms.to_bits().to_le_bytes());
+    out.extend_from_slice(&msg.sent_at().to_le_bytes());
     match &msg.payload {
         Payload::Data { kind, page } => {
             out.push(0);
@@ -224,8 +222,8 @@ pub fn decode_frame(buf: &[u8]) -> Result<WireFrame, FrameError> {
 fn decode_message(r: &mut FrameReader<'_>) -> Result<Message, FrameError> {
     let from = r.u32()? as usize;
     let seq = r.u64()?;
-    let sent_at_ms = r.f64()?;
-    if !sent_at_ms.is_finite() {
+    let sent_at = r.u64()?;
+    if sent_at > MAX_TICKS {
         return Err(FrameError::Corrupt("timestamp"));
     }
     let payload = match r.u8()? {
@@ -273,7 +271,7 @@ fn decode_message(r: &mut FrameReader<'_>) -> Result<Message, FrameError> {
     Ok(Message {
         from,
         seq,
-        sent_at_ms,
+        sent_at_ms: ticks_to_ms(sent_at),
         payload,
     })
 }
@@ -475,21 +473,6 @@ mod tests {
         let idx = body.len() - 3;
         body[idx] ^= 0xff;
         assert!(decode_frame(&body).is_err(), "bit flip must not decode");
-    }
-
-    #[test]
-    fn non_finite_timestamp_is_corrupt() {
-        let frame = WireFrame::Msg(Message {
-            from: 0,
-            seq: 0,
-            sent_at_ms: f64::NAN,
-            payload: Payload::Control(Control::EndOfStream),
-        });
-        let body = encode_frame(&frame);
-        assert_eq!(
-            decode_frame(&body),
-            Err(FrameError::Corrupt("timestamp"))
-        );
     }
 
     #[test]

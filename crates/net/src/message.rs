@@ -1,5 +1,6 @@
 //! Messages exchanged between cluster nodes.
 
+use adaptagg_model::ms_to_ticks;
 use adaptagg_storage::Page;
 
 /// What a data page carries: raw projected tuples or partial rows — the
@@ -77,15 +78,22 @@ pub struct Message {
     /// injection perturbs the wire (delivery is
     /// at-least-once-with-dedup, so merges stay exact).
     pub seq: u64,
-    /// Sender's virtual time at send *completion* (transfer included).
-    /// Receivers advance their clock to at least this value — the Lamport
-    /// rule that makes "waiting for data" visible in virtual time.
+    /// Sender's virtual time at send *completion* (transfer included), in
+    /// ms: the sender's tick count as `ticks_to_ms` renders it, read back
+    /// exactly by [`Message::sent_at`] (below `MAX_TICKS`). Receivers
+    /// advance their clock to at least this instant — the Lamport rule
+    /// that makes "waiting for data" visible in virtual time.
     pub sent_at_ms: f64,
     /// The payload.
     pub payload: Payload,
 }
 
 impl Message {
+    /// The send timestamp in ticks.
+    pub fn sent_at(&self) -> u64 {
+        ms_to_ticks(self.sent_at_ms)
+    }
+
     /// Number of message pages this message occupies on the wire (control
     /// messages ride in one page; in the real implementation they are
     /// "piggy-backed on the tuples being forwarded", §3.3, so their cost

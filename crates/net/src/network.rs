@@ -10,7 +10,8 @@
 //!   independent of the number of processors involved" — one shared bus.
 //!
 //! [`Network::transfer`] maps a (sender-time, pages) pair to the transfer's
-//! completion time under the chosen model.
+//! completion time under the chosen model, in the clocks' whole ticks: the
+//! per-page time is rounded to ticks once, when the network is built.
 //!
 //! ## The shared bus is an interval ledger
 //!
@@ -28,20 +29,20 @@
 //! "sequential resource" means.
 
 use crate::lock;
-use adaptagg_model::NetworkKind;
+use adaptagg_model::{ms_to_ticks, ticks_to_ms, NetworkKind};
 use std::sync::{Arc, Mutex};
 
-/// Busy intervals, sorted and disjoint.
+/// Busy intervals in ticks, sorted and disjoint.
 #[derive(Debug, Default)]
 struct BusLedger {
-    intervals: Vec<(f64, f64)>,
-    total_busy_ms: f64,
+    intervals: Vec<(u64, u64)>,
+    total_busy: u64,
 }
 
 impl BusLedger {
-    /// Book `span` ms starting no earlier than `now`, in the first gap
+    /// Book `span` ticks starting no earlier than `now`, in the first gap
     /// that fits. Returns the booked start time.
-    fn book(&mut self, now: f64, span: f64) -> f64 {
+    fn book(&mut self, now: u64, span: u64) -> u64 {
         let mut candidate = now;
         let mut insert_at = self.intervals.len();
         for (i, &(s, e)) in self.intervals.iter().enumerate() {
@@ -57,7 +58,7 @@ impl BusLedger {
         }
         self.intervals.insert(insert_at, (candidate, candidate + span));
         self.coalesce(insert_at);
-        self.total_busy_ms += span;
+        self.total_busy += span;
         candidate
     }
 
@@ -82,6 +83,8 @@ impl BusLedger {
 #[derive(Debug, Clone)]
 pub struct Network {
     kind: NetworkKind,
+    /// `m_l` (or the bus occupancy) per message page, in ticks.
+    per_page: u64,
     bus: Arc<Mutex<BusLedger>>,
 }
 
@@ -90,6 +93,7 @@ impl Network {
     pub fn new(kind: NetworkKind) -> Self {
         Network {
             kind,
+            per_page: ms_to_ticks(kind.ms_per_page()),
             bus: Arc::new(Mutex::new(BusLedger::default())),
         }
     }
@@ -99,27 +103,25 @@ impl Network {
         self.kind
     }
 
+    /// Ticks one message page occupies the medium.
+    pub fn per_page(&self) -> u64 {
+        self.per_page
+    }
+
     /// Complete a transfer of `pages` message pages starting no earlier
-    /// than `now_ms` on the sender. Returns the completion time.
-    pub fn transfer(&self, now_ms: f64, pages: u64) -> f64 {
-        if pages == 0 {
-            return now_ms;
-        }
-        let per_page = self.kind.ms_per_page();
-        let span = per_page * pages as f64;
+    /// than `now` (ticks) on the sender. Returns the completion time.
+    pub fn transfer(&self, now: u64, pages: u64) -> u64 {
+        let span = self.per_page * pages;
         match self.kind {
-            NetworkKind::HighSpeed { .. } => now_ms + span,
-            NetworkKind::SharedBus { .. } => {
-                let mut bus = lock(&self.bus);
-                bus.book(now_ms, span) + span
-            }
+            NetworkKind::SharedBus { .. } if span > 0 => lock(&self.bus).book(now, span) + span,
+            _ => now + span,
         }
     }
 
-    /// Total time the shared medium has been occupied (0 for the
+    /// Total time the shared medium has been occupied, in ms (0 for the
     /// high-speed model). Useful for utilization reports.
     pub fn total_busy_ms(&self) -> f64 {
-        lock(&self.bus).total_busy_ms
+        ticks_to_ms(lock(&self.bus).total_busy)
     }
 }
 
@@ -127,11 +129,16 @@ impl Network {
 mod tests {
     use super::*;
 
+    /// `ms` in ticks.
+    fn t(ms: u64) -> u64 {
+        ms * adaptagg_model::TICKS_PER_MS
+    }
+
     #[test]
     fn high_speed_transfers_do_not_contend() {
         let net = Network::new(NetworkKind::HighSpeed { latency_ms: 0.5 });
-        assert_eq!(net.transfer(10.0, 2), 11.0);
-        assert_eq!(net.transfer(10.0, 2), 11.0);
+        assert_eq!(net.transfer(t(10), 2), t(11));
+        assert_eq!(net.transfer(t(10), 2), t(11));
         assert_eq!(net.total_busy_ms(), 0.0);
     }
 
@@ -139,17 +146,17 @@ mod tests {
     fn shared_bus_serializes_overlapping_transfers() {
         let net = Network::new(NetworkKind::SharedBus { ms_per_page: 2.0 });
         // First sender takes 10→12; second, also at 10, queues to 12→14.
-        assert_eq!(net.transfer(10.0, 1), 12.0);
-        assert_eq!(net.transfer(10.0, 1), 14.0);
+        assert_eq!(net.transfer(t(10), 1), t(12));
+        assert_eq!(net.transfer(t(10), 1), t(14));
         assert_eq!(net.total_busy_ms(), 4.0);
     }
 
     #[test]
     fn non_overlapping_transfers_do_not_queue() {
         let net = Network::new(NetworkKind::SharedBus { ms_per_page: 2.0 });
-        assert_eq!(net.transfer(10.0, 1), 12.0);
+        assert_eq!(net.transfer(t(10), 1), t(12));
         // The bus is idle again at virtual 20: no queueing.
-        assert_eq!(net.transfer(20.0, 3), 26.0);
+        assert_eq!(net.transfer(t(20), 3), t(26));
         assert_eq!(net.total_busy_ms(), 8.0);
     }
 
@@ -159,27 +166,27 @@ mod tests {
         // "late" in real time but "early" in virtual time must not queue
         // behind virtual-future traffic.
         let net = Network::new(NetworkKind::SharedBus { ms_per_page: 2.0 });
-        assert_eq!(net.transfer(100.0, 1), 102.0); // raced-ahead thread
-        assert_eq!(net.transfer(0.0, 1), 2.0, "virtual-past send books the idle bus");
+        assert_eq!(net.transfer(t(100), 1), t(102)); // raced-ahead thread
+        assert_eq!(net.transfer(t(0), 1), t(2), "virtual-past send books the idle bus");
         // And a send overlapping the [100,102] booking queues after it.
-        assert_eq!(net.transfer(101.0, 1), 104.0);
+        assert_eq!(net.transfer(t(101), 1), t(104));
     }
 
     #[test]
     fn gap_exactly_fitting_is_used() {
         let net = Network::new(NetworkKind::SharedBus { ms_per_page: 1.0 });
-        assert_eq!(net.transfer(0.0, 2), 2.0); // [0,2]
-        assert_eq!(net.transfer(4.0, 2), 6.0); // [4,6]
+        assert_eq!(net.transfer(t(0), 2), t(2)); // [0,2]
+        assert_eq!(net.transfer(t(4), 2), t(6)); // [4,6]
         // A 2-page transfer at 2 fits exactly in [2,4].
-        assert_eq!(net.transfer(2.0, 2), 4.0);
+        assert_eq!(net.transfer(t(2), 2), t(4));
         // Next overlapping send queues to the end.
-        assert_eq!(net.transfer(0.0, 1), 7.0);
+        assert_eq!(net.transfer(t(0), 1), t(7));
     }
 
     #[test]
     fn zero_pages_is_free() {
         let net = Network::new(NetworkKind::SharedBus { ms_per_page: 2.0 });
-        assert_eq!(net.transfer(5.0, 0), 5.0);
+        assert_eq!(net.transfer(t(5), 0), t(5));
         assert_eq!(net.total_busy_ms(), 0.0);
     }
 
@@ -187,8 +194,8 @@ mod tests {
     fn clones_share_the_bus() {
         let a = Network::new(NetworkKind::SharedBus { ms_per_page: 1.0 });
         let b = a.clone();
-        a.transfer(0.0, 4);
-        assert_eq!(b.transfer(0.0, 1), 5.0);
+        a.transfer(t(0), 4);
+        assert_eq!(b.transfer(t(0), 1), t(5));
     }
 
     #[test]
@@ -199,7 +206,7 @@ mod tests {
                 let n = net.clone();
                 std::thread::spawn(move || {
                     for _ in 0..25 {
-                        n.transfer(0.0, 1);
+                        n.transfer(t(0), 1);
                     }
                 })
             })
@@ -210,14 +217,14 @@ mod tests {
         assert_eq!(net.total_busy_ms(), 100.0);
         // All 100 unit transfers started at 0: they occupy exactly
         // [0, 100] regardless of interleaving.
-        assert_eq!(net.transfer(0.0, 1), 101.0);
+        assert_eq!(net.transfer(t(0), 1), t(101));
     }
 
     #[test]
     fn ledger_stays_compact_under_contiguous_load() {
         let net = Network::new(NetworkKind::SharedBus { ms_per_page: 1.0 });
         for _ in 0..1000 {
-            net.transfer(0.0, 1);
+            net.transfer(t(0), 1);
         }
         assert_eq!(lock(&net.bus).intervals.len(), 1, "coalescing failed");
     }

@@ -32,7 +32,7 @@ struct Sealer {
 
 impl Sealer {
     /// Hand `put` every group of `store` in key order, as the partial row
-    /// it is where it lies, charging `t_w` ahead of each.
+    /// it is where it lies, charging `t_w` for each row it was handed.
     fn write_sorted<T: CostTracker>(
         &mut self,
         store: &GroupStore,
@@ -40,11 +40,13 @@ impl Sealer {
         mut put: impl FnMut(&mut T, &GroupRow<'_>) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         store.sort_entries(&mut self.order, &mut self.pairs);
-        for &e in &self.order {
-            tracker.record(CostEvent::TupleWrite, 1);
-            put(tracker, &store.partial_row(e as usize))?;
-        }
-        Ok(())
+        let mut written = 0;
+        let result = self.order.iter().try_for_each(|&e| {
+            written += 1;
+            put(tracker, &store.partial_row(e as usize))
+        });
+        tracker.record(CostEvent::TupleWrite, written);
+        result
     }
 }
 
@@ -150,9 +152,9 @@ impl RunBuilder {
     /// order, through [`AggTable::feed_batch`]: one hash pass over the key
     /// strips, a typed probe, the updates swept a column at a time — and a
     /// seal landing mid-batch applies the updates of the rows ahead of it
-    /// before it sorts and writes. Runs, rows, errors and the order of
-    /// every charge are those of the row loop; pages the strips cannot
-    /// serve take it (the outcome's `row_cause` says why).
+    /// before it sorts and writes. Runs, rows, errors and every charge are
+    /// those of the row loop; pages the strips cannot serve take it (the
+    /// outcome's `row_cause` says why).
     pub fn push_batch<T: CostTracker>(
         &mut self,
         kind: RowKind,

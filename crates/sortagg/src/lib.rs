@@ -35,8 +35,9 @@
 //! charge `t_h` per pushed row (the index probe that finds or admits its
 //! group; the seal-time sort rides on the `t_w` each sealed row pays) and
 //! `t_r` per comparison-driven move in the merge, keeping the two
-//! strategies comparable under one parameter set. The order the charges
-//! are issued in is part of the contract (DESIGN.md §16). Run I/O goes through the same
+//! strategies comparable under one parameter set. Charges are counted,
+//! and paid before anything reads the clock (DESIGN.md §16.3, §21). Run
+//! I/O goes through the same
 //! spill machinery (page writes on seal, reads on merge) as hash
 //! overflow, so the I/O accounting is identical.
 

@@ -292,10 +292,11 @@ impl CellRow for Group<'_> {
 /// on a tie) into key-ordered output rows, combining equal keys' partial
 /// states.
 ///
-/// Charges: page reads + `t_r` per row for every sealed run, in run
-/// order, before the first row is merged (via the spill machinery), then
-/// `t_r` per heap pop (the merge comparison work — see the crate's
-/// cost-parity note), `t_a` per combine, and `t_w` per emitted row.
+/// Charges: page reads + `t_r` per row for every sealed run (via the
+/// spill machinery), `t_r` per heap pop (the merge comparison work — see
+/// the crate's cost-parity note), `t_a` per combine, and `t_w` per emitted
+/// row — the last three counted as the merge goes and recorded once, as it
+/// returns.
 pub fn merge_runs<T: CostTracker>(
     query: &AggQuery,
     runs: Vec<SpillFile>,
@@ -314,7 +315,7 @@ pub fn merge_runs<T: CostTracker>(
         .map(|run| {
             let mut pages = Vec::with_capacity(run.sealed_pages() + 1);
             run.drain_pages(tracker, |t, page| {
-                t.record_tuples(&[CostEvent::TupleRead], page.tuple_count() as u64);
+                t.record(CostEvent::TupleRead, page.tuple_count() as u64);
                 pages.push(page);
                 Ok(())
             })
@@ -344,6 +345,9 @@ pub fn merge_runs<T: CostTracker>(
 
     let mut rows = RowPages::new(page_bytes);
     let (mut strip_rows, mut value_rows) = (0u64, 0u64);
+    // Heap pops (`t_r` each: the merge comparison work), combines (`t_a`)
+    // and emitted groups (`t_w`).
+    let (mut pops, mut combines, mut emitted) = (0u64, 0u64, 0u64);
     let mut states: Vec<AggState> = query.aggs.iter().map(|s| AggState::new(s.func)).collect();
     let widths: Vec<usize> = query.aggs.iter().map(|s| s.func.partial_arity()).collect();
     debug_assert!(widths.iter().all(|&n| n <= MAX_PARTIAL_ARITY));
@@ -353,8 +357,8 @@ pub fn merge_runs<T: CostTracker>(
     let mut open_int = 0i64;
     let mut open = false;
     let mut scratch: Vec<Value> = Vec::new();
-    let mut close = |key: &[Value], states: &mut [AggState], tracker: &mut T| {
-        tracker.record(CostEvent::TupleWrite, 1);
+    let mut close = |key: &[Value], states: &mut [AggState]| {
+        emitted += 1;
         let pushed = rows.push(&Group { key, states, emit });
         for (state, spec) in states.iter_mut().zip(&query.aggs) {
             *state = AggState::new(spec.func);
@@ -362,41 +366,49 @@ pub fn merge_runs<T: CostTracker>(
         pushed
     };
 
-    while let Some(top) = heap.top() {
-        tracker.record(CostEvent::TupleRead, 1); // merge comparison work
-        let i = top as usize;
-        let run = &heads.runs[i];
-        let same = open
-            && match int_keys {
-                true => heads.ints[i] == open_int,
-                false => run.key_is(&open_key),
-            };
-        if !same {
-            if open {
-                close(&open_key, &mut states, tracker)?;
+    let mut merge = || -> Result<(), StorageError> {
+        while let Some(top) = heap.top() {
+            pops += 1;
+            let i = top as usize;
+            let run = &heads.runs[i];
+            let same = open
+                && match int_keys {
+                    true => heads.ints[i] == open_int,
+                    false => run.key_is(&open_key),
+                };
+            if !same {
+                if open {
+                    close(&open_key, &mut states)?;
+                }
+                open = true;
+                open_int = heads.ints[i];
+                open_key.clear();
+                open_key.extend((0..k).map(|j| run.cell(j)));
             }
-            open = true;
-            open_int = heads.ints[i];
-            open_key.clear();
-            open_key.extend((0..k).map(|j| run.cell(j)));
-        }
-        run.fold_into(k, &mut states, &widths, &mut scratch)?;
-        match run.ints {
-            true => strip_rows += 1,
-            false => value_rows += 1,
-        }
-        tracker.record(CostEvent::TupleAgg, 1);
+            run.fold_into(k, &mut states, &widths, &mut scratch)?;
+            match run.ints {
+                true => strip_rows += 1,
+                false => value_rows += 1,
+            }
+            combines += 1;
 
-        if heads.advance(i, arity)? {
-            heap.top_changed(&heads);
-        } else {
-            heap.remove_top(&heads);
+            if heads.advance(i, arity)? {
+                heap.top_changed(&heads);
+            } else {
+                heap.remove_top(&heads);
+            }
         }
-    }
-    if open {
-        close(&open_key, &mut states, tracker)?;
-    }
-    Ok(Merged {
+        if open {
+            close(&open_key, &mut states)?;
+        }
+        Ok(())
+    };
+    let merged = merge();
+    // Paid on the way out, error or not: the caller reads the clock next.
+    tracker.record(CostEvent::TupleRead, pops);
+    tracker.record(CostEvent::TupleAgg, combines);
+    tracker.record(CostEvent::TupleWrite, emitted);
+    merged.map(|()| Merged {
         rows,
         strip_rows,
         value_rows,
@@ -406,7 +418,7 @@ pub fn merge_runs<T: CostTracker>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptagg_model::{AggFunc, AggSpec, NullTracker, RowKind};
+    use adaptagg_model::{AggFunc, AggSpec, CountingTracker, NullTracker, RowKind};
 
     fn query() -> AggQuery {
         AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)])
@@ -500,6 +512,25 @@ mod tests {
             .map(|r| r[0].as_i64().unwrap())
             .collect();
         assert_eq!(keys, vec![0, 1, 2, 5, 7, 8, 9]);
+    }
+
+    #[test]
+    fn a_merge_that_fails_has_paid_for_what_it_did() {
+        // Twelve 2-cell rows fill a 256-byte page; the run's second page
+        // holds a row of the wrong arity, met as the head advances past
+        // the twelfth row: twelve pops and folds, eleven groups closed.
+        let mut run = SpillFile::new(256);
+        for g in 0..12 {
+            run.spool(&[Value::Int(g), Value::Int(1)], &mut NullTracker).unwrap();
+        }
+        run.spool(&[Value::Int(99), Value::Int(1), Value::Int(1)], &mut NullTracker)
+            .unwrap();
+        let mut tracker = CountingTracker::new();
+        let out = merge_runs(&query(), vec![run], RowPages::new(256), MergeEmit::Finalized, &mut tracker);
+        assert!(matches!(out, Err(StorageError::Model(ModelError::PartialArityMismatch { .. }))));
+        let counts = [CostEvent::PageReadSeq, CostEvent::TupleRead, CostEvent::TupleAgg, CostEvent::TupleWrite];
+        // Read back: two pages and their 13 rows; then 12 pops.
+        assert_eq!(counts.map(|e| tracker.count(e)), [2, 13 + 12, 12, 11]);
     }
 
     #[test]

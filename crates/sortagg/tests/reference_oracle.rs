@@ -3,9 +3,10 @@
 //! `reference` is the ordered-map run builder and the cloning heap merge
 //! the flat-arena implementation replaced, kept here as the oracle for
 //! what must not change: the rows, the run boundaries and contents **page
-//! for page**, the typed errors, and the exact sequence of cost events
-//! (the virtual clock adds them up in order, so order is part of the
-//! contract).
+//! for page**, the typed errors, the count of every cost event, and the
+//! clock those charges make after every chunk (where a caller may read
+//! it) and where formation or the merge ends (a failure's time). Charges
+//! commute: their order is no part of the contract.
 //!
 //! Every input is a sequence of *chunks* — the pages a scan would hand
 //! over — and goes through three lanes that must agree on all of that:
@@ -15,8 +16,8 @@
 //! data decides which rows of the batch lane ride the strips.
 
 use adaptagg_model::{
-    AggFunc, AggQuery, AggSpec, AggStates, CostEvent, CostTracker, GroupKey, MemoryGrant,
-    NullTracker, RowKind, Value,
+    AggFunc, AggQuery, AggSpec, AggStates, CostEvent, CostParams, CostTracker, CountingTracker,
+    GroupKey, MemoryGrant, NullTracker, RowKind, Value,
 };
 use adaptagg_sortagg::merge::MergeEmit;
 use adaptagg_sortagg::{merge_runs, RowPages, RunBuilder, SortAggregator};
@@ -189,14 +190,23 @@ mod reference {
     }
 }
 
-/// Records every `record` call verbatim, in order (a `record_tuples` run
-/// arrives as the unit events it stands for).
-#[derive(Default)]
-struct EventLog(Vec<(CostEvent, u64)>);
+/// Counts every charge, and keeps the time — in Table 1 ticks — those
+/// counts made at each point the clock is [`read`](EventLog::read).
+#[derive(Debug, Default, PartialEq)]
+struct EventLog {
+    counts: CountingTracker,
+    reads: Vec<u64>,
+}
+
+impl EventLog {
+    fn read(&mut self) {
+        self.reads.push(self.counts.total_ticks(&CostParams::paper_default()));
+    }
+}
 
 impl CostTracker for EventLog {
     fn record(&mut self, event: CostEvent, count: u64) {
-        self.0.push((event, count));
+        self.counts.record(event, count);
     }
 }
 
@@ -261,7 +271,7 @@ struct Feed {
 /// What one pipeline run is compared on.
 #[derive(Debug, Default, PartialEq)]
 struct Observed {
-    events: Vec<(CostEvent, u64)>,
+    events: EventLog,
     /// The error that ended run formation or the merge.
     error: Option<StorageError>,
     /// The pages of every sealed run, per run, then the resident run's.
@@ -412,6 +422,7 @@ fn observe(
                 Lane::Rows => push_rows(&mut new, chunk, feed.scanned, log)?,
                 Lane::Batches => push_chunk(&mut new, chunk, feed.scanned, log, rode)?,
             }
+            log.read();
             resident.push(match lane {
                 Lane::Reference => old.resident(),
                 _ => new.resident(),
@@ -427,7 +438,10 @@ fn observe(
     let mut rode = Rode::default();
     let mut log = EventLog::default();
     match form(&mut log, &mut seen.resident, &mut rode) {
-        Err(e) => seen.error = Some(e),
+        Err(e) => {
+            log.read();
+            seen.error = Some(e);
+        }
         Ok((runs, resident)) => {
             seen.runs = runs.into_iter().map(pages_of).collect();
             seen.runs.push(resident.into_pages());
@@ -438,13 +452,14 @@ fn observe(
                 Lane::Reference => reference::merge_runs(query, runs, resident, emit, &mut log),
                 _ => merge_runs(query, runs, resident, emit, &mut log).map(|m| m.rows.to_rows()),
             };
+            log.read();
             match merged {
                 Ok(out) => seen.out = out,
                 Err(e) => seen.error = Some(e),
             }
         }
     }
-    seen.events = log.0;
+    seen.events = log;
     (seen, rode)
 }
 
@@ -462,15 +477,7 @@ fn assert_lanes_agree(
     let mut rode = Rode::default();
     for lane in [Lane::Rows, Lane::Batches] {
         let (new, lane_rode) = observe(lane, query, chunks, budget, page_bytes, emit, feed);
-        let events = new.events.len().min(old.events.len());
-        if let Some(at) = (0..events).find(|&i| new.events[i] != old.events[i]) {
-            panic!(
-                "{lane:?}: event {at} of {} is {:?}, reference {:?}",
-                new.events.len(),
-                new.events[at],
-                old.events[at]
-            );
-        }
+        assert_eq!(new.events, old.events, "{lane:?}: charges diverged from the reference");
         assert_eq!(new.run_rows(), old.run_rows(), "{lane:?}: run boundaries moved");
         assert_eq!(new, old, "{lane:?} diverged from the reference");
         rode = lane_rode;
@@ -478,12 +485,12 @@ fn assert_lanes_agree(
     (old, rode)
 }
 
-/// The recorded-event contract on a fixed input: 2000 rows over 500
+/// The charging contract on a fixed input: 2000 rows over 500
 /// groups against a 64-group budget (≈ 30 sealed runs, multi-page runs),
 /// as rows, as whole pages and as scanned pages three rows in four of
 /// which pass.
 #[test]
-fn event_sequence_equals_the_reference_on_a_fixed_input() {
+fn charges_equal_the_reference_on_a_fixed_input() {
     let query = AggQuery::new(
         vec![0],
         vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()],

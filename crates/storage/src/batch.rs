@@ -9,13 +9,14 @@
 //!
 //! The batch also says what the scan still **owes** the cost model for
 //! its rows. This crate charges page I/O only, so the per-tuple select
-//! charges travel with the batch and the consumer records them in row
-//! order, interleaved with its own: [`ScanBatch::pass_lead`] ahead of
-//! each passing row's charges, [`ScanBatch::fail_charge`] for each
-//! filtered-out row. The run lengths are the gaps of the selection.
+//! charges travel with the batch and the consumer records them with its
+//! own: [`ScanBatch::pass_lead`] for each passing row,
+//! [`ScanBatch::fail_charge`] for each filtered-out row — as counts, in
+//! any order, so long as they are recorded before anything reads the
+//! clock ([`BatchCharges`]).
 
 use crate::page::{Page, StripRow, StripView};
-use adaptagg_model::{CellRow, CostEvent, CostTracker, Value};
+use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, Value};
 
 /// Select charges of a tuple that passed the filter: read off the page,
 /// copied out (`t_r + t_w`, §2.1).
@@ -78,66 +79,32 @@ pub struct BatchOutcome {
     pub row_cause: Option<RowCause>,
 }
 
-/// The cost runs of one batch's consumer: what a row it accepts records
-/// (the batch's select lead, then the consumer's own template), what a
-/// filtered-out row records, and the open run of accepted rows. Runs are
-/// recorded through [`CostTracker::record_tuples`], in row order — the
-/// consumer closes the open run ([`BatchCharges::flush`]) before anything
-/// else may read or move the clock.
-#[derive(Debug)]
+/// What a batch's consumer owes for the rows it has accepted since it
+/// last paid: each such row's select lead ([`ScanBatch::pass_lead`]) and
+/// the consumer's own per-row charges. Charges commute, so they are
+/// recorded as one count per event — but before anything reads the clock
+/// (a send's timestamp, a failure's time): a consumer that sends flushes
+/// before each send, and every consumer before it returns.
+#[derive(Debug, Default)]
 pub struct BatchCharges {
-    pass: [CostEvent; 8],
-    pass_len: usize,
-    lead: &'static [CostEvent],
-    fail: &'static [CostEvent],
     pending: u64,
 }
 
 impl BatchCharges {
-    /// Charges for `batch`, whose consumer records `accept` per row it
-    /// takes.
-    pub fn new(batch: &ScanBatch<'_>, accept: &'static [CostEvent]) -> Self {
-        let lead = batch.pass_lead();
-        let mut pass = [CostEvent::TupleRead; 8];
-        let pass_len = lead.len() + accept.len();
-        pass[..lead.len()].copy_from_slice(lead);
-        pass[lead.len()..pass_len].copy_from_slice(accept);
-        BatchCharges {
-            pass,
-            pass_len,
-            lead,
-            fail: batch.fail_charge(),
-            pending: 0,
-        }
-    }
-
-    /// One more accepted row joins the open run.
+    /// One more accepted row.
     #[inline]
     pub fn accepted(&mut self) {
         self.pending += 1;
     }
 
-    /// Close the open run of accepted rows.
-    #[inline]
-    pub fn flush<T: CostTracker>(&mut self, tracker: &mut T) {
-        tracker.record_tuples(&self.pass[..self.pass_len], self.pending);
-        self.pending = 0;
-    }
-
-    /// `n` filtered-out rows follow the open run.
-    #[inline]
-    pub fn failed<T: CostTracker>(&mut self, tracker: &mut T, n: u64) {
+    /// Record what the accepted rows of `batch` owe, each charged
+    /// `batch.pass_lead()` and `accept`.
+    pub fn flush<T: CostTracker>(&mut self, tracker: &mut T, batch: &ScanBatch<'_>, accept: &[CostEvent]) {
+        let n = std::mem::take(&mut self.pending);
         if n > 0 {
-            self.flush(tracker);
-            tracker.record_tuples(self.fail, n);
+            record_each(tracker, batch.pass_lead(), n);
+            record_each(tracker, accept, n);
         }
-    }
-
-    /// A row that passed the filter but was not accepted breaks the run:
-    /// its select lead is recorded inline (the caller charges the attempt).
-    pub fn bounced<T: CostTracker>(&mut self, tracker: &mut T) {
-        self.flush(tracker);
-        tracker.record_tuples(self.lead, 1);
     }
 }
 

@@ -4,6 +4,7 @@
 //! `cargo run --release --example chaos_demo`.
 
 use adaptagg::exec::{run_cluster, ExecError, FaultPlan};
+use adaptagg::model::ticks_to_ms;
 use adaptagg::net::LinkFaults;
 use adaptagg::prelude::*;
 use std::time::Duration;
@@ -147,8 +148,8 @@ fn main() {
         rec.reassigned_partitions,
         work.restored_partials,
         work.replayed_pages,
-        rec.lost_ms,
-        rec.backoff_ms,
+        ticks_to_ms(rec.lost),
+        ticks_to_ms(rec.backoff),
         r.elapsed_ms(),
         r.run.elapsed_with_recovery_ms()
     );

@@ -134,8 +134,7 @@ fn chaos_outcomes_are_deterministic_per_seed() {
                         timed_under_link_faults += usize::from(plan.link_faults().any());
                         for (na, nb) in a.run.per_node.iter().zip(&b.run.per_node) {
                             assert_eq!(
-                                na.clock_ms.to_bits(),
-                                nb.clock_ms.to_bits(),
+                                na.clock, nb.clock,
                                 "{kind} seed {seed}: node {} clock differs",
                                 na.node
                             );
@@ -211,14 +210,7 @@ fn disabled_fault_injection_is_zero_cost() {
             assert!(a.adapted_nodes().is_empty() && b.adapted_nodes().is_empty());
         }
         for (na, nb) in a.run.per_node.iter().zip(&b.run.per_node) {
-            assert_eq!(
-                na.clock_ms.to_bits(),
-                nb.clock_ms.to_bits(),
-                "{kind}: node {} clock changed ({} vs {})",
-                na.node,
-                na.clock_ms,
-                nb.clock_ms
-            );
+            assert_eq!(na.clock, nb.clock, "{kind}: node {} clock changed", na.node);
         }
     }
 }

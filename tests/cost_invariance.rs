@@ -3,9 +3,12 @@
 //! The wall-clock optimisation work (allocation-free hot path,
 //! page-batched operators) treats the cost model as its correctness
 //! contract: every `CostEvent` count and virtual-time figure must be
-//! bit-identical to the pre-optimisation implementation. The constants
+//! identical to the pre-optimisation implementation. The constants
 //! below were captured from the unoptimised code (commit 893d349) by
-//! the `print_pins` test; they must never move under perf work.
+//! the `print_pins` test; they must never move under perf work. The
+//! times were re-read once, as integer ticks, when the clock stopped
+//! accumulating `f64` milliseconds: each is within 1e-9 of the bits it
+//! replaced (DESIGN.md §21 has both).
 //!
 //! What makes these stable by construction:
 //! - the component harness feeds the aggregator an explicit row
@@ -20,8 +23,8 @@ use adaptagg_algos::{run_algorithm, AdaptEvent, AlgorithmKind, RunOutcome};
 use adaptagg_exec::{Clock, ClusterConfig, TraceEvent};
 use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::{
-    AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker, CountingTracker,
-    Predicate, RowKind, Value,
+    ms_to_ticks, ticks_to_ms, AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams,
+    CostTracker, CountingTracker, NetworkKind, Predicate, RowKind, Value, TICKS_PER_MS,
 };
 use adaptagg_workload::{default_query, generate_partitions, RelationSpec};
 
@@ -69,8 +72,8 @@ const PIN_COUNTS: &[(CostEvent, u64)] = &[
 ];
 
 /// Pinned virtual time for the component harness under paper-default
-/// parameters (f64 bits; captured pre-change).
-const PIN_COMPONENT_MS_BITS: u64 = 0x404191eb851eb8ab; // 35.14000000000063 ms
+/// parameters, in ticks (captured pre-change).
+const PIN_COMPONENT_TICKS: u64 = 35_140_000_000;
 
 #[test]
 fn component_event_counts_are_pinned() {
@@ -89,38 +92,32 @@ fn component_event_counts_are_pinned() {
 fn component_virtual_time_is_pinned() {
     let mut clock = Clock::new(CostParams::paper_default());
     run_component_harness(&mut clock);
-    assert_eq!(
-        clock.now_ms().to_bits(),
-        PIN_COMPONENT_MS_BITS,
-        "virtual time drifted: got {} ms ({:#018x})",
-        clock.now_ms(),
-        clock.now_ms().to_bits()
-    );
+    assert_eq!(clock.now(), PIN_COMPONENT_TICKS, "virtual time drifted: got {} ms", clock.now_ms());
 }
 
-/// Pinned end-to-end virtual times (f64 bits, captured pre-change) for
+/// Pinned end-to-end virtual times (ticks, captured pre-change) for
 /// deterministic cluster shapes. (kind, nodes, tuples, groups,
-/// max_hash_entries, elapsed_ms bits.)
+/// max_hash_entries, elapsed ticks.)
 const PIN_RUNS: &[(AlgorithmKind, usize, usize, usize, usize, u64)] = &[
-    (AlgorithmKind::TwoPhase, 1, 3000, 120, 10_000, 0x40686428f5c2882d), // 195.13 ms
-    (AlgorithmKind::Repartitioning, 1, 3000, 120, 10_000, 0x4068be6666665d81), // 197.95 ms
-    (AlgorithmKind::AdaptiveTwoPhase, 1, 3000, 120, 10_000, 0x40686428f5c2882d), // 195.13 ms
-    (AlgorithmKind::CentralizedTwoPhase, 1, 3000, 120, 10_000, 0x4068633333332c1d), // 195.10 ms
-    (AlgorithmKind::SortTwoPhase, 1, 3000, 120, 10_000, 0x4068a75c28f5bb13), // 197.23 ms
+    (AlgorithmKind::TwoPhase, 1, 3000, 120, 10_000, 195_130_000_000), // 195.13 ms
+    (AlgorithmKind::Repartitioning, 1, 3000, 120, 10_000, 197_950_000_000), // 197.95 ms
+    (AlgorithmKind::AdaptiveTwoPhase, 1, 3000, 120, 10_000, 195_130_000_000), // 195.13 ms
+    (AlgorithmKind::CentralizedTwoPhase, 1, 3000, 120, 10_000, 195_100_000_000), // 195.1 ms
+    (AlgorithmKind::SortTwoPhase, 1, 3000, 120, 10_000, 197_230_000_000), // 197.23 ms
     // Overflow engaged: 1500 groups against a 300-entry budget.
-    (AlgorithmKind::TwoPhase, 1, 3000, 1500, 300, 0x4079bf9999998e5d), // 411.97 ms
-    (AlgorithmKind::Repartitioning, 1, 3000, 1500, 300, 0x407317fffffff8ec), // 305.50 ms
+    (AlgorithmKind::TwoPhase, 1, 3000, 1500, 300, 411_975_000_000), // 411.975 ms
+    (AlgorithmKind::Repartitioning, 1, 3000, 1500, 300, 305_500_000_000), // 305.5 ms
     // Two nodes: arrival order is still deterministic (single peer).
-    (AlgorithmKind::TwoPhase, 2, 2000, 50, 10_000, 0x40508dc28f5c288f), // 66.215 ms
-    (AlgorithmKind::Repartitioning, 2, 2000, 50, 10_000, 0x405105eb851eb7d2), // 68.0925 ms
+    (AlgorithmKind::TwoPhase, 2, 2000, 50, 10_000, 66_215_000_000), // 66.215 ms
+    (AlgorithmKind::Repartitioning, 2, 2000, 50, 10_000, 68_092_500_000), // 68.0925 ms
     // Two nodes *and* overflow engaged: the spill spool/drain and the
     // cross-node merge both run, covering the columnar spill path.
-    (AlgorithmKind::TwoPhase, 2, 3000, 1500, 300, 0x406b3bac08311e03), // 217.86475 ms
+    (AlgorithmKind::TwoPhase, 2, 3000, 1500, 300, 217_864_750_000), // 217.86475 ms
     // Sort-2P where runs actually seal (the 120-group pin above never
     // leaves memory): run spool, run read-back and the k-way merge, on
     // one node and across two.
-    (AlgorithmKind::SortTwoPhase, 1, 3000, 1500, 300, 0x407ab4d70a3d64cb), // 427.3025 ms
-    (AlgorithmKind::SortTwoPhase, 2, 3000, 1500, 300, 0x406b7cb645a1c027), // 219.8972 ms
+    (AlgorithmKind::SortTwoPhase, 1, 3000, 1500, 300, 427_302_500_000), // 427.3025 ms
+    (AlgorithmKind::SortTwoPhase, 2, 3000, 1500, 300, 219_897_250_000), // 219.89725 ms
 ];
 
 /// Pins for the page-at-a-time scan (DESIGN.md §17), captured on the
@@ -133,19 +130,19 @@ const PIN_SCAN_RUNS: &[ScanPin] = &[
     ScanPin {
         shape: (AlgorithmKind::TwoPhase, 1, 3000, 120, 10_000),
         query: filtered_swapped_query,
-        bits: 0x4065d26e978d4a6e, // 174.576 ms
+        ticks: 174_576_000_000, // 174.576 ms
     },
     ScanPin {
         shape: (AlgorithmKind::AdaptiveTwoPhase, 1, 3000, 1500, 300),
         query: default_query,
-        bits: 0x407370d0e5603a52, // 311.051 ms
+        ticks: 311_051_000_000, // 311.051 ms
     },
 ];
 
 struct ScanPin {
     shape: Shape,
     query: fn() -> AggQuery,
-    bits: u64,
+    ticks: u64,
 }
 
 /// (kind, nodes, tuples, groups, max_hash_entries) of a pinned run.
@@ -183,24 +180,23 @@ fn pinned_run(shape: Shape, query: &AggQuery) -> RunOutcome {
 fn all_pins() -> impl Iterator<Item = (Shape, AggQuery, u64)> {
     let defaults = PIN_RUNS
         .iter()
-        .map(|&(kind, nodes, tuples, groups, m, bits)| ((kind, nodes, tuples, groups, m), default_query(), bits));
-    let scans = PIN_SCAN_RUNS.iter().map(|pin| (pin.shape, (pin.query)(), pin.bits));
+        .map(|&(kind, nodes, tuples, groups, m, ticks)| ((kind, nodes, tuples, groups, m), default_query(), ticks));
+    let scans = PIN_SCAN_RUNS.iter().map(|pin| (pin.shape, (pin.query)(), pin.ticks));
     defaults.chain(scans)
 }
 
 fn assert_pins_hold() {
-    for (shape, query, bits) in all_pins() {
+    for (shape, query, ticks) in all_pins() {
         let out = pinned_run(shape, &query);
         if query == default_query() {
             assert_eq!(out.rows.len(), shape.3);
         }
-        let elapsed = out.elapsed_ms();
         assert_eq!(
-            elapsed.to_bits(),
-            bits,
-            "{shape:?} ({} predicates): virtual time drifted to {elapsed} ms ({:#018x})",
+            out.elapsed(),
+            ticks,
+            "{shape:?} ({} predicates): virtual time drifted to {} ms",
             query.filter.len(),
-            elapsed.to_bits()
+            out.elapsed_ms()
         );
     }
 }
@@ -212,19 +208,79 @@ fn cluster_virtual_times_are_pinned() {
     // `with_threads` is an inert shim (one execution lane per node): the
     // A-2P scan pin reads the same rows, clock bits and trace event kinds
     // with it as without.
-    let ScanPin { shape, query, bits } = PIN_SCAN_RUNS[1];
+    let ScanPin { shape, query, ticks } = PIN_SCAN_RUNS[1];
     let traced = pinned_config(shape).with_tracing();
     let plain = run_shape(shape, &query(), &traced);
     let shimmed = run_shape(shape, &query(), &traced.with_threads(8));
     assert_eq!(plain.rows, shimmed.rows);
-    assert_eq!(plain.elapsed_ms().to_bits(), bits);
-    assert_eq!(shimmed.elapsed_ms().to_bits(), bits);
+    assert_eq!(plain.elapsed(), ticks);
+    assert_eq!(shimmed.elapsed(), ticks);
     let kinds = |out: &RunOutcome| -> Vec<Vec<std::mem::Discriminant<TraceEvent>>> {
         let nodes = &out.trace.as_ref().expect("traced run").nodes;
         nodes.iter().map(|n| n.events.iter().map(std::mem::discriminant).collect()).collect()
     };
     assert!(kinds(&plain).iter().any(|events| !events.is_empty()), "A-2P traces its switch");
     assert_eq!(kinds(&plain), kinds(&shimmed));
+}
+
+/// Every time-valued knob of Table 1: how to set it to `ms`, and what it
+/// is in ms (an instruction count at the node's MIPS rating, a page I/O,
+/// the network's per-page time).
+type Knob = (fn(&mut CostParams, f64), fn(&CostParams) -> f64);
+
+const KNOBS: [Knob; 9] = [
+    (|p, ms| p.instr_read_tuple = ms * p.mips * 1e3, CostParams::t_read),
+    (|p, ms| p.instr_write_tuple = ms * p.mips * 1e3, CostParams::t_write),
+    (|p, ms| p.instr_hash = ms * p.mips * 1e3, CostParams::t_hash),
+    (|p, ms| p.instr_agg = ms * p.mips * 1e3, CostParams::t_agg),
+    (|p, ms| p.instr_dest = ms * p.mips * 1e3, CostParams::t_dest),
+    (|p, ms| p.io_seq_ms = ms, |p| p.io_seq_ms),
+    (|p, ms| p.io_rand_ms = ms, |p| p.io_rand_ms),
+    (|p, ms| p.instr_msg_protocol = ms * p.mips * 1e3, CostParams::t_msg_protocol),
+    (|p, ms| p.network = NetworkKind::HighSpeed { latency_ms: ms }, |p| p.network.ms_per_page()),
+];
+
+/// The clock is exact: for the component harness, and for every pinned
+/// run in which no node ever waits, each clock is Σ count × unit over the
+/// knobs — to the tick. A run's counts are read off the run itself under
+/// indicator parameters (every knob zero but one, which is 1 ms: the
+/// clock then reads that knob's count in ms), so nothing here trusts the
+/// clock's own arithmetic.
+#[test]
+fn elapsed_ticks_are_counts_times_units() {
+    let params = CostParams::paper_default();
+    let mut clock = Clock::new(params.clone());
+    run_component_harness(&mut clock);
+    let units: u64 = PIN_COUNTS.iter().map(|&(e, n)| n * e.unit_ticks(&params)).sum();
+    assert_eq!(clock.now(), units, "component harness");
+
+    // Every node's clock, if no node waited.
+    let clocks = |shape: Shape, query: &AggQuery, params: &CostParams| -> Option<Vec<u64>> {
+        let out = run_shape(shape, query, &ClusterConfig::new(shape.1, params.clone()));
+        let nodes = &out.run.per_node;
+        nodes.iter().all(|r| r.breakdown.wait_ms == 0.0).then(|| nodes.iter().map(|r| r.clock).collect())
+    };
+    let mut checked = 0;
+    'pins: for (shape, query, _) in all_pins() {
+        let base = pinned_config(shape).params;
+        let Some(clock) = clocks(shape, &query, &base) else { continue };
+        let mut sum = vec![0; clock.len()];
+        for (set, unit) in KNOBS {
+            let mut indicator = base.clone();
+            KNOBS.iter().for_each(|(zero, _)| zero(&mut indicator, 0.0));
+            set(&mut indicator, 1.0);
+            let Some(counts) = clocks(shape, &query, &indicator) else { continue 'pins };
+            for (sum, count) in sum.iter_mut().zip(counts) {
+                assert_eq!(count % TICKS_PER_MS, 0, "{shape:?}: a count of {} ms", ticks_to_ms(count));
+                *sum += count / TICKS_PER_MS * ms_to_ticks(unit(&base));
+            }
+        }
+        assert_eq!(clock, sum, "{shape:?} ({} predicates)", query.filter.len());
+        checked += 1;
+    }
+    // The ten one-node pins (nothing waits there) and two of the four
+    // two-node ones.
+    assert_eq!(checked, 12, "wait-free pinned runs");
 }
 
 /// The scan pins must keep exercising what they were chosen for.
@@ -268,16 +324,12 @@ fn print_pins() {
 
     let mut clock = Clock::new(CostParams::paper_default());
     run_component_harness(&mut clock);
-    println!(
-        "const PIN_COMPONENT_MS_BITS: u64 = {:#018x}; // {} ms",
-        clock.now_ms().to_bits(),
-        clock.now_ms()
-    );
+    println!("const PIN_COMPONENT_TICKS: u64 = {}; // {} ms", clock.now(), clock.now_ms());
 
     println!("const PIN_RUNS / PIN_SCAN_RUNS: ... = &[");
     for (shape, query, _) in all_pins() {
-        let elapsed = pinned_run(shape, &query).elapsed_ms();
-        println!("    ({shape:?}, {:#018x}), // {elapsed} ms", elapsed.to_bits());
+        let out = pinned_run(shape, &query);
+        println!("    ({shape:?}, {}), // {} ms", out.elapsed(), out.elapsed_ms());
     }
     println!("];");
 }

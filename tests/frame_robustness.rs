@@ -10,6 +10,7 @@ use adaptagg::net::{
     frame, Control, DataKind, FrameError, Message, NetError, Payload, SplitMix64, WireFrame,
     MAX_FRAME_BYTES,
 };
+use adaptagg::model::{ticks_to_ms, MAX_TICKS};
 use adaptagg::storage::Page;
 use std::io::Cursor;
 
@@ -195,6 +196,29 @@ fn corrupt_page_capacity_cannot_drive_allocation() {
     match frame::decode_frame(&corrupt) {
         Err(FrameError::Corrupt(_)) => {}
         other => panic!("max-capacity page decoded as {other:?}"),
+    }
+}
+
+#[test]
+fn timestamps_past_the_tick_ceiling_are_corrupt() {
+    // The send timestamp travels as a u64 tick count right after the tag,
+    // `from` and `seq`. A count past MAX_TICKS — one no run reaches, and
+    // the most a receiver's clock may be asked to observe — is refused
+    // whole; the ceiling itself still decodes, to its exact ms rendering.
+    let at = 1 + 4 + 8;
+    let clean = frame::encode_frame(&corpus()[3]);
+    assert_eq!(clean[at..at + 8], 1_234_500_000_000u64.to_le_bytes());
+    let stamped = |ticks: u64| {
+        let mut bytes = clean.clone();
+        bytes[at..at + 8].copy_from_slice(&ticks.to_le_bytes());
+        frame::decode_frame(&bytes)
+    };
+    for ticks in [MAX_TICKS + 1, MAX_TICKS << 1, u64::MAX] {
+        assert_eq!(stamped(ticks), Err(FrameError::Corrupt("timestamp")), "{ticks} ticks");
+    }
+    match stamped(MAX_TICKS) {
+        Ok(WireFrame::Msg(msg)) => assert_eq!((msg.sent_at(), msg.sent_at_ms), (MAX_TICKS, ticks_to_ms(MAX_TICKS))),
+        other => panic!("the ceiling itself must decode: {other:?}"),
     }
 }
 

@@ -160,7 +160,7 @@ proptest! {
                     && !(batch.adapted_nodes().is_empty() && row_out.adapted_nodes().is_empty());
                 if nodes == 1 || !fell_back {
                     let clocks = |out: &RunOutcome| -> Vec<u64> {
-                        out.run.per_node.iter().map(|r| r.clock_ms.to_bits()).collect()
+                        out.run.per_node.iter().map(|r| r.clock).collect()
                     };
                     prop_assert_eq!(
                         clocks(&batch), clocks(&row_out),

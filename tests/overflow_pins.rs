@@ -6,21 +6,26 @@
 //! its forwarded raws), `Str` keys, NULL and `Float` inputs, a scanned
 //! batch with a selection, and a grant shrunk mid-stream. Per shape the
 //! constants below pin the rows the aggregator emits (in emission order),
-//! its `HashAggStats`, a digest of the run-length `(CostEvent, count)`
-//! sequence it recorded, and the virtual clock's bits.
+//! its `HashAggStats`, how many of each `CostEvent` it recorded, and the
+//! virtual clock in ticks.
 //!
 //! They were captured on the row-at-a-time bucket drain (commit 59d95a3,
 //! before the overflow path moved onto the strips) by `print_overflow_pins`
 //! and are never edited: a change to the spill path must reproduce them.
+//! The event counts and ticks stand where that capture pinned a digest of
+//! the recorded event sequence and the `f64` clock's bits: the counts are
+//! that sequence's, read on the commit before the clock moved to integer
+//! ticks, and the ticks are within 1e-9 of those bits (DESIGN.md §21).
 //!
 //! Capture tool: cargo test --test overflow_pins print_overflow_pins -- --ignored --nocapture
 
 use adaptagg_exec::Clock;
 use adaptagg_hashagg::{AggTable, HashAggStats, HashAggregator};
 use adaptagg_model::encode::encode_tuple;
+use adaptagg_model::ticks_to_ms;
 use adaptagg_model::{
-    AggFunc, AggQuery, AggSpec, CostEvent, CostParams, CostTracker, MemoryGrant, NullTracker,
-    RowKind, Value,
+    AggFunc, AggQuery, AggSpec, CostEvent, CostParams, CostTracker, CountingTracker, MemoryGrant,
+    NullTracker, RowKind, Value,
 };
 use adaptagg_storage::{Page, RowPages, ScanBatch};
 
@@ -155,10 +160,10 @@ struct Pin {
     rows: usize,
     /// `HashAggStats` as of the parent (see [`stats_of`]).
     stats: [u64; 15],
-    /// Length and FNV-1a digest of the run-length event sequence.
-    runs: usize,
-    events_digest: u64,
-    clock_bits: u64,
+    /// How many of each event were recorded, in [`CostEvent::ALL`] order.
+    counts: [u64; 9],
+    /// The clock at the end.
+    ticks: u64,
 }
 
 /// `raw_in, partial_in, groups_out, spilled_tuples, overflow_buckets,
@@ -199,36 +204,16 @@ impl Fnv {
     }
 }
 
-/// The clock, and the run-length sequence of every event recorded on it
-/// (a `record_tuples` run expanded into its per-tuple events, as its
-/// contract defines it).
+/// The clock, and a count of every event recorded on it.
 struct Recorder {
     clock: Clock,
-    runs: Vec<(CostEvent, u64)>,
-}
-
-impl Recorder {
-    fn push(&mut self, event: CostEvent, count: u64) {
-        match self.runs.last_mut() {
-            Some((e, n)) if *e == event => *n += count,
-            _ => self.runs.push((event, count)),
-        }
-    }
+    counts: CountingTracker,
 }
 
 impl CostTracker for Recorder {
     fn record(&mut self, event: CostEvent, count: u64) {
         self.clock.record(event, count);
-        self.push(event, count);
-    }
-
-    fn record_tuples(&mut self, template: &[CostEvent], count: u64) {
-        self.clock.record_tuples(template, count);
-        for _ in 0..count {
-            for &event in template {
-                self.push(event, 1);
-            }
-        }
+        self.counts.record(event, count);
     }
 }
 
@@ -309,7 +294,7 @@ fn run(shape: &Shape) -> Pin {
         .with_grant(grant.clone());
     let mut rec = Recorder {
         clock: Clock::new(params.clone()),
-        runs: Vec::new(),
+        counts: CountingTracker::new(),
     };
     let chunks = stream(shape);
     let total: usize = chunks.iter().map(|(_, rows)| rows.len()).sum();
@@ -347,7 +332,7 @@ fn run(shape: &Shape) -> Pin {
                     let n = page.tuple_count();
                     let sel: Vec<u32> = (0..n as u32).filter(|r| r % 3 != 1).collect();
                     // The select charges the batch owes are the consumer's
-                    // to record, in row order with its own.
+                    // to record, with its own.
                     let batch = ScanBatch::scanned(&page, &[0, 1], Some(&sel), n).unwrap();
                     let out = agg.push_batch(*kind, &batch, &mut rec).unwrap();
                     assert_eq!(out.consumed, n);
@@ -378,203 +363,178 @@ fn run(shape: &Shape) -> Pin {
             (n, stats)
         }
     };
-    let mut events = Fnv::new();
-    for &(event, count) in &rec.runs {
-        events.bytes(&[event as u8]);
-        events.bytes(&count.to_le_bytes());
-    }
     Pin {
         name: shape.name,
         rows_digest: digest.0,
         rows,
         stats: stats_of(&stats),
-        runs: rec.runs.len(),
-        events_digest: events.0,
-        clock_bits: rec.clock.now_ms().to_bits(),
+        counts: CostEvent::ALL.map(|e| rec.counts.count(e)),
+        ticks: rec.clock.now(),
     }
 }
 
-/// Captured on commit 59d95a3 (the row-at-a-time bucket drain).
+/// Captured on commit 59d95a3 (the row-at-a-time bucket drain); counts
+/// and ticks as the module docs say.
 const PINS: &[Pin] = &[
     Pin {
         name: "raw_rows_fit",
         rows_digest: 0x2fb8058936b83759,
         rows: 50,
         stats: [600, 0, 50, 0, 0, 0, 828, 50, 3, 0, 0, 0, 0, 0, 45],
-        runs: 1801,
-        events_digest: 0x4baef211506128de,
-        clock_bits: 0x402e400000000042, // 15.125000000000117 ms
+        counts: [600, 50, 600, 600, 0, 0, 0, 0, 0],
+        ticks: 15_125_000_000, // was 15.125000000000117 ms
     },
     Pin {
         name: "raw_pages_fit",
         rows_digest: 0x2fb8058936b83759,
         rows: 50,
         stats: [600, 0, 50, 0, 0, 0, 828, 50, 3, 0, 0, 0, 0, 0, 45],
-        runs: 1801,
-        events_digest: 0x4baef211506128de,
-        clock_bits: 0x402e400000000042, // 15.125000000000117 ms
+        counts: [600, 50, 600, 600, 0, 0, 0, 0, 0],
+        ticks: 15_125_000_000, // was 15.125000000000117 ms
     },
     Pin {
         name: "raw_pages_one_level",
         rows_digest: 0xf067285d9f48a8bd,
         rows: 300,
         stats: [4000, 0, 300, 3118, 8, 1, 12002, 64, 27, 0, 0, 0, 0, 0, 45],
-        runs: 21405,
-        events_digest: 0xd2dfdd6f036b5ba0,
-        clock_bits: 0x406e7fd70a3d6397, // 243.99499999990505 ms
+        counts: [10236, 3418, 7118, 4000, 0, 25, 25, 0, 0],
+        ticks: 243_995_000_000, // was 243.99499999990505 ms
     },
     Pin {
         name: "raw_rows_one_level",
         rows_digest: 0xf067285d9f48a8bd,
         rows: 300,
         stats: [4000, 0, 300, 3118, 8, 1, 12002, 64, 27, 0, 0, 0, 0, 0, 45],
-        runs: 21405,
-        events_digest: 0xd2dfdd6f036b5ba0,
-        clock_bits: 0x406e7fd70a3d6397, // 243.99499999990505 ms
+        counts: [10236, 3418, 7118, 4000, 0, 25, 25, 0, 0],
+        ticks: 243_995_000_000, // was 243.99499999990505 ms
     },
     Pin {
         name: "raw_pages_deep",
         rows_digest: 0x87c35b2fe15e1bc8,
         rows: 2000,
         stats: [6000, 0, 2000, 15414, 86, 4, 43590, 32, 261, 0, 0, 0, 0, 0, 45],
-        runs: 64559,
-        events_digest: 0xd6739e15d7386832,
-        clock_bits: 0x408d7247ae149d57, // 942.2850000010029 ms
+        counts: [36828, 17414, 21414, 6000, 0, 158, 158, 0, 0],
+        ticks: 942_285_000_000, // was 942.2850000010029 ms
     },
     Pin {
         name: "raw_rows_deep",
         rows_digest: 0x87c35b2fe15e1bc8,
         rows: 2000,
         stats: [6000, 0, 2000, 15414, 86, 4, 43590, 32, 261, 0, 0, 0, 0, 0, 45],
-        runs: 64559,
-        events_digest: 0xd6739e15d7386832,
-        clock_bits: 0x408d7247ae149d57, // 942.2850000010029 ms
+        counts: [36828, 17414, 21414, 6000, 0, 158, 158, 0, 0],
+        ticks: 942_285_000_000, // was 942.2850000010029 ms
     },
     Pin {
         name: "partial_pages_deep",
         rows_digest: 0x87c35b2fe15e1bc8,
         rows: 2000,
         stats: [0, 2000, 2000, 5138, 86, 4, 14530, 32, 261, 0, 0, 0, 0, 0, 45],
-        runs: 21643,
-        events_digest: 0x2d2207beeef19888,
-        clock_bits: 0x407ca7eb851eaf90, // 458.49499999987256 ms
+        counts: [12276, 7138, 7138, 2000, 0, 114, 114, 0, 0],
+        ticks: 458_495_000_000, // was 458.49499999987256 ms
     },
     Pin {
         name: "partial_pages_one_level",
         rows_digest: 0x7f0c9b77cbf34b25,
         rows: 300,
         stats: [0, 300, 300, 236, 8, 1, 904, 64, 63, 0, 0, 0, 0, 0, 95],
-        runs: 1625,
-        events_digest: 0xb602ddb2a7ad569d,
-        clock_bits: 0x404091eb851eb897, // 33.14000000000049 ms
+        counts: [772, 536, 536, 300, 0, 8, 8, 0, 0],
+        ticks: 33_140_000_000, // was 33.14000000000049 ms
     },
     Pin {
         name: "mixed_pages_one_level",
         rows_digest: 0xf067285d9f48a8bd,
         rows: 300,
         stats: [2400, 300, 300, 2124, 8, 1, 8136, 64, 27, 0, 0, 0, 0, 0, 45],
-        runs: 14511,
-        events_digest: 0x37082629e21691f2,
-        clock_bits: 0x40654b851eb84b04, // 170.35999999994976 ms
+        counts: [6948, 2424, 4824, 2700, 0, 19, 19, 0, 0],
+        ticks: 170_360_000_000, // was 170.35999999994976 ms
     },
     Pin {
         name: "mixed_pages_deep",
         rows_digest: 0x147d403b5246282c,
         rows: 1500,
         stats: [3600, 1500, 1500, 21408, 85, 6, 119011, 24, 258, 0, 0, 0, 0, 0, 45],
-        runs: 79945,
-        events_digest: 0x015e961513f8be60,
-        clock_bits: 0x4092cbe147ae233f, // 1202.9700000008595 ms
+        counts: [47916, 22908, 26508, 5100, 0, 210, 210, 0, 0],
+        ticks: 1_202_970_000_000, // was 1202.9700000008595 ms
     },
     Pin {
         name: "mixed_rows_deep",
         rows_digest: 0x03b39f230c03cce6,
         rows: 1500,
         stats: [3600, 1500, 1500, 15925, 117, 4, 93560, 24, 354, 0, 0, 0, 0, 0, 45],
-        runs: 63494,
-        events_digest: 0x1bc8a718744111fa,
-        clock_bits: 0x4090678cccccde60, // 1049.887500001023 ms
+        counts: [36950, 17425, 21025, 5100, 0, 209, 209, 0, 0],
+        ticks: 1_049_887_500_000, // was 1049.887500001023 ms
     },
     Pin {
         name: "mixed_pages_sum_only",
         rows_digest: 0x6beef40b6f3b82f4,
         rows: 1500,
         stats: [3600, 1500, 1500, 13297, 84, 3, 81571, 24, 170, 0, 0, 0, 0, 0, 37],
-        runs: 55483,
-        events_digest: 0x0876557dcf834ac2,
-        clock_bits: 0x4089f3570a3d86c9, // 830.4175000006445 ms
+        counts: [31694, 14797, 18397, 5100, 0, 145, 145, 0, 0],
+        ticks: 830_417_500_000, // was 830.4175000006445 ms
     },
     Pin {
         name: "str_keys_pages_deep",
         rows_digest: 0x4b27bc1573042957,
         rows: 1200,
         stats: [5000, 0, 1200, 10343, 83, 3, 43292, 40, 168, 84, 84, 0, 0, 0, 61],
-        runs: 46337,
-        events_digest: 0xe5e22ea4061c7620,
-        clock_bits: 0x408761dc28f5ce32, // 748.2325000003386 ms
+        counts: [25686, 11543, 15343, 5000, 0, 146, 146, 0, 0],
+        ticks: 748_232_500_000, // was 748.2325000003386 ms
     },
     Pin {
         name: "str_keys_mixed",
         rows_digest: 0x7e5e88766ad02fc5,
         rows: 400,
         stats: [2400, 400, 400, 2352, 8, 1, 8757, 64, 18, 9, 9, 0, 0, 0, 61],
-        runs: 15503,
-        events_digest: 0x080eb865c8d2fa02,
-        clock_bits: 0x4067928f5c28ed86, // 188.57999999994007 ms
+        counts: [7504, 2752, 5152, 2800, 0, 23, 23, 0, 0],
+        ticks: 188_580_000_000, // was 188.57999999994007 ms
     },
     Pin {
         name: "null_float_pages_deep",
         rows_digest: 0x62fc15702e548a74,
         rows: 1200,
         stats: [5000, 0, 1200, 10340, 84, 3, 46165, 40, 275, 320, 0, 320, 0, 0, 228],
-        runs: 46299,
-        events_digest: 0x81c4eeec45f0feb6,
-        clock_bits: 0x40864d3333333c6b, // 713.6500000002683 ms
+        counts: [25680, 11540, 15340, 5000, 0, 131, 131, 0, 0],
+        ticks: 713_650_000_000, // was 713.6500000002683 ms
     },
     Pin {
         name: "null_float_mixed",
         rows_digest: 0x795c07c64e929e02,
         rows: 400,
         stats: [2400, 400, 400, 2352, 8, 1, 8330, 64, 27, 36, 0, 9, 27, 0, 228],
-        runs: 15505,
-        events_digest: 0xa7ce9f72c87e7cdf,
-        clock_bits: 0x4067dc28f5c28717, // 190.87999999993983 ms
+        counts: [7504, 2752, 5152, 2800, 0, 24, 24, 0, 0],
+        ticks: 190_880_000_000, // was 190.87999999993983 ms
     },
     Pin {
         name: "scanned_filtered_deep",
         rows_digest: 0x1b1a0f5fc9e89347,
         rows: 2000,
         stats: [3986, 0, 2000, 10111, 84, 3, 31230, 32, 255, 0, 0, 0, 0, 0, 45],
-        runs: 50518,
-        events_digest: 0xdeb84837b2453b9b,
-        clock_bits: 0x4086bbbd70a3e1cd, // 727.4675000003132 ms
+        counts: [30208, 16097, 14097, 3986, 0, 126, 126, 0, 0],
+        ticks: 727_467_500_000, // was 727.4675000003132 ms
     },
     Pin {
         name: "raw_pages_deep_partials_out",
         rows_digest: 0xac0c6aa9ea044523,
         rows: 2000,
         stats: [6000, 0, 2000, 15414, 86, 4, 43590, 32, 609, 0, 0, 0, 0, 0, 95],
-        runs: 64559,
-        events_digest: 0xd6739e15d7386832,
-        clock_bits: 0x408d7247ae149d57, // 942.2850000010029 ms
+        counts: [36828, 17414, 21414, 6000, 0, 158, 158, 0, 0],
+        ticks: 942_285_000_000, // was 942.2850000010029 ms
     },
     Pin {
         name: "grant_shrunk_pages",
         rows_digest: 0x22be4ddd713b62f1,
         rows: 300,
         stats: [4000, 0, 300, 2913, 50, 2, 7033, 150, 153, 0, 0, 0, 0, 0, 45],
-        runs: 20867,
-        events_digest: 0xa384f87c4837cafd,
-        clock_bits: 0x4073edb851eb7f32, // 318.8574999999138 ms
+        counts: [9826, 3213, 6913, 4000, 0, 60, 60, 0, 0],
+        ticks: 318_857_500_000, // was 318.8574999999138 ms
     },
     Pin {
         name: "grant_shrunk_mixed_rows",
         rows_digest: 0x22be4ddd713b62f1,
         rows: 300,
         stats: [2400, 300, 300, 1980, 50, 2, 4761, 150, 153, 0, 0, 0, 0, 0, 45],
-        runs: 14162,
-        events_digest: 0x1b0b706a9f0421ab,
-        clock_bits: 0x406fb9999999929e, // 253.7999999999492 ms
+        counts: [6660, 2280, 4680, 2700, 0, 57, 57, 0, 0],
+        ticks: 253_800_000_000, // was 253.7999999999492 ms
     },
 ];
 
@@ -620,9 +580,8 @@ fn print_overflow_pins() {
         println!("        rows_digest: {:#018x},", p.rows_digest);
         println!("        rows: {},", p.rows);
         println!("        stats: {:?},", p.stats);
-        println!("        runs: {},", p.runs);
-        println!("        events_digest: {:#018x},", p.events_digest);
-        println!("        clock_bits: {:#018x}, // {} ms", p.clock_bits, f64::from_bits(p.clock_bits));
+        println!("        counts: {:?},", p.counts);
+        println!("        ticks: {}, // {} ms", p.ticks, ticks_to_ms(p.ticks));
         println!("    }},");
     }
     println!("];");

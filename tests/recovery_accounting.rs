@@ -7,6 +7,7 @@
 //! accounting.
 
 use adaptagg::exec::{ExecError, FaultPlan, RecoveryPolicy};
+use adaptagg::model::ms_to_ticks;
 use adaptagg::prelude::*;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -32,17 +33,11 @@ fn config(plan: FaultPlan) -> ClusterConfig {
         .with_tracing()
 }
 
-/// The backoff the runtime books after `failures` failed attempts,
-/// reproduced with the same operation sequence (`acc += b; b *= m`) so
-/// the comparison is bit-exact.
-fn expected_backoff(policy: &RecoveryPolicy, failures: u32) -> f64 {
-    let mut acc = 0.0;
-    let mut b = policy.backoff_ms;
-    for _ in 0..failures {
-        acc += b;
-        b *= policy.backoff_multiplier;
-    }
-    acc
+/// The backoff the runtime books after `failures` failed attempts, in
+/// ticks: the policy's geometric series, each step a whole tick count.
+fn expected_backoff(policy: &RecoveryPolicy, failures: u32) -> u64 {
+    let steps = std::iter::successors(Some(policy.backoff_ms), |b| Some(b * policy.backoff_multiplier));
+    steps.take(failures as usize).map(ms_to_ticks).sum()
 }
 
 #[test]
@@ -124,17 +119,16 @@ fn recovery_stats_are_internally_consistent_across_the_chaos_matrix() {
                     r.dead_nodes.len(),
                     r.reassigned_partitions
                 );
-                assert!(r.lost_ms >= 0.0, "{label}: negative lost time");
                 recovered_runs += 1;
             } else {
                 assert_eq!(r.reassigned_partitions, 0, "{label}: phantom reassignment");
-                assert_eq!(r.lost_ms, 0.0, "{label}: lost time without a failure");
+                assert_eq!(r.lost, 0, "{label}: lost time without a failure");
             }
 
             // The booked backoff is exactly the policy's geometric
             // series over the failed attempts.
             assert_eq!(
-                r.backoff_ms,
+                r.backoff,
                 expected_backoff(&policy, r.attempts - 1),
                 "{label}: backoff series off"
             );
@@ -227,7 +221,7 @@ fn recovery_accounting_holds_over_tcp_loopback() {
                 "{label}: attempts and victim count disagree"
             );
             assert_eq!(
-                r.backoff_ms,
+                r.backoff,
                 expected_backoff(&policy, r.attempts - 1),
                 "{label}: backoff series off"
             );

@@ -3,12 +3,15 @@
 //! The same heap file goes through the scan operator twice — once into a
 //! sink that takes every page as a borrowed column-strip batch, once into
 //! the same consumer fed row by row — and everything observable must be
-//! equal: the result rows (order included), the **exact sequence** of
-//! unit cost events, the virtual clock bit for bit, what spilled, and on
-//! failure the typed error plus everything charged before it. The
-//! algorithm-level cases (A-2P's switch, a scheduled crash, a crash inside
-//! a page the exchange is routing) run on a real `NodeCtx` and compare
-//! clock bits, adaptive events and traffic; the algorithms that route raw
+//! equal: the result rows (order included), the count of every cost
+//! event, the virtual clock in ticks wherever it would be read (where the
+//! scan returns — a failure's time — after each received page, at the
+//! end), what spilled, and on failure the typed error plus everything
+//! charged before it. The algorithm-level cases (A-2P's switch, a
+//! scheduled crash, a crash inside a page the exchange is routing) run on
+//! a real `NodeCtx` and compare clocks, send timestamps, adaptive events
+//! and traffic; the
+//! algorithms that route raw
 //! tuples (Rep, A-2P past its switch, A-Rep) also run whole, on 1/2/4
 //! nodes, against the same query with a `Str` conjunct that keeps every
 //! page on the row loop. Message pages are dense, so no data shape puts a
@@ -29,18 +32,18 @@ use adaptagg::exec::{
 use adaptagg::hashagg::{HashAggStats, HashAggregator};
 use adaptagg::model::{
     matches_all, AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker,
-    NetworkKind, NullTracker, Predicate, ResultRow, RowKind, Value,
+    CountingTracker, NetworkKind, NullTracker, Predicate, ResultRow, RowKind, Value,
 };
-use adaptagg::net::Fabric;
+use adaptagg::net::{Control, Fabric, Payload};
 use adaptagg::sortagg::SortAggregator;
 use adaptagg::storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch, SimDisk};
 use adaptagg::workload::{default_query, generate_partitions, RelationSpec};
 use proptest::prelude::*;
 
-/// A charge sink that keeps the unit-event sequence next to a real clock,
-/// with the node's crash schedule (`NodeCtx`'s own is exercised below).
+/// A charge sink that counts every event next to a real clock, with the
+/// node's crash schedule (`NodeCtx`'s own is exercised below).
 struct Probe {
-    events: Vec<CostEvent>,
+    counts: CountingTracker,
     clock: Clock,
     scanned: u64,
     crash_at: Option<u64>,
@@ -49,7 +52,7 @@ struct Probe {
 impl Probe {
     fn new(crash_at: Option<u64>) -> Self {
         Probe {
-            events: Vec::new(),
+            counts: CountingTracker::new(),
             clock: Clock::new(CostParams::paper_default()),
             scanned: 0,
             crash_at,
@@ -59,15 +62,8 @@ impl Probe {
 
 impl CostTracker for Probe {
     fn record(&mut self, event: CostEvent, count: u64) {
-        self.events.extend((0..count).map(|_| event));
+        self.counts.record(event, count);
         self.clock.record(event, count);
-    }
-
-    fn record_tuples(&mut self, template: &[CostEvent], count: u64) {
-        for _ in 0..count {
-            self.events.extend_from_slice(template);
-        }
-        self.clock.record_tuples(template, count);
     }
 }
 
@@ -130,8 +126,10 @@ struct Observed {
     raw_in: u64,
     spilled: u64,
     resident: usize,
-    events: Vec<CostEvent>,
-    clock_bits: u64,
+    counts: CountingTracker,
+    /// The clock where the scan returned (a failure's time is read there),
+    /// and at the end.
+    ticks: [u64; 2],
     rows: Vec<ResultRow>,
 }
 
@@ -157,6 +155,7 @@ fn run_lane(
         },
     );
     let error = scanned.err();
+    let scan_ticks = probe.clock.now();
     // The row counters of a scan that died are nobody's contract (the
     // lanes bump them on different sides of the failing insert); what it
     // charged and what the table holds are.
@@ -181,8 +180,8 @@ fn run_lane(
         raw_in,
         spilled,
         resident,
-        clock_bits: probe.clock.now_ms().to_bits(),
-        events: probe.events,
+        ticks: [scan_ticks, probe.clock.now()],
+        counts: probe.counts,
         rows,
     };
     (observed, scan.tally())
@@ -204,20 +203,8 @@ fn assert_lanes_agree(
         "{label}: the row lane never batches"
     );
     assert_eq!(batch.error, row.error, "{label}: errors diverge");
-    assert_same_events(label, &row.events, &batch.events);
     assert_eq!(batch, row, "{label}");
     (batch, tally)
-}
-
-/// Names the first diverging cost event, not two thousand-entry vectors.
-fn assert_same_events(label: &str, row: &[CostEvent], batch: &[CostEvent]) {
-    assert_eq!(batch.len(), row.len(), "{label}: event counts diverge");
-    if let Some(at) = (0..row.len()).find(|&i| row[i] != batch[i]) {
-        panic!(
-            "{label}: cost events diverge at #{at}: row {:?}, batch {:?}",
-            row[at], batch[at]
-        );
-    }
 }
 
 fn file_of(page_bytes: usize, rows: impl IntoIterator<Item = Vec<Value>>) -> HeapFile {
@@ -247,10 +234,7 @@ fn wide_rows(n: i64, groups: i64) -> impl Iterator<Item = Vec<Value>> {
 
 /// Rows the table accepted, read off the charges.
 fn aggregated(seen: &Observed) -> usize {
-    seen.events
-        .iter()
-        .filter(|&&e| e == CostEvent::TupleAgg)
-        .count()
+    seen.counts.count(CostEvent::TupleAgg) as usize
 }
 
 fn pages_row(tally: &ScanTally, cause: RowCause) -> u64 {
@@ -562,11 +546,7 @@ fn a_scheduled_crash_truncates_the_batch_at_its_tuple() {
                 }),
                 "{label}"
             );
-            let reads = seen
-                .events
-                .iter()
-                .filter(|&&e| e == CostEvent::TupleRead)
-                .count();
+            let reads = seen.counts.count(CostEvent::TupleRead) as usize;
             // Each scanned tuple: one select read, plus the table's own
             // read for the ones that passed.
             assert_eq!(reads, k as usize + aggregated(&seen), "{label}");
@@ -598,14 +578,17 @@ fn pages_of(page_bytes: usize, rows: &[Vec<Value>]) -> Vec<Page> {
 struct Received {
     fed: HashAggStats,
     drained: HashAggStats,
-    events: Vec<CostEvent>,
-    clock_bits: u64,
+    counts: CountingTracker,
+    /// The clock after every page — where a merge's next receive reads
+    /// it — and at the end.
+    ticks: Vec<u64>,
     rows: Vec<ResultRow>,
 }
 
 fn receive(mut agg: HashAggregator, kind: RowKind, pages: &[Page], paged: bool) -> Received {
     let mut probe = Probe::new(None);
     let mut row = Vec::new();
+    let mut ticks = Vec::new();
     for page in pages {
         if paged {
             agg.push_page(kind, page, &mut probe).unwrap();
@@ -615,15 +598,17 @@ fn receive(mut agg: HashAggregator, kind: RowKind, pages: &[Page], paged: bool) 
                 agg.push(kind, &row, &mut probe).unwrap();
             }
         }
+        ticks.push(probe.clock.now());
     }
     let fed = *agg.stats();
     // The drain replays what spilled, under the same probe.
     let (rows, drained) = agg.finish_rows(&mut probe).unwrap();
+    ticks.push(probe.clock.now());
     Received {
         fed,
         drained,
-        clock_bits: probe.clock.now_ms().to_bits(),
-        events: probe.events,
+        counts: probe.counts,
+        ticks,
         rows,
     }
 }
@@ -680,7 +665,6 @@ fn received_pages_match_their_rows_pushed_one_by_one() {
             receive(agg(), kind, &pages, true),
             receive(agg(), kind, &pages, false),
         );
-        assert_same_events(label, &rowed.events, &paged.events);
         assert_eq!(paged, rowed, "{label}");
         assert_eq!(paged.rows.len(), 61, "{label}");
         assert_eq!(paged.fed.rows_in(), rows.len() as u64, "{label}");
@@ -738,7 +722,7 @@ fn node_crash_schedule_is_honoured_by_both_lanes() {
         let mut ctx = crashing_node();
         let agg = HashAggregator::new(plan.projected.clone(), 1000, 256, 4);
         let (result, agg) = scan(&mut ctx, &plan, agg, batched);
-        (result, agg.stats().raw_in, ctx.clock.now_ms().to_bits())
+        (result, agg.stats().raw_in, ctx.clock.now())
     };
     let (row, batch) = (run(false), run(true));
     assert_eq!(row.0, crashed);
@@ -753,12 +737,27 @@ fn node_crash_schedule_is_honoured_by_both_lanes() {
         let agg = SortAggregator::new(plan.projected.clone(), 4, 256);
         let (result, agg) = scan(&mut ctx, &plan, agg, batched);
         let formed = (agg.sealed_runs(), agg.resident_groups());
-        (result, formed, ctx.clock.now_ms().to_bits())
+        (result, formed, ctx.clock.now())
     };
     let (row, batch) = (run(false), run(true));
     assert_eq!(row.0, crashed);
     assert!(row.1 .0 > 10, "only {} runs sealed before the crash", row.1 .0);
     assert_eq!(batch, row);
+}
+
+/// Every page the one-node `ctx` sent itself, up to its stream's end: the
+/// send timestamps, in ticks, in send order (each a read of the sender's
+/// clock). Receiving moves the clock, so read it first.
+fn sent_stamps(ctx: &mut NodeCtx) -> Vec<u64> {
+    let mut stamps = Vec::new();
+    loop {
+        let msg = ctx.recv_from(0).unwrap();
+        match msg.payload {
+            Payload::Data { .. } => stamps.push(msg.sent_at()),
+            Payload::Control(Control::EndOfStream) => return stamps,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
 }
 
 /// A sink that never takes a batch: its consumer as it ran row by row.
@@ -789,16 +788,18 @@ fn a_crash_inside_a_routed_page_ends_like_the_row_lane() {
             // 256-byte message pages: sends land inside every base page.
             let ex = Exchange::new(1, 256, plan.key_len(), RowKind::Raw);
             let (filter, columns) = (&plan.base.filter[..], &plan.projection[..]);
-            let (result, routed) = if batched {
+            let (result, ex) = if batched {
                 let mut sink = ex;
                 let result = operators::scan_pages(&mut ctx, "base", filter, columns, 0, usize::MAX, &mut sink);
-                (result, sink.routed())
+                (result, sink)
             } else {
                 let mut sink = RowOnly(ex);
                 let result = operators::scan_pages(&mut ctx, "base", filter, columns, 0, usize::MAX, &mut sink);
-                (result, sink.0.routed())
+                (result, sink.0)
             };
-            (result, routed, *ctx.net_stats(), ctx.clock.now_ms().to_bits())
+            let (routed, net, clock) = (ex.routed(), *ctx.net_stats(), ctx.clock.now());
+            ex.finish(&mut ctx).unwrap();
+            (result, routed, net, clock, sent_stamps(&mut ctx))
         };
         let (row, batch) = (run(false), run(true));
         assert_eq!(batch, row, "crash at {k}");
@@ -828,7 +829,7 @@ fn on_the_row_loop(query: &AggQuery) -> AggQuery {
 
 /// The whole algorithms that route raw tuples, on 1/2/4 nodes, batches
 /// against the row loop: same rows, same traffic, and every node's clock
-/// the same to the bit (a falling-back A-Rep past one node excepted: when
+/// the same to the tick (a falling-back A-Rep past one node excepted: when
 /// a peer's `EndOfPhase` is seen is physically timed). The traces say
 /// which loop ran, and why.
 #[test]
@@ -871,7 +872,7 @@ fn routing_algorithms_match_the_row_lane_on_every_cluster_size() {
             assert_eq!(batch.rows.len(), 2_250);
             assert_eq!(batch.run.total_net().tuples_sent, row.run.total_net().tuples_sent, "{kind} on {nodes} nodes");
             for (b, r) in batch.run.per_node.iter().zip(&row.run.per_node) {
-                assert_eq!(b.clock_ms.to_bits(), r.clock_ms.to_bits(), "{kind} on {nodes} nodes: node {}", b.node);
+                assert_eq!(b.clock, r.clock, "{kind} on {nodes} nodes: node {}", b.node);
             }
             assert_eq!(batch.run.total_net(), row.run.total_net(), "{kind} on {nodes} nodes");
             assert_eq!(pages_batched(&row), 0, "{kind}: the row lane batched");
@@ -898,7 +899,7 @@ fn routing_algorithms_match_the_row_lane_on_every_cluster_size() {
         assert_eq!(batch.rows, row.rows, "falling-back A-Rep on {nodes} nodes");
         assert_eq!(batch.rows.len(), 300);
         if nodes == 1 {
-            assert_eq!(batch.elapsed_ms().to_bits(), row.elapsed_ms().to_bits());
+            assert_eq!(batch.elapsed(), row.elapsed());
             assert_eq!(batch.nodes[0].events, row.nodes[0].events);
             assert_eq!(batch.nodes[0].events.len(), 2, "fell back, then switched: {:?}", batch.nodes[0].events);
         }
@@ -963,7 +964,8 @@ fn a2p_switch_lands_mid_page_at_the_same_tuple() {
             scan.switched,
             scan.raw_seen,
             *ctx.net_stats(),
-            ctx.clock.now_ms().to_bits(),
+            ctx.clock.now(),
+            sent_stamps(&mut ctx),
         )
     };
     let (row, batch) = (run(false), run(true));

@@ -13,6 +13,7 @@
 //!    with victim, lost virtual time, and backoff.
 
 use adaptagg::exec::{ExecError, FaultPlan};
+use adaptagg::model::ticks_to_ms;
 use adaptagg::prelude::*;
 use std::time::Duration;
 
@@ -191,8 +192,8 @@ fn tracing_is_bit_invariant_on_one_node() {
         let b = run_algorithm(kind, &traced, &parts, &query).unwrap();
         assert_eq!(a.rows, b.rows, "{kind}: rows changed under tracing");
         assert_eq!(
-            a.elapsed_ms().to_bits(),
-            b.elapsed_ms().to_bits(),
+            a.elapsed(),
+            b.elapsed(),
             "{kind}: virtual time moved under tracing ({} vs {})",
             a.elapsed_ms(),
             b.elapsed_ms()
@@ -379,7 +380,7 @@ fn scan_fallbacks_are_counted_by_cause() {
             let b = run_algorithm(kind, &traced, &parts, &query).unwrap();
             assert!(a.trace.is_none(), "{label}: untraced run carried a trace");
             assert_eq!(a.rows, b.rows, "{label}: rows changed under tracing");
-            assert_eq!(a.elapsed_ms().to_bits(), b.elapsed_ms().to_bits(), "{label}: clock moved");
+            assert_eq!(a.elapsed(), b.elapsed(), "{label}: clock moved");
             let metrics = &b.trace.as_ref().unwrap().node(0).unwrap().metrics;
             for counter in counters {
                 let want = if counter == expected { pages } else { 0 };
@@ -408,7 +409,7 @@ fn overflow_bucket_pages_ride_the_strips() {
     let a = run_algorithm(kind, &plain, &parts, &default_query()).unwrap();
     let b = run_algorithm(kind, &traced, &parts, &default_query()).unwrap();
     assert_eq!(a.rows, b.rows);
-    assert_eq!(a.elapsed_ms().to_bits(), b.elapsed_ms().to_bits(), "clock moved under tracing");
+    assert_eq!(a.elapsed(), b.elapsed(), "clock moved under tracing");
     assert_eq!(b.adapted_nodes().len(), 2, "every node switches");
     let trace = b.trace.as_ref().unwrap();
     let sum = |counter: &str| trace.nodes.iter().map(|n| n.metrics.counter(counter)).sum::<u64>();
@@ -465,7 +466,7 @@ fn store_layout_and_demotions_are_reported_by_cause() {
             let b = run_algorithm(kind, &traced, &parts, &query).unwrap();
             assert!(a.trace.is_none(), "{label}: untraced run carried a trace");
             assert_eq!(a.rows, b.rows, "{label}: rows changed under tracing");
-            assert_eq!(a.elapsed_ms().to_bits(), b.elapsed_ms().to_bits(), "{label}: clock moved");
+            assert_eq!(a.elapsed(), b.elapsed(), "{label}: clock moved");
             let metrics = &b.trace.as_ref().unwrap().node(0).unwrap().metrics;
             let columns = 1 + query.aggs.len() as u64;
             assert_eq!(
@@ -568,7 +569,7 @@ fn sortagg_lanes_are_reported() {
         let b = run_algorithm(kind, &traced, &parts, &default_query()).unwrap();
         assert!(a.trace.is_none(), "{label}: untraced run carried a trace");
         assert_eq!(a.rows, b.rows, "{label}: rows changed under tracing");
-        assert_eq!(a.elapsed_ms().to_bits(), b.elapsed_ms().to_bits(), "{label}: clock moved");
+        assert_eq!(a.elapsed(), b.elapsed(), "{label}: clock moved");
         let metrics = &b.trace.as_ref().unwrap().node(0).unwrap().metrics;
         for counter in scan_counters {
             let want = if counter == scan_counter { pages } else { 0 };
@@ -617,16 +618,16 @@ fn rep_phase_one_is_spanned() {
     assert_eq!(a.rows, b.rows, "rows changed under tracing");
     for (report, node) in b.run.per_node.iter().zip(&b.trace.as_ref().unwrap().nodes) {
         let untraced = &a.run.per_node[report.node];
-        assert_eq!(report.clock_ms.to_bits(), untraced.clock_ms.to_bits(), "clock moved");
+        assert_eq!(report.clock, untraced.clock, "clock moved");
         let phases: Vec<PhaseKind> = node.spans.iter().map(|s| s.phase).collect();
         assert_eq!(phases, [PhaseKind::Scan, PhaseKind::Partition, PhaseKind::Merge]);
         assert!(node.spans.windows(2).all(|w| w[0].end_ms <= w[1].start_ms), "spans overlap");
         let covered: f64 = node.spans.iter().map(|s| s.virt_ms()).sum();
         assert!(
-            covered >= 0.9 * report.clock_ms,
+            covered >= 0.9 * ticks_to_ms(report.clock),
             "node {}: spans cover {covered:.1} of {:.1} virtual ms",
             report.node,
-            report.clock_ms
+            ticks_to_ms(report.clock)
         );
         assert!(node.phase_ms(PhaseKind::Scan) > node.phase_ms(PhaseKind::Merge));
     }
