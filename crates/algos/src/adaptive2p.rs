@@ -22,7 +22,7 @@ use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
-use adaptagg_hashagg::{AggTable, Inserted};
+use adaptagg_hashagg::AggTable;
 use adaptagg_model::{RowKind, Value};
 use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch};
 
@@ -173,32 +173,12 @@ impl ScanState {
         self
     }
 
-    /// Process one projected tuple: aggregate locally until the table
-    /// fills, then flush partials and forward raws.
-    pub fn push(
-        &mut self,
-        ctx: &mut NodeCtx,
-        ex: &mut Exchange,
-        values: &[Value],
-        events: &mut Vec<AdaptEvent>,
-    ) -> Result<(), ExecError> {
-        self.raw_seen += 1;
-        if self.switched {
-            // Repartitioning mode: hash + destination per tuple.
-            ex.route(ctx, values, true)?;
-            return Ok(());
-        }
-        match self.table.insert_raw(values, &mut ctx.clock)? {
-            Inserted::Updated | Inserted::New => Ok(()),
-            Inserted::Full => self.switch(ctx, ex, values, events),
-        }
-    }
-
-    /// [`ScanState::push`] for a scanned page's batch. In Two Phase mode
-    /// the table's batched insert stops at the first row it cannot hold,
-    /// having charged that row's attempt; the switch then happens exactly
-    /// where the row loop would have made it, and the outcome's `consumed`
-    /// tells the scan where to resume row-wise. Once switched, the batch
+    /// Process a scanned batch: aggregate locally until the table fills,
+    /// then flush partials and forward raws. In Two Phase mode the table's
+    /// batched insert stops at the first row it cannot hold, having
+    /// charged that row's attempt; the switch happens with that row, which
+    /// is forwarded, and the outcome's `consumed` (through it) tells the
+    /// scan to offer the rest of the page anew. Once switched, the batch
     /// crosses the exchange as Repartitioning's does.
     pub fn push_batch(
         &mut self,
@@ -250,7 +230,7 @@ impl ScanState {
 
 /// A [`ScanState`] with its exchange and event log, as the scan's sink:
 /// batches into the table in Two Phase mode, batches through the exchange
-/// once switched.
+/// once switched ([`ScanState::push_batch`]).
 pub struct ScanSwitch<'a> {
     /// The scan-side state machine.
     pub scan: &'a mut ScanState,
@@ -261,16 +241,8 @@ pub struct ScanSwitch<'a> {
 }
 
 impl ScanSink<NodeCtx> for ScanSwitch<'_> {
-    fn wants_batch(&self) -> bool {
-        true
-    }
-
     fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
         self.scan.push_batch(ctx, self.ex, batch, self.events)
-    }
-
-    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
-        self.scan.push(ctx, self.ex, values, self.events).map(|()| true)
     }
 }
 

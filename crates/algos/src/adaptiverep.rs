@@ -23,8 +23,8 @@ use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
-use adaptagg_model::hash::{hash_values, Seed};
-use adaptagg_model::{RowKind, Value};
+use adaptagg_model::hash::{hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, Seed};
+use adaptagg_model::{record_each, RowKind, StripView};
 use adaptagg_net::{Control, Payload};
 use adaptagg_storage::{BatchOutcome, ScanBatch};
 use std::collections::HashSet;
@@ -58,6 +58,7 @@ pub fn run_node(
         signalled: false,
         a2p: None,
         seen_keys: HashSet::new(),
+        hashes: Vec::new(),
         scanned: 0,
     };
     ctx.span_start(PhaseKind::Scan);
@@ -96,10 +97,14 @@ pub fn run_node(
 }
 
 /// The scan-side state of Adaptive Repartitioning, as the scan's sink.
-/// While repartitioning, rows until the distinct-key census is over (it
-/// and the verdict count tuples), then batches through the exchange, each
-/// cut ahead of the tuple whose turn it is to poll the endpoint. Once
-/// fallen back, the A2P [`ScanState`] takes the batches.
+/// While repartitioning, batches cross the exchange, each cut ahead of its
+/// next *event tuple*: the one whose turn it is to poll the endpoint, and
+/// the `initSeg`-th, at which the local verdict is taken. An event tuple
+/// is handled alone, in the row loop's clock order — its select lead is
+/// paid, it joins the census, the endpoint is polled or the verdict taken,
+/// and only then is it routed — so the poll, the verdict's `EndOfPhase`
+/// and the route's sends read the clock where a tuple-at-a-time scan
+/// would. Once fallen back, the A2P [`ScanState`] takes the batches.
 struct ArepScan<'a> {
     plan: &'a QueryPlan,
     max_entries: usize,
@@ -114,53 +119,55 @@ struct ArepScan<'a> {
     signalled: bool,
     a2p: Option<ScanState>,
     seen_keys: HashSet<u64>,
+    /// The census's per-row key hashes (scratch).
+    hashes: Vec<u64>,
     scanned: u64,
 }
 
-impl ScanSink<NodeCtx> for ArepScan<'_> {
-    fn wants_batch(&self) -> bool {
-        if self.fallen_back {
-            return true;
+impl ArepScan<'_> {
+    /// Passing tuples ahead of the next event tuple.
+    fn until_event(&self) -> u64 {
+        let poll = self.poll - 1 - self.scanned % self.poll;
+        match self.init_seg.checked_sub(self.scanned + 1) {
+            Some(verdict) => poll.min(verdict),
+            None => poll,
         }
-        // The census neither grows nor can still say "too few groups".
-        let census_over = self.scanned >= self.init_seg
-            || self.seen_keys.len() as u64 > self.min_groups;
-        census_over && !(self.scanned + 1).is_multiple_of(self.poll)
     }
 
-    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
-        let out = match self.a2p.as_mut() {
-            Some(state) => state.push_batch(ctx, self.ex, batch, self.events)?,
-            None => {
-                // The tuple that makes `scanned` a multiple of the poll
-                // interval polls before it is routed: it, and what is left
-                // of its page, go through `row`.
-                let until_poll = self.poll - 1 - self.scanned % self.poll;
-                self.ex.route_batch(ctx, &batch.first_passing(until_poll as usize), true)?
+    /// Count `batch`'s passing rows — the tuples after the `scanned` so
+    /// far — in the distinct-key census over the first `initSeg` tuples.
+    /// The set stops growing once the verdict is safe (bounded memory).
+    fn census(&mut self, batch: &ScanBatch<'_>) {
+        let (init_seg, min_groups) = (self.init_seg, self.min_groups);
+        let open = |scanned: u64, seen: &HashSet<u64>| scanned < init_seg && seen.len() as u64 <= min_groups;
+        if batch.passing() == 0 || !open(self.scanned, &self.seen_keys) {
+            return;
+        }
+        let hashes = &mut self.hashes;
+        hashes.clear();
+        hash_batch_init(Seed::Table, batch.rows(), hashes);
+        for j in 0..self.plan.key_len().min(batch.arity()) {
+            match batch.column(j) {
+                StripView::Ints(xs) => hash_batch_ints(hashes, xs),
+                StripView::Values(vs) => hash_batch_values(hashes, vs),
             }
-        };
-        self.scanned += out.passed;
-        Ok(out)
+        }
+        hash_batch_finish(hashes);
+        for i in 0..batch.passing() {
+            if !open(self.scanned + i as u64, &self.seen_keys) {
+                break;
+            }
+            self.seen_keys.insert(hashes[batch.passing_row(i)]);
+        }
     }
 
-    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
-        self.scanned += 1;
+    /// An event tuple's turn, at the clock its select left: poll for a
+    /// peer's `EndOfPhase`, or take the local verdict.
+    fn poll_or_judge(&mut self, ctx: &mut NodeCtx) -> Result<(), ExecError> {
         let scanned = self.scanned;
-
-        // Track distinct groups over the initial segment only (bounded
-        // memory: the set stops growing once the verdict is safe).
-        if !self.fallen_back
-            && scanned <= self.init_seg
-            && (self.seen_keys.len() as u64) <= self.min_groups
-        {
-            let h = hash_values(Seed::Table, &values[..self.plan.key_len().min(values.len())]);
-            self.seen_keys.insert(h);
-        }
-
-        // Poll for a peer's EndOfPhase. A peer's abort surfaces here as
-        // an error (`poll_control` intercepts it), ending the scan
-        // promptly.
-        if scanned.is_multiple_of(self.poll) && !self.fallen_back {
+        // A peer's abort surfaces here as an error (`poll_control`
+        // intercepts it), ending the scan promptly.
+        if scanned.is_multiple_of(self.poll) {
             while let Some(msg) = ctx.poll_control()? {
                 let Payload::Control(Control::EndOfPhase { .. }) = msg.payload else {
                     return Err(ExecError::Protocol("unexpected control during ARep scan"));
@@ -180,12 +187,7 @@ impl ScanSink<NodeCtx> for ArepScan<'_> {
                 self.signalled = true;
             }
         }
-
-        // The local verdict at the end of the initial segment.
-        if !self.fallen_back
-            && scanned == self.init_seg
-            && (self.seen_keys.len() as u64) < self.min_groups
-        {
+        if !self.fallen_back && scanned == self.init_seg && (self.seen_keys.len() as u64) < self.min_groups {
             self.fallen_back = true;
             self.signalled = true;
             self.events.push(AdaptEvent::FellBackToTwoPhase {
@@ -197,19 +199,43 @@ impl ScanSink<NodeCtx> for ArepScan<'_> {
                 groups_seen: self.seen_keys.len() as u64,
             })?;
         }
+        Ok(())
+    }
+}
 
+impl ScanSink<NodeCtx> for ArepScan<'_> {
+    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        if let Some(state) = self.a2p.as_mut() {
+            let out = state.push_batch(ctx, self.ex, batch, self.events)?;
+            self.scanned += out.passed;
+            return Ok(out);
+        }
+        let until = self.until_event() as usize;
+        if until > 0 || batch.passing() == 0 {
+            // Repartitioning: hash + destination per tuple.
+            let ahead = batch.first_passing(until);
+            self.census(&ahead);
+            let out = self.ex.route_batch(ctx, &ahead, true)?;
+            self.scanned += out.passed;
+            return Ok(out);
+        }
+        let r = batch.passing_row(0);
+        record_each(&mut ctx.clock, batch.fail_charge(), r as u64);
+        record_each(&mut ctx.clock, batch.pass_lead(), 1);
+        let event = batch.head(r + 1).prepaid();
+        self.census(&event);
+        self.scanned += 1;
+        self.poll_or_judge(ctx)?;
         if self.fallen_back {
             // Adaptive Two Phase logic from here on.
             let grant = ctx.grant().clone();
             let state = self
                 .a2p
                 .get_or_insert_with(|| ScanState::new(self.plan, self.max_entries).with_grant(grant));
-            state.push(ctx, self.ex, values, self.events)?;
+            state.push_batch(ctx, self.ex, &event, self.events)
         } else {
-            // Repartitioning: hash + destination per tuple.
-            self.ex.route(ctx, values, true)?;
+            self.ex.route_batch(ctx, &event, true)
         }
-        Ok(true)
     }
 }
 

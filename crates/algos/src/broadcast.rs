@@ -9,15 +9,20 @@
 //! tuples whose group key hashes to it and discards the rest after a
 //! destination check. Correct, embarrassingly parallel — and catastrophic
 //! on a shared bus, which the benchmarks demonstrate.
+//!
+//! The scan blocks each page's passing rows strip to strip into the one
+//! outgoing message page ([`Broadcaster`]), paying their select charges
+//! before each broadcast, since a send reads the clock.
 
 use crate::common::QueryPlan;
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
-use adaptagg_exec::{operators, ExecError, NodeCtx};
+use adaptagg_exec::{operators, ExecError, NodeCtx, ScanSink};
 use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::hash::{hash_values, Seed};
-use adaptagg_model::{CostEvent, CostTracker, RowKind};
+use adaptagg_model::{record_each, CostEvent, CostTracker, RowKind};
 use adaptagg_net::{Blocker, Control, Page};
+use adaptagg_storage::{BatchCharges, BatchOutcome, ScanBatch};
 
 /// Run Broadcast aggregation on one node.
 pub fn run_node(
@@ -33,17 +38,9 @@ pub fn run_node(
 
     // Phase 1: scan + project, blocking into pages; each sealed page is
     // cloned to every node (the broadcast).
-    let mut blocker = Blocker::new(1, message_bytes);
-    let mut scanned: u64 = 0;
-    operators::scan_project(ctx, "base", &plan.base.filter, &plan.projection, |ctx, values| {
-        scanned += 1;
-        if let Some(page) = blocker.add_pooled(0, values, &mut ctx.page_pool)? {
-            broadcast_page(ctx, &page)?;
-            ctx.page_pool.put(page);
-        }
-        Ok(())
-    })?;
-    for (_, page) in blocker.flush() {
+    let mut sink = Broadcaster(Blocker::new(1, message_bytes));
+    let scanned = operators::scan_pages(ctx, "base", &plan.base.filter, &plan.projection, 0, usize::MAX, &mut sink)?;
+    for (_, page) in sink.0.flush() {
         broadcast_page(ctx, &page)?;
     }
     for dest in 0..nodes {
@@ -80,12 +77,44 @@ pub fn run_node(
 
     let (rows, mut agg_stats) = agg.finish_rows(&mut ctx.clock)?;
     operators::store_results(ctx, &rows)?;
-    agg_stats.raw_in += scanned + discarded;
+    agg_stats.raw_in += scanned as u64 + discarded;
     Ok(NodeOutcome {
         rows,
         agg: agg_stats,
         events: Vec::new(),
     })
+}
+
+/// The scan's sink: the one outgoing page's blocker.
+struct Broadcaster(Blocker);
+
+impl ScanSink<NodeCtx> for Broadcaster {
+    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        let mut charges = BatchCharges::default();
+        let mut next = 0;
+        for i in 0..batch.passing() {
+            let r = batch.passing_row(i);
+            record_each(&mut ctx.clock, batch.fail_charge(), (r - next) as u64);
+            next = r + 1;
+            charges.accepted();
+            let sealed = self.0.add_strips_pooled(0, batch, r, &mut ctx.page_pool);
+            if !matches!(sealed, Ok(None)) {
+                // A send or a failure reads the clock next.
+                charges.flush(&mut ctx.clock, batch, &[]);
+            }
+            if let Some(page) = sealed? {
+                broadcast_page(ctx, &page)?;
+                ctx.page_pool.put(page);
+            }
+        }
+        charges.flush(&mut ctx.clock, batch, &[]);
+        record_each(&mut ctx.clock, batch.fail_charge(), (batch.rows() - next) as u64);
+        Ok(BatchOutcome {
+            consumed: batch.rows(),
+            passed: batch.passing() as u64,
+            ..BatchOutcome::default()
+        })
+    }
 }
 
 fn broadcast_page(ctx: &mut NodeCtx, page: &Page) -> Result<(), ExecError> {

@@ -16,14 +16,19 @@
 //!
 //! Concretely: on table-full, tuples of *resident* groups keep updating
 //! in place; tuples of new groups are forwarded raw immediately; the
-//! table is only drained (as partials) at end of scan.
+//! table is only drained (as partials) at end of scan. The scan feeds the
+//! table a page at a time ([`Forward`]); each tuple the full table bounces
+//! stops the batch and is routed before the rest of the page is offered,
+//! so the route's page sends read the clock where a tuple-at-a-time scan
+//! would.
 
 use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
-use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx};
-use adaptagg_hashagg::{AggTable, Inserted};
-use adaptagg_model::RowKind;
+use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, ScanSink};
+use adaptagg_hashagg::AggTable;
+use adaptagg_model::{RowKind, Value};
+use adaptagg_storage::{BatchOutcome, ScanBatch};
 
 /// Run optimized Two Phase on one node.
 pub fn run_node(
@@ -34,28 +39,19 @@ pub fn run_node(
     let max_entries = ctx.params().max_hash_entries;
     let fanout = cfg.overflow_fanout;
 
-    let mut table =
-        AggTable::new(plan.projected.clone(), max_entries).with_grant(ctx.grant().clone());
-    let mut ex = Exchange::new(
-        ctx.nodes(),
-        ctx.params().message_bytes,
-        plan.key_len(),
-        RowKind::Raw,
-    );
-    let mut forwarded: u64 = 0;
-
-    operators::scan_project(ctx, "base", &plan.base.filter, &plan.projection, |ctx, values| {
-        match table.insert_raw(values, &mut ctx.clock)? {
-            Inserted::Updated | Inserted::New => Ok(()),
-            Inserted::Full => {
-                // Forward immediately; the table stays resident (the
-                // memory-hoarding A2P avoids).
-                forwarded += 1;
-                ex.route(ctx, values, false)?;
-                Ok(())
-            }
-        }
-    })?;
+    let mut sink = Forward {
+        table: AggTable::new(plan.projected.clone(), max_entries).with_grant(ctx.grant().clone()),
+        ex: Exchange::new(ctx.nodes(), ctx.params().message_bytes, plan.key_len(), RowKind::Raw),
+        bounced: Vec::new(),
+        forwarded: 0,
+    };
+    operators::scan_pages(ctx, "base", &plan.base.filter, &plan.projection, 0, usize::MAX, &mut sink)?;
+    let Forward {
+        mut table,
+        mut ex,
+        forwarded,
+        ..
+    } = sink;
 
     // Drain the local table as partials only now (end of input).
     ex.flush_table(ctx, &mut table, RowKind::Partial)?;
@@ -69,6 +65,33 @@ pub fn run_node(
         agg,
         events: Vec::new(),
     })
+}
+
+/// The local table as the scan's sink, forwarding what it bounces.
+struct Forward {
+    table: AggTable,
+    ex: Exchange,
+    /// The tuple the full table just bounced.
+    bounced: Vec<Value>,
+    forwarded: u64,
+}
+
+impl ScanSink<NodeCtx> for Forward {
+    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        let bounced = &mut self.bounced;
+        let out = self.table.insert_batch(RowKind::Raw, batch, &mut ctx.clock, |_, _, row| {
+            bounced.clear();
+            bounced.extend_from_slice(row);
+            Ok(false)
+        })?;
+        if out.rejected > 0 {
+            // Forward immediately, its hash paid by the failed insert; the
+            // table stays resident (the memory-hoarding A2P avoids).
+            self.forwarded += 1;
+            self.ex.route(ctx, &self.bounced, false)?;
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]

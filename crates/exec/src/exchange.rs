@@ -75,7 +75,7 @@ impl Exchange {
     }
 
     /// The destination node for a row (pure; no cost).
-    pub fn destination_of(&self, values: &[Value]) -> usize {
+    fn destination_of(&self, values: &[Value]) -> usize {
         let key = &values[..self.key_len.min(values.len())];
         (hash_values(Seed::Partition, key) % self.blocker.destinations() as u64) as usize
     }
@@ -296,16 +296,8 @@ impl Exchange {
 /// Repartitioning's scan side: scanned pages cross the exchange a batch
 /// at a time, hash and destination charged per raw tuple (§2.3).
 impl ScanSink<NodeCtx> for Exchange {
-    fn wants_batch(&self) -> bool {
-        true
-    }
-
     fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
         self.route_batch(ctx, batch, true)
-    }
-
-    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
-        self.route(ctx, values, true).map(|()| true)
     }
 }
 

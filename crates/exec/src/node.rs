@@ -107,8 +107,8 @@ impl NodeCtx {
         self.watchdog = timeout;
     }
 
-    /// Count one scanned tuple against the node's crash schedule. Called
-    /// by the scan operator per tuple; returns
+    /// Count one scanned tuple against the node's crash schedule. The scan
+    /// operator calls it for the tuple past the crash budget; returns
     /// [`ExecError::InjectedCrash`] once the scheduled crash point is
     /// reached. A plan without a crash for this node never fails.
     pub fn fault_tick(&mut self) -> Result<(), ExecError> {
@@ -388,22 +388,16 @@ impl crate::operators::ScanCharge for NodeCtx {
         self.clock.record(CostEvent::PageReadSeq, 1);
     }
 
-    fn tuple_read(&mut self) -> Result<(), ExecError> {
-        self.fault_tick()?;
-        self.clock.record(CostEvent::TupleRead, 1);
-        Ok(())
-    }
-
-    fn tuple_passed(&mut self) {
-        self.clock.record(CostEvent::TupleWrite, 1);
-    }
-
     fn crash_budget(&self) -> Option<u64> {
         NodeCtx::crash_budget(self)
     }
 
     fn batch_scanned(&mut self, rows: usize) {
         self.tuples_scanned += rows as u64;
+    }
+
+    fn crash_tick(&mut self) -> Result<(), ExecError> {
+        self.fault_tick()
     }
 }
 

@@ -6,9 +6,9 @@
 //!   the heap file;
 //! * select, "getting tuple off data page": `|R_i| * (t_r + t_w)` — per
 //!   tuple (the `t_w` is the copy out of the page buffer; projection rides
-//!   along). The row loop charges it here; a batch consumer records it
-//!   with its own charges, as counts, paid before anything it does reads
-//!   the clock (DESIGN.md §21);
+//!   along). Every scanned page reaches its consumer as a batch, which
+//!   records these with its own charges, as counts, paid before anything
+//!   it does reads the clock (DESIGN.md §21);
 //! * store: `(result_bytes/P) * IO` page writes plus nothing per tuple —
 //!   the `t_w` of "generating result tuples" is charged when the hash
 //!   table drains.
@@ -16,94 +16,53 @@
 use crate::error::ExecError;
 use crate::node::NodeCtx;
 use adaptagg_hashagg::HashAggregator;
-use adaptagg_model::{matches_all, CostEvent, CostTracker, ModelError, Predicate, ResultRow, RowKind, Value};
+use adaptagg_model::{record_each, CostEvent, CostTracker, ModelError, Predicate, ResultRow, RowKind, Value};
 use adaptagg_sortagg::SortAggregator;
-use adaptagg_storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch, StripView};
+use adaptagg_storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch};
 
-/// Where a scan's page and select charges go: the node itself (its clock,
-/// and its crash schedule, whose currency is scanned tuples), or a
-/// recording stand-in in the batch-vs-row oracle tests.
+/// Where a scan's page charges go, and whose crash schedule it honours:
+/// the node itself (its clock, and its crash schedule, whose currency is
+/// scanned tuples), or a recording stand-in in the oracle tests.
 pub trait ScanCharge {
     /// One sequential page read.
     fn page_read(&mut self);
-    /// One tuple read off its page, about to meet the filter. The node
-    /// form ticks the crash schedule first — a node scheduled to crash at
-    /// tuple K dies right here.
-    fn tuple_read(&mut self) -> Result<(), ExecError>;
-    /// The tuple just read failed the filter.
-    fn tuple_failed(&mut self) {}
-    /// The tuple just read passed the filter and is copied out.
-    fn tuple_passed(&mut self);
     /// Tuples that may still be scanned before a scheduled crash (`None`
-    /// = no crash scheduled). A batch is truncated to this many rows.
+    /// = no crash scheduled). A page is offered up to this many rows.
     fn crash_budget(&self) -> Option<u64> {
         None
     }
     /// `rows` tuples were consumed as a batch; their select charges were
     /// recorded by the consumer.
     fn batch_scanned(&mut self, _rows: usize) {}
+    /// The scan reached the tuple past the crash budget: the node form
+    /// fails here with its `InjectedCrash`.
+    fn crash_tick(&mut self) -> Result<(), ExecError>;
 }
 
-/// What a page scan feeds. Asked page by page how it wants the next page:
-/// as one borrowed [`ScanBatch`] (and it then owes the batch's select
-/// charges, recorded with its own before it returns or reads the clock),
-/// or row by row with the select charges already made. An adaptive consumer may change its mind
-/// mid-scan, and may stop a batch early — the scan hands it the rest of
-/// that page row-wise.
+/// What a page scan feeds: every page, as one borrowed [`ScanBatch`] or
+/// more. The sink owes the batch's select charges and records them with
+/// its own before it returns or reads the clock.
 pub trait ScanSink<X> {
-    /// Whether the next page may arrive as a batch.
-    fn wants_batch(&self) -> bool {
-        false
-    }
-    /// Consume a batch's leading rows (all of them, unless the consumer
-    /// has a reason to stop — see [`BatchOutcome::consumed`]).
-    fn batch(&mut self, _x: &mut X, _batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
-        unreachable!("this sink never asks for batches")
-    }
-    /// Consume one passing tuple, projected. The slice is scratch, valid
-    /// only during the call. `Ok(false)` ends the scan.
-    fn row(&mut self, x: &mut X, values: &[Value]) -> Result<bool, ExecError>;
-}
-
-/// A row callback as a (never-batched) sink.
-struct RowSink<F>(F);
-
-impl<X, F> ScanSink<X> for RowSink<F>
-where
-    F: FnMut(&mut X, &[Value]) -> Result<bool, ExecError>,
-{
-    fn row(&mut self, x: &mut X, values: &[Value]) -> Result<bool, ExecError> {
-        (self.0)(x, values)
-    }
+    /// Consume a batch's leading rows — all of them, unless the consumer
+    /// has a reason to stop (see [`BatchOutcome::consumed`]; at least one
+    /// row of a non-empty batch). The scan offers the rest of the page as
+    /// a new batch.
+    fn batch(&mut self, x: &mut X, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError>;
 }
 
 /// The hash local phase: scanned pages go straight into the bounded
 /// table's batched insert, spilling what it cannot hold.
 impl ScanSink<NodeCtx> for HashAggregator {
-    fn wants_batch(&self) -> bool {
-        true
-    }
     fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
         Ok(self.push_batch(RowKind::Raw, batch, &mut ctx.clock)?)
-    }
-    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
-        self.push_raw(values, &mut ctx.clock)?;
-        Ok(true)
     }
 }
 
 /// The sort-based local phase: scanned pages go into run formation the
 /// same way, sealing a sorted run where the hash table would spill.
 impl ScanSink<NodeCtx> for SortAggregator {
-    fn wants_batch(&self) -> bool {
-        true
-    }
     fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
         Ok(self.push_batch(RowKind::Raw, batch, &mut ctx.clock)?)
-    }
-    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
-        self.push_raw(values, &mut ctx.clock)?;
-        Ok(true)
     }
 }
 
@@ -112,20 +71,18 @@ impl ScanSink<NodeCtx> for SortAggregator {
 pub struct ScanTally {
     /// Tuples that passed the filter and were consumed.
     pub passed: usize,
-    /// Pages a batch consumer rode the strips of.
+    /// Pages whose batches the consumer rode the strips of.
     pub pages_batched: u64,
-    /// Pages a batch consumer was fed row-at-a-time, per
+    /// Pages whose batches the consumer materialized row by row, per
     /// [`RowCause::ALL`].
-    pub pages_row: [u64; 4],
+    pub pages_row: [u64; 3],
 }
 
 /// The scan operator: select + project over a heap file's pages, one
-/// page at a time. For a sink that wants batches each page becomes a
-/// borrowed [`ScanBatch`] — the page's strips through the projection map,
-/// and the WHERE conjunction evaluated column-at-a-time over `Int` strips
-/// into a selection vector. Pages the strips cannot serve, the rows a
-/// batch consumer left over, and every page of a row consumer go through
-/// the one row loop: decode the needed columns, filter, project.
+/// page at a time. Each page becomes a borrowed [`ScanBatch`] — the
+/// page's strips through the projection map, and the WHERE conjunction
+/// evaluated column-at-a-time into a selection vector — and a sink that
+/// stops early is offered the rest of the page as a new batch.
 ///
 /// Owns its scratch, so a scanner reused across calls allocates nothing
 /// per page.
@@ -133,11 +90,7 @@ pub struct ScanTally {
 pub struct PageScan<'q> {
     filter: &'q [Predicate],
     columns: &'q [usize],
-    /// Columns the row loop must materialize (`None` = all).
-    select: Option<Vec<bool>>,
     selection: Vec<u32>,
-    raw: Vec<Value>,
-    projected: Vec<Value>,
     tally: ScanTally,
 }
 
@@ -146,21 +99,10 @@ impl<'q> PageScan<'q> {
     /// projection) and projecting passing tuples onto `columns` (empty =
     /// the whole tuple).
     pub fn new(filter: &'q [Predicate], columns: &'q [usize]) -> Self {
-        // What the filter or the projection reads; wide padding columns
-        // outside the mask are never materialized by the row loop.
-        let select = (!columns.is_empty()).then(|| {
-            let needed = || columns.iter().copied().chain(filter.iter().map(|p| p.column));
-            let mut mask = vec![false; needed().max().map_or(0, |top| top + 1)];
-            needed().for_each(|c| mask[c] = true);
-            mask
-        });
         PageScan {
             filter,
             columns,
-            select,
             selection: Vec::new(),
-            raw: Vec::new(),
-            projected: Vec::new(),
             tally: ScanTally::default(),
         }
     }
@@ -171,7 +113,7 @@ impl<'q> PageScan<'q> {
     }
 
     /// Scan pages `[start_page, end_page)` of `file` into `sink`,
-    /// charging `x`. Returns `Ok(false)` if the sink ended the scan.
+    /// charging `x`.
     pub fn run<X: ScanCharge, S: ScanSink<X>>(
         &mut self,
         x: &mut X,
@@ -179,110 +121,68 @@ impl<'q> PageScan<'q> {
         start_page: usize,
         end_page: usize,
         sink: &mut S,
-    ) -> Result<bool, ExecError> {
+    ) -> Result<(), ExecError> {
         for pi in start_page..end_page {
             x.page_read();
             let page = file.page(pi)?;
             let n = page.tuple_count();
-            // A scheduled crash truncates the batch at its tuple; the row
-            // loop then meets the crash on the very next read.
+            // A scheduled crash cuts the page at its tuple.
             let limit = x.crash_budget().map_or(n, |left| n.min(left as usize));
-            let mut from = 0;
-            if limit > 0 && sink.wants_batch() {
-                match select_batch(self.filter, self.columns, page, limit, &mut self.selection) {
-                    Ok(batch) => {
-                        let out = sink.batch(x, &batch)?;
-                        x.batch_scanned(out.consumed);
-                        self.tally.passed += out.passed as usize;
-                        match out.row_cause {
-                            None => self.tally.pages_batched += 1,
-                            Some(cause) => self.tally.pages_row[cause as usize] += 1,
-                        }
-                        from = out.consumed;
-                    }
-                    Err(cause) => self.tally.pages_row[cause as usize] += 1,
-                }
+            let (mut from, mut cause) = (0, None);
+            while from < limit {
+                let batch = select_batch(self.filter, self.columns, page, from..limit, &mut self.selection)?;
+                let out = sink.batch(x, &batch)?;
+                debug_assert!(out.consumed > 0, "a sink consumes at least one row");
+                x.batch_scanned(out.consumed);
+                self.tally.passed += out.passed as usize;
+                cause = cause.or(out.row_cause);
+                from += out.consumed;
             }
-            if from < n && !self.rows(x, page, from, sink)? {
-                return Ok(false);
+            match cause {
+                _ if limit == 0 => {}
+                None => self.tally.pages_batched += 1,
+                Some(cause) => self.tally.pages_row[cause as usize] += 1,
             }
-        }
-        Ok(true)
-    }
-
-    /// The row loop over `page`'s rows from `from` on.
-    fn rows<X: ScanCharge, S: ScanSink<X>>(
-        &mut self,
-        x: &mut X,
-        page: &Page,
-        from: usize,
-        sink: &mut S,
-    ) -> Result<bool, ExecError> {
-        let mut cursor = page.cursor_from(from);
-        while cursor.next_select_into(self.select.as_deref(), &mut self.raw)? {
-            x.tuple_read()?;
-            if !matches_all(self.filter, &self.raw)? {
-                x.tuple_failed();
-                continue;
-            }
-            x.tuple_passed();
-            let keep = if self.columns.is_empty() {
-                sink.row(x, &self.raw)?
-            } else {
-                self.projected.clear();
-                for &c in self.columns {
-                    let v = self.raw.get(c).ok_or(ModelError::ColumnOutOfRange {
-                        column: c,
-                        arity: self.raw.len(),
-                    })?;
-                    self.projected.push(v.clone());
-                }
-                sink.row(x, &self.projected)?
-            };
-            self.tally.passed += 1;
-            if !keep {
-                return Ok(false);
+            if limit < n {
+                x.crash_tick()?;
             }
         }
-        Ok(true)
+        Ok(())
     }
 }
 
-/// The first `rows` rows of `page` as a batch: the filter evaluated
-/// column-at-a-time into `selection` (left unused when there is no
-/// filter), the projection resolved to strips. `Err` says why the page
-/// needs the row loop — which then reproduces whatever the row semantics
-/// are (a missing column's typed error, cross-type comparisons, NULLs).
+/// Rows `rows` of `page` as a batch: the filter evaluated column-at-a-time
+/// into `selection` (left unused when there is no filter), the projection
+/// resolved to strips. A filter or projected column some row of the page
+/// lacks is the typed `ColumnOutOfRange`.
 fn select_batch<'a>(
     filter: &[Predicate],
     columns: &'a [usize],
     page: &'a Page,
-    rows: usize,
+    rows: std::ops::Range<usize>,
     selection: &'a mut Vec<u32>,
-) -> Result<ScanBatch<'a>, RowCause> {
+) -> Result<ScanBatch<'a>, ModelError> {
     for (i, p) in filter.iter().enumerate() {
-        let selected = match page.column(p.column) {
-            None => return Err(RowCause::Ragged),
-            Some(StripView::Values(_)) => false,
-            Some(StripView::Ints(xs)) => p.select_ints(&xs[..rows], selection, i > 0),
-        };
-        if !selected {
-            return Err(RowCause::ValueFilter);
-        }
+        let strip = page.column(p.column).ok_or(ModelError::ColumnOutOfRange {
+            column: p.column,
+            arity: page.min_arity(),
+        })?;
+        p.select(strip.slice(rows.clone()), selection, i > 0);
     }
     let selection = (!filter.is_empty()).then_some(selection.as_slice());
-    ScanBatch::scanned(page, columns, selection, rows)
+    ScanBatch::scanned_rows(page, columns, selection, rows)
 }
 
 /// Scan pages `[start_page, end_page)` (clamped to the file) of the
-/// node's file `name` into `sink`, charging scan I/O and select CPU to
-/// the node: filtered-out tuples pay `t_r` (they were read off the page)
-/// but not the `t_w` copy-out. Returns the number of passing tuples.
+/// node's file `name` into `sink`, charging scan I/O to the node (the
+/// sink records the select charges: filtered-out tuples pay `t_r` — they
+/// were read off the page — but not the `t_w` copy-out). Returns the
+/// number of passing tuples.
 ///
 /// The file is taken out of the disk for the duration of the scan so the
-/// sink can freely use `ctx` (including `ctx.disk`). With tracing on, the
-/// batch/row split of the pages offered as batches lands in the
-/// `scan.pages_batched` / `scan.pages_row{cause=…}` counters.
+/// sink can freely use `ctx` (including `ctx.disk`). With tracing on, how
+/// the consumer took each page lands in the `scan.pages_batched` /
+/// `scan.pages_row{cause=…}` counters.
 pub fn scan_pages<S: ScanSink<NodeCtx>>(
     ctx: &mut NodeCtx,
     name: &str,
@@ -307,29 +207,62 @@ pub fn scan_pages<S: ScanSink<NodeCtx>>(
     for cause in RowCause::ALL {
         count(cause.counter(), tally.pages_row[cause as usize]);
     }
-    result.map(|_| tally.passed)
+    result.map(|()| tally.passed)
+}
+
+/// A row callback over the batch scan ([`scan_project`]).
+struct RowFeed<F> {
+    consume: F,
+    row: Vec<Value>,
+}
+
+impl<F> ScanSink<NodeCtx> for RowFeed<F>
+where
+    F: FnMut(&mut NodeCtx, &[Value]) -> Result<(), ExecError>,
+{
+    fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
+        // Each row's select charge, in row order, ahead of its callback.
+        let mut next = 0;
+        for i in 0..batch.passing() {
+            let r = batch.passing_row(i);
+            record_each(&mut ctx.clock, batch.fail_charge(), (r - next) as u64);
+            record_each(&mut ctx.clock, batch.pass_lead(), 1);
+            next = r + 1;
+            batch.read_row(r, &mut self.row);
+            (self.consume)(ctx, &self.row)?;
+        }
+        record_each(&mut ctx.clock, batch.fail_charge(), (batch.rows() - next) as u64);
+        Ok(BatchOutcome {
+            consumed: batch.rows(),
+            passed: batch.passing() as u64,
+            ..BatchOutcome::default()
+        })
+    }
 }
 
 /// Sequentially scan the node's file `name`, apply the WHERE conjunction
 /// `filter` (over base columns, before projection), project each passing
 /// tuple onto `columns`, and feed it to `consume` — [`scan_pages`] for a
-/// row-at-a-time consumer (Optimized 2P's forwarding table, Broadcast).
+/// row-at-a-time consumer, each row read off the batch's strips.
 ///
 /// `consume` receives the node context back, so it can route tuples into
 /// exchanges or hash tables (which charge their own costs). The tuple
 /// slice is only valid for the duration of the call — the scan reuses its
-/// scratch buffers across tuples; copy (`to_vec`) to retain.
+/// scratch row across tuples; copy (`to_vec`) to retain.
 pub fn scan_project<F>(
     ctx: &mut NodeCtx,
     name: &str,
     filter: &[Predicate],
     columns: &[usize],
-    mut consume: F,
+    consume: F,
 ) -> Result<usize, ExecError>
 where
     F: FnMut(&mut NodeCtx, &[Value]) -> Result<(), ExecError>,
 {
-    let mut sink = RowSink(|ctx: &mut NodeCtx, values: &[Value]| consume(ctx, values).map(|()| true));
+    let mut sink = RowFeed {
+        consume,
+        row: Vec::new(),
+    };
     scan_pages(ctx, name, filter, columns, 0, usize::MAX, &mut sink)
 }
 
@@ -408,10 +341,13 @@ mod tests {
         assert!(pages >= 2, "need a multi-page file for the split");
         let mut seen = Vec::new();
         for (a, b) in [(0, pages / 2), (pages / 2, pages)] {
-            let mut sink = RowSink(|_: &mut NodeCtx, vals: &[Value]| {
-                seen.push(vals.to_vec());
-                Ok(true)
-            });
+            let mut sink = RowFeed {
+                consume: |_: &mut NodeCtx, vals: &[Value]| {
+                    seen.push(vals.to_vec());
+                    Ok(())
+                },
+                row: Vec::new(),
+            };
             scan_pages(&mut ctx, "base", &[], &[], a, b, &mut sink).unwrap();
         }
         assert_eq!(seen, full);
@@ -423,18 +359,19 @@ mod tests {
         let tuples = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
         let mut ctx = ctx_with_file(&tuples, 128);
         let mut n = 0;
-        let mut sink = RowSink(|_: &mut NodeCtx, _: &[Value]| {
-            n += 1;
-            Ok(true)
-        });
+        let mut sink = RowFeed {
+            consume: |_: &mut NodeCtx, _: &[Value]| {
+                n += 1;
+                Ok(())
+            },
+            row: Vec::new(),
+        };
         scan_pages(&mut ctx, "base", &[], &[], 0, 999, &mut sink).unwrap();
         assert_eq!(n, 2);
     }
 
     #[test]
-    fn filter_columns_are_decoded_even_when_not_projected() {
-        // The select mask must cover filter columns, or predicates would
-        // see Null placeholders and silently drop every row.
+    fn filter_columns_need_not_be_projected() {
         let tuples: Vec<Vec<Value>> = (0..10)
             .map(|i| vec![Value::Int(i), Value::Int(i * 2), Value::Str("pad".into())])
             .collect();

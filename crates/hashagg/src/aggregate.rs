@@ -217,15 +217,6 @@ impl HashAggregator {
         self.push(RowKind::Raw, values, tracker)
     }
 
-    /// Push a partial row.
-    pub fn push_partial<T: CostTracker>(
-        &mut self,
-        values: &[Value],
-        tracker: &mut T,
-    ) -> Result<(), StorageError> {
-        self.push(RowKind::Partial, values, tracker)
-    }
-
     /// Finish a local phase: drain the first-pass table, then process
     /// overflow buckets one by one (recursively), each table's groups
     /// appended as partial rows (key columns ++ encoded partial-state
@@ -488,7 +479,7 @@ mod tests {
         for g in 0..32 {
             agg.push_raw(&raw(g, 1), &mut tr).unwrap();
             // partial row: key + SUM partial (value 10).
-            agg.push_partial(&[Value::Int(g), Value::Int(10)], &mut tr).unwrap();
+            agg.push(RowKind::Partial, &[Value::Int(g), Value::Int(10)], &mut tr).unwrap();
         }
         let (rows, stats) = agg.finish_rows(&mut tr).unwrap();
         assert_eq!(rows.len(), 32);

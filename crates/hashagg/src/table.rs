@@ -810,8 +810,8 @@ impl AggTable {
         }
     }
 
-    /// Whether a raw tuple's group is already resident (A2P forwarding
-    /// checks, Graefe's optimized 2P).
+    /// Whether a raw tuple's group is already resident: a read-only probe
+    /// that leaves the table and its counters as they were.
     pub fn contains_key_of(&self, values: &[Value]) -> Result<bool, ModelError> {
         let k = self.key_len;
         if self.key_is_prefix {

@@ -58,4 +58,4 @@ pub use query::{AggQuery, ResultRow};
 pub use schema::{DataType, Field, Schema};
 pub use store::{DemoteCause, GroupRow, GroupStore, KeyCell, StoreLayout};
 pub use tuple::Tuple;
-pub use value::{CellRow, CellSink, Value};
+pub use value::{CellRow, CellSink, StripView, Value};

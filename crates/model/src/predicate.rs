@@ -10,7 +10,7 @@
 //! full query engine.
 
 use crate::error::ModelError;
-use crate::value::Value;
+use crate::value::{StripView, Value};
 use std::fmt;
 
 /// A comparison operator.
@@ -95,40 +95,47 @@ impl Predicate {
             column: self.column,
             arity: values.len(),
         })?;
-        if v.is_null() || self.literal.is_null() {
-            return Ok(false);
-        }
-        Ok(self.op.holds(v.cmp(&self.literal)))
+        Ok(self.holds_for(v))
     }
 
-    /// Column-at-a-time [`Predicate::matches`] over an `Int` strip (the
-    /// caller resolved `self.column` to it): with `refine` unset,
+    /// Whether the predicate holds for a cell of its column.
+    fn holds_for(&self, v: &Value) -> bool {
+        !v.is_null() && !self.literal.is_null() && self.op.holds(v.cmp(&self.literal))
+    }
+
+    /// Column-at-a-time [`Predicate::matches`] over the strip of its column
+    /// (the caller resolved `self.column` to it): with `refine` unset,
     /// `selection` becomes the ascending ids of the rows that satisfy the
     /// predicate; set, it keeps only the already-selected rows that do —
-    /// which is how a conjunction narrows one selection vector. Returns
-    /// `false`, leaving `selection` alone, when the literal is not an
-    /// `Int` (cross-type order and NULLs belong to the row form).
-    pub fn select_ints(&self, column: &[i64], selection: &mut Vec<u32>, refine: bool) -> bool {
-        let Value::Int(lit) = self.literal else {
-            return false;
-        };
-        fn sweep(column: &[i64], selection: &mut Vec<u32>, refine: bool, keep: impl Fn(i64) -> bool) {
+    /// which is how a conjunction narrows one selection vector. An `Int`
+    /// strip against an `Int` literal is one `i64` sweep; any other cell
+    /// is compared as `matches` compares it (NULL is never true, cross-type
+    /// order is [`Value::cmp`]'s).
+    pub fn select(&self, column: StripView<'_>, selection: &mut Vec<u32>, refine: bool) {
+        fn sweep(rows: usize, selection: &mut Vec<u32>, refine: bool, keep: impl Fn(usize) -> bool) {
             if refine {
-                selection.retain(|&r| keep(column[r as usize]));
+                selection.retain(|&r| keep(r as usize));
             } else {
                 selection.clear();
-                selection.extend((0..column.len() as u32).filter(|&r| keep(column[r as usize])));
+                selection.extend((0..rows as u32).filter(|&r| keep(r as usize)));
             }
         }
+        let (xs, lit) = match (column, &self.literal) {
+            (StripView::Ints(xs), &Value::Int(lit)) => (xs, lit),
+            (StripView::Ints(xs), _) => {
+                return sweep(xs.len(), selection, refine, |r| self.holds_for(&Value::Int(xs[r])))
+            }
+            (StripView::Values(vs), _) => return sweep(vs.len(), selection, refine, |r| self.holds_for(&vs[r])),
+        };
+        let n = xs.len();
         match self.op {
-            Compare::Eq => sweep(column, selection, refine, |x| x == lit),
-            Compare::Ne => sweep(column, selection, refine, |x| x != lit),
-            Compare::Lt => sweep(column, selection, refine, |x| x < lit),
-            Compare::Le => sweep(column, selection, refine, |x| x <= lit),
-            Compare::Gt => sweep(column, selection, refine, |x| x > lit),
-            Compare::Ge => sweep(column, selection, refine, |x| x >= lit),
+            Compare::Eq => sweep(n, selection, refine, |r| xs[r] == lit),
+            Compare::Ne => sweep(n, selection, refine, |r| xs[r] != lit),
+            Compare::Lt => sweep(n, selection, refine, |r| xs[r] < lit),
+            Compare::Le => sweep(n, selection, refine, |r| xs[r] <= lit),
+            Compare::Gt => sweep(n, selection, refine, |r| xs[r] > lit),
+            Compare::Ge => sweep(n, selection, refine, |r| xs[r] >= lit),
         }
-        true
     }
 }
 
@@ -213,26 +220,29 @@ mod tests {
     }
 
     #[test]
-    fn select_ints_agrees_with_matches_and_refines() {
+    fn select_agrees_with_matches_and_refines() {
         let column: Vec<i64> = vec![5, 1, 9, 5, -3, 7];
         let mut sel = vec![99];
         for op in [Compare::Eq, Compare::Ne, Compare::Lt, Compare::Le, Compare::Gt, Compare::Ge] {
             let p = Predicate::new(0, op, Value::Int(5));
-            assert!(p.select_ints(&column, &mut sel, false));
+            p.select(StripView::Ints(&column), &mut sel, false);
             let want: Vec<u32> = (0..column.len() as u32)
                 .filter(|&r| p.matches(&[Value::Int(column[r as usize])]).unwrap())
                 .collect();
             assert_eq!(sel, want, "{op:?}");
         }
         // Conjunction: x >= 5 (rows 0,2,3,5) AND x < 9 keeps 0,3,5.
-        Predicate::new(0, Compare::Ge, Value::Int(5)).select_ints(&column, &mut sel, false);
-        Predicate::new(0, Compare::Lt, Value::Int(9)).select_ints(&column, &mut sel, true);
+        Predicate::new(0, Compare::Ge, Value::Int(5)).select(StripView::Ints(&column), &mut sel, false);
+        Predicate::new(0, Compare::Lt, Value::Int(9)).select(StripView::Ints(&column), &mut sel, true);
         assert_eq!(sel, vec![0, 3, 5]);
-        // Non-Int literals are the row form's business.
-        let before = sel.clone();
-        assert!(!Predicate::new(0, Compare::Lt, Value::Float(1.0)).select_ints(&column, &mut sel, false));
-        assert!(!Predicate::new(0, Compare::Eq, Value::Null).select_ints(&column, &mut sel, true));
-        assert_eq!(sel, before);
+        // Cross-type: every Int sorts below every Float; NULL is never true.
+        Predicate::new(0, Compare::Lt, Value::Float(1.0)).select(StripView::Ints(&column), &mut sel, true);
+        assert_eq!(sel, vec![0, 3, 5]);
+        Predicate::new(0, Compare::Ne, Value::Null).select(StripView::Ints(&column), &mut sel, true);
+        assert!(sel.is_empty());
+        let cells = [Value::Str("b".into()), Value::Null, Value::Int(3), Value::Str("a".into())];
+        Predicate::new(0, Compare::Ge, Value::Str("a".into())).select(StripView::Values(&cells), &mut sel, false);
+        assert_eq!(sel, vec![0, 3]);
     }
 
     #[test]

@@ -233,6 +233,27 @@ impl CellRow for [Value] {
     }
 }
 
+/// A borrowed whole-column view (a page's column strip) for batch
+/// operators.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StripView<'a> {
+    /// Validity-free fixed-width fast path: every cell is an `Int`.
+    Ints(&'a [i64]),
+    /// General cells (mixed types, strings, nulls).
+    Values(&'a [Value]),
+}
+
+impl<'a> StripView<'a> {
+    /// Cells `rows` of the strip.
+    #[inline]
+    pub fn slice(self, rows: std::ops::Range<usize>) -> Self {
+        match self {
+            StripView::Ints(xs) => StripView::Ints(&xs[rows]),
+            StripView::Values(vs) => StripView::Values(&vs[rows]),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -74,24 +74,6 @@ impl SortAggregator {
         self.builder.sealed_runs()
     }
 
-    /// Push a raw tuple.
-    pub fn push_raw<T: CostTracker>(
-        &mut self,
-        values: &[Value],
-        tracker: &mut T,
-    ) -> Result<(), StorageError> {
-        self.builder.push(RowKind::Raw, values, tracker)
-    }
-
-    /// Push a partial row.
-    pub fn push_partial<T: CostTracker>(
-        &mut self,
-        values: &[Value],
-        tracker: &mut T,
-    ) -> Result<(), StorageError> {
-        self.builder.push(RowKind::Partial, values, tracker)
-    }
-
     /// Push a row of either kind.
     pub fn push<T: CostTracker>(
         &mut self,
@@ -175,7 +157,7 @@ mod tests {
         let mut agg = SortAggregator::new(query(), budget, 256);
         let mut tr = NullTracker;
         for &(g, v) in rows {
-            agg.push_raw(&[Value::Int(g), Value::Int(v)], &mut tr).unwrap();
+            agg.push(RowKind::Raw, &[Value::Int(g), Value::Int(v)], &mut tr).unwrap();
         }
         agg.finish_rows(&mut tr).unwrap()
     }
@@ -229,13 +211,13 @@ mod tests {
         let mut local = SortAggregator::new(query(), 8, 256);
         let mut tr = NullTracker;
         for &(g, v) in &rows {
-            local.push_raw(&[Value::Int(g), Value::Int(v)], &mut tr).unwrap();
+            local.push(RowKind::Raw, &[Value::Int(g), Value::Int(v)], &mut tr).unwrap();
         }
         let (partials, _) = local.finish_partials(&mut tr).unwrap();
 
         let mut merge = SortAggregator::new(query(), 1000, 256);
         for p in &partials.to_rows() {
-            merge.push_partial(p, &mut tr).unwrap();
+            merge.push(RowKind::Partial, p, &mut tr).unwrap();
         }
         let (out, _) = merge.finish_rows(&mut tr).unwrap();
         assert_eq!(as_triples(&out), reference(&rows));
@@ -260,7 +242,7 @@ mod proptests {
             let mut agg = SortAggregator::new(query, budget, 128);
             let mut tr = NullTracker;
             for &(g, v) in &rows {
-                agg.push_raw(&[Value::Int(g), Value::Int(v)], &mut tr).unwrap();
+                agg.push(RowKind::Raw, &[Value::Int(g), Value::Int(v)], &mut tr).unwrap();
             }
             let (out, _) = agg.finish_rows(&mut tr).unwrap();
 

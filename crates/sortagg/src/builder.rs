@@ -153,8 +153,8 @@ impl RunBuilder {
     /// strips, a typed probe, the updates swept a column at a time — and a
     /// seal landing mid-batch applies the updates of the rows ahead of it
     /// before it sorts and writes. Runs, rows, errors and every charge are
-    /// those of the row loop; pages the strips cannot serve take it (the
-    /// outcome's `row_cause` says why).
+    /// those of the row loop; a batch the strips cannot serve takes its
+    /// row arm (the outcome's `row_cause` says why).
     pub fn push_batch<T: CostTracker>(
         &mut self,
         kind: RowKind,

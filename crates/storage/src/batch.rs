@@ -15,8 +15,9 @@
 //! any order, so long as they are recorded before anything reads the
 //! clock ([`BatchCharges`]).
 
-use crate::page::{Page, StripRow, StripView};
-use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, Value};
+use crate::page::{Page, StripRow};
+use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, ModelError, StripView, Value};
+use std::ops::Range;
 
 /// Select charges of a tuple that passed the filter: read off the page,
 /// copied out (`t_r + t_w`, §2.1).
@@ -27,35 +28,29 @@ pub const SELECT_FAIL: [CostEvent; 1] = [CostEvent::TupleRead];
 /// charges: `t_r` (the hash aggregator's overflow drain, §2 step 3).
 pub const SPILL_READ: [CostEvent; 1] = [CostEvent::TupleRead];
 
-/// Why a page was fed row-at-a-time instead of as a batch (the
-/// `scan.pages_row{cause=…}` trace counters).
+/// Why a consumer materialized a batch's rows instead of riding its
+/// strips (the `scan.pages_row{cause=…}` trace counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowCause {
-    /// Rows of differing arity, or a column some row lacks: no dense strip.
+    /// Key or input columns the batch cannot hash off its strips: a key
+    /// that is not the batch's leading columns, or a batch narrower than
+    /// the key or an input.
     Ragged,
-    /// A filter column that is not an `Int` strip, or a non-`Int` literal.
-    ValueFilter,
     /// An aggregate input strip holding nulls or strings.
     ValueInput,
     /// An aggregate input strip holding a `Float`: accumulation order is
-    /// observable, so the row loop keeps it.
+    /// observable, so the consumer's row arm keeps it.
     FloatGuard,
 }
 
 impl RowCause {
     /// Every cause, in counter order.
-    pub const ALL: [RowCause; 4] = [
-        RowCause::Ragged,
-        RowCause::ValueFilter,
-        RowCause::ValueInput,
-        RowCause::FloatGuard,
-    ];
+    pub const ALL: [RowCause; 3] = [RowCause::Ragged, RowCause::ValueInput, RowCause::FloatGuard];
 
     /// The trace counter this cause increments.
     pub fn counter(self) -> &'static str {
         match self {
             RowCause::Ragged => "scan.pages_row{cause=ragged}",
-            RowCause::ValueFilter => "scan.pages_row{cause=value_filter}",
             RowCause::ValueInput => "scan.pages_row{cause=value_input}",
             RowCause::FloatGuard => "scan.pages_row{cause=float_guard}",
         }
@@ -108,8 +103,9 @@ impl BatchCharges {
     }
 }
 
-/// Rows `[0, rows)` of a uniform-arity page through a projection and a
-/// selection (see module docs).
+/// Rows `[start, start + rows)` of a page through a projection and a
+/// selection (see module docs). Row ids — the selection's, `column`'s,
+/// `row`'s — count from `start`.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanBatch<'a> {
     page: &'a Page,
@@ -118,6 +114,7 @@ pub struct ScanBatch<'a> {
     columns: &'a [usize],
     skip: usize,
     selection: Option<&'a [u32]>,
+    start: usize,
     rows: usize,
     arity: usize,
     /// What each passing / filtered-out row owes ahead of its consumer's
@@ -136,6 +133,7 @@ impl<'a> ScanBatch<'a> {
             columns: &[],
             skip: 0,
             selection: None,
+            start: 0,
             rows: page.tuple_count(),
             arity,
             lead: &[],
@@ -158,35 +156,52 @@ impl<'a> ScanBatch<'a> {
         })
     }
 
-    /// The first `rows` rows of a scanned base page, projected onto
-    /// `columns` (empty = the whole tuple), of which `selection`
-    /// (ascending row ids; `None` = all) passed the filter. Fails with
-    /// [`RowCause::Ragged`] when a projected column is not a dense strip.
+    /// The first `rows` rows of a scanned base page ([`ScanBatch::scanned_rows`]).
     pub fn scanned(
         page: &'a Page,
         columns: &'a [usize],
         selection: Option<&'a [u32]>,
         rows: usize,
-    ) -> Result<Self, RowCause> {
-        let base_arity = page.uniform_arity().ok_or(RowCause::Ragged)?;
-        if columns.iter().any(|&c| c >= base_arity) {
-            return Err(RowCause::Ragged);
-        }
-        debug_assert!(rows <= page.tuple_count());
+    ) -> Result<Self, ModelError> {
+        Self::scanned_rows(page, columns, selection, 0..rows)
+    }
+
+    /// Rows `rows` of a scanned base page, projected onto `columns`
+    /// (empty = the whole tuple), of which `selection` (ascending row ids
+    /// counted from `rows.start`; `None` = all) passed the filter. Only the
+    /// projected columns need be dense strips, so a ragged page serves any
+    /// projection its shortest row covers; the whole tuple needs a page of
+    /// one arity. A column some row lacks is that row's typed
+    /// `ColumnOutOfRange`, for the whole page.
+    pub fn scanned_rows(
+        page: &'a Page,
+        columns: &'a [usize],
+        selection: Option<&'a [u32]>,
+        rows: Range<usize>,
+    ) -> Result<Self, ModelError> {
+        let missing = |column| ModelError::ColumnOutOfRange {
+            column,
+            arity: page.min_arity(),
+        };
+        let arity = if columns.is_empty() {
+            page.uniform_arity().ok_or_else(|| missing(page.min_arity()))?
+        } else if let Some(&c) = columns.iter().find(|&&c| page.column(c).is_none()) {
+            return Err(missing(c));
+        } else {
+            columns.len()
+        };
+        debug_assert!(rows.end <= page.tuple_count());
         debug_assert!(selection.is_none_or(|s| {
-            s.windows(2).all(|w| w[0] < w[1]) && s.last().is_none_or(|&r| (r as usize) < rows)
+            s.windows(2).all(|w| w[0] < w[1]) && s.last().is_none_or(|&r| (r as usize) < rows.len())
         }));
         Ok(ScanBatch {
             page,
             columns,
             skip: 0,
             selection,
-            rows,
-            arity: if columns.is_empty() {
-                base_arity
-            } else {
-                columns.len()
-            },
+            start: rows.start,
+            rows: rows.len(),
+            arity,
             lead: &SELECT_PASS,
             fail: &SELECT_FAIL,
         })
@@ -231,9 +246,26 @@ impl<'a> ScanBatch<'a> {
         if n >= self.passing() {
             return *self;
         }
+        self.head(self.passing_row(n))
+    }
+
+    /// The batch cut after its first `rows` rows.
+    pub fn head(&self, rows: usize) -> Self {
+        debug_assert!(rows <= self.rows);
         ScanBatch {
-            rows: self.passing_row(n),
-            selection: self.selection.map(|sel| &sel[..n]),
+            rows,
+            selection: self.selection.map(|sel| &sel[..sel.partition_point(|&r| (r as usize) < rows)]),
+            ..*self
+        }
+    }
+
+    /// The same rows with their select charges already paid: a consumer
+    /// owes nothing ahead of its own charges (a scan that read the clock
+    /// between a row's select and its consumption paid them itself).
+    pub fn prepaid(&self) -> Self {
+        ScanBatch {
+            lead: &[],
+            fail: &[],
             ..*self
         }
     }
@@ -259,10 +291,8 @@ impl<'a> ScanBatch<'a> {
     pub fn column(&self, j: usize) -> StripView<'a> {
         assert!(j < self.arity, "projected column {j} of {}", self.arity);
         let c = self.base_column(j);
-        match self.page.column(c).expect("validated dense strip") {
-            StripView::Ints(xs) => StripView::Ints(&xs[..self.rows]),
-            StripView::Values(vs) => StripView::Values(&vs[..self.rows]),
-        }
+        let strip = self.page.column(c).expect("validated dense strip");
+        strip.slice(self.start..self.start + self.rows)
     }
 
     /// Materialize projected row `r` into `out` (cleared first).
@@ -276,7 +306,10 @@ impl<'a> ScanBatch<'a> {
     #[inline]
     pub fn row(&self, r: usize) -> StripRow<'_, 'a> {
         debug_assert!(r < self.rows);
-        StripRow { batch: self, r }
+        StripRow {
+            batch: self,
+            r: self.start + r,
+        }
     }
 
     /// What the consumer records ahead of each passing row's own charges.
@@ -368,18 +401,36 @@ mod tests {
     }
 
     #[test]
-    fn ragged_pages_and_missing_columns_are_refused() {
+    fn a_row_offset_cuts_and_prepays() {
+        let p = page(&rows3(6));
+        let sel = [0u32, 2, 3];
+        // Rows 2..6, of which 2, 4 and 5 passed.
+        let b = ScanBatch::scanned_rows(&p, &[2, 0], Some(&sel), 2..6).unwrap();
+        assert_eq!((b.rows(), b.passing(), b.passing_row(1)), (4, 3, 2));
+        assert_eq!(b.column(0), StripView::Ints(&[20, 30, 40, 50]));
+        let mut row = Vec::new();
+        b.read_row(2, &mut row);
+        assert_eq!(row, vec![Value::Int(40), Value::Int(4)]);
+        let head = b.head(3);
+        assert_eq!((head.rows(), head.passing(), head.selection()), (3, 2, Some(&sel[..2])));
+        assert_eq!(b.first_passing(1).rows(), 2);
+        let paid = b.prepaid();
+        assert!(paid.pass_lead().is_empty() && paid.fail_charge().is_empty());
+        assert_eq!((paid.rows(), paid.passing()), (4, 3));
+    }
+
+    #[test]
+    fn only_the_columns_read_need_be_dense() {
+        let missing = |column, arity| ModelError::ColumnOutOfRange { column, arity };
         let mut p = page(&rows3(2));
-        assert_eq!(
-            ScanBatch::scanned(&p, &[3], None, 2).unwrap_err(),
-            RowCause::Ragged
-        );
-        p.try_push(&[Value::Int(9)]).unwrap();
+        assert_eq!(ScanBatch::scanned(&p, &[3], None, 2).unwrap_err(), missing(3, 3));
+        p.try_push(&[Value::Int(9), Value::Str("s".into())]).unwrap();
         assert!(ScanBatch::whole(&p).is_none());
-        assert_eq!(
-            ScanBatch::scanned(&p, &[0], None, 3).unwrap_err(),
-            RowCause::Ragged
-        );
+        // A ragged page serves what its shortest row covers.
+        let b = ScanBatch::scanned(&p, &[1, 0], None, 3).unwrap();
+        assert_eq!(b.column(1), StripView::Ints(&[0, 1, 9]));
+        assert_eq!(ScanBatch::scanned(&p, &[0, 2], None, 3).unwrap_err(), missing(2, 2));
+        assert_eq!(ScanBatch::scanned(&p, &[], None, 3).unwrap_err(), missing(2, 2), "the whole tuple");
         assert!(ScanBatch::whole(&Page::new(64)).is_none(), "empty page");
     }
 }

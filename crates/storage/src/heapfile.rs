@@ -3,10 +3,8 @@
 //! A [`HeapFile`] models one on-disk file of a node: its partition of the
 //! base relation, a result file, or a spooled bucket. Scanning charges one
 //! `PageReadSeq` per page through the caller's [`CostTracker`]; appending
-//! through [`HeapFile::append`] fills pages but charges nothing (cost is
-//! charged when the writer *seals* pages via a tracker-aware path such as
-//! [`HeapFile::append_tracked`] or when the file is written by a store
-//! operator).
+//! through [`HeapFile::append`] fills pages but charges nothing (the
+//! operator that writes a file charges its page writes).
 
 use crate::error::StorageError;
 use crate::page::Page;
@@ -124,31 +122,6 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Append a tuple, charging a sequential page write each time a page
-    /// is *sealed* (filled and a new one opened). Callers writing result
-    /// files use this; remember to call [`HeapFile::flush_tracked`] at the
-    /// end so the final partial page is charged too.
-    pub fn append_tracked<T: CostTracker>(
-        &mut self,
-        values: &[Value],
-        tracker: &mut T,
-    ) -> Result<(), StorageError> {
-        let before = self.pages.len();
-        self.append(values)?;
-        if self.pages.len() > before && before > 0 {
-            // The previously-open page was sealed by this append.
-            tracker.record(CostEvent::PageWriteSeq, 1);
-        }
-        Ok(())
-    }
-
-    /// Charge the final partial page of a tracked write sequence.
-    pub fn flush_tracked<T: CostTracker>(&self, tracker: &mut T) {
-        if self.pages.last().is_some_and(|p| !p.is_empty()) {
-            tracker.record(CostEvent::PageWriteSeq, 1);
-        }
-    }
-
     /// Sequentially scan all tuples, charging one `PageReadSeq` per page.
     /// The per-tuple `t_r`/`t_w` select costs are charged by the scan
     /// *operator* (see `adaptagg-exec`), not here.
@@ -258,27 +231,6 @@ mod tests {
         assert_eq!(p.tuple_count(), 3);
         assert_eq!(t.count(CostEvent::PageReadRand), 1);
         assert!(f.read_page_random(99, &mut t).is_err());
-    }
-
-    #[test]
-    fn tracked_append_charges_on_seal_plus_flush() {
-        let mut f = HeapFile::new(64);
-        let mut t = CountingTracker::new();
-        for i in 0..7 {
-            f.append_tracked(&tuple(i), &mut t).unwrap();
-        }
-        // 7 tuples → pages of 3/3/1; two seals happened.
-        assert_eq!(t.count(CostEvent::PageWriteSeq), 2);
-        f.flush_tracked(&mut t);
-        assert_eq!(t.count(CostEvent::PageWriteSeq), 3);
-    }
-
-    #[test]
-    fn flush_on_empty_file_charges_nothing() {
-        let f = HeapFile::new(64);
-        let mut t = CountingTracker::new();
-        f.flush_tracked(&mut t);
-        assert_eq!(t.count(CostEvent::PageWriteSeq), 0);
     }
 
     #[test]

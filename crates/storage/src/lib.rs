@@ -37,7 +37,8 @@ pub use batch::{BatchCharges, BatchOutcome, RowCause, ScanBatch};
 pub use disk::{IoCounters, SimDisk};
 pub use error::StorageError;
 pub use heapfile::HeapFile;
-pub use page::{Page, PageCursor, PageIter, PageRow, StripRow, StripView};
+pub use adaptagg_model::StripView;
+pub use page::{Page, PageCursor, PageIter, PageRow, StripRow};
 pub use pages::RowPages;
 pub use pool::PagePool;
 pub use spill::SpillFile;

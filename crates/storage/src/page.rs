@@ -18,7 +18,7 @@
 
 use crate::batch::ScanBatch;
 use crate::error::StorageError;
-use adaptagg_model::{decode_tuple_into, encode_value, CellRow, CellSink, Value};
+use adaptagg_model::{decode_tuple_into, encode_value, CellRow, CellSink, StripView, Value};
 
 /// A page of tuples with a byte-capacity bound, stored column-wise.
 #[derive(Debug, Clone)]
@@ -258,6 +258,7 @@ impl CellSink for IntLane<'_> {
 #[derive(Debug, Clone, Copy)]
 pub struct StripRow<'a, 'b> {
     pub(crate) batch: &'a ScanBatch<'b>,
+    /// The row on the source page.
     pub(crate) r: usize,
 }
 
@@ -299,15 +300,6 @@ impl CellRow for PageRow<'_> {
             }
         }
     }
-}
-
-/// A borrowed whole-column view for batch operators.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StripView<'a> {
-    /// Validity-free fixed-width fast path: every cell is an `Int`.
-    Ints(&'a [i64]),
-    /// General cells (mixed types, strings, nulls).
-    Values(&'a [Value]),
 }
 
 impl Page {
@@ -451,6 +443,12 @@ impl Page {
         Ok(true)
     }
 
+    /// The arity of the page's shortest row (0 when empty): the columns
+    /// below it are dense strips ([`Page::column`]).
+    pub fn min_arity(&self) -> usize {
+        usize::from(self.min_arity)
+    }
+
     /// The arity shared by every row, when the page is non-empty and
     /// arity-uniform — the precondition for whole-page batch operators.
     /// O(1): the min/max arity are maintained on push.
@@ -490,13 +488,7 @@ impl Page {
     /// A cursor materializing tuples into a caller-owned scratch vector —
     /// the allocation-reusing counterpart of [`Page::iter`] for hot paths.
     pub fn cursor(&self) -> PageCursor<'_> {
-        self.cursor_from(0)
-    }
-
-    /// [`Page::cursor`] positioned at row `row` (a consumer that took the
-    /// page's leading rows as a batch resumes row-at-a-time from here).
-    pub fn cursor_from(&self, row: usize) -> PageCursor<'_> {
-        PageCursor { page: self, row: row.min(self.tuples as usize) }
+        PageCursor { page: self, row: 0 }
     }
 
     /// Decode all tuples into vectors (convenience for tests and stores).
@@ -627,18 +619,6 @@ impl PageCursor<'_> {
     /// Materialize the next tuple into `out` (cleared first, allocation
     /// reused). Returns `Ok(false)` when the page is exhausted.
     pub fn next_into(&mut self, out: &mut Vec<Value>) -> Result<bool, StorageError> {
-        self.next_select_into(None, out)
-    }
-
-    /// [`PageCursor::next_into`], materializing only the columns flagged
-    /// in `select`; unselected columns become [`Value::Null`]
-    /// placeholders so column indices and the arity stay stable (the
-    /// semantics of [`adaptagg_model::decode_tuple_select_into`]).
-    pub fn next_select_into(
-        &mut self,
-        select: Option<&[bool]>,
-        out: &mut Vec<Value>,
-    ) -> Result<bool, StorageError> {
         if self.row >= self.page.tuples as usize {
             return Ok(false);
         }
@@ -646,15 +626,7 @@ impl PageCursor<'_> {
         self.row += 1;
         out.clear();
         let arity = self.page.arities[r] as usize;
-        out.reserve(arity);
-        for j in 0..arity {
-            let wanted = select.is_none_or(|s| s.get(j).copied().unwrap_or(false));
-            out.push(if wanted {
-                self.page.cols[j].get(r)
-            } else {
-                Value::Null
-            });
-        }
+        out.extend(self.page.cols[..arity].iter().map(|strip| strip.get(r)));
         Ok(true)
     }
 
@@ -751,16 +723,6 @@ mod tests {
         assert_eq!(via_cursor, via_iter);
         assert_eq!(cursor.remaining(), 0);
         assert!(!cursor.next_into(&mut scratch).unwrap(), "stays exhausted");
-    }
-
-    #[test]
-    fn cursor_select_skips_columns() {
-        let mut p = Page::new(4096);
-        p.try_push(&[Value::Int(1), Value::Str("pad".into())]).unwrap();
-        let mut scratch = Vec::new();
-        let mut cursor = p.cursor();
-        assert!(cursor.next_select_into(Some(&[true, false]), &mut scratch).unwrap());
-        assert_eq!(scratch, vec![Value::Int(1), Value::Null]);
     }
 
     #[test]

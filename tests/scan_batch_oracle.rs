@@ -1,26 +1,26 @@
-//! Batch-vs-row differential for the page-at-a-time scan (DESIGN.md §17).
+//! Batch-vs-reference differential for the page-at-a-time scan
+//! (DESIGN.md §17).
 //!
-//! The same heap file goes through the scan operator twice — once into a
-//! sink that takes every page as a borrowed column-strip batch, once into
-//! the same consumer fed row by row — and everything observable must be
-//! equal: the result rows (order included), the count of every cost
-//! event, the virtual clock in ticks wherever it would be read (where the
-//! scan returns — a failure's time — after each received page, at the
-//! end), what spilled, and on failure the typed error plus everything
-//! charged before it. The algorithm-level cases (A-2P's switch, a
-//! scheduled crash, a crash inside a page the exchange is routing) run on
-//! a real `NodeCtx` and compare clocks, send timestamps, adaptive events
-//! and traffic; the
-//! algorithms that route raw
-//! tuples (Rep, A-2P past its switch, A-Rep) also run whole, on 1/2/4
-//! nodes, against the same query with a `Str` conjunct that keeps every
-//! page on the row loop. Message pages are dense, so no data shape puts a
-//! whole run's receive side on the row loop: `push_page` is compared with
-//! per-row `push` directly.
+//! The scan offers every page to its consumer as batches. The reference is
+//! a row-at-a-time scan written here: decode each row, `matches_all`,
+//! project, charge the select, and hand the row to the consumer's per-row
+//! entry (`push_raw`, `route`, or A-2P's switch written out). The same
+//! heap file goes through both, and everything observable must be equal:
+//! the result rows (order included), the count of every cost event, the
+//! virtual clock in ticks wherever it would be read (where the scan
+//! returns — a failure's time — after each received page, at the end),
+//! what spilled, and on failure the typed error plus everything charged
+//! before it. The algorithm-level cases (A-2P's switch, a scheduled crash,
+//! a crash inside a page the exchange is routing) run on a real `NodeCtx`
+//! and compare clocks, send timestamps, adaptive events and traffic. The
+//! algorithms that route raw tuples also run whole, on 1/2/4 nodes, with
+//! and without an always-true `Str` conjunct, whose `Values` strip the
+//! filter sweeps as it sweeps `Int`s. Message pages are dense, so no data
+//! shape puts a whole run's receive side on the row loop: `push_page` is
+//! compared with per-row `push` directly.
 //!
-//! The row lane is the loop the old `scan_project` was; that it still
-//! charges what the pre-batch code charged is pinned separately, against
-//! constants captured on that code, by `tests/cost_invariance.rs`.
+//! What the whole algorithms did before their scans became batch-only is
+//! pinned by constants captured on that code, in `tests/algo_pins.rs`.
 
 use adaptagg::algos::adaptive2p::{ScanState, ScanSwitch};
 use adaptagg::algos::common::QueryPlan;
@@ -29,10 +29,11 @@ use adaptagg::exec::{
     operators, Clock, ClusterConfig, Exchange, ExecError, NodeCtx, NodeFaults, PageScan, ScanCharge,
     ScanSink, ScanTally,
 };
-use adaptagg::hashagg::{HashAggStats, HashAggregator};
+use adaptagg::hashagg::{HashAggStats, HashAggregator, Inserted};
 use adaptagg::model::{
     matches_all, AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker,
-    CountingTracker, NetworkKind, NullTracker, Predicate, ResultRow, RowKind, Value,
+    CountingTracker, ModelError, NetworkKind, NullTracker, Predicate, ResultRow, RowKind, StripView,
+    Value,
 };
 use adaptagg::net::{Control, Fabric, Payload};
 use adaptagg::sortagg::SortAggregator;
@@ -72,22 +73,6 @@ impl ScanCharge for Probe {
         self.record(CostEvent::PageReadSeq, 1);
     }
 
-    fn tuple_read(&mut self) -> Result<(), ExecError> {
-        self.scanned += 1;
-        if let Some(k) = self.crash_at.filter(|&k| self.scanned > k) {
-            return Err(ExecError::InjectedCrash {
-                node: 0,
-                at_tuple: k,
-            });
-        }
-        self.record(CostEvent::TupleRead, 1);
-        Ok(())
-    }
-
-    fn tuple_passed(&mut self) {
-        self.record(CostEvent::TupleWrite, 1);
-    }
-
     fn crash_budget(&self) -> Option<u64> {
         self.crash_at.map(|k| k.saturating_sub(self.scanned))
     }
@@ -95,26 +80,103 @@ impl ScanCharge for Probe {
     fn batch_scanned(&mut self, rows: usize) {
         self.scanned += rows as u64;
     }
+
+    fn crash_tick(&mut self) -> Result<(), ExecError> {
+        self.tick()
+    }
 }
 
-/// The local-phase consumer, taking batches or not.
-struct Lane<'a> {
-    agg: &'a mut HashAggregator,
-    batched: bool,
+/// What the reference scan charges: the page read and each tuple's select
+/// charges, after the tuple's tick against the crash schedule.
+trait RowCharge {
+    fn charge(&mut self, event: CostEvent);
+    /// Count one scanned tuple; fails at the scheduled crash.
+    fn tick(&mut self) -> Result<(), ExecError>;
 }
 
-impl ScanSink<Probe> for Lane<'_> {
-    fn wants_batch(&self) -> bool {
-        self.batched
+impl RowCharge for Probe {
+    fn charge(&mut self, event: CostEvent) {
+        self.record(event, 1);
     }
 
+    fn tick(&mut self) -> Result<(), ExecError> {
+        self.scanned += 1;
+        match self.crash_at {
+            Some(k) if self.scanned > k => Err(ExecError::InjectedCrash { node: 0, at_tuple: k }),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl RowCharge for NodeCtx {
+    fn charge(&mut self, event: CostEvent) {
+        self.clock.record(event, 1);
+    }
+
+    fn tick(&mut self) -> Result<(), ExecError> {
+        self.fault_tick()
+    }
+}
+
+/// The scan's rule for a page where some row lacks a column the scan
+/// reads — a filter or projected column, or any column of the whole tuple
+/// — checked off the decoded rows: the page fails whole, with the typed
+/// `ColumnOutOfRange` of the first such column and the shortest row.
+fn page_lacks_a_column(page: &Page, filter: &[Predicate], columns: &[usize]) -> Result<(), ModelError> {
+    let rows = page.decode_all().unwrap();
+    let shortest = rows.iter().map(Vec::len).min().unwrap_or(0);
+    let widest = rows.iter().map(Vec::len).max().unwrap_or(0);
+    let read = filter.iter().map(|p| p.column).chain(columns.iter().copied());
+    let missing = match read.into_iter().find(|&c| c >= shortest) {
+        Some(c) => Some(c),
+        None if columns.is_empty() && widest > shortest => Some(shortest),
+        None => None,
+    };
+    missing.map_or(Ok(()), |column| Err(ModelError::ColumnOutOfRange { column, arity: shortest }))
+}
+
+/// The reference scan: every page of `file`, row by row — tick, decode,
+/// `t_r`, filter, `t_w`, project, `consume` — with the page rule above
+/// checked once its first row is ticked. Returns the passing tuples.
+fn reference_scan<X: RowCharge>(
+    x: &mut X,
+    file: &HeapFile,
+    filter: &[Predicate],
+    columns: &[usize],
+    mut consume: impl FnMut(&mut X, &[Value]) -> Result<(), ExecError>,
+) -> Result<usize, ExecError> {
+    let mut passed = 0;
+    for pi in 0..file.page_count() {
+        x.charge(CostEvent::PageReadSeq);
+        let page = file.page(pi)?;
+        for (r, row) in page.iter().enumerate() {
+            let row = row?;
+            x.tick()?;
+            if r == 0 {
+                page_lacks_a_column(page, filter, columns)?;
+            }
+            x.charge(CostEvent::TupleRead);
+            if !matches_all(filter, &row)? {
+                continue;
+            }
+            x.charge(CostEvent::TupleWrite);
+            let projected: Vec<Value> = match columns {
+                [] => row,
+                _ => columns.iter().map(|&c| row[c].clone()).collect(),
+            };
+            consume(x, &projected)?;
+            passed += 1;
+        }
+    }
+    Ok(passed)
+}
+
+/// The local-phase consumer as the batch scan's sink.
+struct Batched<'a>(&'a mut HashAggregator);
+
+impl ScanSink<Probe> for Batched<'_> {
     fn batch(&mut self, x: &mut Probe, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
-        Ok(self.agg.push_batch(RowKind::Raw, batch, x)?)
-    }
-
-    fn row(&mut self, x: &mut Probe, values: &[Value]) -> Result<bool, ExecError> {
-        self.agg.push_raw(values, x)?;
-        Ok(true)
+        Ok(self.0.push_batch(RowKind::Raw, batch, x)?)
     }
 }
 
@@ -133,6 +195,8 @@ struct Observed {
     rows: Vec<ResultRow>,
 }
 
+/// `file` scanned into a hash aggregator by the batch scan, or by the
+/// reference; the batch scan's page tally (the reference's is empty).
 fn run_lane(
     file: &HeapFile,
     query: &AggQuery,
@@ -141,31 +205,24 @@ fn run_lane(
     batched: bool,
 ) -> (Observed, ScanTally) {
     let plan = QueryPlan::new(query);
+    let (filter, columns) = (&plan.base.filter[..], &plan.projection[..]);
     let mut agg = HashAggregator::new(plan.projected.clone(), budget, 256, 4);
     let mut probe = Probe::new(crash_at);
-    let mut scan = PageScan::new(&plan.base.filter, &plan.projection);
-    let scanned = scan.run(
-        &mut probe,
-        file,
-        0,
-        file.page_count(),
-        &mut Lane {
-            agg: &mut agg,
-            batched,
-        },
-    );
-    let error = scanned.err();
+    let mut scan = PageScan::new(filter, columns);
+    let scanned = if batched {
+        scan.run(&mut probe, file, 0, file.page_count(), &mut Batched(&mut agg))
+            .map(|()| scan.tally().passed)
+    } else {
+        reference_scan(&mut probe, file, filter, columns, |x, values| Ok(agg.push_raw(values, x)?))
+    };
+    let error = scanned.as_ref().err().cloned();
     let scan_ticks = probe.clock.now();
     // The row counters of a scan that died are nobody's contract (the
     // lanes bump them on different sides of the failing insert); what it
     // charged and what the table holds are.
-    let (passed, raw_in, spilled) = match error {
-        None => (
-            scan.tally().passed,
-            agg.stats().raw_in,
-            agg.stats().spilled_tuples,
-        ),
-        Some(_) => (0, 0, 0),
+    let (passed, raw_in, spilled) = match scanned {
+        Ok(passed) => (passed, agg.stats().raw_in, agg.stats().spilled_tuples),
+        Err(_) => (0, 0, 0),
     };
     let resident = agg.resident_groups();
     // A finished scan also drains (spill replay included) under the probe.
@@ -187,8 +244,9 @@ fn run_lane(
     (observed, scan.tally())
 }
 
-/// Both lanes over `file`; asserts they are indistinguishable and returns
-/// what happened plus the batch lane's page tally.
+/// The batch scan and the reference over `file`; asserts they are
+/// indistinguishable and returns what happened plus the batch scan's page
+/// tally.
 fn assert_lanes_agree(
     label: &str,
     file: &HeapFile,
@@ -196,12 +254,8 @@ fn assert_lanes_agree(
     budget: usize,
     crash_at: Option<u64>,
 ) -> (Observed, ScanTally) {
-    let (row, row_tally) = run_lane(file, query, budget, crash_at, false);
+    let (row, _) = run_lane(file, query, budget, crash_at, false);
     let (batch, tally) = run_lane(file, query, budget, crash_at, true);
-    assert_eq!(
-        row_tally.pages_batched, 0,
-        "{label}: the row lane never batches"
-    );
     assert_eq!(batch.error, row.error, "{label}: errors diverge");
     assert_eq!(batch, row, "{label}");
     (batch, tally)
@@ -373,7 +427,7 @@ fn ragged_and_single_row_pages() {
     let query = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)])
         .with_filter(vec![Predicate::new(1, Compare::Ne, int(3))]);
     // Arity 2 and 3 interleaved: every page is ragged, no row lacks a
-    // needed column.
+    // column the scan reads, so every page is a batch.
     let ragged = file_of(
         256,
         (0..120).map(|i| {
@@ -386,11 +440,7 @@ fn ragged_and_single_row_pages() {
     );
     let (seen, tally) = assert_lanes_agree("ragged", &ragged, &query, 1000, None);
     assert_eq!(seen.rows.len(), 9);
-    assert_eq!(tally.pages_batched, 0);
-    assert_eq!(
-        pages_row(&tally, RowCause::Ragged) as usize,
-        ragged.page_count()
-    );
+    assert_eq!(tally.pages_batched as usize, ragged.page_count());
 
     // 20-byte rows on 32-byte pages: one row a page.
     let single = file_of(32, (0..40).map(|i| vec![int(i % 4), int(i)]));
@@ -399,6 +449,8 @@ fn ragged_and_single_row_pages() {
     assert_eq!((seen.passed, tally.pages_batched), (39, 40));
 }
 
+/// Value inputs send the table to its row arm, by cause; value filters are
+/// swept off their strips like `Int` ones.
 #[test]
 fn value_inputs_and_value_filters_take_the_row_arm() {
     let sum_v = AggQuery::new(
@@ -429,26 +481,25 @@ fn value_inputs_and_value_filters_take_the_row_arm() {
         nulls.page_count()
     );
 
-    // A Str filter column, then an Int column against a Float literal
-    // (cross-type order: every Int sorts below every Float).
+    // A Str filter column, an Int column against a Float literal
+    // (cross-type order: every Int sorts below every Float), and against
+    // a NULL literal (never true).
     let file = file_of(1024, wide_rows(200, 11));
     let on_str = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 2)]).with_filter(vec![
         Predicate::new(1, Compare::Lt, Value::Str("pad5".into())),
     ]);
     let (seen, tally) = assert_lanes_agree("str filter", &file, &on_str, 1000, None);
     assert!(seen.passed > 0 && seen.passed < 200);
-    assert_eq!(
-        pages_row(&tally, RowCause::ValueFilter) as usize,
-        file.page_count()
-    );
+    assert_eq!(tally.pages_batched as usize, file.page_count());
     let float_literal = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 2)])
         .with_filter(vec![Predicate::new(2, Compare::Lt, Value::Float(-1.0))]);
     let (seen, tally) = assert_lanes_agree("float literal", &file, &float_literal, 1000, None);
     assert_eq!(seen.passed, 200);
-    assert_eq!(
-        pages_row(&tally, RowCause::ValueFilter) as usize,
-        file.page_count()
-    );
+    assert_eq!(tally.pages_batched as usize, file.page_count());
+    let null_literal = float_literal.clone().with_filter(vec![Predicate::new(2, Compare::Ne, Value::Null)]);
+    let (seen, tally) = assert_lanes_agree("null literal", &file, &null_literal, 1000, None);
+    assert_eq!(seen.passed, 0);
+    assert_eq!(tally.pages_batched as usize, file.page_count());
 }
 
 #[test]
@@ -471,10 +522,11 @@ fn budgets_that_spill_mid_page() {
 #[test]
 fn errors_in_the_middle_of_a_page_surface_identically() {
     let sum_v = AggQuery::new(vec![0], vec![AggSpec::over(AggFunc::Sum, 1)]);
-    // A one-column row in the middle of a page: the projection's typed
-    // ColumnOutOfRange, after the rows before it were consumed.
+    // A one-column row in the middle of the second page: the projection's
+    // typed ColumnOutOfRange, after the first page was consumed — the page
+    // holding the row fails whole.
     let short = file_of(
-        4096,
+        256,
         (0..50).map(|i| {
             if i == 23 {
                 vec![int(1)]
@@ -483,21 +535,20 @@ fn errors_in_the_middle_of_a_page_surface_identically() {
             }
         }),
     );
+    let first_page = short.page(0).unwrap().tuple_count();
+    assert!(first_page < 23 && short.page(1).unwrap().tuple_count() + first_page > 23);
+    let lacks_column_1 = Some(ExecError::Model(ModelError::ColumnOutOfRange { column: 1, arity: 1 }));
     let (seen, _) = assert_lanes_agree("short row", &short, &sum_v, 1000, None);
-    assert!(
-        matches!(seen.error, Some(ExecError::Model(_))),
-        "{:?}",
-        seen.error
-    );
-    assert_eq!(aggregated(&seen), 23, "rows before the error were consumed");
+    assert_eq!(seen.error, lacks_column_1);
+    assert_eq!(aggregated(&seen), first_page, "the pages before it were consumed");
 
-    // The same row lacking the *filter* column: the predicate's error.
+    // The same row lacking the *filter* column: the same error.
     let filtered = sum_v
         .clone()
         .with_filter(vec![Predicate::new(1, Compare::Ge, int(0))]);
     let (seen, _) = assert_lanes_agree("short row under a filter", &short, &filtered, 1000, None);
-    assert!(seen.error.is_some());
-    assert_eq!(aggregated(&seen), 23);
+    assert_eq!(seen.error, lacks_column_1);
+    assert_eq!(aggregated(&seen), first_page);
 
     // SUM over a string in the middle of a page: the aggregate's type
     // error, with the row's select charges and insert attempt made.
@@ -687,6 +738,12 @@ fn node_with(file: HeapFile, max_hash_entries: usize) -> NodeCtx {
     NodeCtx::new(eps.pop().unwrap(), disk, params)
 }
 
+/// Node 0's base file, for the reference scan (the batch scan takes it
+/// out of the disk itself).
+fn base_of(ctx: &NodeCtx) -> HeapFile {
+    ctx.disk.get("base").unwrap().clone()
+}
+
 #[test]
 fn node_crash_schedule_is_honoured_by_both_lanes() {
     let rows = || (0..300).map(|i| vec![int(i % 11), int(i)]);
@@ -702,16 +759,6 @@ fn node_crash_schedule_is_honoured_by_both_lanes() {
         });
         ctx
     };
-    // The whole file into `sink`, offered as batches or row by row.
-    fn scan<S: ScanSink<NodeCtx>>(ctx: &mut NodeCtx, plan: &QueryPlan, sink: S, batched: bool) -> (Result<usize, ExecError>, S) {
-        if batched {
-            let mut sink = sink;
-            (operators::scan_pages(ctx, "base", &[], &plan.projection, 0, usize::MAX, &mut sink), sink)
-        } else {
-            let mut sink = RowOnly(sink);
-            (operators::scan_pages(ctx, "base", &[], &plan.projection, 0, usize::MAX, &mut sink), sink.0)
-        }
-    }
     let crashed = Err(ExecError::InjectedCrash {
         node: 0,
         at_tuple: k,
@@ -720,8 +767,15 @@ fn node_crash_schedule_is_honoured_by_both_lanes() {
     // The hash aggregator: every tuple before the crash was aggregated.
     let run = |batched: bool| {
         let mut ctx = crashing_node();
-        let agg = HashAggregator::new(plan.projected.clone(), 1000, 256, 4);
-        let (result, agg) = scan(&mut ctx, &plan, agg, batched);
+        let mut agg = HashAggregator::new(plan.projected.clone(), 1000, 256, 4);
+        let result = if batched {
+            operators::scan_pages(&mut ctx, "base", &[], &plan.projection, 0, usize::MAX, &mut agg)
+        } else {
+            let base = base_of(&ctx);
+            reference_scan(&mut ctx, &base, &[], &plan.projection, |ctx, values| {
+                Ok(agg.push_raw(values, &mut ctx.clock)?)
+            })
+        };
         (result, agg.stats().raw_in, ctx.clock.now())
     };
     let (row, batch) = (run(false), run(true));
@@ -731,11 +785,18 @@ fn node_crash_schedule_is_honoured_by_both_lanes() {
 
     // Sorted-run formation, at a budget that seals runs inside the pages
     // ahead of the crash: the batch is cut at tuple K, the runs sealed so
-    // far and the groups resident are the row lane's.
+    // far and the groups resident are the reference's.
     let run = |batched: bool| {
         let mut ctx = crashing_node();
-        let agg = SortAggregator::new(plan.projected.clone(), 4, 256);
-        let (result, agg) = scan(&mut ctx, &plan, agg, batched);
+        let mut agg = SortAggregator::new(plan.projected.clone(), 4, 256);
+        let result = if batched {
+            operators::scan_pages(&mut ctx, "base", &[], &plan.projection, 0, usize::MAX, &mut agg)
+        } else {
+            let base = base_of(&ctx);
+            reference_scan(&mut ctx, &base, &[], &plan.projection, |ctx, values| {
+                Ok(agg.push(RowKind::Raw, values, &mut ctx.clock)?)
+            })
+        };
         let formed = (agg.sealed_runs(), agg.resident_groups());
         (result, formed, ctx.clock.now())
     };
@@ -760,15 +821,6 @@ fn sent_stamps(ctx: &mut NodeCtx) -> Vec<u64> {
     }
 }
 
-/// A sink that never takes a batch: its consumer as it ran row by row.
-struct RowOnly<S>(S);
-
-impl<S: ScanSink<NodeCtx>> ScanSink<NodeCtx> for RowOnly<S> {
-    fn row(&mut self, ctx: &mut NodeCtx, values: &[Value]) -> Result<bool, ExecError> {
-        self.0.row(ctx, values)
-    }
-}
-
 #[test]
 fn a_crash_inside_a_routed_page_ends_like_the_row_lane() {
     // A filter with gaps, so the cut lands between fail-charge runs.
@@ -786,16 +838,13 @@ fn a_crash_inside_a_routed_page_ends_like_the_row_lane() {
                 slowdown_factor: 1.0,
             });
             // 256-byte message pages: sends land inside every base page.
-            let ex = Exchange::new(1, 256, plan.key_len(), RowKind::Raw);
+            let mut ex = Exchange::new(1, 256, plan.key_len(), RowKind::Raw);
             let (filter, columns) = (&plan.base.filter[..], &plan.projection[..]);
-            let (result, ex) = if batched {
-                let mut sink = ex;
-                let result = operators::scan_pages(&mut ctx, "base", filter, columns, 0, usize::MAX, &mut sink);
-                (result, sink)
+            let result = if batched {
+                operators::scan_pages(&mut ctx, "base", filter, columns, 0, usize::MAX, &mut ex)
             } else {
-                let mut sink = RowOnly(ex);
-                let result = operators::scan_pages(&mut ctx, "base", filter, columns, 0, usize::MAX, &mut sink);
-                (result, sink.0)
+                let base = base_of(&ctx);
+                reference_scan(&mut ctx, &base, filter, columns, |ctx, values| ex.route(ctx, values, true))
             };
             let (routed, net, clock) = (ex.routed(), *ctx.net_stats(), ctx.clock.now());
             ex.finish(&mut ctx).unwrap();
@@ -817,34 +866,32 @@ fn a_crash_inside_a_routed_page_ends_like_the_row_lane() {
 }
 
 /// `query` plus one always-true conjunct on the base relation's `Str` pad
-/// column. The strips cannot evaluate it, so every page a batch sink is
-/// offered takes the row loop ([`RowCause::ValueFilter`]) — at exactly the
+/// column, which the filter sweeps as a `Values` strip — at exactly the
 /// charges of the scan without it: select charges are per tuple, not per
 /// predicate.
-fn on_the_row_loop(query: &AggQuery) -> AggQuery {
+fn with_str_conjunct(query: &AggQuery) -> AggQuery {
     let mut query = query.clone();
     query.filter.push(Predicate::new(2, Compare::Ge, Value::Str("".into())));
     query
 }
 
-/// The whole algorithms that route raw tuples, on 1/2/4 nodes, batches
-/// against the row loop: same rows, same traffic, and every node's clock
-/// the same to the tick (a falling-back A-Rep past one node excepted: when
-/// a peer's `EndOfPhase` is seen is physically timed). The traces say
-/// which loop ran, and why.
+/// The whole algorithms that route or forward raw tuples, on 1/2/4 nodes,
+/// with and without a `Str` conjunct: same rows, same traffic, and every
+/// node's clock the same to the tick (a falling-back A-Rep past one node
+/// excepted: when a peer's `EndOfPhase` is seen is physically timed). The
+/// traces say every page reached the scan's consumer as batches.
 #[test]
 fn routing_algorithms_match_the_row_lane_on_every_cluster_size() {
-    let both_lanes = |kind, config: &ClusterConfig, parts: &[HeapFile], query: &AggQuery, cfg: &AlgoConfig| {
-        let row = run_algorithm_with(kind, config, parts, &on_the_row_loop(query), cfg);
-        let batch = run_algorithm_with(kind, config, parts, query, cfg);
-        (row.unwrap(), batch.unwrap())
+    let both = |kind, config: &ClusterConfig, parts: &[HeapFile], query: &AggQuery, cfg: &AlgoConfig| {
+        let on_str = run_algorithm_with(kind, config, parts, &with_str_conjunct(query), cfg);
+        let on_ints = run_algorithm_with(kind, config, parts, query, cfg);
+        (on_str.unwrap(), on_ints.unwrap())
     };
     let counter = |out: &RunOutcome, name: &str| -> u64 {
         let trace = out.trace.as_ref().expect("traced run");
         trace.nodes.iter().map(|n| n.metrics.counter(name)).sum()
     };
     let pages_batched = |out: &RunOutcome| counter(out, "scan.pages_batched");
-    let pages_value_filter = |out: &RunOutcome| counter(out, RowCause::ValueFilter.counter());
     let config_of = |nodes: usize, max_hash_entries: usize| {
         let params = CostParams {
             max_hash_entries,
@@ -856,8 +903,8 @@ fn routing_algorithms_match_the_row_lane_on_every_cluster_size() {
     let query = default_query().with_filter(vec![Predicate::new(0, Compare::Ge, int(750))]);
     for nodes in [1usize, 2, 4] {
         // 3000 groups against a 200-entry table: A-2P switches inside the
-        // first pages, A-Rep's census is over within a few hundred tuples
-        // and it never falls back.
+        // first pages, Opt-2P forwards most tuples, A-Rep's census is over
+        // within a few hundred tuples and it never falls back.
         let parts = generate_partitions(&RelationSpec::uniform(24_000, 3_000), nodes);
         let pages: usize = parts.iter().map(HeapFile::page_count).sum();
         let config = config_of(nodes, 200);
@@ -866,45 +913,41 @@ fn routing_algorithms_match_the_row_lane_on_every_cluster_size() {
             AlgorithmKind::Repartitioning,
             AlgorithmKind::AdaptiveTwoPhase,
             AlgorithmKind::AdaptiveRepartitioning,
+            AlgorithmKind::OptimizedTwoPhase,
+            AlgorithmKind::Broadcast,
         ] {
-            let (row, batch) = both_lanes(kind, &config, &parts, &query, &cfg);
-            assert_eq!(batch.rows, row.rows, "{kind} on {nodes} nodes");
+            let (on_str, batch) = both(kind, &config, &parts, &query, &cfg);
+            assert_eq!(batch.rows, on_str.rows, "{kind} on {nodes} nodes");
             assert_eq!(batch.rows.len(), 2_250);
-            assert_eq!(batch.run.total_net().tuples_sent, row.run.total_net().tuples_sent, "{kind} on {nodes} nodes");
-            for (b, r) in batch.run.per_node.iter().zip(&row.run.per_node) {
+            for (b, r) in batch.run.per_node.iter().zip(&on_str.run.per_node) {
                 assert_eq!(b.clock, r.clock, "{kind} on {nodes} nodes: node {}", b.node);
             }
-            assert_eq!(batch.run.total_net(), row.run.total_net(), "{kind} on {nodes} nodes");
-            assert_eq!(pages_batched(&row), 0, "{kind}: the row lane batched");
-            // Every page the row side's sink asked for as a batch went to
-            // the row loop, for the reason given. A-2P: all but each
-            // node's switch page are batched; A-Rep: all but the census
-            // pages and one cut page per poll.
-            let offered = pages_value_filter(&row) as usize;
-            assert!(offered * 10 >= pages * 8, "{kind} on {nodes} nodes: {offered} of {pages} pages offered");
-            assert_eq!(pages_value_filter(&batch), 0, "{kind} on {nodes} nodes");
-            let batched = pages_batched(&batch) as usize;
-            assert!(batched * 10 >= pages * 8, "{kind} on {nodes} nodes: {batched} of {pages} pages batched");
+            assert_eq!(batch.run.total_net(), on_str.run.total_net(), "{kind} on {nodes} nodes");
+            // A page is counted once, however many batches it was cut into
+            // (A-2P's switch page, A-Rep's poll cuts, Opt-2P's forwards).
+            assert_eq!(pages_batched(&batch) as usize, pages, "{kind} on {nodes} nodes");
+            assert_eq!(pages_batched(&on_str) as usize, pages, "{kind} on {nodes} nodes");
             assert_eq!(batch.adapted_nodes().len(), if kind == AlgorithmKind::AdaptiveTwoPhase { nodes } else { 0 });
         }
 
         // A-Rep that falls back (300 groups judged against 400) and whose
-        // A-2P table (50 entries) then fills: census rows, table batches,
-        // the re-switch page, exchange batches.
+        // A-2P table (50 entries) then fills: census, verdict, table
+        // batches, the re-switch page, exchange batches.
         let parts = generate_partitions(&RelationSpec::uniform(30_000, 300), nodes);
+        let pages: usize = parts.iter().map(HeapFile::page_count).sum();
         let config = config_of(nodes, 50);
         let cfg = AlgoConfig::default_for(nodes).with_crossover_threshold(400);
         let kind = AlgorithmKind::AdaptiveRepartitioning;
-        let (row, batch) = both_lanes(kind, &config, &parts, &default_query(), &cfg);
-        assert_eq!(batch.rows, row.rows, "falling-back A-Rep on {nodes} nodes");
+        let (on_str, batch) = both(kind, &config, &parts, &default_query(), &cfg);
+        assert_eq!(batch.rows, on_str.rows, "falling-back A-Rep on {nodes} nodes");
         assert_eq!(batch.rows.len(), 300);
         if nodes == 1 {
-            assert_eq!(batch.elapsed(), row.elapsed());
-            assert_eq!(batch.nodes[0].events, row.nodes[0].events);
+            assert_eq!(batch.elapsed(), on_str.elapsed());
+            assert_eq!(batch.nodes[0].events, on_str.nodes[0].events);
             assert_eq!(batch.nodes[0].events.len(), 2, "fell back, then switched: {:?}", batch.nodes[0].events);
         }
-        assert!(pages_batched(&batch) > 0 && pages_batched(&row) == 0);
-        assert!(pages_value_filter(&row) > 0 && pages_value_filter(&batch) == 0);
+        assert_eq!(pages_batched(&batch) as usize, pages);
+        assert_eq!(pages_batched(&on_str) as usize, pages);
     }
 }
 
@@ -930,31 +973,32 @@ fn a2p_switch_lands_mid_page_at_the_same_tuple() {
             RowKind::Partial,
         );
         let mut events = Vec::new();
-        let sink = ScanSwitch {
-            scan: &mut scan,
-            ex: &mut ex,
-            events: &mut events,
-        };
+        let (filter, columns) = (&plan.base.filter[..], &plan.projection[..]);
         let passed = if batched {
-            operators::scan_pages(
-                &mut ctx,
-                "base",
-                &plan.base.filter,
-                &plan.projection,
-                0,
-                usize::MAX,
-                &mut { sink },
-            )
+            let mut sink = ScanSwitch {
+                scan: &mut scan,
+                ex: &mut ex,
+                events: &mut events,
+            };
+            operators::scan_pages(&mut ctx, "base", filter, columns, 0, usize::MAX, &mut sink)
         } else {
-            operators::scan_pages(
-                &mut ctx,
-                "base",
-                &plan.base.filter,
-                &plan.projection,
-                0,
-                usize::MAX,
-                &mut RowOnly(sink),
-            )
+            // §3.2 a tuple at a time: aggregate until a tuple bounces off
+            // the full table, then flush the partials, forward that tuple
+            // (its hash paid by the failed insert) and route the rest.
+            let base = base_of(&ctx);
+            reference_scan(&mut ctx, &base, filter, columns, |ctx, values| {
+                scan.raw_seen += 1;
+                if scan.switched {
+                    return ex.route(ctx, values, true);
+                }
+                if scan.table.insert_raw(values, &mut ctx.clock)? == Inserted::Full {
+                    ex.flush_table(ctx, &mut scan.table, RowKind::Raw)?;
+                    scan.switched = true;
+                    events.push(AdaptEvent::SwitchedToRepartitioning { at_tuple: scan.raw_seen });
+                    ex.route(ctx, values, false)?;
+                }
+                Ok(())
+            })
         }
         .unwrap();
         ex.finish(&mut ctx).unwrap();
@@ -1018,5 +1062,42 @@ proptest! {
         let (row, _) = run_lane(&file, &query, budget, crash_at, false);
         let (batch, _) = run_lane(&file, &query, budget, crash_at, true);
         prop_assert_eq!(batch, row);
+    }
+
+    /// The filter's strip sweep is `matches` row by row: random `Int`,
+    /// `Str`, `Float` and NULL cells, every literal kind, every `Compare`,
+    /// over an `Int` strip and a `Values` one, selecting and refining.
+    #[test]
+    fn prop_select_equals_matches(
+        cells in proptest::collection::vec((0u8..4, -4i64..4), 0..60),
+        literal in (0u8..4, -4i64..4),
+        op_ix in 0usize..6,
+        prior in proptest::collection::vec(any::<bool>(), 60..61),
+    ) {
+        let value = |(kind, x): (u8, i64)| match kind {
+            0 => Value::Int(x),
+            1 => Value::Str(format!("s{x}").into()),
+            2 => Value::Float(x as f64 / 2.0),
+            _ => Value::Null,
+        };
+        let op = [Compare::Eq, Compare::Ne, Compare::Lt, Compare::Le, Compare::Gt, Compare::Ge][op_ix];
+        let p = Predicate::new(0, op, value(literal));
+        let column: Vec<Value> = cells.iter().map(|&c| value(c)).collect();
+        let holds = |r: u32| p.matches(&[column[r as usize].clone()]).unwrap();
+        let all: Vec<u32> = (0..column.len() as u32).collect();
+        let before: Vec<u32> = all.iter().copied().filter(|&r| prior[r as usize]).collect();
+        let mut strips = vec![StripView::Values(&column)];
+        let ints: Option<Vec<i64>> = column.iter().map(Value::as_i64).collect();
+        if let Some(ints) = &ints {
+            strips.push(StripView::Ints(ints));
+        }
+        for strip in strips {
+            let mut sel = vec![7];
+            p.select(strip, &mut sel, false);
+            prop_assert_eq!(&sel, &all.iter().copied().filter(|&r| holds(r)).collect::<Vec<_>>());
+            let mut sel = before.clone();
+            p.select(strip, &mut sel, true);
+            prop_assert_eq!(&sel, &before.iter().copied().filter(|&r| holds(r)).collect::<Vec<_>>());
+        }
     }
 }

@@ -291,11 +291,13 @@ fn phase_profile_covers_the_run() {
     assert!(text.contains("switched to repartitioning at tuple"));
 }
 
-/// Why a scanned page left the batched lane is visible from the trace
-/// alone: `scan.pages_batched` counts the pages the table (or, for Rep,
-/// the exchange) rode the strips of, `scan.pages_row{cause=…}` the pages
-/// it was fed row by row — and an untraced run of the same file carries
-/// nothing and lands on the same virtual time.
+/// Why a scanned page left the strips is visible from the trace alone:
+/// every page reaches its consumer as batches, `scan.pages_batched`
+/// counts the pages the table (or, for Rep, the exchange) rode the strips
+/// of, `scan.pages_row{cause=…}` the pages whose rows it materialized —
+/// and an untraced run of the same file carries nothing and lands on the
+/// same virtual time. Ragged pages and `Str` filter columns are batches
+/// like any other.
 #[test]
 fn scan_fallbacks_are_counted_by_cause() {
     use adaptagg::model::{Compare, Predicate};
@@ -333,8 +335,8 @@ fn scan_fallbacks_are_counted_by_cause() {
                 row
             })),
             sum_v.clone(),
-            "scan.pages_row{cause=ragged}",
-            "scan.pages_row{cause=ragged}",
+            batched,
+            batched,
         ),
         (
             "null inputs",
@@ -354,14 +356,13 @@ fn scan_fallbacks_are_counted_by_cause() {
             "string filter column",
             file_of(&mut (0..200).map(|i| vec![int(i % 9), int(i), Value::Str(format!("p{}", i % 7).into())])),
             on_pad,
-            "scan.pages_row{cause=value_filter}",
-            "scan.pages_row{cause=value_filter}",
+            batched,
+            batched,
         ),
     ];
     let counters = [
         "scan.pages_batched",
         "scan.pages_row{cause=ragged}",
-        "scan.pages_row{cause=value_filter}",
         "scan.pages_row{cause=value_input}",
         "scan.pages_row{cause=float_guard}",
     ];
@@ -496,13 +497,13 @@ fn store_layout_and_demotions_are_reported_by_cause() {
 }
 
 /// Sort-2P's local phase is in the trace: what run formation took in and
-/// sealed, which loop the scan fed it through and why, and which lane the
-/// run merge folded each run row on. The default query rides the strips
-/// end to end — every offered page a batch, every merge row read as
-/// `i64`s, no column demoted; a `Str` key still rides the scan's strips
+/// sealed, whether it rode each scanned page's strips and if not why, and
+/// which lane the run merge folded each run row on. The default query
+/// rides the strips end to end — every scanned page, every merge row read
+/// as `i64`s, no column demoted; a `Str` key still rides the scan's strips
 /// (as it does into the hash table) but demotes the run table's key
 /// column and puts every run page, and so every merge row, on the values
-/// lane; NULL inputs send the scan to the row arm, by cause — and an
+/// lane; NULL inputs send run formation to its row arm, by cause — and an
 /// untraced run of the same file carries nothing and lands on the same
 /// virtual time.
 #[test]
@@ -548,7 +549,6 @@ fn sortagg_lanes_are_reported() {
     let scan_counters = [
         "scan.pages_batched",
         "scan.pages_row{cause=ragged}",
-        "scan.pages_row{cause=value_filter}",
         "scan.pages_row{cause=value_input}",
         "scan.pages_row{cause=float_guard}",
     ];
