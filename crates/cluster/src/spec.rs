@@ -55,16 +55,11 @@ impl ClusterSpec {
             .first()
             .map(|p| p.page_bytes())
             .unwrap_or(4096);
-        let mut pages = Vec::new();
-        for (p, part) in partitions.iter().enumerate() {
-            if owners.get(p).copied() != Some(me) {
-                continue;
-            }
-            for pi in 0..part.page_count() {
-                pages.push(part.page(pi).expect("partition page").clone());
-            }
-        }
-        HeapFile::from_pages(page_bytes, pages).expect("concatenated partition")
+        let owned = partitions
+            .iter()
+            .enumerate()
+            .filter(|&(p, _)| owners.get(p).copied() == Some(me));
+        HeapFile::concat(page_bytes, owned.map(|(_, part)| part)).expect("partitions of one page size")
     }
 }
 

@@ -447,23 +447,19 @@ where
                 // Concatenate this node's partitions ascending by
                 // partition id; record per-partition page offsets so
                 // checkpoint-aware scans can resume per partition.
-                let mut pages = Vec::new();
-                let mut segments = Vec::new();
-                for (p, part) in partitions.iter().enumerate() {
-                    if owner[p] != orig {
-                        continue;
-                    }
+                let owned = || partitions.iter().enumerate().filter(|&(p, _)| owner[p] == orig);
+                let (mut segments, mut start_page) = (Vec::new(), 0);
+                for (partition, part) in owned() {
+                    let pages = part.page_count();
                     segments.push(Segment {
-                        partition: p,
-                        start_page: pages.len(),
-                        pages: part.page_count(),
+                        partition,
+                        start_page,
+                        pages,
                     });
-                    for pi in 0..part.page_count() {
-                        pages.push(part.page(pi).expect("partition page").clone());
-                    }
+                    start_page += pages;
                 }
-                let base =
-                    HeapFile::from_pages(page_bytes, pages).expect("concatenated partition");
+                let base = HeapFile::concat(page_bytes, owned().map(|(_, part)| part))
+                    .expect("partitions of one page size");
                 NodeSeat {
                     base,
                     faults: config.fault_plan.node(orig),

@@ -3,7 +3,7 @@
 //! Cost model mapping (paper §2.1):
 //!
 //! * scan: `(R_i/P) * IO` — one sequential page read per page, charged by
-//!   the heap file;
+//!   the scan ([`ScanCharge::page_read`]);
 //! * select, "getting tuple off data page": `|R_i| * (t_r + t_w)` — per
 //!   tuple (the `t_w` is the copy out of the page buffer; projection rides
 //!   along). Every scanned page reaches its consumer as a batch, which
@@ -18,7 +18,7 @@ use crate::node::NodeCtx;
 use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::{record_each, CostEvent, CostTracker, ModelError, Predicate, ResultRow, RowKind, Value};
 use adaptagg_sortagg::SortAggregator;
-use adaptagg_storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch};
+use adaptagg_storage::{BatchOutcome, HeapFile, PageView, RowCause, ScanBatch};
 
 /// Where a scan's page charges go, and whose crash schedule it honours:
 /// the node itself (its clock, and its crash schedule, whose currency is
@@ -158,7 +158,7 @@ impl<'q> PageScan<'q> {
 fn select_batch<'a>(
     filter: &[Predicate],
     columns: &'a [usize],
-    page: &'a Page,
+    page: PageView<'a>,
     rows: std::ops::Range<usize>,
     selection: &'a mut Vec<u32>,
 ) -> Result<ScanBatch<'a>, ModelError> {

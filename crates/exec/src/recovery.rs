@@ -207,8 +207,8 @@ impl RecoverySession {
             let Some(cp) = store.get(&partition) else {
                 return Ok(rows);
             };
-            for p in 0..cp.partials.page_count() {
-                cp.partials.page(p)?.rows().try_for_each(|row| rows.push(&row))?;
+            for page in cp.partials.pages() {
+                page.rows().try_for_each(|row| rows.push(&row))?;
             }
             clock.record(CostEvent::PageReadSeq, cp.partials.page_count() as u64);
         }
@@ -231,6 +231,10 @@ impl RecoverySession {
         clock: &mut Clock,
         disk: &mut SimDisk,
     ) -> Result<(), ExecError> {
+        // The old mirror shares the checkpoint's arenas: dropped first, the
+        // append below copies nothing.
+        let mirror_name = format!("ckpt.{partition}");
+        drop(disk.take(&mirror_name));
         let (delta, mirror) = {
             let mut store = self.lock();
             let cp = store
@@ -249,7 +253,7 @@ impl RecoverySession {
         };
         self.counters.checkpoint_pages += delta;
         self.counters.checkpoint_partials += partials.len() as u64;
-        disk.put(format!("ckpt.{partition}"), mirror);
+        disk.put(mirror_name, mirror);
         Ok(())
     }
 

@@ -15,7 +15,7 @@
 //! any order, so long as they are recorded before anything reads the
 //! clock ([`BatchCharges`]).
 
-use crate::page::{Page, StripRow};
+use crate::page::{PageView, StripRow};
 use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, ModelError, StripView, Value};
 use std::ops::Range;
 
@@ -108,7 +108,7 @@ impl BatchCharges {
 /// `row`'s — count from `start`.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanBatch<'a> {
-    page: &'a Page,
+    page: PageView<'a>,
     /// Projected column `j` is base column `columns[j]`; empty = base
     /// column `skip + j`.
     columns: &'a [usize],
@@ -126,7 +126,8 @@ pub struct ScanBatch<'a> {
 impl<'a> ScanBatch<'a> {
     /// A whole received page as the trivial batch: every column, every
     /// row, nothing owed to the scan. `None` for ragged or empty pages.
-    pub fn whole(page: &'a Page) -> Option<Self> {
+    pub fn whole(page: impl Into<PageView<'a>>) -> Option<Self> {
+        let page = page.into();
         let arity = page.uniform_arity()?;
         Some(ScanBatch {
             page,
@@ -146,7 +147,8 @@ impl<'a> ScanBatch<'a> {
     /// drain's `t_r` ([`SPILL_READ`]) ahead of its consumer's charges — the
     /// charges of the row loop that reads the tuple back and then inserts
     /// it. `None` for ragged or empty pages and pages of untagged rows.
-    pub fn spilled(page: &'a Page) -> Option<Self> {
+    pub fn spilled(page: impl Into<PageView<'a>>) -> Option<Self> {
+        let page = page.into();
         let arity = page.uniform_arity()?.checked_sub(1)?;
         Some(ScanBatch {
             skip: 1,
@@ -158,7 +160,7 @@ impl<'a> ScanBatch<'a> {
 
     /// The first `rows` rows of a scanned base page ([`ScanBatch::scanned_rows`]).
     pub fn scanned(
-        page: &'a Page,
+        page: impl Into<PageView<'a>>,
         columns: &'a [usize],
         selection: Option<&'a [u32]>,
         rows: usize,
@@ -174,11 +176,12 @@ impl<'a> ScanBatch<'a> {
     /// one arity. A column some row lacks is that row's typed
     /// `ColumnOutOfRange`, for the whole page.
     pub fn scanned_rows(
-        page: &'a Page,
+        page: impl Into<PageView<'a>>,
         columns: &'a [usize],
         selection: Option<&'a [u32]>,
         rows: Range<usize>,
     ) -> Result<Self, ModelError> {
+        let page = page.into();
         let missing = |column| ModelError::ColumnOutOfRange {
             column,
             arity: page.min_arity(),
@@ -271,7 +274,7 @@ impl<'a> ScanBatch<'a> {
     }
 
     /// The page the strips belong to.
-    pub(crate) fn page(&self) -> &'a Page {
+    pub(crate) fn page(&self) -> PageView<'a> {
         self.page
     }
 
@@ -308,7 +311,7 @@ impl<'a> ScanBatch<'a> {
         debug_assert!(r < self.rows);
         StripRow {
             batch: self,
-            r: self.start + r,
+            r: self.page.start() + self.start + r,
         }
     }
 
@@ -326,6 +329,7 @@ impl<'a> ScanBatch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Page;
 
     fn page(rows: &[Vec<Value>]) -> Page {
         let mut p = Page::new(4096);

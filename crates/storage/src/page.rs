@@ -1,38 +1,46 @@
-//! Fixed-capacity pages of tuples, laid out as **column strips**.
+//! Pages of tuples, laid out as **column strips**.
 //!
-//! A page holds one contiguous strip per column: an `Int`-only strip is a
+//! Rows lie on [`Strips`]: one strip per column, an `Int`-only strip a
 //! plain `Vec<i64>` (the validity-free fixed-width fast path batch
-//! operators ride), and a strip that has seen any other type holds
-//! general [`Value`] cells. The byte budget is still accounted in the
-//! [`adaptagg_model::encode`] wire format — `try_push` admits exactly the
-//! rows the old row-major byte page admitted, so page-boundary and cost
-//! decisions are unchanged — and [`Page::encode_into`] /
-//! [`Page::from_raw`] convert to/from that format at the disk and network
-//! edges. The same type serves 4 KB disk pages and 2 KB network message
-//! blocks — only the capacity differs.
+//! operators ride) and a strip that has seen any other type general
+//! [`Value`] cells. An owned [`Page`] holds the strips of its own rows —
+//! message blocks, spill pages, in-memory row pages — while a heap file
+//! ([`crate::HeapFile`]) holds one set of strips for all of its rows and
+//! cuts them into pages with a page table. Either way a page is read
+//! through one borrowed [`PageView`]: the strips, the range of rows on them
+//! that is the page ([`Extent`]), and the page's capacity.
 //!
-//! Batch consumers read whole columns through [`Page::column`]
+//! The byte budget is accounted in the [`adaptagg_model::encode`] wire
+//! format — `try_push` admits exactly the rows the old row-major byte page
+//! admitted, so page-boundary and cost decisions are unchanged — and
+//! [`PageView::encode_into`] / [`Page::from_raw`] convert to/from that
+//! format at the disk and network edges. A view reads 4 KB heap-file pages
+//! and 2 KB network message blocks alike — only the capacity differs.
+//!
+//! Batch consumers read whole columns through [`PageView::column`]
 //! ([`StripView`]); row-at-a-time consumers (sort, sample, spill replay)
-//! keep the [`Page::iter`] / [`Page::cursor`] compatibility path, which
-//! reconstructs rows from the strips.
+//! keep the [`PageView::iter`] / [`PageView::cursor`] compatibility path,
+//! which reconstructs rows from the strips.
 
 use crate::batch::ScanBatch;
 use crate::error::StorageError;
 use adaptagg_model::{decode_tuple_into, encode_value, CellRow, CellSink, StripView, Value};
+use std::fmt;
+use std::ops::Range;
 
 /// A page of tuples with a byte-capacity bound, stored column-wise.
 #[derive(Debug, Clone)]
 pub struct Page {
     capacity: usize,
-    /// Wire-format bytes the rows occupy (what `capacity` bounds).
-    bytes_used: usize,
-    tuples: u32,
-    /// Smallest row arity on the page (0 when empty): columns `< min`
-    /// are dense strips with no pad cells, so `column` is O(1).
-    min_arity: u16,
-    /// Largest row arity on the page (0 when empty); `min == max` ⇔
-    /// arity-uniform.
-    max_arity: u16,
+    strips: Strips,
+    /// The page's rows: all of the strips' rows, from row 0.
+    extent: Extent,
+}
+
+/// Rows on column strips, appended under a page's byte budget: an owned
+/// page's rows, or a whole heap file's.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Strips {
     /// Per-row arity (the wire `arity:u16` header), in row order.
     arities: Vec<u16>,
     /// Column strips. Strip `j` is padded lazily: it holds one cell per
@@ -40,11 +48,55 @@ pub struct Page {
     /// shorter rows are never read (row reconstruction stops at the
     /// row's arity).
     cols: Vec<ColumnStrip>,
-    /// `Some(a)` while every row so far is an all-`Int` row of arity `a`:
-    /// the typed append lane is open (see [`Page::try_push_row`]). Set by
-    /// the first row; any later row the lane does not take closes it for
-    /// good, as a promoted strip or a second arity would.
+    /// `Some(a)` while every row since the open page's first is an
+    /// all-`Int` row of arity `a`: the typed append lane is open (see
+    /// [`Page::try_push_row`]). Set by a page's first row; any later row
+    /// the lane does not take closes it, as a promoted strip or a second
+    /// arity would.
     int_arity: Option<usize>,
+}
+
+/// Where a page's rows lie on their strips, and what the page holds: an
+/// owned page's header, and a heap file's page-table entry.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Extent {
+    /// The page's first row on the strips.
+    start: usize,
+    /// Wire-format bytes the rows occupy (what the capacity bounds).
+    bytes_used: usize,
+    rows: u32,
+    /// Smallest row arity on the page (0 when empty): columns `< min`
+    /// are dense strips over its rows, so `column` is O(1).
+    min_arity: u16,
+    /// Largest row arity on the page (0 when empty); `min == max` ⇔
+    /// arity-uniform.
+    max_arity: u16,
+}
+
+impl Extent {
+    /// An empty page whose first row will be row `start` of the strips.
+    pub(crate) fn at(start: usize) -> Self {
+        Extent {
+            start,
+            ..Extent::default()
+        }
+    }
+
+    pub(crate) fn bytes_used(&self) -> usize {
+        self.bytes_used
+    }
+
+    fn range(&self) -> Range<usize> {
+        self.start..self.start + self.rows as usize
+    }
+
+    /// One more row, of `bytes` wire bytes and arity `arity`.
+    fn add(&mut self, bytes: usize, arity: u16) {
+        self.min_arity = if self.rows == 0 { arity } else { self.min_arity.min(arity) };
+        self.max_arity = self.max_arity.max(arity);
+        self.bytes_used += bytes;
+        self.rows += 1;
+    }
 }
 
 /// One column's cells. `is_int` selects the fixed-width fast path; the
@@ -52,7 +104,7 @@ pub struct Page {
 /// buffers are kept so a pooled page retains its capacity across
 /// `clear`/refill cycles.
 #[derive(Debug, Clone)]
-struct ColumnStrip {
+pub(crate) struct ColumnStrip {
     ints: Vec<i64>,
     values: Vec<Value>,
     is_int: bool,
@@ -131,36 +183,31 @@ impl ColumnStrip {
         self.is_int = true;
     }
 
-    fn get(&self, r: usize) -> Value {
+    /// Hand `sink` cell `r`.
+    #[inline]
+    fn cell<S: CellSink>(&self, r: usize, sink: &mut S) {
         if self.is_int {
-            Value::Int(self.ints[r])
+            sink.int(self.ints[r]);
         } else {
-            self.values[r].clone()
+            sink.value(&self.values[r]);
         }
     }
 
-    fn encode_cell(&self, r: usize, out: &mut Vec<u8>) {
-        if self.is_int {
-            encode_value(&Value::Int(self.ints[r]), out);
-        } else {
-            encode_value(&self.values[r], out);
-        }
-    }
-
-    /// Logical equality of cell `r` across strips, regardless of which
-    /// representation (fast-path ints vs general values) each strip uses.
-    fn cell_eq(&self, other: &ColumnStrip, r: usize) -> bool {
+    /// Logical equality of cell `r` here and cell `s` of `other`,
+    /// regardless of which representation (fast-path ints vs general
+    /// values) each strip uses.
+    fn cell_eq(&self, r: usize, other: &ColumnStrip, s: usize) -> bool {
         match (self.is_int, other.is_int) {
-            (true, true) => self.ints[r] == other.ints[r],
-            (true, false) => matches!(other.values[r], Value::Int(x) if x == self.ints[r]),
-            (false, true) => matches!(self.values[r], Value::Int(x) if x == other.ints[r]),
-            (false, false) => self.values[r] == other.values[r],
+            (true, true) => self.ints[r] == other.ints[s],
+            (true, false) => matches!(other.values[s], Value::Int(x) if x == self.ints[r]),
+            (false, true) => matches!(self.values[r], Value::Int(x) if x == other.ints[s]),
+            (false, false) => self.values[r] == other.values[s],
         }
     }
 }
 
 /// What appending a row takes in bytes: on the wire (what the capacity
-/// bounds) and held in the strips (what a never-filled page sizes its
+/// bounds) and held in the strips (what never-filled strips size their
 /// buffers by). The first walk of a row about to be appended.
 #[derive(Default)]
 struct RowSize {
@@ -223,7 +270,7 @@ impl CellSink for RowPush<'_> {
 }
 
 /// The typed append lane's one walk: lands the cells of an all-`Int` row
-/// of the page's arity straight on its `Int` strips, and notes whether the
+/// of the lane's arity straight on its `Int` strips, and notes whether the
 /// row was one (if not, the caller takes back what landed).
 struct IntLane<'a> {
     strips: &'a mut [ColumnStrip],
@@ -253,12 +300,323 @@ impl CellSink for IntLane<'_> {
     }
 }
 
+/// Encodes a row's cells in the wire format.
+struct Encode<'a>(&'a mut Vec<u8>);
+
+impl CellSink for Encode<'_> {
+    #[inline]
+    fn int(&mut self, x: i64) {
+        encode_value(&Value::Int(x), self.0);
+    }
+
+    #[inline]
+    fn value(&mut self, v: &Value) {
+        encode_value(v, self.0);
+    }
+}
+
+impl Strips {
+    /// Rows held.
+    pub(crate) fn rows(&self) -> usize {
+        self.arities.len()
+    }
+
+    /// Append `row` to `open`, the page of `capacity` wire bytes that ends
+    /// the strips: `Ok(true)` if stored, `Ok(false)` if the page is full,
+    /// or `TupleTooLarge` if the row can never fit *any* page of this
+    /// capacity.
+    ///
+    /// While the typed lane is open a row is first offered to it: an
+    /// all-`Int` row of the lane's arity `a` is `2 + 9·a` bytes on the
+    /// wire whatever its values, so admission is one comparison, and its
+    /// cells are pushed straight onto the `Int` strips in one walk — no
+    /// sizing walk, no pad or reservation checks. The lane stays open
+    /// across a heap file's page cuts. Any other row (the first row while
+    /// the lane is closed, a `Str`/`Float`/NULL cell, another arity) takes
+    /// the cell walk, which sizes it in the wire format first; a row the
+    /// lane started on and could not finish is taken back before it does.
+    #[inline]
+    pub(crate) fn try_push_row<R: CellRow + ?Sized>(
+        &mut self,
+        open: &mut Extent,
+        capacity: usize,
+        row: &R,
+    ) -> Result<bool, StorageError> {
+        if let Some(arity) = self.int_arity {
+            let n = std::mem::size_of::<u16>() + arity * (1 + std::mem::size_of::<i64>());
+            if open.bytes_used + n <= capacity {
+                let mut lane = IntLane {
+                    strips: &mut self.cols[..arity],
+                    at: 0,
+                    ints: true,
+                };
+                row.cells(&mut lane);
+                if lane.ints && lane.at == arity {
+                    self.arities.push(arity as u16);
+                    open.add(n, arity as u16);
+                    return Ok(true);
+                }
+                let rows = self.rows();
+                self.cols[..arity].iter_mut().for_each(|strip| strip.ints.truncate(rows));
+            }
+        }
+        self.push_cells(open, capacity, row)
+    }
+
+    /// The cell walk of [`Strips::try_push_row`]: any row, sized first.
+    fn push_cells<R: CellRow + ?Sized>(
+        &mut self,
+        open: &mut Extent,
+        capacity: usize,
+        row: &R,
+    ) -> Result<bool, StorageError> {
+        // Size in the wire format first (`encoded_len`: arity header, then
+        // tag + payload per cell): admission decisions must stay
+        // byte-identical to the row-major layout this replaced.
+        let mut size = RowSize::default();
+        row.cells(&mut size);
+        let n = std::mem::size_of::<u16>() + size.wire;
+        if open.bytes_used + n > capacity {
+            if n > capacity {
+                return Err(StorageError::TupleTooLarge {
+                    tuple_bytes: n,
+                    page_bytes: capacity,
+                });
+            }
+            return Ok(false);
+        }
+        let arity = u16::try_from(size.arity).expect("tuple arity exceeds u16");
+        // Strips that have never held a row (a pooled page keeps its
+        // buffers through `clear`) size themselves for a page of rows like
+        // this one, instead of doubling their way up a dozen times — but
+        // for no more rows than would take the page's byte capacity in the
+        // strips (`Float`/`Null`/short `Str` cells are wider here than on
+        // the wire), so a page that stays nearly empty never holds more
+        // than that.
+        let like_first = (self.arities.capacity() == 0)
+            .then(|| capacity / n.max(std::mem::size_of::<u16>() + size.held));
+        if let Some(rows) = like_first {
+            self.arities.reserve(rows);
+        }
+        while self.cols.len() < size.arity {
+            self.cols.push(ColumnStrip::new());
+        }
+        let at = self.rows();
+        row.cells(&mut RowPush {
+            strips: self.cols.iter_mut(),
+            row: at,
+            reserve: like_first,
+        });
+        // Only a page's first row can open the typed lane; a row it did
+        // not take closes it.
+        self.int_arity = (open.rows == 0 && self.cols[..size.arity].iter().all(|c| c.is_int))
+            .then_some(size.arity);
+        self.arities.push(arity);
+        open.add(n, arity);
+        Ok(true)
+    }
+
+    /// Drop every row (strip capacities retained).
+    fn clear(&mut self) {
+        for c in &mut self.cols {
+            c.clear();
+        }
+        self.arities.clear();
+        self.int_arity = None;
+    }
+}
+
+/// A page borrowed where its rows lie: an owned [`Page`]'s
+/// ([`Page::view`]) or one page of a heap file
+/// ([`crate::HeapFile::page`]). Copying one copies no cells.
+#[derive(Clone, Copy)]
+pub struct PageView<'a> {
+    strips: &'a Strips,
+    extent: Extent,
+    capacity: usize,
+}
+
+impl<'a> From<&'a Page> for PageView<'a> {
+    fn from(page: &'a Page) -> Self {
+        page.view()
+    }
+}
+
+impl<'p, 'a> From<&'p PageView<'a>> for PageView<'p> {
+    fn from(page: &'p PageView<'a>) -> Self {
+        *page
+    }
+}
+
+impl<'a> PageView<'a> {
+    pub(crate) fn new(strips: &'a Strips, extent: Extent, capacity: usize) -> Self {
+        debug_assert!(extent.range().end <= strips.rows());
+        PageView {
+            strips,
+            extent,
+            capacity,
+        }
+    }
+
+    /// Byte capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Wire-format bytes used.
+    pub fn bytes_used(&self) -> usize {
+        self.extent.bytes_used
+    }
+
+    /// Number of tuples on the page.
+    pub fn tuple_count(&self) -> usize {
+        self.extent.rows as usize
+    }
+
+    /// Whether the page holds no tuples.
+    pub fn is_empty(&self) -> bool {
+        self.extent.rows == 0
+    }
+
+    /// The arity of the page's shortest row (0 when empty): the columns
+    /// below it are dense strips ([`PageView::column`]).
+    pub fn min_arity(&self) -> usize {
+        usize::from(self.extent.min_arity)
+    }
+
+    /// The arity shared by every row, when the page is non-empty and
+    /// arity-uniform — the precondition for whole-page batch operators.
+    /// O(1): the min/max arity are maintained on push.
+    pub fn uniform_arity(&self) -> Option<usize> {
+        let e = &self.extent;
+        (e.rows > 0 && e.min_arity == e.max_arity).then_some(usize::from(e.min_arity))
+    }
+
+    /// Column `j` as a contiguous strip covering every row. `None` when
+    /// any row lacks the column (a padded strip would leak pad cells as
+    /// data) — callers fall back to the row-at-a-time cursor. O(1): hash
+    /// probes compare keys against strips through this on every row.
+    pub fn column(&self, j: usize) -> Option<StripView<'a>> {
+        if self.extent.rows == 0 || j >= self.min_arity() {
+            return None;
+        }
+        let c = self.strips.cols.get(j)?;
+        debug_assert!(c.len() >= self.extent.range().end);
+        let rows = self.extent.range();
+        Some(if c.is_int {
+            StripView::Ints(&c.ints[rows])
+        } else {
+            StripView::Values(&c.values[rows])
+        })
+    }
+
+    /// The strips the page's rows lie on.
+    pub(crate) fn cols(&self) -> &'a [ColumnStrip] {
+        &self.strips.cols
+    }
+
+    /// The page's first row on its strips.
+    pub(crate) fn start(&self) -> usize {
+        self.extent.start
+    }
+
+    /// The page's rows in order, each as cells another page appends strip
+    /// by strip ([`Page::try_push_row`]) without a `Value` row in between.
+    pub fn rows(&self) -> impl Iterator<Item = PageRow<'a>> {
+        let strips = self.strips;
+        self.extent.range().map(move |r| PageRow { strips, r })
+    }
+
+    /// Iterate over the page's tuples, materializing each row from the
+    /// strips.
+    pub fn iter(&self) -> PageIter<'a> {
+        PageIter {
+            strips: self.strips,
+            rows: self.extent.range(),
+        }
+    }
+
+    /// A cursor materializing tuples into a caller-owned scratch vector —
+    /// the allocation-reusing counterpart of [`PageView::iter`] for hot
+    /// paths.
+    pub fn cursor(&self) -> PageCursor<'a> {
+        PageCursor {
+            strips: self.strips,
+            rows: self.extent.range(),
+        }
+    }
+
+    /// Decode all tuples into vectors (convenience for tests and stores).
+    pub fn decode_all(&self) -> Result<Vec<Vec<Value>>, StorageError> {
+        self.iter().collect()
+    }
+
+    /// Append the page's rows in the row-major wire encoding (persistence
+    /// and network frames). Writes exactly [`PageView::bytes_used`] bytes.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.bytes_used());
+        for row in self.rows() {
+            out.extend_from_slice(&row.arity().to_le_bytes());
+            row.cells(&mut Encode(out));
+        }
+    }
+}
+
+impl PartialEq for PageView<'_> {
+    /// Logical equality: same capacity, same rows. Strip representation
+    /// (fast-path ints vs promoted values), where the rows lie, and
+    /// retained-but-cleared strip buffers do not participate, so a pooled
+    /// page refilled with the same rows equals a fresh one, and a heap
+    /// file's page equals the owned page it was cut like.
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.extent.rows == other.extent.rows
+            && self.extent.bytes_used == other.extent.bytes_used
+            && self.strips.arities[self.extent.range()] == other.strips.arities[other.extent.range()]
+            && self.rows().zip(other.rows()).all(|(a, b)| a.cells_eq(&b))
+    }
+}
+
+impl Eq for PageView<'_> {}
+
+/// The page's own rows, not the strips of the whole file it lies in —
+/// and so for every type that holds a view or a range of rows.
+impl fmt::Debug for PageView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PageView")
+            .field("capacity", &self.capacity)
+            .field("extent", &self.extent)
+            .field("rows", &self.decode_all())
+            .finish()
+    }
+}
+
+impl fmt::Debug for PageRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut cells = Vec::new();
+        self.cells(&mut cells);
+        f.debug_tuple("PageRow").field(&self.r).field(&cells).finish()
+    }
+}
+
+impl fmt::Debug for PageIter<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PageIter").field("rows", &self.rows).finish_non_exhaustive()
+    }
+}
+
+impl fmt::Debug for PageCursor<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PageCursor").field("rows", &self.rows).finish_non_exhaustive()
+    }
+}
+
 /// Projected row `r` of a batch, read off the source page's strips
 /// ([`ScanBatch::row`]).
 #[derive(Debug, Clone, Copy)]
 pub struct StripRow<'a, 'b> {
     pub(crate) batch: &'a ScanBatch<'b>,
-    /// The row on the source page.
+    /// The row on the source page's strips.
     pub(crate) r: usize,
 }
 
@@ -267,37 +625,39 @@ impl CellRow for StripRow<'_, '_> {
     fn cells<S: CellSink>(&self, sink: &mut S) {
         // The batch validated its projection against the source's dense
         // strips when it was built; nothing is re-resolved per row.
-        let strips = &self.batch.page().cols;
+        let strips = self.batch.page().cols();
         for j in 0..self.batch.arity() {
-            let strip = &strips[self.batch.base_column(j)];
-            if strip.is_int {
-                sink.int(strip.ints[self.r]);
-            } else {
-                sink.value(&strip.values[self.r]);
-            }
+            strips[self.batch.base_column(j)].cell(self.r, sink);
         }
     }
 }
 
 /// One row of a page — ragged or not — read off the strips where it lies
-/// ([`Page::rows`]).
-#[derive(Debug, Clone, Copy)]
+/// ([`PageView::rows`]).
+#[derive(Clone, Copy)]
 pub struct PageRow<'a> {
-    page: &'a Page,
+    strips: &'a Strips,
     r: usize,
+}
+
+impl PageRow<'_> {
+    fn arity(&self) -> u16 {
+        self.strips.arities[self.r]
+    }
+
+    fn cells_eq(&self, other: &PageRow<'_>) -> bool {
+        let cols = self.strips.cols.iter().zip(&other.strips.cols);
+        cols.take(usize::from(self.arity()))
+            .all(|(a, b)| a.cell_eq(self.r, b, other.r))
+    }
 }
 
 impl CellRow for PageRow<'_> {
     #[inline]
     fn cells<S: CellSink>(&self, sink: &mut S) {
         // A strip holds a cell for every row whose arity reaches it.
-        let arity = self.page.arities[self.r] as usize;
-        for strip in &self.page.cols[..arity] {
-            if strip.is_int {
-                sink.int(strip.ints[self.r]);
-            } else {
-                sink.value(&strip.values[self.r]);
-            }
+        for strip in &self.strips.cols[..usize::from(self.arity())] {
+            strip.cell(self.r, sink);
         }
     }
 }
@@ -307,14 +667,14 @@ impl Page {
     pub fn new(capacity: usize) -> Self {
         Page {
             capacity,
-            bytes_used: 0,
-            tuples: 0,
-            min_arity: 0,
-            max_arity: 0,
-            arities: Vec::new(),
-            cols: Vec::new(),
-            int_arity: None,
+            strips: Strips::default(),
+            extent: Extent::default(),
         }
+    }
+
+    /// The page, borrowed: what every reader of its rows goes through.
+    pub fn view(&self) -> PageView<'_> {
+        PageView::new(&self.strips, self.extent, self.capacity)
     }
 
     /// Byte capacity.
@@ -324,22 +684,22 @@ impl Page {
 
     /// Wire-format bytes currently used.
     pub fn bytes_used(&self) -> usize {
-        self.bytes_used
+        self.extent.bytes_used
     }
 
     /// Number of tuples on the page.
     pub fn tuple_count(&self) -> usize {
-        self.tuples as usize
+        self.extent.rows as usize
     }
 
     /// Whether the page holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples == 0
+        self.extent.rows == 0
     }
 
     /// Whether a tuple of `n` encoded bytes would fit.
     pub fn fits(&self, n: usize) -> bool {
-        self.bytes_used + n <= self.capacity
+        self.extent.bytes_used + n <= self.capacity
     }
 
     /// Try to append a tuple. Returns `Ok(true)` if stored, `Ok(false)` if
@@ -360,168 +720,59 @@ impl Page {
     /// wherever it lies (a group in a store, a row of another page), its
     /// `Int` cells copied as `i64`s. Same admission, same errors, and the
     /// page ends up equal to one that was pushed the materialized row.
-    ///
-    /// A page whose rows so far are all-`Int` rows of arity `a` takes a
-    /// further one on the **typed lane**: the row is `2 + 9·a` bytes on
-    /// the wire whatever its values, so admission is one comparison, and
-    /// its cells are pushed straight onto the `Int` strips in one walk —
-    /// no sizing walk, no pad or reservation checks. Any other row (a
-    /// first row, a `Str`/`Float`/NULL cell, another arity) takes the cell
-    /// walk, which sizes it in the wire format first; a row the lane
-    /// started on and could not finish is taken back before it does.
+    /// A page whose rows so far are all-`Int` rows of one arity takes a
+    /// further one on the typed lane ([`Strips::try_push_row`]).
     #[inline]
     pub fn try_push_row<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<bool, StorageError> {
-        if let Some(arity) = self.int_arity {
-            let n = std::mem::size_of::<u16>() + arity * (1 + std::mem::size_of::<i64>());
-            if self.bytes_used + n <= self.capacity {
-                let mut lane = IntLane {
-                    strips: &mut self.cols[..arity],
-                    at: 0,
-                    ints: true,
-                };
-                row.cells(&mut lane);
-                if lane.ints && lane.at == arity {
-                    self.arities.push(arity as u16);
-                    self.bytes_used += n;
-                    self.tuples += 1;
-                    return Ok(true);
-                }
-                let rows = self.tuples as usize;
-                self.cols[..arity].iter_mut().for_each(|strip| strip.ints.truncate(rows));
-            }
-        }
-        self.push_cells(row)
+        self.strips.try_push_row(&mut self.extent, self.capacity, row)
     }
 
-    /// The cell walk of [`Page::try_push_row`]: any row, sized first.
-    fn push_cells<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<bool, StorageError> {
-        // Size in the wire format first (`encoded_len`: arity header, then
-        // tag + payload per cell): admission decisions must stay
-        // byte-identical to the row-major layout this replaced.
-        let mut size = RowSize::default();
-        row.cells(&mut size);
-        let n = std::mem::size_of::<u16>() + size.wire;
-        if self.bytes_used + n > self.capacity {
-            if n > self.capacity {
-                return Err(StorageError::TupleTooLarge {
-                    tuple_bytes: n,
-                    page_bytes: self.capacity,
-                });
-            }
-            return Ok(false);
-        }
-        let arity = u16::try_from(size.arity).expect("tuple arity exceeds u16");
-        // A page that has never been filled (a pooled one keeps its
-        // buffers through `clear`) sizes itself for a page of rows like
-        // this one, instead of doubling its way up a dozen times — but
-        // for no more rows than would take its byte capacity in the
-        // strips (`Float`/`Null`/short `Str` cells are wider here than on
-        // the wire), so a page that stays nearly empty never holds more
-        // than that.
-        let like_first = (self.arities.capacity() == 0)
-            .then(|| self.capacity / n.max(std::mem::size_of::<u16>() + size.held));
-        if let Some(rows) = like_first {
-            self.arities.reserve(rows);
-        }
-        while self.cols.len() < size.arity {
-            self.cols.push(ColumnStrip::new());
-        }
-        row.cells(&mut RowPush {
-            strips: self.cols.iter_mut(),
-            row: self.tuples as usize,
-            reserve: like_first,
-        });
-        // Only a first row can open the typed lane; a row it did not take
-        // closes it.
-        self.int_arity = (self.tuples == 0 && self.cols[..size.arity].iter().all(|c| c.is_int))
-            .then_some(size.arity);
-        self.min_arity = if self.tuples == 0 { arity } else { self.min_arity.min(arity) };
-        self.max_arity = self.max_arity.max(arity);
-        self.arities.push(arity);
-        self.bytes_used += n;
-        self.tuples += 1;
-        Ok(true)
-    }
-
-    /// The arity of the page's shortest row (0 when empty): the columns
-    /// below it are dense strips ([`Page::column`]).
+    /// [`PageView::min_arity`].
     pub fn min_arity(&self) -> usize {
-        usize::from(self.min_arity)
+        self.view().min_arity()
     }
 
-    /// The arity shared by every row, when the page is non-empty and
-    /// arity-uniform — the precondition for whole-page batch operators.
-    /// O(1): the min/max arity are maintained on push.
+    /// [`PageView::uniform_arity`].
     pub fn uniform_arity(&self) -> Option<usize> {
-        (self.tuples > 0 && self.min_arity == self.max_arity).then_some(self.min_arity as usize)
+        self.view().uniform_arity()
     }
 
-    /// Column `j` as a contiguous strip covering every row. `None` when
-    /// any row lacks the column (a padded strip would leak pad cells as
-    /// data) — callers fall back to the row-at-a-time cursor. O(1): hash
-    /// probes compare keys against strips through this on every row.
+    /// [`PageView::column`].
     pub fn column(&self, j: usize) -> Option<StripView<'_>> {
-        if self.tuples == 0 || j >= usize::from(self.min_arity) {
-            return None;
-        }
-        let c = self.cols.get(j)?;
-        debug_assert_eq!(c.len(), self.tuples as usize);
-        Some(if c.is_int {
-            StripView::Ints(&c.ints)
-        } else {
-            StripView::Values(&c.values)
-        })
+        self.view().column(j)
     }
 
-    /// The page's rows in order, each as cells another page appends strip
-    /// by strip ([`Page::try_push_row`]) without a `Value` row in between.
+    /// [`PageView::rows`].
     pub fn rows(&self) -> impl Iterator<Item = PageRow<'_>> {
-        (0..self.tuples as usize).map(|r| PageRow { page: self, r })
+        self.view().rows()
     }
 
-    /// Iterate over the page's tuples, materializing each row from the
-    /// strips.
+    /// [`PageView::iter`].
     pub fn iter(&self) -> PageIter<'_> {
-        PageIter { page: self, row: 0 }
+        self.view().iter()
     }
 
-    /// A cursor materializing tuples into a caller-owned scratch vector —
-    /// the allocation-reusing counterpart of [`Page::iter`] for hot paths.
+    /// [`PageView::cursor`].
     pub fn cursor(&self) -> PageCursor<'_> {
-        PageCursor { page: self, row: 0 }
+        self.view().cursor()
     }
 
-    /// Decode all tuples into vectors (convenience for tests and stores).
+    /// [`PageView::decode_all`].
     pub fn decode_all(&self) -> Result<Vec<Vec<Value>>, StorageError> {
-        self.iter().collect()
+        self.view().decode_all()
+    }
+
+    /// [`PageView::encode_into`].
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.view().encode_into(out)
     }
 
     /// Clear the page for reuse (strip capacities retained — the
     /// "workhorse collection" pattern: exchange operators and the page
     /// pool reuse pages without reallocating).
     pub fn clear(&mut self) {
-        for c in &mut self.cols {
-            c.clear();
-        }
-        self.arities.clear();
-        self.bytes_used = 0;
-        self.tuples = 0;
-        self.min_arity = 0;
-        self.max_arity = 0;
-        self.int_arity = None;
-    }
-
-    /// Append the page's rows in the row-major wire encoding (persistence
-    /// and network frames). Writes exactly [`Page::bytes_used`] bytes.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.bytes_used);
-        for r in 0..self.tuples as usize {
-            let arity = self.arities[r];
-            out.extend_from_slice(&arity.to_le_bytes());
-            for j in 0..arity as usize {
-                self.cols[j].encode_cell(r, out);
-            }
-        }
+        self.strips.clear();
+        self.extent = Extent::default();
     }
 
     /// Rebuild a page from wire-format bytes, verifying that they decode
@@ -553,86 +804,59 @@ impl Page {
 }
 
 impl PartialEq for Page {
-    /// Logical equality: same capacity, same rows. Strip representation
-    /// (fast-path ints vs promoted values) and retained-but-cleared strip
-    /// buffers do not participate, so a pooled page refilled with the
-    /// same rows equals a fresh one.
+    /// [`PageView`]'s logical equality.
     fn eq(&self, other: &Self) -> bool {
-        if self.capacity != other.capacity
-            || self.tuples != other.tuples
-            || self.bytes_used != other.bytes_used
-            || self.arities != other.arities
-        {
-            return false;
-        }
-        for r in 0..self.tuples as usize {
-            for j in 0..self.arities[r] as usize {
-                if !self.cols[j].cell_eq(&other.cols[j], r) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.view() == other.view()
     }
 }
 
 impl Eq for Page {}
 
 /// Iterator over a page's tuples.
-#[derive(Debug)]
 pub struct PageIter<'a> {
-    page: &'a Page,
-    row: usize,
+    strips: &'a Strips,
+    rows: Range<usize>,
 }
 
 impl Iterator for PageIter<'_> {
     type Item = Result<Vec<Value>, StorageError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.row >= self.page.tuples as usize {
-            return None;
-        }
-        let r = self.row;
-        self.row += 1;
-        let arity = self.page.arities[r] as usize;
-        let mut out = Vec::with_capacity(arity);
-        for j in 0..arity {
-            out.push(self.page.cols[j].get(r));
-        }
+        let row = PageRow {
+            strips: self.strips,
+            r: self.rows.next()?,
+        };
+        let mut out = Vec::with_capacity(usize::from(row.arity()));
+        row.cells(&mut out);
         Some(Ok(out))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.page.tuples as usize - self.row;
-        (left, Some(left))
+        self.rows.size_hint()
     }
 }
 
-/// Scratch-reuse cursor over a page's tuples (see [`Page::cursor`]).
-#[derive(Debug)]
+/// Scratch-reuse cursor over a page's tuples (see [`PageView::cursor`]).
 pub struct PageCursor<'a> {
-    page: &'a Page,
-    row: usize,
+    strips: &'a Strips,
+    rows: Range<usize>,
 }
 
 impl PageCursor<'_> {
     /// Materialize the next tuple into `out` (cleared first, allocation
     /// reused). Returns `Ok(false)` when the page is exhausted.
     pub fn next_into(&mut self, out: &mut Vec<Value>) -> Result<bool, StorageError> {
-        if self.row >= self.page.tuples as usize {
+        let Some(r) = self.rows.next() else {
             return Ok(false);
-        }
-        let r = self.row;
-        self.row += 1;
+        };
         out.clear();
-        let arity = self.page.arities[r] as usize;
-        out.extend(self.page.cols[..arity].iter().map(|strip| strip.get(r)));
+        PageRow { strips: self.strips, r }.cells(out);
         Ok(true)
     }
 
     /// Tuples not yet materialized.
     pub fn remaining(&self) -> usize {
-        self.page.tuples as usize - self.row
+        self.rows.len()
     }
 }
 
@@ -732,13 +956,13 @@ mod tests {
                 c.ints.capacity() * std::mem::size_of::<i64>()
                     + c.values.capacity() * std::mem::size_of::<Value>()
             };
-            p.arities.capacity() * std::mem::size_of::<u16>()
-                + p.cols.iter().map(cells).sum::<usize>()
+            p.strips.arities.capacity() * std::mem::size_of::<u16>()
+                + p.strips.cols.iter().map(cells).sum::<usize>()
         };
         let filled = |first: &[Value], rest: &[Value]| {
             let mut p = Page::new(4096);
             p.try_push(first).unwrap();
-            let after_one = (p.arities.capacity(), held(&p));
+            let after_one = (p.strips.arities.capacity(), held(&p));
             while p.try_push(rest).unwrap() {}
             (after_one, p.tuple_count(), held(&p))
         };

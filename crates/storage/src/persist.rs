@@ -30,8 +30,7 @@ pub fn to_bytes(file: &HeapFile) -> Vec<u8> {
     out.extend_from_slice(&(file.page_bytes() as u32).to_le_bytes());
     out.extend_from_slice(&(file.page_count() as u32).to_le_bytes());
     let mut payload = Vec::new();
-    for i in 0..file.page_count() {
-        let page = file.page(i).expect("index in range");
+    for page in file.pages() {
         payload.clear();
         page.encode_into(&mut payload);
         out.extend_from_slice(&(page.tuple_count() as u32).to_le_bytes());

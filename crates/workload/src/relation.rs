@@ -1,6 +1,7 @@
 //! Uniform base relations.
 
-use adaptagg_model::{AggFunc, AggQuery, AggSpec, DataType, Field, Schema, Value};
+use adaptagg_model::{AggFunc, AggQuery, AggSpec, CellRow, CellSink, DataType, Field, Schema, Value};
+use adaptagg_storage::HeapFile;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -79,19 +80,42 @@ impl RelationSpec {
     /// sequence is permuted so group order carries no information —
     /// matching the paper's uniform-distribution assumption).
     pub fn generate_tuples(&self) -> Vec<Vec<Value>> {
+        let pad = self.pad();
+        let row = |(g, v)| vec![Value::Int(g), Value::Int(v), pad.clone()];
+        self.pairs().into_iter().map(row).collect()
+    }
+
+    /// The tuples' `(group, value)` cells, in their shuffled order.
+    fn pairs(&self) -> Vec<(i64, i64)> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let pad: String = "x".repeat(self.pad_len());
-        let mut tuples: Vec<Vec<Value>> = (0..self.tuples)
-            .map(|i| {
-                vec![
-                    Value::Int((i % self.groups) as i64),
-                    Value::Int(rng.gen_range(self.value_range.clone())),
-                    Value::Str(pad.clone().into_boxed_str()),
-                ]
-            })
+        let mut pairs: Vec<(i64, i64)> = (0..self.tuples)
+            .map(|i| ((i % self.groups) as i64, rng.gen_range(self.value_range.clone())))
             .collect();
-        tuples.shuffle(&mut rng);
-        tuples
+        // Fisher-Yates draws depend on the length only: the permutation is
+        // the one the whole tuples would take.
+        pairs.shuffle(&mut rng);
+        pairs
+    }
+
+    /// Every tuple's padding cell.
+    fn pad(&self) -> Value {
+        Value::Str("x".repeat(self.pad_len()).into_boxed_str())
+    }
+}
+
+/// A base tuple where its cells lie: the group and value drawn for it and
+/// the relation's padding.
+struct BaseRow<'a> {
+    group: i64,
+    value: i64,
+    pad: &'a Value,
+}
+
+impl CellRow for BaseRow<'_> {
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        sink.int(self.group);
+        sink.int(self.value);
+        sink.value(self.pad);
     }
 }
 
@@ -105,12 +129,20 @@ pub fn default_query() -> AggQuery {
 }
 
 /// Generate a relation and deal it round-robin across `nodes` partitions
-/// (the paper's §5 setup), each a heap file of 4 KB pages.
-pub fn generate_partitions(
-    spec: &RelationSpec,
-    nodes: usize,
-) -> Vec<adaptagg_storage::HeapFile> {
-    crate::placement::round_robin_partitions(&spec.generate_tuples(), nodes, 4096)
+/// (the paper's §5 setup), each a heap file of 4 KB pages: the files
+/// `round_robin_partitions(&spec.generate_tuples(), nodes, 4096)` makes,
+/// each tuple appended straight to its file instead of first becoming a
+/// `Vec<Value>` of the whole relation.
+pub fn generate_partitions(spec: &RelationSpec, nodes: usize) -> Vec<HeapFile> {
+    assert!(nodes > 0);
+    let pad = spec.pad();
+    let mut files: Vec<HeapFile> = (0..nodes).map(|_| HeapFile::new(4096)).collect();
+    for (i, (group, value)) in spec.pairs().into_iter().enumerate() {
+        files[i % nodes]
+            .append_row(&BaseRow { group, value, pad: &pad })
+            .expect("generated tuple exceeds page size");
+    }
+    files
 }
 
 #[cfg(test)]

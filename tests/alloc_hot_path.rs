@@ -41,6 +41,10 @@
 //! spooled where they lie and buckets re-aggregated a drained page at a
 //! time allocate per spill page and per bucket table, not per spilled row.
 //!
+//! And the base relation (DESIGN.md §22): a heap file is one set of
+//! column arenas behind one reference count, so cloning a partition of
+//! thousands of pages allocates nothing.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
@@ -174,6 +178,27 @@ fn resident_group_updates_do_not_allocate() {
         1000
     );
     assert_eq!(table.len(), GROUPS as usize, "no groups were added");
+
+    // Cloning a base partition — every query hands each node its own copy
+    // (DESIGN.md §22) — bumps one reference count, however many pages the
+    // file has.
+    let mut big = HeapFile::new(256);
+    for i in 0..40_000i64 {
+        big.append(&[Value::Int(i), Value::Int(-i)]).unwrap();
+    }
+    assert!(big.page_count() > 3_000);
+    let mut clones = Vec::with_capacity(16);
+    let mut counted = u64::MAX;
+    for _attempt in 0..5 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        clones.extend((0..16).map(|_| big.clone()));
+        clones.clear();
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        if counted == 0 {
+            break;
+        }
+    }
+    assert_eq!(counted, 0, "16 clones of a {}-page file allocated {counted} times", big.page_count());
 
     // The local phase (DESIGN.md §17): scan -> borrowed batch -> table on
     // the node's own clock, hit regime. The first pass over the file

@@ -37,7 +37,7 @@ use adaptagg::model::{
 };
 use adaptagg::net::{Control, Fabric, Payload};
 use adaptagg::sortagg::SortAggregator;
-use adaptagg::storage::{BatchOutcome, HeapFile, Page, RowCause, ScanBatch, SimDisk};
+use adaptagg::storage::{BatchOutcome, HeapFile, Page, PageView, RowCause, ScanBatch, SimDisk};
 use adaptagg::workload::{default_query, generate_partitions, RelationSpec};
 use proptest::prelude::*;
 
@@ -122,7 +122,7 @@ impl RowCharge for NodeCtx {
 /// reads — a filter or projected column, or any column of the whole tuple
 /// — checked off the decoded rows: the page fails whole, with the typed
 /// `ColumnOutOfRange` of the first such column and the shortest row.
-fn page_lacks_a_column(page: &Page, filter: &[Predicate], columns: &[usize]) -> Result<(), ModelError> {
+fn page_lacks_a_column(page: PageView<'_>, filter: &[Predicate], columns: &[usize]) -> Result<(), ModelError> {
     let rows = page.decode_all().unwrap();
     let shortest = rows.iter().map(Vec::len).min().unwrap_or(0);
     let widest = rows.iter().map(Vec::len).max().unwrap_or(0);
