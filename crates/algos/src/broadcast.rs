@@ -17,7 +17,7 @@
 use crate::common::QueryPlan;
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
-use adaptagg_exec::{operators, ExecError, NodeCtx, ScanSink};
+use adaptagg_exec::{operators, ExecError, NodeCtx, PhaseKind, ScanSink};
 use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::hash::{hash_values, Seed};
 use adaptagg_model::{record_each, CostEvent, CostTracker, RowKind};
@@ -49,34 +49,40 @@ pub fn run_node(
     ctx.clock.mark("phase1");
 
     // Phase 2: aggregate only the tuples this node owns; a destination
-    // check (`t_d`) is paid for every received tuple, owned or not.
+    // check (`t_d`) is paid for every received tuple, owned or not. The
+    // merge span ends once the result is stored.
     let page_bytes = ctx.params().page_bytes;
     let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
         .with_charge_hash(false)
         .with_grant(ctx.grant().clone());
     let mut discarded: u64 = 0;
     let mut scratch: Vec<adaptagg_model::Value> = Vec::new();
-    ctx.recv_streams(
-        |ctx, _, page| {
-            let mut cursor = page.cursor();
-            while cursor.next_into(&mut scratch)? {
-                ctx.clock.record(CostEvent::TupleDest, 1);
-                let owner = (hash_values(Seed::Partition, &scratch[..key_len.min(scratch.len())])
-                    % nodes as u64) as usize;
-                if owner == ctx.id() {
-                    agg.push_raw(&scratch, &mut ctx.clock)?;
-                } else {
-                    discarded += 1;
+    ctx.span_start(PhaseKind::Merge);
+    let merged = (|| -> Result<_, ExecError> {
+        ctx.recv_streams(
+            |ctx, _, page| {
+                let mut cursor = page.cursor();
+                while cursor.next_into(&mut scratch)? {
+                    ctx.clock.record(CostEvent::TupleDest, 1);
+                    let owner = (hash_values(Seed::Partition, &scratch[..key_len.min(scratch.len())])
+                        % nodes as u64) as usize;
+                    if owner == ctx.id() {
+                        agg.push_raw(&scratch, &mut ctx.clock)?;
+                    } else {
+                        discarded += 1;
+                    }
                 }
-            }
-            ctx.page_pool.put(page);
-            Ok(())
-        },
-        |_| Err(ExecError::Protocol("unexpected control in broadcast merge")),
-    )?;
-
-    let (rows, mut agg_stats) = agg.finish_rows(&mut ctx.clock)?;
-    operators::store_results(ctx, &rows)?;
+                ctx.page_pool.put(page);
+                Ok(())
+            },
+            |_| Err(ExecError::Protocol("unexpected control in broadcast merge")),
+        )?;
+        let (rows, stats) = agg.finish_rows(&mut ctx.clock)?;
+        operators::store_results(ctx, &rows)?;
+        Ok((rows, stats))
+    })();
+    ctx.span_end();
+    let (rows, mut agg_stats) = merged?;
     agg_stats.raw_in += scanned as u64 + discarded;
     Ok(NodeOutcome {
         rows,

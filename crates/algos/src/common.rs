@@ -214,7 +214,8 @@ fn checkpointed_local_aggregation(
 /// A merge phase: consume every node's stream of data pages (raw tuples
 /// and/or partial rows), aggregating from the first page on in a
 /// memory-bounded table (hash cost not re-charged: rows were hashed when
-/// partitioned), finalize, and store the results on the local disk.
+/// partitioned), finalize, and store the results on the local disk, all
+/// under one `merge` span.
 ///
 /// The streams are consumed in logical order ([`NodeCtx::recv_streams`]:
 /// sender ascending, per-sender FIFO), so the phase's virtual time — and
@@ -258,10 +259,13 @@ pub fn merge_phase_store(
     if spilled {
         ctx.span_end();
     }
+    // Storing the result is the phase's last step, inside its span.
+    let stored = finished
+        .map_err(ExecError::from)
+        .and_then(|(rows, stats)| operators::store_results(ctx, &rows).map(|()| (rows, stats)));
     ctx.span_end();
-    let (rows, stats) = finished?;
+    let (rows, stats) = stored?;
     trace_hashagg(ctx, &stats);
-    operators::store_results(ctx, &rows)?;
     Ok((rows, stats))
 }
 

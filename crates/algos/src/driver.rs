@@ -8,6 +8,7 @@ use adaptagg_model::query::sort_rows;
 use adaptagg_model::AggQuery;
 use adaptagg_storage::HeapFile;
 use std::fmt;
+use std::time::Instant;
 
 /// The aggregation strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,7 +106,9 @@ pub fn run_algorithm(
 /// `partitions[i]` is node `i`'s base partition (cloned into the node's
 /// simulated disk so the caller can reuse them across algorithms). The
 /// returned [`RunOutcome`] carries the globally-sorted result, virtual-time
-/// reports, and per-node adaptive events.
+/// reports, and per-node adaptive events. A traced run's trace also
+/// carries the wall time of that global sort, as the `driver.sort_ms`
+/// annotation.
 pub fn run_algorithm_with(
     kind: AlgorithmKind,
     cluster: &ClusterConfig,
@@ -132,6 +135,9 @@ pub fn run_algorithm_with(
 
     let cluster_run = run_cluster(cluster, partitions.to_vec(), body)?;
 
+    // Each node hands its rows over as ascending runs (one per table it
+    // drained); the concatenation is sorted whole.
+    let started = cluster_run.trace.is_some().then(Instant::now);
     let mut rows = Vec::new();
     let mut nodes = Vec::with_capacity(cluster_run.outputs.len());
     for outcome in cluster_run.outputs {
@@ -143,12 +149,17 @@ pub fn run_algorithm_with(
         rows.extend(outcome.rows);
     }
     sort_rows(&mut rows);
+    let mut trace = cluster_run.trace;
+    if let (Some(trace), Some(started)) = (&mut trace, started) {
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        trace.annotations.push(("driver.sort_ms".into(), ms));
+    }
 
     Ok(RunOutcome {
         rows,
         run: cluster_run.run,
         nodes,
-        trace: cluster_run.trace,
+        trace,
     })
 }
 

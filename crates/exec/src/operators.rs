@@ -268,7 +268,9 @@ where
 
 /// Store finalized result rows into the node's `result` file, charging one
 /// sequential page write per result page. Each row is appended cell by
-/// cell where it lies (key, then aggregates).
+/// cell where it lies (key, then aggregates), in the order given — each
+/// table's rows in key order. Rows of one wire width fill the same number
+/// of pages in any order; rows of mixed widths may not (DESIGN.md §23).
 pub fn store_results(ctx: &mut NodeCtx, rows: &[ResultRow]) -> Result<(), ExecError> {
     let page_bytes = ctx.params().page_bytes;
     let file = ctx.disk.get_or_create("result", page_bytes);
@@ -466,6 +468,30 @@ mod tests {
             let io = CostParams::paper_default().io_seq_ms * expect.page_count() as f64;
             assert!((ctx.clock.breakdown().io_ms - io).abs() < 1e-9, "one write a page");
         }
+    }
+
+    /// Rows of one wire width pack into the same pages in any order: the
+    /// result file's page count, and so its page-write charge, is the same
+    /// for rows in admission order and in key order.
+    #[test]
+    fn equal_width_results_store_the_same_pages_in_any_order() {
+        let rows: Vec<ResultRow> = (0..1_000i64)
+            .map(|i| {
+                let g = (i * 7_919) % 1_000 - 500;
+                ResultRow::new(GroupKey::new(vec![Value::Int(g)]), vec![Value::Int(g * 3), Value::Int(i)])
+            })
+            .collect();
+        let mut sorted = rows.clone();
+        adaptagg_model::query::sort_rows(&mut sorted);
+        assert_ne!(rows, sorted);
+        let stored = |rows: &[ResultRow]| {
+            let mut ctx = ctx_with_file(&[], 4096);
+            store_results(&mut ctx, rows).unwrap();
+            (ctx.disk.get("result").unwrap().page_count(), ctx.clock.now())
+        };
+        let (pages, ticks) = stored(&rows);
+        assert!(pages > 1);
+        assert_eq!(stored(&sorted), (pages, ticks));
     }
 
     #[test]

@@ -233,9 +233,11 @@ impl HashAggregator {
     }
 
     /// Finish a merge phase the same way, draining typed, finalized
-    /// [`ResultRow`]s straight out of each table. The first-pass table's
-    /// drain — all of them when nothing spilled — is taken whole instead of
-    /// copied into a second allocation.
+    /// [`ResultRow`]s straight out of each table, each table's as one
+    /// ascending run of keys: one run when nothing spilled, else one more
+    /// per overflow bucket. The first-pass table's drain — all of them when
+    /// nothing spilled — is taken whole instead of copied into a second
+    /// allocation.
     pub fn finish_rows<T: CostTracker>(
         self,
         tracker: &mut T,
@@ -461,6 +463,37 @@ mod tests {
         assert_eq!(got.len(), 4096);
         assert_eq!(got, reference(&rows));
         assert!(stats.max_level >= 2, "expected recursion, got {stats:?}");
+    }
+
+    /// A spilling aggregator emits each table's groups as one ascending
+    /// run: the first-pass table's, then one per overflow bucket. Together
+    /// the runs are the reference's groups, each once. One level deep,
+    /// every table holds ~30 groups scattered over the key range, so each
+    /// table boundary is a descent. Deeper, a table can hold only a few
+    /// groups and follow its predecessor's keys by chance, so there are at
+    /// most that many runs.
+    #[test]
+    fn spilled_finish_rows_is_one_ascending_run_per_table() {
+        for (groups, fanout, levels) in [(300, 8, 1..=1), (1500, 4, 2..=u32::MAX)] {
+            let rows: Vec<(i64, i64)> = (0..6000).map(|i| ((i * 7919) % groups, i % 13 - 6)).collect();
+            let mut agg = HashAggregator::new(query(), 64, 256, fanout);
+            let mut tr = NullTracker;
+            for &(g, v) in &rows {
+                agg.push_raw(&raw(g, v), &mut tr).unwrap();
+            }
+            let (out, stats) = agg.finish_rows(&mut tr).unwrap();
+            assert!(levels.contains(&stats.max_level), "{stats:?}");
+            let mut got: Vec<(i64, i64)> =
+                out.iter().map(|r| (r.key.values()[0].as_i64().unwrap(), r.aggs[0].as_i64().unwrap())).collect();
+            let runs = 1 + got.windows(2).filter(|w| w[0].0 > w[1].0).count() as u64;
+            let tables = 1 + stats.overflow_buckets;
+            match stats.max_level {
+                1 => assert_eq!(runs, tables),
+                _ => assert!(runs <= tables, "{runs} runs from {tables} tables"),
+            }
+            got.sort_unstable();
+            assert_eq!(got, reference(&rows));
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! tables only) rebuilds slots from the stored hashes without touching
 //! the keys.
 //!
-//! Entries drain in insertion order — deterministic and independent of
-//! any hash-map iteration order. This table adds what the store does not
+//! Partial rows drain in insertion order, finalized result rows in key
+//! order — both deterministic and independent of any hash-map iteration
+//! order. This table adds what the store does not
 //! know about: the entry budget and live grant, the charging contract,
 //! and the row / page / batch entry points — generic over what a new key
 //! meeting a full table means ([`FullPolicy`]: bounce the row, or make
@@ -847,9 +848,10 @@ impl AggTable {
         self.store.drain_partials(|row| out.push(&row))
     }
 
-    /// Drain the table as **finalized result rows** in insertion order,
-    /// charging `t_w` per row. Used by merge phases and single-phase
-    /// aggregation.
+    /// Drain the table as **finalized result rows** in ascending key order
+    /// ([`GroupStore::drain_result_rows`]), charging `t_w` per row (the
+    /// sort itself is free, as the driver's is). Used by merge phases and
+    /// single-phase aggregation.
     pub fn drain_result_rows<T: CostTracker>(&mut self, tracker: &mut T) -> Vec<ResultRow> {
         let mut out = Vec::with_capacity(self.store.len());
         self.store.drain_result_rows(|row| out.push(row));
@@ -1147,6 +1149,7 @@ mod tests {
         let ra = a.drain_result_rows(&mut ta);
         let rb = b.drain_result_rows(&mut tb);
         assert_eq!(ra, rb, "drained rows diverge (order included)");
+        assert!(ra.is_sorted_by(|x, y| x.key < y.key), "result rows leave in key order");
     }
 
     fn page_of(rows: &[Vec<Value>]) -> Page {

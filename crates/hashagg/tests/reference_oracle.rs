@@ -5,7 +5,8 @@
 //! the flat group store replaced — kept here as the oracle for what must
 //! not change whichever entry point feeds the table: the `Inserted`
 //! outcome of every row, the rows bounced at the budget, the drains
-//! (order included), the typed errors, the count of every cost event, and
+//! (order included: partial rows in insertion order, result rows in key
+//! order), the typed errors, the count of every cost event, and
 //! the clock those charges make wherever one would be read — where a
 //! chunk's entry point returns (the next receive, send or failure time
 //! reads it), around a mid-stream drain (the flush's sends), at the end.
@@ -126,9 +127,13 @@ mod reference {
             rows.collect()
         }
 
+        /// Results in key order; partial rows keep insertion order.
         pub fn drain_result_rows<T: CostTracker>(&mut self, tracker: &mut T) -> Vec<ResultRow> {
-            let rows = self.drain(tracker).into_iter();
-            rows.map(|(key, states)| ResultRow::new(key, states.finalize()))
+            let mut groups = self.drain(tracker);
+            groups.sort_by(|a, b| a.0.cmp(&b.0));
+            groups
+                .into_iter()
+                .map(|(key, states)| ResultRow::new(key, states.finalize()))
                 .collect()
         }
     }

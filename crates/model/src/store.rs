@@ -1036,20 +1036,24 @@ impl GroupStore {
         GroupRow { store: self, entry }
     }
 
-    /// Hand `row` the store and every entry in admission order — up to the
-    /// first error, which is returned — and empty the store. Unlike
-    /// [`GroupStore::clear`], column segments are freed as the drain passes
-    /// them, so the rows being built never coexist with full columns. That
-    /// is where the peak-RSS saving of the flat layout comes from when many
-    /// tables drain at once (`serve_mixed`: 126-129 MB against 152-153 MB
-    /// with the segments kept), and a table refilled after a drain (A-2P's
-    /// overflow flush, bucket recursion) measured no slower for
-    /// re-allocating them (`spill_adaptive`: 5.5 M against 5.2-5.3 M
-    /// tuples/s; DESIGN.md §18.1).
-    fn drain<E>(&mut self, mut row: impl FnMut(&mut Self, usize) -> Result<(), E>) -> Result<(), E> {
+    /// Empty the store, handing `emit` each group as the partial row it is
+    /// where it lies ([`GroupStore::partial_row`]), in admission order. The
+    /// first error of `emit` is returned; the groups it had not seen are
+    /// dropped.
+    ///
+    /// Unlike [`GroupStore::clear`], column segments are freed as the drain
+    /// passes them, so the pages being filled never coexist with full
+    /// columns. That is where the peak-RSS saving of the flat layout came
+    /// from when many tables drained at once, and a table refilled after a
+    /// drain (A-2P's overflow flush, bucket recursion) measured no slower
+    /// for re-allocating them (DESIGN.md §18.1).
+    pub fn drain_partials<E>(
+        &mut self,
+        mut emit: impl FnMut(GroupRow<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut result = Ok(());
         for e in 0..self.len() {
-            result = row(self, e);
+            result = emit(self.partial_row(e));
             if result.is_err() {
                 break;
             }
@@ -1057,34 +1061,39 @@ impl GroupStore {
                 self.each_arena(|a| a.free_segment(e >> SEG_SHIFT));
             }
         }
-        self.slots.fill(EMPTY);
-        self.hashes.clear();
-        self.each_arena(|a| a.free());
+        self.free();
         result
     }
 
-    /// Empty the store (see [`GroupStore::drain`] for what is freed when),
-    /// handing `emit` each group as the partial row it is where it lies
-    /// ([`GroupStore::partial_row`]), in admission order. The first error
-    /// of `emit` is returned; the groups it had not seen are dropped.
-    pub fn drain_partials<E>(
-        &mut self,
-        mut emit: impl FnMut(GroupRow<'_>) -> Result<(), E>,
-    ) -> Result<(), E> {
-        self.drain(|store, e| emit(store.partial_row(e)))
+    /// Empty the store, handing `emit` each group as its finalized
+    /// [`ResultRow`] in ascending key order ([`GroupStore::sort_entries`]:
+    /// `GroupKey`'s order, the order `query::sort_rows` puts rows in).
+    ///
+    /// Each row's key box and aggregate `Vec` are allocated in the order
+    /// everything downstream visits them — the driver's sort, the caller's
+    /// walk, the final drop. A gather in key order cannot free segments as
+    /// it passes them, so the columns live until the last row is built
+    /// (DESIGN.md §23).
+    pub fn drain_result_rows(&mut self, mut emit: impl FnMut(ResultRow)) {
+        let (mut order, mut pairs) = (Vec::new(), Vec::new());
+        self.sort_entries(&mut order, &mut pairs);
+        // Not needed while the rows are built (16 B a group).
+        drop(pairs);
+        for e in order {
+            let e = e as usize;
+            let mut key = Vec::with_capacity(self.key_len);
+            self.keys.take_row(e, &mut key);
+            let aggs = self.states.iter().map(|column| column.finalize(e)).collect();
+            emit(ResultRow::new(GroupKey::new(key), aggs));
+        }
+        self.free();
     }
 
-    /// Empty the store the same way, handing `emit` each group as its
-    /// finalized [`ResultRow`] in admission order.
-    pub fn drain_result_rows(&mut self, mut emit: impl FnMut(ResultRow)) {
-        let key_len = self.key_len;
-        let Ok(()) = self.drain(|store, e| -> Result<(), std::convert::Infallible> {
-            let mut key = Vec::with_capacity(key_len);
-            store.keys.take_row(e, &mut key);
-            let aggs = store.states.iter().map(|column| column.finalize(e)).collect();
-            emit(ResultRow::new(GroupKey::new(key), aggs));
-            Ok(())
-        });
+    /// Forget every group and free every segment.
+    fn free(&mut self) {
+        self.slots.fill(EMPTY);
+        self.hashes.clear();
+        self.each_arena(|a| a.free());
     }
 }
 
@@ -1336,6 +1345,9 @@ mod tests {
                 assert_eq!(store.layout().demoted, [0, by_input, 0, 2]);
                 let mut results = Vec::new();
                 store.drain_result_rows(|row| results.push(row));
+                // Results leave in key order, whatever the admission order.
+                oracle.sort_by(|a, b| a.0.cmp(&b.0));
+                assert_eq!(results.len(), oracle.len());
                 for (row, (key, states)) in results.iter().zip(&oracle) {
                     assert_eq!(row.key.values(), std::slice::from_ref(key));
                     let expect: Vec<Value> = states.iter().map(AggState::finalize).collect();
@@ -1404,6 +1416,75 @@ mod tests {
                 ],
             ]
         );
+    }
+
+    /// Fold `rows` (key cells, then one `Int` input) into `store` and
+    /// drain its results: one row per group, with its `COUNT(*)` and `SUM`,
+    /// in `GroupKey` order. Returns the store's layout.
+    fn assert_drains_in_key_order(store: &mut GroupStore, rows: &[Vec<Value>]) -> StoreLayout {
+        let k = store.key_len;
+        let mut expect: std::collections::BTreeMap<GroupKey, (i64, i64)> = Default::default();
+        for row in rows {
+            touch(store, row).unwrap();
+            let group = expect.entry(GroupKey::new(row[..k].to_vec())).or_default();
+            *group = (group.0 + 1, group.1 + row[k].as_i64().unwrap());
+        }
+        let layout = store.layout();
+        let mut drained = Vec::new();
+        store.drain_result_rows(|row| drained.push(row));
+        let expect: Vec<ResultRow> = expect
+            .into_iter()
+            .map(|(key, (n, sum))| ResultRow::new(key, vec![Value::Int(n), Value::Int(sum)]))
+            .collect();
+        assert_eq!(drained, expect);
+        assert!(store.is_empty());
+        layout
+    }
+
+    /// Results leave in `GroupKey` order whatever the key column holds: one
+    /// typed `Int` column, three of them, a demoted `Str` column, cells of
+    /// mixed type under `Value`'s total order, a store refilled after
+    /// `clear` and after a drain, and the zero-width key.
+    #[test]
+    fn result_rows_drain_in_key_order() {
+        let store = |k: usize| GroupStore::new(k, &[AggSpec::count_star(), AggSpec::over(AggFunc::Sum, k)], 0);
+        let rows = |n: i64, key: &dyn Fn(i64) -> Vec<Value>| -> Vec<Vec<Value>> {
+            (0..n).map(|i| key(i).into_iter().chain([Value::Int(i % 17 - 8)]).collect()).collect()
+        };
+        // More groups than a segment holds, admitted in scattered order.
+        let one_int = rows(6_000, &|i| vec![Value::Int((i * 7_919) % 2_500 - 1_250)]);
+        let layout = assert_drains_in_key_order(&mut store(1), &one_int);
+        assert_eq!(layout.demoted, [0; 4]);
+        let three_ints = rows(3_000, &|i| [(i * 37) % 11 - 5, (i * 7_919) % 13, -(i % 3)].map(Value::Int).to_vec());
+        let layout = assert_drains_in_key_order(&mut store(3), &three_ints);
+        assert_eq!(layout.demoted, [0; 4]);
+        let strs = rows(2_000, &|i| vec![Value::from(format!("k{}", (i * 31) % 400))]);
+        let layout = assert_drains_in_key_order(&mut store(1), &strs);
+        assert_eq!(layout.demoted, [1, 0, 0, 0]);
+        // Typed until row 40's string; NULL, negative and string cells mix.
+        let mixed = rows(1_500, &|i| match i % 4 {
+            _ if i < 40 => vec![Value::Int(i % 13)],
+            0 => vec![Value::Null],
+            1 => vec![Value::from(format!("s{}", i % 50))],
+            2 => vec![Value::Int(-(i % 70))],
+            _ => vec![Value::Int((i * 7_919) % 300)],
+        });
+        let layout = assert_drains_in_key_order(&mut store(1), &mixed);
+        assert_eq!(layout.demoted, [1, 0, 0, 0]);
+
+        // Refilled after `clear` (segments kept), then after a drain
+        // (segments freed): only the refill drains, in key order.
+        let mut refilled = store(1);
+        for row in &one_int[..500] {
+            touch(&mut refilled, row).unwrap();
+        }
+        refilled.clear();
+        let shifted = rows(4_000, &|i| vec![Value::Int((i * 104_729) % 1_800)]);
+        assert_drains_in_key_order(&mut refilled, &shifted);
+        assert_drains_in_key_order(&mut refilled, &one_int);
+
+        let scalar = rows(50, &|_| vec![]);
+        assert_drains_in_key_order(&mut store(0), &scalar);
     }
 
     #[test]

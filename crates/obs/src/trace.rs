@@ -445,8 +445,9 @@ pub struct RunTrace {
     /// independent of the net layer. Empty when the producer predates
     /// transport selection.
     pub transport: String,
-    /// Run-level annotations from layers above the engine (the serving
-    /// scheduler records its queue/broker numbers here: admitted grant,
+    /// Run-level annotations from layers above the engine: the algorithm
+    /// driver's wall time to sort the gathered result (`driver.sort_ms`),
+    /// and the serving scheduler's queue/broker numbers (admitted grant,
     /// queue wait, co-resident queries). Names are dotted lowercase
     /// (`serve.grant_entries`); values render as JSON numbers.
     pub annotations: Vec<(String, f64)>,

@@ -649,7 +649,7 @@ impl Inner {
         match run_algorithm(kind, &cluster, &self.data.partitions, &bound.query) {
             Ok(mut out) => {
                 if let Some(trace) = &mut out.trace {
-                    trace.annotations = annotations;
+                    trace.annotations.extend(annotations);
                 }
                 let adapted_nodes = out.adapted_nodes();
                 let switch_events: u64 =

@@ -6,7 +6,7 @@
 //! in ticks, every message it sent (destination, send timestamp in ticks
 //! and tuples, as a count and a digest), its `NetStats`, its adaptive
 //! events (or the error it ended with) and its result rows (a count and a
-//! digest, in emission order). The cases cover 1, 2 and 4 nodes, `Int`
+//! digest of the rows sorted by key). The cases cover 1, 2 and 4 nodes, `Int`
 //! data under an `Int` filter and the same query with an always-true
 //! `Str` conjunct, A-Rep without a fallback (its scan cut at every poll),
 //! falling back locally and falling back by contagion, and a crash
@@ -20,7 +20,12 @@
 //!
 //! The constants were captured by `print_algo_pins` on the commit before
 //! the scan became batch-only (bef6c28), and are never edited: a change to
-//! the scan or its sinks must reproduce them.
+//! the scan or its sinks must reproduce them. The one exception is the row
+//! digests. They used to hash rows in emission order, which became key
+//! order when the group store began handing results out sorted. Each now
+//! hashes the node's rows sorted by key, and was re-captured with that
+//! sort on the commit before the change (ef391ad). The row counts and
+//! every other field are bef6c28's.
 //!
 //! Capture tool: cargo test --test algo_pins print_algo_pins -- --ignored --nocapture
 
@@ -28,6 +33,7 @@ use adaptagg::algos::common::QueryPlan;
 use adaptagg::algos::{AlgoConfig, AlgorithmKind, NodeOutcome};
 use adaptagg::exec::{ExecError, NodeCtx, NodeFaults};
 use adaptagg::model::encode::encode_tuple;
+use adaptagg::model::query::sort_rows;
 use adaptagg::model::{AggQuery, Compare, CostParams, Predicate, Value};
 use adaptagg::net::{
     ChannelTransport, Endpoint, FaultPlan, Message, NetError, NetStats, Network, Payload,
@@ -174,7 +180,7 @@ struct NodePin {
     /// `Ok(events)` or the error, as `Debug`.
     outcome: Cow<'static, str>,
     rows: usize,
-    /// FNV-1a over the result rows' wire encodings, in emission order.
+    /// FNV-1a over the result rows' wire encodings, sorted by key.
     rows_digest: u64,
 }
 
@@ -322,9 +328,11 @@ fn run(case: &Case) -> Vec<NodePin> {
             let mut buf = Vec::new();
             if let Ok(out) = &out {
                 rows = out.rows.len();
-                for row in &out.rows {
+                let mut sorted = out.rows.clone();
+                sort_rows(&mut sorted);
+                for row in sorted {
                     buf.clear();
-                    encode_tuple(&row.clone().into_values(), &mut buf);
+                    encode_tuple(&row.into_values(), &mut buf);
                     rows_digest.bytes(&buf);
                 }
             }
@@ -375,217 +383,218 @@ const fn node(ticks: u64, sends: usize, stamps: u64, net: [u64; 8], outcome: &'s
     }
 }
 
-/// Captured on commit bef6c28 (the scan with its row loop).
+/// Captured on commit bef6c28 (the scan with its row loop); the row
+/// digests on ef391ad, over key-sorted rows (module docs).
 const PINS: &[Pin] = &[
     Pin {
         name: "opt2p_1",
         nodes: &[
-            node(2243175000000, 165, 0x26727879da1a84f8, [161, 3, 333800, 16600, 164, 16600, 1, 1], "Ok([])", 2250, 0xfc683887439d3745),
+            node(2243175000000, 165, 0x26727879da1a84f8, [161, 3, 333800, 16600, 164, 16600, 1, 1], "Ok([])", 2250, 0x68de3b7e7d1edfeb),
         ],
     },
     Pin {
         name: "opt2p_2",
         nodes: &[
-            node(1024608000000, 86, 0x40734832dffb6101, [80, 4, 168240, 8322, 86, 8481, 2, 2], "Ok([])", 1148, 0xdf731587126c6b84),
-            node(1005844000000, 86, 0x72377858f4797218, [80, 4, 167920, 8306, 82, 8147, 2, 2], "Ok([])", 1102, 0x6fc2866357f5f524),
+            node(1024608000000, 86, 0x40734832dffb6101, [80, 4, 168240, 8322, 86, 8481, 2, 2], "Ok([])", 1148, 0x59243961a3c381e0),
+            node(1005844000000, 86, 0x72377858f4797218, [80, 4, 167920, 8306, 82, 8147, 2, 2], "Ok([])", 1102, 0xa06cb2e660a94496),
         ],
     },
     Pin {
         name: "opt2p_4",
         nodes: &[
-            node(483810500000, 49, 0xb21441a2bea57eb6, [41, 4, 84840, 4152, 45, 4125, 4, 4], "Ok([])", 559, 0x96601a5b02220ada),
-            node(484719250000, 49, 0x99a3aeecb15b9a51, [41, 4, 84940, 4157, 44, 4084, 4, 4], "Ok([])", 548, 0x7c12fbf56e6a6611),
-            node(497838000000, 50, 0xc4a57ab2b17070bf, [42, 4, 85240, 4172, 48, 4366, 4, 4], "Ok([])", 589, 0x60f38ccdf344fa7f),
-            node(483872250000, 49, 0xca5d2b148d612ca9, [41, 4, 84780, 4149, 44, 4055, 4, 4], "Ok([])", 554, 0xff7aac950e1902d0),
+            node(483810500000, 49, 0xb21441a2bea57eb6, [41, 4, 84840, 4152, 45, 4125, 4, 4], "Ok([])", 559, 0xffe2353f04a7955c),
+            node(484719250000, 49, 0x99a3aeecb15b9a51, [41, 4, 84940, 4157, 44, 4084, 4, 4], "Ok([])", 548, 0x5a90075c082ef003),
+            node(497838000000, 50, 0xc4a57ab2b17070bf, [42, 4, 85240, 4172, 48, 4366, 4, 4], "Ok([])", 589, 0x443a85645b3c9aaf),
+            node(483872250000, 49, 0xca5d2b148d612ca9, [41, 4, 84780, 4149, 44, 4055, 4, 4], "Ok([])", 554, 0xb66979b5ff7034f0),
         ],
     },
     Pin {
         name: "opt2p_1_str",
         nodes: &[
-            node(2243175000000, 165, 0x26727879da1a84f8, [161, 3, 333800, 16600, 164, 16600, 1, 1], "Ok([])", 2250, 0xfc683887439d3745),
+            node(2243175000000, 165, 0x26727879da1a84f8, [161, 3, 333800, 16600, 164, 16600, 1, 1], "Ok([])", 2250, 0x68de3b7e7d1edfeb),
         ],
     },
     Pin {
         name: "opt2p_2_str",
         nodes: &[
-            node(1024608000000, 86, 0x40734832dffb6101, [80, 4, 168240, 8322, 86, 8481, 2, 2], "Ok([])", 1148, 0xdf731587126c6b84),
-            node(1005844000000, 86, 0x72377858f4797218, [80, 4, 167920, 8306, 82, 8147, 2, 2], "Ok([])", 1102, 0x6fc2866357f5f524),
+            node(1024608000000, 86, 0x40734832dffb6101, [80, 4, 168240, 8322, 86, 8481, 2, 2], "Ok([])", 1148, 0x59243961a3c381e0),
+            node(1005844000000, 86, 0x72377858f4797218, [80, 4, 167920, 8306, 82, 8147, 2, 2], "Ok([])", 1102, 0xa06cb2e660a94496),
         ],
     },
     Pin {
         name: "opt2p_4_str",
         nodes: &[
-            node(483810500000, 49, 0xb21441a2bea57eb6, [41, 4, 84840, 4152, 45, 4125, 4, 4], "Ok([])", 559, 0x96601a5b02220ada),
-            node(484719250000, 49, 0x99a3aeecb15b9a51, [41, 4, 84940, 4157, 44, 4084, 4, 4], "Ok([])", 548, 0x7c12fbf56e6a6611),
-            node(497838000000, 50, 0xc4a57ab2b17070bf, [42, 4, 85240, 4172, 48, 4366, 4, 4], "Ok([])", 589, 0x60f38ccdf344fa7f),
-            node(483872250000, 49, 0xca5d2b148d612ca9, [41, 4, 84780, 4149, 44, 4055, 4, 4], "Ok([])", 554, 0xff7aac950e1902d0),
+            node(483810500000, 49, 0xb21441a2bea57eb6, [41, 4, 84840, 4152, 45, 4125, 4, 4], "Ok([])", 559, 0xffe2353f04a7955c),
+            node(484719250000, 49, 0x99a3aeecb15b9a51, [41, 4, 84940, 4157, 44, 4084, 4, 4], "Ok([])", 548, 0x5a90075c082ef003),
+            node(497838000000, 50, 0xc4a57ab2b17070bf, [42, 4, 85240, 4172, 48, 4366, 4, 4], "Ok([])", 589, 0x443a85645b3c9aaf),
+            node(483872250000, 49, 0xca5d2b148d612ca9, [41, 4, 84780, 4149, 44, 4055, 4, 4], "Ok([])", 554, 0xb66979b5ff7034f0),
         ],
     },
     Pin {
         name: "bcast_1",
         nodes: &[
-            node(2013275000000, 178, 0x87316878354ec9a2, [177, 0, 360000, 18000, 177, 18000, 1, 1], "Ok([])", 2250, 0x8da3564fc073357d),
+            node(2013275000000, 178, 0x87316878354ec9a2, [177, 0, 360000, 18000, 177, 18000, 1, 1], "Ok([])", 2250, 0x68de3b7e7d1edfeb),
         ],
     },
     Pin {
         name: "bcast_2",
         nodes: &[
-            node(905787500000, 180, 0xe1e217ac12941c17, [178, 0, 359800, 17990, 178, 18000, 2, 2], "Ok([])", 1148, 0xdfc23ba8147a1b4e),
-            node(883387500000, 180, 0x06a5007ab3913d25, [178, 0, 360200, 18010, 178, 18000, 2, 2], "Ok([])", 1102, 0x0538aeace5605e3c),
+            node(905787500000, 180, 0xe1e217ac12941c17, [178, 0, 359800, 17990, 178, 18000, 2, 2], "Ok([])", 1148, 0x59243961a3c381e0),
+            node(883387500000, 180, 0x06a5007ab3913d25, [178, 0, 360200, 18010, 178, 18000, 2, 2], "Ok([])", 1102, 0xa06cb2e660a94496),
         ],
     },
     Pin {
         name: "bcast_4",
         nodes: &[
-            node(440530000000, 180, 0x93c3665b1608a150, [176, 0, 358960, 17948, 179, 18000, 4, 4], "Ok([])", 559, 0xbc50dc2e746bac4e),
-            node(433567500000, 184, 0x2c4ea304429a1eeb, [180, 0, 359760, 17988, 179, 18000, 4, 4], "Ok([])", 548, 0x4bf4b4591531b5c3),
-            node(452407500000, 184, 0x4d788e5d54366cf0, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 589, 0x48f88915c975db2f),
-            node(435170000000, 184, 0xb1cb444fb6a01f47, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 554, 0x5ef5ddfd37d6c0d0),
+            node(440530000000, 180, 0x93c3665b1608a150, [176, 0, 358960, 17948, 179, 18000, 4, 4], "Ok([])", 559, 0xffe2353f04a7955c),
+            node(433567500000, 184, 0x2c4ea304429a1eeb, [180, 0, 359760, 17988, 179, 18000, 4, 4], "Ok([])", 548, 0x5a90075c082ef003),
+            node(452407500000, 184, 0x4d788e5d54366cf0, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 589, 0x443a85645b3c9aaf),
+            node(435170000000, 184, 0xb1cb444fb6a01f47, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 554, 0xb66979b5ff7034f0),
         ],
     },
     Pin {
         name: "bcast_1_str",
         nodes: &[
-            node(2013275000000, 178, 0x87316878354ec9a2, [177, 0, 360000, 18000, 177, 18000, 1, 1], "Ok([])", 2250, 0x8da3564fc073357d),
+            node(2013275000000, 178, 0x87316878354ec9a2, [177, 0, 360000, 18000, 177, 18000, 1, 1], "Ok([])", 2250, 0x68de3b7e7d1edfeb),
         ],
     },
     Pin {
         name: "bcast_2_str",
         nodes: &[
-            node(905787500000, 180, 0xe1e217ac12941c17, [178, 0, 359800, 17990, 178, 18000, 2, 2], "Ok([])", 1148, 0xdfc23ba8147a1b4e),
-            node(883387500000, 180, 0x06a5007ab3913d25, [178, 0, 360200, 18010, 178, 18000, 2, 2], "Ok([])", 1102, 0x0538aeace5605e3c),
+            node(905787500000, 180, 0xe1e217ac12941c17, [178, 0, 359800, 17990, 178, 18000, 2, 2], "Ok([])", 1148, 0x59243961a3c381e0),
+            node(883387500000, 180, 0x06a5007ab3913d25, [178, 0, 360200, 18010, 178, 18000, 2, 2], "Ok([])", 1102, 0xa06cb2e660a94496),
         ],
     },
     Pin {
         name: "bcast_4_str",
         nodes: &[
-            node(440530000000, 180, 0x93c3665b1608a150, [176, 0, 358960, 17948, 179, 18000, 4, 4], "Ok([])", 559, 0xbc50dc2e746bac4e),
-            node(433567500000, 184, 0x2c4ea304429a1eeb, [180, 0, 359760, 17988, 179, 18000, 4, 4], "Ok([])", 548, 0x4bf4b4591531b5c3),
-            node(452407500000, 184, 0x4d788e5d54366cf0, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 589, 0x48f88915c975db2f),
-            node(435170000000, 184, 0xb1cb444fb6a01f47, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 554, 0x5ef5ddfd37d6c0d0),
+            node(440530000000, 180, 0x93c3665b1608a150, [176, 0, 358960, 17948, 179, 18000, 4, 4], "Ok([])", 559, 0xffe2353f04a7955c),
+            node(433567500000, 184, 0x2c4ea304429a1eeb, [180, 0, 359760, 17988, 179, 18000, 4, 4], "Ok([])", 548, 0x5a90075c082ef003),
+            node(452407500000, 184, 0x4d788e5d54366cf0, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 589, 0x443a85645b3c9aaf),
+            node(435170000000, 184, 0xb1cb444fb6a01f47, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 554, 0xb66979b5ff7034f0),
         ],
     },
     Pin {
         name: "a2p_1",
         nodes: &[
-            node(2196930500000, 179, 0xb2a819b07db82c9b, [175, 3, 361640, 17992, 178, 17992, 1, 1], "Ok([SwitchedToRepartitioning { at_tuple: 209 }])", 2250, 0x8da3564fc073357d),
+            node(2196930500000, 179, 0xb2a819b07db82c9b, [175, 3, 361640, 17992, 178, 17992, 1, 1], "Ok([SwitchedToRepartitioning { at_tuple: 209 }])", 2250, 0x68de3b7e7d1edfeb),
         ],
     },
     Pin {
         name: "a2p_2",
         nodes: &[
-            node(983859500000, 93, 0x430bf0c3f4be108d, [87, 4, 181560, 8988, 93, 9174, 2, 2], "Ok([SwitchedToRepartitioning { at_tuple: 208 }])", 1148, 0xdfc23ba8147a1b4e),
-            node(964054250000, 94, 0x91eefca00e4b14eb, [88, 4, 181740, 8997, 90, 8811, 2, 2], "Ok([SwitchedToRepartitioning { at_tuple: 209 }])", 1102, 0x0538aeace5605e3c),
+            node(983859500000, 93, 0x430bf0c3f4be108d, [87, 4, 181560, 8988, 93, 9174, 2, 2], "Ok([SwitchedToRepartitioning { at_tuple: 208 }])", 1148, 0x59243961a3c381e0),
+            node(964054250000, 94, 0x91eefca00e4b14eb, [88, 4, 181740, 8997, 90, 8811, 2, 2], "Ok([SwitchedToRepartitioning { at_tuple: 209 }])", 1102, 0xa06cb2e660a94496),
         ],
     },
     Pin {
         name: "a2p_4",
         nodes: &[
-            node(466072500000, 52, 0x4d00790378f7f5ca, [44, 4, 91400, 4480, 48, 4460, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 208 }])", 559, 0xbc50dc2e746bac4e),
-            node(459016750000, 53, 0xc0aba0736d57b7af, [45, 4, 91540, 4487, 47, 4378, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 211 }])", 548, 0x4bf4b4591531b5c3),
-            node(477715500000, 51, 0xa81bc123fb896c89, [43, 4, 91840, 4502, 50, 4707, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 207 }])", 589, 0x48f88915c975db2f),
-            node(460698250000, 53, 0xa2abe4e12b878482, [45, 4, 91860, 4503, 48, 4427, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 206 }])", 554, 0x5ef5ddfd37d6c0d0),
+            node(466072500000, 52, 0x4d00790378f7f5ca, [44, 4, 91400, 4480, 48, 4460, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 208 }])", 559, 0xffe2353f04a7955c),
+            node(459016750000, 53, 0xc0aba0736d57b7af, [45, 4, 91540, 4487, 47, 4378, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 211 }])", 548, 0x5a90075c082ef003),
+            node(477715500000, 51, 0xa81bc123fb896c89, [43, 4, 91840, 4502, 50, 4707, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 207 }])", 589, 0x443a85645b3c9aaf),
+            node(460698250000, 53, 0xa2abe4e12b878482, [45, 4, 91860, 4503, 48, 4427, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 206 }])", 554, 0xb66979b5ff7034f0),
         ],
     },
     Pin {
         name: "a2p_1_str",
         nodes: &[
-            node(2196930500000, 179, 0xb2a819b07db82c9b, [175, 3, 361640, 17992, 178, 17992, 1, 1], "Ok([SwitchedToRepartitioning { at_tuple: 209 }])", 2250, 0x8da3564fc073357d),
+            node(2196930500000, 179, 0xb2a819b07db82c9b, [175, 3, 361640, 17992, 178, 17992, 1, 1], "Ok([SwitchedToRepartitioning { at_tuple: 209 }])", 2250, 0x68de3b7e7d1edfeb),
         ],
     },
     Pin {
         name: "a2p_2_str",
         nodes: &[
-            node(983859500000, 93, 0x430bf0c3f4be108d, [87, 4, 181560, 8988, 93, 9174, 2, 2], "Ok([SwitchedToRepartitioning { at_tuple: 208 }])", 1148, 0xdfc23ba8147a1b4e),
-            node(964054250000, 94, 0x91eefca00e4b14eb, [88, 4, 181740, 8997, 90, 8811, 2, 2], "Ok([SwitchedToRepartitioning { at_tuple: 209 }])", 1102, 0x0538aeace5605e3c),
+            node(983859500000, 93, 0x430bf0c3f4be108d, [87, 4, 181560, 8988, 93, 9174, 2, 2], "Ok([SwitchedToRepartitioning { at_tuple: 208 }])", 1148, 0x59243961a3c381e0),
+            node(964054250000, 94, 0x91eefca00e4b14eb, [88, 4, 181740, 8997, 90, 8811, 2, 2], "Ok([SwitchedToRepartitioning { at_tuple: 209 }])", 1102, 0xa06cb2e660a94496),
         ],
     },
     Pin {
         name: "a2p_4_str",
         nodes: &[
-            node(466072500000, 52, 0x4d00790378f7f5ca, [44, 4, 91400, 4480, 48, 4460, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 208 }])", 559, 0xbc50dc2e746bac4e),
-            node(459016750000, 53, 0xc0aba0736d57b7af, [45, 4, 91540, 4487, 47, 4378, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 211 }])", 548, 0x4bf4b4591531b5c3),
-            node(477715500000, 51, 0xa81bc123fb896c89, [43, 4, 91840, 4502, 50, 4707, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 207 }])", 589, 0x48f88915c975db2f),
-            node(460698250000, 53, 0xa2abe4e12b878482, [45, 4, 91860, 4503, 48, 4427, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 206 }])", 554, 0x5ef5ddfd37d6c0d0),
+            node(466072500000, 52, 0x4d00790378f7f5ca, [44, 4, 91400, 4480, 48, 4460, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 208 }])", 559, 0xffe2353f04a7955c),
+            node(459016750000, 53, 0xc0aba0736d57b7af, [45, 4, 91540, 4487, 47, 4378, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 211 }])", 548, 0x5a90075c082ef003),
+            node(477715500000, 51, 0xa81bc123fb896c89, [43, 4, 91840, 4502, 50, 4707, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 207 }])", 589, 0x443a85645b3c9aaf),
+            node(460698250000, 53, 0xa2abe4e12b878482, [45, 4, 91860, 4503, 48, 4427, 4, 4], "Ok([SwitchedToRepartitioning { at_tuple: 206 }])", 554, 0xb66979b5ff7034f0),
         ],
     },
     Pin {
         name: "arep_poll_cuts_1",
         nodes: &[
-            node(2193275000000, 178, 0x34124b5bf6ed18d1, [177, 0, 360000, 18000, 177, 18000, 1, 1], "Ok([])", 2250, 0x8da3564fc073357d),
+            node(2193275000000, 178, 0x34124b5bf6ed18d1, [177, 0, 360000, 18000, 177, 18000, 1, 1], "Ok([])", 2250, 0x68de3b7e7d1edfeb),
         ],
     },
     Pin {
         name: "arep_poll_cuts_2",
         nodes: &[
-            node(980186250000, 91, 0x30247800f8ef3c28, [89, 0, 179900, 8995, 91, 9184, 2, 2], "Ok([])", 1148, 0xdfc23ba8147a1b4e),
-            node(957938750000, 92, 0xd91a6b878a5795ae, [90, 0, 180100, 9005, 88, 8816, 2, 2], "Ok([])", 1102, 0x0538aeace5605e3c),
+            node(980186250000, 91, 0x30247800f8ef3c28, [89, 0, 179900, 8995, 91, 9184, 2, 2], "Ok([])", 1148, 0x59243961a3c381e0),
+            node(957938750000, 92, 0xd91a6b878a5795ae, [90, 0, 180100, 9005, 88, 8816, 2, 2], "Ok([])", 1102, 0xa06cb2e660a94496),
         ],
     },
     Pin {
         name: "arep_poll_cuts_4",
         nodes: &[
-            node(462296750000, 49, 0xd55e755c02e71d5f, [45, 0, 89740, 4487, 45, 4472, 4, 4], "Ok([])", 559, 0xbc50dc2e746bac4e),
-            node(454936750000, 49, 0xd4a617a9f570f9f6, [45, 0, 89940, 4497, 45, 4384, 4, 4], "Ok([])", 548, 0x4bf4b4591531b5c3),
-            node(474089500000, 50, 0x4e386946bf19372c, [46, 0, 90160, 4508, 48, 4712, 4, 4], "Ok([])", 589, 0x48f88915c975db2f),
-            node(456752000000, 50, 0x127c74f902107c14, [46, 0, 90160, 4508, 44, 4432, 4, 4], "Ok([])", 554, 0x5ef5ddfd37d6c0d0),
+            node(462296750000, 49, 0xd55e755c02e71d5f, [45, 0, 89740, 4487, 45, 4472, 4, 4], "Ok([])", 559, 0xffe2353f04a7955c),
+            node(454936750000, 49, 0xd4a617a9f570f9f6, [45, 0, 89940, 4497, 45, 4384, 4, 4], "Ok([])", 548, 0x5a90075c082ef003),
+            node(474089500000, 50, 0x4e386946bf19372c, [46, 0, 90160, 4508, 48, 4712, 4, 4], "Ok([])", 589, 0x443a85645b3c9aaf),
+            node(456752000000, 50, 0x127c74f902107c14, [46, 0, 90160, 4508, 44, 4432, 4, 4], "Ok([])", 554, 0xb66979b5ff7034f0),
         ],
     },
     Pin {
         name: "arep_poll_cuts_1_str",
         nodes: &[
-            node(2193275000000, 178, 0x34124b5bf6ed18d1, [177, 0, 360000, 18000, 177, 18000, 1, 1], "Ok([])", 2250, 0x8da3564fc073357d),
+            node(2193275000000, 178, 0x34124b5bf6ed18d1, [177, 0, 360000, 18000, 177, 18000, 1, 1], "Ok([])", 2250, 0x68de3b7e7d1edfeb),
         ],
     },
     Pin {
         name: "arep_poll_cuts_2_str",
         nodes: &[
-            node(980186250000, 91, 0x30247800f8ef3c28, [89, 0, 179900, 8995, 91, 9184, 2, 2], "Ok([])", 1148, 0xdfc23ba8147a1b4e),
-            node(957938750000, 92, 0xd91a6b878a5795ae, [90, 0, 180100, 9005, 88, 8816, 2, 2], "Ok([])", 1102, 0x0538aeace5605e3c),
+            node(980186250000, 91, 0x30247800f8ef3c28, [89, 0, 179900, 8995, 91, 9184, 2, 2], "Ok([])", 1148, 0x59243961a3c381e0),
+            node(957938750000, 92, 0xd91a6b878a5795ae, [90, 0, 180100, 9005, 88, 8816, 2, 2], "Ok([])", 1102, 0xa06cb2e660a94496),
         ],
     },
     Pin {
         name: "arep_poll_cuts_4_str",
         nodes: &[
-            node(462296750000, 49, 0xd55e755c02e71d5f, [45, 0, 89740, 4487, 45, 4472, 4, 4], "Ok([])", 559, 0xbc50dc2e746bac4e),
-            node(454936750000, 49, 0xd4a617a9f570f9f6, [45, 0, 89940, 4497, 45, 4384, 4, 4], "Ok([])", 548, 0x4bf4b4591531b5c3),
-            node(474089500000, 50, 0x4e386946bf19372c, [46, 0, 90160, 4508, 48, 4712, 4, 4], "Ok([])", 589, 0x48f88915c975db2f),
-            node(456752000000, 50, 0x127c74f902107c14, [46, 0, 90160, 4508, 44, 4432, 4, 4], "Ok([])", 554, 0x5ef5ddfd37d6c0d0),
+            node(462296750000, 49, 0xd55e755c02e71d5f, [45, 0, 89740, 4487, 45, 4472, 4, 4], "Ok([])", 559, 0xffe2353f04a7955c),
+            node(454936750000, 49, 0xd4a617a9f570f9f6, [45, 0, 89940, 4497, 45, 4384, 4, 4], "Ok([])", 548, 0x5a90075c082ef003),
+            node(474089500000, 50, 0x4e386946bf19372c, [46, 0, 90160, 4508, 48, 4712, 4, 4], "Ok([])", 589, 0x443a85645b3c9aaf),
+            node(456752000000, 50, 0x127c74f902107c14, [46, 0, 90160, 4508, 44, 4432, 4, 4], "Ok([])", 554, 0xb66979b5ff7034f0),
         ],
     },
     Pin {
         name: "arep_local_fallback_1",
         nodes: &[
-            node(2349427500000, 223, 0x664719f8a6cecd5f, [221, 1, 450250, 22490, 222, 22490, 1, 1], "Ok([FellBackToTwoPhase { at_tuple: 4000, local_decision: true }, SwitchedToRepartitioning { at_tuple: 61 }])", 225, 0xf5dae9cd703b5111),
+            node(2349427500000, 223, 0x664719f8a6cecd5f, [221, 1, 450250, 22490, 222, 22490, 1, 1], "Ok([FellBackToTwoPhase { at_tuple: 4000, local_decision: true }, SwitchedToRepartitioning { at_tuple: 61 }])", 225, 0x7ac1564da6430a91),
         ],
     },
     Pin {
         name: "arep_local_fallback_1_str",
         nodes: &[
-            node(2349427500000, 223, 0x664719f8a6cecd5f, [221, 1, 450250, 22490, 222, 22490, 1, 1], "Ok([FellBackToTwoPhase { at_tuple: 4000, local_decision: true }, SwitchedToRepartitioning { at_tuple: 61 }])", 225, 0xf5dae9cd703b5111),
+            node(2349427500000, 223, 0x664719f8a6cecd5f, [221, 1, 450250, 22490, 222, 22490, 1, 1], "Ok([FellBackToTwoPhase { at_tuple: 4000, local_decision: true }, SwitchedToRepartitioning { at_tuple: 61 }])", 225, 0x7ac1564da6430a91),
         ],
     },
     Pin {
         name: "arep_contagion_2",
         nodes: &[
-            node(0, 11, 0x1c59152c76d5b03a, [6, 2, 10655, 526, 0, 0, 3, 0], "Ok([FellBackToTwoPhase { at_tuple: 512, local_decision: true }])", 1530, 0xf6e1ef70f2d695d9),
-            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 1465, 0x3f9a6449bfe8fbf6),
+            node(0, 11, 0x1c59152c76d5b03a, [6, 2, 10655, 526, 0, 0, 3, 0], "Ok([FellBackToTwoPhase { at_tuple: 512, local_decision: true }])", 1530, 0x8d4a0f8fff9a526d),
+            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 1465, 0xe85bb3a627175094),
         ],
     },
     Pin {
         name: "arep_contagion_4",
         nodes: &[
-            node(0, 18, 0xdf751ca0b711c23f, [7, 4, 10655, 526, 0, 0, 7, 0], "Ok([FellBackToTwoPhase { at_tuple: 512, local_decision: true }])", 766, 0x7fb748a9e33af005),
-            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 739, 0xc9a657a9f392c188),
-            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 764, 0x54b6c39bd0d87ef5),
-            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 726, 0x0d68c7bccb6114eb),
+            node(0, 18, 0xdf751ca0b711c23f, [7, 4, 10655, 526, 0, 0, 7, 0], "Ok([FellBackToTwoPhase { at_tuple: 512, local_decision: true }])", 766, 0x780024335dcc197b),
+            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 739, 0xe90adbe357af9b42),
+            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 764, 0x422124bea5322557),
+            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 726, 0x2c4eb7aa131db703),
         ],
     },
     Pin {
         name: "arep_contagion_2_str",
         nodes: &[
-            node(0, 11, 0x1c59152c76d5b03a, [6, 2, 10655, 526, 0, 0, 3, 0], "Ok([FellBackToTwoPhase { at_tuple: 512, local_decision: true }])", 1530, 0xf6e1ef70f2d695d9),
-            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 1465, 0x3f9a6449bfe8fbf6),
+            node(0, 11, 0x1c59152c76d5b03a, [6, 2, 10655, 526, 0, 0, 3, 0], "Ok([FellBackToTwoPhase { at_tuple: 512, local_decision: true }])", 1530, 0x8d4a0f8fff9a526d),
+            node(0, 0, 0x0000000000000000, [0, 0, 0, 0, 0, 0, 0, 0], "Ok([FellBackToTwoPhase { at_tuple: _, local_decision: false }])", 1465, 0xe85bb3a627175094),
         ],
     },
     Pin {

@@ -5,9 +5,10 @@
 //! (A-2P's sender-major merge order: each sender's flushed partials, then
 //! its forwarded raws), `Str` keys, NULL and `Float` inputs, a scanned
 //! batch with a selection, and a grant shrunk mid-stream. Per shape the
-//! constants below pin the rows the aggregator emits (in emission order),
-//! its `HashAggStats`, how many of each `CostEvent` it recorded, and the
-//! virtual clock in ticks.
+//! constants below pin the rows the aggregator emits, its `HashAggStats`,
+//! how many of each `CostEvent` it recorded, and the virtual clock in
+//! ticks. The row digest covers result rows sorted by key
+//! (`finish_rows`), and partial rows in emission order (`finish_partials`).
 //!
 //! They were captured on the row-at-a-time bucket drain (commit 59d95a3,
 //! before the overflow path moved onto the strips) by `print_overflow_pins`
@@ -16,12 +17,17 @@
 //! the recorded event sequence and the `f64` clock's bits: the counts are
 //! that sequence's, read on the commit before the clock moved to integer
 //! ticks, and the ticks are within 1e-9 of those bits (DESIGN.md §21).
+//! The `finish_rows` shapes' row digests are the exception. They used to
+//! hash emission order, which became key order when the group store began
+//! handing results out sorted. They were re-captured with the key sort on
+//! the commit before that change (ef391ad).
 //!
 //! Capture tool: cargo test --test overflow_pins print_overflow_pins -- --ignored --nocapture
 
 use adaptagg_exec::Clock;
 use adaptagg_hashagg::{AggTable, HashAggStats, HashAggregator};
 use adaptagg_model::encode::encode_tuple;
+use adaptagg_model::query::sort_rows;
 use adaptagg_model::ticks_to_ms;
 use adaptagg_model::{
     AggFunc, AggQuery, AggSpec, CostEvent, CostParams, CostTracker, CountingTracker, MemoryGrant,
@@ -155,7 +161,8 @@ const SHAPES: &[Shape] = &[
 #[derive(Debug, PartialEq, Eq)]
 struct Pin {
     name: &'static str,
-    /// FNV-1a over the emitted rows' wire encodings, in emission order.
+    /// FNV-1a over the emitted rows' wire encodings: result rows sorted by
+    /// key, partial rows in emission order.
     rows_digest: u64,
     rows: usize,
     /// `HashAggStats` as of the parent (see [`stats_of`]).
@@ -350,8 +357,9 @@ fn run(shape: &Shape) -> Pin {
     };
     let (rows, stats) = match shape.finish {
         Finish::Rows => {
-            let (rows, stats) = agg.finish_rows(&mut rec).unwrap();
+            let (mut rows, stats) = agg.finish_rows(&mut rec).unwrap();
             let n = rows.len();
+            sort_rows(&mut rows);
             rows.into_iter().for_each(|r| emit(r.into_values()));
             (n, stats)
         }
@@ -373,12 +381,12 @@ fn run(shape: &Shape) -> Pin {
     }
 }
 
-/// Captured on commit 59d95a3 (the row-at-a-time bucket drain); counts
-/// and ticks as the module docs say.
+/// Captured on commit 59d95a3 (the row-at-a-time bucket drain); counts,
+/// ticks and the `finish_rows` row digests as the module docs say.
 const PINS: &[Pin] = &[
     Pin {
         name: "raw_rows_fit",
-        rows_digest: 0x2fb8058936b83759,
+        rows_digest: 0xbb9a807e38abcc4d,
         rows: 50,
         stats: [600, 0, 50, 0, 0, 0, 828, 50, 3, 0, 0, 0, 0, 0, 45],
         counts: [600, 50, 600, 600, 0, 0, 0, 0, 0],
@@ -386,7 +394,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "raw_pages_fit",
-        rows_digest: 0x2fb8058936b83759,
+        rows_digest: 0xbb9a807e38abcc4d,
         rows: 50,
         stats: [600, 0, 50, 0, 0, 0, 828, 50, 3, 0, 0, 0, 0, 0, 45],
         counts: [600, 50, 600, 600, 0, 0, 0, 0, 0],
@@ -394,7 +402,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "raw_pages_one_level",
-        rows_digest: 0xf067285d9f48a8bd,
+        rows_digest: 0x9ebc0e2f97b1b169,
         rows: 300,
         stats: [4000, 0, 300, 3118, 8, 1, 12002, 64, 27, 0, 0, 0, 0, 0, 45],
         counts: [10236, 3418, 7118, 4000, 0, 25, 25, 0, 0],
@@ -402,7 +410,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "raw_rows_one_level",
-        rows_digest: 0xf067285d9f48a8bd,
+        rows_digest: 0x9ebc0e2f97b1b169,
         rows: 300,
         stats: [4000, 0, 300, 3118, 8, 1, 12002, 64, 27, 0, 0, 0, 0, 0, 45],
         counts: [10236, 3418, 7118, 4000, 0, 25, 25, 0, 0],
@@ -410,7 +418,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "raw_pages_deep",
-        rows_digest: 0x87c35b2fe15e1bc8,
+        rows_digest: 0x4dc038d1aa909de8,
         rows: 2000,
         stats: [6000, 0, 2000, 15414, 86, 4, 43590, 32, 261, 0, 0, 0, 0, 0, 45],
         counts: [36828, 17414, 21414, 6000, 0, 158, 158, 0, 0],
@@ -418,7 +426,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "raw_rows_deep",
-        rows_digest: 0x87c35b2fe15e1bc8,
+        rows_digest: 0x4dc038d1aa909de8,
         rows: 2000,
         stats: [6000, 0, 2000, 15414, 86, 4, 43590, 32, 261, 0, 0, 0, 0, 0, 45],
         counts: [36828, 17414, 21414, 6000, 0, 158, 158, 0, 0],
@@ -426,7 +434,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "partial_pages_deep",
-        rows_digest: 0x87c35b2fe15e1bc8,
+        rows_digest: 0x4dc038d1aa909de8,
         rows: 2000,
         stats: [0, 2000, 2000, 5138, 86, 4, 14530, 32, 261, 0, 0, 0, 0, 0, 45],
         counts: [12276, 7138, 7138, 2000, 0, 114, 114, 0, 0],
@@ -434,7 +442,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "partial_pages_one_level",
-        rows_digest: 0x7f0c9b77cbf34b25,
+        rows_digest: 0x5e3ab72bbcf5f6ff,
         rows: 300,
         stats: [0, 300, 300, 236, 8, 1, 904, 64, 63, 0, 0, 0, 0, 0, 95],
         counts: [772, 536, 536, 300, 0, 8, 8, 0, 0],
@@ -442,7 +450,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "mixed_pages_one_level",
-        rows_digest: 0xf067285d9f48a8bd,
+        rows_digest: 0x9ebc0e2f97b1b169,
         rows: 300,
         stats: [2400, 300, 300, 2124, 8, 1, 8136, 64, 27, 0, 0, 0, 0, 0, 45],
         counts: [6948, 2424, 4824, 2700, 0, 19, 19, 0, 0],
@@ -450,7 +458,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "mixed_pages_deep",
-        rows_digest: 0x147d403b5246282c,
+        rows_digest: 0xd76897b9b650d2c2,
         rows: 1500,
         stats: [3600, 1500, 1500, 21408, 85, 6, 119011, 24, 258, 0, 0, 0, 0, 0, 45],
         counts: [47916, 22908, 26508, 5100, 0, 210, 210, 0, 0],
@@ -458,7 +466,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "mixed_rows_deep",
-        rows_digest: 0x03b39f230c03cce6,
+        rows_digest: 0xd76897b9b650d2c2,
         rows: 1500,
         stats: [3600, 1500, 1500, 15925, 117, 4, 93560, 24, 354, 0, 0, 0, 0, 0, 45],
         counts: [36950, 17425, 21025, 5100, 0, 209, 209, 0, 0],
@@ -466,7 +474,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "mixed_pages_sum_only",
-        rows_digest: 0x6beef40b6f3b82f4,
+        rows_digest: 0xecdcf38003936cb0,
         rows: 1500,
         stats: [3600, 1500, 1500, 13297, 84, 3, 81571, 24, 170, 0, 0, 0, 0, 0, 37],
         counts: [31694, 14797, 18397, 5100, 0, 145, 145, 0, 0],
@@ -474,7 +482,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "str_keys_pages_deep",
-        rows_digest: 0x4b27bc1573042957,
+        rows_digest: 0x9383072852715fa7,
         rows: 1200,
         stats: [5000, 0, 1200, 10343, 83, 3, 43292, 40, 168, 84, 84, 0, 0, 0, 61],
         counts: [25686, 11543, 15343, 5000, 0, 146, 146, 0, 0],
@@ -482,7 +490,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "str_keys_mixed",
-        rows_digest: 0x7e5e88766ad02fc5,
+        rows_digest: 0xced5ded106dd8c7d,
         rows: 400,
         stats: [2400, 400, 400, 2352, 8, 1, 8757, 64, 18, 9, 9, 0, 0, 0, 61],
         counts: [7504, 2752, 5152, 2800, 0, 23, 23, 0, 0],
@@ -490,7 +498,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "null_float_pages_deep",
-        rows_digest: 0x62fc15702e548a74,
+        rows_digest: 0x0c0f023ee9147252,
         rows: 1200,
         stats: [5000, 0, 1200, 10340, 84, 3, 46165, 40, 275, 320, 0, 320, 0, 0, 228],
         counts: [25680, 11540, 15340, 5000, 0, 131, 131, 0, 0],
@@ -498,7 +506,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "null_float_mixed",
-        rows_digest: 0x795c07c64e929e02,
+        rows_digest: 0x6d530290bc767ae0,
         rows: 400,
         stats: [2400, 400, 400, 2352, 8, 1, 8330, 64, 27, 36, 0, 9, 27, 0, 228],
         counts: [7504, 2752, 5152, 2800, 0, 24, 24, 0, 0],
@@ -506,7 +514,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "scanned_filtered_deep",
-        rows_digest: 0x1b1a0f5fc9e89347,
+        rows_digest: 0xcbdef374f4e12295,
         rows: 2000,
         stats: [3986, 0, 2000, 10111, 84, 3, 31230, 32, 255, 0, 0, 0, 0, 0, 45],
         counts: [30208, 16097, 14097, 3986, 0, 126, 126, 0, 0],
@@ -522,7 +530,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "grant_shrunk_pages",
-        rows_digest: 0x22be4ddd713b62f1,
+        rows_digest: 0x9ebc0e2f97b1b169,
         rows: 300,
         stats: [4000, 0, 300, 2913, 50, 2, 7033, 150, 153, 0, 0, 0, 0, 0, 45],
         counts: [9826, 3213, 6913, 4000, 0, 60, 60, 0, 0],
@@ -530,7 +538,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         name: "grant_shrunk_mixed_rows",
-        rows_digest: 0x22be4ddd713b62f1,
+        rows_digest: 0x9ebc0e2f97b1b169,
         rows: 300,
         stats: [2400, 300, 300, 1980, 50, 2, 4761, 150, 153, 0, 0, 0, 0, 0, 45],
         counts: [6660, 2280, 4680, 2700, 0, 57, 57, 0, 0],

@@ -602,8 +602,8 @@ fn sortagg_lanes_are_reported() {
 
 /// Repartitioning's first phase is in the trace: scanning and routing the
 /// base relation sits under a `scan` span, flushing the exchange under a
-/// `partition` span, and with the `merge` span they account for the
-/// node's virtual time (what is left is storing the result). The spans
+/// `partition` span, and with the `merge` span (which ends after the
+/// result is stored) they account for the node's virtual time. The spans
 /// move no clock, and an untraced run records nothing.
 #[test]
 fn rep_phase_one_is_spanned() {
@@ -630,6 +630,47 @@ fn rep_phase_one_is_spanned() {
             ticks_to_ms(report.clock)
         );
         assert!(node.phase_ms(PhaseKind::Scan) > node.phase_ms(PhaseKind::Merge));
+    }
+}
+
+/// The result hand-off is in the trace. Each merge phase stores its result
+/// inside its `merge` span, so under Rep, 2P and Broadcast the node's last
+/// span is `merge` and ends where its clock does. The driver's gather and
+/// sort of every node's rows is the `driver.sort_ms` annotation, rendered
+/// with the trace. Neither moves a clock or a row, and an untraced run
+/// carries no trace.
+#[test]
+fn result_hand_off_is_traced() {
+    let parts = generate_partitions(&RelationSpec::uniform(20_000, 2_000), 2);
+    let query = default_query();
+    for kind in [AlgorithmKind::Repartitioning, AlgorithmKind::TwoPhase, AlgorithmKind::Broadcast] {
+        let mut plain = ClusterConfig::new(2, CostParams::paper_default());
+        plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+        let traced = plain.clone().with_tracing();
+        let a = run_algorithm(kind, &plain, &parts, &query).unwrap();
+        let b = run_algorithm(kind, &traced, &parts, &query).unwrap();
+        assert!(a.trace.is_none(), "{kind}: untraced run carried a trace");
+        assert_eq!(a.rows, b.rows, "{kind}: rows changed under tracing");
+        let trace = b.trace.as_ref().unwrap();
+        for (report, node) in b.run.per_node.iter().zip(&trace.nodes) {
+            assert_eq!(report.clock, a.run.per_node[report.node].clock, "{kind}: clock moved");
+            let last = node.spans.last().expect("a spanned node");
+            assert_eq!(last.phase, PhaseKind::Merge, "{kind} node {}", report.node);
+            assert_eq!(
+                last.end_ms,
+                ticks_to_ms(report.clock),
+                "{kind} node {}: work after the merge span ends",
+                report.node
+            );
+        }
+        let sort_ms: Vec<f64> = trace
+            .annotations
+            .iter()
+            .filter(|(name, _)| name == "driver.sort_ms")
+            .map(|&(_, ms)| ms)
+            .collect();
+        assert!(matches!(sort_ms[..], [ms] if ms >= 0.0), "{kind}: {:?}", trace.annotations);
+        assert!(trace.to_json().contains("\"driver.sort_ms\": "), "{kind}");
     }
 }
 
@@ -720,6 +761,8 @@ fn serving_annotations_ride_the_trace() {
     assert!(trace.contains(&format!("\"serve.memory_budget\": {budget}")));
     assert!(trace.contains("\"serve.queue_wait_ms\":"));
     assert!(trace.contains("\"serve.active_at_admit\": 1"));
+    // The driver's own annotation survives the scheduler's.
+    assert!(trace.contains("\"driver.sort_ms\": "));
 
     // The degradation ladder end to end: the 400-entry grant cannot
     // hold ~600 groups, so the adaptive runtime visibly switches
