@@ -12,6 +12,11 @@
 //! 3. forwards every remaining tuple **raw**, hash-partitioned, exactly
 //!    like Repartitioning.
 //!
+//! The scan feeds the table a page at a time under [`Stop`]: the tuple the
+//! full table bounces ends the batch, and after the flush it is routed off
+//! the page's strips where it lies ([`Exchange::route_row`]) — never copied
+//! into a row of values.
+//!
 //! The merge phase accepts both kinds in one table. Crucially, "each
 //! processor … adapts based on what it observes, independently of what
 //! all the other processors are doing" — no synchronization; under §6's
@@ -22,8 +27,8 @@ use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
-use adaptagg_hashagg::AggTable;
-use adaptagg_model::{RowKind, Value};
+use adaptagg_hashagg::{AggTable, Stop};
+use adaptagg_model::{CellRow, RowKind};
 use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch};
 
 /// Run Adaptive Two Phase on one node.
@@ -175,11 +180,11 @@ impl ScanState {
 
     /// Process a scanned batch: aggregate locally until the table fills,
     /// then flush partials and forward raws. In Two Phase mode the table's
-    /// batched insert stops at the first row it cannot hold, having
+    /// batch core stops ([`Stop`]) at the first row it cannot hold, having
     /// charged that row's attempt; the switch happens with that row, which
-    /// is forwarded, and the outcome's `consumed` (through it) tells the
-    /// scan to offer the rest of the page anew. Once switched, the batch
-    /// crosses the exchange as Repartitioning's does.
+    /// is forwarded off the strips, and the outcome's `consumed` (through
+    /// it) tells the scan to offer the rest of the page anew. Once
+    /// switched, the batch crosses the exchange as Repartitioning's does.
     pub fn push_batch(
         &mut self,
         ctx: &mut NodeCtx,
@@ -192,28 +197,23 @@ impl ScanState {
             self.raw_seen += out.passed;
             return Ok(out);
         }
-        let mut bounced: Option<Vec<Value>> = None;
-        let out = self
-            .table
-            .insert_batch(RowKind::Raw, batch, &mut ctx.clock, |_, _, row| {
-                bounced = Some(row.to_vec());
-                Ok(false)
-            })?;
+        let mut stop = Stop::default();
+        let out = self.table.feed_batch(RowKind::Raw, batch, &mut ctx.clock, &mut stop)?;
         self.raw_seen += out.passed;
-        if let Some(row) = bounced {
-            self.switch(ctx, ex, &row, events)?;
+        if let Stop(Some(r)) = stop {
+            self.switch(ctx, ex, &batch.row(r), events)?;
         }
         Ok(out)
     }
 
-    /// The switch (§3.2), triggered by `values` bouncing off the full
-    /// table: flush accumulated partials to their owners, freeing memory,
-    /// then forward raws.
-    fn switch(
+    /// The switch (§3.2), triggered by `row` bouncing off the full table:
+    /// flush accumulated partials to their owners, freeing memory, then
+    /// forward raws.
+    fn switch<R: CellRow>(
         &mut self,
         ctx: &mut NodeCtx,
         ex: &mut Exchange,
-        values: &[Value],
+        row: &R,
         events: &mut Vec<AdaptEvent>,
     ) -> Result<(), ExecError> {
         ex.flush_table(ctx, &mut self.table, RowKind::Raw)?;
@@ -224,7 +224,7 @@ impl ScanState {
         ctx.trace_switch(SwitchCause::TableFull, self.raw_seen);
         // The tuple that triggered the switch is forwarded raw (its hash
         // was already charged by the failed insert).
-        ex.route(ctx, values, false)
+        ex.route_row(ctx, row, false)
     }
 }
 

@@ -23,8 +23,8 @@ use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
-use adaptagg_model::hash::{hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, Seed};
-use adaptagg_model::{record_each, RowKind, StripView};
+use adaptagg_model::hash::Seed;
+use adaptagg_model::{record_each, RowKind};
 use adaptagg_net::{Control, Payload};
 use adaptagg_storage::{BatchOutcome, ScanBatch};
 use std::collections::HashSet;
@@ -143,21 +143,12 @@ impl ArepScan<'_> {
         if batch.passing() == 0 || !open(self.scanned, &self.seen_keys) {
             return;
         }
-        let hashes = &mut self.hashes;
-        hashes.clear();
-        hash_batch_init(Seed::Table, batch.rows(), hashes);
-        for j in 0..self.plan.key_len().min(batch.arity()) {
-            match batch.column(j) {
-                StripView::Ints(xs) => hash_batch_ints(hashes, xs),
-                StripView::Values(vs) => hash_batch_values(hashes, vs),
-            }
-        }
-        hash_batch_finish(hashes);
+        batch.hash_keys(Seed::Table, self.plan.key_len(), &mut self.hashes);
         for i in 0..batch.passing() {
             if !open(self.scanned + i as u64, &self.seen_keys) {
                 break;
             }
-            self.seen_keys.insert(hashes[batch.passing_row(i)]);
+            self.seen_keys.insert(self.hashes[batch.passing_row(i)]);
         }
     }
 

@@ -13,6 +13,12 @@
 //! * C2P, Sampling's sample keys — a fixed destination via
 //!   [`Exchange::send_page_to`] (no hash, no dest computation).
 //!
+//! Rows reach the wire by one of two routes, both reading cells where they
+//! lie: a batch ([`Exchange::route_batch`], one hash kernel pass over its
+//! key strips) or a single row ([`Exchange::route_row`] — a row a full
+//! table bounced, a row of a ragged page, a slice of values), and both
+//! land a row on the same page at the same charges.
+//!
 //! A single exchange instance must carry one [`DataKind`] at a time;
 //! switching kinds flushes automatically (A2P flushes its partials before
 //! forwarding raws, so this matches the algorithm's structure).
@@ -21,12 +27,10 @@ use crate::error::ExecError;
 use crate::node::NodeCtx;
 use crate::operators::ScanSink;
 use adaptagg_hashagg::AggTable;
-use adaptagg_model::hash::{
-    hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values, Seed,
-};
+use adaptagg_model::hash::{hash_cells, Seed};
 use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, Value};
 use adaptagg_net::{Blocker, Control, DataKind};
-use adaptagg_storage::{BatchCharges, BatchOutcome, Page, RowPages, ScanBatch, StripView};
+use adaptagg_storage::{BatchCharges, BatchOutcome, Page, RowPages, ScanBatch};
 
 /// Per-row cost template for a hash route (`t_h + t_d`).
 const ROUTE_WITH_HASH: [CostEvent; 2] = [CostEvent::TupleHash, CostEvent::TupleDest];
@@ -47,8 +51,6 @@ pub struct Exchange {
     blocker: Blocker,
     key_len: usize,
     kind: DataKind,
-    routed: u64,
-    row_scratch: Vec<Value>,
     /// Pooled per-batch hash vector for the batched route.
     hash_scratch: Vec<u64>,
 }
@@ -63,38 +65,33 @@ impl Exchange {
             blocker: Blocker::new(nodes, message_bytes),
             key_len,
             kind,
-            routed: 0,
-            row_scratch: Vec::new(),
             hash_scratch: Vec::new(),
         }
     }
 
-    /// Rows routed so far.
-    pub fn routed(&self) -> u64 {
-        self.routed
-    }
-
-    /// The destination node for a row (pure; no cost).
-    fn destination_of(&self, values: &[Value]) -> usize {
-        let key = &values[..self.key_len.min(values.len())];
-        (hash_values(Seed::Partition, key) % self.blocker.destinations() as u64) as usize
-    }
-
-    /// Route a row to its hash destination. Charges `t_d` (destination
-    /// computation) and, when `charge_hash`, `t_h` — see module docs.
-    /// Sends a message page whenever the destination's block fills.
-    pub fn route(
+    /// Route a row, read where it lies, to the owner of its first
+    /// `key_len` cells (all of them when it is shorter). Charges `t_d`
+    /// (destination computation) and, when `charge_hash`, `t_h` — see
+    /// module docs. Sends a message page whenever the destination's block
+    /// fills.
+    pub fn route_row<R: CellRow + ?Sized>(
         &mut self,
         ctx: &mut NodeCtx,
-        values: &[Value],
+        row: &R,
         charge_hash: bool,
     ) -> Result<(), ExecError> {
         if charge_hash {
             ctx.clock.record(CostEvent::TupleHash, 1);
         }
         ctx.clock.record(CostEvent::TupleDest, 1);
-        let dest = self.destination_of(values);
-        self.push_to(ctx, dest, values)
+        let hash = hash_cells(Seed::Partition, row, self.key_len);
+        let dest = (hash % self.blocker.destinations() as u64) as usize;
+        self.push_to(ctx, dest, row)
+    }
+
+    /// [`Exchange::route_row`] of a slice of values.
+    pub fn route(&mut self, ctx: &mut NodeCtx, values: &[Value], charge_hash: bool) -> Result<(), ExecError> {
+        self.route_row(ctx, values, charge_hash)
     }
 
     /// Block a row for `dest`, sending the message page that seals.
@@ -107,40 +104,25 @@ impl Exchange {
         if let Some(page) = self.blocker.add_pooled(dest, row, &mut ctx.page_pool)? {
             ctx.send_page(dest, self.kind, page)?;
         }
-        self.routed += 1;
         Ok(())
     }
 
     /// Route every tuple on a page (a page of drained partial rows, a
     /// received block being forwarded) — the page-batched counterpart of
-    /// calling [`Exchange::route`] per row, at its charges, send timestamps
-    /// and clock: the page is the trivial batch
+    /// calling [`Exchange::route_row`] per row, at its charges, send
+    /// timestamps and clock: the page is the trivial batch
     /// ([`Exchange::route_batch`]). A ragged page has no strips to ride;
-    /// its rows decode into a reused scratch row and take `route` itself.
+    /// its rows take `route_row` where they lie.
     pub fn route_page(
         &mut self,
         ctx: &mut NodeCtx,
         page: &Page,
         charge_hash: bool,
     ) -> Result<(), ExecError> {
-        if let Some(batch) = ScanBatch::whole(page) {
-            return self.route_batch(ctx, &batch, charge_hash).map(|_| ());
+        match ScanBatch::whole(page) {
+            Some(batch) => self.route_batch(ctx, &batch, charge_hash).map(|_| ()),
+            None => page.rows().try_for_each(|row| self.route_row(ctx, &row, charge_hash)),
         }
-        let mut scratch = std::mem::take(&mut self.row_scratch);
-        let mut cursor = page.cursor();
-        let result = loop {
-            match cursor.next_into(&mut scratch) {
-                Ok(true) => {
-                    if let Err(e) = self.route(ctx, &scratch, charge_hash) {
-                        break Err(e);
-                    }
-                }
-                Ok(false) => break Ok(()),
-                Err(e) => break Err(e.into()),
-            }
-        };
-        self.row_scratch = scratch;
-        result
     }
 
     /// Send every tuple on a page to one explicit destination (C2P's
@@ -192,8 +174,9 @@ impl Exchange {
     }
 
     /// Route every passing row of a batch, column-at-a-time: one
-    /// [`Seed::Partition`] hash kernel pass over the key strips computes
-    /// the destinations, then the rows are appended in order to their
+    /// [`Seed::Partition`] hash kernel pass over the key strips
+    /// ([`ScanBatch::hash_keys`]) computes the destinations, then the rows
+    /// are appended in order to their
     /// destination's open message page strip to strip — no `Value` row
     /// between the source page and the message page.
     ///
@@ -203,7 +186,7 @@ impl Exchange {
     /// rows' are paid before every page send, whose timestamp reads the
     /// clock (and before an error surfaces, whose failure time does) — so
     /// send timestamps, and with them every receiver's Lamport
-    /// observations, are those of [`Exchange::route`] per row.
+    /// observations, are those of [`Exchange::route_row`] per row.
     pub fn route_batch(
         &mut self,
         ctx: &mut NodeCtx,
@@ -213,18 +196,8 @@ impl Exchange {
         let rows = batch.rows();
         let passing = batch.passing();
         let mut hashes = std::mem::take(&mut self.hash_scratch);
-        hashes.clear();
         if passing > 0 {
-            hash_batch_init(Seed::Partition, rows, &mut hashes);
-            // A batch narrower than the key hashes all it has, as
-            // `destination_of` does.
-            for j in 0..self.key_len.min(batch.arity()) {
-                match batch.column(j) {
-                    StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
-                    StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
-                }
-            }
-            hash_batch_finish(&mut hashes);
+            batch.hash_keys(Seed::Partition, self.key_len, &mut hashes);
         }
 
         let template = route_template(charge_hash);
@@ -251,7 +224,6 @@ impl Exchange {
                 result = sent;
                 break;
             }
-            self.routed += 1;
         }
         charges.flush(&mut ctx.clock, batch, template);
         self.hash_scratch = hashes;
@@ -305,8 +277,9 @@ impl ScanSink<NodeCtx> for Exchange {
 mod tests {
     use super::*;
     use crate::operators::{scan_pages, scan_project};
+    use adaptagg_model::hash::hash_values;
     use adaptagg_model::{
-        AggFunc, AggQuery, AggSpec, Compare, CostParams, NetworkKind, NullTracker, Predicate,
+        AggFunc, AggQuery, AggSpec, Compare, CostParams, NetworkKind, NullTracker, Predicate, RowKind,
     };
     use adaptagg_net::{Fabric, Payload};
     use adaptagg_storage::{HeapFile, SimDisk, StorageError};
@@ -323,14 +296,24 @@ mod tests {
         vec![Value::Int(g), Value::Int(1)]
     }
 
+    /// The owner of `row(g)`'s group among `nodes` nodes.
+    fn owner(nodes: u64, g: i64) -> usize {
+        (hash_values(Seed::Partition, &row(g)[..1]) % nodes) as usize
+    }
+
     #[test]
     fn same_key_always_same_destination() {
-        let ex = Exchange::new(4, 2048, 1, DataKind::Raw);
-        for g in 0..100 {
-            let d1 = ex.destination_of(&row(g));
-            let d2 = ex.destination_of(&row(g));
-            assert_eq!(d1, d2);
-            assert!(d1 < 4);
+        let mut ctxs = cluster_of(4);
+        let mut ex = Exchange::new(4, 2048, 1, DataKind::Raw);
+        for g in (0..100).chain(0..100) {
+            ex.route(&mut ctxs[0], &row(g), true).unwrap();
+        }
+        ex.finish(&mut ctxs[0]).unwrap();
+        for (node, pages) in sent_pages(&mut ctxs).into_iter().enumerate() {
+            let mut keys: Vec<i64> = pages.iter().flat_map(|(_, rows)| rows.iter().map(|r| r[0].as_i64().unwrap())).collect();
+            assert!(keys.iter().all(|&g| owner(4, g) == node), "node {node} got a key it does not own");
+            keys.sort_unstable();
+            assert!(keys.chunks(2).all(|pair| pair.len() == 2 && pair[0] == pair[1]), "both copies of a key meet");
         }
     }
 
@@ -343,12 +326,11 @@ mod tests {
         let mut ex = Exchange::new(2, 2048, 1, DataKind::Raw);
         let mut to_node1 = 0;
         for g in 0..500 {
-            if ex.destination_of(&row(g)) == 1 {
+            if owner(2, g) == 1 {
                 to_node1 += 1;
             }
             ex.route(&mut tx, &row(g), true).unwrap();
         }
-        assert_eq!(ex.routed(), 500);
         ex.finish(&mut tx).unwrap();
 
         // Count tuples arriving at node 1 (EOS from node 0 only; node 1
@@ -433,6 +415,11 @@ mod tests {
     /// ticks and rows.
     type Sent = Vec<Vec<(u64, Vec<Vec<Value>>)>>;
 
+    /// Rows received, over every node.
+    fn received(sent: &Sent) -> usize {
+        sent.iter().flatten().map(|(_, rows)| rows.len()).sum()
+    }
+
     /// Every page node 0 sent. Call after `finish` on node 0.
     fn sent_pages(ctxs: &mut [NodeCtx]) -> Sent {
         ctxs.iter_mut()
@@ -474,25 +461,52 @@ mod tests {
     fn batched_routes_match_per_tuple_routes() {
         // A page routed whole must be indistinguishable from the per-tuple
         // loop: same sealed pages, same send timestamps, same clock on the
-        // sender.
+        // sender. So must each row routed where it lies — off a batch's
+        // strips, off a page, off a slice — and a ragged page, whose rows
+        // take the row route, some of them shorter than the key.
         let rows: Vec<Vec<Value>> = (0..700).map(row).collect();
-        for charge_hash in [false, true] {
-            let per_row = routed(1, DataKind::Raw, |ex, tx| {
-                for r in &rows {
-                    ex.route(tx, r, charge_hash).unwrap();
+        let ragged: Vec<Vec<Value>> = (0..700i64)
+            .map(|i| match i % 5 {
+                0 => vec![Value::Int(i % 37)],
+                1 => vec![Value::Int(i % 37), Value::from(format!("s{}", i % 11)), Value::Int(i)],
+                _ => vec![Value::Int(i % 37), Value::Int(i % 11)],
+            })
+            .collect();
+        let page_of = |rows: &[Vec<Value>]| {
+            let mut page = Page::new(1 << 16);
+            for r in rows {
+                assert!(page.try_push(r).unwrap());
+            }
+            page
+        };
+        for (key_len, rows) in [(1, &rows), (2, &ragged)] {
+            let page = page_of(rows);
+            for charge_hash in [false, true] {
+                let per_row = routed(key_len, DataKind::Raw, |ex, tx| {
+                    for r in rows {
+                        ex.route(tx, r, charge_hash).unwrap();
+                    }
+                });
+                assert_eq!(received(&per_row.1), rows.len());
+                let paged = routed(key_len, DataKind::Raw, |ex, tx| ex.route_page(tx, &page, charge_hash).unwrap());
+                assert_eq!(paged, per_row, "route_page drifted (key_len {key_len})");
+                let values = routed(key_len, DataKind::Raw, |ex, tx| {
+                    rows.iter().for_each(|r| ex.route_row(tx, &r[..], charge_hash).unwrap())
+                });
+                assert_eq!(values, per_row, "route_row over values drifted");
+                let page_rows = routed(key_len, DataKind::Raw, |ex, tx| {
+                    page.rows().for_each(|r| ex.route_row(tx, &r, charge_hash).unwrap())
+                });
+                assert_eq!(page_rows, per_row, "route_row over page rows drifted");
+                if let Some(batch) = ScanBatch::whole(&page) {
+                    let strip_rows = routed(key_len, DataKind::Raw, |ex, tx| {
+                        (0..batch.rows()).for_each(|r| ex.route_row(tx, &batch.row(r), charge_hash).unwrap())
+                    });
+                    assert_eq!(strip_rows, per_row, "route_row over strip rows drifted");
+                } else {
+                    assert_eq!(key_len, 2, "only the ragged page has no batch");
                 }
-                assert_eq!(ex.routed(), rows.len() as u64);
-            });
-            let paged = routed(1, DataKind::Raw, |ex, tx| {
-                // Same rows, paged up in wire format first.
-                let mut page = Page::new(1 << 16);
-                for r in &rows {
-                    assert!(page.try_push(r).unwrap());
-                }
-                ex.route_page(tx, &page, charge_hash).unwrap();
-                assert_eq!(ex.routed(), rows.len() as u64);
-            });
-            assert_eq!(paged, per_row, "route_page drifted");
+            }
         }
 
         // The hand-off every local phase ends in: groups drained from a
@@ -517,7 +531,7 @@ mod tests {
             let filled = || {
                 let mut table = AggTable::new(query.clone(), 10_000);
                 for i in 0..900 {
-                    table.insert_raw(&raw(i), &mut NullTracker).unwrap();
+                    table.insert(RowKind::Raw, &raw(i), &mut NullTracker).unwrap();
                 }
                 table
             };
@@ -541,8 +555,8 @@ mod tests {
             });
             let flushed = routed(key_len, DataKind::Raw, |ex, tx| {
                 ex.flush_table(tx, &mut filled(), DataKind::Raw).unwrap();
-                assert_eq!(ex.routed(), rows.len() as u64);
             });
+            assert_eq!(received(&flushed.1), rows.len(), "{label}");
             assert_eq!(flushed, per_row, "{label}: flush_table drifted");
             assert!(per_row.1.iter().all(|pages| pages.len() > 2), "{label}: both nodes own groups");
 
@@ -555,8 +569,8 @@ mod tests {
                 for page in drained().into_pages() {
                     ex.send_page_to(tx, 1, &page).unwrap();
                 }
-                assert_eq!(ex.routed(), rows.len() as u64);
             });
+            assert_eq!(received(&paged.1), rows.len(), "{label}");
             assert_eq!(paged, per_row, "{label}: send_page_to drifted");
             assert!(per_row.1[0].is_empty() && per_row.1[1].len() > 4, "{label}: all to node 1");
         }
@@ -564,7 +578,9 @@ mod tests {
 
     /// Scan node 0's `file` into an exchange over `dests` nodes — as the
     /// batch sink the exchange is, or through the per-tuple `route` loop
-    /// — and return everything the pass made observable.
+    /// — and return everything the pass made observable: what the scan
+    /// returned, the rows the other nodes received, the sender's clock and
+    /// the pages.
     fn scan_routed(
         file: &HeapFile,
         filter: &[Predicate],
@@ -583,10 +599,10 @@ mod tests {
         } else {
             scan_project(tx, "base", filter, columns, |ctx, values| ex.route(ctx, values, true))
         };
-        let routed = ex.routed();
         ex.finish(tx).unwrap();
         let clock = ctxs[0].clock.now();
-        (scanned, routed, clock, sent_pages(&mut ctxs))
+        let sent = sent_pages(&mut ctxs);
+        (scanned, received(&sent) as u64, clock, sent)
     }
 
     #[test]
@@ -641,11 +657,13 @@ mod tests {
 
     #[test]
     fn partition_is_balanced_over_nodes() {
-        let ex = Exchange::new(8, 2048, 1, DataKind::Raw);
-        let mut counts = [0usize; 8];
+        let mut ctxs = cluster_of(8);
+        let mut ex = Exchange::new(8, 2048, 1, DataKind::Raw);
         for g in 0..8000 {
-            counts[ex.destination_of(&row(g))] += 1;
+            ex.route(&mut ctxs[0], &row(g), true).unwrap();
         }
+        ex.finish(&mut ctxs[0]).unwrap();
+        let counts: Vec<usize> = sent_pages(&mut ctxs).iter().map(|pages| pages.iter().map(|(_, r)| r.len()).sum()).collect();
         for &c in &counts {
             assert!((800..1200).contains(&c), "skewed partition: {counts:?}");
         }

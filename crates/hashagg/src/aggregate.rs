@@ -321,11 +321,12 @@ impl HashAggregator {
 
 /// Re-aggregate one overflow bucket into `table` "as in step 1" (§2 step
 /// 3), a drained page at a time, spooling what the table cannot hold one
-/// level deeper. A page whose rows share a kind and sit on `Int` strips is
-/// fed as the batch [`drained_batch`] makes of it — each row charged the
-/// drain's `t_r` and its insert attempt, as the row loop charges them;
-/// any other page takes that row loop (`scratch` holds its rows), and the
-/// page counts in `stats` under the lane it took.
+/// level deeper. A page whose rows share a kind and an arity is fed as the
+/// batch [`drained_batch`] makes of it — each row charged the drain's `t_r`
+/// and its insert attempt, as the row loop charges them, whatever cells
+/// its strips hold; a mixed-kind or ragged page takes that row loop
+/// (`scratch` holds its rows), and the page counts in `stats` under the
+/// lane it took.
 fn refeed<T: CostTracker>(
     bucket: SpillFile,
     table: &mut AggTable,

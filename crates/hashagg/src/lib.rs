@@ -29,4 +29,4 @@ pub mod table;
 pub use aggregate::HashAggregator;
 pub use overflow::{DrainCause, OverflowSet};
 pub use stats::HashAggStats;
-pub use table::{AggTable, FullPolicy, Inserted};
+pub use table::{AggTable, FullPolicy, Inserted, Stop};

@@ -11,15 +11,14 @@
 //! Each spooled tuple is tagged with its [`RowKind`] (raw or partial) by
 //! prepending a tag column, because an A2P merge-phase table can overflow
 //! while receiving both kinds. A row the table bounced off a batch is
-//! spooled where it lies: its key cells hashed and `[tag] ++ row` appended
-//! straight off the strips. A drained bucket page goes back into a
-//! table as a batch ([`drained_batch`]) when its rows share a kind and its
-//! strips are all `Int`s, and row by row otherwise.
+//! spooled where it lies: its key cells hashed ([`hash_cells`]) and
+//! `[tag] ++ row` appended straight off the strips. A drained bucket page
+//! goes back into a table as a batch ([`drained_batch`]) when its rows
+//! share a kind and an arity, and row by row otherwise.
 
-use adaptagg_model::hash::{FxHasher, Seed};
+use adaptagg_model::hash::{hash_cells, Seed};
 use adaptagg_model::{CellRow, CellSink, CostEvent, CostTracker, ModelError, RowKind, Value};
 use adaptagg_storage::{Page, ScanBatch, SpillFile, StorageError, StripView};
-use std::hash::{Hash, Hasher};
 
 const TAG_RAW: i64 = 0;
 const TAG_PARTIAL: i64 = 1;
@@ -64,33 +63,6 @@ impl<R: CellRow + ?Sized> CellRow for Tagged<'_, R> {
     }
 }
 
-/// Hashes the first `cells` cells of a row it is shown (fewer if the row
-/// is shorter), exactly as [`hash_values`] hashes them as a slice.
-///
-/// [`hash_values`]: adaptagg_model::hash::hash_values
-struct KeyHash {
-    hasher: FxHasher,
-    cells: usize,
-}
-
-impl CellSink for KeyHash {
-    #[inline]
-    fn int(&mut self, x: i64) {
-        if self.cells > 0 {
-            self.cells -= 1;
-            Value::Int(x).hash(&mut self.hasher);
-        }
-    }
-
-    #[inline]
-    fn value(&mut self, v: &Value) {
-        if self.cells > 0 {
-            self.cells -= 1;
-            v.hash(&mut self.hasher);
-        }
-    }
-}
-
 /// Why a drained bucket page went back into a table row by row (the
 /// `hashagg.overflow_pages{lane=rows,cause=…}` trace counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,38 +73,34 @@ pub enum DrainCause {
     /// Rows of differing arity (partial and raw rows of different widths
     /// on one page).
     Ragged,
-    /// A strip holding a `Str`, `Float` or NULL cell.
-    ValueStrip,
 }
 
 impl DrainCause {
     /// Every cause, in counter order.
-    pub const ALL: [DrainCause; 3] = [DrainCause::MixedKind, DrainCause::Ragged, DrainCause::ValueStrip];
+    pub const ALL: [DrainCause; 2] = [DrainCause::MixedKind, DrainCause::Ragged];
 
     /// The trace counter this cause increments.
     pub fn counter(self) -> &'static str {
         match self {
             DrainCause::MixedKind => "hashagg.overflow_pages{lane=rows,cause=mixed_kind}",
             DrainCause::Ragged => "hashagg.overflow_pages{lane=rows,cause=ragged}",
-            DrainCause::ValueStrip => "hashagg.overflow_pages{lane=rows,cause=value_strip}",
         }
     }
 }
 
 /// A drained bucket page as the batch a table takes back — its rows' one
 /// kind, and [`ScanBatch::spilled`] (the tag projected away, the drain's
-/// `t_r` owed ahead of each row) — or why it must go row by row.
+/// `t_r` owed ahead of each row) — or why it must go row by row. A strip
+/// of `Str`, `Float` or NULL cells is the table's to judge: its row arm
+/// materializes what its strips arms cannot take, at the row loop's
+/// charges.
 pub(crate) fn drained_batch(page: &Page) -> Result<(RowKind, ScanBatch<'_>), DrainCause> {
     let batch = ScanBatch::spilled(page).ok_or(DrainCause::Ragged)?;
     let kind = match page.column(0) {
         Some(StripView::Ints(tags)) if tags.iter().all(|&t| t == tags[0]) => tag_kind(tags[0]),
         _ => None,
     };
-    let kind = kind.ok_or(DrainCause::MixedKind)?;
-    if (0..batch.arity()).any(|j| matches!(batch.column(j), StripView::Values(_))) {
-        return Err(DrainCause::ValueStrip);
-    }
-    Ok((kind, batch))
+    Ok((kind.ok_or(DrainCause::MixedKind)?, batch))
 }
 
 /// A set of spill buckets at one recursion level.
@@ -182,12 +150,8 @@ impl OverflowSet {
         row: &R,
         tracker: &mut T,
     ) -> Result<(), StorageError> {
-        let mut key = KeyHash {
-            hasher: FxHasher::with_seed(Seed::OverflowBucket(self.level)),
-            cells: self.group_by_len,
-        };
-        row.cells(&mut key);
-        let b = (key.hasher.finish() % self.buckets.len() as u64) as usize;
+        let hash = hash_cells(Seed::OverflowBucket(self.level), row, self.group_by_len);
+        let b = (hash % self.buckets.len() as u64) as usize;
         tracker.record(CostEvent::TupleWrite, 1);
         self.buckets[b].spool_row(&Tagged { tag: kind_tag(kind), row }, tracker)?;
         self.spooled += 1;
@@ -341,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn drained_pages_are_batches_only_when_their_rows_can_ride_the_strips() {
+    fn drained_pages_are_batches_when_their_rows_share_a_kind_and_an_arity() {
         let page = |rows: &[(RowKind, Vec<Value>)]| {
             let mut set = OverflowSet::new(2, 1 << 16, 0, 0);
             for (kind, values) in rows {
@@ -369,7 +333,10 @@ mod tests {
         let short = (RowKind::Raw, vec![Value::Int(3)]);
         assert_eq!(drained_batch(&page(&[raw(1), short])).err(), Some(DrainCause::Ragged));
         let null = (RowKind::Raw, vec![Value::Int(3), Value::Null]);
-        assert_eq!(drained_batch(&page(&[raw(1), null])).err(), Some(DrainCause::ValueStrip));
+        let p = page(&[raw(1), null]);
+        let (kind, batch) = drained_batch(&p).unwrap();
+        assert_eq!(kind, RowKind::Raw);
+        assert_eq!(batch.column(1), StripView::Values(&[Value::Int(1), Value::Null]), "a value strip rides too");
     }
 
     #[test]

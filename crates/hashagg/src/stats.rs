@@ -30,7 +30,7 @@ pub struct HashAggStats {
     pub overflow_pages_batched: u64,
     /// Overflow-bucket pages re-aggregated row by row, indexed as
     /// [`DrainCause::ALL`](crate::DrainCause::ALL).
-    pub overflow_pages_rows: [u64; 3],
+    pub overflow_pages_rows: [u64; 2],
     /// The group-store layout the data left each table in, summed at drain
     /// time over all tables (first pass + overflow buckets): columns still
     /// typed, columns general, demotions by cause; `bytes_per_group` is the

@@ -28,14 +28,16 @@
 //! order — both deterministic and independent of any hash-map iteration
 //! order. This table adds what the store does not
 //! know about: the entry budget and live grant, the charging contract,
-//! and the row / page / batch entry points — generic over what a new key
-//! meeting a full table means ([`FullPolicy`]: bounce the row, or make
-//! room), which is all that separates this table from the sort-based run
-//! table `adaptagg-sortagg` builds on it.
+//! and two entry points — one row core, [`AggTable::feed_row`], and one
+//! batch core, [`AggTable::feed_batch`] — generic over what a new key
+//! meeting a full table means ([`FullPolicy`]: bounce the row where it
+//! lies, or make room), which is all that separates this table from the
+//! sort-based run table `adaptagg-sortagg` builds on it. [`Stop`] is the
+//! policy of the callers that take a bounced row themselves;
+//! [`AggTable::insert`] is the row core under it. `insert_page` and
+//! `insert_page_batched` remain for the benchmark harness.
 
-use adaptagg_model::hash::{
-    hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values,
-};
+use adaptagg_model::hash::hash_values;
 use adaptagg_model::store::NO_GROUP;
 use adaptagg_model::{
     record_each, AggFunc, AggQuery, CostEvent, CostTracker, GroupStore, KeyCell, MemoryGrant,
@@ -56,9 +58,9 @@ pub enum Inserted {
     Full,
 }
 
-/// What the consumer of a batch does when a new key meets a full table
-/// ([`AggTable::feed_batch`]): the one place the hash table's batched front
-/// end and the sort-based run table's differ.
+/// What a new key meeting a full table means ([`AggTable::feed_batch`],
+/// [`AggTable::feed_row`]): the one place the hash table and the
+/// sort-based run table differ.
 pub trait FullPolicy<T> {
     /// Make room for the new key by emptying `table` — a run table seals
     /// its groups as a sorted run and clears. `settle` applies the updates
@@ -87,26 +89,18 @@ pub trait FullPolicy<T> {
     ) -> Result<bool, StorageError>;
 }
 
-/// The policy of [`AggTable::insert_batch`]'s callers: every row that does
-/// not fit is materialized into `row` and handed to a callback.
-struct Bounce<'s, F> {
-    on_full: F,
-    row: &'s mut Vec<Value>,
-}
+/// The policy that never makes room and stops a batch at the first row
+/// the full table bounces, recording that row's id: the caller takes
+/// `batch.row(r)` where it lies once [`AggTable::feed_batch`] has paid the
+/// batch's charges (A-2P's switch tuple, optimized 2P's forwards). Under
+/// [`AggTable::feed_row`] a new key meeting a full table reads `Full`.
+#[derive(Debug, Default, PartialEq)]
+pub struct Stop(pub Option<usize>);
 
-impl<T, F> FullPolicy<T> for Bounce<'_, F>
-where
-    F: FnMut(&mut T, RowKind, &[Value]) -> Result<bool, StorageError>,
-{
-    fn bounce(
-        &mut self,
-        tracker: &mut T,
-        kind: RowKind,
-        batch: &ScanBatch<'_>,
-        r: usize,
-    ) -> Result<bool, StorageError> {
-        batch.read_row(r, self.row);
-        (self.on_full)(tracker, kind, self.row)
+impl<T> FullPolicy<T> for Stop {
+    fn bounce(&mut self, _: &mut T, _: RowKind, _: &ScanBatch<'_>, r: usize) -> Result<bool, StorageError> {
+        self.0 = Some(r);
+        Ok(false)
     }
 }
 
@@ -143,8 +137,6 @@ pub struct AggTable {
     /// Tuple decode scratch for [`AggTable::insert_page`] and the row arm
     /// of [`AggTable::feed_batch`].
     row_scratch: Vec<Value>,
-    /// The row [`AggTable::insert_batch`] hands its callback.
-    bounced: Vec<Value>,
     /// Pooled per-page key-hash vector for the batched probe.
     batch_hashes: Vec<u64>,
     /// Pooled per-page group-index vector ([`NO_GROUP`] = row bounced) the
@@ -179,7 +171,6 @@ impl AggTable {
             probe_slots: 0,
             key_scratch: Vec::new(),
             row_scratch: Vec::new(),
-            bounced: Vec::new(),
             batch_hashes: Vec::new(),
             batch_gix: Vec::new(),
         }
@@ -210,11 +201,6 @@ impl AggTable {
         self.grant = grant;
     }
 
-    /// The query this table aggregates for.
-    pub fn query(&self) -> &AggQuery {
-        &self.query
-    }
-
     /// Number of groups currently held.
     pub fn len(&self) -> usize {
         self.store.len()
@@ -228,11 +214,6 @@ impl AggTable {
     /// Whether the table is at its effective entry budget.
     pub fn is_full(&self) -> bool {
         self.store.len() >= self.effective_max()
-    }
-
-    /// The entry budget.
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
     }
 
     /// The budget after clamping by the live grant.
@@ -269,11 +250,6 @@ impl AggTable {
         self.store.layout()
     }
 
-    /// Fraction of the slot array currently occupied.
-    pub fn occupancy(&self) -> f64 {
-        self.store.len() as f64 / self.store.slot_count() as f64
-    }
-
     /// What one accepted insert costs (what the page and batch entry
     /// points record per admitted tuple).
     fn accept_template(&self) -> &'static [CostEvent] {
@@ -292,50 +268,21 @@ impl AggTable {
         }
     }
 
-    /// Insert a row of either kind.
+    /// Insert a raw (projected) tuple — group columns at the query's
+    /// `group_by` positions, aggregate inputs at the specs' positions — or
+    /// a partial row (key columns, then [`AggQuery::partial_row_arity`]
+    /// columns in all): [`AggTable::feed_row`] under [`Stop`], so a new key
+    /// that meets a full table reads `Full` and the row is the caller's.
     pub fn insert<T: CostTracker>(
         &mut self,
         kind: RowKind,
         values: &[Value],
         tracker: &mut T,
-    ) -> Result<Inserted, ModelError> {
-        match kind {
-            RowKind::Raw => self.insert_raw(values, tracker),
-            RowKind::Partial => self.insert_partial(values, tracker),
-        }
+    ) -> Result<Inserted, StorageError> {
+        self.feed_row(kind, values, tracker, &mut Stop::default())
     }
 
-    /// Insert a raw (projected) tuple: group columns at the query's
-    /// `group_by` positions, aggregate inputs at the specs' positions.
-    pub fn insert_raw<T: CostTracker>(
-        &mut self,
-        values: &[Value],
-        tracker: &mut T,
-    ) -> Result<Inserted, ModelError> {
-        self.charge_attempt(tracker);
-        let outcome = self.insert_quiet(RowKind::Raw, values, None, false)?;
-        if outcome != Inserted::Full {
-            tracker.record(CostEvent::TupleAgg, 1);
-        }
-        Ok(outcome)
-    }
-
-    /// Insert a partial row: group-key columns first, then the encoded
-    /// partial-state columns ([`AggQuery::partial_row_arity`] total).
-    pub fn insert_partial<T: CostTracker>(
-        &mut self,
-        values: &[Value],
-        tracker: &mut T,
-    ) -> Result<Inserted, ModelError> {
-        self.charge_attempt(tracker);
-        let outcome = self.insert_quiet(RowKind::Partial, values, None, false)?;
-        if outcome != Inserted::Full {
-            tracker.record(CostEvent::TupleAgg, 1);
-        }
-        Ok(outcome)
-    }
-
-    /// [`AggTable::insert`] under a [`FullPolicy`] that may make room: a
+    /// The row core: one row, under a [`FullPolicy`] that may make room. A
     /// new key that meets a full table is admitted after all if the
     /// policy emptied the table for it (charging what that costs between
     /// the row's attempt and its `t_a`), and reported `Full` — the row is
@@ -411,68 +358,63 @@ impl AggTable {
 
     /// [`AggTable::insert_page`] through the batched lane: a whole page is
     /// the trivial [`ScanBatch`] (every column, every row, nothing owed to
-    /// a scan). Ragged and empty pages have no strips to ride and take the
+    /// a scan), and each row the table bounces is materialized for
+    /// `on_full`. Ragged and empty pages have no strips to ride and take the
     /// row loop. Returns the number of rejected tuples.
     pub fn insert_page_batched<T, F>(
         &mut self,
         kind: RowKind,
         page: &Page,
         tracker: &mut T,
-        mut on_full: F,
+        on_full: F,
     ) -> Result<u64, StorageError>
     where
         T: CostTracker,
         F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
     {
+        /// `on_full`, shown each bounced row as values.
+        struct OnFull<F>(F, Vec<Value>);
+
+        impl<T, F> FullPolicy<T> for OnFull<F>
+        where
+            F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
+        {
+            fn bounce(&mut self, tracker: &mut T, kind: RowKind, batch: &ScanBatch<'_>, r: usize) -> Result<bool, StorageError> {
+                batch.read_row(r, &mut self.1);
+                (self.0)(tracker, kind, &self.1).map(|()| true)
+            }
+        }
+
         match ScanBatch::whole(page) {
             Some(batch) => self
-                .insert_batch(kind, &batch, tracker, |t, k, row| on_full(t, k, row).map(|()| true))
+                .feed_batch(kind, &batch, tracker, &mut OnFull(on_full, Vec::new()))
                 .map(|out| out.rejected),
             None => self.insert_page(kind, page, tracker, on_full),
         }
     }
 
-    /// The vectorized insert: one kernel pass hashes the batch's key
-    /// strips, a row-order probe finds or admits each passing row's group
-    /// off the precomputed hashes, and — when every aggregate input is an
-    /// `Int` strip, or every partial-state cell of a partial batch is —
-    /// state updates are deferred behind a group-index vector and
-    /// replayed column-at-a-time. Batches the strips cannot serve
-    /// materialize each passing row instead, still skipping the per-row
-    /// hash; for raw rows the outcome's `row_cause` says why.
+    /// The batch core: one kernel pass hashes the batch's key strips
+    /// ([`ScanBatch::hash_keys`]), a row-order probe finds or admits each
+    /// passing row's group off the precomputed hashes, and — when every
+    /// aggregate input is an `Int` strip, or every partial-state cell of a
+    /// partial batch is — state updates are deferred behind a group-index
+    /// vector and replayed column-at-a-time. Batches the strips cannot
+    /// serve materialize each passing row instead, still skipping the
+    /// per-row hash; for raw rows the outcome's `row_cause` says why.
     ///
     /// Charges are the row loop's, recorded as counts: each accepted row
     /// owes `batch.pass_lead()` and the accept template, each filtered-out
-    /// row `batch.fail_charge()`, all paid as the batch returns (so
-    /// `on_full` must not read a clock); a rejected row records the lead
-    /// and its attempt (`t_r`, `t_h`) and goes to `on_full`, which spools
-    /// it or hands it back (charging its own costs) and returns whether to
-    /// carry on. `Ok(false)` stops the batch right there: rows past
-    /// `consumed` are untouched and uncharged, and the caller owns them.
-    pub fn insert_batch<T, F>(
-        &mut self,
-        kind: RowKind,
-        batch: &ScanBatch<'_>,
-        tracker: &mut T,
-        on_full: F,
-    ) -> Result<BatchOutcome, StorageError>
-    where
-        T: CostTracker,
-        F: FnMut(&mut T, RowKind, &[Value]) -> Result<bool, StorageError>,
-    {
-        let mut row = std::mem::take(&mut self.bounced);
-        let out = self.feed_batch(kind, batch, tracker, &mut Bounce { on_full, row: &mut row });
-        self.bounced = row;
-        out
-    }
-
-    /// [`AggTable::insert_batch`] under any [`FullPolicy`]: the same hash
-    /// pass, probe and deferred updates, whoever decides what a new key
-    /// meeting a full table means. Under a policy that makes room the
-    /// charges are the row loop's too: the row that found the table full
-    /// records the lead and its attempt, the policy charges what making
-    /// room costs (with every earlier row's update applied first), and the
-    /// row's `t_a` follows its admission.
+    /// row `batch.fail_charge()`, all paid as the batch returns (so the
+    /// policy must not read a clock); a rejected row records the lead and
+    /// its attempt (`t_r`, `t_h`) and goes to the policy's `bounce`, which
+    /// spools it (charging its own costs) or keeps it for the caller and
+    /// returns whether to carry on. `Ok(false)` stops the batch right
+    /// there: rows past `consumed` are untouched and uncharged, and the
+    /// caller owns them. Under a policy that makes room the charges are
+    /// the row loop's too: the row that found the table full records the
+    /// lead and its attempt, the policy charges what making room costs
+    /// (with every earlier row's update applied first), and the row's
+    /// `t_a` follows its admission.
     pub fn feed_batch<T, P>(
         &mut self,
         kind: RowKind,
@@ -494,20 +436,12 @@ impl AggTable {
             RowKind::Raw => self.input_strips_cause(batch),
         };
 
-        // One vectorized Seed::Table hash per row, folding the key strips
-        // in order (bit-identical to hash_values on the row's key prefix
-        // by the batch kernels' contract).
+        // One vectorized Seed::Table hash per row of its key prefix.
         let mut hashes = std::mem::take(&mut self.batch_hashes);
-        hashes.clear();
         if hashed && batch.passing() > 0 {
-            hash_batch_init(Seed::Table, batch.rows(), &mut hashes);
-            for j in 0..k {
-                match batch.column(j) {
-                    StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
-                    StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
-                }
-            }
-            hash_batch_finish(&mut hashes);
+            batch.hash_keys(Seed::Table, k, &mut hashes);
+        } else {
+            hashes.clear();
         }
 
         let mut out = BatchOutcome {
@@ -811,29 +745,6 @@ impl AggTable {
         }
     }
 
-    /// Whether a raw tuple's group is already resident: a read-only probe
-    /// that leaves the table and its counters as they were.
-    pub fn contains_key_of(&self, values: &[Value]) -> Result<bool, ModelError> {
-        let k = self.key_len;
-        if self.key_is_prefix {
-            if values.len() < k {
-                return Err(ModelError::ColumnOutOfRange {
-                    column: values.len(),
-                    arity: values.len(),
-                });
-            }
-            let key = &values[..k];
-            let hash = hash_values(Seed::Table, key);
-            Ok(self.store.find(hash, key).0.is_ok())
-        } else {
-            let key = self.query.key_of_values(values)?;
-            let hash = hash_values(Seed::Table, key.values());
-            Ok(self.store.find(hash, key.values()).0.is_ok())
-        }
-        // Read-only lookups intentionally leave `probe_slots` untouched:
-        // it measures insert-path collision chains only.
-    }
-
     /// Drain the table as **partial rows** (key columns ++ partial-state
     /// columns) onto `out` in insertion order, each copied strip by strip
     /// from where it lies, charging `t_w` per row (one record, whether or
@@ -952,6 +863,11 @@ mod tests {
         vec![Value::Int(g), Value::Int(v)]
     }
 
+    /// Whether `key`'s group is resident: a read-only probe of the store.
+    fn resident(t: &AggTable, key: &[Value]) -> bool {
+        t.store().find(hash_values(Seed::Table, key), key).0.is_ok()
+    }
+
     /// The table's partial drain, read back as rows.
     fn drain_partials<T: CostTracker>(t: &mut AggTable, tracker: &mut T) -> Vec<Vec<Value>> {
         let mut pages = RowPages::new(256);
@@ -963,9 +879,9 @@ mod tests {
     fn builds_groups_and_updates() {
         let mut t = AggTable::new(query(), 10);
         let mut tr = NullTracker;
-        assert_eq!(t.insert_raw(&raw(1, 10), &mut tr).unwrap(), Inserted::New);
-        assert_eq!(t.insert_raw(&raw(1, 5), &mut tr).unwrap(), Inserted::Updated);
-        assert_eq!(t.insert_raw(&raw(2, 1), &mut tr).unwrap(), Inserted::New);
+        assert_eq!(t.insert(RowKind::Raw, &raw(1, 10), &mut tr).unwrap(), Inserted::New);
+        assert_eq!(t.insert(RowKind::Raw, &raw(1, 5), &mut tr).unwrap(), Inserted::Updated);
+        assert_eq!(t.insert(RowKind::Raw, &raw(2, 1), &mut tr).unwrap(), Inserted::New);
         assert_eq!(t.len(), 2);
 
         let mut rows = t.drain_result_rows(&mut tr);
@@ -980,14 +896,14 @@ mod tests {
     fn capacity_rejects_new_groups_but_updates_resident_ones() {
         let mut t = AggTable::new(query(), 2);
         let mut tr = NullTracker;
-        t.insert_raw(&raw(1, 1), &mut tr).unwrap();
-        t.insert_raw(&raw(2, 1), &mut tr).unwrap();
+        t.insert(RowKind::Raw, &raw(1, 1), &mut tr).unwrap();
+        t.insert(RowKind::Raw, &raw(2, 1), &mut tr).unwrap();
         assert!(t.is_full());
         // New group: rejected, not stored.
-        assert_eq!(t.insert_raw(&raw(3, 1), &mut tr).unwrap(), Inserted::Full);
+        assert_eq!(t.insert(RowKind::Raw, &raw(3, 1), &mut tr).unwrap(), Inserted::Full);
         assert_eq!(t.len(), 2);
         // Resident group: still updates in place.
-        assert_eq!(t.insert_raw(&raw(1, 9), &mut tr).unwrap(), Inserted::Updated);
+        assert_eq!(t.insert(RowKind::Raw, &raw(1, 9), &mut tr).unwrap(), Inserted::Updated);
     }
 
     #[test]
@@ -995,12 +911,12 @@ mod tests {
         // §3.2's requirement: raw and partial interleaved in one table.
         let mut t = AggTable::new(query(), 10);
         let mut tr = NullTracker;
-        t.insert_raw(&raw(1, 10), &mut tr).unwrap();
+        t.insert(RowKind::Raw, &raw(1, 10), &mut tr).unwrap();
         // Partial row for group 1 carrying SUM partial = 32.
-        t.insert_partial(&[Value::Int(1), Value::Int(32)], &mut tr).unwrap();
+        t.insert(RowKind::Partial, &[Value::Int(1), Value::Int(32)], &mut tr).unwrap();
         // Partial row for a brand-new group 2.
-        t.insert_partial(&[Value::Int(2), Value::Int(7)], &mut tr).unwrap();
-        t.insert_raw(&raw(2, 3), &mut tr).unwrap();
+        t.insert(RowKind::Partial, &[Value::Int(2), Value::Int(7)], &mut tr).unwrap();
+        t.insert(RowKind::Raw, &raw(2, 3), &mut tr).unwrap();
 
         let mut rows = t.drain_result_rows(&mut tr);
         adaptagg_model::query::sort_rows(&mut rows);
@@ -1013,7 +929,7 @@ mod tests {
         let mut t = AggTable::new(query(), 10);
         let mut tr = NullTracker;
         assert!(t
-            .insert_partial(&[Value::Int(1)], &mut tr)
+            .insert(RowKind::Partial, &[Value::Int(1)], &mut tr)
             .is_err());
     }
 
@@ -1023,7 +939,7 @@ mod tests {
         let mut t = AggTable::new(query(), 100);
         let mut tr = CountingTracker::new();
         for i in 0..50 {
-            t.insert_raw(&raw(i % 5, i), &mut tr).unwrap();
+            t.insert(RowKind::Raw, &raw(i % 5, i), &mut tr).unwrap();
         }
         assert_eq!(tr.count(CostEvent::TupleRead), 50);
         assert_eq!(tr.count(CostEvent::TupleHash), 50);
@@ -1040,8 +956,8 @@ mod tests {
         // t_r + t_a only.
         let mut t = AggTable::new(query(), 100).with_charge_hash(false);
         let mut tr = CountingTracker::new();
-        t.insert_raw(&raw(1, 1), &mut tr).unwrap();
-        t.insert_partial(&[Value::Int(2), Value::Int(5)], &mut tr).unwrap();
+        t.insert(RowKind::Raw, &raw(1, 1), &mut tr).unwrap();
+        t.insert(RowKind::Partial, &[Value::Int(2), Value::Int(5)], &mut tr).unwrap();
         assert_eq!(tr.count(CostEvent::TupleHash), 0);
         assert_eq!(tr.count(CostEvent::TupleRead), 2);
         assert_eq!(tr.count(CostEvent::TupleAgg), 2);
@@ -1051,9 +967,9 @@ mod tests {
     fn rejected_insert_charges_no_agg() {
         let mut t = AggTable::new(query(), 1);
         let mut tr = CountingTracker::new();
-        t.insert_raw(&raw(1, 1), &mut tr).unwrap();
+        t.insert(RowKind::Raw, &raw(1, 1), &mut tr).unwrap();
         let agg_before = tr.count(CostEvent::TupleAgg);
-        t.insert_raw(&raw(2, 1), &mut tr).unwrap(); // Full
+        t.insert(RowKind::Raw, &raw(2, 1), &mut tr).unwrap(); // Full
         assert_eq!(tr.count(CostEvent::TupleAgg), agg_before);
         assert_eq!(tr.count(CostEvent::TupleHash), 2);
     }
@@ -1064,7 +980,7 @@ mod tests {
         let mut t = AggTable::new(q, 10);
         let mut tr = NullTracker;
         for g in [1, 2, 1, 3, 2, 1] {
-            t.insert_raw(&[Value::Int(g)], &mut tr).unwrap();
+            t.insert(RowKind::Raw, &[Value::Int(g)], &mut tr).unwrap();
         }
         assert_eq!(t.len(), 3);
         let rows = t.drain_result_rows(&mut tr);
@@ -1075,15 +991,15 @@ mod tests {
     fn drained_partials_round_trip_through_second_table() {
         let mut t1 = AggTable::new(query(), 10);
         let mut tr = NullTracker;
-        t1.insert_raw(&raw(1, 10), &mut tr).unwrap();
-        t1.insert_raw(&raw(1, 20), &mut tr).unwrap();
-        t1.insert_raw(&raw(2, 5), &mut tr).unwrap();
+        t1.insert(RowKind::Raw, &raw(1, 10), &mut tr).unwrap();
+        t1.insert(RowKind::Raw, &raw(1, 20), &mut tr).unwrap();
+        t1.insert(RowKind::Raw, &raw(2, 5), &mut tr).unwrap();
 
         let partials = drain_partials(&mut t1, &mut tr);
         assert_eq!(partials.len(), 2);
         let mut t2 = AggTable::new(query(), 10);
         for p in &partials {
-            t2.insert_partial(p, &mut tr).unwrap();
+            t2.insert(RowKind::Partial, p, &mut tr).unwrap();
         }
         let mut rows = t2.drain_result_rows(&mut tr);
         adaptagg_model::query::sort_rows(&mut rows);
@@ -1092,21 +1008,21 @@ mod tests {
     }
 
     #[test]
-    fn contains_key_of_sees_resident_groups() {
+    fn store_find_sees_resident_groups() {
         let mut t = AggTable::new(query(), 10);
         let mut tr = NullTracker;
-        t.insert_raw(&raw(7, 1), &mut tr).unwrap();
-        assert!(t.contains_key_of(&raw(7, 99)).unwrap());
-        assert!(!t.contains_key_of(&raw(8, 0)).unwrap());
+        t.insert(RowKind::Raw, &raw(7, 1), &mut tr).unwrap();
+        assert!(resident(&t, &[Value::Int(7)]));
+        assert!(!resident(&t, &[Value::Int(8)]));
     }
 
     #[test]
     fn accepted_counts_updates_and_inserts() {
         let mut t = AggTable::new(query(), 1);
         let mut tr = NullTracker;
-        t.insert_raw(&raw(1, 1), &mut tr).unwrap();
-        t.insert_raw(&raw(1, 2), &mut tr).unwrap();
-        t.insert_raw(&raw(2, 3), &mut tr).unwrap(); // Full → not accepted
+        t.insert(RowKind::Raw, &raw(1, 1), &mut tr).unwrap();
+        t.insert(RowKind::Raw, &raw(1, 2), &mut tr).unwrap();
+        t.insert(RowKind::Raw, &raw(2, 3), &mut tr).unwrap(); // Full → not accepted
         assert_eq!(t.accepted(), 2);
     }
 
@@ -1332,15 +1248,13 @@ mod tests {
 
         let mut a = AggTable::new(query(), 5);
         let mut ta = CountingTracker::new();
-        let mut bounced = Vec::new();
-        let out = a
-            .insert_batch(RowKind::Raw, &batch, &mut ta, |_, _, row| {
-                bounced = row.to_vec();
-                Ok(false)
-            })
-            .unwrap();
+        let mut stop = Stop::default();
+        let out = a.feed_batch(RowKind::Raw, &batch, &mut ta, &mut stop).unwrap();
         assert_eq!((out.rejected, out.row_cause), (1, None));
         assert!(out.consumed < 60 && sel.contains(&(out.consumed as u32 - 1)));
+        assert_eq!(stop, Stop(Some(out.consumed - 1)), "the bounced row is the last consumed");
+        let mut bounced = Vec::new();
+        batch.read_row(out.consumed - 1, &mut bounced);
         assert_eq!(bounced, vec![base[out.consumed - 1][1].clone(), base[out.consumed - 1][0].clone()]);
 
         // Reference: the row loop over rows [0, consumed), charging what
@@ -1355,7 +1269,7 @@ mod tests {
             }
             tb.record(CostEvent::TupleWrite, 1);
             passed += 1;
-            let outcome = b.insert_raw(&[row[1].clone(), row[0].clone()], &mut tb).unwrap();
+            let outcome = b.insert(RowKind::Raw, &[row[1].clone(), row[0].clone()], &mut tb).unwrap();
             assert_eq!(outcome == Inserted::Full, r + 1 == out.consumed);
         }
         assert_eq!(out.passed, passed);
@@ -1390,11 +1304,11 @@ mod tests {
         let mut tr = NullTracker;
         let n = (adaptagg_model::store::PRESIZE_CAP * 2) as i64;
         for g in 0..n {
-            assert_eq!(t.insert_raw(&raw(g, 1), &mut tr).unwrap(), Inserted::New);
+            assert_eq!(t.insert(RowKind::Raw, &raw(g, 1), &mut tr).unwrap(), Inserted::New);
         }
         assert_eq!(t.len(), n as usize);
         for g in 0..n {
-            assert!(t.contains_key_of(&raw(g, 0)).unwrap(), "group {g} lost in growth");
+            assert!(resident(&t, &[Value::Int(g)]), "group {g} lost in growth");
         }
     }
 
@@ -1404,11 +1318,11 @@ mod tests {
         let q = AggQuery::new(vec![1], vec![AggSpec::over(AggFunc::Sum, 0)]);
         let mut t = AggTable::new(q, 10);
         let mut tr = NullTracker;
-        t.insert_raw(&[Value::Int(100), Value::Int(7)], &mut tr).unwrap();
-        t.insert_raw(&[Value::Int(11), Value::Int(7)], &mut tr).unwrap();
-        t.insert_raw(&[Value::Int(1), Value::Int(8)], &mut tr).unwrap();
+        t.insert(RowKind::Raw, &[Value::Int(100), Value::Int(7)], &mut tr).unwrap();
+        t.insert(RowKind::Raw, &[Value::Int(11), Value::Int(7)], &mut tr).unwrap();
+        t.insert(RowKind::Raw, &[Value::Int(1), Value::Int(8)], &mut tr).unwrap();
         assert_eq!(t.len(), 2);
-        assert!(t.contains_key_of(&[Value::Int(0), Value::Int(7)]).unwrap());
+        assert!(resident(&t, &[Value::Int(7)]));
         let mut rows = t.drain_result_rows(&mut tr);
         adaptagg_model::query::sort_rows(&mut rows);
         assert_eq!(rows[0].key.values(), &[Value::Int(7)]);
@@ -1420,9 +1334,9 @@ mod tests {
         let mut t = AggTable::new(query(), 10);
         let mut tr = NullTracker;
         for g in [5i64, 3, 9, 1] {
-            t.insert_raw(&raw(g, 1), &mut tr).unwrap();
+            t.insert(RowKind::Raw, &raw(g, 1), &mut tr).unwrap();
         }
-        t.insert_raw(&raw(3, 1), &mut tr).unwrap(); // update: order unchanged
+        t.insert(RowKind::Raw, &raw(3, 1), &mut tr).unwrap(); // update: order unchanged
         let rows = drain_partials(&mut t, &mut tr);
         let keys: Vec<i64> = rows
             .iter()
@@ -1440,19 +1354,19 @@ mod tests {
         let mut t = AggTable::new(query(), 10).with_grant(grant.clone());
         let mut tr = NullTracker;
         for g in 0..4i64 {
-            assert_eq!(t.insert_raw(&raw(g, 1), &mut tr).unwrap(), Inserted::New);
+            assert_eq!(t.insert(RowKind::Raw, &raw(g, 1), &mut tr).unwrap(), Inserted::New);
         }
         assert!(!t.is_full());
         grant.set(2); // broker revokes below the resident count
         assert!(t.is_full());
         // New groups bounce; resident groups still update (no eviction,
         // no wrong answer).
-        assert_eq!(t.insert_raw(&raw(9, 1), &mut tr).unwrap(), Inserted::Full);
-        assert_eq!(t.insert_raw(&raw(0, 5), &mut tr).unwrap(), Inserted::Updated);
+        assert_eq!(t.insert(RowKind::Raw, &raw(9, 1), &mut tr).unwrap(), Inserted::Full);
+        assert_eq!(t.insert(RowKind::Raw, &raw(0, 5), &mut tr).unwrap(), Inserted::Updated);
         assert_eq!(t.len(), 4);
         grant.set(100); // regrant reopens admission
         assert!(!t.is_full());
-        assert_eq!(t.insert_raw(&raw(9, 1), &mut tr).unwrap(), Inserted::New);
+        assert_eq!(t.insert(RowKind::Raw, &raw(9, 1), &mut tr).unwrap(), Inserted::New);
     }
 
     #[test]
@@ -1460,13 +1374,13 @@ mod tests {
         let mut t = AggTable::new(query(), 4);
         let mut tr = NullTracker;
         for g in 0..4i64 {
-            t.insert_raw(&raw(g, 1), &mut tr).unwrap();
+            t.insert(RowKind::Raw, &raw(g, 1), &mut tr).unwrap();
         }
         assert!(t.is_full());
         drain_partials(&mut t, &mut tr);
         assert!(t.is_empty() && !t.is_full());
-        assert_eq!(t.insert_raw(&raw(9, 2), &mut tr).unwrap(), Inserted::New);
-        assert!(t.contains_key_of(&raw(9, 0)).unwrap());
-        assert!(!t.contains_key_of(&raw(0, 0)).unwrap(), "drained groups are gone");
+        assert_eq!(t.insert(RowKind::Raw, &raw(9, 2), &mut tr).unwrap(), Inserted::New);
+        assert!(resident(&t, &[Value::Int(9)]));
+        assert!(!resident(&t, &[Value::Int(0)]), "drained groups are gone");
     }
 }

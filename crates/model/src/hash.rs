@@ -16,8 +16,8 @@
 //! crate allowlist has no fxhash/ahash — so we implement the (tiny,
 //! well-known) algorithm ourselves.
 
-use crate::value::Value;
-use std::hash::{BuildHasher, Hash, Hasher};
+use crate::value::{CellRow, CellSink, Value};
+use std::hash::{Hash, Hasher};
 
 /// 64-bit multiplicative constant from FxHash (`pi`-derived).
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -85,12 +85,6 @@ impl FxHasher {
     }
 }
 
-impl Default for FxHasher {
-    fn default() -> Self {
-        FxHasher::with_seed(Seed::Table)
-    }
-}
-
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
@@ -135,18 +129,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` for using [`FxHasher`] in `HashMap`s (always [`Seed::Table`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FxBuildHasher;
-
-impl BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher::default()
-    }
-}
-
 /// Hash a slice of values under a given seed. This is *the* hash function
 /// for group keys: partitioning, bucketing and table placement all go
 /// through here with their respective seeds.
@@ -156,6 +138,39 @@ pub fn hash_values(seed: Seed, values: &[Value]) -> u64 {
         v.hash(&mut h);
     }
     h.finish()
+}
+
+/// [`hash_values`] of a row's first `k` cells (all of them when the row is
+/// shorter), read where they lie — a page's strips, a slice — with no
+/// `Value` row in between.
+pub fn hash_cells<R: CellRow + ?Sized>(seed: Seed, row: &R, k: usize) -> u64 {
+    /// Hashes the cells it is shown until `left` runs out.
+    struct Prefix {
+        hasher: FxHasher,
+        left: usize,
+    }
+
+    impl CellSink for Prefix {
+        #[inline]
+        fn int(&mut self, x: i64) {
+            self.value(&Value::Int(x));
+        }
+
+        #[inline]
+        fn value(&mut self, v: &Value) {
+            if self.left > 0 {
+                self.left -= 1;
+                v.hash(&mut self.hasher);
+            }
+        }
+    }
+
+    let mut key = Prefix {
+        hasher: FxHasher::with_seed(seed),
+        left: k,
+    };
+    row.cells(&mut key);
+    key.hasher.finish()
 }
 
 /// Vectorized batch counterpart of [`hash_values`]: initialize one hash
@@ -197,30 +212,6 @@ pub fn hash_batch_values(states: &mut [u64], column: &[Value]) {
 pub fn hash_batch_finish(states: &mut [u64]) {
     for s in states.iter_mut() {
         *s = finish_state(*s);
-    }
-}
-
-/// Convenience wrapper pairing a seed with the hash function.
-#[derive(Debug, Clone, Copy)]
-pub struct ValueHasher {
-    seed: Seed,
-}
-
-impl ValueHasher {
-    /// A hasher for the given purpose.
-    pub fn new(seed: Seed) -> Self {
-        ValueHasher { seed }
-    }
-
-    /// Hash the values.
-    pub fn hash(&self, values: &[Value]) -> u64 {
-        hash_values(self.seed, values)
-    }
-
-    /// Hash the values down to a bucket in `0..n`.
-    pub fn bucket(&self, values: &[Value], n: usize) -> usize {
-        debug_assert!(n > 0);
-        (self.hash(values) % n as u64) as usize
     }
 }
 
@@ -311,24 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn build_hasher_usable_in_hashmap() {
-        let mut m: std::collections::HashMap<u64, u64, FxBuildHasher> =
-            std::collections::HashMap::default();
-        for i in 0..100 {
-            m.insert(i, i * 2);
-        }
-        assert_eq!(m[&40], 80);
-    }
-
-    #[test]
-    fn value_hasher_bucket_in_range() {
-        let h = ValueHasher::new(Seed::Partition);
-        for i in 0..100 {
-            assert!(h.bucket(&v(i), 7) < 7);
-        }
-    }
-
-    #[test]
     fn batch_int_kernel_matches_row_hash() {
         for seed in [Seed::Table, Seed::Partition, Seed::OverflowBucket(3)] {
             let col: Vec<i64> = (-5..40).map(|i| i * 31 - 7).collect();
@@ -402,5 +375,63 @@ mod tests {
         hash_batch_init(Seed::Table, 2, &mut states);
         assert_eq!(states.len(), 2);
         assert!(states.iter().all(|&s| s != 0xdead));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A row that hands its `Int` cells over as `i64`s, as a page's `Int`
+    /// strips do, and every other cell as a value.
+    struct Strips<'a>(&'a [Value]);
+
+    impl CellRow for Strips<'_> {
+        fn cells<S: CellSink>(&self, sink: &mut S) {
+            for v in self.0 {
+                match v {
+                    Value::Int(x) => sink.int(*x),
+                    v => sink.value(v),
+                }
+            }
+        }
+    }
+
+    fn arb_cell() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            any::<i64>().prop_map(Value::Int),
+            any::<f64>().prop_map(Value::Float),
+            ".{0,20}".prop_map(|s: String| Value::Str(s.into_boxed_str())),
+        ]
+    }
+
+    proptest! {
+        /// `hash_cells` is `hash_values` of the row's first `k` cells — or
+        /// of all of them when the row is shorter than `k` — whether the
+        /// cells arrive as values or as `Int` strip cells.
+        #[test]
+        fn prop_hash_cells_equals_hash_values(
+            row in proptest::collection::vec(arb_cell(), 0..8),
+            k in 0usize..10,
+            custom in any::<u64>(),
+        ) {
+            for seed in [Seed::Table, Seed::Partition, Seed::OverflowBucket(2), Seed::Custom(custom)] {
+                let want = hash_values(seed, &row[..k.min(row.len())]);
+                prop_assert_eq!(hash_cells(seed, &row[..], k), want);
+                prop_assert_eq!(hash_cells(seed, &Strips(&row), k), want);
+            }
+        }
+    }
+
+    #[test]
+    fn hash_cells_covers_every_cell_type_and_both_lengths() {
+        let row = [Value::Int(-3), Value::from("ab"), Value::Null, Value::Float(0.25)];
+        for k in 0..=6 {
+            let want = hash_values(Seed::Partition, &row[..k.min(row.len())]);
+            assert_eq!(hash_cells(Seed::Partition, &row[..], k), want, "k = {k}");
+            assert_eq!(hash_cells(Seed::Partition, &Strips(&row), k), want, "k = {k}");
+        }
     }
 }

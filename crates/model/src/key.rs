@@ -1,12 +1,10 @@
 //! Group keys.
 //!
-//! A [`GroupKey`] is the projection of a tuple onto the GROUP BY columns.
-//! It is the unit of hashing everywhere: partitioning decides `hash(key) % N`,
-//! hash tables key their entries on it, and overflow bucketing hashes it with
-//! an independent seed.
+//! A [`GroupKey`] is the projection of a tuple onto the GROUP BY columns,
+//! owned: the key of a [`crate::ResultRow`]. The engine never hashes one —
+//! partitioning, table placement and overflow bucketing hash the key cells
+//! where they lie ([`crate::hash`]).
 
-use crate::hash::{hash_values, Seed};
-use crate::tuple::Tuple;
 use crate::value::Value;
 use std::fmt;
 
@@ -24,16 +22,6 @@ impl GroupKey {
         }
     }
 
-    /// Extract the key of `tuple` under the given grouping columns.
-    /// Columns out of range yield an error at the tuple layer.
-    pub fn from_tuple(tuple: &Tuple, group_by: &[usize]) -> Result<Self, crate::ModelError> {
-        let mut vs = Vec::with_capacity(group_by.len());
-        for &c in group_by {
-            vs.push(tuple.get(c)?.clone());
-        }
-        Ok(GroupKey::new(vs))
-    }
-
     /// The key's values in grouping order.
     pub fn values(&self) -> &[Value] {
         &self.values
@@ -44,22 +32,6 @@ impl GroupKey {
     /// empty key).
     pub fn arity(&self) -> usize {
         self.values.len()
-    }
-
-    /// Hash under the given purpose-seed.
-    pub fn hash_with(&self, seed: Seed) -> u64 {
-        hash_values(seed, &self.values)
-    }
-
-    /// The node (or bucket) in `0..n` this key maps to under `seed`.
-    pub fn bucket(&self, seed: Seed, n: usize) -> usize {
-        debug_assert!(n > 0);
-        (self.hash_with(seed) % n as u64) as usize
-    }
-
-    /// Bytes the key occupies in the tuple encoding.
-    pub fn encoded_len(&self) -> usize {
-        crate::encode::encoded_len(&self.values)
     }
 
     /// Consume the key, returning its values.
@@ -84,58 +56,18 @@ impl fmt::Display for GroupKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple;
-
-    #[test]
-    fn from_tuple_projects_group_columns() {
-        let t = tuple![10i64, 2.5f64, "a"];
-        let k = GroupKey::from_tuple(&t, &[0, 2]).unwrap();
-        assert_eq!(k.values(), &[Value::Int(10), Value::Str("a".into())]);
-        assert_eq!(k.arity(), 2);
-    }
 
     #[test]
     fn scalar_aggregation_key_is_empty_and_unique() {
-        let t1 = tuple![1i64];
-        let t2 = tuple![999i64];
-        let k1 = GroupKey::from_tuple(&t1, &[]).unwrap();
-        let k2 = GroupKey::from_tuple(&t2, &[]).unwrap();
+        let k1 = GroupKey::new(vec![]);
+        let k2 = GroupKey::new(vec![]);
         assert_eq!(k1, k2, "scalar aggregation: all tuples share one group");
         assert_eq!(k1.arity(), 0);
-    }
-
-    #[test]
-    fn out_of_range_column_is_error() {
-        let t = tuple![1i64];
-        assert!(GroupKey::from_tuple(&t, &[3]).is_err());
-    }
-
-    #[test]
-    fn same_key_same_node() {
-        let a = GroupKey::new(vec![Value::Int(7)]);
-        let b = GroupKey::new(vec![Value::Int(7)]);
-        assert_eq!(a.bucket(Seed::Partition, 8), b.bucket(Seed::Partition, 8));
-    }
-
-    #[test]
-    fn different_seeds_different_layout() {
-        let keys: Vec<GroupKey> = (0..64).map(|i| GroupKey::new(vec![Value::Int(i)])).collect();
-        let diff = keys
-            .iter()
-            .filter(|k| k.bucket(Seed::Partition, 8) != k.bucket(Seed::Table, 8))
-            .count();
-        assert!(diff > 32);
     }
 
     #[test]
     fn display_uses_angle_brackets() {
         let k = GroupKey::new(vec![Value::Int(1), Value::Str("x".into())]);
         assert_eq!(k.to_string(), "⟨1, x⟩");
-    }
-
-    #[test]
-    fn encoded_len_matches_values() {
-        let k = GroupKey::new(vec![Value::Int(1)]);
-        assert_eq!(k.encoded_len(), 2 + 1 + 8);
     }
 }

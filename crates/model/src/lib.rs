@@ -50,7 +50,7 @@ pub use encode::{
 pub use error::ModelError;
 pub use event::{record_each, CostEvent, CostTracker, CountingTracker, NullTracker};
 pub use grant::MemoryGrant;
-pub use hash::{FxBuildHasher, FxHasher, Seed, ValueHasher};
+pub use hash::{FxHasher, Seed};
 pub use key::GroupKey;
 pub use params::{ms_to_ticks, ticks_to_ms, CostParams, NetworkKind, MAX_TICKS, TICKS_PER_MS};
 pub use predicate::{matches_all, Compare, Predicate};

@@ -3,7 +3,6 @@
 use crate::agg::AggSpec;
 use crate::error::ModelError;
 use crate::key::GroupKey;
-use crate::tuple::Tuple;
 use crate::value::{CellRow, CellSink, Value};
 use std::fmt;
 
@@ -86,11 +85,6 @@ impl AggQuery {
             // scan; downstream operators see already-filtered tuples.
             filter: Vec::new(),
         }
-    }
-
-    /// Extract the group key of a tuple under this query.
-    pub fn key_of(&self, tuple: &Tuple) -> Result<GroupKey, ModelError> {
-        GroupKey::from_tuple(tuple, &self.group_by)
     }
 
     /// Extract the group key from a raw value slice.
@@ -301,10 +295,6 @@ mod tests {
     fn key_extraction() {
         let q = q();
         let t = tuple![1i64, 2i64, 7i64, 4i64, 5i64];
-        assert_eq!(
-            q.key_of(&t).unwrap(),
-            GroupKey::new(vec![Value::Int(7)])
-        );
         assert_eq!(
             q.key_of_values(t.values()).unwrap(),
             GroupKey::new(vec![Value::Int(7)])

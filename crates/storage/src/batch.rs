@@ -16,6 +16,7 @@
 //! clock ([`BatchCharges`]).
 
 use crate::page::{PageView, StripRow};
+use adaptagg_model::hash::{hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, Seed};
 use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, ModelError, StripView, Value};
 use std::ops::Range;
 
@@ -298,6 +299,23 @@ impl<'a> ScanBatch<'a> {
         strip.slice(self.start..self.start + self.rows)
     }
 
+    /// One `seed` hash per covered row, passing or not, of its first `k`
+    /// projected columns (all of them when the batch is narrower), folded
+    /// in column-at-a-time off the strips: row `r`'s is
+    /// [`hash_cells`](adaptagg_model::hash::hash_cells)`(seed, &self.row(r), k)`.
+    /// `hashes` is cleared and refilled, so callers pool it.
+    #[inline]
+    pub fn hash_keys(&self, seed: Seed, k: usize, hashes: &mut Vec<u64>) {
+        hash_batch_init(seed, self.rows, hashes);
+        for j in 0..k.min(self.arity) {
+            match self.column(j) {
+                StripView::Ints(xs) => hash_batch_ints(hashes, xs),
+                StripView::Values(vs) => hash_batch_values(hashes, vs),
+            }
+        }
+        hash_batch_finish(hashes);
+    }
+
     /// Materialize projected row `r` into `out` (cleared first).
     pub fn read_row(&self, r: usize, out: &mut Vec<Value>) {
         out.clear();
@@ -421,6 +439,46 @@ mod tests {
         let paid = b.prepaid();
         assert!(paid.pass_lead().is_empty() && paid.fail_charge().is_empty());
         assert_eq!((paid.rows(), paid.passing()), (4, 3));
+    }
+
+    /// The batch hash of every covered row is the row hash of its key
+    /// cells, under a projection that reorders, a selection and a row
+    /// offset; an `Int` strip and a strip of values alike.
+    #[test]
+    fn hash_keys_equals_the_row_hash_of_each_rows_key() {
+        use adaptagg_model::hash::hash_values;
+        let rows: Vec<Vec<Value>> = (0..40i64)
+            .map(|i| {
+                let odd = match i % 4 {
+                    0 => Value::Null,
+                    1 => Value::Float(i as f64 / 3.0),
+                    2 => Value::Str(format!("s{i}").into()),
+                    _ => Value::Int(-i),
+                };
+                vec![Value::Int(i * 7 % 13), odd, Value::Int(i)]
+            })
+            .collect();
+        let p = page(&rows);
+        let sel: Vec<u32> = (0..30).filter(|r| r % 3 != 1).collect();
+        let mut hashes = vec![0xdead; 3];
+        for (columns, selection, range) in [
+            (&[][..], None, 0..40),
+            (&[1, 0, 2][..], Some(&sel[..]), 5..35),
+            (&[2, 1][..], None, 12..40),
+        ] {
+            let b = ScanBatch::scanned_rows(&p, columns, selection, range).unwrap();
+            for seed in [Seed::Table, Seed::Partition] {
+                for k in 0..=b.arity() + 1 {
+                    b.hash_keys(seed, k, &mut hashes);
+                    assert_eq!(hashes.len(), b.rows());
+                    let mut row = Vec::new();
+                    for (r, &h) in hashes.iter().enumerate() {
+                        b.read_row(r, &mut row);
+                        assert_eq!(h, hash_values(seed, &row[..k.min(row.len())]), "{columns:?} k={k} row {r}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -256,7 +256,7 @@ fn raw_rows(shape: &Shape, s: u64) -> Vec<Vec<Value>> {
 fn partials_of(query: &AggQuery, rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
     let mut table = AggTable::new(query.clone(), usize::MAX);
     for row in rows {
-        table.insert_raw(row, &mut NullTracker).unwrap();
+        table.insert(RowKind::Raw, row, &mut NullTracker).unwrap();
     }
     let mut pages = RowPages::new(4096);
     table.drain_partials(&mut NullTracker, &mut pages).unwrap();

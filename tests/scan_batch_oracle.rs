@@ -808,13 +808,15 @@ fn node_crash_schedule_is_honoured_by_both_lanes() {
 
 /// Every page the one-node `ctx` sent itself, up to its stream's end: the
 /// send timestamps, in ticks, in send order (each a read of the sender's
-/// clock). Receiving moves the clock, so read it first.
-fn sent_stamps(ctx: &mut NodeCtx) -> Vec<u64> {
+/// clock), each with the rows its page carried. Receiving moves the clock,
+/// so read it first.
+fn sent_stamps(ctx: &mut NodeCtx) -> Vec<(u64, usize)> {
     let mut stamps = Vec::new();
     loop {
         let msg = ctx.recv_from(0).unwrap();
+        let sent_at = msg.sent_at();
         match msg.payload {
-            Payload::Data { .. } => stamps.push(msg.sent_at()),
+            Payload::Data { page, .. } => stamps.push((sent_at, page.tuple_count())),
             Payload::Control(Control::EndOfStream) => return stamps,
             other => panic!("unexpected {other:?}"),
         }
@@ -846,9 +848,11 @@ fn a_crash_inside_a_routed_page_ends_like_the_row_lane() {
                 let base = base_of(&ctx);
                 reference_scan(&mut ctx, &base, filter, columns, |ctx, values| ex.route(ctx, values, true))
             };
-            let (routed, net, clock) = (ex.routed(), *ctx.net_stats(), ctx.clock.now());
+            let (net, clock) = (*ctx.net_stats(), ctx.clock.now());
             ex.finish(&mut ctx).unwrap();
-            (result, routed, net, clock, sent_stamps(&mut ctx))
+            let sent = sent_stamps(&mut ctx);
+            let routed: usize = sent.iter().map(|&(_, rows)| rows).sum();
+            (result, routed as u64, net, clock, sent)
         };
         let (row, batch) = (run(false), run(true));
         assert_eq!(batch, row, "crash at {k}");
@@ -991,7 +995,7 @@ fn a2p_switch_lands_mid_page_at_the_same_tuple() {
                 if scan.switched {
                     return ex.route(ctx, values, true);
                 }
-                if scan.table.insert_raw(values, &mut ctx.clock)? == Inserted::Full {
+                if scan.table.insert(RowKind::Raw, values, &mut ctx.clock)? == Inserted::Full {
                     ex.flush_table(ctx, &mut scan.table, RowKind::Raw)?;
                     scan.switched = true;
                     events.push(AdaptEvent::SwitchedToRepartitioning { at_tuple: scan.raw_seen });
