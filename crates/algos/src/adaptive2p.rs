@@ -28,7 +28,7 @@ use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
 use adaptagg_hashagg::{AggTable, Stop};
-use adaptagg_model::{CellRow, RowKind};
+use adaptagg_model::{IndexRow, RowKind};
 use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch};
 
 /// Run Adaptive Two Phase on one node.
@@ -209,7 +209,7 @@ impl ScanState {
     /// The switch (§3.2), triggered by `row` bouncing off the full table:
     /// flush accumulated partials to their owners, freeing memory, then
     /// forward raws.
-    fn switch<R: CellRow>(
+    fn switch<R: IndexRow>(
         &mut self,
         ctx: &mut NodeCtx,
         ex: &mut Exchange,

@@ -12,14 +12,16 @@
 //!
 //! The scan blocks each page's passing rows strip to strip into the one
 //! outgoing message page ([`Broadcaster`]), paying their select charges
-//! before each broadcast, since a send reads the clock.
+//! before each broadcast, since a send reads the clock. The merge takes a
+//! received page as one batch: its rows' owners hashed off the key strips,
+//! the rows this node owns kept as the batch's selection.
 
 use crate::common::QueryPlan;
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
 use adaptagg_exec::{operators, ExecError, NodeCtx, PhaseKind, ScanSink};
 use adaptagg_hashagg::HashAggregator;
-use adaptagg_model::hash::{hash_values, Seed};
+use adaptagg_model::hash::Seed;
 use adaptagg_model::{record_each, CostEvent, CostTracker, RowKind};
 use adaptagg_net::{Blocker, Control, Page};
 use adaptagg_storage::{BatchCharges, BatchOutcome, ScanBatch};
@@ -49,28 +51,31 @@ pub fn run_node(
     ctx.clock.mark("phase1");
 
     // Phase 2: aggregate only the tuples this node owns; a destination
-    // check (`t_d`) is paid for every received tuple, owned or not. The
-    // merge span ends once the result is stored.
+    // check (`t_d`) is paid for every received tuple, owned or not. A page
+    // is one batch: each row's owner hashed off its key strips, the rows
+    // this node owns its selection, owing the merge table nothing ahead of
+    // its own charges. A ragged page is no batch: it fails as the column its
+    // short rows lack. The merge span ends once the result is stored.
     let page_bytes = ctx.params().page_bytes;
     let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
         .with_charge_hash(false)
         .with_grant(ctx.grant().clone());
     let mut discarded: u64 = 0;
-    let mut scratch: Vec<adaptagg_model::Value> = Vec::new();
+    // Pooled per page: the rows' partition hashes, the rows this node owns.
+    let (mut hashes, mut owned) = (Vec::new(), Vec::new());
     ctx.span_start(PhaseKind::Merge);
     let merged = (|| -> Result<_, ExecError> {
         ctx.recv_streams(
             |ctx, _, page| {
-                let mut cursor = page.cursor();
-                while cursor.next_into(&mut scratch)? {
-                    ctx.clock.record(CostEvent::TupleDest, 1);
-                    let owner = (hash_values(Seed::Partition, &scratch[..key_len.min(scratch.len())])
-                        % nodes as u64) as usize;
-                    if owner == ctx.id() {
-                        agg.push_raw(&scratch, &mut ctx.clock)?;
-                    } else {
-                        discarded += 1;
-                    }
+                let n = page.tuple_count();
+                ctx.clock.record(CostEvent::TupleDest, n as u64);
+                if n > 0 {
+                    ScanBatch::scanned(&page, &[], None, n)?.hash_keys(Seed::Partition, key_len, &mut hashes);
+                    owned.clear();
+                    owned.extend((0..n as u32).filter(|&r| hashes[r as usize] % nodes as u64 == ctx.id() as u64));
+                    let mine = ScanBatch::scanned(&page, &[], Some(&owned), n)?.prepaid();
+                    agg.push_batch(RowKind::Raw, &mine, &mut ctx.clock)?;
+                    discarded += (n - owned.len()) as u64;
                 }
                 ctx.page_pool.put(page);
                 Ok(())
@@ -228,6 +233,37 @@ mod tests {
         assert_eq!(
             r.err(),
             Some(ExecError::Protocol("unexpected control in broadcast merge"))
+        );
+    }
+
+    /// A received page whose rows are of two arities is no batch: the
+    /// merge ends in the typed error naming the column its short row
+    /// lacks, not a panic.
+    #[test]
+    fn merge_rejects_a_ragged_page() {
+        use adaptagg_model::ModelError;
+        let spec = RelationSpec::uniform(2_000, 50);
+        let parts = generate_partitions(&spec, 2);
+        let config = ClusterConfig::new(2, CostParams::paper_default());
+        let plan = crate::common::QueryPlan::new(&default_query());
+        let cfg = AlgoConfig::default_for(2);
+        let r = adaptagg_exec::run_cluster(&config, parts, |ctx| {
+            if ctx.id() == 0 {
+                let mut page = Page::new(ctx.params().message_bytes);
+                assert!(page.try_push(&[1i64.into(), 2i64.into()]).unwrap());
+                assert!(page.try_push(&[3i64.into()]).unwrap());
+                ctx.send_page(1, RowKind::Raw, page)?;
+                // Consume the peer's broadcast until its abort arrives.
+                loop {
+                    ctx.recv()?;
+                }
+            } else {
+                run_node(ctx, &plan, &cfg).map(|_| ())
+            }
+        });
+        assert_eq!(
+            r.err(),
+            Some(ExecError::Model(ModelError::ColumnOutOfRange { column: 1, arity: 1 }))
         );
     }
 }

@@ -28,7 +28,7 @@ use crate::node::NodeCtx;
 use crate::operators::ScanSink;
 use adaptagg_hashagg::AggTable;
 use adaptagg_model::hash::{hash_cells, Seed};
-use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, Value};
+use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, IndexRow, Value};
 use adaptagg_net::{Blocker, Control, DataKind};
 use adaptagg_storage::{BatchCharges, BatchOutcome, Page, RowPages, ScanBatch};
 
@@ -74,7 +74,7 @@ impl Exchange {
     /// (destination computation) and, when `charge_hash`, `t_h` — see
     /// module docs. Sends a message page whenever the destination's block
     /// fills.
-    pub fn route_row<R: CellRow + ?Sized>(
+    pub fn route_row<R: IndexRow + ?Sized>(
         &mut self,
         ctx: &mut NodeCtx,
         row: &R,
@@ -531,7 +531,7 @@ mod tests {
             let filled = || {
                 let mut table = AggTable::new(query.clone(), 10_000);
                 for i in 0..900 {
-                    table.insert(RowKind::Raw, &raw(i), &mut NullTracker).unwrap();
+                    table.insert(RowKind::Raw, &raw(i)[..], &mut NullTracker).unwrap();
                 }
                 table
             };

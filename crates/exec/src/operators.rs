@@ -73,7 +73,7 @@ pub struct ScanTally {
     pub passed: usize,
     /// Pages whose batches the consumer rode the strips of.
     pub pages_batched: u64,
-    /// Pages whose batches the consumer materialized row by row, per
+    /// Pages whose batches the consumer took row by row, per
     /// [`RowCause::ALL`].
     pub pages_row: [u64; 3],
 }

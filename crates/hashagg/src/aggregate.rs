@@ -8,7 +8,7 @@
 //! [`HashAggregator::finish_rows`]) or partial rows on pages (local phases:
 //! [`HashAggregator::finish_partials`]).
 
-use crate::overflow::{drained_batch, untag_row, OverflowSet};
+use crate::overflow::{drained_batch, untag, OverflowSet};
 use crate::stats::HashAggStats;
 use crate::table::{AggTable, FullPolicy, Inserted};
 use adaptagg_model::{AggQuery, CostEvent, CostTracker, MemoryGrant, ResultRow, RowKind, Value};
@@ -167,7 +167,7 @@ impl HashAggregator {
     /// [`HashAggregator::push`], equivalent row by row (same mutations,
     /// same cost events, counted). Which loop runs is the page's doing: a
     /// whole page is the trivial batch [`AggTable::feed_batch`] rides the
-    /// strips of, and a ragged page takes the row loop.
+    /// strips of, and a ragged page takes the row loop ([`feed_rows`]).
     pub fn push_page<T: CostTracker>(
         &mut self,
         kind: RowKind,
@@ -182,7 +182,7 @@ impl HashAggregator {
         let (table, mut spool) = self.first_pass();
         let spilled = match ScanBatch::whole(page) {
             Some(batch) => table.feed_batch(kind, &batch, tracker, &mut spool)?.rejected,
-            None => table.insert_page(kind, page, tracker, |t, k, row| spool.set().spool(k, row, t))?,
+            None => feed_rows(page, Some(kind), table, &mut spool, tracker)?,
         };
         self.stats.spilled_tuples += spilled;
         Ok(())
@@ -274,7 +274,6 @@ impl HashAggregator {
 
         // Stack of (bucket, level) still to process.
         let mut pending: Vec<(SpillFile, u32)> = Vec::new();
-        let mut scratch = Vec::new();
         if let Some(set) = self.overflow.take() {
             let level = set.level();
             pending.extend(set.into_buckets(tracker).into_iter().map(|b| (b, level)));
@@ -306,7 +305,7 @@ impl HashAggregator {
                 page_bytes: self.page_bytes,
                 key_len: self.query.group_by.len(),
             };
-            refeed(bucket, &mut table, &mut spool, &mut self.stats, &mut scratch, tracker)?;
+            refeed(bucket, &mut table, &mut spool, &mut self.stats, tracker)?;
             self.stats.drained(&table);
             drain(&mut table, tracker)?;
             if let Some(set) = deeper {
@@ -325,14 +324,12 @@ impl HashAggregator {
 /// batch [`drained_batch`] makes of it — each row charged the drain's `t_r`
 /// and its insert attempt, as the row loop charges them, whatever cells
 /// its strips hold; a mixed-kind or ragged page takes that row loop
-/// (`scratch` holds its rows), and the page counts in `stats` under the
-/// lane it took.
+/// ([`feed_rows`]), and the page counts in `stats` under the lane it took.
 fn refeed<T: CostTracker>(
     bucket: SpillFile,
     table: &mut AggTable,
     spool: &mut Spool<'_>,
     stats: &mut HashAggStats,
-    scratch: &mut Vec<Value>,
     tracker: &mut T,
 ) -> Result<(), StorageError> {
     bucket.drain_pages(tracker, |tracker, page| {
@@ -343,19 +340,39 @@ fn refeed<T: CostTracker>(
             }
             Err(cause) => {
                 stats.overflow_pages_rows[cause as usize] += 1;
-                let mut cursor = page.cursor();
-                while cursor.next_into(scratch)? {
-                    tracker.record(CostEvent::TupleRead, 1);
-                    let (kind, values) = untag_row(scratch)?;
-                    if table.insert(kind, values, tracker)? == Inserted::Full {
-                        spool.set().spool(kind, values, tracker)?;
-                        stats.spilled_tuples += 1;
-                    }
-                }
+                stats.spilled_tuples += feed_rows(&page, None, table, spool, tracker)?;
             }
         }
         Ok(())
     })
+}
+
+/// The row loop: insert every row of `page` — ragged or not — where it
+/// lies, spooling each row the table cannot hold; returns how many it
+/// spooled. `kind` is the rows' kind, or `None` for a drained bucket page,
+/// whose rows carry theirs as a tag and owe the drain's `t_r` first.
+fn feed_rows<T: CostTracker>(
+    page: &Page,
+    kind: Option<RowKind>,
+    table: &mut AggTable,
+    spool: &mut Spool<'_>,
+    tracker: &mut T,
+) -> Result<u64, StorageError> {
+    let mut spilled = 0;
+    for row in page.rows() {
+        let (kind, row) = match kind {
+            Some(kind) => (kind, row),
+            None => {
+                tracker.record(CostEvent::TupleRead, 1);
+                untag(row)?
+            }
+        };
+        if table.insert(kind, &row, tracker)? == Inserted::Full {
+            spool.set().spool(kind, &row, tracker)?;
+            spilled += 1;
+        }
+    }
+    Ok(spilled)
 }
 
 #[cfg(test)]

@@ -14,11 +14,12 @@
 //! spooled where it lies: its key cells hashed ([`hash_cells`]) and
 //! `[tag] ++ row` appended straight off the strips. A drained bucket page
 //! goes back into a table as a batch ([`drained_batch`]) when its rows
-//! share a kind and an arity, and row by row otherwise.
+//! share a kind and an arity, and row by row otherwise, each row read past
+//! its tag where it lies ([`untag`]).
 
 use adaptagg_model::hash::{hash_cells, Seed};
-use adaptagg_model::{CellRow, CellSink, CostEvent, CostTracker, ModelError, RowKind, Value};
-use adaptagg_storage::{Page, ScanBatch, SpillFile, StorageError, StripView};
+use adaptagg_model::{CellRow, CellSink, CostEvent, CostTracker, IndexRow, ModelError, RowKind};
+use adaptagg_storage::{Page, PageRow, ScanBatch, SpillFile, StorageError, StripView};
 
 const TAG_RAW: i64 = 0;
 const TAG_PARTIAL: i64 = 1;
@@ -40,13 +41,14 @@ fn tag_kind(tag: i64) -> Option<RowKind> {
     }
 }
 
-/// Split a tagged row back into kind + values (borrowed).
-pub(crate) fn untag_row(tagged: &[Value]) -> Result<(RowKind, &[Value]), ModelError> {
-    let Some((tag, values)) = tagged.split_first() else {
+/// Split a drained row back into its kind and the row past its tag, still
+/// where it lies.
+pub(crate) fn untag(tagged: PageRow<'_>) -> Result<(RowKind, PageRow<'_>), ModelError> {
+    let Some((tag, row)) = tagged.split_first() else {
         return Err(ModelError::Corrupt("empty spilled row"));
     };
-    let kind = tag.as_i64().and_then(tag_kind);
-    Ok((kind.ok_or(ModelError::Corrupt("bad spill kind tag"))?, values))
+    let kind = tag.as_int().and_then(tag_kind);
+    Ok((kind.ok_or(ModelError::Corrupt("bad spill kind tag"))?, row))
 }
 
 /// `[tag] ++ row`, read cell by cell.
@@ -92,8 +94,7 @@ impl DrainCause {
 /// kind, and [`ScanBatch::spilled`] (the tag projected away, the drain's
 /// `t_r` owed ahead of each row) — or why it must go row by row. A strip
 /// of `Str`, `Float` or NULL cells is the table's to judge: its row arm
-/// materializes what its strips arms cannot take, at the row loop's
-/// charges.
+/// takes what its strips arms cannot, at the row loop's charges.
 pub(crate) fn drained_batch(page: &Page) -> Result<(RowKind, ScanBatch<'_>), DrainCause> {
     let batch = ScanBatch::spilled(page).ok_or(DrainCause::Ragged)?;
     let kind = match page.column(0) {
@@ -109,7 +110,6 @@ pub struct OverflowSet {
     buckets: Vec<SpillFile>,
     level: u32,
     group_by_len: usize,
-    spooled: u64,
 }
 
 impl OverflowSet {
@@ -122,18 +122,12 @@ impl OverflowSet {
             buckets: (0..fanout).map(|_| SpillFile::new(page_bytes)).collect(),
             level,
             group_by_len,
-            spooled: 0,
         }
     }
 
     /// This set's recursion level.
     pub fn level(&self) -> u32 {
         self.level
-    }
-
-    /// Tuples spooled so far.
-    pub fn spooled(&self) -> u64 {
-        self.spooled
     }
 
     /// Spool one row of either kind into the bucket its leading
@@ -144,7 +138,7 @@ impl OverflowSet {
     /// the spill file). The bucket hash (`t_h`) is *not* charged: the
     /// insert attempt that rejected this tuple already hashed the key, and
     /// the paper charges one hash per tuple.
-    pub fn spool<R: CellRow + ?Sized, T: CostTracker>(
+    pub fn spool<R: IndexRow + ?Sized, T: CostTracker>(
         &mut self,
         kind: RowKind,
         row: &R,
@@ -153,9 +147,7 @@ impl OverflowSet {
         let hash = hash_cells(Seed::OverflowBucket(self.level), row, self.group_by_len);
         let b = (hash % self.buckets.len() as u64) as usize;
         tracker.record(CostEvent::TupleWrite, 1);
-        self.buckets[b].spool_row(&Tagged { tag: kind_tag(kind), row }, tracker)?;
-        self.spooled += 1;
-        Ok(())
+        self.buckets[b].spool_row(&Tagged { tag: kind_tag(kind), row }, tracker)
     }
 
     /// Finish writing and return the non-empty buckets for processing.
@@ -177,7 +169,7 @@ impl OverflowSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptagg_model::{CountingTracker, NullTracker};
+    use adaptagg_model::{CountingTracker, NullTracker, Value};
 
     fn row(g: i64, v: i64) -> Vec<Value> {
         vec![Value::Int(g), Value::Int(v)]
@@ -189,9 +181,13 @@ mod tests {
         for bucket in buckets {
             let mut rows = Vec::new();
             bucket
-                .drain(tracker, |_, tagged| {
-                    let (kind, values) = untag_row(tagged)?;
-                    rows.push((kind, values.to_vec()));
+                .drain_pages(tracker, |_, page| {
+                    for tagged in page.rows() {
+                        let (kind, row) = untag(tagged)?;
+                        let mut values = Vec::new();
+                        row.cells(&mut values);
+                        rows.push((kind, values));
+                    }
                     Ok(())
                 })
                 .unwrap();
@@ -200,22 +196,32 @@ mod tests {
         out
     }
 
+    /// A page of `rows`, one to a row.
+    fn page_of(rows: &[Vec<Value>]) -> Page {
+        let mut page = Page::new(1 << 12);
+        rows.iter().for_each(|r| assert!(page.try_push(r).unwrap()));
+        page
+    }
+
     #[test]
     fn tag_untag_round_trips() {
         for kind in [RowKind::Raw, RowKind::Partial] {
             let mut tagged = vec![Value::Int(kind_tag(kind))];
             tagged.extend_from_slice(&row(3, 4));
-            let (k, vals) = untag_row(&tagged).unwrap();
+            let page = page_of(&[tagged]);
+            let (k, untagged) = untag(page.rows().next().unwrap()).unwrap();
             assert_eq!(k, kind);
-            assert_eq!(vals, row(3, 4));
+            let mut values = Vec::new();
+            untagged.cells(&mut values);
+            assert_eq!(values, row(3, 4));
+            assert_eq!((untagged.arity(), untagged.cell(1).as_int()), (2, Some(4)), "read by index past the tag");
         }
     }
 
     #[test]
     fn untag_rejects_garbage() {
-        assert!(untag_row(&[]).is_err());
-        assert!(untag_row(&[Value::Int(9), Value::Int(1)]).is_err());
-        assert!(untag_row(&[Value::Str("x".into())]).is_err());
+        let page = page_of(&[vec![], vec![Value::Int(9), Value::Int(1)], vec![Value::Str("x".into())]]);
+        assert!(page.rows().all(|tagged| untag(tagged).is_err()));
     }
 
     #[test]
@@ -227,8 +233,8 @@ mod tests {
             set.spool(RowKind::Raw, &row(i % 8, i)[..], &mut tr).unwrap();
             set.spool(RowKind::Partial, &row(i % 8, i)[..], &mut tr).unwrap();
         }
-        assert_eq!(set.spooled(), 64);
         let buckets = drained(set.into_buckets(&mut tr), &mut tr);
+        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 64);
         // Rows of one group must be confined to one bucket.
         let mut group_bucket: std::collections::HashMap<i64, usize> = Default::default();
         for (bi, rows) in buckets.iter().enumerate() {

@@ -15,10 +15,10 @@
 //! Groups live in a [`GroupStore`] (shared with the sort-based run
 //! table): an open-addressed slot array over a key column and one typed
 //! state column per aggregate, nothing boxed per group. The probe hashes
-//! the key *columns in place* (`&[Value]`, one [`Seed::Table`] hash) and
-//! compares stored hashes before keys, so neither the dominant
-//! resident-group update nor the admission of a new group allocates
-//! (`Str` key cells aside). The slot
+//! the key *cells where they lie* (one [`Seed::Table`] hash of the row's
+//! leading cells) and compares stored hashes before keys, so neither the
+//! dominant resident-group update nor the admission of a new group
+//! allocates (`Str` key cells aside). The slot
 //! array is pre-sized from a capped `max_entries` hint, so the
 //! paper-default budget never rehashes; growth (uncapped deep-overflow
 //! tables only) rebuilds slots from the stored hashes without touching
@@ -34,14 +34,17 @@
 //! lies, or make room), which is all that separates this table from the
 //! sort-based run table `adaptagg-sortagg` builds on it. [`Stop`] is the
 //! policy of the callers that take a bounced row themselves;
-//! [`AggTable::insert`] is the row core under it. `insert_page` and
-//! `insert_page_batched` remain for the benchmark harness.
+//! [`AggTable::insert`] is the row core under it. The row core reads any
+//! [`IndexRow`] by position — a slice of values, a page's row, a batch's
+//! row — so no lane copies a row out of its strips to feed the table.
+//! `insert_page` and `insert_page_batched` remain for the benchmark
+//! harness, and materialize only the rows they bounce, for its callback.
 
-use adaptagg_model::hash::hash_values;
+use adaptagg_model::hash::hash_cells;
 use adaptagg_model::store::NO_GROUP;
 use adaptagg_model::{
-    record_each, AggFunc, AggQuery, CostEvent, CostTracker, GroupStore, KeyCell, MemoryGrant,
-    ModelError, ResultRow, RowKind, Seed, StoreLayout, Value,
+    record_each, AggFunc, AggQuery, CellRow, CostEvent, CostTracker, GroupStore, IndexRow, KeyCell,
+    MemoryGrant, ModelError, ResultRow, RowKind, Seed, StoreLayout, Value,
 };
 use adaptagg_storage::{
     BatchCharges, BatchOutcome, Page, RowCause, RowPages, ScanBatch, StorageError, StripView,
@@ -76,8 +79,8 @@ pub trait FullPolicy<T> {
     }
 
     /// Take row `r` of `batch`, which the table could not hold (spool it,
-    /// forward it) — read off the strips where it lies, or materialized
-    /// if the policy wants a `Value` row — charging whatever that costs.
+    /// forward it) — read off the strips where it lies — charging whatever
+    /// that costs.
     /// `Ok(false)` stops the batch. The rows the batch accepted are paid
     /// for as it returns, so a policy must not read a clock here.
     fn bounce(
@@ -104,6 +107,33 @@ impl<T> FullPolicy<T> for Stop {
     }
 }
 
+/// The `on_full` callback of [`AggTable::insert_page`] and
+/// [`AggTable::insert_page_batched`], and the buffer it is shown each
+/// bounced row in: the one place a table materializes a row.
+struct OnFull<F>(F, Vec<Value>);
+
+impl<F> OnFull<F> {
+    /// Hand the callback `row` as values.
+    fn take<T, R>(&mut self, tracker: &mut T, kind: RowKind, row: &R) -> Result<(), StorageError>
+    where
+        F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
+        R: CellRow + ?Sized,
+    {
+        self.1.clear();
+        row.cells(&mut self.1);
+        (self.0)(tracker, kind, &self.1)
+    }
+}
+
+impl<T, F> FullPolicy<T> for OnFull<F>
+where
+    F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
+{
+    fn bounce(&mut self, tracker: &mut T, kind: RowKind, batch: &ScanBatch<'_>, r: usize) -> Result<bool, StorageError> {
+        self.take(tracker, kind, &batch.row(r)).map(|()| true)
+    }
+}
+
 /// What an accepted insert with hash charging costs.
 const ACCEPT_WITH_HASH: [CostEvent; 3] =
     [CostEvent::TupleRead, CostEvent::TupleHash, CostEvent::TupleAgg];
@@ -114,10 +144,6 @@ const ACCEPT_NO_HASH: [CostEvent; 2] = [CostEvent::TupleRead, CostEvent::TupleAg
 #[derive(Debug)]
 pub struct AggTable {
     query: AggQuery,
-    /// Whether `group_by` is exactly `0..k` (always true for queries in
-    /// projected form): the key is then probed as `&values[..k]` with no
-    /// column gather.
-    key_is_prefix: bool,
     key_len: usize,
     /// The resident groups, in insertion order.
     store: GroupStore,
@@ -132,11 +158,6 @@ pub struct AggTable {
     /// Slots examined by insert-path probes (observability; a plain
     /// counter — never recorded as a cost event, never allocating).
     probe_slots: u64,
-    /// Column gather scratch for non-prefix `group_by` (cold path).
-    key_scratch: Vec<Value>,
-    /// Tuple decode scratch for [`AggTable::insert_page`] and the row arm
-    /// of [`AggTable::feed_batch`].
-    row_scratch: Vec<Value>,
     /// Pooled per-page key-hash vector for the batched probe.
     batch_hashes: Vec<u64>,
     /// Pooled per-page group-index vector ([`NO_GROUP`] = row bounced) the
@@ -145,9 +166,10 @@ pub struct AggTable {
 }
 
 impl AggTable {
-    /// An empty table for `query` (which must be in projected form: group
-    /// columns first — see [`AggQuery::remapped_to_projection`]) holding at
-    /// most `max_entries` groups.
+    /// An empty table for `query` holding at most `max_entries` groups.
+    /// Panics unless the query is in projected form, group columns first
+    /// (see [`AggQuery::remapped_to_projection`]): a row's key is its
+    /// leading cells.
     pub fn new(query: AggQuery, max_entries: usize) -> Self {
         Self::new_with_hint(query, max_entries, max_entries)
     }
@@ -157,11 +179,14 @@ impl AggTable {
     /// table's slot array tiny and lets it grow on demand.
     pub fn new_with_hint(query: AggQuery, max_entries: usize, hint: usize) -> Self {
         let key_len = query.group_by.len();
-        let key_is_prefix = query.group_by.iter().enumerate().all(|(i, &c)| c == i);
+        assert!(
+            query.group_by.iter().enumerate().all(|(i, &c)| c == i),
+            "a table's query must be in projected form (group columns first): {:?}",
+            query.group_by
+        );
         AggTable {
             store: GroupStore::new(key_len, &query.aggs, hint.min(max_entries)),
             query,
-            key_is_prefix,
             key_len,
             max_entries,
             grant: MemoryGrant::unlimited(),
@@ -169,8 +194,6 @@ impl AggTable {
             inserts: 0,
             updates: 0,
             probe_slots: 0,
-            key_scratch: Vec::new(),
-            row_scratch: Vec::new(),
             batch_hashes: Vec::new(),
             batch_gix: Vec::new(),
         }
@@ -268,40 +291,40 @@ impl AggTable {
         }
     }
 
-    /// Insert a raw (projected) tuple — group columns at the query's
-    /// `group_by` positions, aggregate inputs at the specs' positions — or
-    /// a partial row (key columns, then [`AggQuery::partial_row_arity`]
-    /// columns in all): [`AggTable::feed_row`] under [`Stop`], so a new key
-    /// that meets a full table reads `Full` and the row is the caller's.
-    pub fn insert<T: CostTracker>(
-        &mut self,
-        kind: RowKind,
-        values: &[Value],
-        tracker: &mut T,
-    ) -> Result<Inserted, StorageError> {
-        self.feed_row(kind, values, tracker, &mut Stop::default())
+    /// Insert a raw (projected) tuple — group columns first, aggregate
+    /// inputs at the specs' positions — or a partial row (key columns, then
+    /// [`AggQuery::partial_row_arity`] columns in all), read where it lies:
+    /// [`AggTable::feed_row`] under [`Stop`], so a new key that meets a full
+    /// table reads `Full` and the row is the caller's.
+    pub fn insert<R, T>(&mut self, kind: RowKind, row: &R, tracker: &mut T) -> Result<Inserted, StorageError>
+    where
+        R: IndexRow + ?Sized,
+        T: CostTracker,
+    {
+        self.feed_row(kind, row, tracker, &mut Stop::default())
     }
 
-    /// The row core: one row, under a [`FullPolicy`] that may make room. A
-    /// new key that meets a full table is admitted after all if the
-    /// policy emptied the table for it (charging what that costs between
-    /// the row's attempt and its `t_a`), and reported `Full` — the row is
-    /// the caller's to place — if it did not.
-    pub fn feed_row<T, P>(
+    /// The row core: one row, read where it lies, under a [`FullPolicy`]
+    /// that may make room. A new key that meets a full table is admitted
+    /// after all if the policy emptied the table for it (charging what that
+    /// costs between the row's attempt and its `t_a`), and reported `Full`
+    /// — the row is the caller's to place — if it did not.
+    pub fn feed_row<R, T, P>(
         &mut self,
         kind: RowKind,
-        values: &[Value],
+        row: &R,
         tracker: &mut T,
         policy: &mut P,
     ) -> Result<Inserted, StorageError>
     where
+        R: IndexRow + ?Sized,
         T: CostTracker,
         P: FullPolicy<T>,
     {
         self.charge_attempt(tracker);
-        let mut outcome = self.insert_quiet(kind, values, None, false)?;
+        let mut outcome = self.insert_quiet(kind, row, None, false)?;
         if outcome == Inserted::Full && policy.make_room(self, tracker, |_| {})? {
-            outcome = self.insert_quiet(kind, values, None, true)?;
+            outcome = self.insert_quiet(kind, row, None, true)?;
         }
         if outcome != Inserted::Full {
             tracker.record(CostEvent::TupleAgg, 1);
@@ -309,58 +332,38 @@ impl AggTable {
         Ok(outcome)
     }
 
-    /// Insert every tuple of a page, recording the accepted tuples'
-    /// charges as one count per event as it returns (so `on_full` must
-    /// not read a clock). A rejected tuple charges `t_r`(+`t_h`) and goes
-    /// to `on_full`, which spools it, charging its own costs exactly as
-    /// the per-tuple caller would. Returns the number of rejected tuples.
+    /// Insert every tuple of a page — ragged or not — through the row core,
+    /// each read where it lies. A rejected tuple goes to `on_full` as
+    /// values, which spools it, charging its own costs exactly as the
+    /// per-tuple caller would. Returns the number of rejected tuples.
     pub fn insert_page<T, F>(
         &mut self,
         kind: RowKind,
         page: &Page,
         tracker: &mut T,
-        mut on_full: F,
+        on_full: F,
     ) -> Result<u64, StorageError>
     where
         T: CostTracker,
         F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
     {
-        let template = self.accept_template();
-        let mut scratch = std::mem::take(&mut self.row_scratch);
-        let mut accepted = 0u64;
-        let mut rejected = 0u64;
-        let mut cursor = page.cursor();
-        let result = loop {
-            match cursor.next_into(&mut scratch) {
-                Ok(false) => break Ok(()),
-                Err(e) => break Err(e),
-                Ok(true) => {}
+        let mut on_full = OnFull(on_full, Vec::new());
+        let mut rejected = 0;
+        for row in page.rows() {
+            if self.insert(kind, &row, tracker)? == Inserted::Full {
+                rejected += 1;
+                on_full.take(tracker, kind, &row)?;
             }
-            match self.insert_quiet(kind, &scratch, None, false) {
-                Ok(Inserted::Updated) | Ok(Inserted::New) => accepted += 1,
-                Ok(Inserted::Full) => {
-                    self.charge_attempt(tracker);
-                    rejected += 1;
-                    if let Err(e) = on_full(tracker, kind, &scratch) {
-                        break Err(e);
-                    }
-                }
-                Err(e) => {
-                    self.charge_attempt(tracker);
-                    break Err(StorageError::from(e));
-                }
-            }
-        };
-        record_each(tracker, template, accepted);
-        self.row_scratch = scratch;
-        result.map(|()| rejected)
+        }
+        Ok(rejected)
     }
 
     /// [`AggTable::insert_page`] through the batched lane: a whole page is
     /// the trivial [`ScanBatch`] (every column, every row, nothing owed to
     /// a scan), and each row the table bounces is materialized for
-    /// `on_full`. Ragged and empty pages have no strips to ride and take the
-    /// row loop. Returns the number of rejected tuples.
+    /// `on_full`, whose charges must then not read a clock. Ragged and empty
+    /// pages have no strips to ride and take the row core. Returns the
+    /// number of rejected tuples.
     pub fn insert_page_batched<T, F>(
         &mut self,
         kind: RowKind,
@@ -372,19 +375,6 @@ impl AggTable {
         T: CostTracker,
         F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
     {
-        /// `on_full`, shown each bounced row as values.
-        struct OnFull<F>(F, Vec<Value>);
-
-        impl<T, F> FullPolicy<T> for OnFull<F>
-        where
-            F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
-        {
-            fn bounce(&mut self, tracker: &mut T, kind: RowKind, batch: &ScanBatch<'_>, r: usize) -> Result<bool, StorageError> {
-                batch.read_row(r, &mut self.1);
-                (self.0)(tracker, kind, &self.1).map(|()| true)
-            }
-        }
-
         match ScanBatch::whole(page) {
             Some(batch) => self
                 .feed_batch(kind, &batch, tracker, &mut OnFull(on_full, Vec::new()))
@@ -399,8 +389,9 @@ impl AggTable {
     /// aggregate input is an `Int` strip, or every partial-state cell of a
     /// partial batch is — state updates are deferred behind a group-index
     /// vector and replayed column-at-a-time. Batches the strips cannot
-    /// serve materialize each passing row instead, still skipping the
-    /// per-row hash; for raw rows the outcome's `row_cause` says why.
+    /// serve take the row arm instead, inserting each passing row through
+    /// the row core where it lies, still skipping the per-row hash; for raw
+    /// rows the outcome's `row_cause` says why.
     ///
     /// Charges are the row loop's, recorded as counts: each accepted row
     /// owes `batch.pass_lead()` and the accept template, each filtered-out
@@ -427,9 +418,8 @@ impl AggTable {
         P: FullPolicy<T>,
     {
         let k = self.key_len;
-        // Non-prefix raw keys need insert_quiet's gather, and a batch
-        // narrower than the key must surface its error: neither is hashed.
-        let hashed = batch.arity() >= k && (kind == RowKind::Partial || self.key_is_prefix);
+        // A batch narrower than the key must surface its error: not hashed.
+        let hashed = batch.arity() >= k;
         let row_cause = match kind {
             RowKind::Partial => None,
             RowKind::Raw if !hashed => Some(RowCause::Ragged),
@@ -469,15 +459,7 @@ impl AggTable {
             self.settle(kind, batch, &gix);
             ended
         } else {
-            let mut rows = Rows {
-                hashes: &hashes,
-                batch,
-                kind,
-                row: std::mem::take(&mut self.row_scratch),
-            };
-            let ended = self.feed(kind, batch, tracker, policy, &mut out, &mut gix, &mut rows);
-            self.row_scratch = rows.row;
-            ended
+            self.feed(kind, batch, tracker, policy, &mut out, &mut gix, &mut Rows { hashes: &hashes, batch, kind })
         };
         self.batch_gix = gix;
         self.batch_hashes = hashes;
@@ -536,8 +518,8 @@ impl AggTable {
     }
 
     /// The row-order walk of [`AggTable::feed_batch`]: `land` lands
-    /// passing row `r` (the row arm materializes and inserts it, a strips
-    /// arm — [`Land::ON_STRIPS`] — pushes the row's group onto `gix`), this
+    /// passing row `r` (the row arm inserts it, a strips arm —
+    /// [`Land::ON_STRIPS`] — pushes the row's group onto `gix`), this
     /// charges it as the docs there say and takes a row that found the
     /// table full to the policy: admitted after all (landed again,
     /// `forced`) if it made room, else bounced where it lies, as row `r` of
@@ -653,7 +635,7 @@ impl AggTable {
         gix: &mut Vec<u32>,
         forced: bool,
     ) -> Inserted {
-        let (found, examined) = self.store.find_cells(hash, &cell);
+        let (found, examined) = self.store.find(hash, &cell);
         self.probe_slots += examined;
         let (outcome, entry) = match found {
             Ok(entry) => {
@@ -672,73 +654,43 @@ impl AggTable {
     }
 
     /// The probe-and-mutate core, with no cost recording: callers charge
-    /// per the charging contract (see module docs). `prehashed` must be
-    /// `hash_values(Seed::Table, key_columns)` when provided. A `forced`
+    /// per the charging contract (see module docs). The key is the row's
+    /// leading cells and every cell is read where it lies. `prehashed` must
+    /// be `hash_cells(Seed::Table, row, key_len)` when provided. A `forced`
     /// row is admitted whatever the budget says: its consumer has just
     /// emptied the table for it, and a lone group always fits.
-    fn insert_quiet(
+    fn insert_quiet<R: IndexRow + ?Sized>(
         &mut self,
         kind: RowKind,
-        values: &[Value],
+        row: &R,
         prehashed: Option<u64>,
         forced: bool,
     ) -> Result<Inserted, ModelError> {
-        let k = self.key_len;
-        if kind == RowKind::Partial && values.len() != self.query.partial_row_arity() {
+        let (k, arity) = (self.key_len, row.arity());
+        if kind == RowKind::Partial && arity != self.query.partial_row_arity() {
             return Err(ModelError::PartialArityMismatch {
                 expected: self.query.partial_row_arity(),
-                found: values.len(),
+                found: arity,
             });
         }
-        // Locate the key columns without allocating. Partial rows always
-        // lead with the key; raw rows do too in projected form
-        // (`key_is_prefix`), with a gather-into-scratch fallback.
-        let use_prefix = kind == RowKind::Partial || self.key_is_prefix;
-        if use_prefix {
-            if values.len() < k {
-                return Err(ModelError::ColumnOutOfRange {
-                    column: values.len(),
-                    arity: values.len(),
-                });
-            }
-        } else {
-            self.key_scratch.clear();
-            for &c in &self.query.group_by {
-                self.key_scratch.push(
-                    values
-                        .get(c)
-                        .ok_or(ModelError::ColumnOutOfRange {
-                            column: c,
-                            arity: values.len(),
-                        })?
-                        .clone(),
-                );
-            }
+        if arity < k {
+            return Err(ModelError::ColumnOutOfRange { column: arity, arity });
         }
-        let key: &[Value] = if use_prefix {
-            &values[..k]
-        } else {
-            &self.key_scratch
-        };
-        let hash = prehashed.unwrap_or_else(|| hash_values(Seed::Table, key));
-        debug_assert_eq!(hash, hash_values(Seed::Table, key), "stale precomputed hash");
+        let hash = prehashed.unwrap_or_else(|| hash_cells(Seed::Table, row, k));
+        debug_assert_eq!(hash, hash_cells(Seed::Table, row, k), "stale precomputed hash");
 
-        let (found, examined) = self.store.find(hash, key);
+        let (found, examined) = self.store.find(hash, |j| row.cell(j));
         self.probe_slots += examined;
-        let folded = match kind {
-            RowKind::Raw => values,
-            RowKind::Partial => &values[k..],
-        };
         match found {
             Ok(entry) => {
-                self.store.fold(entry, kind, folded)?;
+                self.store.fold(entry, kind, row)?;
                 self.updates += 1;
                 Ok(Inserted::Updated)
             }
             Err(_) if !forced && self.is_full() => Ok(Inserted::Full),
             Err(slot) => {
                 // A first row that does not fold leaves the store as it was.
-                self.store.admit_row(slot, hash, key, kind, folded)?;
+                self.store.admit_row(slot, hash, kind, row)?;
                 self.inserts += 1;
                 Ok(Inserted::New)
             }
@@ -774,7 +726,7 @@ impl AggTable {
 /// How [`AggTable::feed`] lands passing row `r` of its batch (`forced`: the
 /// policy has just made room for it). A trait of small structs rather than
 /// closures so that `#[inline(always)]` — here, on `probe_cells` and on the
-/// store's `find_cells` / `probe` — keeps each strips arm's probe inside the
+/// store's `find` / `probe` — keeps each strips arm's probe inside the
 /// row walk: left to the inliner, the hash aggregator's instance of the
 /// walk called it out of line once per row, and the local phase of a 2P
 /// query over 500k tuples read ~1 ms (10 %) slower for it.
@@ -820,20 +772,18 @@ impl Land for KeyCells<'_, '_> {
     }
 }
 
-/// The row arm: the row materialized into `row`, then inserted.
+/// The row arm: row `r` inserted where it lies, off its precomputed hash.
 struct Rows<'a, 'b> {
     hashes: &'a [u64],
     batch: &'a ScanBatch<'b>,
     kind: RowKind,
-    row: Vec<Value>,
 }
 
 impl Land for Rows<'_, '_> {
     const ON_STRIPS: bool = false;
 
     fn land(&mut self, table: &mut AggTable, r: usize, _: &mut Vec<u32>, forced: bool) -> Result<Inserted, ModelError> {
-        self.batch.read_row(r, &mut self.row);
-        table.insert_quiet(self.kind, &self.row, self.hashes.get(r).copied(), forced)
+        table.insert_quiet(self.kind, &self.batch.row(r), self.hashes.get(r).copied(), forced)
     }
 }
 
@@ -852,6 +802,7 @@ fn int_key<'a>(batch: &ScanBatch<'a>, k: usize) -> Option<&'a [i64]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptagg_model::hash::hash_values;
     use adaptagg_model::{AggFunc, AggSpec, CountingTracker, NullTracker};
 
     fn query() -> AggQuery {
@@ -865,7 +816,7 @@ mod tests {
 
     /// Whether `key`'s group is resident: a read-only probe of the store.
     fn resident(t: &AggTable, key: &[Value]) -> bool {
-        t.store().find(hash_values(Seed::Table, key), key).0.is_ok()
+        t.store().find(hash_values(Seed::Table, key), |j| key.cell(j)).0.is_ok()
     }
 
     /// The table's partial drain, read back as rows.
@@ -913,9 +864,9 @@ mod tests {
         let mut tr = NullTracker;
         t.insert(RowKind::Raw, &raw(1, 10), &mut tr).unwrap();
         // Partial row for group 1 carrying SUM partial = 32.
-        t.insert(RowKind::Partial, &[Value::Int(1), Value::Int(32)], &mut tr).unwrap();
+        t.insert(RowKind::Partial, &[Value::Int(1), Value::Int(32)][..], &mut tr).unwrap();
         // Partial row for a brand-new group 2.
-        t.insert(RowKind::Partial, &[Value::Int(2), Value::Int(7)], &mut tr).unwrap();
+        t.insert(RowKind::Partial, &[Value::Int(2), Value::Int(7)][..], &mut tr).unwrap();
         t.insert(RowKind::Raw, &raw(2, 3), &mut tr).unwrap();
 
         let mut rows = t.drain_result_rows(&mut tr);
@@ -929,7 +880,7 @@ mod tests {
         let mut t = AggTable::new(query(), 10);
         let mut tr = NullTracker;
         assert!(t
-            .insert(RowKind::Partial, &[Value::Int(1)], &mut tr)
+            .insert(RowKind::Partial, &[Value::Int(1)][..], &mut tr)
             .is_err());
     }
 
@@ -957,7 +908,7 @@ mod tests {
         let mut t = AggTable::new(query(), 100).with_charge_hash(false);
         let mut tr = CountingTracker::new();
         t.insert(RowKind::Raw, &raw(1, 1), &mut tr).unwrap();
-        t.insert(RowKind::Partial, &[Value::Int(2), Value::Int(5)], &mut tr).unwrap();
+        t.insert(RowKind::Partial, &[Value::Int(2), Value::Int(5)][..], &mut tr).unwrap();
         assert_eq!(tr.count(CostEvent::TupleHash), 0);
         assert_eq!(tr.count(CostEvent::TupleRead), 2);
         assert_eq!(tr.count(CostEvent::TupleAgg), 2);
@@ -980,7 +931,7 @@ mod tests {
         let mut t = AggTable::new(q, 10);
         let mut tr = NullTracker;
         for g in [1, 2, 1, 3, 2, 1] {
-            t.insert(RowKind::Raw, &[Value::Int(g)], &mut tr).unwrap();
+            t.insert(RowKind::Raw, &[Value::Int(g)][..], &mut tr).unwrap();
         }
         assert_eq!(t.len(), 3);
         let rows = t.drain_result_rows(&mut tr);
@@ -1269,7 +1220,7 @@ mod tests {
             }
             tb.record(CostEvent::TupleWrite, 1);
             passed += 1;
-            let outcome = b.insert(RowKind::Raw, &[row[1].clone(), row[0].clone()], &mut tb).unwrap();
+            let outcome = b.insert(RowKind::Raw, &[row[1].clone(), row[0].clone()][..], &mut tb).unwrap();
             assert_eq!(outcome == Inserted::Full, r + 1 == out.consumed);
         }
         assert_eq!(out.passed, passed);
@@ -1312,21 +1263,12 @@ mod tests {
         }
     }
 
+    /// A row's key is its leading cells: a query grouping on any other
+    /// column is refused when the table is built.
     #[test]
-    fn non_prefix_group_by_still_works() {
-        // group_by = [1]: key is not a leading prefix → gather path.
-        let q = AggQuery::new(vec![1], vec![AggSpec::over(AggFunc::Sum, 0)]);
-        let mut t = AggTable::new(q, 10);
-        let mut tr = NullTracker;
-        t.insert(RowKind::Raw, &[Value::Int(100), Value::Int(7)], &mut tr).unwrap();
-        t.insert(RowKind::Raw, &[Value::Int(11), Value::Int(7)], &mut tr).unwrap();
-        t.insert(RowKind::Raw, &[Value::Int(1), Value::Int(8)], &mut tr).unwrap();
-        assert_eq!(t.len(), 2);
-        assert!(resident(&t, &[Value::Int(7)]));
-        let mut rows = t.drain_result_rows(&mut tr);
-        adaptagg_model::query::sort_rows(&mut rows);
-        assert_eq!(rows[0].key.values(), &[Value::Int(7)]);
-        assert_eq!(rows[0].aggs, vec![Value::Int(111)]);
+    #[should_panic(expected = "projected form")]
+    fn a_query_not_in_projected_form_is_refused() {
+        AggTable::new(AggQuery::new(vec![1], vec![AggSpec::over(AggFunc::Sum, 0)]), 10);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 use adaptagg_hashagg::{AggTable, Inserted, Stop};
 use adaptagg_model::{
     AggFunc, AggQuery, AggSpec, AggStates, CostEvent, CostParams, CostTracker, CountingTracker,
-    DemoteCause, GroupKey, MemoryGrant, ModelError, NullTracker, ResultRow, RowKind, StoreLayout,
-    Value,
+    DemoteCause, GroupKey, KeyCell, MemoryGrant, ModelError, NullTracker, ResultRow, RowKind,
+    StoreLayout, Value,
 };
 use adaptagg_model::hash::{hash_values, Seed};
 use adaptagg_storage::{Page, RowPages, ScanBatch, StorageError};
@@ -672,7 +672,7 @@ fn a_new_group_that_fails_to_fold_is_not_admitted() {
     let mut oracle_log = EventLog::default();
     let good = [Value::Int(1), Value::Int(5)];
     assert_eq!(
-        table.insert(RowKind::Raw, &good, &mut log),
+        table.insert(RowKind::Raw, &good[..], &mut log),
         Ok(Inserted::New)
     );
     oracle.insert(RowKind::Raw, &good, &mut oracle_log).unwrap();
@@ -699,14 +699,15 @@ fn a_new_group_that_fails_to_fold_is_not_admitted() {
             ),
         }
         assert_eq!((table.len(), table.accepted()), (1, 1));
-        let key = [Value::Int(2)];
-        assert!(table.store().find(hash_values(Seed::Table, &key), &key).0.is_err(), "not admitted");
+        let key = Value::Int(2);
+        let probe = table.store().find(hash_values(Seed::Table, std::slice::from_ref(&key)), |_| KeyCell::Value(&key));
+        assert!(probe.0.is_err(), "not admitted");
     }
     // COUNT(*) had already counted the SUM(Str) row when SUM refused it:
     // the next admission of key 2 starts from fresh states all the same.
     let row = [Value::Int(2), Value::Int(9)];
     assert_eq!(
-        table.insert(RowKind::Raw, &row, &mut log),
+        table.insert(RowKind::Raw, &row[..], &mut log),
         Ok(Inserted::New)
     );
     oracle.insert(RowKind::Raw, &row, &mut oracle_log).unwrap();

@@ -16,7 +16,8 @@
 //! crate allowlist has no fxhash/ahash — so we implement the (tiny,
 //! well-known) algorithm ourselves.
 
-use crate::value::{CellRow, CellSink, Value};
+use crate::store::IndexRow;
+use crate::value::Value;
 use std::hash::{Hash, Hasher};
 
 /// 64-bit multiplicative constant from FxHash (`pi`-derived).
@@ -141,36 +142,12 @@ pub fn hash_values(seed: Seed, values: &[Value]) -> u64 {
 }
 
 /// [`hash_values`] of a row's first `k` cells (all of them when the row is
-/// shorter), read where they lie — a page's strips, a slice — with no
-/// `Value` row in between.
-pub fn hash_cells<R: CellRow + ?Sized>(seed: Seed, row: &R, k: usize) -> u64 {
-    /// Hashes the cells it is shown until `left` runs out.
-    struct Prefix {
-        hasher: FxHasher,
-        left: usize,
-    }
-
-    impl CellSink for Prefix {
-        #[inline]
-        fn int(&mut self, x: i64) {
-            self.value(&Value::Int(x));
-        }
-
-        #[inline]
-        fn value(&mut self, v: &Value) {
-            if self.left > 0 {
-                self.left -= 1;
-                v.hash(&mut self.hasher);
-            }
-        }
-    }
-
-    let mut key = Prefix {
-        hasher: FxHasher::with_seed(seed),
-        left: k,
-    };
-    row.cells(&mut key);
-    key.hasher.finish()
+/// shorter), read by index where they lie — a page's strips, a slice — with
+/// no `Value` row in between.
+pub fn hash_cells<R: IndexRow + ?Sized>(seed: Seed, row: &R, k: usize) -> u64 {
+    let mut hasher = FxHasher::with_seed(seed);
+    (0..k.min(row.arity())).for_each(|j| row.cell(j).with_value(|v| v.hash(&mut hasher)));
+    hasher.finish()
 }
 
 /// Vectorized batch counterpart of [`hash_values`]: initialize one hash
@@ -381,6 +358,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::value::{CellRow, CellSink};
+    use crate::KeyCell;
     use proptest::prelude::*;
 
     /// A row that hands its `Int` cells over as `i64`s, as a page's `Int`
@@ -394,6 +373,19 @@ mod proptests {
                     Value::Int(x) => sink.int(*x),
                     v => sink.value(v),
                 }
+            }
+        }
+    }
+
+    impl IndexRow for Strips<'_> {
+        fn arity(&self) -> usize {
+            self.0.len()
+        }
+
+        fn cell(&self, j: usize) -> KeyCell<'_> {
+            match &self.0[j] {
+                Value::Int(x) => KeyCell::Int(*x),
+                v => KeyCell::Value(v),
             }
         }
     }

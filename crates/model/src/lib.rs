@@ -56,6 +56,6 @@ pub use params::{ms_to_ticks, ticks_to_ms, CostParams, NetworkKind, MAX_TICKS, T
 pub use predicate::{matches_all, Compare, Predicate};
 pub use query::{AggQuery, ResultRow};
 pub use schema::{DataType, Field, Schema};
-pub use store::{DemoteCause, GroupRow, GroupStore, KeyCell, StoreLayout};
+pub use store::{DemoteCause, GroupRow, GroupStore, IndexRow, KeyCell, StoreLayout};
 pub use tuple::Tuple;
 pub use value::{CellRow, CellSink, StripView, Value};

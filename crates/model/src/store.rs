@@ -179,8 +179,8 @@ impl<T: Copy + Default> Cells<T> {
     }
 }
 
-/// One cell of a probing row's key, borrowed from wherever the row lives:
-/// a [`Value`] of a row slice, or a cell of a page's `Int` strip.
+/// One cell of a row, borrowed from wherever the row lives: a [`Value`] of
+/// a row slice, or a cell of a page's `Int` strip.
 #[derive(Debug, Clone, Copy)]
 pub enum KeyCell<'a> {
     /// A cell of a fixed-width integer strip.
@@ -190,8 +190,9 @@ pub enum KeyCell<'a> {
 }
 
 impl KeyCell<'_> {
+    /// The cell as an `i64`, if it is an `Int`.
     #[inline]
-    fn as_int(self) -> Option<i64> {
+    pub fn as_int(self) -> Option<i64> {
         match self {
             KeyCell::Int(x) | KeyCell::Value(&Value::Int(x)) => Some(x),
             KeyCell::Value(_) => None,
@@ -206,10 +207,72 @@ impl KeyCell<'_> {
         }
     }
 
+    /// `f` of the cell as a [`Value`]: borrowed where it is one, an `Int`
+    /// built on the stack.
+    #[inline]
+    pub(crate) fn with_value<R>(self, f: impl FnOnce(&Value) -> R) -> R {
+        match self {
+            KeyCell::Int(x) => f(&Value::Int(x)),
+            KeyCell::Value(v) => f(v),
+        }
+    }
+
     fn to_value(self) -> Value {
         match self {
             KeyCell::Int(x) => Value::Int(x),
             KeyCell::Value(v) => v.clone(),
+        }
+    }
+}
+
+/// A row read by position where its cells lie — a slice of values, a row of
+/// a page's column strips — as the store probes, folds and admits it: the
+/// key cells and each aggregate's input are read by index, with no `Value`
+/// row in between. The [`CellRow`] walk yields the same cells in order.
+pub trait IndexRow: CellRow {
+    /// Cells in the row.
+    fn arity(&self) -> usize;
+    /// Cell `j < arity()`.
+    fn cell(&self, j: usize) -> KeyCell<'_>;
+}
+
+impl IndexRow for [Value] {
+    #[inline]
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn cell(&self, j: usize) -> KeyCell<'_> {
+        KeyCell::Value(&self[j])
+    }
+}
+
+impl IndexRow for Vec<Value> {
+    #[inline]
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn cell(&self, j: usize) -> KeyCell<'_> {
+        self.as_slice().cell(j)
+    }
+}
+
+/// The most cells one aggregate's partial state spans (`VAR_POP`'s sum, sum
+/// of squares and count).
+const PARTIAL_CELLS: usize = 3;
+
+/// [`AggState::merge_partial`] of one function's partial cells read where
+/// they lie: a lone cell borrowed, a wider state's cells — numbers, in a
+/// well-formed row — copied onto the stack.
+fn merge_cells(state: &mut AggState, cells: &[KeyCell<'_>]) -> Result<(), ModelError> {
+    match *cells {
+        [cell] => cell.with_value(|v| state.merge_partial(std::slice::from_ref(v))),
+        _ => {
+            let values: [Value; PARTIAL_CELLS] = std::array::from_fn(|i| cells.get(i).map_or(Value::Null, |c| c.to_value()));
+            state.merge_partial(&values[..cells.len()])
         }
     }
 }
@@ -396,24 +459,24 @@ impl StateColumn {
     /// [`AggState::update`] would; `false` (nothing changed) if the input
     /// does not fit the layout. Not for general columns.
     #[inline]
-    fn try_update(&mut self, e: usize, input: Option<&Value>) -> bool {
-        match (self, input) {
-            (StateColumn::Count(a), input) => {
-                if !matches!(input, Some(Value::Null)) {
+    fn try_update(&mut self, e: usize, input: Option<KeyCell<'_>>) -> bool {
+        match (self, input, input.and_then(KeyCell::as_int)) {
+            (StateColumn::Count(a), input, _) => {
+                if !matches!(input, Some(KeyCell::Value(Value::Null))) {
                     *a.cell_mut(e) += 1;
                 }
             }
-            (StateColumn::General(_), _) => unreachable!("typed fold into a general column"),
-            (_, Some(Value::Null)) => {}
-            (StateColumn::Sum { sum, seen }, Some(&Value::Int(x))) => {
+            (StateColumn::General(_), ..) => unreachable!("typed fold into a general column"),
+            (_, Some(KeyCell::Value(Value::Null)), _) => {}
+            (StateColumn::Sum { sum, seen }, _, Some(x)) => {
                 *sum.cell_mut(e) += x as i128;
                 *seen.cell_mut(e) = true;
             }
-            (StateColumn::Avg { sum, count }, Some(&Value::Int(x))) => {
+            (StateColumn::Avg { sum, count }, _, Some(x)) => {
                 *sum.cell_mut(e) += x as i128;
                 *count.cell_mut(e) += 1;
             }
-            (StateColumn::Extreme { best, seen, max }, Some(&Value::Int(x))) => {
+            (StateColumn::Extreme { best, seen, max }, _, Some(x)) => {
                 let (best, seen) = (best.cell_mut(e), seen.cell_mut(e));
                 if !*seen || (if *max { x > *best } else { x < *best }) {
                     *best = x;
@@ -429,22 +492,23 @@ impl StateColumn {
     /// typed column, as [`AggState::merge_partial`] would; `false`
     /// (nothing changed) if they do not fit the layout.
     #[inline]
-    fn try_merge(&mut self, e: usize, cols: &[Value]) -> bool {
-        match (self, cols) {
-            (StateColumn::Count(a), &[Value::Int(n)]) if n >= 0 => *a.cell_mut(e) += n as u64,
-            (StateColumn::Avg { sum, count }, &[ref s, Value::Int(n)]) if n >= 0 => {
-                match s {
+    fn try_merge(&mut self, e: usize, cells: &[KeyCell<'_>]) -> bool {
+        // The count is COUNT's one cell and AVG's second.
+        match (self, cells, cells.last().and_then(|n| n.as_int())) {
+            (StateColumn::Count(a), [_], Some(n)) if n >= 0 => *a.cell_mut(e) += n as u64,
+            (StateColumn::Avg { sum, count }, [s, _], Some(n)) if n >= 0 => {
+                match s.as_int() {
                     // A count of zero ships a NULL sum, which is skipped.
                     _ if n == 0 => {}
-                    &Value::Int(s) => {
+                    Some(s) => {
                         *sum.cell_mut(e) += s as i128;
                         *count.cell_mut(e) += n as u64;
                     }
-                    _ => return false,
+                    None => return false,
                 }
             }
             // SUM, MIN and MAX ship the one cell they would take as input.
-            (col @ (StateColumn::Sum { .. } | StateColumn::Extreme { .. }), [cell]) => {
+            (col @ (StateColumn::Sum { .. } | StateColumn::Extreme { .. }), &[cell], _) => {
                 return col.try_update(e, Some(cell))
             }
             _ => return false,
@@ -719,7 +783,7 @@ impl GroupStore {
     /// Linear-probe for the entry with this `hash` that `is_entry`
     /// accepts: `Ok(entry)`, or `Err(slot)` with the vacant slot it would
     /// take, plus the number of slots examined.
-    // Always inlined, as is `find_cells`: the batched probe's row walk
+    // Always inlined, as is `find`: the batched probe's row walk
     // (`hashagg`'s `AggTable::feed`) is the hot loop of every scan.
     #[inline(always)]
     fn probe(&self, hash: u64, is_entry: impl Fn(usize) -> bool) -> (Result<usize, usize>, u64) {
@@ -746,7 +810,7 @@ impl GroupStore {
     /// examined. An `Int` cell equals no stored cell of another type, so a
     /// key the typed column could not hold simply is not found in it.
     #[inline(always)]
-    pub fn find_cells<'a>(
+    pub fn find<'a>(
         &self,
         hash: u64,
         cell: impl Fn(usize) -> KeyCell<'a>,
@@ -767,62 +831,64 @@ impl GroupStore {
         }
     }
 
-    /// [`GroupStore::find_cells`] for a key held as a slice.
+    /// Fold a row, read where it lies, into the resident group `entry`: a
+    /// raw row (the specs' input columns index into it), or a partial row
+    /// (its key, then [`AggFunc::partial_arity`] cells per spec). A cell a
+    /// typed column cannot hold demotes the column first; a row that does
+    /// not fold at all (`SUM` over a string, a short row) returns the error
+    /// [`AggState`] raises for it, with the states ahead of the failing one
+    /// already updated — as the general layout always behaved.
     #[inline]
-    pub fn find(&self, hash: u64, key: &[Value]) -> (Result<usize, usize>, u64) {
-        debug_assert_eq!(key.len(), self.key_len);
-        self.find_cells(hash, |j| KeyCell::Value(&key[j]))
-    }
-
-    /// Fold a row into the resident group `entry`: a raw row (the specs'
-    /// input columns index into `values`), or the cells of a partial row
-    /// past its key. A cell a typed column cannot hold demotes the column
-    /// first; a row that does not fold at all (`SUM` over a string, a
-    /// short row) returns the error [`AggState`] raises for it, with the
-    /// states ahead of the failing one already updated — as the general
-    /// layout always behaved.
-    #[inline]
-    pub fn fold(&mut self, entry: usize, kind: RowKind, values: &[Value]) -> Result<(), ModelError> {
+    pub fn fold<R: IndexRow + ?Sized>(&mut self, entry: usize, kind: RowKind, row: &R) -> Result<(), ModelError> {
         match kind {
-            RowKind::Raw => self.fold_raw(entry, values),
-            RowKind::Partial => self.fold_partial(entry, values),
+            RowKind::Raw => self.fold_raw(entry, row),
+            RowKind::Partial => self.fold_partial(entry, row),
         }
     }
 
-    fn fold_raw(&mut self, entry: usize, values: &[Value]) -> Result<(), ModelError> {
+    fn fold_raw<R: IndexRow + ?Sized>(&mut self, entry: usize, row: &R) -> Result<(), ModelError> {
         for j in 0..self.states.len() {
             let input = match self.specs[j].input {
-                Some(c) => Some(values.get(c).ok_or(ModelError::ColumnOutOfRange {
-                    column: c,
-                    arity: values.len(),
-                })?),
+                Some(c) if c >= row.arity() => {
+                    return Err(ModelError::ColumnOutOfRange {
+                        column: c,
+                        arity: row.arity(),
+                    })
+                }
+                Some(c) => Some(row.cell(c)),
                 None => None,
             };
             self.fold_cell(
                 (j, entry, DemoteCause::InputType),
                 |typed| typed.try_update(entry, input),
-                |state| state.update(input),
+                |state| match input {
+                    Some(cell) => cell.with_value(|v| state.update(Some(v))),
+                    None => state.update(None),
+                },
             )?;
         }
         Ok(())
     }
 
-    fn fold_partial(&mut self, entry: usize, cols: &[Value]) -> Result<(), ModelError> {
-        if cols.len() != self.partial_arity {
+    fn fold_partial<R: IndexRow + ?Sized>(&mut self, entry: usize, row: &R) -> Result<(), ModelError> {
+        let expected = self.key_len + self.partial_arity;
+        if row.arity() != expected {
             return Err(ModelError::PartialArityMismatch {
-                expected: self.partial_arity,
-                found: cols.len(),
+                expected,
+                found: row.arity(),
             });
         }
-        let mut pos = 0;
+        let mut pos = self.key_len;
         for j in 0..self.states.len() {
             let n = self.specs[j].func.partial_arity();
-            let cells = &cols[pos..pos + n];
+            // Cells past the spec's `n` repeat its last; they are not read.
+            let cells: [KeyCell; PARTIAL_CELLS] = std::array::from_fn(|i| row.cell(pos + i.min(n - 1)));
+            let cells = &cells[..n];
             pos += n;
             self.fold_cell(
                 (j, entry, DemoteCause::PartialType),
                 |typed| typed.try_merge(entry, cells),
-                |state| state.merge_partial(cells),
+                |state| merge_cells(state, cells),
             )?;
         }
         Ok(())
@@ -906,29 +972,28 @@ impl GroupStore {
         self.seat(slot, hash, cell)
     }
 
-    /// Admit a new group and fold its first row into it (see
-    /// [`GroupStore::fold`] for `kind` and `values`). If the row does not
-    /// fold the store is left as it was — no entry, no slot, no column
-    /// cell, no probe-visible trace.
-    pub fn admit_row(
+    /// Admit a new group keyed by the row's leading `key_len` cells and fold
+    /// the row into it (see [`GroupStore::fold`]). If the row does not fold
+    /// the store is left as it was — no entry, no slot, no column cell, no
+    /// probe-visible trace.
+    pub fn admit_row<R: IndexRow + ?Sized>(
         &mut self,
         slot: usize,
         hash: u64,
-        key: &[Value],
         kind: RowKind,
-        values: &[Value],
+        row: &R,
     ) -> Result<usize, ModelError> {
-        debug_assert_eq!(key.len(), self.key_len);
+        debug_assert!(row.arity() >= self.key_len);
         self.assert_vacant(slot);
         self.push_fresh_states();
         let entry = self.len();
-        if let Err(e) = self.fold(entry, kind, values) {
+        if let Err(e) = self.fold(entry, kind, row) {
             self.states
                 .iter_mut()
                 .for_each(|c| c.each_arena(|a| a.take_back(entry)));
             return Err(e);
         }
-        Ok(self.seat(slot, hash, |j| KeyCell::Value(&key[j])))
+        Ok(self.seat(slot, hash, |j| row.cell(j)))
     }
 
     fn push_fresh_states(&mut self) {
@@ -1144,12 +1209,16 @@ mod tests {
     /// Find-or-admit the group of raw row `row` (key = its first
     /// `key_len` cells) and fold the row into it.
     fn touch(store: &mut GroupStore, row: &[Value]) -> Result<usize, ModelError> {
-        let key = &row[..store.key_len];
-        let hash = hash_values(Seed::Table, key);
-        match store.find(hash, key).0 {
+        let hash = hash_values(Seed::Table, &row[..store.key_len]);
+        match find(store, hash, row).0 {
             Ok(entry) => store.fold(entry, RowKind::Raw, row).map(|()| entry),
-            Err(slot) => store.admit_row(slot, hash, key, RowKind::Raw, row),
+            Err(slot) => store.admit_row(slot, hash, RowKind::Raw, row),
         }
+    }
+
+    /// Look up the group keyed by the leading cells of `row`.
+    fn find(store: &GroupStore, hash: u64, row: &[Value]) -> (Result<usize, usize>, u64) {
+        store.find(hash, |j| row.cell(j))
     }
 
     fn partial_row(store: &GroupStore, entry: usize) -> Vec<Value> {
@@ -1199,10 +1268,10 @@ mod tests {
         touch(&mut store, &[Value::Int(1), Value::Int(4)]).unwrap();
         let bad = [Value::Int(2), Value::from("x")];
         let hash = hash_values(Seed::Table, &bad[..1]);
-        let (probe, examined) = store.find(hash, &bad[..1]);
+        let (probe, examined) = find(&store, hash, &bad);
         let slot = probe.unwrap_err();
         // COUNT(*) counts the row before SUM refuses it.
-        let failed = store.admit_row(slot, hash, &bad[..1], RowKind::Raw, &bad);
+        let failed = store.admit_row(slot, hash, RowKind::Raw, &bad[..]);
         assert!(matches!(failed, Err(ModelError::TypeMismatch { .. })), "{failed:?}");
         assert_eq!((store.len(), segments(&store)), (1, vec![1, 1, 1]));
         for column in &store.states {
@@ -1212,7 +1281,7 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        assert_eq!(store.find(hash, &bad[..1]), (Err(slot), examined));
+        assert_eq!(find(&store, hash, &bad), (Err(slot), examined));
         // The next admission takes the entry the failed one would have,
         // with fresh states; the group beside it is what it was.
         assert_eq!(touch(&mut store, &[Value::Int(2), Value::Null]), Ok(1));
@@ -1227,9 +1296,9 @@ mod tests {
         // empty states.
         let mut store = GroupStore::new(0, &[], 0);
         let hash = hash_values(Seed::Table, &[]);
-        let slot = store.find(hash, &[]).0.unwrap_err();
+        let slot = find(&store, hash, &[]).0.unwrap_err();
         assert_eq!(store.admit_cells(slot, hash, |_| unreachable!("no key cells")), 0);
-        assert_eq!(store.find(hash, &[]).0, Ok(0));
+        assert_eq!(find(&store, hash, &[]).0, Ok(0));
         assert!(partial_row(&store, 0).is_empty());
         let mut drained = Vec::new();
         store.drain_result_rows(|row| drained.push(row));
@@ -1255,7 +1324,7 @@ mod tests {
         store.clear();
         assert!(store.is_empty());
         let g3 = [Value::from("g3")];
-        assert_eq!(store.find(hash_values(Seed::Table, &g3), &g3).0.ok(), None);
+        assert_eq!(find(&store, hash_values(Seed::Table, &g3), &g3).0.ok(), None);
         fill(&mut store);
         assert_eq!(store.slot_count(), slots);
         assert_eq!(key_caps(&store), [SEG_ROWS, SEG_ROWS]);
@@ -1391,11 +1460,11 @@ mod tests {
         );
         // Partial rows fold back into typed cells; a Float sum demotes
         // its column alone.
-        let ints = [Value::Int(5), Value::Int(6), Value::Int(2), Value::Int(-1), Value::Int(9)];
-        store.fold(1, RowKind::Partial, &ints).unwrap();
+        let ints = [Value::Int(1), Value::Int(5), Value::Int(6), Value::Int(2), Value::Int(-1), Value::Int(9)];
+        store.fold(1, RowKind::Partial, &ints[..]).unwrap();
         assert_eq!(store.layout().demoted, [0; 4]);
         let overflowed = partial_row(&store, 0);
-        store.fold(1, RowKind::Partial, &overflowed[1..]).unwrap();
+        store.fold(1, RowKind::Partial, &overflowed[..]).unwrap();
         assert_eq!(store.layout().demoted, [0, 0, 2, 0]);
         let mut results = Vec::new();
         store.drain_result_rows(|row| results.push(row.aggs));
@@ -1512,7 +1581,7 @@ mod tests {
         // general column.
         for (e, key) in keys.iter().enumerate() {
             let hash = hash_values(Seed::Table, &key.map(Value::Int));
-            assert_eq!(store.find_cells(hash, |j| KeyCell::Int(key[j])).0, Ok(e));
+            assert_eq!(store.find(hash, |j| KeyCell::Int(key[j])).0, Ok(e));
         }
     }
 }

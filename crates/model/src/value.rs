@@ -233,6 +233,13 @@ impl CellRow for [Value] {
     }
 }
 
+impl CellRow for Vec<Value> {
+    #[inline]
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        self.as_slice().cells(sink);
+    }
+}
+
 /// A borrowed whole-column view (a page's column strip) for batch
 /// operators.
 #[derive(Debug, Clone, Copy, PartialEq)]

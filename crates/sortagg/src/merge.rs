@@ -9,7 +9,7 @@
 //! per run row or per group.
 
 use adaptagg_model::{
-    AggQuery, AggState, CellRow, CellSink, CostEvent, CostTracker, ModelError, Value,
+    AggQuery, AggState, CellRow, CellSink, CostEvent, CostTracker, IndexRow, ModelError, Value,
 };
 use adaptagg_storage::{Page, RowPages, SpillFile, StorageError, StripView};
 use std::cmp::Ordering;
@@ -96,7 +96,7 @@ impl<'a> Run<'a> {
                 continue;
             }
             if page.uniform_arity() != Some(arity) {
-                let mut arities = page.iter().filter_map(Result::ok).map(|row| row.len());
+                let mut arities = page.rows().map(|row| row.arity());
                 return Err(ModelError::PartialArityMismatch {
                     expected: arity,
                     found: arities.find(|&n| n != arity).unwrap_or(arity),

@@ -792,15 +792,15 @@ proptest! {
     }
 }
 
-/// Group-by columns that are not a prefix of the row take the gathered-
-/// key path — on the batch lane as the row arm of every batch; same rows,
-/// same events.
+/// A `Str` and an `Int` key over a `Str` MAX and a `Float` SUM: the
+/// batch lane takes every batch through its row arm, each row read where
+/// it lies; same rows, same events.
 #[test]
-fn non_prefix_keys_match_the_reference() {
+fn value_keys_and_inputs_match_the_reference() {
     let query = AggQuery::new(
-        vec![2, 0],
+        vec![0, 1],
         vec![
-            AggSpec::over(AggFunc::Max, 1),
+            AggSpec::over(AggFunc::Max, 2),
             AggSpec::over(AggFunc::Sum, 3),
         ],
     );
@@ -808,9 +808,9 @@ fn non_prefix_keys_match_the_reference() {
     let input: Vec<(RowKind, Vec<Value>)> = (0..600i64)
         .map(|i| {
             let row = vec![
+                Value::from(names[((i / 3) % 3) as usize]),
                 Value::Int(i % 7),
                 Value::from(names[(i % 3) as usize]),
-                Value::from(names[((i / 3) % 3) as usize]),
                 Value::Float((i % 5) as f64),
             ];
             (RowKind::Raw, row)
@@ -819,9 +819,9 @@ fn non_prefix_keys_match_the_reference() {
     let chunks = chunked(&input, 50);
     let (seen, rode) = assert_lanes_agree(&query, &chunks, 5, 128, MergeEmit::Finalized, Feed::default());
     assert!(seen.runs.len() > 2);
-    assert_eq!(rode.row_arm[RowCause::Ragged as usize], chunks.len());
-    // An out-of-range key column is the same typed error on every lane.
-    let short = [Chunk::all(RowKind::Raw, vec![vec![Value::Int(1), Value::from("x")]])];
+    assert_eq!(rode.row_arm[RowCause::FloatGuard as usize], chunks.len());
+    // A row shorter than the key is the same typed error on every lane.
+    let short = [Chunk::all(RowKind::Raw, vec![vec![Value::from("x")]])];
     let (seen, _) = assert_lanes_agree(&query, &short, 5, 128, MergeEmit::Finalized, Feed::default());
     assert!(seen.error.is_some());
 }

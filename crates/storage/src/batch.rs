@@ -29,13 +29,13 @@ pub const SELECT_FAIL: [CostEvent; 1] = [CostEvent::TupleRead];
 /// charges: `t_r` (the hash aggregator's overflow drain, §2 step 3).
 pub const SPILL_READ: [CostEvent; 1] = [CostEvent::TupleRead];
 
-/// Why a consumer materialized a batch's rows instead of riding its
-/// strips (the `scan.pages_row{cause=…}` trace counters).
+/// Why a consumer took a batch's rows one at a time, each read where it
+/// lies, instead of riding its strips column-at-a-time (the
+/// `scan.pages_row{cause=…}` trace counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowCause {
-    /// Key or input columns the batch cannot hash off its strips: a key
-    /// that is not the batch's leading columns, or a batch narrower than
-    /// the key or an input.
+    /// Key or input columns the batch does not have: a batch narrower
+    /// than the key or an input.
     Ragged,
     /// An aggregate input strip holding nulls or strings.
     ValueInput,
@@ -70,8 +70,8 @@ pub struct BatchOutcome {
     /// Passing rows the consumer could not hold (handed to its spill or
     /// forwarding callback).
     pub rejected: u64,
-    /// Why a batch of raw tuples had its rows materialized instead of
-    /// riding the strips (`None` = it rode them).
+    /// Why a batch of raw tuples was taken a row at a time instead of
+    /// riding the strips column-at-a-time (`None` = it rode them).
     pub row_cause: Option<RowCause>,
 }
 

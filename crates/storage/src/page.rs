@@ -18,13 +18,14 @@
 //! and 2 KB network message blocks alike — only the capacity differs.
 //!
 //! Batch consumers read whole columns through [`PageView::column`]
-//! ([`StripView`]); row-at-a-time consumers (sort, sample, spill replay)
-//! keep the [`PageView::iter`] / [`PageView::cursor`] compatibility path,
-//! which reconstructs rows from the strips.
+//! ([`StripView`]); row-at-a-time consumers read each row where it lies
+//! ([`PageView::rows`]: cell by cell, or by position). [`PageView::iter`] /
+//! [`PageView::cursor`] reconstruct rows as values, for what still wants
+//! them.
 
 use crate::batch::ScanBatch;
 use crate::error::StorageError;
-use adaptagg_model::{decode_tuple_into, encode_value, CellRow, CellSink, StripView, Value};
+use adaptagg_model::{decode_tuple_into, encode_value, CellRow, CellSink, IndexRow, KeyCell, StripView, Value};
 use std::fmt;
 use std::ops::Range;
 
@@ -181,6 +182,16 @@ impl ColumnStrip {
         self.ints.clear();
         self.values.clear();
         self.is_int = true;
+    }
+
+    /// Cell `r`, where it lies.
+    #[inline]
+    fn at(&self, r: usize) -> KeyCell<'_> {
+        if self.is_int {
+            KeyCell::Int(self.ints[r])
+        } else {
+            KeyCell::Value(&self.values[r])
+        }
     }
 
     /// Hand `sink` cell `r`.
@@ -524,16 +535,16 @@ impl<'a> PageView<'a> {
     /// by strip ([`Page::try_push_row`]) without a `Value` row in between.
     pub fn rows(&self) -> impl Iterator<Item = PageRow<'a>> {
         let strips = self.strips;
-        self.extent.range().map(move |r| PageRow { strips, r })
+        self.extent.range().map(move |r| PageRow { strips, r, skip: 0 })
     }
 
-    /// Iterate over the page's tuples, materializing each row from the
-    /// strips.
-    pub fn iter(&self) -> PageIter<'a> {
-        PageIter {
-            strips: self.strips,
-            rows: self.extent.range(),
-        }
+    /// The page's tuples, each row materialized from the strips.
+    pub fn iter(&self) -> impl Iterator<Item = Result<Vec<Value>, StorageError>> + 'a {
+        self.rows().map(|row| {
+            let mut out = Vec::with_capacity(row.arity());
+            row.cells(&mut out);
+            Ok(out)
+        })
     }
 
     /// A cursor materializing tuples into a caller-owned scratch vector —
@@ -556,7 +567,7 @@ impl<'a> PageView<'a> {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.bytes_used());
         for row in self.rows() {
-            out.extend_from_slice(&row.arity().to_le_bytes());
+            out.extend_from_slice(&(row.arity() as u16).to_le_bytes());
             row.cells(&mut Encode(out));
         }
     }
@@ -599,12 +610,6 @@ impl fmt::Debug for PageRow<'_> {
     }
 }
 
-impl fmt::Debug for PageIter<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PageIter").field("rows", &self.rows).finish_non_exhaustive()
-    }
-}
-
 impl fmt::Debug for PageCursor<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PageCursor").field("rows", &self.rows).finish_non_exhaustive()
@@ -632,23 +637,50 @@ impl CellRow for StripRow<'_, '_> {
     }
 }
 
+impl IndexRow for StripRow<'_, '_> {
+    #[inline]
+    fn arity(&self) -> usize {
+        self.batch.arity()
+    }
+
+    #[inline]
+    fn cell(&self, j: usize) -> KeyCell<'_> {
+        self.batch.page().cols()[self.batch.base_column(j)].at(self.r)
+    }
+}
+
 /// One row of a page — ragged or not — read off the strips where it lies
-/// ([`PageView::rows`]).
+/// ([`PageView::rows`]), or what is left of it past a leading cell
+/// ([`PageRow::split_first`]).
 #[derive(Clone, Copy)]
 pub struct PageRow<'a> {
     strips: &'a Strips,
     r: usize,
+    /// Leading cells of the stored row that are not the row's.
+    skip: usize,
 }
 
-impl PageRow<'_> {
-    fn arity(&self) -> u16 {
-        self.strips.arities[self.r]
+impl<'a> PageRow<'a> {
+    /// The first cell and the rest of the row, as a slice's `split_first`:
+    /// how a spilled row's kind tag comes off it. `None` for an empty row.
+    pub fn split_first(self) -> Option<(KeyCell<'a>, PageRow<'a>)> {
+        (self.arity() > 0).then(|| (self.at(0), PageRow { skip: self.skip + 1, ..self }))
     }
 
+    /// The stored row's cells, the skipped ones included.
+    fn stored(&self) -> &'a [ColumnStrip] {
+        &self.strips.cols[..usize::from(self.strips.arities[self.r])]
+    }
+
+    #[inline]
+    fn at(&self, j: usize) -> KeyCell<'a> {
+        self.stored()[self.skip + j].at(self.r)
+    }
+
+    /// Whether two stored rows of one arity hold equal cells.
     fn cells_eq(&self, other: &PageRow<'_>) -> bool {
-        let cols = self.strips.cols.iter().zip(&other.strips.cols);
-        cols.take(usize::from(self.arity()))
-            .all(|(a, b)| a.cell_eq(self.r, b, other.r))
+        let mut cols = self.stored().iter().zip(other.stored());
+        cols.all(|(a, b)| a.cell_eq(self.r, b, other.r))
     }
 }
 
@@ -656,9 +688,21 @@ impl CellRow for PageRow<'_> {
     #[inline]
     fn cells<S: CellSink>(&self, sink: &mut S) {
         // A strip holds a cell for every row whose arity reaches it.
-        for strip in &self.strips.cols[..usize::from(self.arity())] {
+        for strip in &self.stored()[self.skip..] {
             strip.cell(self.r, sink);
         }
+    }
+}
+
+impl IndexRow for PageRow<'_> {
+    #[inline]
+    fn arity(&self) -> usize {
+        usize::from(self.strips.arities[self.r]) - self.skip
+    }
+
+    #[inline]
+    fn cell(&self, j: usize) -> KeyCell<'_> {
+        self.at(j)
     }
 }
 
@@ -748,7 +792,7 @@ impl Page {
     }
 
     /// [`PageView::iter`].
-    pub fn iter(&self) -> PageIter<'_> {
+    pub fn iter(&self) -> impl Iterator<Item = Result<Vec<Value>, StorageError>> + '_ {
         self.view().iter()
     }
 
@@ -812,30 +856,6 @@ impl PartialEq for Page {
 
 impl Eq for Page {}
 
-/// Iterator over a page's tuples.
-pub struct PageIter<'a> {
-    strips: &'a Strips,
-    rows: Range<usize>,
-}
-
-impl Iterator for PageIter<'_> {
-    type Item = Result<Vec<Value>, StorageError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let row = PageRow {
-            strips: self.strips,
-            r: self.rows.next()?,
-        };
-        let mut out = Vec::with_capacity(usize::from(row.arity()));
-        row.cells(&mut out);
-        Some(Ok(out))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.rows.size_hint()
-    }
-}
-
 /// Scratch-reuse cursor over a page's tuples (see [`PageView::cursor`]).
 pub struct PageCursor<'a> {
     strips: &'a Strips,
@@ -850,7 +870,7 @@ impl PageCursor<'_> {
             return Ok(false);
         };
         out.clear();
-        PageRow { strips: self.strips, r }.cells(out);
+        PageRow { strips: self.strips, r, skip: 0 }.cells(out);
         Ok(true)
     }
 
@@ -1093,6 +1113,50 @@ mod tests {
         assert_eq!(copy.decode_all().unwrap(), p.decode_all().unwrap());
     }
 
+    /// A row's cells read by index, as values.
+    fn by_index<R: IndexRow + ?Sized>(row: &R) -> Vec<Value> {
+        let value = |cell| match cell {
+            KeyCell::Int(x) => Value::Int(x),
+            KeyCell::Value(v) => v.clone(),
+        };
+        (0..row.arity()).map(|j| value(row.cell(j))).collect()
+    }
+
+    /// What a row's cells read by index: the cells its walk yields, for a
+    /// page row — ragged, or past a split-off first cell — and for a batch
+    /// row through a projection, `Int` strips and promoted ones alike.
+    #[test]
+    fn rows_read_by_index_are_the_rows_walked() {
+        let mut p = Page::new(4096);
+        p.try_push(&[Value::Int(7), Value::Str("s".into()), Value::Null]).unwrap();
+        p.try_push(&[Value::Int(8)]).unwrap();
+        p.try_push(&[]).unwrap();
+        for (row, want) in p.rows().zip(p.decode_all().unwrap()) {
+            assert_eq!(by_index(&row), want);
+            match row.split_first() {
+                Some((first, rest)) => {
+                    assert!(matches!(first, KeyCell::Int(x) if Value::Int(x) == want[0]));
+                    assert_eq!(by_index(&rest), want[1..]);
+                    let mut walked = Vec::new();
+                    rest.cells(&mut walked);
+                    assert_eq!(walked, want[1..]);
+                }
+                None => assert!(want.is_empty()),
+            }
+        }
+        let mut q = Page::new(4096);
+        for i in 0..3 {
+            q.try_push(&[Value::Int(i), Value::from(format!("k{i}")), Value::Int(-i)]).unwrap();
+        }
+        let batch = ScanBatch::scanned(&q, &[2, 1], Some(&[0, 2]), 3).unwrap();
+        for r in 0..3 {
+            let mut walked = Vec::new();
+            batch.row(r).cells(&mut walked);
+            assert_eq!(by_index(&batch.row(r)), walked);
+            assert_eq!(walked, [Value::Int(-(r as i64)), Value::from(format!("k{r}"))]);
+        }
+    }
+
     #[test]
     fn encode_into_round_trips_through_from_raw() {
         let mut p = Page::new(4096);
@@ -1150,13 +1214,13 @@ mod tests {
                     1 => Value::Int(i64::MAX - g),
                     _ => Value::Int(g),
                 };
-                let row = [key, input];
+                let row = &[key, input][..];
                 for _ in 0..2 {
                     let hash = hash_values(Seed::Table, &row[..1]);
-                    match store.find(hash, &row[..1]).0 {
-                        Ok(entry) => store.fold(entry, RowKind::Raw, &row).unwrap(),
+                    match store.find(hash, |j| row.cell(j)).0 {
+                        Ok(entry) => store.fold(entry, RowKind::Raw, row).unwrap(),
                         Err(slot) => {
-                            store.admit_row(slot, hash, &row[..1], RowKind::Raw, &row).unwrap();
+                            store.admit_row(slot, hash, RowKind::Raw, row).unwrap();
                         }
                     }
                 }

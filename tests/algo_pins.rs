@@ -25,7 +25,8 @@
 //! order when the group store began handing results out sorted. Each now
 //! hashes the node's rows sorted by key, and was re-captured with that
 //! sort on the commit before the change (ef391ad). The row counts and
-//! every other field are bef6c28's.
+//! every other field are bef6c28's. `bcast_2_spill`, added with the batched
+//! Broadcast merge, was captured whole on the commit before it (6f97804).
 //!
 //! Capture tool: cargo test --test algo_pins print_algo_pins -- --ignored --nocapture
 
@@ -100,6 +101,10 @@ enum Data {
     /// Node 0: 6 000 tuples of 20 groups; every other node 20 000 tuples
     /// of 3 000: node 0 falls back locally, the others by contagion.
     Contagion,
+    /// Wide's tuples and filter under 20-entry tables: each Broadcast node
+    /// owns ~1 100 groups, spools nearly every row it owns and refeeds its
+    /// buckets three levels deep.
+    Spill,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -137,6 +142,7 @@ const CASES: &[Case] = &[
     case("bcast_1", Bcast, 1),
     case("bcast_2", Bcast, 2),
     case("bcast_4", Bcast, 4),
+    Case { data: Data::Spill, ..case("bcast_2_spill", Bcast, 2) },
     Case { str_conjunct: true, ..case("bcast_1_str", Bcast, 1) },
     Case { str_conjunct: true, ..case("bcast_2_str", Bcast, 2) },
     Case { str_conjunct: true, ..case("bcast_4_str", Bcast, 4) },
@@ -222,7 +228,7 @@ fn net_of(s: &NetStats) -> [u64; 8] {
 
 fn partitions(case: &Case) -> Vec<HeapFile> {
     match case.data {
-        Data::Wide => generate_partitions(&RelationSpec::uniform(24_000, 3_000), case.nodes),
+        Data::Wide | Data::Spill => generate_partitions(&RelationSpec::uniform(24_000, 3_000), case.nodes),
         Data::FewGroups => generate_partitions(&RelationSpec::uniform(30_000, 300), case.nodes),
         Data::Contagion => {
             let mut parts = generate_partitions(&RelationSpec::uniform(6_000, 20), 1);
@@ -235,7 +241,7 @@ fn partitions(case: &Case) -> Vec<HeapFile> {
 
 fn query(case: &Case) -> AggQuery {
     let mut filter = vec![Predicate::new(0, Compare::Ge, Value::Int(match case.data {
-        Data::Wide => 750,
+        Data::Wide | Data::Spill => 750,
         Data::FewGroups => 75,
         Data::Contagion => 5,
     }))];
@@ -250,6 +256,7 @@ fn params(case: &Case) -> CostParams {
         Data::Wide => 200,
         Data::FewGroups => 50,
         Data::Contagion => 10_000,
+        Data::Spill => 20,
     };
     CostParams {
         max_hash_entries,
@@ -384,7 +391,8 @@ const fn node(ticks: u64, sends: usize, stamps: u64, net: [u64; 8], outcome: &'s
 }
 
 /// Captured on commit bef6c28 (the scan with its row loop); the row
-/// digests on ef391ad, over key-sorted rows (module docs).
+/// digests on ef391ad, over key-sorted rows; `bcast_2_spill` on 6f97804
+/// (module docs).
 const PINS: &[Pin] = &[
     Pin {
         name: "opt2p_1",
@@ -450,6 +458,13 @@ const PINS: &[Pin] = &[
             node(433567500000, 184, 0x2c4ea304429a1eeb, [180, 0, 359760, 17988, 179, 18000, 4, 4], "Ok([])", 548, 0x5a90075c082ef003),
             node(452407500000, 184, 0x4d788e5d54366cf0, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 589, 0x443a85645b3c9aaf),
             node(435170000000, 184, 0xb1cb444fb6a01f47, [180, 0, 360640, 18032, 179, 18000, 4, 4], "Ok([])", 554, 0xb66979b5ff7034f0),
+        ],
+    },
+    Pin {
+        name: "bcast_2_spill",
+        nodes: &[
+            node(1309687500000, 180, 0xe1e217ac12941c17, [178, 0, 359800, 17990, 178, 18000, 2, 2], "Ok([])", 1148, 0x59243961a3c381e0),
+            node(1254847500000, 180, 0x06a5007ab3913d25, [178, 0, 360200, 18010, 178, 18000, 2, 2], "Ok([])", 1102, 0xa06cb2e660a94496),
         ],
     },
     Pin {

@@ -45,6 +45,11 @@
 //! column arenas behind one reference count, so cloning a partition of
 //! thousands of pages allocates nothing.
 //!
+//! And the row lanes (DESIGN.md §25): a page the strips arms cannot take —
+//! `Str` keys over NULL-or-`Int` inputs, a ragged page — is read into the
+//! table where it lies, so hits on resident groups allocate nothing there
+//! either.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
@@ -58,7 +63,7 @@ use adaptagg_model::{
 use adaptagg_net::{Control, Fabric, Payload};
 use adaptagg_sortagg::merge::MergeEmit;
 use adaptagg_sortagg::{merge_runs, RunBuilder};
-use adaptagg_storage::{HeapFile, Page, ScanBatch, SimDisk};
+use adaptagg_storage::{HeapFile, Page, RowCause, ScanBatch, SimDisk};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -98,7 +103,7 @@ fn resident_group_updates_do_not_allocate() {
     // Warm-up: admit every group (this allocates — keys, agg states).
     for g in 0..GROUPS {
         table
-            .insert(RowKind::Raw, &[Value::Int(g), Value::Int(1)], &mut tracker)
+            .insert(RowKind::Raw, &[Value::Int(g), Value::Int(1)][..], &mut tracker)
             .unwrap();
     }
     assert_eq!(table.len(), GROUPS as usize);
@@ -121,7 +126,7 @@ fn resident_group_updates_do_not_allocate() {
         for round in 0..1000i64 {
             for g in 0..GROUPS {
                 let row = [Value::Int(g), Value::Int(round)];
-                table.insert(RowKind::Raw, &row, &mut tracker).unwrap();
+                table.insert(RowKind::Raw, &row[..], &mut tracker).unwrap();
             }
         }
         counted = ALLOCS.load(Ordering::Relaxed) - before;
@@ -309,7 +314,7 @@ fn resident_group_updates_do_not_allocate() {
                     true => Value::from(format!("group-{g:05}")),
                     false => Value::Int(g.wrapping_mul(0x9e37_79b9) % (1 << 40)),
                 };
-                table.insert(RowKind::Raw, &[key, Value::Int(g)], &mut tracker).unwrap();
+                table.insert(RowKind::Raw, &[key, Value::Int(g)][..], &mut tracker).unwrap();
             }
             assert_eq!(table.layout().general_columns, u64::from(str_keys));
             let sent = tx.net_stats().pages_sent();
@@ -567,4 +572,43 @@ fn resident_group_updates_do_not_allocate() {
         stats.spilled_tuples,
         stats.overflow_buckets
     );
+
+    // The row lanes (DESIGN.md §25), hit regime: `Str`-key pages whose SUM
+    // input holds NULLs take the batch's row arm, and a ragged `Str`-key
+    // page the aggregator's row loop. Each row's key and input are read
+    // off the strips where they lie — no row is copied out, so no `Str`
+    // key is cloned per row.
+    let key = |i: i64| Value::from(format!("group-{:03}", i % 40));
+    let (mut nulls, mut ragged) = (Page::new(4096), Page::new(4096));
+    for i in 0..100i64 {
+        let input = if i % 3 == 0 { Value::Null } else { Value::Int(i) };
+        assert!(nulls.try_push(&[key(i), input]).unwrap());
+        let row = match i % 2 {
+            0 => vec![key(i), Value::Int(i)],
+            _ => vec![key(i), Value::Int(i), Value::Int(-i)],
+        };
+        assert!(ragged.try_push(&row).unwrap());
+    }
+    assert!(ScanBatch::whole(&ragged).is_none(), "no batch rides a ragged page");
+    let mut agg = HashAggregator::new(query.clone(), 1_000, 4096, 4);
+    let pass = |agg: &mut HashAggregator, tracker: &mut CountingTracker| {
+        let out = agg.push_batch(RowKind::Raw, &ScanBatch::whole(&nulls).unwrap(), tracker).unwrap();
+        assert_eq!(out.row_cause, Some(RowCause::ValueInput));
+        agg.push_page(RowKind::Raw, &ragged, tracker).unwrap();
+    };
+    pass(&mut agg, &mut tracker);
+    assert_eq!(agg.resident_groups(), 40);
+    let mut counted = u64::MAX;
+    for _attempt in 0..5 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for _round in 0..200 {
+            pass(&mut agg, &mut tracker);
+        }
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        if counted == 0 {
+            break;
+        }
+    }
+    assert_eq!(counted, 0, "the row lanes allocated {counted} times over 400 pages of resident groups");
+    assert!(!agg.has_spilled() && agg.resident_groups() == 40, "no groups were added");
 }
