@@ -136,9 +136,9 @@ pub fn run_algorithm_with(
     let cluster_run = run_cluster(cluster, partitions.to_vec(), body)?;
 
     // Each node hands its rows over as ascending runs (one per table it
-    // drained); the concatenation is sorted whole.
+    // drained); the stable sort merges the concatenated runs.
     let started = cluster_run.trace.is_some().then(Instant::now);
-    let mut rows = Vec::new();
+    let mut rows = Vec::with_capacity(cluster_run.outputs.iter().map(|o| o.rows.len()).sum());
     let mut nodes = Vec::with_capacity(cluster_run.outputs.len());
     for outcome in cluster_run.outputs {
         nodes.push(NodeOutcomeSummary {

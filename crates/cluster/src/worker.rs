@@ -25,13 +25,22 @@ const SERVE_POLL: Duration = Duration::from_millis(50);
 /// within [`SERVE_POLL`] instead of sitting out the whole idle
 /// timeout. The departure is normalized to `PeerDown { COORDINATOR }`
 /// so the caller has one exit path for graceful and abrupt teardown.
+///
+/// What the coordinator sent before it left — a last `Finish` — is
+/// delivered first: a transport files a peer's messages before it notes
+/// the peer's goodbye, so once the goodbye is seen, a non-blocking
+/// receive still drains whatever the peer sent.
 fn recv_dispatch(endpoint: &mut Endpoint, opts: &WorkerOpts) -> Result<Message, NetError> {
     if !opts.serve {
         return endpoint.recv_timeout(opts.idle_timeout);
     }
     let start = Instant::now();
     loop {
-        if endpoint.peer_gone(COORDINATOR) {
+        let gone = endpoint.peer_gone(COORDINATOR);
+        if let Some(msg) = endpoint.try_recv()? {
+            return Ok(msg);
+        }
+        if gone {
             return Err(NetError::PeerDown { peer: COORDINATOR });
         }
         let remaining = opts.idle_timeout.saturating_sub(start.elapsed());

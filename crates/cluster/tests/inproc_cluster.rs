@@ -6,14 +6,14 @@
 
 use adaptagg_cluster::{
     run_coordinated_query, run_coordinator, run_worker, ClusterError, ClusterSpec,
-    CoordinatorOpts, CoordinatorState, WorkerOpts,
+    CoordinatorOpts, CoordinatorState, JobMsg, WorkerOpts,
 };
 use adaptagg_net::{
     loopback_endpoints, Control, Endpoint, Fabric, FaultPlan, NetworkKind, Payload, TcpConfig,
 };
 use adaptagg_workload::default_query;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spec(nodes: usize) -> ClusterSpec {
     ClusterSpec {
@@ -261,6 +261,42 @@ fn serving_mesh_answers_repeated_queries() {
         assert_eq!(w.attempts_run, 3);
         assert_eq!(w.rows_reported, expected.len() as u64);
     }
+}
+
+/// The teardown race, made deterministic: the coordinator sends its last
+/// `Finish` and hangs up at once, and the worker first looks only after
+/// the goodbye has landed — so it sees the coordinator gone with the
+/// `Finish` still unread. It must count the query before it exits.
+#[test]
+fn serving_worker_counts_the_finish_sent_before_teardown() {
+    let s = spec(2);
+    let mut endpoints = loopback_endpoints(
+        2,
+        NetworkKind::high_speed_default(),
+        &FaultPlan::none(),
+        TcpConfig::snappy(),
+    )
+    .unwrap()
+    .into_iter();
+    let mut coord_ep = endpoints.next().unwrap();
+    let worker_ep = endpoints.next().unwrap();
+    let finish = JobMsg::Finish { rows: 7 }.encode();
+    coord_ep.send_control(1, Control::Job(finish), 0.0).unwrap();
+    drop(coord_ep);
+    let start = Instant::now();
+    while !worker_ep.peer_gone(0) {
+        assert!(start.elapsed() < Duration::from_secs(10), "the goodbye never landed");
+        thread::sleep(Duration::from_millis(1));
+    }
+    let wopts = WorkerOpts {
+        idle_timeout: Duration::from_secs(20),
+        serve: true,
+        ..WorkerOpts::default()
+    };
+    let w = run_worker(worker_ep, &s, &wopts, &mut quiet()).unwrap();
+    assert_eq!(w.queries_finished, 1);
+    assert_eq!(w.rows_reported, 7);
+    assert_eq!(w.attempts_run, 0);
 }
 
 /// A worker death mid-burst: the next query recovers (reassigning the

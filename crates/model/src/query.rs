@@ -87,21 +87,19 @@ impl AggQuery {
         }
     }
 
-    /// Extract the group key from a raw value slice.
+    /// Extract the group key from a raw value slice (a one-column key
+    /// without a temporary `Vec`).
     pub fn key_of_values(&self, values: &[Value]) -> Result<GroupKey, ModelError> {
-        let mut vs = Vec::with_capacity(self.group_by.len());
-        for &c in &self.group_by {
-            vs.push(
-                values
-                    .get(c)
-                    .ok_or(ModelError::ColumnOutOfRange {
-                        column: c,
-                        arity: values.len(),
-                    })?
-                    .clone(),
-            );
+        let cell = |c: usize| {
+            values.get(c).cloned().ok_or(ModelError::ColumnOutOfRange {
+                column: c,
+                arity: values.len(),
+            })
+        };
+        match self.group_by[..] {
+            [c] => cell(c).map(GroupKey::one),
+            ref cols => cols.iter().map(|&c| cell(c)).collect::<Result<_, _>>().map(GroupKey::new),
         }
-        Ok(GroupKey::new(vs))
     }
 
     /// Total arity of the partial-state columns for this query's aggregates.
@@ -200,11 +198,15 @@ impl ResultRow {
             });
         }
         let mut values = values;
-        let aggs = values.split_off(k);
-        Ok(ResultRow {
-            key: GroupKey::new(values),
-            aggs,
-        })
+        let (key, aggs) = match k {
+            // The key leaves the front; the aggregates keep the buffer.
+            1 => (GroupKey::one(values.remove(0)), values),
+            _ => {
+                let aggs = values.split_off(k);
+                (GroupKey::new(values), aggs)
+            }
+        };
+        Ok(ResultRow::new(key, aggs))
     }
 }
 
@@ -230,21 +232,11 @@ impl fmt::Display for ResultRow {
 
 /// Sort rows by key (canonical order for comparing algorithm outputs).
 ///
-/// The single-`Int`-key fast path reads each row's boxed key once, into a
-/// side buffer, instead of at every comparison; it is stable, so its
-/// permutation is the general path's.
+/// Stable and run-adaptive: rows that arrive as ascending runs — each
+/// node's drained table — are merged, not sorted again. A one-column key
+/// lies inside its row, so a comparison chases no pointer (DESIGN.md §26).
 pub fn sort_rows(rows: &mut [ResultRow]) {
-    if rows
-        .iter()
-        .all(|r| matches!(r.key.values(), [Value::Int(_)]))
-    {
-        rows.sort_by_cached_key(|r| match r.key.values() {
-            [Value::Int(i)] => *i,
-            _ => unreachable!("checked single-Int keys above"),
-        });
-    } else {
-        rows.sort_by(|a, b| a.key.cmp(&b.key));
-    }
+    rows.sort_by(|a, b| a.key.cmp(&b.key));
 }
 
 #[cfg(test)]
@@ -300,6 +292,12 @@ mod tests {
             GroupKey::new(vec![Value::Int(7)])
         );
         assert!(q.key_of_values(&[Value::Int(1)]).is_err());
+        let two = AggQuery::new(vec![2, 0], vec![]);
+        assert_eq!(
+            two.key_of_values(t.values()).unwrap(),
+            GroupKey::new(vec![Value::Int(7), Value::Int(1)])
+        );
+        assert!(two.key_of_values(&[Value::Int(1)]).is_err());
     }
 
     #[test]
@@ -313,6 +311,13 @@ mod tests {
         assert_eq!(vals.len(), q.result_row_arity());
         let back = ResultRow::from_values(&q, vals).unwrap();
         assert_eq!(back, row);
+        // Keys of no and of two columns.
+        for group_by in [vec![], vec![2, 3]] {
+            let q = AggQuery::new(group_by.clone(), vec![AggSpec::count_star()]);
+            let key: Vec<Value> = group_by.iter().map(|&c| Value::Int(c as i64)).collect();
+            let row = ResultRow::new(GroupKey::new(key), vec![Value::Int(4)]);
+            assert_eq!(ResultRow::from_values(&q, row.clone().into_values()).unwrap(), row);
+        }
     }
 
     #[test]
@@ -333,17 +338,27 @@ mod tests {
         assert_eq!(keys, vec![1, 2, 3]);
     }
 
+    /// `sort_rows` used to sort all-single-`Int` rows by a cached `i64`
+    /// and every other batch by `GroupKey`'s order, both stably; one
+    /// stable sort by key must leave rows in the same permutation.
     #[test]
-    fn sort_rows_fast_path_orders_like_key_cmp() {
+    fn sort_rows_keeps_the_cached_key_permutation() {
         let int = |i: i64| vec![Value::Int(i)];
         let shuffled = |n: i64| (0..n).map(move |i| (i * 7919) % n - n / 2);
         let cases: Vec<Vec<Vec<Value>>> = vec![
-            // Single-`Int` keys (the cached-key path), negatives included.
+            // Single-`Int` keys, negatives included.
             shuffled(1000).map(int).collect(),
-            // One `Str` key among them: the general path.
-            shuffled(50).map(int).chain([vec![Value::Str("k".into())], vec![Value::Null]]).collect(),
-            // Two-column keys.
-            shuffled(200).map(|i| vec![Value::Int(i % 7), Value::Int(i)]).collect(),
+            // With duplicates: three rows a key.
+            shuffled(999).map(|i| int(i / 3)).collect(),
+            // Ascending runs, as nodes hand them over, overlapping.
+            (0..4).flat_map(|n| (0..250).map(move |i| int(i * 4 + n % 3))).collect(),
+            // One `Str` key and a NULL among them.
+            shuffled(50)
+                .map(|i| int(i % 20))
+                .chain([vec![Value::Str("k".into())], vec![Value::Null], vec![Value::Null]])
+                .collect(),
+            // Two-column keys, duplicates included.
+            shuffled(200).map(|i| vec![Value::Int(i % 7), Value::Int(i / 2)]).collect(),
         ];
         for keys in cases {
             let mut rows: Vec<ResultRow> = keys
@@ -352,7 +367,15 @@ mod tests {
                 .map(|(i, k)| ResultRow::new(GroupKey::new(k), vec![Value::Int(i as i64)]))
                 .collect();
             let mut expect = rows.clone();
-            expect.sort_by(|a, b| a.key.cmp(&b.key));
+            let int_key = |r: &ResultRow| match r.key.values() {
+                [Value::Int(i)] => Some(*i),
+                _ => None,
+            };
+            if expect.iter().all(|r| int_key(r).is_some()) {
+                expect.sort_by_cached_key(|r| int_key(r));
+            } else {
+                expect.sort_by(|a, b| a.key.cmp(&b.key));
+            }
             sort_rows(&mut rows);
             assert_eq!(rows, expect);
         }

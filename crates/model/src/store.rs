@@ -1134,11 +1134,12 @@ impl GroupStore {
     /// [`ResultRow`] in ascending key order ([`GroupStore::sort_entries`]:
     /// `GroupKey`'s order, the order `query::sort_rows` puts rows in).
     ///
-    /// Each row's key box and aggregate `Vec` are allocated in the order
-    /// everything downstream visits them — the driver's sort, the caller's
-    /// walk, the final drop. A gather in key order cannot free segments as
-    /// it passes them, so the columns live until the last row is built
-    /// (DESIGN.md §23).
+    /// Each row's aggregate `Vec` — and, for a key of more or fewer than
+    /// one column, its key box — is allocated in the order everything
+    /// downstream visits them: the driver's sort, the caller's walk, the
+    /// final drop. A one-column key lives inside its row (DESIGN.md §26).
+    /// A gather in key order cannot free segments as it passes them, so
+    /// the columns live until the last row is built (DESIGN.md §23).
     pub fn drain_result_rows(&mut self, mut emit: impl FnMut(ResultRow)) {
         let (mut order, mut pairs) = (Vec::new(), Vec::new());
         self.sort_entries(&mut order, &mut pairs);
@@ -1146,10 +1147,9 @@ impl GroupStore {
         drop(pairs);
         for e in order {
             let e = e as usize;
-            let mut key = Vec::with_capacity(self.key_len);
-            self.keys.take_row(e, &mut key);
+            let key = self.keys.take_key(e);
             let aggs = self.states.iter().map(|column| column.finalize(e)).collect();
-            emit(ResultRow::new(GroupKey::new(key), aggs));
+            emit(ResultRow::new(key, aggs));
         }
         self.free();
     }
@@ -1184,15 +1184,19 @@ impl CellRow for GroupRow<'_> {
 }
 
 impl KeyColumn {
-    /// Move the key cells of `entry` onto `out` (a general cell leaves
-    /// NULL behind).
-    fn take_row(&mut self, entry: usize, out: &mut Vec<Value>) {
+    /// Move the key cells of `entry` out as its key (a general cell leaves
+    /// NULL behind); a one-column key is built inline.
+    fn take_key(&mut self, entry: usize) -> GroupKey {
+        let take = |v: &mut Value| std::mem::replace(v, Value::Null);
         match self {
-            KeyColumn::Ints(a) => out.extend(a.row(entry).iter().map(|&x| Value::Int(x))),
-            KeyColumn::General(a) => {
-                let cells = a.row_mut(entry).iter_mut();
-                out.extend(cells.map(|v| std::mem::replace(v, Value::Null)));
-            }
+            KeyColumn::Ints(a) => match a.row(entry) {
+                &[x] => GroupKey::one(Value::Int(x)),
+                row => GroupKey::new(row.iter().map(|&x| Value::Int(x)).collect()),
+            },
+            KeyColumn::General(a) => match a.row_mut(entry) {
+                [v] => GroupKey::one(take(v)),
+                row => GroupKey::new(row.iter_mut().map(take).collect()),
+            },
         }
     }
 }

@@ -50,6 +50,10 @@
 //! table where it lies, so hits on resident groups allocate nothing there
 //! either.
 //!
+//! And the result drain (DESIGN.md §26): a table of one-column `Int` keys
+//! drained as finalized rows allocates one block per row — its
+//! aggregates; the key lives inside the row — and nothing else per group.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
@@ -611,4 +615,31 @@ fn resident_group_updates_do_not_allocate() {
     }
     assert_eq!(counted, 0, "the row lanes allocated {counted} times over 400 pages of resident groups");
     assert!(!agg.has_spilled() && agg.resident_groups() == 40, "no groups were added");
+
+    // The result drain (DESIGN.md §26): G groups of a one-column `Int` key
+    // leave the table as G rows in key order. Each row's aggregate `Vec`
+    // is one block; its key is not. Beside them: the output vector and
+    // the sort's two scratch vectors. A boxed key would make it 2G + 3.
+    const DRAINED: u64 = 5_000;
+    let mut table = AggTable::new(query.clone(), DRAINED as usize);
+    let mut counted = u64::MAX;
+    for _attempt in 0..5 {
+        for g in 0..DRAINED as i64 {
+            let row = [Value::Int(g.wrapping_mul(0x9e37_79b9) % (1 << 40)), Value::Int(g)];
+            table.insert(RowKind::Raw, &row[..], &mut tracker).unwrap();
+        }
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let rows = table.drain_result_rows(&mut tracker);
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(rows.len() as u64, DRAINED);
+        assert!(rows.windows(2).all(|w| w[0].key < w[1].key), "rows leave in key order");
+        if counted <= DRAINED + 4 {
+            break;
+        }
+    }
+    assert!(
+        counted <= DRAINED + 4,
+        "draining {DRAINED} one-column groups as result rows allocated {counted} times: a \
+         second block per row is back"
+    );
 }
