@@ -11,20 +11,21 @@
 //! on a shared bus, which the benchmarks demonstrate.
 //!
 //! The scan blocks each page's passing rows strip to strip into the one
-//! outgoing message page ([`Broadcaster`]), paying their select charges
-//! before each broadcast, since a send reads the clock. The merge takes a
-//! received page as one batch: its rows' owners hashed off the key strips,
-//! the rows this node owns kept as the batch's selection.
+//! outgoing message page ([`Broadcaster`]: the one-destination scatter),
+//! paying their select charges before each broadcast, since a send reads
+//! the clock. The merge takes a received page as one batch: its rows'
+//! owners hashed off the key strips, the rows this node owns kept as the
+//! batch's selection.
 
 use crate::common::QueryPlan;
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
-use adaptagg_exec::{operators, ExecError, NodeCtx, PhaseKind, ScanSink};
+use adaptagg_exec::{operators, send_sealed, ExecError, NodeCtx, PhaseKind, ScanSink};
 use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::hash::Seed;
-use adaptagg_model::{record_each, CostEvent, CostTracker, RowKind};
-use adaptagg_net::{Blocker, Control, Page};
-use adaptagg_storage::{BatchCharges, BatchOutcome, ScanBatch};
+use adaptagg_model::{CostEvent, CostTracker, RowKind};
+use adaptagg_net::{Blocker, Control, Page, Scatter, Sealed};
+use adaptagg_storage::{BatchOutcome, ScanBatch};
 
 /// Run Broadcast aggregation on one node.
 pub fn run_node(
@@ -40,9 +41,12 @@ pub fn run_node(
 
     // Phase 1: scan + project, blocking into pages; each sealed page is
     // cloned to every node (the broadcast).
-    let mut sink = Broadcaster(Blocker::new(1, message_bytes));
+    let mut sink = Broadcaster {
+        blocker: Blocker::new(1, message_bytes),
+        sealed: Vec::new(),
+    };
     let scanned = operators::scan_pages(ctx, "base", &plan.base.filter, &plan.projection, 0, usize::MAX, &mut sink)?;
-    for (_, page) in sink.0.flush() {
+    for (_, page) in sink.blocker.flush() {
         broadcast_page(ctx, &page)?;
     }
     for dest in 0..nodes {
@@ -96,30 +100,21 @@ pub fn run_node(
     })
 }
 
-/// The scan's sink: the one outgoing page's blocker.
-struct Broadcaster(Blocker);
+/// The scan's sink: the one outgoing page's blocker, and the pooled list
+/// of the pages a batch sealed.
+struct Broadcaster {
+    blocker: Blocker,
+    sealed: Vec<Sealed>,
+}
 
 impl ScanSink<NodeCtx> for Broadcaster {
     fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
-        let mut charges = BatchCharges::default();
-        let mut next = 0;
-        for i in 0..batch.passing() {
-            let r = batch.passing_row(i);
-            record_each(&mut ctx.clock, batch.fail_charge(), (r - next) as u64);
-            next = r + 1;
-            charges.accepted();
-            let sealed = self.0.add_strips_pooled(0, batch, r, &mut ctx.page_pool);
-            if !matches!(sealed, Ok(None)) {
-                // A send or a failure reads the clock next.
-                charges.flush(&mut ctx.clock, batch, &[]);
-            }
-            if let Some(page) = sealed? {
-                broadcast_page(ctx, &page)?;
-                ctx.page_pool.put(page);
-            }
-        }
-        charges.flush(&mut ctx.clock, batch, &[]);
-        record_each(&mut ctx.clock, batch.fail_charge(), (batch.rows() - next) as u64);
+        let scattered = self.blocker.scatter(batch, Scatter::To(0), &mut ctx.page_pool, &mut self.sealed);
+        send_sealed(ctx, batch, &[], self.sealed.drain(..), scattered, |ctx, sealed| {
+            broadcast_page(ctx, &sealed.page)?;
+            ctx.page_pool.put(sealed.page);
+            Ok(())
+        })?;
         Ok(BatchOutcome {
             consumed: batch.rows(),
             passed: batch.passing() as u64,

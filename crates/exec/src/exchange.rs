@@ -13,11 +13,16 @@
 //! * C2P, Sampling's sample keys — a fixed destination via
 //!   [`Exchange::send_page_to`] (no hash, no dest computation).
 //!
-//! Rows reach the wire by one of two routes, both reading cells where they
-//! lie: a batch ([`Exchange::route_batch`], one hash kernel pass over its
-//! key strips) or a single row ([`Exchange::route_row`] — a row a full
-//! table bounced, a row of a ragged page, a slice of values), and both
-//! land a row on the same page at the same charges.
+//! Rows reach the wire a batch at a time ([`Exchange::route_batch`]): one
+//! hash kernel pass over the key strips, then [`Blocker::scatter`] appends
+//! each destination's rows to its open message page — as strip runs while
+//! the page is on the typed `Int` lane — and lists the pages that sealed,
+//! which are sent in the order of the rows that sealed them, each once
+//! every row up to its sealing row is paid for ([`send_sealed`]). Only
+//! what is no batch takes a row at a time ([`Exchange::route_row`]: a row a
+//! full table bounced, a row of a ragged page, a slice of values). Both
+//! seal the same pages at the same rows, at the same charges and send
+//! timestamps.
 //!
 //! A single exchange instance must carry one [`DataKind`] at a time;
 //! switching kinds flushes automatically (A2P flushes its partials before
@@ -28,9 +33,9 @@ use crate::node::NodeCtx;
 use crate::operators::ScanSink;
 use adaptagg_hashagg::AggTable;
 use adaptagg_model::hash::{hash_cells, Seed};
-use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, IndexRow, Value};
-use adaptagg_net::{Blocker, Control, DataKind};
-use adaptagg_storage::{BatchCharges, BatchOutcome, Page, RowPages, ScanBatch};
+use adaptagg_model::{CellRow, CostEvent, CostTracker, IndexRow, Value};
+use adaptagg_net::{Blocker, Control, DataKind, Scatter, Sealed, TooLarge};
+use adaptagg_storage::{BatchOutcome, Page, RowPages, ScanBatch};
 
 /// Per-row cost template for a hash route (`t_h + t_d`).
 const ROUTE_WITH_HASH: [CostEvent; 2] = [CostEvent::TupleHash, CostEvent::TupleDest];
@@ -53,6 +58,8 @@ pub struct Exchange {
     kind: DataKind,
     /// Pooled per-batch hash vector for the batched route.
     hash_scratch: Vec<u64>,
+    /// Pooled list of the pages a batch sealed.
+    sealed: Vec<Sealed>,
 }
 
 impl Exchange {
@@ -66,6 +73,7 @@ impl Exchange {
             key_len,
             kind,
             hash_scratch: Vec::new(),
+            sealed: Vec::new(),
         }
     }
 
@@ -130,14 +138,17 @@ impl Exchange {
     /// [`Exchange::route_page`], re-blocking the rows strip to strip into
     /// `dest`'s message pages. Charges nothing per tuple beyond the
     /// blocking copy (`t_w` is charged by the producer when it generated
-    /// the row).
+    /// the row). A ragged page's rows go one at a time.
     pub fn send_page_to(
         &mut self,
         ctx: &mut NodeCtx,
         dest: usize,
         page: &Page,
     ) -> Result<(), ExecError> {
-        page.rows().try_for_each(|row| self.push_to(ctx, dest, &row))
+        match ScanBatch::whole(page) {
+            Some(batch) => self.scatter(ctx, &batch, Scatter::To(dest), &[]),
+            None => page.rows().try_for_each(|row| self.push_to(ctx, dest, &row)),
+        }
     }
 
     /// Route pages of partial rows to the owners of their groups under
@@ -175,65 +186,57 @@ impl Exchange {
 
     /// Route every passing row of a batch, column-at-a-time: one
     /// [`Seed::Partition`] hash kernel pass over the key strips
-    /// ([`ScanBatch::hash_keys`]) computes the destinations, then the rows
-    /// are appended in order to their
-    /// destination's open message page strip to strip — no `Value` row
-    /// between the source page and the message page.
+    /// ([`ScanBatch::hash_keys`]) computes the destinations, then
+    /// [`Blocker::scatter`] appends each destination's rows to its open
+    /// message page strip to strip — no `Value` row between the source
+    /// page and the message page.
     ///
     /// Charges are the row loop's: each passing row owes
     /// `batch.pass_lead()` and the route template, each filtered-out row
-    /// `batch.fail_charge()`. They are recorded as counts, and the routed
-    /// rows' are paid before every page send, whose timestamp reads the
-    /// clock (and before an error surfaces, whose failure time does) — so
-    /// send timestamps, and with them every receiver's Lamport
-    /// observations, are those of [`Exchange::route_row`] per row.
+    /// `batch.fail_charge()`. They are recorded as counts, and those of the
+    /// rows up to a page's sealing row are paid before it is sent, since a
+    /// send's timestamp reads the clock (as is a row too large for any
+    /// page, before its error surfaces) — so the pages, their send
+    /// timestamps, and with them every receiver's Lamport observations,
+    /// are those of [`Exchange::route_row`] per row.
     pub fn route_batch(
         &mut self,
         ctx: &mut NodeCtx,
         batch: &ScanBatch<'_>,
         charge_hash: bool,
     ) -> Result<BatchOutcome, ExecError> {
-        let rows = batch.rows();
-        let passing = batch.passing();
         let mut hashes = std::mem::take(&mut self.hash_scratch);
-        if passing > 0 {
+        if batch.passing() > 0 {
             batch.hash_keys(Seed::Partition, self.key_len, &mut hashes);
         }
-
-        let template = route_template(charge_hash);
-        let mut charges = BatchCharges::default();
-        let dests = self.blocker.destinations() as u64;
-        // The first row not yet accounted for.
-        let mut next = 0usize;
-        let mut result = Ok(());
-        for i in 0..passing {
-            let r = batch.passing_row(i);
-            record_each(&mut ctx.clock, batch.fail_charge(), (r - next) as u64);
-            next = r + 1;
-            charges.accepted();
-            let dest = (hashes[r] % dests) as usize;
-            let sent = match self.blocker.add_strips_pooled(dest, batch, r, &mut ctx.page_pool) {
-                Ok(None) => Ok(()),
-                Ok(Some(page)) => {
-                    charges.flush(&mut ctx.clock, batch, template);
-                    ctx.send_page(dest, self.kind, page)
-                }
-                Err(e) => Err(e.into()),
-            };
-            if sent.is_err() {
-                result = sent;
-                break;
-            }
-        }
-        charges.flush(&mut ctx.clock, batch, template);
+        let routed = self.scatter(ctx, batch, Scatter::Hashed(&hashes), route_template(charge_hash));
         self.hash_scratch = hashes;
-        result?;
-        record_each(&mut ctx.clock, batch.fail_charge(), (rows - next) as u64);
+        routed?;
         Ok(BatchOutcome {
-            consumed: rows,
-            passed: passing as u64,
+            consumed: batch.rows(),
+            passed: batch.passing() as u64,
             ..BatchOutcome::default()
         })
+    }
+
+    /// Scatter `batch`'s passing rows `to` their destinations, then pay for
+    /// and send the pages that sealed ([`send_sealed`]); each passing row
+    /// owes `accept` besides its select lead.
+    fn scatter(
+        &mut self,
+        ctx: &mut NodeCtx,
+        batch: &ScanBatch<'_>,
+        to: Scatter<'_>,
+        accept: &[CostEvent],
+    ) -> Result<(), ExecError> {
+        let mut sealed = std::mem::take(&mut self.sealed);
+        let scattered = self.blocker.scatter(batch, to, &mut ctx.page_pool, &mut sealed);
+        let kind = self.kind;
+        let sent = send_sealed(ctx, batch, accept, sealed.drain(..), scattered, |ctx, s| {
+            ctx.send_page(s.dest, kind, s.page)
+        });
+        self.sealed = sealed;
+        sent
     }
 
     /// Switch the data kind, flushing any buffered pages of the old kind
@@ -262,6 +265,39 @@ impl Exchange {
             ctx.send_control(dest, Control::EndOfStream)?;
         }
         Ok(())
+    }
+}
+
+/// Pay for and `send` what a [`Blocker::scatter`] of `batch` sealed, in
+/// order: each page once every row up to and including the row that sealed
+/// it has paid (a send reads the clock), then the rest of the batch — or,
+/// when a row was too large for any message page, the rows up to it, and
+/// its error. Each passing row owes `batch.pass_lead()` and `accept`, each
+/// filtered-out row `batch.fail_charge()`: the charges, and the clock at
+/// every send, of the row loop that appends, and sends, row by row.
+pub fn send_sealed(
+    ctx: &mut NodeCtx,
+    batch: &ScanBatch<'_>,
+    accept: &[CostEvent],
+    sealed: impl IntoIterator<Item = Sealed>,
+    scattered: Result<(), TooLarge>,
+    mut send: impl FnMut(&mut NodeCtx, Sealed) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
+    let mut paid = 0;
+    for page in sealed {
+        batch.charge(&mut ctx.clock, accept, paid..page.row + 1);
+        paid = page.row + 1;
+        send(ctx, page)?;
+    }
+    match scattered {
+        Ok(()) => {
+            batch.charge(&mut ctx.clock, accept, paid..batch.rows());
+            Ok(())
+        }
+        Err(TooLarge { row, error }) => {
+            batch.charge(&mut ctx.clock, accept, paid..row + 1);
+            Err(error.into())
+        }
     }
 }
 

@@ -39,7 +39,7 @@ pub use cluster::{
     run_cluster, ClusterConfig, ClusterRun, WATCHDOG_MS_PER_NODE, WATCHDOG_US_PER_PAGE,
 };
 pub use error::ExecError;
-pub use exchange::Exchange;
+pub use exchange::{send_sealed, Exchange};
 pub use node::{NodeCtx, DEFAULT_WATCHDOG};
 pub use operators::{PageScan, ScanCharge, ScanSink, ScanTally};
 pub use recovery::{new_store, CheckpointStore, RecoveryPolicy, RecoverySession, Segment};

@@ -3,18 +3,49 @@
 //! "For efficiency reasons, we decided to block the messages into 2 KB
 //! pages" (§5). A [`Blocker`] keeps one open message page per destination
 //! node; [`Blocker::add`] returns a sealed page whenever the destination's
-//! page fills, and [`Blocker::flush`] drains the partial remainders at
+//! page fills, [`Blocker::scatter`] appends a whole batch and lists the
+//! pages it sealed, and [`Blocker::flush`] drains the partial remainders at
 //! end-of-stream. The caller (the exchange operator) sends each sealed
 //! page through its [`crate::Endpoint`].
 
-use adaptagg_storage::{Page, PagePool, ScanBatch, StorageError};
 use adaptagg_model::{CellRow, Value};
+use adaptagg_storage::{Page, PagePool, ScanBatch, StorageError};
 
 /// Accumulates tuples into per-destination message pages.
 #[derive(Debug)]
 pub struct Blocker {
     message_bytes: usize,
     open: Vec<Page>,
+    /// Per destination, the batch rows [`Blocker::scatter`] sends there
+    /// (scratch, reused batch to batch).
+    rows: Vec<Vec<u32>>,
+}
+
+/// Where a batch's rows go ([`Blocker::scatter`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Scatter<'a> {
+    /// Row `r` to destination `hashes[r] % destinations`.
+    Hashed(&'a [u64]),
+    /// Every row to one destination.
+    To(usize),
+}
+
+/// A message page a batch filled, and where it goes.
+#[derive(Debug)]
+pub struct Sealed {
+    /// The batch row that did not fit on the page and opened the next one:
+    /// the row loop sends the page once it has paid for every row up to
+    /// and including this one.
+    pub row: usize,
+    pub dest: usize,
+    pub page: Page,
+}
+
+/// A batch row no message page can hold ([`Blocker::scatter`]).
+#[derive(Debug)]
+pub struct TooLarge {
+    pub row: usize,
+    pub error: StorageError,
 }
 
 impl Blocker {
@@ -23,6 +54,7 @@ impl Blocker {
         Blocker {
             message_bytes,
             open: (0..n).map(|_| Page::new(message_bytes)).collect(),
+            rows: (0..n).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -51,16 +83,73 @@ impl Blocker {
         self.add_with(dest, |bytes| pool.get(bytes), |page| page.try_push_row(row))
     }
 
-    /// [`Blocker::add_pooled`] of `batch`'s row `r`, copied strip to strip
-    /// ([`Page::try_push_strips`]): the same pages seal at the same rows.
-    pub fn add_strips_pooled(
+    /// Append every passing row of `batch` to its destination's open page,
+    /// destination by destination, drawing replacement pages from `pool`,
+    /// and list in `sealed` (cleared first) the pages that filled, in the
+    /// order of the rows that sealed them. The pages, and the rows that seal
+    /// them, are those of [`Blocker::add_pooled`] called row by row in row
+    /// order. While a destination's page is on the typed lane an all-`Int`
+    /// batch's rows land on it as strip runs ([`Page::extend_ints`]); any
+    /// other row takes [`Page::try_push_row`].
+    ///
+    /// A passing row wider than a message page is `Err`, as it is row by
+    /// row: the rows before it are appended, it and the rows after it are
+    /// not.
+    pub fn scatter(
         &mut self,
-        dest: usize,
         batch: &ScanBatch<'_>,
-        r: usize,
+        to: Scatter<'_>,
         pool: &mut PagePool,
-    ) -> Result<Option<Page>, StorageError> {
-        self.add_with(dest, |bytes| pool.get(bytes), |page| page.try_push_strips(batch, r))
+        sealed: &mut Vec<Sealed>,
+    ) -> Result<(), TooLarge> {
+        sealed.clear();
+        let too_large = batch.first_too_large(self.message_bytes);
+        let end = too_large.as_ref().map_or(batch.rows(), |&(r, _)| r);
+        self.rows.iter_mut().for_each(Vec::clear);
+        match batch.selection() {
+            Some(sel) => self.bucket(sel[..sel.partition_point(|&r| (r as usize) < end)].iter().copied(), to),
+            None => self.bucket(0..end as u32, to),
+        }
+        let ints = batch.int_strips();
+        for (dest, (page, rows)) in self.open.iter_mut().zip(&self.rows).enumerate() {
+            let mut k = 0;
+            while k < rows.len() {
+                if let Some(cols) = ints {
+                    let room = page.int_room(cols.arity(), rows.len() - k);
+                    if room > 0 {
+                        page.extend_ints(cols, &rows[k..k + room]);
+                        k += room;
+                        continue;
+                    }
+                }
+                let r = rows[k] as usize;
+                if page.try_push_row(&batch.row(r)).expect("a row no wider than a message page fits a fresh one") {
+                    k += 1;
+                } else {
+                    let full = std::mem::replace(page, pool.get(self.message_bytes));
+                    sealed.push(Sealed { row: r, dest, page: full });
+                }
+            }
+        }
+        sealed.sort_unstable_by_key(|s| s.row);
+        match too_large {
+            Some((row, error)) => Err(TooLarge { row, error }),
+            None => Ok(()),
+        }
+    }
+
+    /// List each of `rows` under its destination.
+    #[inline]
+    fn bucket(&mut self, rows: impl Iterator<Item = u32>, to: Scatter<'_>) {
+        match to {
+            Scatter::Hashed(hashes) => {
+                let n = self.rows.len() as u64;
+                for r in rows {
+                    self.rows[(hashes[r as usize] % n) as usize].push(r);
+                }
+            }
+            Scatter::To(dest) => self.rows[dest].extend(rows),
+        }
     }
 
     /// Push a row onto `dest`'s open page; when it is full, seal it, open

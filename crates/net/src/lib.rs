@@ -37,7 +37,7 @@ pub mod stats;
 pub mod tcp;
 pub mod transport;
 
-pub use blocker::Blocker;
+pub use blocker::{Blocker, Scatter, Sealed, TooLarge};
 pub use error::{FrameError, NetError};
 pub use fabric::{Endpoint, Fabric, LinkRetryPolicy};
 pub use fault::{FaultPlan, LinkFaults, NodeFaults, SplitMix64};

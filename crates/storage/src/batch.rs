@@ -15,7 +15,8 @@
 //! any order, so long as they are recorded before anything reads the
 //! clock ([`BatchCharges`]).
 
-use crate::page::{PageView, StripRow};
+use crate::error::StorageError;
+use crate::page::{wire_bytes, IntStrips, PageView, StripRow};
 use adaptagg_model::hash::{hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, Seed};
 use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, ModelError, StripView, Value};
 use std::ops::Range;
@@ -331,6 +332,51 @@ impl<'a> ScanBatch<'a> {
             batch: self,
             r: self.page.start() + self.start + r,
         }
+    }
+
+    /// Record what rows `rows` (a range of row ids) owe: each passing row
+    /// [`ScanBatch::pass_lead`] and `accept`, each filtered-out row
+    /// [`ScanBatch::fail_charge`]. A consumer that pays as it goes — before
+    /// each send, which reads the clock — pays consecutive ranges.
+    pub fn charge<T: CostTracker>(&self, tracker: &mut T, accept: &[CostEvent], rows: Range<usize>) {
+        let passed = match self.selection {
+            Some(sel) => {
+                let before = |end: usize| sel.partition_point(|&r| (r as usize) < end);
+                before(rows.end) - before(rows.start)
+            }
+            None => rows.len(),
+        };
+        record_each(tracker, self.lead, passed as u64);
+        record_each(tracker, accept, passed as u64);
+        record_each(tracker, self.fail, (rows.len() - passed) as u64);
+    }
+
+    /// The first passing row no page of `page_bytes` bytes can hold — wider
+    /// on the wire than the page — with the `TupleTooLarge` appending it
+    /// raises. An all-`Int` batch's rows are all one width.
+    pub fn first_too_large(&self, page_bytes: usize) -> Option<(usize, StorageError)> {
+        let too_large = |r: usize, tuple_bytes: usize| {
+            (tuple_bytes > page_bytes).then_some((r, StorageError::TupleTooLarge { tuple_bytes, page_bytes }))
+        };
+        let mut passing = (0..self.passing()).map(|i| self.passing_row(i));
+        if self.int_strips().is_some() {
+            return passing.next().and_then(|r| too_large(r, wire_bytes(&self.row(r))));
+        }
+        passing.find_map(|r| too_large(r, wire_bytes(&self.row(r))))
+    }
+
+    /// The projected columns as plain `i64` slices, when every one is an
+    /// `Int` strip.
+    pub fn int_strips(&self) -> Option<IntStrips<'a>> {
+        let ints = (0..self.arity).all(|j| matches!(self.column(j), StripView::Ints(_)));
+        let start = self.page.start() + self.start;
+        ints.then_some(IntStrips {
+            strips: self.page.cols(),
+            columns: self.columns,
+            skip: self.skip,
+            rows: (start, start + self.rows),
+            arity: self.arity,
+        })
     }
 
     /// What the consumer records ahead of each passing row's own charges.

@@ -42,7 +42,7 @@ pub use disk::{IoCounters, SimDisk};
 pub use error::StorageError;
 pub use heapfile::HeapFile;
 pub use adaptagg_model::StripView;
-pub use page::{Page, PageCursor, PageRow, PageView, StripRow};
+pub use page::{IntStrips, Page, PageCursor, PageRow, PageView, StripRow};
 pub use pages::RowPages;
 pub use pool::PagePool;
 pub use spill::SpillFile;

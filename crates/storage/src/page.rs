@@ -93,10 +93,16 @@ impl Extent {
 
     /// One more row, of `bytes` wire bytes and arity `arity`.
     fn add(&mut self, bytes: usize, arity: u16) {
+        self.add_rows(1, bytes, arity);
+    }
+
+    /// `count` more rows, each of `bytes` wire bytes and arity `arity`.
+    #[inline]
+    fn add_rows(&mut self, count: usize, bytes: usize, arity: u16) {
         self.min_arity = if self.rows == 0 { arity } else { self.min_arity.min(arity) };
         self.max_arity = self.max_arity.max(arity);
-        self.bytes_used += bytes;
-        self.rows += 1;
+        self.bytes_used += count * bytes;
+        self.rows += count as u32;
     }
 }
 
@@ -247,6 +253,21 @@ impl CellSink for RowSize {
     }
 }
 
+/// Wire bytes of an all-`Int` row of `arity` cells: the `arity:u16`
+/// header, then a tag and eight bytes per cell, whatever the values.
+#[inline]
+const fn int_row_bytes(arity: usize) -> usize {
+    std::mem::size_of::<u16>() + arity * (1 + std::mem::size_of::<i64>())
+}
+
+/// Wire bytes of `row`: its `arity:u16` header, then tag and payload per
+/// cell (what a page's capacity bounds).
+pub(crate) fn wire_bytes<R: CellRow + ?Sized>(row: &R) -> usize {
+    let mut size = RowSize::default();
+    row.cells(&mut size);
+    std::mem::size_of::<u16>() + size.wire
+}
+
 /// Lands the cells of row `row` on their strips, column by column: the
 /// second walk.
 struct RowPush<'a> {
@@ -354,7 +375,7 @@ impl Strips {
         row: &R,
     ) -> Result<bool, StorageError> {
         if let Some(arity) = self.int_arity {
-            let n = std::mem::size_of::<u16>() + arity * (1 + std::mem::size_of::<i64>());
+            let n = int_row_bytes(arity);
             if open.bytes_used + n <= capacity {
                 let mut lane = IntLane {
                     strips: &mut self.cols[..arity],
@@ -649,6 +670,35 @@ impl IndexRow for StripRow<'_, '_> {
     }
 }
 
+/// A batch's projected columns when every one is an `Int` strip
+/// ([`ScanBatch::int_strips`]), found once per batch: each a plain `i64`
+/// slice over the batch's rows, what a page on the typed lane takes as
+/// strip runs ([`Page::extend_ints`]).
+#[derive(Debug, Clone, Copy)]
+pub struct IntStrips<'a> {
+    pub(crate) strips: &'a [ColumnStrip],
+    /// Projected column `j` is strip `columns[j]`; empty = strip `skip + j`.
+    pub(crate) columns: &'a [usize],
+    pub(crate) skip: usize,
+    /// The batch's rows on the strips.
+    pub(crate) rows: (usize, usize),
+    pub(crate) arity: usize,
+}
+
+impl<'a> IntStrips<'a> {
+    /// Projected arity.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Projected column `j`, indexed by the batch's row ids.
+    #[inline]
+    pub(crate) fn column(&self, j: usize) -> &'a [i64] {
+        let c = if self.columns.is_empty() { self.skip + j } else { self.columns[j] };
+        &self.strips[c].ints[self.rows.0..self.rows.1]
+    }
+}
+
 /// One row of a page — ragged or not — read off the strips where it lies
 /// ([`PageView::rows`]), or what is left of it past a leading cell
 /// ([`PageRow::split_first`]).
@@ -753,13 +803,6 @@ impl Page {
         self.try_push_row(values)
     }
 
-    /// [`Page::try_push`] of `batch`'s projected row `r`, copied strip to
-    /// strip: no `Value` row in between. Same admission, same errors, and
-    /// the page ends up equal to one that was pushed the materialized row.
-    pub fn try_push_strips(&mut self, batch: &ScanBatch<'_>, r: usize) -> Result<bool, StorageError> {
-        self.try_push_row(&batch.row(r))
-    }
-
     /// The one append: [`Page::try_push`] of a row read cell by cell
     /// wherever it lies (a group in a store, a row of another page), its
     /// `Int` cells copied as `i64`s. Same admission, same errors, and the
@@ -769,6 +812,61 @@ impl Page {
     #[inline]
     pub fn try_push_row<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<bool, StorageError> {
         self.strips.try_push_row(&mut self.extent, self.capacity, row)
+    }
+
+    /// How many of `want` more all-`Int` rows of `arity` cells the page's
+    /// typed lane takes: as many as fit its free bytes while the lane is
+    /// open at that arity, or while the page is empty (the first such row
+    /// opens the lane); none on a page off the lane, which takes rows one
+    /// at a time ([`Page::try_push_row`]). Dividing the free bytes by the
+    /// row width is left to the page that is about to fill.
+    #[inline]
+    pub fn int_room(&self, arity: usize, want: usize) -> usize {
+        let on_lane = match self.strips.int_arity {
+            Some(a) => a == arity,
+            None => self.is_empty(),
+        };
+        let (free, n) = (self.capacity - self.extent.bytes_used, int_row_bytes(arity));
+        match on_lane {
+            false => 0,
+            true if want * n <= free => want,
+            true => free / n,
+        }
+    }
+
+    /// Append rows `rows` of a batch whose columns are all `Int` strips on
+    /// the typed lane, a strip run per column. The page ends up equal to
+    /// one that was pushed the rows one by one ([`Page::try_push_row`]);
+    /// the caller makes room first ([`Page::int_room`]).
+    pub fn extend_ints(&mut self, cols: IntStrips<'_>, rows: &[u32]) {
+        let arity = cols.arity;
+        debug_assert_eq!(self.int_room(arity, rows.len()), rows.len(), "no room for the rows");
+        if rows.is_empty() {
+            return;
+        }
+        let n = int_row_bytes(arity);
+        let strips = &mut self.strips;
+        // Never-filled strips are sized for a page of such rows at once, as
+        // the cell walk sizes them for a page of its first row.
+        let like_first = (strips.arities.capacity() == 0).then(|| self.capacity / n);
+        if let Some(k) = like_first {
+            strips.arities.reserve(k);
+        }
+        while strips.cols.len() < arity {
+            strips.cols.push(ColumnStrip::new());
+        }
+        for (j, strip) in strips.cols[..arity].iter_mut().enumerate() {
+            debug_assert!(strip.is_int && strip.ints.len() == strips.arities.len());
+            if let Some(k) = like_first {
+                strip.ints.reserve(k);
+            }
+            let col = cols.column(j);
+            strip.ints.extend(rows.iter().map(|&r| col[r as usize]));
+        }
+        let tag = u16::try_from(arity).expect("tuple arity exceeds u16");
+        strips.arities.extend(std::iter::repeat_n(tag, rows.len()));
+        strips.int_arity = Some(arity);
+        self.extent.add_rows(rows.len(), n, tag);
     }
 
     /// [`PageView::min_arity`].

@@ -54,6 +54,11 @@
 //! drained as finalized rows allocates one block per row — its
 //! aggregates; the key lives inside the row — and nothing else per group.
 //!
+//! And the scatter (DESIGN.md §27): a batch appended to three
+//! destinations' message pages, strip runs on the typed lane, with a warm
+//! pool and every sealed page handed back, allocates nothing — the
+//! destination lists and the list of sealed pages are reused scratch.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
@@ -64,10 +69,11 @@ use adaptagg_model::{
     AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CountingTracker, NetworkKind,
     Predicate, RowKind, Value,
 };
-use adaptagg_net::{Control, Fabric, Payload};
+use adaptagg_model::hash::Seed;
+use adaptagg_net::{Blocker, Control, Fabric, Payload, Scatter};
 use adaptagg_sortagg::merge::MergeEmit;
 use adaptagg_sortagg::{merge_runs, RunBuilder};
-use adaptagg_storage::{HeapFile, Page, RowCause, ScanBatch, SimDisk};
+use adaptagg_storage::{HeapFile, Page, PagePool, RowCause, ScanBatch, SimDisk};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -642,4 +648,39 @@ fn resident_group_updates_do_not_allocate() {
         "draining {DRAINED} one-column groups as result rows allocated {counted} times: a \
          second block per row is back"
     );
+
+    // The scatter (DESIGN.md §27): 400 two-column `Int` rows hashed to
+    // three destinations, a few message pages sealed per batch and handed
+    // back to the pool. The first pass sizes the destination lists, the
+    // sealed list and the pool; passes after it allocate nothing.
+    let mut source = Page::new(1 << 16);
+    for i in 0..400i64 {
+        assert!(source.try_push(&[Value::Int(i.wrapping_mul(7919) % 1000), Value::Int(i)]).unwrap());
+    }
+    let batch = ScanBatch::whole(&source).unwrap();
+    let mut hashes = Vec::new();
+    batch.hash_keys(Seed::Partition, 1, &mut hashes);
+    let (mut blocker, mut pool, mut sealed) = (Blocker::new(3, 2048), PagePool::new(), Vec::new());
+    // One pass: message pages sealed over 50 batches.
+    let mut pass = || {
+        let mut pages = 0;
+        for _ in 0..50 {
+            blocker.scatter(&batch, Scatter::Hashed(&hashes), &mut pool, &mut sealed).unwrap();
+            pages += sealed.len();
+            sealed.drain(..).for_each(|s| pool.put(s.page));
+        }
+        pages
+    };
+    pass();
+    let (mut counted, mut pages) = (u64::MAX, 0);
+    for _attempt in 0..5 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        pages = pass();
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        if counted == 0 {
+            break;
+        }
+    }
+    assert!(pages >= 150, "{pages} message pages sealed over 50 batches");
+    assert_eq!(counted, 0, "the scatter allocated {counted} times over 20 000 rows in {pages} message pages");
 }

@@ -171,10 +171,11 @@ proptest! {
         prop_assert_eq!(ra, rb, "reused page must encode identically");
     }
 
-    /// Appending a batch's rows strip to strip (`try_push_strips`) is
-    /// appending the materialized rows (`try_push`): the same row is the
-    /// first one refused, and every page sealed on the way is the same
-    /// page — logically, in its wire bytes and in its byte count. Columns
+    /// Appending a batch's rows strip to strip (`try_push_row` of
+    /// `batch.row(r)`) is appending the materialized rows (`try_push`): the
+    /// same row is the first one refused, and every page sealed on the way
+    /// is the same page — logically, in its wire bytes and in its byte
+    /// count. Columns
     /// mix `Int`s with later `Str`/`Float`/`Null` cells, so destination
     /// strips promote mid-page; sealed pages go back to a pool and come
     /// out again, so stale strip state would show.
@@ -206,7 +207,7 @@ proptest! {
         for (r, row) in rows.iter().enumerate() {
             let row = project(row);
             let stored = by_row.try_push(&row).unwrap();
-            prop_assert_eq!(by_strip.try_push_strips(&batch, r).unwrap(), stored, "row {}", r);
+            prop_assert_eq!(by_strip.try_push_row(&batch.row(r)).unwrap(), stored, "row {}", r);
             if stored {
                 continue;
             }
@@ -222,7 +223,7 @@ proptest! {
             by_strip = pool.get(capacity);
             by_row = Page::new(capacity);
             prop_assert!(by_row.try_push(&row).unwrap());
-            prop_assert!(by_strip.try_push_strips(&batch, r).unwrap());
+            prop_assert!(by_strip.try_push_row(&batch.row(r)).unwrap());
         }
         prop_assert_eq!(&by_strip, &by_row, "the open page");
         assert_cursor_matches(&by_strip, &by_row.decode_all().unwrap());
@@ -336,7 +337,7 @@ fn oversized_rows_are_refused_alike_by_both_appends() {
         page_bytes: 64,
     };
     assert_eq!(by_row.try_push(&wide).unwrap_err(), expect);
-    assert_eq!(by_strip.try_push_strips(&batch, 0).unwrap_err(), expect);
+    assert_eq!(by_strip.try_push_row(&batch.row(0)).unwrap_err(), expect);
     assert_eq!(by_strip, Page::new(64));
     assert_eq!(by_row, Page::new(64));
 }
