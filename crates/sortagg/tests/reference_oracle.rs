@@ -635,7 +635,7 @@ fn row_cells() -> impl Strategy<Value = (Vec<Value>, bool)> {
 
 /// An `Int` from `ints`, except one time in `odd` a cell of `other`.
 fn mostly_int(
-    ints: std::ops::Range<i64>,
+    ints: impl Strategy<Value = i64> + 'static,
     odd: u32,
     other: impl Strategy<Value = Value> + 'static,
 ) -> impl Strategy<Value = Value> {
@@ -645,16 +645,29 @@ fn mostly_int(
     })
 }
 
+/// `i64`s at and next to the ends of the range and around zero: the run
+/// merge biases an `Int` key into an `u64` (DESIGN.md §28).
+const EDGE_KEYS: [i64; 5] = [i64::MIN, i64::MIN + 1, -1, 0, i64::MAX];
+
+/// A key from `0..spread`, or one time in eight one of [`EDGE_KEYS`].
+fn int_key(spread: i64) -> impl Strategy<Value = i64> {
+    (0u32..8, 0..spread, 0..EDGE_KEYS.len()).prop_map(|(pick, x, edge)| match pick {
+        0 => EDGE_KEYS[edge],
+        _ => x,
+    })
+}
+
 /// Mostly-`Int` rows — three key candidates (the first from a domain of
-/// `spread`), a numeric and an any-type input — where one cell in `odd`
-/// is of another type, so most chunks ride the strips and some cannot.
+/// `spread` plus [`EDGE_KEYS`]), a numeric and an any-type input — where
+/// one cell in `odd` is of another type, so most chunks ride the strips
+/// and some cannot.
 fn intish_cells(spread: i64, odd: u32) -> impl Strategy<Value = Vec<Value>> {
     (
-        mostly_int(0..spread, odd, key_cell()),
-        mostly_int(0..3, odd, key_cell()),
-        mostly_int(0..2, odd, key_cell()),
-        mostly_int(-50..50, odd, num_cell()),
-        mostly_int(-9..9, odd, any_cell()),
+        mostly_int(int_key(spread), odd, key_cell()),
+        mostly_int(0..3i64, odd, key_cell()),
+        mostly_int(0..2i64, odd, key_cell()),
+        mostly_int(-50..50i64, odd, num_cell()),
+        mostly_int(-9..9i64, odd, any_cell()),
     )
         .prop_map(|(a, b, c, num, any)| vec![a, b, c, num, any])
 }
@@ -958,4 +971,44 @@ fn sums_past_i64_and_null_partial_cells_match_the_reference() {
     let merged = merge_runs(&query, runs, resident, MergeEmit::Partial, &mut NullTracker).unwrap();
     assert!(merged.strip_rows > 0 && merged.value_rows > 0);
     assert_eq!(merged.len(), 12);
+}
+
+/// Any number of runs merges as the reference merges them — 1, 2, 3, 5,
+/// 17, 100 and 129, most not a power of two, so the tournament pads its
+/// leaves with exhausted runs — each run ending at another key so runs
+/// run dry at different times, [`EDGE_KEYS`] among the keys. One `Int`
+/// key column packs the keys in the heads; two compare cells.
+#[test]
+fn any_number_of_runs_merges_like_the_reference() {
+    for k in [1usize, 2] {
+        let query = AggQuery::new(
+            (0..k).collect(),
+            vec![AggSpec::over(AggFunc::Sum, k), AggSpec::count_star()],
+        );
+        for runs in [1i64, 2, 3, 5, 17, 100, 129] {
+            // Eight keys a run against an eight-group budget, a run's
+            // first key in no other run: every run but the last seals
+            // when the next one's first key comes.
+            let input: Vec<(RowKind, Vec<Value>)> = (0..runs)
+                .flat_map(|r| (0..8i64).map(move |j| (r, j)))
+                .map(|(r, j)| {
+                    let key = match (j, (r + j) % 11) {
+                        (0, _) => 1_000 + r,
+                        (_, 0) => EDGE_KEYS[(r % 5) as usize].wrapping_add(r / 5),
+                        (_, 1) => i64::MAX - r,
+                        _ => r * 3 + j * (r % 5 + 1) - 40,
+                    };
+                    let mut row = vec![Value::Int(key); k];
+                    row.push(Value::Int(r - j));
+                    (RowKind::Raw, row)
+                })
+                .collect();
+            let chunks = chunked(&input, 7);
+            for emit in [MergeEmit::Partial, MergeEmit::Finalized] {
+                let (seen, _) = assert_lanes_agree(&query, &chunks, 8, 128, emit, Feed::default());
+                assert_eq!(seen.runs.len() as i64, runs, "k = {k}");
+                assert_eq!(seen.error, None);
+            }
+        }
+    }
 }

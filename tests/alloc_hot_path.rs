@@ -59,6 +59,9 @@
 //! pool and every sealed page handed back, allocates nothing — the
 //! destination lists and the list of sealed pages are reused scratch.
 //!
+//! And a merge of many runs (DESIGN.md §28): a hundred runs through the
+//! tournament tree allocate per run and per output page, not per pop.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
@@ -535,6 +538,32 @@ fn resident_group_updates_do_not_allocate() {
         "the run merge allocated {counted} times emitting {} groups on {out_pages} pages from \
          {run_rows} run rows",
         merged.len()
+    );
+
+    // A merge of many runs (DESIGN.md §28): 101 runs of up to 200 groups,
+    // each key met in four of them, through a tournament padded to 128
+    // leaves. A cursor per run, the tree, and a block per strip of each
+    // output page — nothing per pop.
+    let mut builder = RunBuilder::new(query.clone(), 200, PAGE_BYTES);
+    for g in 0..20_050i64 {
+        let row = [Value::Int((g * 7_919) % 5_000 - 2_500), Value::Int(g)];
+        builder.push(RowKind::Raw, &row, &mut tracker).unwrap();
+    }
+    let (runs, resident) = builder.finish(&mut tracker).unwrap();
+    let merging = runs.len() as u64 + 1;
+    assert_eq!(merging, 101);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let merged = merge_runs(&query, runs, resident, MergeEmit::Partial, &mut tracker).unwrap();
+    let counted = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!((merged.len(), merged.strip_rows), (5_000, 20_050));
+    let out_pages = merged.rows.pages().len() as u64;
+    // Measured: 242 allocations for 101 runs, 20 050 pops and 5 output
+    // pages.
+    assert!(
+        counted <= 8 * out_pages + 4 * merging + 16,
+        "merging {merging} runs allocated {counted} times for {} pops onto {out_pages} pages: \
+         per-pop allocation is back",
+        merged.strip_rows
     );
 
     // The hash aggregator's overflow path (DESIGN.md §20): a merge table
