@@ -17,15 +17,16 @@
 //!    finds a row's group while rows stream in, and the order is
 //!    established once per run, by sorting the entries when the run seals
 //!    (Do/Graefe/Naughton's in-memory index with the sort deferred to run
-//!    generation). Sealing instead of spilling is the table's full-table
+//!    generation; a single `Int` key is radix-sorted). Sealing instead of spilling is the table's full-table
 //!    policy — the only thing the two operators' local phases do not
 //!    share;
 //! 2. **k-way merge** — merge all runs by key, combining equal keys'
 //!    partial states, emitting finalized or partial rows in key order
 //!    ([`merge_runs`]). Runs are read in place: a cursor per run over the
-//!    column strips its pages are, a heap of run indices comparing head
-//!    keys where they lie, one reused row of states, output appended to
-//!    pages ([`RowPages`]).
+//!    column strips its pages are, a tournament tree of losers over the
+//!    run heads (one packed `u128` a head for single-`Int` keys, key cells
+//!    compared where they lie otherwise), one reused row of states, output
+//!    appended to pages ([`RowPages`]).
 //!
 //! [`SortAggregator`] packages the pipeline behind the same
 //! push/finish interface as `adaptagg_hashagg::HashAggregator`, so the
