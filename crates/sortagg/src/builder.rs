@@ -13,8 +13,8 @@
 
 use adaptagg_hashagg::{AggTable, FullPolicy};
 use adaptagg_model::{
-    AggQuery, CostEvent, CostTracker, GroupRow, GroupStore, MemoryGrant, RowKind, StoreLayout,
-    Value,
+    AggQuery, CostEvent, CostTracker, GroupRow, GroupStore, MemoryGrant, RowKind, SortScratch,
+    StoreLayout, Value,
 };
 use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch, SpillFile, StorageError};
 
@@ -24,10 +24,10 @@ use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch, SpillFile, StorageErro
 struct Sealer {
     page_bytes: usize,
     sealed: Vec<SpillFile>,
-    /// Entries in key order, and the `(key, entry)` pairs a single-`Int`
-    /// key is sorted as.
+    /// Entries in key order, and the pairs a single-`Int` key is sorted
+    /// as.
     order: Vec<u32>,
-    pairs: Vec<(i64, u32)>,
+    scratch: SortScratch,
 }
 
 impl Sealer {
@@ -39,7 +39,7 @@ impl Sealer {
         tracker: &mut T,
         mut put: impl FnMut(&mut T, &GroupRow<'_>) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
-        store.sort_entries(&mut self.order, &mut self.pairs);
+        store.sort_entries(&mut self.order, &mut self.scratch);
         let mut written = 0;
         let result = self.order.iter().try_for_each(|&e| {
             written += 1;
@@ -97,7 +97,7 @@ impl RunBuilder {
                 page_bytes,
                 sealed: Vec::new(),
                 order: Vec::new(),
-                pairs: Vec::new(),
+                scratch: SortScratch::default(),
             },
             rows_in: 0,
         }
