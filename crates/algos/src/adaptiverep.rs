@@ -366,20 +366,26 @@ mod tests {
         let config = ClusterConfig::new(2, CostParams::paper_default());
         let plan = crate::common::QueryPlan::new(&default_query());
         let cfg = AlgoConfig::default_for(2);
+        // Node 1 starts scanning only once the control is queued for it:
+        // a scan that ended first would meet it in the merge phase.
+        let queued = std::sync::Barrier::new(2);
         let r = adaptagg_exec::run_cluster(&config, parts, |ctx| {
             if ctx.id() == 0 {
-                ctx.send_control(
+                let sent = ctx.send_control(
                     1,
                     Control::SamplingDecision {
                         use_repartitioning: true,
                         groups_in_sample: 0,
                     },
-                )?;
+                );
+                queued.wait();
+                sent?;
                 // Consume the peer's traffic until its abort arrives.
                 loop {
                     ctx.recv()?;
                 }
             } else {
+                queued.wait();
                 run_node(ctx, &plan, &cfg).map(|_| ())
             }
         });

@@ -4,7 +4,7 @@ use crate::common::QueryPlan;
 use crate::config::AlgoConfig;
 use crate::outcome::{NodeOutcome, NodeOutcomeSummary, RunOutcome};
 use adaptagg_exec::{run_cluster, ClusterConfig, ExecError, NodeCtx};
-use adaptagg_model::query::sort_rows;
+use adaptagg_model::query::merge_rows;
 use adaptagg_model::AggQuery;
 use adaptagg_storage::HeapFile;
 use std::fmt;
@@ -107,7 +107,7 @@ pub fn run_algorithm(
 /// simulated disk so the caller can reuse them across algorithms). The
 /// returned [`RunOutcome`] carries the globally-sorted result, virtual-time
 /// reports, and per-node adaptive events. A traced run's trace also
-/// carries the wall time of that global sort, as the `driver.sort_ms`
+/// carries the wall time of that global merge, as the `driver.sort_ms`
 /// annotation.
 pub fn run_algorithm_with(
     kind: AlgorithmKind,
@@ -136,9 +136,9 @@ pub fn run_algorithm_with(
     let cluster_run = run_cluster(cluster, partitions.to_vec(), body)?;
 
     // Each node hands its rows over as ascending runs (one per table it
-    // drained); the stable sort merges the concatenated runs.
+    // drained); they are merged straight into the output.
     let started = cluster_run.trace.is_some().then(Instant::now);
-    let mut rows = Vec::with_capacity(cluster_run.outputs.iter().map(|o| o.rows.len()).sum());
+    let mut parts = Vec::with_capacity(cluster_run.outputs.len());
     let mut nodes = Vec::with_capacity(cluster_run.outputs.len());
     for outcome in cluster_run.outputs {
         nodes.push(NodeOutcomeSummary {
@@ -146,9 +146,9 @@ pub fn run_algorithm_with(
             agg: outcome.agg,
             events: outcome.events,
         });
-        rows.extend(outcome.rows);
+        parts.push(outcome.rows);
     }
-    sort_rows(&mut rows);
+    let rows = merge_rows(parts);
     let mut trace = cluster_run.trace;
     if let (Some(trace), Some(started)) = (&mut trace, started) {
         let ms = started.elapsed().as_secs_f64() * 1e3;

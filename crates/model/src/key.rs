@@ -52,6 +52,15 @@ impl GroupKey {
         }
     }
 
+    /// The key's value when it is a single `Int`.
+    #[inline]
+    pub(crate) fn as_int(&self) -> Option<i64> {
+        match self.0 {
+            Cells::One(Value::Int(x)) => Some(x),
+            _ => None,
+        }
+    }
+
     /// Number of grouping columns (0 for scalar aggregation — the paper's
     /// "number of groups is 1" special case: every tuple has the same
     /// empty key).
@@ -89,7 +98,7 @@ impl Ord for GroupKey {
     fn cmp(&self, other: &Self) -> Ordering {
         match (&self.0, &other.0) {
             // What the slice compare returns for two one-element slices:
-            // `sort_rows`' comparison on a one-column GROUP BY.
+            // `merge_rows`' comparison on a one-column GROUP BY.
             (Cells::One(a), Cells::One(b)) => a.cmp(b),
             _ => self.values().cmp(other.values()),
         }
@@ -142,7 +151,7 @@ mod tests {
     #[test]
     fn one_column_keys_live_inline() {
         assert_eq!(std::mem::size_of::<GroupKey>(), 24);
-        assert_eq!(std::mem::size_of::<crate::ResultRow>(), 48);
+        assert_eq!(std::mem::size_of::<crate::ResultRow>(), 80);
         assert!(matches!(GroupKey::new(vec![Value::Int(3)]).0, Cells::One(Value::Int(3))));
         assert!(matches!(GroupKey::new(vec![]).0, Cells::Many(_)));
         let two = GroupKey::new(vec![Value::Null, Value::Int(1)]);

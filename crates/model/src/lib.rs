@@ -39,6 +39,7 @@ pub mod predicate;
 pub mod query;
 pub mod schema;
 pub mod store;
+pub mod tournament;
 pub mod tuple;
 pub mod value;
 
@@ -54,7 +55,7 @@ pub use hash::{FxHasher, Seed};
 pub use key::GroupKey;
 pub use params::{ms_to_ticks, ticks_to_ms, CostParams, NetworkKind, MAX_TICKS, TICKS_PER_MS};
 pub use predicate::{matches_all, Compare, Predicate};
-pub use query::{AggQuery, ResultRow};
+pub use query::{AggCells, AggQuery, ResultRow};
 pub use schema::{DataType, Field, Schema};
 pub use store::{DemoteCause, GroupRow, GroupStore, IndexRow, KeyCell, SortScratch, StoreLayout};
 pub use tuple::Tuple;

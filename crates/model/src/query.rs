@@ -3,8 +3,13 @@
 use crate::agg::AggSpec;
 use crate::error::ModelError;
 use crate::key::GroupKey;
+use crate::tournament::{
+    exhausted, int_head, mask, packed_before, run_of, Head, HeadOrder, Tournament, EXHAUSTED,
+};
 use crate::value::{CellRow, CellSink, Value};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An aggregate query: `SELECT <group_by>, <aggs> FROM r GROUP BY <group_by>`.
 ///
@@ -166,25 +171,30 @@ impl fmt::Display for AggQuery {
 }
 
 /// One row of the final aggregation result: the group key plus the
-/// finalized aggregate values.
+/// finalized aggregate values. With a one-column key and at most two
+/// aggregates it is one flat 80-byte value that owns no heap block
+/// (DESIGN.md §29).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ResultRow {
     /// The group.
     pub key: GroupKey,
     /// Finalized aggregate values, in query spec order.
-    pub aggs: Vec<Value>,
+    pub aggs: AggCells,
 }
 
 impl ResultRow {
     /// Build a row.
     pub fn new(key: GroupKey, aggs: Vec<Value>) -> Self {
-        ResultRow { key, aggs }
+        ResultRow { key, aggs: aggs.into() }
     }
 
     /// Flatten into wire/tuple form: key columns then aggregate columns.
     pub fn into_values(self) -> Vec<Value> {
         let mut out = self.key.into_values();
-        out.extend(self.aggs);
+        match self.aggs.0 {
+            AggRepr::Inline { len, cells } => out.extend(cells.into_iter().take(len.into())),
+            AggRepr::Boxed(cells) => out.extend(cells.into_vec()),
+        }
         out
     }
 
@@ -199,7 +209,7 @@ impl ResultRow {
         }
         let mut values = values;
         let (key, aggs) = match k {
-            // The key leaves the front; the aggregates keep the buffer.
+            // The key leaves the front; the rest are the aggregates.
             1 => (GroupKey::one(values.remove(0)), values),
             _ => {
                 let aggs = values.split_off(k);
@@ -230,13 +240,260 @@ impl fmt::Display for ResultRow {
     }
 }
 
-/// Sort rows by key (canonical order for comparing algorithm outputs).
+/// Aggregates a [`ResultRow`] holds inside itself; more are boxed. Two
+/// cover the paper's default query (SUM and COUNT); each slot more would
+/// add 24 bytes to every row.
+const INLINE_AGGS: usize = 2;
+
+/// The finalized aggregate values of a [`ResultRow`], in query spec order.
 ///
-/// Stable and run-adaptive: rows that arrive as ascending runs — each
-/// node's drained table — are merged, not sorted again. A one-column key
-/// lies inside its row, so a comparison chases no pointer (DESIGN.md §26).
-pub fn sort_rows(rows: &mut [ResultRow]) {
-    rows.sort_by(|a, b| a.key.cmp(&b.key));
+/// Up to two cells live inline, more in a box, as a [`GroupKey`] keeps
+/// one column inline and boxes wider keys. It derefs to `[Value]`, the
+/// only reader: equality, order, hashing and `Debug` are the slice's, and
+/// so exactly those of the `Vec<Value>` it replaced — which arm a row uses
+/// is never observable, and no digest, checksum or order moves.
+#[derive(Clone)]
+pub struct AggCells(AggRepr);
+
+/// The storage of [`AggCells`]; the number of aggregates picks the arm.
+/// 56 bytes: `Boxed` lives in a niche of the first cell's tag.
+#[derive(Clone)]
+enum AggRepr {
+    /// The first `len` cells; the others are NULL.
+    Inline { len: u8, cells: [Value; INLINE_AGGS] },
+    Boxed(Box<[Value]>),
+}
+
+impl From<Vec<Value>> for AggCells {
+    fn from(values: Vec<Value>) -> Self {
+        match values.len() {
+            n if n > INLINE_AGGS => AggCells(AggRepr::Boxed(values.into_boxed_slice())),
+            _ => values.into_iter().collect(),
+        }
+    }
+}
+
+/// Fills the cells in place when the iterator promises at most two.
+impl FromIterator<Value> for AggCells {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        if !matches!(iter.size_hint(), (_, Some(n)) if n <= INLINE_AGGS) {
+            return Vec::from_iter(iter).into();
+        }
+        let (mut len, mut cells) = (0, [Value::Null, Value::Null]);
+        for (cell, value) in cells.iter_mut().zip(iter) {
+            *cell = value;
+            len += 1;
+        }
+        AggCells(AggRepr::Inline { len, cells })
+    }
+}
+
+impl std::ops::Deref for AggCells {
+    type Target = [Value];
+
+    #[inline]
+    fn deref(&self) -> &[Value] {
+        match &self.0 {
+            AggRepr::Inline { len, cells } => &cells[..usize::from(*len)],
+            AggRepr::Boxed(cells) => cells,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a AggCells {
+    type Item = &'a Value;
+    type IntoIter = std::slice::Iter<'a, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for AggCells {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for AggCells {}
+
+/// Against the `Vec<Value>` the cells replaced, as callers compared it.
+impl PartialEq<Vec<Value>> for AggCells {
+    fn eq(&self, other: &Vec<Value>) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialOrd for AggCells {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for AggCells {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl Hash for AggCells {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for AggCells {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// Sort rows by key (canonical order for comparing algorithm outputs):
+/// [`merge_rows`] over one part.
+pub fn sort_rows(rows: &mut Vec<ResultRow>) {
+    *rows = merge_rows(vec![std::mem::take(rows)]);
+}
+
+/// Merge `parts` into one vector in key order, stably: rows of equal keys
+/// keep their order in `parts` concatenated.
+///
+/// Each part is cut into its ascending runs — a node hands its rows over
+/// as one run per table it drained — and a tournament tree
+/// ([`crate::tournament`]) merges the runs straight into the output. Each
+/// row moves once; beside the output the merge allocates a few words per
+/// run, none per row. The heads are packed `Int` keys when every key is a
+/// single `Int`, otherwise they compare in `GroupKey`'s order; ties go to
+/// the lower run index, which is the stable sort's order. A lone run is
+/// handed back as it is.
+pub fn merge_rows(parts: Vec<Vec<ResultRow>>) -> Vec<ResultRow> {
+    // A node's rows are one run or a few.
+    let mut runs = Vec::with_capacity(parts.len());
+    let mut int_keys = true;
+    for rows in &parts {
+        let mut start = 0;
+        for (i, row) in rows.iter().enumerate() {
+            int_keys &= row.key.as_int().is_some();
+            if i > 0 && row.key < rows[i - 1].key {
+                // SAFETY: the parts move into the merge's `Heads`, which
+                // outlives its runs, or are handed back with no run used.
+                runs.push(unsafe { RowRun::new(&rows[start..i]) });
+                start = i;
+            }
+        }
+        if start < rows.len() {
+            // SAFETY: as above.
+            runs.push(unsafe { RowRun::new(&rows[start..]) });
+        }
+    }
+    if runs.len() <= 1 {
+        return parts.into_iter().find(|rows| !rows.is_empty()).unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    match int_keys {
+        true => merge_heads(Heads::<true>::new(runs, parts), &mut out),
+        false => merge_heads(Heads::<false>::new(runs, parts), &mut out),
+    }
+    out
+}
+
+/// The merge loop: move the winning head's row out, and replay its run's
+/// next head.
+fn merge_heads<const INT_KEYS: bool>(mut heads: Heads<INT_KEYS>, out: &mut Vec<ResultRow>) {
+    let leaves = (0..heads.runs.len()).map(|i| heads.head(i)).collect();
+    let mut tree = Tournament::new(leaves, &heads);
+    while tree.winner() & EXHAUSTED == 0 {
+        let i = run_of(tree.winner());
+        out.extend(heads.runs[i].take());
+        tree.replay(heads.head(i), &heads);
+    }
+}
+
+/// One ascending run of a part a [`Heads`] holds: the rows `next..end`,
+/// not yet moved out.
+struct RowRun {
+    next: *const ResultRow,
+    end: *const ResultRow,
+}
+
+impl RowRun {
+    /// A run over `rows`.
+    ///
+    /// # Safety
+    ///
+    /// The rows must stay allocated while the run reads them, and only
+    /// the run may move them out or drop them.
+    unsafe fn new(rows: &[ResultRow]) -> Self {
+        let std::ops::Range { start, end } = rows.as_ptr_range();
+        RowRun { next: start, end }
+    }
+
+    /// The run's first row not yet moved out.
+    #[inline]
+    fn head(&self) -> Option<&ResultRow> {
+        // SAFETY: a row from `next` on and before `end` is a live row of a
+        // part the run's `Heads` holds, whose buffer outlives the run.
+        (self.next < self.end).then(|| unsafe { &*self.next })
+    }
+
+    /// Move the head row out.
+    #[inline]
+    fn take(&mut self) -> Option<ResultRow> {
+        let row = self.head()?;
+        // SAFETY: as in `head`; `next` passes the row, so it is read once.
+        let row = unsafe { std::ptr::read(row) };
+        self.next = self.next.wrapping_add(1);
+        Some(row)
+    }
+}
+
+/// The runs of a row merge, and the order the tournament keeps their
+/// heads in. `INT_KEYS`: every key is a single `Int`, packed in the heads.
+struct Heads<const INT_KEYS: bool> {
+    runs: Vec<RowRun>,
+    /// The parts the runs point into, each of length zero: a row is
+    /// dropped once, by whoever took it — or, should the merge unwind,
+    /// leaked — and the parts free only their buffers.
+    _parts: Vec<Vec<ResultRow>>,
+}
+
+impl<const INT_KEYS: bool> Heads<INT_KEYS> {
+    fn new(runs: Vec<RowRun>, mut parts: Vec<Vec<ResultRow>>) -> Self {
+        for rows in &mut parts {
+            // SAFETY: zero is within capacity, and the rows left behind
+            // are moved out by `RowRun::take` alone.
+            unsafe { rows.set_len(0) };
+        }
+        Heads { runs, _parts: parts }
+    }
+
+    /// Run `i`'s head.
+    #[inline]
+    fn head(&self, i: usize) -> Head {
+        match self.runs[i].head() {
+            None => exhausted(i),
+            Some(row) if INT_KEYS => match row.key.as_int() {
+                Some(key) => int_head(key, i),
+                None => unreachable!("INT_KEYS: every key is a single Int"),
+            },
+            Some(_) => i as Head,
+        }
+    }
+}
+
+/// (exhausted, key, run index), keys in `GroupKey`'s order.
+impl<const INT_KEYS: bool> HeadOrder for Heads<INT_KEYS> {
+    #[inline]
+    fn before(&self, a: Head, b: Head) -> Head {
+        if INT_KEYS || (a | b) & EXHAUSTED != 0 {
+            return packed_before(a, b);
+        }
+        let key = |head| self.runs[run_of(head)].head().map(|row| &row.key);
+        mask(key(a).cmp(&key(b)).then(a.cmp(&b)) == Ordering::Less)
+    }
 }
 
 #[cfg(test)]
@@ -409,5 +666,183 @@ mod tests {
             ),
         ]);
         assert!(q.remapped_to_projection().filter.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::{merge_rows, sort_rows, ResultRow};
+    use crate::key::GroupKey;
+    use crate::value::Value;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    /// The row as it was before its aggregates went inline: every trait
+    /// derived over a `Vec<Value>`, `Display` as it was written then.
+    mod vec {
+        use crate::key::GroupKey;
+        use crate::value::Value;
+        use std::fmt;
+
+        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+        pub struct ResultRow {
+            pub key: GroupKey,
+            pub aggs: Vec<Value>,
+        }
+
+        impl fmt::Display for ResultRow {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "{} →", self.key)?;
+                for v in &self.aggs {
+                    write!(f, " {v}")?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// What the benchmark's answer check hashes of a row: key, then
+    /// aggregates, through `DefaultHasher`.
+    fn row_hash(key: &GroupKey, aggs: &impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        aggs.hash(&mut h);
+        h.finish()
+    }
+
+    /// Every `Value` kind, the float and `Int` edges included.
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            (-2i64..3).prop_map(Value::Int),
+            prop_oneof![Just(i64::MIN), Just(i64::MAX), any::<i64>()].prop_map(Value::Int),
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(1.5)
+            ]
+            .prop_map(Value::Float),
+            "[ab]{0,2}".prop_map(|s: String| Value::Str(s.into_boxed_str())),
+        ]
+    }
+
+    /// 0, 1, 2, 3 or 8 aggregates: both inline lengths and the box.
+    fn arb_aggs() -> impl Strategy<Value = Vec<Value>> {
+        let len = prop_oneof![Just(0usize), Just(1), Just(2), Just(3), Just(8)];
+        (proptest::collection::vec(arb_value(), 8..9), len).prop_map(|(mut v, n)| {
+            v.truncate(n);
+            v
+        })
+    }
+
+    fn arb_row() -> impl Strategy<Value = (Vec<Value>, Vec<Value>)> {
+        (proptest::collection::vec(arb_value(), 0..3), arb_aggs())
+    }
+
+    /// Single-`Int` keys, from a domain small enough that runs share keys.
+    fn arb_int_key() -> impl Strategy<Value = Vec<Value>> {
+        prop_oneof![
+            (-3i64..4).prop_map(|i| vec![Value::Int(i)]),
+            prop_oneof![Just(i64::MIN), Just(i64::MAX)].prop_map(|i| vec![Value::Int(i)]),
+        ]
+    }
+
+    /// Keys of every shape: `Int`, NULL, `Float` and `Str` cells, and two
+    /// columns.
+    fn arb_any_key() -> impl Strategy<Value = Vec<Value>> {
+        prop_oneof![
+            arb_int_key(),
+            Just(vec![Value::Null]),
+            prop_oneof![Just(-0.0), Just(0.0), Just(f64::NAN), Just(2.5)]
+                .prop_map(|f| vec![Value::Float(f)]),
+            "[ab]{0,1}".prop_map(|s: String| vec![Value::Str(s.into_boxed_str())]),
+            (0i64..2, -1i64..2).prop_map(|(a, b)| vec![Value::Int(a), Value::Int(b)]),
+            Just(vec![]),
+        ]
+    }
+
+    /// Parts of rows whose aggregate records (part, position); each part
+    /// sorted by key — one run — or left as drawn — any number of runs.
+    fn arb_parts(
+        key: impl Strategy<Value = Vec<Value>>,
+    ) -> impl Strategy<Value = Vec<Vec<ResultRow>>> {
+        let part = (proptest::collection::vec(key, 0..12), any::<bool>());
+        proptest::collection::vec(part, 1..130).prop_map(|parts| {
+            let rows = parts.into_iter().enumerate().map(|(p, (keys, sorted))| {
+                let mut rows: Vec<_> = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, k)| {
+                        ResultRow::new(GroupKey::new(k), vec![Value::Int(p as i64), Value::Int(i as i64)])
+                    })
+                    .collect();
+                if sorted {
+                    rows.sort_by(|a, b| a.key.cmp(&b.key));
+                }
+                rows
+            });
+            rows.collect()
+        })
+    }
+
+    /// The merge against a stable sort of the parts concatenated.
+    fn check_merge(parts: Vec<Vec<ResultRow>>) -> Result<(), String> {
+        let mut expect: Vec<_> = parts.iter().flatten().cloned().collect();
+        expect.sort_by(|a, b| a.key.cmp(&b.key));
+        let mut concat: Vec<_> = parts.iter().flatten().cloned().collect();
+        prop_assert_eq!(merge_rows(parts), expect.clone());
+        sort_rows(&mut concat);
+        prop_assert_eq!(concat, expect);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn prop_inline_aggregates_match_the_vec(x in arb_row(), y in arb_row()) {
+            let ((ka, a), (kb, b)) = (x, y);
+            let (ka, kb) = (GroupKey::new(ka), GroupKey::new(kb));
+            let (ra, rb) = (ResultRow::new(ka.clone(), a.clone()), ResultRow::new(kb.clone(), b.clone()));
+            let (va, vb) = (vec::ResultRow { key: ka, aggs: a.clone() }, vec::ResultRow { key: kb, aggs: b });
+            prop_assert_eq!(&*ra.aggs, &a[..]);
+            prop_assert_eq!(row_hash(&ra.key, &ra.aggs), row_hash(&va.key, &va.aggs));
+            prop_assert_eq!(ra == rb, va == vb);
+            prop_assert_eq!(ra.aggs == rb.aggs, va.aggs == vb.aggs);
+            prop_assert_eq!(ra.cmp(&rb), va.cmp(&vb));
+            prop_assert_eq!(ra.partial_cmp(&rb), va.partial_cmp(&vb));
+            prop_assert_eq!(ra.aggs.cmp(&rb.aggs), va.aggs.cmp(&vb.aggs));
+            prop_assert_eq!(format!("{ra:?}"), format!("{va:?}"));
+            prop_assert_eq!(format!("{ra:#?}"), format!("{va:#?}"));
+            prop_assert_eq!(ra.to_string(), va.to_string());
+            prop_assert_eq!(ra.clone(), ResultRow::new(va.key.clone(), ra.aggs.iter().cloned().collect()));
+            // Wire round trip under a query of the row's shape.
+            let query = super::AggQuery::new(
+                (0..va.key.arity()).collect(),
+                vec![crate::agg::AggSpec::count_star(); a.len()],
+            );
+            let mut wire = va.key.values().to_vec();
+            wire.extend(a);
+            prop_assert_eq!(ra.clone().into_values(), wire.clone());
+            prop_assert_eq!(ResultRow::from_values(&query, wire).unwrap(), ra);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn prop_merge_of_int_keys_is_the_stable_sort(parts in arb_parts(arb_int_key())) {
+            check_merge(parts)?;
+        }
+
+        #[test]
+        fn prop_merge_of_any_keys_is_the_stable_sort(parts in arb_parts(arb_any_key())) {
+            check_merge(parts)?;
+        }
     }
 }

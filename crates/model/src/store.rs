@@ -1161,8 +1161,9 @@ impl GroupStore {
         for e in order {
             let e = e as usize;
             let key = self.keys.take_key(e);
+            // Up to two finalized cells are written into the row itself.
             let aggs = self.states.iter().map(|column| column.finalize(e)).collect();
-            emit(ResultRow::new(key, aggs));
+            emit(ResultRow { key, aggs });
         }
         self.free();
     }

@@ -446,7 +446,7 @@ pub struct RunTrace {
     /// transport selection.
     pub transport: String,
     /// Run-level annotations from layers above the engine: the algorithm
-    /// driver's wall time to sort the gathered result (`driver.sort_ms`),
+    /// driver's wall time to merge the gathered result (`driver.sort_ms`),
     /// and the serving scheduler's queue/broker numbers (admitted grant,
     /// queue wait, co-resident queries). Names are dotted lowercase
     /// (`serve.grant_entries`); values render as JSON numbers.

@@ -2,13 +2,17 @@
 //!
 //! The merge never copies a run and never decodes a row of one: a run's
 //! head is a `(page, row)` cursor over the column strips its pages
-//! already are, a tournament tree of losers orders the heads — packed
-//! into one `u128` each when every key is a single `Int`, otherwise by
-//! comparing the key cells where they lie — equal keys fold their
-//! partial cells — `i64`s read straight off `Int` strips — into one
-//! reused row of states, and each closed group is appended to an output
-//! page. Nothing is allocated per run row, per pop or per group.
+//! already are, the workspace's tournament tree of losers
+//! (`adaptagg_model::tournament`) orders the heads — packed into one
+//! `u128` each when every key is a single `Int`, otherwise by comparing
+//! the key cells where they lie — equal keys fold their partial cells —
+//! `i64`s read straight off `Int` strips — into one reused row of states,
+//! and each closed group is appended to an output page. Nothing is
+//! allocated per run row, per pop or per group.
 
+use adaptagg_model::tournament::{
+    exhausted, int_head, mask, packed_before, run_of, Head, HeadOrder, Tournament, EXHAUSTED,
+};
 use adaptagg_model::{
     AggQuery, AggState, CellRow, CellSink, CostEvent, CostTracker, IndexRow, ModelError, Value,
 };
@@ -171,43 +175,22 @@ fn cmp_cells(a: StripView<'_>, ra: usize, b: StripView<'_>, rb: usize) -> Orderi
     }
 }
 
-/// A run's head as the tournament compares it: bit 96 set once the run
-/// is exhausted, the key biased to an `u64` (its sign bit flipped) in
-/// bits 32..96 when every key is a single `Int`, the run index below. As
-/// an `u128` it orders (exhausted, key, run index): the tree's whole
-/// order, an exhausted run after every live one. When keys are compared
-/// as cells the key bits are zero and [`Heads::before`] reads the cells.
-type Head = u128;
-
-const EXHAUSTED: Head = 1 << 96;
-
-/// The run index of a head.
-#[inline]
-fn run_of(head: Head) -> usize {
-    head as u32 as usize
-}
-
 /// Every run being merged, and the order the tournament keeps their
-/// heads in.
-struct Heads<'a> {
+/// heads in. `INT_KEYS`: every key is a single `Int`, packed in the heads
+/// ([`int_head`]).
+struct Heads<'a, const INT_KEYS: bool> {
     runs: Vec<Run<'a>>,
     /// Key columns per row.
     k: usize,
 }
 
-impl Heads<'_> {
-    /// All ones when head `a` sorts before head `b` under (exhausted, key,
-    /// run index) — `Value`'s total order over the key columns
-    /// (`GroupKey`'s `Ord`), the index breaking ties deterministically —
-    /// else zero. `INT_KEYS`: every key is a single `Int`, packed in the
-    /// heads.
+/// (exhausted, key, run index) — `Value`'s total order over the key
+/// columns (`GroupKey`'s `Ord`), the index breaking ties deterministically.
+impl<const INT_KEYS: bool> HeadOrder for Heads<'_, INT_KEYS> {
     #[inline]
-    fn before<const INT_KEYS: bool>(&self, a: Head, b: Head) -> Head {
+    fn before(&self, a: Head, b: Head) -> Head {
         if INT_KEYS || (a | b) & EXHAUSTED != 0 {
-            // Heads are below 2^97, so `a - b` wraps past 2^127 exactly
-            // when `a < b`: its sign bit, spread, is the mask — arithmetic
-            // the compiler keeps, where a compare becomes a branch.
-            return (a.wrapping_sub(b) as i128 >> 127) as Head;
+            return packed_before(a, b);
         }
         let (x, y) = (&self.runs[run_of(a)], &self.runs[run_of(b)]);
         let cells = x.strips[..self.k].iter().zip(&y.strips[..self.k]);
@@ -215,15 +198,17 @@ impl Heads<'_> {
             .map(|(&s, &t)| cmp_cells(s, x.row, t, y.row))
             .find(|&o| o != Ordering::Equal)
             .unwrap_or(Ordering::Equal);
-        Head::from(by_key.then(a.cmp(&b)) == Ordering::Less).wrapping_neg()
+        mask(by_key.then(a.cmp(&b)) == Ordering::Less)
     }
+}
 
+impl<const INT_KEYS: bool> Heads<'_, INT_KEYS> {
     /// Move run `i`'s head to its next row, and return its head.
     #[inline]
-    fn advance<const INT_KEYS: bool>(&mut self, i: usize, arity: usize) -> Result<Head, StorageError> {
+    fn advance(&mut self, i: usize, arity: usize) -> Result<Head, StorageError> {
         let run = &mut self.runs[i];
         if !run.advance(arity)? {
-            return Ok(EXHAUSTED | i as Head);
+            return Ok(exhausted(i));
         }
         if !INT_KEYS {
             return Ok(i as Head);
@@ -231,61 +216,8 @@ impl Heads<'_> {
         let StripView::Ints(xs) = run.strips[0] else {
             unreachable!("INT_KEYS: every key strip is Int")
         };
-        Ok(Head::from(xs[run.row] as u64 ^ 1 << 63) << 32 | i as Head)
+        Ok(int_head(xs[run.row], i))
     }
-}
-
-/// A tournament tree of losers over the run heads: leaf `i` is run `i`'s
-/// head, the leaves padded to a power of two with exhausted heads; each
-/// inner node keeps the head that lost the match played there, and
-/// `nodes[0]` the overall winner. A new head at a leaf replays its path to
-/// the root, one comparison a level; for packed `Int` heads the compare and
-/// the swap are mask arithmetic ([`Heads::before`], [`pick`]), no branch.
-struct Tournament {
-    nodes: Vec<Head>,
-}
-
-impl Tournament {
-    fn new<const INT_KEYS: bool>(leaves: Vec<Head>, heads: &Heads) -> Self {
-        let width = leaves.len().next_power_of_two();
-        // Each match's winner, leaves at `width..`.
-        let mut winners = vec![0; width];
-        winners.extend((0..width).map(|i| leaves.get(i).copied().unwrap_or(EXHAUSTED | i as Head)));
-        let mut nodes = vec![0; width];
-        for node in (1..width).rev() {
-            let (a, b) = (winners[2 * node], winners[2 * node + 1]);
-            let a_first = heads.before::<INT_KEYS>(a, b);
-            (winners[node], nodes[node]) = (pick(a_first, a, b), pick(a_first, b, a));
-        }
-        nodes[0] = winners[1];
-        Tournament { nodes }
-    }
-
-    /// The head that sorts first.
-    #[inline]
-    fn winner(&self) -> Head {
-        self.nodes[0]
-    }
-
-    /// The winner's run moved on to `head`: replay its path to the root.
-    #[inline]
-    fn replay<const INT_KEYS: bool>(&mut self, mut head: Head, heads: &Heads) {
-        let mut node = (self.nodes.len() + run_of(head)) >> 1;
-        while node > 0 {
-            let other = self.nodes[node];
-            let other_first = heads.before::<INT_KEYS>(other, head);
-            (self.nodes[node], head) = (pick(other_first, head, other), pick(other_first, other, head));
-            node >>= 1;
-        }
-        self.nodes[0] = head;
-    }
-}
-
-/// `a` where `mask` is all ones, `b` where it is zero: a select without a
-/// branch, whose outcome key order makes a coin toss.
-#[inline]
-fn pick(mask: Head, a: Head, b: Head) -> Head {
-    b ^ ((a ^ b) & mask)
 }
 
 /// A closed group as the row it is emitted as: its key, then each
@@ -348,15 +280,12 @@ pub fn merge_runs<T: CostTracker>(
             .iter()
             .flatten()
             .all(|page| matches!(page.column(0), Some(StripView::Ints(_))));
-    let heads = Heads {
-        runs: run_pages.iter().map(|pages| Run::new(pages)).collect(),
-        k,
-    };
+    let runs = || run_pages.iter().map(|pages| Run::new(pages)).collect();
     let mut rows = RowPages::new(page_bytes);
     let mut tally = Tally::default();
     let merged = match int_keys {
-        true => merge::<true>(query, heads, emit, &mut rows, &mut tally),
-        false => merge::<false>(query, heads, emit, &mut rows, &mut tally),
+        true => merge(query, Heads::<true> { runs: runs(), k }, emit, &mut rows, &mut tally),
+        false => merge(query, Heads::<false> { runs: runs(), k }, emit, &mut rows, &mut tally),
     };
     // Paid on the way out, error or not: the caller reads the clock next.
     tracker.record(CostEvent::TupleRead, tally.pops);
@@ -385,16 +314,16 @@ struct Tally {
 /// close that group and open its own), advance its run and replay.
 fn merge<const INT_KEYS: bool>(
     query: &AggQuery,
-    mut heads: Heads,
+    mut heads: Heads<INT_KEYS>,
     emit: MergeEmit,
     rows: &mut RowPages,
     tally: &mut Tally,
 ) -> Result<(), StorageError> {
     let (k, arity) = (heads.k, query.partial_row_arity());
     let leaves = (0..heads.runs.len())
-        .map(|i| heads.advance::<INT_KEYS>(i, arity))
+        .map(|i| heads.advance(i, arity))
         .collect::<Result<_, _>>()?;
-    let mut tree = Tournament::new::<INT_KEYS>(leaves, &heads);
+    let mut tree = Tournament::new(leaves, &heads);
 
     let mut states: Vec<AggState> = query.aggs.iter().map(|s| AggState::new(s.func)).collect();
     let widths: Vec<usize> = query.aggs.iter().map(|s| s.func.partial_arity()).collect();
@@ -442,8 +371,8 @@ fn merge<const INT_KEYS: bool>(
             false => tally.value_rows += 1,
         }
         tally.combines += 1;
-        let next = heads.advance::<INT_KEYS>(i, arity)?;
-        tree.replay::<INT_KEYS>(next, &heads);
+        let next = heads.advance(i, arity)?;
+        tree.replay(next, &heads);
     }
     if open {
         close(&open_key, &mut states, tally)?;

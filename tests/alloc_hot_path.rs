@@ -50,9 +50,11 @@
 //! table where it lies, so hits on resident groups allocate nothing there
 //! either.
 //!
-//! And the result drain (DESIGN.md §26): a table of one-column `Int` keys
-//! drained as finalized rows allocates one block per row — its
-//! aggregates; the key lives inside the row — and nothing else per group.
+//! And the result drain (DESIGN.md §26, §29): a table of one-column `Int`
+//! keys drained as finalized rows allocates no block per row — key and
+//! aggregates live inside the row — only the output and the sort's
+//! scratch. Merging the nodes' rows allocates the output and a few blocks
+//! for the runs, none per row.
 //!
 //! And the scatter (DESIGN.md §27): a batch appended to three
 //! destinations' message pages, strip runs on the typed lane, with a warm
@@ -69,10 +71,11 @@
 use adaptagg_exec::{Exchange, NodeCtx, PageScan};
 use adaptagg_hashagg::{AggTable, HashAggregator};
 use adaptagg_model::{
-    AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CountingTracker, NetworkKind,
-    Predicate, RowKind, Value,
+    AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CountingTracker, GroupKey,
+    NetworkKind, Predicate, ResultRow, RowKind, Value,
 };
 use adaptagg_model::hash::Seed;
+use adaptagg_model::query::merge_rows;
 use adaptagg_net::{Blocker, Control, Fabric, Payload, Scatter};
 use adaptagg_sortagg::merge::MergeEmit;
 use adaptagg_sortagg::{merge_runs, RunBuilder};
@@ -651,10 +654,10 @@ fn resident_group_updates_do_not_allocate() {
     assert_eq!(counted, 0, "the row lanes allocated {counted} times over 400 pages of resident groups");
     assert!(!agg.has_spilled() && agg.resident_groups() == 40, "no groups were added");
 
-    // The result drain (DESIGN.md §26): G groups of a one-column `Int` key
-    // leave the table as G rows in key order. Each row's aggregate `Vec`
-    // is one block; its key is not. Beside them: the output vector and
-    // the sort's two scratch vectors. A boxed key would make it 2G + 3.
+    // The result drain (DESIGN.md §26, §29): G groups of a one-column
+    // `Int` key leave the table as G rows in key order, key and aggregate
+    // inside each row. What is left is the output vector and the sort's
+    // scratch, however many groups; a block per row would make it G + 3.
     const DRAINED: u64 = 5_000;
     let mut table = AggTable::new(query.clone(), DRAINED as usize);
     let mut counted = u64::MAX;
@@ -668,14 +671,42 @@ fn resident_group_updates_do_not_allocate() {
         counted = ALLOCS.load(Ordering::Relaxed) - before;
         assert_eq!(rows.len() as u64, DRAINED);
         assert!(rows.windows(2).all(|w| w[0].key < w[1].key), "rows leave in key order");
-        if counted <= DRAINED + 4 {
+        if counted <= 3 {
             break;
         }
     }
     assert!(
-        counted <= DRAINED + 4,
+        counted <= 3,
         "draining {DRAINED} one-column groups as result rows allocated {counted} times: a \
-         second block per row is back"
+         block per row is back"
+    );
+
+    // The row merge (DESIGN.md §29): 32 nodes' rows, two ascending runs a
+    // node, merged into one vector. The output is one block; the runs, the
+    // tree's leaves and its two arrays of nodes a few more (measured: 7).
+    const NODES: i64 = 32;
+    let parts = || -> Vec<Vec<ResultRow>> {
+        let row = |k: i64| ResultRow::new(GroupKey::one(Value::Int(k)), vec![Value::Int(k), Value::Int(1)]);
+        let node = |n: i64| (0..400).map(|i| row(i % 200 * NODES + n)).collect();
+        (0..NODES).map(node).collect()
+    };
+    let mut counted = u64::MAX;
+    for _attempt in 0..5 {
+        let parts = parts();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let rows = merge_rows(parts);
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(rows.len(), 400 * NODES as usize);
+        assert!(rows.windows(2).all(|w| w[0].key <= w[1].key), "rows leave in key order");
+        if counted <= 8 {
+            break;
+        }
+    }
+    assert!(
+        counted <= 8,
+        "merging {} runs of {NODES} nodes' rows allocated {counted} times: per-row or per-pop \
+         allocation is back",
+        2 * NODES
     );
 
     // The scatter (DESIGN.md §27): 400 two-column `Int` rows hashed to
