@@ -23,7 +23,7 @@
 //! output skew the group-rich nodes switch while group-poor ones stay in
 //! Two Phase mode, beating both static algorithms.
 
-use crate::common::{merge_phase_store, QueryPlan};
+use crate::common::{merge_phase_store, trace_partial_rows, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
@@ -76,6 +76,7 @@ pub fn run_node(
     ctx.span_end();
     shipped?;
     ctx.clock.mark("phase1");
+    trace_partial_rows(ctx, scan.table.drained_rows());
 
     // Merge phase: raw + partial interleaved, one bounded table.
     let (rows, mut agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;

@@ -19,7 +19,7 @@
 //! but *when* a peer's `EndOfPhase` is seen, the paper's benign race.
 
 use crate::adaptive2p::ScanState;
-use crate::common::{merge_phase_store, QueryPlan};
+use crate::common::{merge_phase_store, trace_partial_rows, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
@@ -73,22 +73,23 @@ pub fn run_node(
     );
     ctx.span_end();
     scan_result?;
-    let a2p = scan.a2p;
+    let mut a2p = scan.a2p;
 
     // If the A2P table holds partials (fell back and never re-switched),
     // ship them now.
     ctx.span_start(PhaseKind::Partition);
     let shipped = (|| {
-        if let Some(mut state) = a2p {
-            if !state.switched {
-                ex.flush_table(ctx, &mut state.table, RowKind::Partial)?;
-            }
+        if let Some(state) = a2p.as_mut().filter(|state| !state.switched) {
+            ex.flush_table(ctx, &mut state.table, RowKind::Partial)?;
         }
         ex.finish(ctx)
     })();
     ctx.span_end();
     shipped?;
     ctx.clock.mark("phase1");
+    if let Some(state) = &a2p {
+        trace_partial_rows(ctx, state.table.drained_rows());
+    }
 
     // Merge phase "uses the hash table left by the repartitioning phase":
     // one bounded table over the pages of all kinds.

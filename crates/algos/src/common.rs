@@ -2,7 +2,7 @@
 
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_hashagg::{DrainCause, HashAggStats, HashAggregator};
-use adaptagg_model::{AggQuery, DemoteCause, ResultRow, RowKind, StoreLayout};
+use adaptagg_model::{AggQuery, DemoteCause, LaneRows, ResultRow, RowKind, StoreLayout};
 use adaptagg_net::Control;
 use adaptagg_sortagg::SortAggStats;
 use adaptagg_storage::RowPages;
@@ -97,6 +97,7 @@ pub fn local_partial_aggregation(
 pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
     if ctx.trace.enabled() {
         trace_store(ctx, &stats.store);
+        trace_partial_rows(ctx, stats.partial_rows);
         ctx.trace.counter_add("hashagg.rows_in", stats.rows_in());
         ctx.trace.counter_add("hashagg.probe_slots", stats.probe_slots);
         ctx.trace
@@ -126,6 +127,7 @@ pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
 pub fn trace_sortagg(ctx: &mut NodeCtx, stats: &SortAggStats) {
     if ctx.trace.enabled() {
         trace_store(ctx, &stats.store);
+        trace_partial_rows(ctx, stats.partial_rows);
         ctx.trace.counter_add("sortagg.rows_in", stats.rows_in);
         ctx.trace.counter_add("sortagg.runs_sealed", stats.runs_sealed);
         ctx.trace.counter_add("sortagg.run_rows", stats.run_rows());
@@ -133,6 +135,17 @@ pub fn trace_sortagg(ctx: &mut NodeCtx, stats: &SortAggStats) {
             .counter_add("sortagg.merge_rows{lane=strips}", stats.merge_rows_strips);
         ctx.trace
             .counter_add("sortagg.merge_rows{lane=values}", stats.merge_rows_values);
+    }
+}
+
+/// `store.partial_rows{lane=columns|cells}`: the rows a writer put out of
+/// a group store (a drain, a run, the run merge's output) a column at a time
+/// onto a page's typed lane, and cell by cell — a refused column lane shows
+/// as `cells`. No-op when tracing is disabled.
+pub fn trace_partial_rows(ctx: &mut NodeCtx, rows: LaneRows) {
+    if ctx.trace.enabled() {
+        ctx.trace.counter_add("store.partial_rows{lane=columns}", rows.columns);
+        ctx.trace.counter_add("store.partial_rows{lane=cells}", rows.cells);
     }
 }
 

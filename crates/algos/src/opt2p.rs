@@ -22,7 +22,7 @@
 //! it lies before the rest of the page is offered, so the route's page
 //! sends read the clock where a tuple-at-a-time scan would.
 
-use crate::common::{merge_phase_store, QueryPlan};
+use crate::common::{merge_phase_store, trace_partial_rows, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, ScanSink};
@@ -55,6 +55,7 @@ pub fn run_node(
     ex.flush_table(ctx, &mut table, RowKind::Partial)?;
     ex.finish(ctx)?;
     ctx.clock.mark("phase1");
+    trace_partial_rows(ctx, table.drained_rows());
 
     let (rows, mut agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
     agg.raw_in += table.accepted() + forwarded;

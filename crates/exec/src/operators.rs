@@ -18,6 +18,7 @@ use crate::node::NodeCtx;
 use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::{record_each, CostEvent, CostTracker, ModelError, Predicate, ResultRow, RowKind, Value};
 use adaptagg_sortagg::SortAggregator;
+use adaptagg_storage::page::pages_for;
 use adaptagg_storage::{BatchOutcome, HeapFile, PageView, RowCause, ScanBatch};
 
 /// Where a scan's page charges go, and whose crash schedule it honours:
@@ -266,21 +267,15 @@ where
     scan_pages(ctx, name, filter, columns, 0, usize::MAX, &mut sink)
 }
 
-/// Store finalized result rows into the node's `result` file, charging one
-/// sequential page write per result page. Each row is appended cell by
-/// cell where it lies (key, then aggregates), in the order given — each
-/// table's rows in key order. Rows of one wire width fill the same number
-/// of pages in any order; rows of mixed widths may not (DESIGN.md §23).
+/// Charge storing finalized result rows on the node's disk: one sequential
+/// page write per page the rows fill, appended in the order given (each
+/// table's rows in key order) under the page's greedy byte rule
+/// ([`pages_for`]). Nothing reads the rows back, so none are written. Rows
+/// of one wire width fill the same number of pages in any order; rows of
+/// mixed widths may not (DESIGN.md §23).
 pub fn store_results(ctx: &mut NodeCtx, rows: &[ResultRow]) -> Result<(), ExecError> {
-    let page_bytes = ctx.params().page_bytes;
-    let file = ctx.disk.get_or_create("result", page_bytes);
-    for row in rows {
-        file.append_row(row)?;
-    }
-    let pages = ctx.disk.get("result")?.page_count() as u64;
-    // Charge all result pages once, at the end of the store (the file may
-    // be appended to only once per run).
-    ctx.clock.record(CostEvent::PageWriteSeq, pages);
+    let pages = pages_for(ctx.params().page_bytes, rows)?;
+    ctx.clock.record(CostEvent::PageWriteSeq, pages as u64);
     Ok(())
 }
 
@@ -421,27 +416,37 @@ mod tests {
         assert!(ctx.disk.get("base").is_ok());
     }
 
-    #[test]
-    fn store_writes_rows_and_charges_pages() {
+    /// What storing `rows` charges a fresh node, in ticks, against one
+    /// sequential page write per page of the heap file their flattened rows
+    /// make: the pages a result file of them would have held.
+    fn stored_against_heap_file(rows: &[ResultRow]) -> (u64, u64, usize) {
         let mut ctx = ctx_with_file(&[], 4096);
-        let rows: Vec<ResultRow> = (0..100)
-            .map(|i| {
-                ResultRow::new(
-                    GroupKey::new(vec![Value::Int(i)]),
-                    vec![Value::Int(i * 10)],
-                )
-            })
-            .collect();
-        store_results(&mut ctx, &rows).unwrap();
-        let f = ctx.disk.get("result").unwrap();
-        assert_eq!(f.tuple_count(), 100);
-        assert!(ctx.clock.breakdown().io_ms > 0.0);
+        store_results(&mut ctx, rows).unwrap();
+        let flat = rows.iter().map(|r| r.clone().into_values()).collect::<Vec<_>>();
+        let pages = HeapFile::from_tuples(4096, flat.iter().map(Vec::as_slice)).unwrap().page_count();
+        let mut expect = crate::Clock::new(CostParams::paper_default());
+        expect.record(CostEvent::PageWriteSeq, pages as u64);
+        (ctx.clock.now(), expect.now(), pages)
     }
 
-    /// Rows appended where they lie fill the pages the flattened rows
-    /// would: byte-equal under `encode_into`, one page write each.
     #[test]
-    fn stored_results_are_the_pages_of_their_flattened_rows() {
+    fn store_charges_a_page_write_per_result_page() {
+        let rows: Vec<ResultRow> = (0..100)
+            .map(|i| ResultRow::new(GroupKey::new(vec![Value::Int(i)]), vec![Value::Int(i * 10)]))
+            .collect();
+        let (charged, expect, pages) = stored_against_heap_file(&rows);
+        assert_eq!((charged, pages), (expect, 1));
+        let mut ctx = ctx_with_file(&[], 4096);
+        store_results(&mut ctx, &[]).unwrap();
+        assert_eq!(ctx.clock.now(), 0, "no rows, no page");
+        assert!(ctx.disk.get("result").is_err(), "no result file is written");
+    }
+
+    /// Rows of mixed widths — `Str` keys, NULL and `Float` aggregates — are
+    /// charged the pages of their flattened rows in the order given, in
+    /// admission order and in key order alike.
+    #[test]
+    fn mixed_width_results_charge_the_pages_of_their_flattened_rows() {
         let rows: Vec<ResultRow> = (0..700i64)
             .map(|i| {
                 let key = match i % 9 {
@@ -452,29 +457,25 @@ mod tests {
                 ResultRow::new(GroupKey::new(vec![key]), vec![Value::Int(i * 10), avg])
             })
             .collect();
-        for rows in [&rows[..300], &rows[..]] {
-            let mut ctx = ctx_with_file(&[], 4096);
-            store_results(&mut ctx, rows).unwrap();
-            let flat = rows.iter().map(|r| r.clone().into_values()).collect::<Vec<_>>();
-            let expect = HeapFile::from_tuples(4096, flat.iter().map(Vec::as_slice)).unwrap();
-            let got = ctx.disk.get("result").unwrap();
-            assert_eq!(got.page_count(), expect.page_count());
-            for p in 0..got.page_count() {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                got.page(p).unwrap().encode_into(&mut a);
-                expect.page(p).unwrap().encode_into(&mut b);
-                assert_eq!(a, b, "page {p}");
-            }
-            let io = CostParams::paper_default().io_seq_ms * expect.page_count() as f64;
-            assert!((ctx.clock.breakdown().io_ms - io).abs() < 1e-9, "one write a page");
+        let mut sorted = rows.clone();
+        adaptagg_model::query::sort_rows(&mut sorted);
+        assert_ne!(rows, sorted);
+        for rows in [&rows[..300], &rows[..], &sorted[..]] {
+            let (charged, expect, pages) = stored_against_heap_file(rows);
+            assert!(pages > 1);
+            assert_eq!(charged, expect, "{} rows: one write a page", rows.len());
         }
+        // A row wider than any page is the error writing it would have been.
+        let wide = ResultRow::new(GroupKey::new(vec![Value::Str("x".repeat(5_000).into())]), vec![Value::Int(1)]);
+        let mut ctx = ctx_with_file(&[], 4096);
+        assert!(store_results(&mut ctx, &[wide]).is_err());
     }
 
     /// Rows of one wire width pack into the same pages in any order: the
-    /// result file's page count, and so its page-write charge, is the same
-    /// for rows in admission order and in key order.
+    /// page-write charge is the same for rows in admission order and in key
+    /// order.
     #[test]
-    fn equal_width_results_store_the_same_pages_in_any_order() {
+    fn equal_width_results_charge_the_same_pages_in_any_order() {
         let rows: Vec<ResultRow> = (0..1_000i64)
             .map(|i| {
                 let g = (i * 7_919) % 1_000 - 500;
@@ -484,14 +485,10 @@ mod tests {
         let mut sorted = rows.clone();
         adaptagg_model::query::sort_rows(&mut sorted);
         assert_ne!(rows, sorted);
-        let stored = |rows: &[ResultRow]| {
-            let mut ctx = ctx_with_file(&[], 4096);
-            store_results(&mut ctx, rows).unwrap();
-            (ctx.disk.get("result").unwrap().page_count(), ctx.clock.now())
-        };
-        let (pages, ticks) = stored(&rows);
+        let (charged, expect, pages) = stored_against_heap_file(&rows);
         assert!(pages > 1);
-        assert_eq!(stored(&sorted), (pages, ticks));
+        assert_eq!(charged, expect);
+        assert_eq!(stored_against_heap_file(&sorted), (charged, expect, pages));
     }
 
     #[test]

@@ -59,6 +59,10 @@ impl Spool<'_> {
 }
 
 impl<T: CostTracker> FullPolicy<T> for Spool<'_> {
+    /// Out of line: a bounced row is the batch kernel's cold path, and left
+    /// to the inliner it went into the kernel or stayed out depending on
+    /// what else the exec crate's codegen units held (DESIGN.md §30.5).
+    #[inline(never)]
     fn bounce(
         &mut self,
         tracker: &mut T,
@@ -271,6 +275,7 @@ impl HashAggregator {
     {
         self.stats.drained(&self.table);
         drain(&mut self.table, tracker)?;
+        self.stats.partial_rows.add(self.table.drained_rows());
 
         // Stack of (bucket, level) still to process.
         let mut pending: Vec<(SpillFile, u32)> = Vec::new();
@@ -308,6 +313,7 @@ impl HashAggregator {
             refeed(bucket, &mut table, &mut spool, &mut self.stats, tracker)?;
             self.stats.drained(&table);
             drain(&mut table, tracker)?;
+            self.stats.partial_rows.add(table.drained_rows());
             if let Some(set) = deeper {
                 let l = set.level();
                 pending.extend(set.into_buckets(tracker).into_iter().map(|b| (b, l)));

@@ -1,7 +1,7 @@
 //! Hash-aggregation statistics.
 
 use crate::table::AggTable;
-use adaptagg_model::StoreLayout;
+use adaptagg_model::{LaneRows, StoreLayout};
 
 /// Counters describing one aggregation's behaviour. The adaptive
 /// algorithms' tests assert on these (e.g. "A2P must not spill; plain 2P
@@ -36,6 +36,9 @@ pub struct HashAggStats {
     /// typed, columns general, demotions by cause; `bytes_per_group` is the
     /// widest table's.
     pub store: StoreLayout,
+    /// Partial rows the tables drained, by the lane they left on: a column
+    /// at a time, or cell by cell.
+    pub partial_rows: LaneRows,
 }
 
 impl HashAggStats {
@@ -82,6 +85,7 @@ impl HashAggStats {
             *a += b;
         }
         self.add_layout(&other.store);
+        self.partial_rows.add(other.partial_rows);
     }
 }
 

@@ -44,7 +44,7 @@ use adaptagg_model::hash::hash_cells;
 use adaptagg_model::store::NO_GROUP;
 use adaptagg_model::{
     record_each, AggFunc, AggQuery, CellRow, CostEvent, CostTracker, GroupStore, IndexRow, KeyCell,
-    MemoryGrant, ModelError, ResultRow, RowKind, Seed, StoreLayout, Value,
+    LaneRows, MemoryGrant, ModelError, ResultRow, RowKind, Seed, StoreLayout, Value,
 };
 use adaptagg_storage::{
     BatchCharges, BatchOutcome, Page, RowCause, RowPages, ScanBatch, StorageError, StripView,
@@ -158,6 +158,8 @@ pub struct AggTable {
     /// Slots examined by insert-path probes (observability; a plain
     /// counter — never recorded as a cost event, never allocating).
     probe_slots: u64,
+    /// Partial rows drained so far, by the lane they left on.
+    drained: LaneRows,
     /// Pooled per-page key-hash vector for the batched probe.
     batch_hashes: Vec<u64>,
     /// Pooled per-page group-index vector ([`NO_GROUP`] = row bounced) the
@@ -194,6 +196,7 @@ impl AggTable {
             inserts: 0,
             updates: 0,
             probe_slots: 0,
+            drained: LaneRows::default(),
             batch_hashes: Vec::new(),
             batch_gix: Vec::new(),
         }
@@ -698,17 +701,34 @@ impl AggTable {
     }
 
     /// Drain the table as **partial rows** (key columns ++ partial-state
-    /// columns) onto `out` in insertion order, each copied strip by strip
-    /// from where it lies, charging `t_w` per row (one record, whether or
-    /// not the drain completes). Used by local phases to ship their
-    /// results and by A2P's overflow flush.
+    /// columns) onto `out` in insertion order, charging `t_w` per row (one
+    /// record, whether or not the drain completes). When every partial cell
+    /// is an `Int` ([`GroupStore::partials_are_ints`]) the rows leave a
+    /// column at a time, a store segment's worth per append
+    /// ([`RowPages::extend_ints`]); otherwise each is copied cell by cell
+    /// from where it lies. The pages are the same either way. Used by
+    /// local phases to ship their results and by A2P's overflow flush.
     pub fn drain_partials<T: CostTracker>(
         &mut self,
         tracker: &mut T,
         out: &mut RowPages,
     ) -> Result<(), StorageError> {
-        tracker.record(CostEvent::TupleWrite, self.store.len() as u64);
-        self.store.drain_partials(|row| out.push(&row))
+        let rows = self.store.len() as u64;
+        tracker.record(CostEvent::TupleWrite, rows);
+        let (columns, arity) = (self.store.partials_are_ints(), self.store.partial_row_arity());
+        self.drained.count(columns, rows);
+        self.store.drain_partials(|store, entries| match columns {
+            true => out.extend_ints(arity, entries.len(), |j, at, strip| {
+                store.gather_partials(j, entries.start + at.start..entries.start + at.end, strip)
+            }),
+            false => entries.into_iter().try_for_each(|e| out.push(&store.partial_row(e))),
+        })
+    }
+
+    /// Partial rows drained so far ([`AggTable::drain_partials`]), by the
+    /// lane they left on.
+    pub fn drained_rows(&self) -> LaneRows {
+        self.drained
     }
 
     /// Drain the table as **finalized result rows** in ascending key order

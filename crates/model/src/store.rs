@@ -46,6 +46,7 @@ use crate::error::ModelError;
 use crate::key::GroupKey;
 use crate::query::ResultRow;
 use crate::value::{CellRow, CellSink, Value};
+use std::ops::Range;
 
 /// Vacant slot marker.
 const EMPTY: u32 = u32::MAX;
@@ -176,6 +177,11 @@ impl<T: Copy + Default> Cells<T> {
     #[inline]
     fn cell_mut(&mut self, e: usize) -> &mut T {
         &mut self.segs[e >> SEG_SHIFT][e & (SEG_ROWS - 1)]
+    }
+
+    /// The first `n` cells, in order, a segment at a time.
+    fn first(&self, n: usize) -> impl Iterator<Item = T> + '_ {
+        self.segs.iter().flat_map(|seg| seg.iter().copied()).take(n)
     }
 }
 
@@ -325,6 +331,33 @@ pub struct StoreLayout {
     /// Bytes one resident group occupies: stored hash, slot, key cells
     /// and state cells.
     pub bytes_per_group: u64,
+}
+
+/// Rows a writer put out of a group store, by lane: gathered a column at a
+/// time onto a page's typed lane ([`GroupStore::gather_partials`]), or
+/// walked cell by cell ([`GroupStore::partial_row`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LaneRows {
+    /// Rows written a column at a time.
+    pub columns: u64,
+    /// Rows written cell by cell.
+    pub cells: u64,
+}
+
+impl LaneRows {
+    /// Count `rows` more rows, on the column lane or not.
+    pub fn count(&mut self, columns: bool, rows: u64) {
+        match columns {
+            true => self.columns += rows,
+            false => self.cells += rows,
+        }
+    }
+
+    /// Add `other`'s rows, lane by lane.
+    pub fn add(&mut self, other: LaneRows) {
+        self.columns += other.columns;
+        self.cells += other.cells;
+    }
 }
 
 #[derive(Debug)]
@@ -586,6 +619,37 @@ impl StateColumn {
                 false => sink.value(&Value::Null),
             },
             StateColumn::General(a) => a.cell(e).partial_cells(sink),
+        }
+    }
+
+    /// Whether the partial cells of each of the first `rows` groups are all
+    /// `Int`s: COUNT's always; SUM's and AVG's once an input reached the
+    /// group and while the sum fits `i64`; MIN's and MAX's once an input
+    /// reached it. A general column answers no.
+    fn partials_are_ints(&self, rows: usize) -> bool {
+        let fits = |sum: i128| i64::try_from(sum).is_ok();
+        match self {
+            StateColumn::Count(_) => true,
+            StateColumn::Sum { sum, seen } => sum.first(rows).zip(seen.first(rows)).all(|(s, seen)| seen && fits(s)),
+            StateColumn::Avg { sum, count } => sum.first(rows).zip(count.first(rows)).all(|(s, n)| n > 0 && fits(s)),
+            StateColumn::Extreme { seen, .. } => seen.first(rows).all(|seen| seen),
+            StateColumn::General(_) => false,
+        }
+    }
+
+    /// Append partial cell `c` of each of `entries` to `out`, as the `Int`
+    /// [`StateColumn::partial_cells`] hands over: only for groups whose
+    /// partial cells are all `Int`s ([`StateColumn::partials_are_ints`]).
+    fn gather(&self, c: usize, entries: impl Iterator<Item = usize>, out: &mut Vec<i64>) {
+        match (self, c) {
+            (StateColumn::Count(a), 0) | (StateColumn::Avg { count: a, .. }, 1) => {
+                out.extend(entries.map(|e| *a.cell(e) as i64))
+            }
+            (StateColumn::Sum { sum, .. } | StateColumn::Avg { sum, .. }, 0) => {
+                out.extend(entries.map(|e| *sum.cell(e) as i64))
+            }
+            (StateColumn::Extreme { best, .. }, 0) => out.extend(entries.map(|e| *best.cell(e))),
+            (column, _) => unreachable!("partial cell {c} of {column:?} as an Int"),
         }
     }
 
@@ -1114,9 +1178,51 @@ impl GroupStore {
         GroupRow { store: self, entry }
     }
 
-    /// Empty the store, handing `emit` each group as the partial row it is
-    /// where it lies ([`GroupStore::partial_row`]), in admission order. The
-    /// first error of `emit` is returned; the groups it had not seen are
+    /// Cells of a partial row: the key's, then each aggregate's partial
+    /// cells.
+    pub fn partial_row_arity(&self) -> usize {
+        self.key_len + self.partial_arity
+    }
+
+    /// Whether every group's partial row ([`GroupStore::partial_row`]) is
+    /// all `Int` cells: the key column typed, and each state column one
+    /// whose partial cells are `Int`s for every group — COUNT always; SUM
+    /// and AVG once an input reached the group and while the sum fits
+    /// `i64`; MIN and MAX once an input reached it. A general column
+    /// answers no. Decided for the whole store: such a store's rows leave a
+    /// column at a time ([`GroupStore::gather_partials`]).
+    pub fn partials_are_ints(&self) -> bool {
+        let rows = self.len();
+        matches!(self.keys, KeyColumn::Ints(_)) && self.states.iter().all(|c| c.partials_are_ints(rows))
+    }
+
+    /// Append partial-row cell `j` of each of `entries`, in order, to `out`
+    /// as `i64`s: one column of the rows [`GroupStore::partial_row`] reads,
+    /// gathered — entries in key order for a sorted run, an admission range
+    /// for a drain. Only for a store whose partial cells are all `Int`s
+    /// ([`GroupStore::partials_are_ints`]).
+    pub fn gather_partials(&self, j: usize, entries: impl Iterator<Item = usize>, out: &mut Vec<i64>) {
+        if j < self.key_len {
+            let KeyColumn::Ints(a) = &self.keys else {
+                unreachable!("an all-Int store's key column is typed")
+            };
+            return out.extend(entries.map(|e| a.row(e)[j]));
+        }
+        let mut c = j - self.key_len;
+        for (column, spec) in self.states.iter().zip(&self.specs) {
+            match spec.func.partial_arity() {
+                n if c < n => return column.gather(c, entries, out),
+                n => c -= n,
+            }
+        }
+        unreachable!("partial cell {j} past the row's {}", self.partial_row_arity())
+    }
+
+    /// Empty the store, handing `emit` the store and each range of its
+    /// entries — a segment's worth at a time, in admission order — to write
+    /// out as partial rows where they lie ([`GroupStore::partial_row`], or a
+    /// column at a time with [`GroupStore::gather_partials`]). The first
+    /// error of `emit` is returned; the groups it had not written are
     /// dropped.
     ///
     /// Unlike [`GroupStore::clear`], column segments are freed as the drain
@@ -1127,16 +1233,17 @@ impl GroupStore {
     /// for re-allocating them (DESIGN.md §18.1).
     pub fn drain_partials<E>(
         &mut self,
-        mut emit: impl FnMut(GroupRow<'_>) -> Result<(), E>,
+        mut emit: impl FnMut(&GroupStore, Range<usize>) -> Result<(), E>,
     ) -> Result<(), E> {
         let mut result = Ok(());
-        for e in 0..self.len() {
-            result = emit(self.partial_row(e));
+        for start in (0..self.len()).step_by(SEG_ROWS) {
+            let end = (start + SEG_ROWS).min(self.len());
+            result = emit(self, start..end);
             if result.is_err() {
                 break;
             }
-            if (e + 1) % SEG_ROWS == 0 {
-                self.each_arena(|a| a.free_segment(e >> SEG_SHIFT));
+            if end - start == SEG_ROWS {
+                self.each_arena(|a| a.free_segment(start >> SEG_SHIFT));
             }
         }
         self.free();
@@ -1425,10 +1532,12 @@ mod tests {
         assert_eq!(key_caps(&store), [SEG_ROWS, SEG_ROWS]);
 
         let mut rows = Vec::new();
-        let drained: Result<(), ()> = store.drain_partials(|group| {
-            let mut row = Vec::new();
-            group.cells(&mut row);
-            rows.push(row);
+        let drained: Result<(), ()> = store.drain_partials(|store, entries| {
+            for e in entries {
+                let mut row = Vec::new();
+                store.partial_row(e).cells(&mut row);
+                rows.push(row);
+            }
             Ok(())
         });
         assert_eq!(drained, Ok(()));
@@ -1447,12 +1556,12 @@ mod tests {
         assert_eq!(store.layout().demoted, [1, 0, 0, 0]);
         // A failing `emit` ends the drain at its group; the store is empty
         // all the same.
-        let mut seen = 0;
-        let failed = store.drain_partials(|_| {
-            seen += 1;
-            if seen == 3 { Err("third") } else { Ok(()) }
+        let mut seen = Vec::new();
+        let failed = store.drain_partials(|_, entries| {
+            seen.push(entries);
+            if seen.len() == 2 { Err("second") } else { Ok(()) }
         });
-        assert_eq!((failed, seen), (Err("third"), 3));
+        assert_eq!((failed, seen), (Err("second"), vec![0..SEG_ROWS, SEG_ROWS..SEG_ROWS + 5]));
         assert!(store.is_empty());
         assert_eq!(segments(&store), [0, 0, 0]);
     }

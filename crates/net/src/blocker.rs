@@ -117,7 +117,10 @@ impl Blocker {
                 if let Some(cols) = ints {
                     let room = page.int_room(cols.arity(), rows.len() - k);
                     if room > 0 {
-                        page.extend_ints(cols, &rows[k..k + room]);
+                        page.extend_ints(cols.arity(), k..k + room, |j, at, strip| {
+                            let col = cols.column(j);
+                            strip.extend(rows[at].iter().map(|&r| col[r as usize]));
+                        });
                         k += room;
                         continue;
                     }

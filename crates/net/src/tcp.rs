@@ -199,6 +199,9 @@ pub struct TcpTransport {
     rng: SplitMix64,
     cfg: TcpConfig,
     threads: Vec<JoinHandle<()>>,
+    /// Dropped to stop the heartbeat thread at once (it waits on the
+    /// receiving end between beats, not in a sleep).
+    heartbeat_stop: Option<Sender<()>>,
 }
 
 fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> NetError {
@@ -234,6 +237,7 @@ impl TcpTransport {
             ),
             cfg,
             threads: Vec::new(),
+            heartbeat_stop: None,
         };
         transport
             .threads
@@ -263,9 +267,12 @@ impl TcpTransport {
         for peer in 0..nodes {
             shared.touch(peer);
         }
+        let (stop_tx, stop_rx) = channel();
+        transport.heartbeat_stop = Some(stop_tx);
         transport.threads.push(spawn_heartbeat_thread(
             Arc::clone(&shared),
             events_tx,
+            stop_rx,
             transport.cfg.clone(),
         ));
         Ok(transport)
@@ -465,6 +472,8 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Wakes the heartbeat thread out of its wait between beats.
+        self.heartbeat_stop = None;
         // Graceful goodbye on every outbound link, then close them: our
         // silence from here on is not a failure.
         for peer in 0..self.shared.nodes {
@@ -598,19 +607,22 @@ fn reader_loop(
 }
 
 /// Beacon heartbeats on every outbound link and declare peers that have
-/// gone silent past the timeout.
+/// gone silent past the timeout. Between beats the thread waits on `stop`,
+/// not in a sleep: the transport's drop ends the wait (and the thread) at
+/// once, whatever the interval.
 fn spawn_heartbeat_thread(
     shared: Arc<Shared>,
     events_tx: Sender<Event>,
+    stop: Receiver<()>,
     cfg: TcpConfig,
 ) -> JoinHandle<()> {
     let timeout_ms = cfg.heartbeat_timeout.as_millis() as u64;
     thread::Builder::new()
         .name(format!("tcp-heartbeat-{}", shared.node))
         .spawn(move || loop {
-            thread::sleep(cfg.heartbeat_interval);
-            if shared.is_shutdown() {
-                return;
+            match stop.recv_timeout(cfg.heartbeat_interval) {
+                Err(RecvTimeoutError::Timeout) if !shared.is_shutdown() => {}
+                _ => return,
             }
             let now = shared.now_ms();
             for peer in 0..shared.nodes {
@@ -714,6 +726,22 @@ mod tests {
             }
         }
         let _ = TcpStream::connect(t.listen_addr);
+    }
+
+    /// Dropping a transport does not wait out a heartbeat interval: the
+    /// heartbeat thread is woken, not slept through.
+    #[test]
+    fn drop_does_not_wait_for_the_next_heartbeat() {
+        let cfg = TcpConfig {
+            heartbeat_interval: Duration::from_secs(60),
+            heartbeat_timeout: Duration::from_secs(600),
+            ..TcpConfig::snappy()
+        };
+        let transports = loopback_transports(2, cfg).unwrap();
+        let start = Instant::now();
+        drop(transports);
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "two transports took {took:?} to drop");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::builder::RunBuilder;
 use crate::merge::{merge_runs, MergeEmit};
 use adaptagg_model::{
-    AggQuery, CostTracker, MemoryGrant, ResultRow, RowKind, StoreLayout, Value,
+    AggQuery, CostTracker, LaneRows, MemoryGrant, ResultRow, RowKind, StoreLayout, Value,
 };
 use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch, StorageError};
 
@@ -24,6 +24,9 @@ pub struct SortAggStats {
     pub groups_out: u64,
     /// The layout the data left the run table's group store in.
     pub store: StoreLayout,
+    /// Rows written out of group stores — every run's, the merge's output —
+    /// by lane: a column at a time, or cell by cell.
+    pub partial_rows: LaneRows,
 }
 
 impl SortAggStats {
@@ -126,9 +129,10 @@ impl SortAggregator {
     ) -> Result<(RowPages, SortAggStats), StorageError> {
         let rows_in = self.builder.rows_in();
         let store = self.builder.layout();
-        let (runs, resident) = self.builder.finish(tracker)?;
+        let (runs, resident, mut partial_rows) = self.builder.finish_counted(tracker)?;
         let runs_sealed = runs.len() as u64;
         let out = merge_runs(&self.query, runs, resident, emit, tracker)?;
+        partial_rows.add(out.written);
         let stats = SortAggStats {
             rows_in,
             runs_sealed,
@@ -136,6 +140,7 @@ impl SortAggregator {
             merge_rows_values: out.value_rows,
             groups_out: out.len() as u64,
             store,
+            partial_rows,
         };
         Ok((out.rows, stats))
     }

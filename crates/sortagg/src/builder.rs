@@ -13,10 +13,11 @@
 
 use adaptagg_hashagg::{AggTable, FullPolicy};
 use adaptagg_model::{
-    AggQuery, CostEvent, CostTracker, GroupRow, GroupStore, MemoryGrant, RowKind, SortScratch,
-    StoreLayout, Value,
+    AggQuery, CostEvent, CostTracker, GroupRow, GroupStore, LaneRows, MemoryGrant, RowKind,
+    SortScratch, StoreLayout, Value,
 };
 use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch, SpillFile, StorageError};
+use std::ops::Range;
 
 /// Seals a full run table: the runs written so far, and the scratch a
 /// seal sorts in.
@@ -28,23 +29,81 @@ struct Sealer {
     /// as.
     order: Vec<u32>,
     scratch: SortScratch,
+    /// Run rows written, by lane.
+    written: LaneRows,
+}
+
+/// Where a run's rows go: a sealed run's spill file, or the resident run's
+/// pages. Either takes a row cell by cell where it lies, or all-`Int` rows a
+/// column at a time, onto the same pages.
+trait RunOut<T> {
+    fn row(&mut self, row: &GroupRow<'_>, tracker: &mut T) -> Result<(), StorageError>;
+
+    fn ints<G>(&mut self, arity: usize, n: usize, gather: G, tracker: &mut T) -> Result<(), StorageError>
+    where
+        G: FnMut(usize, Range<usize>, &mut Vec<i64>);
+}
+
+impl<T: CostTracker> RunOut<T> for SpillFile {
+    fn row(&mut self, row: &GroupRow<'_>, tracker: &mut T) -> Result<(), StorageError> {
+        self.spool_row(row, tracker)
+    }
+
+    fn ints<G>(&mut self, arity: usize, n: usize, gather: G, tracker: &mut T) -> Result<(), StorageError>
+    where
+        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
+    {
+        self.spool_ints(arity, n, gather, tracker)
+    }
+}
+
+impl<T> RunOut<T> for RowPages {
+    fn row(&mut self, row: &GroupRow<'_>, _: &mut T) -> Result<(), StorageError> {
+        self.push(row)
+    }
+
+    fn ints<G>(&mut self, arity: usize, n: usize, gather: G, _: &mut T) -> Result<(), StorageError>
+    where
+        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
+    {
+        self.extend_ints(arity, n, gather)
+    }
 }
 
 impl Sealer {
-    /// Hand `put` every group of `store` in key order, as the partial row
-    /// it is where it lies, charging `t_w` for each row it was handed.
+    /// Write every group of `store` to `out` in key order, charging `t_w`
+    /// for each row handed over: a column at a time when every partial cell
+    /// is an `Int` ([`GroupStore::partials_are_ints`]), else each row cell
+    /// by cell where it lies. The pages are the same either way; every row
+    /// of an all-`Int` store is as wide as the next, so a row too wide for
+    /// a page is the first one, on either lane.
     fn write_sorted<T: CostTracker>(
         &mut self,
         store: &GroupStore,
         tracker: &mut T,
-        mut put: impl FnMut(&mut T, &GroupRow<'_>) -> Result<(), StorageError>,
+        out: &mut impl RunOut<T>,
     ) -> Result<(), StorageError> {
         store.sort_entries(&mut self.order, &mut self.scratch);
-        let mut written = 0;
-        let result = self.order.iter().try_for_each(|&e| {
-            written += 1;
-            put(tracker, &store.partial_row(e as usize))
-        });
+        let (order, rows) = (&self.order, self.order.len() as u64);
+        let columns = store.partials_are_ints();
+        let (written, result) = match columns {
+            true => {
+                let gather = |j, at: Range<usize>, strip: &mut Vec<i64>| {
+                    store.gather_partials(j, order[at].iter().map(|&e| e as usize), strip)
+                };
+                let result = out.ints(store.partial_row_arity(), order.len(), gather, tracker);
+                (if result.is_ok() { rows } else { 1 }, result)
+            }
+            false => {
+                let mut written = 0;
+                let result = order.iter().try_for_each(|&e| {
+                    written += 1;
+                    out.row(&store.partial_row(e as usize), tracker)
+                });
+                (written, result)
+            }
+        };
+        self.written.count(columns, written);
         tracker.record(CostEvent::TupleWrite, written);
         result
     }
@@ -64,7 +123,7 @@ impl<T: CostTracker> FullPolicy<T> for Sealer {
         if !table.is_empty() {
             settle(table);
             let mut run = SpillFile::new(self.page_bytes);
-            self.write_sorted(table.store(), tracker, |t, row| run.spool_row(row, t))?;
+            self.write_sorted(table.store(), tracker, &mut run)?;
             run.finish(tracker);
             self.sealed.push(run);
             table.clear();
@@ -98,6 +157,7 @@ impl RunBuilder {
                 sealed: Vec::new(),
                 order: Vec::new(),
                 scratch: SortScratch::default(),
+                written: LaneRows::default(),
             },
             rows_in: 0,
         }
@@ -171,13 +231,21 @@ impl RunBuilder {
     /// trick: the last run merges from memory). Charges `t_w` per
     /// resident row.
     pub fn finish<T: CostTracker>(
-        mut self,
+        self,
         tracker: &mut T,
     ) -> Result<(Vec<SpillFile>, RowPages), StorageError> {
+        self.finish_counted(tracker).map(|(runs, resident, _)| (runs, resident))
+    }
+
+    /// [`RunBuilder::finish`], and the rows every run was written with, by
+    /// lane.
+    pub(crate) fn finish_counted<T: CostTracker>(
+        mut self,
+        tracker: &mut T,
+    ) -> Result<(Vec<SpillFile>, RowPages, LaneRows), StorageError> {
         let mut resident = RowPages::new(self.sealer.page_bytes);
-        self.sealer
-            .write_sorted(self.table.store(), tracker, |_, row| resident.push(row))?;
-        Ok((self.sealer.sealed, resident))
+        self.sealer.write_sorted(self.table.store(), tracker, &mut resident)?;
+        Ok((self.sealer.sealed, resident, self.sealer.written))
     }
 }
 

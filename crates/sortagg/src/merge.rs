@@ -7,14 +7,16 @@
 //! `u128` each when every key is a single `Int`, otherwise by comparing
 //! the key cells where they lie — equal keys fold their partial cells —
 //! `i64`s read straight off `Int` strips — into one reused row of states,
-//! and each closed group is appended to an output page. Nothing is
-//! allocated per run row, per pop or per group.
+//! and each closed group leaves for an output page: an all-`Int` one into
+//! column buffers that reach the pages a strip run at a time, any other
+//! cell by cell. Nothing is allocated per run row, per pop or per group.
 
 use adaptagg_model::tournament::{
     exhausted, int_head, mask, packed_before, run_of, Head, HeadOrder, Tournament, EXHAUSTED,
 };
 use adaptagg_model::{
-    AggQuery, AggState, CellRow, CellSink, CostEvent, CostTracker, IndexRow, ModelError, Value,
+    AggQuery, AggState, CellRow, CellSink, CostEvent, CostTracker, IndexRow, LaneRows, ModelError,
+    Value,
 };
 use adaptagg_storage::{Page, RowPages, SpillFile, StorageError, StripView};
 use std::cmp::Ordering;
@@ -38,6 +40,9 @@ pub struct Merged {
     /// Run rows folded as [`Value`]s: their page holds a cell that is not
     /// an `Int` (a `Str` key, a NULL or `Float` partial state).
     pub value_rows: u64,
+    /// The merged groups, by the lane they were written on: a column at a
+    /// time (every cell an `Int`), or cell by cell.
+    pub written: LaneRows,
 }
 
 impl Merged {
@@ -240,6 +245,91 @@ impl CellRow for Group<'_> {
     }
 }
 
+/// The merge's output: closed groups whose cells are all `Int`s wait in
+/// column buffers and reach the pages a page's worth of rows at a time
+/// ([`RowPages::extend_ints`]); any other group flushes the buffers first,
+/// then takes the cell walk. The pages are those of every group pushed cell
+/// by cell, in order.
+struct Out {
+    rows: RowPages,
+    /// One buffer per output column, `held` rows in each.
+    cols: Vec<Vec<i64>>,
+    held: usize,
+    /// Rows a page holds; 0 when an all-`Int` row is wider than a page,
+    /// and every group takes the cell walk (which reports it).
+    batch: usize,
+}
+
+/// Hands a group's `Int` cells to the column buffers, one per column, and
+/// notes whether every cell was one.
+struct Buffered<'a> {
+    cols: std::slice::IterMut<'a, Vec<i64>>,
+    ints: bool,
+}
+
+impl CellSink for Buffered<'_> {
+    #[inline]
+    fn int(&mut self, x: i64) {
+        if let Some(col) = self.cols.next() {
+            col.push(x);
+        }
+    }
+
+    #[inline]
+    fn value(&mut self, v: &Value) {
+        match *v {
+            Value::Int(x) => self.int(x),
+            _ => {
+                self.ints = false;
+                self.cols.next();
+            }
+        }
+    }
+}
+
+impl Out {
+    fn new(rows: RowPages, arity: usize) -> Self {
+        let batch = rows.int_rows_per_page(arity);
+        Out {
+            cols: (0..arity).map(|_| Vec::with_capacity(batch)).collect(),
+            held: 0,
+            batch,
+            rows,
+        }
+    }
+
+    /// Write a closed group; `true` if it went to the column buffers.
+    #[inline]
+    fn close(&mut self, group: &Group<'_>) -> Result<bool, StorageError> {
+        if self.batch > 0 {
+            let mut cells = Buffered {
+                cols: self.cols.iter_mut(),
+                ints: true,
+            };
+            group.cells(&mut cells);
+            if cells.ints {
+                self.held += 1;
+                if self.held == self.batch {
+                    self.flush();
+                }
+                return Ok(true);
+            }
+            // The group's `Int` cells past the held rows are dropped here.
+            self.flush();
+        }
+        self.rows.push(group).map(|()| false)
+    }
+
+    /// Append the buffered rows to the pages. Cannot fail: a page holds at
+    /// least one of them (`batch > 0`).
+    fn flush(&mut self) {
+        let (cols, held) = (&self.cols, std::mem::take(&mut self.held));
+        let written = self.rows.extend_ints(cols.len(), held, |j, at, strip| strip.extend_from_slice(&cols[j][at]));
+        debug_assert!(written.is_ok(), "an all-Int row no wider than a page");
+        self.cols.iter_mut().for_each(Vec::clear);
+    }
+}
+
 /// Merge sorted runs (plus the resident in-memory run, which merges last
 /// on a tie) into key-ordered output rows, combining equal keys' partial
 /// states.
@@ -281,26 +371,34 @@ pub fn merge_runs<T: CostTracker>(
             .flatten()
             .all(|page| matches!(page.column(0), Some(StripView::Ints(_))));
     let runs = || run_pages.iter().map(|pages| Run::new(pages)).collect();
-    let mut rows = RowPages::new(page_bytes);
+    let widths = query.aggs.iter().map(|s| match emit {
+        MergeEmit::Finalized => 1,
+        MergeEmit::Partial => s.func.partial_arity(),
+    });
+    let mut out = Out::new(RowPages::new(page_bytes), k + widths.sum::<usize>());
     let mut tally = Tally::default();
     let merged = match int_keys {
-        true => merge(query, Heads::<true> { runs: runs(), k }, emit, &mut rows, &mut tally),
-        false => merge(query, Heads::<false> { runs: runs(), k }, emit, &mut rows, &mut tally),
+        true => merge(query, Heads::<true> { runs: runs(), k }, emit, &mut out, &mut tally),
+        false => merge(query, Heads::<false> { runs: runs(), k }, emit, &mut out, &mut tally),
     };
     // Paid on the way out, error or not: the caller reads the clock next.
     tracker.record(CostEvent::TupleRead, tally.pops);
     tracker.record(CostEvent::TupleAgg, tally.combines);
     tracker.record(CostEvent::TupleWrite, tally.emitted);
-    merged.map(|()| Merged {
-        rows,
-        strip_rows: tally.strip_rows,
-        value_rows: tally.value_rows,
+    merged.map(|()| {
+        out.flush();
+        Merged {
+            rows: out.rows,
+            strip_rows: tally.strip_rows,
+            value_rows: tally.value_rows,
+            written: tally.written,
+        }
     })
 }
 
 /// What a merge did: pops (`t_r` each: the merge comparison work),
-/// combines (`t_a`), emitted groups (`t_w`), and the run rows folded off
-/// all-`Int` pages and as values.
+/// combines (`t_a`), emitted groups (`t_w`), the run rows folded off
+/// all-`Int` pages and as values, and the groups written by lane.
 #[derive(Default)]
 struct Tally {
     pops: u64,
@@ -308,6 +406,7 @@ struct Tally {
     emitted: u64,
     strip_rows: u64,
     value_rows: u64,
+    written: LaneRows,
 }
 
 /// The merge loop: pop the winning head, fold it into the open group (or
@@ -316,7 +415,7 @@ fn merge<const INT_KEYS: bool>(
     query: &AggQuery,
     mut heads: Heads<INT_KEYS>,
     emit: MergeEmit,
-    rows: &mut RowPages,
+    out: &mut Out,
     tally: &mut Tally,
 ) -> Result<(), StorageError> {
     let (k, arity) = (heads.k, query.partial_row_arity());
@@ -336,11 +435,12 @@ fn merge<const INT_KEYS: bool>(
     let mut scratch: Vec<Value> = Vec::new();
     let mut close = |key: &[Value], states: &mut [AggState], tally: &mut Tally| {
         tally.emitted += 1;
-        let pushed = rows.push(&Group { key, states, emit });
+        let written = out.close(&Group { key, states, emit });
         for (state, spec) in states.iter_mut().zip(&query.aggs) {
             *state = AggState::new(spec.func);
         }
-        pushed
+        tally.written.count(written?, 1);
+        Ok::<_, StorageError>(())
     };
 
     loop {

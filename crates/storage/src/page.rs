@@ -256,7 +256,7 @@ impl CellSink for RowSize {
 /// Wire bytes of an all-`Int` row of `arity` cells: the `arity:u16`
 /// header, then a tag and eight bytes per cell, whatever the values.
 #[inline]
-const fn int_row_bytes(arity: usize) -> usize {
+pub(crate) const fn int_row_bytes(arity: usize) -> usize {
     std::mem::size_of::<u16>() + arity * (1 + std::mem::size_of::<i64>())
 }
 
@@ -266,6 +266,57 @@ pub(crate) fn wire_bytes<R: CellRow + ?Sized>(row: &R) -> usize {
     let mut size = RowSize::default();
     row.cells(&mut size);
     std::mem::size_of::<u16>() + size.wire
+}
+
+/// `Ok` unless `rows` all-`Int` rows of `arity` cells hold one wider than
+/// a page of `page_bytes`: the `TupleTooLarge` the first of them would meet
+/// on the row walk.
+pub(crate) fn int_rows_fit(arity: usize, rows: usize, page_bytes: usize) -> Result<(), StorageError> {
+    match int_row_bytes(arity) {
+        n if rows > 0 && n > page_bytes => Err(StorageError::TupleTooLarge {
+            tuple_bytes: n,
+            page_bytes,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// How many pages of `page_bytes` the rows fill, appended in order by the
+/// page's greedy byte rule ([`Page::try_push_row`]: a row opens a page when
+/// the open one lacks the bytes for it); `TupleTooLarge` for a row wider
+/// than any page. What writing them would charge, without writing them.
+pub fn pages_for<'a, R: CellRow + 'a>(
+    page_bytes: usize,
+    rows: impl IntoIterator<Item = &'a R>,
+) -> Result<usize, StorageError> {
+    // Start "full", so the first row opens the first page.
+    let (mut pages, mut used) = (0, page_bytes);
+    for row in rows {
+        let n = wire_bytes(row);
+        if n > page_bytes {
+            return Err(StorageError::TupleTooLarge {
+                tuple_bytes: n,
+                page_bytes,
+            });
+        }
+        if used + n > page_bytes {
+            pages += 1;
+            used = 0;
+        }
+        used += n;
+    }
+    Ok(pages)
+}
+
+/// An all-`Int` row gathered into a buffer: what the cell walk takes from a
+/// bulk append that meets a page off the lane ([`Page::fill_ints`]).
+struct IntRow<'a>(&'a [i64]);
+
+impl CellRow for IntRow<'_> {
+    #[inline]
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        self.0.iter().for_each(|&x| sink.int(x));
+    }
 }
 
 /// Lands the cells of row `row` on their strips, column by column: the
@@ -672,8 +723,8 @@ impl IndexRow for StripRow<'_, '_> {
 
 /// A batch's projected columns when every one is an `Int` strip
 /// ([`ScanBatch::int_strips`]), found once per batch: each a plain `i64`
-/// slice over the batch's rows, what a page on the typed lane takes as
-/// strip runs ([`Page::extend_ints`]).
+/// slice over the batch's rows, what a page on the typed lane gathers strip
+/// runs from ([`Page::extend_ints`]).
 #[derive(Debug, Clone, Copy)]
 pub struct IntStrips<'a> {
     pub(crate) strips: &'a [ColumnStrip],
@@ -693,7 +744,7 @@ impl<'a> IntStrips<'a> {
 
     /// Projected column `j`, indexed by the batch's row ids.
     #[inline]
-    pub(crate) fn column(&self, j: usize) -> &'a [i64] {
+    pub fn column(&self, j: usize) -> &'a [i64] {
         let c = if self.columns.is_empty() { self.skip + j } else { self.columns[j] };
         &self.strips[c].ints[self.rows.0..self.rows.1]
     }
@@ -834,14 +885,19 @@ impl Page {
         }
     }
 
-    /// Append rows `rows` of a batch whose columns are all `Int` strips on
-    /// the typed lane, a strip run per column. The page ends up equal to
-    /// one that was pushed the rows one by one ([`Page::try_push_row`]);
-    /// the caller makes room first ([`Page::int_room`]).
-    pub fn extend_ints(&mut self, cols: IntStrips<'_>, rows: &[u32]) {
-        let arity = cols.arity;
-        debug_assert_eq!(self.int_room(arity, rows.len()), rows.len(), "no room for the rows");
-        if rows.is_empty() {
+    /// The page's one bulk append: rows `rows` of a run of all-`Int` rows
+    /// of `arity` cells, on the typed lane, a strip run per column —
+    /// `gather(j, rows, strip)` appends cell `j` of each of `rows`, in order,
+    /// to `strip`. The page ends up equal to one that was pushed the rows one
+    /// by one ([`Page::try_push_row`]); the caller makes room first
+    /// ([`Page::int_room`]).
+    pub fn extend_ints<G>(&mut self, arity: usize, rows: Range<usize>, mut gather: G)
+    where
+        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
+    {
+        let count = rows.len();
+        debug_assert_eq!(self.int_room(arity, count), count, "no room for the rows");
+        if count == 0 {
             return;
         }
         let n = int_row_bytes(arity);
@@ -855,18 +911,51 @@ impl Page {
         while strips.cols.len() < arity {
             strips.cols.push(ColumnStrip::new());
         }
+        let held = strips.arities.len();
         for (j, strip) in strips.cols[..arity].iter_mut().enumerate() {
-            debug_assert!(strip.is_int && strip.ints.len() == strips.arities.len());
+            debug_assert!(strip.is_int && strip.ints.len() == held);
             if let Some(k) = like_first {
                 strip.ints.reserve(k);
             }
-            let col = cols.column(j);
-            strip.ints.extend(rows.iter().map(|&r| col[r as usize]));
+            gather(j, rows.clone(), &mut strip.ints);
+            debug_assert_eq!(strip.ints.len(), held + count, "gathered column {j}");
         }
         let tag = u16::try_from(arity).expect("tuple arity exceeds u16");
-        strips.arities.extend(std::iter::repeat_n(tag, rows.len()));
+        strips.arities.extend(std::iter::repeat_n(tag, count));
         strips.int_arity = Some(arity);
-        self.extent.add_rows(rows.len(), n, tag);
+        self.extent.add_rows(count, n, tag);
+    }
+
+    /// Append as many of `rows` — all-`Int` rows of `arity` cells, gathered
+    /// as [`Page::extend_ints`] gathers them — as the page takes, where
+    /// [`Page::try_push_row`] row by row would put them: strip runs while the
+    /// page is on the typed lane at that arity (or empty), the cell walk
+    /// while it is off the lane and still has byte room, since the walk
+    /// would keep filling it. Returns how many it took: fewer than offered
+    /// means the page is full for such rows (none, on a fresh page, means a
+    /// row wider than any page: [`int_rows_fit`]).
+    pub(crate) fn fill_ints<G>(&mut self, arity: usize, rows: Range<usize>, gather: &mut G) -> usize
+    where
+        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
+    {
+        let room = self.int_room(arity, rows.len());
+        if room > 0 {
+            self.extend_ints(arity, rows.start..rows.start + room, gather);
+            return room;
+        }
+        let mut row = Vec::new();
+        let mut taken = 0;
+        for r in rows {
+            if !self.fits(int_row_bytes(arity)) {
+                break;
+            }
+            row.clear();
+            (0..arity).for_each(|j| gather(j, r..r + 1, &mut row));
+            let pushed = self.try_push_row(&IntRow(&row));
+            debug_assert!(matches!(pushed, Ok(true)), "a row that fits is pushed");
+            taken += 1;
+        }
+        taken
     }
 
     /// [`PageView::min_arity`].

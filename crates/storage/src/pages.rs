@@ -1,8 +1,10 @@
 //! Rows on in-memory pages: the shape rows have between operators
 //! wherever they are not on disk or on the wire.
 
+use crate::page::{int_row_bytes, int_rows_fit};
 use crate::{Page, PageRow, StorageError};
 use adaptagg_model::{CellRow, Value};
+use std::ops::Range;
 
 /// Rows appended to unsealed, uncharged pages of one capacity: what a
 /// group table drains its partial rows onto, the resident run a run
@@ -30,6 +32,11 @@ impl RowPages {
     /// Byte capacity of each page.
     pub fn page_bytes(&self) -> usize {
         self.page_bytes
+    }
+
+    /// How many all-`Int` rows of `arity` cells one page holds.
+    pub fn int_rows_per_page(&self, arity: usize) -> usize {
+        self.page_bytes / int_row_bytes(arity)
     }
 
     /// Rows held.
@@ -67,6 +74,29 @@ impl RowPages {
             self.pages.push(page);
         }
         self.rows += 1;
+        Ok(())
+    }
+
+    /// Append `n` all-`Int` rows of `arity` cells, column `j` of rows `at`
+    /// gathered by `gather(j, at, strip)` ([`Page::extend_ints`]): the
+    /// pages, and the rows on each, are those of [`RowPages::push`] row by
+    /// row, written a strip run at a time wherever a page is on the typed
+    /// lane (`Page::fill_ints`).
+    pub fn extend_ints<G>(&mut self, arity: usize, n: usize, mut gather: G) -> Result<(), StorageError>
+    where
+        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
+    {
+        int_rows_fit(arity, n, self.page_bytes)?;
+        let mut at = 0;
+        while at < n {
+            if let Some(open) = self.pages.last_mut() {
+                at += open.fill_ints(arity, at..n, &mut gather);
+            }
+            if at < n {
+                self.pages.push(Page::new(self.page_bytes));
+            }
+        }
+        self.rows += n;
         Ok(())
     }
 

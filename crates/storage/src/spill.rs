@@ -11,8 +11,9 @@
 //! its calls.
 
 use crate::error::StorageError;
-use crate::page::Page;
+use crate::page::{int_rows_fit, Page};
 use adaptagg_model::{CellRow, CostEvent, CostTracker, Value};
+use std::ops::Range;
 
 /// One spill bucket.
 #[derive(Debug)]
@@ -75,6 +76,34 @@ impl SpillFile {
             }
         }
         self.tuple_count += 1;
+        Ok(())
+    }
+
+    /// Spool `n` all-`Int` rows of `arity` cells, column `j` of rows `at`
+    /// gathered by `gather(j, at, strip)` ([`crate::Page::extend_ints`]):
+    /// the pages, the rows on each and the page writes charged are those of
+    /// [`SpillFile::spool_row`] row by row, written a strip run at a time
+    /// wherever the open page is on the typed lane (`Page::fill_ints`).
+    pub fn spool_ints<G, T>(
+        &mut self,
+        arity: usize,
+        n: usize,
+        mut gather: G,
+        tracker: &mut T,
+    ) -> Result<(), StorageError>
+    where
+        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
+        T: CostTracker,
+    {
+        int_rows_fit(arity, n, self.page_bytes)?;
+        let mut at = self.open.fill_ints(arity, 0..n, &mut gather);
+        while at < n {
+            tracker.record(CostEvent::PageWriteSeq, 1);
+            let full = std::mem::replace(&mut self.open, Page::new(self.page_bytes));
+            self.sealed.push(full);
+            at += self.open.fill_ints(arity, at..n, &mut gather);
+        }
+        self.tuple_count += n;
         Ok(())
     }
 

@@ -17,7 +17,10 @@
 //! the first poll after it has arrived), so those cases pin only what the
 //! local decider did before its merge phase — its sends, their stamps, its
 //! sender-side traffic and its events — plus every node's result rows and
-//! the kind of every node's events; the rest reads as zero.
+//! the kind of every node's events; the rest reads as zero. Their wire holds
+//! each other node's first data send until node 0's `EndOfPhase` to it is
+//! sent, so every such node falls back by contagion however the threads are
+//! scheduled (a node that finished its scan first would not).
 //!
 //! The constants were captured by `print_algo_pins` on the commit before
 //! the scan became batch-only (bef6c28), and are never edited: a change to
@@ -41,24 +44,50 @@ use adaptagg::model::encode::encode_tuple;
 use adaptagg::model::query::sort_rows;
 use adaptagg::model::{AggQuery, Compare, CostParams, Predicate, Value};
 use adaptagg::net::{
-    ChannelTransport, Endpoint, FaultPlan, Message, NetError, NetStats, Network, Payload,
+    ChannelTransport, Control, Endpoint, FaultPlan, Message, NetError, NetStats, Network, Payload,
     SendFailure, Transport,
 };
 use adaptagg::storage::{HeapFile, SimDisk};
 use adaptagg::workload::{default_query, generate_partitions, RelationSpec};
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Every message a node put on the wire: destination, send timestamp in
 /// ticks, data tuples (0 for a control).
 type Sent = Arc<Mutex<Vec<(usize, u64, usize)>>>;
 
-/// The in-process wire, recording each send.
+/// Per node: whether node 0's `EndOfPhase` to it is on the wire yet.
+type Gate = Arc<(Mutex<Vec<bool>>, Condvar)>;
+
+/// The in-process wire, recording each send. In a contagion case it also
+/// holds each other node's first data send until node 0's `EndOfPhase` to
+/// that node is on the wire, so the node's next poll always meets the
+/// fallback — however far the thread schedule let its scan run ahead of
+/// node 0's.
 #[derive(Debug)]
 struct Tap {
     wire: ChannelTransport,
     sent: Sent,
+    gate: Option<Gate>,
+}
+
+impl Tap {
+    /// Open node `to`'s gate, once node 0's `EndOfPhase` to it is sent.
+    fn open(gate: &Gate, to: usize) {
+        let (open, changed) = &**gate;
+        open.lock().unwrap()[to] = true;
+        changed.notify_all();
+    }
+
+    /// Wait until node `node`'s gate is open (a bounded wait: a node 0 that
+    /// never falls back fails the pins, it does not hang the test).
+    fn wait(gate: &Gate, node: usize) {
+        let (open, changed) = &**gate;
+        let guard = open.lock().unwrap();
+        let timeout = Duration::from_secs(30);
+        drop(changed.wait_timeout_while(guard, timeout, |open| !open[node]).unwrap());
+    }
 }
 
 impl Transport for Tap {
@@ -71,12 +100,22 @@ impl Transport for Tap {
     }
 
     fn send(&mut self, to: usize, msg: Message) -> Result<(), SendFailure> {
+        let node = self.wire.node();
         let tuples = match &msg.payload {
             Payload::Data { page, .. } => page.tuple_count(),
             Payload::Control(_) => 0,
         };
+        let fallback = matches!(msg.payload, Payload::Control(Control::EndOfPhase { .. }));
+        if let Some(gate) = self.gate.as_ref().filter(|_| node > 0 && tuples > 0) {
+            Tap::wait(gate, node);
+            self.gate = None;
+        }
         self.sent.lock().unwrap().push((to, msg.sent_at(), tuples));
-        self.wire.send(to, msg)
+        let sent = self.wire.send(to, msg);
+        if let Some(gate) = self.gate.as_ref().filter(|_| node == 0 && fallback) {
+            Tap::open(gate, to);
+        }
+        sent
     }
 
     fn try_recv(&mut self) -> Result<Option<Message>, NetError> {
@@ -301,10 +340,14 @@ fn run(case: &Case) -> Vec<NodePin> {
     let cfg = algo_config(case);
     let network = Network::new(params.network);
     let taps: Vec<Sent> = (0..case.nodes).map(|_| Sent::default()).collect();
+    let gate = (case.data == Data::Contagion).then(|| Gate::new((Mutex::new(vec![false; case.nodes]), Condvar::new())));
     let endpoints: Vec<Endpoint> = ChannelTransport::mesh(case.nodes)
         .into_iter()
         .zip(&taps)
-        .map(|(wire, sent)| Endpoint::over(Box::new(Tap { wire, sent: sent.clone() }), network.clone(), &FaultPlan::none()))
+        .map(|(wire, sent)| {
+            let tap = Tap { wire, sent: sent.clone(), gate: gate.clone() };
+            Endpoint::over(Box::new(tap), network.clone(), &FaultPlan::none())
+        })
         .collect();
     let finished: Vec<(Result<NodeOutcome, ExecError>, u64, NetStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = endpoints

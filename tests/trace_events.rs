@@ -643,6 +643,69 @@ fn sortagg_lanes_are_reported() {
     assert!(text.contains("sortagg.rows_in") && text.contains("sortagg.merge_rows{lane=strips}"));
 }
 
+/// Which lane each partial row left a group store on is in the trace:
+/// `store.partial_rows{lane=columns}` counts the rows written a column at
+/// a time (every cell an `Int`), `{lane=cells}` those written cell by cell
+/// — Sort-2P's runs and merged groups, 2P's drained tables. All-`Int` data
+/// leaves entirely on the column lane; a NULL partial sum or a `Str` key
+/// sends rows to the cell walk, where a refused column lane shows. An
+/// untraced run records nothing and lands on the same virtual time.
+#[test]
+fn partial_row_lanes_are_reported() {
+    use adaptagg::storage::HeapFile;
+
+    let file_of = |row: &dyn Fn(i64) -> Vec<Value>| {
+        let mut file = HeapFile::new(512);
+        for i in 0..2_000 {
+            file.append(&row(i)).unwrap();
+        }
+        file
+    };
+    let int = Value::Int;
+    // (label, algorithm, file, whether every row takes the column lane)
+    let cases = [
+        ("sort, ints", AlgorithmKind::SortTwoPhase, file_of(&|i| vec![int(i % 90), int(i)]), true),
+        (
+            "sort, null inputs",
+            AlgorithmKind::SortTwoPhase,
+            file_of(&|i| vec![int(i % 90), if i % 4 == 0 { Value::Null } else { int(i) }]),
+            false,
+        ),
+        ("2P, ints", AlgorithmKind::TwoPhase, file_of(&|i| vec![int(i % 90), int(i)]), true),
+        (
+            "2P, string keys",
+            AlgorithmKind::TwoPhase,
+            file_of(&|i| vec![Value::Str(format!("g{}", i % 90).into()), int(i)]),
+            false,
+        ),
+    ];
+    for (label, kind, file, columns) in cases {
+        let parts = vec![file];
+        // 90 groups against 25 entries: runs seal, tables spill.
+        let params = CostParams {
+            max_hash_entries: 25,
+            ..CostParams::paper_default()
+        };
+        let mut plain = ClusterConfig::new(1, params);
+        plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+        let traced = plain.clone().with_tracing();
+        let a = run_algorithm(kind, &plain, &parts, &default_query()).unwrap();
+        let b = run_algorithm(kind, &traced, &parts, &default_query()).unwrap();
+        assert!(a.trace.is_none(), "{label}: untraced run carried a trace");
+        assert_eq!(a.rows, b.rows, "{label}: rows changed under tracing");
+        assert_eq!(a.elapsed(), b.elapsed(), "{label}: clock moved");
+        let metrics = &b.trace.as_ref().unwrap().node(0).unwrap().metrics;
+        let on = |lane| metrics.counter(&format!("store.partial_rows{{lane={lane}}}"));
+        let written = on("columns") + on("cells");
+        match kind {
+            // Every run row, then the 90 merged groups.
+            AlgorithmKind::SortTwoPhase => assert_eq!(written, metrics.counter("sortagg.run_rows") + 90, "{label}"),
+            _ => assert!(written >= 90, "{label}: {written} rows drained"),
+        }
+        assert_eq!(on("cells") == 0, columns, "{label}: {} cell-walk rows", on("cells"));
+    }
+}
+
 /// Repartitioning's first phase is in the trace: scanning and routing the
 /// base relation sits under a `scan` span, flushing the exchange under a
 /// `partition` span, and with the `merge` span (which ends after the
