@@ -91,9 +91,12 @@ pub fn local_partial_aggregation(
 /// Feed one aggregation's [`HashAggStats`] into the node's trace metrics
 /// (no-op when tracing is disabled). Counters sum across the phases a
 /// node runs; the peak-resident and bytes-per-group gauges keep the
-/// maximum. `hashagg.overflow_pages{lane=batched}` counts the overflow
-/// bucket pages re-aggregated off their strips, `{lane=rows,cause=…}` the
-/// ones fed row by row, by [`DrainCause`].
+/// maximum. `hashagg.spooled_rows{lane=columns|cells}` splits
+/// `hashagg.spilled_tuples` by how the rows were spooled: off an all-`Int`
+/// batch a column at a time, or cell by cell.
+/// `hashagg.overflow_pages{lane=batched}` counts the overflow bucket pages
+/// re-aggregated off their strips, `{lane=rows,cause=…}` the ones fed row
+/// by row, by [`DrainCause`].
 pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
     if ctx.trace.enabled() {
         trace_store(ctx, &stats.store);
@@ -102,6 +105,8 @@ pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
         ctx.trace.counter_add("hashagg.probe_slots", stats.probe_slots);
         ctx.trace
             .counter_add("hashagg.spilled_tuples", stats.spilled_tuples);
+        ctx.trace.counter_add("hashagg.spooled_rows{lane=columns}", stats.spooled_rows.columns);
+        ctx.trace.counter_add("hashagg.spooled_rows{lane=cells}", stats.spooled_rows.cells);
         ctx.trace
             .counter_add("hashagg.overflow_flushes", stats.overflow_buckets);
         ctx.trace

@@ -38,13 +38,17 @@ pub struct HashAggregator {
     charge_hash: bool,
     grant: MemoryGrant,
     stats: HashAggStats,
+    /// The row ids a batch bounced, reused batch to batch.
+    bounced: Vec<u32>,
 }
 
 /// What a table of the aggregator does with a row it cannot hold: spool
 /// it into the overflow set of `level`, created on the first bounce, and
-/// carry on. A row bounced off a batch is spooled where it lies.
+/// carry on. A batch's bounced rows are listed as the table bounces them
+/// and spooled together once it is fed ([`Spool::feed_batch`]).
 struct Spool<'a> {
     set: &'a mut Option<OverflowSet>,
+    bounced: &'a mut Vec<u32>,
     level: u32,
     fanout: usize,
     page_bytes: usize,
@@ -56,21 +60,39 @@ impl Spool<'_> {
         self.set
             .get_or_insert_with(|| OverflowSet::new(self.fanout, self.page_bytes, self.level, self.key_len))
     }
+
+    /// [`AggTable::feed_batch`] under this policy, then the rows it bounced
+    /// spooled off the batch in one go ([`OverflowSet::spool_batch`]). The
+    /// feed records its charges as sums with no clock read, so spooling
+    /// after it charges what spooling each row as it bounced did. A spool
+    /// error comes first: its rows precede any row the feed stopped on.
+    fn feed_batch<T: CostTracker>(
+        &mut self,
+        table: &mut AggTable,
+        kind: RowKind,
+        batch: &ScanBatch<'_>,
+        tracker: &mut T,
+    ) -> Result<BatchOutcome, StorageError> {
+        self.bounced.clear();
+        let fed = table.feed_batch(kind, batch, tracker, self);
+        if !self.bounced.is_empty() {
+            let rows = std::mem::take(self.bounced);
+            let spooled = self.set().spool_batch(kind, batch, &rows, tracker);
+            *self.bounced = rows;
+            spooled?;
+        }
+        fed
+    }
 }
 
 impl<T: CostTracker> FullPolicy<T> for Spool<'_> {
-    /// Out of line: a bounced row is the batch kernel's cold path, and left
-    /// to the inliner it went into the kernel or stayed out depending on
-    /// what else the exec crate's codegen units held (DESIGN.md §30.5).
+    /// Lists the row for [`Spool::feed_batch`] to spool. Out of line: a
+    /// bounced row is the batch kernel's cold path, and left to the inliner
+    /// it went into the kernel or stayed out depending on what else the
+    /// exec crate's codegen units held (DESIGN.md §30.5).
     #[inline(never)]
-    fn bounce(
-        &mut self,
-        tracker: &mut T,
-        kind: RowKind,
-        batch: &ScanBatch<'_>,
-        r: usize,
-    ) -> Result<bool, StorageError> {
-        self.set().spool(kind, &batch.row(r), tracker)?;
+    fn bounce(&mut self, _: &mut T, _: RowKind, _: &ScanBatch<'_>, r: usize) -> Result<bool, StorageError> {
+        self.bounced.push(r as u32);
         Ok(true)
     }
 }
@@ -90,6 +112,7 @@ impl HashAggregator {
             charge_hash: true,
             grant: MemoryGrant::unlimited(),
             stats: HashAggStats::default(),
+            bounced: Vec::new(),
         }
     }
 
@@ -140,6 +163,7 @@ impl HashAggregator {
     fn first_pass(&mut self) -> (&mut AggTable, Spool<'_>) {
         let spool = Spool {
             set: &mut self.overflow,
+            bounced: &mut self.bounced,
             level: 0,
             fanout: self.fanout,
             page_bytes: self.page_bytes,
@@ -185,7 +209,7 @@ impl HashAggregator {
         }
         let (table, mut spool) = self.first_pass();
         let spilled = match ScanBatch::whole(page) {
-            Some(batch) => table.feed_batch(kind, &batch, tracker, &mut spool)?.rejected,
+            Some(batch) => spool.feed_batch(table, kind, &batch, tracker)?.rejected,
             None => feed_rows(page, Some(kind), table, &mut spool, tracker)?,
         };
         self.stats.spilled_tuples += spilled;
@@ -194,8 +218,8 @@ impl HashAggregator {
 
     /// Push a batch of rows through [`AggTable::feed_batch`]: the local
     /// phase's input, one scanned base page at a time. Rows the table
-    /// cannot hold are spooled where they lie; the batch is always
-    /// consumed whole.
+    /// cannot hold are spooled off the batch once it is fed; the batch is
+    /// always consumed whole.
     pub fn push_batch<T: CostTracker>(
         &mut self,
         kind: RowKind,
@@ -203,7 +227,7 @@ impl HashAggregator {
         tracker: &mut T,
     ) -> Result<BatchOutcome, StorageError> {
         let (table, mut spool) = self.first_pass();
-        let out = table.feed_batch(kind, batch, tracker, &mut spool)?;
+        let out = spool.feed_batch(table, kind, batch, tracker)?;
         match kind {
             RowKind::Raw => self.stats.raw_in += out.passed,
             RowKind::Partial => self.stats.partial_in += out.passed,
@@ -280,6 +304,7 @@ impl HashAggregator {
         // Stack of (bucket, level) still to process.
         let mut pending: Vec<(SpillFile, u32)> = Vec::new();
         if let Some(set) = self.overflow.take() {
+            self.stats.spooled_rows.add(set.spooled_rows());
             let level = set.level();
             pending.extend(set.into_buckets(tracker).into_iter().map(|b| (b, level)));
         }
@@ -305,6 +330,7 @@ impl HashAggregator {
             let mut deeper: Option<OverflowSet> = None;
             let mut spool = Spool {
                 set: &mut deeper,
+                bounced: &mut self.bounced,
                 level: level + 1,
                 fanout: self.fanout,
                 page_bytes: self.page_bytes,
@@ -315,6 +341,7 @@ impl HashAggregator {
             drain(&mut table, tracker)?;
             self.stats.partial_rows.add(table.drained_rows());
             if let Some(set) = deeper {
+                self.stats.spooled_rows.add(set.spooled_rows());
                 let l = set.level();
                 pending.extend(set.into_buckets(tracker).into_iter().map(|b| (b, l)));
             }
@@ -342,7 +369,7 @@ fn refeed<T: CostTracker>(
         match drained_batch(&page) {
             Ok((kind, batch)) => {
                 stats.overflow_pages_batched += 1;
-                stats.spilled_tuples += table.feed_batch(kind, &batch, tracker, spool)?.rejected;
+                stats.spilled_tuples += spool.feed_batch(table, kind, &batch, tracker)?.rejected;
             }
             Err(cause) => {
                 stats.overflow_pages_rows[cause as usize] += 1;
@@ -456,6 +483,37 @@ mod tests {
         adaptagg_model::query::sort_rows(&mut rb);
         assert_eq!(ra, rb);
         assert_eq!(ta, tb, "finish cost events diverge between paths");
+    }
+
+    /// A bounced row no spill page can hold ends the push in the typed
+    /// `TupleTooLarge` of the row path, whether it is spooled off a batch
+    /// once the batch is fed — a column at a time, or row by row off a
+    /// batch with a `Str` key — or on its own.
+    #[test]
+    fn a_row_too_wide_for_a_spill_page_is_the_row_paths_typed_error() {
+        // Seven cells and the tag: 74 bytes on the wire (80 with the
+        // `Str` key) against 64-byte spill pages.
+        for str_key in [false, true] {
+            let rows: Vec<Vec<Value>> = (0..6i64)
+                .map(|g| {
+                    let key = if str_key { Value::from(format!("g{g}")) } else { Value::Int(g) };
+                    [key, Value::Int(g)].into_iter().chain((0..5).map(Value::Int)).collect()
+                })
+                .collect();
+            let mut page = Page::new(1 << 12);
+            rows.iter().for_each(|r| assert!(page.try_push(r).unwrap()));
+            let fresh = || HashAggregator::new(query(), 1, 64, 4);
+            let mut by_row = fresh();
+            let want = rows.iter().find_map(|r| by_row.push(RowKind::Raw, r, &mut NullTracker).err());
+            let want = want.expect("the second group bounces");
+            assert!(matches!(want, StorageError::TupleTooLarge { page_bytes: 64, .. }), "{want:?}");
+            let got = fresh().push_page(RowKind::Raw, &page, &mut NullTracker);
+            assert_eq!(got, Err(want.clone()), "push_page, str key {str_key}");
+            let sel = [0u32, 2, 3, 5];
+            let batch = ScanBatch::scanned(&page, &[], Some(&sel), rows.len()).unwrap();
+            let got = fresh().push_batch(RowKind::Raw, &batch, &mut NullTracker);
+            assert_eq!(got.map(|_| ()), Err(want), "push_batch, str key {str_key}");
+        }
     }
 
     #[test]

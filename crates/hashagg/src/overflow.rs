@@ -10,15 +10,18 @@
 //!
 //! Each spooled tuple is tagged with its [`RowKind`] (raw or partial) by
 //! prepending a tag column, because an A2P merge-phase table can overflow
-//! while receiving both kinds. A row the table bounced off a batch is
-//! spooled where it lies: its key cells hashed ([`hash_cells`]) and
-//! `[tag] ++ row` appended straight off the strips. A drained bucket page
+//! while receiving both kinds. The rows a table bounced off a batch are
+//! spooled once the batch is fed, together ([`OverflowSet::spool_batch`]):
+//! off an all-`Int` batch, hashed in one pass and appended bucket by
+//! bucket a column at a time; off any other, row by row where each lies,
+//! its key cells hashed ([`hash_cells`]) and `[tag] ++ row` appended
+//! straight off the strips. A drained bucket page
 //! goes back into a table as a batch ([`drained_batch`]) when its rows
 //! share a kind and an arity, and row by row otherwise, each row read past
 //! its tag where it lies ([`untag`]).
 
 use adaptagg_model::hash::{hash_cells, Seed};
-use adaptagg_model::{CellRow, CellSink, CostEvent, CostTracker, IndexRow, ModelError, RowKind};
+use adaptagg_model::{CellRow, CellSink, CostEvent, CostTracker, IndexRow, LaneRows, ModelError, RowKind};
 use adaptagg_storage::{Page, PageRow, ScanBatch, SpillFile, StorageError, StripView};
 
 const TAG_RAW: i64 = 0;
@@ -110,6 +113,12 @@ pub struct OverflowSet {
     buckets: Vec<SpillFile>,
     level: u32,
     group_by_len: usize,
+    /// Rows spooled so far, by the lane they were written on.
+    spooled: LaneRows,
+    /// [`OverflowSet::spool_batch`]'s bucket hashes and per-bucket row
+    /// lists, reused batch to batch.
+    hashes: Vec<u64>,
+    lists: Vec<Vec<u32>>,
 }
 
 impl OverflowSet {
@@ -122,12 +131,20 @@ impl OverflowSet {
             buckets: (0..fanout).map(|_| SpillFile::new(page_bytes)).collect(),
             level,
             group_by_len,
+            spooled: LaneRows::default(),
+            hashes: Vec::new(),
+            lists: vec![Vec::new(); fanout],
         }
     }
 
     /// This set's recursion level.
     pub fn level(&self) -> u32 {
         self.level
+    }
+
+    /// Rows spooled so far: a column at a time, or cell by cell.
+    pub fn spooled_rows(&self) -> LaneRows {
+        self.spooled
     }
 
     /// Spool one row of either kind into the bucket its leading
@@ -147,7 +164,50 @@ impl OverflowSet {
         let hash = hash_cells(Seed::OverflowBucket(self.level), row, self.group_by_len);
         let b = (hash % self.buckets.len() as u64) as usize;
         tracker.record(CostEvent::TupleWrite, 1);
+        self.spooled.cells += 1;
         self.buckets[b].spool_row(&Tagged { tag: kind_tag(kind), row }, tracker)
+    }
+
+    /// Spool rows `rows` of `batch` (ascending row ids), all of `kind`:
+    /// the buckets, pages and charges of [`OverflowSet::spool`] of each in
+    /// turn. An all-`Int` batch is hashed in one pass
+    /// ([`ScanBatch::hash_keys`], the bucket hash of every row), its rows
+    /// listed under their buckets in row order, and each bucket's list
+    /// appended a column at a time ([`SpillFile::spool_ints`]: the tag,
+    /// then the batch's strips). Any other batch is spooled row by row.
+    /// Out of line: it runs once a batch, and inlined it grew the scan
+    /// sink around `AggTable::feed_batch` ~20-fold (DESIGN.md §31.3).
+    #[inline(never)]
+    pub fn spool_batch<T: CostTracker>(
+        &mut self,
+        kind: RowKind,
+        batch: &ScanBatch<'_>,
+        rows: &[u32],
+        tracker: &mut T,
+    ) -> Result<(), StorageError> {
+        let Some(cols) = batch.int_strips() else {
+            return rows.iter().try_for_each(|&r| self.spool(kind, &batch.row(r as usize), tracker));
+        };
+        batch.hash_keys(Seed::OverflowBucket(self.level), self.group_by_len, &mut self.hashes);
+        let n = self.buckets.len() as u64;
+        self.lists.iter_mut().for_each(Vec::clear);
+        for &r in rows {
+            self.lists[(self.hashes[r as usize] % n) as usize].push(r);
+        }
+        tracker.record(CostEvent::TupleWrite, rows.len() as u64);
+        self.spooled.columns += rows.len() as u64;
+        let tag = kind_tag(kind);
+        for (bucket, rows) in self.buckets.iter_mut().zip(&self.lists) {
+            let gather = |j: usize, at: std::ops::Range<usize>, strip: &mut Vec<i64>| match j {
+                0 => strip.extend(std::iter::repeat_n(tag, at.len())),
+                _ => {
+                    let col = cols.column(j - 1);
+                    strip.extend(rows[at].iter().map(|&r| col[r as usize]));
+                }
+            };
+            bucket.spool_ints(1 + cols.arity(), rows.len(), gather, tracker)?;
+        }
+        Ok(())
     }
 
     /// Finish writing and return the non-empty buckets for processing.
@@ -264,50 +324,6 @@ mod tests {
             tr.count(CostEvent::PageReadSeq)
         );
         assert!(tr.count(CostEvent::PageWriteSeq) > 0);
-    }
-
-    /// A row spooled off a batch's strips lands in the bucket, on the
-    /// pages and at the charges of the same row spooled materialized —
-    /// `Int` and `Str` keys, a projection that reorders and a selection.
-    #[test]
-    fn spooling_off_the_strips_equals_spooling_the_row() {
-        let base: Vec<Vec<Value>> = (0..300i64)
-            .map(|i| {
-                let key = match i % 5 {
-                    0 => Value::Str(format!("k{}", i % 40).into()),
-                    _ => Value::Int(i % 40),
-                };
-                vec![Value::Int(i), key, Value::Null]
-            })
-            .collect();
-        let mut pages = vec![Page::new(1024)];
-        for r in &base {
-            if !pages.last_mut().unwrap().try_push(r).unwrap() {
-                pages.push(Page::new(1024));
-                assert!(pages.last_mut().unwrap().try_push(r).unwrap());
-            }
-        }
-        for level in [0, 2] {
-            let (mut by_strips, mut by_rows) = (OverflowSet::new(4, 256, level, 1), OverflowSet::new(4, 256, level, 1));
-            let (mut ta, mut tb) = (CountingTracker::new(), CountingTracker::new());
-            let mut values = Vec::new();
-            for page in &pages {
-                let n = page.tuple_count();
-                let sel: Vec<u32> = (0..n as u32).filter(|r| r % 3 != 0).collect();
-                let batch = ScanBatch::scanned(page, &[1, 0], Some(&sel), n).unwrap();
-                for &r in &sel {
-                    let kind = if r % 2 == 0 { RowKind::Raw } else { RowKind::Partial };
-                    by_strips.spool(kind, &batch.row(r as usize), &mut ta).unwrap();
-                    batch.read_row(r as usize, &mut values);
-                    by_rows.spool(kind, &values[..], &mut tb).unwrap();
-                }
-            }
-            assert_eq!(ta, tb);
-            let a = drained(by_strips.into_buckets(&mut ta), &mut ta);
-            let b = drained(by_rows.into_buckets(&mut tb), &mut tb);
-            assert_eq!(a, b, "level {level}");
-            assert_eq!(ta, tb);
-        }
     }
 
     #[test]

@@ -14,7 +14,9 @@ pub struct HashAggStats {
     pub partial_in: u64,
     /// Rows emitted (groups out).
     pub groups_out: u64,
-    /// Tuples that did not fit the first-pass table and were spooled.
+    /// Rows spooled into overflow buckets at any level: those the
+    /// first-pass table did not hold, and those an overflow bucket's table
+    /// did not hold when re-fed, spooled again one level deeper.
     pub spilled_tuples: u64,
     /// Overflow buckets processed (all recursion levels).
     pub overflow_buckets: u64,
@@ -39,6 +41,9 @@ pub struct HashAggStats {
     /// Partial rows the tables drained, by the lane they left on: a column
     /// at a time, or cell by cell.
     pub partial_rows: LaneRows,
+    /// The `spilled_tuples`, by the lane they were spooled on: off an
+    /// all-`Int` batch a column at a time, or cell by cell.
+    pub spooled_rows: LaneRows,
 }
 
 impl HashAggStats {
@@ -86,6 +91,7 @@ impl HashAggStats {
         }
         self.add_layout(&other.store);
         self.partial_rows.add(other.partial_rows);
+        self.spooled_rows.add(other.spooled_rows);
     }
 }
 

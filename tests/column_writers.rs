@@ -6,7 +6,9 @@
 //! column at a time when every cell is an `Int`, and cell by cell
 //! otherwise. Either way the pages must be those of the rows pushed one by
 //! one through the cell walk: the same bytes, the same page boundaries,
-//! the same page writes charged and the same `t_w` per row.
+//! the same page writes charged and the same `t_w` per row. A fifth puts
+//! the rows a hash table bounced off a batch into overflow buckets
+//! (`OverflowSet::spool_batch`), against spooling each row on its own.
 //!
 //! The inputs cover both lanes and the edges between them: NULL sums,
 //! sums past `i64` (a `Float` partial), MIN/MAX no input reached, AVG with
@@ -15,10 +17,10 @@
 //! small for one row, and output pages whose last page is already off the
 //! typed lane.
 
-use adaptagg::hashagg::{AggTable, FullPolicy, HashAggregator};
+use adaptagg::hashagg::{AggTable, FullPolicy, HashAggregator, OverflowSet};
 use adaptagg::model::{
     AggFunc, AggQuery, AggSpec, CellRow, CostEvent, CostTracker, CountingTracker, GroupRow,
-    GroupStore, LaneRows, MemoryGrant, NullTracker, RowKind, SortScratch, Value,
+    GroupStore, IndexRow, LaneRows, MemoryGrant, NullTracker, RowKind, SortScratch, Value,
 };
 use adaptagg::sortagg::merge::MergeEmit;
 use adaptagg::sortagg::{merge_runs, RowPages, RunBuilder};
@@ -383,6 +385,86 @@ proptest! {
         prop_assert_eq!(lanes.columns + lanes.cells, pages.len() as u64, "every row on a lane");
         let walked = cell_walk(&[], &pages.to_rows(), 256).unwrap();
         same_pages(pages.pages(), walked.pages(), "drains")?;
+    }
+}
+
+/// An overflow set's buckets, each read back as its pages, uncharged.
+fn buckets_of(set: OverflowSet, tracker: &mut CountingTracker) -> Vec<Vec<Page>> {
+    set.into_buckets(tracker).into_iter().map(pages_of).collect()
+}
+
+proptest! {
+    /// Bounced rows spooled a batch at a time against the same rows spooled
+    /// one by one, materialized: the same buckets, page for page (cells,
+    /// arities, wire bytes), the same `t_w` and page writes. Raw and
+    /// partial batches of different projected arities — a reordering
+    /// projection and a narrower one — alternate under a selection, so a
+    /// bucket's open page often holds rows of the other arity when the next
+    /// batch's run arrives. An all-`Int` batch takes the column lane; a
+    /// batch with a `Str` key takes the per-row lane.
+    #[test]
+    fn prop_the_overflow_spool_writes_the_row_spools_pages(
+        deep in any::<bool>(),
+        fanout in 2usize..17,
+        page in 0u8..5,
+        str_every in 0i64..4,
+        batches in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec((0i64..500, any::<u8>()), 1..120)),
+            1..8,
+        ),
+    ) {
+        let (level, page_bytes) = (if deep { 2 } else { 0 }, page_bytes_of(page));
+        let mut by_batch = OverflowSet::new(fanout, page_bytes, level, 1);
+        let mut by_row = OverflowSet::new(fanout, page_bytes, level, 1);
+        let (mut got, mut want) = (CountingTracker::new(), CountingTracker::new());
+        let mut values = Vec::new();
+        let (mut rows_spooled, mut on_columns) = (0, 0);
+        for (bi, (partial, cells)) in batches.iter().enumerate() {
+            // Base rows (i, key, x, y); a `Str` key in every `str_every`-th
+            // batch (none when 0).
+            let str_key = str_every > 0 && bi as i64 % str_every == 0;
+            let mut base = Page::new(1 << 16);
+            for (i, &(g, t)) in cells.iter().enumerate() {
+                let key = if str_key && t % 2 == 0 { Value::from(format!("k{g}")) } else { Value::Int(g) };
+                let row = [Value::Int(i as i64), key, Value::Int(g * 3), Value::Int(t as i64)];
+                prop_assert!(base.try_push(&row).unwrap());
+            }
+            let (kind, columns): (RowKind, &[usize]) = match partial {
+                false => (RowKind::Raw, &[1, 0, 2]),
+                true => (RowKind::Partial, &[1, 3]),
+            };
+            let n = base.tuple_count();
+            let sel: Vec<u32> = (0..n as u32).filter(|&r| cells[r as usize].1 % 5 != 0).collect();
+            let batch = ScanBatch::scanned(&base, columns, Some(&sel), n).unwrap();
+            let bounced: Vec<u32> = sel.iter().copied().filter(|&r| cells[r as usize].1 % 3 != 0).collect();
+            let a = by_batch.spool_batch(kind, &batch, &bounced, &mut got);
+            let b = bounced.iter().try_for_each(|&r| {
+                batch.read_row(r as usize, &mut values);
+                by_row.spool(kind, &values[..], &mut want)
+            });
+            prop_assert_eq!(&a, &b, "batch {}", bi);
+            if a.is_err() {
+                return Ok(());
+            }
+            rows_spooled += bounced.len() as u64;
+            if !str_key || cells.iter().all(|&(_, t)| t % 2 != 0) {
+                on_columns += bounced.len() as u64;
+            }
+        }
+        same_counts(&got, &want, "spooled")?;
+        let lanes = by_batch.spooled_rows();
+        prop_assert_eq!(lanes, LaneRows { columns: on_columns, cells: rows_spooled - on_columns }, "lanes");
+        prop_assert_eq!(by_row.spooled_rows(), LaneRows { columns: 0, cells: rows_spooled }, "the row spool's lane");
+        let (a, b) = (buckets_of(by_batch, &mut got), buckets_of(by_row, &mut want));
+        same_counts(&got, &want, "buckets finished")?;
+        prop_assert_eq!(a.len(), b.len(), "non-empty buckets");
+        for (i, (a, b)) in a.iter().zip(&b).enumerate() {
+            same_pages(a, b, &format!("bucket {i}"))?;
+            let arities = |pages: &[Page]| -> Vec<usize> {
+                pages.iter().flat_map(|p| p.rows().map(|row| row.arity()).collect::<Vec<_>>()).collect()
+            };
+            prop_assert_eq!(arities(a), arities(b), "bucket {} arities", i);
+        }
     }
 }
 

@@ -32,7 +32,7 @@ use adaptagg::exec::{
 use adaptagg::hashagg::{HashAggStats, HashAggregator, Inserted};
 use adaptagg::model::{
     matches_all, AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker,
-    CountingTracker, ModelError, NetworkKind, NullTracker, Predicate, ResultRow, RowKind, StripView,
+    CountingTracker, LaneRows, ModelError, NetworkKind, NullTracker, Predicate, ResultRow, RowKind, StripView,
     Value,
 };
 use adaptagg::net::{Control, Fabric, Payload};
@@ -712,10 +712,18 @@ fn received_pages_match_their_rows_pushed_one_by_one() {
         let dense = pages.iter().all(|p| ScanBatch::whole(p).is_some());
         assert_eq!(dense, !label.starts_with("ragged"), "{label}");
         let agg = || HashAggregator::new(query.clone(), budget, 256, 4).with_charge_hash(charge_hash);
-        let (paged, rowed) = (
+        let (paged, mut rowed) = (
             receive(agg(), kind, &pages, true),
             receive(agg(), kind, &pages, false),
         );
+        // The one figure the two feeds must not share: the lane each
+        // spilled row was spooled on — a dense page's bounced rows a column
+        // at a time, a pushed row (or a ragged page's) cell by cell.
+        let spilled = paged.drained.spilled_tuples;
+        let (columns, cells) = if dense { (spilled, 0) } else { (0, spilled) };
+        assert_eq!(paged.drained.spooled_rows, LaneRows { columns, cells }, "{label}: paged lanes");
+        assert_eq!(rowed.drained.spooled_rows, LaneRows { columns: 0, cells: spilled }, "{label}: pushed lanes");
+        rowed.drained.spooled_rows = paged.drained.spooled_rows;
         assert_eq!(paged, rowed, "{label}");
         assert_eq!(paged.rows.len(), 61, "{label}");
         assert_eq!(paged.fed.rows_in(), rows.len() as u64, "{label}");

@@ -398,8 +398,10 @@ fn scan_fallbacks_are_counted_by_cause() {
 /// bucket pages are
 /// re-aggregated as batches off their strips, and the rest are counted by
 /// cause — the pages where one sender's flushed partials meet its raws
-/// are ragged under the default query. An untraced run lands on the same
-/// rows and clock.
+/// are ragged under the default query. Every spilled row, raw or partial,
+/// was spooled off an all-`Int` batch a column at a time
+/// (`hashagg.spooled_rows{lane=columns}`). An untraced run lands on the
+/// same rows and clock.
 #[test]
 fn overflow_bucket_pages_ride_the_strips() {
     let parts = generate_partitions(&RelationSpec::uniform(250_000, 62_500), 2);
@@ -421,6 +423,52 @@ fn overflow_bucket_pages_ride_the_strips() {
     assert!(sum("hashagg.spilled_tuples") > 100_000 && pages > 1_000, "{pages} bucket pages");
     assert!(batched * 10 >= pages * 9, "{batched} of {pages} bucket pages batched ({by_cause:?})");
     assert_eq!(by_cause[0], 0, "no mixed-kind page here");
+    let spilled = sum("hashagg.spilled_tuples");
+    assert_eq!(sum("hashagg.spooled_rows{lane=columns}"), spilled, "spooled a column at a time");
+    assert_eq!(sum("hashagg.spooled_rows{lane=cells}"), 0, "nothing spooled cell by cell");
+}
+
+/// Which lane each spilled row was spooled into its overflow bucket on is
+/// in the trace, and the lanes sum to `hashagg.spilled_tuples`: an
+/// all-`Int` batch's bounced rows a column at a time
+/// (`hashagg.spooled_rows{lane=columns}`), a batch with a `Str` key's cell
+/// by cell (`{lane=cells}`). An untraced run lands on the same rows and
+/// clock.
+#[test]
+fn spooled_row_lanes_are_reported() {
+    use adaptagg::storage::HeapFile;
+
+    let file_of = |key: fn(i64) -> Value| {
+        let mut file = HeapFile::new(512);
+        for i in 0..3_000 {
+            file.append(&[key(i % 300), Value::Int(i)]).unwrap();
+        }
+        file
+    };
+    let int_key: fn(i64) -> Value = Value::Int;
+    let str_key: fn(i64) -> Value = |g| Value::Str(format!("g{g}").into());
+    // 300 groups against 25 entries: both phases spill.
+    let params = CostParams {
+        max_hash_entries: 25,
+        ..CostParams::paper_default()
+    };
+    let mut plain = ClusterConfig::new(1, params);
+    plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+    let traced = plain.clone().with_tracing();
+    for (label, key, columns) in [("int keys", int_key, true), ("string keys", str_key, false)] {
+        let parts = vec![file_of(key)];
+        let a = run_algorithm(AlgorithmKind::TwoPhase, &plain, &parts, &default_query()).unwrap();
+        let b = run_algorithm(AlgorithmKind::TwoPhase, &traced, &parts, &default_query()).unwrap();
+        assert_eq!(a.rows, b.rows, "{label}: rows changed under tracing");
+        assert_eq!(a.elapsed(), b.elapsed(), "{label}: clock moved");
+        let metrics = &b.trace.as_ref().unwrap().node(0).unwrap().metrics;
+        let on = |lane| metrics.counter(&format!("hashagg.spooled_rows{{lane={lane}}}"));
+        let spilled = metrics.counter("hashagg.spilled_tuples");
+        assert!(spilled > 1_000, "{label}: {spilled} rows spilled");
+        assert_eq!(on("columns") + on("cells"), spilled, "{label}: every spilled row on a lane");
+        let want = if columns { ("columns", "cells") } else { ("cells", "columns") };
+        assert_eq!((on(want.0), on(want.1)), (spilled, 0), "{label}");
+    }
 }
 
 /// A bucket page whose input strip holds NULLs or `Float`s goes back into
