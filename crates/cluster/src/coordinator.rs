@@ -4,8 +4,9 @@
 //! runtime.
 
 use crate::proto::JobMsg;
-use crate::spec::{reassign_partitions, ClusterSpec};
+use crate::spec::ClusterSpec;
 use crate::{ClusterError, Progress};
+use adaptagg_exec::recovery::reassign_partitions;
 use adaptagg_exec::{Clock, ExecError};
 use adaptagg_hashagg::HashAggregator;
 use adaptagg_model::{CostParams, ResultRow};

@@ -63,29 +63,10 @@ impl ClusterSpec {
     }
 }
 
-/// Reassign every partition `victim` owned to the live workers,
-/// fewest-loaded-first (ties to the lowest node id) — the same policy
-/// as the in-process recovery loop. Returns how many partitions moved.
-pub fn reassign_partitions(owners: &mut [u32], victim: u32, live: &[u32]) -> usize {
-    let mut moved = 0;
-    for p in 0..owners.len() {
-        if owners[p] != victim {
-            continue;
-        }
-        let heir = live
-            .iter()
-            .copied()
-            .min_by_key(|&w| (owners.iter().filter(|&&o| o == w).count(), w))
-            .expect("reassignment requires a live worker");
-        owners[p] = heir;
-        moved += 1;
-    }
-    moved
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptagg_exec::recovery::reassign_partitions;
 
     fn spec() -> ClusterSpec {
         ClusterSpec {

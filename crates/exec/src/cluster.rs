@@ -538,21 +538,8 @@ where
                 if survivors.is_empty() {
                     break;
                 }
-                // Reassign the victim's partitions, fewest-loaded
-                // survivor first (ties to the lowest id) — deterministic.
-                for p in 0..owner.len() {
-                    if owner[p] != victim {
-                        continue;
-                    }
-                    let heir = *survivors
-                        .iter()
-                        .min_by_key(|&&s| {
-                            (owner.iter().filter(|&&o| o == s).count(), s)
-                        })
-                        .expect("survivors non-empty");
-                    owner[p] = heir;
-                    stats.reassigned_partitions += 1;
-                }
+                stats.reassigned_partitions +=
+                    recovery::reassign_partitions(&mut owner, victim, &survivors) as u64;
                 let mut charged_backoff = 0;
                 if attempt + 1 < max_attempts {
                     charged_backoff = ms_to_ticks(backoff);

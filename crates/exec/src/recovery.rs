@@ -284,6 +284,27 @@ pub fn victim_of(e: &ExecError) -> Option<usize> {
     }
 }
 
+/// Reassign every partition `victim` owns (`owners[p]` is partition `p`'s
+/// node) to `heirs`, fewest-loaded first, ties to the lowest id: the one
+/// policy of the in-process recovery driver and the cluster coordinator.
+/// Returns how many partitions moved.
+pub fn reassign_partitions<T: Copy + Ord>(owners: &mut [T], victim: T, heirs: &[T]) -> usize {
+    let mut moved = 0;
+    for p in 0..owners.len() {
+        if owners[p] != victim {
+            continue;
+        }
+        let heir = heirs
+            .iter()
+            .copied()
+            .min_by_key(|&w| (owners.iter().filter(|&&o| o == w).count(), w))
+            .expect("reassignment requires a live heir");
+        owners[p] = heir;
+        moved += 1;
+    }
+    moved
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -65,34 +65,10 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode one tuple from the front of `buf`. Returns the values and the
-/// number of bytes consumed.
-pub fn decode_tuple(buf: &[u8]) -> Result<(Vec<Value>, usize), ModelError> {
-    let mut values = Vec::new();
-    let used = decode_tuple_into(buf, &mut values)?;
-    Ok((values, used))
-}
-
 /// Decode one tuple from the front of `buf` into a caller-owned scratch
 /// vector (cleared first), reusing its allocation across tuples. Returns
 /// the number of bytes consumed.
 pub fn decode_tuple_into(buf: &[u8], out: &mut Vec<Value>) -> Result<usize, ModelError> {
-    decode_tuple_select_into(buf, None, out)
-}
-
-/// [`decode_tuple_into`], but materializing only the columns flagged in
-/// `select` (`None` materializes everything; columns past the mask's end
-/// are unflagged, so a short mask works without knowing the tuple arity).
-/// Unselected columns are bounds-checked and skipped positionally — no
-/// payload is copied or validated — and decode to [`Value::Null`]
-/// placeholders so column indices and the arity stay stable. The scan
-/// uses this to avoid materializing wide padding columns that neither
-/// the filter nor the projection reads.
-pub fn decode_tuple_select_into(
-    buf: &[u8],
-    select: Option<&[bool]>,
-    out: &mut Vec<Value>,
-) -> Result<usize, ModelError> {
     out.clear();
     let mut pos = 0usize;
 
@@ -109,38 +85,24 @@ pub fn decode_tuple_select_into(
     let arity_bytes = take(&mut pos, 2)?;
     let arity = u16::from_le_bytes([arity_bytes[0], arity_bytes[1]]) as usize;
     out.reserve(arity);
-    for col in 0..arity {
-        let wanted = select.is_none_or(|s| s.get(col).copied().unwrap_or(false));
+    for _ in 0..arity {
         let tag = take(&mut pos, 1)?[0];
         let v = match tag {
             TAG_NULL => Value::Null,
             TAG_INT => {
                 let b: [u8; 8] = take(&mut pos, 8)?.try_into().unwrap();
-                if wanted {
-                    Value::Int(i64::from_le_bytes(b))
-                } else {
-                    Value::Null
-                }
+                Value::Int(i64::from_le_bytes(b))
             }
             TAG_FLOAT => {
                 let b: [u8; 8] = take(&mut pos, 8)?.try_into().unwrap();
-                if wanted {
-                    Value::Float(f64::from_bits(u64::from_le_bytes(b)))
-                } else {
-                    Value::Null
-                }
+                Value::Float(f64::from_bits(u64::from_le_bytes(b)))
             }
             TAG_STR => {
                 let lb: [u8; 4] = take(&mut pos, 4)?.try_into().unwrap();
                 let len = u32::from_le_bytes(lb) as usize;
-                let bytes = take(&mut pos, len)?;
-                if wanted {
-                    let s = std::str::from_utf8(bytes)
-                        .map_err(|_| ModelError::Corrupt("non-UTF8 string payload"))?;
-                    Value::Str(s.into())
-                } else {
-                    Value::Null
-                }
+                let s = std::str::from_utf8(take(&mut pos, len)?)
+                    .map_err(|_| ModelError::Corrupt("non-UTF8 string payload"))?;
+                Value::Str(s.into())
             }
             _ => return Err(ModelError::Corrupt("unknown value tag")),
         };
@@ -152,6 +114,13 @@ pub fn decode_tuple_select_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One tuple from the front of `buf`, and the bytes it took.
+    pub(super) fn decode_tuple(buf: &[u8]) -> Result<(Vec<Value>, usize), ModelError> {
+        let mut values = Vec::new();
+        let used = decode_tuple_into(buf, &mut values)?;
+        Ok((values, used))
+    }
 
     fn round_trip(values: Vec<Value>) {
         let mut buf = Vec::new();
@@ -191,27 +160,6 @@ mod tests {
         let used2 = decode_tuple_into(&buf[used..], &mut scratch).unwrap();
         assert_eq!(scratch, b, "scratch is cleared between tuples");
         assert_eq!(used + used2, buf.len());
-    }
-
-    #[test]
-    fn select_skips_unwanted_columns_as_null() {
-        let row = vec![Value::Int(1), Value::Str("wide-pad".into()), Value::Int(2)];
-        let mut buf = Vec::new();
-        let n = encode_tuple(&row, &mut buf);
-        let mut out = Vec::new();
-        let used =
-            decode_tuple_select_into(&buf, Some(&[true, false, true]), &mut out).unwrap();
-        assert_eq!(used, n, "skipping still consumes the full tuple");
-        assert_eq!(out, vec![Value::Int(1), Value::Null, Value::Int(2)]);
-
-        // Columns past the mask's end are skipped (short masks work
-        // without knowing the arity), but the arity is preserved.
-        decode_tuple_select_into(&buf, Some(&[true]), &mut out).unwrap();
-        assert_eq!(out, vec![Value::Int(1), Value::Null, Value::Null]);
-
-        // Truncation is still detected when the cut lands in a skipped column.
-        let cut = &buf[..n - 10];
-        assert!(decode_tuple_select_into(cut, Some(&[true, false, false]), &mut out).is_err());
     }
 
     #[test]
@@ -276,6 +224,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::decode_tuple;
     use super::*;
     use proptest::prelude::*;
 

@@ -39,11 +39,6 @@ impl MemoryGrant {
         }
     }
 
-    /// Whether this grant imposes no cap of its own.
-    pub fn is_unlimited(&self) -> bool {
-        self.shared.is_none()
-    }
-
     /// The current cap (`usize::MAX` when unlimited).
     pub fn current(&self) -> usize {
         match &self.shared {
@@ -78,7 +73,6 @@ mod tests {
     #[test]
     fn unlimited_is_transparent() {
         let g = MemoryGrant::unlimited();
-        assert!(g.is_unlimited());
         assert_eq!(g.current(), usize::MAX);
         assert_eq!(g.cap(123), 123);
         g.set(5); // no-op, not a panic
@@ -99,6 +93,6 @@ mod tests {
 
     #[test]
     fn default_is_unlimited() {
-        assert!(MemoryGrant::default().is_unlimited());
+        assert_eq!(MemoryGrant::default().current(), usize::MAX);
     }
 }

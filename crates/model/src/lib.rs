@@ -2,9 +2,10 @@
 //!
 //! The relational substrate shared by every other `adaptagg` crate:
 //!
-//! * [`Value`], [`Tuple`], [`Schema`] — a small dynamically-typed row model,
-//!   sized in bytes so the cost model can account for pages and messages.
-//! * [`GroupKey`] — the GROUP BY key of a tuple, hashable and orderable.
+//! * [`Value`], [`Schema`] — a small dynamically-typed row model, sized in
+//!   bytes so the cost model can account for pages and messages.
+//! * [`GroupKey`] — the GROUP BY key of a tuple, hashable and orderable —
+//!   and [`AggCells`], a result row's aggregates: both [`InlineCells`].
 //! * [`AggFunc`] / [`AggSpec`] / [`AggQuery`] — the aggregate queries the
 //!   paper studies (`SELECT g, agg(v) FROM r GROUP BY g`).
 //! * [`AggStates`] — *mergeable* partial aggregation state. This is the
@@ -28,6 +29,7 @@
 //! algorithms, and the analytical cost model — is expressed in these terms.
 
 pub mod agg;
+pub mod cells;
 pub mod encode;
 pub mod error;
 pub mod event;
@@ -40,14 +42,11 @@ pub mod query;
 pub mod schema;
 pub mod store;
 pub mod tournament;
-pub mod tuple;
 pub mod value;
 
 pub use agg::{AggFunc, AggSpec, AggState, AggStates, RowKind};
-pub use encode::{
-    decode_tuple, decode_tuple_into, decode_tuple_select_into, encode_tuple, encode_value,
-    encoded_len,
-};
+pub use cells::{InlineCells, InlineLen};
+pub use encode::{decode_tuple_into, encode_tuple, encode_value, encoded_len};
 pub use error::ModelError;
 pub use event::{record_each, CostEvent, CostTracker, CountingTracker, NullTracker};
 pub use grant::MemoryGrant;
@@ -58,5 +57,4 @@ pub use predicate::{matches_all, Compare, Predicate};
 pub use query::{AggCells, AggQuery, ResultRow};
 pub use schema::{DataType, Field, Schema};
 pub use store::{DemoteCause, GroupRow, GroupStore, IndexRow, KeyCell, LaneRows, SortScratch, StoreLayout};
-pub use tuple::Tuple;
 pub use value::{CellRow, CellSink, StripView, Value};

@@ -211,12 +211,6 @@ impl CostParams {
     pub fn pages_for(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.page_bytes.max(1))
     }
-
-    /// Message pages needed for `bytes` of data on the wire.
-    #[inline]
-    pub fn message_pages_for(&self, bytes: usize) -> usize {
-        bytes.div_ceil(self.message_bytes.max(1))
-    }
 }
 
 impl Default for CostParams {
@@ -282,7 +276,6 @@ mod tests {
         assert_eq!(p.pages_for(1), 1);
         assert_eq!(p.pages_for(4096), 1);
         assert_eq!(p.pages_for(4097), 2);
-        assert_eq!(p.message_pages_for(2049), 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Aggregate query descriptions and result rows.
 
 use crate::agg::AggSpec;
+use crate::cells::InlineCells;
 use crate::error::ModelError;
 use crate::key::GroupKey;
 use crate::tournament::{
@@ -9,7 +10,6 @@ use crate::tournament::{
 use crate::value::{CellRow, CellSink, Value};
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// An aggregate query: `SELECT <group_by>, <aggs> FROM r GROUP BY <group_by>`.
 ///
@@ -92,18 +92,12 @@ impl AggQuery {
         }
     }
 
-    /// Extract the group key from a raw value slice (a one-column key
-    /// without a temporary `Vec`).
+    /// Extract the group key from a raw value slice.
     pub fn key_of_values(&self, values: &[Value]) -> Result<GroupKey, ModelError> {
-        let cell = |c: usize| {
-            values.get(c).cloned().ok_or(ModelError::ColumnOutOfRange {
-                column: c,
-                arity: values.len(),
-            })
-        };
-        match self.group_by[..] {
-            [c] => cell(c).map(GroupKey::one),
-            ref cols => cols.iter().map(|&c| cell(c)).collect::<Result<_, _>>().map(GroupKey::new),
+        let arity = values.len();
+        match self.group_by.iter().find(|&&c| c >= arity) {
+            Some(&column) => Err(ModelError::ColumnOutOfRange { column, arity }),
+            None => Ok(self.group_by.iter().map(|&c| values[c].clone()).collect()),
         }
     }
 
@@ -191,32 +185,22 @@ impl ResultRow {
     /// Flatten into wire/tuple form: key columns then aggregate columns.
     pub fn into_values(self) -> Vec<Value> {
         let mut out = self.key.into_values();
-        match self.aggs.0 {
-            AggRepr::Inline { len, cells } => out.extend(cells.into_iter().take(len.into())),
-            AggRepr::Boxed(cells) => out.extend(cells.into_vec()),
-        }
+        out.extend(self.aggs.into_vec());
         out
     }
 
     /// Parse from wire form given the query (inverse of `into_values`).
     pub fn from_values(query: &AggQuery, values: Vec<Value>) -> Result<Self, ModelError> {
-        let k = query.group_by.len();
         if values.len() != query.result_row_arity() {
             return Err(ModelError::PartialArityMismatch {
                 expected: query.result_row_arity(),
                 found: values.len(),
             });
         }
-        let mut values = values;
-        let (key, aggs) = match k {
-            // The key leaves the front; the rest are the aggregates.
-            1 => (GroupKey::one(values.remove(0)), values),
-            _ => {
-                let aggs = values.split_off(k);
-                (GroupKey::new(values), aggs)
-            }
-        };
-        Ok(ResultRow::new(key, aggs))
+        // The key leaves the front; the rest are the aggregates.
+        let mut values = values.into_iter();
+        let key = values.by_ref().take(query.group_by.len()).collect();
+        Ok(ResultRow { key, aggs: values.collect() })
     }
 }
 
@@ -233,124 +217,18 @@ impl CellRow for ResultRow {
 impl fmt::Display for ResultRow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} →", self.key)?;
-        for v in &self.aggs {
+        for v in self.aggs.iter() {
             write!(f, " {v}")?;
         }
         Ok(())
     }
 }
 
-/// Aggregates a [`ResultRow`] holds inside itself; more are boxed. Two
-/// cover the paper's default query (SUM and COUNT); each slot more would
-/// add 24 bytes to every row.
-const INLINE_AGGS: usize = 2;
-
-/// The finalized aggregate values of a [`ResultRow`], in query spec order.
-///
-/// Up to two cells live inline, more in a box, as a [`GroupKey`] keeps
-/// one column inline and boxes wider keys. It derefs to `[Value]`, the
-/// only reader: equality, order, hashing and `Debug` are the slice's, and
-/// so exactly those of the `Vec<Value>` it replaced — which arm a row uses
-/// is never observable, and no digest, checksum or order moves.
-#[derive(Clone)]
-pub struct AggCells(AggRepr);
-
-/// The storage of [`AggCells`]; the number of aggregates picks the arm.
-/// 56 bytes: `Boxed` lives in a niche of the first cell's tag.
-#[derive(Clone)]
-enum AggRepr {
-    /// The first `len` cells; the others are NULL.
-    Inline { len: u8, cells: [Value; INLINE_AGGS] },
-    Boxed(Box<[Value]>),
-}
-
-impl From<Vec<Value>> for AggCells {
-    fn from(values: Vec<Value>) -> Self {
-        match values.len() {
-            n if n > INLINE_AGGS => AggCells(AggRepr::Boxed(values.into_boxed_slice())),
-            _ => values.into_iter().collect(),
-        }
-    }
-}
-
-/// Fills the cells in place when the iterator promises at most two.
-impl FromIterator<Value> for AggCells {
-    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        if !matches!(iter.size_hint(), (_, Some(n)) if n <= INLINE_AGGS) {
-            return Vec::from_iter(iter).into();
-        }
-        let (mut len, mut cells) = (0, [Value::Null, Value::Null]);
-        for (cell, value) in cells.iter_mut().zip(iter) {
-            *cell = value;
-            len += 1;
-        }
-        AggCells(AggRepr::Inline { len, cells })
-    }
-}
-
-impl std::ops::Deref for AggCells {
-    type Target = [Value];
-
-    #[inline]
-    fn deref(&self) -> &[Value] {
-        match &self.0 {
-            AggRepr::Inline { len, cells } => &cells[..usize::from(*len)],
-            AggRepr::Boxed(cells) => cells,
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a AggCells {
-    type Item = &'a Value;
-    type IntoIter = std::slice::Iter<'a, Value>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl PartialEq for AggCells {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for AggCells {}
-
-/// Against the `Vec<Value>` the cells replaced, as callers compared it.
-impl PartialEq<Vec<Value>> for AggCells {
-    fn eq(&self, other: &Vec<Value>) -> bool {
-        **self == **other
-    }
-}
-
-impl PartialOrd for AggCells {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for AggCells {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        (**self).cmp(&**other)
-    }
-}
-
-impl Hash for AggCells {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (**self).hash(state);
-    }
-}
-
-impl fmt::Debug for AggCells {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
+/// The finalized aggregate values of a [`ResultRow`], in query spec order:
+/// up to two live inside the row, more are boxed. Two cover the paper's
+/// default query (SUM and COUNT); each slot more would add 24 bytes to
+/// every row.
+pub type AggCells = InlineCells<2, u8>;
 
 /// Sort rows by key (canonical order for comparing algorithm outputs):
 /// [`merge_rows`] over one part.
@@ -500,7 +378,6 @@ impl<const INT_KEYS: bool> HeadOrder for Heads<INT_KEYS> {
 mod tests {
     use super::*;
     use crate::agg::AggFunc;
-    use crate::tuple;
 
     fn q() -> AggQuery {
         AggQuery::new(
@@ -543,15 +420,15 @@ mod tests {
     #[test]
     fn key_extraction() {
         let q = q();
-        let t = tuple![1i64, 2i64, 7i64, 4i64, 5i64];
+        let t = [1i64, 2, 7, 4, 5].map(Value::Int);
         assert_eq!(
-            q.key_of_values(t.values()).unwrap(),
+            q.key_of_values(&t).unwrap(),
             GroupKey::new(vec![Value::Int(7)])
         );
         assert!(q.key_of_values(&[Value::Int(1)]).is_err());
         let two = AggQuery::new(vec![2, 0], vec![]);
         assert_eq!(
-            two.key_of_values(t.values()).unwrap(),
+            two.key_of_values(&t).unwrap(),
             GroupKey::new(vec![Value::Int(7), Value::Int(1)])
         );
         assert!(two.key_of_values(&[Value::Int(1)]).is_err());
@@ -675,73 +552,6 @@ mod proptests {
     use crate::key::GroupKey;
     use crate::value::Value;
     use proptest::prelude::*;
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-
-    /// The row as it was before its aggregates went inline: every trait
-    /// derived over a `Vec<Value>`, `Display` as it was written then.
-    mod vec {
-        use crate::key::GroupKey;
-        use crate::value::Value;
-        use std::fmt;
-
-        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-        pub struct ResultRow {
-            pub key: GroupKey,
-            pub aggs: Vec<Value>,
-        }
-
-        impl fmt::Display for ResultRow {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{} →", self.key)?;
-                for v in &self.aggs {
-                    write!(f, " {v}")?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// What the benchmark's answer check hashes of a row: key, then
-    /// aggregates, through `DefaultHasher`.
-    fn row_hash(key: &GroupKey, aggs: &impl Hash) -> u64 {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        aggs.hash(&mut h);
-        h.finish()
-    }
-
-    /// Every `Value` kind, the float and `Int` edges included.
-    fn arb_value() -> impl Strategy<Value = Value> {
-        prop_oneof![
-            Just(Value::Null),
-            (-2i64..3).prop_map(Value::Int),
-            prop_oneof![Just(i64::MIN), Just(i64::MAX), any::<i64>()].prop_map(Value::Int),
-            prop_oneof![
-                Just(0.0),
-                Just(-0.0),
-                Just(f64::NAN),
-                Just(f64::INFINITY),
-                Just(f64::NEG_INFINITY),
-                Just(1.5)
-            ]
-            .prop_map(Value::Float),
-            "[ab]{0,2}".prop_map(|s: String| Value::Str(s.into_boxed_str())),
-        ]
-    }
-
-    /// 0, 1, 2, 3 or 8 aggregates: both inline lengths and the box.
-    fn arb_aggs() -> impl Strategy<Value = Vec<Value>> {
-        let len = prop_oneof![Just(0usize), Just(1), Just(2), Just(3), Just(8)];
-        (proptest::collection::vec(arb_value(), 8..9), len).prop_map(|(mut v, n)| {
-            v.truncate(n);
-            v
-        })
-    }
-
-    fn arb_row() -> impl Strategy<Value = (Vec<Value>, Vec<Value>)> {
-        (proptest::collection::vec(arb_value(), 0..3), arb_aggs())
-    }
 
     /// Single-`Int` keys, from a domain small enough that runs share keys.
     fn arb_int_key() -> impl Strategy<Value = Vec<Value>> {
@@ -798,38 +608,6 @@ mod proptests {
         sort_rows(&mut concat);
         prop_assert_eq!(concat, expect);
         Ok(())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(2000))]
-
-        #[test]
-        fn prop_inline_aggregates_match_the_vec(x in arb_row(), y in arb_row()) {
-            let ((ka, a), (kb, b)) = (x, y);
-            let (ka, kb) = (GroupKey::new(ka), GroupKey::new(kb));
-            let (ra, rb) = (ResultRow::new(ka.clone(), a.clone()), ResultRow::new(kb.clone(), b.clone()));
-            let (va, vb) = (vec::ResultRow { key: ka, aggs: a.clone() }, vec::ResultRow { key: kb, aggs: b });
-            prop_assert_eq!(&*ra.aggs, &a[..]);
-            prop_assert_eq!(row_hash(&ra.key, &ra.aggs), row_hash(&va.key, &va.aggs));
-            prop_assert_eq!(ra == rb, va == vb);
-            prop_assert_eq!(ra.aggs == rb.aggs, va.aggs == vb.aggs);
-            prop_assert_eq!(ra.cmp(&rb), va.cmp(&vb));
-            prop_assert_eq!(ra.partial_cmp(&rb), va.partial_cmp(&vb));
-            prop_assert_eq!(ra.aggs.cmp(&rb.aggs), va.aggs.cmp(&vb.aggs));
-            prop_assert_eq!(format!("{ra:?}"), format!("{va:?}"));
-            prop_assert_eq!(format!("{ra:#?}"), format!("{va:#?}"));
-            prop_assert_eq!(ra.to_string(), va.to_string());
-            prop_assert_eq!(ra.clone(), ResultRow::new(va.key.clone(), ra.aggs.iter().cloned().collect()));
-            // Wire round trip under a query of the row's shape.
-            let query = super::AggQuery::new(
-                (0..va.key.arity()).collect(),
-                vec![crate::agg::AggSpec::count_star(); a.len()],
-            );
-            let mut wire = va.key.values().to_vec();
-            wire.extend(a);
-            prop_assert_eq!(ra.clone().into_values(), wire.clone());
-            prop_assert_eq!(ResultRow::from_values(&query, wire).unwrap(), ra);
-        }
     }
 
     proptest! {

@@ -1,7 +1,7 @@
 //! Schemas: named, typed columns.
 //!
-//! The execution engine is mostly schema-oblivious (it moves [`crate::Tuple`]s),
-//! but workload generators, the projection operator, and result printing all
+//! The execution engine is mostly schema-oblivious (it moves rows of
+//! [`crate::Value`]s), but workload generators, the projection operator, and result printing all
 //! need to know column names, types, and widths.
 
 use crate::value::Value;

@@ -1254,10 +1254,10 @@ impl GroupStore {
     /// [`ResultRow`] in ascending key order ([`GroupStore::sort_entries`]:
     /// `GroupKey`'s order, the order `query::sort_rows` puts rows in).
     ///
-    /// Each row's aggregate `Vec` — and, for a key of more or fewer than
-    /// one column, its key box — is allocated in the order everything
-    /// downstream visits them: the driver's sort, the caller's walk, the
-    /// final drop. A one-column key lives inside its row (DESIGN.md §26).
+    /// A row of a one-column key and at most two aggregates owns no heap
+    /// block (DESIGN.md §32); the boxes a wider row needs are allocated in
+    /// the order everything downstream visits them: the driver's merge,
+    /// the caller's walk, the final drop.
     /// A gather in key order cannot free segments as it passes them, so
     /// the columns live until the last row is built (DESIGN.md §23).
     pub fn drain_result_rows(&mut self, mut emit: impl FnMut(ResultRow)) {
@@ -1306,18 +1306,11 @@ impl CellRow for GroupRow<'_> {
 
 impl KeyColumn {
     /// Move the key cells of `entry` out as its key (a general cell leaves
-    /// NULL behind); a one-column key is built inline.
+    /// NULL behind).
     fn take_key(&mut self, entry: usize) -> GroupKey {
-        let take = |v: &mut Value| std::mem::replace(v, Value::Null);
         match self {
-            KeyColumn::Ints(a) => match a.row(entry) {
-                &[x] => GroupKey::one(Value::Int(x)),
-                row => GroupKey::new(row.iter().map(|&x| Value::Int(x)).collect()),
-            },
-            KeyColumn::General(a) => match a.row_mut(entry) {
-                [v] => GroupKey::one(take(v)),
-                row => GroupKey::new(row.iter_mut().map(take).collect()),
-            },
+            KeyColumn::Ints(a) => a.row(entry).iter().map(|&x| Value::Int(x)).collect(),
+            KeyColumn::General(a) => a.row_mut(entry).iter_mut().map(|v| std::mem::replace(v, Value::Null)).collect(),
         }
     }
 }

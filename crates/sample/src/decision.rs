@@ -72,11 +72,6 @@ impl CrossoverRule {
     pub fn sample_size_per_node(&self) -> usize {
         crate::estimator::required_sample_size(self.threshold as usize)
     }
-
-    /// The cluster-wide sample size.
-    pub fn sample_size_total(&self, nodes: usize) -> usize {
-        self.sample_size_per_node().saturating_mul(nodes.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +97,6 @@ mod tests {
     fn sample_sizes() {
         let rule = CrossoverRule::default_for(32);
         assert_eq!(rule.sample_size_per_node(), 3200);
-        assert_eq!(rule.sample_size_total(32), 102_400);
         // Per-node size tracks the threshold (∝ N), the §4 property.
         assert!(
             CrossoverRule::default_for(8).sample_size_per_node()

@@ -362,7 +362,7 @@ fn write_rows(out: &mut String, rows: &[adaptagg_model::ResultRow]) {
             out.push_str(", ");
         }
         out.push('[');
-        for (j, v) in row.key.values().iter().chain(&row.aggs).enumerate() {
+        for (j, v) in row.key.values().iter().chain(row.aggs.iter()).enumerate() {
             if j > 0 {
                 out.push_str(", ");
             }

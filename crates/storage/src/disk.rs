@@ -82,11 +82,6 @@ impl SimDisk {
             .ok_or_else(|| StorageError::NoSuchFile(name.to_string()))
     }
 
-    /// Names of all files, sorted.
-    pub fn file_names(&self) -> Vec<&str> {
-        self.files.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Total pages across all files.
     pub fn total_pages(&self) -> usize {
         self.files.values().map(|f| f.page_count()).sum()
@@ -127,7 +122,7 @@ mod tests {
     fn with_base_partition_uses_conventional_name() {
         let d = SimDisk::with_base_partition(small_file(3));
         assert_eq!(d.get("base").unwrap().tuple_count(), 3);
-        assert_eq!(d.file_names(), vec!["base"]);
+        assert_eq!(d.files.keys().collect::<Vec<_>>(), ["base"]);
         assert_eq!(d.total_pages(), 1);
     }
 

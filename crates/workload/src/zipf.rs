@@ -80,14 +80,6 @@ impl ZipfSpec {
     pub fn generate_partitions(&self, nodes: usize) -> Vec<HeapFile> {
         crate::placement::round_robin_partitions(&self.generate_tuples(), nodes, 4096)
     }
-
-    /// The expected share of the heaviest group (diagnostics/tests).
-    pub fn head_share(&self) -> f64 {
-        let total: f64 = (0..self.groups)
-            .map(|r| 1.0 / ((r + 1) as f64).powf(self.exponent))
-            .sum();
-        1.0 / total
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +113,9 @@ mod tests {
         let spec = ZipfSpec::new(40_000, 100, 1.2);
         let f = frequencies(&spec);
         let head = f[&0];
-        let expected = spec.head_share() * 40_000.0;
+        // Rank 0's share of the weights 1 / (r + 1)^1.2.
+        let total: f64 = (1..=100).map(|r| 1.0 / f64::from(r).powf(1.2)).sum();
+        let expected = 40_000.0 / total;
         assert!(
             (head as f64 - expected).abs() < expected * 0.15,
             "head {head} vs expected {expected}"

@@ -54,8 +54,7 @@ pub mod prelude {
         SwitchCause, TraceEvent,
     };
     pub use adaptagg_model::{
-        AggFunc, AggQuery, AggSpec, CostParams, GroupKey, NetworkKind, ResultRow, Schema, Tuple,
-        Value,
+        AggFunc, AggQuery, AggSpec, CostParams, GroupKey, NetworkKind, ResultRow, Schema, Value,
     };
     pub use adaptagg_sample::{AlgorithmChoice, CrossoverRule};
     pub use adaptagg_sql::{compile as compile_sql, BoundQuery};
