@@ -26,6 +26,7 @@
 use crate::common::{merge_phase_store, trace_partial_rows, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
+use adaptagg_exec::recovery::{scan_steps, ScanStep};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
 use adaptagg_hashagg::{AggTable, Stop};
 use adaptagg_model::{IndexRow, RowKind};
@@ -49,18 +50,53 @@ pub fn run_node(
         RowKind::Partial,
     );
 
+    // The scan walks `scan_steps`: one chunk, every page, without a
+    // recovery session. Under one, each owned partition's durable partials
+    // are restored and shipped to their owners right away (phase-1 output
+    // an earlier attempt already produced), then its un-checkpointed suffix
+    // is scanned chunk by chunk. Durable progress only advances while the
+    // node has *not* switched: at a chunk boundary in Two Phase mode the
+    // table is drained into the checkpoint and shipped (the table restarts
+    // empty, so each checkpoint is self-contained). After the switch,
+    // output leaves the node as raw forwarded tuples living in peers'
+    // memory — nothing durable — so the checkpoint is frozen and only the
+    // replay high water advances. The boundary drains also mean the table
+    // rarely fills across chunks: under recovery the switch heuristic
+    // observes one chunk at a time, a deliberate granularity trade-off.
     ctx.span_start(PhaseKind::Scan);
-    let scanned = if ctx.recovery.is_some() {
-        checkpointed_scan(ctx, plan, &mut scan, &mut ex, &mut events)
-    } else {
-        let mut sink = ScanSwitch {
-            scan: &mut scan,
-            ex: &mut ex,
-            events: &mut events,
-        };
-        operators::scan_pages(ctx, "base", &plan.base.filter, &plan.projection, 0, usize::MAX, &mut sink)
-            .map(|_| ())
-    };
+    let mut session = ctx.recovery.take();
+    let scanned = (|| -> Result<(), ExecError> {
+        for step in scan_steps(session.as_mut()) {
+            let chunk = match step {
+                ScanStep::Restore(partition) => {
+                    let session = session.as_mut().expect("restores run under a session");
+                    let restored = session.restore_partials(partition, &mut ctx.clock)?;
+                    if !restored.is_empty() {
+                        // Once switched, the exchange goes back to forwarding raws.
+                        let then = if scan.switched { RowKind::Raw } else { RowKind::Partial };
+                        ex.route_partials(ctx, restored, then)?;
+                    }
+                    continue;
+                }
+                ScanStep::Scan(chunk) => chunk,
+            };
+            let mut sink = ScanSwitch { scan: &mut scan, ex: &mut ex, events: &mut events };
+            let (filter, columns) = (&plan.base.filter, &plan.projection);
+            operators::scan_pages(ctx, "base", filter, columns, chunk.pages.start, chunk.pages.end, &mut sink)?;
+            let Some(session) = session.as_mut() else { continue };
+            if scan.switched {
+                session.note_scanned(chunk.partition, chunk.done);
+                continue;
+            }
+            let mut partials = RowPages::new(ctx.params().page_bytes);
+            scan.table.drain_partials(&mut ctx.clock, &mut partials)?;
+            let (clock, disk) = (&mut ctx.clock, &mut ctx.disk);
+            session.checkpoint(chunk.partition, chunk.done, &partials, chunk.last, clock, disk)?;
+            ex.route_partials(ctx, partials, RowKind::Partial)?;
+        }
+        Ok(())
+    })();
+    ctx.recovery = session;
     ctx.span_end();
     scanned?;
 
@@ -82,72 +118,6 @@ pub fn run_node(
     let (rows, mut agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
     agg.raw_in += scan.raw_seen;
     Ok(NodeOutcome { rows, agg, events })
-}
-
-/// The A2P scan under a recovery session: per assigned partition, restore
-/// durable partials (shipping them to their owners right away — they are
-/// phase-1 output an earlier attempt already produced), then scan the
-/// un-checkpointed page suffix chunk by chunk.
-///
-/// Durable progress only advances while the node has *not* switched: at a
-/// chunk boundary in Two Phase mode the table is drained into the
-/// checkpoint and shipped (the table restarts empty, so each checkpoint
-/// is self-contained). After the switch, output leaves the node as raw
-/// forwarded tuples living in peers' memory — nothing durable — so the
-/// checkpoint is frozen and only the replay high-water advances. The
-/// boundary drains also mean the table rarely fills across chunks: under
-/// recovery the switch heuristic effectively observes one chunk at a
-/// time, a deliberate granularity trade-off of checkpointing.
-fn checkpointed_scan(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    scan: &mut ScanState,
-    ex: &mut Exchange,
-    events: &mut Vec<AdaptEvent>,
-) -> Result<(), ExecError> {
-    let mut session = ctx.recovery.take().expect("checked by caller");
-    let result = (|| {
-        for seg in session.segments() {
-            let restored = session.restore_partials(seg.partition, &mut ctx.clock)?;
-            if !restored.is_empty() {
-                // Once switched, the exchange goes back to forwarding raws.
-                let then = if scan.switched { RowKind::Raw } else { RowKind::Partial };
-                ex.route_partials(ctx, restored, then)?;
-            }
-            let mut done = session.resume_point(seg.partition).min(seg.pages);
-            while done < seg.pages {
-                let chunk_end = (done + session.interval_pages()).min(seg.pages);
-                operators::scan_pages(
-                    ctx,
-                    "base",
-                    &plan.base.filter,
-                    &plan.projection,
-                    seg.start_page + done,
-                    seg.start_page + chunk_end,
-                    &mut ScanSwitch { scan, ex, events },
-                )?;
-                if !scan.switched {
-                    let mut partials = RowPages::new(ctx.params().page_bytes);
-                    scan.table.drain_partials(&mut ctx.clock, &mut partials)?;
-                    session.checkpoint(
-                        seg.partition,
-                        chunk_end,
-                        &partials,
-                        chunk_end == seg.pages,
-                        &mut ctx.clock,
-                        &mut ctx.disk,
-                    )?;
-                    ex.route_partials(ctx, partials, RowKind::Partial)?;
-                } else {
-                    session.note_scanned(seg.partition, chunk_end);
-                }
-                done = chunk_end;
-            }
-        }
-        Ok(())
-    })();
-    ctx.recovery = Some(session);
-    result
 }
 
 /// The A2P scan-side state machine (shared with ARep's fallback).

@@ -1,5 +1,6 @@
 //! Building blocks shared by all algorithms.
 
+use adaptagg_exec::recovery::{scan_steps, ScanStep};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_hashagg::{DrainCause, HashAggStats, HashAggregator};
 use adaptagg_model::{AggQuery, DemoteCause, LaneRows, ResultRow, RowKind, StoreLayout};
@@ -43,47 +44,73 @@ impl QueryPlan {
 /// feeds the aggregator a page at a time — borrowed column-strip batches
 /// into the table's batched insert, rows where the strips cannot serve.
 ///
-/// When the node carries a recovery session, the scan is checkpointed:
-/// rows already durable for a partition are restored instead of
-/// recomputed, and the remaining pages are aggregated in checkpoint-sized
-/// chunks whose partials are persisted as they are produced. Duplicate
-/// group keys across restored and fresh chunks are fine — partial rows
-/// are mergeable, and every consumer of this function's output merges.
+/// The scan walks [`scan_steps`]: without a recovery session that is one
+/// chunk, every page under one aggregator. Under a session, rows already
+/// durable for a partition are restored instead of recomputed, and the
+/// remaining pages are aggregated chunk by chunk, a fresh aggregator each
+/// (no aggregator state to snapshot), their partials checkpointed as they
+/// are produced. Duplicate group keys across restored and fresh chunks
+/// are fine — partial rows are mergeable, and every consumer of this
+/// function's output merges.
 pub fn local_partial_aggregation(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
     max_entries: usize,
     fanout: usize,
 ) -> Result<(RowPages, HashAggStats), ExecError> {
-    if ctx.recovery.is_some() {
-        return checkpointed_local_aggregation(ctx, plan, max_entries, fanout);
-    }
     let page_bytes = ctx.params().page_bytes;
-    let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
-        .with_grant(ctx.grant().clone());
-    ctx.span_start(PhaseKind::Scan);
-    let scan = operators::scan_pages(
-        ctx,
-        "base",
-        &plan.base.filter,
-        &plan.projection,
-        0,
-        usize::MAX,
-        &mut agg,
-    );
-    ctx.span_end();
-    scan?;
-    ctx.span_start(PhaseKind::LocalAgg);
-    let spilled = agg.has_spilled();
-    if spilled {
-        ctx.span_start(PhaseKind::Spill);
-    }
-    let finished = agg.finish_partials(&mut ctx.clock);
-    if spilled {
-        ctx.span_end();
-    }
-    ctx.span_end();
-    let (partials, stats) = finished?;
+    let mut session = ctx.recovery.take();
+    let phase = (|| -> Result<_, ExecError> {
+        let (mut out, mut stats) = (RowPages::new(page_bytes), HashAggStats::default());
+        for step in scan_steps(session.as_mut()) {
+            let chunk = match step {
+                ScanStep::Restore(partition) => {
+                    let session = session.as_mut().expect("restores run under a session");
+                    ctx.span_start(PhaseKind::Scan);
+                    let restored = session.restore_partials(partition, &mut ctx.clock);
+                    ctx.span_end();
+                    out.append(restored?);
+                    continue;
+                }
+                ScanStep::Scan(chunk) => chunk,
+            };
+            let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
+                .with_grant(ctx.grant().clone());
+            ctx.span_start(PhaseKind::Scan);
+            let (filter, columns) = (&plan.base.filter, &plan.projection);
+            let scan = operators::scan_pages(ctx, "base", filter, columns, chunk.pages.start, chunk.pages.end, &mut agg);
+            ctx.span_end();
+            scan?;
+            ctx.span_start(PhaseKind::LocalAgg);
+            let spilled = agg.has_spilled();
+            if spilled {
+                ctx.span_start(PhaseKind::Spill);
+            }
+            let finished = agg.finish_partials(&mut ctx.clock);
+            if spilled {
+                ctx.span_end();
+            }
+            // A chunk's partials are durable before they leave the phase.
+            let kept = finished.map_err(ExecError::from).and_then(|(partials, s)| {
+                if let Some(session) = session.as_mut() {
+                    let (clock, disk) = (&mut ctx.clock, &mut ctx.disk);
+                    session.checkpoint(chunk.partition, chunk.done, &partials, chunk.last, clock, disk)?;
+                }
+                Ok((partials, s))
+            });
+            ctx.span_end();
+            let (partials, s) = kept?;
+            stats.add(&s);
+            if out.is_empty() {
+                out = partials;
+            } else {
+                out.append(partials);
+            }
+        }
+        Ok((out, stats))
+    })();
+    ctx.recovery = session;
+    let (partials, stats) = phase?;
     trace_hashagg(ctx, &stats);
     Ok((partials, stats))
 }
@@ -167,66 +194,6 @@ fn trace_store(ctx: &mut NodeCtx, store: &StoreLayout) {
     }
     ctx.trace
         .gauge_max("store.bytes_per_group", store.bytes_per_group as f64);
-}
-
-/// [`local_partial_aggregation`] under a recovery session: restore each
-/// partition's durable partials, then aggregate the un-checkpointed page
-/// suffix chunk by chunk, checkpointing at every chunk boundary. A fresh
-/// aggregator per chunk keeps the checkpoint self-contained (no
-/// aggregator state to snapshot); the cost is duplicate group keys across
-/// chunk outputs, which merge downstream.
-fn checkpointed_local_aggregation(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    max_entries: usize,
-    fanout: usize,
-) -> Result<(RowPages, HashAggStats), ExecError> {
-    let page_bytes = ctx.params().page_bytes;
-    let mut session = ctx.recovery.take().expect("checked by caller");
-    ctx.span_start(PhaseKind::Scan);
-    let result = (|| {
-        let mut out = RowPages::new(page_bytes);
-        let mut stats = HashAggStats::default();
-        for seg in session.segments() {
-            let restored = session.restore_partials(seg.partition, &mut ctx.clock)?;
-            out.append(restored);
-            let mut done = session.resume_point(seg.partition).min(seg.pages);
-            while done < seg.pages {
-                let chunk_end = (done + session.interval_pages()).min(seg.pages);
-                let mut agg =
-                    HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
-                        .with_grant(ctx.grant().clone());
-                operators::scan_pages(
-                    ctx,
-                    "base",
-                    &plan.base.filter,
-                    &plan.projection,
-                    seg.start_page + done,
-                    seg.start_page + chunk_end,
-                    &mut agg,
-                )?;
-                let (partials, s) = agg.finish_partials(&mut ctx.clock)?;
-                stats.add(&s);
-                session.checkpoint(
-                    seg.partition,
-                    chunk_end,
-                    &partials,
-                    chunk_end == seg.pages,
-                    &mut ctx.clock,
-                    &mut ctx.disk,
-                )?;
-                out.append(partials);
-                done = chunk_end;
-            }
-        }
-        Ok((out, stats))
-    })();
-    ctx.span_end();
-    ctx.recovery = Some(session);
-    if let Ok((_, stats)) = &result {
-        trace_hashagg(ctx, stats);
-    }
-    result
 }
 
 /// A merge phase: consume every node's stream of data pages (raw tuples

@@ -41,9 +41,9 @@ pub struct ClusterConfig {
     /// unlimited grant — the pre-serving, bit-identical path. The serving
     /// layer's broker passes one revocable handle per node here.
     pub grants: Vec<MemoryGrant>,
-    /// Query-level fault recovery. `None` (the default) keeps fail-stop
-    /// semantics: the first node failure aborts the run, bit-identically
-    /// to the pre-recovery runtime.
+    /// Query-level fault recovery. `None` (the default) is fail-stop: one
+    /// attempt with no checkpoint session, so the first node failure
+    /// aborts the run.
     pub recovery: Option<RecoveryPolicy>,
     /// Record a [`RunTrace`] (spans, events, metrics, per-link traffic)
     /// for this run. Defaults from the `ADAPTAGG_TRACE` environment
@@ -167,10 +167,27 @@ pub struct ClusterRun<T> {
 ///
 /// `partitions[i]` becomes node `i`'s base-relation partition (disk file
 /// `"base"`). The closure receives the node's [`NodeCtx`] and returns its
-/// output; any node error or panic aborts the run with an [`ExecError`].
+/// output; any node error or panic aborts the attempt with an
+/// [`ExecError`].
 ///
 /// Threads are real (the run exercises real channels and real contention
 /// on the shared-bus model); time is virtual.
+///
+/// ## Attempts
+///
+/// One loop runs every configuration. With no [`RecoveryPolicy`] it makes
+/// one attempt, seats no [`RecoverySession`], sets no link retry and
+/// returns the attempt's first cause as it is: fail-stop. Under a policy
+/// it runs attempts until one completes, removing each failed attempt's
+/// victim and reassigning its base partitions (plus their durable
+/// checkpoints) to survivors. Each failed attempt removes exactly one node
+/// — the first cause's victim — so the attempt count is bounded by
+/// `min(max_attempts, nodes)`. A watchdog failure names the *waiter*, not
+/// the staller (the waiter cannot know who stalled); removing the waiter
+/// is still bounded and the straggler-scaled deadline makes it rare.
+/// Checkpoints live in a store shared across attempts (modeling
+/// replicated stable storage), so a survivor inheriting a partition
+/// replays only the un-checkpointed suffix.
 ///
 /// ## Failure propagation and attribution
 ///
@@ -199,50 +216,151 @@ where
     );
     let total_pages: usize = partitions.iter().map(|p| p.page_count()).sum();
     let watchdog = config.effective_watchdog(total_pages);
-    match &config.recovery {
-        None => {
-            // Fail-stop path, bit-identical to the pre-recovery runtime:
-            // no retry policy, no sessions, one attempt.
-            let seats = partitions
-                .into_iter()
-                .enumerate()
-                .map(|(node, base)| NodeSeat {
+    let policy = config.recovery.as_ref();
+    let page_bytes = partitions
+        .first()
+        .map(|p| p.page_bytes())
+        .unwrap_or(config.params.page_bytes);
+    let store = recovery::new_store();
+    // owner[p] = original node id currently responsible for partition p.
+    let mut owner: Vec<usize> = (0..config.nodes).collect();
+    let mut alive = vec![true; config.nodes];
+    let mut stats = RecoveryStats {
+        attempts: 0,
+        ..RecoveryStats::default()
+    };
+    let mut recovery_trace: Vec<RecoveryAttemptTrace> = Vec::new();
+    let max_attempts = policy.map_or(1, |p| p.max_attempts.max(1));
+    let mut backoff = policy.map_or(0.0, |p| p.backoff_ms);
+    let mut last_err = None;
+
+    for attempt in 0..max_attempts {
+        stats.attempts += 1;
+        // live[i] = original id of the node seated at fabric index i.
+        let live: Vec<usize> = (0..config.nodes).filter(|&id| alive[id]).collect();
+        let seats: Vec<NodeSeat> = live
+            .iter()
+            .map(|&orig| {
+                // Concatenate this node's partitions ascending by
+                // partition id (a lone one is shared, not copied); under a
+                // policy, record per-partition page offsets so the scans
+                // can resume per partition.
+                let owned = || partitions.iter().enumerate().filter(|&(p, _)| owner[p] == orig);
+                let base = HeapFile::concat(page_bytes, owned().map(|(_, part)| part))
+                    .expect("partitions of one page size");
+                let recovery = policy.map(|policy| {
+                    let mut start_page = 0;
+                    let segments = owned()
+                        .map(|(partition, part)| {
+                            let seg = Segment { partition, start_page, pages: part.page_count() };
+                            start_page += seg.pages;
+                            seg
+                        })
+                        .collect();
+                    RecoverySession::new(
+                        segments,
+                        store.clone(),
+                        policy.checkpoint_interval_pages,
+                        config.params.page_bytes,
+                    )
+                });
+                NodeSeat {
                     base,
-                    faults: config.fault_plan.node(node),
-                    recovery: None,
-                    grant: config.grants.get(node).cloned().unwrap_or_default(),
-                })
-                .collect();
-            let attempt = run_seats(
-                &config.params,
-                &config.fault_plan,
-                config.transport,
-                watchdog,
-                None,
-                config.trace,
-                seats,
-                &body,
-            );
-            match attempt {
-                Ok((outputs, per_node, bus_busy_ms, traces)) => Ok(ClusterRun {
+                    faults: config.fault_plan.node(orig),
+                    recovery,
+                    // Grants are per original node id: a survivor keeps
+                    // its own grant across reassignment.
+                    grant: config.grants.get(orig).cloned().unwrap_or_default(),
+                }
+            })
+            .collect();
+
+        match run_seats(
+            &config.params,
+            &config.fault_plan,
+            config.transport,
+            watchdog,
+            policy.and_then(|p| p.link_retry),
+            config.trace,
+            seats,
+            &body,
+        ) {
+            Ok((outputs, mut per_node, bus_busy_ms, mut traces)) => {
+                // Reports carry fabric indices; restore original ids.
+                for (report, &orig) in per_node.iter_mut().zip(&live) {
+                    report.node = orig;
+                }
+                // Traces too: their node field is the fabric index.
+                for trace in traces.iter_mut() {
+                    trace.node = live[trace.node];
+                }
+                let summary = policy.map(|_| RecoverySummaryTrace {
+                    attempts: stats.attempts,
+                    dead_nodes: stats.dead_nodes.clone(),
+                    reassigned_partitions: stats.reassigned_partitions,
+                    lost_ms: ticks_to_ms(stats.lost),
+                    backoff_ms: ticks_to_ms(stats.backoff),
+                });
+                return Ok(ClusterRun {
                     outputs,
                     run: RunResult {
                         per_node,
                         bus_busy_ms,
-                        recovery: RecoveryStats::default(),
+                        recovery: stats,
                     },
                     trace: config.trace.then(|| RunTrace {
                         nodes: traces,
-                        recovery: Vec::new(),
+                        recovery: std::mem::take(&mut recovery_trace),
+                        recovery_summary: summary,
                         transport: config.transport.to_string(),
-                        ..RunTrace::default()
+                        annotations: Vec::new(),
                     }),
-                }),
-                Err((e, _at)) => Err(e),
+                });
+            }
+            Err((e, at)) => {
+                // Fail-stop, and non-recoverable failures (storage, model,
+                // protocol bugs), bail immediately — retrying cannot help.
+                let (Some(policy), Some(victim_seat)) = (policy, recovery::victim_of(&e)) else {
+                    return Err(e);
+                };
+                // The error names a fabric index; map to the original id.
+                let Some(&victim) = live.get(victim_seat) else {
+                    return Err(e);
+                };
+                let lost = at.unwrap_or(0);
+                stats.lost += lost;
+                last_err = Some(e);
+                alive[victim] = false;
+                stats.dead_nodes.push(victim);
+                let survivors: Vec<usize> =
+                    (0..config.nodes).filter(|&id| alive[id]).collect();
+                if survivors.is_empty() {
+                    break;
+                }
+                stats.reassigned_partitions +=
+                    recovery::reassign_partitions(&mut owner, victim, &survivors) as u64;
+                let mut charged_backoff = 0;
+                if attempt + 1 < max_attempts {
+                    charged_backoff = ms_to_ticks(backoff);
+                    stats.backoff += charged_backoff;
+                    backoff *= policy.backoff_multiplier;
+                }
+                if config.trace {
+                    recovery_trace.push(RecoveryAttemptTrace {
+                        attempt: stats.attempts,
+                        victim: Some(victim),
+                        lost_ms: ticks_to_ms(lost),
+                        backoff_ms: ticks_to_ms(charged_backoff),
+                    });
+                }
             }
         }
-        Some(policy) => run_recovering(config, policy, &partitions, watchdog, &body),
     }
+
+    Err(ExecError::RecoveryExhausted {
+        attempts: stats.attempts,
+        last: Box::new(last_err.expect("at least one failed attempt")),
+    })
 }
 
 /// One node's assignment for a cluster attempt: its (possibly
@@ -397,176 +515,10 @@ where
     Ok((outputs, per_node, bus_busy_ms, traces))
 }
 
-/// The recovery driver: run attempts until one completes, removing the
-/// failed attempt's victim node and reassigning its base partitions (plus
-/// their durable checkpoints) to survivors.
-///
-/// Each failed attempt removes exactly one node — the first cause's
-/// victim — so progress is guaranteed and the attempt count is bounded by
-/// `min(max_attempts, nodes)`. A watchdog failure names the *waiter*, not
-/// the staller (the waiter cannot know who stalled); removing the waiter
-/// is still bounded and the straggler-scaled deadline makes it rare.
-/// Checkpoints live in a store shared across attempts (modeling
-/// replicated stable storage), so a survivor inheriting a partition
-/// replays only the un-checkpointed suffix.
-fn run_recovering<T, F>(
-    config: &ClusterConfig,
-    policy: &RecoveryPolicy,
-    partitions: &[HeapFile],
-    watchdog: Duration,
-    body: &F,
-) -> Result<ClusterRun<T>, ExecError>
-where
-    T: Send,
-    F: Fn(&mut NodeCtx) -> Result<T, ExecError> + Sync,
-{
-    let page_bytes = partitions
-        .first()
-        .map(|p| p.page_bytes())
-        .unwrap_or(config.params.page_bytes);
-    let store = recovery::new_store();
-    // owner[p] = original node id currently responsible for partition p.
-    let mut owner: Vec<usize> = (0..config.nodes).collect();
-    let mut alive = vec![true; config.nodes];
-    let mut stats = RecoveryStats {
-        attempts: 0,
-        ..RecoveryStats::default()
-    };
-    let mut backoff = policy.backoff_ms;
-    let mut last_err = None;
-    let mut recovery_trace: Vec<RecoveryAttemptTrace> = Vec::new();
-    let max_attempts = policy.max_attempts.max(1);
-
-    for attempt in 0..max_attempts {
-        stats.attempts += 1;
-        // live[i] = original id of the node seated at fabric index i.
-        let live: Vec<usize> = (0..config.nodes).filter(|&id| alive[id]).collect();
-        let seats: Vec<NodeSeat> = live
-            .iter()
-            .map(|&orig| {
-                // Concatenate this node's partitions ascending by
-                // partition id; record per-partition page offsets so
-                // checkpoint-aware scans can resume per partition.
-                let owned = || partitions.iter().enumerate().filter(|&(p, _)| owner[p] == orig);
-                let (mut segments, mut start_page) = (Vec::new(), 0);
-                for (partition, part) in owned() {
-                    let pages = part.page_count();
-                    segments.push(Segment {
-                        partition,
-                        start_page,
-                        pages,
-                    });
-                    start_page += pages;
-                }
-                let base = HeapFile::concat(page_bytes, owned().map(|(_, part)| part))
-                    .expect("partitions of one page size");
-                NodeSeat {
-                    base,
-                    faults: config.fault_plan.node(orig),
-                    recovery: Some(RecoverySession::new(
-                        segments,
-                        store.clone(),
-                        policy.checkpoint_interval_pages,
-                        config.params.page_bytes,
-                    )),
-                    // Grants are per original node id: a survivor keeps
-                    // its own grant across reassignment.
-                    grant: config.grants.get(orig).cloned().unwrap_or_default(),
-                }
-            })
-            .collect();
-
-        match run_seats(
-            &config.params,
-            &config.fault_plan,
-            config.transport,
-            watchdog,
-            policy.link_retry,
-            config.trace,
-            seats,
-            body,
-        ) {
-            Ok((outputs, mut per_node, bus_busy_ms, mut traces)) => {
-                // Reports carry fabric indices; restore original ids.
-                for (report, &orig) in per_node.iter_mut().zip(&live) {
-                    report.node = orig;
-                }
-                // Traces too: their node field is the fabric index.
-                for trace in traces.iter_mut() {
-                    trace.node = live[trace.node];
-                }
-                let summary = RecoverySummaryTrace {
-                    attempts: stats.attempts,
-                    dead_nodes: stats.dead_nodes.clone(),
-                    reassigned_partitions: stats.reassigned_partitions,
-                    lost_ms: ticks_to_ms(stats.lost),
-                    backoff_ms: ticks_to_ms(stats.backoff),
-                };
-                return Ok(ClusterRun {
-                    outputs,
-                    run: RunResult {
-                        per_node,
-                        bus_busy_ms,
-                        recovery: stats,
-                    },
-                    trace: config.trace.then(|| RunTrace {
-                        nodes: traces,
-                        recovery: std::mem::take(&mut recovery_trace),
-                        recovery_summary: Some(summary),
-                        transport: config.transport.to_string(),
-                        annotations: Vec::new(),
-                    }),
-                });
-            }
-            Err((e, at)) => {
-                let lost = at.unwrap_or(0);
-                stats.lost += lost;
-                // Non-recoverable failures (storage, model, protocol
-                // bugs) bail immediately — retrying cannot help.
-                let Some(victim_seat) = recovery::victim_of(&e) else {
-                    return Err(e);
-                };
-                // The error names a fabric index; map to the original id.
-                let Some(&victim) = live.get(victim_seat) else {
-                    return Err(e);
-                };
-                last_err = Some(e);
-                alive[victim] = false;
-                stats.dead_nodes.push(victim);
-                let survivors: Vec<usize> =
-                    (0..config.nodes).filter(|&id| alive[id]).collect();
-                if survivors.is_empty() {
-                    break;
-                }
-                stats.reassigned_partitions +=
-                    recovery::reassign_partitions(&mut owner, victim, &survivors) as u64;
-                let mut charged_backoff = 0;
-                if attempt + 1 < max_attempts {
-                    charged_backoff = ms_to_ticks(backoff);
-                    stats.backoff += charged_backoff;
-                    backoff *= policy.backoff_multiplier;
-                }
-                if config.trace {
-                    recovery_trace.push(RecoveryAttemptTrace {
-                        attempt: stats.attempts,
-                        victim: Some(victim),
-                        lost_ms: ticks_to_ms(lost),
-                        backoff_ms: ticks_to_ms(charged_backoff),
-                    });
-                }
-            }
-        }
-    }
-
-    Err(ExecError::RecoveryExhausted {
-        attempts: stats.attempts,
-        last: Box::new(last_err.expect("at least one failed attempt")),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runstats::NodeRecoveryStats;
     use adaptagg_model::{CostEvent, CostTracker, NetworkKind, Value};
     use adaptagg_net::{Control, DataKind, Payload};
     use adaptagg_storage::Page;
@@ -910,13 +862,23 @@ mod tests {
 
     #[test]
     fn clean_run_with_recovery_reports_one_attempt() {
-        let config = ClusterConfig::new(2, CostParams::paper_default())
-            .with_recovery(RecoveryPolicy::default());
-        let run = run_cluster(&config, partitions(2, 5), |ctx| {
-            Ok(ctx.disk.get("base")?.tuple_count())
-        })
-        .unwrap();
-        assert_eq!(run.run.recovery, RecoveryStats::default());
-        assert_eq!(run.outputs, vec![5, 5]);
+        // The same loop runs both: a policy adds a summary to the trace,
+        // no policy leaves every recovery figure at its default.
+        for policy in [Some(RecoveryPolicy::default()), None] {
+            let mut config = ClusterConfig::new(2, CostParams::paper_default()).with_tracing();
+            config.recovery = policy.clone();
+            let run = run_cluster(&config, partitions(2, 5), |ctx| {
+                Ok(ctx.disk.get("base")?.tuple_count())
+            })
+            .unwrap();
+            assert_eq!(run.run.recovery, RecoveryStats::default());
+            assert_eq!(run.outputs, vec![5, 5]);
+            let trace = run.trace.expect("a traced run");
+            assert!(trace.recovery.is_empty(), "no failed attempt");
+            assert_eq!(trace.recovery_summary.is_some(), policy.is_some(), "{policy:?}");
+            if policy.is_none() {
+                assert!(run.run.per_node.iter().all(|r| r.recovery == NodeRecoveryStats::default()));
+            }
+        }
     }
 }

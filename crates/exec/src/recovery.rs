@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 
 /// How a run recovers from node loss. Attach to a
 /// [`crate::ClusterConfig`] via `with_recovery`; absent (the default),
-/// the runtime keeps PR 1's fail-stop behaviour bit for bit.
+/// the run is one attempt with no session: fail-stop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
     /// Cluster executions to attempt before giving up (≥ 1). Each failed
@@ -138,7 +138,7 @@ pub fn new_store() -> CheckpointStore {
 /// One node's recovery context for one attempt: its partition layout,
 /// the shared checkpoint store, and its activity counters. Lives on
 /// [`crate::NodeCtx::recovery`]; algorithms `take()` it for the duration
-/// of a checkpointed scan and put it back.
+/// of their phase-1 scan ([`scan_steps`]) and put it back.
 #[derive(Debug)]
 pub struct RecoverySession {
     segments: Vec<Segment>,
@@ -164,16 +164,6 @@ impl RecoverySession {
             page_bytes,
             counters: NodeRecoveryStats::default(),
         }
-    }
-
-    /// The node's partition layout, in ascending partition order.
-    pub fn segments(&self) -> Vec<Segment> {
-        self.segments.clone()
-    }
-
-    /// Pages per checkpoint.
-    pub fn interval_pages(&self) -> usize {
-        self.interval_pages
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<usize, PartitionCheckpoint>> {
@@ -268,6 +258,68 @@ impl RecoverySession {
             .or_insert_with(|| PartitionCheckpoint::new(self.page_bytes));
         cp.high_water = cp.high_water.max(scanned_to);
     }
+}
+
+/// One step of a phase-1 scan ([`scan_steps`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScanStep {
+    /// Restore this partition's durable partial rows
+    /// ([`RecoverySession::restore_partials`]).
+    Restore(usize),
+    /// Scan one chunk of `"base"`.
+    Scan(Chunk),
+}
+
+/// Pages of the node's `"base"` file within one partition, scanned as one
+/// chunk: under a session, its partials are checkpointed together.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Chunk {
+    /// The partition the pages belong to.
+    pub partition: usize,
+    /// The pages, as pages of `"base"`.
+    pub pages: std::ops::Range<usize>,
+    /// The partition's pages done once the chunk is (a checkpoint's
+    /// `pages_done`, counted within the partition).
+    pub done: usize,
+    /// Whether the chunk ends its partition.
+    pub last: bool,
+}
+
+/// The one walk of a phase-1 scan. Without a session it is one chunk:
+/// every page of `"base"`. Under a session it visits each owned partition
+/// in ascending order: a restore of its durable partials, then its
+/// un-checkpointed suffix, one checkpoint interval at a time. The resume
+/// points (and the replay they count) are read as the walk is made: a
+/// partition has one owner per attempt, so nothing moves them meanwhile.
+pub fn scan_steps(session: Option<&mut RecoverySession>) -> impl Iterator<Item = ScanStep> {
+    let mut steps = Vec::new();
+    let whole = match session {
+        None => Some(ScanStep::Scan(Chunk {
+            partition: 0,
+            pages: 0..usize::MAX,
+            done: usize::MAX,
+            last: true,
+        })),
+        Some(s) => {
+            for i in 0..s.segments.len() {
+                let seg = s.segments[i];
+                steps.push(ScanStep::Restore(seg.partition));
+                let mut done = s.resume_point(seg.partition).min(seg.pages);
+                while done < seg.pages {
+                    let end = (done + s.interval_pages).min(seg.pages);
+                    steps.push(ScanStep::Scan(Chunk {
+                        partition: seg.partition,
+                        pages: seg.start_page + done..seg.start_page + end,
+                        done: end,
+                        last: end == seg.pages,
+                    }));
+                    done = end;
+                }
+            }
+            None
+        }
+    };
+    whole.into_iter().chain(steps)
 }
 
 /// The node a first-cause error blames — the one the recovery driver

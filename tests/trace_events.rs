@@ -875,6 +875,35 @@ fn recovery_attempts_appear_in_the_trace() {
     assert!(json.contains("\"transport\": \"in-process\""));
 }
 
+/// A recovery-on Two Phase run scans in checkpoint chunks; each chunk's
+/// local aggregation (and its checkpoint) is a `local-agg` span of its
+/// own, not scan time.
+#[test]
+fn recovering_two_phase_shows_its_local_phase() {
+    let spec = RelationSpec::uniform(TUPLES, GROUPS);
+    let parts = generate_partitions(&spec, NODES);
+    let query = default_query();
+    let policy = RecoveryPolicy {
+        checkpoint_interval_pages: 4,
+        ..RecoveryPolicy::default()
+    };
+    let config = ClusterConfig::new(NODES, CostParams::paper_default())
+        .with_watchdog(Duration::from_secs(10))
+        .with_recovery(policy)
+        .with_tracing();
+    let out = run_algorithm(AlgorithmKind::TwoPhase, &config, &parts, &query).unwrap();
+    assert_eq!(out.rows, reference_aggregate(&parts, &query).unwrap());
+    let trace = out.trace.as_ref().expect("a traced run");
+    assert_eq!(trace.nodes.len(), NODES);
+    for node in &trace.nodes {
+        for phase in [PhaseKind::Scan, PhaseKind::LocalAgg] {
+            assert!(node.phase_ms(phase) > 0.0, "node {}: no virtual time in {phase:?}", node.node);
+        }
+        let chunks = node.spans.iter().filter(|s| s.phase == PhaseKind::LocalAgg).count();
+        assert!(chunks > 1, "node {}: {chunks} local-agg span(s), one per chunk expected", node.node);
+    }
+}
+
 /// A query served under broker pressure carries its queue/broker
 /// numbers as trace annotations: grant, budget, queue wait, and
 /// co-residency — enough to attribute a degraded run from the trace
