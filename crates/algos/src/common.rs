@@ -3,7 +3,7 @@
 use adaptagg_exec::recovery::{scan_steps, ScanStep};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_hashagg::{DrainCause, HashAggStats, HashAggregator};
-use adaptagg_model::{AggQuery, DemoteCause, LaneRows, ResultRow, RowKind, StoreLayout};
+use adaptagg_model::{AggQuery, DemoteCause, LaneRows, ResultRow, RowKind, StoreIndex, StoreLayout};
 use adaptagg_net::Control;
 use adaptagg_sortagg::SortAggStats;
 use adaptagg_storage::RowPages;
@@ -182,7 +182,10 @@ pub fn trace_partial_rows(ctx: &mut NodeCtx, rows: LaneRows) {
 }
 
 /// The `store.*` metrics: what layout the data left an operator's group
-/// store in, and which kind of cell demoted a column.
+/// store in, which kind of cell demoted a column, which index found the
+/// groups of each table (`store.index{kind=dense|hashed}`) and how many
+/// tables left the dense map for the slot array
+/// (`store.index_conversions`).
 fn trace_store(ctx: &mut NodeCtx, store: &StoreLayout) {
     ctx.trace
         .counter_add("store.columns{layout=typed}", store.typed_columns);
@@ -192,6 +195,10 @@ fn trace_store(ctx: &mut NodeCtx, store: &StoreLayout) {
         ctx.trace
             .counter_add(cause.counter(), store.demoted[cause as usize]);
     }
+    for index in StoreIndex::ALL {
+        ctx.trace.counter_add(index.counter(), store.index[index as usize]);
+    }
+    ctx.trace.counter_add("store.index_conversions", store.index_conversions);
     ctx.trace
         .gauge_max("store.bytes_per_group", store.bytes_per_group as f64);
 }

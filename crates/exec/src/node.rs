@@ -34,8 +34,11 @@ pub struct NodeCtx {
     pub disk: SimDisk,
     /// Recycled message/page buffers for the node's hot paths. Sealed
     /// message pages draw replacements from here and consumed receive
-    /// pages are returned, so steady-state exchange avoids the allocator.
-    /// Wall-clock only — never affects cost events or virtual time.
+    /// pages are returned, up to the pool's cap. A node receives nothing
+    /// while it scans, so phase 1's message pages are all fresh
+    /// allocations, and the merge frees the pages past the cap as it
+    /// consumes them (see `adaptagg_storage::pool`). Wall-clock only —
+    /// never affects cost events or virtual time.
     pub page_pool: PagePool,
     /// The node's recovery context, when the run has a
     /// [`crate::recovery::RecoveryPolicy`]: partition layout, shared

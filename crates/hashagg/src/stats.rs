@@ -35,8 +35,9 @@ pub struct HashAggStats {
     pub overflow_pages_rows: [u64; 2],
     /// The group-store layout the data left each table in, summed at drain
     /// time over all tables (first pass + overflow buckets): columns still
-    /// typed, columns general, demotions by cause; `bytes_per_group` is the
-    /// widest table's.
+    /// typed, columns general, demotions by cause, tables by index and
+    /// their moves off the dense map; `bytes_per_group` is the widest
+    /// table's.
     pub store: StoreLayout,
     /// Partial rows the tables drained, by the lane they left on: a column
     /// at a time, or cell by cell.
@@ -72,6 +73,10 @@ impl HashAggStats {
         for (a, b) in mine.demoted.iter_mut().zip(layout.demoted) {
             *a += b;
         }
+        for (a, b) in mine.index.iter_mut().zip(layout.index) {
+            *a += b;
+        }
+        mine.index_conversions += layout.index_conversions;
         mine.bytes_per_group = mine.bytes_per_group.max(layout.bytes_per_group);
     }
 

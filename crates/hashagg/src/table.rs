@@ -40,7 +40,7 @@
 //! `insert_page` and `insert_page_batched` remain for the benchmark
 //! harness, and materialize only the rows they bounce, for its callback.
 
-use adaptagg_model::hash::hash_cells;
+use adaptagg_model::hash::{hash_cells, hash_int};
 use adaptagg_model::store::NO_GROUP;
 use adaptagg_model::{
     record_each, AggFunc, AggQuery, CellRow, CostEvent, CostTracker, GroupStore, IndexRow, KeyCell,
@@ -49,6 +49,7 @@ use adaptagg_model::{
 use adaptagg_storage::{
     BatchCharges, BatchOutcome, Page, RowCause, RowPages, ScanBatch, StorageError, StripView,
 };
+use std::cell::OnceCell;
 
 /// Outcome of an insert attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,7 +395,10 @@ impl AggTable {
     /// vector and replayed column-at-a-time. Batches the strips cannot
     /// serve take the row arm instead, inserting each passing row through
     /// the row core where it lies, still skipping the per-row hash; for raw
-    /// rows the outcome's `row_cause` says why.
+    /// rows the outcome's `row_cause` says why. A batch keyed by one `Int`
+    /// strip that meets a store on its dense map skips the hashing pass:
+    /// the map reads no hash, so only the keys it admits are hashed, one at
+    /// a time ([`hash_int`]).
     ///
     /// Charges are the row loop's, recorded as counts: each accepted row
     /// owes `batch.pass_lead()` and the accept template, each filtered-out
@@ -429,12 +433,19 @@ impl AggTable {
             RowKind::Raw => self.input_strips_cause(batch),
         };
 
-        // One vectorized Seed::Table hash per row of its key prefix.
+        let on_strips = match kind {
+            RowKind::Raw => row_cause.is_none(),
+            RowKind::Partial => hashed && self.partial_strips(batch),
+        };
+        let int_keys = if on_strips { int_key(batch, k) } else { None };
+
+        // One vectorized Seed::Table hash per row of its key prefix, unless
+        // nothing would read it.
         let mut hashes = std::mem::take(&mut self.batch_hashes);
-        if hashed && batch.passing() > 0 {
+        hashes.clear();
+        let dense = int_keys.is_some() && self.store.is_dense();
+        if hashed && batch.passing() > 0 && !dense {
             batch.hash_keys(Seed::Table, k, &mut hashes);
-        } else {
-            hashes.clear();
         }
 
         let mut out = BatchOutcome {
@@ -443,17 +454,13 @@ impl AggTable {
         };
         let mut gix = std::mem::take(&mut self.batch_gix);
         gix.clear();
-        let on_strips = match kind {
-            RowKind::Raw => row_cause.is_none(),
-            RowKind::Partial => hashed && self.partial_strips(batch),
-        };
         let ended = if on_strips {
             // No tuple materialization: the key and input strips are
             // resolved here, once; the probe admits new groups with empty
             // states and the deferred pass below applies every row's
             // update (or merge) alike.
             gix.reserve(batch.passing());
-            let ended = match int_key(batch, k) {
+            let ended = match int_keys {
                 Some(keys) => self.feed(kind, batch, tracker, policy, &mut out, &mut gix, &mut IntKey { hashes: &hashes, keys }),
                 None => self.feed(kind, batch, tracker, policy, &mut out, &mut gix, &mut KeyCells { hashes: &hashes, batch }),
             };
@@ -633,12 +640,14 @@ impl AggTable {
     #[inline(always)]
     fn probe_cells<'a>(
         &mut self,
-        hash: u64,
+        hash: impl Fn() -> u64,
         cell: impl Fn(usize) -> KeyCell<'a>,
         gix: &mut Vec<u32>,
         forced: bool,
     ) -> Inserted {
-        let (found, examined) = self.store.find(hash, &cell);
+        let (grant, max_entries) = (&self.grant, self.max_entries);
+        let room = |len| forced || len < grant.cap(max_entries);
+        let (found, examined) = self.store.lookup(&hash, &cell, room);
         self.probe_slots += examined;
         let (outcome, entry) = match found {
             Ok(entry) => {
@@ -647,7 +656,7 @@ impl AggTable {
             }
             Err(_) if !forced && self.is_full() => return Inserted::Full,
             Err(slot) => {
-                let entry = self.store.admit_cells(slot, hash, cell);
+                let entry = self.store.admit_cells(slot, hash(), cell);
                 self.inserts += 1;
                 (Inserted::New, entry)
             }
@@ -679,10 +688,17 @@ impl AggTable {
         if arity < k {
             return Err(ModelError::ColumnOutOfRange { column: arity, arity });
         }
-        let hash = prehashed.unwrap_or_else(|| hash_cells(Seed::Table, row, k));
-        debug_assert_eq!(hash, hash_cells(Seed::Table, row, k), "stale precomputed hash");
+        debug_assert!(
+            prehashed.is_none_or(|hash| hash == hash_cells(Seed::Table, row, k)),
+            "stale precomputed hash"
+        );
+        // Hashed once, and only if the store's index reads it.
+        let memo = OnceCell::new();
+        let hash = || *memo.get_or_init(|| prehashed.unwrap_or_else(|| hash_cells(Seed::Table, row, k)));
 
-        let (found, examined) = self.store.find(hash, |j| row.cell(j));
+        let (grant, max_entries) = (&self.grant, self.max_entries);
+        let room = |len| forced || len < grant.cap(max_entries);
+        let (found, examined) = self.store.lookup(hash, |j| row.cell(j), room);
         self.probe_slots += examined;
         match found {
             Ok(entry) => {
@@ -693,7 +709,7 @@ impl AggTable {
             Err(_) if !forced && self.is_full() => Ok(Inserted::Full),
             Err(slot) => {
                 // A first row that does not fold leaves the store as it was.
-                self.store.admit_row(slot, hash, kind, row)?;
+                self.store.admit_row(slot, hash(), kind, row)?;
                 self.inserts += 1;
                 Ok(Inserted::New)
             }
@@ -758,6 +774,9 @@ trait Land {
 }
 
 /// The strips arm under one `Int` key column: the key is the strip's cell.
+/// `hashes` is empty when the batch met a dense store: a row then hashes
+/// its key only if the store reads it — on admission, or once the store
+/// has left its dense map mid-batch.
 struct IntKey<'a> {
     hashes: &'a [u64],
     keys: &'a [i64],
@@ -769,7 +788,8 @@ impl Land for IntKey<'_> {
     #[inline(always)]
     fn land(&mut self, table: &mut AggTable, r: usize, gix: &mut Vec<u32>, forced: bool) -> Result<Inserted, ModelError> {
         let key = self.keys[r];
-        Ok(table.probe_cells(self.hashes[r], |_| KeyCell::Int(key), gix, forced))
+        let hash = || self.hashes.get(r).copied().unwrap_or_else(|| hash_int(Seed::Table, key));
+        Ok(table.probe_cells(hash, |_| KeyCell::Int(key), gix, forced))
     }
 }
 
@@ -788,7 +808,7 @@ impl Land for KeyCells<'_, '_> {
             StripView::Ints(xs) => KeyCell::Int(xs[r]),
             StripView::Values(vs) => KeyCell::Value(&vs[r]),
         };
-        Ok(table.probe_cells(self.hashes[r], cell, gix, forced))
+        Ok(table.probe_cells(|| self.hashes[r], cell, gix, forced))
     }
 }
 
@@ -836,7 +856,7 @@ mod tests {
 
     /// Whether `key`'s group is resident: a read-only probe of the store.
     fn resident(t: &AggTable, key: &[Value]) -> bool {
-        t.store().find(hash_values(Seed::Table, key), |j| key.cell(j)).0.is_ok()
+        t.store().find(|| hash_values(Seed::Table, key), |j| key.cell(j)).0.is_ok()
     }
 
     /// The table's partial drain, read back as rows.

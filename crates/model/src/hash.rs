@@ -38,6 +38,7 @@ pub enum Seed {
 }
 
 impl Seed {
+    #[inline]
     fn initial_state(self) -> u64 {
         let raw = match self {
             Seed::Partition => 0x9e37_79b9_7f4a_7c15,
@@ -148,6 +149,14 @@ pub fn hash_cells<R: IndexRow + ?Sized>(seed: Seed, row: &R, k: usize) -> u64 {
     let mut hasher = FxHasher::with_seed(seed);
     (0..k.min(row.arity())).for_each(|j| row.cell(j).with_value(|v| v.hash(&mut hasher)));
     hasher.finish()
+}
+
+/// [`hash_values`] of the one-cell key `[Value::Int(x)]`, bit for bit: the
+/// hash a group grouped on one `Int` column is stored under, for callers
+/// that hash a key at a time.
+#[inline]
+pub fn hash_int(seed: Seed, x: i64) -> u64 {
+    finish_state(mix_word(mix_word(seed.initial_state(), 1), x as u64))
 }
 
 /// Vectorized batch counterpart of [`hash_values`]: initialize one hash
@@ -292,6 +301,15 @@ mod tests {
                     hash_values(seed, &[Value::Int(x)]),
                     "row {r} diverged under {seed:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn hash_int_matches_row_hash() {
+        for seed in [Seed::Table, Seed::Partition, Seed::OverflowBucket(3)] {
+            for x in [i64::MIN, -1, 0, 1, 63, 62_499, i64::MAX] {
+                assert_eq!(hash_int(seed, x), hash_values(seed, &[Value::Int(x)]), "{x} under {seed:?}");
             }
         }
     }

@@ -56,5 +56,5 @@ pub use params::{ms_to_ticks, ticks_to_ms, CostParams, NetworkKind, MAX_TICKS, T
 pub use predicate::{matches_all, Compare, Predicate};
 pub use query::{AggCells, AggQuery, ResultRow};
 pub use schema::{DataType, Field, Schema};
-pub use store::{DemoteCause, GroupRow, GroupStore, IndexRow, KeyCell, LaneRows, SortScratch, StoreLayout};
+pub use store::{DemoteCause, GroupRow, GroupStore, IndexRow, KeyCell, LaneRows, SortScratch, StoreIndex, StoreLayout};
 pub use value::{CellRow, CellSink, StripView, Value};

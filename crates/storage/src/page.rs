@@ -1404,7 +1404,7 @@ mod tests {
                 let row = &[key, input][..];
                 for _ in 0..2 {
                     let hash = hash_values(Seed::Table, &row[..1]);
-                    match store.find(hash, |j| row.cell(j)).0 {
+                    match store.lookup(|| hash, |j| row.cell(j), |_| true).0 {
                         Ok(entry) => store.fold(entry, RowKind::Raw, row).unwrap(),
                         Err(slot) => {
                             store.admit_row(slot, hash, RowKind::Raw, row).unwrap();

@@ -1,12 +1,16 @@
 //! A free list of cleared pages.
 //!
 //! Sealing a message block hands a full page to the network and replaces
-//! it with an empty one; the receive side discards consumed pages. With a
-//! fresh allocation per seal, the steady-state hot path allocates (and
-//! regrows) a buffer per 2 KB message. The pool closes that loop: consumed
-//! pages come back via [`PagePool::put`] and sealed slots are refilled via
-//! [`PagePool::get`], so after warm-up the exchange paths recycle a small
-//! working set of buffers instead of touching the allocator.
+//! it with a cleared one from [`PagePool::get`]; a receiver hands the
+//! pages it consumed back to its own pool with [`PagePool::put`]. The loop
+//! closes only where one node both receives and later seals. No node
+//! receives while it scans, so during phase 1 every pool is empty and
+//! every sealed message page is a fresh allocation. The merge phase then
+//! returns the pages it consumes: the pool keeps 64 of them (`MAX_POOLED`)
+//! and the rest are freed on the receiving thread. So the exchange still
+//! allocates about one page per message on the sending node and frees it
+//! on the receiving one; what the pool saves is the refill of pages a
+//! node seals after it has received.
 //!
 //! Each node owns its pool (`&mut self` throughout). Purely a wall-clock
 //! optimization: pages are byte-identical to freshly allocated ones

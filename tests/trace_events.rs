@@ -587,6 +587,56 @@ fn store_layout_and_demotions_are_reported_by_cause() {
     assert!(text.contains("store.columns{layout=typed}") && text.contains("store.bytes_per_group"));
 }
 
+/// Which index found each table's groups is in the trace:
+/// `store.index{kind=dense|hashed}` counts the tables by the index they
+/// were drained on, `store.index_conversions` the tables that left the
+/// dense map for the slot array. On 1 node with the paper's `M` (a bound
+/// of 32 768 keys), 64 `Int` keys keep every table on the map — 2P's local
+/// and merge tables, Rep's merge table, Sort-2P's run table and the merge
+/// table behind it; a two-column key `(g, pad)` never uses one; keys a
+/// million apart leave it at the second key; keys that outgrow the bound
+/// halfway leave it once a table. Tracing moves neither rows nor clock.
+#[test]
+fn store_index_is_reported() {
+    use adaptagg::storage::HeapFile;
+
+    let file_of = |key: &dyn Fn(i64) -> i64| {
+        let mut file = HeapFile::new(512);
+        for i in 0..2_000 {
+            file.append(&[Value::Int(key(i)), Value::Int(i), Value::from("pad")]).unwrap();
+        }
+        file
+    };
+    let by_g_pad = AggQuery::new(vec![0, 2], vec![AggSpec::over(AggFunc::Sum, 1), AggSpec::count_star()]);
+    // (label, file, query, algorithm, tables: dense, hashed, conversions)
+    let cases = [
+        ("64 keys", file_of(&|i| i % 64), default_query(), AlgorithmKind::TwoPhase, [2, 0, 0]),
+        ("64 keys", file_of(&|i| i % 64), default_query(), AlgorithmKind::Repartitioning, [1, 0, 0]),
+        ("64 keys", file_of(&|i| i % 64), default_query(), AlgorithmKind::SortTwoPhase, [2, 0, 0]),
+        ("(g, pad)", file_of(&|i| i % 64), by_g_pad, AlgorithmKind::TwoPhase, [0, 2, 0]),
+        ("sparse keys", file_of(&|i| (i % 64) * 1_000_003), default_query(), AlgorithmKind::TwoPhase, [0, 2, 2]),
+        ("outgrown", file_of(&|i| if i < 1_000 { i % 64 } else { i * 40 }), default_query(), AlgorithmKind::Repartitioning, [0, 1, 1]),
+    ];
+    for (label, file, query, kind, [dense, hashed, conversions]) in cases {
+        let parts = vec![file];
+        let mut plain = ClusterConfig::new(1, CostParams::paper_default());
+        plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+        let traced = plain.clone().with_tracing();
+        let a = run_algorithm(kind, &plain, &parts, &query).unwrap();
+        let b = run_algorithm(kind, &traced, &parts, &query).unwrap();
+        assert!(a.trace.is_none(), "{label}: untraced run carried a trace");
+        assert_eq!(a.rows, b.rows, "{label}: rows changed under tracing");
+        assert_eq!(a.elapsed(), b.elapsed(), "{label}: clock moved");
+        let metrics = &b.trace.as_ref().unwrap().node(0).unwrap().metrics;
+        let seen = [
+            metrics.counter("store.index{kind=dense}"),
+            metrics.counter("store.index{kind=hashed}"),
+            metrics.counter("store.index_conversions"),
+        ];
+        assert_eq!(seen, [dense, hashed, conversions], "{kind} {label}: dense, hashed, conversions");
+    }
+}
+
 /// Sort-2P's local phase is in the trace: what run formation took in and
 /// sealed, whether it rode each scanned page's strips and if not why, and
 /// which lane the run merge folded each run row on. The default query
