@@ -23,7 +23,7 @@
 //! output skew the group-rich nodes switch while group-poor ones stay in
 //! Two Phase mode, beating both static algorithms.
 
-use crate::common::{merge_phase_store, trace_partial_rows, QueryPlan};
+use crate::common::{merge_phase_store, trace_tables, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::recovery::{scan_steps, ScanStep};
@@ -36,13 +36,11 @@ use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch};
 pub fn run_node(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
-    cfg: &AlgoConfig,
+    _cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    let max_entries = ctx.params().max_hash_entries;
-    let fanout = cfg.overflow_fanout;
     let mut events = Vec::new();
 
-    let mut scan = ScanState::new(plan, max_entries).with_grant(ctx.grant().clone());
+    let mut scan = ScanState::new(plan, ctx.params().max_hash_entries).with_grant(ctx.grant().clone());
     let mut ex = Exchange::new(
         ctx.nodes(),
         ctx.params().message_bytes,
@@ -112,10 +110,10 @@ pub fn run_node(
     ctx.span_end();
     shipped?;
     ctx.clock.mark("phase1");
-    trace_partial_rows(ctx, scan.table.drained_rows());
+    trace_tables(ctx, scan.table.drains());
 
     // Merge phase: raw + partial interleaved, one bounded table.
-    let (rows, mut agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
+    let (rows, mut agg) = merge_phase_store(ctx, plan)?;
     agg.raw_in += scan.raw_seen;
     Ok(NodeOutcome { rows, agg, events })
 }

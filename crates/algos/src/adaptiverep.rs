@@ -12,14 +12,14 @@
 //! table left by the repartitioning phase".
 //!
 //! While scanning, the node polls its endpoint for `EndOfPhase` (every
-//! [`crate::AlgoConfig::arep_poll_interval`] tuples). A poll takes
+//! `POLL_INTERVAL` tuples). A poll takes
 //! controls only: the data pages it finds arrived stay queued for the
 //! merge phase, which charges them in its own, logical order — so the
 //! node's virtual time depends on the thread schedule through nothing
 //! but *when* a peer's `EndOfPhase` is seen, the paper's benign race.
 
 use crate::adaptive2p::ScanState;
-use crate::common::{merge_phase_store, trace_partial_rows, QueryPlan};
+use crate::common::{merge_phase_store, trace_tables, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
@@ -29,14 +29,16 @@ use adaptagg_net::{Control, Payload};
 use adaptagg_storage::{BatchOutcome, ScanBatch};
 use std::collections::HashSet;
 
+/// Scanned tuples between two polls of the endpoint for a peer's
+/// `EndOfPhase`.
+const POLL_INTERVAL: u64 = 256;
+
 /// Run Adaptive Repartitioning on one node.
 pub fn run_node(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
     cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    let max_entries = ctx.params().max_hash_entries;
-    let fanout = cfg.overflow_fanout;
     let mut events: Vec<AdaptEvent> = Vec::new();
 
     let mut ex = Exchange::new(
@@ -48,10 +50,8 @@ pub fn run_node(
 
     let mut scan = ArepScan {
         plan,
-        max_entries,
         init_seg: cfg.arep_init_seg as u64,
-        min_groups: cfg.arep_min_groups,
-        poll: cfg.arep_poll_interval.max(1) as u64,
+        min_groups: cfg.crossover.threshold,
         ex: &mut ex,
         events: &mut events,
         fallen_back: false,
@@ -88,12 +88,12 @@ pub fn run_node(
     shipped?;
     ctx.clock.mark("phase1");
     if let Some(state) = &a2p {
-        trace_partial_rows(ctx, state.table.drained_rows());
+        trace_tables(ctx, state.table.drains());
     }
 
     // Merge phase "uses the hash table left by the repartitioning phase":
     // one bounded table over the pages of all kinds.
-    let (rows, agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
+    let (rows, agg) = merge_phase_store(ctx, plan)?;
     Ok(NodeOutcome { rows, agg, events })
 }
 
@@ -108,10 +108,8 @@ pub fn run_node(
 /// would. Once fallen back, the A2P [`ScanState`] takes the batches.
 struct ArepScan<'a> {
     plan: &'a QueryPlan,
-    max_entries: usize,
     init_seg: u64,
     min_groups: u64,
-    poll: u64,
     ex: &'a mut Exchange,
     events: &'a mut Vec<AdaptEvent>,
     /// Running A2P logic?
@@ -128,7 +126,7 @@ struct ArepScan<'a> {
 impl ArepScan<'_> {
     /// Passing tuples ahead of the next event tuple.
     fn until_event(&self) -> u64 {
-        let poll = self.poll - 1 - self.scanned % self.poll;
+        let poll = POLL_INTERVAL - 1 - self.scanned % POLL_INTERVAL;
         match self.init_seg.checked_sub(self.scanned + 1) {
             Some(verdict) => poll.min(verdict),
             None => poll,
@@ -159,7 +157,7 @@ impl ArepScan<'_> {
         let scanned = self.scanned;
         // A peer's abort surfaces here as an error (`poll_control`
         // intercepts it), ending the scan promptly.
-        if scanned.is_multiple_of(self.poll) {
+        if scanned.is_multiple_of(POLL_INTERVAL) {
             while let Some(msg) = ctx.poll_control()? {
                 let Payload::Control(Control::EndOfPhase { .. }) = msg.payload else {
                     return Err(ExecError::Protocol("unexpected control during ARep scan"));
@@ -220,10 +218,10 @@ impl ScanSink<NodeCtx> for ArepScan<'_> {
         self.poll_or_judge(ctx)?;
         if self.fallen_back {
             // Adaptive Two Phase logic from here on.
-            let grant = ctx.grant().clone();
+            let (max_entries, grant) = (ctx.params().max_hash_entries, ctx.grant().clone());
             let state = self
                 .a2p
-                .get_or_insert_with(|| ScanState::new(self.plan, self.max_entries).with_grant(grant));
+                .get_or_insert_with(|| ScanState::new(self.plan, max_entries).with_grant(grant));
             state.push_batch(ctx, self.ex, &event, self.events)
         } else {
             self.ex.route_batch(ctx, &event, true)

@@ -17,7 +17,7 @@
 //! owners hashed off the key strips, the rows this node owns kept as the
 //! batch's selection.
 
-use crate::common::QueryPlan;
+use crate::common::{trace_hashagg, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
 use adaptagg_exec::{operators, send_sealed, ExecError, NodeCtx, PhaseKind, ScanSink};
@@ -31,10 +31,8 @@ use adaptagg_storage::{BatchOutcome, ScanBatch};
 pub fn run_node(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
-    cfg: &AlgoConfig,
+    _cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    let max_entries = ctx.params().max_hash_entries;
-    let fanout = cfg.overflow_fanout;
     let nodes = ctx.nodes();
     let message_bytes = ctx.params().message_bytes;
     let key_len = plan.key_len();
@@ -60,8 +58,8 @@ pub fn run_node(
     // this node owns its selection, owing the merge table nothing ahead of
     // its own charges. A ragged page is no batch: it fails as the column its
     // short rows lack. The merge span ends once the result is stored.
-    let page_bytes = ctx.params().page_bytes;
-    let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
+    let (max_entries, page_bytes) = (ctx.params().max_hash_entries, ctx.params().page_bytes);
+    let mut agg = HashAggregator::with_defaults(plan.projected.clone(), max_entries, page_bytes)
         .with_charge_hash(false)
         .with_grant(ctx.grant().clone());
     let mut discarded: u64 = 0;
@@ -92,6 +90,7 @@ pub fn run_node(
     })();
     ctx.span_end();
     let (rows, mut agg_stats) = merged?;
+    trace_hashagg(ctx, &agg_stats);
     agg_stats.raw_in += scanned as u64 + discarded;
     Ok(NodeOutcome {
         rows,

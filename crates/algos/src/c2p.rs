@@ -18,14 +18,10 @@ pub const COORDINATOR: usize = 0;
 pub fn run_node(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
-    cfg: &AlgoConfig,
+    _cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    let max_entries = ctx.params().max_hash_entries;
-    let fanout = cfg.overflow_fanout;
-
     // Phase 1: local aggregation; ship partials to the coordinator.
-    let (partials, local_stats) =
-        crate::common::local_partial_aggregation(ctx, plan, max_entries, fanout)?;
+    let (partials, local_stats) = crate::common::local_partial_aggregation(ctx, plan)?;
     ship_partials(ctx, plan, partials, ShipTo::Node(COORDINATOR))?;
 
     let mut outcome = NodeOutcome {
@@ -35,7 +31,7 @@ pub fn run_node(
 
     // Phase 2: the coordinator alone merges everything.
     if ctx.id() == COORDINATOR {
-        let (rows, merge_stats) = merge_phase_store(ctx, plan, max_entries, fanout)?;
+        let (rows, merge_stats) = merge_phase_store(ctx, plan)?;
         outcome.agg.add(&merge_stats);
         outcome.rows = rows;
     }

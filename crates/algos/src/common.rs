@@ -39,10 +39,11 @@ impl QueryPlan {
 }
 
 /// Phase 1 of the Two Phase family: scan + project the local partition,
-/// aggregate into a memory-bounded table (with overflow processing), and
-/// return the partial rows on pages (§2.1's local aggregation). The scan
-/// feeds the aggregator a page at a time — borrowed column-strip batches
-/// into the table's batched insert, rows where the strips cannot serve.
+/// aggregate into a table of the node's `max_hash_entries` (with overflow
+/// processing), and return the partial rows on pages (§2.1's local
+/// aggregation). The scan feeds the aggregator a page at a time —
+/// borrowed column-strip batches into the table's batched insert, rows
+/// where the strips cannot serve.
 ///
 /// The scan walks [`scan_steps`]: without a recovery session that is one
 /// chunk, every page under one aggregator. Under a session, rows already
@@ -52,13 +53,8 @@ impl QueryPlan {
 /// are produced. Duplicate group keys across restored and fresh chunks
 /// are fine — partial rows are mergeable, and every consumer of this
 /// function's output merges.
-pub fn local_partial_aggregation(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    max_entries: usize,
-    fanout: usize,
-) -> Result<(RowPages, HashAggStats), ExecError> {
-    let page_bytes = ctx.params().page_bytes;
+pub fn local_partial_aggregation(ctx: &mut NodeCtx, plan: &QueryPlan) -> Result<(RowPages, HashAggStats), ExecError> {
+    let (max_entries, page_bytes) = (ctx.params().max_hash_entries, ctx.params().page_bytes);
     let mut session = ctx.recovery.take();
     let phase = (|| -> Result<_, ExecError> {
         let (mut out, mut stats) = (RowPages::new(page_bytes), HashAggStats::default());
@@ -74,7 +70,7 @@ pub fn local_partial_aggregation(
                 }
                 ScanStep::Scan(chunk) => chunk,
             };
-            let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
+            let mut agg = HashAggregator::with_defaults(plan.projected.clone(), max_entries, page_bytes)
                 .with_grant(ctx.grant().clone());
             ctx.span_start(PhaseKind::Scan);
             let (filter, columns) = (&plan.base.filter, &plan.projection);
@@ -126,10 +122,8 @@ pub fn local_partial_aggregation(
 /// by row, by [`DrainCause`].
 pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
     if ctx.trace.enabled() {
-        trace_store(ctx, &stats.store);
-        trace_partial_rows(ctx, stats.partial_rows);
+        trace_tables(ctx, stats);
         ctx.trace.counter_add("hashagg.rows_in", stats.rows_in());
-        ctx.trace.counter_add("hashagg.probe_slots", stats.probe_slots);
         ctx.trace
             .counter_add("hashagg.spilled_tuples", stats.spilled_tuples);
         ctx.trace.counter_add("hashagg.spooled_rows{lane=columns}", stats.spooled_rows.columns);
@@ -149,6 +143,20 @@ pub fn trace_hashagg(ctx: &mut NodeCtx, stats: &HashAggStats) {
         for cause in DrainCause::ALL {
             pages(cause.counter(), stats.overflow_pages_rows[cause as usize]);
         }
+    }
+}
+
+/// What an operator's drained tables left in the trace: their
+/// `store.*` metrics, the slots their probes examined
+/// (`hashagg.probe_slots`) and the partial rows they drained. For a
+/// phase-1 table an algorithm drives itself, pass its
+/// [`AggTable::drains`](adaptagg_hashagg::AggTable::drains). No-op when
+/// tracing is disabled.
+pub fn trace_tables(ctx: &mut NodeCtx, drains: &HashAggStats) {
+    if ctx.trace.enabled() {
+        trace_store(ctx, &drains.store);
+        trace_partial_rows(ctx, drains.partial_rows);
+        ctx.trace.counter_add("hashagg.probe_slots", drains.probe_slots);
     }
 }
 
@@ -174,7 +182,7 @@ pub fn trace_sortagg(ctx: &mut NodeCtx, stats: &SortAggStats) {
 /// a group store (a drain, a run, the run merge's output) a column at a time
 /// onto a page's typed lane, and cell by cell — a refused column lane shows
 /// as `cells`. No-op when tracing is disabled.
-pub fn trace_partial_rows(ctx: &mut NodeCtx, rows: LaneRows) {
+fn trace_partial_rows(ctx: &mut NodeCtx, rows: LaneRows) {
     if ctx.trace.enabled() {
         ctx.trace.counter_add("store.partial_rows{lane=columns}", rows.columns);
         ctx.trace.counter_add("store.partial_rows{lane=cells}", rows.cells);
@@ -204,10 +212,10 @@ fn trace_store(ctx: &mut NodeCtx, store: &StoreLayout) {
 }
 
 /// A merge phase: consume every node's stream of data pages (raw tuples
-/// and/or partial rows), aggregating from the first page on in a
-/// memory-bounded table (hash cost not re-charged: rows were hashed when
-/// partitioned), finalize, and store the results on the local disk, all
-/// under one `merge` span.
+/// and/or partial rows), aggregating from the first page on in a table
+/// of the node's `max_hash_entries` (hash cost not re-charged: rows were
+/// hashed when partitioned), finalize, and store the results on the local
+/// disk, all under one `merge` span.
 ///
 /// The streams are consumed in logical order ([`NodeCtx::recv_streams`]:
 /// sender ascending, per-sender FIFO), so the phase's virtual time — and
@@ -215,14 +223,9 @@ fn trace_store(ctx: &mut NodeCtx, store: &StoreLayout) {
 /// what was sent, whatever arrived while an earlier phase was still
 /// running. Stray `EndOfPhase` controls are tolerated (a peer may switch
 /// late); any other control is a protocol violation.
-pub fn merge_phase_store(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    max_entries: usize,
-    fanout: usize,
-) -> Result<(Vec<ResultRow>, HashAggStats), ExecError> {
-    let page_bytes = ctx.params().page_bytes;
-    let mut agg = HashAggregator::new(plan.projected.clone(), max_entries, page_bytes, fanout)
+pub fn merge_phase_store(ctx: &mut NodeCtx, plan: &QueryPlan) -> Result<(Vec<ResultRow>, HashAggStats), ExecError> {
+    let (max_entries, page_bytes) = (ctx.params().max_hash_entries, ctx.params().page_bytes);
+    let mut agg = HashAggregator::with_defaults(plan.projected.clone(), max_entries, page_bytes)
         .with_charge_hash(false)
         .with_grant(ctx.grant().clone());
 
@@ -343,7 +346,7 @@ mod tests {
         let config = ClusterConfig::new(2, CostParams::paper_default());
         let plan = plan();
         let run = run_cluster(&config, parts, |ctx| {
-            let (partials, stats) = local_partial_aggregation(ctx, &plan, 1000, 4)?;
+            let (partials, stats) = local_partial_aggregation(ctx, &plan)?;
             Ok((partials.len(), stats.spilled()))
         })
         .unwrap();
@@ -368,9 +371,9 @@ mod tests {
         let config = ClusterConfig::new(4, CostParams::paper_default());
         let plan = plan();
         let run = run_cluster(&config, parts, |ctx| {
-            let (partials, _) = local_partial_aggregation(ctx, &plan, 10_000, 4)?;
+            let (partials, _) = local_partial_aggregation(ctx, &plan)?;
             ship_partials(ctx, &plan, partials, ShipTo::Owners)?;
-            let (rows, _) = merge_phase_store(ctx, &plan, 10_000, 4)?;
+            let (rows, _) = merge_phase_store(ctx, &plan)?;
             Ok(rows)
         })
         .unwrap();
@@ -401,7 +404,7 @@ mod tests {
                 )?;
                 Ok(())
             } else {
-                merge_phase_store(ctx, &plan, 100, 4).map(|_| ())
+                merge_phase_store(ctx, &plan).map(|_| ())
             }
         });
         assert_eq!(

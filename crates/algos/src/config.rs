@@ -7,23 +7,15 @@ use adaptagg_sample::CrossoverRule;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlgoConfig {
     /// The Sampling algorithm's crossover rule (§3.1; default `10·N`
-    /// groups, sample size `10×` that).
+    /// groups, sample size `10×` that). Its threshold is also Adaptive
+    /// Repartitioning's "too few groups": a node that sees fewer distinct
+    /// groups in its first `arep_init_seg` tuples falls back to Adaptive
+    /// Two Phase.
     pub crossover: CrossoverRule,
-    /// Seed for page-level sampling.
-    pub sample_seed: u64,
     /// Adaptive Repartitioning: tuples a node partitions before judging
     /// whether "it has seen too few groups given the number of seen
     /// tuples" (§3.3's `initSeg`).
     pub arep_init_seg: usize,
-    /// Adaptive Repartitioning: if fewer than this many distinct groups
-    /// were seen in the first `arep_init_seg` tuples, fall back to
-    /// Adaptive Two Phase. Defaults to the crossover threshold.
-    pub arep_min_groups: u64,
-    /// How often (in scanned tuples) the Adaptive Repartitioning scan
-    /// polls for `EndOfPhase` messages from other nodes.
-    pub arep_poll_interval: usize,
-    /// Overflow-bucket fanout for all memory-bounded tables.
-    pub overflow_fanout: usize,
 }
 
 impl AlgoConfig {
@@ -32,13 +24,9 @@ impl AlgoConfig {
         let crossover = CrossoverRule::default_for(nodes);
         AlgoConfig {
             crossover,
-            sample_seed: 0xabcd,
             // Judge after a sample-sized prefix: enough tuples that
             // "too few groups" is statistically meaningful.
             arep_init_seg: crossover.sample_size_per_node().max(512),
-            arep_min_groups: crossover.threshold,
-            arep_poll_interval: 256,
-            overflow_fanout: adaptagg_hashagg::aggregate::DEFAULT_OVERFLOW_FANOUT,
         }
     }
 
@@ -47,7 +35,6 @@ impl AlgoConfig {
     pub fn with_crossover_threshold(mut self, threshold: u64) -> Self {
         self.crossover = CrossoverRule::with_threshold(threshold);
         self.arep_init_seg = self.crossover.sample_size_per_node().max(512);
-        self.arep_min_groups = threshold;
         self
     }
 }
@@ -60,16 +47,13 @@ mod tests {
     fn defaults_follow_paper_guidance() {
         let cfg = AlgoConfig::default_for(32);
         assert_eq!(cfg.crossover.threshold, 320);
-        assert_eq!(cfg.arep_min_groups, 320);
         assert_eq!(cfg.arep_init_seg, 3200);
-        assert!(cfg.overflow_fanout >= 2);
     }
 
     #[test]
     fn threshold_override_keeps_consistency() {
         let cfg = AlgoConfig::default_for(8).with_crossover_threshold(1000);
         assert_eq!(cfg.crossover.threshold, 1000);
-        assert_eq!(cfg.arep_min_groups, 1000);
         assert_eq!(cfg.arep_init_seg, 10_000);
     }
 

@@ -77,6 +77,21 @@ impl AlgorithmKind {
             AlgorithmKind::Broadcast => "Bcast",
         }
     }
+
+    /// The strategy a name spells, in any case: its [`label`](Self::label),
+    /// the label without its hyphen (`a2p`), or `sampling` / `broadcast`.
+    pub fn from_name(name: &str) -> Option<AlgorithmKind> {
+        let name = name.to_ascii_lowercase();
+        let name = match name.as_str() {
+            "sampling" => "samp",
+            "broadcast" => "bcast",
+            name => name,
+        };
+        Self::ALL.into_iter().find(|kind| {
+            let label = kind.label().to_ascii_lowercase();
+            name == label || name == label.replace('-', "")
+        })
+    }
 }
 
 impl fmt::Display for AlgorithmKind {
@@ -175,6 +190,16 @@ mod tests {
         for k in AlgorithmKind::ALL {
             assert!(seen.insert(k.label()), "duplicate label {}", k.label());
         }
+    }
+
+    #[test]
+    fn every_label_parses_back() {
+        for k in AlgorithmKind::ALL {
+            assert_eq!(AlgorithmKind::from_name(k.label()), Some(k), "{k}");
+        }
+        assert_eq!(AlgorithmKind::from_name("a2p"), Some(AlgorithmKind::AdaptiveTwoPhase));
+        assert_eq!(AlgorithmKind::from_name("Broadcast"), Some(AlgorithmKind::Broadcast));
+        assert_eq!(AlgorithmKind::from_name("a2-p"), None);
     }
 
     #[test]

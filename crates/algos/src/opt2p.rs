@@ -22,7 +22,7 @@
 //! it lies before the rest of the page is offered, so the route's page
 //! sends read the clock where a tuple-at-a-time scan would.
 
-use crate::common::{merge_phase_store, trace_partial_rows, QueryPlan};
+use crate::common::{merge_phase_store, trace_tables, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
 use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, ScanSink};
@@ -34,13 +34,10 @@ use adaptagg_storage::{BatchOutcome, ScanBatch};
 pub fn run_node(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
-    cfg: &AlgoConfig,
+    _cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    let max_entries = ctx.params().max_hash_entries;
-    let fanout = cfg.overflow_fanout;
-
     let mut sink = Forward {
-        table: AggTable::new(plan.projected.clone(), max_entries).with_grant(ctx.grant().clone()),
+        table: AggTable::new(plan.projected.clone(), ctx.params().max_hash_entries).with_grant(ctx.grant().clone()),
         ex: Exchange::new(ctx.nodes(), ctx.params().message_bytes, plan.key_len(), RowKind::Raw),
         forwarded: 0,
     };
@@ -55,9 +52,9 @@ pub fn run_node(
     ex.flush_table(ctx, &mut table, RowKind::Partial)?;
     ex.finish(ctx)?;
     ctx.clock.mark("phase1");
-    trace_partial_rows(ctx, table.drained_rows());
+    trace_tables(ctx, table.drains());
 
-    let (rows, mut agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
+    let (rows, mut agg) = merge_phase_store(ctx, plan)?;
     agg.raw_in += table.accepted() + forwarded;
     Ok(NodeOutcome {
         rows,

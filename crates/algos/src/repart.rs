@@ -18,11 +18,8 @@ use adaptagg_model::RowKind;
 pub fn run_node(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
-    cfg: &AlgoConfig,
+    _cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    let max_entries = ctx.params().max_hash_entries;
-    let fanout = cfg.overflow_fanout;
-
     // Phase 1: scan, project, hash-partition raw tuples to their owners.
     // Select cost per §2.3 is t_r + t_w (scan) + t_h + t_d (route).
     let mut ex = Exchange::new(
@@ -50,7 +47,7 @@ pub fn run_node(
     ctx.clock.mark("phase1");
 
     // Phase 2: aggregate everything that hashed here, store locally.
-    let (rows, agg) = merge_phase_store(ctx, plan, max_entries, fanout)?;
+    let (rows, agg) = merge_phase_store(ctx, plan)?;
     Ok(NodeOutcome {
         rows,
         agg,

@@ -29,6 +29,9 @@ use std::collections::BTreeSet;
 /// The estimation coordinator (node 0).
 pub const COORDINATOR: usize = 0;
 
+/// Seed of the page-level sample, mixed with the node id.
+const SAMPLE_SEED: u64 = 0xabcd;
+
 /// Run the Sampling algorithm on one node.
 pub fn run_node(
     ctx: &mut NodeCtx,
@@ -61,7 +64,7 @@ fn estimate_and_decide(
     cfg: &AlgoConfig,
 ) -> Result<AlgorithmChoice, ExecError> {
     let per_node = cfg.crossover.sample_size_per_node();
-    let node_seed = cfg.sample_seed ^ (ctx.id() as u64).wrapping_mul(0x9e37_79b9);
+    let node_seed = SAMPLE_SEED ^ (ctx.id() as u64).wrapping_mul(0x9e37_79b9);
 
     // Sample local pages (charges rIO per page, t_r per tuple).
     let file = ctx.disk.take("base")?;

@@ -20,11 +20,9 @@ use adaptagg_sortagg::SortAggregator;
 pub fn run_node(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
-    cfg: &AlgoConfig,
+    _cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    let max_entries = ctx.params().max_hash_entries;
-    let fanout = cfg.overflow_fanout;
-    let page_bytes = ctx.params().page_bytes;
+    let (max_entries, page_bytes) = (ctx.params().max_hash_entries, ctx.params().page_bytes);
 
     // Phase 1: sorted-run local aggregation, a scanned page at a time.
     let mut agg = SortAggregator::new(plan.projected.clone(), max_entries, page_bytes)
@@ -51,7 +49,7 @@ pub fn run_node(
     ship_partials(ctx, plan, partials, ShipTo::Owners)?;
 
     // Phase 2: hash merge, as in plain Two Phase.
-    let (rows, mut agg_stats) = merge_phase_store(ctx, plan, max_entries, fanout)?;
+    let (rows, mut agg_stats) = merge_phase_store(ctx, plan)?;
     agg_stats.raw_in += sort_stats.rows_in;
     // Runs written to disk are this strategy's "intermediate I/O"; report
     // them in the overflow counter so comparisons line up.

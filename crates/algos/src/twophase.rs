@@ -16,14 +16,11 @@ use adaptagg_exec::{ExecError, NodeCtx};
 pub fn run_node(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
-    cfg: &AlgoConfig,
+    _cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    let max_entries = ctx.params().max_hash_entries;
-    let fanout = cfg.overflow_fanout;
-
-    let (partials, local_stats) = local_partial_aggregation(ctx, plan, max_entries, fanout)?;
+    let (partials, local_stats) = local_partial_aggregation(ctx, plan)?;
     ship_partials(ctx, plan, partials, ShipTo::Owners)?;
-    let (rows, merge_stats) = merge_phase_store(ctx, plan, max_entries, fanout)?;
+    let (rows, merge_stats) = merge_phase_store(ctx, plan)?;
 
     let mut agg = local_stats;
     agg.add(&merge_stats);

@@ -378,22 +378,7 @@ fn parse_workload(s: &str) -> Result<Workload, ArgError> {
 }
 
 fn parse_algo(s: &str) -> Result<AlgorithmKind, ArgError> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "c2p" | "c-2p" => AlgorithmKind::CentralizedTwoPhase,
-        "2p" => AlgorithmKind::TwoPhase,
-        "rep" => AlgorithmKind::Repartitioning,
-        "samp" | "sampling" => AlgorithmKind::Sampling,
-        "a2p" | "a-2p" => AlgorithmKind::AdaptiveTwoPhase,
-        "arep" | "a-rep" => AlgorithmKind::AdaptiveRepartitioning,
-        "opt2p" | "opt-2p" => AlgorithmKind::OptimizedTwoPhase,
-        "sort2p" | "sort-2p" => AlgorithmKind::SortTwoPhase,
-        "bcast" | "broadcast" => AlgorithmKind::Broadcast,
-        other => {
-            return Err(ArgError(format!(
-                "unknown algorithm '{other}'; see 'adaptagg help'"
-            )))
-        }
-    })
+    AlgorithmKind::from_name(s).ok_or_else(|| ArgError(format!("unknown algorithm '{s}'; see 'adaptagg help'")))
 }
 
 #[cfg(test)]

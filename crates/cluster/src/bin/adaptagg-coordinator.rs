@@ -28,7 +28,6 @@ fn run(argv: &[String]) -> Result<(), ClusterError> {
     let opts = CoordinatorOpts {
         max_attempts: args.max_attempts,
         attempt_timeout: args.attempt_timeout,
-        ..CoordinatorOpts::default()
     };
     let report = run_coordinator(endpoint, &spec, &opts, &mut |line| {
         eprintln!("[coordinator] {line}");

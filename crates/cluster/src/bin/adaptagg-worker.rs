@@ -30,7 +30,6 @@ fn run(argv: &[String]) -> Result<(), ClusterError> {
         idle_timeout: args.idle_timeout,
         slow_scan: args.slow_scan,
         serve: args.serve,
-        ..WorkerOpts::default()
     };
     let report = run_worker(endpoint, &spec, &opts, &mut |line| {
         eprintln!("[worker {node}] {line}");

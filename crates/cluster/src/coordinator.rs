@@ -25,10 +25,6 @@ pub struct CoordinatorOpts {
     /// waiter cannot know who stalled; removing *someone* keeps the
     /// attempt count bounded).
     pub attempt_timeout: Duration,
-    /// Aggregator memory bound (entries resident before overflow).
-    pub max_entries: usize,
-    /// Overflow-bucket fanout.
-    pub fanout: usize,
 }
 
 impl Default for CoordinatorOpts {
@@ -36,8 +32,6 @@ impl Default for CoordinatorOpts {
         CoordinatorOpts {
             max_attempts: 0, // 0 = one per worker, resolved in run
             attempt_timeout: Duration::from_secs(30),
-            max_entries: CostParams::paper_default().max_hash_entries,
-            fanout: 4,
         }
     }
 }
@@ -262,13 +256,8 @@ fn run_attempt(
 
     // Hash cost is not re-charged for merged partials (they were hashed
     // at the worker) — same accounting as the in-process merge phase.
-    let mut agg = HashAggregator::new(
-        plan.projected.clone(),
-        opts.max_entries,
-        params.page_bytes,
-        opts.fanout,
-    )
-    .with_charge_hash(false);
+    let mut agg = HashAggregator::with_defaults(plan.projected.clone(), params.max_hash_entries, params.page_bytes)
+        .with_charge_hash(false);
     let mut acked = vec![false; spec.nodes];
     let mut eos = vec![false; spec.nodes];
     let deadline = Instant::now() + opts.attempt_timeout;

@@ -65,10 +65,6 @@ pub struct WorkerOpts {
     /// Test hook: sleep this long after acking an attempt, before
     /// scanning — widens the window in which a kill lands mid-query.
     pub slow_scan: Duration,
-    /// Aggregator memory bound.
-    pub max_entries: usize,
-    /// Overflow-bucket fanout.
-    pub fanout: usize,
     /// Serving mode: stay on the mesh after `Finish` and keep taking
     /// dispatches for further queries. The worker then exits cleanly
     /// when the coordinator goes away (its teardown is the shutdown
@@ -81,8 +77,6 @@ impl Default for WorkerOpts {
         WorkerOpts {
             idle_timeout: Duration::from_secs(120),
             slow_scan: Duration::ZERO,
-            max_entries: CostParams::paper_default().max_hash_entries,
-            fanout: 4,
             serve: false,
         }
     }
@@ -157,13 +151,7 @@ pub fn run_worker(
                     let base = spec.base_for(&partitions, &owners, me as u32);
                     let disk = SimDisk::with_base_partition(base);
                     let mut ctx = NodeCtx::new(endpoint, disk, params.clone());
-                    let result = local_partial_aggregation(
-                        &mut ctx,
-                        &plan,
-                        opts.max_entries,
-                        opts.fanout,
-                    )
-                    .and_then(|(partials, _)| {
+                    let result = local_partial_aggregation(&mut ctx, &plan).and_then(|(partials, _)| {
                         ship_partials(&mut ctx, &plan, partials, ShipTo::Node(COORDINATOR))
                     });
                     endpoint = ctx.into_endpoint();

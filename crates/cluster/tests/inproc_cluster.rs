@@ -142,7 +142,6 @@ fn fabric_cluster_exhausts_honestly_when_every_worker_wedges() {
     let copts = CoordinatorOpts {
         max_attempts: 2,
         attempt_timeout: Duration::from_millis(600),
-        ..CoordinatorOpts::default()
     };
     let err = run_coordinator(coord_ep, &s, &copts, &mut quiet()).unwrap_err();
     match &err {

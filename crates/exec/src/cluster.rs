@@ -20,6 +20,10 @@ pub const WATCHDOG_MS_PER_NODE: u64 = 250;
 /// Per-input-page headroom (µs) of the derived watchdog deadline (real
 /// compute time scales with input volume even though time is virtual).
 pub const WATCHDOG_US_PER_PAGE: u64 = 200;
+/// Headroom multiplier on the derived watchdog deadline while recovery is
+/// on: survivors inherit partitions and legitimately run longer, so stall
+/// declaration must be more patient.
+pub const STRAGGLER_FACTOR: u64 = 2;
 
 /// Cluster shape and cost parameters for a run.
 #[derive(Debug, Clone)]
@@ -127,10 +131,8 @@ impl ClusterConfig {
     /// actually uses: the explicit override if set, otherwise
     /// [`DEFAULT_WATCHDOG`] plus [`WATCHDOG_MS_PER_NODE`] per node and
     /// [`WATCHDOG_US_PER_PAGE`] per input page (a fixed constant falsely
-    /// declares large slow runs stalled). With
-    /// recovery enabled, the derived deadline is further scaled by the
-    /// policy's straggler factor — survivors inherit partitions and
-    /// legitimately run longer.
+    /// declares large slow runs stalled). With recovery enabled, the
+    /// derived deadline is further scaled by [`STRAGGLER_FACTOR`].
     pub fn effective_watchdog(&self, total_pages: usize) -> Duration {
         if let Some(explicit) = self.watchdog {
             return explicit;
@@ -138,8 +140,8 @@ impl ClusterConfig {
         let mut ms = DEFAULT_WATCHDOG.as_millis() as u64
             + WATCHDOG_MS_PER_NODE * self.nodes as u64
             + WATCHDOG_US_PER_PAGE * total_pages as u64 / 1000;
-        if let Some(policy) = &self.recovery {
-            ms = (ms as f64 * policy.straggler_factor.max(1.0)).round() as u64;
+        if self.recovery.is_some() {
+            ms *= STRAGGLER_FACTOR;
         }
         Duration::from_millis(ms)
     }
@@ -280,7 +282,7 @@ where
             &config.fault_plan,
             config.transport,
             watchdog,
-            policy.and_then(|p| p.link_retry),
+            policy.map(|_| LinkRetryPolicy::default()),
             config.trace,
             seats,
             &body,

@@ -8,8 +8,10 @@
 //! module provides the pieces the cluster runtime composes:
 //!
 //! * [`RecoveryPolicy`] — how hard to try: attempt budget, checkpoint
-//!   interval, backoff schedule, straggler (watchdog) headroom, and the
-//!   link-level retry policy.
+//!   interval and backoff schedule. A run under a policy also gets
+//!   [`STRAGGLER_FACTOR`](crate::cluster::STRAGGLER_FACTOR) watchdog
+//!   headroom and retries failed sends under the default
+//!   [`LinkRetryPolicy`](adaptagg_net::LinkRetryPolicy).
 //! * [`RecoverySession`] — one node's per-attempt view: which base
 //!   partitions it owns (as [`Segment`]s of its concatenated `"base"`
 //!   file), the shared [`CheckpointStore`], and its recovery counters.
@@ -33,7 +35,6 @@ use crate::clock::Clock;
 use crate::error::ExecError;
 use crate::runstats::NodeRecoveryStats;
 use adaptagg_model::{CostEvent, CostTracker};
-use adaptagg_net::LinkRetryPolicy;
 use adaptagg_storage::{HeapFile, RowPages, SimDisk};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -54,13 +55,6 @@ pub struct RecoveryPolicy {
     pub backoff_ms: f64,
     /// Multiplier applied to the backoff between attempts.
     pub backoff_multiplier: f64,
-    /// Headroom multiplier on the derived watchdog deadline while
-    /// recovery is active: survivors inherit partitions and legitimately
-    /// run longer, so stall declaration must be more patient.
-    pub straggler_factor: f64,
-    /// Bounded retry for link-level send failures before the failure
-    /// escalates to node reassignment.
-    pub link_retry: Option<LinkRetryPolicy>,
 }
 
 impl Default for RecoveryPolicy {
@@ -70,8 +64,6 @@ impl Default for RecoveryPolicy {
             checkpoint_interval_pages: 32,
             backoff_ms: 5.0,
             backoff_multiplier: 2.0,
-            straggler_factor: 2.0,
-            link_retry: Some(LinkRetryPolicy::default()),
         }
     }
 }

@@ -297,9 +297,8 @@ impl HashAggregator {
         T: CostTracker,
         D: FnMut(&mut AggTable, &mut T) -> Result<(), StorageError>,
     {
-        self.stats.drained(&self.table);
         drain(&mut self.table, tracker)?;
-        self.stats.partial_rows.add(self.table.drained_rows());
+        self.stats.add(self.table.drains());
 
         // Stack of (bucket, level) still to process.
         let mut pending: Vec<(SpillFile, u32)> = Vec::new();
@@ -337,9 +336,8 @@ impl HashAggregator {
                 key_len: self.query.group_by.len(),
             };
             refeed(bucket, &mut table, &mut spool, &mut self.stats, tracker)?;
-            self.stats.drained(&table);
             drain(&mut table, tracker)?;
-            self.stats.partial_rows.add(table.drained_rows());
+            self.stats.add(table.drains());
             if let Some(set) = deeper {
                 self.stats.spooled_rows.add(set.spooled_rows());
                 let l = set.level();

@@ -1,6 +1,5 @@
 //! Hash-aggregation statistics.
 
-use crate::table::AggTable;
 use adaptagg_model::{LaneRows, StoreLayout};
 
 /// Counters describing one aggregation's behaviour. The adaptive
@@ -58,15 +57,7 @@ impl HashAggStats {
         self.raw_in + self.partial_in
     }
 
-    /// Account for a table about to be drained: its probes, its resident
-    /// groups and the layout its store ended in.
-    pub(crate) fn drained(&mut self, table: &AggTable) {
-        self.probe_slots += table.probe_slots();
-        self.peak_resident = self.peak_resident.max(table.len() as u64);
-        self.add_layout(&table.layout());
-    }
-
-    fn add_layout(&mut self, layout: &StoreLayout) {
+    pub(crate) fn add_layout(&mut self, layout: &StoreLayout) {
         let mine = &mut self.store;
         mine.typed_columns += layout.typed_columns;
         mine.general_columns += layout.general_columns;

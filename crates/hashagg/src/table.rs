@@ -40,6 +40,7 @@
 //! `insert_page` and `insert_page_batched` remain for the benchmark
 //! harness, and materialize only the rows they bounce, for its callback.
 
+use crate::stats::HashAggStats;
 use adaptagg_model::hash::{hash_cells, hash_int};
 use adaptagg_model::store::NO_GROUP;
 use adaptagg_model::{
@@ -159,8 +160,8 @@ pub struct AggTable {
     /// Slots examined by insert-path probes (observability; a plain
     /// counter — never recorded as a cost event, never allocating).
     probe_slots: u64,
-    /// Partial rows drained so far, by the lane they left on.
-    drained: LaneRows,
+    /// What the drains so far found ([`AggTable::drains`]).
+    drains: HashAggStats,
     /// Pooled per-page key-hash vector for the batched probe.
     batch_hashes: Vec<u64>,
     /// Pooled per-page group-index vector ([`NO_GROUP`] = row bounced) the
@@ -197,7 +198,7 @@ impl AggTable {
             inserts: 0,
             updates: 0,
             probe_slots: 0,
-            drained: LaneRows::default(),
+            drains: HashAggStats::default(),
             batch_hashes: Vec::new(),
             batch_gix: Vec::new(),
         }
@@ -732,7 +733,8 @@ impl AggTable {
         let rows = self.store.len() as u64;
         tracker.record(CostEvent::TupleWrite, rows);
         let (columns, arity) = (self.store.partials_are_ints(), self.store.partial_row_arity());
-        self.drained.count(columns, rows);
+        self.count_drain();
+        self.drains.partial_rows.count(columns, rows);
         self.store.drain_partials(|store, entries| match columns {
             true => out.extend_ints(arity, entries.len(), |j, at, strip| {
                 store.gather_partials(j, entries.start + at.start..entries.start + at.end, strip)
@@ -744,7 +746,25 @@ impl AggTable {
     /// Partial rows drained so far ([`AggTable::drain_partials`]), by the
     /// lane they left on.
     pub fn drained_rows(&self) -> LaneRows {
-        self.drained
+        self.drains.partial_rows
+    }
+
+    /// What the table's drains found, one table's worth each: the slots
+    /// its probes examined, its most resident groups, the layouts its
+    /// store was drained in and the partial rows it drained, by lane.
+    pub fn drains(&self) -> &HashAggStats {
+        &self.drains
+    }
+
+    /// Count a drain about to empty the table into [`AggTable::drains`].
+    fn count_drain(&mut self) {
+        let layout = self.store.layout();
+        let drains = &mut self.drains;
+        drains.probe_slots = self.probe_slots;
+        drains.peak_resident = drains.peak_resident.max(self.store.len() as u64);
+        drains.add_layout(&layout);
+        // Demotions and index moves are counted over the store's life.
+        (drains.store.demoted, drains.store.index_conversions) = (layout.demoted, layout.index_conversions);
     }
 
     /// Drain the table as **finalized result rows** in ascending key order
@@ -752,6 +772,7 @@ impl AggTable {
     /// sort itself is free, as the driver's is). Used by merge phases and
     /// single-phase aggregation.
     pub fn drain_result_rows<T: CostTracker>(&mut self, tracker: &mut T) -> Vec<ResultRow> {
+        self.count_drain();
         let mut out = Vec::with_capacity(self.store.len());
         self.store.drain_result_rows(|row| out.push(row));
         tracker.record(CostEvent::TupleWrite, out.len() as u64);

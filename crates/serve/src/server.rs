@@ -255,18 +255,7 @@ fn parse_bool(key: &str, s: &str) -> Result<bool, String> {
 }
 
 fn parse_algo(s: &str) -> Result<AlgorithmKind, String> {
-    Ok(match s {
-        "c2p" => AlgorithmKind::CentralizedTwoPhase,
-        "2p" => AlgorithmKind::TwoPhase,
-        "rep" => AlgorithmKind::Repartitioning,
-        "samp" => AlgorithmKind::Sampling,
-        "a2p" => AlgorithmKind::AdaptiveTwoPhase,
-        "arep" => AlgorithmKind::AdaptiveRepartitioning,
-        "opt2p" => AlgorithmKind::OptimizedTwoPhase,
-        "sort2p" => AlgorithmKind::SortTwoPhase,
-        "bcast" => AlgorithmKind::Broadcast,
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
+    AlgorithmKind::from_name(s).ok_or_else(|| format!("unknown algorithm '{s}'"))
 }
 
 /// Render a scheduler report as one `adaptagg-serve/v1` response line.
@@ -456,6 +445,10 @@ mod tests {
         let (req, trace) = parse_request("SELECT g, SUM(v) FROM r GROUP BY g").unwrap();
         assert_eq!(req.sql, "SELECT g, SUM(v) FROM r GROUP BY g");
         assert!(!trace && req.deadline.is_none());
+
+        // An algorithm is named as the CLI names it: its label, in any case.
+        let (req, _) = parse_request("algo=A-2P; SELECT g FROM r GROUP BY g").unwrap();
+        assert_eq!(req.algo, Some(AlgorithmKind::AdaptiveTwoPhase));
 
         // Bad option values are typed errors, not panics.
         assert!(parse_request("deadline_ms=soon; SELECT g FROM r GROUP BY g").is_err());

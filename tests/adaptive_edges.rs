@@ -157,9 +157,8 @@ fn arep_below_min_groups_falls_back_exactly_at_init_seg() {
     // at precisely tuple 64 and is recorded as a low-cardinality switch.
     let rows: Vec<(i64, i64)> = (0..128).map(|i| (i % 2, i)).collect();
     let parts = partition(&rows);
-    let mut cfg = AlgoConfig::default_for(1);
+    let mut cfg = AlgoConfig::default_for(1).with_crossover_threshold(8);
     cfg.arep_init_seg = 64;
-    cfg.arep_min_groups = 8;
     let out = run_algorithm_with(
         AlgorithmKind::AdaptiveRepartitioning,
         &traced_config(1, 1000),
@@ -188,9 +187,8 @@ fn arep_exactly_min_groups_does_not_fall_back() {
     // `< min_groups`, so the boundary case stays with repartitioning.
     let rows: Vec<(i64, i64)> = (0..128).map(|i| (i % 8, i)).collect();
     let parts = partition(&rows);
-    let mut cfg = AlgoConfig::default_for(1);
+    let mut cfg = AlgoConfig::default_for(1).with_crossover_threshold(8);
     cfg.arep_init_seg = 64;
-    cfg.arep_min_groups = 8;
     let out = run_algorithm_with(
         AlgorithmKind::AdaptiveRepartitioning,
         &traced_config(1, 1000),

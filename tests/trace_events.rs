@@ -637,6 +637,53 @@ fn store_index_is_reported() {
     }
 }
 
+/// Every table a run drains is in the trace, the phase-1 tables the
+/// adaptive algorithms drive themselves included: over the nodes,
+/// `store.index{kind=dense|hashed}` sums to A-2P's and Opt-2P's local
+/// table on each node, A-Rep's on each node that fell back to A-2P (none
+/// on a node that kept repartitioning), one merge table a node — Bcast's
+/// too — and one table per overflow bucket. Tracing moves no clock.
+#[test]
+fn every_drained_table_is_reported() {
+    const NODES: usize = 2;
+    let many = generate_partitions(&RelationSpec::uniform(200_000, 20_000), NODES);
+    // Four groups against A-Rep's threshold of 20: every node falls back.
+    let few = generate_partitions(&RelationSpec::uniform(200_000, 4), NODES);
+    let mut plain = ClusterConfig::new(NODES, CostParams::paper_default());
+    plain.trace = false; // off-vs-on even under ADAPTAGG_TRACE=1
+    let traced = plain.clone().with_tracing();
+    let cases = [
+        (AlgorithmKind::AdaptiveTwoPhase, &many),
+        (AlgorithmKind::OptimizedTwoPhase, &many),
+        (AlgorithmKind::AdaptiveRepartitioning, &few),
+        (AlgorithmKind::Broadcast, &many),
+    ];
+    for (kind, parts) in cases {
+        let out = run_algorithm(kind, &traced, parts, &default_query()).unwrap();
+        if kind != AlgorithmKind::AdaptiveRepartitioning {
+            // A fallen-back A-Rep's clock reads when a peer's EndOfPhase was seen.
+            let untraced = run_algorithm(kind, &plain, parts, &default_query()).unwrap();
+            assert_eq!(untraced.elapsed(), out.elapsed(), "{kind}: clock moved");
+        }
+        let phase_one = match kind {
+            AlgorithmKind::AdaptiveTwoPhase | AlgorithmKind::OptimizedTwoPhase => NODES as u64,
+            AlgorithmKind::AdaptiveRepartitioning => {
+                assert_eq!(out.adapted_nodes().len(), NODES, "{kind}: every node falls back");
+                NODES as u64
+            }
+            _ => 0,
+        };
+        let buckets: u64 = out.nodes.iter().map(|n| n.agg.overflow_buckets).sum();
+        let trace = out.trace.as_ref().expect("a traced run");
+        let indexed: u64 = trace
+            .nodes
+            .iter()
+            .map(|n| n.metrics.counter("store.index{kind=dense}") + n.metrics.counter("store.index{kind=hashed}"))
+            .sum();
+        assert_eq!(indexed, phase_one + NODES as u64 + buckets, "{kind}: tables drained");
+    }
+}
+
 /// Sort-2P's local phase is in the trace: what run formation took in and
 /// sealed, whether it rode each scanned page's strips and if not why, and
 /// which lane the run merge folded each run row on. The default query
