@@ -11,7 +11,7 @@
 //! on a shared bus, which the benchmarks demonstrate.
 //!
 //! The scan blocks each page's passing rows strip to strip into the one
-//! outgoing message page ([`Broadcaster`]: the one-destination scatter),
+//! outgoing message page (`Broadcaster`: the one-destination scatter),
 //! paying their select charges before each broadcast, since a send reads
 //! the clock. The merge takes a received page as one batch: its rows'
 //! owners hashed off the key strips, the rows this node owns kept as the

@@ -17,7 +17,7 @@
 //! Concretely: on table-full, tuples of *resident* groups keep updating
 //! in place; tuples of new groups are forwarded raw immediately; the
 //! table is only drained (as partials) at end of scan. The scan feeds the
-//! table a page at a time ([`Forward`]) under [`Stop`]; each tuple the full
+//! table a page at a time (`Forward`) under [`Stop`]; each tuple the full
 //! table bounces stops the batch and is routed off the page's strips where
 //! it lies before the rest of the page is offered, so the route's page
 //! sends read the clock where a tuple-at-a-time scan would.

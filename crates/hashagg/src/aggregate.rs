@@ -195,7 +195,7 @@ impl HashAggregator {
     /// [`HashAggregator::push`], equivalent row by row (same mutations,
     /// same cost events, counted). Which loop runs is the page's doing: a
     /// whole page is the trivial batch [`AggTable::feed_batch`] rides the
-    /// strips of, and a ragged page takes the row loop ([`feed_rows`]).
+    /// strips of, and a ragged page takes the row loop (`feed_rows`).
     pub fn push_page<T: CostTracker>(
         &mut self,
         kind: RowKind,

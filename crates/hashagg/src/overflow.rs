@@ -12,13 +12,12 @@
 //! prepending a tag column, because an A2P merge-phase table can overflow
 //! while receiving both kinds. The rows a table bounced off a batch are
 //! spooled once the batch is fed, together ([`OverflowSet::spool_batch`]):
-//! off an all-`Int` batch, hashed in one pass and appended bucket by
-//! bucket a column at a time; off any other, row by row where each lies,
-//! its key cells hashed ([`hash_cells`]) and `[tag] ++ row` appended
-//! straight off the strips. A drained bucket page
-//! goes back into a table as a batch ([`drained_batch`]) when its rows
-//! share a kind and an arity, and row by row otherwise, each row read past
-//! its tag where it lies ([`untag`]).
+//! hashed in one pass and appended bucket by bucket, each bucket's rows one
+//! run behind the tag — a column at a time off `Int` strips, row by row
+//! where each lies off any other. A drained bucket page goes back into a
+//! table as a batch (`drained_batch`) when its rows share a kind and an
+//! arity, and row by row otherwise, each row read past its tag where it
+//! lies (`untag`).
 
 use adaptagg_model::hash::{hash_cells, Seed};
 use adaptagg_model::{CellRow, CellSink, CostEvent, CostTracker, IndexRow, LaneRows, ModelError, RowKind};
@@ -170,13 +169,12 @@ impl OverflowSet {
 
     /// Spool rows `rows` of `batch` (ascending row ids), all of `kind`:
     /// the buckets, pages and charges of [`OverflowSet::spool`] of each in
-    /// turn. An all-`Int` batch is hashed in one pass
-    /// ([`ScanBatch::hash_keys`], the bucket hash of every row), its rows
-    /// listed under their buckets in row order, and each bucket's list
-    /// appended a column at a time ([`SpillFile::spool_ints`]: the tag,
-    /// then the batch's strips). Any other batch is spooled row by row.
-    /// Out of line: it runs once a batch, and inlined it grew the scan
-    /// sink around `AggTable::feed_batch` ~20-fold (DESIGN.md §31.3).
+    /// turn. The batch is hashed in one pass ([`ScanBatch::hash_keys`], the
+    /// bucket hash of every row), its rows listed under their buckets in row
+    /// order, and each bucket's list appended as one run behind the tag
+    /// ([`SpillFile::extend`]). Out of line: it runs once a batch, and
+    /// inlined it grew the scan sink around `AggTable::feed_batch` ~20-fold
+    /// (DESIGN.md §31.3).
     #[inline(never)]
     pub fn spool_batch<T: CostTracker>(
         &mut self,
@@ -185,9 +183,6 @@ impl OverflowSet {
         rows: &[u32],
         tracker: &mut T,
     ) -> Result<(), StorageError> {
-        let Some(cols) = batch.int_strips() else {
-            return rows.iter().try_for_each(|&r| self.spool(kind, &batch.row(r as usize), tracker));
-        };
         batch.hash_keys(Seed::OverflowBucket(self.level), self.group_by_len, &mut self.hashes);
         let n = self.buckets.len() as u64;
         self.lists.iter_mut().for_each(Vec::clear);
@@ -195,17 +190,9 @@ impl OverflowSet {
             self.lists[(self.hashes[r as usize] % n) as usize].push(r);
         }
         tracker.record(CostEvent::TupleWrite, rows.len() as u64);
-        self.spooled.columns += rows.len() as u64;
-        let tag = kind_tag(kind);
+        let tag = Some(kind_tag(kind));
         for (bucket, rows) in self.buckets.iter_mut().zip(&self.lists) {
-            let gather = |j: usize, at: std::ops::Range<usize>, strip: &mut Vec<i64>| match j {
-                0 => strip.extend(std::iter::repeat_n(tag, at.len())),
-                _ => {
-                    let col = cols.column(j - 1);
-                    strip.extend(rows[at].iter().map(|&r| col[r as usize]));
-                }
-            };
-            bucket.spool_ints(1 + cols.arity(), rows.len(), gather, tracker)?;
+            self.spooled.add(bucket.extend(&batch.listed(rows, tag), tracker)?);
         }
         Ok(())
     }

@@ -45,7 +45,7 @@ use adaptagg_model::hash::{hash_cells, hash_int};
 use adaptagg_model::store::NO_GROUP;
 use adaptagg_model::{
     record_each, AggFunc, AggQuery, CellRow, CostEvent, CostTracker, GroupStore, IndexRow, KeyCell,
-    LaneRows, MemoryGrant, ModelError, ResultRow, RowKind, Seed, StoreLayout, Value,
+    MemoryGrant, ModelError, ResultRow, RowKind, RowRun, Seed, StoreLayout, Value,
 };
 use adaptagg_storage::{
     BatchCharges, BatchOutcome, Page, RowCause, RowPages, ScanBatch, StorageError, StripView,
@@ -719,12 +719,10 @@ impl AggTable {
 
     /// Drain the table as **partial rows** (key columns ++ partial-state
     /// columns) onto `out` in insertion order, charging `t_w` per row (one
-    /// record, whether or not the drain completes). When every partial cell
-    /// is an `Int` ([`GroupStore::partials_are_ints`]) the rows leave a
-    /// column at a time, a store segment's worth per append
-    /// ([`RowPages::extend_ints`]); otherwise each is copied cell by cell
-    /// from where it lies. The pages are the same either way. Used by
-    /// local phases to ship their results and by A2P's overflow flush.
+    /// record, whether or not the drain completes): a store segment's worth
+    /// per run ([`GroupStore::drain_partials`]), each appended in one call
+    /// ([`RowPages::extend`]). Used by local phases to ship their results
+    /// and by A2P's overflow flush.
     pub fn drain_partials<T: CostTracker>(
         &mut self,
         tracker: &mut T,
@@ -732,21 +730,16 @@ impl AggTable {
     ) -> Result<(), StorageError> {
         let rows = self.store.len() as u64;
         tracker.record(CostEvent::TupleWrite, rows);
-        let (columns, arity) = (self.store.partials_are_ints(), self.store.partial_row_arity());
         self.count_drain();
+        // Every run of one store is on one lane; all the rows count, as the
+        // `t_w` does, whether or not the drain completes.
+        let mut columns = false;
+        let drained = self.store.drain_partials(|run| {
+            columns = run.int_arity().is_some();
+            out.extend(run).map(drop)
+        });
         self.drains.partial_rows.count(columns, rows);
-        self.store.drain_partials(|store, entries| match columns {
-            true => out.extend_ints(arity, entries.len(), |j, at, strip| {
-                store.gather_partials(j, entries.start + at.start..entries.start + at.end, strip)
-            }),
-            false => entries.into_iter().try_for_each(|e| out.push(&store.partial_row(e))),
-        })
-    }
-
-    /// Partial rows drained so far ([`AggTable::drain_partials`]), by the
-    /// lane they left on.
-    pub fn drained_rows(&self) -> LaneRows {
-        self.drains.partial_rows
+        drained
     }
 
     /// What the table's drains found, one table's worth each: the slots

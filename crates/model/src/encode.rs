@@ -17,7 +17,8 @@ use crate::error::ModelError;
 use crate::value::Value;
 
 const TAG_NULL: u8 = 0;
-const TAG_INT: u8 = 1;
+/// The tag byte of an `Int` cell.
+pub const TAG_INT: u8 = 1;
 const TAG_FLOAT: u8 = 2;
 const TAG_STR: u8 = 3;
 

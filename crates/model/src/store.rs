@@ -74,7 +74,7 @@ use crate::agg::{AggFunc, AggSpec, AggState, RowKind};
 use crate::error::ModelError;
 use crate::key::GroupKey;
 use crate::query::ResultRow;
-use crate::value::{CellRow, CellSink, Value};
+use crate::value::{CellRow, CellSink, RowRun, Value};
 use std::ops::Range;
 
 /// Vacant slot marker.
@@ -400,9 +400,9 @@ impl StoreIndex {
     }
 }
 
-/// Rows a writer put out of a group store, by lane: gathered a column at a
-/// time onto a page's typed lane ([`GroupStore::gather_partials`]), or
-/// walked cell by cell ([`GroupStore::partial_row`]).
+/// Rows a writer put on pages, by the lane of the run they left in: a run
+/// that gathers its rows a column at a time ([`RowRun::int_arity`]), or one
+/// read cell by cell.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LaneRows {
     /// Rows written a column at a time.
@@ -1494,24 +1494,24 @@ impl GroupStore {
         self.key_len + self.partial_arity
     }
 
-    /// Whether every group's partial row ([`GroupStore::partial_row`]) is
-    /// all `Int` cells: the key column typed, and each state column one
-    /// whose partial cells are `Int`s for every group — COUNT always; SUM
-    /// and AVG once an input reached the group and while the sum fits
+    /// The arity of every partial row ([`GroupStore::partial_row`]) when
+    /// each is all `Int` cells: the key column typed, and each state column
+    /// one whose partial cells are `Int`s for every group — COUNT always;
+    /// SUM and AVG once an input reached the group and while the sum fits
     /// `i64`; MIN and MAX once an input reached it. A general column
-    /// answers no. Decided for the whole store: such a store's rows leave a
-    /// column at a time ([`GroupStore::gather_partials`]).
-    pub fn partials_are_ints(&self) -> bool {
+    /// answers no. Decided for the whole store: a run of its rows gathers a
+    /// column at a time, or none does ([`PartialRun`]).
+    fn partial_int_arity(&self) -> Option<usize> {
         let rows = self.len();
-        matches!(self.keys, KeyColumn::Ints(_)) && self.states.iter().all(|c| c.partials_are_ints(rows))
+        let ints = matches!(self.keys, KeyColumn::Ints(_)) && self.states.iter().all(|c| c.partials_are_ints(rows));
+        ints.then_some(self.partial_row_arity())
     }
 
     /// Append partial-row cell `j` of each of `entries`, in order, to `out`
     /// as `i64`s: one column of the rows [`GroupStore::partial_row`] reads,
-    /// gathered — entries in key order for a sorted run, an admission range
-    /// for a drain. Only for a store whose partial cells are all `Int`s
-    /// ([`GroupStore::partials_are_ints`]).
-    pub fn gather_partials(&self, j: usize, entries: impl Iterator<Item = usize>, out: &mut Vec<i64>) {
+    /// gathered. Only for a store whose partial cells are all `Int`s
+    /// ([`GroupStore::partial_int_arity`]).
+    fn gather_partials(&self, j: usize, entries: impl Iterator<Item = usize>, out: &mut Vec<i64>) {
         if j < self.key_len {
             let KeyColumn::Ints(a) = &self.keys else {
                 unreachable!("an all-Int store's key column is typed")
@@ -1528,12 +1528,16 @@ impl GroupStore {
         unreachable!("partial cell {j} past the row's {}", self.partial_row_arity())
     }
 
-    /// Empty the store, handing `emit` the store and each range of its
-    /// entries — a segment's worth at a time, in admission order — to write
-    /// out as partial rows where they lie ([`GroupStore::partial_row`], or a
-    /// column at a time with [`GroupStore::gather_partials`]). The first
-    /// error of `emit` is returned; the groups it had not written are
-    /// dropped.
+    /// The groups `order` lists (a key order, [`GroupStore::sort_entries`])
+    /// as one run of partial rows: a sorted run's rows.
+    pub fn partial_run<'a>(&'a self, order: &'a [u32]) -> PartialRun<'a> {
+        PartialRun { store: self, order, int_arity: self.partial_int_arity() }
+    }
+
+    /// Empty the store, handing `emit` its groups as runs of partial rows
+    /// ([`PartialRun`]), a segment's worth at a time, in admission order.
+    /// The first error of `emit` is returned; the groups it had not written
+    /// are dropped.
     ///
     /// Unlike [`GroupStore::clear`], column segments are freed as the drain
     /// passes them, so the pages being filled never coexist with full
@@ -1543,12 +1547,16 @@ impl GroupStore {
     /// for re-allocating them (DESIGN.md §18.1).
     pub fn drain_partials<E>(
         &mut self,
-        mut emit: impl FnMut(&GroupStore, Range<usize>) -> Result<(), E>,
+        mut emit: impl FnMut(&PartialRun<'_>) -> Result<(), E>,
     ) -> Result<(), E> {
         let mut result = Ok(());
+        // Decided once: the segments are freed as the drain passes them.
+        let (int_arity, mut order) = (self.partial_int_arity(), Vec::with_capacity(SEG_ROWS.min(self.len())));
         for start in (0..self.len()).step_by(SEG_ROWS) {
             let end = (start + SEG_ROWS).min(self.len());
-            result = emit(self, start..end);
+            order.clear();
+            order.extend(start as u32..end as u32);
+            result = emit(&PartialRun { store: self, order: &order, int_arity });
             if result.is_err() {
                 break;
             }
@@ -1613,6 +1621,37 @@ impl CellRow for GroupRow<'_> {
         for column in &self.store.states {
             column.partial_cells(self.entry, sink);
         }
+    }
+}
+
+/// Groups of a [`GroupStore`] in a given order — key order for a sorted
+/// run, admission order for a drain — as a run of partial rows
+/// ([`GroupStore::partial_run`], [`GroupStore::drain_partials`]): gathered
+/// a column at a time when every partial cell of the store is an `Int`,
+/// read where each lies ([`GroupStore::partial_row`]) otherwise.
+#[derive(Debug, Clone, Copy)]
+pub struct PartialRun<'a> {
+    store: &'a GroupStore,
+    order: &'a [u32],
+    int_arity: Option<usize>,
+}
+
+impl RowRun for PartialRun<'_> {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn int_arity(&self) -> Option<usize> {
+        self.int_arity
+    }
+
+    fn gather(&self, j: usize, rows: Range<usize>, out: &mut Vec<i64>) {
+        self.store.gather_partials(j, self.order[rows].iter().map(|&e| e as usize), out);
+    }
+
+    #[inline]
+    fn cells<S: CellSink>(&self, i: usize, sink: &mut S) {
+        self.store.partial_row(self.order[i] as usize).cells(sink);
     }
 }
 
@@ -1995,10 +2034,10 @@ mod tests {
         assert_eq!(key_caps(&store), [SEG_ROWS, SEG_ROWS]);
 
         let mut rows = Vec::new();
-        let drained: Result<(), ()> = store.drain_partials(|store, entries| {
-            for e in entries {
+        let drained: Result<(), ()> = store.drain_partials(|run| {
+            for i in 0..run.len() {
                 let mut row = Vec::new();
-                store.partial_row(e).cells(&mut row);
+                run.cells(i, &mut row);
                 rows.push(row);
             }
             Ok(())
@@ -2020,11 +2059,11 @@ mod tests {
         // A failing `emit` ends the drain at its group; the store is empty
         // all the same.
         let mut seen = Vec::new();
-        let failed = store.drain_partials(|_, entries| {
-            seen.push(entries);
+        let failed = store.drain_partials(|run| {
+            seen.push(run.len());
             if seen.len() == 2 { Err("second") } else { Ok(()) }
         });
-        assert_eq!((failed, seen), (Err("second"), vec![0..SEG_ROWS, SEG_ROWS..SEG_ROWS + 5]));
+        assert_eq!((failed, seen), (Err("second"), vec![SEG_ROWS, 5]));
         assert!(store.is_empty());
         assert_eq!(segments(&store), [0, 0, 0]);
     }

@@ -240,6 +240,55 @@ impl CellRow for Vec<Value> {
     }
 }
 
+/// Rows handed to one append together, in order: a store's groups, a
+/// batch's listed rows, a merge's held groups, a wire frame. A run whose
+/// rows are all `Int` cells of one arity gathers them a column at a time;
+/// any run hands out one row's cells at a time. Which of the two a page
+/// takes is the page's choice.
+pub trait RowRun {
+    /// Rows in the run.
+    fn len(&self) -> usize;
+
+    /// Whether the run holds no rows.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `Some(a)` when every row is `a` `Int` cells.
+    fn int_arity(&self) -> Option<usize>;
+
+    /// Append cell `j` of each of `rows`, in order, to `out`. Only for a
+    /// run with an [`RowRun::int_arity`].
+    fn gather(&self, j: usize, rows: std::ops::Range<usize>, out: &mut Vec<i64>);
+
+    /// Hand `sink` every cell of row `i`, in column order.
+    fn cells<S: CellSink>(&self, i: usize, sink: &mut S);
+}
+
+/// One row as a run of one: never gathered, so a single row always takes
+/// the cell walk.
+#[derive(Debug, Clone, Copy)]
+pub struct OneRow<'a, R: ?Sized>(pub &'a R);
+
+impl<R: CellRow + ?Sized> RowRun for OneRow<'_, R> {
+    fn len(&self) -> usize {
+        1
+    }
+
+    fn int_arity(&self) -> Option<usize> {
+        None
+    }
+
+    fn gather(&self, _: usize, _: std::ops::Range<usize>, _: &mut Vec<i64>) {
+        unreachable!("a lone row is never gathered")
+    }
+
+    #[inline]
+    fn cells<S: CellSink>(&self, _: usize, sink: &mut S) {
+        self.0.cells(sink);
+    }
+}
+
 /// A borrowed whole-column view (a page's column strip) for batch
 /// operators.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -66,7 +66,7 @@ impl Blocker {
     /// Append a tuple for `dest`. If the destination's page was full, the
     /// sealed page is returned (send it!) and the tuple starts a fresh one.
     pub fn add(&mut self, dest: usize, values: &[Value]) -> Result<Option<Page>, StorageError> {
-        self.add_with(dest, Page::new, |page| page.try_push(values))
+        self.add_pooled(dest, values, &mut PagePool::new())
     }
 
     /// [`Blocker::add`], drawing the replacement page from `pool` instead
@@ -80,7 +80,15 @@ impl Blocker {
         row: &R,
         pool: &mut PagePool,
     ) -> Result<Option<Page>, StorageError> {
-        self.add_with(dest, |bytes| pool.get(bytes), |page| page.try_push_row(row))
+        let page = &mut self.open[dest];
+        if page.try_push_row(row)? {
+            return Ok(None);
+        }
+        let sealed = std::mem::replace(page, pool.get(self.message_bytes));
+        if !page.try_push_row(row)? {
+            unreachable!("fresh message page refused a fitting tuple");
+        }
+        Ok(Some(sealed))
     }
 
     /// Append every passing row of `batch` to its destination's open page,
@@ -88,9 +96,8 @@ impl Blocker {
     /// and list in `sealed` (cleared first) the pages that filled, in the
     /// order of the rows that sealed them. The pages, and the rows that seal
     /// them, are those of [`Blocker::add_pooled`] called row by row in row
-    /// order. While a destination's page is on the typed lane an all-`Int`
-    /// batch's rows land on it as strip runs ([`Page::extend_ints`]); any
-    /// other row takes [`Page::try_push_row`].
+    /// order: each destination's rows are one run ([`ScanBatch::listed`]),
+    /// handed to its page until the page is full ([`Page::fill`]).
     ///
     /// A passing row wider than a message page is `Err`, as it is row by
     /// row: the rows before it are appended, it and the rows after it are
@@ -110,28 +117,14 @@ impl Blocker {
             Some(sel) => self.bucket(sel[..sel.partition_point(|&r| (r as usize) < end)].iter().copied(), to),
             None => self.bucket(0..end as u32, to),
         }
-        let ints = batch.int_strips();
         for (dest, (page, rows)) in self.open.iter_mut().zip(&self.rows).enumerate() {
-            let mut k = 0;
+            let run = batch.listed(rows, None);
+            let mut k = page.fill(&run, 0..rows.len());
             while k < rows.len() {
-                if let Some(cols) = ints {
-                    let room = page.int_room(cols.arity(), rows.len() - k);
-                    if room > 0 {
-                        page.extend_ints(cols.arity(), k..k + room, |j, at, strip| {
-                            let col = cols.column(j);
-                            strip.extend(rows[at].iter().map(|&r| col[r as usize]));
-                        });
-                        k += room;
-                        continue;
-                    }
-                }
-                let r = rows[k] as usize;
-                if page.try_push_row(&batch.row(r)).expect("a row no wider than a message page fits a fresh one") {
-                    k += 1;
-                } else {
-                    let full = std::mem::replace(page, pool.get(self.message_bytes));
-                    sealed.push(Sealed { row: r, dest, page: full });
-                }
+                let full = std::mem::replace(page, pool.get(self.message_bytes));
+                assert!(!full.is_empty(), "a row no wider than a message page fits a fresh one");
+                sealed.push(Sealed { row: rows[k] as usize, dest, page: full });
+                k += page.fill(&run, k..rows.len());
             }
         }
         sealed.sort_unstable_by_key(|s| s.row);
@@ -153,26 +146,6 @@ impl Blocker {
             }
             Scatter::To(dest) => self.rows[dest].extend(rows),
         }
-    }
-
-    /// Push a row onto `dest`'s open page; when it is full, seal it, open
-    /// a `fresh` one and push there.
-    #[inline]
-    fn add_with(
-        &mut self,
-        dest: usize,
-        fresh: impl FnOnce(usize) -> Page,
-        push: impl Fn(&mut Page) -> Result<bool, StorageError>,
-    ) -> Result<Option<Page>, StorageError> {
-        let page = &mut self.open[dest];
-        if push(page)? {
-            return Ok(None);
-        }
-        let sealed = std::mem::replace(page, fresh(self.message_bytes));
-        if !push(page)? {
-            unreachable!("fresh message page refused a fitting tuple");
-        }
-        Ok(Some(sealed))
     }
 
     /// Drain all non-empty partial pages as `(destination, page)` pairs,

@@ -13,11 +13,10 @@
 
 use adaptagg_hashagg::{AggTable, FullPolicy};
 use adaptagg_model::{
-    AggQuery, CostEvent, CostTracker, GroupRow, GroupStore, LaneRows, MemoryGrant, RowKind,
-    SortScratch, StoreLayout, Value,
+    AggQuery, CostEvent, CostTracker, GroupStore, LaneRows, MemoryGrant, RowKind, SortScratch,
+    StoreLayout, Value,
 };
 use adaptagg_storage::{BatchOutcome, RowPages, ScanBatch, SpillFile, StorageError};
-use std::ops::Range;
 
 /// Seals a full run table: the runs written so far, and the scratch a
 /// seal sorts in.
@@ -33,79 +32,23 @@ struct Sealer {
     written: LaneRows,
 }
 
-/// Where a run's rows go: a sealed run's spill file, or the resident run's
-/// pages. Either takes a row cell by cell where it lies, or all-`Int` rows a
-/// column at a time, onto the same pages.
-trait RunOut<T> {
-    fn row(&mut self, row: &GroupRow<'_>, tracker: &mut T) -> Result<(), StorageError>;
-
-    fn ints<G>(&mut self, arity: usize, n: usize, gather: G, tracker: &mut T) -> Result<(), StorageError>
-    where
-        G: FnMut(usize, Range<usize>, &mut Vec<i64>);
-}
-
-impl<T: CostTracker> RunOut<T> for SpillFile {
-    fn row(&mut self, row: &GroupRow<'_>, tracker: &mut T) -> Result<(), StorageError> {
-        self.spool_row(row, tracker)
-    }
-
-    fn ints<G>(&mut self, arity: usize, n: usize, gather: G, tracker: &mut T) -> Result<(), StorageError>
-    where
-        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
-    {
-        self.spool_ints(arity, n, gather, tracker)
-    }
-}
-
-impl<T> RunOut<T> for RowPages {
-    fn row(&mut self, row: &GroupRow<'_>, _: &mut T) -> Result<(), StorageError> {
-        self.push(row)
-    }
-
-    fn ints<G>(&mut self, arity: usize, n: usize, gather: G, _: &mut T) -> Result<(), StorageError>
-    where
-        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
-    {
-        self.extend_ints(arity, n, gather)
-    }
-}
-
 impl Sealer {
-    /// Write every group of `store` to `out` in key order, charging `t_w`
-    /// for each row handed over: a column at a time when every partial cell
-    /// is an `Int` ([`GroupStore::partials_are_ints`]), else each row cell
-    /// by cell where it lies. The pages are the same either way; every row
-    /// of an all-`Int` store is as wide as the next, so a row too wide for
-    /// a page is the first one, on either lane.
+    /// Write every group of `store` to `out` in key order, as one run
+    /// ([`GroupStore::partial_run`]), charging `t_w` for each row handed
+    /// over: every row, or those before a row too wide for a page and that
+    /// row.
     fn write_sorted<T: CostTracker>(
         &mut self,
         store: &GroupStore,
         tracker: &mut T,
-        out: &mut impl RunOut<T>,
+        out: &mut RowPages,
     ) -> Result<(), StorageError> {
         store.sort_entries(&mut self.order, &mut self.scratch);
-        let (order, rows) = (&self.order, self.order.len() as u64);
-        let columns = store.partials_are_ints();
-        let (written, result) = match columns {
-            true => {
-                let gather = |j, at: Range<usize>, strip: &mut Vec<i64>| {
-                    store.gather_partials(j, order[at].iter().map(|&e| e as usize), strip)
-                };
-                let result = out.ints(store.partial_row_arity(), order.len(), gather, tracker);
-                (if result.is_ok() { rows } else { 1 }, result)
-            }
-            false => {
-                let mut written = 0;
-                let result = order.iter().try_for_each(|&e| {
-                    written += 1;
-                    out.row(&store.partial_row(e as usize), tracker)
-                });
-                (written, result)
-            }
-        };
-        self.written.count(columns, written);
-        tracker.record(CostEvent::TupleWrite, written);
-        result
+        let held = out.len();
+        let written = out.extend(&store.partial_run(&self.order));
+        tracker.record(CostEvent::TupleWrite, (out.len() - held + usize::from(written.is_err())) as u64);
+        self.written.add(written?);
+        Ok(())
     }
 }
 
@@ -123,7 +66,7 @@ impl<T: CostTracker> FullPolicy<T> for Sealer {
         if !table.is_empty() {
             settle(table);
             let mut run = SpillFile::new(self.page_bytes);
-            self.write_sorted(table.store(), tracker, &mut run)?;
+            run.write(tracker, |pages, tracker| self.write_sorted(table.store(), tracker, pages))?;
             run.finish(tracker);
             self.sealed.push(run);
             table.clear();

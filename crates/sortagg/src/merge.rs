@@ -8,18 +8,18 @@
 //! the key cells where they lie — equal keys fold their partial cells —
 //! `i64`s read straight off `Int` strips — into one reused row of states,
 //! and each closed group leaves for an output page: an all-`Int` one into
-//! column buffers that reach the pages a strip run at a time, any other
-//! cell by cell. Nothing is allocated per run row, per pop or per group.
+//! column buffers that reach the pages as one run, any other on its own. Nothing is allocated per run row, per pop or per group.
 
 use adaptagg_model::tournament::{
     exhausted, int_head, mask, packed_before, run_of, Head, HeadOrder, Tournament, EXHAUSTED,
 };
 use adaptagg_model::{
-    AggQuery, AggState, CellRow, CellSink, CostEvent, CostTracker, IndexRow, LaneRows, ModelError,
-    Value,
+    AggQuery, AggState, CellRow, CellSink, CostEvent, CostTracker, IndexRow, LaneRows, ModelError, OneRow,
+    RowRun, Value,
 };
 use adaptagg_storage::{Page, RowPages, SpillFile, StorageError, StripView};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// What the merge emits per group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,18 +246,20 @@ impl CellRow for Group<'_> {
 }
 
 /// The merge's output: closed groups whose cells are all `Int`s wait in
-/// column buffers and reach the pages a page's worth of rows at a time
-/// ([`RowPages::extend_ints`]); any other group flushes the buffers first,
-/// then takes the cell walk. The pages are those of every group pushed cell
-/// by cell, in order.
+/// column buffers and reach the pages a page's worth of rows at a time, as
+/// one run ([`Held`]); any other group flushes the buffers first, then goes
+/// on its own ([`RowPages::extend`] either way). The pages are those of
+/// every group pushed cell by cell, in order.
 struct Out {
     rows: RowPages,
     /// One buffer per output column, `held` rows in each.
     cols: Vec<Vec<i64>>,
     held: usize,
     /// Rows a page holds; 0 when an all-`Int` row is wider than a page,
-    /// and every group takes the cell walk (which reports it).
+    /// and every such group flushes alone (which reports it).
     batch: usize,
+    /// Groups written, by lane.
+    written: LaneRows,
 }
 
 /// Hands a group's `Int` cells to the column buffers, one per column, and
@@ -287,6 +289,27 @@ impl CellSink for Buffered<'_> {
     }
 }
 
+/// The first `.1` rows of the column buffers `.0`, as a run.
+struct Held<'a>(&'a [Vec<i64>], usize);
+
+impl RowRun for Held<'_> {
+    fn len(&self) -> usize {
+        self.1
+    }
+
+    fn int_arity(&self) -> Option<usize> {
+        Some(self.0.len())
+    }
+
+    fn gather(&self, j: usize, rows: Range<usize>, out: &mut Vec<i64>) {
+        out.extend_from_slice(&self.0[j][rows]);
+    }
+
+    fn cells<S: CellSink>(&self, i: usize, sink: &mut S) {
+        self.0.iter().for_each(|col| sink.int(col[i]));
+    }
+}
+
 impl Out {
     fn new(rows: RowPages, arity: usize) -> Self {
         let batch = rows.int_rows_per_page(arity);
@@ -295,38 +318,37 @@ impl Out {
             held: 0,
             batch,
             rows,
+            written: LaneRows::default(),
         }
     }
 
-    /// Write a closed group; `true` if it went to the column buffers.
+    /// Write a closed group.
     #[inline]
-    fn close(&mut self, group: &Group<'_>) -> Result<bool, StorageError> {
-        if self.batch > 0 {
-            let mut cells = Buffered {
-                cols: self.cols.iter_mut(),
-                ints: true,
+    fn close(&mut self, group: &Group<'_>) -> Result<(), StorageError> {
+        let mut cells = Buffered {
+            cols: self.cols.iter_mut(),
+            ints: true,
+        };
+        group.cells(&mut cells);
+        if cells.ints {
+            self.held += 1;
+            return match self.held < self.batch {
+                true => Ok(()),
+                false => self.flush(),
             };
-            group.cells(&mut cells);
-            if cells.ints {
-                self.held += 1;
-                if self.held == self.batch {
-                    self.flush();
-                }
-                return Ok(true);
-            }
-            // The group's `Int` cells past the held rows are dropped here.
-            self.flush();
         }
-        self.rows.push(group).map(|()| false)
+        // The group's `Int` cells past the held rows are dropped here.
+        self.flush()?;
+        self.written.add(self.rows.extend(&OneRow(group))?);
+        Ok(())
     }
 
-    /// Append the buffered rows to the pages. Cannot fail: a page holds at
-    /// least one of them (`batch > 0`).
-    fn flush(&mut self) {
-        let (cols, held) = (&self.cols, std::mem::take(&mut self.held));
-        let written = self.rows.extend_ints(cols.len(), held, |j, at, strip| strip.extend_from_slice(&cols[j][at]));
-        debug_assert!(written.is_ok(), "an all-Int row no wider than a page");
+    /// Append the held rows to the pages.
+    fn flush(&mut self) -> Result<(), StorageError> {
+        let written = self.rows.extend(&Held(&self.cols, std::mem::take(&mut self.held)));
         self.cols.iter_mut().for_each(Vec::clear);
+        self.written.add(written?);
+        Ok(())
     }
 }
 
@@ -385,20 +407,18 @@ pub fn merge_runs<T: CostTracker>(
     tracker.record(CostEvent::TupleRead, tally.pops);
     tracker.record(CostEvent::TupleAgg, tally.combines);
     tracker.record(CostEvent::TupleWrite, tally.emitted);
-    merged.map(|()| {
-        out.flush();
-        Merged {
-            rows: out.rows,
-            strip_rows: tally.strip_rows,
-            value_rows: tally.value_rows,
-            written: tally.written,
-        }
+    merged.and_then(|()| out.flush())?;
+    Ok(Merged {
+        rows: out.rows,
+        strip_rows: tally.strip_rows,
+        value_rows: tally.value_rows,
+        written: out.written,
     })
 }
 
 /// What a merge did: pops (`t_r` each: the merge comparison work),
-/// combines (`t_a`), emitted groups (`t_w`), the run rows folded off
-/// all-`Int` pages and as values, and the groups written by lane.
+/// combines (`t_a`), emitted groups (`t_w`), and the run rows folded off
+/// all-`Int` pages and as values.
 #[derive(Default)]
 struct Tally {
     pops: u64,
@@ -406,7 +426,6 @@ struct Tally {
     emitted: u64,
     strip_rows: u64,
     value_rows: u64,
-    written: LaneRows,
 }
 
 /// The merge loop: pop the winning head, fold it into the open group (or
@@ -439,8 +458,7 @@ fn merge<const INT_KEYS: bool>(
         for (state, spec) in states.iter_mut().zip(&query.aggs) {
             *state = AggState::new(spec.func);
         }
-        tally.written.count(written?, 1);
-        Ok::<_, StorageError>(())
+        written
     };
 
     loop {

@@ -16,9 +16,9 @@
 //! clock ([`BatchCharges`]).
 
 use crate::error::StorageError;
-use crate::page::{wire_bytes, IntStrips, PageView, StripRow};
+use crate::page::{wire_bytes, PageView, StripRow};
 use adaptagg_model::hash::{hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, Seed};
-use adaptagg_model::{record_each, CellRow, CostEvent, CostTracker, ModelError, StripView, Value};
+use adaptagg_model::{record_each, CellRow, CellSink, CostEvent, CostTracker, ModelError, RowRun, StripView, Value};
 use std::ops::Range;
 
 /// Select charges of a tuple that passed the filter: read off the page,
@@ -324,7 +324,7 @@ impl<'a> ScanBatch<'a> {
     }
 
     /// Projected row `r` as cells read off the strips where they lie: what
-    /// another page appends strip to strip ([`Page::try_push_row`]).
+    /// another page appends strip to strip ([`crate::Page::try_push_row`]).
     #[inline]
     pub fn row(&self, r: usize) -> StripRow<'_, 'a> {
         debug_assert!(r < self.rows);
@@ -359,24 +359,34 @@ impl<'a> ScanBatch<'a> {
             (tuple_bytes > page_bytes).then_some((r, StorageError::TupleTooLarge { tuple_bytes, page_bytes }))
         };
         let mut passing = (0..self.passing()).map(|i| self.passing_row(i));
-        if self.int_strips().is_some() {
+        if self.int_strips() {
             return passing.next().and_then(|r| too_large(r, wire_bytes(&self.row(r))));
         }
         passing.find_map(|r| too_large(r, wire_bytes(&self.row(r))))
     }
 
-    /// The projected columns as plain `i64` slices, when every one is an
-    /// `Int` strip.
-    pub fn int_strips(&self) -> Option<IntStrips<'a>> {
-        let ints = (0..self.arity).all(|j| matches!(self.column(j), StripView::Ints(_)));
+    /// Whether every projected column is an `Int` strip.
+    fn int_strips(&self) -> bool {
+        (0..self.arity).all(|j| self.page.cols()[self.base_column(j)].is_int)
+    }
+
+    /// Projected column `j` of a batch of `Int` strips, indexed by row id.
+    #[inline]
+    fn int_column(&self, j: usize) -> &'a [i64] {
         let start = self.page.start() + self.start;
-        ints.then_some(IntStrips {
-            strips: self.page.cols(),
-            columns: self.columns,
-            skip: self.skip,
-            rows: (start, start + self.rows),
-            arity: self.arity,
-        })
+        &self.page.cols()[self.base_column(j)].ints[start..start + self.rows]
+    }
+
+    /// Rows `rows` (row ids, in the order to append them) as one run, each
+    /// behind a leading `tag` cell when there is one: a scatter
+    /// destination's rows, an overflow bucket's.
+    pub fn listed<'b>(&'b self, rows: &'b [u32], tag: Option<i64>) -> ListedRows<'b, 'a> {
+        ListedRows {
+            batch: self,
+            rows,
+            tag,
+            ints: self.int_strips(),
+        }
     }
 
     /// What the consumer records ahead of each passing row's own charges.
@@ -387,6 +397,46 @@ impl<'a> ScanBatch<'a> {
     /// What the consumer records for each filtered-out row.
     pub fn fail_charge(&self) -> &'static [CostEvent] {
         self.fail
+    }
+}
+
+/// Listed rows of a batch as a run ([`ScanBatch::listed`]): gathered off
+/// the batch's strips when every projected column is an `Int` strip, read
+/// row by row where each lies otherwise.
+#[derive(Debug, Clone, Copy)]
+pub struct ListedRows<'b, 'a> {
+    batch: &'b ScanBatch<'a>,
+    rows: &'b [u32],
+    tag: Option<i64>,
+    ints: bool,
+}
+
+impl RowRun for ListedRows<'_, '_> {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn int_arity(&self) -> Option<usize> {
+        self.ints.then_some(usize::from(self.tag.is_some()) + self.batch.arity)
+    }
+
+    #[inline]
+    fn gather(&self, j: usize, at: Range<usize>, out: &mut Vec<i64>) {
+        let j = match self.tag {
+            Some(tag) if j == 0 => return out.extend(std::iter::repeat_n(tag, at.len())),
+            Some(_) => j - 1,
+            None => j,
+        };
+        let col = self.batch.int_column(j);
+        out.extend(self.rows[at].iter().map(|&r| col[r as usize]));
+    }
+
+    #[inline]
+    fn cells<S: CellSink>(&self, i: usize, sink: &mut S) {
+        if let Some(tag) = self.tag {
+            sink.int(tag);
+        }
+        self.batch.row(self.rows[i] as usize).cells(sink);
     }
 }
 

@@ -37,12 +37,12 @@ pub mod persist;
 pub mod pool;
 pub mod spill;
 
-pub use batch::{BatchCharges, BatchOutcome, RowCause, ScanBatch};
+pub use batch::{BatchCharges, BatchOutcome, ListedRows, RowCause, ScanBatch};
 pub use disk::{IoCounters, SimDisk};
 pub use error::StorageError;
 pub use heapfile::HeapFile;
 pub use adaptagg_model::StripView;
-pub use page::{IntStrips, Page, PageCursor, PageRow, PageView, StripRow};
+pub use page::{Page, PageCursor, PageRow, PageView, StripRow};
 pub use pages::RowPages;
 pub use pool::PagePool;
 pub use spill::SpillFile;

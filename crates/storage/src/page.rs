@@ -1,6 +1,6 @@
 //! Pages of tuples, laid out as **column strips**.
 //!
-//! Rows lie on [`Strips`]: one strip per column, an `Int`-only strip a
+//! Rows lie on strips (`Strips`): one strip per column, an `Int`-only strip a
 //! plain `Vec<i64>` (the validity-free fixed-width fast path batch
 //! operators ride) and a strip that has seen any other type general
 //! [`Value`] cells. An owned [`Page`] holds the strips of its own rows —
@@ -8,7 +8,7 @@
 //! ([`crate::HeapFile`]) holds one set of strips for all of its rows and
 //! cuts them into pages with a page table. Either way a page is read
 //! through one borrowed [`PageView`]: the strips, the range of rows on them
-//! that is the page ([`Extent`]), and the page's capacity.
+//! that is the page (`Extent`), and the page's capacity.
 //!
 //! The byte budget is accounted in the [`adaptagg_model::encode`] wire
 //! format — `try_push` admits exactly the rows the old row-major byte page
@@ -16,6 +16,14 @@
 //! [`PageView::encode_into`] / [`Page::from_raw`] convert to/from that
 //! format at the disk and network edges. A view reads 4 KB heap-file pages
 //! and 2 KB network message blocks alike — only the capacity differs.
+//!
+//! Rows reach a page two ways. One row at a time takes the cell walk
+//! ([`Page::try_push_row`]): sized in the wire format, then landed cell by
+//! cell. A run of rows ([`Page::fill`], [`RowRun`]) lands as strip runs, a
+//! column at a time, while the page is on the typed lane — every row on it
+//! so far `Int` cells of the run's arity — and takes the cell walk
+//! otherwise. Either way the page ends up the same, row for row and byte
+//! for byte.
 //!
 //! Batch consumers read whole columns through [`PageView::column`]
 //! ([`StripView`]); row-at-a-time consumers read each row where it lies
@@ -25,7 +33,10 @@
 
 use crate::batch::ScanBatch;
 use crate::error::StorageError;
-use adaptagg_model::{decode_tuple_into, encode_value, CellRow, CellSink, IndexRow, KeyCell, StripView, Value};
+use adaptagg_model::encode::TAG_INT;
+use adaptagg_model::{
+    decode_tuple_into, encode_value, CellRow, CellSink, IndexRow, KeyCell, RowRun, StripView, Value,
+};
 use std::fmt;
 use std::ops::Range;
 
@@ -50,10 +61,9 @@ pub(crate) struct Strips {
     /// row's arity).
     cols: Vec<ColumnStrip>,
     /// `Some(a)` while every row since the open page's first is an
-    /// all-`Int` row of arity `a`: the typed append lane is open (see
-    /// [`Page::try_push_row`]). Set by a page's first row; any later row
-    /// the lane does not take closes it, as a promoted strip or a second
-    /// arity would.
+    /// all-`Int` row of arity `a`: the typed lane is open, and a run of
+    /// such rows lands as strip runs ([`Page::fill`]). Any other row
+    /// closes it until the page is cleared.
     int_arity: Option<usize>,
 }
 
@@ -112,9 +122,9 @@ impl Extent {
 /// `clear`/refill cycles.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnStrip {
-    ints: Vec<i64>,
+    pub(crate) ints: Vec<i64>,
     values: Vec<Value>,
-    is_int: bool,
+    pub(crate) is_int: bool,
 }
 
 impl ColumnStrip {
@@ -268,19 +278,6 @@ pub(crate) fn wire_bytes<R: CellRow + ?Sized>(row: &R) -> usize {
     std::mem::size_of::<u16>() + size.wire
 }
 
-/// `Ok` unless `rows` all-`Int` rows of `arity` cells hold one wider than
-/// a page of `page_bytes`: the `TupleTooLarge` the first of them would meet
-/// on the row walk.
-pub(crate) fn int_rows_fit(arity: usize, rows: usize, page_bytes: usize) -> Result<(), StorageError> {
-    match int_row_bytes(arity) {
-        n if rows > 0 && n > page_bytes => Err(StorageError::TupleTooLarge {
-            tuple_bytes: n,
-            page_bytes,
-        }),
-        _ => Ok(()),
-    }
-}
-
 /// How many pages of `page_bytes` the rows fill, appended in order by the
 /// page's greedy byte rule ([`Page::try_push_row`]: a row opens a page when
 /// the open one lacks the bytes for it); `TupleTooLarge` for a row wider
@@ -306,17 +303,6 @@ pub fn pages_for<'a, R: CellRow + 'a>(
         used += n;
     }
     Ok(pages)
-}
-
-/// An all-`Int` row gathered into a buffer: what the cell walk takes from a
-/// bulk append that meets a page off the lane ([`Page::fill_ints`]).
-struct IntRow<'a>(&'a [i64]);
-
-impl CellRow for IntRow<'_> {
-    #[inline]
-    fn cells<S: CellSink>(&self, sink: &mut S) {
-        self.0.iter().for_each(|&x| sink.int(x));
-    }
 }
 
 /// Lands the cells of row `row` on their strips, column by column: the
@@ -352,34 +338,13 @@ impl CellSink for RowPush<'_> {
     }
 }
 
-/// The typed append lane's one walk: lands the cells of an all-`Int` row
-/// of the lane's arity straight on its `Int` strips, and notes whether the
-/// row was one (if not, the caller takes back what landed).
-struct IntLane<'a> {
-    strips: &'a mut [ColumnStrip],
-    at: usize,
-    ints: bool,
-}
+/// Row `.1` of run `.0`, read cell by cell: what the cell walk takes.
+pub(crate) struct RunRow<'a, R: ?Sized>(pub(crate) &'a R, pub(crate) usize);
 
-impl CellSink for IntLane<'_> {
+impl<R: RowRun + ?Sized> CellRow for RunRow<'_, R> {
     #[inline]
-    fn int(&mut self, x: i64) {
-        if let Some(strip) = self.strips.get_mut(self.at) {
-            debug_assert!(strip.is_int, "the lane is open over Int strips only");
-            strip.ints.push(x);
-        }
-        self.at += 1;
-    }
-
-    #[inline]
-    fn value(&mut self, v: &Value) {
-        match *v {
-            Value::Int(x) => self.int(x),
-            _ => {
-                self.ints = false;
-                self.at += 1;
-            }
-        }
+    fn cells<S: CellSink>(&self, sink: &mut S) {
+        self.0.cells(self.1, sink);
     }
 }
 
@@ -407,47 +372,10 @@ impl Strips {
     /// Append `row` to `open`, the page of `capacity` wire bytes that ends
     /// the strips: `Ok(true)` if stored, `Ok(false)` if the page is full,
     /// or `TupleTooLarge` if the row can never fit *any* page of this
-    /// capacity.
-    ///
-    /// While the typed lane is open a row is first offered to it: an
-    /// all-`Int` row of the lane's arity `a` is `2 + 9·a` bytes on the
-    /// wire whatever its values, so admission is one comparison, and its
-    /// cells are pushed straight onto the `Int` strips in one walk — no
-    /// sizing walk, no pad or reservation checks. The lane stays open
-    /// across a heap file's page cuts. Any other row (the first row while
-    /// the lane is closed, a `Str`/`Float`/NULL cell, another arity) takes
-    /// the cell walk, which sizes it in the wire format first; a row the
-    /// lane started on and could not finish is taken back before it does.
-    #[inline]
+    /// capacity. The cell walk: the row is sized in the wire format first,
+    /// then its cells land strip by strip. The typed lane stays open while
+    /// each row is `Int` cells of the arity of the page's first.
     pub(crate) fn try_push_row<R: CellRow + ?Sized>(
-        &mut self,
-        open: &mut Extent,
-        capacity: usize,
-        row: &R,
-    ) -> Result<bool, StorageError> {
-        if let Some(arity) = self.int_arity {
-            let n = int_row_bytes(arity);
-            if open.bytes_used + n <= capacity {
-                let mut lane = IntLane {
-                    strips: &mut self.cols[..arity],
-                    at: 0,
-                    ints: true,
-                };
-                row.cells(&mut lane);
-                if lane.ints && lane.at == arity {
-                    self.arities.push(arity as u16);
-                    open.add(n, arity as u16);
-                    return Ok(true);
-                }
-                let rows = self.rows();
-                self.cols[..arity].iter_mut().for_each(|strip| strip.ints.truncate(rows));
-            }
-        }
-        self.push_cells(open, capacity, row)
-    }
-
-    /// The cell walk of [`Strips::try_push_row`]: any row, sized first.
-    fn push_cells<R: CellRow + ?Sized>(
         &mut self,
         open: &mut Extent,
         capacity: usize,
@@ -490,10 +418,8 @@ impl Strips {
             row: at,
             reserve: like_first,
         });
-        // Only a page's first row can open the typed lane; a row it did
-        // not take closes it.
-        self.int_arity = (open.rows == 0 && self.cols[..size.arity].iter().all(|c| c.is_int))
-            .then_some(size.arity);
+        let lane = open.rows == 0 || self.int_arity == Some(size.arity);
+        self.int_arity = (lane && self.cols[..size.arity].iter().all(|c| c.is_int)).then_some(size.arity);
         self.arities.push(arity);
         open.add(n, arity);
         Ok(true)
@@ -721,35 +647,6 @@ impl IndexRow for StripRow<'_, '_> {
     }
 }
 
-/// A batch's projected columns when every one is an `Int` strip
-/// ([`ScanBatch::int_strips`]), found once per batch: each a plain `i64`
-/// slice over the batch's rows, what a page on the typed lane gathers strip
-/// runs from ([`Page::extend_ints`]).
-#[derive(Debug, Clone, Copy)]
-pub struct IntStrips<'a> {
-    pub(crate) strips: &'a [ColumnStrip],
-    /// Projected column `j` is strip `columns[j]`; empty = strip `skip + j`.
-    pub(crate) columns: &'a [usize],
-    pub(crate) skip: usize,
-    /// The batch's rows on the strips.
-    pub(crate) rows: (usize, usize),
-    pub(crate) arity: usize,
-}
-
-impl<'a> IntStrips<'a> {
-    /// Projected arity.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Projected column `j`, indexed by the batch's row ids.
-    #[inline]
-    pub fn column(&self, j: usize) -> &'a [i64] {
-        let c = if self.columns.is_empty() { self.skip + j } else { self.columns[j] };
-        &self.strips[c].ints[self.rows.0..self.rows.1]
-    }
-}
-
 /// One row of a page — ragged or not — read off the strips where it lies
 /// ([`PageView::rows`]), or what is left of it past a leading cell
 /// ([`PageRow::split_first`]).
@@ -854,53 +751,45 @@ impl Page {
         self.try_push_row(values)
     }
 
-    /// The one append: [`Page::try_push`] of a row read cell by cell
-    /// wherever it lies (a group in a store, a row of another page), its
-    /// `Int` cells copied as `i64`s. Same admission, same errors, and the
-    /// page ends up equal to one that was pushed the materialized row.
-    /// A page whose rows so far are all-`Int` rows of one arity takes a
-    /// further one on the typed lane ([`Strips::try_push_row`]).
+    /// [`Page::try_push`] of a row read cell by cell wherever it lies (a
+    /// group in a store, a row of another page), its `Int` cells copied as
+    /// `i64`s: the cell walk (`Strips::try_push_row`). Same admission,
+    /// same errors, and the page ends up equal to one that was pushed the
+    /// materialized row.
     #[inline]
     pub fn try_push_row<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<bool, StorageError> {
         self.strips.try_push_row(&mut self.extent, self.capacity, row)
     }
 
-    /// How many of `want` more all-`Int` rows of `arity` cells the page's
-    /// typed lane takes: as many as fit its free bytes while the lane is
-    /// open at that arity, or while the page is empty (the first such row
-    /// opens the lane); none on a page off the lane, which takes rows one
-    /// at a time ([`Page::try_push_row`]). Dividing the free bytes by the
-    /// row width is left to the page that is about to fill.
-    #[inline]
-    pub fn int_room(&self, arity: usize, want: usize) -> usize {
-        let on_lane = match self.strips.int_arity {
-            Some(a) => a == arity,
-            None => self.is_empty(),
-        };
-        let (free, n) = (self.capacity - self.extent.bytes_used, int_row_bytes(arity));
-        match on_lane {
-            false => 0,
-            true if want * n <= free => want,
-            true => free / n,
+    /// Append as many of `run`'s rows `rows`, in order, as the page takes,
+    /// and return how many it took: fewer than offered means the page is
+    /// full for the next one (none, on a fresh page, means that row is wider
+    /// than any page). While the page is on the typed lane at the run's
+    /// arity, or empty, rows of a run that gathers land as strip runs, as
+    /// many as fit its free bytes; otherwise each row takes the cell walk
+    /// ([`Page::try_push_row`]). The page ends up equal to one pushed the
+    /// rows one by one.
+    pub fn fill<R: RowRun + ?Sized>(&mut self, run: &R, rows: Range<usize>) -> usize {
+        if let Some(arity) = run.int_arity() {
+            let on_lane = match self.strips.int_arity {
+                Some(a) => a == arity,
+                None => self.is_empty(),
+            };
+            let (free, n) = (self.capacity - self.extent.bytes_used, int_row_bytes(arity));
+            // Divided only when the rows do not all fit: a run often does.
+            let take = if rows.len() * n <= free { rows.len() } else { free / n };
+            if on_lane && take > 0 {
+                self.extend_strips(run, arity, rows.start..rows.start + take);
+                return take;
+            }
         }
+        rows.take_while(|&i| matches!(self.try_push_row(&RunRow(run, i)), Ok(true))).count()
     }
 
-    /// The page's one bulk append: rows `rows` of a run of all-`Int` rows
-    /// of `arity` cells, on the typed lane, a strip run per column —
-    /// `gather(j, rows, strip)` appends cell `j` of each of `rows`, in order,
-    /// to `strip`. The page ends up equal to one that was pushed the rows one
-    /// by one ([`Page::try_push_row`]); the caller makes room first
-    /// ([`Page::int_room`]).
-    pub fn extend_ints<G>(&mut self, arity: usize, rows: Range<usize>, mut gather: G)
-    where
-        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
-    {
-        let count = rows.len();
-        debug_assert_eq!(self.int_room(arity, count), count, "no room for the rows");
-        if count == 0 {
-            return;
-        }
-        let n = int_row_bytes(arity);
+    /// Rows `rows` of `run`, all-`Int` rows of `arity` cells that fit the
+    /// page's free bytes, a strip run per column: the typed lane.
+    fn extend_strips<R: RowRun + ?Sized>(&mut self, run: &R, arity: usize, rows: Range<usize>) {
+        let (count, n) = (rows.len(), int_row_bytes(arity));
         let strips = &mut self.strips;
         // Never-filled strips are sized for a page of such rows at once, as
         // the cell walk sizes them for a page of its first row.
@@ -917,45 +806,13 @@ impl Page {
             if let Some(k) = like_first {
                 strip.ints.reserve(k);
             }
-            gather(j, rows.clone(), &mut strip.ints);
+            run.gather(j, rows.clone(), &mut strip.ints);
             debug_assert_eq!(strip.ints.len(), held + count, "gathered column {j}");
         }
         let tag = u16::try_from(arity).expect("tuple arity exceeds u16");
         strips.arities.extend(std::iter::repeat_n(tag, count));
         strips.int_arity = Some(arity);
         self.extent.add_rows(count, n, tag);
-    }
-
-    /// Append as many of `rows` — all-`Int` rows of `arity` cells, gathered
-    /// as [`Page::extend_ints`] gathers them — as the page takes, where
-    /// [`Page::try_push_row`] row by row would put them: strip runs while the
-    /// page is on the typed lane at that arity (or empty), the cell walk
-    /// while it is off the lane and still has byte room, since the walk
-    /// would keep filling it. Returns how many it took: fewer than offered
-    /// means the page is full for such rows (none, on a fresh page, means a
-    /// row wider than any page: [`int_rows_fit`]).
-    pub(crate) fn fill_ints<G>(&mut self, arity: usize, rows: Range<usize>, gather: &mut G) -> usize
-    where
-        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
-    {
-        let room = self.int_room(arity, rows.len());
-        if room > 0 {
-            self.extend_ints(arity, rows.start..rows.start + room, gather);
-            return room;
-        }
-        let mut row = Vec::new();
-        let mut taken = 0;
-        for r in rows {
-            if !self.fits(int_row_bytes(arity)) {
-                break;
-            }
-            row.clear();
-            (0..arity).for_each(|j| gather(j, r..r + 1, &mut row));
-            let pushed = self.try_push_row(&IntRow(&row));
-            debug_assert!(matches!(pushed, Ok(true)), "a row that fits is pushed");
-            taken += 1;
-        }
-        taken
     }
 
     /// [`PageView::min_arity`].
@@ -1007,7 +864,9 @@ impl Page {
     }
 
     /// Rebuild a page from wire-format bytes, verifying that they decode
-    /// to exactly `tuples` tuples spanning the whole buffer (persistence).
+    /// to exactly `tuples` tuples spanning the whole buffer (persistence,
+    /// network frames). A frame of all-`Int` rows of one arity lands as one
+    /// run (`IntFrame`); any other decodes row by row.
     pub fn from_raw(capacity: usize, data: Vec<u8>, tuples: u32) -> Result<Self, StorageError> {
         if data.len() > capacity {
             return Err(StorageError::TupleTooLarge {
@@ -1016,6 +875,12 @@ impl Page {
             });
         }
         let mut page = Page::new(capacity);
+        if let Some(frame) = IntFrame::of(&data, tuples as usize) {
+            // Cannot refuse: the whole buffer already fits the capacity.
+            let taken = page.fill(&frame, 0..frame.rows);
+            debug_assert_eq!(taken, frame.rows);
+            return Ok(page);
+        }
         let mut scratch = Vec::new();
         let mut pos = 0usize;
         for _ in 0..tuples {
@@ -1042,6 +907,56 @@ impl PartialEq for Page {
 }
 
 impl Eq for Page {}
+
+/// Wire bytes whose every row is `arity` `Int` cells, `rows` of them
+/// spanning the buffer exactly: each cell lies at a fixed offset, so a
+/// column gathers straight off the bytes.
+struct IntFrame<'a> {
+    data: &'a [u8],
+    arity: usize,
+    rows: usize,
+}
+
+impl<'a> IntFrame<'a> {
+    /// The frame, if `data` is `rows` all-`Int` rows of its first row's
+    /// arity and nothing more.
+    fn of(data: &'a [u8], rows: usize) -> Option<Self> {
+        let arity = usize::from(u16::from_le_bytes(data.get(..2)?.try_into().ok()?));
+        let width = int_row_bytes(arity);
+        if data.len() != rows.checked_mul(width)? {
+            return None;
+        }
+        let uniform = data.chunks_exact(width).all(|row| {
+            usize::from(u16::from_le_bytes([row[0], row[1]])) == arity
+                && row[2..].chunks_exact(9).all(|cell| cell[0] == TAG_INT)
+        });
+        uniform.then_some(IntFrame { data, arity, rows })
+    }
+
+    #[inline]
+    fn cell(&self, i: usize, j: usize) -> i64 {
+        let at = i * int_row_bytes(self.arity) + 2 + 9 * j + 1;
+        i64::from_le_bytes(self.data[at..at + 8].try_into().expect("eight bytes"))
+    }
+}
+
+impl RowRun for IntFrame<'_> {
+    fn len(&self) -> usize {
+        self.rows
+    }
+
+    fn int_arity(&self) -> Option<usize> {
+        Some(self.arity)
+    }
+
+    fn gather(&self, j: usize, rows: Range<usize>, out: &mut Vec<i64>) {
+        out.extend(rows.map(|i| self.cell(i, j)));
+    }
+
+    fn cells<S: CellSink>(&self, i: usize, sink: &mut S) {
+        (0..self.arity).for_each(|j| sink.int(self.cell(i, j)));
+    }
+}
 
 /// Scratch-reuse cursor over a page's tuples (see [`PageView::cursor`]).
 pub struct PageCursor<'a> {
@@ -1372,6 +1287,77 @@ mod tests {
             Page::from_raw(4, bytes, 1).is_err(),
             "bytes exceeding capacity"
         );
+    }
+
+    /// All-`Int` rows as a run that counts how the page read it: a column
+    /// at a time, or row by row.
+    struct Counted {
+        rows: Vec<[i64; 2]>,
+        gathered: std::cell::Cell<usize>,
+        walked: std::cell::Cell<usize>,
+    }
+
+    impl Counted {
+        fn new(base: i64) -> Self {
+            Counted {
+                rows: (0..4).map(|i| [base + i, -i]).collect(),
+                gathered: Default::default(),
+                walked: Default::default(),
+            }
+        }
+
+        fn reads(&self) -> (usize, usize) {
+            (self.gathered.get(), self.walked.get())
+        }
+    }
+
+    impl RowRun for Counted {
+        fn len(&self) -> usize {
+            self.rows.len()
+        }
+
+        fn int_arity(&self) -> Option<usize> {
+            Some(2)
+        }
+
+        fn gather(&self, j: usize, rows: Range<usize>, out: &mut Vec<i64>) {
+            self.gathered.set(self.gathered.get() + 1);
+            out.extend(self.rows[rows].iter().map(|row| row[j]));
+        }
+
+        fn cells<S: CellSink>(&self, i: usize, sink: &mut S) {
+            self.walked.set(self.walked.get() + 1);
+            self.rows[i].iter().for_each(|&x| sink.int(x));
+        }
+    }
+
+    /// A page stays on the typed lane however its all-`Int` rows came — a
+    /// run, or one row through the cell walk — so the next run lands as
+    /// strip runs; a `Str` row closes the lane, and the run after it takes
+    /// the cell walk. The page is the rows pushed one by one either way.
+    #[test]
+    fn the_lane_stays_open_for_a_lone_int_row() {
+        let mut p = Page::new(4096);
+        let first = Counted::new(0);
+        assert_eq!(p.fill(&first, 0..4), 4);
+        assert_eq!(first.reads(), (2, 0), "a run opens the lane");
+        assert!(p.try_push_row(&[Value::Int(9), Value::Int(-9)][..]).unwrap());
+        assert_eq!(p.strips.int_arity, Some(2), "a lone all-Int row keeps it open");
+        let second = Counted::new(10);
+        assert_eq!(p.fill(&second, 0..4), 4);
+        assert_eq!(second.reads(), (2, 0), "the next run lands as strip runs");
+        assert!(p.try_push_row(&[Value::Int(1), Value::from("s")][..]).unwrap());
+        assert_eq!(p.strips.int_arity, None, "a Str row closes the lane");
+        let third = Counted::new(20);
+        assert_eq!(p.fill(&third, 0..4), 4);
+        assert_eq!(third.reads().0, 0, "off the lane, no column is gathered");
+        assert!(third.reads().1 >= 4, "every row takes the cell walk");
+        let mut rows = Page::new(4096);
+        for row in p.decode_all().unwrap() {
+            assert!(rows.try_push(&row).unwrap());
+        }
+        assert_eq!(p, rows);
+        assert_eq!(p.tuple_count(), 14);
     }
 
     /// A group appended cell by cell where it lies in a store — typed

@@ -1,10 +1,13 @@
 //! Rows on in-memory pages: the shape rows have between operators
 //! wherever they are not on disk or on the wire.
+//!
+//! Every writer appends through one call, [`RowPages::extend`], handing over
+//! a run of rows ([`RowRun`]); each page picks the lane the rows land on
+//! ([`Page::fill`]). A lone row is a run of one ([`RowPages::push`]).
 
-use crate::page::{int_row_bytes, int_rows_fit};
+use crate::page::{int_row_bytes, wire_bytes, RunRow};
 use crate::{Page, PageRow, StorageError};
-use adaptagg_model::{CellRow, Value};
-use std::ops::Range;
+use adaptagg_model::{CellRow, LaneRows, OneRow, RowRun, Value};
 
 /// Rows appended to unsealed, uncharged pages of one capacity: what a
 /// group table drains its partial rows onto, the resident run a run
@@ -62,42 +65,34 @@ impl RowPages {
     /// Append a row read cell by cell where it lies
     /// ([`Page::try_push_row`]), opening a page when the last one is full.
     pub fn push<R: CellRow + ?Sized>(&mut self, row: &R) -> Result<(), StorageError> {
-        let fits = match self.pages.last_mut() {
-            Some(open) => open.try_push_row(row)?,
-            None => false,
-        };
-        if !fits {
-            let mut page = Page::new(self.page_bytes);
-            if !page.try_push_row(row)? {
-                unreachable!("fresh page refused a fitting row");
-            }
-            self.pages.push(page);
-        }
-        self.rows += 1;
-        Ok(())
+        self.extend(&OneRow(row)).map(drop)
     }
 
-    /// Append `n` all-`Int` rows of `arity` cells, column `j` of rows `at`
-    /// gathered by `gather(j, at, strip)` ([`Page::extend_ints`]): the
-    /// pages, and the rows on each, are those of [`RowPages::push`] row by
-    /// row, written a strip run at a time wherever a page is on the typed
-    /// lane (`Page::fill_ints`).
-    pub fn extend_ints<G>(&mut self, arity: usize, n: usize, mut gather: G) -> Result<(), StorageError>
-    where
-        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
-    {
-        int_rows_fit(arity, n, self.page_bytes)?;
-        let mut at = 0;
+    /// Append every row of `run`, in order, opening a page whenever the
+    /// last one is full ([`Page::fill`]): the pages, and the rows on each,
+    /// are those of [`RowPages::push`] row by row. Returns the rows written,
+    /// by the run's lane. A row wider than a page is `TupleTooLarge`: the
+    /// rows before it are appended, it and the rows after it are not.
+    pub fn extend<R: RowRun + ?Sized>(&mut self, run: &R) -> Result<LaneRows, StorageError> {
+        let n = run.len();
+        let mut at = self.pages.last_mut().map_or(0, |open| open.fill(run, 0..n));
         while at < n {
-            if let Some(open) = self.pages.last_mut() {
-                at += open.fill_ints(arity, at..n, &mut gather);
+            let mut page = Page::new(self.page_bytes);
+            let taken = page.fill(run, at..n);
+            if taken == 0 {
+                self.rows += at;
+                return Err(StorageError::TupleTooLarge {
+                    tuple_bytes: wire_bytes(&RunRow(run, at)),
+                    page_bytes: self.page_bytes,
+                });
             }
-            if at < n {
-                self.pages.push(Page::new(self.page_bytes));
-            }
+            self.pages.push(page);
+            at += taken;
         }
         self.rows += n;
-        Ok(())
+        let mut lanes = LaneRows::default();
+        lanes.count(run.int_arity().is_some(), n as u64);
+        Ok(lanes)
     }
 
     /// Move the rows of `other` behind the rows held, whole pages at a time

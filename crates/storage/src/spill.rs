@@ -2,53 +2,51 @@
 //!
 //! When a memory-bounded hash table overflows (paper §2, step 2), tuples of
 //! groups that did not fit are hash-partitioned into buckets and "spooled
-//! to disk". A [`SpillFile`] is one such bucket: an append buffer that
-//! seals full pages (charging a sequential page write each) and is later
-//! drained page-by-page (charging sequential page reads).
+//! to disk". A [`SpillFile`] is one such bucket, and one sorted run of
+//! Sort-2P: rows on pages ([`RowPages`], written through the same one
+//! append) whose every sealed page is charged a sequential page write, and
+//! which is later drained page by page (charging sequential page reads).
 //!
 //! Per the crate's charging convention, only page I/O is charged here; the
 //! hash-aggregation layer charges the per-tuple `t_w`/`t_r` costs around
 //! its calls.
 
 use crate::error::StorageError;
-use crate::page::{int_rows_fit, Page};
-use adaptagg_model::{CellRow, CostEvent, CostTracker, Value};
-use std::ops::Range;
+use crate::{Page, RowPages};
+use adaptagg_model::{CellRow, CostEvent, CostTracker, LaneRows, OneRow, RowRun, Value};
 
-/// One spill bucket.
+/// One spill bucket, or one sorted run.
 #[derive(Debug)]
 pub struct SpillFile {
-    page_bytes: usize,
-    sealed: Vec<Page>,
-    open: Page,
-    tuple_count: usize,
+    pages: RowPages,
+    /// Pages charged a write: every page but the open last one, and that
+    /// one too once the file is finished.
+    charged: usize,
 }
 
 impl SpillFile {
     /// An empty bucket with the given page capacity.
     pub fn new(page_bytes: usize) -> Self {
         SpillFile {
-            page_bytes,
-            sealed: Vec::new(),
-            open: Page::new(page_bytes),
-            tuple_count: 0,
+            pages: RowPages::new(page_bytes),
+            charged: 0,
         }
     }
 
     /// Tuples spooled so far.
     pub fn tuple_count(&self) -> usize {
-        self.tuple_count
+        self.pages.len()
     }
 
     /// Pages written to disk so far (sealed pages only; the open page is
     /// still in the write buffer).
     pub fn sealed_pages(&self) -> usize {
-        self.sealed.len()
+        self.charged
     }
 
     /// Whether nothing was ever spooled.
     pub fn is_empty(&self) -> bool {
-        self.tuple_count == 0
+        self.pages.is_empty()
     }
 
     /// Spool one tuple, charging a page write whenever a page seals.
@@ -67,54 +65,45 @@ impl SpillFile {
         row: &R,
         tracker: &mut T,
     ) -> Result<(), StorageError> {
-        if !self.open.try_push_row(row)? {
-            tracker.record(CostEvent::PageWriteSeq, 1);
-            let full = std::mem::replace(&mut self.open, Page::new(self.page_bytes));
-            self.sealed.push(full);
-            if !self.open.try_push_row(row)? {
-                unreachable!("fresh spill page refused a fitting tuple");
-            }
-        }
-        self.tuple_count += 1;
-        Ok(())
+        self.extend(&OneRow(row), tracker).map(drop)
     }
 
-    /// Spool `n` all-`Int` rows of `arity` cells, column `j` of rows `at`
-    /// gathered by `gather(j, at, strip)` ([`crate::Page::extend_ints`]):
-    /// the pages, the rows on each and the page writes charged are those of
-    /// [`SpillFile::spool_row`] row by row, written a strip run at a time
-    /// wherever the open page is on the typed lane (`Page::fill_ints`).
-    pub fn spool_ints<G, T>(
+    /// Spool every row of `run` ([`RowPages::extend`]): the pages, the rows
+    /// on each and the page writes charged are those of
+    /// [`SpillFile::spool_row`] row by row.
+    pub fn extend<R: RowRun + ?Sized, T: CostTracker>(
         &mut self,
-        arity: usize,
-        n: usize,
-        mut gather: G,
+        run: &R,
         tracker: &mut T,
-    ) -> Result<(), StorageError>
-    where
-        G: FnMut(usize, Range<usize>, &mut Vec<i64>),
-        T: CostTracker,
-    {
-        int_rows_fit(arity, n, self.page_bytes)?;
-        let mut at = self.open.fill_ints(arity, 0..n, &mut gather);
-        while at < n {
-            tracker.record(CostEvent::PageWriteSeq, 1);
-            let full = std::mem::replace(&mut self.open, Page::new(self.page_bytes));
-            self.sealed.push(full);
-            at += self.open.fill_ints(arity, at..n, &mut gather);
+    ) -> Result<LaneRows, StorageError> {
+        self.write(tracker, |pages, _| pages.extend(run))
+    }
+
+    /// Append to the file's pages through `write`, then charge a page write
+    /// for each page that sealed on the way, whatever `write` returned.
+    pub fn write<T: CostTracker, O>(
+        &mut self,
+        tracker: &mut T,
+        write: impl FnOnce(&mut RowPages, &mut T) -> O,
+    ) -> O {
+        debug_assert!(self.charged < self.pages.pages().len() || self.is_empty(), "a finished file");
+        let out = write(&mut self.pages, tracker);
+        self.charge(self.pages.pages().len().saturating_sub(1), tracker);
+        out
+    }
+
+    /// Charge a write for each of the first `sealed` pages not charged yet.
+    fn charge<T: CostTracker>(&mut self, sealed: usize, tracker: &mut T) {
+        if sealed > self.charged {
+            tracker.record(CostEvent::PageWriteSeq, (sealed - self.charged) as u64);
+            self.charged = sealed;
         }
-        self.tuple_count += n;
-        Ok(())
     }
 
     /// Finish writing: seal the open partial page (charging its write) so
     /// the bucket can be drained.
     pub fn finish<T: CostTracker>(&mut self, tracker: &mut T) {
-        if !self.open.is_empty() {
-            tracker.record(CostEvent::PageWriteSeq, 1);
-            let last = std::mem::replace(&mut self.open, Page::new(self.page_bytes));
-            self.sealed.push(last);
-        }
+        self.charge(self.pages.pages().len(), tracker);
     }
 
     /// Drain the bucket: read every page back (charging sequential reads)
@@ -129,7 +118,7 @@ impl SpillFile {
         self.finish(tracker);
         let mut n = 0usize;
         let mut scratch: Vec<Value> = Vec::new();
-        for page in &self.sealed {
+        for page in self.pages.pages() {
             tracker.record(CostEvent::PageReadSeq, 1);
             let mut cursor = page.cursor();
             while cursor.next_into(&mut scratch)? {
@@ -151,7 +140,7 @@ impl SpillFile {
         F: FnMut(&mut T, Page) -> Result<(), StorageError>,
     {
         self.finish(tracker);
-        for page in self.sealed {
+        for page in self.pages.into_pages() {
             tracker.record(CostEvent::PageReadSeq, 1);
             consume(tracker, page)?;
         }

@@ -347,7 +347,7 @@ proptest! {
         let want = cell_walk(&prefix, &groups, page_bytes);
         prop_assert_eq!(tracker.count(CostEvent::TupleWrite), groups.len() as u64, "t_w a group");
         prop_assert!(table.is_empty());
-        let lanes = table.drained_rows();
+        let lanes = table.drains().partial_rows;
         prop_assert_eq!(lanes.columns + lanes.cells, groups.len() as u64, "every group on a lane");
         prop_assert!(lanes.columns == 0 || all_int, "a non-Int cell on the column lane");
         if extra == Extra::None && !str_keys {

@@ -8,7 +8,7 @@
 //! row counts, and the degenerate shapes (empty, single-row, page-full).
 
 use adaptagg::model::{encode_tuple, encoded_len, Value};
-use adaptagg::storage::{Page, PagePool, ScanBatch, StorageError, StripView};
+use adaptagg::storage::{Page, PagePool, RowPages, ScanBatch, StorageError, StripView};
 use proptest::prelude::*;
 
 /// A compact generator for one cell. Tag space deliberately covers the
@@ -178,7 +178,9 @@ proptest! {
     /// count. Columns
     /// mix `Int`s with later `Str`/`Float`/`Null` cells, so destination
     /// strips promote mid-page; sealed pages go back to a pool and come
-    /// out again, so stale strip state would show.
+    /// out again, so stale strip state would show. The batch's rows listed
+    /// as one run onto row pages (`RowPages::extend`) are the rows pushed
+    /// one by one, page for page.
     #[test]
     fn prop_strip_appends_equal_row_appends(
         cells in proptest::collection::vec((0u8..8, -500i64..500), 1..300),
@@ -228,6 +230,25 @@ proptest! {
         prop_assert_eq!(&by_strip, &by_row, "the open page");
         assert_cursor_matches(&by_strip, &by_row.decode_all().unwrap());
         assert_roundtrip(&by_strip, &by_row.decode_all().unwrap());
+
+        // One more append kind: every row of the batch, listed in order, as
+        // one run onto row pages, against the projected rows pushed one by
+        // one.
+        let listed: Vec<u32> = (0..rows.len() as u32).collect();
+        let (mut by_run, mut by_push) = (RowPages::new(capacity), RowPages::new(capacity));
+        by_run.extend(&batch.listed(&listed, None)).unwrap();
+        for row in &rows {
+            by_push.push(&project(row)[..]).unwrap();
+        }
+        prop_assert_eq!(by_run.pages().len(), by_push.pages().len(), "row pages");
+        for (i, (a, b)) in by_run.pages().iter().zip(by_push.pages()).enumerate() {
+            prop_assert_eq!(a, b, "row page {}", i);
+            prop_assert_eq!(a.bytes_used(), b.bytes_used());
+            let (mut x, mut y) = (Vec::new(), Vec::new());
+            a.encode_into(&mut x);
+            b.encode_into(&mut y);
+            prop_assert_eq!(x, y, "wire bytes of row page {}", i);
+        }
     }
 }
 

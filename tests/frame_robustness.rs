@@ -10,8 +10,9 @@ use adaptagg::net::{
     frame, Control, DataKind, FrameError, Message, NetError, Payload, SplitMix64, WireFrame,
     MAX_FRAME_BYTES,
 };
-use adaptagg::model::{ticks_to_ms, MAX_TICKS};
-use adaptagg::storage::Page;
+use adaptagg::model::{decode_tuple_into, encode_tuple, ticks_to_ms, ModelError, Value, MAX_TICKS};
+use adaptagg::storage::{Page, StorageError};
+use proptest::prelude::*;
 use std::io::Cursor;
 
 fn sample_page(tuples: usize) -> Page {
@@ -253,4 +254,91 @@ fn valid_frames_roundtrip_through_stream_io() {
         format!("{frames:?}"),
         "stream roundtrip changed the corpus"
     );
+}
+
+/// The decode `Page::from_raw` must match: row by row, each tuple decoded
+/// and pushed as values.
+fn decode_row_by_row(capacity: usize, data: &[u8], tuples: u32) -> Result<Page, StorageError> {
+    if data.len() > capacity {
+        return Err(StorageError::TupleTooLarge {
+            tuple_bytes: data.len(),
+            page_bytes: capacity,
+        });
+    }
+    let mut page = Page::new(capacity);
+    let (mut scratch, mut pos) = (Vec::new(), 0);
+    for _ in 0..tuples {
+        pos += decode_tuple_into(&data[pos..], &mut scratch).map_err(StorageError::Model)?;
+        page.try_push(&scratch)?;
+    }
+    match pos == data.len() {
+        true => Ok(page),
+        false => Err(StorageError::Model(ModelError::Corrupt("page bytes longer than its tuples"))),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every frame `from_raw` takes whole — all-`Int` rows of one arity —
+    /// and every frame that only nearly is one decodes as the row-by-row
+    /// reference does: an equal page (by `PartialEq`, `encode_into` bytes
+    /// and `bytes_used`) or the same error. The near misses: a `Str`,
+    /// `Float` or NULL cell in the first, a middle or the last row; a row
+    /// one cell longer or shorter mid-frame; the bytes cut short by 1-8;
+    /// 1-8 bytes trailing; a tuple count off by one; a capacity one byte
+    /// short.
+    #[test]
+    fn prop_from_raw_matches_the_row_by_row_decode(
+        rows in 1usize..60,
+        arity in 1usize..5,
+        base in any::<i64>(),
+        flaw in 0u8..8,
+        at in 0u8..3,
+        cut in 1usize..9,
+        slack in 0u8..3,
+    ) {
+        let mut tuples: Vec<Vec<Value>> = (0..rows)
+            .map(|i| (0..arity).map(|j| Value::Int(base.wrapping_add((i * 7 + j) as i64))).collect())
+            .collect();
+        let row = [0, rows / 2, rows - 1][at as usize];
+        match flaw {
+            1 => tuples[row][arity - 1] = Value::Str(format!("s{row}").into()),
+            2 => tuples[row][0] = Value::Float(row as f64 / 2.0),
+            3 => tuples[row][arity / 2] = Value::Null,
+            4 => tuples[row].push(Value::Int(-1)),
+            5 => drop(tuples[row].pop()),
+            _ => {}
+        }
+        let mut data = Vec::new();
+        for t in &tuples {
+            encode_tuple(t, &mut data);
+        }
+        let mut count = rows as u32;
+        match flaw {
+            6 => data.truncate(data.len().saturating_sub(cut)),
+            7 if cut % 2 == 0 => data.extend(std::iter::repeat_n(cut as u8, cut)),
+            7 => count = if cut % 4 == 1 { count + 1 } else { count - 1 },
+            _ => {}
+        }
+        let capacity = match slack {
+            0 => data.len(),
+            1 => 2048.max(data.len()),
+            _ => data.len().saturating_sub(1),
+        };
+        let got = Page::from_raw(capacity, data.clone(), count);
+        let want = decode_row_by_row(capacity, &data, count);
+        match (&got, &want) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a, b, "pages");
+                prop_assert_eq!(a.bytes_used(), b.bytes_used());
+                let (mut x, mut y) = (Vec::new(), Vec::new());
+                a.encode_into(&mut x);
+                b.encode_into(&mut y);
+                prop_assert_eq!(&x, &y, "wire bytes");
+                prop_assert_eq!(&x, &data, "the frame's own bytes");
+            }
+            _ => prop_assert_eq!(got.err(), want.err(), "errors"),
+        }
+    }
 }
