@@ -11,7 +11,8 @@ use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
 use adaptagg_exec::{ExecError, NodeCtx};
 
-/// The coordinator node id (node 0, by convention).
+/// The coordinator node id (node 0, by convention): C2P's merger, the
+/// Sampling estimator, and the process cluster's coordinator.
 pub const COORDINATOR: usize = 0;
 
 /// Run Centralized Two Phase on one node.

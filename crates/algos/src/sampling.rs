@@ -16,6 +16,7 @@
 //! distinct groups — a lower bound on the true count — applies the
 //! crossover rule, and broadcasts the decision.
 
+use crate::c2p::COORDINATOR;
 use crate::common::QueryPlan;
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
@@ -25,9 +26,6 @@ use adaptagg_net::{Control, Payload};
 use adaptagg_sample::{sample_tuples, AlgorithmChoice};
 use adaptagg_storage::RowPages;
 use std::collections::BTreeSet;
-
-/// The estimation coordinator (node 0).
-pub const COORDINATOR: usize = 0;
 
 /// Seed of the page-level sample, mixed with the node id.
 const SAMPLE_SEED: u64 = 0xabcd;

@@ -40,17 +40,12 @@ impl std::fmt::Display for CmdError {
     }
 }
 
-/// Map an execution failure to its exit code: recovery exhaustion is
-/// the distinguished outcome (2), everything else is 1.
+/// An execution failure as a command error, with its
+/// [`ExecError::exit_code`].
 pub fn exec_error(e: ExecError) -> CmdError {
-    let exit_code = if matches!(e, ExecError::RecoveryExhausted { .. }) {
-        2
-    } else {
-        1
-    };
     CmdError {
         message: e.to_string(),
-        exit_code,
+        exit_code: e.exit_code(),
     }
 }
 

@@ -26,7 +26,6 @@ fn run(argv: &[String]) -> Result<(), ClusterError> {
     let endpoint = adaptagg_cluster::establish_endpoint(0, &args.cluster, args.tcp_config())?;
     eprintln!("[coordinator] mesh established ({} nodes)", spec.nodes);
     let opts = CoordinatorOpts {
-        max_attempts: args.max_attempts,
         attempt_timeout: args.attempt_timeout,
     };
     let report = run_coordinator(endpoint, &spec, &opts, &mut |line| {

@@ -20,7 +20,6 @@ OPTIONS:
   --tuples N                relation cardinality        [default: 20000]
   --groups N                distinct groups             [default: 64]
   --seed N                  workload seed               [default: 1]
-  --max-attempts N          recovery attempt budget     [default: one per worker]
   --attempt-timeout-ms N    per-attempt deadline        [default: 30000]
   --heartbeat-ms N          heartbeat interval          [default: 50]
   --heartbeat-timeout-ms N  silence = death threshold   [default: 2000]
@@ -68,8 +67,6 @@ pub struct BinArgs {
     pub tuples: usize,
     pub groups: usize,
     pub seed: u64,
-    /// 0 means "one attempt per worker" (resolved by the coordinator).
-    pub max_attempts: usize,
     pub attempt_timeout: Duration,
     pub idle_timeout: Duration,
     pub slow_scan: Duration,
@@ -112,7 +109,6 @@ pub fn parse(argv: &[String], coordinator: bool) -> Result<BinArgs, String> {
         tuples: 20_000,
         groups: 64,
         seed: 1,
-        max_attempts: 0,
         attempt_timeout: Duration::from_millis(30_000),
         idle_timeout: Duration::from_millis(120_000),
         slow_scan: Duration::ZERO,
@@ -146,9 +142,6 @@ pub fn parse(argv: &[String], coordinator: bool) -> Result<BinArgs, String> {
             "--tuples" => args.tuples = parse_num(value("--tuples")?, "--tuples")?,
             "--groups" => args.groups = parse_num(value("--groups")?, "--groups")?,
             "--seed" => args.seed = parse_num(value("--seed")?, "--seed")?,
-            "--max-attempts" if coordinator => {
-                args.max_attempts = parse_num(value("--max-attempts")?, "--max-attempts")?;
-            }
             "--attempt-timeout-ms" if coordinator => {
                 args.attempt_timeout =
                     Duration::from_millis(parse_num(value("--attempt-timeout-ms")?, "--attempt-timeout-ms")?);
@@ -219,7 +212,6 @@ mod tests {
         assert_eq!(a.cluster.len(), 3);
         assert_eq!(a.spec().workers(), 2);
         assert_eq!(a.tuples, 20_000);
-        assert_eq!(a.max_attempts, 0);
     }
 
     #[test]

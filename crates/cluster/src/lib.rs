@@ -11,14 +11,15 @@
 //! `(tuples, groups, seed)` spec, so no data files cross the wire —
 //! only partial aggregates, exactly like C2P's phase 2.
 //!
-//! Recovery is attempt-structured: the coordinator broadcasts
+//! Recovery is attempt-structured, by the in-process runtime's own loop
+//! ([`adaptagg_exec::recovery::run_attempts`]): the coordinator broadcasts
 //! [`proto::JobMsg::Start`] with the current partition→worker ownership
-//! map, workers ack and ship partials, and on a dead or stalled worker
-//! the coordinator reassigns the victim's partitions fewest-loaded-first
-//! and starts the next attempt. The per-link FIFO order the reliability
-//! layer enforces makes the ack a barrier: anything a worker sent before
-//! its ack for the current attempt belongs to a stale attempt and is
-//! discarded.
+//! map, workers ack and run C2P's node body (ship their partials to node
+//! 0), and on a dead or stalled worker the loop reassigns the victim's
+//! partitions fewest-loaded-first and starts the next attempt. The
+//! per-link FIFO order the reliability layer enforces makes the ack a
+//! barrier: anything a worker sent before its ack for the current attempt
+//! belongs to a stale attempt and is discarded.
 
 pub mod binargs;
 pub mod coordinator;
@@ -71,6 +72,7 @@ impl ClusterError {
     pub fn exit_code(&self) -> i32 {
         match self {
             ClusterError::RecoveryExhausted { .. } => 2,
+            ClusterError::Exec(e) => e.exit_code(),
             _ => 1,
         }
     }
@@ -107,7 +109,10 @@ impl From<NetError> for ClusterError {
 
 impl From<ExecError> for ClusterError {
     fn from(e: ExecError) -> Self {
-        ClusterError::Exec(e)
+        match e {
+            ExecError::Net(e) => ClusterError::Net(e),
+            e => ClusterError::Exec(e),
+        }
     }
 }
 
@@ -129,4 +134,19 @@ pub fn establish_endpoint(
         Network::new(NetworkKind::high_speed_default()),
         &FaultPlan::none(),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exhaustion_inside_an_execution_error_exits_2() {
+        let exhausted = ExecError::RecoveryExhausted {
+            attempts: 3,
+            last: Box::new(ExecError::Protocol("boom")),
+        };
+        assert_eq!(ClusterError::Exec(exhausted).exit_code(), 2);
+        assert_eq!(ClusterError::Exec(ExecError::Protocol("boom")).exit_code(), 1);
+    }
 }

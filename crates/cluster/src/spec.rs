@@ -42,11 +42,6 @@ impl ClusterSpec {
         QueryPlan::new(&default_query())
     }
 
-    /// The attempt-1 ownership map: partition `p` → node `p + 1`.
-    pub fn initial_owners(&self) -> Vec<u32> {
-        (0..self.workers()).map(|p| (p + 1) as u32).collect()
-    }
-
     /// Concatenate the partitions `owners` assigns to node `me` into
     /// one base heap file (ascending by partition id, matching the
     /// in-process runtime's reassignment layout).
@@ -66,7 +61,6 @@ impl ClusterSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptagg_exec::recovery::reassign_partitions;
 
     fn spec() -> ClusterSpec {
         ClusterSpec {
@@ -91,11 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn initial_ownership_covers_every_partition_once() {
-        assert_eq!(spec().initial_owners(), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn base_for_collects_exactly_the_owned_partitions() {
         let s = spec();
         let parts = s.partitions();
@@ -107,21 +96,5 @@ mod tests {
         assert_eq!(b1.tuple_count(), parts[0].tuple_count());
         assert_eq!(b2.tuple_count(), 0);
         assert_eq!(b3.tuple_count(), total - parts[0].tuple_count());
-    }
-
-    #[test]
-    fn reassignment_is_fewest_loaded_first_and_complete() {
-        // Worker 2 dies holding two partitions; 1 already holds two, 3
-        // holds one — the first orphan lands on the lighter node 3,
-        // which ties the load, so the second goes to the lower id 1.
-        let mut owners = vec![1, 1, 2, 2, 3];
-        let moved = reassign_partitions(&mut owners, 2, &[1, 3]);
-        assert_eq!(moved, 2);
-        assert!(!owners.contains(&2));
-        assert_eq!(owners, vec![1, 1, 3, 1, 3].as_slice());
-        // Second death: everything lands on the survivor.
-        let moved = reassign_partitions(&mut owners, 3, &[1]);
-        assert_eq!(moved, 2);
-        assert_eq!(owners, vec![1; 5].as_slice());
     }
 }

@@ -1,19 +1,18 @@
-//! The worker loop: wait for an attempt dispatch, ack it, aggregate
-//! the owned partitions locally, and ship the partials to the
-//! coordinator — as many times as recovery demands, until `Finish`.
+//! The worker loop: wait for an attempt dispatch, ack it, and run C2P's
+//! node body over the owned partitions (aggregate locally, ship the
+//! partials to the coordinator) — as many times as recovery demands,
+//! until `Finish`.
 
 use crate::proto::JobMsg;
 use crate::spec::ClusterSpec;
 use crate::{ClusterError, Progress};
-use adaptagg_algos::common::{local_partial_aggregation, ship_partials, ShipTo};
+use adaptagg_algos::c2p::{self, COORDINATOR};
+use adaptagg_algos::AlgoConfig;
 use adaptagg_exec::{ExecError, NodeCtx};
 use adaptagg_model::CostParams;
 use adaptagg_net::{Control, Endpoint, Message, NetError, Payload};
 use adaptagg_storage::SimDisk;
 use std::time::{Duration, Instant};
-
-/// The coordinator's node id.
-pub const COORDINATOR: usize = 0;
 
 /// Chunk size for the serving-mode idle wait: how often a parked
 /// worker re-checks whether the coordinator left gracefully.
@@ -108,6 +107,7 @@ pub fn run_worker(
     assert!(me != COORDINATOR, "workers are nodes 1..n");
     let partitions = spec.partitions();
     let plan = spec.plan();
+    let cfg = AlgoConfig::default_for(spec.nodes);
     let params = CostParams::paper_default();
     let mut attempts_run = 0usize;
     let mut queries_finished = 0usize;
@@ -151,21 +151,16 @@ pub fn run_worker(
                     let base = spec.base_for(&partitions, &owners, me as u32);
                     let disk = SimDisk::with_base_partition(base);
                     let mut ctx = NodeCtx::new(endpoint, disk, params.clone());
-                    let result = local_partial_aggregation(&mut ctx, &plan).and_then(|(partials, _)| {
-                        ship_partials(&mut ctx, &plan, partials, ShipTo::Node(COORDINATOR))
-                    });
+                    // On any node but the coordinator, C2P only ships.
+                    let result = c2p::run_node(&mut ctx, &plan, &cfg);
                     endpoint = ctx.into_endpoint();
                     match result {
-                        Ok(()) => {
+                        Ok(_) => {
                             attempts_run += 1;
                             progress(&format!("attempt {attempt}: partials shipped"));
                         }
-                        Err(ExecError::Net(NetError::PeerDown {
-                            peer: COORDINATOR,
-                        })) => {
-                            return Err(ClusterError::Net(NetError::PeerDown {
-                                peer: COORDINATOR,
-                            }))
+                        Err(e @ ExecError::Net(NetError::PeerDown { peer: COORDINATOR })) => {
+                            return Err(e.into())
                         }
                         Err(e) => {
                             // Tell the coordinator before bailing so it

@@ -3,14 +3,14 @@
 
 use crate::error::ExecError;
 use crate::node::{NodeCtx, DEFAULT_WATCHDOG};
-use crate::recovery::{self, RecoveryPolicy, RecoverySession, Segment};
-use crate::runstats::{NodeReport, RecoveryStats, RunResult};
-use adaptagg_model::{ms_to_ticks, ticks_to_ms, CostParams, MemoryGrant};
+use crate::recovery::{self, AttemptFailure, Membership, RecoveryPolicy, RecoverySession, Segment};
+use crate::runstats::{NodeReport, RunResult};
+use adaptagg_model::{ticks_to_ms, CostParams, MemoryGrant};
 use adaptagg_net::{
     loopback_endpoints, Control, Fabric, FaultPlan, LinkRetryPolicy, NodeFaults, TcpConfig,
     TransportKind,
 };
-use adaptagg_obs::{NodeTraceReport, RecoveryAttemptTrace, RecoverySummaryTrace, RunTrace};
+use adaptagg_obs::{NodeTraceReport, RecoverySummaryTrace, RunTrace};
 use adaptagg_storage::{HeapFile, SimDisk};
 use std::time::Duration;
 
@@ -177,13 +177,14 @@ pub struct ClusterRun<T> {
 ///
 /// ## Attempts
 ///
-/// One loop runs every configuration. With no [`RecoveryPolicy`] it makes
-/// one attempt, seats no [`RecoverySession`], sets no link retry and
-/// returns the attempt's first cause as it is: fail-stop. Under a policy
-/// it runs attempts until one completes, removing each failed attempt's
-/// victim and reassigning its base partitions (plus their durable
-/// checkpoints) to survivors. Each failed attempt removes exactly one node
-/// — the first cause's victim — so the attempt count is bounded by
+/// [`recovery::run_attempts`] runs every configuration, over a
+/// [`Membership`] of nodes `0..n`. With no [`RecoveryPolicy`] it makes one
+/// attempt, and the attempt seats no [`RecoverySession`], sets no link
+/// retry and its first cause is returned as it is: fail-stop. Under a
+/// policy it runs attempts until one completes, removing each failed
+/// attempt's victim and reassigning its base partitions (plus their
+/// durable checkpoints) to survivors. Each failed attempt removes exactly
+/// one node — the first cause's victim — so the attempt count is bounded by
 /// `min(max_attempts, nodes)`. A watchdog failure names the *waiter*, not
 /// the staller (the waiter cannot know who stalled); removing the waiter
 /// is still bounded and the straggler-scaled deadline makes it rare.
@@ -224,22 +225,9 @@ where
         .map(|p| p.page_bytes())
         .unwrap_or(config.params.page_bytes);
     let store = recovery::new_store();
-    // owner[p] = original node id currently responsible for partition p.
-    let mut owner: Vec<usize> = (0..config.nodes).collect();
-    let mut alive = vec![true; config.nodes];
-    let mut stats = RecoveryStats {
-        attempts: 0,
-        ..RecoveryStats::default()
-    };
-    let mut recovery_trace: Vec<RecoveryAttemptTrace> = Vec::new();
-    let max_attempts = policy.map_or(1, |p| p.max_attempts.max(1));
-    let mut backoff = policy.map_or(0.0, |p| p.backoff_ms);
-    let mut last_err = None;
-
-    for attempt in 0..max_attempts {
-        stats.attempts += 1;
-        // live[i] = original id of the node seated at fabric index i.
-        let live: Vec<usize> = (0..config.nodes).filter(|&id| alive[id]).collect();
+    let mut members = Membership::new((0..config.nodes).collect());
+    // live[i] = original id of the node seated at fabric index i.
+    let attempt = |live: &[usize], owners: &[usize]| {
         let seats: Vec<NodeSeat> = live
             .iter()
             .map(|&orig| {
@@ -247,7 +235,7 @@ where
                 // partition id (a lone one is shared, not copied); under a
                 // policy, record per-partition page offsets so the scans
                 // can resume per partition.
-                let owned = || partitions.iter().enumerate().filter(|&(p, _)| owner[p] == orig);
+                let owned = || partitions.iter().enumerate().filter(|&(p, _)| owners[p] == orig);
                 let base = HeapFile::concat(page_bytes, owned().map(|(_, part)| part))
                     .expect("partitions of one page size");
                 let recovery = policy.map(|policy| {
@@ -276,8 +264,7 @@ where
                 }
             })
             .collect();
-
-        match run_seats(
+        let (outputs, mut per_node, bus_busy_ms, mut traces) = run_seats(
             &config.params,
             &config.fault_plan,
             config.transport,
@@ -286,82 +273,45 @@ where
             config.trace,
             seats,
             &body,
-        ) {
-            Ok((outputs, mut per_node, bus_busy_ms, mut traces)) => {
-                // Reports carry fabric indices; restore original ids.
-                for (report, &orig) in per_node.iter_mut().zip(&live) {
-                    report.node = orig;
-                }
-                // Traces too: their node field is the fabric index.
-                for trace in traces.iter_mut() {
-                    trace.node = live[trace.node];
-                }
-                let summary = policy.map(|_| RecoverySummaryTrace {
-                    attempts: stats.attempts,
-                    dead_nodes: stats.dead_nodes.clone(),
-                    reassigned_partitions: stats.reassigned_partitions,
-                    lost_ms: ticks_to_ms(stats.lost),
-                    backoff_ms: ticks_to_ms(stats.backoff),
-                });
-                return Ok(ClusterRun {
-                    outputs,
-                    run: RunResult {
-                        per_node,
-                        bus_busy_ms,
-                        recovery: stats,
-                    },
-                    trace: config.trace.then(|| RunTrace {
-                        nodes: traces,
-                        recovery: std::mem::take(&mut recovery_trace),
-                        recovery_summary: summary,
-                        transport: config.transport.to_string(),
-                        annotations: Vec::new(),
-                    }),
-                });
-            }
-            Err((e, at)) => {
-                // Fail-stop, and non-recoverable failures (storage, model,
-                // protocol bugs), bail immediately — retrying cannot help.
-                let (Some(policy), Some(victim_seat)) = (policy, recovery::victim_of(&e)) else {
-                    return Err(e);
-                };
-                // The error names a fabric index; map to the original id.
-                let Some(&victim) = live.get(victim_seat) else {
-                    return Err(e);
-                };
-                let lost = at.unwrap_or(0);
-                stats.lost += lost;
-                last_err = Some(e);
-                alive[victim] = false;
-                stats.dead_nodes.push(victim);
-                let survivors: Vec<usize> =
-                    (0..config.nodes).filter(|&id| alive[id]).collect();
-                if survivors.is_empty() {
-                    break;
-                }
-                stats.reassigned_partitions +=
-                    recovery::reassign_partitions(&mut owner, victim, &survivors) as u64;
-                let mut charged_backoff = 0;
-                if attempt + 1 < max_attempts {
-                    charged_backoff = ms_to_ticks(backoff);
-                    stats.backoff += charged_backoff;
-                    backoff *= policy.backoff_multiplier;
-                }
-                if config.trace {
-                    recovery_trace.push(RecoveryAttemptTrace {
-                        attempt: stats.attempts,
-                        victim: Some(victim),
-                        lost_ms: ticks_to_ms(lost),
-                        backoff_ms: ticks_to_ms(charged_backoff),
-                    });
-                }
-            }
+        )
+        .map_err(|(error, at)| AttemptFailure {
+            // The error names a fabric index; map it to the original id.
+            victim: recovery::victim_of(&error).and_then(|seat| live.get(seat).copied()),
+            error,
+            at,
+        })?;
+        // Reports and traces carry fabric indices; restore original ids.
+        for (report, &orig) in per_node.iter_mut().zip(live) {
+            report.node = orig;
         }
-    }
-
-    Err(ExecError::RecoveryExhausted {
+        for trace in traces.iter_mut() {
+            trace.node = live[trace.node];
+        }
+        Ok((outputs, per_node, bus_busy_ms, traces))
+    };
+    let ((outputs, per_node, bus_busy_ms, traces), stats, recovery) =
+        recovery::run_attempts(&mut members, policy, config.trace, attempt)?;
+    let summary = policy.map(|_| RecoverySummaryTrace {
         attempts: stats.attempts,
-        last: Box::new(last_err.expect("at least one failed attempt")),
+        dead_nodes: stats.dead_nodes.clone(),
+        reassigned_partitions: stats.reassigned_partitions,
+        lost_ms: ticks_to_ms(stats.lost),
+        backoff_ms: ticks_to_ms(stats.backoff),
+    });
+    Ok(ClusterRun {
+        outputs,
+        run: RunResult {
+            per_node,
+            bus_busy_ms,
+            recovery: stats,
+        },
+        trace: config.trace.then(|| RunTrace {
+            nodes: traces,
+            recovery,
+            recovery_summary: summary,
+            transport: config.transport.to_string(),
+            annotations: Vec::new(),
+        }),
     })
 }
 
@@ -520,7 +470,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runstats::NodeRecoveryStats;
+    use crate::runstats::{NodeRecoveryStats, RecoveryStats};
     use adaptagg_model::{CostEvent, CostTracker, NetworkKind, Value};
     use adaptagg_net::{Control, DataKind, Payload};
     use adaptagg_storage::Page;

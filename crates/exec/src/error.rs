@@ -123,6 +123,16 @@ impl From<NetError> for ExecError {
 }
 
 impl ExecError {
+    /// The process exit code this failure maps to: `2` when the query ran
+    /// and fault recovery was honestly exhausted, `1` for anything else
+    /// (`0` is success and never an error).
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            ExecError::RecoveryExhausted { .. } => 2,
+            _ => 1,
+        }
+    }
+
     /// Attribution class: lower beats higher when picking which of a run's
     /// per-node errors to report. `0` = primary (describes the originating
     /// failure), `1` = watchdog, `2` = cascade (consequence of a peer

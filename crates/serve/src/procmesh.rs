@@ -6,10 +6,10 @@
 //! behind one mutex: the mesh runs one query at a time (its workers
 //! are real processes pinned to the spec's partitions), while the
 //! in-process scheduler handles overlap. What persists across queries
-//! is exactly what must: the liveness map and the ownership map — a
-//! worker SIGKILLed during query `k` stays dead for query `k+1`, its
-//! partitions remain reassigned, and the attempt counter keeps rising
-//! so a stale ack can never open a later query's barrier.
+//! is exactly what must: the workers' membership ledger — a worker
+//! SIGKILLed during query `k` stays dead for query `k+1`, its
+//! partitions remain reassigned — and the attempt counter, which keeps
+//! rising so a stale ack can never open a later query's barrier.
 
 use adaptagg_cluster::coordinator::{run_coordinated_query, CoordinatorState};
 use adaptagg_cluster::{

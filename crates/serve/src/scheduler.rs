@@ -21,7 +21,7 @@
 
 use crate::broker::{BrokerConfig, MemoryBroker};
 use adaptagg_algos::{run_algorithm, AlgorithmKind};
-use adaptagg_exec::{ClusterConfig, ExecError, FaultPlan, RecoveryPolicy};
+use adaptagg_exec::{ClusterConfig, FaultPlan, RecoveryPolicy};
 use adaptagg_model::{CostParams, DataType, Field, ResultRow, Schema};
 use adaptagg_sql::compile;
 use adaptagg_storage::HeapFile;
@@ -669,11 +669,7 @@ impl Inner {
                 }))
             }
             Err(e) => QueryOutcome::Failed {
-                exit_code: if matches!(e, ExecError::RecoveryExhausted { .. }) {
-                    2
-                } else {
-                    1
-                },
+                exit_code: e.exit_code(),
                 error: e.to_string(),
             },
         }
