@@ -61,9 +61,8 @@ pub fn run_node(
     // replay high water advances. The boundary drains also mean the table
     // rarely fills across chunks: under recovery the switch heuristic
     // observes one chunk at a time, a deliberate granularity trade-off.
-    ctx.span_start(PhaseKind::Scan);
     let mut session = ctx.recovery.take();
-    let scanned = (|| -> Result<(), ExecError> {
+    let scanned = ctx.in_span(PhaseKind::Scan, |ctx| -> Result<(), ExecError> {
         for step in scan_steps(session.as_mut()) {
             let chunk = match step {
                 ScanStep::Restore(partition) => {
@@ -93,23 +92,18 @@ pub fn run_node(
             ex.route_partials(ctx, partials, RowKind::Partial)?;
         }
         Ok(())
-    })();
+    });
     ctx.recovery = session;
-    ctx.span_end();
     scanned?;
 
     // If we never switched, the table holds all local partials: ship them
     // partitioned (plain Two Phase behaviour).
-    ctx.span_start(PhaseKind::Partition);
-    let shipped = (|| {
+    ctx.in_span(PhaseKind::Partition, |ctx| {
         if !scan.switched {
             ex.flush_table(ctx, &mut scan.table, RowKind::Partial)?;
         }
         ex.finish(ctx)
-    })();
-    ctx.span_end();
-    shipped?;
-    ctx.clock.mark("phase1");
+    })?;
     trace_tables(ctx, scan.table.drains());
 
     // Merge phase: raw + partial interleaved, one bounded table.

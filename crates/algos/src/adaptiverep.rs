@@ -22,7 +22,7 @@ use crate::adaptive2p::ScanState;
 use crate::common::{merge_phase_store, trace_tables, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
-use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
+use adaptagg_exec::{Exchange, ExecError, NodeCtx, PhaseKind, ScanSink, SwitchCause};
 use adaptagg_model::hash::Seed;
 use adaptagg_model::{record_each, RowKind};
 use adaptagg_net::{Control, Payload};
@@ -61,32 +61,17 @@ pub fn run_node(
         hashes: Vec::new(),
         scanned: 0,
     };
-    ctx.span_start(PhaseKind::Scan);
-    let scan_result = operators::scan_pages(
-        ctx,
-        "base",
-        &plan.base.filter,
-        &plan.projection,
-        0,
-        usize::MAX,
-        &mut scan,
-    );
-    ctx.span_end();
-    scan_result?;
+    plan.scan(ctx, 0..usize::MAX, &mut scan)?;
     let mut a2p = scan.a2p;
 
     // If the A2P table holds partials (fell back and never re-switched),
     // ship them now.
-    ctx.span_start(PhaseKind::Partition);
-    let shipped = (|| {
+    ctx.in_span(PhaseKind::Partition, |ctx| {
         if let Some(state) = a2p.as_mut().filter(|state| !state.switched) {
             ex.flush_table(ctx, &mut state.table, RowKind::Partial)?;
         }
         ex.finish(ctx)
-    })();
-    ctx.span_end();
-    shipped?;
-    ctx.clock.mark("phase1");
+    })?;
     if let Some(state) = &a2p {
         trace_tables(ctx, state.table.drains());
     }

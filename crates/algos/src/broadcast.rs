@@ -43,14 +43,13 @@ pub fn run_node(
         blocker: Blocker::new(1, message_bytes),
         sealed: Vec::new(),
     };
-    let scanned = operators::scan_pages(ctx, "base", &plan.base.filter, &plan.projection, 0, usize::MAX, &mut sink)?;
-    for (_, page) in sink.blocker.flush() {
-        broadcast_page(ctx, &page)?;
-    }
-    for dest in 0..nodes {
-        ctx.send_control(dest, Control::EndOfStream)?;
-    }
-    ctx.clock.mark("phase1");
+    let scanned = plan.scan(ctx, 0..usize::MAX, &mut sink)?;
+    ctx.in_span(PhaseKind::Partition, |ctx| {
+        for (_, page) in sink.blocker.flush() {
+            broadcast_page(ctx, &page)?;
+        }
+        (0..nodes).try_for_each(|dest| ctx.send_control(dest, Control::EndOfStream))
+    })?;
 
     // Phase 2: aggregate only the tuples this node owns; a destination
     // check (`t_d`) is paid for every received tuple, owned or not. A page
@@ -65,8 +64,7 @@ pub fn run_node(
     let mut discarded: u64 = 0;
     // Pooled per page: the rows' partition hashes, the rows this node owns.
     let (mut hashes, mut owned) = (Vec::new(), Vec::new());
-    ctx.span_start(PhaseKind::Merge);
-    let merged = (|| -> Result<_, ExecError> {
+    let (rows, mut agg_stats) = ctx.in_span(PhaseKind::Merge, |ctx| -> Result<_, ExecError> {
         ctx.recv_streams(
             |ctx, _, page| {
                 let n = page.tuple_count();
@@ -87,9 +85,7 @@ pub fn run_node(
         let (rows, stats) = agg.finish_rows(&mut ctx.clock)?;
         operators::store_results(ctx, &rows)?;
         Ok((rows, stats))
-    })();
-    ctx.span_end();
-    let (rows, mut agg_stats) = merged?;
+    })?;
     trace_hashagg(ctx, &agg_stats);
     agg_stats.raw_in += scanned as u64 + discarded;
     Ok(NodeOutcome {

@@ -1,12 +1,13 @@
 //! Building blocks shared by all algorithms.
 
 use adaptagg_exec::recovery::{scan_steps, ScanStep};
-use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
+use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, ScanSink};
 use adaptagg_hashagg::{DrainCause, HashAggStats, HashAggregator};
 use adaptagg_model::{AggQuery, DemoteCause, LaneRows, ResultRow, RowKind, StoreIndex, StoreLayout};
 use adaptagg_net::Control;
 use adaptagg_sortagg::SortAggStats;
 use adaptagg_storage::RowPages;
+use std::ops::Range;
 
 /// A query compiled for execution: the base-schema form, the projection
 /// the scan applies, and the projected (remapped) form every operator
@@ -36,6 +37,21 @@ impl QueryPlan {
     pub fn key_len(&self) -> usize {
         self.projected.group_by.len()
     }
+
+    /// Phase 1's scan: `pages` of the node's base relation into `sink`,
+    /// filtered and projected, under a `scan` span. Returns the number of
+    /// passing tuples.
+    pub fn scan<S: ScanSink<NodeCtx>>(
+        &self,
+        ctx: &mut NodeCtx,
+        pages: Range<usize>,
+        sink: &mut S,
+    ) -> Result<usize, ExecError> {
+        let (filter, columns) = (&self.base.filter, &self.projection);
+        ctx.in_span(PhaseKind::Scan, |ctx| {
+            operators::scan_pages(ctx, "base", filter, columns, pages.start, pages.end, sink)
+        })
+    }
 }
 
 /// Phase 1 of the Two Phase family: scan + project the local partition,
@@ -62,9 +78,9 @@ pub fn local_partial_aggregation(ctx: &mut NodeCtx, plan: &QueryPlan) -> Result<
             let chunk = match step {
                 ScanStep::Restore(partition) => {
                     let session = session.as_mut().expect("restores run under a session");
-                    ctx.span_start(PhaseKind::Scan);
-                    let restored = session.restore_partials(partition, &mut ctx.clock);
-                    ctx.span_end();
+                    let restored = ctx.in_span(PhaseKind::Scan, |ctx| {
+                        session.restore_partials(partition, &mut ctx.clock)
+                    });
                     out.append(restored?);
                     continue;
                 }
@@ -72,30 +88,30 @@ pub fn local_partial_aggregation(ctx: &mut NodeCtx, plan: &QueryPlan) -> Result<
             };
             let mut agg = HashAggregator::with_defaults(plan.projected.clone(), max_entries, page_bytes)
                 .with_grant(ctx.grant().clone());
-            ctx.span_start(PhaseKind::Scan);
-            let (filter, columns) = (&plan.base.filter, &plan.projection);
-            let scan = operators::scan_pages(ctx, "base", filter, columns, chunk.pages.start, chunk.pages.end, &mut agg);
-            ctx.span_end();
-            scan?;
-            ctx.span_start(PhaseKind::LocalAgg);
-            let spilled = agg.has_spilled();
-            if spilled {
-                ctx.span_start(PhaseKind::Spill);
-            }
-            let finished = agg.finish_partials(&mut ctx.clock);
-            if spilled {
-                ctx.span_end();
-            }
-            // A chunk's partials are durable before they leave the phase.
-            let kept = finished.map_err(ExecError::from).and_then(|(partials, s)| {
-                if let Some(session) = session.as_mut() {
-                    let (clock, disk) = (&mut ctx.clock, &mut ctx.disk);
-                    session.checkpoint(chunk.partition, chunk.done, &partials, chunk.last, clock, disk)?;
-                }
-                Ok((partials, s))
-            });
-            ctx.span_end();
-            let (partials, s) = kept?;
+            plan.scan(ctx, chunk.pages, &mut agg)?;
+            let (partials, s) =
+                ctx.in_span(PhaseKind::LocalAgg, |ctx| -> Result<_, ExecError> {
+                    let spilled = agg.has_spilled();
+                    let finish = |ctx: &mut NodeCtx| agg.finish_partials(&mut ctx.clock);
+                    let (partials, s) = if spilled {
+                        ctx.in_span(PhaseKind::Spill, finish)
+                    } else {
+                        finish(ctx)
+                    }?;
+                    // A chunk's partials are durable before they leave the phase.
+                    if let Some(session) = session.as_mut() {
+                        let (clock, disk) = (&mut ctx.clock, &mut ctx.disk);
+                        session.checkpoint(
+                            chunk.partition,
+                            chunk.done,
+                            &partials,
+                            chunk.last,
+                            clock,
+                            disk,
+                        )?;
+                    }
+                    Ok((partials, s))
+                })?;
             stats.add(&s);
             if out.is_empty() {
                 out = partials;
@@ -229,37 +245,29 @@ pub fn merge_phase_store(ctx: &mut NodeCtx, plan: &QueryPlan) -> Result<(Vec<Res
         .with_charge_hash(false)
         .with_grant(ctx.grant().clone());
 
-    ctx.span_start(PhaseKind::Merge);
-    let merged = ctx.recv_streams(
-        |ctx, kind, page| {
-            agg.push_page(kind, &page, &mut ctx.clock)?;
-            ctx.page_pool.put(page);
-            Ok(())
-        },
-        |control| match control {
-            Control::EndOfPhase { .. } => Ok(()),
-            _ => Err(ExecError::Protocol("unexpected control in merge phase")),
-        },
-    );
-    if let Err(e) = merged {
-        ctx.span_end();
-        return Err(e);
-    }
-
-    let spilled = agg.has_spilled();
-    if spilled {
-        ctx.span_start(PhaseKind::Spill);
-    }
-    let finished = agg.finish_rows(&mut ctx.clock);
-    if spilled {
-        ctx.span_end();
-    }
-    // Storing the result is the phase's last step, inside its span.
-    let stored = finished
-        .map_err(ExecError::from)
-        .and_then(|(rows, stats)| operators::store_results(ctx, &rows).map(|()| (rows, stats)));
-    ctx.span_end();
-    let (rows, stats) = stored?;
+    let (rows, stats) = ctx.in_span(PhaseKind::Merge, |ctx| -> Result<_, ExecError> {
+        ctx.recv_streams(
+            |ctx, kind, page| {
+                agg.push_page(kind, &page, &mut ctx.clock)?;
+                ctx.page_pool.put(page);
+                Ok(())
+            },
+            |control| match control {
+                Control::EndOfPhase { .. } => Ok(()),
+                _ => Err(ExecError::Protocol("unexpected control in merge phase")),
+            },
+        )?;
+        let spilled = agg.has_spilled();
+        let finish = |ctx: &mut NodeCtx| agg.finish_rows(&mut ctx.clock);
+        let (rows, stats) = if spilled {
+            ctx.in_span(PhaseKind::Spill, finish)
+        } else {
+            finish(ctx)
+        }?;
+        // Storing the result is the phase's last step, inside its span.
+        operators::store_results(ctx, &rows)?;
+        Ok((rows, stats))
+    })?;
     trace_hashagg(ctx, &stats);
     Ok((rows, stats))
 }
@@ -282,7 +290,7 @@ pub enum ShipTo {
 /// partial rows through a fresh exchange under a `partition` span — each
 /// page crosses as the batch it is, strip to strip, at the charges of its
 /// rows routed one by one, and is freed as soon as it is routed — then end
-/// the stream and mark the end of phase 1.
+/// the stream. Phase 1 ends where this span ends.
 pub fn ship_partials(
     ctx: &mut NodeCtx,
     plan: &QueryPlan,
@@ -295,8 +303,7 @@ pub fn ship_partials(
         plan.key_len(),
         RowKind::Partial,
     );
-    ctx.span_start(PhaseKind::Partition);
-    let shipped = (|| match to {
+    ctx.in_span(PhaseKind::Partition, |ctx| match to {
         ShipTo::Owners => {
             ex.route_partials(ctx, partials, RowKind::Partial)?;
             ex.finish(ctx)
@@ -308,11 +315,7 @@ pub fn ship_partials(
             ex.flush(ctx)?;
             ctx.send_control(node, Control::EndOfStream)
         }
-    })();
-    ctx.span_end();
-    shipped?;
-    ctx.clock.mark("phase1");
-    Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 use crate::common::{merge_phase_store, trace_tables, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
-use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, ScanSink};
+use adaptagg_exec::{Exchange, ExecError, NodeCtx, PhaseKind, ScanSink};
 use adaptagg_hashagg::{AggTable, Stop};
 use adaptagg_model::RowKind;
 use adaptagg_storage::{BatchOutcome, ScanBatch};
@@ -41,7 +41,7 @@ pub fn run_node(
         ex: Exchange::new(ctx.nodes(), ctx.params().message_bytes, plan.key_len(), RowKind::Raw),
         forwarded: 0,
     };
-    operators::scan_pages(ctx, "base", &plan.base.filter, &plan.projection, 0, usize::MAX, &mut sink)?;
+    plan.scan(ctx, 0..usize::MAX, &mut sink)?;
     let Forward {
         mut table,
         mut ex,
@@ -49,9 +49,10 @@ pub fn run_node(
     } = sink;
 
     // Drain the local table as partials only now (end of input).
-    ex.flush_table(ctx, &mut table, RowKind::Partial)?;
-    ex.finish(ctx)?;
-    ctx.clock.mark("phase1");
+    ctx.in_span(PhaseKind::Partition, |ctx| {
+        ex.flush_table(ctx, &mut table, RowKind::Partial)?;
+        ex.finish(ctx)
+    })?;
     trace_tables(ctx, table.drains());
 
     let (rows, mut agg) = merge_phase_store(ctx, plan)?;

@@ -11,7 +11,7 @@
 use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
-use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind};
+use adaptagg_exec::{Exchange, ExecError, NodeCtx, PhaseKind};
 use adaptagg_model::RowKind;
 
 /// Run Repartitioning on one node.
@@ -28,23 +28,8 @@ pub fn run_node(
         plan.key_len(),
         RowKind::Raw,
     );
-    ctx.span_start(PhaseKind::Scan);
-    let scanned = operators::scan_pages(
-        ctx,
-        "base",
-        &plan.base.filter,
-        &plan.projection,
-        0,
-        usize::MAX,
-        &mut ex,
-    );
-    ctx.span_end();
-    scanned?;
-    ctx.span_start(PhaseKind::Partition);
-    let flushed = ex.finish(ctx);
-    ctx.span_end();
-    flushed?;
-    ctx.clock.mark("phase1");
+    plan.scan(ctx, 0..usize::MAX, &mut ex)?;
+    ctx.in_span(PhaseKind::Partition, |ctx| ex.finish(ctx))?;
 
     // Phase 2: aggregate everything that hashed here, store locally.
     let (rows, agg) = merge_phase_store(ctx, plan)?;

@@ -36,10 +36,7 @@ pub fn run_node(
     plan: &QueryPlan,
     cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    ctx.span_start(PhaseKind::Sample);
-    let estimated = estimate_and_decide(ctx, plan, cfg);
-    ctx.span_end();
-    let choice = estimated?;
+    let choice = ctx.in_span(PhaseKind::Sample, |ctx| estimate_and_decide(ctx, plan, cfg))?;
     let mut outcome = match choice {
         AlgorithmChoice::TwoPhase => crate::twophase::run_node(ctx, plan, cfg)?,
         AlgorithmChoice::Repartitioning => crate::repart::run_node(ctx, plan, cfg)?,

@@ -13,7 +13,7 @@
 use crate::common::{merge_phase_store, ship_partials, trace_sortagg, QueryPlan, ShipTo};
 use crate::config::AlgoConfig;
 use crate::outcome::NodeOutcome;
-use adaptagg_exec::{operators, ExecError, NodeCtx, PhaseKind};
+use adaptagg_exec::{ExecError, NodeCtx, PhaseKind};
 use adaptagg_sortagg::SortAggregator;
 
 /// Run sort-based Two Phase on one node.
@@ -27,22 +27,9 @@ pub fn run_node(
     // Phase 1: sorted-run local aggregation, a scanned page at a time.
     let mut agg = SortAggregator::new(plan.projected.clone(), max_entries, page_bytes)
         .with_grant(ctx.grant().clone());
-    ctx.span_start(PhaseKind::Scan);
-    let scanned = operators::scan_pages(
-        ctx,
-        "base",
-        &plan.base.filter,
-        &plan.projection,
-        0,
-        usize::MAX,
-        &mut agg,
-    );
-    ctx.span_end();
-    scanned?;
-    ctx.span_start(PhaseKind::Sort);
-    let finished = agg.finish_partials(&mut ctx.clock);
-    ctx.span_end();
-    let (partials, sort_stats) = finished?;
+    plan.scan(ctx, 0..usize::MAX, &mut agg)?;
+    let (partials, sort_stats) =
+        ctx.in_span(PhaseKind::Sort, |ctx| agg.finish_partials(&mut ctx.clock))?;
     trace_sortagg(ctx, &sort_stats);
     // Shipped once the merge is done: every charge and every send keeps
     // its place.

@@ -4,7 +4,7 @@
 //! to the ms): every event's unit is rounded to ticks once, when the clock
 //! is built, and from then on time is integer arithmetic — exact, and the
 //! same in whatever order charges arrive. Milliseconds appear only where
-//! time is reported ([`Clock::now_ms`], [`Clock::breakdown`], phase marks).
+//! time is reported ([`Clock::now_ms`], [`Clock::breakdown`], trace spans).
 
 use adaptagg_model::{ticks_to_ms, CostEvent, CostParams, CostTracker};
 
@@ -41,19 +41,6 @@ impl TimeBreakdown {
     }
 }
 
-/// A labelled checkpoint on a node's virtual timeline — algorithms mark
-/// phase boundaries so runs can report per-phase spans comparable to the
-/// analytical model's per-phase breakdowns.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseMark {
-    /// What finished at this point (e.g. `"phase1"`).
-    pub label: &'static str,
-    /// The node's virtual time at the mark.
-    pub at_ms: f64,
-    /// Snapshot of the breakdown at the mark.
-    pub breakdown: TimeBreakdown,
-}
-
 /// The categories a clock's ticks are spent in, indexing `Clock::spent` in
 /// [`TimeBreakdown`]'s field order.
 const CPU: usize = 0;
@@ -72,7 +59,6 @@ pub struct Clock {
     units: [u64; 9],
     /// Ticks spent per category (`CPU`, `IO`, `NET`, `WAIT`).
     spent: [u64; 4],
-    marks: Vec<PhaseMark>,
     slowdown: f64,
 }
 
@@ -90,7 +76,6 @@ impl Clock {
             units: units(&params, 1.0),
             params,
             spent: [0; 4],
-            marks: Vec::new(),
             slowdown: 1.0,
         }
     }
@@ -108,20 +93,6 @@ impl Clock {
     /// The current slowdown factor.
     pub fn slowdown(&self) -> f64 {
         self.slowdown
-    }
-
-    /// Record a phase boundary at the current virtual time.
-    pub fn mark(&mut self, label: &'static str) {
-        self.marks.push(PhaseMark {
-            label,
-            at_ms: self.now_ms(),
-            breakdown: self.breakdown(),
-        });
-    }
-
-    /// The phase marks recorded so far, in order.
-    pub fn marks(&self) -> &[PhaseMark] {
-        &self.marks
     }
 
     /// Current virtual time in ticks.

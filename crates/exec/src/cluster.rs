@@ -7,8 +7,7 @@ use crate::recovery::{self, AttemptFailure, Membership, RecoveryPolicy, Recovery
 use crate::runstats::{NodeReport, RunResult};
 use adaptagg_model::{ticks_to_ms, CostParams, MemoryGrant};
 use adaptagg_net::{
-    loopback_endpoints, Control, Fabric, FaultPlan, LinkRetryPolicy, NodeFaults, TcpConfig,
-    TransportKind,
+    loopback_endpoints, Control, Fabric, FaultPlan, NodeFaults, TcpConfig, TransportKind,
 };
 use adaptagg_obs::{NodeTraceReport, RecoverySummaryTrace, RunTrace};
 use adaptagg_storage::{HeapFile, SimDisk};
@@ -269,7 +268,7 @@ where
             &config.fault_plan,
             config.transport,
             watchdog,
-            policy.map(|_| LinkRetryPolicy::default()),
+            policy.is_some(),
             config.trace,
             seats,
             &body,
@@ -341,7 +340,7 @@ fn run_seats<T, F>(
     fault_plan: &FaultPlan,
     transport: TransportKind,
     watchdog: Duration,
-    link_retry: Option<LinkRetryPolicy>,
+    link_retry: bool,
     trace: bool,
     seats: Vec<NodeSeat>,
     body: &F,
@@ -401,7 +400,6 @@ where
                     clock: ctx.clock.now(),
                     breakdown: ctx.clock.breakdown(),
                     net: *ctx.net_stats(),
-                    marks: ctx.clock.marks().to_vec(),
                     recovery: ctx
                         .recovery
                         .as_ref()

@@ -304,6 +304,9 @@ pub fn send_sealed(
 /// Repartitioning's scan side: scanned pages cross the exchange a batch
 /// at a time, hash and destination charged per raw tuple (§2.3).
 impl ScanSink<NodeCtx> for Exchange {
+    // Inline, so the scan loop (instantiated in the algos crate) calls
+    // `route_batch` itself rather than a one-jump trampoline to it.
+    #[inline]
     fn batch(&mut self, ctx: &mut NodeCtx, batch: &ScanBatch<'_>) -> Result<BatchOutcome, ExecError> {
         self.route_batch(ctx, batch, true)
     }

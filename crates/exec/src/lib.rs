@@ -34,7 +34,7 @@ pub mod operators;
 pub mod recovery;
 pub mod runstats;
 
-pub use clock::{Clock, PhaseMark, TimeBreakdown};
+pub use clock::{Clock, TimeBreakdown};
 pub use cluster::{
     run_cluster, ClusterConfig, ClusterRun, WATCHDOG_MS_PER_NODE, WATCHDOG_US_PER_PAGE,
 };
@@ -45,9 +45,8 @@ pub use operators::{PageScan, ScanCharge, ScanSink, ScanTally};
 pub use recovery::{new_store, CheckpointStore, RecoveryPolicy, RecoverySession, Segment};
 pub use runstats::{NodeRecoveryStats, NodeReport, RecoveryStats, RunResult};
 
-/// Re-export: fault plans and link retry are configured on
-/// [`ClusterConfig`] / [`RecoveryPolicy`].
-pub use adaptagg_net::{FaultPlan, LinkFaults, LinkRetryPolicy, NodeFaults};
+/// Re-export: fault plans are configured on [`ClusterConfig`].
+pub use adaptagg_net::{FaultPlan, LinkFaults, NodeFaults};
 
 /// Re-export: the observability layer's types, so algorithms and tools
 /// consume the trace API through the execution substrate (`NodeCtx`

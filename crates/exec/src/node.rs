@@ -4,9 +4,7 @@ use crate::clock::Clock;
 use crate::error::ExecError;
 use crate::recovery::RecoverySession;
 use adaptagg_model::{CostEvent, CostParams, CostTracker, MemoryGrant};
-use adaptagg_net::{
-    Control, DataKind, Endpoint, LinkRetryPolicy, Message, NetError, NetStats, NodeFaults, Payload,
-};
+use adaptagg_net::{Control, DataKind, Endpoint, Message, NetError, NetStats, NodeFaults, Payload};
 use adaptagg_obs::{LinkTrace, NodeTrace, NodeTraceReport, PhaseKind, SwitchCause, TraceEvent};
 use adaptagg_storage::{Page, PagePool, SimDisk};
 use std::time::Duration;
@@ -92,10 +90,10 @@ impl NodeCtx {
         &self.grant
     }
 
-    /// Enable bounded retry-with-backoff for failed sends (part of a
-    /// [`crate::recovery::RecoveryPolicy`]; `None` keeps fail-fast).
-    pub fn set_link_retry(&mut self, policy: Option<LinkRetryPolicy>) {
-        self.endpoint.set_retry_policy(policy);
+    /// Retry failed sends with bounded backoff (on under a
+    /// [`crate::recovery::RecoveryPolicy`]; off keeps fail-fast).
+    pub fn set_link_retry(&mut self, on: bool) {
+        self.endpoint.set_retry(on);
     }
 
     /// Apply a fault plan's per-node faults: the slowdown inflates the
@@ -174,22 +172,23 @@ impl NodeCtx {
         [b.cpu_ms, b.io_ms, b.net_ms, b.wait_ms]
     }
 
-    /// Open a phase span (no-op when tracing is disabled).
-    pub fn span_start(&mut self, phase: PhaseKind) {
+    /// Run `f` inside a `phase` span: the one place a phase opens and
+    /// closes. The span closes when `f` returns, whatever it returns, so
+    /// an error leaves no span open. Spans nest. With tracing disabled
+    /// this is a call of `f`; enabled, it reads the clock but never
+    /// charges it.
+    #[inline]
+    pub fn in_span<T>(&mut self, phase: PhaseKind, f: impl FnOnce(&mut NodeCtx) -> T) -> T {
         if self.trace.enabled() {
-            let now = self.clock.now_ms();
-            let bd = self.breakdown_snapshot();
+            let (now, bd) = (self.clock.now_ms(), self.breakdown_snapshot());
             self.trace.span_start(phase, now, bd);
         }
-    }
-
-    /// Close the innermost open phase span (no-op when disabled).
-    pub fn span_end(&mut self) {
+        let out = f(self);
         if self.trace.enabled() {
-            let now = self.clock.now_ms();
-            let bd = self.breakdown_snapshot();
+            let (now, bd) = (self.clock.now_ms(), self.breakdown_snapshot());
             self.trace.span_end(now, bd);
         }
+        out
     }
 
     /// Record an adaptive strategy switch as a first-class trace event,

@@ -10,8 +10,8 @@
 //! * [`RecoveryPolicy`] — how hard to try: attempt budget, checkpoint
 //!   interval and backoff schedule. A run under a policy also gets
 //!   [`STRAGGLER_FACTOR`](crate::cluster::STRAGGLER_FACTOR) watchdog
-//!   headroom and retries failed sends under the default
-//!   [`LinkRetryPolicy`](adaptagg_net::LinkRetryPolicy).
+//!   headroom and retries failed sends
+//!   ([`Endpoint::set_retry`](adaptagg_net::Endpoint::set_retry)).
 //! * [`RecoverySession`] — one node's per-attempt view: which base
 //!   partitions it owns (as [`Segment`]s of its concatenated `"base"`
 //!   file), the shared [`CheckpointStore`], and its recovery counters.
@@ -56,11 +56,13 @@ pub struct RecoveryPolicy {
     /// (and at phase boundaries). Smaller = less replay after a crash,
     /// more checkpoint I/O during healthy scans.
     pub checkpoint_interval_pages: usize,
-    /// Virtual backoff before the first re-attempt, in ms.
+    /// Virtual backoff before the first re-attempt, in ms; each later
+    /// one waits [`BACKOFF_MULTIPLIER`] times the one before.
     pub backoff_ms: f64,
-    /// Multiplier applied to the backoff between attempts.
-    pub backoff_multiplier: f64,
 }
+
+/// Multiplier applied to the recovery backoff between attempts.
+pub const BACKOFF_MULTIPLIER: f64 = 2.0;
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
@@ -68,7 +70,6 @@ impl Default for RecoveryPolicy {
             max_attempts: 8,
             checkpoint_interval_pages: 32,
             backoff_ms: 5.0,
-            backoff_multiplier: 2.0,
         }
     }
 }
@@ -445,7 +446,7 @@ pub fn run_attempts<T>(
             Ok(out) => return Ok((out, stats, records)),
             Err(failure) => failure,
         };
-        let (Some(policy), Some(victim)) = (policy, failure.victim) else {
+        let (Some(_), Some(victim)) = (policy, failure.victim) else {
             return Err(failure.error);
         };
         let lost = failure.at.unwrap_or(0);
@@ -459,7 +460,7 @@ pub fn run_attempts<T>(
         // No attempt follows the last one, so it waits out no backoff.
         let charged_backoff = if stats.attempts < max_attempts { ms_to_ticks(backoff) } else { 0 };
         stats.backoff += charged_backoff;
-        backoff *= policy.backoff_multiplier;
+        backoff *= BACKOFF_MULTIPLIER;
         if trace {
             records.push(RecoveryAttemptTrace {
                 attempt: stats.attempts,

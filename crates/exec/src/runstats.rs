@@ -1,6 +1,6 @@
 //! Run results: per-node reports and cluster-wide summaries.
 
-use crate::clock::{PhaseMark, TimeBreakdown};
+use crate::clock::TimeBreakdown;
 use adaptagg_model::ticks_to_ms;
 use adaptagg_net::NetStats;
 
@@ -83,18 +83,8 @@ pub struct NodeReport {
     pub breakdown: TimeBreakdown,
     /// Network traffic.
     pub net: NetStats,
-    /// Phase boundaries the algorithm marked (e.g. end of its sending
-    /// phase), in order.
-    pub marks: Vec<PhaseMark>,
     /// Recovery activity (checkpoints, restores, replay) on this node.
     pub recovery: NodeRecoveryStats,
-}
-
-impl NodeReport {
-    /// Virtual time of the mark with `label`, if recorded.
-    pub fn mark_ms(&self, label: &str) -> Option<f64> {
-        self.marks.iter().find(|m| m.label == label).map(|m| m.at_ms)
-    }
 }
 
 /// A whole run's result: per-node reports plus derived cluster metrics.
@@ -211,7 +201,6 @@ mod tests {
                 ..Default::default()
             },
             net: NetStats::default(),
-            marks: Vec::new(),
             recovery: NodeRecoveryStats::default(),
         }
     }

@@ -51,50 +51,20 @@ use std::time::{Duration, Instant};
 /// arrives late by.
 const RETRANSMIT_PENALTY_PAGES: u64 = 3;
 
-/// Bounded retry-with-backoff for sends that fail with a dead peer.
-///
-/// In the simulation a closed endpoint never comes back, so the retries
-/// model the *cost* of probing a transiently-unreachable peer before the
-/// failure escalates to the recovery layer (which reassigns the peer's
-/// work). Each retry charges exponentially-growing virtual backoff,
-/// accumulated on the endpoint ([`Endpoint::take_retry_backoff`]) and
-/// counted in [`NetStats::send_retries`]. `None` (the default) keeps the
-/// pre-recovery fail-fast behaviour, bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkRetryPolicy {
-    /// Re-attempts after the first failure before giving up.
-    pub max_retries: u32,
-    /// Virtual backoff before the first retry, in ms.
-    pub backoff_ms: f64,
-    /// Multiplier applied to the backoff between retries.
-    pub backoff_multiplier: f64,
-    /// Random jitter applied to each backoff step: the charged wait is
-    /// uniform in `[backoff · (1 − j), backoff · (1 + j)]`. Without it,
-    /// concurrent senders probing the same dead peer retry in lockstep
-    /// (synchronized bursts); with it, retries de-correlate. Draws come
-    /// from a per-endpoint stream seeded by the fault plan, so runs stay
-    /// deterministic per seed. `0.0` disables jitter exactly.
-    pub jitter_frac: f64,
-}
-
-impl Default for LinkRetryPolicy {
-    fn default() -> Self {
-        LinkRetryPolicy {
-            max_retries: 2,
-            backoff_ms: 1.0,
-            backoff_multiplier: 2.0,
-            jitter_frac: 0.25,
-        }
-    }
-}
-
-impl LinkRetryPolicy {
-    /// The same policy with jitter disabled (exact-backoff tests).
-    pub fn without_jitter(mut self) -> Self {
-        self.jitter_frac = 0.0;
-        self
-    }
-}
+/// Re-attempts of a send that failed with a dead peer, before giving up
+/// ([`Endpoint::set_retry`]).
+pub const RETRY_MAX: u32 = 2;
+/// Virtual backoff before the first retry, in ms.
+pub const RETRY_BACKOFF_MS: f64 = 1.0;
+/// Multiplier applied to the backoff between retries.
+pub const RETRY_BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Random jitter applied to each backoff step: the charged wait is
+/// uniform in `[backoff · (1 − j), backoff · (1 + j)]`. Without it,
+/// concurrent senders probing the same dead peer retry in lockstep
+/// (synchronized bursts); with it, retries de-correlate. Draws come from a
+/// per-endpoint stream seeded by the fault plan, so runs stay
+/// deterministic per seed.
+pub const RETRY_JITTER_FRAC: f64 = 0.25;
 
 /// Builds endpoints for an `n`-node cluster.
 #[derive(Debug)]
@@ -170,8 +140,8 @@ pub struct Endpoint {
     expected_seq: Vec<u64>,
     /// Out-of-order messages buffered per sender until their gap fills.
     ooo: Vec<BTreeMap<u64, Message>>,
-    /// Bounded retry for failed sends (`None` = fail fast, the default).
-    retry_policy: Option<LinkRetryPolicy>,
+    /// Whether failed sends are retried (off = fail fast, the default).
+    retry: bool,
     /// Virtual backoff accrued by retries since the last
     /// [`Endpoint::take_retry_backoff`], in ticks — the execution layer
     /// drains this into the node's clock as wait time.
@@ -211,7 +181,7 @@ impl Endpoint {
                 .collect(),
             expected_seq: vec![0; n],
             ooo: (0..n).map(|_| BTreeMap::new()).collect(),
-            retry_policy: None,
+            retry: false,
             retry_backoff: 0,
             retry_rng: SplitMix64::new(s),
         }
@@ -241,10 +211,20 @@ impl Endpoint {
         &self.links[to].stats
     }
 
-    /// Enable (or disable) bounded retry for failed sends on this
-    /// endpoint's outgoing links.
-    pub fn set_retry_policy(&mut self, policy: Option<LinkRetryPolicy>) {
-        self.retry_policy = policy;
+    /// Turn bounded retry-with-backoff on or off for sends on this
+    /// endpoint's outgoing links that fail with a dead peer (the recovery
+    /// layer turns it on for every run under a recovery policy).
+    ///
+    /// In the simulation a closed endpoint never comes back, so the
+    /// retries model the *cost* of probing a transiently-unreachable peer
+    /// before the failure escalates to the recovery layer (which reassigns
+    /// the peer's work). Each of the [`RETRY_MAX`] retries charges
+    /// exponentially-growing virtual backoff, accumulated on the endpoint
+    /// ([`Endpoint::take_retry_backoff`]) and counted in
+    /// [`NetStats::send_retries`]. Off (the default) keeps the
+    /// pre-recovery fail-fast behaviour, bit for bit.
+    pub fn set_retry(&mut self, on: bool) {
+        self.retry = on;
     }
 
     /// Drain the virtual backoff accrued by send retries since the last
@@ -408,26 +388,23 @@ impl Endpoint {
         }
     }
 
-    /// A send failed (the peer is unreachable). Under a retry policy,
-    /// re-attempt up to `max_retries` times, charging exponential virtual
-    /// backoff (jittered per [`LinkRetryPolicy::jitter_frac`]) per
-    /// attempt; give up with the transport's typed error once the budget
-    /// is spent so the failure can escalate to recovery. Without a
-    /// policy this is the old fail-fast path (zero draws, zero cost).
+    /// A send failed (the peer is unreachable). With retry on,
+    /// re-attempt up to [`RETRY_MAX`] times, charging exponential virtual
+    /// backoff (jittered by [`RETRY_JITTER_FRAC`]) per attempt; give up
+    /// with the transport's typed error once the budget is spent so the
+    /// failure can escalate to recovery. With retry off this is the old
+    /// fail-fast path (zero draws, zero cost).
     fn retry_push(&mut self, to: usize, failed: SendFailure) -> Result<(), NetError> {
         let SendFailure { mut msg, mut err } = failed;
-        let Some(policy) = self.retry_policy else {
+        if !self.retry {
             return Err(err);
-        };
-        let mut backoff = policy.backoff_ms;
-        for _ in 0..policy.max_retries {
+        }
+        let mut backoff = RETRY_BACKOFF_MS;
+        for _ in 0..RETRY_MAX {
             self.stats.send_retries += 1;
             self.links[to].stats.retries += 1;
-            let wait = ms_to_ticks(if policy.jitter_frac > 0.0 {
-                backoff * (1.0 + policy.jitter_frac * (2.0 * self.retry_rng.next_f64() - 1.0))
-            } else {
-                backoff
-            });
+            let jitter = RETRY_JITTER_FRAC * (2.0 * self.retry_rng.next_f64() - 1.0);
+            let wait = ms_to_ticks(backoff * (1.0 + jitter));
             self.retry_backoff += wait;
             // The retransmit would arrive after the backoff.
             msg.sent_at_ms = ticks_to_ms(msg.sent_at() + wait);
@@ -438,7 +415,7 @@ impl Endpoint {
                     err = f.err;
                 }
             }
-            backoff *= policy.backoff_multiplier;
+            backoff *= RETRY_BACKOFF_MULTIPLIER;
         }
         Err(err)
     }
@@ -1091,47 +1068,49 @@ mod tests {
         assert_ne!(run(11), run(12), "different seeds differ");
     }
 
+    /// The backoff a send that spends every retry may charge: the
+    /// geometric series of steps, each scaled by at most the jitter.
+    fn backoff_bounds() -> std::ops::RangeInclusive<u64> {
+        let nominal: f64 = (0..RETRY_MAX)
+            .map(|i| RETRY_BACKOFF_MS * RETRY_BACKOFF_MULTIPLIER.powi(i as i32))
+            .sum();
+        ms_to_ticks(nominal * (1.0 - RETRY_JITTER_FRAC))
+            ..=ms_to_ticks(nominal * (1.0 + RETRY_JITTER_FRAC))
+    }
+
     #[test]
     fn retry_policy_probes_a_dead_peer_then_escalates() {
         let mut eps = Fabric::new(2, NetworkKind::high_speed_default()).into_endpoints();
         let b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
-        a.set_retry_policy(Some(LinkRetryPolicy {
-            max_retries: 3,
-            backoff_ms: 2.0,
-            backoff_multiplier: 2.0,
-            jitter_frac: 0.0,
-        }));
+        a.set_retry(true);
         drop(b);
         assert_eq!(
             a.send_data(1, DataKind::Raw, page_with(1), 0.0),
             Err(NetError::PeerDown { peer: 1 }),
             "a permanently dead peer still escalates"
         );
-        assert_eq!(a.stats().send_retries, 3);
-        // Exponential backoff: 2 + 4 + 8.
-        assert_eq!(a.take_retry_backoff(), ms_to_ticks(14.0));
+        assert_eq!(a.stats().send_retries, RETRY_MAX as u64);
+        assert!(
+            backoff_bounds().contains(&a.take_retry_backoff()),
+            "exponential backoff"
+        );
         assert_eq!(a.take_retry_backoff(), 0, "drained");
     }
 
     #[test]
     fn retry_jitter_is_bounded_and_deterministic_per_seed() {
-        // With jitter j, each backoff step is scaled into [1-j, 1+j] by a
-        // draw from the endpoint's seeded stream: bounded (never a wild
-        // wait), de-correlated across nodes (no lockstep bursts), and
-        // fully reproducible per fault-plan seed.
+        // Each backoff step is scaled into [1-j, 1+j] by a draw from the
+        // endpoint's seeded stream: bounded (never a wild wait),
+        // de-correlated across nodes (no lockstep bursts), and fully
+        // reproducible per fault-plan seed.
         let probe = |plan_seed: u64| -> u64 {
             let plan = FaultPlan::new(plan_seed);
             let mut eps =
                 Fabric::with_faults(2, NetworkKind::high_speed_default(), &plan).into_endpoints();
             let b = eps.pop().unwrap();
             let mut a = eps.pop().unwrap();
-            a.set_retry_policy(Some(LinkRetryPolicy {
-                max_retries: 3,
-                backoff_ms: 2.0,
-                backoff_multiplier: 2.0,
-                jitter_frac: 0.5,
-            }));
+            a.set_retry(true);
             drop(b);
             assert_eq!(
                 a.send_data(1, DataKind::Raw, page_with(1), 0.0),
@@ -1140,29 +1119,9 @@ mod tests {
             a.take_retry_backoff()
         };
         let total = probe(9);
-        // Nominal total is 2 + 4 + 8 = 14; jitter keeps it within ±50 %.
-        assert!((ms_to_ticks(7.0)..=ms_to_ticks(21.0)).contains(&total), "got {total}");
+        assert!(backoff_bounds().contains(&total), "got {total}");
         assert_eq!(probe(9), total, "same seed, same jitter");
         assert_ne!(probe(10), total, "different seeds de-correlate");
-        // Disabling jitter restores the exact exponential series.
-        let exact = {
-            let mut eps = Fabric::new(2, NetworkKind::high_speed_default()).into_endpoints();
-            let b = eps.pop().unwrap();
-            let mut a = eps.pop().unwrap();
-            a.set_retry_policy(Some(
-                LinkRetryPolicy {
-                    max_retries: 3,
-                    backoff_ms: 2.0,
-                    backoff_multiplier: 2.0,
-                    jitter_frac: 0.9,
-                }
-                .without_jitter(),
-            ));
-            drop(b);
-            let _ = a.send_data(1, DataKind::Raw, page_with(1), 0.0);
-            a.take_retry_backoff()
-        };
-        assert_eq!(exact, ms_to_ticks(14.0));
     }
 
     #[test]
@@ -1176,14 +1135,8 @@ mod tests {
         let c = eps.pop().unwrap();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
-        let policy = LinkRetryPolicy {
-            max_retries: 4,
-            backoff_ms: 2.0,
-            backoff_multiplier: 2.0,
-            jitter_frac: 0.5,
-        };
-        a.set_retry_policy(Some(policy));
-        b.set_retry_policy(Some(policy));
+        a.set_retry(true);
+        b.set_retry(true);
         drop(c);
         let _ = a.send_data(2, DataKind::Raw, page_with(1), 0.0);
         let _ = b.send_data(2, DataKind::Raw, page_with(1), 0.0);
@@ -1213,7 +1166,7 @@ mod tests {
         let mut eps = Fabric::new(2, NetworkKind::HighSpeed { latency_ms: 0.5 }).into_endpoints();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
-        a.set_retry_policy(Some(LinkRetryPolicy::default()));
+        a.set_retry(true);
         let done = a.send_data(1, DataKind::Raw, page_with(1), 1.0).unwrap();
         assert_eq!(done, ms_to_ticks(1.5), "timestamps identical to the no-policy path");
         assert_eq!(b.recv().unwrap().sent_at_ms, 1.5);
@@ -1253,10 +1206,10 @@ mod tests {
         let mut a = eps.pop().unwrap();
         a.send_data(1, DataKind::Raw, page_with(1), 0.0).unwrap();
         assert_eq!(a.link_stats(1).drops, 1);
-        a.set_retry_policy(Some(LinkRetryPolicy::default()));
+        a.set_retry(true);
         drop(b);
         let _ = a.send_data(1, DataKind::Raw, page_with(1), 0.0);
-        assert_eq!(a.link_stats(1).retries, 2);
+        assert_eq!(a.link_stats(1).retries, RETRY_MAX as u64);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod transport;
 
 pub use blocker::{Blocker, Scatter, Sealed, TooLarge};
 pub use error::{FrameError, NetError};
-pub use fabric::{Endpoint, Fabric, LinkRetryPolicy};
+pub use fabric::{Endpoint, Fabric};
 pub use fault::{FaultPlan, LinkFaults, NodeFaults, SplitMix64};
 pub use frame::{WireFrame, MAX_FRAME_BYTES};
 pub use message::{Control, DataKind, Message, Payload};

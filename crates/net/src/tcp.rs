@@ -18,8 +18,9 @@
 //! * **Reconnection** — a failed send redials with jittered exponential
 //!   backoff, replays the un-acknowledged frame, and only after
 //!   [`TcpConfig::connect_attempts`] failures escalates to
-//!   [`NetError::PeerDown`] (which [`crate::LinkRetryPolicy`] and the
-//!   recovery loop above then handle).
+//!   [`NetError::PeerDown`] (which the endpoint's send retry
+//!   ([`crate::Endpoint::set_retry`]) and the recovery loop above then
+//!   handle).
 //!
 //! A dead peer surfaces **exactly once** per transport as
 //! `Err(NetError::PeerDown { peer })` from a receive call; when every

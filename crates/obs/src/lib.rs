@@ -1,8 +1,8 @@
 //! # adaptagg-obs
 //!
-//! Cluster-wide observability: structured span tracing, a small metrics
-//! registry (counters / gauges / log₂ histograms over virtual **and**
-//! wall time), and first-class trace events for the paper's adaptive
+//! Cluster-wide observability: structured span tracing over virtual
+//! **and** wall time, a small metrics registry (counters / gauges / log₂
+//! histograms), and first-class trace events for the paper's adaptive
 //! strategy switches (§3.2–§3.3).
 //!
 //! The design contract (DESIGN.md §11) is **zero cost when disabled**:

@@ -8,7 +8,7 @@
 //! adaptive strategy switches of §3.2–§3.3, with trigger cause and tuple
 //! offset), and a per-node [`MetricSet`].
 
-use crate::metrics::{Histogram, MetricSet};
+use crate::metrics::MetricSet;
 use std::time::Instant;
 
 /// The span taxonomy (DESIGN.md §11). Every phase a node moves through
@@ -313,19 +313,11 @@ impl NodeTrace {
     }
 
     /// Consume the trace into a report, closing any spans still open at
-    /// `now_ms`. Returns `None` when disabled. Per-phase virtual/wall
-    /// duration histograms are derived here so every enabled report
-    /// carries them without the recording path paying for it.
+    /// `now_ms`. Returns `None` when disabled.
     pub fn finish(&mut self, now_ms: f64, breakdown: [f64; 4]) -> Option<NodeTraceReport> {
         let mut d = self.inner.take()?;
         while let Some(open) = d.open.pop() {
             d.spans.push(close(open, now_ms, breakdown));
-        }
-        for span in &d.spans {
-            let (virt_name, wall_name) = phase_histogram_names(span.phase);
-            d.metrics
-                .histogram_record(virt_name, (span.virt_ms() * 1000.0).max(0.0) as u64);
-            d.metrics.histogram_record(wall_name, span.wall_us);
         }
         Some(NodeTraceReport {
             node: d.node,
@@ -347,23 +339,6 @@ fn close(open: OpenSpan, now_ms: f64, breakdown: [f64; 4]) -> SpanRecord {
         io_ms: breakdown[1] - open.breakdown[1],
         net_ms: breakdown[2] - open.breakdown[2],
         wait_ms: breakdown[3] - open.breakdown[3],
-    }
-}
-
-/// The per-phase histogram metric names (`phase.virt_us.*` /
-/// `phase.wall_us.*`).
-pub fn phase_histogram_names(phase: PhaseKind) -> (&'static str, &'static str) {
-    match phase {
-        PhaseKind::Scan => ("phase.virt_us.scan", "phase.wall_us.scan"),
-        PhaseKind::LocalAgg => ("phase.virt_us.local-agg", "phase.wall_us.local-agg"),
-        PhaseKind::Partition => ("phase.virt_us.partition", "phase.wall_us.partition"),
-        PhaseKind::Merge => ("phase.virt_us.merge", "phase.wall_us.merge"),
-        PhaseKind::Spill => ("phase.virt_us.spill", "phase.wall_us.spill"),
-        PhaseKind::Sample => ("phase.virt_us.sample", "phase.wall_us.sample"),
-        PhaseKind::Sort => ("phase.virt_us.sort", "phase.wall_us.sort"),
-        PhaseKind::RecoveryAttempt => {
-            ("phase.virt_us.recovery-attempt", "phase.wall_us.recovery-attempt")
-        }
     }
 }
 
@@ -485,19 +460,6 @@ impl RunTrace {
         }
         out
     }
-
-    /// Merged histogram of virtual span durations (µs) for `phase`
-    /// across all nodes, if any node entered it.
-    pub fn phase_histogram(&self, phase: PhaseKind) -> Option<Histogram> {
-        let (virt_name, _) = phase_histogram_names(phase);
-        let mut merged: Option<Histogram> = None;
-        for node in &self.nodes {
-            if let Some(h) = node.metrics.histogram(virt_name) {
-                merged.get_or_insert_with(Histogram::new).merge(h);
-            }
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -550,18 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn finish_derives_phase_histograms() {
-        let mut t = NodeTrace::on(0);
-        t.span_start(PhaseKind::Scan, 0.0, [0.0; 4]);
-        t.span_end(2.5, [0.0; 4]);
-        let report = t.finish(2.5, [0.0; 4]).unwrap();
-        let h = report.metrics.histogram("phase.virt_us.scan").unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 2500);
-        assert!(report.metrics.histogram("phase.wall_us.scan").is_some());
-    }
-
-    #[test]
     fn run_trace_aggregates_phases_and_events() {
         let mut a = NodeTrace::on(0);
         a.span_start(PhaseKind::Scan, 0.0, [0.0; 4]);
@@ -589,8 +539,9 @@ mod tests {
         assert_eq!(totals[0].1.spans, 2);
         assert_eq!(totals[0].1.virt_ms, 5.0);
         assert_eq!(run.events().count(), 1);
-        assert_eq!(run.node(0).unwrap().switches().next(), Some((SwitchCause::TableFull, 42)));
-        assert_eq!(run.phase_histogram(PhaseKind::Scan).unwrap().count(), 2);
-        assert!(run.phase_histogram(PhaseKind::Merge).is_none());
+        assert_eq!(
+            run.node(0).unwrap().switches().next(),
+            Some((SwitchCause::TableFull, 42))
+        );
     }
 }

@@ -6,6 +6,7 @@
 //! other. The paper's figures are only as trustworthy as this
 //! accounting.
 
+use adaptagg::exec::recovery::BACKOFF_MULTIPLIER;
 use adaptagg::exec::{ExecError, FaultPlan, RecoveryPolicy};
 use adaptagg::model::ms_to_ticks;
 use adaptagg::prelude::*;
@@ -36,7 +37,7 @@ fn config(plan: FaultPlan) -> ClusterConfig {
 /// The backoff the runtime books after `failures` failed attempts, in
 /// ticks: the policy's geometric series, each step a whole tick count.
 fn expected_backoff(policy: &RecoveryPolicy, failures: u32) -> u64 {
-    let steps = std::iter::successors(Some(policy.backoff_ms), |b| Some(b * policy.backoff_multiplier));
+    let steps = std::iter::successors(Some(policy.backoff_ms), |b| Some(b * BACKOFF_MULTIPLIER));
     steps.take(failures as usize).map(ms_to_ticks).sum()
 }
 

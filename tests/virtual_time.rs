@@ -232,17 +232,27 @@ fn waiting_shows_up_under_input_skew() {
     assert!(out.run.per_node[1].breakdown.wait_ms > out.run.per_node[0].breakdown.wait_ms);
 }
 
+/// Where phase 1 ended on `node`: the end of its last `partition` span.
+fn phase1_end_ms(out: &RunOutcome, node: usize) -> Option<f64> {
+    let spans = &out.trace.as_ref()?.node(node)?.spans;
+    spans
+        .iter()
+        .rev()
+        .find(|s| s.phase == PhaseKind::Partition)
+        .map(|s| s.end_ms)
+}
+
 #[test]
 fn phase_marks_split_the_timeline() {
     let spec = RelationSpec::uniform(8_000, 400);
     let parts = generate_partitions(&spec, 4);
     for kind in AlgorithmKind::ALL {
-        let out = run(kind, &parts, 4, CostParams::paper_default());
+        let config = ClusterConfig::new(4, CostParams::paper_default()).with_tracing();
+        let out = run_algorithm(kind, &config, &parts, &default_query()).expect("run succeeds");
         for r in &out.run.per_node {
-            // C2P ships to a coordinator: every node still marks phase 1.
-            let p1 = r
-                .mark_ms("phase1")
-                .unwrap_or_else(|| panic!("{kind}: node {} has no phase1 mark", r.node));
+            // C2P ships to a coordinator: every node still ends phase 1.
+            let p1 = phase1_end_ms(&out, r.node)
+                .unwrap_or_else(|| panic!("{kind}: node {} has no phase-1 end", r.node));
             assert!(p1 > 0.0, "{kind}: phase1 at 0");
             assert!(p1 <= ticks_to_ms(r.clock), "{kind}: phase1 {p1} after clock end {}", r.clock);
         }
@@ -255,12 +265,14 @@ fn measured_phase_split_matches_the_models_proportions() {
     // total time and the engine's phase-1 share agree within a factor.
     let spec = RelationSpec::uniform(40_000, 50);
     let parts = generate_partitions(&spec, 8);
-    let out = run(AlgorithmKind::TwoPhase, &parts, 8, CostParams::paper_default());
+    let config = ClusterConfig::new(8, CostParams::paper_default()).with_tracing();
+    let out = run_algorithm(AlgorithmKind::TwoPhase, &config, &parts, &default_query())
+        .expect("run succeeds");
     let p1: f64 = out
         .run
         .per_node
         .iter()
-        .map(|r| r.mark_ms("phase1").unwrap())
+        .map(|r| phase1_end_ms(&out, r.node).unwrap())
         .fold(0.0, f64::max);
     let measured_share = p1 / out.elapsed_ms();
 
