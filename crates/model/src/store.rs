@@ -433,6 +433,12 @@ enum KeyColumn {
     General(Arena<Value>),
 }
 
+/// Write `cells` into `out`, one slot each: a gathered column.
+#[inline]
+fn write_cells(out: &mut [i64], cells: impl Iterator<Item = i64>) {
+    out.iter_mut().zip(cells).for_each(|(o, x)| *o = x);
+}
+
 /// The states of one aggregate call, one cell per group.
 #[derive(Debug)]
 enum StateColumn {
@@ -704,18 +710,20 @@ impl StateColumn {
         }
     }
 
-    /// Append partial cell `c` of each of `entries` to `out`, as the `Int`
+    /// Write partial cell `c` of each of `entries` into `out`, as the `Int`
     /// [`StateColumn::partial_cells`] hands over: only for groups whose
     /// partial cells are all `Int`s ([`StateColumn::partials_are_ints`]).
-    fn gather(&self, c: usize, entries: impl Iterator<Item = usize>, out: &mut Vec<i64>) {
+    fn gather(&self, c: usize, entries: impl Iterator<Item = usize>, out: &mut [i64]) {
         match (self, c) {
             (StateColumn::Count(a), 0) | (StateColumn::Avg { count: a, .. }, 1) => {
-                out.extend(entries.map(|e| *a.cell(e) as i64))
+                write_cells(out, entries.map(|e| *a.cell(e) as i64))
             }
             (StateColumn::Sum { sum, .. } | StateColumn::Avg { sum, .. }, 0) => {
-                out.extend(entries.map(|e| *sum.cell(e) as i64))
+                write_cells(out, entries.map(|e| *sum.cell(e) as i64))
             }
-            (StateColumn::Extreme { best, .. }, 0) => out.extend(entries.map(|e| *best.cell(e))),
+            (StateColumn::Extreme { best, .. }, 0) => {
+                write_cells(out, entries.map(|e| *best.cell(e)))
+            }
             (column, _) => unreachable!("partial cell {c} of {column:?} as an Int"),
         }
     }
@@ -1507,16 +1515,16 @@ impl GroupStore {
         ints.then_some(self.partial_row_arity())
     }
 
-    /// Append partial-row cell `j` of each of `entries`, in order, to `out`
-    /// as `i64`s: one column of the rows [`GroupStore::partial_row`] reads,
-    /// gathered. Only for a store whose partial cells are all `Int`s
+    /// Write partial-row cell `j` of each of `entries`, in order, into
+    /// `out` as `i64`s: one column of the rows [`GroupStore::partial_row`]
+    /// reads, gathered. Only for a store whose partial cells are all `Int`s
     /// ([`GroupStore::partial_int_arity`]).
-    fn gather_partials(&self, j: usize, entries: impl Iterator<Item = usize>, out: &mut Vec<i64>) {
+    fn gather_partials(&self, j: usize, entries: impl Iterator<Item = usize>, out: &mut [i64]) {
         if j < self.key_len {
             let KeyColumn::Ints(a) = &self.keys else {
                 unreachable!("an all-Int store's key column is typed")
             };
-            return out.extend(entries.map(|e| a.row(e)[j]));
+            return write_cells(out, entries.map(|e| a.row(e)[j]));
         }
         let mut c = j - self.key_len;
         for (column, spec) in self.states.iter().zip(&self.specs) {
@@ -1645,7 +1653,7 @@ impl RowRun for PartialRun<'_> {
         self.int_arity
     }
 
-    fn gather(&self, j: usize, rows: Range<usize>, out: &mut Vec<i64>) {
+    fn gather(&self, j: usize, rows: Range<usize>, out: &mut [i64]) {
         self.store.gather_partials(j, self.order[rows].iter().map(|&e| e as usize), out);
     }
 

@@ -257,9 +257,9 @@ pub trait RowRun {
     /// `Some(a)` when every row is `a` `Int` cells.
     fn int_arity(&self) -> Option<usize>;
 
-    /// Append cell `j` of each of `rows`, in order, to `out`. Only for a
-    /// run with an [`RowRun::int_arity`].
-    fn gather(&self, j: usize, rows: std::ops::Range<usize>, out: &mut Vec<i64>);
+    /// Write cell `j` of each of `rows`, in order, into `out`, one slot a
+    /// row. Only for a run with an [`RowRun::int_arity`].
+    fn gather(&self, j: usize, rows: std::ops::Range<usize>, out: &mut [i64]);
 
     /// Hand `sink` every cell of row `i`, in column order.
     fn cells<S: CellSink>(&self, i: usize, sink: &mut S);
@@ -279,7 +279,7 @@ impl<R: CellRow + ?Sized> RowRun for OneRow<'_, R> {
         None
     }
 
-    fn gather(&self, _: usize, _: std::ops::Range<usize>, _: &mut Vec<i64>) {
+    fn gather(&self, _: usize, _: std::ops::Range<usize>, _: &mut [i64]) {
         unreachable!("a lone row is never gathered")
     }
 

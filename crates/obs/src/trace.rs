@@ -29,13 +29,11 @@ pub enum PhaseKind {
     Sample,
     /// Sort-based local aggregation.
     Sort,
-    /// One attempt of the query-level recovery driver.
-    RecoveryAttempt,
 }
 
 impl PhaseKind {
     /// Every phase, in display order.
-    pub const ALL: [PhaseKind; 8] = [
+    pub const ALL: [PhaseKind; 7] = [
         PhaseKind::Scan,
         PhaseKind::LocalAgg,
         PhaseKind::Partition,
@@ -43,7 +41,6 @@ impl PhaseKind {
         PhaseKind::Spill,
         PhaseKind::Sample,
         PhaseKind::Sort,
-        PhaseKind::RecoveryAttempt,
     ];
 
     /// Stable lowercase name (used in JSON and metric names).
@@ -56,7 +53,6 @@ impl PhaseKind {
             PhaseKind::Spill => "spill",
             PhaseKind::Sample => "sample",
             PhaseKind::Sort => "sort",
-            PhaseKind::RecoveryAttempt => "recovery-attempt",
         }
     }
 }

@@ -301,8 +301,8 @@ impl RowRun for Held<'_> {
         Some(self.0.len())
     }
 
-    fn gather(&self, j: usize, rows: Range<usize>, out: &mut Vec<i64>) {
-        out.extend_from_slice(&self.0[j][rows]);
+    fn gather(&self, j: usize, rows: Range<usize>, out: &mut [i64]) {
+        out.copy_from_slice(&self.0[j][rows]);
     }
 
     fn cells<S: CellSink>(&self, i: usize, sink: &mut S) {

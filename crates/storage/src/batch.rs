@@ -367,14 +367,15 @@ impl<'a> ScanBatch<'a> {
 
     /// Whether every projected column is an `Int` strip.
     fn int_strips(&self) -> bool {
-        (0..self.arity).all(|j| self.page.cols()[self.base_column(j)].is_int)
+        (0..self.arity).all(|j| self.page.strips().is_int(self.base_column(j)))
     }
 
     /// Projected column `j` of a batch of `Int` strips, indexed by row id.
     #[inline]
     fn int_column(&self, j: usize) -> &'a [i64] {
         let start = self.page.start() + self.start;
-        &self.page.cols()[self.base_column(j)].ints[start..start + self.rows]
+        let rows = start..start + self.rows;
+        self.page.strips().int_strip(self.base_column(j), rows)
     }
 
     /// Rows `rows` (row ids, in the order to append them) as one run, each
@@ -421,14 +422,16 @@ impl RowRun for ListedRows<'_, '_> {
     }
 
     #[inline]
-    fn gather(&self, j: usize, at: Range<usize>, out: &mut Vec<i64>) {
+    fn gather(&self, j: usize, at: Range<usize>, out: &mut [i64]) {
         let j = match self.tag {
-            Some(tag) if j == 0 => return out.extend(std::iter::repeat_n(tag, at.len())),
+            Some(tag) if j == 0 => return out.fill(tag),
             Some(_) => j - 1,
             None => j,
         };
         let col = self.batch.int_column(j);
-        out.extend(self.rows[at].iter().map(|&r| col[r as usize]));
+        for (o, &r) in out.iter_mut().zip(&self.rows[at]) {
+            *o = col[r as usize];
+        }
     }
 
     #[inline]

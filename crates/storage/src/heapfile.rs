@@ -2,10 +2,11 @@
 //!
 //! A [`HeapFile`] models one on-disk file of a node: its partition of the
 //! base relation, its result file, a checkpoint. Its rows lie on one set
-//! of column strips for the whole file — a column is one `Vec<i64>` until
-//! its first non-`Int` cell and one `Vec<Value>` after — and a **page
-//! table** cuts them into pages: each entry is a row range, the page's
-//! wire bytes and its min and max arity. Appending cuts a page exactly
+//! of column strips for the whole file — every column's `Int` cells in
+//! one column-major buffer that re-strides as the file grows, amortized
+//! like a `Vec`, and a `Vec<Value>` for a column from its first non-`Int`
+//! cell on — and a **page table** cuts them into pages: each entry is a
+//! row range, the page's wire bytes and its min and max arity. Appending cuts a page exactly
 //! where an owned [`crate::Page`] of the file's capacity would refuse the
 //! row (the wire-format admission of [`crate::Page::try_push_row`]), so page
 //! boundaries, page counts and the page I/O the cost model charges are

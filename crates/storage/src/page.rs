@@ -1,14 +1,17 @@
 //! Pages of tuples, laid out as **column strips**.
 //!
-//! Rows lie on strips (`Strips`): one strip per column, an `Int`-only strip a
-//! plain `Vec<i64>` (the validity-free fixed-width fast path batch
-//! operators ride) and a strip that has seen any other type general
-//! [`Value`] cells. An owned [`Page`] holds the strips of its own rows —
-//! message blocks, spill pages, in-memory row pages — while a heap file
-//! ([`crate::HeapFile`]) holds one set of strips for all of its rows and
-//! cuts them into pages with a page table. Either way a page is read
-//! through one borrowed [`PageView`]: the strips, the range of rows on them
-//! that is the page (`Extent`), and the page's capacity.
+//! Rows lie on strips (`Strips`): every column's `Int` cells in one
+//! buffer, column-major (the validity-free fixed-width fast path batch
+//! operators ride), a general [`Value`] strip for a column only once it
+//! has seen another type, and each row's arity written down only once a
+//! row's arity has differed from the first's. A typed page — every cell an
+//! `Int`, every row one arity — is one heap block. An owned [`Page`] holds
+//! the strips of its own rows — message blocks, spill pages, in-memory row
+//! pages — while a heap file ([`crate::HeapFile`]) holds one set of strips
+//! for all of its rows and cuts them into pages with a page table. Either
+//! way a page is read through one borrowed [`PageView`]: the strips, the
+//! range of rows on them that is the page (`Extent`), and the page's
+//! capacity.
 //!
 //! The byte budget is accounted in the [`adaptagg_model::encode`] wire
 //! format — `try_push` admits exactly the rows the old row-major byte page
@@ -53,13 +56,28 @@ pub struct Page {
 /// page's rows, or a whole heap file's.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Strips {
-    /// Per-row arity (the wire `arity:u16` header), in row order.
+    /// Every column's `Int` cells, column-major: row `r` of column `j` at
+    /// `j * stride + r`. The buffer ends after the last column that has
+    /// held an `Int` cell; a column with a general strip keeps its slot
+    /// here unread. A row shorter than a column leaves a pad cell in its
+    /// slot that is never read (row reconstruction stops at the row's
+    /// arity).
+    ints: Vec<i64>,
+    /// Rows a column's slot holds: for an owned page, the rows its capacity
+    /// holds at its first row's width, so a typed page never re-strides;
+    /// a heap file's grows as a `Vec` does. 0 until the first row.
+    stride: usize,
+    rows: usize,
+    /// Column `j`'s cells as values once it has seen a non-`Int` cell; an
+    /// empty vector is an `Int` column (`clear` keeps the buffers). Padded
+    /// lazily, like the slots: a cell per row only up to the last row whose
+    /// arity reaches the column.
+    general: Vec<Vec<Value>>,
+    /// Per-row arity (the wire `arity:u16` header), in row order, once a
+    /// row's arity has differed from the first's: empty while every row
+    /// is `uniform` cells wide.
     arities: Vec<u16>,
-    /// Column strips. Strip `j` is padded lazily: it holds one cell per
-    /// row only up to the last row whose arity exceeds `j`; pad cells for
-    /// shorter rows are never read (row reconstruction stops at the
-    /// row's arity).
-    cols: Vec<ColumnStrip>,
+    uniform: u16,
     /// `Some(a)` while every row since the open page's first is an
     /// all-`Int` row of arity `a`: the typed lane is open, and a run of
     /// such rows lands as strip runs ([`Page::fill`]). Any other row
@@ -116,132 +134,26 @@ impl Extent {
     }
 }
 
-/// One column's cells. `is_int` selects the fixed-width fast path; the
-/// first non-`Int` cell promotes the strip to general values. Both
-/// buffers are kept so a pooled page retains its capacity across
-/// `clear`/refill cycles.
-#[derive(Debug, Clone)]
-pub(crate) struct ColumnStrip {
-    pub(crate) ints: Vec<i64>,
-    values: Vec<Value>,
-    pub(crate) is_int: bool,
-}
-
-impl ColumnStrip {
-    fn new() -> Self {
-        ColumnStrip {
-            ints: Vec::new(),
-            values: Vec::new(),
-            is_int: true,
-        }
-    }
-
-    fn len(&self) -> usize {
-        if self.is_int {
-            self.ints.len()
-        } else {
-            self.values.len()
-        }
-    }
-
-    /// Extend the strip with pad cells up to `rows` entries (rows whose
-    /// arity does not reach this column).
-    fn pad_to(&mut self, rows: usize) {
-        if self.is_int {
-            if self.ints.len() < rows {
-                self.ints.resize(rows, 0);
-            }
-        } else if self.values.len() < rows {
-            self.values.resize(rows, Value::Null);
-        }
-    }
-
-    /// Size an empty strip for `rows` cells, `Int`s or general ones.
-    fn reserve_cells(&mut self, ints: bool, rows: usize) {
-        if ints {
-            self.ints.reserve(rows);
-        } else {
-            self.values.reserve(rows);
-        }
-    }
-
-    fn push(&mut self, v: &Value) {
-        if self.is_int {
-            if let Value::Int(x) = v {
-                self.ints.push(*x);
-                return;
-            }
-            self.promote();
-        }
-        self.values.push(v.clone());
-    }
-
-    /// [`ColumnStrip::push`] of `Value::Int(x)`.
-    fn push_int(&mut self, x: i64) {
-        if self.is_int {
-            self.ints.push(x);
-        } else {
-            self.values.push(Value::Int(x));
-        }
-    }
-
-    /// Rewiden the `Int` fast path into general cells (first non-`Int`
-    /// value, including pads-turned-`Null` never happens: pads stay 0).
-    fn promote(&mut self) {
-        debug_assert!(self.values.is_empty());
-        self.values.extend(self.ints.iter().map(|&x| Value::Int(x)));
-        self.ints.clear();
-        self.is_int = false;
-    }
-
-    fn clear(&mut self) {
-        self.ints.clear();
-        self.values.clear();
-        self.is_int = true;
-    }
-
-    /// Cell `r`, where it lies.
-    #[inline]
-    fn at(&self, r: usize) -> KeyCell<'_> {
-        if self.is_int {
-            KeyCell::Int(self.ints[r])
-        } else {
-            KeyCell::Value(&self.values[r])
-        }
-    }
-
-    /// Hand `sink` cell `r`.
-    #[inline]
-    fn cell<S: CellSink>(&self, r: usize, sink: &mut S) {
-        if self.is_int {
-            sink.int(self.ints[r]);
-        } else {
-            sink.value(&self.values[r]);
-        }
-    }
-
-    /// Logical equality of cell `r` here and cell `s` of `other`,
-    /// regardless of which representation (fast-path ints vs general
-    /// values) each strip uses.
-    fn cell_eq(&self, r: usize, other: &ColumnStrip, s: usize) -> bool {
-        match (self.is_int, other.is_int) {
-            (true, true) => self.ints[r] == other.ints[s],
-            (true, false) => matches!(other.values[s], Value::Int(x) if x == self.ints[r]),
-            (false, true) => matches!(self.values[r], Value::Int(x) if x == other.ints[s]),
-            (false, false) => self.values[r] == other.values[s],
-        }
-    }
-}
-
 /// What appending a row takes in bytes: on the wire (what the capacity
-/// bounds) and held in the strips (what never-filled strips size their
-/// buffers by). The first walk of a row about to be appended.
+/// bounds) and held in the strips (what a first row sizes them by). The
+/// first walk of a row about to be appended.
 #[derive(Default)]
 struct RowSize {
     arity: usize,
     /// Tag + payload bytes of the cells (the `arity:u16` header excluded).
     wire: usize,
-    held: usize,
+    /// Columns up to the row's last `Int` cell: the slots it writes.
+    int_slots: usize,
+    /// Cells of another type.
+    values: usize,
+}
+
+impl RowSize {
+    /// Bytes the row takes in the strips: a slot cell up to its last
+    /// `Int`, and a general cell for each cell of another type.
+    fn held(&self) -> usize {
+        self.int_slots * std::mem::size_of::<i64>() + self.values * std::mem::size_of::<Value>()
+    }
 }
 
 impl CellSink for RowSize {
@@ -249,17 +161,17 @@ impl CellSink for RowSize {
     fn int(&mut self, _: i64) {
         self.arity += 1;
         self.wire += 1 + std::mem::size_of::<i64>();
-        self.held += std::mem::size_of::<i64>();
+        self.int_slots = self.arity;
     }
 
     #[inline]
     fn value(&mut self, v: &Value) {
         self.arity += 1;
         self.wire += 1 + v.encoded_payload_len();
-        self.held += match v {
-            Value::Int(_) => std::mem::size_of::<i64>(),
-            _ => std::mem::size_of::<Value>(),
-        };
+        match v {
+            Value::Int(_) => self.int_slots = self.arity,
+            _ => self.values += 1,
+        }
     }
 }
 
@@ -305,36 +217,27 @@ pub fn pages_for<'a, R: CellRow + 'a>(
     Ok(pages)
 }
 
-/// Lands the cells of row `row` on their strips, column by column: the
+/// Lands the cells of the row being appended, column by column: the
 /// second walk.
 struct RowPush<'a> {
-    strips: std::slice::IterMut<'a, ColumnStrip>,
-    row: usize,
-    /// Rows to size a never-filled strip for.
-    reserve: Option<usize>,
-}
-
-impl RowPush<'_> {
-    #[inline]
-    fn strip(&mut self, ints: bool) -> &mut ColumnStrip {
-        let strip = self.strips.next().expect("a strip per cell");
-        if let Some(rows) = self.reserve {
-            strip.reserve_cells(ints, rows);
-        }
-        strip.pad_to(self.row);
-        strip
-    }
+    strips: &'a mut Strips,
+    j: usize,
 }
 
 impl CellSink for RowPush<'_> {
     #[inline]
     fn int(&mut self, x: i64) {
-        self.strip(true).push_int(x);
+        self.strips.put_int(self.j, x);
+        self.j += 1;
     }
 
     #[inline]
     fn value(&mut self, v: &Value) {
-        self.strip(matches!(v, Value::Int(_))).push(v);
+        match v {
+            Value::Int(x) => self.strips.put_int(self.j, *x),
+            _ => self.strips.put_value(self.j, v),
+        }
+        self.j += 1;
     }
 }
 
@@ -363,10 +266,139 @@ impl CellSink for Encode<'_> {
     }
 }
 
+/// Logical equality of two cells, whichever strip each lies on.
+fn cell_eq(a: KeyCell<'_>, b: KeyCell<'_>) -> bool {
+    match (a, b) {
+        (KeyCell::Int(x), KeyCell::Int(y)) => x == y,
+        (KeyCell::Int(x), KeyCell::Value(v)) | (KeyCell::Value(v), KeyCell::Int(x)) => {
+            matches!(v, Value::Int(y) if *y == x)
+        }
+        (KeyCell::Value(v), KeyCell::Value(w)) => v == w,
+    }
+}
+
 impl Strips {
     /// Rows held.
     pub(crate) fn rows(&self) -> usize {
-        self.arities.len()
+        self.rows
+    }
+
+    /// The arity of row `r`.
+    #[inline]
+    fn arity(&self, r: usize) -> usize {
+        usize::from(self.arities.get(r).copied().unwrap_or(self.uniform))
+    }
+
+    /// Whether column `j` holds `Int` cells only.
+    #[inline]
+    pub(crate) fn is_int(&self, j: usize) -> bool {
+        self.general.get(j).is_none_or(Vec::is_empty)
+    }
+
+    /// Column `j`'s `Int` cells of rows `rows`.
+    #[inline]
+    pub(crate) fn int_strip(&self, j: usize, rows: Range<usize>) -> &[i64] {
+        let at = j * self.stride;
+        &self.ints[at + rows.start..at + rows.end]
+    }
+
+    /// Column `j` over rows `rows`, every one of which reaches it.
+    #[inline]
+    fn column(&self, j: usize, rows: Range<usize>) -> StripView<'_> {
+        match self.general.get(j) {
+            Some(cells) if !cells.is_empty() => StripView::Values(&cells[rows]),
+            _ => StripView::Ints(self.int_strip(j, rows)),
+        }
+    }
+
+    /// Cell `j` of row `r`, where it lies.
+    #[inline]
+    pub(crate) fn at(&self, r: usize, j: usize) -> KeyCell<'_> {
+        match self.general.get(j) {
+            Some(cells) if !cells.is_empty() => KeyCell::Value(&cells[r]),
+            _ => KeyCell::Int(self.ints[j * self.stride + r]),
+        }
+    }
+
+    /// Hand `sink` cell `j` of row `r`.
+    #[inline]
+    pub(crate) fn cell<S: CellSink>(&self, r: usize, j: usize, sink: &mut S) {
+        match self.at(r, j) {
+            KeyCell::Int(x) => sink.int(x),
+            KeyCell::Value(v) => sink.value(v),
+        }
+    }
+
+    /// Room for `count` more rows whose `Int` cells lie in the first
+    /// `slots` columns: a full stride moves every slot to one twice as
+    /// long (or long enough), and a slot no row has written yet is added.
+    fn make_room(&mut self, count: usize, slots: usize) {
+        if self.rows + count > self.stride {
+            self.restride((self.rows + count).max(2 * self.stride));
+        }
+        let len = slots * self.stride;
+        if self.ints.len() < len {
+            self.ints.reserve_exact(len - self.ints.len());
+            self.ints.resize(len, 0);
+        }
+    }
+
+    /// Move every slot to `stride` rows, in a fresh buffer: a slot's tail
+    /// is never written until rows reach it.
+    fn restride(&mut self, stride: usize) {
+        let slots = self.ints.len().checked_div(self.stride).unwrap_or(0);
+        let mut ints = vec![0; slots * stride];
+        for j in 0..slots {
+            ints[j * stride..][..self.rows].copy_from_slice(self.int_strip(j, 0..self.rows));
+        }
+        self.ints = ints;
+        self.stride = stride;
+    }
+
+    /// Land `x` as cell `j` of the row being appended.
+    #[inline]
+    fn put_int(&mut self, j: usize, x: i64) {
+        let r = self.rows;
+        match self.general.get_mut(j) {
+            Some(cells) if !cells.is_empty() => {
+                cells.resize(r, Value::Null);
+                cells.push(Value::Int(x));
+            }
+            _ => self.ints[j * self.stride + r] = x,
+        }
+    }
+
+    /// Land `v`, not an `Int`, as cell `j` of the row being appended: the
+    /// column's first such cell turns it general, its cells so far copied
+    /// over as values.
+    fn put_value(&mut self, j: usize, v: &Value) {
+        let (r, stride) = (self.rows, self.stride);
+        if self.general.len() <= j {
+            self.general.resize_with(j + 1, Vec::new);
+        }
+        let cells = &mut self.general[j];
+        if cells.is_empty() {
+            cells.reserve(stride.max(r + 1));
+            match self.ints.get(j * stride..j * stride + r) {
+                Some(ints) => cells.extend(ints.iter().map(|&x| Value::Int(x))),
+                None => cells.resize(r, Value::Null),
+            }
+        }
+        cells.resize(r, Value::Null);
+        cells.push(v.clone());
+    }
+
+    /// Book `count` more rows of `arity` cells, their cells landed.
+    fn add_rows(&mut self, arity: u16, count: usize) {
+        if self.rows == 0 {
+            self.uniform = arity;
+        } else if self.arities.is_empty() && arity != self.uniform {
+            self.arities.resize(self.rows, self.uniform);
+        }
+        if !self.arities.is_empty() {
+            self.arities.extend(std::iter::repeat_n(arity, count));
+        }
+        self.rows += count;
     }
 
     /// Append `row` to `open`, the page of `capacity` wire bytes that ends
@@ -397,41 +429,31 @@ impl Strips {
             return Ok(false);
         }
         let arity = u16::try_from(size.arity).expect("tuple arity exceeds u16");
-        // Strips that have never held a row (a pooled page keeps its
-        // buffers through `clear`) size themselves for a page of rows like
-        // this one, instead of doubling their way up a dozen times — but
-        // for no more rows than would take the page's byte capacity in the
-        // strips (`Float`/`Null`/short `Str` cells are wider here than on
-        // the wire), so a page that stays nearly empty never holds more
-        // than that.
-        let like_first = (self.arities.capacity() == 0)
-            .then(|| capacity / n.max(std::mem::size_of::<u16>() + size.held));
-        if let Some(rows) = like_first {
-            self.arities.reserve(rows);
+        // Strips that hold no row yet (a pooled page keeps its buffers
+        // through `clear`) size themselves for a page of rows like this
+        // one, instead of doubling their way up a dozen times — but for no
+        // more rows than would take the page's byte capacity in the strips
+        // (`Float`/`Null`/short `Str` cells are wider here than on the
+        // wire), so a page that stays nearly empty never holds more than
+        // that.
+        if self.stride == 0 {
+            self.stride = (capacity / n.max(std::mem::size_of::<u16>() + size.held())).max(1);
         }
-        while self.cols.len() < size.arity {
-            self.cols.push(ColumnStrip::new());
-        }
-        let at = self.rows();
-        row.cells(&mut RowPush {
-            strips: self.cols.iter_mut(),
-            row: at,
-            reserve: like_first,
-        });
+        self.make_room(1, size.int_slots);
+        row.cells(&mut RowPush { strips: self, j: 0 });
         let lane = open.rows == 0 || self.int_arity == Some(size.arity);
-        self.int_arity = (lane && self.cols[..size.arity].iter().all(|c| c.is_int)).then_some(size.arity);
-        self.arities.push(arity);
+        self.int_arity = (lane && (0..size.arity).all(|j| self.is_int(j))).then_some(size.arity);
+        self.add_rows(arity, 1);
         open.add(n, arity);
         Ok(true)
     }
 
-    /// Drop every row (strip capacities retained).
+    /// Drop every row (buffer capacities retained).
     fn clear(&mut self) {
-        for c in &mut self.cols {
-            c.clear();
-        }
+        self.ints.clear();
+        self.general.iter_mut().for_each(Vec::clear);
         self.arities.clear();
-        self.int_arity = None;
+        (self.stride, self.rows, self.uniform, self.int_arity) = (0, 0, 0, None);
     }
 }
 
@@ -509,19 +531,12 @@ impl<'a> PageView<'a> {
         if self.extent.rows == 0 || j >= self.min_arity() {
             return None;
         }
-        let c = self.strips.cols.get(j)?;
-        debug_assert!(c.len() >= self.extent.range().end);
-        let rows = self.extent.range();
-        Some(if c.is_int {
-            StripView::Ints(&c.ints[rows])
-        } else {
-            StripView::Values(&c.values[rows])
-        })
+        Some(self.strips.column(j, self.extent.range()))
     }
 
     /// The strips the page's rows lie on.
-    pub(crate) fn cols(&self) -> &'a [ColumnStrip] {
-        &self.strips.cols
+    pub(crate) fn strips(&self) -> &'a Strips {
+        self.strips
     }
 
     /// The page's first row on its strips.
@@ -573,16 +588,18 @@ impl<'a> PageView<'a> {
 
 impl PartialEq for PageView<'_> {
     /// Logical equality: same capacity, same rows. Strip representation
-    /// (fast-path ints vs promoted values), where the rows lie, and
-    /// retained-but-cleared strip buffers do not participate, so a pooled
-    /// page refilled with the same rows equals a fresh one, and a heap
-    /// file's page equals the owned page it was cut like.
+    /// (`Int` slots vs general cells), where the rows lie, and
+    /// retained-but-cleared buffers do not participate, so a pooled page
+    /// refilled with the same rows equals a fresh one, and a heap file's
+    /// page equals the owned page it was cut like.
     fn eq(&self, other: &Self) -> bool {
         self.capacity == other.capacity
             && self.extent.rows == other.extent.rows
             && self.extent.bytes_used == other.extent.bytes_used
-            && self.strips.arities[self.extent.range()] == other.strips.arities[other.extent.range()]
-            && self.rows().zip(other.rows()).all(|(a, b)| a.cells_eq(&b))
+            && self
+                .rows()
+                .zip(other.rows())
+                .all(|(a, b)| a.arity() == b.arity() && a.cells_eq(&b))
     }
 }
 
@@ -628,9 +645,9 @@ impl CellRow for StripRow<'_, '_> {
     fn cells<S: CellSink>(&self, sink: &mut S) {
         // The batch validated its projection against the source's dense
         // strips when it was built; nothing is re-resolved per row.
-        let strips = self.batch.page().cols();
+        let strips = self.batch.page().strips();
         for j in 0..self.batch.arity() {
-            strips[self.batch.base_column(j)].cell(self.r, sink);
+            strips.cell(self.r, self.batch.base_column(j), sink);
         }
     }
 }
@@ -643,7 +660,10 @@ impl IndexRow for StripRow<'_, '_> {
 
     #[inline]
     fn cell(&self, j: usize) -> KeyCell<'_> {
-        self.batch.page().cols()[self.batch.base_column(j)].at(self.r)
+        self.batch
+            .page()
+            .strips()
+            .at(self.r, self.batch.base_column(j))
     }
 }
 
@@ -665,20 +685,14 @@ impl<'a> PageRow<'a> {
         (self.arity() > 0).then(|| (self.at(0), PageRow { skip: self.skip + 1, ..self }))
     }
 
-    /// The stored row's cells, the skipped ones included.
-    fn stored(&self) -> &'a [ColumnStrip] {
-        &self.strips.cols[..usize::from(self.strips.arities[self.r])]
-    }
-
     #[inline]
     fn at(&self, j: usize) -> KeyCell<'a> {
-        self.stored()[self.skip + j].at(self.r)
+        self.strips.at(self.r, self.skip + j)
     }
 
-    /// Whether two stored rows of one arity hold equal cells.
+    /// Whether two rows of one arity hold equal cells.
     fn cells_eq(&self, other: &PageRow<'_>) -> bool {
-        let mut cols = self.stored().iter().zip(other.stored());
-        cols.all(|(a, b)| a.cell_eq(self.r, b, other.r))
+        (0..self.arity()).all(|j| cell_eq(self.at(j), other.at(j)))
     }
 }
 
@@ -686,8 +700,8 @@ impl CellRow for PageRow<'_> {
     #[inline]
     fn cells<S: CellSink>(&self, sink: &mut S) {
         // A strip holds a cell for every row whose arity reaches it.
-        for strip in &self.stored()[self.skip..] {
-            strip.cell(self.r, sink);
+        for j in self.skip..self.strips.arity(self.r) {
+            self.strips.cell(self.r, j, sink);
         }
     }
 }
@@ -695,7 +709,7 @@ impl CellRow for PageRow<'_> {
 impl IndexRow for PageRow<'_> {
     #[inline]
     fn arity(&self) -> usize {
-        usize::from(self.strips.arities[self.r]) - self.skip
+        self.strips.arity(self.r) - self.skip
     }
 
     #[inline]
@@ -791,26 +805,20 @@ impl Page {
     fn extend_strips<R: RowRun + ?Sized>(&mut self, run: &R, arity: usize, rows: Range<usize>) {
         let (count, n) = (rows.len(), int_row_bytes(arity));
         let strips = &mut self.strips;
-        // Never-filled strips are sized for a page of such rows at once, as
-        // the cell walk sizes them for a page of its first row.
-        let like_first = (strips.arities.capacity() == 0).then(|| self.capacity / n);
-        if let Some(k) = like_first {
-            strips.arities.reserve(k);
+        // An empty page is sized for a page of such rows at once, as the
+        // cell walk sizes it for a page of its first row.
+        if strips.stride == 0 {
+            strips.stride = self.capacity / n;
         }
-        while strips.cols.len() < arity {
-            strips.cols.push(ColumnStrip::new());
-        }
-        let held = strips.arities.len();
-        for (j, strip) in strips.cols[..arity].iter_mut().enumerate() {
-            debug_assert!(strip.is_int && strip.ints.len() == held);
-            if let Some(k) = like_first {
-                strip.ints.reserve(k);
-            }
-            run.gather(j, rows.clone(), &mut strip.ints);
-            debug_assert_eq!(strip.ints.len(), held + count, "gathered column {j}");
+        strips.make_room(count, arity);
+        let (at, stride) = (strips.rows, strips.stride);
+        for j in 0..arity {
+            debug_assert!(strips.is_int(j));
+            let out = &mut strips.ints[j * stride + at..][..count];
+            run.gather(j, rows.clone(), out);
         }
         let tag = u16::try_from(arity).expect("tuple arity exceeds u16");
-        strips.arities.extend(std::iter::repeat_n(tag, count));
+        strips.add_rows(tag, count);
         strips.int_arity = Some(arity);
         self.extent.add_rows(count, n, tag);
     }
@@ -855,7 +863,7 @@ impl Page {
         self.view().encode_into(out)
     }
 
-    /// Clear the page for reuse (strip capacities retained — the
+    /// Clear the page for reuse (buffer capacities retained — the
     /// "workhorse collection" pattern: exchange operators and the page
     /// pool reuse pages without reallocating).
     pub fn clear(&mut self) {
@@ -949,8 +957,10 @@ impl RowRun for IntFrame<'_> {
         Some(self.arity)
     }
 
-    fn gather(&self, j: usize, rows: Range<usize>, out: &mut Vec<i64>) {
-        out.extend(rows.map(|i| self.cell(i, j)));
+    fn gather(&self, j: usize, rows: Range<usize>, out: &mut [i64]) {
+        for (o, i) in out.iter_mut().zip(rows) {
+            *o = self.cell(i, j);
+        }
     }
 
     fn cells<S: CellSink>(&self, i: usize, sink: &mut S) {
@@ -1074,17 +1084,15 @@ mod tests {
     #[test]
     fn a_one_row_page_holds_no_more_than_its_byte_capacity() {
         let held = |p: &Page| {
-            let cells = |c: &ColumnStrip| {
-                c.ints.capacity() * std::mem::size_of::<i64>()
-                    + c.values.capacity() * std::mem::size_of::<Value>()
-            };
+            let general = p.strips.general.iter().map(Vec::capacity).sum::<usize>();
             p.strips.arities.capacity() * std::mem::size_of::<u16>()
-                + p.strips.cols.iter().map(cells).sum::<usize>()
+                + p.strips.ints.capacity() * std::mem::size_of::<i64>()
+                + general * std::mem::size_of::<Value>()
         };
         let filled = |first: &[Value], rest: &[Value]| {
             let mut p = Page::new(4096);
             p.try_push(first).unwrap();
-            let after_one = (p.strips.arities.capacity(), held(&p));
+            let after_one = (p.strips.stride, held(&p));
             while p.try_push(rest).unwrap() {}
             (after_one, p.tuple_count(), held(&p))
         };
@@ -1320,9 +1328,11 @@ mod tests {
             Some(2)
         }
 
-        fn gather(&self, j: usize, rows: Range<usize>, out: &mut Vec<i64>) {
+        fn gather(&self, j: usize, rows: Range<usize>, out: &mut [i64]) {
             self.gathered.set(self.gathered.get() + 1);
-            out.extend(self.rows[rows].iter().map(|row| row[j]));
+            for (o, row) in out.iter_mut().zip(&self.rows[rows]) {
+                *o = row[j];
+            }
         }
 
         fn cells<S: CellSink>(&self, i: usize, sink: &mut S) {

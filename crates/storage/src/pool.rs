@@ -5,12 +5,15 @@
 //! pages it consumed back to its own pool with [`PagePool::put`]. The loop
 //! closes only where one node both receives and later seals. No node
 //! receives while it scans, so during phase 1 every pool is empty and
-//! every sealed message page is a fresh allocation. The merge phase then
+//! every sealed message page is a fresh page. The merge phase then
 //! returns the pages it consumes: the pool keeps 64 of them (`MAX_POOLED`)
 //! and the rest are freed on the receiving thread. So the exchange still
-//! allocates about one page per message on the sending node and frees it
-//! on the receiving one; what the pool saves is the refill of pages a
-//! node seals after it has received.
+//! allocates a page per message on the sending node and frees it on the
+//! receiving one — but a typed page is one heap block (its strips are one
+//! buffer, [`crate::page`]), so that is one allocation and one
+//! cross-thread free a message, and nothing is held across queries. What
+//! the pool saves is the refill of pages a node seals after it has
+//! received.
 //!
 //! Each node owns its pool (`&mut self` throughout). Purely a wall-clock
 //! optimization: pages are byte-identical to freshly allocated ones

@@ -64,11 +64,17 @@
 //! And a merge of many runs (DESIGN.md §28): a hundred runs through the
 //! tournament tree allocate per run and per output page, not per pop.
 //!
+//! And one block per page (DESIGN.md §39): a typed page's strips are one
+//! buffer, so a message page sealed by the scatter, a spill page and an
+//! all-`Int` frame landed off the wire are one allocation each, and a
+//! query that ships every tuple allocates about once per message page.
+//!
 //! This must stay the ONLY test in this file: `cargo test` runs tests in
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
 
-use adaptagg_exec::{Exchange, NodeCtx, PageScan};
+use adaptagg_algos::{run_algorithm, AlgorithmKind};
+use adaptagg_exec::{ClusterConfig, Exchange, NodeCtx, PageScan};
 use adaptagg_hashagg::{AggTable, HashAggregator};
 use adaptagg_model::{
     AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CountingTracker, GroupKey,
@@ -79,7 +85,8 @@ use adaptagg_model::query::merge_rows;
 use adaptagg_net::{Blocker, Control, Fabric, Payload, Scatter};
 use adaptagg_sortagg::merge::MergeEmit;
 use adaptagg_sortagg::{merge_runs, RunBuilder};
-use adaptagg_storage::{HeapFile, Page, PagePool, RowCause, ScanBatch, SimDisk};
+use adaptagg_storage::{HeapFile, Page, PagePool, RowCause, ScanBatch, SimDisk, SpillFile};
+use adaptagg_workload::{default_query, generate_partitions, RelationSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -743,4 +750,117 @@ fn resident_group_updates_do_not_allocate() {
     }
     assert!(pages >= 150, "{pages} message pages sealed over 50 batches");
     assert_eq!(counted, 0, "the scatter allocated {counted} times over 20 000 rows in {pages} message pages");
+
+    // One block per page (DESIGN.md §39). The same scatter with a pool
+    // that never gets a page back, as on a node that scans before it
+    // receives: every page that replaces a sealed one is fresh, and its
+    // first rows allocate its one buffer — a block per message page.
+    let (mut blocker, mut pool) = (Blocker::new(3, 2048), PagePool::new());
+    let mut sealed = Vec::with_capacity(64);
+    blocker
+        .scatter(&batch, Scatter::Hashed(&hashes), &mut pool, &mut sealed)
+        .unwrap();
+    let (mut counted, mut pages) = (u64::MAX, 0);
+    for _attempt in 0..5 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        pages = 0;
+        for _ in 0..50 {
+            blocker
+                .scatter(&batch, Scatter::Hashed(&hashes), &mut pool, &mut sealed)
+                .unwrap();
+            pages += sealed.len() as u64;
+        }
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        if counted == pages {
+            break;
+        }
+    }
+    assert!(
+        pool.is_empty() && pages >= 150,
+        "{pages} message pages sealed over 50 batches"
+    );
+    assert_eq!(
+        counted, pages,
+        "{pages} fresh message pages took {counted} allocations"
+    );
+
+    // A spill page: tagged rows of an all-`Int` batch spooled a page at a
+    // time. Each page is one block; the file's list of pages doubles on
+    // its own now and then (its 5th and 9th page here), which is the only
+    // other allocation a spooled page may see.
+    let mut spill = SpillFile::new(4096);
+    let per_page = 4096 / (2 + 3 * 9);
+    let listed: Vec<u32> = (0..per_page as u32).collect();
+    let run = batch.listed(&listed, Some(5));
+    let mut per_spill_page = Vec::new();
+    for _ in 0..16 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        spill.extend(&run, &mut tracker).unwrap();
+        per_spill_page.push(ALLOCS.load(Ordering::Relaxed) - before);
+    }
+    assert_eq!(
+        (spill.sealed_pages(), spill.tuple_count()),
+        (15, 16 * per_page)
+    );
+    let ones = per_spill_page.iter().filter(|&&n| n == 1).count();
+    assert!(
+        ones >= 13 && per_spill_page.iter().all(|&n| (1..=2).contains(&n)),
+        "allocations per spooled page: {per_spill_page:?}"
+    );
+
+    // An all-`Int` frame landed off the wire is one block, its column
+    // gathered straight off the bytes.
+    let mut frame = Vec::new();
+    let message = &sealed[0].page;
+    message.encode_into(&mut frame);
+    let mut counted = u64::MAX;
+    for _attempt in 0..5 {
+        let bytes = frame.clone();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let landed = Page::from_raw(2048, bytes, message.tuple_count() as u32).unwrap();
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(&landed, message);
+        if counted == 1 {
+            break;
+        }
+    }
+    assert_eq!(
+        counted,
+        1,
+        "landing a {}-row all-Int frame allocated {counted} times",
+        message.tuple_count()
+    );
+
+    // And a whole query that ships every tuple: `exchange_highcard`'s
+    // shape (2 nodes, Rep, a table that never fills) at a tenth of its
+    // tuples. It allocates about once per message page sent; what is
+    // left, `C`, is the node threads, the tables, the result rows and
+    // the drained pages. Measured: 440 allocations for 247 message pages
+    // (193 besides them; 1 179 at the parent, whose pages were four
+    // blocks each); at full scale 2 974 for 2 453.
+    const C: u64 = 240;
+    let partitions = generate_partitions(&RelationSpec::uniform(25_000, 6_250).with_seed(7), 2);
+    let params = CostParams {
+        max_hash_entries: 1_000_000,
+        ..CostParams::paper_default()
+    };
+    let cluster = ClusterConfig::new(2, params);
+    let query = default_query();
+    run_algorithm(AlgorithmKind::Repartitioning, &cluster, &partitions, &query).unwrap();
+    let (mut counted, mut pages) = (u64::MAX, 0);
+    for _attempt in 0..5 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let out =
+            run_algorithm(AlgorithmKind::Repartitioning, &cluster, &partitions, &query).unwrap();
+        counted = ALLOCS.load(Ordering::Relaxed) - before;
+        pages = out.run.total_net().pages_sent();
+        if counted <= pages + C {
+            break;
+        }
+    }
+    assert!(pages > 200, "{pages} message pages");
+    assert!(
+        counted <= pages + C,
+        "a 2-node Rep query allocated {counted} times for {pages} message pages: more than a block a page"
+    );
 }
