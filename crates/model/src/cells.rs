@@ -241,7 +241,7 @@ mod proptests {
                 Just(-1.5)
             ]
             .prop_map(Value::Float),
-            "[ab]{0,2}".prop_map(|s: String| Value::Str(s.into_boxed_str())),
+            "[ab]{0,2}".prop_map(|s: String| Value::Str(s.into())),
         ]
     }
 

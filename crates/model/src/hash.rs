@@ -413,7 +413,7 @@ mod proptests {
             Just(Value::Null),
             any::<i64>().prop_map(Value::Int),
             any::<f64>().prop_map(Value::Float),
-            ".{0,20}".prop_map(|s: String| Value::Str(s.into_boxed_str())),
+            ".{0,20}".prop_map(|s: String| Value::Str(s.into())),
         ]
     }
 

@@ -59,4 +59,4 @@ pub use schema::{DataType, Field, Schema};
 pub use store::{
     DemoteCause, GroupRow, GroupStore, IndexRow, KeyCell, LaneRows, PartialRun, SortScratch, StoreIndex, StoreLayout,
 };
-pub use value::{CellRow, CellSink, OneRow, RowRun, StripView, Value};
+pub use value::{CellRow, CellSink, OneRow, RowRun, SharedStr, StripView, Value};

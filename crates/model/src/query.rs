@@ -569,7 +569,7 @@ mod proptests {
             Just(vec![Value::Null]),
             prop_oneof![Just(-0.0), Just(0.0), Just(f64::NAN), Just(2.5)]
                 .prop_map(|f| vec![Value::Float(f)]),
-            "[ab]{0,1}".prop_map(|s: String| vec![Value::Str(s.into_boxed_str())]),
+            "[ab]{0,1}".prop_map(|s: String| vec![Value::Str(s.into())]),
             (0i64..2, -1i64..2).prop_map(|(a, b)| vec![Value::Int(a), Value::Int(b)]),
             Just(vec![]),
         ]

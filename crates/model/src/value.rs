@@ -9,6 +9,9 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::mem::ManuallyDrop;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A scalar value in a tuple.
 #[derive(Debug, Clone)]
@@ -20,8 +23,84 @@ pub enum Value {
     Int(i64),
     /// 64-bit IEEE float.
     Float(f64),
-    /// UTF-8 string. Boxed to keep `Value` at two words + discriminant.
-    Str(Box<str>),
+    /// UTF-8 string, its bytes shared ([`SharedStr`]): a clone bumps a
+    /// reference count instead of copying them, so a relation whose rows
+    /// repeat one string (the base layout's `pad`) holds it once, and a
+    /// cell copied into a table, page or result row allocates nothing. A
+    /// fat pointer keeps `Value` at two words + discriminant. Equality,
+    /// order, hashing and the wire bytes read the string alone, never the
+    /// sharing.
+    Str(SharedStr),
+}
+
+// Pages, heap files and group tables size their strips in `Value`s.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
+
+/// A string whose clones share its bytes: an `Arc<str>` whose drop hands
+/// the `Arc` by value to one out-of-line release.
+///
+/// `Arc`'s own drop passes the address of the `Arc` to its slow path, so
+/// wherever a `Value`'s drop is visible — every unwinding edge a `Value`
+/// is live across — the optimizer must keep that `Value` in memory and
+/// copy it whole (DESIGN.md §40.4). Handing the pointer over by value
+/// keeps a `Value`'s drop as small as a `Box<str>`'s was, and the
+/// optimizer free to move its words in registers.
+pub struct SharedStr(ManuallyDrop<Arc<str>>);
+
+impl SharedStr {
+    /// The shared string itself: its reference count, and whether two
+    /// cells share one.
+    pub fn as_arc(&self) -> &Arc<str> {
+        &self.0
+    }
+}
+
+impl Drop for SharedStr {
+    #[inline]
+    fn drop(&mut self) {
+        // SAFETY: `drop` runs once, and nothing reads the field after it.
+        release(unsafe { ManuallyDrop::take(&mut self.0) });
+    }
+}
+
+/// Drop one handle on a shared string, out of line and by value.
+#[inline(never)]
+fn release(s: Arc<str>) {
+    drop(s);
+}
+
+impl Clone for SharedStr {
+    #[inline]
+    fn clone(&self) -> Self {
+        SharedStr(ManuallyDrop::new(Arc::clone(&self.0)))
+    }
+}
+
+impl Deref for SharedStr {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for SharedStr {
+    fn from(s: &str) -> Self {
+        SharedStr(ManuallyDrop::new(s.into()))
+    }
+}
+
+impl From<String> for SharedStr {
+    fn from(s: String) -> Self {
+        SharedStr(ManuallyDrop::new(s.into()))
+    }
+}
+
+impl fmt::Debug for SharedStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 impl Value {
@@ -100,7 +179,7 @@ impl PartialEq for Value {
             (Value::Float(a), Value::Float(b)) => {
                 Value::float_key(*a) == Value::float_key(*b)
             }
-            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => **a == **b,
             _ => false,
         }
     }
@@ -153,7 +232,7 @@ impl Ord for Value {
             (Value::Float(a), Value::Float(b)) => {
                 Value::float_key(*a).cmp(&Value::float_key(*b))
             }
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            (Value::Str(a), Value::Str(b)) => (**a).cmp(b),
             (a, b) => rank(a).cmp(&rank(b)),
         }
     }
@@ -165,7 +244,7 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "NULL"),
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => write!(f, "{x}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(s) => f.write_str(s),
         }
     }
 }
@@ -190,7 +269,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v.into_boxed_str())
+        Value::Str(v.into())
     }
 }
 

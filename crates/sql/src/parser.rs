@@ -172,7 +172,7 @@ impl Parser {
             Some(Token {
                 kind: TokenKind::StrLit(s),
                 ..
-            }) => adaptagg_model::Value::Str(s.into_boxed_str()),
+            }) => adaptagg_model::Value::Str(s.into()),
             Some(t) => {
                 return Err(SqlError::at(
                     t.position,

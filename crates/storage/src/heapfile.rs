@@ -4,14 +4,16 @@
 //! base relation, its result file, a checkpoint. Its rows lie on one set
 //! of column strips for the whole file — every column's `Int` cells in
 //! one column-major buffer that re-strides as the file grows, amortized
-//! like a `Vec`, and a `Vec<Value>` for a column from its first non-`Int`
-//! cell on — and a **page table** cuts them into pages: each entry is a
-//! row range, the page's wire bytes and its min and max arity. Appending cuts a page exactly
-//! where an owned [`crate::Page`] of the file's capacity would refuse the
-//! row (the wire-format admission of [`crate::Page::try_push_row`]), so page
-//! boundaries, page counts and the page I/O the cost model charges are
-//! those of a file of separate pages: a page is a unit of cost, not of
-//! memory. Readers borrow a page as a [`PageView`] of the arenas.
+//! like a `Vec` (or never, for a file sized up front for its rows by
+//! [`HeapFile::with_capacity`]), and a `Vec<Value>` for a column from its
+//! first non-`Int` cell on — and a **page table** cuts them into pages:
+//! each entry is a row range, the page's wire bytes and its min and max
+//! arity. Appending cuts a page exactly where an owned [`crate::Page`] of
+//! the file's capacity would refuse the row (the wire-format admission of
+//! [`crate::Page::try_push_row`]), so page boundaries, page counts and the
+//! page I/O the cost model charges are those of a file of separate pages:
+//! a page is a unit of cost, not of memory. Readers borrow a page as a
+//! [`PageView`] of the arenas.
 //!
 //! Cloning a file (the driver hands each run its own copy of the base
 //! partitions) bumps one reference count; appending to a file a clone
@@ -51,6 +53,19 @@ impl HeapFile {
         HeapFile {
             page_bytes,
             body: Arc::default(),
+        }
+    }
+
+    /// An empty file with the given page capacity, its column buffers
+    /// sized for `rows` rows: a generator that knows how many rows it will
+    /// append fills them without re-striding or doubling a buffer.
+    pub fn with_capacity(page_bytes: usize, rows: usize) -> Self {
+        HeapFile {
+            page_bytes,
+            body: Arc::new(Body {
+                strips: Strips::with_rows(rows),
+                pages: Vec::new(),
+            }),
         }
     }
 

@@ -65,7 +65,8 @@ pub(crate) struct Strips {
     ints: Vec<i64>,
     /// Rows a column's slot holds: for an owned page, the rows its capacity
     /// holds at its first row's width, so a typed page never re-strides;
-    /// a heap file's grows as a `Vec` does. 0 until the first row.
+    /// a heap file's starts at the rows it was sized for (0 if none) and
+    /// grows as a `Vec` does. 0 until the first row otherwise.
     stride: usize,
     rows: usize,
     /// Column `j`'s cells as values once it has seen a non-`Int` cell; an
@@ -278,6 +279,15 @@ fn cell_eq(a: KeyCell<'_>, b: KeyCell<'_>) -> bool {
 }
 
 impl Strips {
+    /// Empty strips whose slots hold `rows` rows: the first row's `Int`
+    /// slots and any general strip are allocated that long, once.
+    pub(crate) fn with_rows(rows: usize) -> Self {
+        Strips {
+            stride: rows,
+            ..Strips::default()
+        }
+    }
+
     /// Rows held.
     pub(crate) fn rows(&self) -> usize {
         self.rows

@@ -80,7 +80,7 @@ impl RelationSpec {
     /// sequence is permuted so group order carries no information —
     /// matching the paper's uniform-distribution assumption).
     pub fn generate_tuples(&self) -> Vec<Vec<Value>> {
-        let pad = self.pad();
+        let pad = pad(self.pad_len());
         let row = |(g, v)| vec![Value::Int(g), Value::Int(v), pad.clone()];
         self.pairs().into_iter().map(row).collect()
     }
@@ -96,27 +96,49 @@ impl RelationSpec {
         pairs.shuffle(&mut rng);
         pairs
     }
-
-    /// Every tuple's padding cell.
-    fn pad(&self) -> Value {
-        Value::Str("x".repeat(self.pad_len()).into_boxed_str())
-    }
 }
 
-/// A base tuple where its cells lie: the group and value drawn for it and
-/// the relation's padding.
-struct BaseRow<'a> {
-    group: i64,
-    value: i64,
-    pad: &'a Value,
+/// A padding cell of `len` bytes. Its clones share its bytes.
+pub(crate) fn pad(len: usize) -> Value {
+    Value::from("x".repeat(len))
 }
 
-impl CellRow for BaseRow<'_> {
+/// A generated tuple where its cells lie: the `Int` cells drawn for it,
+/// then its partition's padding.
+pub(crate) struct PadRow<'a, const N: usize> {
+    pub(crate) ints: [i64; N],
+    pub(crate) pad: &'a Value,
+}
+
+impl<const N: usize> CellRow for PadRow<'_, N> {
     fn cells<S: CellSink>(&self, sink: &mut S) {
-        sink.int(self.group);
-        sink.int(self.value);
+        self.ints.iter().for_each(|&x| sink.int(x));
         sink.value(self.pad);
     }
+}
+
+/// Deal `tuples` generated rows round-robin across `nodes` heap files of
+/// 4 KB pages, each row its `Int` cells and a `pad_len`-byte padding.
+/// Each file is sized up front for the rows it will hold, and has its own
+/// padding string, which all of its rows share: one copy per partition,
+/// and no refcount that two node threads touch.
+pub(crate) fn deal<const N: usize>(
+    rows: impl IntoIterator<Item = [i64; N]>,
+    tuples: usize,
+    nodes: usize,
+    pad_len: usize,
+) -> Vec<HeapFile> {
+    assert!(nodes > 0);
+    let held = |k: usize| tuples / nodes + usize::from(k < tuples % nodes);
+    let mut files: Vec<(HeapFile, Value)> = (0..nodes)
+        .map(|k| (HeapFile::with_capacity(4096, held(k)), pad(pad_len)))
+        .collect();
+    for (i, ints) in rows.into_iter().enumerate() {
+        let (file, pad) = &mut files[i % nodes];
+        file.append_row(&PadRow { ints, pad })
+            .expect("generated tuple exceeds page size");
+    }
+    files.into_iter().map(|(file, _)| file).collect()
 }
 
 /// The study's default query over the base layout:
@@ -132,17 +154,11 @@ pub fn default_query() -> AggQuery {
 /// (the paper's §5 setup), each a heap file of 4 KB pages: the files
 /// `round_robin_partitions(&spec.generate_tuples(), nodes, 4096)` makes,
 /// each tuple appended straight to its file instead of first becoming a
-/// `Vec<Value>` of the whole relation.
+/// `Vec<Value>` of the whole relation, and each file's rows sharing one
+/// padding string.
 pub fn generate_partitions(spec: &RelationSpec, nodes: usize) -> Vec<HeapFile> {
-    assert!(nodes > 0);
-    let pad = spec.pad();
-    let mut files: Vec<HeapFile> = (0..nodes).map(|_| HeapFile::new(4096)).collect();
-    for (i, (group, value)) in spec.pairs().into_iter().enumerate() {
-        files[i % nodes]
-            .append_row(&BaseRow { group, value, pad: &pad })
-            .expect("generated tuple exceeds page size");
-    }
-    files
+    let rows = spec.pairs().into_iter().map(|(g, v)| [g, v]);
+    deal(rows, spec.tuples, nodes, spec.pad_len())
 }
 
 #[cfg(test)]
@@ -221,6 +237,38 @@ mod tests {
         let q = default_query();
         assert_eq!(q.projection_columns(), vec![0, 1]);
         assert_eq!(q.result_row_arity(), 3);
+    }
+
+    /// Every generator that deals its rows here makes the files its
+    /// tuples dealt round-robin would, page for page, with one padding
+    /// string per file.
+    #[test]
+    fn dealt_partitions_are_the_tuples_dealt_round_robin() {
+        use crate::{round_robin_partitions, TpcdWorkload, ZipfSpec};
+        let spec = RelationSpec::uniform(997, 12).with_seed(3);
+        let zipf = ZipfSpec::new(997, 40, 1.1);
+        let tpcd = TpcdWorkload::new(997);
+        for (dealt, tuples) in [
+            (generate_partitions(&spec, 3), spec.generate_tuples()),
+            (zipf.generate_partitions(3), zipf.generate_tuples()),
+            (tpcd.generate_partitions(3), tpcd.generate_tuples()),
+        ] {
+            let expect = round_robin_partitions(&tuples, 3, 4096);
+            for (file, want) in dealt.iter().zip(&expect) {
+                assert_eq!(file.page_count(), want.page_count());
+                assert!(file.pages().eq(want.pages()));
+                let pads: Vec<Value> = file
+                    .iter_untracked()
+                    .map(|t| t.unwrap().pop().unwrap())
+                    .collect();
+                assert!(pads.iter().all(|p| match (p, &pads[0]) {
+                    (Value::Str(a), Value::Str(b)) => {
+                        std::sync::Arc::ptr_eq(a.as_arc(), b.as_arc())
+                    }
+                    _ => false,
+                }));
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! algorithms *beat the best static algorithm*, because each node picks
 //! its strategy independently.
 
-use adaptagg_model::Value;
+use crate::relation::PadRow;
 use adaptagg_storage::HeapFile;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -56,8 +56,6 @@ impl InputSkewSpec {
     /// Generate per-node partitions.
     pub fn generate_partitions(&self) -> Vec<HeapFile> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let pad_len = self.tuple_bytes.saturating_sub(crate::relation::FIXED_BYTES);
-        let pad: Box<str> = "x".repeat(pad_len).into_boxed_str();
         (0..self.nodes)
             .map(|node| {
                 let count = if node < self.skewed_nodes {
@@ -65,17 +63,11 @@ impl InputSkewSpec {
                 } else {
                     self.tuples_per_node
                 };
-                let mut file = HeapFile::new(4096);
-                for _ in 0..count {
+                let draws = (0..count).map(|_| {
                     let g = rng.gen_range(0..self.groups) as i64;
-                    file.append(&[
-                        Value::Int(g),
-                        Value::Int(rng.gen_range(0..1000)),
-                        Value::Str(pad.clone()),
-                    ])
-                    .expect("tuple fits page");
-                }
-                file
+                    [g, rng.gen_range(0..1000)]
+                });
+                padded_file(draws, count, self.tuple_bytes)
             })
             .collect()
     }
@@ -134,11 +126,8 @@ impl OutputSkewSpec {
     /// rich nodes draw uniformly from groups `poor_nodes..groups`.
     pub fn generate_partitions(&self) -> Vec<HeapFile> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let pad_len = self.tuple_bytes.saturating_sub(crate::relation::FIXED_BYTES);
-        let pad: Box<str> = "x".repeat(pad_len).into_boxed_str();
         (0..self.nodes)
             .map(|node| {
-                let mut file = HeapFile::new(4096);
                 // Rich nodes must collectively cover all rich groups: give
                 // node its "own" shard of rich groups first, then fill
                 // randomly.
@@ -162,18 +151,23 @@ impl OutputSkewSpec {
                     }
                     plan.shuffle(&mut rng);
                 }
-                for g in plan {
-                    file.append(&[
-                        Value::Int(g),
-                        Value::Int(rng.gen_range(0..1000)),
-                        Value::Str(pad.clone()),
-                    ])
-                    .expect("tuple fits page");
-                }
-                file
+                let draws = plan.into_iter().map(|g| [g, rng.gen_range(0..1000)]);
+                padded_file(draws, self.tuples_per_node, self.tuple_bytes)
             })
             .collect()
     }
+}
+
+/// One node's heap file of 4 KB pages holding `rows` `(group, value,
+/// pad)` tuples of `tuple_bytes` bytes, sized up front for them, its rows
+/// sharing one padding string of its own.
+fn padded_file(draws: impl Iterator<Item = [i64; 2]>, rows: usize, tuple_bytes: usize) -> HeapFile {
+    let pad = crate::relation::pad(tuple_bytes.saturating_sub(crate::relation::FIXED_BYTES));
+    let mut file = HeapFile::with_capacity(4096, rows);
+    for ints in draws {
+        file.append_row(&PadRow { ints, pad: &pad }).expect("tuple fits page");
+    }
+    file
 }
 
 #[cfg(test)]

@@ -95,33 +95,47 @@ impl TpcdWorkload {
 
     /// Generate the lineitem rows.
     pub fn generate_tuples(&self) -> Vec<Vec<Value>> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // Fixed layout bytes: arity(2) + 4 tagged ints (9 each) + str(5+len).
-        let pad_len = self.tuple_bytes.saturating_sub(2 + 4 * 9 + 5);
-        let pad: Box<str> = "x".repeat(pad_len).into_boxed_str();
-        (0..self.rows)
-            .map(|i| {
-                // Skewed flag distribution, as in real lineitem data.
-                let flag = match rng.gen_range(0..100) {
-                    0..=48 => 0,  // N/O ~ half
-                    49..=73 => 1, // A/F
-                    74..=98 => 2, // R/F
-                    _ => rng.gen_range(3..6), // rare codes
-                };
-                vec![
-                    Value::Int(flag),
-                    Value::Int((i % self.orders) as i64),
-                    Value::Int(rng.gen_range(1..51)),
-                    Value::Int(rng.gen_range(10_000..1_000_000)),
-                    Value::Str(pad.clone()),
-                ]
-            })
-            .collect()
+        let pad = crate::relation::pad(self.pad_len());
+        let row = |ints: [i64; 4]| {
+            ints.map(Value::Int)
+                .into_iter()
+                .chain([pad.clone()])
+                .collect()
+        };
+        self.draws().map(row).collect()
     }
 
-    /// Generate and deal round-robin across `nodes`.
+    /// Generate and deal round-robin across `nodes`: the files
+    /// `round_robin_partitions(&self.generate_tuples(), nodes, 4096)`
+    /// makes, each file's rows sharing one padding string.
     pub fn generate_partitions(&self, nodes: usize) -> Vec<HeapFile> {
-        crate::placement::round_robin_partitions(&self.generate_tuples(), nodes, 4096)
+        crate::relation::deal(self.draws(), self.rows, nodes, self.pad_len())
+    }
+
+    fn pad_len(&self) -> usize {
+        // Fixed layout bytes: arity(2) + 4 tagged ints (9 each) + str(5+len).
+        self.tuple_bytes.saturating_sub(2 + 4 * 9 + 5)
+    }
+
+    /// Each row's `Int` cells, in column order.
+    fn draws(&self) -> impl Iterator<Item = [i64; 4]> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let orders = self.orders;
+        (0..self.rows).map(move |i| {
+            // Skewed flag distribution, as in real lineitem data.
+            let flag = match rng.gen_range(0..100) {
+                0..=48 => 0,  // N/O ~ half
+                49..=73 => 1, // A/F
+                74..=98 => 2, // R/F
+                _ => rng.gen_range(3..6), // rare codes
+            };
+            [
+                flag,
+                (i % orders) as i64,
+                rng.gen_range(1..51),
+                rng.gen_range(10_000..1_000_000),
+            ]
+        })
     }
 }
 

@@ -59,26 +59,32 @@ impl ZipfSpec {
 
     /// Generate tuples `(group, value, pad)`.
     pub fn generate_tuples(&self) -> Vec<Vec<Value>> {
-        let cdf = self.cdf();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let pad_len = self.tuple_bytes.saturating_sub(crate::relation::FIXED_BYTES);
-        let pad: Box<str> = "x".repeat(pad_len).into_boxed_str();
-        (0..self.tuples)
-            .map(|_| {
-                let u: f64 = rng.gen();
-                let rank = cdf.partition_point(|&c| c < u).min(self.groups - 1);
-                vec![
-                    Value::Int(rank as i64),
-                    Value::Int(rng.gen_range(0..1000)),
-                    Value::Str(pad.clone()),
-                ]
-            })
-            .collect()
+        let pad = crate::relation::pad(self.pad_len());
+        let row = |[g, v]: [i64; 2]| vec![Value::Int(g), Value::Int(v), pad.clone()];
+        self.draws().map(row).collect()
     }
 
-    /// Generate and deal round-robin across `nodes`.
+    /// Generate and deal round-robin across `nodes`: the files
+    /// `round_robin_partitions(&self.generate_tuples(), nodes, 4096)`
+    /// makes, each file's rows sharing one padding string.
     pub fn generate_partitions(&self, nodes: usize) -> Vec<HeapFile> {
-        crate::placement::round_robin_partitions(&self.generate_tuples(), nodes, 4096)
+        crate::relation::deal(self.draws(), self.tuples, nodes, self.pad_len())
+    }
+
+    fn pad_len(&self) -> usize {
+        self.tuple_bytes.saturating_sub(crate::relation::FIXED_BYTES)
+    }
+
+    /// Each tuple's group and value, in order.
+    fn draws(&self) -> impl Iterator<Item = [i64; 2]> {
+        let cdf = self.cdf();
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let groups = self.groups;
+        (0..self.tuples).map(move |_| {
+            let u: f64 = rng.gen();
+            let rank = cdf.partition_point(|&c| c < u).min(groups - 1);
+            [rank as i64, rng.gen_range(0..1000)]
+        })
     }
 }
 
